@@ -201,27 +201,25 @@ type parallelOpts struct {
 
 func runParallel(o parallelOpts) {
 	// With -store, -checkpoint names a tree in that backend; without it,
-	// a plain directory (which routes through the dir:// backend anyway,
-	// sweeping stale checkpoint temp dirs as a side effect).
+	// a plain directory, which is a tree in the dir:// store of its parent.
 	var st store.Storer
-	if o.storeURL != "" {
-		var err error
-		if st, err = store.Open(o.storeURL); err != nil {
-			fatalf("%v", err)
-		}
+	ckptName := o.checkpoint
+	var err error
+	switch {
+	case o.storeURL != "":
+		st, err = store.Open(o.storeURL)
+	case o.checkpoint != "":
+		st, ckptName, err = store.ForDir(o.checkpoint)
+	}
+	if err != nil {
+		fatalf("%v", err)
 	}
 	var c *campaign.Campaign
-	var err error
 	if o.resume {
 		if o.checkpoint == "" {
 			fatalf("-resume requires -checkpoint DIR")
 		}
-		if st != nil {
-			c, err = campaign.ResumeFrom(st, o.checkpoint)
-		} else {
-			c, err = campaign.Resume(o.checkpoint)
-		}
-		if err != nil {
+		if c, err = campaign.ResumeFrom(st, ckptName); err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Printf("[*] resumed campaign from %s: %d workers, %d edges, %d crashes\n",
@@ -273,10 +271,8 @@ func runParallel(o parallelOpts) {
 		c.Elapsed().Round(time.Millisecond), time.Since(start).Round(time.Millisecond))
 	fmt.Printf("    broker sync:    %s mode, %d exchanges, %v wall in broker\n",
 		ss.Mode, ss.Epochs, ss.SyncWall.Round(time.Millisecond))
-	if ss.Mode == campaign.SyncAsync {
-		fmt.Printf("    broker shards:  %d lock acquisitions, %d contended, %d imports dropped\n",
-			ss.ShardAcquisitions, ss.ShardContended, ss.ImportsDropped)
-	}
+	fmt.Printf("    broker shards:  %d lock acquisitions, %d contended, %d imports dropped\n",
+		ss.ShardAcquisitions, ss.ShardContended, ss.ImportsDropped)
 	fmt.Printf("    execs:          %d total (%.1f/virtual-second aggregate)\n",
 		c.Execs(), c.ExecsPerSecond())
 	if ps := c.PoolStats(); ps.Hits+ps.Misses > 0 {
@@ -293,12 +289,7 @@ func runParallel(o parallelOpts) {
 	reportCrashes(c.Crashes(), o.crashDir)
 
 	if o.checkpoint != "" {
-		if st != nil {
-			err = c.CheckpointTo(st, o.checkpoint)
-		} else {
-			err = c.Checkpoint(o.checkpoint)
-		}
-		if err != nil {
+		if err := c.CheckpointTo(st, ckptName); err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Printf("[*] checkpoint written to %s (resume with -resume -checkpoint %s)\n",

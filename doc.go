@@ -5,14 +5,15 @@
 // (mem, device, vm), an in-guest POSIX-ish kernel and network emulation
 // layer (guest, netemu), Nyx's affine-typed bytecode input model (spec,
 // builder, pcap), the snapshot-placement fuzzer itself (core), the
-// parallel campaign orchestrator with corpus sync and checkpoint/resume
-// (campaign), the pluggable checkpoint/corpus storage layer behind it
-// (store: dir:// local directories and mem:// in-process object buckets,
-// both with atomic whole-tree replacement), the multi-campaign HTTP
-// service (service), the paper's comparison fuzzers (baseline), the
-// evaluation workloads (targets, mario) and the experiment harness
-// regenerating every table and figure (experiments). See README.md for a
-// tour and DESIGN.md for the paper-to-module map.
+// parallel campaign orchestrator (campaign: one broker exchange under a
+// lockstep or an async schedule, one manifest version, one
+// CheckpointTo/ResumeFrom pair), the pluggable checkpoint/corpus storage
+// layer behind it (store: dir:// local directories and mem:// in-process
+// object buckets, both with atomic whole-tree replacement), the
+// multi-campaign HTTP service (service), the paper's comparison fuzzers
+// (baseline), the evaluation workloads (targets, mario) and the experiment
+// harness regenerating every table and figure (experiments). See README.md
+// for a tour and DESIGN.md for the paper-to-module map.
 //
 // The repository's determinism, aliasing, locking, and hot-path allocation
 // invariants are machine-checked by a repo-specific analyzer suite

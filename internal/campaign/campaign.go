@@ -6,29 +6,32 @@
 // to dozens of cores per host).
 //
 // The design mirrors AFL's secondary-instance sync protocol, restated as an
-// explicit interface contract between otherwise share-nothing workers. Two
-// sync modes drive the same edge-sharded broker (see broker.go):
+// explicit interface contract between otherwise share-nothing workers: at
+// an epoch boundary a worker exchanges a delta with the edge-sharded broker
+// (see broker.go) — it publishes its new queue entries with their bucketed
+// traces, its virgin-map delta, crashes and pick counts; the broker dedups
+// the entries against the global virgin map, settles the campaign-wide
+// favored competition, and hands back the worker's bounded import queue —
+// and then re-executes the pulled imports via core.ImportInput, so nothing
+// enters a queue that the local target did not reproduce.
+//
+// That one exchange runs under two schedules (SyncMode):
 //
 //   - Lockstep (SyncLockstep): workers fuzz in rounds of SyncInterval
-//     virtual time. During a round a worker touches no shared state, so
-//     rounds run on real goroutines yet stay fully deterministic for a
-//     fixed master seed. Between rounds the broker ingests each worker's
-//     newly queued entries, dedups them against the global virgin map
-//     (using the bucketed coverage snapshot each entry carries), dedups
-//     crashes, and redistributes the globally fresh entries to every other
-//     worker via core.ImportInput — the receiving worker re-executes them,
-//     so nothing enters a queue that the local target did not reproduce.
+//     virtual time and meet at a barrier, where one goroutine runs every
+//     worker's exchange in ID order — twice, so each also pulls what the
+//     workers after it published — before the imports drain in parallel.
+//     During a round a worker touches no shared state, so rounds run on
+//     real goroutines yet the campaign stays a pure function of the master
+//     seed.
 //   - Async (SyncAsync): there is no barrier. Each worker runs epochs of
-//     SyncInterval virtual time on its own clock; at each epoch boundary it
-//     publishes a batched delta (new entries with deep-copied inputs and
-//     traces, its virgin-map delta, crashes, pick counts) into the sharded
-//     broker and pulls its own bounded import queue. A slow worker never
-//     stalls a fast one — the scaling mode the paper's evaluation assumes.
-//     Async campaigns are not bit-reproducible (publication interleaving is
-//     scheduler-dependent); seeded experiments that need byte-identical
-//     coverage use lockstep.
+//     SyncInterval virtual time on its own clock and exchanges from its own
+//     goroutine. A slow worker never stalls a fast one — the scaling mode
+//     the paper's evaluation assumes. Async campaigns are not
+//     bit-reproducible (exchange interleaving is scheduler-dependent);
+//     seeded experiments that need byte-identical coverage use lockstep.
 //
-// Campaigns checkpoint to a directory (per-worker corpora plus broker
+// Campaigns checkpoint to a store tree (per-worker corpora plus broker
 // state) and resume from it; see checkpoint.go for the format and the
 // determinism contract across resumes.
 package campaign
@@ -58,15 +61,16 @@ const DefaultSyncInterval = time.Second
 type SyncMode int
 
 const (
-	// SyncLockstep is the deterministic barrier mode: all workers round in
-	// lockstep and the broker ingests single-threaded between rounds. The
-	// campaign is a pure function of the master seed — the mode the
-	// ablation harness and the determinism tests rely on. The zero value,
-	// so pre-async configurations and checkpoints keep their semantics.
+	// SyncLockstep is the deterministic barrier schedule: all workers round
+	// in lockstep and exchange in ID order from one goroutine between
+	// rounds. The campaign is a pure function of the master seed — the
+	// mode the ablation harness and the determinism tests rely on. The
+	// zero value, so pre-async configurations and checkpoints keep their
+	// semantics.
 	SyncLockstep SyncMode = iota
-	// SyncAsync is the barrier-free mode: workers publish epoch deltas and
-	// pull bounded import queues on their own clocks. Scales past the
-	// lockstep serialization point but is not bit-reproducible.
+	// SyncAsync is the barrier-free schedule: workers exchange on their own
+	// clocks and goroutines. Scales past the lockstep serialization point
+	// but is not bit-reproducible.
 	SyncAsync
 )
 
@@ -141,24 +145,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// worker is one fuzzer instance plus the broker's per-worker sync cursors.
+// worker is one fuzzer instance plus its publication cursors. Everything
+// here is owned by whichever goroutine is running the worker.
 type worker struct {
 	id   int
 	inst *targets.Instance
 	fz   *core.Fuzzer
-	// synced/crashSynced mark how far into the worker's queue and crash
-	// list the broker has already looked (lockstep) or the worker itself
-	// has already published (async).
+	// synced/crashSynced mark how far into its queue and crash list the
+	// worker has already published.
 	synced      int
 	crashSynced int
-	// imports is the redistribution list the broker assembled for this
-	// worker in the current sync; drained in parallel by the worker.
-	// Lockstep only — async redistribution pulls from the broker's
-	// bounded per-worker queues instead.
-	imports []*core.QueueEntry
-
-	// Async-mode state, owned by the worker's goroutine.
-	// epoch counts completed epoch exchanges.
+	// epoch counts completed fuzzing epochs.
 	epoch int
 	// pushedVirgin shadows the slice of the worker's virgin map already
 	// published, so each delta ships only the new bits (coverage.AppendNewTo).
@@ -179,8 +176,8 @@ type Campaign struct {
 	// baseElapsed is the cumulative virtual time of previous epochs
 	// (restored from a checkpoint); the campaign clock continues from it.
 	baseElapsed time.Duration
-	// stopped is the sticky graceful-stop flag; RunFor checks it between
-	// lockstep rounds, so a stop always lands on a sync boundary where the
+	// stopped is the sticky graceful-stop flag; both schedules check it
+	// between epochs, so a stop always lands on a sync boundary where the
 	// campaign is checkpointable.
 	stopped atomic.Bool
 }
@@ -267,15 +264,15 @@ func deriveSeed(master int64, epoch, worker int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// RunFor extends the campaign by d of virtual time per worker. In lockstep
-// mode workers round in SyncInterval steps with a broker sync after every
-// round; in async mode each worker runs SyncInterval epochs on its own
-// clock, exchanging with the broker at its own boundaries. In both modes,
-// time spent re-executing imported entries counts against each worker's
-// budget (the deadlines are absolute), so an N-worker campaign gets the
-// same per-worker virtual time as a solo one — sync is paid for, not free.
-// RunFor returns with every worker quiesced and all publications in the
-// broker, so the campaign is checkpointable between calls in either mode.
+// RunFor extends the campaign by d of virtual time per worker, in epochs of
+// SyncInterval with a broker exchange after each: under the lockstep
+// schedule all workers round together and exchange at the barrier, under
+// async each runs on its own clock. In both, time spent re-executing
+// imported entries counts against each worker's budget (the deadlines are
+// absolute), so an N-worker campaign gets the same per-worker virtual time
+// as a solo one — sync is paid for, not free. RunFor returns with every
+// worker quiesced and all publications in the broker, so the campaign is
+// checkpointable between calls.
 func (c *Campaign) RunFor(d time.Duration) error {
 	if c.cfg.SyncMode == SyncAsync {
 		return c.runAsync(d)
@@ -284,44 +281,21 @@ func (c *Campaign) RunFor(d time.Duration) error {
 	for i, w := range c.workers {
 		deadlines[i] = w.fz.Elapsed() + d
 	}
-	for {
-		if c.stopped.Load() {
-			return nil
-		}
-		work := false
-		for i, w := range c.workers {
-			if w.fz.Elapsed() < deadlines[i] {
-				work = true
-				break
-			}
-		}
-		if !work {
-			return nil
-		}
-		if err := c.parallel(func(w *worker) error {
-			rem := deadlines[w.id] - w.fz.Elapsed()
-			if rem <= 0 {
-				return nil
-			}
-			step := c.cfg.SyncInterval
-			if step > rem {
-				step = rem
-			}
-			return w.fz.RunFor(step)
-		}); err != nil {
+	behind := func(w *worker) bool { return w.fz.Elapsed() < deadlines[w.id] }
+	for !c.stopped.Load() && slices.ContainsFunc(c.workers, behind) {
+		if err := c.parallel(func(w *worker) error { return c.fuzzEpoch(w, deadlines[w.id]) }); err != nil {
 			return err
 		}
 		c.rounds++
-		start := time.Now() //nyx:wallclock sync-cost telemetry (SyncStats.SyncWall), never steers fuzzing
-		if err := c.sync(); err != nil {
+		if err := c.syncRound(); err != nil {
 			return err
 		}
-		c.broker.syncWall += time.Since(start) //nyx:wallclock sync-cost telemetry, never steers fuzzing
 	}
+	return nil
 }
 
 // runAsync extends every worker by d of virtual time with no barrier:
-// each worker loops fuzz-epoch → publish delta → drain imports on its own
+// each worker loops fuzz-epoch → exchange → drain imports on its own
 // goroutine and its own clock. A final exchange after the deadline flushes
 // whatever the last partial epoch queued, so RunFor returns with the
 // broker holding every publication (checkpointable).
@@ -329,14 +303,9 @@ func (c *Campaign) runAsync(d time.Duration) error {
 	return c.parallel(func(w *worker) error {
 		deadline := w.fz.Elapsed() + d
 		for !c.stopped.Load() && w.fz.Elapsed() < deadline {
-			step := c.cfg.SyncInterval
-			if rem := deadline - w.fz.Elapsed(); step > rem {
-				step = rem
-			}
-			if err := w.fz.RunFor(step); err != nil {
+			if err := c.fuzzEpoch(w, deadline); err != nil {
 				return err
 			}
-			w.epoch++
 			if err := c.syncWorker(w); err != nil {
 				return err
 			}
@@ -350,17 +319,57 @@ func (c *Campaign) runAsync(d time.Duration) error {
 	})
 }
 
-// syncWorker runs one async epoch exchange for w: build the delta from
-// everything queued since the last exchange, publish it, apply the broker's
-// verdicts to the worker's own live entries, and re-execute the pulled
-// imports (which counts against the worker's virtual-time budget, like
-// lockstep redistribution).
+// fuzzEpoch advances w by one SyncInterval of virtual time, clipped to its
+// deadline (a no-op once w is there).
+func (c *Campaign) fuzzEpoch(w *worker, deadline time.Duration) error {
+	step := min(c.cfg.SyncInterval, deadline-w.fz.Elapsed())
+	if step <= 0 {
+		return nil
+	}
+	if err := w.fz.RunFor(step); err != nil {
+		return err
+	}
+	w.epoch++
+	return nil
+}
+
+// syncRound is the lockstep schedule's barrier: every worker exchanges in
+// ID order from this goroutine, so the broker sees a fixed sequence of
+// deltas. At its own exchange a worker pulls only what lower IDs published
+// before it, so a second pass of empty deltas pulls the rest and no import
+// stays pending across the round. Then the imports drain in parallel —
+// each worker only touches itself.
+func (c *Campaign) syncRound() error {
+	held := make([][]importItem, len(c.workers))
+	for _, w := range c.workers {
+		held[w.id] = c.publish(w)
+	}
+	for _, w := range c.workers {
+		held[w.id] = append(held[w.id], w.exchange(c.broker, epochDelta{elapsed: w.fz.Elapsed()})...)
+	}
+	return c.parallel(func(w *worker) error { return w.importAll(held[w.id]) })
+}
+
+// syncWorker is the async schedule's epoch boundary: w exchanges and
+// re-executes what it pulled right away.
 func (c *Campaign) syncWorker(w *worker) error {
-	d := w.buildDelta(c.cfg.Power != core.PowerOff)
-	won, items, notes, peerPicks, peerSum := c.broker.exchange(w.id, d)
+	return w.importAll(c.publish(w))
+}
+
+// publish exchanges everything w queued since its last exchange and
+// returns the imports it pulled.
+func (c *Campaign) publish(w *worker) []importItem {
+	return w.exchange(c.broker, w.buildDelta(c.cfg.Power != core.PowerOff))
+}
+
+// exchange hands the broker w's delta, applies the verdicts and notices
+// that come back to w's own live entries, feeds the other workers' pick
+// totals into its rarity signal, and returns the pulled imports.
+func (w *worker) exchange(b *broker, d epochDelta) []importItem {
+	won, items, notes, peerPicks, peerSum := b.exchange(w.id, d)
 	for i := range d.pubs {
-		// The same verdict lockstep's compete applies in place: winners
-		// are (re-)promoted, locally favored losers demoted.
+		// Winners are (re-)promoted, locally favored losers demoted — the
+		// loser feedback the worker's scheduler reads on its next epoch.
 		if won[i] {
 			d.pubs[i].entry.GloballyDominated = false
 		} else if d.pubs[i].favored {
@@ -374,7 +383,9 @@ func (c *Campaign) syncWorker(w *worker) error {
 	}
 	if peerPicks != nil {
 		// The broker returned campaign totals; subtract this worker's own
-		// picks so local picks are never double-counted.
+		// picks so local picks are never double-counted. Without the peer
+		// signal an edge the whole campaign has hammered still looks rare
+		// to the one worker that happened to pick it seldom.
 		for idx, own := range d.picks {
 			if rest := peerPicks[idx] - own; rest > 0 {
 				peerPicks[idx] = rest
@@ -384,6 +395,12 @@ func (c *Campaign) syncWorker(w *worker) error {
 		}
 		w.fz.SetPeerEdgePicks(peerPicks, peerSum-d.pickSum)
 	}
+	return items
+}
+
+// importAll re-executes pulled imports against w's own target, which
+// counts against its virtual-time budget.
+func (w *worker) importAll(items []importItem) error {
 	for _, it := range items {
 		if _, err := w.fz.ImportInput(it.input); err != nil {
 			return err
@@ -392,25 +409,34 @@ func (c *Campaign) syncWorker(w *worker) error {
 	return nil
 }
 
-// buildDelta snapshots everything w queued since its last exchange into an
-// epochDelta. Published inputs and traces are deep copies: the broker and
-// the receiving workers read them while this worker keeps mutating the
-// live entries (trim rewrites Input in place).
+// buildDelta gathers everything w queued since its last exchange into an
+// epochDelta. Traces are regrouped by broker shard into one scratch
+// allocation; inputs are the live ones (see pubDelta).
 func (w *worker) buildDelta(power bool) epochDelta {
 	var d epochDelta
-	for _, e := range w.fz.Queue[w.synced:] {
+	fresh := w.fz.Queue[w.synced:]
+	w.synced = len(w.fz.Queue)
+	total := 0
+	for _, e := range fresh {
+		total += len(e.Cov)
+	}
+	scratch := make([]coverage.BucketHit, total)
+	d.pubs = make([]pubDelta, 0, len(fresh))
+	for _, e := range fresh {
 		key := core.InputKey(e.Input)
 		w.byKey[key] = append(w.byKey[key], e)
+		hits := scratch[:len(e.Cov)]
+		scratch = scratch[len(e.Cov):]
 		d.pubs = append(d.pubs, pubDelta{
 			key:     key,
 			fav:     e.FavFactor(),
 			favored: e.Favored,
-			cov:     slices.Clone(e.Cov),
-			input:   e.Input.Clone(),
+			hits:    hits,
+			off:     groupByShard(hits, e.Cov),
+			input:   e.Input,
 			entry:   e,
 		})
 	}
-	w.synced = len(w.fz.Queue)
 	for _, r := range w.fz.DrainRetrimmed() {
 		newKey := core.InputKey(r.Entry.Input)
 		w.rebind(r.OldKey, newKey, r.Entry)
@@ -454,58 +480,6 @@ func (w *worker) rebind(oldKey, newKey string, e *core.QueueEntry) {
 	w.byKey[newKey] = append(w.byKey[newKey], e)
 }
 
-// sync runs one broker round: single-threaded ingest (deterministic worker
-// order), then parallel redistribution (each worker only touches itself).
-// Under a power schedule the broker also pushes the campaign-wide per-edge
-// pick frequencies back into every worker's rarity signal.
-func (c *Campaign) sync() error {
-	c.broker.ingest(c.workers)
-	if c.cfg.Power != core.PowerOff {
-		c.shareEdgePicks()
-	}
-	if err := c.parallel(func(w *worker) error { return w.drainImports() }); err != nil {
-		return err
-	}
-	c.broker.sample(c.Elapsed())
-	return nil
-}
-
-// shareEdgePicks aggregates every worker's per-edge pick frequencies and
-// hands each worker the others' totals. Without this, N workers each see
-// only their own pick history: an edge the whole campaign has hammered
-// still looks rare to the one worker that happened to pick it seldom, and
-// all N keep re-boosting the same edges independently. Each worker gets its
-// own exclusive-of-self map (fresh copies — workers run on goroutines), so
-// local picks are never double-counted.
-func (c *Campaign) shareEdgePicks() {
-	type pickState struct {
-		picks map[uint32]uint64
-		sum   uint64
-	}
-	states := make([]pickState, len(c.workers))
-	total := make(map[uint32]uint64)
-	var totalSum uint64
-	for i, w := range c.workers {
-		st := w.fz.PowerState()
-		var sum uint64
-		for idx, n := range st.EdgePicks {
-			total[idx] += n
-			sum += n
-		}
-		states[i] = pickState{picks: st.EdgePicks, sum: sum}
-		totalSum += sum
-	}
-	for i, w := range c.workers {
-		peer := make(map[uint32]uint64, len(total))
-		for idx, n := range total {
-			if rest := n - states[i].picks[idx]; rest > 0 {
-				peer[idx] = rest
-			}
-		}
-		w.fz.SetPeerEdgePicks(peer, totalSum-states[i].sum)
-	}
-}
-
 // parallel applies f to every worker concurrently and collects the first
 // error (by worker order, so failures are deterministic too).
 func (c *Campaign) parallel(f func(*worker) error) error {
@@ -527,17 +501,6 @@ func (c *Campaign) parallel(f func(*worker) error) error {
 	return nil
 }
 
-// drainImports re-executes the entries the broker routed to this worker.
-func (w *worker) drainImports() error {
-	for _, e := range w.imports {
-		if _, err := w.fz.ImportInput(e.Input); err != nil {
-			return err
-		}
-	}
-	w.imports = nil
-	return nil
-}
-
 // maxElapsed returns the slowest worker's virtual campaign time — the
 // aggregated campaign clock.
 func (c *Campaign) maxElapsed() time.Duration {
@@ -551,8 +514,8 @@ func (c *Campaign) maxElapsed() time.Duration {
 }
 
 // Stop requests a graceful stop: the current RunFor returns after the
-// in-flight lockstep round (or, in async mode, each worker's in-flight
-// epoch and a final flush exchange) completes, leaving the campaign at a
+// in-flight epoch and its exchange (the lockstep round, or each async
+// worker's epoch plus the final flush) complete, leaving the campaign at a
 // checkpointable boundary. Safe to call from any goroutine (e.g. a signal
 // handler); sticky — subsequent RunFor calls return immediately.
 func (c *Campaign) Stop() { c.stopped.Store(true) }
@@ -574,7 +537,7 @@ func (c *Campaign) Target() string { return c.cfg.Target }
 // it).
 func (c *Campaign) SyncInterval() time.Duration { return c.cfg.SyncInterval }
 
-// Rounds returns how many sync rounds have completed.
+// Rounds returns how many lockstep barrier rounds have completed.
 func (c *Campaign) Rounds() int { return c.rounds }
 
 // Coverage returns the number of distinct edges in the global virgin map
@@ -588,20 +551,19 @@ func (c *Campaign) SyncMode() SyncMode { return c.cfg.SyncMode }
 // between RunFor calls (like every other accessor).
 type SyncStats struct {
 	Mode SyncMode
-	// Epochs counts broker exchanges: async epoch publications, or
-	// completed lockstep rounds.
+	// Epochs counts broker exchanges (async: one per worker per epoch plus
+	// a flush per RunFor; lockstep: two per worker per round).
 	Epochs uint64
 	// SyncWall is cumulative wall-clock time spent inside broker
-	// synchronization (async exchanges, or lockstep sync rounds including
-	// redistribution).
+	// exchanges (import re-execution excluded).
 	SyncWall time.Duration
-	// ShardAcquisitions/ShardContended count async shard-lock
-	// acquisitions and how many found the shard already held — the
-	// broker-contention signal the -campaign scaling bench reports.
+	// ShardAcquisitions/ShardContended count shard-lock acquisitions and
+	// how many found the shard already held — the broker-contention
+	// signal the -campaign scaling bench reports.
 	ShardAcquisitions uint64
 	ShardContended    uint64
-	// ImportsDropped counts async pending-import entries evicted from
-	// full per-worker queues.
+	// ImportsDropped counts pending-import entries dropped at full
+	// per-worker queues.
 	ImportsDropped uint64
 }
 
@@ -612,9 +574,6 @@ func (c *Campaign) SyncStats() SyncStats {
 		SyncWall:       c.broker.syncWall,
 		ImportsDropped: c.broker.importsDropped,
 		Epochs:         c.broker.epochsTotal,
-	}
-	if c.cfg.SyncMode == SyncLockstep {
-		s.Epochs = uint64(c.rounds)
 	}
 	for si := range c.broker.shards {
 		s.ShardAcquisitions += c.broker.shards[si].acquisitions.Load()

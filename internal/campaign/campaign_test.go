@@ -2,16 +2,39 @@ package campaign
 
 import (
 	"encoding/json"
+	"fmt"
+	"maps"
 	"math/rand"
-	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/coverage"
+	"repro/internal/spec"
+	"repro/internal/store"
 	"repro/internal/targets"
 )
+
+// checkpointDir and resumeDir address a plain checkpoint directory the way
+// cmd/nyx-net does: as a tree in the dir:// store of its parent.
+func checkpointDir(c *Campaign, dir string) error {
+	st, name, err := store.ForDir(dir)
+	if err != nil {
+		return err
+	}
+	return c.CheckpointTo(st, name)
+}
+
+func resumeDir(dir string) (*Campaign, error) {
+	st, name, err := store.ForDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	return ResumeFrom(st, name)
+}
 
 func testCfg(workers int, seed int64) Config {
 	return Config{
@@ -183,11 +206,11 @@ func TestCampaignCrashDedupAcrossWorkers(t *testing.T) {
 func TestCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	orig := run(t, testCfg(2, 4), 2*time.Second)
-	if err := orig.Checkpoint(dir); err != nil {
+	if err := checkpointDir(orig, dir); err != nil {
 		t.Fatal(err)
 	}
 
-	res, err := Resume(dir)
+	res, err := resumeDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +266,7 @@ func TestCheckpointResume(t *testing.T) {
 	}
 
 	// Resuming is itself deterministic.
-	res2, err := Resume(dir)
+	res2, err := resumeDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +281,7 @@ func TestCheckpointResume(t *testing.T) {
 	// Re-checkpointing into the same directory replaces worker state
 	// instead of accumulating epochs: the on-disk queues must match the
 	// live ones exactly.
-	if err := res.Checkpoint(dir); err != nil {
+	if err := checkpointDir(res, dir); err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range res.PerWorker() {
@@ -280,7 +303,7 @@ func TestCheckpointResume(t *testing.T) {
 func TestCheckpointPersistsSchedulerMetadata(t *testing.T) {
 	dir := t.TempDir()
 	orig := run(t, testCfg(2, 9), 2*time.Second)
-	if err := orig.Checkpoint(dir); err != nil {
+	if err := checkpointDir(orig, dir); err != nil {
 		t.Fatal(err)
 	}
 	saved := make(map[string]core.EntryMeta)
@@ -300,7 +323,7 @@ func TestCheckpointPersistsSchedulerMetadata(t *testing.T) {
 		}
 	}
 
-	res, err := Resume(dir)
+	res, err := resumeDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,10 +362,10 @@ func TestCheckpointPersistsSchedStrategy(t *testing.T) {
 	cfg := testCfg(1, 10)
 	cfg.Sched = core.SchedRoundRobin
 	orig := run(t, cfg, time.Second)
-	if err := orig.Checkpoint(dir); err != nil {
+	if err := checkpointDir(orig, dir); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Resume(dir)
+	res, err := resumeDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,67 +374,91 @@ func TestCheckpointPersistsSchedStrategy(t *testing.T) {
 	}
 }
 
-// Fresh entries redistribute global-competition-winners first, stable
-// within each class.
-func TestOrderImportsGlobalWinnersFirst(t *testing.T) {
-	mk := func(id int, won bool) brokerEntry {
-		return brokerEntry{Worker: 0, Entry: &core.QueueEntry{ID: id}, GlobalFav: won}
-	}
-	ordered := orderImportsInto(nil, []brokerEntry{mk(0, false), mk(1, true), mk(2, false), mk(3, true)})
-	var ids []int
-	for _, fe := range ordered {
-		ids = append(ids, fe.Entry.ID)
-	}
-	want := []int{1, 3, 0, 2}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("import order = %v, want %v", ids, want)
+// brokerRig is a broker with two hand-fed workers: tests append queue
+// entries and run exchanges one at a time, in the order they choose.
+type brokerRig struct {
+	b      *broker
+	w0, w1 *worker
+	seeds  []*spec.Input
+	salt   byte
+}
+
+func newBrokerRig(t *testing.T) *brokerRig {
+	t.Helper()
+	r := &brokerRig{b: newBroker()}
+	r.b.initWorkers(2)
+	for id, wp := range []**worker{&r.w0, &r.w1} {
+		inst, err := targets.Launch("lightftp", targets.LaunchConfig{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		fz := core.New(inst.Agent, inst.Spec, core.Options{Rand: rand.New(rand.NewSource(int64(id + 1)))})
+		*wp = &worker{id: id, inst: inst, fz: fz, byKey: make(map[string][]*core.QueueEntry)}
+		r.seeds = inst.Seeds()
 	}
+	return r
+}
+
+// sync runs one exchange for w: everything queued since its last one.
+func (r *brokerRig) sync(w *worker) []importItem {
+	return w.exchange(r.b, w.buildDelta(false))
+}
+
+// entry queues a favored entry with a fresh distinct input on w; cost
+// scales both halves of the favFactor.
+func (r *brokerRig) entry(w *worker, cost int, cov ...coverage.BucketHit) *core.QueueEntry {
+	in := r.seeds[0].Clone()
+	r.salt++
+	in.Ops[0].Data = append([]byte{r.salt}, in.Ops[0].Data...)
+	return r.copyOf(w, &core.QueueEntry{Input: in, ExecTime: time.Duration(cost) * time.Microsecond, Size: cost}, cov...)
+}
+
+// copyOf queues another live copy of e's input on w.
+func (r *brokerRig) copyOf(w *worker, e *core.QueueEntry, cov ...coverage.BucketHit) *core.QueueEntry {
+	cp := &core.QueueEntry{
+		ID: len(w.fz.Queue), Input: e.Input.Clone(), ExecTime: e.ExecTime, Size: e.Size, Favored: true, Cov: cov,
+	}
+	w.fz.Queue = append(w.fz.Queue, cp)
+	return cp
+}
+
+func hit(idx uint32, bucket byte) coverage.BucketHit {
+	return coverage.BucketHit{Index: idx, Bucket: bucket}
+}
+
+func itemKeys(items []importItem) []string {
+	keys := make([]string, len(items))
+	for i, it := range items {
+		keys[i] = core.InputKey(it.input)
+	}
+	return keys
+}
+
+func entryKeys(es ...*core.QueueEntry) []string {
+	keys := make([]string, len(es))
+	for i, e := range es {
+		keys[i] = core.InputKey(e.Input)
+	}
+	return keys
 }
 
 // The broker's global favored competition must dedup favored sets across
 // workers publishing overlapping coverage: the cheapest claim per edge
-// wins, a locally-favored entry dominated on every edge is demoted in
-// place (the loser feedback workers read next round), and redistribution
-// puts global winners first.
+// wins, a locally-favored entry dominated on every edge is demoted (the
+// loser feedback workers read next epoch), each worker pulls the other's
+// fresh entries, and a previous winner is demoted once its last edge falls.
 func TestBrokerGlobalFavoredDedup(t *testing.T) {
-	inst0, err := targets.Launch("lightftp", targets.LaunchConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst1, err := targets.Launch("lightftp", targets.LaunchConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mkFz := func(inst *targets.Instance, seed int64) *core.Fuzzer {
-		return core.New(inst.Agent, inst.Spec, core.Options{
-			Rand: rand.New(rand.NewSource(seed)),
-		})
-	}
-	w0 := &worker{id: 0, fz: mkFz(inst0, 1)}
-	w1 := &worker{id: 1, fz: mkFz(inst1, 2)}
-	seeds := inst0.Seeds()
-	if len(seeds) < 2 {
-		t.Fatal("need two distinct seed inputs")
-	}
-
+	r := newBrokerRig(t)
+	b := r.b
 	// Worker 0's entry is the cheap way to reach edges 10 and 20; worker
 	// 1's covers the same edges (plus a bucket upgrade, so the broker
 	// accepts it as globally fresh) but costs 100x more.
-	cheap := &core.QueueEntry{
-		ID: 0, Input: seeds[0].Clone(), ExecTime: time.Millisecond, Size: 10, Favored: true,
-		Cov: []coverage.BucketHit{{Index: 10, Bucket: 1}, {Index: 20, Bucket: 1}},
+	cheap := r.entry(r.w0, 10, hit(10, 1), hit(20, 1))
+	dear := r.entry(r.w1, 1000, hit(10, 2), hit(20, 1))
+	if got := r.sync(r.w0); len(got) != 0 {
+		t.Fatalf("first exchange pulled %d imports from an empty campaign", len(got))
 	}
-	dear := &core.QueueEntry{
-		ID: 0, Input: seeds[1].Clone(), ExecTime: 100 * time.Millisecond, Size: 100, Favored: true,
-		Cov: []coverage.BucketHit{{Index: 10, Bucket: 2}, {Index: 20, Bucket: 1}},
-	}
-	w0.fz.Queue = append(w0.fz.Queue, cheap)
-	w1.fz.Queue = append(w1.fz.Queue, dear)
-
-	b := newBroker()
-	b.ingest([]*worker{w0, w1})
+	got1 := r.sync(r.w1)
 
 	if len(b.corpus) != 2 {
 		t.Fatalf("broker accepted %d entries, want 2", len(b.corpus))
@@ -428,98 +475,291 @@ func TestBrokerGlobalFavoredDedup(t *testing.T) {
 	if !dear.GloballyDominated {
 		t.Fatal("locally-favored entry dominated on every edge was not demoted — no loser feedback")
 	}
-	// Redistribution: each worker receives the other's entry, winners
-	// ordered first (visible when one list carries both classes).
-	if len(w0.imports) != 1 || w0.imports[0] != dear {
-		t.Fatalf("worker 0 imports wrong: %v", w0.imports)
+	// Redistribution: each worker pulls the other's entry (the broker's
+	// own copy of the input, not the live one).
+	if !slices.Equal(itemKeys(got1), entryKeys(cheap)) || got1[0].input == cheap.Input {
+		t.Fatalf("worker 1 pulled %v, want a copy of the cheap entry", itemKeys(got1))
 	}
-	if len(w1.imports) != 1 || w1.imports[0] != cheap {
-		t.Fatalf("worker 1 imports wrong: %v", w1.imports)
+	if got0 := r.sync(r.w0); !slices.Equal(itemKeys(got0), entryKeys(dear)) {
+		t.Fatalf("worker 0 pulled %v, want the dear entry", itemKeys(got0))
+	}
+	if n := len(b.pending[0]) + len(b.pending[1]); n != 0 {
+		t.Fatalf("%d imports still pending after both workers pulled", n)
 	}
 
 	// A later, cheaper publication displaces the previous winner edge by
-	// edge; once its last claim falls, the old winner is demoted too.
-	cheaper := &core.QueueEntry{
-		ID: 1, Input: seeds[0].Clone(), ExecTime: time.Microsecond, Size: 2, Favored: true,
-		Cov: []coverage.BucketHit{{Index: 10, Bucket: 4}, {Index: 20, Bucket: 2}},
+	// edge; once its last claim falls, the old winner's worker is told at
+	// its next exchange.
+	cheaper := r.entry(r.w1, 1, hit(10, 4), hit(20, 2))
+	r.sync(r.w1)
+	if cheap.GloballyDominated {
+		t.Fatal("demotion landed before the owner's exchange — the broker wrote a live entry")
 	}
-	cheaper.Input.Ops[0].Data = append([]byte{0xFF}, cheaper.Input.Ops[0].Data...)
-	w1.fz.Queue = append(w1.fz.Queue, cheaper)
-	b.ingest([]*worker{w0, w1})
+	r.sync(r.w0)
 	if !cheap.GloballyDominated {
 		t.Fatal("fully displaced previous winner was not demoted")
 	}
 	if cheaper.GloballyDominated {
 		t.Fatal("new winner demoted")
 	}
+	if b.deduped != 0 {
+		t.Fatalf("deduped = %d, want 0 (every publication so far was fresh)", b.deduped)
+	}
+}
 
-	// Winners settle at the end of the round, not at compete time: an
-	// entry that wins an edge early in the walk but is fully displaced by
-	// a later worker's cheaper publication in the same round must not be
-	// redistributed or recorded as a global winner.
-	early := &core.QueueEntry{
-		ID: 2, Input: seeds[0].Clone(), ExecTime: 50 * time.Millisecond, Size: 50, Favored: true,
-		Cov: []coverage.BucketHit{{Index: 30, Bucket: 1}},
+// Duplicate publications — live copies of inputs whose coverage is already
+// global — compete too, but never displace another input's claim: they are
+// not redistributed, so unseating an incumbent would demote every worker's
+// representative for an edge while the cheaper input exists on one worker.
+func TestExchangeDuplicatesNeverDisplace(t *testing.T) {
+	r := newBrokerRig(t)
+	b := r.b
+	incumbent := r.entry(r.w0, 100, hit(60, 1), hit(61, 1))
+	r.sync(r.w0)
+	// Cheaper, but adds no bucket bit: a duplicate.
+	dup := r.entry(r.w1, 1, hit(60, 1), hit(61, 1))
+	corpus := len(b.corpus)
+	r.sync(r.w1)
+
+	if len(b.corpus) != corpus || b.deduped != 1 {
+		t.Fatalf("duplicate entered the corpus (%d -> %d entries, %d deduped)", corpus, len(b.corpus), b.deduped)
 	}
-	early.Input.Ops[0].Data = append([]byte{0xAA}, early.Input.Ops[0].Data...)
-	late := &core.QueueEntry{
-		ID: 1, Input: seeds[1].Clone(), ExecTime: time.Microsecond, Size: 2, Favored: true,
-		Cov: []coverage.BucketHit{{Index: 30, Bucket: 2}},
+	if len(b.pending[0]) != 0 {
+		t.Fatal("duplicate was redistributed")
 	}
-	late.Input.Ops[0].Data = append([]byte{0xBB}, late.Input.Ops[0].Data...)
-	w0.fz.Queue = append(w0.fz.Queue, early)
-	w1.fz.Queue = append(w1.fz.Queue, late)
-	b.ingest([]*worker{w0, w1})
-	n := len(b.corpus)
-	if b.corpus[n-2].Entry != early || b.corpus[n-1].Entry != late {
-		t.Fatal("corpus order unexpected")
+	for _, idx := range []uint32{60, 61} {
+		if key := b.shards[shardFor(idx)].topRated[idx].key; key != core.InputKey(incumbent.Input) {
+			t.Fatalf("edge %d: duplicate publication displaced the incumbent", idx)
+		}
 	}
-	if b.corpus[n-2].GlobalFav {
-		t.Fatal("entry displaced later in the same round still recorded as a global winner")
+	if !dup.GloballyDominated {
+		t.Fatal("losing duplicate of a locally favored entry was not demoted")
 	}
-	if !b.corpus[n-1].GlobalFav {
-		t.Fatal("same-round displacing winner not recorded")
+	r.sync(r.w0)
+	if incumbent.GloballyDominated {
+		t.Fatal("incumbent demoted by a duplicate publication")
 	}
-	if !early.GloballyDominated {
-		t.Fatal("same-round displaced entry was not demoted")
+	// A duplicate does take an edge nobody claims yet (63: covered through
+	// a virgin delta, never claimed); a zero-bucket hit claims nothing.
+	b.exchange(0, epochDelta{virginDelta: []coverage.BucketHit{hit(63, 1)}})
+	loner := r.entry(r.w1, 5, hit(60, 1), hit(62, 0), hit(63, 1))
+	r.sync(r.w1)
+	if len(b.corpus) != corpus {
+		t.Fatal("entry covered by a virgin delta was accepted as fresh")
+	}
+	if key := b.shards[shardFor(63)].topRated[63].key; key != core.InputKey(loner.Input) {
+		t.Fatal("duplicate publication did not take an unclaimed edge")
+	}
+	if _, claimed := b.shards[shardFor(62)].topRated[62]; claimed {
+		t.Fatal("zero-bucket hit entered the competition")
+	}
+}
+
+// Every live copy of a winner is bound to its claims: a copy of the current
+// winner publishes as a duplicate and stays promoted, a copy of an input
+// that already lost is demoted on publication, and displacing the winner's
+// last edge demotes the original and the bound copy alike.
+func TestExchangeDisplacementDemotesEveryCopy(t *testing.T) {
+	r := newBrokerRig(t)
+	b := r.b
+	loser := r.entry(r.w0, 50, hit(30, 1))
+	r.sync(r.w0)
+	winner := r.entry(r.w1, 2, hit(30, 2))
+	r.sync(r.w1)
+	r.sync(r.w0)
+	if !loser.GloballyDominated || winner.GloballyDominated {
+		t.Fatalf("setup: loser demoted %v, winner demoted %v", loser.GloballyDominated, winner.GloballyDominated)
 	}
 
-	// Duplicate publications compete too: a live copy of the current
-	// winner binds as a claimant of its input's edges, and a copy of a
-	// long-displaced input is demoted immediately.
-	lateCopy := &core.QueueEntry{
-		ID: 3, Input: late.Input.Clone(), ExecTime: late.ExecTime, Size: late.Size, Favored: true,
-		Cov: []coverage.BucketHit{{Index: 30, Bucket: 2}},
-	}
-	cheapCopy := &core.QueueEntry{
-		ID: 2, Input: cheap.Input.Clone(), ExecTime: cheap.ExecTime, Size: cheap.Size, Favored: true,
-		Cov: []coverage.BucketHit{{Index: 10, Bucket: 1}, {Index: 20, Bucket: 1}},
-	}
-	w0.fz.Queue = append(w0.fz.Queue, lateCopy, cheapCopy)
-	corpusBefore := len(b.corpus)
-	b.ingest([]*worker{w0, w1})
-	if len(b.corpus) != corpusBefore {
+	winnerCopy := r.copyOf(r.w0, winner, hit(30, 2))
+	loserCopy := r.copyOf(r.w1, loser, hit(30, 1))
+	corpus := len(b.corpus)
+	r.sync(r.w0)
+	r.sync(r.w1)
+	if len(b.corpus) != corpus {
 		t.Fatal("duplicate publications entered the corpus")
 	}
-	if lateCopy.GloballyDominated {
+	if winnerCopy.GloballyDominated {
 		t.Fatal("live copy of the current winner was demoted")
 	}
-	if !cheapCopy.GloballyDominated {
+	if !loserCopy.GloballyDominated {
 		t.Fatal("copy of a displaced input was not demoted on publication")
 	}
 
-	// Displacing the winner's last edge now demotes the original and the
-	// bound copy alike.
-	final := &core.QueueEntry{
-		ID: 2, Input: seeds[0].Clone(), ExecTime: time.Microsecond, Size: 1, Favored: true,
-		Cov: []coverage.BucketHit{{Index: 30, Bucket: 4}},
-	}
-	final.Input.Ops[0].Data = append([]byte{0xCC}, final.Input.Ops[0].Data...)
-	w1.fz.Queue = append(w1.fz.Queue, final)
-	b.ingest([]*worker{w0, w1})
-	if !late.GloballyDominated || !lateCopy.GloballyDominated {
+	final := r.entry(r.w1, 1, hit(30, 4))
+	r.sync(r.w1)
+	r.sync(r.w0)
+	if !winner.GloballyDominated || !winnerCopy.GloballyDominated {
 		t.Fatalf("displacement did not demote every live copy (original %v, copy %v)",
-			late.GloballyDominated, lateCopy.GloballyDominated)
+			winner.GloballyDominated, winnerCopy.GloballyDominated)
+	}
+	if final.GloballyDominated {
+		t.Fatal("new winner demoted")
+	}
+}
+
+// A trim changes an entry's content key and cost: its claims move to the
+// trimmed form's key at the new price, displacing nothing, and the worker
+// binding moves with them so a later displacement still reaches the owner.
+func TestExchangeTrimClaimTransfer(t *testing.T) {
+	r := newBrokerRig(t)
+	b := r.b
+	e := r.entry(r.w0, 100, hit(70, 1), hit(40000, 1))
+	rival := r.entry(r.w1, 50, hit(71, 1))
+	r.sync(r.w0)
+	r.sync(r.w1)
+	oldKey := core.InputKey(e.Input)
+
+	// What buildDelta reports after core trims e.
+	e.Input.Ops[0].Data = e.Input.Ops[0].Data[1:]
+	e.ExecTime, e.Size = 10*time.Microsecond, 10
+	newKey := core.InputKey(e.Input)
+	r.w0.rebind(oldKey, newKey, e)
+	b.exchange(0, epochDelta{retrims: []retrimDelta{{oldKey: oldKey, newKey: newKey, fav: e.FavFactor()}}})
+
+	for _, idx := range []uint32{70, 40000} {
+		if cl := b.shards[shardFor(idx)].topRated[idx]; cl.key != newKey || cl.fav != e.FavFactor() {
+			t.Fatalf("edge %d: claim %+v not re-filed under the trimmed key at the new cost", idx, cl)
+		}
+	}
+	if b.claimWins[oldKey] != 0 || b.claimWins[newKey] != 2 {
+		t.Fatalf("claim counts not moved: old %d, new %d", b.claimWins[oldKey], b.claimWins[newKey])
+	}
+	if cl := b.shards[shardFor(71)].topRated[71]; cl.key != core.InputKey(rival.Input) {
+		t.Fatal("a claim transfer displaced another input's claim")
+	}
+	// A transfer of an input that holds no claims is a no-op.
+	b.exchange(1, epochDelta{retrims: []retrimDelta{{oldKey: "absent", newKey: "other", fav: 1}}})
+	if b.claimWins["other"] != 0 {
+		t.Fatal("transfer of an unclaimed key created claims")
+	}
+
+	// Displacing the trimmed form reaches the owner through the moved
+	// worker binding.
+	r.entry(r.w1, 1, hit(70, 2), hit(40000, 2))
+	r.sync(r.w1)
+	r.sync(r.w0)
+	if !e.GloballyDominated {
+		t.Fatal("displacement of the trimmed form did not demote the live entry")
+	}
+}
+
+// Within one delta the fresh entries are accepted and redistributed global
+// winners first, stable within each class; across deltas order is arrival
+// order.
+func TestOrderImportsGlobalWinnersFirst(t *testing.T) {
+	r := newBrokerRig(t)
+	b := r.b
+	r.entry(r.w1, 1, hit(40, 1), hit(41, 1))
+	r.sync(r.w1)
+
+	// Losers are fresh through a bucket upgrade but 1000x the incumbent's
+	// cost; winners take edges nobody holds.
+	l1 := r.entry(r.w0, 1000, hit(40, 2))
+	w1 := r.entry(r.w0, 1000, hit(50, 1))
+	l2 := r.entry(r.w0, 1000, hit(41, 2))
+	w2 := r.entry(r.w0, 1000, hit(51, 1))
+	r.sync(r.w0)
+	want := entryKeys(w1, w2, l1, l2)
+	if got := itemKeys(b.pending[1]); !slices.Equal(got, want) {
+		t.Fatalf("import order = %v, want winners first %v", got, want)
+	}
+	var corpus []string
+	for _, be := range b.corpus[1:] {
+		corpus = append(corpus, be.key)
+	}
+	if !slices.Equal(corpus, want) {
+		t.Fatalf("corpus order = %v, want %v", corpus, want)
+	}
+	for i, be := range b.corpus[1:] {
+		if be.GlobalFav != (i < 2) {
+			t.Fatalf("corpus entry %d GlobalFav = %v", i+1, be.GlobalFav)
+		}
+	}
+	// A later delta queues behind, winner or not.
+	w3 := r.entry(r.w0, 1000, hit(52, 1))
+	r.sync(r.w0)
+	if got := itemKeys(b.pending[1]); !slices.Equal(got, append(want, entryKeys(w3)...)) {
+		t.Fatalf("second delta reordered the queue: %v", got)
+	}
+}
+
+// A full import queue sheds non-favored entries first — including a
+// non-favored newcomer when everything queued is a global winner.
+func TestPushPendingDropsNonFavoredFirst(t *testing.T) {
+	b := newBroker()
+	b.initWorkers(1)
+	fav := func(i int) importItem { return importItem{input: &spec.Input{SnapshotAt: i}, globalFav: true} }
+	for i := 0; i < maxPendingImports; i++ {
+		b.pushPending(0, fav(i))
+	}
+	b.pushPending(0, importItem{input: &spec.Input{}})
+	if len(b.pending[0]) != maxPendingImports || b.importsDropped != 1 {
+		t.Fatalf("queue %d items, %d dropped", len(b.pending[0]), b.importsDropped)
+	}
+	for i, it := range b.pending[0] {
+		if !it.globalFav || it.input.SnapshotAt != i {
+			t.Fatalf("slot %d: a non-favored newcomer evicted a favored entry", i)
+		}
+	}
+	// A favored newcomer takes the place of the oldest.
+	b.pushPending(0, fav(maxPendingImports))
+	if q := b.pending[0]; len(q) != maxPendingImports || q[0].input.SnapshotAt != 1 ||
+		q[len(q)-1].input.SnapshotAt != maxPendingImports || b.importsDropped != 2 {
+		t.Fatalf("favored newcomer: head %d, tail %d, %d dropped",
+			q[0].input.SnapshotAt, q[len(q)-1].input.SnapshotAt, b.importsDropped)
+	}
+	// With a non-favored entry queued, that one goes, wherever it sits.
+	b.pending[0][7].globalFav = false
+	victim := b.pending[0][7].input
+	b.pushPending(0, fav(maxPendingImports+1))
+	for _, it := range b.pending[0] {
+		if it.input == victim {
+			t.Fatal("non-favored entry survived a full queue")
+		}
+	}
+	if b.pending[0][0].input.SnapshotAt != 1 || b.importsDropped != 3 {
+		t.Fatal("oldest favored entry dropped while a non-favored one was queued")
+	}
+}
+
+// The lockstep barrier exchanges every worker twice in ID order, so a
+// round ends with nothing pending, and the whole campaign — checkpoint
+// bytes included — is a pure function of the master seed.
+func TestLockstepRoundDrainsAndIsDeterministic(t *testing.T) {
+	var digests []string
+	for i := 0; i < 2; i++ {
+		cfg := testCfg(3, 13)
+		cfg.Power = core.PowerFast
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 4; round++ {
+			if err := c.RunFor(cfg.SyncInterval); err != nil {
+				t.Fatal(err)
+			}
+			for wid, q := range c.broker.pending {
+				if len(q) != 0 || len(c.broker.notices[wid]) != 0 {
+					t.Fatalf("round %d: worker %d left %d imports, %d notices pending",
+						round, wid, len(q), len(c.broker.notices[wid]))
+				}
+			}
+		}
+		if c.CorpusSize() == 0 || c.Deduped() == 0 {
+			t.Fatalf("sync not exercised: corpus %d, deduped %d", c.CorpusSize(), c.Deduped())
+		}
+		if st := c.SyncStats(); st.Epochs != 2*3*4 || st.ShardAcquisitions == 0 {
+			t.Fatalf("4 rounds x 3 workers made %d exchanges, %d shard acquisitions", st.Epochs, st.ShardAcquisitions)
+		}
+		tree, err := c.CheckpointTree()
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests = append(digests, treeDigest(tree))
+	}
+	if digests[0] != digests[1] {
+		t.Fatalf("same seed, different checkpoint trees: %s vs %s", digests[0], digests[1])
 	}
 }
 
@@ -532,7 +772,7 @@ func TestCheckpointPersistsPowerState(t *testing.T) {
 	cfg := testCfg(2, 11)
 	cfg.Power = core.PowerFast
 	orig := run(t, cfg, 2*time.Second)
-	if err := orig.Checkpoint(dir); err != nil {
+	if err := checkpointDir(orig, dir); err != nil {
 		t.Fatal(err)
 	}
 
@@ -546,7 +786,7 @@ func TestCheckpointPersistsPowerState(t *testing.T) {
 		}
 	}
 
-	res, err := Resume(dir)
+	res, err := resumeDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,81 +828,123 @@ func TestCheckpointPersistsPowerState(t *testing.T) {
 	}
 }
 
-// A version-1 checkpoint (pre-power format: no power fields, no top-rated
-// digest, bare corpus entries, no power.json) must resume cleanly with
-// zeroed power state.
-func TestResumeVersion1ManifestZeroedPowerState(t *testing.T) {
-	dir := t.TempDir()
-	cfg := testCfg(2, 12)
-	cfg.Power = core.PowerCoe
-	orig := run(t, cfg, 2*time.Second)
-	if err := orig.Checkpoint(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	// Rewrite the checkpoint into the version-1 shape.
-	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+// editManifest round-trips a checkpoint tree's manifest through edit.
+func editManifest(t *testing.T, tree store.Tree, edit func(m map[string]any)) store.Tree {
+	t.Helper()
 	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
+	if err := json.Unmarshal(tree["manifest.json"], &m); err != nil {
 		t.Fatal(err)
 	}
-	m["version"] = 1
-	delete(m, "power")
-	delete(m, "power_name")
-	delete(m, "top_rated")
-	if corpus, ok := m["corpus"].([]any); ok {
-		for _, ce := range corpus {
-			entry := ce.(map[string]any)
-			for k := range entry {
-				if k != "worker" && k != "input_b64" {
-					delete(entry, k)
-				}
-			}
-		}
-	}
-	raw, err = json.Marshal(m)
+	edit(m)
+	raw, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), raw, 0o644); err != nil {
+	out := maps.Clone(tree)
+	out["manifest.json"] = raw
+	return out
+}
+
+// Both sync modes write the current manifest version; the previous one
+// (no sync_mode, epoch counters or pending imports) still resumes, in
+// lockstep with zeroed epoch state.
+func TestResumeVersion3Manifest(t *testing.T) {
+	orig := run(t, testCfg(2, 12), time.Second)
+	tree, err := orig.CheckpointTree()
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if err := os.Remove(filepath.Join(dir, workerDir(i), "power.json")); err != nil {
-			t.Fatal(err)
-		}
+	var m manifest
+	if err := json.Unmarshal(tree["manifest.json"], &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Version != manifestVersion || m.SyncMode != "lockstep" || len(m.WorkerEpochs) != 2 || len(m.Pending) != 0 {
+		t.Fatalf("lockstep manifest: version %d, sync_mode %q, %d epochs, %d pending",
+			m.Version, m.SyncMode, len(m.WorkerEpochs), len(m.Pending))
 	}
 
-	res, err := Resume(dir)
+	v3 := editManifest(t, tree, func(m map[string]any) {
+		m["version"] = 3
+		delete(m, "sync_mode")
+		delete(m, "worker_epochs")
+		delete(m, "pending_imports")
+	})
+	res, err := ResumeTree(v3)
 	if err != nil {
-		t.Fatalf("version-1 checkpoint did not resume: %v", err)
+		t.Fatalf("version-3 checkpoint did not resume: %v", err)
 	}
-	if res.cfg.Power != core.PowerOff {
-		t.Fatalf("version-1 resume power = %v, want off", res.cfg.Power)
-	}
-	if res.broker.topRatedCount() != 0 {
-		t.Fatal("version-1 resume restored a top-rated digest from nowhere")
+	if res.SyncMode() != SyncLockstep || res.Coverage() != orig.Coverage() || res.CorpusSize() != orig.CorpusSize() {
+		t.Fatalf("version-3 resume: mode %v, %d edges, %d corpus", res.SyncMode(), res.Coverage(), res.CorpusSize())
 	}
 	for i, w := range res.workers {
-		st := w.fz.PowerState()
-		if st.TotalPicked != 0 || len(st.EdgePicks) != 0 {
-			t.Fatalf("worker %d resumed version-1 checkpoint with non-zero power state: %+v", i, st)
+		if w.epoch != 0 {
+			t.Fatalf("worker %d resumed with epoch %d from a manifest that records none", i, w.epoch)
 		}
 	}
-	// The resumed campaign still fuzzes productively.
 	if err := res.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if res.Coverage() < orig.Coverage() {
-		t.Fatalf("coverage regressed after version-1 resume: %d < %d", res.Coverage(), orig.Coverage())
+		t.Fatalf("coverage regressed after version-3 resume: %d < %d", res.Coverage(), orig.Coverage())
+	}
+}
+
+// Manifests older than the previous version (or newer than this build) are
+// refused with an error naming the version, not resumed on guesses.
+func TestResumeRefusesOldManifestVersions(t *testing.T) {
+	tree, err := run(t, testCfg(1, 12), time.Second).CheckpointTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []int{0, 1, 2, manifestVersion + 1} {
+		old := editManifest(t, tree, func(m map[string]any) { m["version"] = v })
+		_, err := ResumeTree(old)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d ", v)) {
+			t.Fatalf("version-%d manifest: err = %v, want a refusal naming the version", v, err)
+		}
+	}
+}
+
+// The manifest is untrusted: enum fields outside their range and worker
+// indices outside the campaign are errors, not silent defaults.
+func TestResumeRejectsBadManifest(t *testing.T) {
+	orig := run(t, asyncCfg(2, 12), time.Second)
+	tree, err := orig.CheckpointTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending := func(worker int) func(m map[string]any) {
+		return func(m map[string]any) {
+			in := m["corpus"].([]any)[0].(map[string]any)["input_b64"]
+			m["pending_imports"] = []any{map[string]any{"worker": worker, "input_b64": in}}
+		}
+	}
+	corpusWorker := func(worker int) func(m map[string]any) {
+		return func(m map[string]any) { m["corpus"].([]any)[0].(map[string]any)["worker"] = worker }
+	}
+	if _, err := ResumeTree(editManifest(t, tree, pending(1))); err != nil {
+		t.Fatalf("in-range edit refused: %v", err)
+	}
+	for name, edit := range map[string]func(m map[string]any){
+		"policy 99":            func(m map[string]any) { m["policy"] = 99 },
+		"policy -1":            func(m map[string]any) { m["policy"] = -1 },
+		"sched 2":              func(m map[string]any) { m["sched"] = 2 },
+		"power 7":              func(m map[string]any) { m["power"] = 7 },
+		"sync mode":            func(m map[string]any) { m["sync_mode"] = "sometimes" },
+		"corpus worker 2":      corpusWorker(2),
+		"corpus worker -1":     corpusWorker(-1),
+		"pending worker 2":     pending(2),
+		"pending worker -1":    pending(-1),
+		"three epoch counters": func(m map[string]any) { m["worker_epochs"] = []int{1, 1, 1} },
+	} {
+		if c, err := ResumeTree(editManifest(t, tree, edit)); err == nil {
+			t.Errorf("%s: resumed (policy %v, sched %v, power %v), want an error", name, c.cfg.Policy, c.cfg.Sched, c.cfg.Power)
+		}
 	}
 }
 
 func TestResumeErrors(t *testing.T) {
-	if _, err := Resume(t.TempDir()); err == nil {
+	if _, err := resumeDir(t.TempDir()); err == nil {
 		t.Fatal("resume of empty dir must fail")
 	}
 }
@@ -736,10 +1018,10 @@ func TestCheckpointPersistsSnapBudget(t *testing.T) {
 	cfg := testCfg(1, 5)
 	cfg.SnapBudget = 2 << 20
 	c := run(t, cfg, 1*time.Second)
-	if err := c.Checkpoint(dir); err != nil {
+	if err := checkpointDir(c, dir); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Resume(dir)
+	r, err := resumeDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

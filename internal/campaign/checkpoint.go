@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -26,9 +25,8 @@ import (
 //
 // Checkpoint I/O goes through the store.Storer abstraction, so the same
 // tree lands on a local directory (dir://) or a remote-style object store
-// (mem://) unchanged — CheckpointTo/ResumeFrom address any backend, while
-// Checkpoint/Resume keep the historical plain-directory interface on top
-// of the dir backend (same on-disk layout as before the abstraction).
+// (mem://) unchanged: CheckpointTo/ResumeFrom are the one entry point, and
+// store.ForDir maps a plain checkpoint directory onto the dir backend.
 //
 // Resume relaunches the same target with the same worker count, feeds each
 // worker its saved queue as seeds, and restores the broker's global map,
@@ -38,32 +36,13 @@ import (
 // campaign run without interruption — mid-campaign mutator RNG state is
 // deliberately not serialized, matching how AFL resumes from AFL_AUTORESUME.
 
-// manifestVersion guards the checkpoint format. Version 2 added the
-// power-schedule choice, the broker's global top-rated digest, and full
-// per-entry metadata (favored bit, trace digest, exec time, size) on the
-// corpus history; version 3 adds the snapshot-pool budget (and power.json
-// gained the adaptive schedule's flip bit); version 4 adds the async sync
-// mode's state (sync_mode, per-worker epoch counters, pending import
-// queues). Earlier versions still resume: version 1 with zeroed power
-// state and a bare corpus history, versions 1-2 with the pool disabled,
-// versions 1-3 in lockstep mode with zeroed epoch state. Pool contents
-// themselves are never checkpointed — slots are live VM state, recreated
-// on demand after a resume.
-//
-// Lockstep campaigns keep writing version 3: every version-4 field is
-// empty for them (omitempty), so a lockstep checkpoint stays byte-
-// identical to what the pre-sharding broker wrote — the determinism
-// contract TestLockstepGolden pins.
+// manifestVersion is the checkpoint format every campaign writes,
+// whatever its sync mode. ResumeTree reads it and the previous version
+// (3, which predates sync_mode, worker_epochs and pending_imports and
+// resumes in lockstep with none of them); anything older is refused. Pool
+// contents are never checkpointed — slots are live VM state, recreated on
+// demand after a resume.
 const manifestVersion = 4
-
-// manifestWriteVersion picks the version a checkpoint declares: the
-// lowest version that can represent the campaign (see manifestVersion).
-func manifestWriteVersion(mode SyncMode) int {
-	if mode == SyncAsync {
-		return 4
-	}
-	return 3
-}
 
 type manifest struct {
 	Version       int           `json:"version"`
@@ -76,16 +55,12 @@ type manifest struct {
 	Rounds        int           `json:"rounds"`
 	SyncInterval  time.Duration `json:"sync_interval_ns"`
 	SnapshotReuse int           `json:"snapshot_reuse"`
-	// Sched is the queue scheduling strategy (absent in pre-scheduler
-	// checkpoints, which unmarshal to the default core.SchedAFL).
-	Sched     int    `json:"sched"`
-	SchedName string `json:"sched_name"` // informational
-	// Power is the power schedule (absent in version-1 manifests, which
-	// unmarshal to core.PowerOff — the zeroed power state).
-	Power     int    `json:"power,omitempty"`
-	PowerName string `json:"power_name,omitempty"` // informational
-	// SnapBudget is the per-worker snapshot-pool byte budget (absent
-	// before version 3, which unmarshals to 0 — pool disabled).
+	Sched         int           `json:"sched"`
+	SchedName     string        `json:"sched_name"` // informational
+	Power         int           `json:"power,omitempty"`
+	PowerName     string        `json:"power_name,omitempty"` // informational
+	// SnapBudget is the per-worker snapshot-pool byte budget (0: pool
+	// disabled).
 	SnapBudget int64 `json:"snap_budget,omitempty"`
 	Asan       bool  `json:"asan"`
 	// Elapsed is the campaign's cumulative virtual time at checkpoint;
@@ -99,26 +74,23 @@ type manifest struct {
 	CovLog    []manifestPoint `json:"cov_log"`
 	Corpus    []manifestEntry `json:"corpus"`
 	// TopRated is the broker's global favored-competition digest: per
-	// edge, the favFactor and content key of the cheapest published claim
-	// (absent in version-1 manifests; the competition then restarts from
-	// the restored corpus's re-publications).
+	// edge, the favFactor and content key of the cheapest published claim.
 	TopRated []manifestClaim `json:"top_rated,omitempty"`
 
-	// Version-4 fields (async sync mode). All empty in lockstep
-	// checkpoints, keeping their bytes identical to version 3.
-	//
-	// SyncMode is "async" for async campaigns; absent means lockstep.
-	SyncMode string `json:"sync_mode,omitempty"`
-	// WorkerEpochs records each worker's async epoch counter.
+	// SyncMode names the schedule ("lockstep" | "async"); version-3
+	// manifests lack it and resume in lockstep.
+	SyncMode string `json:"sync_mode"`
+	// WorkerEpochs records each worker's epoch counter.
 	WorkerEpochs []int `json:"worker_epochs,omitempty"`
 	// Pending preserves the workers' bounded import queues — entries
-	// published by others that a worker had not yet re-executed at
-	// checkpoint time — so redistribution survives the resume.
+	// published by others that a worker had not yet pulled at checkpoint
+	// time (an async campaign's final flushes race each other; a lockstep
+	// round leaves none) — so redistribution survives the resume.
 	Pending []manifestPending `json:"pending_imports,omitempty"`
 }
 
-// manifestPending is one pending async import: the receiving worker and
-// the redistributed input.
+// manifestPending is one pending import: the receiving worker and the
+// redistributed input.
 type manifestPending struct {
 	Worker    int    `json:"worker"`
 	Input     string `json:"input_b64"`
@@ -128,9 +100,7 @@ type manifestPending struct {
 // manifestEntry preserves the broker's accepted-corpus history (provenance
 // + input) so CorpusSize and the published/deduped counters stay mutually
 // consistent across resumes, plus the scheduler-facing metadata the global
-// favored competition reads (absent in version-1 manifests: those resumed
-// entries carry zero values, exactly the lossy bare-entry shape this field
-// set was added to fix). The trace digest is packed binary (5 bytes per
+// favored competition reads. The trace digest is packed binary (5 bytes per
 // edge, base64) rather than per-hit JSON: the manifest holds one digest
 // per accepted entry, and a long campaign would otherwise pay
 // O(entries x edges) in indented object syntax on every checkpoint.
@@ -200,38 +170,11 @@ type manifestPoint struct {
 	Edges int           `json:"edges"`
 }
 
-// storeForDir maps a plain checkpoint directory onto the dir:// backend:
-// the store root is the parent directory, the tree name is the base — so
-// the historical on-disk layout (tempdir staging, name+".old" parking) is
-// byte-compatible with what the pre-store Checkpoint wrote.
-func storeForDir(dir string) (store.Storer, string, error) {
-	abs, err := filepath.Abs(filepath.Clean(dir))
-	if err != nil {
-		return nil, "", fmt.Errorf("campaign: %w", err)
-	}
-	st, err := store.Open("dir://" + filepath.Dir(abs))
-	if err != nil {
-		return nil, "", fmt.Errorf("campaign: %w", err)
-	}
-	return st, filepath.Base(abs), nil
-}
-
-// Checkpoint writes the campaign's full resumable state to dir. Call it
-// between RunFor calls (never concurrently with one). The write is
-// near-atomic (see store.Storer's PutTree contract): an interruption
-// mid-checkpoint leaves either the old checkpoint (possibly parked at
-// dir+".old", recovered on the next resume) or the new one — never a
-// half-written mix of epochs.
-func (c *Campaign) Checkpoint(dir string) error {
-	st, name, err := storeForDir(dir)
-	if err != nil {
-		return err
-	}
-	return c.CheckpointTo(st, name)
-}
-
 // CheckpointTo writes the campaign's full resumable state as the tree
-// named name in st, atomically.
+// named name in st. Call it between RunFor calls (never concurrently with
+// one). The write is near-atomic (see store.Storer's PutTree contract): an
+// interruption mid-checkpoint leaves either the old checkpoint or the new
+// one — never a half-written mix of epochs.
 func (c *Campaign) CheckpointTo(st store.Storer, name string) error {
 	t, err := c.CheckpointTree()
 	if err != nil {
@@ -276,7 +219,7 @@ func (c *Campaign) CheckpointTree() (store.Tree, error) {
 	}
 	t["virgin.bin"] = raw
 	m := manifest{
-		Version:       manifestWriteVersion(c.cfg.SyncMode),
+		Version:       manifestVersion,
 		Target:        c.cfg.Target,
 		Policy:        int(c.cfg.Policy),
 		PolicyName:    c.cfg.Policy.String(),
@@ -292,6 +235,7 @@ func (c *Campaign) CheckpointTree() (store.Tree, error) {
 		PowerName:     c.cfg.Power.String(),
 		SnapBudget:    c.cfg.SnapBudget,
 		Asan:          c.cfg.Asan,
+		SyncMode:      c.cfg.SyncMode.String(),
 		Elapsed:       c.Elapsed(),
 		Published:     c.broker.published,
 		Deduped:       c.broker.deduped,
@@ -331,19 +275,16 @@ func (c *Campaign) CheckpointTree() (store.Tree, error) {
 		cl := c.broker.shards[shardFor(idx)].topRated[idx]
 		m.TopRated = append(m.TopRated, manifestClaim{Edge: idx, Fav: cl.fav, Key: cl.key})
 	}
-	if c.cfg.SyncMode == SyncAsync {
-		m.SyncMode = c.cfg.SyncMode.String()
-		for _, w := range c.workers {
-			m.WorkerEpochs = append(m.WorkerEpochs, w.epoch)
-		}
-		for wid, q := range c.broker.pending {
-			for _, it := range q {
-				m.Pending = append(m.Pending, manifestPending{
-					Worker:    wid,
-					Input:     base64.StdEncoding.EncodeToString(spec.Serialize(it.input)),
-					GlobalFav: it.globalFav,
-				})
-			}
+	for _, w := range c.workers {
+		m.WorkerEpochs = append(m.WorkerEpochs, w.epoch)
+	}
+	for wid, q := range c.broker.pending {
+		for _, it := range q {
+			m.Pending = append(m.Pending, manifestPending{
+				Worker:    wid,
+				Input:     base64.StdEncoding.EncodeToString(spec.Serialize(it.input)),
+				GlobalFav: it.globalFav,
+			})
 		}
 	}
 	enc, err := json.MarshalIndent(&m, "", "  ")
@@ -354,22 +295,13 @@ func (c *Campaign) CheckpointTree() (store.Tree, error) {
 	return t, nil
 }
 
-// Resume relaunches a checkpointed campaign from dir. The stored
-// configuration (target, workers, policy, master seed, sync interval) is
-// authoritative; each worker re-imports its saved queue on the first
-// scheduling round, which rebuilds local coverage without polluting the
-// restored global state (the broker dedups the re-published entries).
-func Resume(dir string) (*Campaign, error) {
-	st, name, err := storeForDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	return ResumeFrom(st, name)
-}
-
 // ResumeFrom relaunches a checkpointed campaign from the tree named name
 // in st — any backend, including one the checkpoint was migrated to with
-// store.CopyTree.
+// store.CopyTree. The stored configuration (target, workers, policy, master
+// seed, sync interval and mode) is authoritative; each worker re-imports its
+// saved queue on the first scheduling round, which rebuilds local coverage
+// without polluting the restored global state (the broker dedups the
+// re-published entries).
 func ResumeFrom(st store.Storer, name string) (*Campaign, error) {
 	t, err := st.GetTree(name)
 	if err != nil {
@@ -391,8 +323,50 @@ func ResumeTree(t store.Tree) (*Campaign, error) {
 	if err := json.Unmarshal(enc, &m); err != nil {
 		return nil, fmt.Errorf("campaign: resume: bad manifest: %w", err)
 	}
-	if m.Version < 1 || m.Version > manifestVersion {
-		return nil, fmt.Errorf("campaign: resume: manifest version %d, want 1..%d", m.Version, manifestVersion)
+	if m.Version != manifestVersion && m.Version != manifestVersion-1 {
+		return nil, fmt.Errorf("campaign: resume: manifest version %d is not supported (this build reads %d and %d)",
+			m.Version, manifestVersion-1, manifestVersion)
+	}
+	// The manifest is outside input: a raw cast would let an unknown policy
+	// silently fuzz as the default, and a stray worker index would file
+	// corpus provenance or imports under a worker that does not exist.
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{
+		{"policy", m.Policy, int(core.PolicyAggressive)},
+		{"sched", m.Sched, int(core.SchedRoundRobin)},
+		{"power", m.Power, int(core.PowerAdaptive)},
+	} {
+		if f.v < 0 || f.v > f.max {
+			return nil, fmt.Errorf("campaign: resume: manifest %s %d out of range 0..%d", f.name, f.v, f.max)
+		}
+	}
+	syncMode, err := ParseSyncMode(m.SyncMode)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: resume: %w", err)
+	}
+	cfg := Config{
+		Target:        m.Target,
+		Workers:       m.Workers,
+		Policy:        core.Policy(m.Policy),
+		Seed:          m.Seed,
+		SyncInterval:  m.SyncInterval,
+		SnapshotReuse: m.SnapshotReuse,
+		Sched:         core.Sched(m.Sched),
+		Power:         core.Power(m.Power),
+		SnapBudget:    m.SnapBudget,
+		Asan:          m.Asan,
+		SyncMode:      syncMode,
+	}.withDefaults()
+	workerInRange := func(what string, i, worker int) error {
+		if worker < 0 || worker >= cfg.Workers {
+			return fmt.Errorf("campaign: resume: %s %d names worker %d of %d", what, i, worker, cfg.Workers)
+		}
+		return nil
+	}
+	if len(m.WorkerEpochs) > cfg.Workers {
+		return nil, fmt.Errorf("campaign: resume: %d worker epochs for %d workers", len(m.WorkerEpochs), cfg.Workers)
 	}
 
 	br := newBroker()
@@ -427,15 +401,15 @@ func ResumeTree(t store.Tree) (*Campaign, error) {
 		br.crashes = append(br.crashes, cr)
 	}
 	for i, me := range m.Corpus {
+		if err := workerInRange("corpus entry", i, me.Worker); err != nil {
+			return nil, err
+		}
 		in, err := decodeInput(me.Input)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: resume: corpus entry %d: %w", i, err)
 		}
 		// Rebuild the full entry the global favored competition reads —
-		// favored bit, trace digest, exec time and size — instead of a
-		// bare {ID, Input} shell. Version-1 manifests carry none of it;
-		// those entries resume with zero values and simply lose the
-		// favored competition until re-published.
+		// favored bit, trace digest, exec time and size.
 		hits, err := decodeHits(me.Cov)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: resume: corpus entry %d: %w", i, err)
@@ -466,7 +440,7 @@ func ResumeTree(t store.Tree) (*Campaign, error) {
 	}
 	// Re-point surviving claims at the restored corpus entries so a later
 	// displacement can still demote them; the workers' live re-imported
-	// copies re-bind through ingest's dedup path on the first sync.
+	// copies re-bind as duplicate publications at their first exchange.
 	for _, be := range br.corpus {
 		if br.claimWins[be.key] > 0 {
 			br.claimants[be.key] = append(br.claimants[be.key], be.Entry)
@@ -476,26 +450,6 @@ func ResumeTree(t store.Tree) (*Campaign, error) {
 		br.covLog = append(br.covLog, core.CoveragePoint{T: p.T, Edges: p.Edges})
 		br.lastSample = p.T
 	}
-
-	// Pre-version-4 manifests carry no sync mode and resume in lockstep
-	// (the mode they were written under) with zeroed epoch state.
-	syncMode, err := ParseSyncMode(m.SyncMode)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: resume: %w", err)
-	}
-	cfg := Config{
-		Target:        m.Target,
-		Workers:       m.Workers,
-		Policy:        core.Policy(m.Policy),
-		Seed:          m.Seed,
-		SyncInterval:  m.SyncInterval,
-		SnapshotReuse: m.SnapshotReuse,
-		Sched:         core.Sched(m.Sched),
-		Power:         core.Power(m.Power),
-		SnapBudget:    m.SnapBudget,
-		Asan:          m.Asan,
-		SyncMode:      syncMode,
-	}.withDefaults()
 
 	seedsFor := func(i int) (workerSeeds, error) {
 		wd := workerDir(i)
@@ -518,8 +472,6 @@ func ResumeTree(t store.Tree) (*Campaign, error) {
 				return workerSeeds{}, err
 			}
 		}
-		// Missing in version-1 checkpoints: the worker resumes with
-		// zeroed power state (nil PowerMeta).
 		var power *core.PowerMeta
 		if raw, ok := t[wd+"/"+core.PowerMetaFile]; ok {
 			if power, err = core.DecodePowerMeta(raw); err != nil {
@@ -536,22 +488,19 @@ func ResumeTree(t store.Tree) (*Campaign, error) {
 	c.rounds = m.Rounds
 	c.baseElapsed = m.Elapsed
 	for i, ep := range m.WorkerEpochs {
-		if i < len(c.workers) {
-			c.workers[i].epoch = ep
-		}
+		c.workers[i].epoch = ep
 	}
-	// Reload the async pending-import queues; each worker drains its
-	// queue at its first epoch boundary after the resume.
-	pending := make(map[int][]importItem)
+	// Reload the pending-import queues; each worker pulls its queue at its
+	// first exchange after the resume.
 	for i, mp := range m.Pending {
+		if err := workerInRange("pending import", i, mp.Worker); err != nil {
+			return nil, err
+		}
 		in, err := decodeInput(mp.Input)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: resume: pending import %d: %w", i, err)
 		}
-		pending[mp.Worker] = append(pending[mp.Worker], importItem{input: in, globalFav: mp.GlobalFav})
-	}
-	for wid, items := range pending {
-		br.restorePending(wid, items)
+		br.pending[mp.Worker] = append(br.pending[mp.Worker], importItem{input: in, globalFav: mp.GlobalFav})
 	}
 	return c, nil
 }

@@ -96,7 +96,7 @@ func TestCheckpointStoreRoundTrip(t *testing.T) {
 func TestCheckpointDirLayoutMatchesStore(t *testing.T) {
 	c := run(t, testCfg(1, 22), time.Second)
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	if err := c.Checkpoint(dir); err != nil {
+	if err := checkpointDir(c, dir); err != nil {
 		t.Fatal(err)
 	}
 	want, err := c.CheckpointTree()
@@ -223,10 +223,10 @@ func TestStopIsStickyAndCheckpointable(t *testing.T) {
 		t.Fatal("RunFor made progress after Stop")
 	}
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	if err := c.Checkpoint(dir); err != nil {
+	if err := checkpointDir(c, dir); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Resume(dir)
+	r, err := resumeDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,11 +13,14 @@ import (
 	"repro/internal/core"
 )
 
-// goldenFile pins the lockstep broker's byte-level behaviour: the digests in
-// it were generated against the pre-sharding broker (single global virgin
-// map, single top-rated map, lockstep rounds), and every later refactor of
-// the broker must keep seeded lockstep mode byte-identical to them — both
-// the aggregated coverage and the full checkpoint tree. Regenerate with
+// goldenFile pins the lockstep schedule's byte-level behaviour — both the
+// aggregated coverage and the full checkpoint tree. The digests in it were
+// generated against the single-algorithm broker: every worker exchanging in
+// ID order at the round barrier through the same broker.exchange the async
+// schedule calls, checkpointed in the one manifest format (they replaced
+// digests pinned against the pre-sharding broker's separate lockstep
+// ingest, which that change deleted). Every later refactor of the broker
+// must keep seeded lockstep mode byte-identical to them. Regenerate with
 //
 //	NYX_UPDATE_GOLDEN=1 go test ./internal/campaign -run TestLockstepGolden
 //
@@ -95,9 +98,9 @@ func runGolden(t *testing.T, cfg Config) goldenEntry {
 }
 
 // TestLockstepGolden asserts that seeded lockstep mode still produces the
-// exact aggregated coverage and checkpoint bytes the pre-refactor broker
-// produced (the ablation harness's determinism contract: byte-identical
-// edges and checkpoints for a fixed master seed).
+// exact aggregated coverage and checkpoint bytes the golden file pins (the
+// ablation harness's determinism contract: byte-identical edges and
+// checkpoints for a fixed master seed).
 func TestLockstepGolden(t *testing.T) {
 	var got []goldenEntry
 	for _, cfg := range goldenConfigs() {
@@ -131,7 +134,7 @@ func TestLockstepGolden(t *testing.T) {
 	for i, w := range want {
 		g := got[i]
 		if g != w {
-			t.Errorf("%s (power %s): lockstep output diverged from the pre-refactor broker:\n  got  %+v\n  want %+v",
+			t.Errorf("%s (power %s): lockstep output diverged from the golden file:\n  got  %+v\n  want %+v",
 				w.Target, w.Power, g, w)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/store"
 )
 
 // ---- Parallel campaign scaling (§5.1's multi-instance setup, §5.3's
@@ -180,11 +181,15 @@ func CampaignResumeDemo(cfg Config, workers int, dir string) (int, int, error) {
 	if err := c.RunFor(half); err != nil {
 		return 0, 0, err
 	}
-	if err := c.Checkpoint(dir); err != nil {
+	st, name, err := store.ForDir(dir)
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := c.CheckpointTo(st, name); err != nil {
 		return 0, 0, err
 	}
 	mid := c.Coverage()
-	r, err := campaign.Resume(dir)
+	r, err := campaign.ResumeFrom(st, name)
 	if err != nil {
 		return mid, 0, err
 	}

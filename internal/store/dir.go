@@ -50,6 +50,22 @@ func openDir(root, rawurl string) (Storer, error) {
 	return d, nil
 }
 
+// ForDir maps a plain directory that holds (or will hold) one tree onto the
+// dir backend: the store root is the directory's parent, the tree name its
+// base — the layout a checkpoint directory has always had (sibling temp-dir
+// staging, name+".old" parking).
+func ForDir(dir string) (Storer, string, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, "", fmt.Errorf("store: %w", err)
+	}
+	st, err := Open("dir://" + filepath.Dir(abs))
+	if err != nil {
+		return nil, "", err
+	}
+	return st, filepath.Base(abs), nil
+}
+
 // sweepStaleTemps removes abandoned staging directories: a crash between
 // PutTree's staging and swap strands a tmpPrefix dir that nothing would
 // ever reclaim. Only temps older than staleAfter go, so an in-flight
