@@ -133,11 +133,14 @@ func BenchmarkFigure6SnapshotCreate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		if err := m.RestoreRoot(); err != nil {
+			b.Fatal(err)
+		}
 		for p := 0; p < 512; p++ {
 			copy(m.TouchPage(uint32(p)), buf)
 		}
 		b.StartTimer()
-		if err := m.TakeIncremental(); err != nil {
+		if _, err := m.TakeIncrementalSlot(0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,7 +155,7 @@ func BenchmarkFigure6SnapshotLoad(b *testing.B) {
 	for p := 0; p < 512; p++ {
 		copy(m.TouchPage(uint32(p)), buf)
 	}
-	if err := m.TakeIncremental(); err != nil {
+	if _, err := m.TakeIncrementalSlot(0); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -162,7 +165,7 @@ func BenchmarkFigure6SnapshotLoad(b *testing.B) {
 			copy(m.TouchPage(uint32(p)), buf)
 		}
 		b.StartTimer()
-		if err := m.RestoreIncremental(); err != nil {
+		if _, err := m.RestoreIncrementalSlot(0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,8 +26,9 @@
 // Incremental snapshots are pooled by default (-snapbudget bytes per
 // worker): snapshot slots are keyed by input-prefix digest, survive
 // queue-entry switches, are shared across entries with common prefixes,
-// and evict LRU/cheapest-first under the budget. -snapbudget 0 restores
-// the paper's single-snapshot model.
+// and evict LRU/cheapest-first under the budget. -snapbudget 0 schedules
+// the paper's model on the same slot mechanism: one snapshot per round,
+// released when the round ends.
 //
 // Checkpoints go through the pluggable store layer (internal/store): with
 // -store URL set, -checkpoint NAME names a tree in that store (dir://PATH
@@ -82,7 +83,7 @@ func main() {
 		policy   = flag.String("policy", "aggressive", "snapshot policy: none | balanced | aggressive")
 		sched    = flag.String("sched", "afl", "queue scheduler: afl (favored culling, energy, splice, trim) | rr (flat round-robin)")
 		power    = flag.String("power", "off", "AFLfast-style power schedule for long campaigns: off | fast | coe | explore | lin | quad | adaptive (explore until the frontier drains, then coe)")
-		snapbud  = flag.Int64("snapbudget", experiments.DefaultSnapBudget, "snapshot-pool byte budget per worker (prefix-keyed incremental snapshots; 0 disables the pool, restoring the single-slot model)")
+		snapbud  = flag.Int64("snapbudget", experiments.DefaultSnapBudget, "snapshot-pool byte budget per worker (prefix-keyed incremental snapshots; 0 keeps one snapshot per scheduling round, released when the round ends)")
 		duration = flag.Duration("time", 30*time.Second, "virtual campaign duration")
 		seed     = flag.Int64("seed", 1, "campaign RNG seed (master seed with -workers)")
 		asan     = flag.Bool("asan", false, "enable AddressSanitizer-like checking")

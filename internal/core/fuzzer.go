@@ -474,17 +474,32 @@ func (f *Fuzzer) Step() error {
 		f.chargeBarren(entry, budget)
 		return f.fuzzFromRoot(entry, budget)
 	}
+	if err := f.fuzzSuffixes(entry, base, snapAt, budget, heldSnapshot); err != nil {
+		return err
+	}
+	f.Agent.DropSnapshot()
+	return nil
+}
+
+// heldSnapshot in place of a pooled slot id names the executor's single
+// round-scoped snapshot (Executor.RunSuffix), the one the pool-off mode uses.
+const heldSnapshot = -1
+
+// fuzzSuffixes spends budget suffix-only mutations of base, each resumed
+// from the snapshot of its prefix ending at snapAt: pooled slot slot, or
+// heldSnapshot. A round that finds nothing new counts against the
+// aggressive policy's position.
+func (f *Fuzzer) fuzzSuffixes(entry *QueueEntry, base *spec.Input, snapAt, budget, slot int) error {
 	foundNew := false
 	for i := 0; i < budget; i++ {
 		mut := f.Mut.MutateSuffix(base, snapAt)
 		mut.SnapshotAt = snapAt
-		isNew, err := f.execSuffix(mut)
+		isNew, err := f.execSuffix(slot, mut)
 		if err != nil {
 			return err
 		}
 		foundNew = foundNew || isNew
 	}
-	f.Agent.DropSnapshot()
 	if foundNew {
 		entry.aggrBarren = 0
 	} else {
@@ -509,25 +524,13 @@ func (f *Fuzzer) fuzzWithPool(entry *QueueEntry, base *spec.Input, snapAt, budge
 		return f.fuzzFromRoot(entry, budget)
 	}
 	f.snapBaseTime = prefixCost
-	foundNew := false
-	for i := 0; i < budget; i++ {
-		mut := f.Mut.MutateSuffix(base, snapAt)
-		mut.SnapshotAt = snapAt
-		isNew, err := f.execSuffixSlot(slot, mut)
-		if err != nil {
-			return err
-		}
-		foundNew = foundNew || isNew
+	if err := f.fuzzSuffixes(entry, base, snapAt, budget, slot); err != nil {
+		return err
 	}
 	if transient {
 		// The snapshot alone exceeded the whole budget: it served this
 		// round like a single-slot snapshot and dies with it.
 		f.slotExec.DropSlot(slot)
-	}
-	if foundNew {
-		entry.aggrBarren = 0
-	} else {
-		f.chargeBarren(entry, budget)
 	}
 	return nil
 }
@@ -618,20 +621,6 @@ func (f *Fuzzer) resolvePrefix(entry *QueueEntry, base *spec.Input, snapAt int) 
 	}
 	entry.prefixDigests[snapAt] = digest
 	return hit, parent, digest
-}
-
-// execSuffixSlot runs a suffix-only mutation resumed from a pooled slot.
-// Returns whether the execution found new coverage.
-func (f *Fuzzer) execSuffixSlot(slot int, in *spec.Input) (bool, error) {
-	t0 := f.Agent.Now()
-	res, err := f.slotExec.RunFromSnapshot(slot, in, &f.trace)
-	if err != nil {
-		return false, err
-	}
-	// Same full-cost estimate as execSuffix: prefix share + suffix time.
-	f.lastExecTime = f.snapBaseTime + (f.Agent.Now() - t0)
-	f.snapExecs++
-	return f.account(in, res, true), nil
 }
 
 // fuzzFromRoot spends budget executions mutating entry's whole input from
@@ -795,11 +784,17 @@ func (f *Fuzzer) execFromRoot(in *spec.Input, addToQueue bool) (netemu.Result, e
 	return res, nil
 }
 
-// execSuffix runs a suffix-only mutation from the held snapshot. Returns
-// whether the execution found new coverage.
-func (f *Fuzzer) execSuffix(in *spec.Input) (bool, error) {
+// execSuffix runs a suffix-only mutation resumed from pooled slot slot, or
+// from heldSnapshot. Returns whether the execution found new coverage.
+func (f *Fuzzer) execSuffix(slot int, in *spec.Input) (bool, error) {
 	t0 := f.Agent.Now()
-	res, err := f.Agent.RunSuffix(in, &f.trace)
+	var res netemu.Result
+	var err error
+	if slot == heldSnapshot {
+		res, err = f.Agent.RunSuffix(in, &f.trace)
+	} else {
+		res, err = f.slotExec.RunFromSnapshot(slot, in, &f.trace)
+	}
 	if err != nil {
 		return false, err
 	}

@@ -1,10 +1,13 @@
 // Package device implements the emulated device models of the simulated VM:
-// a block device with the two-layer dirty-sector cache described in §4.2 of
+// a block device with the layered dirty-sector cache described in §4.2 of
 // the Nyx-Net paper, a virtual NIC, and a serial console.
 //
-// Each device supports two reset mechanisms so the ablation benchmarks can
-// compare them: the fast structured reset Nyx-Net uses, and a slow
-// QEMU-style full serialize/deserialize reset.
+// Every device states one snapshot contract: a root snapshot it can reset
+// to, plus any number of incremental snapshots captured as values
+// (SaveSnapshot) and restored on demand (LoadSnapshot) — the device half of
+// a VM snapshot slot. Beside that fast structured mechanism each device
+// keeps the slow QEMU-style full serialize/deserialize reset, so the
+// ablation benchmarks can compare the two.
 package device
 
 import (
@@ -34,8 +37,8 @@ const (
 const maxFreeSectors = 64
 
 // Device is the interface all emulated devices implement. The snapshot
-// lifecycle mirrors the VM's: a root snapshot plus at most one incremental
-// snapshot layered on top.
+// lifecycle mirrors the VM's: a root snapshot plus any number of
+// incremental snapshots held by the caller as Snapshot values.
 type Device interface {
 	// Name identifies the device for diagnostics.
 	Name() string
@@ -45,19 +48,11 @@ type Device interface {
 	// RestoreRoot resets the device to the root snapshot using the fast
 	// structured mechanism.
 	RestoreRoot()
-	// TakeIncremental captures the secondary snapshot at current state.
-	TakeIncremental()
-	// RestoreIncremental resets the device to the secondary snapshot.
-	RestoreIncremental()
-	// DropIncremental discards the secondary snapshot (state unchanged).
-	DropIncremental()
 
 	// SaveSnapshot captures the device's current state as an opaque
-	// in-memory value for the snapshot-slot pool: unlike TakeIncremental
-	// (one layered snapshot per device) any number of snapshots can be
-	// held at once, and LoadSnapshot restores one regardless of what ran
-	// in between. Loading deactivates the layered incremental snapshot,
-	// whose timeline the load abandons.
+	// in-memory value — an incremental snapshot. Any number can be held at
+	// once, and LoadSnapshot restores one regardless of what ran in
+	// between.
 	SaveSnapshot() Snapshot
 	// LoadSnapshot restores the state captured by SaveSnapshot.
 	LoadSnapshot(Snapshot)
@@ -96,37 +91,27 @@ func SnapshotBytes(s Snapshot) int64 {
 	}
 }
 
-// BlockDevice models an emulated disk. Sector writes since the root
-// snapshot land in a first hashmap layer; once an incremental snapshot is
-// taken, further writes land in a second layer so restoring the incremental
-// snapshot only needs to discard that layer. Reads check the layers
-// top-down and fall back to the base image, exactly the lookup order the
-// paper describes.
-//
-// A pooled snapshot restore (LoadSnapshot) installs the captured delta as a
-// third, immutable layer below l1: the frozen delta is aliased, never
-// copied, and subsequent writes shadow it in l1. Repeat restores therefore
-// cost O(sectors written since the restore) — clearing l1/l2 — instead of
-// O(total delta), which is what made slot switches scale with snapshot size
-// before.
+// BlockDevice models an emulated disk with the paper's two caching layers
+// over the base image. Sector writes land in a hashmap layer (l1); restoring
+// an incremental snapshot (LoadSnapshot) installs the captured delta as an
+// immutable layer below it (shared): the frozen delta is aliased, never
+// copied, and subsequent writes shadow it in l1, so restoring the snapshot
+// again only needs to discard l1 — O(sectors written since the restore),
+// not O(total delta). Reads check the layers top-down and fall back to the
+// base image, exactly the lookup order the paper describes.
 type BlockDevice struct {
 	name     string
 	nsectors uint64
 
 	base   map[uint64][]byte // content at root snapshot time
-	shared map[uint64][]byte // frozen pool-snapshot delta (aliased, read-only)
+	shared map[uint64][]byte // frozen incremental-snapshot delta (aliased, read-only)
 	l1     map[uint64][]byte // dirtied since root snapshot (or since LoadSnapshot)
-	l2     map[uint64][]byte // dirtied since incremental snapshot
-
-	incActive bool
 
 	// l1Shadowed counts sectors present in both l1 and shared, so
-	// DirtySectors can report |shared ∪ l1| + |l2| — the same union the
-	// pre-layering code measured when the loaded delta and later writes
-	// lived in one map.
+	// DirtySectors can report |shared ∪ l1| without walking either map.
 	l1Shadowed int
 
-	// curSnap is the pool snapshot the current state derives from (nil
+	// curSnap is the snapshot the current state derives from (nil
 	// outside a LoadSnapshot cycle). Writes that shadow its frozen delta
 	// feed its write-set profile.
 	curSnap *blockSnap
@@ -165,7 +150,6 @@ func NewBlockDevice(name string, nsectors uint64) *BlockDevice {
 		nsectors:     nsectors,
 		base:         make(map[uint64][]byte),
 		l1:           make(map[uint64][]byte),
-		l2:           make(map[uint64][]byte),
 		eagerPending: make(map[uint64]struct{}),
 	}
 }
@@ -183,10 +167,6 @@ func (d *BlockDevice) ReadSector(sn uint64, buf []byte) error {
 	}
 	if len(buf) != SectorSize {
 		return fmt.Errorf("device %s: bad buffer size %d", d.name, len(buf))
-	}
-	if s, ok := d.l2[sn]; ok {
-		copy(buf, s)
-		return nil
 	}
 	if s, ok := d.l1[sn]; ok {
 		copy(buf, s)
@@ -227,11 +207,7 @@ func (d *BlockDevice) WriteSector(sn uint64, buf []byte) error {
 			}
 		}
 	}
-	layer := d.l1
-	if d.incActive {
-		layer = d.l2
-	}
-	s, ok := layer[sn]
+	s, ok := d.l1[sn]
 	if !ok {
 		if n := len(d.freeSectors); n > 0 {
 			s = d.freeSectors[n-1]
@@ -239,16 +215,14 @@ func (d *BlockDevice) WriteSector(sn uint64, buf []byte) error {
 		} else {
 			s = make([]byte, SectorSize)
 		}
-		layer[sn] = s
-		if !d.incActive {
-			if _, shadowed := d.shared[sn]; shadowed {
-				d.l1Shadowed++
-				if d.curSnap != nil {
-					// The shadow write is the prediction signal: a frozen
-					// sector the guest rewrote anyway — the device analogue
-					// of a CoW page break.
-					d.curSnap.prof.record(sn)
-				}
+		d.l1[sn] = s
+		if _, shadowed := d.shared[sn]; shadowed {
+			d.l1Shadowed++
+			if d.curSnap != nil {
+				// The shadow write is the prediction signal: a frozen
+				// sector the guest rewrote anyway — the device analogue
+				// of a CoW page break.
+				d.curSnap.prof.record(sn)
 			}
 		}
 	}
@@ -265,84 +239,34 @@ func (d *BlockDevice) TakeRoot() {
 	for sn, s := range d.l1 {
 		d.base[sn] = s
 	}
-	for sn, s := range d.l2 {
-		d.base[sn] = s
-	}
 	d.shared = nil
 	d.l1 = make(map[uint64][]byte)
-	d.l2 = make(map[uint64][]byte)
 	d.l1Shadowed = 0
 	d.scoreEagerSectors()
 	d.curSnap = nil
-	d.incActive = false
 	d.WritesSinceRoot = 0
 }
 
-// RestoreRoot implements Device: drop the dirty layers and any installed
-// pool-snapshot delta.
+// RestoreRoot implements Device: drop the dirty layer and any installed
+// snapshot delta.
 func (d *BlockDevice) RestoreRoot() {
 	if len(d.l1) > 0 {
 		d.l1 = make(map[uint64][]byte)
 	}
-	if len(d.l2) > 0 {
-		d.l2 = make(map[uint64][]byte)
-	}
 	d.shared = nil
 	d.l1Shadowed = 0
 	d.scoreEagerSectors()
 	d.curSnap = nil
-	d.incActive = false
 	d.WritesSinceRoot = 0
 }
 
-// foldIntoL1 moves every l2 sector down into l1, maintaining the shadow
-// count DirtySectors depends on.
-func (d *BlockDevice) foldIntoL1() {
-	for sn, s := range d.l2 {
-		if _, ok := d.l1[sn]; !ok {
-			if _, shadowed := d.shared[sn]; shadowed {
-				d.l1Shadowed++
-			}
-		}
-		d.l1[sn] = s
-	}
-	d.l2 = make(map[uint64][]byte)
-}
-
-// TakeIncremental implements Device: freeze l1 (folding any l2 writes in)
-// and direct subsequent writes to the second caching layer.
-func (d *BlockDevice) TakeIncremental() {
-	if d.incActive {
-		d.foldIntoL1()
-	}
-	d.incActive = true
-}
-
-// RestoreIncremental implements Device: discard the second layer.
-func (d *BlockDevice) RestoreIncremental() {
-	if len(d.l2) > 0 {
-		d.l2 = make(map[uint64][]byte)
-	}
-}
-
-// DropIncremental implements Device: fold the second layer into the first
-// and deactivate.
-func (d *BlockDevice) DropIncremental() {
-	if !d.incActive {
-		return
-	}
-	d.foldIntoL1()
-	d.incActive = false
-}
-
 // DirtySectors returns how many sectors differ from the root snapshot:
-// |shared ∪ l1| + |l2| (the same count the pre-layering code reported, when
-// a loaded delta and subsequent writes shared one map).
+// |shared ∪ l1|.
 func (d *BlockDevice) DirtySectors() int {
-	return len(d.shared) + len(d.l1) - d.l1Shadowed + len(d.l2)
+	return len(d.shared) + len(d.l1) - d.l1Shadowed
 }
 
-// blockSnap is a BlockDevice pool snapshot: the flattened dirty delta
+// blockSnap is a BlockDevice incremental snapshot: the flattened dirty delta
 // against the base image. The delta map and its sector buffers are frozen
 // at capture time — LoadSnapshot aliases them directly, so they must never
 // be mutated. The snapshot also carries its sector write-set profile (see
@@ -498,24 +422,21 @@ func (d *BlockDevice) scoreEagerSectors() {
 
 // SaveSnapshot implements Device: flatten the caching layers into one
 // delta-vs-base map. Sectors inherited from an installed frozen delta are
-// aliased (immutable in, immutable out); l1/l2 contents are copied because
+// aliased (immutable in, immutable out); l1 contents are copied because
 // WriteSector mutates those buffers in place.
 func (d *BlockDevice) SaveSnapshot() Snapshot {
-	sn := &blockSnap{delta: make(map[uint64][]byte, len(d.shared)+len(d.l1)+len(d.l2)), writes: d.WritesSinceRoot}
+	sn := &blockSnap{delta: make(map[uint64][]byte, len(d.shared)+len(d.l1)), writes: d.WritesSinceRoot}
 	for s, b := range d.shared {
 		sn.delta[s] = b
 	}
 	for s, b := range d.l1 {
 		sn.delta[s] = append([]byte(nil), b...)
 	}
-	for s, b := range d.l2 {
-		sn.delta[s] = append([]byte(nil), b...)
-	}
 	return sn
 }
 
 // LoadSnapshot implements Device: the captured delta is installed as the
-// frozen shared layer — aliased, not copied — and the own dirty layers are
+// frozen shared layer — aliased, not copied — and the own dirty layer is
 // cleared, so a repeat restore costs O(sectors written since the previous
 // restore) instead of O(delta). Reads fall through shared to the untouched
 // base image; writes shadow the frozen delta in l1.
@@ -536,12 +457,7 @@ func (d *BlockDevice) LoadSnapshot(s Snapshot) {
 		d.harvest(d.l1)
 		clear(d.l1)
 	}
-	if len(d.l2) > 0 {
-		d.harvest(d.l2)
-		clear(d.l2)
-	}
 	d.l1Shadowed = 0
-	d.incActive = false
 	d.WritesSinceRoot = sn.writes
 	d.curSnap = sn
 	if sn.prof.loads++; sn.prof.loads >= sectorDecayEvery {
@@ -589,9 +505,6 @@ func (d *BlockDevice) SaveState() ([]byte, error) {
 	for sn, s := range d.l1 {
 		st.Sectors[sn] = s
 	}
-	for sn, s := range d.l2 {
-		st.Sectors[sn] = s
-	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
 		return nil, fmt.Errorf("device %s: save: %w", d.name, err)
@@ -609,14 +522,12 @@ func (d *BlockDevice) LoadState(b []byte) error {
 	d.base = st.Sectors
 	d.shared = nil
 	d.l1 = make(map[uint64][]byte)
-	d.l2 = make(map[uint64][]byte)
 	d.l1Shadowed = 0
 	d.scoreEagerSectors()
 	d.curSnap = nil
 	if d.eagerPending == nil {
 		d.eagerPending = make(map[uint64]struct{})
 	}
-	d.incActive = false
 	return nil
 }
 
@@ -634,8 +545,6 @@ type NIC struct {
 	Up      bool
 
 	rootState nicState
-	incState  nicState
-	incActive bool
 }
 
 type nicState struct {
@@ -693,23 +602,10 @@ func (n *NIC) apply(st nicState) {
 }
 
 // TakeRoot implements Device.
-func (n *NIC) TakeRoot() { n.rootState = n.capture(); n.incActive = false }
+func (n *NIC) TakeRoot() { n.rootState = n.capture() }
 
 // RestoreRoot implements Device.
-func (n *NIC) RestoreRoot() { n.apply(n.rootState); n.incActive = false }
-
-// TakeIncremental implements Device.
-func (n *NIC) TakeIncremental() { n.incState = n.capture(); n.incActive = true }
-
-// RestoreIncremental implements Device.
-func (n *NIC) RestoreIncremental() {
-	if n.incActive {
-		n.apply(n.incState)
-	}
-}
-
-// DropIncremental implements Device.
-func (n *NIC) DropIncremental() { n.incActive = false }
+func (n *NIC) RestoreRoot() { n.apply(n.rootState) }
 
 // SaveSnapshot implements Device.
 func (n *NIC) SaveSnapshot() Snapshot { st := n.capture(); return &st }
@@ -717,10 +613,7 @@ func (n *NIC) SaveSnapshot() Snapshot { st := n.capture(); return &st }
 // LoadSnapshot implements Device.
 //
 //nyx:hotpath
-func (n *NIC) LoadSnapshot(s Snapshot) {
-	n.apply(*s.(*nicState))
-	n.incActive = false
-}
+func (n *NIC) LoadSnapshot(s Snapshot) { n.apply(*s.(*nicState)) }
 
 // SaveState implements Device.
 func (n *NIC) SaveState() ([]byte, error) {
@@ -748,11 +641,9 @@ type Serial struct {
 	name string
 	Log  []byte
 
-	rootLen   int
-	incLen    int
-	incActive bool
+	rootLen int
 
-	// loaded remembers the pool snapshot the log was last restored to,
+	// loaded remembers the snapshot the log was last restored to,
 	// while Log[:len(loaded)] still mirrors it. The log is append-only
 	// between restores, so reloading the same frozen snapshot can truncate
 	// in place instead of copying the whole captured log — the hot case
@@ -771,24 +662,10 @@ func (s *Serial) Name() string { return s.name }
 func (s *Serial) WriteString(msg string) { s.Log = append(s.Log, msg...) }
 
 // TakeRoot implements Device.
-func (s *Serial) TakeRoot() { s.rootLen = len(s.Log); s.incActive = false }
+func (s *Serial) TakeRoot() { s.rootLen = len(s.Log) }
 
 // RestoreRoot implements Device.
-func (s *Serial) RestoreRoot() { s.Log = s.Log[:s.rootLen]; s.incActive = false; s.loaded = nil }
-
-// TakeIncremental implements Device.
-func (s *Serial) TakeIncremental() { s.incLen = len(s.Log); s.incActive = true }
-
-// RestoreIncremental implements Device.
-func (s *Serial) RestoreIncremental() {
-	if s.incActive && len(s.Log) > s.incLen {
-		s.Log = s.Log[:s.incLen]
-		s.loaded = nil
-	}
-}
-
-// DropIncremental implements Device.
-func (s *Serial) DropIncremental() { s.incActive = false }
+func (s *Serial) RestoreRoot() { s.Log = s.Log[:s.rootLen]; s.loaded = nil }
 
 // SaveSnapshot implements Device.
 func (s *Serial) SaveSnapshot() Snapshot {
@@ -810,7 +687,6 @@ func (s *Serial) LoadSnapshot(sn Snapshot) {
 		s.Log = append(s.Log[:0], b...)
 		s.loaded = b
 	}
-	s.incActive = false
 }
 
 // SaveState implements Device.
@@ -866,28 +742,7 @@ func (s *Set) RestoreRoot() {
 	}
 }
 
-// TakeIncremental snapshots all devices incrementally.
-func (s *Set) TakeIncremental() {
-	for _, d := range s.devices {
-		d.TakeIncremental()
-	}
-}
-
-// RestoreIncremental resets all devices to the incremental snapshot.
-func (s *Set) RestoreIncremental() {
-	for _, d := range s.devices {
-		d.RestoreIncremental()
-	}
-}
-
-// DropIncremental discards the incremental snapshot on all devices.
-func (s *Set) DropIncremental() {
-	for _, d := range s.devices {
-		d.DropIncremental()
-	}
-}
-
-// SaveSnapshots captures every device's pool snapshot, in registration
+// SaveSnapshots captures every device's incremental snapshot, in registration
 // order (the order LoadSnapshots expects).
 func (s *Set) SaveSnapshots() []Snapshot {
 	out := make([]Snapshot, len(s.devices))

@@ -69,15 +69,23 @@ func TestBlockIncrementalLayering(t *testing.T) {
 	d := NewBlockDevice("disk0", 16)
 	d.TakeRoot()
 	d.WriteSector(0, sector(0x11)) // prefix write -> l1
-	d.TakeIncremental()
-	d.WriteSector(0, sector(0x22)) // fuzz write -> l2
+	snap := d.SaveSnapshot()
+	d.WriteSector(0, sector(0x22)) // fuzz writes over and beside the prefix
 	d.WriteSector(1, sector(0x33))
-	d.RestoreIncremental()
+	d.LoadSnapshot(snap) // prefix delta -> shared, l1 discarded
 	if got := readSector(t, d, 0); got[0] != 0x11 {
 		t.Fatalf("sector 0 should hold incremental content 0x11: %#x", got[0])
 	}
 	if got := readSector(t, d, 1); got[0] != 0 {
 		t.Fatalf("sector 1 should fall back to root: %#x", got[0])
+	}
+	d.WriteSector(0, sector(0x44)) // shadows the frozen sector in l1
+	if got := readSector(t, d, 0); got[0] != 0x44 {
+		t.Fatalf("l1 should win over the shared layer: %#x", got[0])
+	}
+	d.LoadSnapshot(snap)
+	if got := readSector(t, d, 0); got[0] != 0x11 {
+		t.Fatalf("sector 0 after second restore: %#x, want 0x11", got[0])
 	}
 	d.RestoreRoot()
 	if got := readSector(t, d, 0); got[0] != 0 {
@@ -89,14 +97,22 @@ func TestBlockRecreateIncremental(t *testing.T) {
 	d := NewBlockDevice("disk0", 16)
 	d.TakeRoot()
 	d.WriteSector(0, sector(0x11))
-	d.TakeIncremental()
+	first := d.SaveSnapshot()
 	d.WriteSector(1, sector(0x22))
 	// Recreate at current state: sector 1's write must survive restores.
-	d.TakeIncremental()
+	snap := d.SaveSnapshot()
 	d.WriteSector(1, sector(0x99))
-	d.RestoreIncremental()
+	d.LoadSnapshot(snap)
 	if got := readSector(t, d, 1); got[0] != 0x22 {
 		t.Fatalf("sector 1 should hold re-snapshotted 0x22: %#x", got[0])
+	}
+	if got := readSector(t, d, 0); got[0] != 0x11 {
+		t.Fatalf("sector 0 lost by the recreation: %#x", got[0])
+	}
+	// The earlier capture is a value of its own: recreating did not touch it.
+	d.LoadSnapshot(first)
+	if got := readSector(t, d, 1); got[0] != 0 {
+		t.Fatalf("first snapshot picked up a later write: %#x", got[0])
 	}
 }
 
@@ -119,8 +135,8 @@ func TestBlockSaveLoadState(t *testing.T) {
 	}
 }
 
-// Property: restore-incremental always yields the exact image captured at
-// TakeIncremental time, for random write workloads.
+// Property: LoadSnapshot always yields the exact image captured at
+// SaveSnapshot time, for random write workloads.
 func TestBlockSnapshotIdentityProperty(t *testing.T) {
 	const nsec = 32
 	f := func(seed int64) bool {
@@ -133,7 +149,7 @@ func TestBlockSnapshotIdentityProperty(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			d.WriteSector(uint64(rng.Intn(nsec)), sector(byte(rng.Intn(256))))
 		}
-		d.TakeIncremental()
+		snap := d.SaveSnapshot()
 		ref := make([][]byte, nsec)
 		for sn := 0; sn < nsec; sn++ {
 			buf := make([]byte, SectorSize)
@@ -143,7 +159,7 @@ func TestBlockSnapshotIdentityProperty(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			d.WriteSector(uint64(rng.Intn(nsec)), sector(byte(rng.Intn(256))))
 		}
-		d.RestoreIncremental()
+		d.LoadSnapshot(snap)
 		for sn := 0; sn < nsec; sn++ {
 			buf := make([]byte, SectorSize)
 			d.ReadSector(uint64(sn), buf)
@@ -212,7 +228,7 @@ func TestBlockLayeredRestoreInvariants(t *testing.T) {
 				d.WriteSector(uint64(rng.Intn(nsec)), sector(byte(rng.Intn(256))))
 			}
 			if rng.Intn(2) == 0 {
-				d.TakeIncremental() // route some writes through l2
+				d.SaveSnapshot() // a capture in between must not disturb the layers
 				d.WriteSector(uint64(rng.Intn(nsec)), sector(byte(rng.Intn(256))))
 			}
 			d.LoadSnapshot(snap)
@@ -269,14 +285,10 @@ func TestBlockDirtySectorAccounting(t *testing.T) {
 	if got := d.DirtySectors(); got != 3 {
 		t.Fatalf("after shadow+fresh write: dirty = %d, want 3", got)
 	}
-	d.TakeIncremental()
-	d.WriteSector(1, sector(0x77)) // l2 write over shadowed sector
-	if got := d.DirtySectors(); got != 4 {
-		t.Fatalf("after l2 write: dirty = %d, want 4 (l2 counted separately)", got)
-	}
-	d.DropIncremental() // folds l2 into l1; sector 1 already shadowed
+	d.SaveSnapshot()               // capturing changes no layer
+	d.WriteSector(1, sector(0x77)) // rewrite of the already-shadowed sector
 	if got := d.DirtySectors(); got != 3 {
-		t.Fatalf("after fold: dirty = %d, want 3", got)
+		t.Fatalf("after rewrite: dirty = %d, want 3 (|shared ∪ l1|)", got)
 	}
 	d.LoadSnapshot(snap)
 	if got := d.DirtySectors(); got != 2 {
@@ -298,8 +310,6 @@ func loadSnapshotDeepCopy(d *BlockDevice, s Snapshot) {
 	for sec, b := range sn.delta {
 		d.l1[sec] = append([]byte(nil), b...)
 	}
-	d.l2 = make(map[uint64][]byte)
-	d.incActive = false
 	d.WritesSinceRoot = sn.writes
 }
 
@@ -345,12 +355,12 @@ func TestNICSnapshotCycle(t *testing.T) {
 	n.Transmit([]byte("boot"))
 	n.TakeRoot()
 	n.Receive([]byte("pkt1"))
-	n.TakeIncremental()
+	snap := n.SaveSnapshot()
 	n.Receive([]byte("pkt2"))
 	if len(n.RxQueue) != 2 {
 		t.Fatalf("rx queue len = %d, want 2", len(n.RxQueue))
 	}
-	n.RestoreIncremental()
+	n.LoadSnapshot(snap)
 	if len(n.RxQueue) != 1 || string(n.RxQueue[0]) != "pkt1" {
 		t.Fatalf("incremental restore wrong rx queue: %v", n.RxQueue)
 	}
@@ -384,9 +394,9 @@ func TestSerialSnapshotTruncation(t *testing.T) {
 	s.WriteString("boot\n")
 	s.TakeRoot()
 	s.WriteString("prefix\n")
-	s.TakeIncremental()
+	snap := s.SaveSnapshot()
 	s.WriteString("case\n")
-	s.RestoreIncremental()
+	s.LoadSnapshot(snap)
 	if string(s.Log) != "boot\nprefix\n" {
 		t.Fatalf("log = %q", s.Log)
 	}
@@ -419,6 +429,23 @@ func TestSetLifecycle(t *testing.T) {
 	}
 	if len(nic.RxQueue) != 0 || len(ser.Log) != 0 {
 		t.Fatal("nic/serial not restored")
+	}
+
+	// The incremental half of the contract, fanned out over the set.
+	disk.WriteSector(1, sector(0x99))
+	nic.Receive([]byte("prefix"))
+	ser.WriteString("prefix")
+	snaps := set.SaveSnapshots()
+	disk.WriteSector(1, sector(0xAA))
+	nic.Receive([]byte("case"))
+	ser.WriteString("+case")
+	set.RestoreRoot()
+	set.LoadSnapshots(snaps)
+	if got := readSector(t, disk, 1); got[0] != 0x99 {
+		t.Fatalf("disk not restored to the snapshot: %#x", got[0])
+	}
+	if len(nic.RxQueue) != 1 || string(ser.Log) != "prefix" {
+		t.Fatalf("nic/serial not restored to the snapshot: rx=%d log=%q", len(nic.RxQueue), ser.Log)
 	}
 }
 
@@ -561,16 +588,6 @@ func TestSerialSnapshotTruncateFastPath(t *testing.T) {
 	s.LoadSnapshot(snapA)
 	if string(s.Log) != "boot+prefix" {
 		t.Fatalf("reload after root: log = %q", s.Log)
-	}
-
-	// The single-slot truncate path in between also invalidates.
-	s.TakeIncremental()
-	s.WriteString("+x")
-	s.RestoreIncremental()
-	s.WriteString("+y+longer-than-x")
-	s.LoadSnapshot(snapA)
-	if string(s.Log) != "boot+prefix" {
-		t.Fatalf("reload after inc restore: log = %q", s.Log)
 	}
 }
 

@@ -279,12 +279,14 @@ func AblationReMirror(intervals []int) []AblationResult {
 		peak := 0
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 4000; i++ {
-			// Each cycle dirties a few random pages and re-snapshots.
+			// Each cycle returns to the root, dirties a few random pages
+			// and re-snapshots into the same slot.
+			m.RestoreRoot() //nolint:errcheck // root exists
 			for j := 0; j < 4; j++ {
 				m.TouchPage(uint32(rng.Intn(4096)))[0] = byte(i)
 			}
-			m.TakeIncremental() //nolint:errcheck // root exists
-			if n := m.IncrementalOverlaySize(); n > peak {
+			m.TakeIncrementalSlot(0) //nolint:errcheck // root exists
+			if n := m.SlotPages(0); n > peak {
 				peak = n
 			}
 		}

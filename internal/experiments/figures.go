@@ -142,19 +142,22 @@ func Figure6(vmSizesPages []int, dirtyCounts []int, reps int) []Figure6Point {
 			// Nyx-Net mechanism.
 			m := mem.New(npages)
 			m.TakeRoot()
+			// One slot id, retaken from root-derived state each time — what
+			// the agent's round-scoped snapshot does.
 			createS := measure(reps, func() {
+				m.RestoreRoot() //nolint:errcheck // root exists
 				for i := 0; i < n; i++ {
 					copy(m.TouchPage(uint32(i)), buf)
 				}
 			}, func() {
-				m.TakeIncremental() //nolint:errcheck // root exists
+				m.TakeIncrementalSlot(0) //nolint:errcheck // root exists
 			})
 			loadS := measure(reps, func() {
 				for i := 0; i < n; i++ {
 					copy(m.TouchPage(uint32(i)), buf)
 				}
 			}, func() {
-				m.RestoreIncremental() //nolint:errcheck // snapshot exists
+				m.RestoreIncrementalSlot(0) //nolint:errcheck // snapshot exists
 			})
 			out = append(out, Figure6Point{
 				System: "nyx", VMPages: npages, DirtyPages: n,

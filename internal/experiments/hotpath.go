@@ -26,14 +26,9 @@ import (
 // HotpathJSON is the file `nyx-bench -ablation hotpath` writes by default.
 const HotpathJSON = "BENCH_hotpath.json"
 
-// hotpathSchema versions the BENCH_hotpath.json layout. v2 added the
-// write-set-profiled restore columns (pages_eager_copied, eager hit/miss
-// grading, cow_break_ratio); v1 files are still readable — their missing
-// eager columns decode as zero, which gates nothing in CompareHotpath.
-const (
-	hotpathSchema   = "nyx-net/bench-hotpath/v2"
-	hotpathSchemaV1 = "nyx-net/bench-hotpath/v1"
-)
+// hotpathSchema versions the BENCH_hotpath.json layout; ReadHotpathJSON
+// refuses any other.
+const hotpathSchema = "nyx-net/bench-hotpath/v2"
 
 // HotpathRow is one (target, configuration) cell of the hotpath ablation.
 type HotpathRow struct {
@@ -298,9 +293,9 @@ func ReadHotpathJSON(path string) (*HotpathReport, error) {
 	if err := json.Unmarshal(data, rep); err != nil {
 		return nil, fmt.Errorf("experiments: hotpath baseline %s: %w", path, err)
 	}
-	if rep.Schema != hotpathSchema && rep.Schema != hotpathSchemaV1 {
-		return nil, fmt.Errorf("experiments: hotpath baseline %s: schema %q, want %q (or legacy %q)",
-			path, rep.Schema, hotpathSchema, hotpathSchemaV1)
+	if rep.Schema != hotpathSchema {
+		return nil, fmt.Errorf("experiments: hotpath baseline %s: schema %q, want %q",
+			path, rep.Schema, hotpathSchema)
 	}
 	return rep, nil
 }
@@ -363,8 +358,8 @@ func CompareHotpath(baseline, fresh *HotpathReport, tol float64) []string {
 			freshRatio := float64(f.PagesCoWBroken) / float64(f.PagesReset)
 			problems = appendRatioProblem(problems, cell, "pages_cow_broken/pages_reset", baseRatio, freshRatio, tol)
 		}
-		// Predictor bounds (v2 columns; zero baselines — v1 files, or cells
-		// where the predictor never engaged — gate nothing). The eager-copy
+		// Predictor bounds (zero baselines — cells where the predictor never
+		// engaged — gate nothing). The eager-copy
 		// share of reset pages may not grow past the baseline, so the
 		// predictor cannot silently regress toward copy-everything, and the
 		// hit rate may not fall, so the copies it does spend stay justified.
@@ -388,10 +383,20 @@ func appendRatioProblem(problems []string, cell, name string, base, got, tol flo
 	limit := base * (1 + tol)
 	if got > limit {
 		problems = append(problems, fmt.Sprintf(
-			"%s: %s = %.1f exceeds baseline %.1f by more than %.0f%% (limit %.1f)",
-			cell, name, got, base, tol*100, limit))
+			"%s: %s = %s exceeds baseline %s by more than %.0f%% (limit %s)",
+			cell, name, fmtBound(got), fmtBound(base), tol*100, fmtBound(limit)))
 	}
 	return problems
+}
+
+// fmtBound renders a gated value legibly at either scale the ratio gate
+// sees: nanosecond columns (hundreds to thousands) to one decimal, page
+// ratios (around 0.003) to four significant digits.
+func fmtBound(v float64) string {
+	if v >= 100 {
+		return fmt.Sprintf("%.1f", v)
+	}
+	return fmt.Sprintf("%.4g", v)
 }
 
 // appendFloorProblem records the opposite one-sided bound: got may not fall

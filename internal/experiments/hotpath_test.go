@@ -142,6 +142,25 @@ func TestCompareHotpathFlagsWallClockRegressions(t *testing.T) {
 	if len(problems) != 1 || !strings.Contains(problems[0], "pages_cow_broken/pages_reset") {
 		t.Fatalf("want one CoW-ratio problem, got %q", problems)
 	}
+
+	// The diagnostic must be readable at the scale the ratio lives at
+	// (~0.003): value, baseline and limit are three different numbers.
+	base, fresh = compareFixture()
+	base.Rows[0].PagesReset, base.Rows[0].PagesCoWBroken = 59030, 186
+	fresh.Rows[0].PagesReset, fresh.Rows[0].PagesCoWBroken = 59030, 227
+	problems = CompareHotpath(base, fresh, 0.15)
+	want := "pages_cow_broken/pages_reset = 0.003846 exceeds baseline 0.003151 by more than 15% (limit 0.003624)"
+	if len(problems) != 1 || !strings.Contains(problems[0], want) {
+		t.Fatalf("want %q, got %q", want, problems)
+	}
+	// Nanosecond columns keep their one-decimal form.
+	base, fresh = compareFixture()
+	base.Rows[0].NSPerRestore, fresh.Rows[0].NSPerRestore = 262.434, 400
+	problems = CompareHotpath(base, fresh, 0.15)
+	want = "ns_per_restore = 400.0 exceeds baseline 262.4 by more than 15% (limit 301.8)"
+	if len(problems) != 1 || !strings.Contains(problems[0], want) {
+		t.Fatalf("want %q, got %q", want, problems)
+	}
 }
 
 func TestCompareHotpathFlagsDeterminismDrift(t *testing.T) {
@@ -195,14 +214,17 @@ func TestReadHotpathJSONRoundTrip(t *testing.T) {
 	if len(got.Rows) != 1 || got.Rows[0] != base.Rows[0] || got.Seed != base.Seed {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
-	// A report with a foreign schema tag is rejected, not silently gated.
-	bad := *base
-	bad.Schema = "something/else"
-	if err := WriteHotpathJSON(path, &bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadHotpathJSON(path); err == nil {
-		t.Fatal("want schema error")
+	// A report with any other schema tag — foreign, or the retired v1 — is
+	// refused with an error naming what was found, not silently gated.
+	for _, schema := range []string{"something/else", "nyx-net/bench-hotpath/v1"} {
+		bad := *base
+		bad.Schema = schema
+		if err := WriteHotpathJSON(path, &bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadHotpathJSON(path); err == nil || !strings.Contains(err.Error(), schema) {
+			t.Fatalf("schema %q: want an error naming it, got %v", schema, err)
+		}
 	}
 }
 
@@ -244,38 +266,6 @@ func TestMinHotpathRejectsDivergentReps(t *testing.T) {
 	}
 }
 
-// A v1-schema baseline (pre-predictor) must still load: its eager columns
-// decode as zero, which gates nothing.
-func TestReadHotpathJSONAcceptsV1(t *testing.T) {
-	base, _ := compareFixture()
-	base.Schema = hotpathSchemaV1
-	raw, err := json.Marshal(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "bench_v1.json")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadHotpathJSON(path)
-	if err != nil {
-		t.Fatalf("v1 baseline should stay readable: %v", err)
-	}
-	if got.Rows[0].PagesEagerCopied != 0 || got.Rows[0].EagerHitRate != 0 {
-		t.Fatalf("v1 rows must decode with zero eager columns: %+v", got.Rows[0])
-	}
-	// And a v1 baseline against a v2 fresh report passes the gate: zero
-	// baselines for the predictor columns gate nothing.
-	fresh := &HotpathReport{Schema: hotpathSchema, VirtSeconds: 10, Seed: 1, BudgetBytes: 1 << 23,
-		Rows: []HotpathRow{got.Rows[0]}}
-	fresh.Rows[0].PagesEagerCopied = 40000
-	fresh.Rows[0].EagerHits = 39000
-	fresh.Rows[0].EagerHitRate = 0.97
-	if problems := CompareHotpath(got, fresh, 0.15); len(problems) != 0 {
-		t.Fatalf("v1 baseline must not gate predictor columns: %q", problems)
-	}
-}
-
 func TestCompareHotpathPredictorBounds(t *testing.T) {
 	fixture := func() (*HotpathReport, *HotpathReport) {
 		base, fresh := compareFixture()
@@ -313,6 +303,13 @@ func TestCompareHotpathPredictorBounds(t *testing.T) {
 	fresh.Rows[0].EagerHitRate = 1.0
 	if problems := CompareHotpath(base, fresh, 0.15); len(problems) != 0 {
 		t.Fatalf("improved hit rate should pass: %q", problems)
+	}
+	// A baseline cell where the predictor never engaged (all-zero predictor
+	// columns) gates nothing, whatever the fresh run's predictor did.
+	base, _ = compareFixture()
+	_, fresh = fixture()
+	if problems := CompareHotpath(base, fresh, 0.15); len(problems) != 0 {
+		t.Fatalf("zero predictor baseline must gate nothing: %q", problems)
 	}
 }
 

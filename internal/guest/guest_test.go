@@ -239,7 +239,7 @@ func TestSnapshotRestoresAllGuestState(t *testing.T) {
 	}
 	k.Deliver(c, []byte("prefix1"))
 	k.Deliver(c, []byte("prefix2"))
-	if err := m.TakeIncremental(); err != nil {
+	if err := m.TakeIncrementalSlot(0); err != nil {
 		t.Fatal(err)
 	}
 	connID := c.ID
@@ -249,7 +249,7 @@ func TestSnapshotRestoresAllGuestState(t *testing.T) {
 	k.Fork(k.InitProcess())
 	k.FS.WriteFile("/tmp/scratch", []byte("junk"))
 
-	if err := m.RestoreIncremental(); err != nil {
+	if err := m.RestoreIncrementalSlot(0); err != nil {
 		t.Fatal(err)
 	}
 	// Restores hydrate lazily: the struct form of the state is decoded on
@@ -493,13 +493,13 @@ func TestRestoreHydratesLazily(t *testing.T) {
 	if err := k.Deliver(c, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.TakeIncremental(); err != nil {
+	if err := m.TakeIncrementalSlot(0); err != nil {
 		t.Fatal(err)
 	}
 
 	base := tgt.Loads
 	for i := 0; i < 5; i++ {
-		if err := m.RestoreIncremental(); err != nil {
+		if err := m.RestoreIncrementalSlot(0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -525,7 +525,7 @@ func TestRestoreHydratesLazily(t *testing.T) {
 		t.Fatalf("loads = %d want %d after repeat access", tgt.Loads, base+1)
 	}
 
-	if err := m.RestoreIncremental(); err != nil {
+	if err := m.RestoreIncrementalSlot(0); err != nil {
 		t.Fatal(err)
 	}
 	if got := k.Corruption(); got != 0 {

@@ -1,7 +1,7 @@
 // Package mem implements the guest physical memory substrate used by the
 // Nyx-Net reproduction: 4 KiB pages with hardware-style dirty tracking and
-// the two-level (root + incremental) snapshot mechanism described in §2.3
-// and §4.2 of the paper.
+// the root + incremental snapshot mechanism described in §2.3 and §4.2 of
+// the paper.
 //
 // Dirty tracking follows the paper closely: a bitmap with one byte per page
 // (mirroring KVM's layout) plus Nyx's addition, a stack of dirty page
@@ -9,13 +9,14 @@
 // structures are maintained so that the ablation benchmarks can compare the
 // stack-based restore against an Agamotto-style full bitmap walk.
 //
-// Incremental snapshots are held in named overlay slots: each slot stores
-// the delta of the captured state against the root snapshot, and slots
-// survive root restores and restores of other slots, so a snapshot pool
-// (package snappool) can keep many prefix states alive at once under a
-// memory budget. The original single-slot API (TakeIncremental /
-// RestoreIncremental / DropIncremental) is preserved as a thin wrapper over
-// a reserved slot with the paper's exact one-secondary-snapshot semantics.
+// Incremental snapshots are held in overlay slots named by plain integer
+// ids: each slot stores the delta of the captured state against the root
+// snapshot, and slots survive root restores and restores of other slots, so
+// a snapshot pool (package snappool) can keep many prefix states alive at
+// once under a memory budget. The paper's one-secondary-snapshot model is
+// the same mechanism with one id, retaken from root-derived state each
+// round: the slot's buffers are reused across takes and its overlay is
+// re-mirrored (cleared) every ReMirrorInterval creations.
 package mem
 
 import (
@@ -45,22 +46,14 @@ const (
 // that has not been taken yet.
 var ErrNoRootSnapshot = errors.New("mem: no root snapshot taken")
 
-// ErrNoIncrementalSnapshot is returned when an operation requires an active
-// incremental snapshot (or, for the slot API, a slot that exists).
-var ErrNoIncrementalSnapshot = errors.New("mem: no incremental snapshot active")
-
-// LegacySlot is the reserved slot id the single-slot wrapper API operates
-// on. Pool consumers must allocate their slot ids starting above it.
-const LegacySlot = 0
+// ErrNoIncrementalSnapshot is returned when an operation names a snapshot
+// slot that does not exist.
+var ErrNoIncrementalSnapshot = errors.New("mem: no such incremental snapshot slot")
 
 // snapSlot is one named incremental snapshot: the overlay of pages whose
-// captured content differs from the root snapshot (plus, for the legacy
-// slot, retained buffers from discarded snapshots awaiting reuse).
+// captured content differs from the root snapshot.
 type snapSlot struct {
 	pages map[uint32][]byte
-	// live marks the slot restorable. The legacy wrapper clears it on
-	// DropIncremental while retaining the buffers for the next take.
-	live bool
 	// sinceMirror counts creations into this slot since its overlay was
 	// last cleared (the re-mirror bookkeeping, §4.2).
 	sinceMirror int
@@ -210,14 +203,13 @@ type Memory struct {
 	// Incremental snapshot state (§4.2). Each slot is conceptually a
 	// copy-on-write remap of the root snapshot: slot.pages overlays root.
 	// active names the slot the current memory state derives from (-1 =
-	// root), which is what dirty tracking is relative to. For the legacy
-	// slot, pages accumulate in the overlay across creations and are
-	// re-mirrored (cleared) every ReMirrorInterval creations to bound the
+	// root), which is what dirty tracking is relative to. A retaken id
+	// accumulates pages in its overlay across creations and is re-mirrored
+	// (cleared) every ReMirrorInterval creations to bound the
 	// duplicate-copy worst case the paper describes.
-	slots      map[int]*snapSlot
-	active     int
-	activeRef  *snapSlot // cached slots[active] (nil when active < 0), so the restore hot path skips the map lookup
-	incCreated uint64    // total incremental snapshots created
+	slots     map[int]*snapSlot
+	active    int
+	activeRef *snapSlot // cached slots[active] (nil when active < 0), so the restore hot path skips the map lookup
 
 	// ReMirrorInterval is the number of incremental snapshot creations
 	// between full overlay re-mirrors. The paper uses 2,000.
@@ -694,93 +686,22 @@ func (s *snapSlot) buf(pn uint32) []byte {
 	return b
 }
 
-// TakeIncremental creates (or recreates) the single secondary snapshot at
-// the current VM state — the paper's one-snapshot model, preserved as a
-// wrapper over LegacySlot. Per §4.2 this is about as cheap as a reset: only
-// the pages dirtied since the root snapshot are copied into the overlay.
-// Existing overlay buffers are reused to avoid fresh allocations; the
-// overlay accumulates copies across creations and is cleared ("re-mirrored")
-// every ReMirrorInterval creations. The caller is assumed to create from a
-// root-derived state (the agent always snapshots inside a from-root run);
-// use TakeIncrementalSlot to capture a state derived from another slot.
-func (m *Memory) TakeIncremental() error {
-	if !m.hasRoot {
-		return ErrNoRootSnapshot
-	}
-	m.scoreEager()
-	if m.active != LegacySlot {
-		// From the root, or chained from a pool slot whose overlay must
-		// fold in: exactly the general slot path (which also covers the
-		// buffer-retention case — a legacy overlay discarded by a root
-		// restore or drop keeps its map, and the slot path refreshes the
-		// stale buffers to root content before reuse).
-		_, err := m.TakeIncrementalSlot(LegacySlot)
-		return err
-	}
-	// Re-taking while the legacy snapshot is active. The paper's model
-	// recreates its one secondary snapshot from a root-derived state, so
-	// the overlay is rebuilt from the dirty set alone — non-dirty leftover
-	// buffers refresh to root content in place (reusing copies avoids the
-	// page-table churn the paper mentions) and the re-mirror bookkeeping
-	// keeps counting. The general slot path deliberately does neither for
-	// an active slot (chained-take accumulation), so this branch stays.
-	s := m.slots[LegacySlot]
-	s.sinceMirror++
-	if s.sinceMirror >= m.ReMirrorInterval {
-		// Re-mirror: drop accumulated copies so the overlay cannot
-		// grow into a second full copy of the root snapshot.
-		s.pages = make(map[uint32][]byte)
-		s.sinceMirror = 0
-		m.stats.ReMirrors++
-	} else {
-		for pn, buf := range s.pages {
-			if m.dirtyBitmap[pn] == 0 {
-				// The live page may alias this very overlay buffer (the
-				// zero-copy restore path installs such aliases); copy it
-				// out first so refreshing the overlay in place does not
-				// rewrite live memory.
-				m.unalias(pn, buf)
-				copyInto(buf, m.rootPage(pn))
-			}
-		}
-	}
-	m.captureDirty(s)
-	m.finishTake(LegacySlot, s)
-	return nil
-}
-
-// captureDirty copies every dirty page's live content into s and clears
-// dirty tracking (the shared tail of all snapshot creations).
-func (m *Memory) captureDirty(s *snapSlot) {
-	for _, pn := range m.dirtyStack {
-		copyInto(s.buf(pn), m.pages[pn])
-		m.dirtyBitmap[pn] = 0
-		m.stats.PagesCopied++
-	}
-	m.dirtyStack = m.dirtyStack[:0]
-}
-
-// finishTake marks slot id live and active after a creation.
-func (m *Memory) finishTake(id int, s *snapSlot) {
-	s.live = true
-	m.active = id
-	m.activeRef = s
-	m.incCreated++
-	m.stats.IncrementalCreates++
-}
-
 // TakeIncrementalSlot captures the current VM state into snapshot slot id:
 // the slot records the state's full delta against the root snapshot, so it
 // can be restored after any number of root restores or restores of other
-// slots. Unlike the single-slot TakeIncremental, the current state may
-// derive from another slot (a chained creation: a snapshot taken while
-// resumed from a cached prefix inherits that prefix's overlay). Returns the
-// number of pages copied, which is the creation cost the VM layer charges.
+// slots. Per §4.2 this is about as cheap as a reset: from root-derived state
+// only the pages dirtied since the root snapshot are copied into the
+// overlay. The current state may also derive from another slot (a chained
+// creation: a snapshot taken while resumed from a cached prefix inherits
+// that prefix's overlay). Returns the number of pages copied, which is the
+// creation cost the VM layer charges.
 //
-// Retaking an id the pool has dropped and reallocated reuses its buffers;
-// taking a slot while it is itself the active derivation accumulates the
-// new dirty pages into it (and skips re-mirror bookkeeping, which would
-// discard overlay content the current state still derives from).
+// Retaking an id whose state is no longer the active derivation (the
+// round-scoped single snapshot, retaken after a root restore) reuses its
+// buffers and counts towards the re-mirror interval; taking a slot while it
+// is itself the active derivation accumulates the new dirty pages into it
+// (and skips re-mirror bookkeeping, which would discard overlay content the
+// current state still derives from).
 func (m *Memory) TakeIncrementalSlot(id int) (int, error) {
 	if !m.hasRoot {
 		return 0, ErrNoRootSnapshot
@@ -825,39 +746,26 @@ func (m *Memory) TakeIncrementalSlot(id int) (int, error) {
 			m.stats.PagesCopied++
 		}
 	}
-	m.captureDirty(s)
-	m.finishTake(id, s)
+	for _, pn := range m.dirtyStack {
+		copyInto(s.buf(pn), m.pages[pn])
+		m.dirtyBitmap[pn] = 0
+		m.stats.PagesCopied++
+	}
+	m.dirtyStack = m.dirtyStack[:0]
+	m.active = id
+	m.activeRef = s
+	m.stats.IncrementalCreates++
 	return int(m.stats.PagesCopied) - copied, nil
 }
 
-// HasIncremental reports whether the single-slot incremental snapshot is
-// active (taken, and not discarded by a root restore or drop since).
-func (m *Memory) HasIncremental() bool { return m.active == LegacySlot }
-
 // HasSlot reports whether snapshot slot id is restorable.
 func (m *Memory) HasSlot(id int) bool {
-	s := m.slots[id]
-	return s != nil && s.live
+	return m.slots[id] != nil
 }
 
 // ActiveSlot returns the slot id the current memory state derives from, or
 // -1 when it derives from the root snapshot.
 func (m *Memory) ActiveSlot() int { return m.active }
-
-// RestoreIncremental resets the VM memory to the active incremental
-// snapshot: dirty pages are restored from the overlay where present and
-// from the root snapshot otherwise (the CoW-mirror lookup of §4.2).
-//
-//nyx:hotpath
-func (m *Memory) RestoreIncremental() error {
-	if m.active != LegacySlot {
-		return ErrNoIncrementalSnapshot
-	}
-	m.scoreEager()
-	m.restoreDirty()
-	m.stats.IncrementalRestores++
-	return nil
-}
 
 // RestoreIncrementalSlot resets the VM memory to snapshot slot id and makes
 // it the active derivation. Restoring the slot the state already derives
@@ -875,7 +783,7 @@ func (m *Memory) RestoreIncrementalSlot(id int) (int, error) {
 	if m.active != id || s == nil {
 		s = m.slots[id]
 	}
-	if s == nil || !s.live {
+	if s == nil {
 		return 0, ErrNoIncrementalSnapshot
 	}
 	m.scoreEager()
@@ -900,27 +808,6 @@ func (m *Memory) RestoreIncrementalSlot(id int) (int, error) {
 	m.restoreDirty()
 	m.stats.IncrementalRestores++
 	return int(m.stats.PagesReset - before), nil
-}
-
-// DropIncremental discards the single-slot incremental snapshot without
-// resetting memory. Subsequent restores go to the root snapshot; the
-// overlay pages are retained for reuse by the next TakeIncremental (until
-// re-mirror).
-//
-// Note the next RestoreRoot must still reset the overlaid pages, so they
-// are folded into the dirty set here.
-func (m *Memory) DropIncremental() {
-	if m.active != LegacySlot {
-		return
-	}
-	m.scoreEager()
-	s := m.slots[LegacySlot]
-	s.live = false
-	m.active = -1
-	m.activeRef = nil
-	for pn := range s.pages {
-		m.markDirty(pn)
-	}
 }
 
 // DropSlot discards snapshot slot id and frees its overlay (the pool's
@@ -990,13 +877,8 @@ func (m *Memory) SlotPages(id int) int {
 	return len(s.pages)
 }
 
-// Slots returns the number of allocated snapshot slots (including the
-// legacy slot once used).
+// Slots returns the number of allocated snapshot slots.
 func (m *Memory) Slots() int { return len(m.slots) }
-
-// IncrementalOverlaySize returns the number of pages currently held in the
-// single-slot incremental snapshot overlay (the accumulated real copies).
-func (m *Memory) IncrementalOverlaySize() int { return m.SlotPages(LegacySlot) }
 
 // CloneSharedRoot creates a new Memory that shares this Memory's root
 // snapshot copy-on-write instead of duplicating it. The clone starts at

@@ -122,10 +122,10 @@ func TestRootRestoreRequiresSnapshot(t *testing.T) {
 	if err := m.RestoreRoot(); err != ErrNoRootSnapshot {
 		t.Fatalf("expected ErrNoRootSnapshot, got %v", err)
 	}
-	if err := m.TakeIncremental(); err != ErrNoRootSnapshot {
+	if _, err := m.TakeIncrementalSlot(0); err != ErrNoRootSnapshot {
 		t.Fatalf("expected ErrNoRootSnapshot, got %v", err)
 	}
-	if err := m.RestoreIncremental(); err != ErrNoIncrementalSnapshot {
+	if _, err := m.RestoreIncrementalSlot(0); err != ErrNoIncrementalSnapshot {
 		t.Fatalf("expected ErrNoIncrementalSnapshot, got %v", err)
 	}
 }
@@ -188,13 +188,13 @@ func TestIncrementalSnapshotBasic(t *testing.T) {
 
 	fill(t, m, 0, 0x02, 10) // prefix execution
 	fill(t, m, PageSize, 0x03, 10)
-	if err := m.TakeIncremental(); err != nil {
+	if _, err := m.TakeIncrementalSlot(0); err != nil {
 		t.Fatal(err)
 	}
 
 	fill(t, m, 0, 0x04, 10) // fuzz case dirties page 0
 	fill(t, m, 2*PageSize, 0x05, 10)
-	if err := m.RestoreIncremental(); err != nil {
+	if _, err := m.RestoreIncrementalSlot(0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -214,15 +214,15 @@ func TestRestoreRootDiscardsIncremental(t *testing.T) {
 	fill(t, m, 0, 0x01, 10)
 	m.TakeRoot()
 	fill(t, m, 0, 0x02, 10)
-	if err := m.TakeIncremental(); err != nil {
+	if _, err := m.TakeIncrementalSlot(0); err != nil {
 		t.Fatal(err)
 	}
 	fill(t, m, PageSize, 0x09, 10)
 	if err := m.RestoreRoot(); err != nil {
 		t.Fatal(err)
 	}
-	if m.HasIncremental() {
-		t.Fatal("incremental snapshot should be discarded by root restore")
+	if m.ActiveSlot() != -1 {
+		t.Fatal("root restore should leave the incremental snapshot's derivation")
 	}
 	if got := readByte(t, m, 0); got != 0x01 {
 		t.Fatalf("page 0 should hold root content 0x01, got %#x", got)
@@ -237,7 +237,7 @@ func TestRecreateIncrementalResetsStalePages(t *testing.T) {
 	m.TakeRoot()
 	// First incremental snapshot overlays page 0.
 	fill(t, m, 0, 0x11, 10)
-	if err := m.TakeIncremental(); err != nil {
+	if _, err := m.TakeIncrementalSlot(0); err != nil {
 		t.Fatal(err)
 	}
 	// Return to root, then create a second snapshot overlaying page 1 only.
@@ -245,13 +245,13 @@ func TestRecreateIncrementalResetsStalePages(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill(t, m, PageSize, 0x22, 10)
-	if err := m.TakeIncremental(); err != nil {
+	if _, err := m.TakeIncrementalSlot(0); err != nil {
 		t.Fatal(err)
 	}
 	// Dirty page 0 in the fuzz case; restore must bring back ROOT content
 	// for page 0 (0x00), not the stale 0x11 from the first snapshot.
 	fill(t, m, 0, 0x33, 10)
-	if err := m.RestoreIncremental(); err != nil {
+	if _, err := m.RestoreIncrementalSlot(0); err != nil {
 		t.Fatal(err)
 	}
 	if got := readByte(t, m, 0); got != 0x00 {
@@ -267,36 +267,21 @@ func TestReMirrorClearsOverlay(t *testing.T) {
 	m.ReMirrorInterval = 5
 	m.TakeRoot()
 	for i := 0; i < 12; i++ {
+		// One id retaken from root-derived state, as the agent's
+		// round-scoped snapshot is: that is what counts towards the interval.
+		if err := m.RestoreRoot(); err != nil {
+			t.Fatal(err)
+		}
 		fill(t, m, int64(i%8)*PageSize, byte(i+1), 10)
-		if err := m.TakeIncremental(); err != nil {
+		if _, err := m.TakeIncrementalSlot(0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if m.Stats().ReMirrors != 2 {
 		t.Fatalf("expected 2 re-mirrors, got %d", m.Stats().ReMirrors)
 	}
-	if m.IncrementalOverlaySize() > 5 {
-		t.Fatalf("overlay should be bounded after re-mirror, got %d", m.IncrementalOverlaySize())
-	}
-}
-
-func TestDropIncremental(t *testing.T) {
-	m := New(8)
-	fill(t, m, 0, 0x01, 10)
-	m.TakeRoot()
-	fill(t, m, 0, 0x02, 10)
-	if err := m.TakeIncremental(); err != nil {
-		t.Fatal(err)
-	}
-	m.DropIncremental()
-	if m.HasIncremental() {
-		t.Fatal("incremental should be inactive after drop")
-	}
-	if err := m.RestoreRoot(); err != nil {
-		t.Fatal(err)
-	}
-	if got := readByte(t, m, 0); got != 0x01 {
-		t.Fatalf("root restore after drop: got %#x want 0x01", got)
+	if m.SlotPages(0) > 5 {
+		t.Fatalf("overlay should be bounded after re-mirror, got %d", m.SlotPages(0))
 	}
 }
 
@@ -305,7 +290,7 @@ func TestIncrementalCreateCostProportionalToDirty(t *testing.T) {
 	m.TakeRoot()
 	fill(t, m, 0, 0x11, 7*PageSize)
 	before := m.Stats().PagesCopied
-	if err := m.TakeIncremental(); err != nil {
+	if _, err := m.TakeIncrementalSlot(0); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Stats().PagesCopied - before; got != 7 {
@@ -340,7 +325,7 @@ func TestSnapshotRestoreIdentity(t *testing.T) {
 				rng.Read(buf)
 				m.WriteAt(buf, off)
 			}
-			if err := m.TakeIncremental(); err != nil {
+			if _, err := m.TakeIncrementalSlot(0); err != nil {
 				return false
 			}
 		}
@@ -361,7 +346,7 @@ func TestSnapshotRestoreIdentity(t *testing.T) {
 		// Restore and compare.
 		var err error
 		if useIncremental {
-			err = m.RestoreIncremental()
+			_, err = m.RestoreIncrementalSlot(0)
 		} else {
 			err = m.RestoreRoot()
 		}
@@ -398,7 +383,7 @@ func TestRepeatedIncrementalCycles(t *testing.T) {
 			rng.Read(buf)
 			m.WriteAt(buf, int64(rng.Intn(60*PageSize)))
 		}
-		if err := m.TakeIncremental(); err != nil {
+		if _, err := m.TakeIncrementalSlot(0); err != nil {
 			t.Fatal(err)
 		}
 		incImg := make([]byte, m.Size())
@@ -408,7 +393,7 @@ func TestRepeatedIncrementalCycles(t *testing.T) {
 			buf := make([]byte, 256)
 			rng.Read(buf)
 			m.WriteAt(buf, int64(rng.Intn(60*PageSize)))
-			if err := m.RestoreIncremental(); err != nil {
+			if _, err := m.RestoreIncrementalSlot(0); err != nil {
 				t.Fatal(err)
 			}
 			got := make([]byte, m.Size())
@@ -563,6 +548,15 @@ func TestSlotChainedCreation(t *testing.T) {
 	}
 	if got := readByte(t, m, PageSize); got != 0x22 {
 		t.Fatalf("chained slot lost own page: got %#x want 0x22", got)
+	}
+	// Same on the cheap path: dirty the inherited page while slot 2 is the
+	// derivation, and the same-slot restore must bring back 0x11, not root.
+	fill(t, m, 0, 0x99, 10)
+	if _, err := m.RestoreIncrementalSlot(2); err != nil {
+		t.Fatal(err)
+	}
+	if got := readByte(t, m, 0); got != 0x11 {
+		t.Fatalf("same-slot restore dropped inherited page: got %#x want 0x11", got)
 	}
 	// Slot 1 must be untouched by the chained creation.
 	if _, err := m.RestoreIncrementalSlot(1); err != nil {
@@ -1235,33 +1229,4 @@ func BenchmarkSlotRestoreMem(b *testing.B) {
 			}
 		}
 	})
-}
-
-// The single-slot TakeIncremental must not silently drop the inherited
-// overlay when the state derives from a pool slot: the legacy snapshot has
-// to capture the full delta-vs-root, like a chained slot creation.
-func TestLegacyTakeWhilePoolSlotActive(t *testing.T) {
-	m := New(8)
-	m.TakeRoot()
-	fill(t, m, 0, 0x11, 10)
-	if _, err := m.TakeIncrementalSlot(1); err != nil {
-		t.Fatal(err)
-	}
-	// State = slot 1 (page 0 = 0x11) + dirty page 1.
-	fill(t, m, PageSize, 0x22, 10)
-	if err := m.TakeIncremental(); err != nil {
-		t.Fatal(err)
-	}
-	// Dirty the inherited page, then restore the legacy snapshot: page 0
-	// must come back as 0x11 (the inherited content), not root zero.
-	fill(t, m, 0, 0x99, 10)
-	if err := m.RestoreIncremental(); err != nil {
-		t.Fatal(err)
-	}
-	if got := readByte(t, m, 0); got != 0x11 {
-		t.Fatalf("legacy snapshot dropped inherited overlay page: got %#x want 0x11", got)
-	}
-	if got := readByte(t, m, PageSize); got != 0x22 {
-		t.Fatalf("legacy snapshot lost dirty page: got %#x want 0x22", got)
-	}
 }

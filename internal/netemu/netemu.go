@@ -64,17 +64,12 @@ type Agent struct {
 
 	custom map[spec.NodeID]CustomHandler
 
-	// Snapshot bookkeeping: the value environment at the snapshot point,
-	// and how many ops the snapshotted prefix contained (the single-slot
-	// snapshot the paper's policies use).
-	snapValues []Value
-	snapOps    int
-	snapValid  bool
-
-	// slots carries the same bookkeeping per named snapshot slot for the
-	// pool: the machine restores memory, devices and (via memory) kernel
-	// state, but the bytecode value environment lives on the host side
-	// and must be re-attached when a slot resumes.
+	// slots is the snapshot bookkeeping per snapshot slot: the machine
+	// restores memory, devices and (via memory) kernel state, but the
+	// bytecode value environment lives on the host side and must be
+	// re-attached when a slot resumes. The single round-scoped snapshot of
+	// RunFromRoot/RunSuffix (the paper's one-snapshot model) is the entry
+	// under singleSlot.
 	slots map[int]*slotState
 
 	// valScratch is the reusable working copy of a resumed run's value
@@ -85,24 +80,26 @@ type Agent struct {
 	valScratch []Value
 }
 
-// slotState is the host-side state of one pooled snapshot slot.
+// slotState is the host-side state of one snapshot slot: the value
+// environment at the snapshot point and how many ops the snapshotted prefix
+// contained.
 type slotState struct {
 	values []Value
 	ops    int
 }
 
+// singleSlot is the slot id reserved for the snapshot RunFromRoot creates
+// at a marker and RunSuffix resumes. Pool ids start above it
+// (snappool.Pool.AllocSlot).
+const singleSlot = 0
+
 // ErrNoSnapshot is returned by RunSuffix and RunFromSnapshot without the
 // requested snapshot.
 var ErrNoSnapshot = errors.New("netemu: no incremental snapshot available")
 
-// Creation modes for run's create parameter: createNone never takes a
-// snapshot at the marker (suffix runs); createSingle takes the single-slot
-// snapshot via the classic HcSnapshot hypercall; ids >= 0 name the pool
-// slot to create into.
-const (
-	createNone   = -2
-	createSingle = -1
-)
+// createNone as run's create parameter never takes a snapshot at the marker
+// (suffix runs); ids >= 0 name the slot to create into.
+const createNone = -1
 
 // New creates an agent.
 func New(m *vm.Machine, k *guest.Kernel, s *spec.Spec) *Agent {
@@ -114,19 +111,16 @@ func (a *Agent) RegisterCustom(n spec.NodeID, h CustomHandler) { a.custom[n] = h
 
 // HasSnapshot reports whether an incremental snapshot is available for
 // suffix runs.
-func (a *Agent) HasSnapshot() bool { return a.snapValid && a.M.HasIncremental() }
-
-// SnapshotOps returns the prefix length (in ops) of the active snapshot.
-func (a *Agent) SnapshotOps() int { return a.snapOps }
+func (a *Agent) HasSnapshot() bool { return a.HasSlot(singleSlot) }
 
 // DropSnapshot releases the incremental snapshot (the fuzzer does this when
-// scheduling a new input, §3.4).
+// scheduling a new input, §3.4). The release is a hypercall, so it costs a
+// VM exit; the machine keeps the slot's buffers and write-set profile for
+// the next RunFromRoot to retake.
 func (a *Agent) DropSnapshot() {
-	if a.snapValid {
+	if a.slots[singleSlot] != nil {
 		a.M.Hypercall(vm.HcReleaseSnapshot) //nolint:errcheck // release cannot fail
-		a.snapValid = false
-		a.snapValues = nil
-		a.snapOps = 0
+		delete(a.slots, singleSlot)
 	}
 }
 
@@ -138,7 +132,7 @@ func (a *Agent) RunFromRoot(in *spec.Input, tr *coverage.Trace) (Result, error) 
 	if err := a.M.RestoreRoot(); err != nil {
 		return Result{}, fmt.Errorf("netemu: root restore: %w", err)
 	}
-	return a.run(in, tr, 0, nil, createSingle)
+	return a.run(in, tr, 0, nil, singleSlot)
 }
 
 // RunSuffix executes only in.Ops[SnapshotAt:], resuming from the
@@ -146,30 +140,17 @@ func (a *Agent) RunFromRoot(in *spec.Input, tr *coverage.Trace) (Result, error) 
 // keep the prefix unchanged (the fuzzer's mutators only touch the suffix
 // while a snapshot is held).
 func (a *Agent) RunSuffix(in *spec.Input, tr *coverage.Trace) (Result, error) {
-	if !a.HasSnapshot() {
-		return Result{}, ErrNoSnapshot
-	}
-	if in.SnapshotAt != a.snapOps {
-		return Result{}, fmt.Errorf("netemu: input snapshot marker %d does not match held snapshot prefix %d",
-			in.SnapshotAt, a.snapOps)
-	}
-	if err := a.M.RestoreIncremental(); err != nil {
-		return Result{}, fmt.Errorf("netemu: incremental restore: %w", err)
-	}
-	res, err := a.run(in, tr, a.snapOps, a.resumeValues(a.snapValues), createNone)
-	res.FromSnapshot = true
-	res.OpsExecuted += a.snapOps
-	return res, err
+	return a.RunFromSnapshot(singleSlot, in, tr)
 }
 
 // ---- Pooled snapshot slots ----
 
-// HasSlot reports whether pooled snapshot slot id is available.
+// HasSlot reports whether snapshot slot id is available.
 func (a *Agent) HasSlot(slot int) bool {
 	return a.slots[slot] != nil && a.M.HasSlot(slot)
 }
 
-// SlotOps returns the prefix length (in ops) of pooled slot id, or -1.
+// SlotOps returns the prefix length (in ops) of slot id, or -1.
 func (a *Agent) SlotOps(slot int) int {
 	if st := a.slots[slot]; st != nil {
 		return st.ops
@@ -279,29 +260,19 @@ func (a *Agent) resumeValues(src []Value) []Value {
 }
 
 // takeSnapshot captures the VM at op index ops with the given value
-// environment, into the single-slot snapshot (create == createSingle) or a
-// pooled slot.
-func (a *Agent) takeSnapshot(create, ops int, values []Value) error {
-	if create == createSingle {
-		if err := a.M.Hypercall(vm.HcSnapshot); err != nil {
-			return err
-		}
-		a.snapValues = append([]Value(nil), values...)
-		a.snapOps = ops
-		a.snapValid = true
-		return nil
-	}
-	if err := a.M.SnapshotHypercall(create); err != nil {
+// environment into snapshot slot slot.
+func (a *Agent) takeSnapshot(slot, ops int, values []Value) error {
+	if err := a.M.SnapshotHypercall(slot); err != nil {
 		return err
 	}
-	a.slots[create] = &slotState{values: append([]Value(nil), values...), ops: ops}
+	a.slots[slot] = &slotState{values: append([]Value(nil), values...), ops: ops}
 	return nil
 }
 
 // run executes ops[start:] with the given initial value environment,
-// creating a snapshot at the marker per create (createNone / createSingle /
-// a pooled slot id). The marker can only fire at or after start: resumed
-// runs re-create nothing before their resume point.
+// creating a snapshot at the marker per create (createNone or a slot id).
+// The marker can only fire at or after start: resumed runs re-create
+// nothing before their resume point.
 func (a *Agent) run(in *spec.Input, tr *coverage.Trace, start int, values []Value, create int) (res Result, err error) {
 	res.CrashOp = -1
 	t0 := a.M.Clock.Now()

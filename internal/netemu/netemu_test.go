@@ -259,12 +259,30 @@ func TestDropSnapshot(t *testing.T) {
 	if _, err := a.RunFromRoot(in, &tr); err != nil {
 		t.Fatal(err)
 	}
+	t0 := a.Now()
 	a.DropSnapshot()
 	if a.HasSnapshot() {
 		t.Fatal("snapshot should be dropped")
 	}
+	if got := a.Now() - t0; got != a.M.Cost.HypercallEntry {
+		t.Fatalf("release charged %v, want one hypercall entry %v", got, a.M.Cost.HypercallEntry)
+	}
 	if _, err := a.RunSuffix(in, &tr); err != ErrNoSnapshot {
 		t.Fatalf("expected ErrNoSnapshot after drop, got %v", err)
+	}
+	// Nothing held, nothing to release: a second drop is free.
+	t0 = a.Now()
+	a.DropSnapshot()
+	if got := a.Now() - t0; got != 0 {
+		t.Fatalf("drop without a snapshot charged %v", got)
+	}
+	// The machine keeps the reserved slot's buffers for the next take, and
+	// the next marker run takes it again.
+	if !a.M.HasSlot(singleSlot) {
+		t.Fatal("release freed the reserved slot's buffers")
+	}
+	if res, err := a.RunFromRoot(in, &tr); err != nil || !res.SnapshotTaken || !a.HasSnapshot() {
+		t.Fatalf("retake after drop: res=%+v err=%v", res, err)
 	}
 }
 
@@ -277,7 +295,7 @@ func TestSnapshotAfterLastOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.SnapshotTaken || a.SnapshotOps() != 2 {
+	if !res.SnapshotTaken || a.SlotOps(singleSlot) != 2 {
 		t.Fatalf("snapshot at end not taken: %+v", res)
 	}
 	// Suffix run executes zero new ops.

@@ -189,8 +189,8 @@ func (p *Pool) Stats() Stats {
 }
 
 // AllocSlot returns a fresh slot id for a snapshot about to be created.
-// Ids start above mem.LegacySlot so pool slots never collide with the
-// single-slot wrapper.
+// Ids start at 1: slot 0 is the one netemu.Agent reserves for its single
+// round-scoped snapshot, so pool slots never collide with it.
 func (p *Pool) AllocSlot() int {
 	id := p.nextSlot
 	p.nextSlot++

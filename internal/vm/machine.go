@@ -20,9 +20,13 @@ const (
 	// responds by taking the root snapshot.
 	HcReady Hypercall = iota
 	// HcSnapshot requests an incremental snapshot at the current state
-	// (emitted by the special snapshot opcode, §4.3).
+	// (emitted by the special snapshot opcode, §4.3). The opcode's slot
+	// operand travels through SnapshotHypercall; without one it is slot 0.
 	HcSnapshot
-	// HcReleaseSnapshot discards the incremental snapshot.
+	// HcReleaseSnapshot tells the hypervisor the agent is done with its
+	// snapshot. Only the VM exit is charged: the slot's buffers and
+	// write-set profile stay for the next take of the same id, and a slot
+	// is freed by the host-side DropSlot.
 	HcReleaseSnapshot
 	// HcExecDone signals the end of a test case.
 	HcExecDone
@@ -77,12 +81,12 @@ type Machine struct {
 	rootTaken    bool
 	rootDevImage map[string][]byte // for the serialize-reset baseline
 
-	// slots holds the per-slot device captures of the snapshot pool,
-	// keyed by the same slot ids as the memory overlays (guest kernel
-	// state needs no table of its own: it is serialized into guest memory
-	// and follows the memory snapshot). lastSlot caches the most recently
-	// restored entry so the hot case — restoring the same slot back to
-	// back — skips the table lookup; any take or drop of that id
+	// slots holds the per-slot device captures of the incremental
+	// snapshots, keyed by the same slot ids as the memory overlays (guest
+	// kernel state needs no table of its own: it is serialized into guest
+	// memory and follows the memory snapshot). lastSlot caches the most
+	// recently restored entry so the hot case — restoring the same slot
+	// back to back — skips the table lookup; any take or drop of that id
 	// invalidates it.
 	slots      map[int]machSlot
 	lastSlotID int
@@ -98,13 +102,11 @@ type Machine struct {
 }
 
 // SnapshotHooks are callbacks a guest kernel registers so its state follows
-// the VM snapshot lifecycle. Any hook may be nil.
+// the VM's restores (snapshot creation needs none: guest state is
+// serialized into guest memory and captured with it). Any hook may be nil.
 type SnapshotHooks struct {
-	TakeRoot           func()
 	RestoreRoot        func()
-	TakeIncremental    func()
 	RestoreIncremental func()
-	DropIncremental    func()
 }
 
 // MachineStats aggregates snapshot counters and timing.
@@ -161,8 +163,7 @@ func New(cfg Config) *Machine {
 
 // Stats returns a copy of the machine statistics. The eager-restore
 // counters are read through from the memory and disk layers so every
-// consumer (pool and single-slot configs alike) reports them from the
-// same counter path.
+// consumer reports them from the same counter path.
 func (m *Machine) Stats() MachineStats {
 	st := m.stats
 	st.VirtualTimeUsed = m.Clock.Now()
@@ -221,9 +222,6 @@ func (m *Machine) SeedSlotProfile(id int, p *SlotProfile) {
 // HasRoot reports whether the root snapshot exists.
 func (m *Machine) HasRoot() bool { return m.rootTaken }
 
-// HasIncremental reports whether an incremental snapshot is active.
-func (m *Machine) HasIncremental() bool { return m.Mem.HasIncremental() }
-
 // DirtyPages returns the number of guest pages dirtied since the last
 // snapshot point.
 func (m *Machine) DirtyPages() int { return m.Mem.DirtyCount() }
@@ -239,9 +237,6 @@ func (m *Machine) TakeRoot() error {
 			return fmt.Errorf("vm: capturing device image: %w", err)
 		}
 		m.rootDevImage = img
-	}
-	if m.GuestHooks.TakeRoot != nil {
-		m.GuestHooks.TakeRoot()
 	}
 	m.slots = nil // slots captured deltas against the previous root
 	m.rootTaken = true
@@ -274,9 +269,8 @@ func (m *Machine) chargeReset(base time.Duration, ndirty int) {
 // virtual clock per page actually reset. The count comes from the memory
 // layer's stats rather than DirtyCount: when the state derives from a
 // pooled snapshot slot, the restore also resets the slot's overlay pages,
-// and skipping that charge would hand the pool free restore work in the
-// equal-virtual-time ablations (the single-slot path pays for the same
-// pages because DropIncremental folds its overlay into the dirty set).
+// and skipping that charge would hand snapshot rounds free restore work in
+// the equal-virtual-time ablations.
 func (m *Machine) RestoreRoot() error {
 	if !m.rootTaken {
 		return ErrNotReady
@@ -302,60 +296,13 @@ func (m *Machine) RestoreRoot() error {
 	return nil
 }
 
-// TakeIncremental creates the secondary snapshot at the current state.
-func (m *Machine) TakeIncremental() error {
-	if !m.rootTaken {
-		return ErrNotReady
-	}
-	m.Clock.Advance(m.Cost.IncCreateBase +
-		time.Duration(m.Mem.DirtyCount())*m.Cost.PerDirtyPage)
-	if err := m.Mem.TakeIncremental(); err != nil {
-		return err
-	}
-	m.Devices.TakeIncremental()
-	if m.GuestHooks.TakeIncremental != nil {
-		m.GuestHooks.TakeIncremental()
-	}
-	m.stats.IncCreates++
-	return nil
-}
-
-// RestoreIncremental resets the VM to the secondary snapshot.
-func (m *Machine) RestoreIncremental() error {
-	if !m.Mem.HasIncremental() {
-		return mem.ErrNoIncrementalSnapshot
-	}
-	t0 := time.Now() //nyx:wallclock RestoreWall telemetry measures real restore cost, never virtual time
-	defer func() { m.stats.RestoreWall += time.Since(t0) }()
-	m.chargeReset(m.Cost.IncRestoreBase, m.Mem.DirtyCount())
-	if err := m.Mem.RestoreIncremental(); err != nil {
-		return err
-	}
-	m.Devices.RestoreIncremental()
-	if m.GuestHooks.RestoreIncremental != nil {
-		m.GuestHooks.RestoreIncremental()
-	}
-	m.stats.IncRestores++
-	return nil
-}
-
-// DropIncremental discards the secondary snapshot.
-func (m *Machine) DropIncremental() {
-	m.Mem.DropIncremental()
-	m.Devices.DropIncremental()
-	if m.GuestHooks.DropIncremental != nil {
-		m.GuestHooks.DropIncremental()
-	}
-}
-
-// ---- Snapshot slot pool (many concurrent incremental snapshots) ----
+// ---- Incremental snapshot slots ----
 
 // TakeIncrementalSlot captures the whole-VM state (memory delta, devices)
-// into snapshot slot id. Unlike TakeIncremental the slot survives root
-// restores and restores of other slots, and the state being captured may
-// itself derive from another slot (chained creation). The virtual clock is
-// charged per page actually copied, so a chained capture pays for the
-// inherited overlay it folds in.
+// into snapshot slot id. The slot survives root restores and restores of
+// other slots, and the state being captured may itself derive from another
+// slot (chained creation). The virtual clock is charged per page actually
+// copied, so a chained capture pays for the inherited overlay it folds in.
 func (m *Machine) TakeIncrementalSlot(id int) error {
 	if !m.rootTaken {
 		return ErrNotReady
@@ -377,14 +324,11 @@ func (m *Machine) TakeIncrementalSlot(id int) error {
 	if m.lastValid && m.lastSlotID == id {
 		m.lastValid = false
 	}
-	if m.GuestHooks.TakeIncremental != nil {
-		m.GuestHooks.TakeIncremental()
-	}
 	m.stats.IncCreates++
 	return nil
 }
 
-// machSlot is the machine-level half of one pooled snapshot: the device
+// machSlot is the machine-level half of one incremental snapshot: the device
 // captures and their byte charge (the memory overlay lives in mem).
 type machSlot struct {
 	devs     []device.Snapshot
@@ -462,12 +406,9 @@ func (m *Machine) Hypercall(hc Hypercall) error {
 	case HcReady:
 		return m.TakeRoot()
 	case HcSnapshot:
-		return m.TakeIncremental()
-	case HcReleaseSnapshot:
-		m.DropIncremental()
-		return nil
-	case HcExecDone, HcPanic:
-		return nil // handled by the fuzzer run loop
+		return m.TakeIncrementalSlot(0)
+	case HcReleaseSnapshot, HcExecDone, HcPanic:
+		return nil // handled by the agent and the fuzzer run loop
 	default:
 		return fmt.Errorf("vm: unknown hypercall %d", hc)
 	}

@@ -33,13 +33,26 @@ func TestSnapshotLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Mem.WriteAt([]byte("case"), 0)
-	if err := m.RestoreIncremental(); err != nil {
+	if err := m.RestoreIncrementalSlot(0); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 4)
 	m.Mem.ReadAt(buf, 0)
 	if !bytes.Equal(buf, []byte("pref")) {
 		t.Fatalf("incremental restore: got %q want %q", buf, "pref")
+	}
+
+	// Releasing costs the VM exit and nothing else: the slot's buffers
+	// stay with the machine for the next take.
+	t0, calls := m.Clock.Now(), m.Stats().Hypercalls
+	if err := m.Hypercall(HcReleaseSnapshot); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Clock.Now() - t0; got != m.Cost.HypercallEntry {
+		t.Fatalf("release charged %v, want one hypercall entry %v", got, m.Cost.HypercallEntry)
+	}
+	if m.Stats().Hypercalls != calls+1 || !m.HasSlot(0) {
+		t.Fatalf("release: hypercalls %d→%d, slot kept = %v", calls, m.Stats().Hypercalls, m.HasSlot(0))
 	}
 
 	if err := m.RestoreRoot(); err != nil {
@@ -138,20 +151,17 @@ func TestGuestHooksInvoked(t *testing.T) {
 	m := newTestMachine(t)
 	var calls []string
 	m.GuestHooks = SnapshotHooks{
-		TakeRoot:           func() { calls = append(calls, "take-root") },
 		RestoreRoot:        func() { calls = append(calls, "restore-root") },
-		TakeIncremental:    func() { calls = append(calls, "take-inc") },
 		RestoreIncremental: func() { calls = append(calls, "restore-inc") },
-		DropIncremental:    func() { calls = append(calls, "drop-inc") },
 	}
 	m.TakeRoot()
 	m.Mem.WriteAt([]byte{1}, 0)
-	m.TakeIncremental()
+	m.TakeIncrementalSlot(0)
 	m.Mem.WriteAt([]byte{2}, 0)
-	m.RestoreIncremental()
-	m.DropIncremental()
+	m.RestoreIncrementalSlot(0)
+	m.DropSlot(0)
 	m.RestoreRoot()
-	want := []string{"take-root", "take-inc", "restore-inc", "drop-inc", "restore-root"}
+	want := []string{"restore-inc", "restore-root"}
 	if len(calls) != len(want) {
 		t.Fatalf("hook calls = %v, want %v", calls, want)
 	}
