@@ -245,8 +245,10 @@ func (e *Executor) execOne(env *guest.Env, nt spec.NodeType, op spec.Op, conns *
 			k.CloseConn(c)
 		}
 	case spec.KindCustom:
-		// Baselines do not implement custom opcodes (only the Mario
-		// harness uses them, and it is compared against Ijon, which has
+		// Baselines do not implement custom opcodes: handlers are
+		// registered on a netemu.Agent, which baselines do not run, and no
+		// target in this repo declares one (the Mario harness drives the
+		// game through packet ops and is compared against Ijon, which has
 		// its own executor in package mario).
 	}
 	return nil

@@ -258,16 +258,18 @@ type Fuzzer struct {
 
 	// Scheduler state (schedule.go).
 	sched        Sched
-	topRated     map[uint32]*QueueEntry // edge index -> cheapest entry covering it
-	scoreChanged bool                   // top-rated changed; cull before next pick
-	pendingNew   int                    // queue entries never picked yet (the frontier)
-	seedMeta     map[string]EntryMeta   // restored metadata by serialized input
-	curParent    *QueueEntry            // entry being fuzzed (depth attribution)
-	lastExecTime time.Duration          // full-run virtual cost of the latest execution
-	snapBaseTime time.Duration          // cost of the run that created the held snapshot
-	trimTime     time.Duration          // virtual time consumed by the lazy trim
-	execTimeSum  time.Duration          // running sum of Queue ExecTimes (energy's O(1) average)
-	retrimmed    []Retrim               // trims since the last DrainRetrimmed
+	topRated     map[uint32]*QueueEntry        // edge index -> cheapest entry covering it
+	topEdges     []uint32                      // keys of topRated in ascending order (the cull's walk order)
+	cullCovered  [coverage.MapSize / 64]uint64 // cullQueue's covered-edge scratch bitset
+	scoreChanged bool                          // top-rated changed; cull before next pick
+	pendingNew   int                           // queue entries never picked yet (the frontier)
+	seedMeta     map[string]EntryMeta          // restored metadata by serialized input
+	curParent    *QueueEntry                   // entry being fuzzed (depth attribution)
+	lastExecTime time.Duration                 // full-run virtual cost of the latest execution
+	snapBaseTime time.Duration                 // cost of the run that created the held snapshot
+	trimTime     time.Duration                 // virtual time consumed by the lazy trim
+	execTimeSum  time.Duration                 // running sum of Queue ExecTimes (energy's O(1) average)
+	retrimmed    []Retrim                      // trims since the last DrainRetrimmed
 
 	// Power-schedule state (schedule.go).
 	power       Power

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/spec"
@@ -237,8 +237,16 @@ func (f *Fuzzer) updateTopRated(e *QueueEntry) {
 		if h.Bucket == 0 {
 			continue
 		}
-		if cur, ok := f.topRated[h.Index]; ok && favFactor(cur) <= fav {
+		cur, ok := f.topRated[h.Index]
+		if ok && favFactor(cur) <= fav {
 			continue
+		}
+		if !ok {
+			// Edges never leave the top-rated map, so its keys are kept
+			// sorted by inserting each new one in place: the cull walks
+			// them in ascending order without collecting and sorting.
+			i, _ := slices.BinarySearch(f.topEdges, h.Index)
+			f.topEdges = slices.Insert(f.topEdges, i, h.Index)
 		}
 		f.topRated[h.Index] = e
 		f.scoreChanged = true
@@ -265,7 +273,10 @@ func (e *QueueEntry) FavFactor() int64 { return favFactor(e) }
 // cullQueue re-marks the favored subset after the top-rated map changed:
 // a greedy cover walk (in ascending edge order, so the pass is
 // deterministic) keeps the best entry for every yet-uncovered edge, exactly
-// AFL's cull_queue.
+// AFL's cull_queue. It runs before every pick that follows a change, so it
+// allocates nothing: the walk order is topEdges and the covered set a
+// bitset owned by the fuzzer (Cov comes from a trace, so every index is
+// below coverage.MapSize).
 func (f *Fuzzer) cullQueue() {
 	if f.sched == SchedRoundRobin || !f.scoreChanged {
 		return
@@ -274,20 +285,16 @@ func (f *Fuzzer) cullQueue() {
 	for _, e := range f.Queue {
 		e.Favored = false
 	}
-	edges := make([]uint32, 0, len(f.topRated))
-	for idx := range f.topRated {
-		edges = append(edges, idx)
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
-	covered := make(map[uint32]bool, len(edges))
-	for _, idx := range edges {
-		if covered[idx] {
+	covered := &f.cullCovered
+	clear(covered[:])
+	for _, idx := range f.topEdges {
+		if covered[idx>>6]&(1<<(idx&63)) != 0 {
 			continue
 		}
 		e := f.topRated[idx]
 		e.Favored = true
 		for _, h := range e.Cov {
-			covered[h.Index] = true
+			covered[h.Index>>6] |= 1 << (h.Index & 63)
 		}
 	}
 }

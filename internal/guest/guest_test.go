@@ -16,6 +16,7 @@ type echoTarget struct {
 	Counts   map[int]int
 	Greeting string
 	Loads    int // LoadState invocations, for hydration-laziness asserts
+	Saves    int // SaveState invocations, for write-back-at-exit asserts
 }
 
 func newEchoTarget() *echoTarget {
@@ -47,6 +48,7 @@ func (t *echoTarget) OnPacket(env *Env, c *Conn, data []byte) {
 func (t *echoTarget) OnDisconnect(env *Env, c *Conn) { env.Cov(3) }
 
 func (t *echoTarget) SaveState(w *StateWriter) {
+	t.Saves++
 	w.String(t.Greeting)
 	w.U32(uint32(len(t.Counts)))
 	for _, id := range SortedIntKeys(t.Counts) {
@@ -533,5 +535,110 @@ func TestRestoreHydratesLazily(t *testing.T) {
 	}
 	if tgt.Loads != base+2 {
 		t.Fatalf("loads = %d want %d after re-restore", tgt.Loads, base+2)
+	}
+}
+
+// Events only mark the state dirty; the one serialization happens at the
+// next VM exit, and an exit with nothing dirty writes nothing.
+func TestEventsWriteBackAtVMExit(t *testing.T) {
+	m, k, tgt := bootEcho(t)
+	if err := m.Hypercall(vm.HcReady); err != nil {
+		t.Fatal(err)
+	}
+	base := tgt.Saves
+	c, _, err := k.NewConnection(Port{TCP, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"a", "b", "c"} {
+		if err := k.Deliver(c, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k.CloseConn(c)
+	if tgt.Saves != base || m.Mem.DirtyCount() != 0 {
+		t.Fatalf("events serialized: %d saves, %d dirty pages before any VM exit", tgt.Saves-base, m.Mem.DirtyCount())
+	}
+	if err := m.Hypercall(vm.HcExecDone); err != nil {
+		t.Fatal(err)
+	}
+	dirty := m.Mem.DirtyCount()
+	if tgt.Saves != base+1 || dirty == 0 {
+		t.Fatalf("VM exit after 5 events: %d saves (want 1), %d dirty pages", tgt.Saves-base, dirty)
+	}
+	// Clean: further exits, a snapshot take and a restore serialize nothing.
+	if err := m.Hypercall(vm.HcExecDone); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.TakeIncrementalSlot(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RestoreIncrementalSlot(1); err != nil {
+		t.Fatal(err)
+	}
+	if tgt.Saves != base+1 {
+		t.Fatalf("clean state was flushed: %d saves, want 1", tgt.Saves-base)
+	}
+	// A rejected event mutates nothing and dirties nothing.
+	if err := k.Deliver(k.Conn(c.ID), []byte("late")); err == nil {
+		t.Fatal("delivery on a closed connection succeeded")
+	}
+	if err := m.Hypercall(vm.HcExecDone); err != nil {
+		t.Fatal(err)
+	}
+	if tgt.Saves != base+1 {
+		t.Fatal("a rejected delivery marked the state dirty")
+	}
+}
+
+// A restore discards struct state that was still dirty: the machine flushes
+// it first (so the restore counts the pages it occupies), resets memory, and
+// the next access hydrates the snapshot's state, not the discarded one.
+func TestRestoreDiscardsDirtyState(t *testing.T) {
+	m, k, tgt := bootEcho(t)
+	if err := m.TakeRoot(); err != nil {
+		t.Fatal(err)
+	}
+	c, _, err := k.NewConnection(Port{TCP, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Deliver(c, []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.TakeIncrementalSlot(1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := k.Deliver(k.Conn(c.ID), bytes.Repeat([]byte("discarded"), 600)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tgt.Greeting = "poked"
+	k.MarkDirty()
+
+	before := m.Mem.Stats().PagesReset
+	if err := m.RestoreIncrementalSlot(1); err != nil {
+		t.Fatal(err)
+	}
+	// Three 5 KiB responses grew the blob by pages the restore had to reset.
+	if reset := m.Mem.Stats().PagesReset - before; reset < 3 {
+		t.Fatalf("restore reset %d pages; the dirty state was not flushed before it", reset)
+	}
+	if got := len(k.Conn(c.ID).Sent); got != 2 { // greeting + one echo
+		t.Fatalf("conn has %d responses after restore, want the snapshot's 2", got)
+	}
+	if tgt.Counts[c.ID] != 1 || tgt.Greeting != "hello" {
+		t.Fatalf("target state after restore: counts %v greeting %q, want the snapshot's", tgt.Counts, tgt.Greeting)
+	}
+
+	if err := k.Deliver(k.Conn(c.ID), []byte("again")); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RestoreRoot(); err != nil {
+		t.Fatal(err)
+	}
+	if k.Conn(c.ID) != nil || len(tgt.Counts) != 0 {
+		t.Fatalf("root restore kept discarded state: conn %v counts %v", k.Conn(c.ID), tgt.Counts)
 	}
 }

@@ -1,14 +1,32 @@
 // Package guest implements the simulated in-VM operating system: processes,
 // file descriptors, sockets, epoll, a block-device-backed filesystem, and
-// the target model. The kernel serializes all logical state (its own plus
-// the target's) into guest physical memory after every mutation, so that
-// whole-VM snapshots taken by package vm capture and restore it with full
-// fidelity — the property §3.2 of the Nyx-Net paper relies on ("the
-// snapshot ensures that all state ... is correctly reset between test
-// cases"). Restores run the other direction lazily: a restore only marks
-// the struct form of the state stale, and the first access afterwards
-// decodes it back out of memory, so restore cost never scales with the
-// size of the serialized state.
+// the target model. All logical state (the kernel's own plus the target's)
+// has two forms: the Go structs the handlers work on, and a serialized image
+// in guest physical memory, which is what whole-VM snapshots taken by
+// package vm capture and restore — the property §3.2 of the Nyx-Net paper
+// relies on ("the snapshot ensures that all state ... is correctly reset
+// between test cases"). The two forms are kept coherent by a three-state
+// contract with package vm (see vm.SnapshotHooks for the machine's half):
+//
+//   - clean: struct form and memory agree. Set by boot, by a flush and by a
+//     hydrate.
+//   - dirty: the struct form is ahead of memory. Set only by the kernel's
+//     event entry points (NewConnection, Deliver, CloseConn,
+//     ResetCorruption, MarkDirty), before any target code runs, so
+//     everything a handler mutates — kernel syscalls, the filesystem, the
+//     allocator model, target fields — is covered even when the handler
+//     crashes half-way. Cleared only by the flush hook, which the machine
+//     calls at every VM exit and before every snapshot take or restore: one
+//     serialization per exit, not one per event.
+//   - stale: memory is ahead of the struct form. Set only by the machine's
+//     restore hooks (after the flush, so dirty and stale never hold
+//     together; the discarded struct state is simply overwritten). Cleared
+//     only by hydrate, which the first state access after the restore runs,
+//     so restore cost never scales with the size of the serialized state.
+//
+// Code that mutates kernel or target state outside an event (a netemu custom
+// opcode, a test poking a target) must call MarkDirty first; code that reads
+// guest memory directly must do so after a VM exit.
 package guest
 
 import (
@@ -113,8 +131,14 @@ type Kernel struct {
 	// guest-state blob size.
 	stale bool
 
+	// dirty marks the struct form as ahead of guest memory: an event ran
+	// (or is running) since the last flush. The event entry points only
+	// flip this flag; the machine's flush hook pays the one serialization
+	// at the next VM exit (see flush and the package comment).
+	dirty bool
+
 	// enc, dec, and decBuf are scratch buffers recycled across the
-	// serialize-after-every-event and decode-after-restore paths.
+	// serialize-at-VM-exit and decode-after-restore paths.
 	enc    StateWriter
 	dec    StateReader
 	decBuf []byte
@@ -140,12 +164,14 @@ func NewKernel(m *vm.Machine, target Target) (*Kernel, error) {
 	}
 	k.env = &Env{k: k}
 	k.FS.hydrate = k.hydrate
-	// Wire the kernel into the machine's snapshot lifecycle: memory is
-	// authoritative, so a restore invalidates the struct form of the
-	// kernel state. The hooks only mark it stale — the decode is deferred
-	// to the first state access (hydrate), so back-to-back restores never
-	// pay for re-reading a blob nothing looked at.
+	// Wire the kernel into the machine's snapshot lifecycle. Memory is what
+	// snapshots capture, so the machine flushes the struct form into it
+	// before it looks, and a restore invalidates the struct form. The
+	// restore hooks only mark it stale — the decode is deferred to the
+	// first state access (hydrate), so back-to-back restores never pay for
+	// re-reading a blob nothing looked at.
 	m.GuestHooks = vm.SnapshotHooks{
+		Flush:              k.flush,
 		RestoreRoot:        func() { k.stale = true },
 		RestoreIncremental: func() { k.stale = true },
 	}
@@ -175,6 +201,26 @@ func (k *Kernel) hydrate() {
 	}
 	k.stale = false
 	k.syncFromMemory()
+}
+
+// MarkDirty declares that the caller is about to mutate kernel or target
+// state: it hydrates the struct form and marks it ahead of guest memory, so
+// the next VM exit writes it back. The kernel's own event entry points do
+// the same before invoking the target; this is the exported form for
+// mutations that happen outside an event (netemu's custom opcodes).
+func (k *Kernel) MarkDirty() {
+	k.hydrate()
+	k.dirty = true
+}
+
+// flush is the machine's SnapshotHooks.Flush: it writes the struct form back
+// to guest memory if an event dirtied it, and is a no-op otherwise.
+func (k *Kernel) flush() {
+	if !k.dirty {
+		return
+	}
+	k.dirty = false
+	k.syncToMemory()
 }
 
 func (k *Kernel) newProcess(parent int) *Process {
@@ -227,6 +273,7 @@ func (k *Kernel) NewConnection(port Port) (*Conn, int, error) {
 	if !k.portServed(port) {
 		return nil, 0, fmt.Errorf("guest: no listener on %s", port)
 	}
+	k.dirty = true
 	k.M.Clock.Advance(k.M.Cost.Syscall * 3) // socket+accept+fcntl, all hooked
 	c := &Conn{ID: k.nextConn, Port: port}
 	k.nextConn++
@@ -239,7 +286,6 @@ func (k *Kernel) NewConnection(port Port) (*Conn, int, error) {
 	fd := k.installFD(p, d)
 	k.env.proc = p
 	k.Target.OnConnect(k.env, c)
-	k.syncToMemory()
 	return c, fd, nil
 }
 
@@ -261,10 +307,10 @@ func (k *Kernel) Deliver(c *Conn, data []byte) error {
 	if c.Closed {
 		return fmt.Errorf("guest: delivery on closed conn %d", c.ID)
 	}
+	k.dirty = true
 	k.M.Clock.Advance(k.M.Cost.EmulatedPoll + k.M.Cost.EmulatedRecv + k.M.Cost.DeliveryOver)
 	k.env.proc = k.InitProcess()
 	k.Target.OnPacket(k.env, c, data)
-	k.syncToMemory()
 	return nil
 }
 
@@ -274,10 +320,10 @@ func (k *Kernel) CloseConn(c *Conn) {
 	if c.Closed {
 		return
 	}
+	k.dirty = true
 	c.Closed = true
 	k.M.Clock.Advance(k.M.Cost.Syscall)
 	k.Target.OnDisconnect(k.env, c)
-	k.syncToMemory()
 }
 
 // Dup duplicates fd in process p, returning the new fd number.
@@ -402,27 +448,37 @@ func (k *Kernel) AliasCount(conn *Conn) int {
 // ResetCorruption clears accumulated corruption; used by baseline fuzzers'
 // full server restarts (not by snapshot restores, which roll it back
 // naturally via state restore).
-func (k *Kernel) ResetCorruption() { k.hydrate(); k.corruption = 0; k.syncToMemory() }
+func (k *Kernel) ResetCorruption() { k.MarkDirty(); k.corruption = 0 }
 
 // ---- State serialization into guest memory ----
 
 // syncToMemory serializes the kernel + target state into guest physical
-// memory at heapBase. Every logical mutation calls this, so the memory
-// image is always authoritative and snapshots capture everything.
+// memory at heapBase: a 4-byte length header, then the blob. It is reachable
+// only from boot and from flush — events mark the state dirty instead of
+// calling it. The image is canonical: whatever a longer previous blob (its
+// length is still in the header) left beyond the new one is zero-filled, so
+// guest memory after a flush is a function of the state alone, not of the
+// states flushed before it, and a run resumed from a snapshot ends
+// byte-identical to the same run from the root.
 func (k *Kernel) syncToMemory() {
 	if k.M == nil {
 		return
 	}
-	k.enc.Reset()
-	k.marshal(&k.enc)
-	body := k.enc.Bytes()
 	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := k.M.Mem.WriteAt(hdr[:], k.heapBase); err != nil {
-		panic(fmt.Sprintf("guest: state header write: %v", err))
+	if _, err := k.M.Mem.ReadAt(hdr[:], k.heapBase); err != nil {
+		panic(fmt.Sprintf("guest: state header read: %v", err))
 	}
-	if _, err := k.M.Mem.WriteAt(body, k.heapBase+4); err != nil {
-		panic(fmt.Sprintf("guest: state write (%d bytes): %v — enlarge VM memory", len(body), err))
+	prev := int(binary.LittleEndian.Uint32(hdr[:]))
+	k.enc.Reset()
+	k.enc.U32(0) // header, patched below
+	k.marshal(&k.enc)
+	n := len(k.enc.buf) - 4
+	binary.LittleEndian.PutUint32(k.enc.buf, uint32(n))
+	if prev > n {
+		k.enc.buf = append(k.enc.buf, make([]byte, prev-n)...)
+	}
+	if _, err := k.M.Mem.WriteAt(k.enc.buf, k.heapBase); err != nil {
+		panic(fmt.Sprintf("guest: state write (%d bytes): %v — enlarge VM memory", n, err))
 	}
 }
 

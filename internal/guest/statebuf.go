@@ -9,8 +9,8 @@ import (
 
 // StateWriter serializes guest kernel and target state into a compact
 // little-endian byte stream. The stream is written into guest physical
-// memory after every packet delivery so that VM snapshots capture the full
-// logical state of the system (see Kernel.syncToMemory).
+// memory at every VM exit that follows an event, so that VM snapshots
+// capture the full logical state of the system (see Kernel.flush).
 type StateWriter struct {
 	buf []byte
 }
@@ -20,8 +20,8 @@ type StateWriter struct {
 func (w *StateWriter) Bytes() []byte { return w.buf } //nyx:aliased bytes.Buffer-style contract; callers copy into guest memory immediately
 
 // Reset truncates the stream, keeping the backing array for reuse. The
-// kernel serializes state after every event; recycling the encode buffer
-// keeps that discipline allocation-flat.
+// kernel serializes state about once per execution; recycling the encode
+// buffer keeps that allocation-flat.
 func (w *StateWriter) Reset() { w.buf = w.buf[:0] }
 
 // U8 appends a byte.

@@ -13,9 +13,13 @@ import (
 // are written against the same semantics in event-handler form, which is
 // how most real servers structure their loops anyway.
 //
-// All mutable state must round-trip through SaveState/LoadState: the kernel
-// serializes it into guest memory after every event, which is what makes VM
-// snapshots authoritative.
+// All mutable state must round-trip through SaveState/LoadState, and must
+// change only inside the handlers below: the kernel marks its state dirty
+// before calling a handler, writes it into guest memory (SaveState) at the
+// next VM exit, and reads it back (LoadState) on the first access after a
+// snapshot restore — which is what makes VM snapshots authoritative. Code
+// that changes target state outside a handler calls Kernel.MarkDirty first
+// (see the package comment for the full contract).
 type Target interface {
 	// Name identifies the target (e.g. "lightftp").
 	Name() string

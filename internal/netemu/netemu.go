@@ -403,6 +403,9 @@ func (a *Agent) execOp(env *guest.Env, op spec.Op, values []Value) (crash *guest
 			}
 			args[j] = v
 		}
+		// The handler runs outside any kernel event; whatever it mutates
+		// must still reach guest memory before the next snapshot marker.
+		a.K.MarkDirty()
 		return nil, h(env, op.Data, args), nil
 
 	default:

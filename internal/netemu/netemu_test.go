@@ -1,6 +1,7 @@
 package netemu
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -223,6 +224,54 @@ func TestIncrementalSnapshotSuffixRuns(t *testing.T) {
 	}
 	if !resF.Crashed || resF.Crash.Kind != resS.Crash.Kind {
 		t.Fatal("crash does not reproduce from root")
+	}
+}
+
+// A custom opcode's handler runs outside any kernel event, so the agent must
+// declare the mutation itself: as the first op after a restore it would
+// otherwise write to the stale struct form (lost at the next hydrate), and a
+// snapshot marker directly after it would capture pre-op memory, so resumed
+// runs diverged from the root run.
+func TestCustomOpStateReachesSnapshot(t *testing.T) {
+	a, s, tgt := setup(t)
+	bump := s.Node(spec.NodeType{Name: "bump", Kind: spec.KindCustom})
+	a.RegisterCustom(bump, func(env *guest.Env, data []byte, args []Value) []Value {
+		tgt.Stors += 7
+		return nil
+	})
+	in := seq(s, "USER a")
+	in.Ops = append([]spec.Op{{Node: bump}}, in.Ops...)
+	guestMemory := func() []byte {
+		buf := make([]byte, a.M.Mem.Size())
+		if _, err := a.M.Mem.ReadAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+
+	var tr coverage.Trace
+	if _, err := a.RunFromRoot(in, &tr); err != nil {
+		t.Fatal(err)
+	}
+	if tgt.Stors != 7 {
+		t.Fatalf("root run: stors = %d, want 7", tgt.Stors)
+	}
+	fromRoot := guestMemory()
+
+	in.SnapshotAt = 1 // directly after the custom op
+	if res, err := a.RunFromRoot(in, &tr); err != nil || !res.SnapshotTaken {
+		t.Fatalf("marker run: snapshot taken = %v, err = %v", res.SnapshotTaken, err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := a.RunSuffix(in, &tr); err != nil {
+			t.Fatal(err)
+		}
+		if tgt.Stors != 7 {
+			t.Fatalf("suffix run %d: stors = %d, want 7 (the snapshot missed the custom op)", i, tgt.Stors)
+		}
+		if !bytes.Equal(guestMemory(), fromRoot) {
+			t.Fatalf("suffix run %d: guest memory differs from the root run's", i)
+		}
 	}
 }
 

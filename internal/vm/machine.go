@@ -94,17 +94,30 @@ type Machine struct {
 	lastValid  bool
 
 	// GuestHooks let the guest kernel participate in snapshots: its
-	// non-memory bookkeeping (process table, fd table, scheduler state)
-	// must be captured and restored alongside memory and devices.
+	// bookkeeping (process table, fd table, target state) lives in Go
+	// structs and must be written into guest memory before a capture and
+	// re-read after a restore.
 	GuestHooks SnapshotHooks
 
 	stats MachineStats
 }
 
-// SnapshotHooks are callbacks a guest kernel registers so its state follows
-// the VM's restores (snapshot creation needs none: guest state is
-// serialized into guest memory and captured with it). Any hook may be nil.
+// SnapshotHooks are the guest kernel's half of the coherence contract
+// between its struct-form state and guest memory (the three states — clean,
+// dirty, stale — are defined in package guest). Any hook may be nil.
+//
+// The machine promises to call Flush before every operation through which
+// the host observes, captures or discards guest memory — Hypercall,
+// SnapshotHypercall, TakeRoot, TakeIncrementalSlot, RestoreRoot,
+// RestoreIncrementalSlot — exactly once per call and before the memory
+// operation, so a capture holds the guest's current state and a restore
+// counts (and charges for) the pages that state occupies. The guest promises
+// that Flush leaves guest memory a function of its state alone and is a
+// no-op when memory is already current. After a restore replaced guest
+// memory the machine calls RestoreRoot or RestoreIncremental, and the guest
+// treats its struct form as behind memory from then on.
 type SnapshotHooks struct {
+	Flush              func()
 	RestoreRoot        func()
 	RestoreIncremental func()
 }
@@ -219,6 +232,14 @@ func (m *Machine) SeedSlotProfile(id int, p *SlotProfile) {
 	}
 }
 
+// flushGuest brings guest memory up to date with the guest kernel's state
+// (SnapshotHooks.Flush).
+func (m *Machine) flushGuest() {
+	if m.GuestHooks.Flush != nil {
+		m.GuestHooks.Flush()
+	}
+}
+
 // HasRoot reports whether the root snapshot exists.
 func (m *Machine) HasRoot() bool { return m.rootTaken }
 
@@ -229,6 +250,7 @@ func (m *Machine) DirtyPages() int { return m.Mem.DirtyCount() }
 // TakeRoot captures the root snapshot of the whole VM. Expensive (full
 // memory copy) but performed once per campaign.
 func (m *Machine) TakeRoot() error {
+	m.flushGuest()
 	m.Mem.TakeRoot()
 	m.Devices.TakeRoot()
 	if m.resetMode == DeviceResetSerialize {
@@ -275,6 +297,7 @@ func (m *Machine) RestoreRoot() error {
 	if !m.rootTaken {
 		return ErrNotReady
 	}
+	m.flushGuest()
 	t0 := time.Now() //nyx:wallclock RestoreWall telemetry measures real restore cost, never virtual time
 	defer func() { m.stats.RestoreWall += time.Since(t0) }()
 	before := m.Mem.Stats().PagesReset
@@ -307,6 +330,7 @@ func (m *Machine) TakeIncrementalSlot(id int) error {
 	if !m.rootTaken {
 		return ErrNotReady
 	}
+	m.flushGuest()
 	copied, err := m.Mem.TakeIncrementalSlot(id)
 	if err != nil {
 		return err
@@ -349,6 +373,7 @@ func (m *Machine) RestoreIncrementalSlot(id int) error {
 		}
 		m.lastSlotID, m.lastSlot, m.lastValid = id, ms, true
 	}
+	m.flushGuest()
 	t0 := time.Now() //nyx:wallclock RestoreWall telemetry measures real restore cost, never virtual time
 	defer func() { m.stats.RestoreWall += time.Since(t0) }()
 	reset, err := m.Mem.RestoreIncrementalSlot(id)
@@ -391,14 +416,17 @@ func (m *Machine) SlotBytes(id int) int64 {
 // SnapshotHypercall dispatches the slot-carrying variant of HcSnapshot: the
 // agent requests an incremental snapshot into a named slot (the paper's
 // snapshot opcode, extended with a slot argument). Charges VM-exit cost
-// like any other hypercall.
+// like any other hypercall; the guest flush of this VM exit is the one
+// TakeIncrementalSlot performs.
 func (m *Machine) SnapshotHypercall(slot int) error {
 	m.Clock.Advance(m.Cost.HypercallEntry)
 	m.stats.Hypercalls++
 	return m.TakeIncrementalSlot(slot)
 }
 
-// Hypercall dispatches an agent hypercall, charging VM-exit cost.
+// Hypercall dispatches an agent hypercall, charging VM-exit cost. Every VM
+// exit flushes the guest (see SnapshotHooks): the snapshot-taking calls do it
+// in TakeRoot/TakeIncrementalSlot, the informational ones here.
 func (m *Machine) Hypercall(hc Hypercall) error {
 	m.Clock.Advance(m.Cost.HypercallEntry)
 	m.stats.Hypercalls++
@@ -408,6 +436,7 @@ func (m *Machine) Hypercall(hc Hypercall) error {
 	case HcSnapshot:
 		return m.TakeIncrementalSlot(0)
 	case HcReleaseSnapshot, HcExecDone, HcPanic:
+		m.flushGuest()
 		return nil // handled by the agent and the fuzzer run loop
 	default:
 		return fmt.Errorf("vm: unknown hypercall %d", hc)

@@ -172,6 +172,65 @@ func TestGuestHooksInvoked(t *testing.T) {
 	}
 }
 
+// The machine's half of the coherence contract (SnapshotHooks): every entry
+// point through which the host observes, captures or discards guest memory
+// calls Flush exactly once, before the memory operation. The hook stamps a
+// fresh byte into memory on every call, so what each operation saw is
+// readable afterwards: a take captured the stamp of its own flush (checked
+// when that snapshot is restored), an informational exit leaves it in
+// memory, and a restore discards it in favour of the captured one.
+func TestFlushHookFiresOnceBeforeEachMemoryOp(t *testing.T) {
+	m := newTestMachine(t)
+	var fired int
+	var stamp byte
+	m.GuestHooks.Flush = func() {
+		fired++
+		stamp++
+		m.Mem.WriteAt([]byte{stamp}, 0)
+	}
+	const current = 0 // after the call, memory holds the call's own stamp
+	steps := []struct {
+		name  string
+		call  func() error
+		after byte // stamp memory must hold afterwards, or current
+	}{
+		{"Hypercall(HcReady)", func() error { return m.Hypercall(HcReady) }, current},
+		{"TakeRoot", m.TakeRoot, current}, // stamp 2 is the root's
+		{"SnapshotHypercall(1)", func() error { return m.SnapshotHypercall(1) }, current},
+		{"Hypercall(HcSnapshot)", func() error { return m.Hypercall(HcSnapshot) }, current},
+		{"TakeIncrementalSlot(2)", func() error { return m.TakeIncrementalSlot(2) }, current},
+		{"Hypercall(HcExecDone)", func() error { return m.Hypercall(HcExecDone) }, current},
+		{"Hypercall(HcPanic)", func() error { return m.Hypercall(HcPanic) }, current},
+		{"Hypercall(HcReleaseSnapshot)", func() error { return m.Hypercall(HcReleaseSnapshot) }, current},
+		{"RestoreIncrementalSlot(1)", func() error { return m.RestoreIncrementalSlot(1) }, 3},
+		{"RestoreIncrementalSlot(0)", func() error { return m.RestoreIncrementalSlot(0) }, 4},
+		{"RestoreIncrementalSlot(2)", func() error { return m.RestoreIncrementalSlot(2) }, 5},
+		{"RestoreRoot", m.RestoreRoot, 2},
+	}
+	for _, st := range steps {
+		before, reset := fired, m.Mem.Stats().PagesReset
+		if err := st.call(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if fired != before+1 {
+			t.Fatalf("%s: flush hook fired %d times, want 1", st.name, fired-before)
+		}
+		want := st.after
+		if want == current {
+			want = stamp
+		}
+		var got [1]byte
+		m.Mem.ReadAt(got[:], 0)
+		if got[0] != want {
+			t.Fatalf("%s: memory holds stamp %d afterwards, want %d (hook ran on the wrong side of the operation)", st.name, got[0], want)
+		}
+		// The page the flush wrote is part of what a restore resets.
+		if st.after != current && m.Mem.Stats().PagesReset == reset {
+			t.Fatalf("%s: restore reset no page; the flush ran after it", st.name)
+		}
+	}
+}
+
 func TestUnknownHypercall(t *testing.T) {
 	m := newTestMachine(t)
 	if err := m.Hypercall(Hypercall(99)); err == nil {
