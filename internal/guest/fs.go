@@ -1,8 +1,10 @@
 package guest
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/device"
 )
@@ -20,8 +22,19 @@ import (
 type FS struct {
 	disk *device.BlockDevice
 
-	files      map[string]*fileMeta
+	// files is in ascending path order, the order the image lists it in. A
+	// restore to fewer files leaves the surplus entries in the spare
+	// capacity, and unmarshal reuses their sector lists and path strings.
+	files      []fileMeta
 	nextSector uint64
+
+	// enc is the encoding of the two fields above, as marshal last wrote it
+	// or unmarshal last read it, and encValid says that it still is: every
+	// mutator clears encValid before it changes either field. While it
+	// holds, marshal appends enc and unmarshal skips an equal section, so a
+	// test case that leaves the filesystem alone pays for neither.
+	enc      []byte
+	encValid bool
 
 	// hydrate, when set, re-syncs the owning kernel's state from guest
 	// memory before any metadata access (see Kernel.hydrate); snapshot
@@ -39,23 +52,30 @@ func (fs *FS) sync() {
 }
 
 type fileMeta struct {
+	path    string
 	sectors []uint64
 	size    int64
 }
 
 // NewFS creates a filesystem on disk.
 func NewFS(disk *device.BlockDevice) *FS {
-	return &FS{disk: disk, files: make(map[string]*fileMeta)}
+	return &FS{disk: disk}
+}
+
+// find returns the position of path in fs.files, or the one to insert it at.
+func (fs *FS) find(path string) (int, bool) {
+	return slices.BinarySearchFunc(fs.files, path, func(f fileMeta, path string) int { return strings.Compare(f.path, path) })
 }
 
 // WriteFile creates or replaces path with data.
 func (fs *FS) WriteFile(path string, data []byte) error {
 	fs.sync()
+	fs.encValid = false
 	nsec := (len(data) + device.SectorSize - 1) / device.SectorSize
 	if fs.nextSector+uint64(nsec) > fs.disk.NumSectors() {
 		return fmt.Errorf("fs: disk full writing %q (%d sectors)", path, nsec)
 	}
-	meta := &fileMeta{size: int64(len(data))}
+	meta := fileMeta{path: path, size: int64(len(data))}
 	buf := make([]byte, device.SectorSize)
 	for i := 0; i < nsec; i++ {
 		sn := fs.nextSector
@@ -69,7 +89,11 @@ func (fs *FS) WriteFile(path string, data []byte) error {
 		}
 		meta.sectors = append(meta.sectors, sn)
 	}
-	fs.files[path] = meta
+	if i, ok := fs.find(path); ok {
+		fs.files[i] = meta
+	} else {
+		fs.files = slices.Insert(fs.files, i, meta)
+	}
 	return nil
 }
 
@@ -85,10 +109,11 @@ func (fs *FS) AppendFile(path string, data []byte) error {
 // ReadFile returns the contents of path.
 func (fs *FS) ReadFile(path string) ([]byte, error) {
 	fs.sync()
-	meta, ok := fs.files[path]
+	i, ok := fs.find(path)
 	if !ok {
 		return nil, fmt.Errorf("fs: %q: no such file", path)
 	}
+	meta := &fs.files[i]
 	out := make([]byte, 0, meta.size)
 	buf := make([]byte, device.SectorSize)
 	remaining := meta.size
@@ -109,28 +134,30 @@ func (fs *FS) ReadFile(path string) ([]byte, error) {
 // Exists reports whether path exists.
 func (fs *FS) Exists(path string) bool {
 	fs.sync()
-	_, ok := fs.files[path]
+	_, ok := fs.find(path)
 	return ok
 }
 
 // Size returns the size of path, or an error if absent.
 func (fs *FS) Size(path string) (int64, error) {
 	fs.sync()
-	meta, ok := fs.files[path]
+	i, ok := fs.find(path)
 	if !ok {
 		return 0, fmt.Errorf("fs: %q: no such file", path)
 	}
-	return meta.size, nil
+	return fs.files[i].size, nil
 }
 
 // Unlink removes path. Sector space is reclaimed only by snapshot restore
 // (bump allocation), like a log-structured scratch disk.
 func (fs *FS) Unlink(path string) error {
 	fs.sync()
-	if _, ok := fs.files[path]; !ok {
+	i, ok := fs.find(path)
+	if !ok {
 		return fmt.Errorf("fs: %q: no such file", path)
 	}
-	delete(fs.files, path)
+	fs.encValid = false
+	fs.files = slices.Delete(fs.files, i, i+1)
 	return nil
 }
 
@@ -138,40 +165,60 @@ func (fs *FS) Unlink(path string) error {
 func (fs *FS) List() []string {
 	fs.sync()
 	out := make([]string, 0, len(fs.files))
-	for p := range fs.files {
-		out = append(out, p)
+	for i := range fs.files {
+		out = append(out, fs.files[i].path)
 	}
-	sort.Strings(out)
 	return out
 }
 
 // marshal appends the FS metadata to w.
 func (fs *FS) marshal(w *StateWriter) {
-	w.U64(fs.nextSector)
-	w.U32(uint32(len(fs.files)))
-	for _, path := range SortedKeys(fs.files) {
-		meta := fs.files[path]
-		w.String(path)
-		w.I64(meta.size)
-		w.U32(uint32(len(meta.sectors)))
-		for _, sn := range meta.sectors {
-			w.U64(sn)
+	if !fs.encValid {
+		e := StateWriter{buf: fs.enc[:0]}
+		e.U64(fs.nextSector)
+		e.U32(uint32(len(fs.files)))
+		for i := range fs.files {
+			f := &fs.files[i]
+			e.String(f.path)
+			e.I64(f.size)
+			e.U32(uint32(len(f.sectors)))
+			for _, sn := range f.sectors {
+				e.U64(sn)
+			}
 		}
+		fs.enc, fs.encValid = e.buf, true
 	}
+	w.buf = append(w.buf, fs.enc...)
 }
 
-// unmarshal restores the FS metadata from r.
+// unmarshal restores the FS metadata from r. The encoding delimits itself,
+// so when the stream continues with enc it continues with exactly the
+// metadata the FS already holds, and there is nothing to decode.
 func (fs *FS) unmarshal(r *StateReader) {
+	if fs.encValid && bytes.HasPrefix(r.buf[r.off:], fs.enc) {
+		r.off += len(fs.enc)
+		return
+	}
+	fs.encValid = false
+	start := r.off
 	fs.nextSector = r.U64()
-	n := int(r.U32())
-	fs.files = make(map[string]*fileMeta, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		path := r.String()
-		meta := &fileMeta{size: r.I64()}
-		ns := int(r.U32())
-		for j := 0; j < ns && r.Err() == nil; j++ {
-			meta.sectors = append(meta.sectors, r.U64())
+	n := r.Count(4 + 8 + 4)
+	fs.files = slices.Grow(fs.files[:0], n)[:n]
+	for i := 0; i < n && r.err == nil; i++ {
+		f := &fs.files[i]
+		if path := r.view32(); f.path != string(path) {
+			f.path = string(path)
 		}
-		fs.files[path] = meta
+		if i > 0 && f.path <= fs.files[i-1].path {
+			r.fail("statebuf: file %q listed after %q", f.path, fs.files[i-1].path)
+		}
+		f.size = r.I64()
+		f.sectors = f.sectors[:0]
+		for j, ns := 0, r.Count(8); j < ns; j++ {
+			f.sectors = append(f.sectors, r.U64())
+		}
+	}
+	if r.err == nil {
+		fs.enc, fs.encValid = append(fs.enc[:0], r.buf[start:r.off]...), true
 	}
 }

@@ -1,0 +1,78 @@
+package guest_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
+	"testing"
+
+	"repro/internal/guest"
+	"repro/internal/targets"
+	"repro/internal/vm"
+)
+
+// decoders boots stateTargets and returns their kernels with the image each one booted into.
+func decoders(tb testing.TB) (ks []*guest.Kernel, boot [][]byte) {
+	tb.Helper()
+	for _, target := range stateTargets {
+		inst, err := targets.Launch(target, targets.LaunchConfig{VM: &vm.Config{MemoryPages: 256, DiskSectors: 4096}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ks = append(ks, inst.K)
+		boot = append(boot, bytes.Clone(inst.K.EncodeImage()))
+	}
+	return ks, boot
+}
+
+// FuzzStateDecode feeds arbitrary bytes to the state decoder of each of the
+// four kernels, the way a restore would after something scribbled over guest
+// memory. A decode either fails through the reader's error or yields a
+// state that encodes back to the same bytes; it never panics, and a count
+// field never sizes an allocation the image could not fill (the fuzzing
+// engine's memory limit is what notices). The kernels are reused across
+// inputs, so every decode also starts from whatever the last one, failed or
+// not, left behind.
+func FuzzStateDecode(f *testing.F) {
+	ks, boot := decoders(f)
+	for _, img := range boot {
+		f.Add(img)
+		f.Add(img[:len(img)/2])
+	}
+	f.Fuzz(func(t *testing.T, image []byte) {
+		for _, k := range ks {
+			if err := k.DecodeImage(bytes.Clone(image)); err != nil {
+				continue
+			}
+			if got := k.EncodeImage(); !bytes.Equal(got, image) {
+				t.Fatalf("%s: a %d-byte image decoded and re-encoded to %d different bytes", k.Target.Name(), len(image), len(got))
+			}
+		}
+	})
+}
+
+// TestStateDecodeBoundsCounts overwrites every byte offset of each boot
+// image with a count of four billion and decodes the result. Whichever
+// field the offset falls in, the decode may fail or succeed, but all of them
+// together must allocate less than one honest count of that size would.
+func TestStateDecodeBoundsCounts(t *testing.T) {
+	ks, boot := decoders(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, k := range ks {
+		for off := 0; off+4 <= len(boot[i]); off++ {
+			img := bytes.Clone(boot[i])
+			binary.LittleEndian.PutUint32(img[off:], 0xf0000000)
+			if err := k.DecodeImage(img); err == nil && !bytes.Equal(k.EncodeImage(), img) {
+				t.Fatalf("%s: image with offset %d overwritten decodes but does not re-encode to itself", k.Target.Name(), off)
+			}
+		}
+		if err := k.DecodeImage(boot[i]); err != nil {
+			t.Fatalf("%s: boot image no longer decodes after the corrupt ones: %v", k.Target.Name(), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+		t.Fatalf("decoding corrupt images allocated %d MiB", got>>20)
+	}
+}

@@ -50,22 +50,13 @@ func (t *echoTarget) OnDisconnect(env *Env, c *Conn) { env.Cov(3) }
 func (t *echoTarget) SaveState(w *StateWriter) {
 	t.Saves++
 	w.String(t.Greeting)
-	w.U32(uint32(len(t.Counts)))
-	for _, id := range SortedIntKeys(t.Counts) {
-		w.Int(id)
-		w.Int(t.Counts[id])
-	}
+	w.IntMap(t.Counts)
 }
 
 func (t *echoTarget) LoadState(r *StateReader) {
 	t.Loads++
 	t.Greeting = r.String()
-	n := int(r.U32())
-	t.Counts = make(map[int]int, n)
-	for i := 0; i < n; i++ {
-		id := r.Int()
-		t.Counts[id] = r.Int()
-	}
+	t.Counts = r.IntMap(t.Counts)
 }
 
 func bootEcho(t *testing.T) (*vm.Machine, *Kernel, *echoTarget) {

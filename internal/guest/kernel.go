@@ -27,11 +27,25 @@
 // Code that mutates kernel or target state outside an event (a netemu custom
 // opcode, a test poking a target) must call MarkDirty first; code that reads
 // guest memory directly must do so after a VM exit.
+//
+// One restore, hydrate, events, flush cycle runs per test case, so the two
+// conversions reuse what the last cycle left: hydrate refills the kernel's
+// tables, their objects and the objects' fd, watch and sent lists in place,
+// decoded responses point into the kernel's copy of the image, flush encodes
+// into a kept buffer, and the filesystem skips both directions while its
+// metadata is unchanged (see FS). The price is a lifetime rule: a *Conn,
+// *Process or *OpenDesc, and a Conn.Sent slice or any response in it, is
+// valid until the next snapshot restore. After one the same object may be a
+// different connection; hold the id and ask Kernel.Conn again. The image
+// format is untouched by any of this, and a kernel that has run a million
+// test cases writes the same bytes for a state as one that has just booted.
 package guest
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/vm"
 )
@@ -70,18 +84,24 @@ const (
 type OpenDesc struct {
 	ID     int
 	Kind   FDKind
-	ConnID int          // for FDConn
-	Path   string       // for FDFile
-	Watch  map[int]bool // for FDEpoll: set of desc IDs
+	ConnID int    // for FDConn
+	Path   string // for FDFile
+	Watch  []int  // for FDEpoll: the watched desc IDs, ascending
 	Refs   int
 }
 
-// Process is a guest process: a pid and an fd table mapping fd numbers to
-// open description IDs.
+// FD is one entry of a process's fd table: an fd number and the ID of the
+// open description behind it.
+type FD struct {
+	Num  int
+	Desc int
+}
+
+// Process is a guest process: a pid and an fd table in ascending fd order.
 type Process struct {
 	PID    int
 	Parent int
-	FDs    map[int]int
+	FDs    []FD
 	nextFD int
 }
 
@@ -92,7 +112,9 @@ type Conn struct {
 	DescID int
 	Closed bool
 	// Sent collects the target's responses during the current test case
-	// (cleared by snapshot restores along with everything else).
+	// (rolled back by snapshot restores along with everything else). After
+	// a restore the responses it holds point into the kernel's copy of the
+	// image: like the Conn itself they are valid until the next restore.
 	Sent [][]byte
 }
 
@@ -101,6 +123,7 @@ type Kernel struct {
 	M      *vm.Machine
 	FS     *FS
 	Target Target
+	ports  []Port // Target.Ports() at boot: the attack surface does not change
 
 	// Asan enables AddressSanitizer-like instant detection of memory
 	// corruption; without it corruption accumulates silently (see
@@ -111,9 +134,16 @@ type Kernel struct {
 	// raises an OOM crash. Zero means unlimited.
 	AllocLimit int64
 
-	procs    map[int]*Process
-	descs    map[int]*OpenDesc
-	conns    map[int]*Conn
+	// The tables hold their objects in ascending id order: the order ids
+	// are handed out in and the order the image lists them in, so neither
+	// creating an object nor encoding a table sorts anything. A restore to
+	// a shorter table leaves the surplus objects in the slice's spare
+	// capacity, and the next object created or decoded there reuses one
+	// (see extend) — which is why a pointer into a table is good only
+	// until the next restore.
+	procs    []*Process
+	descs    []*OpenDesc
+	conns    []*Conn
 	nextPID  int
 	nextDesc int
 	nextConn int
@@ -137,8 +167,10 @@ type Kernel struct {
 	// at the next VM exit (see flush and the package comment).
 	dirty bool
 
-	// enc, dec, and decBuf are scratch buffers recycled across the
-	// serialize-at-VM-exit and decode-after-restore paths.
+	// enc and dec are the codec's scratch, recycled across the
+	// serialize-at-VM-exit and decode-after-restore paths. decBuf is the
+	// kernel's copy of the image it last hydrated from, which the decoded
+	// Conn.Sent responses point into until the next hydrate replaces it.
 	enc    StateWriter
 	dec    StateReader
 	decBuf []byte
@@ -154,9 +186,7 @@ func NewKernel(m *vm.Machine, target Target) (*Kernel, error) {
 		M:        m,
 		FS:       NewFS(m.Disk),
 		Target:   target,
-		procs:    make(map[int]*Process),
-		descs:    make(map[int]*OpenDesc),
-		conns:    make(map[int]*Conn),
+		ports:    target.Ports(),
 		nextPID:  1,
 		nextDesc: 1,
 		nextConn: 1,
@@ -223,21 +253,63 @@ func (k *Kernel) flush() {
 	k.syncToMemory()
 }
 
+// extend lengthens the table s by one and returns the object now last in it:
+// the one a longer table left there before a restore cut it back, or a new
+// one. The caller overwrites every field, keeping only the containers.
+func extend[T any](s []*T) ([]*T, *T) {
+	if len(s) < cap(s) {
+		s = s[:len(s)+1]
+	} else {
+		s = append(s, nil)
+	}
+	if s[len(s)-1] == nil {
+		s[len(s)-1] = new(T)
+	}
+	return s, s[len(s)-1]
+}
+
+// find returns the position of the object with the given id in the table s,
+// which key orders, and whether it is there.
+func find[T any](s []*T, id int, key func(*T) int) (int, bool) {
+	return slices.BinarySearchFunc(s, id, func(o *T, id int) int { return cmp.Compare(key(o), id) })
+}
+
+// lookup returns the object with the given id in the table s, or nil.
+func lookup[T any](s []*T, id int, key func(*T) int) *T {
+	if i, ok := find(s, id, key); ok {
+		return s[i]
+	}
+	return nil
+}
+
+func pidOf(p *Process) int   { return p.PID }
+func descID(d *OpenDesc) int { return d.ID }
+func connID(c *Conn) int     { return c.ID }
+
 func (k *Kernel) newProcess(parent int) *Process {
-	p := &Process{PID: k.nextPID, Parent: parent, FDs: make(map[int]int), nextFD: 3}
+	var p *Process
+	k.procs, p = extend(k.procs)
+	*p = Process{PID: k.nextPID, Parent: parent, FDs: p.FDs[:0], nextFD: 3}
 	k.nextPID++
-	k.procs[p.PID] = p
 	return p
 }
 
+func (k *Kernel) newDesc(kind FDKind, conn int) *OpenDesc {
+	var d *OpenDesc
+	k.descs, d = extend(k.descs)
+	*d = OpenDesc{ID: k.nextDesc, Kind: kind, ConnID: conn, Watch: d.Watch[:0]}
+	k.nextDesc++
+	return d
+}
+
 // InitProcess returns the first process (pid 1).
-func (k *Kernel) InitProcess() *Process { k.hydrate(); return k.procs[1] }
+func (k *Kernel) InitProcess() *Process { k.hydrate(); return lookup(k.procs, 1, pidOf) }
 
 // Processes returns the number of live processes.
 func (k *Kernel) Processes() int { k.hydrate(); return len(k.procs) }
 
 // Conn returns the connection with the given ID, or nil.
-func (k *Kernel) Conn(id int) *Conn { k.hydrate(); return k.conns[id] }
+func (k *Kernel) Conn(id int) *Conn { k.hydrate(); return lookup(k.conns, id, connID) }
 
 // Corruption returns the accumulated undetected memory corruption count.
 func (k *Kernel) Corruption() int { k.hydrate(); return k.corruption }
@@ -246,20 +318,25 @@ func (k *Kernel) Corruption() int { k.hydrate(); return k.corruption }
 func (k *Kernel) installFD(p *Process, desc *OpenDesc) int {
 	fd := p.nextFD
 	p.nextFD++
-	p.FDs[fd] = desc.ID
+	p.FDs = append(p.FDs, FD{Num: fd, Desc: desc.ID}) // nextFD only grows: still ascending
 	desc.Refs++
 	return fd
 }
 
+// fdIndex returns the position of fd in p's table and whether it is open.
+func (p *Process) fdIndex(fd int) (int, bool) {
+	return slices.BinarySearchFunc(p.FDs, fd, func(e FD, fd int) int { return cmp.Compare(e.Num, fd) })
+}
+
 // desc resolves an fd in process p.
 func (k *Kernel) desc(p *Process, fd int) (*OpenDesc, error) {
-	id, ok := p.FDs[fd]
+	i, ok := p.fdIndex(fd)
 	if !ok {
 		return nil, fmt.Errorf("guest: pid %d: bad fd %d", p.PID, fd)
 	}
-	d, ok := k.descs[id]
-	if !ok {
-		return nil, fmt.Errorf("guest: pid %d: fd %d references dead desc %d", p.PID, fd, id)
+	d := lookup(k.descs, p.FDs[i].Desc, descID)
+	if d == nil {
+		return nil, fmt.Errorf("guest: pid %d: fd %d references dead desc %d", p.PID, fd, p.FDs[i].Desc)
 	}
 	return d, nil
 }
@@ -275,13 +352,11 @@ func (k *Kernel) NewConnection(port Port) (*Conn, int, error) {
 	}
 	k.dirty = true
 	k.M.Clock.Advance(k.M.Cost.Syscall * 3) // socket+accept+fcntl, all hooked
-	c := &Conn{ID: k.nextConn, Port: port}
+	var c *Conn
+	k.conns, c = extend(k.conns)
+	d := k.newDesc(FDConn, k.nextConn)
+	*c = Conn{ID: k.nextConn, Port: port, DescID: d.ID, Sent: c.Sent[:0]}
 	k.nextConn++
-	d := &OpenDesc{ID: k.nextDesc, Kind: FDConn, ConnID: c.ID}
-	k.nextDesc++
-	k.descs[d.ID] = d
-	c.DescID = d.ID
-	k.conns[c.ID] = c
 	p := k.InitProcess()
 	fd := k.installFD(p, d)
 	k.env.proc = p
@@ -289,14 +364,7 @@ func (k *Kernel) NewConnection(port Port) (*Conn, int, error) {
 	return c, fd, nil
 }
 
-func (k *Kernel) portServed(port Port) bool {
-	for _, p := range k.Target.Ports() {
-		if p == port {
-			return true
-		}
-	}
-	return false
-}
+func (k *Kernel) portServed(port Port) bool { return slices.Contains(k.ports, port) }
 
 // Deliver hands one packet on conn c to the target, as if a hooked recv()
 // returned it. Packet boundaries are preserved exactly (§3.3). The returned
@@ -345,12 +413,14 @@ func (k *Kernel) Close(p *Process, fd int) error {
 		return err
 	}
 	k.M.Clock.Advance(k.M.Cost.Syscall)
-	delete(p.FDs, fd)
+	i, _ := p.fdIndex(fd)
+	p.FDs = slices.Delete(p.FDs, i, i+1)
 	d.Refs--
 	if d.Refs <= 0 {
-		delete(k.descs, d.ID)
+		i, _ := find(k.descs, d.ID, descID)
+		k.descs = slices.Delete(k.descs, i, i+1)
 		if d.Kind == FDConn {
-			if c := k.conns[d.ConnID]; c != nil {
+			if c := lookup(k.conns, d.ConnID, connID); c != nil {
 				c.Closed = true
 			}
 		}
@@ -365,9 +435,9 @@ func (k *Kernel) Fork(p *Process) *Process {
 	k.hydrate()
 	k.M.Clock.Advance(k.M.Cost.Fork)
 	child := k.newProcess(p.PID)
-	for fd, descID := range p.FDs {
-		child.FDs[fd] = descID
-		if d := k.descs[descID]; d != nil {
+	child.FDs = append(child.FDs, p.FDs...)
+	for _, e := range p.FDs {
+		if d := lookup(k.descs, e.Desc, descID); d != nil {
 			d.Refs++
 		}
 	}
@@ -378,20 +448,19 @@ func (k *Kernel) Fork(p *Process) *Process {
 // Exit terminates process p, closing its fds.
 func (k *Kernel) Exit(p *Process) {
 	k.hydrate()
-	for fd := range p.FDs {
-		k.Close(p, fd) //nolint:errcheck // fds are valid by construction
+	for i := len(p.FDs) - 1; i >= 0; i-- { // Close removes the entry at i and moves none before it
+		k.Close(p, p.FDs[i].Num) //nolint:errcheck // fds are valid by construction
 	}
-	delete(k.procs, p.PID)
+	if i, ok := find(k.procs, p.PID, pidOf); ok {
+		k.procs = slices.Delete(k.procs, i, i+1)
+	}
 }
 
 // EpollCreate makes an epoll instance in p.
 func (k *Kernel) EpollCreate(p *Process) int {
 	k.hydrate()
 	k.M.Clock.Advance(k.M.Cost.Syscall)
-	d := &OpenDesc{ID: k.nextDesc, Kind: FDEpoll, Watch: make(map[int]bool)}
-	k.nextDesc++
-	k.descs[d.ID] = d
-	return k.installFD(p, d)
+	return k.installFD(p, k.newDesc(FDEpoll, 0))
 }
 
 // EpollAdd registers fd with the epoll instance epfd.
@@ -409,7 +478,9 @@ func (k *Kernel) EpollAdd(p *Process, epfd, fd int) error {
 		return err
 	}
 	k.M.Clock.Advance(k.M.Cost.Syscall)
-	ep.Watch[target.ID] = true
+	if i, ok := slices.BinarySearch(ep.Watch, target.ID); !ok {
+		ep.Watch = slices.Insert(ep.Watch, i, target.ID)
+	}
 	return nil
 }
 
@@ -427,7 +498,8 @@ func (k *Kernel) EpollReady(p *Process, epfd int, conn *Conn) (bool, error) {
 		return false, fmt.Errorf("guest: fd %d is not an epoll instance", epfd)
 	}
 	k.M.Clock.Advance(k.M.Cost.EmulatedPoll)
-	return ep.Watch[conn.DescID], nil
+	_, watched := slices.BinarySearch(ep.Watch, conn.DescID)
+	return watched, nil
 }
 
 // AliasCount returns how many fds across all processes reference conn — the
@@ -436,8 +508,8 @@ func (k *Kernel) AliasCount(conn *Conn) int {
 	k.hydrate()
 	n := 0
 	for _, p := range k.procs {
-		for _, descID := range p.FDs {
-			if descID == conn.DescID {
+		for _, e := range p.FDs {
+			if e.Desc == conn.DescID {
 				n++
 			}
 		}
@@ -475,7 +547,8 @@ func (k *Kernel) syncToMemory() {
 	n := len(k.enc.buf) - 4
 	binary.LittleEndian.PutUint32(k.enc.buf, uint32(n))
 	if prev > n {
-		k.enc.buf = append(k.enc.buf, make([]byte, prev-n)...)
+		k.enc.buf = slices.Grow(k.enc.buf, prev-n)[:4+prev]
+		clear(k.enc.buf[4+n:])
 	}
 	if _, err := k.M.Mem.WriteAt(k.enc.buf, k.heapBase); err != nil {
 		panic(fmt.Sprintf("guest: state write (%d bytes): %v — enlarge VM memory", n, err))
@@ -484,8 +557,8 @@ func (k *Kernel) syncToMemory() {
 
 // syncFromMemory re-reads kernel + target state from guest memory. Called
 // via hydrate after a snapshot restore marked the struct state stale. The
-// decode scratch (decBuf, dec) is recycled across calls; everything the
-// decoded state retains is copied out of it by the StateReader.
+// image is copied into decBuf, which the decoded Conn.Sent slices go on
+// pointing into until the next call overwrites it.
 func (k *Kernel) syncFromMemory() {
 	var hdr [4]byte
 	if _, err := k.M.Mem.ReadAt(hdr[:], k.heapBase); err != nil {
@@ -499,11 +572,21 @@ func (k *Kernel) syncFromMemory() {
 	if _, err := k.M.Mem.ReadAt(body, k.heapBase+4); err != nil {
 		panic(fmt.Sprintf("guest: state read: %v", err))
 	}
-	k.dec.Reset(body)
-	k.unmarshal(&k.dec)
-	if err := k.dec.Err(); err != nil {
+	if err := k.decode(body); err != nil {
 		panic(fmt.Sprintf("guest: state decode: %v", err))
 	}
+}
+
+// decode replaces the struct form with the state image encodes. After an
+// error the struct form is a mix of both and unusable until a decode
+// succeeds.
+func (k *Kernel) decode(image []byte) error {
+	k.dec.Reset(image)
+	k.unmarshal(&k.dec)
+	if k.dec.err == nil && k.dec.off != len(image) {
+		k.dec.fail("statebuf: %d bytes after the end of the state", len(image)-k.dec.off)
+	}
+	return k.dec.err
 }
 
 func (k *Kernel) marshal(w *StateWriter) {
@@ -514,33 +597,29 @@ func (k *Kernel) marshal(w *StateWriter) {
 	w.I64(k.allocated)
 
 	w.U32(uint32(len(k.descs)))
-	for _, id := range SortedIntKeys(k.descs) {
-		d := k.descs[id]
+	for _, d := range k.descs {
 		w.Int(d.ID)
 		w.U8(uint8(d.Kind))
 		w.Int(d.ConnID)
 		w.String(d.Path)
 		w.Int(d.Refs)
-		w.IntSlice(SortedIntKeys(d.Watch))
+		w.IntSlice(d.Watch)
 	}
 
 	w.U32(uint32(len(k.procs)))
-	for _, pid := range SortedIntKeys(k.procs) {
-		p := k.procs[pid]
+	for _, p := range k.procs {
 		w.Int(p.PID)
 		w.Int(p.Parent)
 		w.Int(p.nextFD)
-		fds := SortedIntKeys(p.FDs)
-		w.U32(uint32(len(fds)))
-		for _, fd := range fds {
-			w.Int(fd)
-			w.Int(p.FDs[fd])
+		w.U32(uint32(len(p.FDs)))
+		for _, e := range p.FDs {
+			w.Int(e.Num)
+			w.Int(e.Desc)
 		}
 	}
 
 	w.U32(uint32(len(k.conns)))
-	for _, id := range SortedIntKeys(k.conns) {
-		c := k.conns[id]
+	for _, c := range k.conns {
 		w.Int(c.ID)
 		w.String(string(c.Port.Proto))
 		w.Int(c.Port.Num)
@@ -556,6 +635,19 @@ func (k *Kernel) marshal(w *StateWriter) {
 	k.Target.SaveState(w)
 }
 
+// Smallest encodings of one table entry, for StateReader.Count.
+const (
+	descBytes = 8 + 1 + 8 + 4 + 8 + 4
+	procBytes = 8 + 8 + 8 + 4
+	fdBytes   = 8 + 8
+	connBytes = 8 + 4 + 8 + 8 + 1 + 4
+)
+
+// unmarshal refills the tables in place (see extend): the objects, their
+// FDs, Watch and Sent containers and the target's own maps are the ones the
+// state before the restore used, emptied. Ids must ascend below the id
+// counter, as they do in every image marshal writes; that is what find
+// relies on, and it makes marshal the inverse of a decode that succeeds.
 func (k *Kernel) unmarshal(r *StateReader) {
 	k.nextPID = r.Int()
 	k.nextDesc = r.Int()
@@ -563,45 +655,66 @@ func (k *Kernel) unmarshal(r *StateReader) {
 	k.corruption = r.Int()
 	k.allocated = r.I64()
 
-	nd := int(r.U32())
-	k.descs = make(map[int]*OpenDesc, nd)
-	for i := 0; i < nd && r.Err() == nil; i++ {
-		d := &OpenDesc{ID: r.Int(), Kind: FDKind(r.U8()), ConnID: r.Int(), Path: r.String(), Refs: r.Int()}
-		d.Watch = make(map[int]bool)
-		for _, id := range r.IntSlice() {
-			d.Watch[id] = true
+	k.descs = k.descs[:0]
+	for i, prev, n := 0, 0, r.Count(descBytes); i < n && r.err == nil; i++ {
+		var d *OpenDesc
+		k.descs, d = extend(k.descs)
+		*d = OpenDesc{ID: r.id(prev, k.nextDesc), Kind: FDKind(r.U8()), ConnID: r.Int(), Path: r.String(), Refs: r.Int(), Watch: r.appendInts(d.Watch[:0])}
+		for j := 1; j < len(d.Watch); j++ {
+			if d.Watch[j] <= d.Watch[j-1] {
+				r.fail("statebuf: desc %d: watch list not ascending", d.ID)
+			}
 		}
-		k.descs[d.ID] = d
+		prev = d.ID
 	}
 
-	np := int(r.U32())
-	k.procs = make(map[int]*Process, np)
-	for i := 0; i < np && r.Err() == nil; i++ {
-		p := &Process{PID: r.Int(), Parent: r.Int(), nextFD: r.Int(), FDs: make(map[int]int)}
-		nf := int(r.U32())
-		for j := 0; j < nf && r.Err() == nil; j++ {
-			fd := r.Int()
-			p.FDs[fd] = r.Int()
+	k.procs = k.procs[:0]
+	for i, prev, n := 0, 0, r.Count(procBytes); i < n && r.err == nil; i++ {
+		var p *Process
+		k.procs, p = extend(k.procs)
+		*p = Process{PID: r.id(prev, k.nextPID), Parent: r.Int(), nextFD: r.Int(), FDs: p.FDs[:0]}
+		for j, fd, nf := 0, -1, r.Count(fdBytes); j < nf; j++ {
+			fd = r.id(fd, p.nextFD)
+			p.FDs = append(p.FDs, FD{Num: fd, Desc: r.Int()})
 		}
-		k.procs[p.PID] = p
+		prev = p.PID
 	}
 
-	nc := int(r.U32())
-	k.conns = make(map[int]*Conn, nc)
-	for i := 0; i < nc && r.Err() == nil; i++ {
-		c := &Conn{ID: r.Int(), Port: Port{}, DescID: 0}
-		c.Port.Proto = Proto(r.String())
-		c.Port.Num = r.Int()
-		c.DescID = r.Int()
-		c.Closed = r.Bool()
-		ns := int(r.U32())
-		for j := 0; j < ns && r.Err() == nil; j++ {
-			c.Sent = append(c.Sent, r.Bytes32())
+	k.conns = k.conns[:0]
+	for i, prev, n := 0, 0, r.Count(connBytes); i < n && r.err == nil; i++ {
+		var c *Conn
+		k.conns, c = extend(k.conns)
+		*c = Conn{ID: r.id(prev, k.nextConn), Port: Port{Proto: internProto(r.view32()), Num: r.Int()}, DescID: r.Int(), Closed: r.Bool(), Sent: c.Sent[:0]}
+		for j, ns := 0, r.Count(4); j < ns && r.err == nil; j++ {
+			c.Sent = append(c.Sent, r.view32())
 		}
-		k.conns[c.ID] = c
+		prev = c.ID
 	}
 
+	if r.err != nil {
+		return
+	}
 	k.FS.unmarshal(r)
 	k.Target.LoadState(r)
-	k.env.proc = k.procs[1]
+	k.env.proc = lookup(k.procs, 1, pidOf)
+}
+
+// id reads an object id, which must lie above prev and below next.
+func (r *StateReader) id(prev, next int) int {
+	id := r.Int()
+	if id <= prev || id >= next {
+		r.fail("statebuf: id %d outside (%d, %d)", id, prev, next)
+	}
+	return id
+}
+
+// internProto returns the Proto b spells, without allocating for the
+// protocols the package defines.
+func internProto(b []byte) Proto {
+	for _, p := range [...]Proto{TCP, UDP, Unix} {
+		if string(b) == string(p) {
+			return p
+		}
+	}
+	return Proto(b)
 }

@@ -1,0 +1,381 @@
+package guest_test
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/guest"
+	"repro/internal/spec"
+	"repro/internal/vm"
+)
+
+// stateTargets are the targets the state round-trip tests run on, the four
+// TestFlushPerExitMatchesFlushPerEvent uses.
+var stateTargets = []string{"tinydtls", "dnsmasq", "bftpd", "exim"}
+
+// image returns the state image in v's guest memory.
+func (v *coherentVM) image(t *testing.T) []byte {
+	t.Helper()
+	img := make([]byte, v.blobLen(t))
+	if _, err := v.M.Mem.ReadAt(img, stateHeap+4); err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// fsView renders what the filesystem API reports: every path and its size.
+func fsView(k *guest.Kernel) string {
+	var b bytes.Buffer
+	for _, p := range k.FS.List() {
+		n, err := k.FS.Size(p)
+		fmt.Fprintf(&b, "%s %d %v\n", p, n, err)
+	}
+	return b.String()
+}
+
+// syscalls drives the kernel surface no seed input reaches, outside an
+// event: connections of its own with traffic on them, an epoll instance
+// watching them, dups, a fork (and every other round its exit), and files
+// written and appended to. scale sets how much of each; round varies the
+// paths and sizes.
+func (v *coherentVM) syscalls(t *testing.T, round, scale int) {
+	t.Helper()
+	k := v.K
+	k.MarkDirty()
+	p := k.InitProcess()
+	epfd := k.EpollCreate(p)
+	for i := 0; i < scale; i++ {
+		c, fd, err := k.NewConnection(v.Info.Port)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.deliver(t, c, v.Seeds()[0].Ops[1].Data)
+		if err := k.EpollAdd(p, epfd, fd); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.Dup(p, fd); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			if err := k.Close(p, fd); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if child := k.Fork(p); round%2 == 0 {
+		k.Exit(child)
+	}
+	for i := 0; i < scale; i++ {
+		path := fmt.Sprintf("/tmp/w%d", (round+i)%5)
+		if err := k.FS.WriteFile(path, bytes.Repeat([]byte{byte(round)}, (round*137+i*911)%1500)); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.FS.AppendFile("/a/log", []byte(path)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// fsMutators are the filesystem's mutators one at a time, so that each runs
+// with the encoding of the metadata cached and has to invalidate it itself.
+// The last is a write the 2 MiB disk cannot hold.
+var fsMutators = []func(fs *guest.FS, path string) error{
+	func(fs *guest.FS, path string) error { return fs.WriteFile(path, []byte("rewritten")) },
+	func(fs *guest.FS, path string) error { return fs.AppendFile(path, []byte("appended")) },
+	func(fs *guest.FS, path string) error { return fs.Unlink(path) },
+	func(fs *guest.FS, path string) error {
+		if fs.WriteFile(path, make([]byte, 4<<20)) == nil {
+			return fmt.Errorf("a 4 MiB file fit the disk")
+		}
+		return nil
+	},
+}
+
+// deliver hands c one packet; a target crash ends the packet, not the test.
+func (v *coherentVM) deliver(t *testing.T, c *guest.Conn, data []byte) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(*guest.CrashError); !ok {
+				panic(r)
+			}
+		}
+	}()
+	if err := v.K.Deliver(c, data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// warmUp leaves in v's kernel everything a long campaign can: tables, fd
+// lists, watch lists, sent lists and file lists longer than any the checked
+// sequence builds, hydrated from slots and from the root a few hundred
+// times, and last a decode that failed half-way through the filesystem
+// section of the largest of those states.
+func (v *coherentVM) warmUp(t *testing.T) {
+	t.Helper()
+	mut := spec.NewMutator(v.Spec, rand.New(rand.NewSource(5)))
+	seeds := v.Seeds()
+	var largest []byte
+	for round := 0; round < 300; round++ {
+		if round%4 == 0 || !v.M.Mem.HasSlot(2) {
+			if err := v.M.RestoreRoot(); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := v.M.RestoreIncrementalSlot(2); err != nil {
+			t.Fatal(err)
+		}
+		v.conns = v.conns[:0]
+		v.run(t, mut.Mutate(seeds[round%len(seeds)]).Ops)
+		v.syscalls(t, round, 2+round%7)
+		v.vmExit(t)
+		if img := v.image(t); len(img) > len(largest) {
+			largest = img
+		}
+		if round%4 == 0 {
+			if err := v.M.TakeIncrementalSlot(2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	v.M.DropSlot(2)
+	if err := v.M.RestoreRoot(); err != nil {
+		t.Fatal(err)
+	}
+	cut := bytes.LastIndex(largest, []byte("/tmp/w"))
+	if cut < 0 {
+		t.Fatal("no /tmp/w file in the largest warm-up image")
+	}
+	if err := v.K.DecodeImage(largest[:cut+3]); err == nil {
+		t.Fatal("truncated image decoded")
+	}
+	if err := v.M.RestoreRoot(); err != nil { // marks the struct form stale again
+		t.Fatal(err)
+	}
+}
+
+// TestWarmKernelMatchesFreshKernel is the reuse half of the coherence
+// contract: hydrate and flush recycle the kernel's objects, containers and
+// the filesystem's cached encoding, and none of that may show. A freshly
+// booted VM and one that went through warmUp run the same seeded sequence
+// of events, syscalls, snapshots and restores, and at every VM exit both
+// must hold byte-identical memory and the same dirty-page count. A third
+// kernel, which shares no history with either, decodes the warm VM's image
+// at every exit: it must re-encode to the same bytes and report the same
+// filesystem as the warm kernel's struct form does, which is what catches a
+// cached encoding that a mutator (or a failed decode) did not invalidate.
+func TestWarmKernelMatchesFreshKernel(t *testing.T) {
+	for _, target := range stateTargets {
+		t.Run(target, func(t *testing.T) {
+			fresh, warm, probe := launchCoherent(t, target, false), launchCoherent(t, target, false), launchCoherent(t, target, false)
+			warm.warmUp(t)
+			both := []*coherentVM{fresh, warm}
+			same := func(when string) {
+				t.Helper()
+				fresh.vmExit(t)
+				warm.vmExit(t)
+				if !bytes.Equal(fresh.memory(t), warm.memory(t)) {
+					t.Fatalf("%s: guest memory differs (blob %d fresh vs %d warm)", when, fresh.blobLen(t), warm.blobLen(t))
+				}
+				if a, b := fresh.M.Mem.DirtyCount(), warm.M.Mem.DirtyCount(); a != b {
+					t.Fatalf("%s: dirty pages %d fresh vs %d warm", when, a, b)
+				}
+				img := warm.image(t)
+				if err := probe.K.DecodeImage(img); err != nil {
+					t.Fatalf("%s: image does not decode: %v", when, err)
+				}
+				if !bytes.Equal(probe.K.EncodeImage(), img) {
+					t.Fatalf("%s: image does not re-encode to itself", when)
+				}
+				if got, want := fsView(warm.K), fsView(probe.K); got != want {
+					t.Fatalf("%s: the kernel's filesystem\n%sis not the one its image holds\n%s", when, got, want)
+				}
+			}
+			mut := spec.NewMutator(fresh.Spec, rand.New(rand.NewSource(29)))
+			seeds := fresh.Seeds()
+			for round := 0; round < 40; round++ {
+				in := mut.Mutate(seeds[round%len(seeds)])
+				if len(in.Ops) < 2 {
+					continue
+				}
+				at := 1 + round%(len(in.Ops)-1)
+				suffix := mut.MutateSuffix(in, at).Ops[at:]
+				for _, v := range both {
+					if err := v.M.RestoreRoot(); err != nil {
+						t.Fatal(err)
+					}
+					v.conns = v.conns[:0]
+				}
+				if n := fresh.run(t, in.Ops[:at]); n != warm.run(t, in.Ops[:at]) {
+					t.Fatalf("round %d: prefixes crashed at different ops", round)
+				} else if n < at {
+					same("crashed prefix")
+					continue
+				}
+				same("prefix")
+				for _, v := range both {
+					v.syscalls(t, round, 1+round%3)
+				}
+				same("syscalls")
+				for i, mutate := range fsMutators {
+					for _, v := range both {
+						v.K.MarkDirty()
+						if err := mutate(v.K.FS, fmt.Sprintf("/tmp/w%d", round%5)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					same(fmt.Sprintf("filesystem mutator %d", i))
+				}
+				nconns := len(fresh.conns)
+				for _, v := range both {
+					if err := v.M.TakeIncrementalSlot(1); err != nil {
+						t.Fatal(err)
+					}
+					v.run(t, in.Ops[at:])
+				}
+				same("root run")
+				for _, v := range both {
+					if err := v.M.RestoreIncrementalSlot(1); err != nil {
+						t.Fatal(err)
+					}
+					v.conns = v.conns[:nconns]
+					v.run(t, suffix)
+					if round%2 == 0 {
+						v.syscalls(t, round+1, 1)
+					}
+				}
+				same("slot run")
+			}
+		})
+	}
+}
+
+var stubGreeting, stubPacket = []byte("220 ready"), []byte("hello")
+
+// stub is a target with no state of its own: every allocation the cycles
+// below make is the kernel's.
+type stub struct{}
+
+func (stub) Name() string                                        { return "stub" }
+func (stub) Ports() []guest.Port                                 { return []guest.Port{{Proto: guest.TCP, Num: 9}} }
+func (stub) Init(env *guest.Env) error                           { return env.FS().WriteFile("/etc/stub.conf", []byte("x")) }
+func (stub) SaveState(*guest.StateWriter)                        {}
+func (stub) LoadState(*guest.StateReader)                        {}
+func (stub) OnConnect(env *guest.Env, c *guest.Conn)             { env.Send(c, stubGreeting) }
+func (stub) OnPacket(env *guest.Env, c *guest.Conn, data []byte) { env.Send(c, data) }
+func (stub) OnDisconnect(*guest.Env, *guest.Conn)                {}
+
+// TestStateSyncSteadyStateAllocs pins the allocation budget of one guest
+// state round trip — slot restore, hydrate, mark dirty, flush at the VM
+// exit — once the kernel has been through it before.
+func TestStateSyncSteadyStateAllocs(t *testing.T) {
+	const slot = 1
+	roundTrip := func(m *vm.Machine, k *guest.Kernel, events func()) func() {
+		return func() {
+			if err := m.RestoreIncrementalSlot(slot); err != nil {
+				t.Fatal(err)
+			}
+			if k.Processes() == 0 { // hydrates
+				t.Fatal("no process")
+			}
+			k.MarkDirty()
+			if events != nil {
+				events()
+			}
+			if err := m.Hypercall(vm.HcExecDone); err != nil { // flushes
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// The kernel's own state: three conns with responses on them, an epoll
+	// instance watching them, a dup, a forked child.
+	m := vm.New(vm.Config{MemoryPages: 64, DiskSectors: 64})
+	k, err := guest.NewKernel(m, stub{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Hypercall(vm.HcReady); err != nil {
+		t.Fatal(err)
+	}
+	p := k.InitProcess()
+	epfd := k.EpollCreate(p)
+	for i := 0; i < 3; i++ {
+		c, fd, err := k.NewConnection(guest.Port{Proto: guest.TCP, Num: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Deliver(c, stubPacket); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.EpollAdd(p, epfd, fd); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.Dup(p, fd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k.Fork(p)
+	if err := m.TakeIncrementalSlot(slot); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, roundTrip(m, k, nil)); n != 0 {
+		t.Errorf("stub target: a state round trip allocates %v objects, want 0", n)
+	}
+	// With a connection opened, used and closed in it, the round trip makes
+	// what the events make: Env.Send's copy of each of the two responses.
+	// The Conn, its description and its fd reuse what the last round left.
+	session := func() {
+		c, _, err := k.NewConnection(guest.Port{Proto: guest.TCP, Num: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Deliver(c, stubPacket); err != nil {
+			t.Fatal(err)
+		}
+		k.CloseConn(c)
+	}
+	if n := testing.AllocsPerRun(100, roundTrip(m, k, session)); n > 2 {
+		t.Errorf("stub target: a state round trip with a session in it allocates %v objects, want at most the 2 responses", n)
+	}
+
+	// bftpd after a whole seed session, file upload included, and with the
+	// connection still open: the decode allocates the one string the
+	// target's maps hold (the session's working directory).
+	v := launchCoherent(t, "bftpd", false)
+	ops := v.Seeds()[1].Ops
+	if n := v.run(t, ops[:len(ops)-1]); n != len(ops)-1 {
+		t.Fatalf("seed session crashed at op %d", n)
+	}
+	if err := v.M.TakeIncrementalSlot(slot); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, roundTrip(v.M, v.K, nil)); n > 1 {
+		t.Errorf("bftpd: a state round trip allocates %v objects, want at most 1 (the working-directory string)", n)
+	}
+}
+
+// TestHeldPointersSurviveUntilRestore is the lifetime rule of the package
+// comment from the holder's side: a *Conn stays the connection it was, and
+// its Sent slice stays what was sent, across events and VM exits, until the
+// next restore.
+func TestHeldPointersSurviveUntilRestore(t *testing.T) {
+	v := launchCoherent(t, "bftpd", false)
+	ops := v.Seeds()[0].Ops
+	v.run(t, ops[:2])
+	c := v.conns[0]
+	id, sent := c.ID, slices.Clone(c.Sent)
+	v.vmExit(t)
+	v.syscalls(t, 1, 3)
+	v.vmExit(t)
+	if c.ID != id || v.K.Conn(id) != c {
+		t.Fatalf("conn %d became conn %d", id, c.ID)
+	}
+	for i := range sent {
+		if !bytes.Equal(c.Sent[i], sent[i]) {
+			t.Fatalf("response %d changed from %q to %q", i, sent[i], c.Sent[i])
+		}
+	}
+}

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // StateWriter serializes guest kernel and target state into a compact
@@ -13,6 +13,10 @@ import (
 // capture the full logical state of the system (see Kernel.flush).
 type StateWriter struct {
 	buf []byte
+
+	// keys is the scratch IntMap and StringMap order a map's keys in, kept
+	// across flushes so that encoding a map allocates nothing.
+	keys []int
 }
 
 // Bytes returns the serialized stream. Like bytes.Buffer.Bytes, the slice
@@ -61,7 +65,10 @@ func (w *StateWriter) Bytes32(b []byte) {
 }
 
 // String appends a length-prefixed string.
-func (w *StateWriter) String(s string) { w.Bytes32([]byte(s)) }
+func (w *StateWriter) String(s string) {
+	w.U32(uint32(len(s)))
+	w.buf = append(w.buf, s...)
+}
 
 // StringSlice appends a length-prefixed slice of strings.
 func (w *StateWriter) StringSlice(ss []string) {
@@ -79,24 +86,37 @@ func (w *StateWriter) IntSlice(vs []int) {
 	}
 }
 
-// SortedKeys returns map keys in sorted order, for deterministic encoding.
-func SortedKeys[M ~map[string]V, V any](m M) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
+// IntMap appends m as a count and its entries in ascending key order, the
+// one order that makes the stream a function of the map's contents.
+func (w *StateWriter) IntMap(m map[int]int) {
+	w.U32(uint32(len(m)))
+	for _, k := range sortedKeys(w, m) {
+		w.Int(k)
+		w.Int(m[k])
 	}
-	sort.Strings(ks)
-	return ks
 }
 
-// SortedIntKeys returns integer map keys in sorted order.
-func SortedIntKeys[M ~map[int]V, V any](m M) []int {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
+// StringMap is IntMap for string values.
+func (w *StateWriter) StringMap(m map[int]string) {
+	w.U32(uint32(len(m)))
+	for _, k := range sortedKeys(w, m) {
+		w.Int(k)
+		w.String(m[k])
 	}
-	sort.Ints(ks)
-	return ks
+}
+
+// sortedKeys returns m's keys in ascending order in w's scratch, valid
+// until the next call.
+func sortedKeys[V any](w *StateWriter, m map[int]V) []int {
+	w.keys = w.keys[:0]
+	if len(m) == 0 {
+		return w.keys // starting a map iteration costs more than this whole call
+	}
+	for k := range m {
+		w.keys = append(w.keys, k)
+	}
+	slices.Sort(w.keys)
+	return w.keys
 }
 
 // StateReader deserializes a StateWriter stream. Decoding errors are
@@ -121,11 +141,8 @@ func (r *StateReader) Reset(b []byte) { r.buf, r.off, r.err = b, 0, nil } //nyx:
 func (r *StateReader) Err() error { return r.err }
 
 func (r *StateReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.off+n > len(r.buf) {
-		r.err = fmt.Errorf("statebuf: truncated read of %d bytes at offset %d/%d", n, r.off, len(r.buf))
+	if n > len(r.buf)-r.off {
+		r.fail("statebuf: truncated read of %d bytes at offset %d/%d", n, r.off, len(r.buf))
 		return nil
 	}
 	b := r.buf[r.off : r.off+n]
@@ -178,36 +195,61 @@ func (r *StateReader) Int() int { return int(r.I64()) }
 // F64 reads a float64.
 func (r *StateReader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-// Bool reads a boolean.
-func (r *StateReader) Bool() bool { return r.U8() != 0 }
+// Bool reads a boolean. Only the two bytes Bool writes decode, so a stream
+// that decodes is the stream its contents encode to.
+func (r *StateReader) Bool() bool {
+	v := r.U8()
+	if v > 1 {
+		r.fail("statebuf: boolean byte %d at offset %d", v, r.off-1)
+	}
+	return v == 1
+}
+
+// fail records the reader's first error and empties the stream, so that
+// every read after it comes up short and returns a zero value.
+func (r *StateReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+		r.buf, r.off = nil, 0
+	}
+}
+
+// Count reads the u32 element count of a sequence whose elements take at
+// least size bytes each, and fails the reader when the rest of the stream
+// cannot hold that many: a corrupt count is an error here, before it sizes
+// an allocation or bounds a loop. It returns 0 once the reader has failed.
+func (r *StateReader) Count(size int) int {
+	n := int(r.U32())
+	if n*size > len(r.buf)-r.off {
+		r.fail("statebuf: count %d of %d-byte elements exceeds remaining %d bytes", n, size, len(r.buf)-r.off)
+		return 0
+	}
+	return n
+}
+
+// view32 reads a length-prefixed byte slice without copying it: the result
+// aliases the stream, with its capacity cut to its length.
+func (r *StateReader) view32() []byte {
+	b := r.take(r.Count(1))
+	return b[:len(b):len(b)]
+}
 
 // Bytes32 reads a length-prefixed byte slice (copied).
 func (r *StateReader) Bytes32() []byte {
-	n := int(r.U32())
+	b := r.view32()
 	if r.err != nil {
 		return nil
 	}
-	if n > len(r.buf)-r.off {
-		r.err = fmt.Errorf("statebuf: length %d exceeds remaining %d", n, len(r.buf)-r.off)
-		return nil
-	}
-	b := r.take(n)
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	return cp
+	return append(make([]byte, 0, len(b)), b...)
 }
 
 // String reads a length-prefixed string.
-func (r *StateReader) String() string { return string(r.Bytes32()) }
+func (r *StateReader) String() string { return string(r.view32()) }
 
 // StringSlice reads a length-prefixed string slice.
 func (r *StateReader) StringSlice() []string {
-	n := int(r.U32())
-	if r.err != nil || n < 0 {
-		return nil
-	}
-	if n > len(r.buf)-r.off { // each element needs >= 4 bytes; cheap sanity bound
-		r.err = fmt.Errorf("statebuf: slice length %d implausible", n)
+	n := r.Count(4)
+	if r.err != nil {
 		return nil
 	}
 	out := make([]string, 0, n)
@@ -218,18 +260,58 @@ func (r *StateReader) StringSlice() []string {
 }
 
 // IntSlice reads a length-prefixed int slice.
-func (r *StateReader) IntSlice() []int {
-	n := int(r.U32())
-	if r.err != nil {
-		return nil
-	}
-	if n*8 > len(r.buf)-r.off {
-		r.err = fmt.Errorf("statebuf: int slice length %d implausible", n)
-		return nil
-	}
-	out := make([]int, 0, n)
+func (r *StateReader) IntSlice() []int { return r.appendInts(nil) }
+
+// appendInts reads a length-prefixed int slice onto dst.
+func (r *StateReader) appendInts(dst []int) []int {
+	n := r.Count(8)
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
-		out = append(out, r.Int())
+		dst = append(dst, r.Int())
 	}
-	return out
+	return dst
+}
+
+// IntMap reads what StateWriter.IntMap wrote into m, which it empties first
+// and allocates only if nil; the result holds the decoded entries and no
+// other. Keys that do not ascend fail the reader.
+func (r *StateReader) IntMap(m map[int]int) map[int]int {
+	n := r.Count(16)
+	m = emptied(m, n)
+	for i, prev := 0, 0; i < n; i++ {
+		k := r.mapKey(i, prev)
+		m[k], prev = r.Int(), k
+	}
+	return m
+}
+
+// StringMap is IntMap for string values.
+func (r *StateReader) StringMap(m map[int]string) map[int]string {
+	n := r.Count(12)
+	m = emptied(m, n)
+	for i, prev := 0, 0; i < n && r.err == nil; i++ {
+		k := r.mapKey(i, prev)
+		m[k], prev = r.String(), k
+	}
+	return m
+}
+
+// emptied returns m with no entries, or a new map for n of them if m is nil.
+func emptied[V any](m map[int]V, n int) map[int]V {
+	if m == nil {
+		return make(map[int]V, n)
+	}
+	if len(m) > 0 {
+		clear(m)
+	}
+	return m
+}
+
+// mapKey reads the i-th key of a map, which must exceed the one before it.
+func (r *StateReader) mapKey(i, prev int) int {
+	k := r.Int()
+	if i > 0 && k <= prev {
+		r.fail("statebuf: map key %d after %d", k, prev)
+	}
+	return k
 }

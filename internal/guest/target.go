@@ -20,10 +20,18 @@ import (
 // snapshot restore — which is what makes VM snapshots authoritative. Code
 // that changes target state outside a handler calls Kernel.MarkDirty first
 // (see the package comment for the full contract).
+//
+// A restore recycles the kernel's objects, so a target holds on to ids, not
+// pointers: the *Conn (with its Sent slice) and the *Process a handler is
+// given are valid until the next restore and no longer. LoadState works the
+// same way on the target's side: it may refill the containers the target
+// already has instead of allocating new ones (StateReader.IntMap and
+// StringMap do), but it must leave no entry from before in any of them.
 type Target interface {
 	// Name identifies the target (e.g. "lightftp").
 	Name() string
-	// Ports lists the attack surface the emulation layer hooks.
+	// Ports lists the attack surface the emulation layer hooks. It is
+	// fixed: the kernel asks once, at boot.
 	Ports() []Port
 	// Init runs the startup routine (before the root snapshot).
 	Init(env *Env) error

@@ -117,7 +117,7 @@ func (t *Target) LoadState(r *guest.StateReader) {
 	g.Won = r.Bool()
 	g.WallJumps = r.Int()
 	g.PrevJump = r.Bool()
-	n := int(r.U32())
+	n := r.Count(3*8 + 1)
 	g.Enemies = g.Enemies[:0]
 	for i := 0; i < n; i++ {
 		e := Enemy{X: r.F64(), Y: r.F64(), Dir: r.F64()}

@@ -59,21 +59,12 @@ func (t *ftpish) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 
 func (t *ftpish) SaveState(w *guest.StateWriter) {
 	w.Int(t.Stors)
-	w.U32(uint32(len(t.Auth)))
-	for _, id := range guest.SortedIntKeys(t.Auth) {
-		w.Int(id)
-		w.Int(t.Auth[id])
-	}
+	w.IntMap(t.Auth)
 }
 
 func (t *ftpish) LoadState(r *guest.StateReader) {
 	t.Stors = r.Int()
-	n := int(r.U32())
-	t.Auth = make(map[int]int, n)
-	for i := 0; i < n; i++ {
-		id := r.Int()
-		t.Auth[id] = r.Int()
-	}
+	t.Auth = r.IntMap(t.Auth)
 }
 
 func setup(t *testing.T) (*Agent, *spec.Spec, *ftpish) {

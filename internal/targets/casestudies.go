@@ -148,12 +148,12 @@ func (t *mysqlClient) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 }
 
 func (t *mysqlClient) SaveState(w *guest.StateWriter) {
-	marshalIntMap(w, t.Phase)
-	marshalIntMap(w, t.Columns)
+	w.IntMap(t.Phase)
+	w.IntMap(t.Columns)
 }
 func (t *mysqlClient) LoadState(r *guest.StateReader) {
-	t.Phase = unmarshalIntMap(r)
-	t.Columns = unmarshalIntMap(r)
+	t.Phase = r.IntMap(t.Phase)
+	t.Columns = r.IntMap(t.Columns)
 }
 
 // mysqlPacket frames a MySQL wire packet.
@@ -288,8 +288,8 @@ func (t *lighttpdServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 	}
 }
 
-func (t *lighttpdServer) SaveState(w *guest.StateWriter) { marshalIntMap(w, t.Keep) }
-func (t *lighttpdServer) LoadState(r *guest.StateReader) { t.Keep = unmarshalIntMap(r) }
+func (t *lighttpdServer) SaveState(w *guest.StateWriter) { w.IntMap(t.Keep) }
+func (t *lighttpdServer) LoadState(r *guest.StateReader) { t.Keep = r.IntMap(t.Keep) }
 
 // ---- firefox-ipc (§5.6) ----
 
@@ -396,13 +396,13 @@ func (t *firefoxIPC) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 }
 
 func (t *firefoxIPC) SaveState(w *guest.StateWriter) {
-	marshalIntMap(w, t.Actors)
-	marshalIntMap(w, t.Pending)
+	w.IntMap(t.Actors)
+	w.IntMap(t.Pending)
 	w.Int(t.SharedM)
 }
 func (t *firefoxIPC) LoadState(r *guest.StateReader) {
-	t.Actors = unmarshalIntMap(r)
-	t.Pending = unmarshalIntMap(r)
+	t.Actors = r.IntMap(t.Actors)
+	t.Pending = r.IntMap(t.Pending)
 	t.SharedM = r.Int()
 }
 

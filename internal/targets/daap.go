@@ -141,13 +141,13 @@ func (t *daapdServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 }
 
 func (t *daapdServer) SaveState(w *guest.StateWriter) {
-	marshalIntMap(w, t.Sessions)
+	w.IntMap(t.Sessions)
 	w.Int(t.NextSess)
 	w.Int(t.DBWrites)
 }
 
 func (t *daapdServer) LoadState(r *guest.StateReader) {
-	t.Sessions = unmarshalIntMap(r)
+	t.Sessions = r.IntMap(t.Sessions)
 	t.NextSess = r.Int()
 	t.DBWrites = r.Int()
 }

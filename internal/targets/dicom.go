@@ -143,14 +143,14 @@ func (t *dcmtkServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 }
 
 func (t *dcmtkServer) SaveState(w *guest.StateWriter) {
-	marshalIntMap(w, t.Assoc)
-	marshalIntMap(w, t.Presente)
+	w.IntMap(t.Assoc)
+	w.IntMap(t.Presente)
 	w.Int(t.Stored)
 }
 
 func (t *dcmtkServer) LoadState(r *guest.StateReader) {
-	t.Assoc = unmarshalIntMap(r)
-	t.Presente = unmarshalIntMap(r)
+	t.Assoc = r.IntMap(t.Assoc)
+	t.Presente = r.IntMap(t.Presente)
 	t.Stored = r.Int()
 }
 

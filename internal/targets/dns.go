@@ -117,12 +117,12 @@ func (t *dnsmasqServer) reply(q []byte, rcode byte) []byte {
 
 func (t *dnsmasqServer) SaveState(w *guest.StateWriter) {
 	w.Int(t.Queries)
-	marshalIntMap(w, t.Cache)
+	w.IntMap(t.Cache)
 }
 
 func (t *dnsmasqServer) LoadState(r *guest.StateReader) {
 	t.Queries = r.Int()
-	t.Cache = unmarshalIntMap(r)
+	t.Cache = r.IntMap(t.Cache)
 }
 
 // dnsQuery builds a well-formed A query for the given name labels.

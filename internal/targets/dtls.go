@@ -140,13 +140,13 @@ func (t *tinydtlsServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 }
 
 func (t *tinydtlsServer) SaveState(w *guest.StateWriter) {
-	marshalIntMap(w, t.Cookies)
-	marshalIntMap(w, t.Epochs)
+	w.IntMap(t.Cookies)
+	w.IntMap(t.Epochs)
 }
 
 func (t *tinydtlsServer) LoadState(r *guest.StateReader) {
-	t.Cookies = unmarshalIntMap(r)
-	t.Epochs = unmarshalIntMap(r)
+	t.Cookies = r.IntMap(t.Cookies)
+	t.Epochs = r.IntMap(t.Epochs)
 }
 
 // dtlsRecord frames a DTLS record at epoch 0.

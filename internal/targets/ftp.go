@@ -2,6 +2,7 @@ package targets
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -47,6 +48,10 @@ type ftpConfig struct {
 type ftpServer struct {
 	cfg ftpConfig
 
+	// verbs is cfg.commands with each verb's rank in sorted order beside
+	// its budget; the rank numbers the verb's coverage probes.
+	verbs map[string]ftpVerb
+
 	// Per-connection state.
 	Auth   map[int]int    // 0=new, 1=USER given, 2=authed
 	CWD    map[int]string // current directory
@@ -57,9 +62,21 @@ type ftpServer struct {
 	Files  int            // files stored this boot
 }
 
+type ftpVerb struct{ budget, rank int }
+
 func newFTP(cfg ftpConfig) *ftpServer {
+	names := make([]string, 0, len(cfg.commands))
+	for verb := range cfg.commands {
+		names = append(names, verb)
+	}
+	sort.Strings(names)
+	verbs := make(map[string]ftpVerb, len(names))
+	for rank, verb := range names {
+		verbs[verb] = ftpVerb{budget: cfg.commands[verb], rank: rank}
+	}
 	return &ftpServer{
 		cfg:   cfg,
+		verbs: verbs,
 		Auth:  map[int]int{},
 		CWD:   map[int]string{},
 		RnFr:  map[int]string{},
@@ -103,7 +120,7 @@ func (t *ftpServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 	verb, arg := splitCmd(data)
 	verb = strings.ToUpper(verb)
 
-	budget, known := t.cfg.commands[verb]
+	v, known := t.verbs[verb]
 	if !known {
 		// Unparseable command: the 500 path, plus pure-ftpd's slow leak.
 		covByte(env, t.cfg.ns, 3, firstByte(data))
@@ -121,10 +138,10 @@ func (t *ftpServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 
 	// Per-verb probe plus argument-shape probes scaled by the verb's
 	// branch budget, modelling parser depth.
-	covToken(env, t.cfg.ns, 10, verbIndex(t.cfg.commands, verb))
-	covClass(env, t.cfg.ns, 11+uint32(verbIndex(t.cfg.commands, verb)), len(arg))
-	if budget > 2 && len(arg) > 0 {
-		covByte(env, t.cfg.ns, 100+uint32(verbIndex(t.cfg.commands, verb)), arg[0])
+	covToken(env, t.cfg.ns, 10, v.rank)
+	covClass(env, t.cfg.ns, 11+uint32(v.rank), len(arg))
+	if v.budget > 2 && len(arg) > 0 {
+		covByte(env, t.cfg.ns, 100+uint32(v.rank), arg[0])
 	}
 
 	auth := t.Auth[c.ID]
@@ -281,21 +298,21 @@ func (t *ftpServer) advanceStair(env *guest.Env, c *guest.Conn, sub, arg string)
 }
 
 func (t *ftpServer) SaveState(w *guest.StateWriter) {
-	marshalIntMap(w, t.Auth)
-	marshalStringMap(w, t.CWD)
-	marshalStringMap(w, t.RnFr)
-	marshalIntMap(w, t.Mode)
-	marshalIntMap(w, t.Stair)
+	w.IntMap(t.Auth)
+	w.StringMap(t.CWD)
+	w.StringMap(t.RnFr)
+	w.IntMap(t.Mode)
+	w.IntMap(t.Stair)
 	w.I64(t.Leaked)
 	w.Int(t.Files)
 }
 
 func (t *ftpServer) LoadState(r *guest.StateReader) {
-	t.Auth = unmarshalIntMap(r)
-	t.CWD = unmarshalStringMap(r)
-	t.RnFr = unmarshalStringMap(r)
-	t.Mode = unmarshalIntMap(r)
-	t.Stair = unmarshalIntMap(r)
+	t.Auth = r.IntMap(t.Auth)
+	t.CWD = r.StringMap(t.CWD)
+	t.RnFr = r.StringMap(t.RnFr)
+	t.Mode = r.IntMap(t.Mode)
+	t.Stair = r.IntMap(t.Stair)
 	t.Leaked = r.I64()
 	t.Files = r.Int()
 }
@@ -305,18 +322,6 @@ func firstByte(b []byte) byte {
 		return 0
 	}
 	return b[0]
-}
-
-func verbIndex(cmds map[string]int, verb string) int {
-	// Deterministic index by sorted order.
-	i := 0
-	for _, k := range guest.SortedKeys(cmds) {
-		if k == verb {
-			return i
-		}
-		i++
-	}
-	return 0
 }
 
 // ftpDict is the shared FTP token dictionary.

@@ -180,16 +180,16 @@ func isHex(b byte) bool {
 }
 
 func (t *live555Server) SaveState(w *guest.StateWriter) {
-	marshalIntMap(w, t.Sessions)
-	marshalIntMap(w, t.TrackIDs)
-	marshalStringMap(w, t.SessIDs)
+	w.IntMap(t.Sessions)
+	w.IntMap(t.TrackIDs)
+	w.StringMap(t.SessIDs)
 	w.Int(t.NextSess)
 }
 
 func (t *live555Server) LoadState(r *guest.StateReader) {
-	t.Sessions = unmarshalIntMap(r)
-	t.TrackIDs = unmarshalIntMap(r)
-	t.SessIDs = unmarshalStringMap(r)
+	t.Sessions = r.IntMap(t.Sessions)
+	t.TrackIDs = r.IntMap(t.TrackIDs)
+	t.SessIDs = r.StringMap(t.SessIDs)
 	t.NextSess = r.Int()
 }
 

@@ -182,14 +182,14 @@ func (t *kamailioServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 }
 
 func (t *kamailioServer) SaveState(w *guest.StateWriter) {
-	marshalIntMap(w, t.Dialogs)
-	marshalStringMap(w, t.CallIDs)
+	w.IntMap(t.Dialogs)
+	w.StringMap(t.CallIDs)
 	w.Int(t.Registra)
 }
 
 func (t *kamailioServer) LoadState(r *guest.StateReader) {
-	t.Dialogs = unmarshalIntMap(r)
-	t.CallIDs = unmarshalStringMap(r)
+	t.Dialogs = r.IntMap(t.Dialogs)
+	t.CallIDs = r.StringMap(t.CallIDs)
 	t.Registra = r.Int()
 }
 

@@ -175,16 +175,16 @@ func (t *eximServer) handleBody(env *guest.Env, c *guest.Conn, data []byte) {
 }
 
 func (t *eximServer) SaveState(w *guest.StateWriter) {
-	marshalIntMap(w, t.Phase)
-	marshalIntMap(w, t.Rcpts)
-	marshalIntMap(w, t.Bodies)
+	w.IntMap(t.Phase)
+	w.IntMap(t.Rcpts)
+	w.IntMap(t.Bodies)
 	w.Int(t.Mails)
 }
 
 func (t *eximServer) LoadState(r *guest.StateReader) {
-	t.Phase = unmarshalIntMap(r)
-	t.Rcpts = unmarshalIntMap(r)
-	t.Bodies = unmarshalIntMap(r)
+	t.Phase = r.IntMap(t.Phase)
+	t.Rcpts = r.IntMap(t.Rcpts)
+	t.Bodies = r.IntMap(t.Bodies)
 	t.Mails = r.Int()
 }
 

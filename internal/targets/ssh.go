@@ -169,14 +169,14 @@ func (t *opensshServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 }
 
 func (t *opensshServer) SaveState(w *guest.StateWriter) {
-	marshalIntMap(w, t.Phase)
-	marshalIntMap(w, t.AuthTry)
+	w.IntMap(t.Phase)
+	w.IntMap(t.AuthTry)
 	w.Int(t.Kexed)
 }
 
 func (t *opensshServer) LoadState(r *guest.StateReader) {
-	t.Phase = unmarshalIntMap(r)
-	t.AuthTry = unmarshalIntMap(r)
+	t.Phase = r.IntMap(t.Phase)
+	t.AuthTry = r.IntMap(t.AuthTry)
 	t.Kexed = r.Int()
 }
 

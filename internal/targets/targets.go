@@ -141,43 +141,6 @@ func splitCmd(data []byte) (verb string, arg string) {
 	return s, ""
 }
 
-// marshalIntMap / unmarshalIntMap are shared state helpers.
-func marshalIntMap(w *guest.StateWriter, m map[int]int) {
-	w.U32(uint32(len(m)))
-	for _, k := range guest.SortedIntKeys(m) {
-		w.Int(k)
-		w.Int(m[k])
-	}
-}
-
-func unmarshalIntMap(r *guest.StateReader) map[int]int {
-	n := int(r.U32())
-	m := make(map[int]int, n)
-	for i := 0; i < n; i++ {
-		k := r.Int()
-		m[k] = r.Int()
-	}
-	return m
-}
-
-func marshalStringMap(w *guest.StateWriter, m map[int]string) {
-	w.U32(uint32(len(m)))
-	for _, k := range guest.SortedIntKeys(m) {
-		w.Int(k)
-		w.String(m[k])
-	}
-}
-
-func unmarshalStringMap(r *guest.StateReader) map[int]string {
-	n := int(r.U32())
-	m := make(map[int]string, n)
-	for i := 0; i < n; i++ {
-		k := r.Int()
-		m[k] = r.String()
-	}
-	return m
-}
-
 // seedSession builds one seed input: connect, the given packets, close.
 func seedSession(s *spec.Spec, port guest.Port, msgs ...string) *spec.Input {
 	conName := fmt.Sprintf("connect_%s_%d", port.Proto, port.Num)

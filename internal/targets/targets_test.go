@@ -1,6 +1,7 @@
 package targets
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -360,5 +361,40 @@ func TestSplitCmd(t *testing.T) {
 	v, a = splitCmd([]byte("QUIT"))
 	if v != "QUIT" || a != "" {
 		t.Fatalf("splitCmd bare: %q %q", v, a)
+	}
+}
+
+// TestFTPVerbRanksMatchSortedOrder pins the numbering of the per-verb
+// coverage probes: a verb's rank is its position among the configuration's
+// verbs in sorted order, which is what OnPacket used to work out by sorting
+// the table for every packet. A rank that moved would move coverage ids.
+func TestFTPVerbRanksMatchSortedOrder(t *testing.T) {
+	sortedPosition := func(cmds map[string]int, verb string) int {
+		verbs := make([]string, 0, len(cmds))
+		for v := range cmds {
+			verbs = append(verbs, v)
+		}
+		sort.Strings(verbs)
+		for i, v := range verbs {
+			if v == verb {
+				return i
+			}
+		}
+		return 0
+	}
+	for _, name := range []string{"lightftp", "bftpd", "proftpd", "pure-ftpd"} {
+		info, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		srv := info.New().(*ftpServer)
+		if len(srv.verbs) != len(srv.cfg.commands) || len(srv.verbs) == 0 {
+			t.Fatalf("%s: %d ranked verbs for %d commands", name, len(srv.verbs), len(srv.cfg.commands))
+		}
+		for verb, budget := range srv.cfg.commands {
+			if got, want := srv.verbs[verb], (ftpVerb{budget: budget, rank: sortedPosition(srv.cfg.commands, verb)}); got != want {
+				t.Errorf("%s %s: %+v, want %+v", name, verb, got, want)
+			}
+		}
 	}
 }

@@ -182,13 +182,13 @@ func (t *opensslServer) handleHandshake(env *guest.Env, c *guest.Conn, body []by
 }
 
 func (t *opensslServer) SaveState(w *guest.StateWriter) {
-	marshalIntMap(w, t.HSState)
+	w.IntMap(t.HSState)
 	w.Int(t.Resumes)
 	w.Int(t.Alerts)
 }
 
 func (t *opensslServer) LoadState(r *guest.StateReader) {
-	t.HSState = unmarshalIntMap(r)
+	t.HSState = r.IntMap(t.HSState)
 	t.Resumes = r.Int()
 	t.Alerts = r.Int()
 }
