@@ -1,6 +1,6 @@
 // Command nyx-vet runs the repository's analyzer suite (internal/analysis):
-// nodeterm, aliasret, lockheld, slicearg, lockorder, and hotalloc — the
-// machine-checked versions of the determinism, aliasing, locking, and
+// nodeterm, aliasret, lockheld, slicearg, opwrite, lockorder, and hotalloc —
+// the machine-checked versions of the determinism, aliasing, locking, and
 // hot-path allocation invariants the virtual-time design depends on. The
 // nodeterm, lockheld, lockorder, and hotalloc checks are interprocedural:
 // facts propagate through a whole-program call graph, and diagnostics carry

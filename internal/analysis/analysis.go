@@ -29,6 +29,11 @@
 //   - slicearg: exported functions must not retain caller-owned slice
 //     arguments past the call (the retained-trace bug class the broker's
 //     orderImportsInto scratch rework avoided by hand in PR 5).
+//   - opwrite: nobody writes through the Args or Data array of a spec.Op
+//     (element assignment, copy destination, append onto a reslice), because
+//     inputs share those arrays: Clone copies op headers only and a campaign
+//     broker hands one queued input to every worker. There is no waiver
+//     directive; code that changes an op builds a new slice and assigns it.
 //   - lockorder: the mutex-acquisition partial order across the broker,
 //     service manager, snapshot pool, and checkpoint store must stay
 //     acyclic — the deadlock-freedom guardrail for the broker-sharding
@@ -294,5 +299,5 @@ func sortDiagnostics(pkgs []*Package, diags []Diagnostic) {
 
 // All returns the full nyx-vet analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{NoDeterm, AliasRet, LockHeld, SliceArg, LockOrder, HotAlloc}
+	return []*Analyzer{NoDeterm, AliasRet, LockHeld, SliceArg, OpWrite, LockOrder, HotAlloc}
 }

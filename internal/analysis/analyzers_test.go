@@ -42,6 +42,10 @@ func TestSliceArgFixture(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.SliceArg, "slicearg")
 }
 
+func TestOpWriteFixture(t *testing.T) {
+	analysistest.Run(t, "testdata", analysis.OpWrite, "opwrite", "repro/internal/spec")
+}
+
 func TestLockOrderFixture(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.LockOrder, "repro/internal/service", "lodep")
 }

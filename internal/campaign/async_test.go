@@ -1,10 +1,12 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 	"time"
 
+	"repro/internal/spec"
 	"repro/internal/store"
 )
 
@@ -250,5 +252,66 @@ func TestAsyncStopQuiesces(t *testing.T) {
 	// Stop was honored long before the 10s budget.
 	if c.Elapsed() >= 10*time.Second {
 		t.Fatalf("stop ignored: elapsed %v", c.Elapsed())
+	}
+}
+
+// A publication is the owner's queued input shared by pointer: receivers
+// read it on their own goroutines, epochs later, while the owner goes on
+// using it — as the parent of children, as the input a trim starts from.
+// Here worker 0 does both to everything it published while this goroutine
+// plays the receiver, importing the same inputs into worker 1 and
+// re-reading their bytes: they must never change, and under the race
+// detector no write may touch what a receiver reads.
+func TestSharedPublicationsOutliveTheOwnersMutations(t *testing.T) {
+	c := run(t, asyncCfg(2, 11), time.Second)
+	owner, receiver := c.workers[0].fz, c.workers[1].fz
+	type published struct {
+		in   *spec.Input
+		want []byte
+	}
+	var pubs []published
+	for _, be := range c.broker.corpus {
+		if be.Worker == 0 {
+			pubs = append(pubs, published{be.Entry.Input, spec.Serialize(be.Entry.Input)})
+		}
+	}
+	if len(pubs) == 0 {
+		t.Fatal("worker 0 published nothing")
+	}
+	done := make(chan error, 1)
+	go func() {
+		for round := 0; round < 20000; round++ {
+			p := pubs[round%len(pubs)]
+			owner.Mut.MutateSuffix(p.in, round%(len(p.in.Ops)+1))
+			if round%1000 == 0 {
+				if _, err := owner.Trim(p.in); err != nil {
+					done <- err
+					return
+				}
+			}
+		}
+		done <- nil
+	}()
+	for i, owning := 0, true; owning; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			owning = false
+		default:
+		}
+		p := pubs[i%len(pubs)]
+		if _, err := receiver.ImportInput(p.in); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(spec.Serialize(p.in), p.want) {
+			t.Fatal("a published input changed under its receivers")
+		}
+	}
+	for _, p := range pubs {
+		if !bytes.Equal(spec.Serialize(p.in), p.want) {
+			t.Fatal("a published input changed under its receivers")
+		}
 	}
 }

@@ -251,11 +251,13 @@ func (b *broker) sample(now time.Duration) {
 }
 
 // pubDelta is one newly queued entry as its owner publishes it. The trace
-// and the input are the owner's live data, read only while the owner is
-// blocked in exchange; the broker clones the input of a publication it
-// accepts as fresh, the one thing that outlives the call. entry is an
-// owner-only token: the broker stores it (corpus provenance, read when
-// quiesced at checkpoint time) but never dereferences it during a run.
+// is the owner's live data, read only while the owner is blocked in
+// exchange. The input outlives the call — receivers import it epochs later
+// on their own goroutines — and needs no copy: a queued *spec.Input is never
+// written again (a trim installs a new one on the entry; package spec keeps
+// the arrays it reaches constant). entry is an owner-only token: the broker
+// stores it (corpus provenance, read when quiesced at checkpoint time) but
+// never dereferences it during a run.
 type pubDelta struct {
 	key     string
 	fav     int64
@@ -323,8 +325,8 @@ type epochDelta struct {
 }
 
 // importItem is one pending redistribution entry in a worker's bounded
-// pull queue. The input pointer is the broker's copy, shared read-only by
-// every receiver (ImportInput clones before executing).
+// pull queue. The input is the publisher's own queue entry input, shared
+// read-only with every receiver (see pubDelta).
 type importItem struct {
 	input     *spec.Input
 	globalFav bool
@@ -415,15 +417,6 @@ func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importIte
 			sh.transferClaims(r.oldKey, r.newKey, r.fav)
 		}
 		sh.unlock()
-	}
-
-	// Receivers read an accepted input long after this call returns, while
-	// the owner keeps mutating the live entry (trim rewrites Input in
-	// place); duplicates are read no further and need no copy.
-	for i := range d.pubs {
-		if hasNew[i] {
-			d.pubs[i].input = d.pubs[i].input.Clone()
-		}
 	}
 
 	// Phase 3: central accounting.

@@ -411,7 +411,7 @@ func (w *worker) importAll(items []importItem) error {
 
 // buildDelta gathers everything w queued since its last exchange into an
 // epochDelta. Traces are regrouped by broker shard into one scratch
-// allocation; inputs are the live ones (see pubDelta).
+// allocation; inputs are the queue entries' own (see pubDelta).
 func (w *worker) buildDelta(power bool) epochDelta {
 	var d epochDelta
 	fresh := w.fz.Queue[w.synced:]

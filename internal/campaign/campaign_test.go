@@ -475,10 +475,10 @@ func TestBrokerGlobalFavoredDedup(t *testing.T) {
 	if !dear.GloballyDominated {
 		t.Fatal("locally-favored entry dominated on every edge was not demoted — no loser feedback")
 	}
-	// Redistribution: each worker pulls the other's entry (the broker's
-	// own copy of the input, not the live one).
-	if !slices.Equal(itemKeys(got1), entryKeys(cheap)) || got1[0].input == cheap.Input {
-		t.Fatalf("worker 1 pulled %v, want a copy of the cheap entry", itemKeys(got1))
+	// Redistribution: each worker pulls the other's entry — the queued
+	// input itself, which nobody writes again, not a copy of it.
+	if !slices.Equal(itemKeys(got1), entryKeys(cheap)) || got1[0].input != cheap.Input {
+		t.Fatalf("worker 1 pulled %v, want the cheap entry's own input", itemKeys(got1))
 	}
 	if got0 := r.sync(r.w0); !slices.Equal(itemKeys(got0), entryKeys(dear)) {
 		t.Fatalf("worker 0 pulled %v, want the dear entry", itemKeys(got0))

@@ -85,7 +85,10 @@ const AggressiveRetreatThreshold = 50
 
 // QueueEntry is one interesting input.
 type QueueEntry struct {
-	ID      int
+	ID int
+	// Input is never written once queued (a trim replaces the pointer), so
+	// children, trim candidates and broker publications share its ops
+	// uncopied, as it shares its parent's payloads — see package spec.
 	Input   *spec.Input
 	Packets int
 	FoundAt time.Duration // virtual time of discovery
@@ -409,8 +412,7 @@ func (f *Fuzzer) Step() error {
 	if !f.seedsDone {
 		f.seedsDone = true
 		for _, seed := range f.opts.Seeds {
-			cp := seed.Clone()
-			cp.SnapshotAt = -1
+			cp := &spec.Input{Ops: seed.Ops, SnapshotAt: -1}
 			if err := f.Spec.Validate(cp); err != nil {
 				return fmt.Errorf("core: invalid seed: %w", err)
 			}
@@ -449,8 +451,7 @@ func (f *Fuzzer) Step() error {
 	// miss for the entry's prefix at that position — a hit resumes a
 	// snapshot that survived earlier rounds (possibly created by a
 	// different entry sharing the prefix) with no full run at all.
-	base := entry.Input.Clone()
-	base.SnapshotAt = snapAt
+	base := &spec.Input{Ops: entry.Input.Ops, SnapshotAt: snapAt}
 	if f.pool != nil {
 		return f.fuzzWithPool(entry, base, snapAt, budget)
 	}
@@ -671,8 +672,7 @@ func (f *Fuzzer) chargeBarren(e *QueueEntry, n int) {
 // receiving fuzzer re-executes the input, so imports can never poison the
 // queue with coverage claims the local target does not reproduce.
 func (f *Fuzzer) ImportInput(in *spec.Input) (bool, error) {
-	cp := in.Clone()
-	cp.SnapshotAt = -1
+	cp := &spec.Input{Ops: in.Ops, SnapshotAt: -1}
 	if err := f.Spec.Validate(cp); err != nil {
 		return false, fmt.Errorf("core: import: %w", err)
 	}
@@ -838,7 +838,7 @@ func (f *Fuzzer) account(in *spec.Input, res netemu.Result, addToQueue bool) boo
 			FoundAt:  f.Elapsed(),
 			Cov:      f.trace.Bucketed(),
 			ExecTime: f.lastExecTime,
-			Size:     len(spec.Serialize(cp)),
+			Size:     spec.EncodedLen(cp),
 		}
 		if f.curParent != nil {
 			e.Depth = f.curParent.Depth + 1

@@ -585,7 +585,7 @@ func (f *Fuzzer) trimEntry(e *QueueEntry) error {
 	}
 	if len(trimmed.Ops) < len(e.Input.Ops) {
 		e.Input = trimmed
-		e.Size = len(spec.Serialize(trimmed))
+		e.Size = spec.EncodedLen(trimmed)
 		e.Packets = trimmed.Packets(f.Spec)
 		if e.aggrBack >= e.Packets {
 			e.aggrBack = 0

@@ -144,7 +144,7 @@ func TestFlushPerExitMatchesFlushPerEvent(t *testing.T) {
 				}
 			}
 			for round := 0; round < rounds; round++ {
-				in := mut.Mutate(seeds[round%len(seeds)])
+				in := mut.Mutate(seeds[round%len(seeds)]).Clone() // held across MutateSuffix below
 				if len(in.Ops) < 2 {
 					continue
 				}

@@ -196,7 +196,7 @@ func TestWarmKernelMatchesFreshKernel(t *testing.T) {
 			mut := spec.NewMutator(fresh.Spec, rand.New(rand.NewSource(29)))
 			seeds := fresh.Seeds()
 			for round := 0; round < 40; round++ {
-				in := mut.Mutate(seeds[round%len(seeds)])
+				in := mut.Mutate(seeds[round%len(seeds)]).Clone() // held across MutateSuffix below
 				if len(in.Ops) < 2 {
 					continue
 				}

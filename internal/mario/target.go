@@ -205,9 +205,8 @@ func NewIjon(inst *Instance) *IjonExecutor {
 // RunFromRoot implements core.Executor.
 func (e *IjonExecutor) RunFromRoot(in *spec.Input, tr *coverage.Trace) (netemu.Result, error) {
 	e.Agent.M.Clock.Advance(e.Overhead)
-	cp := in.Clone()
-	cp.SnapshotAt = -1 // Ijon cannot snapshot
-	return e.Agent.RunFromRoot(cp, tr)
+	cp := spec.Input{Ops: in.Ops, SnapshotAt: -1} // Ijon cannot snapshot
+	return e.Agent.RunFromRoot(&cp, tr)
 }
 
 // RunSuffix implements core.Executor.

@@ -300,7 +300,7 @@ func (a *Agent) run(in *spec.Input, tr *coverage.Trace, start int, values []Valu
 			res.SnapshotTaken = true
 		}
 		op := in.Ops[i]
-		crashed, outs, execErr := a.execOp(env, op, values)
+		crashed, extended, execErr := a.execOp(env, op, values)
 		if execErr != nil {
 			return res, fmt.Errorf("netemu: op %d: %w", i, execErr)
 		}
@@ -311,7 +311,7 @@ func (a *Agent) run(in *spec.Input, tr *coverage.Trace, start int, values []Valu
 			a.M.Hypercall(vm.HcPanic) //nolint:errcheck // informational
 			return res, nil
 		}
-		values = append(values, outs...)
+		values = extended
 		res.OpsExecuted++
 		if int(op.Node) < len(a.S.Nodes) && a.S.Nodes[op.Node].HasData {
 			res.PacketsDelivered++
@@ -327,12 +327,13 @@ func (a *Agent) run(in *spec.Input, tr *coverage.Trace, start int, values []Valu
 	return res, nil
 }
 
-// execOp executes a single opcode, recovering target crashes.
-func (a *Agent) execOp(env *guest.Env, op spec.Op, values []Value) (crash *guest.CrashError, outs []Value, err error) {
+// execOp executes a single opcode, recovering target crashes, and returns
+// values extended by what the opcode output.
+func (a *Agent) execOp(env *guest.Env, op spec.Op, values []Value) (crash *guest.CrashError, extended []Value, err error) {
 	if int(op.Node) >= len(a.S.Nodes) {
 		return nil, nil, fmt.Errorf("unknown node %d", op.Node)
 	}
-	nt := a.S.Nodes[op.Node]
+	nt := &a.S.Nodes[op.Node]
 
 	defer func() {
 		if r := recover(); r != nil {
@@ -361,7 +362,7 @@ func (a *Agent) execOp(env *guest.Env, op spec.Op, values []Value) (crash *guest
 		if len(nt.Outputs) > 0 {
 			out.Edge = nt.Outputs[0]
 		}
-		return nil, []Value{out}, nil
+		return nil, append(values, out), nil
 
 	case spec.KindPacket:
 		v, rerr := resolve(0)
@@ -373,12 +374,12 @@ func (a *Agent) execOp(env *guest.Env, op spec.Op, values []Value) (crash *guest
 			// Delivering to a dead connection is a semantic no-op, like
 			// writing to a closed socket: the emulation layer swallows
 			// it rather than aborting the whole test case.
-			return nil, nil, nil
+			return nil, values, nil
 		}
 		if derr := a.K.Deliver(c, op.Data); derr != nil {
 			return nil, nil, derr
 		}
-		return nil, nil, nil
+		return nil, values, nil
 
 	case spec.KindClose:
 		v, rerr := resolve(0)
@@ -388,7 +389,7 @@ func (a *Agent) execOp(env *guest.Env, op spec.Op, values []Value) (crash *guest
 		if c := a.K.Conn(v.ConnID); c != nil {
 			a.K.CloseConn(c)
 		}
-		return nil, nil, nil
+		return nil, values, nil
 
 	case spec.KindCustom:
 		h, ok := a.custom[op.Node]
@@ -406,7 +407,7 @@ func (a *Agent) execOp(env *guest.Env, op spec.Op, values []Value) (crash *guest
 		// The handler runs outside any kernel event; whatever it mutates
 		// must still reach guest memory before the next snapshot marker.
 		a.K.MarkDirty()
-		return nil, h(env, op.Data, args), nil
+		return nil, append(values, h(env, op.Data, args)...), nil
 
 	default:
 		return nil, nil, fmt.Errorf("unknown node kind %d", nt.Kind)

@@ -29,7 +29,6 @@ package snappool
 import (
 	"crypto/sha256"
 	"hash"
-	"sort"
 	"time"
 
 	"repro/internal/spec"
@@ -55,8 +54,6 @@ type Entry struct {
 	// from the root snapshot — the recreation cost eviction minimizes
 	// keeping.
 	PrefixCost time.Duration
-
-	lastUsed uint64 // pool clock at last hit/insert (LRU)
 }
 
 // Stats aggregates pool activity for the campaign telemetry.
@@ -99,10 +96,9 @@ type Stats struct {
 // concurrent use; campaign workers each own one.
 type Pool struct {
 	budget   int64
-	clock    uint64
 	nextSlot int
 	entries  map[Digest]*Entry
-	order    []*Entry // live entries in insertion order (deterministic scans)
+	order    []*Entry // live entries, least recently used (hit, touched or inserted) first
 	// prefixLens counts live entries per prefix length, so the scan only
 	// pays a hash finalization at positions where a cached prefix of that
 	// exact length could match (and none at all when the limit is shorter
@@ -200,8 +196,14 @@ func (p *Pool) AllocSlot() int {
 // Touch refreshes e's LRU position without counting a hit (used when a
 // snapshot serves as the base of a chained creation).
 func (p *Pool) Touch(e *Entry) {
-	p.clock++
-	e.lastUsed = p.clock
+	// Searched from the back: the entries rounds keep hitting sit there.
+	for i := len(p.order) - 1; i >= 0; i-- {
+		if p.order[i] == e {
+			copy(p.order[i:], p.order[i+1:])
+			p.order[len(p.order)-1] = e
+			return
+		}
+	}
 }
 
 // LookupDigest resolves a caller-memoized exact-prefix digest: on a hit the
@@ -285,8 +287,7 @@ func (p *Pool) scan(in *spec.Input, limit int) (exact, longest *Entry, digest Di
 // when kept is false the new snapshot alone exceeds the whole budget — the
 // caller may use it for the current round but must drop it afterwards.
 func (p *Pool) Insert(digest Digest, slot, ops int, bytes int64, prefixCost time.Duration) (kept bool, evicted []*Entry) {
-	p.clock++
-	e := &Entry{Digest: digest, Slot: slot, Ops: ops, Bytes: bytes, PrefixCost: prefixCost, lastUsed: p.clock}
+	e := &Entry{Digest: digest, Slot: slot, Ops: ops, Bytes: bytes, PrefixCost: prefixCost}
 	if p.budget > 0 && bytes > p.budget {
 		p.stats.Uncacheable++
 		return false, nil
@@ -296,7 +297,7 @@ func (p *Pool) Insert(digest Digest, slot, ops int, bytes int64, prefixCost time
 	p.prefixLens[ops]++
 	p.stats.Bytes += bytes
 	for p.budget > 0 && p.stats.Bytes > p.budget {
-		v := p.victim(e)
+		v := p.victim()
 		if v == nil {
 			break
 		}
@@ -310,27 +311,19 @@ func (p *Pool) Insert(digest Digest, slot, ops int, bytes int64, prefixCost time
 	return true, evicted
 }
 
-// victim selects the next entry to evict, never the just-inserted exclude:
-// among the least-recently-used half of the candidates, the one with the
-// smallest recreation cost (ties: least recently used, then lowest slot id
-// — fully deterministic for the eviction-replay tests).
-func (p *Pool) victim(exclude *Entry) *Entry {
-	cands := make([]*Entry, 0, len(p.order))
-	for _, e := range p.order {
-		if e != exclude {
-			cands = append(cands, e)
-		}
-	}
-	if len(cands) == 0 {
+// victim selects the next entry to evict, never the just-inserted one at the
+// back of order: among the least-recently-used half of the others, the one
+// with the smallest recreation cost (ties: least recently used — fully
+// deterministic for the eviction-replay tests).
+func (p *Pool) victim() *Entry {
+	n := len(p.order) - 1
+	if n <= 0 {
 		return nil
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].lastUsed < cands[j].lastUsed })
-	old := cands[:(len(cands)+1)/2]
+	old := p.order[:(n+1)/2]
 	v := old[0]
 	for _, e := range old[1:] {
-		if e.PrefixCost < v.PrefixCost ||
-			(e.PrefixCost == v.PrefixCost && (e.lastUsed < v.lastUsed ||
-				(e.lastUsed == v.lastUsed && e.Slot < v.Slot))) {
+		if e.PrefixCost < v.PrefixCost {
 			v = e
 		}
 	}

@@ -39,9 +39,27 @@ func AppendOp(dst []byte, op Op) []byte {
 	return append(dst, op.Data...)
 }
 
+// Magic, version and op count; an op's node, nargs and datalen.
+const (
+	bcHeaderLen  = 4 + 2 + 4
+	bcOpOverhead = 2 + 1 + 4
+)
+
+// EncodedLen returns len(Serialize(in)) without encoding anything.
+func EncodedLen(in *Input) int {
+	n := bcHeaderLen
+	if in.SnapshotAt >= 0 && in.SnapshotAt <= len(in.Ops) {
+		n += bcOpOverhead
+	}
+	for _, op := range in.Ops {
+		n += bcOpOverhead + 2*len(op.Args) + len(op.Data)
+	}
+	return n
+}
+
 // Serialize encodes the input to flat bytecode.
 func Serialize(in *Input) []byte {
-	out := make([]byte, 0, 64)
+	out := make([]byte, 0, EncodedLen(in))
 	out = append(out, bcMagic[:]...)
 	out = binary.LittleEndian.AppendUint16(out, bcVersion)
 	nops := uint32(len(in.Ops))
@@ -64,15 +82,20 @@ func Serialize(in *Input) []byte {
 // Deserialize decodes flat bytecode into an Input. At most one snapshot
 // marker is honored (the fuzzer only ever keeps one incremental snapshot).
 func Deserialize(b []byte) (*Input, error) {
-	if len(b) < 10 || b[0] != bcMagic[0] || b[1] != bcMagic[1] || b[2] != bcMagic[2] || b[3] != bcMagic[3] {
+	if len(b) < bcHeaderLen || b[0] != bcMagic[0] || b[1] != bcMagic[1] || b[2] != bcMagic[2] || b[3] != bcMagic[3] {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadBytecode)
 	}
 	if v := binary.LittleEndian.Uint16(b[4:]); v != bcVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadBytecode, v)
 	}
 	nops := binary.LittleEndian.Uint32(b[6:])
-	off := 10
-	in := &Input{SnapshotAt: -1}
+	off := bcHeaderLen
+	// An op takes bcOpOverhead bytes or more: a count the bytes left cannot
+	// hold is rejected before it sizes anything.
+	if uint64(nops) > uint64(len(b)-off)/bcOpOverhead {
+		return nil, fmt.Errorf("%w: %d ops in %d bytes", ErrBadBytecode, nops, len(b)-off)
+	}
+	in := &Input{Ops: make([]Op, 0, nops), SnapshotAt: -1}
 	for i := uint32(0); i < nops; i++ {
 		if off+3 > len(b) {
 			return nil, fmt.Errorf("%w: truncated op header at %d", ErrBadBytecode, off)
@@ -109,7 +132,7 @@ func Deserialize(b []byte) (*Input, error) {
 		}
 		dl := int(binary.LittleEndian.Uint32(b[off:]))
 		off += 4
-		if dl < 0 || off+dl > len(b) {
+		if dl < 0 || dl > len(b)-off {
 			return nil, fmt.Errorf("%w: truncated payload (%d bytes) at %d", ErrBadBytecode, dl, off)
 		}
 		op.Data = append([]byte(nil), b[off:off+dl]...)

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"math/rand"
+	"slices"
 )
 
 // Mutator generates and mutates inputs against a Spec, keeping every output
@@ -19,6 +20,16 @@ type Mutator struct {
 	// stage splices into payloads. ProFuzzBench-style campaigns ship
 	// per-protocol dictionaries; targets provide them here.
 	Dict [][]byte
+
+	// child is the input Mutate and MutateSuffix hand out, refilled by every
+	// call. The rest is scratch kept between calls: value types in scope,
+	// pickValue's candidates, havocDataFrom's payload ops, and per edge type
+	// the nodes that output it (a Spec is complete before a mutator runs).
+	child     Input
+	values    []EdgeID
+	cands     []int
+	dataOps   []int
+	producers map[EdgeID][]NodeID
 }
 
 // NewMutator builds a mutator with sensible bounds.
@@ -31,16 +42,17 @@ var interesting = []byte{0, 1, 0x7f, 0x80, 0xff, ' ', '\n', '\r', '0', '9', 'A',
 
 // nodesProducing returns node IDs that output the given edge type.
 func (m *Mutator) nodesProducing(e EdgeID) []NodeID {
-	var out []NodeID
-	for i, nt := range m.S.Nodes {
-		for _, o := range nt.Outputs {
-			if o == e {
-				out = append(out, NodeID(i))
-				break
+	if m.producers == nil {
+		m.producers = make(map[EdgeID][]NodeID)
+		for i, nt := range m.S.Nodes {
+			for _, o := range nt.Outputs {
+				if !slices.Contains(m.producers[o], NodeID(i)) {
+					m.producers[o] = append(m.producers[o], NodeID(i))
+				}
 			}
 		}
 	}
-	return out
+	return m.producers[e]
 }
 
 // Generate builds a random valid input with up to nops ops.
@@ -49,12 +61,21 @@ func (m *Mutator) Generate(nops int) *Input {
 		nops = 1 + m.R.Intn(m.MaxOps)
 	}
 	in := NewInput()
-	var values []EdgeID
-	for len(in.Ops) < nops {
+	m.generateInto(in, nops)
+	return in
+}
+
+// generateInto appends a random program of nops ops (one more when the last
+// needed a producer) to in. Its value references count from its own first
+// op: a caller whose in already held ops repairs them (repairFrom).
+func (m *Mutator) generateInto(in *Input, nops int) {
+	end := len(in.Ops) + nops
+	values := m.values[:0]
+next:
+	for len(in.Ops) < end {
 		nid := NodeID(m.R.Intn(len(m.S.Nodes)))
-		nt := m.S.Nodes[nid]
+		nt := &m.S.Nodes[nid]
 		op := Op{Node: nid}
-		ok := true
 		for _, need := range nt.Borrows {
 			// Pick a random existing value of the needed type; if none
 			// exists, emit a producer first.
@@ -62,18 +83,16 @@ func (m *Mutator) Generate(nops int) *Input {
 			if idx < 0 {
 				prods := m.nodesProducing(need)
 				if len(prods) == 0 {
-					ok = false
-					break
+					continue next
 				}
 				prod := prods[m.R.Intn(len(prods))]
-				pnt := m.S.Nodes[prod]
+				pnt := &m.S.Nodes[prod]
 				pop := Op{Node: prod}
 				// Producers with borrows of their own are skipped for
 				// simplicity; all specs in this repo have borrow-free
 				// producers (connection opcodes).
 				if len(pnt.Borrows) > 0 {
-					ok = false
-					break
+					continue next
 				}
 				if pnt.HasData {
 					pop.Data = m.randData()
@@ -82,14 +101,10 @@ func (m *Mutator) Generate(nops int) *Input {
 				values = append(values, pnt.Outputs...)
 				idx = m.pickValue(values, need)
 				if idx < 0 {
-					ok = false
-					break
+					continue next
 				}
 			}
 			op.Args = append(op.Args, uint16(idx))
-		}
-		if !ok {
-			continue
 		}
 		if nt.HasData {
 			op.Data = m.randData()
@@ -97,16 +112,17 @@ func (m *Mutator) Generate(nops int) *Input {
 		in.Ops = append(in.Ops, op)
 		values = append(values, nt.Outputs...)
 	}
-	return in
+	m.values = values
 }
 
 func (m *Mutator) pickValue(values []EdgeID, want EdgeID) int {
-	var cands []int
+	cands := m.cands[:0]
 	for i, v := range values {
 		if v == want {
 			cands = append(cands, i)
 		}
 	}
+	m.cands = cands
 	if len(cands) == 0 {
 		return -1
 	}
@@ -128,7 +144,7 @@ func (m *Mutator) randData() []byte {
 
 // Mutate returns a mutated copy of in. It applies 1–4 stacked mutations
 // and repairs argument references afterwards so the result always
-// validates.
+// validates. The result is MutateSuffix's.
 func (m *Mutator) Mutate(in *Input) *Input {
 	return m.MutateSuffix(in, 0)
 }
@@ -137,14 +153,20 @@ func (m *Mutator) Mutate(in *Input) *Input {
 // byte-for-byte intact. This is what fuzzing on top of an incremental
 // snapshot requires: the snapshotted prefix has already executed, so only
 // the remaining packets may change (§3.4, Figure 4).
+//
+// The result belongs to the mutator and is valid until its next Mutate or
+// MutateSuffix call; Clone detaches it. in is never written, and the result
+// shares every array no mutation replaced: a child costs what it changed.
 func (m *Mutator) MutateSuffix(in *Input, start int) *Input {
-	out := in.Clone()
+	out := &m.child
+	out.Ops = append(out.Ops[:0], in.Ops...)
+	out.SnapshotAt = in.SnapshotAt
 	if start <= 0 {
 		out.SnapshotAt = -1 // placement policy re-inserts the marker
 	}
 	if start >= len(out.Ops) {
 		// Nothing mutable: append fresh ops after the prefix.
-		m.appendOps(out)
+		m.generateInto(out, 1+m.R.Intn(3))
 		m.repairFrom(out, start)
 		return out
 	}
@@ -162,7 +184,7 @@ func (m *Mutator) MutateSuffix(in *Input, start int) *Input {
 		case 8:
 			m.truncateTailFrom(out, start)
 		case 9:
-			m.appendOps(out)
+			m.generateInto(out, 1+m.R.Intn(3))
 		}
 	}
 	m.repairFrom(out, start)
@@ -176,7 +198,8 @@ func (m *Mutator) MutateSuffix(in *Input, start int) *Input {
 // result is capped at MaxOps*2 ops (the same bound the havoc stage
 // enforces), so repeated splicing cannot balloon queue entries — oversized
 // entries are expensive to re-execute everywhere, including when a corpus
-// broker redistributes them to other campaign workers.
+// broker redistributes them to other campaign workers. The result is the
+// caller's.
 func (m *Mutator) Splice(a, b *Input) *Input {
 	if len(a.Ops) == 0 {
 		return b.Clone()
@@ -186,13 +209,8 @@ func (m *Mutator) Splice(a, b *Input) *Input {
 	}
 	cutA := m.R.Intn(len(a.Ops)) + 1
 	cutB := m.R.Intn(len(b.Ops))
-	out := NewInput()
-	for _, op := range a.Ops[:cutA] {
-		out.Ops = append(out.Ops, op.Clone())
-	}
-	for _, op := range b.Ops[cutB:] {
-		out.Ops = append(out.Ops, op.Clone())
-	}
+	out := &Input{Ops: make([]Op, 0, cutA+len(b.Ops)-cutB), SnapshotAt: -1}
+	out.Ops = append(append(out.Ops, a.Ops[:cutA]...), b.Ops[cutB:]...)
 	if max := m.MaxOps * 2; len(out.Ops) > max {
 		out.Ops = out.Ops[:max]
 	}
@@ -203,25 +221,22 @@ func (m *Mutator) Splice(a, b *Input) *Input {
 	return out
 }
 
-// dataOpsFrom returns indices >= start of ops with payloads.
-func (m *Mutator) dataOpsFrom(in *Input, start int) []int {
-	var idx []int
+// havocDataFrom replaces the payload of one random op at index >= start with
+// a havoc-mutated copy built in one allocation; the old array is not written.
+func (m *Mutator) havocDataFrom(in *Input, start int) {
+	idx := m.dataOps[:0]
 	for i := start; i < len(in.Ops); i++ {
-		op := in.Ops[i]
-		if int(op.Node) < len(m.S.Nodes) && m.S.Nodes[op.Node].HasData {
+		if n := in.Ops[i].Node; int(n) < len(m.S.Nodes) && m.S.Nodes[n].HasData {
 			idx = append(idx, i)
 		}
 	}
-	return idx
-}
-
-func (m *Mutator) havocDataFrom(in *Input, start int) {
-	idx := m.dataOpsFrom(in, start)
+	m.dataOps = idx
 	if len(idx) == 0 {
 		return
 	}
 	op := &in.Ops[idx[m.R.Intn(len(idx))]]
-	if len(op.Data) == 0 {
+	old := op.Data
+	if len(old) == 0 {
 		op.Data = m.randData()
 		return
 	}
@@ -229,46 +244,48 @@ func (m *Mutator) havocDataFrom(in *Input, start int) {
 	if len(m.Dict) > 0 {
 		nCases = 7
 	}
+	var data []byte
 	switch m.R.Intn(nCases) {
 	case 0: // bit flip
-		i := m.R.Intn(len(op.Data))
-		op.Data[i] ^= 1 << m.R.Intn(8)
+		i := m.R.Intn(len(old))
+		data = slices.Clone(old)
+		data[i] ^= 1 << m.R.Intn(8)
 	case 1: // byte set
-		op.Data[m.R.Intn(len(op.Data))] = byte(m.R.Intn(256))
+		i := m.R.Intn(len(old))
+		data = slices.Clone(old)
+		data[i] = byte(m.R.Intn(256))
 	case 2: // interesting value
-		op.Data[m.R.Intn(len(op.Data))] = interesting[m.R.Intn(len(interesting))]
+		i := m.R.Intn(len(old))
+		data = slices.Clone(old)
+		data[i] = interesting[m.R.Intn(len(interesting))]
 	case 3: // insert
-		i := m.R.Intn(len(op.Data) + 1)
-		op.Data = append(op.Data[:i], append([]byte{byte(m.R.Intn(256))}, op.Data[i:]...)...)
+		i := m.R.Intn(len(old) + 1)
+		data = slices.Concat(old[:i], []byte{byte(m.R.Intn(256))}, old[i:])
 	case 4: // delete
-		i := m.R.Intn(len(op.Data))
-		op.Data = append(op.Data[:i], op.Data[i+1:]...)
+		i := m.R.Intn(len(old))
+		data = slices.Concat(old[:i], old[i+1:])
 	case 5: // duplicate a chunk
-		if len(op.Data) > 1 {
-			i := m.R.Intn(len(op.Data) - 1)
-			n := 1 + m.R.Intn(len(op.Data)-i-1)
-			chunk := append([]byte(nil), op.Data[i:i+n]...)
-			op.Data = append(op.Data[:i+n], append(chunk, op.Data[i+n:]...)...)
+		if len(old) < 2 {
+			return // no chunk to duplicate
 		}
+		i := m.R.Intn(len(old) - 1)
+		n := 1 + m.R.Intn(len(old)-i-1)
+		data = slices.Concat(old[:i+n], old[i:i+n], old[i+n:])
 	case 6: // splice in a dictionary token
 		tok := m.Dict[m.R.Intn(len(m.Dict))]
-		i := m.R.Intn(len(op.Data))
+		i := m.R.Intn(len(old))
 		if m.R.Intn(2) == 0 {
 			// overwrite
-			data := append([]byte(nil), op.Data[:i]...)
-			data = append(data, tok...)
-			if i+len(tok) < len(op.Data) {
-				data = append(data, op.Data[i+len(tok):]...)
-			}
-			op.Data = data
+			data = slices.Concat(old[:i], tok, old[min(i+len(tok), len(old)):])
 		} else {
 			// insert
-			op.Data = append(op.Data[:i], append(append([]byte(nil), tok...), op.Data[i:]...)...)
+			data = slices.Concat(old[:i], tok, old[i:])
 		}
 	}
-	if max := m.S.Nodes[op.Node].MaxData; max > 0 && len(op.Data) > max {
-		op.Data = op.Data[:max]
+	if max := m.S.Nodes[op.Node].MaxData; max > 0 && len(data) > max {
+		data = data[:max]
 	}
+	op.Data = data
 }
 
 func (m *Mutator) dupOpFrom(in *Input, start int) {
@@ -276,8 +293,7 @@ func (m *Mutator) dupOpFrom(in *Input, start int) {
 		return
 	}
 	i := start + m.R.Intn(len(in.Ops)-start)
-	cp := in.Ops[i].Clone()
-	in.Ops = append(in.Ops[:i+1], append([]Op{cp}, in.Ops[i+1:]...)...)
+	in.Ops = slices.Insert(in.Ops, i+1, in.Ops[i])
 }
 
 func (m *Mutator) dropOpFrom(in *Input, start int) {
@@ -307,51 +323,59 @@ func (m *Mutator) truncateTailFrom(in *Input, start int) {
 	in.Ops = in.Ops[:min+m.R.Intn(len(in.Ops)-min)]
 }
 
-func (m *Mutator) appendOps(in *Input) {
-	extra := m.Generate(1 + m.R.Intn(3))
-	in.Ops = append(in.Ops, extra.Ops...)
-}
-
 // repairFrom rewrites argument references at index >= start so the input
 // validates: ops whose borrows cannot be satisfied by any earlier value are
 // deleted. Deleting can orphan later ops, so repair iterates until stable.
 // Ops before start are assumed valid and never modified (they form the
-// snapshotted prefix).
+// snapshotted prefix). in.Ops, the caller's own, is compacted in place; an
+// op's Args may be shared, so a rewritten reference goes into a fresh copy.
 func (m *Mutator) repairFrom(in *Input, start int) {
-	for {
-		changed := false
-		values := m.S.valuesBefore(in, start)
+	values := m.values[:0]
+	for _, op := range in.Ops[:start] {
+		if int(op.Node) < len(m.S.Nodes) {
+			values = append(values, m.S.Nodes[op.Node].Outputs...)
+		}
+	}
+	prefixValues := len(values)
+	for changed := true; changed; {
+		changed = false
+		values = values[:prefixValues]
 		kept := in.Ops[:start]
+	ops:
 		for _, op := range in.Ops[start:] {
 			if int(op.Node) >= len(m.S.Nodes) {
 				changed = true
 				continue
 			}
-			nt := m.S.Nodes[op.Node]
-			if len(op.Args) != len(nt.Borrows) {
-				op.Args = make([]uint16, len(nt.Borrows))
-				for j := range op.Args {
-					op.Args[j] = uint16(len(values)) // definitely invalid; fixed below
+			nt := &m.S.Nodes[op.Node]
+			// args is read, fresh (args' copy from the first rewrite on) written.
+			args := op.Args
+			var fresh []uint16
+			if len(args) != len(nt.Borrows) {
+				fresh = make([]uint16, len(nt.Borrows))
+				for j := range fresh {
+					fresh[j] = uint16(len(values)) // definitely invalid; fixed below
 				}
+				args = fresh
 			}
-			ok := true
 			for j, need := range nt.Borrows {
-				a := int(op.Args[j])
+				a := int(args[j])
 				if a < len(values) && values[a] == need {
 					continue // already valid
 				}
 				idx := m.pickValue(values, need)
 				if idx < 0 {
-					ok = false
-					break
+					changed = true
+					continue ops // unsatisfiable: the op is dropped
 				}
-				op.Args[j] = uint16(idx)
+				if fresh == nil {
+					fresh = slices.Clone(args)
+					args = fresh
+				}
+				fresh[j] = uint16(idx)
 				changed = true
 			}
-			if !ok {
-				changed = true
-				continue
-			}
+			op.Args = args
 			if !nt.HasData {
 				op.Data = nil
 			}
@@ -359,8 +383,6 @@ func (m *Mutator) repairFrom(in *Input, start int) {
 			values = append(values, nt.Outputs...)
 		}
 		in.Ops = kept
-		if !changed {
-			return
-		}
 	}
+	m.values = values
 }

@@ -1,0 +1,224 @@
+package spec_test
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"testing"
+
+	"repro/internal/spec"
+	"repro/internal/targets"
+)
+
+// held is an input some owner keeps (a queue entry, a seed) with the bytes
+// it serialized to when the owner took it.
+type held struct {
+	in   *spec.Input
+	want []byte
+}
+
+func hold(in *spec.Input) held { return held{in, spec.Serialize(in)} }
+
+func (h held) check(t *testing.T, when string) {
+	t.Helper()
+	if got := spec.Serialize(h.in); !bytes.Equal(got, h.want) {
+		t.Fatalf("%s: a held input changed under its owner\n got %x\nwant %x", when, got, h.want)
+	}
+}
+
+// TestMutationNeverWritesThroughSharedOps checks the package's sharing rule
+// from the owners' side: whatever the mutator is asked to do with inputs
+// that share Args and Data arrays — seeds, clones of seeds, children admitted
+// by Clone the way core.account admits them, and their children — no held
+// input's bytes ever change. Writing one havoc case or the repair step back
+// in place fails it.
+func TestMutationNeverWritesThroughSharedOps(t *testing.T) {
+	for _, name := range targets.Names() {
+		info, _ := targets.Lookup(name)
+		s := spec.RawPacketSpec(name, info.New().Ports())
+		for _, dict := range [][][]byte{nil, info.Dict} {
+			run := name + "/dict"
+			if dict == nil {
+				run = name + "/nodict"
+			} else if len(dict) == 0 {
+				continue
+			}
+			t.Run(run, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(1))
+				m := spec.NewMutator(s, rng)
+				m.Dict = dict
+				var corpus []held
+				for _, seed := range info.Seeds(s) {
+					// The seed, and two entries sharing every array with it.
+					corpus = append(corpus, hold(seed), hold(seed.Clone()), hold(seed.Clone()))
+				}
+				if len(corpus) == 0 {
+					corpus = append(corpus, hold(m.Generate(0)))
+				}
+				seeds := len(corpus)
+				for round := 0; round < 20000; round++ {
+					a, b := corpus[rng.Intn(len(corpus))], corpus[rng.Intn(len(corpus))]
+					var child *spec.Input
+					switch round % 3 {
+					case 0:
+						child = m.Mutate(a.in)
+					case 1:
+						child = m.MutateSuffix(a.in, rng.Intn(len(a.in.Ops)+1))
+					case 2:
+						child = m.Mutate(m.Splice(a.in, b.in))
+						b.check(t, "splice mate")
+					}
+					a.check(t, "parent")
+					if err := s.Validate(child); err != nil {
+						t.Fatalf("round %d: %v", round, err)
+					}
+					if round%8 == 0 {
+						// Admit the child; past 128 entries it replaces a
+						// non-seed one, which nobody holds any longer.
+						if e := hold(child.Clone()); len(corpus) < 128 {
+							corpus = append(corpus, e)
+						} else {
+							corpus[seeds+rng.Intn(len(corpus)-seeds)] = e
+						}
+					}
+				}
+				for _, h := range corpus {
+					h.check(t, "at the end")
+				}
+			})
+		}
+	}
+}
+
+// TestMutateResultValidUntilNextCall checks the lifetime rule from the
+// caller's side: the result's prefix is the parent's, a Clone taken before
+// the next call keeps its bytes however many calls follow, and the result
+// itself is the mutator's to overwrite.
+func TestMutateResultValidUntilNextCall(t *testing.T) {
+	info, _ := targets.Lookup("bftpd")
+	s := spec.RawPacketSpec("bftpd", info.New().Ports())
+	parent := info.Seeds(s)[0]
+	m := spec.NewMutator(s, rand.New(rand.NewSource(3)))
+	m.Dict = info.Dict
+	var clones []held
+	for round := 0; round < 2000; round++ {
+		start := round % len(parent.Ops)
+		child := m.MutateSuffix(parent, start)
+		if len(child.Ops) < start {
+			t.Fatalf("round %d: child lost part of its prefix", round)
+		}
+		got := spec.Serialize(&spec.Input{Ops: child.Ops[:start], SnapshotAt: -1})
+		want := spec.Serialize(&spec.Input{Ops: parent.Ops[:start], SnapshotAt: -1})
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: prefix ops[:%d] differs from the parent's", round, start)
+		}
+		if round%100 == 0 {
+			clones = append(clones, hold(child.Clone()))
+		}
+		for _, c := range clones {
+			c.check(t, "clone of an earlier result")
+		}
+	}
+}
+
+// script is a rand.Source that dictates the next draws: Intn(n) returns
+// vals[i] % n for each scripted value in turn, then 0.
+type script struct {
+	vals []int64
+	i    int
+}
+
+func (s *script) Int63() int64 {
+	if s.i >= len(s.vals) {
+		return 0
+	}
+	s.i++
+	return s.vals[s.i-1] << 32
+}
+func (*script) Seed(int64) {}
+
+// TestMutateSuffixSteadyStateAllocs pins what a child costs once the
+// mutator's child and scratch have grown to size: nothing for a mutation that
+// only rearranges op headers, the new payload and nothing else for a havoc.
+func TestMutateSuffixSteadyStateAllocs(t *testing.T) {
+	info, _ := targets.Lookup("bftpd")
+	s := spec.RawPacketSpec("bftpd", info.New().Ports())
+	parent := info.Seeds(s)[0]
+	src := &script{}
+	m := spec.NewMutator(s, rand.New(src))
+	m.Dict = info.Dict
+
+	// Draws of one MutateSuffix: stacked mutations - 1, the mutation, then
+	// that mutation's own (op index; for havoc: payload op, havoc case).
+	for _, c := range []struct {
+		name  string
+		draws []int64
+		max   float64
+	}{
+		{"dup", []int64{0, 5, 1}, 0},
+		{"drop", []int64{0, 6, 1}, 0},
+		{"swap", []int64{0, 7, 1}, 0},
+		{"truncate", []int64{0, 8, 1}, 0},
+		{"four rearrangements", []int64{3, 5, 1, 7, 0, 6, 1, 8, 0}, 0},
+		{"havoc bit flip", []int64{0, 0, 1, 0, 2, 3}, 2},
+		{"havoc byte set", []int64{0, 0, 1, 1, 2, 3}, 2},
+		{"havoc interesting", []int64{0, 0, 1, 2, 2, 3}, 2},
+		{"havoc insert", []int64{0, 0, 1, 3, 2, 3}, 2},
+		{"havoc delete", []int64{0, 0, 1, 4, 2}, 2},
+		{"havoc dup chunk", []int64{0, 0, 1, 5, 2, 3}, 2},
+		{"havoc dict", []int64{0, 0, 1, 6, 2, 3, 1}, 2},
+	} {
+		before := hold(parent)
+		var child *spec.Input
+		mutate := func() {
+			src.vals, src.i = c.draws, 0
+			child = m.MutateSuffix(parent, 2)
+		}
+		mutate() // warm-up: grows the child and the scratch
+		if got := testing.AllocsPerRun(100, mutate); got > c.max {
+			t.Errorf("%s: %.0f allocations per child, want at most %.0f", c.name, got, c.max)
+		}
+		if bytes.Equal(spec.Serialize(child), before.want) {
+			t.Errorf("%s: the scripted draws mutated nothing", c.name)
+		}
+		before.check(t, c.name)
+	}
+}
+
+// FuzzBytecodeDecode feeds arbitrary bytes to Deserialize, the way a corpus
+// directory or a checkpoint somebody else wrote does. A decode either fails
+// with ErrBadBytecode or yields an input that encodes back to the same
+// bytes — less the 7 bytes of each snapshot marker after the first, which
+// are dropped by design; it never panics, and no count field sizes an
+// allocation the bytes could not fill (the fuzzing engine's memory limit is
+// what notices).
+func FuzzBytecodeDecode(f *testing.F) {
+	for _, name := range targets.Names() {
+		info, _ := targets.Lookup(name)
+		s := spec.RawPacketSpec(name, info.New().Ports())
+		for _, seed := range info.Seeds(s) {
+			b := spec.Serialize(seed)
+			f.Add(b)
+			f.Add(b[:len(b)/2])
+			f.Add(spec.Serialize(&spec.Input{Ops: seed.Ops, SnapshotAt: len(seed.Ops) / 2}))
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		in, err := spec.Deserialize(b)
+		if err != nil {
+			if !errors.Is(err, spec.ErrBadBytecode) {
+				t.Fatalf("decode failed with %v, not ErrBadBytecode", err)
+			}
+			return
+		}
+		got := spec.Serialize(in)
+		if len(got) != spec.EncodedLen(in) {
+			t.Fatalf("EncodedLen says %d, Serialize wrote %d bytes", spec.EncodedLen(in), len(got))
+		}
+		if extra := len(b) - len(got); extra == 0 && !bytes.Equal(got, b) {
+			t.Fatalf("%d bytes decoded and re-encoded to different bytes", len(b))
+		} else if extra < 0 || extra%7 != 0 {
+			t.Fatalf("%d bytes decoded and re-encoded to %d", len(b), len(got))
+		}
+	})
+}

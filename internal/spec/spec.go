@@ -7,6 +7,16 @@
 // The package also defines the special snapshot opcode the fuzzer injects
 // to request an incremental snapshot at an arbitrary position in the input
 // stream (§4.3).
+//
+// # Inputs share what they did not change
+//
+// The backing arrays of Op.Args and Op.Data are never written after the op
+// is constructed, anywhere in the repository (nyx-vet's opwrite analyzer
+// checks it): a change builds a new slice and assigns it to an op of an
+// Input the writer owns. So any number of inputs and goroutines may hold one
+// op. Input.Clone copies op headers only — O(ops), payloads shared. Mutate
+// and MutateSuffix never write their argument; their result belongs to the
+// Mutator and is valid until the next call of either on it (Clone keeps it).
 package spec
 
 import (
@@ -137,23 +147,11 @@ type Input struct {
 // NewInput creates an input with no snapshot marker.
 func NewInput(ops ...Op) *Input { return &Input{Ops: ops, SnapshotAt: -1} }
 
-// Clone deep-copies the op: the returned Op shares no Args or Data storage
-// with the original. Mutators use it to copy single ops without cloning the
-// whole input they sit in.
-func (op Op) Clone() Op {
-	return Op{
-		Node: op.Node,
-		Args: append([]uint16(nil), op.Args...),
-		Data: append([]byte(nil), op.Data...),
-	}
-}
-
-// Clone deep-copies the input.
+// Clone copies the op headers and shares every Args and Data array with in
+// (see the package comment): the clone's Ops and marker are the caller's.
 func (in *Input) Clone() *Input {
 	out := &Input{Ops: make([]Op, len(in.Ops)), SnapshotAt: in.SnapshotAt}
-	for i, op := range in.Ops {
-		out.Ops[i] = op.Clone()
-	}
+	copy(out.Ops, in.Ops)
 	return out
 }
 
@@ -213,17 +211,4 @@ func (s *Spec) Validate(in *Input) error {
 		return fmt.Errorf("spec: snapshot marker %d out of range", in.SnapshotAt)
 	}
 	return nil
-}
-
-// valuesBefore returns, for each value index produced before op index i,
-// its edge type. Used by the mutators to repair references.
-func (s *Spec) valuesBefore(in *Input, i int) []EdgeID {
-	var values []EdgeID
-	for j := 0; j < i && j < len(in.Ops); j++ {
-		op := in.Ops[j]
-		if int(op.Node) < len(s.Nodes) {
-			values = append(values, s.Nodes[op.Node].Outputs...)
-		}
-	}
-	return values
 }

@@ -122,7 +122,8 @@ func TestDeserializeRejectsGarbage(t *testing.T) {
 		nil,
 		[]byte("shrt"),
 		[]byte("XXXXXXXXXXXXXX"),
-		append([]byte("NYXB"), 9, 0, 1, 0, 0, 0, 0, 0, 0), // bad version
+		append([]byte("NYXB"), 9, 0, 1, 0, 0, 0, 0, 0, 0),    // bad version
+		append([]byte("NYXB"), 1, 0, 0xff, 0xff, 0xff, 0xff), // four billion ops in no bytes
 	}
 	for i, b := range cases {
 		if _, err := Deserialize(b); err == nil {
@@ -237,26 +238,24 @@ func TestMutateChangesSomething(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
+// Property: EncodedLen is len(Serialize(in)) on generated inputs, mutated
+// ones, and every marker position including the ones Serialize ignores.
+func TestEncodedLenMatchesSerialize(t *testing.T) {
 	s := testSpec()
-	in := validInput(t, s)
-	cp := in.Clone()
-	cp.Ops[1].Data[0] = 'X'
-	cp.Ops[1].Args[0] = 9
-	if in.Ops[1].Data[0] == 'X' || in.Ops[1].Args[0] == 9 {
-		t.Fatal("Clone must deep-copy data and args")
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m := NewMutator(s, rng)
+		in := m.Generate(0)
+		for i := 0; i < 4; i++ {
+			in.SnapshotAt = rng.Intn(len(in.Ops)+3) - 1
+			if EncodedLen(in) != len(Serialize(in)) {
+				return false
+			}
+			in = m.Mutate(in)
+		}
+		return true
 	}
-}
-
-func TestOpCloneIsDeep(t *testing.T) {
-	op := Op{Node: 3, Args: []uint16{1, 2}, Data: []byte("abc")}
-	cp := op.Clone()
-	cp.Args[0] = 9
-	cp.Data[0] = 'X'
-	if op.Args[0] == 9 || op.Data[0] == 'X' {
-		t.Fatal("Op.Clone must deep-copy args and data")
-	}
-	if cp.Node != op.Node || len(cp.Args) != 2 || string(op.Data) != "abc" {
-		t.Fatal("Op.Clone must copy all fields")
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -134,7 +134,7 @@ func TestSnapshotSlotPathsMatchRootRun(t *testing.T) {
 				}
 			}
 			for round := 0; round < rounds; round++ {
-				base := mut.Mutate(seeds[round%len(seeds)])
+				base := mut.Mutate(seeds[round%len(seeds)]).Clone() // held across the suffix mutations below
 				if len(base.Ops) < 2 {
 					continue
 				}
