@@ -310,9 +310,11 @@ func runServe(addr, storeURL string, ckptEvery time.Duration) {
 	}
 	m := service.New(service.Config{Store: st, CheckpointEvery: ckptEvery})
 	if st != nil {
+		// A stored campaign that does not decode is reported and left
+		// out; the others are served.
 		recovered, err := m.Recover()
 		if err != nil {
-			fatalf("recovering campaigns: %v", err)
+			fmt.Fprintf(os.Stderr, "nyx-net: recovering campaigns: %v\n", err)
 		}
 		for _, r := range recovered {
 			fmt.Printf("[*] recovered campaign %s: %s, %v virtual, %d edges, %d crashes\n",

@@ -188,28 +188,17 @@ func TestAsyncResumeRestoresPendingImports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Graft a pending import for worker 0 into the manifest: the first
-	// corpus entry's input (worker 0 may or may not hold it — the import
-	// path dedups either way; what must survive is the queue itself).
-	var m manifest
-	if err := json.Unmarshal(tree["manifest.json"], &m); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Corpus) == 0 {
-		t.Fatal("no corpus to graft from")
-	}
-	base := 0
-	for _, p := range m.Pending {
-		if p.Worker == 0 {
-			base++
+	// Graft a pending import for worker 0 into broker.bin: the first corpus
+	// entry's input (worker 0 may or may not hold it — the import path
+	// dedups either way; what must survive is the queue itself).
+	base := -1
+	tree = editBroker(t, tree, func(b *broker) {
+		if len(b.corpus) == 0 {
+			t.Fatal("no corpus to graft from")
 		}
-	}
-	m.Pending = append(m.Pending, manifestPending{Worker: 0, Input: m.Corpus[0].Input, GlobalFav: true})
-	enc, err := json.Marshal(&m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree["manifest.json"] = enc
+		base = len(b.pending[0])
+		b.pending[0] = append(b.pending[0], importItem{input: b.corpus[0].Entry.Input, globalFav: true})
+	})
 
 	res, err := ResumeTree(tree)
 	if err != nil {

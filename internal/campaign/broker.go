@@ -164,9 +164,6 @@ type brokerEntry struct {
 	// that published it has competed, so an entry displaced later in the
 	// same delta is not redistributed as a winner).
 	GlobalFav bool
-	// key is the entry's content key (core.InputKey), cached at publish
-	// time for claim lookups.
-	key string
 }
 
 func newBroker() *broker {
@@ -483,7 +480,7 @@ func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importIte
 			if gf != (pass == 0) {
 				continue
 			}
-			b.corpus = append(b.corpus, brokerEntry{Worker: id, Entry: p.entry, GlobalFav: gf, key: p.key})
+			b.corpus = append(b.corpus, brokerEntry{Worker: id, Entry: p.entry, GlobalFav: gf})
 			item := importItem{input: p.input, globalFav: gf}
 			for wid := range b.pending {
 				if wid != id {

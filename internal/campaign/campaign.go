@@ -423,7 +423,7 @@ func (w *worker) buildDelta(power bool) epochDelta {
 	scratch := make([]coverage.BucketHit, total)
 	d.pubs = make([]pubDelta, 0, len(fresh))
 	for _, e := range fresh {
-		key := core.InputKey(e.Input)
+		key := e.Key()
 		w.byKey[key] = append(w.byKey[key], e)
 		hits := scratch[:len(e.Cov)]
 		scratch = scratch[len(e.Cov):]
@@ -438,7 +438,7 @@ func (w *worker) buildDelta(power bool) epochDelta {
 		})
 	}
 	for _, r := range w.fz.DrainRetrimmed() {
-		newKey := core.InputKey(r.Entry.Input)
+		newKey := r.Entry.Key()
 		w.rebind(r.OldKey, newKey, r.Entry)
 		d.retrims = append(d.retrims, retrimDelta{oldKey: r.OldKey, newKey: newKey, fav: r.Entry.FavFactor()})
 	}

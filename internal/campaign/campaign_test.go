@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/coverage"
+	"repro/internal/guest"
 	"repro/internal/spec"
 	"repro/internal/store"
 	"repro/internal/targets"
@@ -34,6 +36,20 @@ func resumeDir(dir string) (*Campaign, error) {
 		return nil, err
 	}
 	return ResumeFrom(st, name)
+}
+
+// loadSchedState decodes worker id's sched.bin from a checkpoint directory.
+func loadSchedState(t *testing.T, dir string, id int) ([]core.EntryMeta, *core.PowerMeta) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, workerDir(id), core.SchedStateFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas, power, err := core.DecodeSchedState(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return metas, power
 }
 
 func testCfg(workers int, seed int64) Config {
@@ -308,10 +324,7 @@ func TestCheckpointPersistsSchedulerMetadata(t *testing.T) {
 	}
 	saved := make(map[string]core.EntryMeta)
 	for _, w := range orig.workers {
-		metas, err := core.LoadSchedMeta(filepath.Join(dir, workerDir(w.id)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		metas, _ := loadSchedState(t, dir, w.id)
 		if len(metas) != len(w.fz.Queue) {
 			t.Fatalf("worker %d checkpoint has %d metadata entries, queue has %d",
 				w.id, len(metas), len(w.fz.Queue))
@@ -334,7 +347,7 @@ func TestCheckpointPersistsSchedulerMetadata(t *testing.T) {
 	}
 	matched, restored := 0, 0
 	for _, e := range res.workers[0].fz.Queue {
-		m, ok := saved[core.InputKey(e.Input)]
+		m, ok := saved[e.Key()]
 		if !ok {
 			continue
 		}
@@ -666,7 +679,7 @@ func TestOrderImportsGlobalWinnersFirst(t *testing.T) {
 	}
 	var corpus []string
 	for _, be := range b.corpus[1:] {
-		corpus = append(corpus, be.key)
+		corpus = append(corpus, be.Entry.Key())
 	}
 	if !slices.Equal(corpus, want) {
 		t.Fatalf("corpus order = %v, want %v", corpus, want)
@@ -777,10 +790,7 @@ func TestCheckpointPersistsPowerState(t *testing.T) {
 	}
 
 	for _, w := range orig.workers {
-		m, err := core.LoadPowerMeta(filepath.Join(dir, workerDir(w.id)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, m := loadSchedState(t, dir, w.id)
 		if m == nil || m.TotalPicked == 0 || len(m.EdgePicks) == 0 {
 			t.Fatalf("worker %d checkpoint has empty power state: %+v", w.id, m)
 		}
@@ -828,84 +838,79 @@ func TestCheckpointPersistsPowerState(t *testing.T) {
 	}
 }
 
-// editManifest round-trips a checkpoint tree's manifest through edit.
-func editManifest(t *testing.T, tree store.Tree, edit func(m map[string]any)) store.Tree {
+// editManifest returns a copy of tree whose header went through edit,
+// decoded and re-encoded the way the package itself does it.
+func editManifest(t *testing.T, tree store.Tree, edit func(m *manifest)) store.Tree {
 	t.Helper()
-	var m map[string]any
-	if err := json.Unmarshal(tree["manifest.json"], &m); err != nil {
+	m, err := readManifest(tree)
+	if err != nil {
 		t.Fatal(err)
 	}
-	edit(m)
-	raw, err := json.Marshal(m)
+	edit(&m)
+	raw, err := json.Marshal(&m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := maps.Clone(tree)
-	out["manifest.json"] = raw
+	out[ManifestFile] = raw
 	return out
 }
 
-// Both sync modes write the current manifest version; the previous one
-// (no sync_mode, epoch counters or pending imports) still resumes, in
-// lockstep with zeroed epoch state.
-func TestResumeVersion3Manifest(t *testing.T) {
-	orig := run(t, testCfg(2, 12), time.Second)
-	tree, err := orig.CheckpointTree()
+// editBroker is editManifest for broker.bin: edit works on the decoded
+// broker, the package's encoder writes it back, and the header's counts
+// follow.
+func editBroker(t *testing.T, tree store.Tree, edit func(b *broker)) store.Tree {
+	t.Helper()
+	m, err := readManifest(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m manifest
-	if err := json.Unmarshal(tree["manifest.json"], &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Version != manifestVersion || m.SyncMode != "lockstep" || len(m.WorkerEpochs) != 2 || len(m.Pending) != 0 {
-		t.Fatalf("lockstep manifest: version %d, sync_mode %q, %d epochs, %d pending",
-			m.Version, m.SyncMode, len(m.WorkerEpochs), len(m.Pending))
-	}
-
-	v3 := editManifest(t, tree, func(m map[string]any) {
-		m["version"] = 3
-		delete(m, "sync_mode")
-		delete(m, "worker_epochs")
-		delete(m, "pending_imports")
-	})
-	res, err := ResumeTree(v3)
+	b, err := decodeBroker(tree[brokerFile], m.Workers)
 	if err != nil {
-		t.Fatalf("version-3 checkpoint did not resume: %v", err)
-	}
-	if res.SyncMode() != SyncLockstep || res.Coverage() != orig.Coverage() || res.CorpusSize() != orig.CorpusSize() {
-		t.Fatalf("version-3 resume: mode %v, %d edges, %d corpus", res.SyncMode(), res.Coverage(), res.CorpusSize())
-	}
-	for i, w := range res.workers {
-		if w.epoch != 0 {
-			t.Fatalf("worker %d resumed with epoch %d from a manifest that records none", i, w.epoch)
-		}
-	}
-	if err := res.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if res.Coverage() < orig.Coverage() {
-		t.Fatalf("coverage regressed after version-3 resume: %d < %d", res.Coverage(), orig.Coverage())
-	}
+	edit(b)
+	var w guest.StateWriter
+	b.encode(&w)
+	out := editManifest(t, tree, func(m *manifest) { m.Corpus, m.Crashes = len(b.corpus), len(b.crashes) })
+	out[brokerFile] = w.Bytes()
+	return out
 }
 
-// Manifests older than the previous version (or newer than this build) are
-// refused with an error naming the version, not resumed on guesses.
+// One version is written and one is read: both sync modes declare it, and a
+// header that declares any other — the previous two, which older builds
+// wrote, included — is refused with an error naming the version, not resumed
+// on guesses.
 func TestResumeRefusesOldManifestVersions(t *testing.T) {
 	tree, err := run(t, testCfg(1, 12), time.Second).CheckpointTree()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []int{0, 1, 2, manifestVersion + 1} {
-		old := editManifest(t, tree, func(m map[string]any) { m["version"] = v })
-		_, err := ResumeTree(old)
+	if m, err := readManifest(tree); err != nil || m.Version != manifestVersion || m.SyncMode != "lockstep" || len(m.WorkerEpochs) != 1 {
+		t.Fatalf("lockstep manifest: %+v, %v", m, err)
+	}
+	refused := func(v int, tree store.Tree) {
+		t.Helper()
+		_, err := ResumeTree(tree)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d ", v)) {
 			t.Fatalf("version-%d manifest: err = %v, want a refusal naming the version", v, err)
 		}
+		if _, err := Summarize(tree); err == nil {
+			t.Fatalf("version-%d manifest summarized", v)
+		}
 	}
+	for _, v := range []int{0, 1, 2, 3, 4, manifestVersion + 1} {
+		refused(v, editManifest(t, tree, func(m *manifest) { m.Version = v }))
+	}
+	// A header shaped the way version 4 shaped it: the corpus and the
+	// crashes as lists.
+	v4 := maps.Clone(tree)
+	v4[ManifestFile] = []byte(`{"version": 4, "target": "lightftp", "workers": 1, "sync_mode": "lockstep",
+		"crashes": [], "corpus": [{"worker": 0, "input_b64": "TllYQgEAAAAAAA=="}], "cov_log": []}`)
+	refused(4, v4)
 }
 
-// The manifest is untrusted: enum fields outside their range and worker
+// The checkpoint is untrusted: enum fields outside their range and worker
 // indices outside the campaign are errors, not silent defaults.
 func TestResumeRejectsBadManifest(t *testing.T) {
 	orig := run(t, asyncCfg(2, 12), time.Second)
@@ -913,31 +918,35 @@ func TestResumeRejectsBadManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pending := func(worker int) func(m map[string]any) {
-		return func(m map[string]any) {
-			in := m["corpus"].([]any)[0].(map[string]any)["input_b64"]
-			m["pending_imports"] = []any{map[string]any{"worker": worker, "input_b64": in}}
+	pending := func(worker int) func(b *broker) {
+		return func(b *broker) {
+			for len(b.pending) <= worker {
+				b.pending = append(b.pending, nil)
+			}
+			b.pending[worker] = append(b.pending[worker], importItem{input: b.corpus[0].Entry.Input})
 		}
 	}
-	corpusWorker := func(worker int) func(m map[string]any) {
-		return func(m map[string]any) { m["corpus"].([]any)[0].(map[string]any)["worker"] = worker }
+	corpusWorker := func(worker int) func(b *broker) {
+		return func(b *broker) { b.corpus[0].Worker = worker }
 	}
-	if _, err := ResumeTree(editManifest(t, tree, pending(1))); err != nil {
+	if _, err := ResumeTree(editBroker(t, tree, pending(1))); err != nil {
 		t.Fatalf("in-range edit refused: %v", err)
 	}
-	for name, edit := range map[string]func(m map[string]any){
-		"policy 99":            func(m map[string]any) { m["policy"] = 99 },
-		"policy -1":            func(m map[string]any) { m["policy"] = -1 },
-		"sched 2":              func(m map[string]any) { m["sched"] = 2 },
-		"power 7":              func(m map[string]any) { m["power"] = 7 },
-		"sync mode":            func(m map[string]any) { m["sync_mode"] = "sometimes" },
-		"corpus worker 2":      corpusWorker(2),
-		"corpus worker -1":     corpusWorker(-1),
-		"pending worker 2":     pending(2),
-		"pending worker -1":    pending(-1),
-		"three epoch counters": func(m map[string]any) { m["worker_epochs"] = []int{1, 1, 1} },
+	for name, bad := range map[string]store.Tree{
+		"policy 99":            editManifest(t, tree, func(m *manifest) { m.Policy = 99 }),
+		"policy -1":            editManifest(t, tree, func(m *manifest) { m.Policy = -1 }),
+		"sched 2":              editManifest(t, tree, func(m *manifest) { m.Sched = 2 }),
+		"power 7":              editManifest(t, tree, func(m *manifest) { m.Power = 7 }),
+		"sync mode":            editManifest(t, tree, func(m *manifest) { m.SyncMode = "sometimes" }),
+		"three epoch counters": editManifest(t, tree, func(m *manifest) { m.WorkerEpochs = []int{1, 1, 1} }),
+		"corpus count":         editManifest(t, tree, func(m *manifest) { m.Corpus++ }),
+		"crash count":          editManifest(t, tree, func(m *manifest) { m.Crashes++ }),
+		"corpus worker 2":      editBroker(t, tree, corpusWorker(2)),
+		"corpus worker -1":     editBroker(t, tree, corpusWorker(-1)),
+		"pending queue 2":      editBroker(t, tree, pending(2)),
+		"no pending queues":    editBroker(t, tree, func(b *broker) { b.pending = nil }),
 	} {
-		if c, err := ResumeTree(editManifest(t, tree, edit)); err == nil {
+		if c, err := ResumeTree(bad); err == nil {
 			t.Errorf("%s: resumed (policy %v, sched %v, power %v), want an error", name, c.cfg.Policy, c.cfg.Sched, c.cfg.Power)
 		}
 	}

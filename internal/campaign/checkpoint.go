@@ -1,11 +1,11 @@
 package campaign
 
 import (
-	"encoding/base64"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -16,12 +16,50 @@ import (
 	"repro/internal/store"
 )
 
-// Checkpoint layout (one store.Tree, written atomically via PutTree):
+// Checkpoint format, manifest version 5 — one store.Tree, written atomically
+// via PutTree. This comment is the format's one specification.
 //
-//	manifest.json     campaign config, counters, crash metadata, coverage log
-//	virgin.bin        the broker's global virgin map (sparse encoding)
-//	worker-000/       worker 0's corpus via core.EncodeCorpus (queue/ + crashes/)
-//	worker-001/       ...
+//	manifest.json                    the header: compact JSON of type manifest
+//	virgin.bin                       the broker's global virgin map (coverage.Virgin.MarshalBinary)
+//	broker.bin                       the broker's corpus, claims, pending imports and crashes
+//	worker-NNN/queue/id-NNNNNN.nyx   worker NNN's queue, one file per entry (core.EncodeQueue)
+//	worker-NNN/sched.bin             its scheduler metadata and power state (core.EncodeSchedState)
+//
+// The header holds what a listing, a summary or a person reads — the
+// campaign's configuration, clock, counters (the corpus and crashes as
+// counts) and coverage log — and its size does not depend on the corpus.
+// Everything that grows with the corpus is binary, written and read in one
+// pass through the bounded canonical codec of the guest state image
+// (guest.StateWriter/StateReader): little-endian, strings and byte strings
+// behind a u32 length, booleans 0 or 1, every count checked against the bytes
+// left before it sizes an allocation or bounds a loop, bytes after the last
+// field an error. A file that decodes is the file its contents encode to.
+//
+// The queue files are the §5.4 share-folder format (spec.Serialize), so a
+// worker directory doubles as a seed corpus; a resume decodes them in key
+// order, which is ID order, which is queue order — the order sched.bin's
+// entries are in. Crashes are kept once, in broker.bin.
+//
+// broker.bin, in order (an input is spec.Serialize bytes with no snapshot
+// marker; a key is core.InputKey of the input it travels with):
+//
+//	u32 n   corpus entries in acceptance order; n = the header's corpus_entries
+//	   n × ( u32 worker < workers | bool favored | bool global_fav | bool dominated |
+//	         i64 exec_time_ns | i64 size | string key | bytes32 input |
+//	         u32 h | h × ( u32 edge | u8 bucket ) )
+//	u32 c   top-rated claims, edges strictly ascending and below coverage.MapSize
+//	   c × ( u32 edge | i64 fav | string key )
+//	u32 w   pending-import queues, one per worker in ID order; w = workers
+//	   w × ( u32 p | p × ( bool global_fav | bytes32 input ) )
+//	u32 k   deduplicated crashes in discovery order; k = the header's crash_entries
+//	   k × ( string kind | string msg | i64 found_at_ns | u64 execs | bytes32 input )
+//
+// Decoded inputs alias the file they came from (spec.Deserialize): a resumed
+// campaign keeps every queue file's buffer and the whole of broker.bin
+// reachable for as long as it holds the inputs, which is as long as it runs.
+// That is the bytes a copy of each payload would have cost, plus the trace
+// digests and headers in between. ResumeTree therefore owns the tree it is
+// given; callers must not write its values afterwards.
 //
 // Checkpoint I/O goes through the store.Storer abstraction, so the same
 // tree lands on a local directory (dir://) or a remote-style object store
@@ -35,14 +73,21 @@ import (
 // the epoch bumps on every resume), but is not bit-identical to the same
 // campaign run without interruption — mid-campaign mutator RNG state is
 // deliberately not serialized, matching how AFL resumes from AFL_AUTORESUME.
+// Pool contents are never checkpointed — slots are live VM state, recreated
+// on demand after a resume.
 
-// manifestVersion is the checkpoint format every campaign writes,
-// whatever its sync mode. ResumeTree reads it and the previous version
-// (3, which predates sync_mode, worker_epochs and pending_imports and
-// resumes in lockstep with none of them); anything older is refused. Pool
-// contents are never checkpointed — slots are live VM state, recreated on
-// demand after a resume.
-const manifestVersion = 4
+// manifestVersion is the one checkpoint format this build writes and reads;
+// a tree that declares any other is refused by number (README says how to
+// carry an older tree over).
+const manifestVersion = 5
+
+// Tree keys beside the per-worker files. ManifestFile is the one a listing
+// needs: Summarize reads nothing else.
+const (
+	ManifestFile = "manifest.json"
+	virginFile   = "virgin.bin"
+	brokerFile   = "broker.bin"
+)
 
 type manifest struct {
 	Version       int           `json:"version"`
@@ -63,111 +108,78 @@ type manifest struct {
 	// disabled).
 	SnapBudget int64 `json:"snap_budget,omitempty"`
 	Asan       bool  `json:"asan"`
+	// SyncMode names the schedule ("lockstep" | "async").
+	SyncMode string `json:"sync_mode"`
 	// Elapsed is the campaign's cumulative virtual time at checkpoint;
 	// the resumed campaign's clock (and hence its coverage-log and crash
 	// timestamps) continues from here instead of restarting at zero.
 	Elapsed time.Duration `json:"elapsed_ns"`
 
-	Published uint64          `json:"published"`
-	Deduped   uint64          `json:"deduped"`
-	Crashes   []manifestCrash `json:"crashes"`
-	CovLog    []manifestPoint `json:"cov_log"`
-	Corpus    []manifestEntry `json:"corpus"`
-	// TopRated is the broker's global favored-competition digest: per
-	// edge, the favFactor and content key of the cheapest published claim.
-	TopRated []manifestClaim `json:"top_rated,omitempty"`
-
-	// SyncMode names the schedule ("lockstep" | "async"); version-3
-	// manifests lack it and resume in lockstep.
-	SyncMode string `json:"sync_mode"`
+	Published uint64 `json:"published"`
+	Deduped   uint64 `json:"deduped"`
+	// Corpus and Crashes count broker.bin's corpus entries and crashes.
+	Corpus  int `json:"corpus_entries"`
+	Crashes int `json:"crash_entries"`
 	// WorkerEpochs records each worker's epoch counter.
 	WorkerEpochs []int `json:"worker_epochs,omitempty"`
-	// Pending preserves the workers' bounded import queues — entries
-	// published by others that a worker had not yet pulled at checkpoint
-	// time (an async campaign's final flushes race each other; a lockstep
-	// round leaves none) — so redistribution survives the resume.
-	Pending []manifestPending `json:"pending_imports,omitempty"`
+	// CovLog is the aggregated coverage-over-time series.
+	CovLog []core.CoveragePoint `json:"cov_log"`
 }
 
-// manifestPending is one pending import: the receiving worker and the
-// redistributed input.
-type manifestPending struct {
-	Worker    int    `json:"worker"`
-	Input     string `json:"input_b64"`
-	GlobalFav bool   `json:"global_fav,omitempty"`
-}
-
-// manifestEntry preserves the broker's accepted-corpus history (provenance
-// + input) so CorpusSize and the published/deduped counters stay mutually
-// consistent across resumes, plus the scheduler-facing metadata the global
-// favored competition reads. The trace digest is packed binary (5 bytes per
-// edge, base64) rather than per-hit JSON: the manifest holds one digest
-// per accepted entry, and a long campaign would otherwise pay
-// O(entries x edges) in indented object syntax on every checkpoint.
-type manifestEntry struct {
-	Worker    int           `json:"worker"`
-	Input     string        `json:"input_b64"`
-	Favored   bool          `json:"favored,omitempty"`
-	GlobalFav bool          `json:"global_fav,omitempty"`
-	Dominated bool          `json:"dominated,omitempty"`
-	ExecTime  time.Duration `json:"exec_time_ns,omitempty"`
-	Size      int           `json:"size,omitempty"`
-	Cov       string        `json:"cov_b64,omitempty"`
-}
-
-// encodeHits packs a bucketed trace digest as 5 bytes per edge
-// (little-endian index + bucket), base64-encoded for the manifest.
-func encodeHits(hits []coverage.BucketHit) string {
-	buf := make([]byte, 0, 5*len(hits))
-	for _, h := range hits {
-		var b [5]byte
-		binary.LittleEndian.PutUint32(b[:4], h.Index)
-		b[4] = h.Bucket
-		buf = append(buf, b[:]...)
+// readManifest decodes a tree's header and refuses every version but this
+// build's.
+func readManifest(t store.Tree) (manifest, error) {
+	var m manifest
+	enc, ok := t[ManifestFile]
+	if !ok {
+		return m, fmt.Errorf("checkpoint has no %s", ManifestFile)
 	}
-	return base64.StdEncoding.EncodeToString(buf)
+	if err := json.Unmarshal(enc, &m); err != nil {
+		return m, fmt.Errorf("bad manifest: %w", err)
+	}
+	if m.Version != manifestVersion {
+		return m, fmt.Errorf("manifest version %d is not supported (this build reads version %d only)", m.Version, manifestVersion)
+	}
+	return m, nil
 }
 
-// decodeHits unpacks an encodeHits digest.
-func decodeHits(s string) ([]coverage.BucketHit, error) {
-	if s == "" {
-		return nil, nil
+// config returns the campaign configuration the header records. The header
+// is outside input: a raw cast would let an unknown policy silently fuzz as
+// the default, so every enum is checked against its range.
+func (m *manifest) config() (Config, error) {
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{
+		{"policy", m.Policy, int(core.PolicyAggressive)},
+		{"sched", m.Sched, int(core.SchedRoundRobin)},
+		{"power", m.Power, int(core.PowerAdaptive)},
+	} {
+		if f.v < 0 || f.v > f.max {
+			return Config{}, fmt.Errorf("manifest %s %d out of range 0..%d", f.name, f.v, f.max)
+		}
 	}
-	raw, err := base64.StdEncoding.DecodeString(s)
+	syncMode, err := ParseSyncMode(m.SyncMode)
 	if err != nil {
-		return nil, err
+		return Config{}, err
 	}
-	if len(raw)%5 != 0 {
-		return nil, fmt.Errorf("trace digest length %d not a multiple of 5", len(raw))
+	cfg := Config{
+		Target:        m.Target,
+		Workers:       m.Workers,
+		Policy:        core.Policy(m.Policy),
+		Seed:          m.Seed,
+		SyncInterval:  m.SyncInterval,
+		SnapshotReuse: m.SnapshotReuse,
+		Sched:         core.Sched(m.Sched),
+		Power:         core.Power(m.Power),
+		SnapBudget:    m.SnapBudget,
+		Asan:          m.Asan,
+		SyncMode:      syncMode,
+	}.withDefaults()
+	if len(m.WorkerEpochs) > cfg.Workers {
+		return Config{}, fmt.Errorf("%d worker epochs for %d workers", len(m.WorkerEpochs), cfg.Workers)
 	}
-	hits := make([]coverage.BucketHit, 0, len(raw)/5)
-	for i := 0; i+5 <= len(raw); i += 5 {
-		hits = append(hits, coverage.BucketHit{
-			Index:  binary.LittleEndian.Uint32(raw[i : i+4]),
-			Bucket: raw[i+4],
-		})
-	}
-	return hits, nil
-}
-
-// manifestClaim is one edge's entry in the global top-rated digest.
-type manifestClaim struct {
-	Edge uint32 `json:"edge"`
-	Fav  int64  `json:"fav"`
-	Key  string `json:"key"`
-}
-
-type manifestCrash struct {
-	Kind    string        `json:"kind"`
-	Msg     string        `json:"msg"`
-	FoundAt time.Duration `json:"found_at_ns"`
-	Execs   uint64        `json:"execs"`
-	Input   string        `json:"input_b64"`
-}
-
-type manifestPoint struct {
-	T     time.Duration `json:"t_ns"`
-	Edges int           `json:"edges"`
+	return cfg, nil
 }
 
 // CheckpointTo writes the campaign's full resumable state as the tree
@@ -191,33 +203,29 @@ func (c *Campaign) CheckpointTo(st store.Storer, name string) error {
 // supplementary keys before storing; ResumeTree ignores keys it does not
 // know.
 func (c *Campaign) CheckpointTree() (store.Tree, error) {
-	t := store.Tree{}
+	files := 3 + 2*len(c.workers)
 	for _, w := range c.workers {
-		wd := workerDir(w.id)
-		for rel, data := range w.fz.EncodeCorpus() {
-			t[wd+"/"+rel] = data
-		}
-		// Scheduler metadata rides next to the corpus so a resumed worker
-		// re-attaches pick counts, trim state and depth instead of
-		// rediscovering them.
-		sm, err := json.Marshal(w.fz.SchedMeta())
-		if err != nil {
-			return nil, fmt.Errorf("campaign: checkpoint worker %d: %w", w.id, err)
-		}
-		t[wd+"/"+core.SchedMetaFile] = sm
-		// Power-schedule state (per-edge pick frequencies) rides along so
-		// long-horizon energy shaping survives the resume.
-		pm, err := json.Marshal(w.fz.PowerState())
-		if err != nil {
-			return nil, fmt.Errorf("campaign: checkpoint worker %d: %w", w.id, err)
-		}
-		t[wd+"/"+core.PowerMetaFile] = pm
+		files += len(w.fz.Queue)
+	}
+	t := make(store.Tree, files)
+	for _, w := range c.workers {
+		dir := workerDir(w.id) + "/"
+		w.fz.EncodeQueue(t, dir)
+		// Scheduler metadata and power-schedule state ride next to the
+		// corpus so a resumed worker re-attaches pick counts, trim state,
+		// depth and per-edge pick frequencies instead of rediscovering them.
+		var sw guest.StateWriter
+		core.EncodeSchedState(&sw, w.fz.SchedMeta(), w.fz.PowerState())
+		t[dir+core.SchedStateFile] = sw.Bytes()
 	}
 	raw, err := c.broker.mergedVirgin().MarshalBinary()
 	if err != nil {
 		return nil, fmt.Errorf("campaign: checkpoint: %w", err)
 	}
-	t["virgin.bin"] = raw
+	t[virginFile] = raw
+	var bw guest.StateWriter
+	c.broker.encode(&bw)
+	t[brokerFile] = bw.Bytes()
 	m := manifest{
 		Version:       manifestVersion,
 		Target:        c.cfg.Target,
@@ -239,60 +247,185 @@ func (c *Campaign) CheckpointTree() (store.Tree, error) {
 		Elapsed:       c.Elapsed(),
 		Published:     c.broker.published,
 		Deduped:       c.broker.deduped,
-	}
-	for _, cr := range c.broker.crashes {
-		m.Crashes = append(m.Crashes, manifestCrash{
-			Kind:    string(cr.Kind),
-			Msg:     cr.Msg,
-			FoundAt: cr.FoundAt,
-			Execs:   cr.Execs,
-			Input:   base64.StdEncoding.EncodeToString(spec.Serialize(cr.Input)),
-		})
-	}
-	for _, p := range c.broker.covLog {
-		m.CovLog = append(m.CovLog, manifestPoint{T: p.T, Edges: p.Edges})
-	}
-	for _, be := range c.broker.corpus {
-		m.Corpus = append(m.Corpus, manifestEntry{
-			Worker:    be.Worker,
-			Input:     base64.StdEncoding.EncodeToString(spec.Serialize(be.Entry.Input)),
-			Favored:   be.Entry.Favored,
-			GlobalFav: be.GlobalFav,
-			Dominated: be.Entry.GloballyDominated,
-			ExecTime:  be.Entry.ExecTime,
-			Size:      be.Entry.Size,
-			Cov:       encodeHits(be.Entry.Cov),
-		})
-	}
-	var edges []uint32
-	for si := range c.broker.shards {
-		for idx := range c.broker.shards[si].topRated {
-			edges = append(edges, idx)
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
-	for _, idx := range edges {
-		cl := c.broker.shards[shardFor(idx)].topRated[idx]
-		m.TopRated = append(m.TopRated, manifestClaim{Edge: idx, Fav: cl.fav, Key: cl.key})
+		Corpus:        len(c.broker.corpus),
+		Crashes:       len(c.broker.crashes),
+		CovLog:        c.broker.covLog,
 	}
 	for _, w := range c.workers {
 		m.WorkerEpochs = append(m.WorkerEpochs, w.epoch)
 	}
-	for wid, q := range c.broker.pending {
-		for _, it := range q {
-			m.Pending = append(m.Pending, manifestPending{
-				Worker:    wid,
-				Input:     base64.StdEncoding.EncodeToString(spec.Serialize(it.input)),
-				GlobalFav: it.globalFav,
-			})
-		}
-	}
-	enc, err := json.MarshalIndent(&m, "", "  ")
-	if err != nil {
+	if t[ManifestFile], err = json.Marshal(&m); err != nil {
 		return nil, fmt.Errorf("campaign: checkpoint: %w", err)
 	}
-	t["manifest.json"] = enc
 	return t, nil
+}
+
+// encode appends the broker.bin form of b (the layout comment above) to w.
+// Quiesced callers only. Every corpus entry a worker published carries the
+// key it was published or re-published under (QueueEntry.Key), so nothing is
+// hashed here.
+func (b *broker) encode(w *guest.StateWriter) {
+	var buf []byte // every input is encoded here, then copied behind its length
+	input := func(in *spec.Input) {
+		buf = spec.AppendSerialize(buf[:0], in)
+		w.Bytes32(buf)
+	}
+	w.U32(uint32(len(b.corpus)))
+	for _, be := range b.corpus {
+		e := be.Entry
+		w.U32(uint32(be.Worker))
+		w.Bool(e.Favored)
+		w.Bool(be.GlobalFav)
+		w.Bool(e.GloballyDominated)
+		w.I64(int64(e.ExecTime))
+		w.Int(e.Size)
+		w.String(e.Key())
+		input(e.Input)
+		w.U32(uint32(len(e.Cov)))
+		for _, h := range e.Cov {
+			w.U32(h.Index)
+			w.U8(h.Bucket)
+		}
+	}
+	w.U32(uint32(b.topRatedCount()))
+	for si := range b.shards { // the shards partition the edges in ascending order
+		sh := &b.shards[si]
+		for _, idx := range slices.Sorted(maps.Keys(sh.topRated)) {
+			w.U32(idx)
+			w.I64(sh.topRated[idx].fav)
+			w.String(sh.topRated[idx].key)
+		}
+	}
+	// The workers' bounded import queues — entries published by others that
+	// a worker had not yet pulled (an async campaign's final flushes race
+	// each other; a lockstep round leaves none) — so redistribution survives
+	// the resume.
+	w.U32(uint32(len(b.pending)))
+	for _, q := range b.pending {
+		w.U32(uint32(len(q)))
+		for _, it := range q {
+			w.Bool(it.globalFav)
+			input(it.input)
+		}
+	}
+	w.U32(uint32(len(b.crashes)))
+	for _, cr := range b.crashes {
+		w.String(string(cr.Kind))
+		w.String(cr.Msg)
+		w.I64(int64(cr.FoundAt))
+		w.U64(cr.Execs)
+		input(cr.Input)
+	}
+}
+
+// The fewest bytes one element of each broker.bin sequence takes (empty
+// strings, an input of no ops, an empty trace): what bounds a count.
+const (
+	inputMinLen       = 4 + 10 // bytes32 length + the bytecode header
+	corpusEntryMinLen = 4 + 3 + 8 + 8 + 4 + inputMinLen + 4
+	claimMinLen       = 4 + 8 + 4
+	pendingMinLen     = 1 + inputMinLen
+	crashMinLen       = 4 + 4 + 8 + 8 + inputMinLen
+)
+
+// decodeBroker rebuilds a broker for a campaign of workers workers from its
+// broker.bin form. raw is outside input: besides what the codec checks,
+// worker indices outside the campaign, claims out of order or range, empty
+// keys and inputs that are not plain bytecode are errors, so only bytes
+// encode would write come back as a broker. The broker's inputs alias raw.
+func decodeBroker(raw []byte, workers int) (*broker, error) {
+	r := guest.NewStateReader(raw)
+	ok := func() bool { return r.Err() == nil }
+	input := func(what string, i int) *spec.Input {
+		in, err := spec.Deserialize(r.View32())
+		if err != nil {
+			r.Fail("%s %d: %v", what, i, err)
+		} else if in.SnapshotAt >= 0 {
+			r.Fail("%s %d: input carries a snapshot marker", what, i)
+		}
+		return in
+	}
+	key := func(what string, i int) string {
+		k := r.String()
+		if k == "" {
+			r.Fail("%s %d: empty content key", what, i)
+		}
+		return k
+	}
+
+	b := newBroker()
+	n := r.Count(corpusEntryMinLen)
+	entries := make([]core.QueueEntry, n)
+	b.corpus = make([]brokerEntry, 0, n)
+	for i := 0; i < n && ok(); i++ {
+		// The full entry the global favored competition reads — favored
+		// bit, trace digest, exec time and size — plus its provenance.
+		e := &entries[i]
+		be := brokerEntry{Worker: int(r.U32()), Entry: e}
+		if be.Worker >= workers {
+			r.Fail("corpus entry %d names worker %d of %d", i, be.Worker, workers)
+		}
+		*e = core.QueueEntry{ID: i, Favored: r.Bool()}
+		be.GlobalFav = r.Bool()
+		e.GloballyDominated = r.Bool()
+		e.ExecTime = time.Duration(r.I64())
+		e.Size = r.Int()
+		e.SetKey(key("corpus entry", i))
+		e.Input = input("corpus entry", i)
+		e.Cov = make([]coverage.BucketHit, r.Count(5))
+		for j := range e.Cov {
+			e.Cov[j] = coverage.BucketHit{Index: r.U32(), Bucket: r.U8()}
+		}
+		b.corpus = append(b.corpus, be)
+	}
+	nc := r.Count(claimMinLen)
+	for i, prev := 0, uint32(0); i < nc && ok(); i++ {
+		idx, cl := r.U32(), topClaim{fav: r.I64(), key: key("claim", i)}
+		if idx >= coverage.MapSize || i > 0 && idx <= prev {
+			r.Fail("claim %d: edge %d after %d", i, idx, prev)
+			break
+		}
+		prev = idx
+		sh := &b.shards[shardFor(idx)]
+		sh.topRated[idx] = cl
+		sh.claimEdges[cl.key] = append(sh.claimEdges[cl.key], idx)
+		b.claimWins[cl.key]++
+	}
+	// Re-point surviving claims at the restored corpus entries so a later
+	// displacement can still demote them; the workers' live re-imported
+	// copies re-bind as duplicate publications at their first exchange.
+	for i := 0; i < len(b.corpus) && ok(); i++ {
+		if e := b.corpus[i].Entry; b.claimWins[e.Key()] > 0 {
+			b.claimants[e.Key()] = append(b.claimants[e.Key()], e)
+		}
+	}
+	// Each worker pulls its queue at its first exchange after the resume.
+	if queues := r.Count(4); queues != workers {
+		r.Fail("%d pending-import queues for %d workers", queues, workers)
+	}
+	if ok() {
+		b.initWorkers(workers)
+	}
+	for wid := 0; wid < workers && ok(); wid++ {
+		np := r.Count(pendingMinLen)
+		for i := 0; i < np && ok(); i++ {
+			gf := r.Bool()
+			b.pending[wid] = append(b.pending[wid], importItem{input: input("pending import", i), globalFav: gf})
+		}
+	}
+	nk := r.Count(crashMinLen)
+	for i := 0; i < nk && ok(); i++ {
+		cr := core.Crash{
+			Kind:    guest.CrashKind(r.String()),
+			Msg:     r.String(),
+			FoundAt: time.Duration(r.I64()),
+			Execs:   r.U64(),
+			Input:   input("crash", i),
+		}
+		b.crashSeen[cr.Key()] = true
+		b.crashes = append(b.crashes, cr)
+	}
+	return b, r.Done()
 }
 
 // ResumeFrom relaunches a checkpointed campaign from the tree named name
@@ -314,173 +447,92 @@ func ResumeFrom(st store.Storer, name string) (*Campaign, error) {
 // produced by CheckpointTree and read back via Storer.GetTree). Keys the
 // checkpoint format does not define are ignored, so callers may ride
 // supplementary state (e.g. the service's campaign spec) in the same tree.
-func ResumeTree(t store.Tree) (*Campaign, error) {
-	enc, ok := t["manifest.json"]
-	if !ok {
-		return nil, fmt.Errorf("campaign: resume: checkpoint has no manifest.json")
-	}
-	var m manifest
-	if err := json.Unmarshal(enc, &m); err != nil {
-		return nil, fmt.Errorf("campaign: resume: bad manifest: %w", err)
-	}
-	if m.Version != manifestVersion && m.Version != manifestVersion-1 {
-		return nil, fmt.Errorf("campaign: resume: manifest version %d is not supported (this build reads %d and %d)",
-			m.Version, manifestVersion-1, manifestVersion)
-	}
-	// The manifest is outside input: a raw cast would let an unknown policy
-	// silently fuzz as the default, and a stray worker index would file
-	// corpus provenance or imports under a worker that does not exist.
-	for _, f := range []struct {
-		name   string
-		v, max int
-	}{
-		{"policy", m.Policy, int(core.PolicyAggressive)},
-		{"sched", m.Sched, int(core.SchedRoundRobin)},
-		{"power", m.Power, int(core.PowerAdaptive)},
-	} {
-		if f.v < 0 || f.v > f.max {
-			return nil, fmt.Errorf("campaign: resume: manifest %s %d out of range 0..%d", f.name, f.v, f.max)
+// The campaign keeps t's values (see the layout comment).
+func ResumeTree(t store.Tree) (_ *Campaign, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("campaign: resume: %w", err)
 		}
-	}
-	syncMode, err := ParseSyncMode(m.SyncMode)
+	}()
+	m, err := readManifest(t)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: resume: %w", err)
+		return nil, err
 	}
-	cfg := Config{
-		Target:        m.Target,
-		Workers:       m.Workers,
-		Policy:        core.Policy(m.Policy),
-		Seed:          m.Seed,
-		SyncInterval:  m.SyncInterval,
-		SnapshotReuse: m.SnapshotReuse,
-		Sched:         core.Sched(m.Sched),
-		Power:         core.Power(m.Power),
-		SnapBudget:    m.SnapBudget,
-		Asan:          m.Asan,
-		SyncMode:      syncMode,
-	}.withDefaults()
-	workerInRange := func(what string, i, worker int) error {
-		if worker < 0 || worker >= cfg.Workers {
-			return fmt.Errorf("campaign: resume: %s %d names worker %d of %d", what, i, worker, cfg.Workers)
-		}
-		return nil
+	cfg, err := m.config()
+	if err != nil {
+		return nil, err
 	}
-	if len(m.WorkerEpochs) > cfg.Workers {
-		return nil, fmt.Errorf("campaign: resume: %d worker epochs for %d workers", len(m.WorkerEpochs), cfg.Workers)
-	}
-
-	br := newBroker()
-	raw, ok := t["virgin.bin"]
+	raw, ok := t[virginFile]
 	if !ok {
-		return nil, fmt.Errorf("campaign: resume: checkpoint has no virgin.bin")
+		return nil, fmt.Errorf("checkpoint has no %s", virginFile)
 	}
 	var restored coverage.Virgin
 	if err := restored.UnmarshalBinary(raw); err != nil {
-		return nil, fmt.Errorf("campaign: resume: %w", err)
+		return nil, err
+	}
+	if raw, ok = t[brokerFile]; !ok {
+		return nil, fmt.Errorf("checkpoint has no %s", brokerFile)
+	}
+	br, err := decodeBroker(raw, cfg.Workers)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", brokerFile, err)
+	}
+	if len(br.corpus) != m.Corpus || len(br.crashes) != m.Crashes {
+		return nil, fmt.Errorf("%s holds %d corpus entries and %d crashes, the manifest counts %d and %d",
+			brokerFile, len(br.corpus), len(br.crashes), m.Corpus, m.Crashes)
 	}
 	// Scatter the restored map across the broker's edge shards (the
-	// inverse of mergedVirgin); old single-map checkpoints load the same
-	// way, since the shards are a pure partition of the index space.
+	// inverse of mergedVirgin).
 	br.mergeVirginAll(&restored)
 	br.edgesTotal = restored.Edges()
 	br.published = m.Published
 	br.deduped = m.Deduped
-	for _, mc := range m.Crashes {
-		in, err := decodeInput(mc.Input)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: resume: crash %q: %w", mc.Kind, err)
-		}
-		cr := core.Crash{
-			Kind:    guest.CrashKind(mc.Kind),
-			Msg:     mc.Msg,
-			Input:   in,
-			FoundAt: mc.FoundAt,
-			Execs:   mc.Execs,
-		}
-		br.crashSeen[cr.Key()] = true
-		br.crashes = append(br.crashes, cr)
-	}
-	for i, me := range m.Corpus {
-		if err := workerInRange("corpus entry", i, me.Worker); err != nil {
-			return nil, err
-		}
-		in, err := decodeInput(me.Input)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: resume: corpus entry %d: %w", i, err)
-		}
-		// Rebuild the full entry the global favored competition reads —
-		// favored bit, trace digest, exec time and size.
-		hits, err := decodeHits(me.Cov)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: resume: corpus entry %d: %w", i, err)
-		}
-		br.corpus = append(br.corpus, brokerEntry{
-			Worker: me.Worker,
-			Entry: &core.QueueEntry{
-				ID:                i,
-				Input:             in,
-				Favored:           me.Favored,
-				GloballyDominated: me.Dominated,
-				ExecTime:          me.ExecTime,
-				Size:              me.Size,
-				Cov:               hits,
-			},
-			GlobalFav: me.GlobalFav,
-			key:       core.InputKey(in),
-		})
-	}
-	for _, cl := range m.TopRated {
-		if cl.Edge >= coverage.MapSize {
-			continue
-		}
-		sh := &br.shards[shardFor(cl.Edge)]
-		sh.topRated[cl.Edge] = topClaim{fav: cl.Fav, key: cl.Key}
-		sh.claimEdges[cl.Key] = append(sh.claimEdges[cl.Key], cl.Edge)
-		br.claimWins[cl.Key]++
-	}
-	// Re-point surviving claims at the restored corpus entries so a later
-	// displacement can still demote them; the workers' live re-imported
-	// copies re-bind as duplicate publications at their first exchange.
-	for _, be := range br.corpus {
-		if br.claimWins[be.key] > 0 {
-			br.claimants[be.key] = append(br.claimants[be.key], be.Entry)
-		}
-	}
-	for _, p := range m.CovLog {
-		br.covLog = append(br.covLog, core.CoveragePoint{T: p.T, Edges: p.Edges})
-		br.lastSample = p.T
-	}
-
-	seedsFor := func(i int) (workerSeeds, error) {
-		wd := workerDir(i)
-		queue := make(map[string][]byte)
-		for key, data := range t {
-			if strings.HasPrefix(key, wd+"/queue/") {
-				queue[strings.TrimPrefix(key, wd+"/")] = data
-			}
-		}
-		if len(queue) == 0 {
-			return workerSeeds{}, nil // worker had an empty queue; fall back to bundled seeds
-		}
-		seeds, err := core.DecodeCorpus(queue)
-		if err != nil {
-			return workerSeeds{}, err
-		}
-		var meta []core.EntryMeta
-		if raw, ok := t[wd+"/"+core.SchedMetaFile]; ok {
-			if meta, err = core.DecodeSchedMeta(raw); err != nil {
-				return workerSeeds{}, err
-			}
-		}
-		var power *core.PowerMeta
-		if raw, ok := t[wd+"/"+core.PowerMetaFile]; ok {
-			if power, err = core.DecodePowerMeta(raw); err != nil {
-				return workerSeeds{}, err
-			}
-		}
-		return workerSeeds{seeds: seeds, meta: meta, power: power}, nil
+	if br.covLog = m.CovLog; len(br.covLog) > 0 {
+		br.lastSample = br.covLog[len(br.covLog)-1].T
 	}
 	br.timeBase = m.Elapsed
+
+	// One pass over the tree files every worker's queue keys under it; sorted,
+	// they are in ID order, which is queue order.
+	dirs := make([]string, cfg.Workers)
+	for i := range dirs {
+		dirs[i] = workerDir(i)
+	}
+	queues := make([][]string, cfg.Workers)
+	for key := range t {
+		dir, rest, _ := strings.Cut(key, "/")
+		id, err := strconv.Atoi(strings.TrimPrefix(dir, "worker-"))
+		if err == nil && id >= 0 && id < len(dirs) && dir == dirs[id] &&
+			strings.HasPrefix(rest, "queue/") && strings.HasSuffix(rest, ".nyx") {
+			queues[id] = append(queues[id], key)
+		}
+	}
+	seedsFor := func(i int) (workerSeeds, error) {
+		if len(queues[i]) == 0 {
+			return workerSeeds{}, nil // worker had an empty queue; fall back to bundled seeds
+		}
+		slices.Sort(queues[i])
+		// A checkpoint is written whole: a queue file that does not decode is
+		// a damaged checkpoint, not a seed to skip.
+		ws := workerSeeds{seeds: make([]*spec.Input, 0, len(queues[i]))}
+		for _, key := range queues[i] {
+			in, err := spec.Deserialize(t[key])
+			if err != nil {
+				return ws, fmt.Errorf("%s: %w", key, err)
+			}
+			ws.seeds = append(ws.seeds, in)
+		}
+		key := dirs[i] + "/" + core.SchedStateFile
+		raw, ok := t[key]
+		if !ok {
+			return ws, fmt.Errorf("checkpoint has no %s", key)
+		}
+		var err error
+		if ws.meta, ws.power, err = core.DecodeSchedState(raw); err != nil {
+			return ws, fmt.Errorf("%s: %w", key, err)
+		}
+		return ws, nil
+	}
 	c, err := newCampaign(cfg, m.Epoch+1, seedsFor, br)
 	if err != nil {
 		return nil, err
@@ -489,18 +541,6 @@ func ResumeTree(t store.Tree) (*Campaign, error) {
 	c.baseElapsed = m.Elapsed
 	for i, ep := range m.WorkerEpochs {
 		c.workers[i].epoch = ep
-	}
-	// Reload the pending-import queues; each worker pulls its queue at its
-	// first exchange after the resume.
-	for i, mp := range m.Pending {
-		if err := workerInRange("pending import", i, mp.Worker); err != nil {
-			return nil, err
-		}
-		in, err := decodeInput(mp.Input)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: resume: pending import %d: %w", i, err)
-		}
-		br.pending[mp.Worker] = append(br.pending[mp.Worker], importItem{input: in, globalFav: mp.GlobalFav})
 	}
 	return c, nil
 }
@@ -517,36 +557,25 @@ type Summary struct {
 	Corpus  int           `json:"corpus"`
 }
 
-// Summarize decodes a checkpoint tree's manifest into a Summary.
+// Summarize decodes a checkpoint tree's manifest into a Summary. It reads
+// manifest.json and nothing else, so a tree holding just that key will do.
 func Summarize(t store.Tree) (Summary, error) {
-	enc, ok := t["manifest.json"]
-	if !ok {
-		return Summary{}, fmt.Errorf("campaign: summarize: checkpoint has no manifest.json")
-	}
-	var m manifest
-	if err := json.Unmarshal(enc, &m); err != nil {
-		return Summary{}, fmt.Errorf("campaign: summarize: bad manifest: %w", err)
+	m, err := readManifest(t)
+	if err != nil {
+		return Summary{}, fmt.Errorf("campaign: summarize: %w", err)
 	}
 	s := Summary{
 		Target:  m.Target,
 		Workers: m.Workers,
 		Epoch:   m.Epoch,
 		Elapsed: m.Elapsed,
-		Crashes: len(m.Crashes),
-		Corpus:  len(m.Corpus),
+		Crashes: m.Crashes,
+		Corpus:  m.Corpus,
 	}
 	if n := len(m.CovLog); n > 0 {
 		s.Edges = m.CovLog[n-1].Edges
 	}
 	return s, nil
-}
-
-func decodeInput(b64 string) (*spec.Input, error) {
-	raw, err := base64.StdEncoding.DecodeString(b64)
-	if err != nil {
-		return nil, err
-	}
-	return spec.Deserialize(raw)
 }
 
 func workerDir(id int) string { return fmt.Sprintf("worker-%03d", id) }

@@ -19,8 +19,12 @@ import (
 // ID order at the round barrier through the same broker.exchange the async
 // schedule calls, checkpointed in the one manifest format (they replaced
 // digests pinned against the pre-sharding broker's separate lockstep
-// ingest, which that change deleted). Every later refactor of the broker
-// must keep seeded lockstep mode byte-identical to them. Regenerate with
+// ingest, which that change deleted). The tree digests — and nothing else
+// in the file — were regenerated once more when manifest version 5 moved the
+// bulk of the tree from JSON into broker.bin and sched.bin; what the trees
+// hold was pinned across that change by TestStopAndGoMatchesRecordedCampaign.
+// Every later refactor of the broker must keep seeded lockstep mode
+// byte-identical to them. Regenerate with
 //
 //	NYX_UPDATE_GOLDEN=1 go test ./internal/campaign -run TestLockstepGolden
 //

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/spec"
@@ -13,17 +14,40 @@ import (
 // EncodeCorpus returns every queue entry (under queue/) and crash (under
 // crashes/) as a relative-path file tree of serialized bytecode — the
 // storage-agnostic form of the §5.4 share-folder seed format, consumed by
-// SaveCorpus for local directories and by the campaign checkpoint layer
-// for pluggable store backends.
+// SaveCorpus for local directories.
 func (f *Fuzzer) EncodeCorpus() map[string][]byte {
 	t := make(map[string][]byte, len(f.Queue)+len(f.Crashes))
-	for _, e := range f.Queue {
-		t[fmt.Sprintf("queue/id-%06d.nyx", e.ID)] = spec.Serialize(e.Input)
-	}
+	f.EncodeQueue(t, "")
 	for i, c := range f.Crashes {
 		t[fmt.Sprintf("crashes/crash-%03d-%s.nyx", i, sanitize(string(c.Kind)))] = spec.Serialize(c.Input)
 	}
 	return t
+}
+
+// EncodeQueue adds the queue to t as <dir>queue/id-NNNNNN.nyx, one file of
+// serialized bytecode per entry, named by entry ID — the share-folder files a
+// campaign checkpoint keeps per worker (dir is "" or ends in a slash). Seeds
+// the first Step has yet to import are corpus too and follow the queue,
+// numbered on from it: a fuzzer checkpointed before it ran saves what it got.
+func (f *Fuzzer) EncodeQueue(t map[string][]byte, dir string) {
+	buf := append(append(make([]byte, 0, len(dir)+32), dir...), "queue/id-"...)
+	stem := len(buf)
+	key := func(id int) string { // fmt's id-%06d.nyx
+		buf = buf[:stem]
+		for pad := 100000; pad > 1 && id < pad; pad /= 10 {
+			buf = append(buf, '0')
+		}
+		buf = append(strconv.AppendInt(buf, int64(id), 10), ".nyx"...)
+		return string(buf)
+	}
+	for _, e := range f.Queue {
+		t[key(e.ID)] = spec.Serialize(e.Input)
+	}
+	if !f.seedsDone {
+		for i, seed := range f.opts.Seeds {
+			t[key(f.nextID+i)] = spec.Serialize(&spec.Input{Ops: seed.Ops, SnapshotAt: -1})
+		}
+	}
 }
 
 // SaveCorpus writes EncodeCorpus to dir as plain files, so campaigns can

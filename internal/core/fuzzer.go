@@ -124,7 +124,24 @@ type QueueEntry struct {
 	// input skip hashing entirely (snappool.Pool.LookupDigest). Invalidated
 	// whenever the entry's input changes (trim).
 	prefixDigests map[int]snappool.Digest
+	// key memoizes InputKey(Input); trimEntry clears it with the input.
+	key string
 }
+
+// Key returns the content key of the entry's input (InputKey), hashed on
+// first use and kept until a trim installs another input, so seed-metadata
+// matching, the campaign worker's key index, its publications and the
+// checkpoint share one hash per entry. It writes the entry: owner only.
+func (e *QueueEntry) Key() string {
+	if e.key == "" {
+		e.key = InputKey(e.Input)
+	}
+	return e.key
+}
+
+// SetKey hands the entry a key its caller already holds (a resume reads it
+// from the checkpoint, beside the input), so that Key never hashes for it.
+func (e *QueueEntry) SetKey(key string) { e.key = key }
 
 // Crash is a deduplicated crash finding.
 type Crash struct {
@@ -142,8 +159,8 @@ func (c Crash) Key() string { return string(c.Kind) + "|" + c.Msg }
 
 // CoveragePoint is one sample of the coverage-over-time series (Figure 5).
 type CoveragePoint struct {
-	T     time.Duration
-	Edges int
+	T     time.Duration `json:"t_ns"`
+	Edges int           `json:"edges"`
 }
 
 // Options configures a fuzzing campaign.
@@ -685,7 +702,7 @@ func (f *Fuzzer) ImportInput(in *spec.Input) (bool, error) {
 	// and N receivers repeating it would multiply the campaign's trim
 	// spend by the worker count.
 	for _, e := range f.Queue[before:] {
-		if _, restored := f.seedMeta[InputKey(e.Input)]; !restored {
+		if _, restored := f.seedMeta[e.Key()]; !restored {
 			e.Trimmed = true
 		}
 	}

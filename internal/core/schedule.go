@@ -2,14 +2,12 @@ package core
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
+	"maps"
 	"slices"
 	"time"
 
+	"repro/internal/guest"
 	"repro/internal/spec"
 )
 
@@ -115,7 +113,7 @@ const (
 	// and flips to coe once the queue frontier drains — the cut-off
 	// schedule is where the long-horizon gains live, but it starves a
 	// young campaign whose rarity signal is still forming. The flip is
-	// one-way and persists across checkpoint/resume (power.json).
+	// one-way and persists across checkpoint/resume (sched.bin).
 	PowerAdaptive
 )
 
@@ -576,7 +574,12 @@ func (f *Fuzzer) spliceMate(e *QueueEntry) *QueueEntry {
 // cost against the queue average.
 func (f *Fuzzer) trimEntry(e *QueueEntry) error {
 	e.Trimmed = true
-	oldKey := InputKey(e.Input)
+	// Only the campaign broker reads the pre-trim key (DrainRetrimmed); a
+	// solo run never hashes an input.
+	var oldKey string
+	if f.opts.TrackRetrims {
+		oldKey = e.Key()
+	}
 	t0 := f.Agent.Now()
 	trimmed, execTime, err := f.trimMeasured(e.Input)
 	f.trimTime += f.Agent.Now() - t0
@@ -584,7 +587,7 @@ func (f *Fuzzer) trimEntry(e *QueueEntry) error {
 		return err
 	}
 	if len(trimmed.Ops) < len(e.Input.Ops) {
-		e.Input = trimmed
+		e.Input, e.key = trimmed, ""
 		e.Size = spec.EncodedLen(trimmed)
 		e.Packets = trimmed.Packets(f.Spec)
 		if e.aggrBack >= e.Packets {
@@ -630,43 +633,46 @@ func (f *Fuzzer) DrainRetrimmed() []Retrim {
 	return r
 }
 
-// ---- Scheduler metadata persistence (checkpoint/resume) ----
+// ---- Scheduler and power-schedule state persistence (checkpoint/resume) ----
 
 // EntryMeta is the durable scheduler state of one queue entry, keyed by a
 // content hash of the entry's serialized input (the input bytes themselves
-// live in the corpus files SaveCorpus writes next to the metadata — storing
+// live in the corpus files EncodeQueue writes next to the metadata — storing
 // them again here would double the checkpoint). A resumed campaign
 // re-executes its saved queue (so coverage is rebuilt locally, never
 // trusted from disk) and then re-attaches this metadata, so scheduling
 // picks up where it left off instead of re-trimming and re-boosting every
 // entry.
 type EntryMeta struct {
-	Key        string        `json:"key"`
-	Depth      int           `json:"depth"`
-	ExecTime   time.Duration `json:"exec_time_ns"`
-	Picked     int           `json:"picked"`
-	Trimmed    bool          `json:"trimmed"`
-	AggrBack   int           `json:"aggr_back"`
-	AggrBarren int           `json:"aggr_barren"`
+	Key        string
+	Depth      int
+	ExecTime   time.Duration
+	Picked     int
+	Trimmed    bool
+	AggrBack   int
+	AggrBarren int
 	// Dominated records that the campaign broker's global favored
-	// competition demoted this entry (absent in pre-power checkpoints).
-	Dominated bool `json:"dominated,omitempty"`
+	// competition demoted this entry.
+	Dominated bool
 }
 
 // InputKey returns the content key EntryMeta uses to match metadata back
-// to an input: a SHA-256 of the serialized bytecode.
+// to an input: the SHA-256 of the serialized bytecode, as a 32-byte string
+// (raw digest bytes — a map key, not printable). QueueEntry.Key memoizes it.
 func InputKey(in *spec.Input) string {
-	sum := sha256.Sum256(spec.Serialize(in))
-	return hex.EncodeToString(sum[:])
+	var buf [1024]byte // most inputs encode into it, on the stack
+	sum := sha256.Sum256(spec.AppendSerialize(buf[:0], in))
+	return string(sum[:])
 }
 
 // SchedMeta snapshots every queue entry's scheduler metadata in queue
-// order.
+// order. Until the first Step imports the seeds, the restored metadata that
+// describes them follows, as loaded (see EncodeQueue).
 func (f *Fuzzer) SchedMeta() []EntryMeta {
 	out := make([]EntryMeta, 0, len(f.Queue))
 	for _, e := range f.Queue {
 		out = append(out, EntryMeta{
-			Key:        InputKey(e.Input),
+			Key:        e.Key(),
 			Depth:      e.Depth,
 			ExecTime:   e.ExecTime,
 			Picked:     e.Picked,
@@ -676,50 +682,10 @@ func (f *Fuzzer) SchedMeta() []EntryMeta {
 			Dominated:  e.GloballyDominated,
 		})
 	}
+	if !f.seedsDone {
+		out = append(out, f.opts.SeedMeta...)
+	}
 	return out
-}
-
-// SchedMetaFile is where SaveSchedMeta persists scheduler metadata inside a
-// corpus directory.
-const SchedMetaFile = "sched.json"
-
-// SaveSchedMeta writes the queue's scheduler metadata to dir (alongside a
-// SaveCorpus tree).
-func (f *Fuzzer) SaveSchedMeta(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("core: save sched meta: %w", err)
-	}
-	enc, err := json.Marshal(f.SchedMeta())
-	if err != nil {
-		return fmt.Errorf("core: save sched meta: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, SchedMetaFile), enc, 0o644); err != nil {
-		return fmt.Errorf("core: save sched meta: %w", err)
-	}
-	return nil
-}
-
-// LoadSchedMeta reads metadata written by SaveSchedMeta. A missing file is
-// not an error (pre-scheduler checkpoints resume with zeroed metadata).
-func LoadSchedMeta(dir string) ([]EntryMeta, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, SchedMetaFile))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: load sched meta: %w", err)
-	}
-	return DecodeSchedMeta(raw)
-}
-
-// DecodeSchedMeta deserializes scheduler metadata from its stored form
-// (the bytes SaveSchedMeta writes, however they were transported).
-func DecodeSchedMeta(raw []byte) ([]EntryMeta, error) {
-	var out []EntryMeta
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return nil, fmt.Errorf("core: decode sched meta: %w", err)
-	}
-	return out, nil
 }
 
 // applySeedMeta re-attaches restored metadata to a freshly queued entry,
@@ -728,7 +694,7 @@ func (f *Fuzzer) applySeedMeta(e *QueueEntry) bool {
 	if len(f.seedMeta) == 0 {
 		return false
 	}
-	m, ok := f.seedMeta[InputKey(e.Input)]
+	m, ok := f.seedMeta[e.Key()]
 	if !ok {
 		return false
 	}
@@ -744,8 +710,6 @@ func (f *Fuzzer) applySeedMeta(e *QueueEntry) bool {
 	return true
 }
 
-// ---- Power-schedule state persistence (checkpoint/resume) ----
-
 // PowerMeta is the durable power-schedule state of one fuzzer: the
 // per-edge pick-frequency map and the total pick count the horizon-aware
 // energy ceiling reads, plus the adaptive schedule's phase. Without it a
@@ -753,68 +717,106 @@ func (f *Fuzzer) applySeedMeta(e *QueueEntry) bool {
 // edges it had already worn out, and (under -power adaptive) drop back into
 // the explore phase it had already outgrown.
 type PowerMeta struct {
-	TotalPicked uint64            `json:"total_picked"`
-	EdgePicks   map[uint32]uint64 `json:"edge_picks"`
+	TotalPicked uint64
+	EdgePicks   map[uint32]uint64
 	// Flipped records the adaptive schedule's one-way explore -> coe
-	// transition; DrainStreak the progress towards it (both absent in
-	// pre-adaptive checkpoints, resuming unflipped).
-	Flipped     bool `json:"flipped,omitempty"`
-	DrainStreak int  `json:"drain_streak,omitempty"`
+	// transition; DrainStreak the progress towards it.
+	Flipped     bool
+	DrainStreak int
 }
 
 // PowerState snapshots the fuzzer's power-schedule state.
 func (f *Fuzzer) PowerState() *PowerMeta {
-	m := &PowerMeta{
+	return &PowerMeta{
 		TotalPicked: f.totalPicked,
-		EdgePicks:   make(map[uint32]uint64, len(f.edgePicks)),
+		EdgePicks:   maps.Clone(f.edgePicks),
 		Flipped:     f.powerFlip,
 		DrainStreak: f.drainStreak,
 	}
-	for idx, n := range f.edgePicks {
-		m.EdgePicks[idx] = n
-	}
-	return m
 }
 
-// PowerMetaFile is where SavePowerMeta persists power-schedule state
-// inside a corpus directory, next to sched.json.
-const PowerMetaFile = "power.json"
+// SchedStateFile is the one file per worker a campaign checkpoint keeps this
+// state in, next to the worker's queue/ directory.
+const SchedStateFile = "sched.bin"
 
-// SavePowerMeta writes the fuzzer's power-schedule state to dir.
-func (f *Fuzzer) SavePowerMeta(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("core: save power meta: %w", err)
+// Bytes an entry and an edge take in the stream, at least: what bounds the
+// two counts against the bytes left before either sizes an allocation.
+const (
+	entryMetaMinLen = 4 + 8 + 8 + 8 + 1 + 8 + 8 + 1
+	edgePickLen     = 4 + 8
+)
+
+// EncodeSchedState appends the sched.bin form of one worker's scheduler
+// metadata and power state to w, in the bounded canonical codec the guest
+// state image uses:
+//
+//	u32 n | n × (string key | i64 depth | i64 exec_time_ns | i64 picked |
+//	             bool trimmed | i64 aggr_back | i64 aggr_barren | bool dominated)
+//	u64 total_picked | bool flipped | i64 drain_streak
+//	u32 m | m × (u32 edge | u64 picks), edges strictly ascending
+//
+// Entries keep queue order, which is the order of the queue files beside
+// them. DecodeSchedState(EncodeSchedState(x)) = x, and a stream that decodes
+// is the stream its contents encode to.
+func EncodeSchedState(w *guest.StateWriter, meta []EntryMeta, power *PowerMeta) {
+	w.U32(uint32(len(meta)))
+	for i := range meta {
+		m := &meta[i]
+		w.String(m.Key)
+		w.Int(m.Depth)
+		w.I64(int64(m.ExecTime))
+		w.Int(m.Picked)
+		w.Bool(m.Trimmed)
+		w.Int(m.AggrBack)
+		w.Int(m.AggrBarren)
+		w.Bool(m.Dominated)
 	}
-	enc, err := json.Marshal(f.PowerState())
-	if err != nil {
-		return fmt.Errorf("core: save power meta: %w", err)
+	w.U64(power.TotalPicked)
+	w.Bool(power.Flipped)
+	w.Int(power.DrainStreak)
+	w.U32(uint32(len(power.EdgePicks)))
+	for _, idx := range slices.Sorted(maps.Keys(power.EdgePicks)) {
+		w.U32(idx)
+		w.U64(power.EdgePicks[idx])
 	}
-	if err := os.WriteFile(filepath.Join(dir, PowerMetaFile), enc, 0o644); err != nil {
-		return fmt.Errorf("core: save power meta: %w", err)
-	}
-	return nil
 }
 
-// LoadPowerMeta reads state written by SavePowerMeta. A missing file is
-// not an error: version-1 checkpoints (pre-power) resume with zeroed
-// power state.
-func LoadPowerMeta(dir string) (*PowerMeta, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, PowerMetaFile))
-	if os.IsNotExist(err) {
-		return nil, nil
+// DecodeSchedState reads what EncodeSchedState wrote. The bytes are outside
+// input: each count is checked against the bytes left before it sizes
+// anything; negative entry fields, edges that do not ascend and bytes after
+// the last edge are errors. The result shares nothing with raw.
+func DecodeSchedState(raw []byte) ([]EntryMeta, *PowerMeta, error) {
+	r := guest.NewStateReader(raw)
+	meta := make([]EntryMeta, r.Count(entryMetaMinLen))
+	for i := range meta {
+		m := &meta[i]
+		*m = EntryMeta{
+			Key:        r.String(),
+			Depth:      r.Int(),
+			ExecTime:   time.Duration(r.I64()),
+			Picked:     r.Int(),
+			Trimmed:    r.Bool(),
+			AggrBack:   r.Int(),
+			AggrBarren: r.Int(),
+			Dominated:  r.Bool(),
+		}
+		// What indexes and divides in the scheduler is never negative.
+		if m.Depth < 0 || m.ExecTime < 0 || m.Picked < 0 || m.AggrBack < 0 || m.AggrBarren < 0 {
+			r.Fail("entry %d has a negative field", i)
+		}
 	}
-	if err != nil {
-		return nil, fmt.Errorf("core: load power meta: %w", err)
+	power := &PowerMeta{TotalPicked: r.U64(), Flipped: r.Bool(), DrainStreak: r.Int()}
+	n := r.Count(edgePickLen)
+	power.EdgePicks = make(map[uint32]uint64, n)
+	for i, prev := 0, uint32(0); i < n && r.Err() == nil; i++ {
+		idx, picks := r.U32(), r.U64()
+		if i > 0 && idx <= prev {
+			r.Fail("edge %d after %d", idx, prev)
+		}
+		power.EdgePicks[idx], prev = picks, idx
 	}
-	return DecodePowerMeta(raw)
-}
-
-// DecodePowerMeta deserializes power-schedule state from its stored form
-// (the bytes SavePowerMeta writes, however they were transported).
-func DecodePowerMeta(raw []byte) (*PowerMeta, error) {
-	var m PowerMeta
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("core: decode power meta: %w", err)
+	if err := r.Done(); err != nil {
+		return nil, nil, fmt.Errorf("core: decode sched state: %w", err)
 	}
-	return &m, nil
+	return meta, power, nil
 }

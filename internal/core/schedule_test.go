@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -264,7 +266,7 @@ func TestPickPrefersFavored(t *testing.T) {
 	}
 }
 
-// Scheduler metadata must round-trip through SaveSchedMeta/LoadSchedMeta
+// Scheduler metadata must round-trip through EncodeSchedState/DecodeSchedState
 // and re-attach to entries that re-queue from a saved corpus, and two
 // fuzzers restored from the same state must pick the same entries — the
 // determinism contract checkpoint/resume builds on.
@@ -281,10 +283,9 @@ func TestSchedMetaRoundTripAndDeterministicResume(t *testing.T) {
 	if err := f.SaveCorpus(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.SaveSchedMeta(dir); err != nil {
-		t.Fatal(err)
-	}
-	metas, err := LoadSchedMeta(dir)
+	var w guest.StateWriter
+	EncodeSchedState(&w, f.SchedMeta(), f.PowerState())
+	metas, _, err := DecodeSchedState(w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,18 +347,6 @@ func TestSchedMetaRoundTripAndDeterministicResume(t *testing.T) {
 			t.Fatalf("entry %d picked %d vs %d times — pick sequences diverged",
 				i, r1.Queue[i].Picked, r2.Queue[i].Picked)
 		}
-	}
-}
-
-// A missing metadata file resumes with zeroed metadata instead of failing
-// (pre-scheduler checkpoints stay loadable).
-func TestLoadSchedMetaMissingFile(t *testing.T) {
-	metas, err := LoadSchedMeta(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if metas != nil {
-		t.Fatalf("expected nil metadata, got %d entries", len(metas))
 	}
 }
 
@@ -684,16 +673,54 @@ func TestTrimReestimatesExecTime(t *testing.T) {
 	if re[0].OldKey == InputKey(e.Input) {
 		t.Fatal("trim did not change the content key (test premise broken)")
 	}
+	// The memoized key went with the input it described.
+	if e.Key() != InputKey(e.Input) {
+		t.Fatal("the entry still answers with its pre-trim content key")
+	}
 	if f.DrainRetrimmed() != nil {
 		t.Fatal("DrainRetrimmed did not reset the list")
 	}
 }
 
-// Power-schedule state must round-trip through SavePowerMeta/LoadPowerMeta,
-// and a missing file must load as nil (version-1 checkpoints resume with
-// zeroed power state).
+// Content keys exist for the campaign layer (seed metadata, the broker's
+// claims, checkpoints). A solo run — seed import, lazy trims, queueing — reads
+// none, so it must hash none: every entry's memo is still empty.
+func TestSoloRunHashesNoInput(t *testing.T) {
+	inst := launch(t, "lightftp")
+	f := newFuzzer(t, inst, PolicyAggressive, 13)
+	if err := f.RunFor(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	trimmed := 0
+	for _, e := range f.Queue {
+		if e.Trimmed {
+			trimmed++
+		}
+		if e.key != "" {
+			t.Fatalf("entry %d was hashed during a solo run", e.ID)
+		}
+	}
+	if trimmed == 0 {
+		t.Fatal("no entry was trimmed (test premise broken)")
+	}
+}
+
+// roundTripPower passes f's power state through the sched.bin codec.
+func roundTripPower(t *testing.T, f *Fuzzer) *PowerMeta {
+	t.Helper()
+	var w guest.StateWriter
+	EncodeSchedState(&w, f.SchedMeta(), f.PowerState())
+	_, m, err := DecodeSchedState(w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// Power-schedule state must round-trip through EncodeSchedState and
+// DecodeSchedState, and the stream is canonical: edges out of order, a
+// count the bytes left cannot hold and trailing bytes are all errors.
 func TestPowerMetaRoundTrip(t *testing.T) {
-	dir := t.TempDir()
 	s, _ := stubSpecInput()
 	f := New(&stubExec{loc: 1}, s, Options{
 		Rand:  rand.New(rand.NewSource(9)),
@@ -702,13 +729,7 @@ func TestPowerMetaRoundTrip(t *testing.T) {
 	f.edgePicks = map[uint32]uint64{7: 3, 9: 1}
 	f.edgePickSum = 4
 	f.totalPicked = 12
-	if err := f.SavePowerMeta(dir); err != nil {
-		t.Fatal(err)
-	}
-	m, err := LoadPowerMeta(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := roundTripPower(t, f)
 	if m == nil || m.TotalPicked != 12 || len(m.EdgePicks) != 2 || m.EdgePicks[7] != 3 || m.EdgePicks[9] != 1 {
 		t.Fatalf("power meta did not round-trip: %+v", m)
 	}
@@ -723,12 +744,23 @@ func TestPowerMetaRoundTrip(t *testing.T) {
 			r.totalPicked, r.edgePickSum, r.edgePicks)
 	}
 
-	missing, err := LoadPowerMeta(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if missing != nil {
-		t.Fatalf("missing power meta should load as nil, got %+v", missing)
+	var w guest.StateWriter
+	EncodeSchedState(&w, nil, m)
+	good := w.Bytes()
+	swapped := slices.Clone(good)
+	edge := len(good) - 2*(4+8) // the two (u32 edge, u64 picks) pairs end the stream
+	swapped[edge], swapped[edge+4+8] = 9, 7
+	huge := slices.Clone(good)
+	binary.LittleEndian.PutUint32(huge, 0xf0000000) // the entry count
+	for name, bad := range map[string][]byte{
+		"edges out of order": swapped,
+		"entry count":        huge,
+		"trailing byte":      append(slices.Clone(good), 0),
+		"truncated":          good[:len(good)-1],
+	} {
+		if _, _, err := DecodeSchedState(bad); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
 	}
 }
 
@@ -789,9 +821,8 @@ func TestAdaptivePowerFlipsOnFrontierDrain(t *testing.T) {
 	}
 }
 
-// The adaptive flip must persist through power.json and restore on resume.
+// The adaptive flip must persist through sched.bin and restore on resume.
 func TestAdaptiveFlipPersists(t *testing.T) {
-	dir := t.TempDir()
 	s, _ := stubSpecInput()
 	f := New(&stubExec{loc: 1}, s, Options{
 		Rand:  rand.New(rand.NewSource(11)),
@@ -799,13 +830,7 @@ func TestAdaptiveFlipPersists(t *testing.T) {
 	})
 	f.powerFlip = true
 	f.drainStreak = 3
-	if err := f.SavePowerMeta(dir); err != nil {
-		t.Fatal(err)
-	}
-	m, err := LoadPowerMeta(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := roundTripPower(t, f)
 	if m == nil || !m.Flipped || m.DrainStreak != 3 {
 		t.Fatalf("flip did not round-trip: %+v", m)
 	}

@@ -206,11 +206,11 @@ func (fs *FS) unmarshal(r *StateReader) {
 	fs.files = slices.Grow(fs.files[:0], n)[:n]
 	for i := 0; i < n && r.err == nil; i++ {
 		f := &fs.files[i]
-		if path := r.view32(); f.path != string(path) {
+		if path := r.View32(); f.path != string(path) {
 			f.path = string(path)
 		}
 		if i > 0 && f.path <= fs.files[i-1].path {
-			r.fail("statebuf: file %q listed after %q", f.path, fs.files[i-1].path)
+			r.Fail("statebuf: file %q listed after %q", f.path, fs.files[i-1].path)
 		}
 		f.size = r.I64()
 		f.sectors = f.sectors[:0]

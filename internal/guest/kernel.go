@@ -583,10 +583,7 @@ func (k *Kernel) syncFromMemory() {
 func (k *Kernel) decode(image []byte) error {
 	k.dec.Reset(image)
 	k.unmarshal(&k.dec)
-	if k.dec.err == nil && k.dec.off != len(image) {
-		k.dec.fail("statebuf: %d bytes after the end of the state", len(image)-k.dec.off)
-	}
-	return k.dec.err
+	return k.dec.Done()
 }
 
 func (k *Kernel) marshal(w *StateWriter) {
@@ -662,7 +659,7 @@ func (k *Kernel) unmarshal(r *StateReader) {
 		*d = OpenDesc{ID: r.id(prev, k.nextDesc), Kind: FDKind(r.U8()), ConnID: r.Int(), Path: r.String(), Refs: r.Int(), Watch: r.appendInts(d.Watch[:0])}
 		for j := 1; j < len(d.Watch); j++ {
 			if d.Watch[j] <= d.Watch[j-1] {
-				r.fail("statebuf: desc %d: watch list not ascending", d.ID)
+				r.Fail("statebuf: desc %d: watch list not ascending", d.ID)
 			}
 		}
 		prev = d.ID
@@ -684,9 +681,9 @@ func (k *Kernel) unmarshal(r *StateReader) {
 	for i, prev, n := 0, 0, r.Count(connBytes); i < n && r.err == nil; i++ {
 		var c *Conn
 		k.conns, c = extend(k.conns)
-		*c = Conn{ID: r.id(prev, k.nextConn), Port: Port{Proto: internProto(r.view32()), Num: r.Int()}, DescID: r.Int(), Closed: r.Bool(), Sent: c.Sent[:0]}
+		*c = Conn{ID: r.id(prev, k.nextConn), Port: Port{Proto: internProto(r.View32()), Num: r.Int()}, DescID: r.Int(), Closed: r.Bool(), Sent: c.Sent[:0]}
 		for j, ns := 0, r.Count(4); j < ns && r.err == nil; j++ {
-			c.Sent = append(c.Sent, r.view32())
+			c.Sent = append(c.Sent, r.View32())
 		}
 		prev = c.ID
 	}
@@ -703,7 +700,7 @@ func (k *Kernel) unmarshal(r *StateReader) {
 func (r *StateReader) id(prev, next int) int {
 	id := r.Int()
 	if id <= prev || id >= next {
-		r.fail("statebuf: id %d outside (%d, %d)", id, prev, next)
+		r.Fail("statebuf: id %d outside (%d, %d)", id, prev, next)
 	}
 	return id
 }

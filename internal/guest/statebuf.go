@@ -140,9 +140,18 @@ func (r *StateReader) Reset(b []byte) { r.buf, r.off, r.err = b, 0, nil } //nyx:
 // Err returns the first decoding error, if any.
 func (r *StateReader) Err() error { return r.err }
 
+// Done ends a decode: a stream stops where its contents stop, so bytes left
+// unread fail the reader like any other malformed input. It returns Err.
+func (r *StateReader) Done() error {
+	if r.err == nil && r.off != len(r.buf) {
+		r.Fail("statebuf: %d bytes after the end of the stream", len(r.buf)-r.off)
+	}
+	return r.err
+}
+
 func (r *StateReader) take(n int) []byte {
 	if n > len(r.buf)-r.off {
-		r.fail("statebuf: truncated read of %d bytes at offset %d/%d", n, r.off, len(r.buf))
+		r.Fail("statebuf: truncated read of %d bytes at offset %d/%d", n, r.off, len(r.buf))
 		return nil
 	}
 	b := r.buf[r.off : r.off+n]
@@ -200,14 +209,16 @@ func (r *StateReader) F64() float64 { return math.Float64frombits(r.U64()) }
 func (r *StateReader) Bool() bool {
 	v := r.U8()
 	if v > 1 {
-		r.fail("statebuf: boolean byte %d at offset %d", v, r.off-1)
+		r.Fail("statebuf: boolean byte %d at offset %d", v, r.off-1)
 	}
 	return v == 1
 }
 
-// fail records the reader's first error and empties the stream, so that
-// every read after it comes up short and returns a zero value.
-func (r *StateReader) fail(format string, args ...any) {
+// Fail records the reader's first error and empties the stream, so that
+// every read after it comes up short and returns a zero value. Callers use it
+// too, for a value they decoded that the stream's writer would never have
+// written: the error then is the reader's own, and first like any other.
+func (r *StateReader) Fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf(format, args...)
 		r.buf, r.off = nil, 0
@@ -221,22 +232,23 @@ func (r *StateReader) fail(format string, args ...any) {
 func (r *StateReader) Count(size int) int {
 	n := int(r.U32())
 	if n*size > len(r.buf)-r.off {
-		r.fail("statebuf: count %d of %d-byte elements exceeds remaining %d bytes", n, size, len(r.buf)-r.off)
+		r.Fail("statebuf: count %d of %d-byte elements exceeds remaining %d bytes", n, size, len(r.buf)-r.off)
 		return 0
 	}
 	return n
 }
 
-// view32 reads a length-prefixed byte slice without copying it: the result
-// aliases the stream, with its capacity cut to its length.
-func (r *StateReader) view32() []byte {
+// View32 reads a length-prefixed byte slice without copying it: the result
+// aliases the stream, with its capacity cut to its length, and keeps the
+// whole stream reachable for as long as it is held.
+func (r *StateReader) View32() []byte {
 	b := r.take(r.Count(1))
 	return b[:len(b):len(b)]
 }
 
 // Bytes32 reads a length-prefixed byte slice (copied).
 func (r *StateReader) Bytes32() []byte {
-	b := r.view32()
+	b := r.View32()
 	if r.err != nil {
 		return nil
 	}
@@ -244,7 +256,7 @@ func (r *StateReader) Bytes32() []byte {
 }
 
 // String reads a length-prefixed string.
-func (r *StateReader) String() string { return string(r.view32()) }
+func (r *StateReader) String() string { return string(r.View32()) }
 
 // StringSlice reads a length-prefixed string slice.
 func (r *StateReader) StringSlice() []string {
@@ -311,7 +323,7 @@ func emptied[V any](m map[int]V, n int) map[int]V {
 func (r *StateReader) mapKey(i, prev int) int {
 	k := r.Int()
 	if i > 0 && k <= prev {
-		r.fail("statebuf: map key %d after %d", k, prev)
+		r.Fail("statebuf: map key %d after %d", k, prev)
 	}
 	return k
 }

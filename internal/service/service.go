@@ -705,6 +705,10 @@ func (m *Manager) Events(id string, since int) ([]Event, <-chan struct{}, bool, 
 // Recover registers every campaign tree found under the store prefix as a
 // stored campaign (state "stored": visible, summarized, resumable — but
 // cold until resumed). Campaigns already known to the manager are skipped.
+// It reads two objects per campaign, the checkpoint header and the service
+// spec, never the tree. A campaign whose header or spec does not decode is
+// left out and named in the returned error, next to the statuses of all the
+// others: one damaged checkpoint does not hide the rest.
 func (m *Manager) Recover() ([]Status, error) {
 	if m.cfg.Store == nil {
 		return nil, errors.New("service: no store configured")
@@ -713,40 +717,25 @@ func (m *Manager) Recover() ([]Status, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ids []string
+	var out []Status
+	var skipped []error
 	for _, k := range keys {
 		rest := strings.TrimPrefix(k, m.cfg.Prefix+"/")
-		if id, ok := strings.CutSuffix(rest, "/manifest.json"); ok && !strings.Contains(id, "/") {
-			ids = append(ids, id)
+		id, ok := strings.CutSuffix(rest, "/"+campaign.ManifestFile)
+		if !ok || strings.Contains(id, "/") {
+			continue
 		}
-	}
-	var out []Status
-	for _, id := range ids {
 		m.mu.Lock()
 		_, known := m.campaigns[id]
 		m.mu.Unlock()
 		if known {
 			continue
 		}
-		t, err := m.cfg.Store.GetTree(m.treeName(id))
+		spec, sum, err := m.readStored(id)
 		if err != nil {
-			return out, fmt.Errorf("service: recover %q: %w", id, err)
+			skipped = append(skipped, fmt.Errorf("service: recover %q: %w", id, err))
+			continue
 		}
-		sum, err := campaign.Summarize(t)
-		if err != nil {
-			return out, fmt.Errorf("service: recover %q: %w", id, err)
-		}
-		var spec Spec
-		if raw, ok := t[specKey]; ok {
-			if err := json.Unmarshal(raw, &spec); err != nil {
-				return out, fmt.Errorf("service: recover %q: bad %s: %w", id, specKey, err)
-			}
-		} else {
-			// A tree checkpointed outside the service (e.g. the one-shot
-			// CLI) still recovers; synthesize the spec from the manifest.
-			spec = Spec{ID: id, Target: sum.Target, Workers: sum.Workers, Duration: sum.Elapsed}
-		}
-		spec.ID = id
 		g := &managed{id: id, m: m, spec: spec, wake: make(chan struct{})}
 		g.done = make(chan struct{})
 		close(g.done) // no actor attached
@@ -770,7 +759,35 @@ func (m *Manager) Recover() ([]Status, error) {
 		m.mu.Unlock()
 		out = append(out, g.snapshot())
 	}
-	return out, nil
+	return out, errors.Join(skipped...)
+}
+
+// readStored reads what a listing shows of stored campaign id: its service
+// spec and the summary of its checkpoint header.
+func (m *Manager) readStored(id string) (Spec, campaign.Summary, error) {
+	var spec Spec
+	raw, err := m.cfg.Store.Get(m.treeName(id) + "/" + campaign.ManifestFile)
+	if err != nil {
+		return spec, campaign.Summary{}, err
+	}
+	sum, err := campaign.Summarize(store.Tree{campaign.ManifestFile: raw})
+	if err != nil {
+		return spec, sum, err
+	}
+	switch raw, err := m.cfg.Store.Get(m.treeName(id) + "/" + specKey); {
+	case errors.Is(err, store.ErrNotExist):
+		// A tree checkpointed outside the service (e.g. the one-shot
+		// CLI) still recovers; synthesize the spec from the manifest.
+		spec = Spec{Target: sum.Target, Workers: sum.Workers, Duration: sum.Elapsed}
+	case err != nil:
+		return spec, sum, err
+	default:
+		if err := json.Unmarshal(raw, &spec); err != nil {
+			return spec, sum, fmt.Errorf("bad %s: %w", specKey, err)
+		}
+	}
+	spec.ID = id
+	return spec, sum, nil
 }
 
 // Close stops every live campaign at its next slice boundary, writing a

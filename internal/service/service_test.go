@@ -2,9 +2,11 @@ package service
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/store"
 )
 
@@ -391,5 +393,66 @@ func TestManagerAsyncSpec(t *testing.T) {
 	}
 	if err := m2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// noTreeReads is a store whose GetTree fails the test: what a listing needs
+// is two objects per campaign, not the tree.
+type noTreeReads struct {
+	store.Storer
+	t *testing.T
+}
+
+func (s noTreeReads) GetTree(name string) (store.Tree, error) {
+	s.t.Errorf("GetTree(%q) called", name)
+	return s.Storer.GetTree(name)
+}
+
+// One stored campaign whose header does not decode is left out and named in
+// the error; every other campaign is registered, and no tree is read to do it.
+func TestRecoverSkipsUndecodableCampaign(t *testing.T) {
+	for name, st := range map[string]store.Storer{"dir": dirStore(t), "mem": memStore(t)} {
+		t.Run(name, func(t *testing.T) {
+			m := New(Config{Store: st})
+			for i, id := range []string{"a", "b", "c"} {
+				if _, err := m.Submit(testSpec(id, int64(i+1), 500*time.Millisecond)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, id := range []string{"a", "b", "c"} {
+				waitState(t, m, id, StateDone)
+			}
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			key := DefaultPrefix + "/b/" + campaign.ManifestFile
+			raw, err := st.Get(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Put(key, raw[:len(raw)/2]); err != nil {
+				t.Fatal(err)
+			}
+
+			m2 := New(Config{Store: noTreeReads{st, t}})
+			recovered, err := m2.Recover()
+			if err == nil || !strings.Contains(err.Error(), `"b"`) {
+				t.Fatalf("Recover error = %v, want one naming campaign b", err)
+			}
+			if len(recovered) != 2 || recovered[0].ID != "a" || recovered[1].ID != "c" {
+				t.Fatalf("recovered %+v, want campaigns a and c", recovered)
+			}
+			for _, r := range recovered {
+				if r.State != StateStored || r.Edges == 0 || r.Corpus == 0 || r.Spec.Seed == 0 {
+					t.Fatalf("recovered %s as %+v", r.ID, r)
+				}
+			}
+			if _, err := m2.CampaignStatus("b"); err == nil {
+				t.Fatal("the undecodable campaign was registered")
+			}
+			if err := m2.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -59,28 +59,39 @@ func EncodedLen(in *Input) int {
 
 // Serialize encodes the input to flat bytecode.
 func Serialize(in *Input) []byte {
-	out := make([]byte, 0, EncodedLen(in))
-	out = append(out, bcMagic[:]...)
-	out = binary.LittleEndian.AppendUint16(out, bcVersion)
+	return AppendSerialize(make([]byte, 0, EncodedLen(in)), in)
+}
+
+// AppendSerialize appends Serialize(in) to dst and returns the extended
+// slice, for callers that hash or copy the encoding and keep no slice of it.
+func AppendSerialize(dst []byte, in *Input) []byte {
+	dst = append(dst, bcMagic[:]...)
+	dst = binary.LittleEndian.AppendUint16(dst, bcVersion)
 	nops := uint32(len(in.Ops))
 	if in.SnapshotAt >= 0 {
 		nops++
 	}
-	out = binary.LittleEndian.AppendUint32(out, nops)
+	dst = binary.LittleEndian.AppendUint32(dst, nops)
 	for i, op := range in.Ops {
 		if in.SnapshotAt == i {
-			out = AppendOp(out, Op{Node: SnapshotNode})
+			dst = AppendOp(dst, Op{Node: SnapshotNode})
 		}
-		out = AppendOp(out, op)
+		dst = AppendOp(dst, op)
 	}
 	if in.SnapshotAt == len(in.Ops) {
-		out = AppendOp(out, Op{Node: SnapshotNode})
+		dst = AppendOp(dst, Op{Node: SnapshotNode})
 	}
-	return out
+	return dst
 }
 
 // Deserialize decodes flat bytecode into an Input. At most one snapshot
 // marker is honored (the fuzzer only ever keeps one incremental snapshot).
+//
+// The input keeps b: every op's Data is a window into it (ops are never
+// written — see the package comment — so a window is as good as a copy), and
+// whatever shares the ops holds all of b reachable. A caller that writes b
+// afterwards, or decodes out of a large buffer it wants collected, passes a
+// copy.
 func Deserialize(b []byte) (*Input, error) {
 	if len(b) < bcHeaderLen || b[0] != bcMagic[0] || b[1] != bcMagic[1] || b[2] != bcMagic[2] || b[3] != bcMagic[3] {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadBytecode)
@@ -88,59 +99,71 @@ func Deserialize(b []byte) (*Input, error) {
 	if v := binary.LittleEndian.Uint16(b[4:]); v != bcVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadBytecode, v)
 	}
-	nops := binary.LittleEndian.Uint32(b[6:])
-	off := bcHeaderLen
+	nops := int(binary.LittleEndian.Uint32(b[6:]))
 	// An op takes bcOpOverhead bytes or more: a count the bytes left cannot
-	// hold is rejected before it sizes anything.
-	if uint64(nops) > uint64(len(b)-off)/bcOpOverhead {
-		return nil, fmt.Errorf("%w: %d ops in %d bytes", ErrBadBytecode, nops, len(b)-off)
+	// hold is rejected before it bounds a loop.
+	if nops > (len(b)-bcHeaderLen)/bcOpOverhead {
+		return nil, fmt.Errorf("%w: %d ops in %d bytes", ErrBadBytecode, nops, len(b)-bcHeaderLen)
 	}
-	in := &Input{Ops: make([]Op, 0, nops), SnapshotAt: -1}
-	for i := uint32(0); i < nops; i++ {
-		if off+3 > len(b) {
+	// One pass over the op headers checks every length against the bytes
+	// left and sizes the two allocations; the second pass cannot fail.
+	off, markers, nargs := bcHeaderLen, 0, 0
+	for i := 0; i < nops; i++ {
+		if off+bcOpOverhead > len(b) {
 			return nil, fmt.Errorf("%w: truncated op header at %d", ErrBadBytecode, off)
 		}
-		node := NodeID(binary.LittleEndian.Uint16(b[off:]))
-		nargs := int(b[off+2])
-		off += 3
-		if node == SnapshotNode {
-			if nargs != 0 {
-				return nil, fmt.Errorf("%w: snapshot op with args", ErrBadBytecode)
-			}
-			if off+4 > len(b) {
-				return nil, fmt.Errorf("%w: truncated snapshot op", ErrBadBytecode)
-			}
-			if dl := binary.LittleEndian.Uint32(b[off:]); dl != 0 {
-				return nil, fmt.Errorf("%w: snapshot op with data", ErrBadBytecode)
-			}
-			off += 4
-			if in.SnapshotAt < 0 {
-				in.SnapshotAt = len(in.Ops)
-			}
-			continue
-		}
-		op := Op{Node: node}
-		if off+2*nargs > len(b) {
-			return nil, fmt.Errorf("%w: truncated args at %d", ErrBadBytecode, off)
-		}
-		for j := 0; j < nargs; j++ {
-			op.Args = append(op.Args, binary.LittleEndian.Uint16(b[off:]))
-			off += 2
-		}
+		node, na := NodeID(binary.LittleEndian.Uint16(b[off:])), int(b[off+2])
+		off += 3 + 2*na
 		if off+4 > len(b) {
-			return nil, fmt.Errorf("%w: truncated data length at %d", ErrBadBytecode, off)
+			return nil, fmt.Errorf("%w: truncated args at %d", ErrBadBytecode, off)
 		}
 		dl := int(binary.LittleEndian.Uint32(b[off:]))
 		off += 4
 		if dl < 0 || dl > len(b)-off {
 			return nil, fmt.Errorf("%w: truncated payload (%d bytes) at %d", ErrBadBytecode, dl, off)
 		}
-		op.Data = append([]byte(nil), b[off:off+dl]...)
 		off += dl
-		in.Ops = append(in.Ops, op)
+		if node != SnapshotNode {
+			nargs += na
+		} else if markers++; na != 0 || dl != 0 {
+			return nil, fmt.Errorf("%w: snapshot op with args or data", ErrBadBytecode)
+		}
 	}
 	if off != len(b) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadBytecode, len(b)-off)
+	}
+	in := &Input{Ops: make([]Op, 0, nops-markers), SnapshotAt: -1}
+	var args []uint16
+	if nargs > 0 {
+		args = make([]uint16, 0, nargs)
+	}
+	for off = bcHeaderLen; off < len(b); {
+		node, na := NodeID(binary.LittleEndian.Uint16(b[off:])), int(b[off+2])
+		off += 3
+		if node == SnapshotNode {
+			if in.SnapshotAt < 0 {
+				in.SnapshotAt = len(in.Ops)
+			}
+			off += 4
+			continue
+		}
+		var opArgs []uint16
+		if na > 0 {
+			first := len(args)
+			for j := 0; j < na; j++ {
+				args = append(args, binary.LittleEndian.Uint16(b[off+2*j:]))
+			}
+			opArgs = args[first:len(args):len(args)]
+			off += 2 * na
+		}
+		dl := int(binary.LittleEndian.Uint32(b[off:]))
+		off += 4
+		var data []byte
+		if dl > 0 {
+			data = b[off : off+dl : off+dl]
+			off += dl
+		}
+		in.Ops = append(in.Ops, Op{Node: node, Args: opArgs, Data: data})
 	}
 	return in, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
-	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -292,6 +291,3 @@ func (d *dirStore) DeleteTree(name string) error {
 	}
 	return nil
 }
-
-// treePrefix returns the key-space prefix of a tree name.
-func treePrefix(name string) string { return path.Clean(name) + "/" }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -16,9 +17,15 @@ var memRegistry = struct {
 	buckets map[string]*memBucket
 }{buckets: map[string]*memBucket{}}
 
+// memBucket is one bucket's key space. A tree written by PutTree is kept
+// whole under its name, keyed relative to it, so storing or reading one
+// costs a map and a copy of each file and nothing per key; keys written one
+// at a time live in objects. No loose key lies under a stored tree's prefix
+// and no stored tree under another's, so every key has one home.
 type memBucket struct {
 	mu      sync.RWMutex
 	objects map[string][]byte
+	trees   map[string]Tree
 }
 
 // memStore is the remote-style backend: a handle on one named bucket.
@@ -35,7 +42,7 @@ func openMem(name, rawurl string) (Storer, error) {
 	defer memRegistry.Unlock()
 	b, ok := memRegistry.buckets[name]
 	if !ok {
-		b = &memBucket{objects: map[string][]byte{}}
+		b = &memBucket{objects: map[string][]byte{}, trees: map[string]Tree{}}
 		memRegistry.buckets[name] = b
 	}
 	return &memStore{bucket: b, rawurl: rawurl}, nil
@@ -43,13 +50,32 @@ func openMem(name, rawurl string) (Storer, error) {
 
 func (m *memStore) URL() string { return m.rawurl }
 
+// under reports whether key lies below dir, i.e. starts with dir + "/".
+func under(key, dir string) bool {
+	return len(key) > len(dir) && key[len(dir)] == '/' && key[:len(dir)] == dir
+}
+
+// home returns the map key lives in and its key there: the stored tree
+// whose prefix covers it, else the loose objects.
+func (b *memBucket) home(key string) (map[string][]byte, string) {
+	for i := 0; i < len(key); i++ {
+		if key[i] == '/' {
+			if t, ok := b.trees[key[:i]]; ok {
+				return t, key[i+1:]
+			}
+		}
+	}
+	return b.objects, key
+}
+
 func (m *memStore) Put(key string, data []byte) error {
 	if err := validKey(key); err != nil {
 		return err
 	}
 	m.bucket.mu.Lock()
 	defer m.bucket.mu.Unlock()
-	m.bucket.objects[key] = append([]byte(nil), data...)
+	objs, k := m.bucket.home(key)
+	objs[k] = bytes.Clone(data)
 	return nil
 }
 
@@ -59,11 +85,12 @@ func (m *memStore) Get(key string) ([]byte, error) {
 	}
 	m.bucket.mu.RLock()
 	defer m.bucket.mu.RUnlock()
-	data, ok := m.bucket.objects[key]
+	objs, k := m.bucket.home(key)
+	data, ok := objs[k]
 	if !ok {
 		return nil, fmt.Errorf("store: get %q: %w", key, ErrNotExist)
 	}
-	return append([]byte(nil), data...), nil
+	return bytes.Clone(data), nil
 }
 
 func (m *memStore) List(prefix string) ([]string, error) {
@@ -73,6 +100,17 @@ func (m *memStore) List(prefix string) ([]string, error) {
 	for k := range m.bucket.objects {
 		if strings.HasPrefix(k, prefix) {
 			keys = append(keys, k)
+		}
+	}
+	for name, t := range m.bucket.trees {
+		dir := name + "/"
+		if !strings.HasPrefix(dir, prefix) && !strings.HasPrefix(prefix, dir) {
+			continue
+		}
+		for rel := range t {
+			if k := dir + rel; strings.HasPrefix(k, prefix) {
+				keys = append(keys, k)
+			}
 		}
 	}
 	sort.Strings(keys)
@@ -85,7 +123,8 @@ func (m *memStore) Delete(key string) error {
 	}
 	m.bucket.mu.Lock()
 	defer m.bucket.mu.Unlock()
-	delete(m.bucket.objects, key)
+	objs, k := m.bucket.home(key)
+	delete(objs, k)
 	return nil
 }
 
@@ -98,38 +137,58 @@ func (m *memStore) Rename(oldKey, newKey string) error {
 	}
 	m.bucket.mu.Lock()
 	defer m.bucket.mu.Unlock()
-	data, ok := m.bucket.objects[oldKey]
+	from, k := m.bucket.home(oldKey)
+	data, ok := from[k]
 	if !ok {
 		return fmt.Errorf("store: rename %q: %w", oldKey, ErrNotExist)
 	}
-	delete(m.bucket.objects, oldKey)
-	m.bucket.objects[newKey] = data
+	delete(from, k)
+	to, k := m.bucket.home(newKey)
+	to[k] = data
 	return nil
 }
 
-// PutTree swaps the whole key range under the bucket lock: validation and
-// the copy of t happen before any existing key is touched, so a failed
-// call leaves the previous tree untouched and readers never observe a
-// partial mix of generations.
+// loosen dissolves every stored tree above or below name into loose objects,
+// so that what lies under name is loose objects and trees[name], no more.
+// Caller holds the write lock.
+func (b *memBucket) loosen(name string) {
+	for other, t := range b.trees {
+		if under(other, name) || under(name, other) {
+			for rel, data := range t {
+				b.objects[other+"/"+rel] = data
+			}
+			delete(b.trees, other)
+		}
+	}
+}
+
+// clear removes every key under name. Caller holds the write lock.
+func (b *memBucket) clear(name string) {
+	b.loosen(name)
+	delete(b.trees, name)
+	for k := range b.objects {
+		if under(k, name) {
+			delete(b.objects, k)
+		}
+	}
+}
+
+// PutTree swaps the tree in under the bucket lock: validation and the copy
+// of t happen before any existing key is touched, so a failed call leaves
+// the previous tree untouched and readers never observe a partial mix of
+// generations.
 func (m *memStore) PutTree(name string, t Tree) error {
 	if err := validTree(name, t); err != nil {
 		return err
 	}
-	prefix := treePrefix(name)
-	fresh := make(map[string][]byte, len(t))
+	fresh := make(Tree, len(t))
 	for k, v := range t {
-		fresh[prefix+k] = append([]byte(nil), v...)
+		fresh[k] = bytes.Clone(v)
 	}
 	m.bucket.mu.Lock()
 	defer m.bucket.mu.Unlock()
-	for k := range m.bucket.objects {
-		if strings.HasPrefix(k, prefix) {
-			delete(m.bucket.objects, k)
-		}
-	}
-	for k, v := range fresh {
-		m.bucket.objects[k] = v
-	}
+	m.bucket.clear(name)
+	m.bucket.trees[name] = fresh
 	return nil
 }
 
@@ -137,13 +196,17 @@ func (m *memStore) GetTree(name string) (Tree, error) {
 	if err := validKey(name); err != nil {
 		return nil, err
 	}
-	prefix := treePrefix(name)
-	m.bucket.mu.RLock()
-	defer m.bucket.mu.RUnlock()
-	t := Tree{}
-	for k, v := range m.bucket.objects {
-		if strings.HasPrefix(k, prefix) {
-			t[strings.TrimPrefix(k, prefix)] = append([]byte(nil), v...)
+	m.bucket.mu.Lock() // loosen may re-file keys
+	defer m.bucket.mu.Unlock()
+	m.bucket.loosen(name)
+	stored := m.bucket.trees[name]
+	t := make(Tree, len(stored))
+	for k, v := range stored {
+		t[k] = bytes.Clone(v)
+	}
+	for k, v := range m.bucket.objects { // keys put one at a time make up a tree all the same
+		if under(k, name) {
+			t[k[len(name)+1:]] = bytes.Clone(v)
 		}
 	}
 	if len(t) == 0 {
@@ -156,13 +219,8 @@ func (m *memStore) DeleteTree(name string) error {
 	if err := validKey(name); err != nil {
 		return err
 	}
-	prefix := treePrefix(name)
 	m.bucket.mu.Lock()
 	defer m.bucket.mu.Unlock()
-	for k := range m.bucket.objects {
-		if strings.HasPrefix(k, prefix) {
-			delete(m.bucket.objects, k)
-		}
-	}
+	m.bucket.clear(name)
 	return nil
 }

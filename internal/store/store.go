@@ -17,13 +17,14 @@
 // previous tree, complete and unmodified — never a mix. The dir backend
 // implements this with the same temp-then-swap rename dance
 // campaign.Checkpoint historically used (and recovers the parked ".old"
-// copy if a crash lands between the two renames); the mem backend swaps
-// the key range under one lock.
+// copy if a crash lands between the two renames); the mem backend keeps a
+// stored tree whole under its name and swaps it in under one lock.
 package store
 
 import (
 	"errors"
 	"fmt"
+	"path"
 	"sort"
 	"strings"
 )
@@ -37,9 +38,10 @@ type Tree map[string][]byte
 var ErrNotExist = errors.New("does not exist")
 
 // Storer is a flat object store over opaque keys. Keys are clean relative
-// slash-separated paths ("worker-000/queue/id-000001.nyx"); a "tree" named
-// n is simply the set of keys under "n/", which PutTree replaces
-// atomically.
+// slash-separated paths ("campaigns/c01/worker-000/sched.bin"); a "tree"
+// named n is simply the set of keys under "n/" — however they got there:
+// put one at a time, or as trees stored further down or further up — which
+// PutTree replaces atomically.
 type Storer interface {
 	// Put writes one object.
 	Put(key string, data []byte) error
@@ -95,7 +97,8 @@ func CopyTree(dst, src Storer, name string) error {
 }
 
 // validKey rejects keys that could escape the store root or collide with
-// the backends' bookkeeping names (temp dirs, parked ".old" copies).
+// the backends' bookkeeping names (temp dirs, parked ".old" copies). It walks
+// the key in place: checking a tree costs no allocation per key.
 func validKey(key string) error {
 	if key == "" {
 		return errors.New("store: empty key")
@@ -103,7 +106,9 @@ func validKey(key string) error {
 	if strings.HasPrefix(key, "/") || strings.Contains(key, "\\") {
 		return fmt.Errorf("store: key %q must be a relative slash path", key)
 	}
-	for _, seg := range strings.Split(key, "/") {
+	for rest, more := key, true; more; {
+		var seg string
+		seg, rest, more = strings.Cut(rest, "/")
 		switch {
 		case seg == "" || seg == ".":
 			return fmt.Errorf("store: key %q has an empty or dot segment", key)
@@ -131,14 +136,13 @@ func validTree(name string, t Tree) error {
 		if err := validKey(key); err != nil {
 			return err
 		}
-	}
-	// A key that is also a directory of another key ("a" and "a/b") cannot
-	// exist on a filesystem backend; reject it everywhere so backends stay
-	// interchangeable.
-	keys := sortedKeys(t)
-	for i := 1; i < len(keys); i++ {
-		if strings.HasPrefix(keys[i], keys[i-1]+"/") {
-			return fmt.Errorf("store: tree %q: key %q conflicts with %q", name, keys[i], keys[i-1])
+		// A key that is also a directory of another key ("a" and "a/b")
+		// cannot exist on a filesystem backend; reject it everywhere so
+		// backends stay interchangeable.
+		for dir := path.Dir(key); dir != "."; dir = path.Dir(dir) {
+			if _, ok := t[dir]; ok {
+				return fmt.Errorf("store: tree %q: key %q conflicts with %q", name, key, dir)
+			}
 		}
 	}
 	return nil

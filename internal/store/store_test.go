@@ -117,10 +117,10 @@ func TestKeyValidation(t *testing.T) {
 
 func checkpointLikeTree(gen int) Tree {
 	return Tree{
-		"manifest.json":                  []byte(fmt.Sprintf(`{"version":3,"gen":%d}`, gen)),
+		"manifest.json":                  []byte(fmt.Sprintf(`{"version":5,"gen":%d}`, gen)),
 		"virgin.bin":                     {0x01, 0x02, byte(gen)},
 		"worker-000/queue/id-000001.nyx": []byte(fmt.Sprintf("input-%d", gen)),
-		"worker-000/sched.json":          []byte("[]"),
+		"worker-000/sched.bin":           {0, 0, 0, 0},
 	}
 }
 
@@ -145,7 +145,7 @@ func TestTreeRoundTripAndReplace(t *testing.T) {
 			// Replacement removes keys of the previous generation that the
 			// new tree no longer carries.
 			t2 := checkpointLikeTree(2)
-			delete(t2, "worker-000/sched.json")
+			delete(t2, "worker-000/sched.bin")
 			if err := st.PutTree("ckpt", t2); err != nil {
 				t.Fatal(err)
 			}
@@ -174,6 +174,91 @@ func TestTreeRoundTripAndReplace(t *testing.T) {
 			}
 			if err := st.DeleteTree("ckpt"); err != nil {
 				t.Fatalf("double tree delete errored: %v", err)
+			}
+		})
+	}
+}
+
+// A tree is the set of keys under its name and nothing more: keys put one at
+// a time land in it, a tree stored further down or further up is part of it,
+// replacing or deleting one takes everything below it along — on every
+// backend alike, however it lays trees out.
+func TestTreesAndKeysShareOneKeySpace(t *testing.T) {
+	for scheme, st := range backends(t) {
+		t.Run(scheme, func(t *testing.T) {
+			tree := func(name string) Tree {
+				t.Helper()
+				got, err := st.GetTree(name)
+				if err != nil {
+					t.Fatalf("GetTree(%q): %v", name, err)
+				}
+				return got
+			}
+			check := func(what string, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+			}
+			a := checkpointLikeTree(1)
+			check("PutTree", st.PutTree("camp/a", a))
+			check("Put", st.Put("camp/a/service.json", []byte("{}")))
+			check("Put", st.Put("camp/loose.bin", []byte("loose")))
+			a["service.json"] = []byte("{}")
+			if got := tree("camp/a"); !reflect.DeepEqual(got, a) {
+				t.Fatalf("a key put under a stored tree is not part of it: %v", got)
+			}
+			up := Tree{"loose.bin": []byte("loose")}
+			for k, v := range a {
+				up["a/"+k] = v
+			}
+			if got := tree("camp"); !reflect.DeepEqual(got, up) {
+				t.Fatalf("GetTree one level up:\n got %v\nwant %v", got, up)
+			}
+			if got := tree("camp/a/worker-000"); len(got) != 2 || string(got["queue/id-000001.nyx"]) != "input-1" {
+				t.Fatalf("GetTree one level down: %v", got)
+			}
+			keys, err := st.List("camp/a/w")
+			check("List", err)
+			if want := []string{"camp/a/worker-000/queue/id-000001.nyx", "camp/a/worker-000/sched.bin"}; !reflect.DeepEqual(keys, want) {
+				t.Fatalf("List = %v, want %v", keys, want)
+			}
+			check("Rename", st.Rename("camp/a/virgin.bin", "moved.bin"))
+			check("Delete", st.Delete("camp/a/service.json"))
+			delete(a, "virgin.bin")
+			delete(a, "service.json")
+			if got := tree("camp/a"); !reflect.DeepEqual(got, a) {
+				t.Fatalf("after a rename out and a delete: %v", got)
+			}
+
+			// A tree stored below another becomes part of it; replacing the
+			// upper one takes it along.
+			b := checkpointLikeTree(2)
+			check("PutTree", st.PutTree("camp/a/nested", b))
+			if got := tree("camp/a"); len(got) != len(a)+len(b) || !bytes.Equal(got["nested/virgin.bin"], b["virgin.bin"]) {
+				t.Fatalf("a tree stored below a stored tree is not part of it: %v", got)
+			}
+			if got := tree("camp/a/nested"); !reflect.DeepEqual(got, b) {
+				t.Fatalf("nested tree: %v", got)
+			}
+			check("PutTree", st.PutTree("camp", b))
+			if got := tree("camp"); !reflect.DeepEqual(got, b) {
+				t.Fatalf("replacing a tree left keys of the trees below it: %v", got)
+			}
+			if _, err := st.GetTree("camp/a"); !errors.Is(err, ErrNotExist) {
+				t.Fatalf("GetTree of a replaced subtree = %v, want ErrNotExist", err)
+			}
+			check("DeleteTree", st.DeleteTree("camp/worker-000"))
+			delete(b, "worker-000/queue/id-000001.nyx")
+			delete(b, "worker-000/sched.bin")
+			if got := tree("camp"); !reflect.DeepEqual(got, b) {
+				t.Fatalf("after deleting a subtree: %v", got)
+			}
+			check("DeleteTree", st.DeleteTree("camp"))
+			keys, err = st.List("")
+			check("List", err)
+			if !reflect.DeepEqual(keys, []string{"moved.bin"}) {
+				t.Fatalf("keys left = %v, want only the one renamed out", keys)
 			}
 		})
 	}
@@ -345,5 +430,35 @@ func TestMemBucketsShared(t *testing.T) {
 	}
 	if _, err := other.Get("k"); !errors.Is(err, ErrNotExist) {
 		t.Fatal("distinct buckets share state")
+	}
+}
+
+// A checkpoint is a tree of a thousand small files, stored and read once per
+// stop-and-go cycle. Against mem:// each file costs the one copy the Storer
+// contract requires (the caller keeps its tree; the store's must not change
+// under a reader) and nothing else: no key is rebuilt, split or re-filed.
+func TestCheckpointTreeAllocsPerFile(t *testing.T) {
+	st, err := Open(fmt.Sprintf("mem://allocs-%d", time.Now().UnixNano()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const files = 1000
+	tree := Tree{"manifest.json": []byte("{}"), "broker.bin": make([]byte, 1<<16)}
+	for i := 0; len(tree) < files; i++ {
+		tree[fmt.Sprintf("worker-%03d/queue/id-%06d.nyx", i%2, i)] = make([]byte, 300)
+	}
+	put := testing.AllocsPerRun(10, func() {
+		if err := st.PutTree("campaigns/c01", tree); err != nil {
+			t.Fatal(err)
+		}
+	}) / files
+	get := testing.AllocsPerRun(10, func() {
+		if _, err := st.GetTree("campaigns/c01"); err != nil {
+			t.Fatal(err)
+		}
+	}) / files
+	// One copy per file, plus the map's buckets.
+	if put > 1.25 || get > 1.25 {
+		t.Fatalf("PutTree %.2f and GetTree %.2f allocations per file, want one copy each", put, get)
 	}
 }
