@@ -44,6 +44,9 @@
 // of virtual time, and are recovered from the store at startup. See the
 // README's "Service mode" section for the API.
 //
+// -cpuprofile FILE and -memprofile FILE write a CPU profile of the campaign
+// and a profile of everything it allocated, for go tool pprof.
+//
 // Usage:
 //
 //	nyx-net -target lightftp -policy aggressive -time 30s -seed 1
@@ -54,6 +57,7 @@
 //	nyx-net -resume -checkpoint /tmp/camp -time 30s
 //	nyx-net -store dir:///var/nyx -checkpoint camp -workers 4 -time 30s
 //	nyx-net -serve 127.0.0.1:8090 -store dir:///var/nyx
+//	nyx-net -target bftpd -time 16s -cpuprofile cpu.prof -memprofile mem.prof
 //	nyx-net -list
 package main
 
@@ -66,6 +70,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"time"
 
 	"repro/internal/campaign"
@@ -97,6 +102,8 @@ func main() {
 		storeURL = flag.String("store", "", "checkpoint store URL: dir://PATH | mem://BUCKET (routes -checkpoint/-resume and service-mode persistence)")
 		serve    = flag.String("serve", "", "run as a multi-campaign HTTP service on this address (host:port) instead of one-shot fuzzing")
 		ckptIvl  = flag.Duration("ckpt-every", service.DefaultCheckpointEvery, "service mode: auto-checkpoint cadence in campaign virtual time (negative disables)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file (go tool pprof)")
+		memProf  = flag.String("memprofile", "", "write an allocation profile of the campaign to this file when it ends")
 	)
 	flag.Parse()
 
@@ -133,6 +140,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	defer startProfiles(*cpuProf, *memProf)()
 
 	if *workers > 1 || *resume || *ckpt != "" {
 		runParallel(parallelOpts{
@@ -343,6 +351,37 @@ func runServe(addr, storeURL string, ckptEvery time.Duration) {
 	}
 	if err := m.Close(); err != nil {
 		fatalf("shutdown checkpoint: %v", err)
+	}
+}
+
+// startProfiles starts the CPU profile, if one was asked for, and returns the
+// function that ends it and writes the allocation profile: every object
+// allocated since the process started, not only the live ones, since what a
+// campaign allocates per execution is what drives its garbage collector.
+func startProfiles(cpuFile, memFile string) (stop func()) {
+	check := func(flag string, err error) {
+		if err != nil {
+			fatalf("%s: %v", flag, err)
+		}
+	}
+	var cpu *os.File
+	if cpuFile != "" {
+		var err error
+		cpu, err = os.Create(cpuFile)
+		check("-cpuprofile", err)
+		check("-cpuprofile", pprof.StartCPUProfile(cpu))
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			check("-cpuprofile", cpu.Close())
+		}
+		if memFile != "" {
+			mem, err := os.Create(memFile)
+			check("-memprofile", err)
+			check("-memprofile", pprof.Lookup("allocs").WriteTo(mem, 0))
+			check("-memprofile", mem.Close())
+		}
 	}
 }
 

@@ -278,8 +278,8 @@ type Fuzzer struct {
 
 	// Scheduler state (schedule.go).
 	sched        Sched
-	topRated     map[uint32]*QueueEntry        // edge index -> cheapest entry covering it
-	topEdges     []uint32                      // keys of topRated in ascending order (the cull's walk order)
+	topEdges     []uint32                      // every edge some entry covers, ascending (the cull's walk order)
+	topEntries   []*QueueEntry                 // parallel to topEdges: the cheapest entry covering that edge
 	cullCovered  [coverage.MapSize / 64]uint64 // cullQueue's covered-edge scratch bitset
 	scoreChanged bool                          // top-rated changed; cull before next pick
 	pendingNew   int                           // queue entries never picked yet (the frontier)
@@ -335,7 +335,6 @@ func New(agent Executor, s *spec.Spec, opts Options) *Fuzzer {
 		crashSeen: make(map[string]bool),
 		started:   agent.Now(),
 		sched:     opts.Sched,
-		topRated:  make(map[uint32]*QueueEntry),
 		seedMeta:  seedMeta,
 		power:     opts.Power,
 		edgePicks: make(map[uint32]uint64),

@@ -235,23 +235,24 @@ func (f *Fuzzer) updateTopRated(e *QueueEntry) {
 		if h.Bucket == 0 {
 			continue
 		}
-		cur, ok := f.topRated[h.Index]
-		if ok && favFactor(cur) <= fav {
-			continue
-		}
-		if !ok {
-			// Edges never leave the top-rated map, so its keys are kept
-			// sorted by inserting each new one in place: the cull walks
-			// them in ascending order without collecting and sorting.
-			i, _ := slices.BinarySearch(f.topEdges, h.Index)
+		// Edges never leave the top-rated table, so it stays sorted by
+		// inserting each new one in place: the cull walks it in ascending
+		// edge order without collecting, sorting or looking anything up.
+		i, ok := slices.BinarySearch(f.topEdges, h.Index)
+		switch {
+		case !ok:
 			f.topEdges = slices.Insert(f.topEdges, i, h.Index)
+			f.topEntries = slices.Insert(f.topEntries, i, e)
+		case favFactor(f.topEntries[i]) <= fav:
+			continue
+		default:
+			f.topEntries[i] = e
 		}
-		f.topRated[h.Index] = e
 		f.scoreChanged = true
 	}
 }
 
-// favFactor is the quality score competed in the top-rated map: lower is
+// favFactor is the quality score competed in the top-rated table: lower is
 // better. Entries with unmeasured exec time (restored metadata) fall back
 // to size alone.
 func favFactor(e *QueueEntry) int64 {
@@ -268,7 +269,7 @@ func favFactor(e *QueueEntry) int64 {
 // competitions rank entries identically.
 func (e *QueueEntry) FavFactor() int64 { return favFactor(e) }
 
-// cullQueue re-marks the favored subset after the top-rated map changed:
+// cullQueue re-marks the favored subset after the top-rated table changed:
 // a greedy cover walk (in ascending edge order, so the pass is
 // deterministic) keeps the best entry for every yet-uncovered edge, exactly
 // AFL's cull_queue. It runs before every pick that follows a change, so it
@@ -285,11 +286,11 @@ func (f *Fuzzer) cullQueue() {
 	}
 	covered := &f.cullCovered
 	clear(covered[:])
-	for _, idx := range f.topEdges {
+	for i, idx := range f.topEdges {
 		if covered[idx>>6]&(1<<(idx&63)) != 0 {
 			continue
 		}
-		e := f.topRated[idx]
+		e := f.topEntries[i]
 		e.Favored = true
 		for _, h := range e.Cov {
 			covered[h.Index>>6] |= 1 << (h.Index & 63)

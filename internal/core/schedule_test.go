@@ -227,7 +227,7 @@ func TestFavoredCullingCoversTopRated(t *testing.T) {
 	if favored == len(f.Queue) {
 		t.Fatalf("cull favored all %d entries — no pruning happened", favored)
 	}
-	for idx := range f.topRated {
+	for _, idx := range f.topEdges {
 		if !covered[idx] {
 			t.Fatalf("top-rated edge %d not covered by any favored entry", idx)
 		}

@@ -46,14 +46,15 @@ func (f *Fuzzer) Trim(in *spec.Input) (*spec.Input, error) {
 func (f *Fuzzer) trimMeasured(in *spec.Input) (*spec.Input, time.Duration, error) {
 	cur := in.Clone()
 	cur.SnapshotAt = -1
-	var ref coverage.Trace
+	// f.trace is idle between two of the fuzzer's own executions, which is
+	// when a trim runs, and the reference signature is taken before the
+	// first candidate overwrites it: a trim needs no trace of its own.
 	t0 := f.Agent.Now()
-	if _, err := f.Agent.RunFromRoot(cur, &ref); err != nil {
+	if _, err := f.Agent.RunFromRoot(cur, &f.trace); err != nil {
 		return nil, 0, fmt.Errorf("core: trim reference run: %w", err)
 	}
 	curTime := f.Agent.Now() - t0
-	want := traceSignature(&ref)
-	var tr coverage.Trace
+	want := traceSignature(&f.trace)
 
 	// Pass 1: drop ops, back to front (later ops depend on earlier
 	// outputs, never the other way around).
@@ -64,12 +65,12 @@ func (f *Fuzzer) trimMeasured(in *spec.Input) (*spec.Input, time.Duration, error
 			continue
 		}
 		t0 := f.Agent.Now()
-		res, err := f.Agent.RunFromRoot(cand, &tr)
+		res, err := f.Agent.RunFromRoot(cand, &f.trace)
 		if err != nil {
 			return nil, 0, err
 		}
 		f.execs++
-		if !res.Crashed && traceSignature(&tr) == want {
+		if !res.Crashed && traceSignature(&f.trace) == want {
 			cur = cand
 			curTime = f.Agent.Now() - t0
 		}
@@ -81,12 +82,12 @@ func (f *Fuzzer) trimMeasured(in *spec.Input) (*spec.Input, time.Duration, error
 			cand := cur.Clone()
 			cand.Ops[i].Data = cand.Ops[i].Data[:len(cand.Ops[i].Data)/2]
 			t0 := f.Agent.Now()
-			res, err := f.Agent.RunFromRoot(cand, &tr)
+			res, err := f.Agent.RunFromRoot(cand, &f.trace)
 			if err != nil {
 				return nil, 0, err
 			}
 			f.execs++
-			if res.Crashed || traceSignature(&tr) != want {
+			if res.Crashed || traceSignature(&f.trace) != want {
 				break
 			}
 			cur = cand
@@ -101,8 +102,7 @@ func (f *Fuzzer) trimMeasured(in *spec.Input) (*spec.Input, time.Duration, error
 func (f *Fuzzer) MinimizeCrash(in *spec.Input) (*spec.Input, error) {
 	cur := in.Clone()
 	cur.SnapshotAt = -1
-	var tr coverage.Trace
-	res, err := f.Agent.RunFromRoot(cur, &tr)
+	res, err := f.Agent.RunFromRoot(cur, &f.trace)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +115,7 @@ func (f *Fuzzer) MinimizeCrash(in *spec.Input) (*spec.Input, error) {
 		if f.Spec.Validate(cand) != nil {
 			return false, nil
 		}
-		r, err := f.Agent.RunFromRoot(cand, &tr)
+		r, err := f.Agent.RunFromRoot(cand, &f.trace)
 		if err != nil {
 			return false, err
 		}

@@ -19,3 +19,6 @@ func (k *Kernel) EncodeImage() []byte {
 	k.marshal(&w)
 	return w.Bytes()
 }
+
+// SendBufferCap returns the capacity of the buffer Env.Send appends to.
+func (k *Kernel) SendBufferCap() int { return cap(k.sendBuf) }

@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"encoding/binary"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/guest"
+	"repro/internal/spec"
 	"repro/internal/targets"
 	"repro/internal/vm"
 )
 
-// decoders boots stateTargets and returns their kernels with the image each one booted into.
-func decoders(tb testing.TB) (ks []*guest.Kernel, boot [][]byte) {
+// decoders boots stateTargets and returns their kernels with the image each
+// one booted into and the one it holds half-way through its first seed, when
+// the target's tables have entries in them.
+func decoders(tb testing.TB) (ks []*guest.Kernel, boot, mid [][]byte) {
 	tb.Helper()
 	for _, target := range stateTargets {
 		inst, err := targets.Launch(target, targets.LaunchConfig{VM: &vm.Config{MemoryPages: 256, DiskSectors: 4096}})
@@ -21,8 +25,13 @@ func decoders(tb testing.TB) (ks []*guest.Kernel, boot [][]byte) {
 		}
 		ks = append(ks, inst.K)
 		boot = append(boot, bytes.Clone(inst.K.EncodeImage()))
+		ops := inst.Seeds()[0].Ops
+		if _, err := inst.Agent.RunFromRoot(&spec.Input{Ops: ops[:len(ops)/2+1], SnapshotAt: -1}, nil); err != nil {
+			tb.Fatal(err)
+		}
+		mid = append(mid, bytes.Clone(inst.K.EncodeImage()))
 	}
-	return ks, boot
+	return ks, boot, mid
 }
 
 // FuzzStateDecode feeds arbitrary bytes to the state decoder of each of the
@@ -34,8 +43,8 @@ func decoders(tb testing.TB) (ks []*guest.Kernel, boot [][]byte) {
 // inputs, so every decode also starts from whatever the last one, failed or
 // not, left behind.
 func FuzzStateDecode(f *testing.F) {
-	ks, boot := decoders(f)
-	for _, img := range boot {
+	ks, boot, mid := decoders(f)
+	for _, img := range slices.Concat(boot, mid) {
 		f.Add(img)
 		f.Add(img[:len(img)/2])
 	}
@@ -52,23 +61,26 @@ func FuzzStateDecode(f *testing.F) {
 }
 
 // TestStateDecodeBoundsCounts overwrites every byte offset of each boot
-// image with a count of four billion and decodes the result. Whichever
-// field the offset falls in, the decode may fail or succeed, but all of them
-// together must allocate less than one honest count of that size would.
+// image, and of each mid-seed image with its table counts, with a count of
+// four billion and decodes the result. Whichever field the offset falls in,
+// the decode may fail or succeed, but all of them together must allocate less
+// than one honest count of that size would.
 func TestStateDecodeBoundsCounts(t *testing.T) {
-	ks, boot := decoders(t)
+	ks, boot, mid := decoders(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i, k := range ks {
-		for off := 0; off+4 <= len(boot[i]); off++ {
-			img := bytes.Clone(boot[i])
-			binary.LittleEndian.PutUint32(img[off:], 0xf0000000)
-			if err := k.DecodeImage(img); err == nil && !bytes.Equal(k.EncodeImage(), img) {
-				t.Fatalf("%s: image with offset %d overwritten decodes but does not re-encode to itself", k.Target.Name(), off)
+		for _, good := range [][]byte{boot[i], mid[i]} {
+			for off := 0; off+4 <= len(good); off++ {
+				img := bytes.Clone(good)
+				binary.LittleEndian.PutUint32(img[off:], 0xf0000000)
+				if err := k.DecodeImage(img); err == nil && !bytes.Equal(k.EncodeImage(), img) {
+					t.Fatalf("%s: image with offset %d overwritten decodes but does not re-encode to itself", k.Target.Name(), off)
+				}
 			}
-		}
-		if err := k.DecodeImage(boot[i]); err != nil {
-			t.Fatalf("%s: boot image no longer decodes after the corrupt ones: %v", k.Target.Name(), err)
+			if err := k.DecodeImage(good); err != nil {
+				t.Fatalf("%s: image no longer decodes after the corrupt ones: %v", k.Target.Name(), err)
+			}
 		}
 	}
 	runtime.ReadMemStats(&after)

@@ -13,14 +13,14 @@ import (
 // echoTarget is a minimal stateful target used by the kernel tests: it
 // echoes packets and counts them per connection.
 type echoTarget struct {
-	Counts   map[int]int
+	Counts   Table[int]
 	Greeting string
 	Loads    int // LoadState invocations, for hydration-laziness asserts
 	Saves    int // SaveState invocations, for write-back-at-exit asserts
 }
 
 func newEchoTarget() *echoTarget {
-	return &echoTarget{Counts: make(map[int]int)}
+	return &echoTarget{}
 }
 
 func (t *echoTarget) Name() string  { return "echo" }
@@ -38,7 +38,7 @@ func (t *echoTarget) OnConnect(env *Env, c *Conn) {
 
 func (t *echoTarget) OnPacket(env *Env, c *Conn, data []byte) {
 	env.Cov(2)
-	t.Counts[c.ID]++
+	t.Counts.Add(c.ID, 1)
 	env.Send(c, data)
 	if err := env.FS().AppendFile("/var/log/echo.log", data); err != nil {
 		panic(err)
@@ -50,13 +50,13 @@ func (t *echoTarget) OnDisconnect(env *Env, c *Conn) { env.Cov(3) }
 func (t *echoTarget) SaveState(w *StateWriter) {
 	t.Saves++
 	w.String(t.Greeting)
-	w.IntMap(t.Counts)
+	w.IntTable(&t.Counts)
 }
 
 func (t *echoTarget) LoadState(r *StateReader) {
 	t.Loads++
 	t.Greeting = r.String()
-	t.Counts = r.IntMap(t.Counts)
+	r.IntTable(&t.Counts)
 }
 
 func bootEcho(t *testing.T) (*vm.Machine, *Kernel, *echoTarget) {
@@ -124,6 +124,20 @@ func TestStatebufTruncation(t *testing.T) {
 	// Sticky error: further reads return zero values, no panic.
 	if r.U64() != 0 || r.Int() != 0 {
 		t.Fatal("reads after error should return zero")
+	}
+	// A fixed-size read that comes up short fails the same way, and takes
+	// the bytes that were there with it.
+	for _, read := range []func(*StateReader) uint64{
+		func(r *StateReader) uint64 { return r.U64() },
+		func(r *StateReader) uint64 { return uint64(r.U32()) },
+	} {
+		r := NewStateReader([]byte{1, 2, 3})
+		if read(r) != 0 || r.Err() == nil || r.U8() != 0 || r.Done() == nil {
+			t.Fatalf("short fixed-size read: err %v", r.Err())
+		}
+	}
+	if r := NewStateReader(nil); r.U8() != 0 || r.Err() == nil {
+		t.Fatal("U8 of an empty stream succeeded")
 	}
 }
 
@@ -206,8 +220,8 @@ func TestDeliverAndState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tgt.Counts[c.ID] != 3 {
-		t.Fatalf("count = %d want 3", tgt.Counts[c.ID])
+	if tgt.Counts.Get(c.ID) != 3 {
+		t.Fatalf("count = %d want 3", tgt.Counts.Get(c.ID))
 	}
 	log, err := k.FS.ReadFile("/var/log/echo.log")
 	if err != nil {
@@ -249,8 +263,8 @@ func TestSnapshotRestoresAllGuestState(t *testing.T) {
 	// first kernel access. This test asserts on target structs directly,
 	// so force the decode the way any accessor would.
 	k.hydrate()
-	if tgt.Counts[connID] != 2 {
-		t.Fatalf("target state not restored: count = %d want 2", tgt.Counts[connID])
+	if tgt.Counts.Get(connID) != 2 {
+		t.Fatalf("target state not restored: count = %d want 2", tgt.Counts.Get(connID))
 	}
 	if k.Processes() != 1 {
 		t.Fatalf("forked process should be gone: %d procs", k.Processes())
@@ -271,7 +285,7 @@ func TestSnapshotRestoresAllGuestState(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.hydrate()
-	if len(tgt.Counts) != 0 {
+	if tgt.Counts.Len() != 0 {
 		t.Fatalf("counts should be empty at root: %v", tgt.Counts)
 	}
 	if k.Conn(connID) != nil {
@@ -619,7 +633,7 @@ func TestRestoreDiscardsDirtyState(t *testing.T) {
 	if got := len(k.Conn(c.ID).Sent); got != 2 { // greeting + one echo
 		t.Fatalf("conn has %d responses after restore, want the snapshot's 2", got)
 	}
-	if tgt.Counts[c.ID] != 1 || tgt.Greeting != "hello" {
+	if tgt.Counts.Get(c.ID) != 1 || tgt.Greeting != "hello" {
 		t.Fatalf("target state after restore: counts %v greeting %q, want the snapshot's", tgt.Counts, tgt.Greeting)
 	}
 
@@ -629,7 +643,7 @@ func TestRestoreDiscardsDirtyState(t *testing.T) {
 	if err := m.RestoreRoot(); err != nil {
 		t.Fatal(err)
 	}
-	if k.Conn(c.ID) != nil || len(tgt.Counts) != 0 {
+	if k.Conn(c.ID) != nil || tgt.Counts.Len() != 0 {
 		t.Fatalf("root restore kept discarded state: conn %v counts %v", k.Conn(c.ID), tgt.Counts)
 	}
 }

@@ -31,14 +31,19 @@
 // One restore, hydrate, events, flush cycle runs per test case, so the two
 // conversions reuse what the last cycle left: hydrate refills the kernel's
 // tables, their objects and the objects' fd, watch and sent lists in place,
-// decoded responses point into the kernel's copy of the image, flush encodes
-// into a kept buffer, and the filesystem skips both directions while its
-// metadata is unchanged (see FS). The price is a lifetime rule: a *Conn,
-// *Process or *OpenDesc, and a Conn.Sent slice or any response in it, is
-// valid until the next snapshot restore. After one the same object may be a
-// different connection; hold the id and ask Kernel.Conn again. The image
-// format is untouched by any of this, and a kernel that has run a million
-// test cases writes the same bytes for a state as one that has just booted.
+// decoded responses point into the kernel's copy of the image and sent ones
+// into one send buffer behind it, flush encodes into a kept buffer, the
+// filesystem skips both directions while its metadata is unchanged (see FS),
+// and a target keeps what it has per connection in a Table, the ordered
+// container that is written by a walk and refilled in place. The price is a
+// lifetime rule: a *Conn, *Process or *OpenDesc, and a Conn.Sent slice or any
+// response in it, decoded or sent, is valid until the next snapshot restore.
+// After one the same object may be a different connection, and the first
+// hydrate overwrites the image copy and truncates the send buffer, so the
+// bytes of a held response become those of another; hold the id and ask
+// Kernel.Conn again. The image format is untouched by any of this, and a
+// kernel that has run a million test cases writes the same bytes for a state
+// as one that has just booted.
 package guest
 
 import (
@@ -112,9 +117,10 @@ type Conn struct {
 	DescID int
 	Closed bool
 	// Sent collects the target's responses during the current test case
-	// (rolled back by snapshot restores along with everything else). After
-	// a restore the responses it holds point into the kernel's copy of the
-	// image: like the Conn itself they are valid until the next restore.
+	// (rolled back by snapshot restores along with everything else). The
+	// responses it holds point into the kernel's copy of the image (those
+	// a restore brought back) or its send buffer (those sent since): like
+	// the Conn itself they are valid until the next restore.
 	Sent [][]byte
 }
 
@@ -169,11 +175,14 @@ type Kernel struct {
 
 	// enc and dec are the codec's scratch, recycled across the
 	// serialize-at-VM-exit and decode-after-restore paths. decBuf is the
-	// kernel's copy of the image it last hydrated from, which the decoded
-	// Conn.Sent responses point into until the next hydrate replaces it.
-	enc    StateWriter
-	dec    StateReader
-	decBuf []byte
+	// kernel's copy of the image it last hydrated from, and sendBuf what the
+	// target has sent since: a Conn.Sent response points into one or the
+	// other until the next hydrate overwrites the first and truncates the
+	// second.
+	enc     StateWriter
+	dec     StateReader
+	decBuf  []byte
+	sendBuf []byte
 
 	env *Env
 }
@@ -302,8 +311,17 @@ func (k *Kernel) newDesc(kind FDKind, conn int) *OpenDesc {
 	return d
 }
 
-// InitProcess returns the first process (pid 1).
-func (k *Kernel) InitProcess() *Process { k.hydrate(); return lookup(k.procs, 1, pidOf) }
+// InitProcess returns the first process (pid 1), or nil once it has exited.
+func (k *Kernel) InitProcess() *Process { k.hydrate(); return k.initProc() }
+
+// initProc is InitProcess on a hydrated kernel: the table is in pid order and
+// no pid is lower, so the init process is first in it or not in it.
+func (k *Kernel) initProc() *Process {
+	if len(k.procs) > 0 && k.procs[0].PID == 1 {
+		return k.procs[0]
+	}
+	return nil
+}
 
 // Processes returns the number of live processes.
 func (k *Kernel) Processes() int { k.hydrate(); return len(k.procs) }
@@ -558,8 +576,10 @@ func (k *Kernel) syncToMemory() {
 // syncFromMemory re-reads kernel + target state from guest memory. Called
 // via hydrate after a snapshot restore marked the struct state stale. The
 // image is copied into decBuf, which the decoded Conn.Sent slices go on
-// pointing into until the next call overwrites it.
+// pointing into until the next call overwrites it; no response sent before
+// the restore is part of the restored state, so the send buffer starts over.
 func (k *Kernel) syncFromMemory() {
+	k.sendBuf = k.sendBuf[:0]
 	var hdr [4]byte
 	if _, err := k.M.Mem.ReadAt(hdr[:], k.heapBase); err != nil {
 		panic(fmt.Sprintf("guest: state header read: %v", err))
@@ -587,47 +607,51 @@ func (k *Kernel) decode(image []byte) error {
 }
 
 func (k *Kernel) marshal(w *StateWriter) {
-	w.Int(k.nextPID)
-	w.Int(k.nextDesc)
-	w.Int(k.nextConn)
-	w.Int(k.corruption)
-	w.I64(k.allocated)
+	b := w.buf
+	b = appendInt(b, k.nextPID)
+	b = appendInt(b, k.nextDesc)
+	b = appendInt(b, k.nextConn)
+	b = appendInt(b, k.corruption)
+	b = appendInt(b, int(k.allocated))
 
-	w.U32(uint32(len(k.descs)))
+	b = appendU32(b, uint32(len(k.descs)))
 	for _, d := range k.descs {
-		w.Int(d.ID)
-		w.U8(uint8(d.Kind))
-		w.Int(d.ConnID)
-		w.String(d.Path)
-		w.Int(d.Refs)
-		w.IntSlice(d.Watch)
+		b = appendInt(b, d.ID)
+		b = append(b, uint8(d.Kind))
+		b = appendInt(b, d.ConnID)
+		b = appendString(b, d.Path)
+		b = appendInt(b, d.Refs)
+		b = appendU32(b, uint32(len(d.Watch)))
+		for _, id := range d.Watch {
+			b = appendInt(b, id)
+		}
 	}
 
-	w.U32(uint32(len(k.procs)))
+	b = appendU32(b, uint32(len(k.procs)))
 	for _, p := range k.procs {
-		w.Int(p.PID)
-		w.Int(p.Parent)
-		w.Int(p.nextFD)
-		w.U32(uint32(len(p.FDs)))
+		b = appendInt(b, p.PID)
+		b = appendInt(b, p.Parent)
+		b = appendInt(b, p.nextFD)
+		b = appendU32(b, uint32(len(p.FDs)))
 		for _, e := range p.FDs {
-			w.Int(e.Num)
-			w.Int(e.Desc)
+			b = appendInt(appendInt(b, e.Num), e.Desc)
 		}
 	}
 
-	w.U32(uint32(len(k.conns)))
+	b = appendU32(b, uint32(len(k.conns)))
 	for _, c := range k.conns {
-		w.Int(c.ID)
-		w.String(string(c.Port.Proto))
-		w.Int(c.Port.Num)
-		w.Int(c.DescID)
-		w.Bool(c.Closed)
-		w.U32(uint32(len(c.Sent)))
-		for _, b := range c.Sent {
-			w.Bytes32(b)
+		b = appendInt(b, c.ID)
+		b = appendString(b, c.Port.Proto)
+		b = appendInt(b, c.Port.Num)
+		b = appendInt(b, c.DescID)
+		b = append(b, boolByte(c.Closed))
+		b = appendU32(b, uint32(len(c.Sent)))
+		for _, resp := range c.Sent {
+			b = appendString(b, resp)
 		}
 	}
 
+	w.buf = b
 	k.FS.marshal(w)
 	k.Target.SaveState(w)
 }
@@ -641,7 +665,7 @@ const (
 )
 
 // unmarshal refills the tables in place (see extend): the objects, their
-// FDs, Watch and Sent containers and the target's own maps are the ones the
+// FDs, Watch and Sent containers and the target's own tables are the ones the
 // state before the restore used, emptied. Ids must ascend below the id
 // counter, as they do in every image marshal writes; that is what find
 // relies on, and it makes marshal the inverse of a decode that succeeds.
@@ -657,11 +681,7 @@ func (k *Kernel) unmarshal(r *StateReader) {
 		var d *OpenDesc
 		k.descs, d = extend(k.descs)
 		*d = OpenDesc{ID: r.id(prev, k.nextDesc), Kind: FDKind(r.U8()), ConnID: r.Int(), Path: r.String(), Refs: r.Int(), Watch: r.appendInts(d.Watch[:0])}
-		for j := 1; j < len(d.Watch); j++ {
-			if d.Watch[j] <= d.Watch[j-1] {
-				r.Fail("statebuf: desc %d: watch list not ascending", d.ID)
-			}
-		}
+		r.ascending(d.Watch)
 		prev = d.ID
 	}
 
@@ -693,7 +713,7 @@ func (k *Kernel) unmarshal(r *StateReader) {
 	}
 	k.FS.unmarshal(r)
 	k.Target.LoadState(r)
-	k.env.proc = lookup(k.procs, 1, pidOf)
+	k.env.proc = k.initProc()
 }
 
 // id reads an object id, which must lie above prev and below next.

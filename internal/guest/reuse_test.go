@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/guest"
@@ -292,14 +291,7 @@ func TestStateSyncSteadyStateAllocs(t *testing.T) {
 
 	// The kernel's own state: three conns with responses on them, an epoll
 	// instance watching them, a dup, a forked child.
-	m := vm.New(vm.Config{MemoryPages: 64, DiskSectors: 64})
-	k, err := guest.NewKernel(m, stub{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Hypercall(vm.HcReady); err != nil {
-		t.Fatal(err)
-	}
+	m, k := bootStub(t)
 	p := k.InitProcess()
 	epfd := k.EpollCreate(p)
 	for i := 0; i < 3; i++ {
@@ -324,10 +316,47 @@ func TestStateSyncSteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, roundTrip(m, k, nil)); n != 0 {
 		t.Errorf("stub target: a state round trip allocates %v objects, want 0", n)
 	}
-	// With a connection opened, used and closed in it, the round trip makes
-	// what the events make: Env.Send's copy of each of the two responses.
-	// The Conn, its description and its fd reuse what the last round left.
-	session := func() {
+	// A connection opened, used and closed in it adds nothing: the Conn, its
+	// description and its fd reuse what the last round left, and the two
+	// responses land in the kernel's send buffer.
+	if n := testing.AllocsPerRun(100, roundTrip(m, k, stubSession(t, k))); n != 0 {
+		t.Errorf("stub target: a state round trip with a session in it allocates %v objects, want 0", n)
+	}
+
+	// bftpd after a whole seed session, file upload included, and with the
+	// connection still open: the decode finds the one string the target's
+	// tables hold (the session's working directory) where the last one left it.
+	v := launchCoherent(t, "bftpd", false)
+	ops := v.Seeds()[1].Ops
+	if n := v.run(t, ops[:len(ops)-1]); n != len(ops)-1 {
+		t.Fatalf("seed session crashed at op %d", n)
+	}
+	if err := v.M.TakeIncrementalSlot(slot); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, roundTrip(v.M, v.K, nil)); n != 0 {
+		t.Errorf("bftpd: a state round trip allocates %v objects, want 0", n)
+	}
+}
+
+// bootStub boots the stub target in a small VM and takes the root snapshot.
+func bootStub(t *testing.T) (*vm.Machine, *guest.Kernel) {
+	t.Helper()
+	m := vm.New(vm.Config{MemoryPages: 64, DiskSectors: 64})
+	k, err := guest.NewKernel(m, stub{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Hypercall(vm.HcReady); err != nil {
+		t.Fatal(err)
+	}
+	return m, k
+}
+
+// stubSession returns the events of one connection to the stub target:
+// opened, used and closed.
+func stubSession(t *testing.T, k *guest.Kernel) func() {
+	return func() {
 		c, _, err := k.NewConnection(guest.Port{Proto: guest.TCP, Num: 9})
 		if err != nil {
 			t.Fatal(err)
@@ -337,23 +366,31 @@ func TestStateSyncSteadyStateAllocs(t *testing.T) {
 		}
 		k.CloseConn(c)
 	}
-	if n := testing.AllocsPerRun(100, roundTrip(m, k, session)); n > 2 {
-		t.Errorf("stub target: a state round trip with a session in it allocates %v objects, want at most the 2 responses", n)
-	}
+}
 
-	// bftpd after a whole seed session, file upload included, and with the
-	// connection still open: the decode allocates the one string the
-	// target's maps hold (the session's working directory).
-	v := launchCoherent(t, "bftpd", false)
-	ops := v.Seeds()[1].Ops
-	if n := v.run(t, ops[:len(ops)-1]); n != len(ops)-1 {
-		t.Fatalf("seed session crashed at op %d", n)
+// TestSendBufferIsBoundedAcrossRestores pins what bounds the send buffer: it
+// holds one test case's responses, not a campaign's, because hydrate starts
+// it over. Ten thousand restore, session, exit cycles leave it the size the
+// first few made it.
+func TestSendBufferIsBoundedAcrossRestores(t *testing.T) {
+	m, k := bootStub(t)
+	session, settled := stubSession(t, k), 0
+	for cycle := 0; cycle < 10000; cycle++ {
+		if err := m.RestoreRoot(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i <= cycle%3; i++ {
+			session()
+		}
+		if err := m.Hypercall(vm.HcExecDone); err != nil {
+			t.Fatal(err)
+		}
+		if cycle == 8 {
+			settled = k.SendBufferCap()
+		}
 	}
-	if err := v.M.TakeIncrementalSlot(slot); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, roundTrip(v.M, v.K, nil)); n > 1 {
-		t.Errorf("bftpd: a state round trip allocates %v objects, want at most 1 (the working-directory string)", n)
+	if got := k.SendBufferCap(); settled == 0 || got != settled {
+		t.Fatalf("send buffer holds %d bytes after 10000 cycles, %d after 9", got, settled)
 	}
 }
 
@@ -366,16 +403,51 @@ func TestHeldPointersSurviveUntilRestore(t *testing.T) {
 	ops := v.Seeds()[0].Ops
 	v.run(t, ops[:2])
 	c := v.conns[0]
-	id, sent := c.ID, slices.Clone(c.Sent)
+	id := c.ID
+	var held, want [][]byte // the responses as a holder has them, and what they read when sent
+	check := func(when string) {
+		t.Helper()
+		for _, resp := range c.Sent[len(held):] {
+			held, want = append(held, resp), append(want, bytes.Clone(resp))
+		}
+		if c.ID != id || v.K.Conn(id) != c {
+			t.Fatalf("%s: conn %d became conn %d", when, id, c.ID)
+		}
+		for i := range held {
+			if !bytes.Equal(held[i], want[i]) || !bytes.Equal(c.Sent[i], want[i]) {
+				t.Fatalf("%s: response %d changed from %q to %q (held) and %q (Conn.Sent)", when, i, want[i], held[i], c.Sent[i])
+			}
+		}
+	}
+	check("sent")
 	v.vmExit(t)
 	v.syscalls(t, 1, 3)
 	v.vmExit(t)
-	if c.ID != id || v.K.Conn(id) != c {
-		t.Fatalf("conn %d became conn %d", id, c.ID)
-	}
-	for i := range sent {
-		if !bytes.Equal(c.Sent[i], sent[i]) {
-			t.Fatalf("response %d changed from %q to %q", i, sent[i], c.Sent[i])
+	check("after events and VM exits")
+
+	// Sending past the send buffer's capacity moves the buffer, not the
+	// responses already in it.
+	for moves := 0; moves < 3; {
+		before := v.K.SendBufferCap()
+		v.deliver(t, c, []byte("NOOP\r\n"))
+		if v.K.SendBufferCap() != before {
+			moves++
 		}
+		check("after the send buffer grew")
+	}
+
+	// The next restore ends the lifetime: hydrate starts the buffer over, and
+	// the next test case's responses land where the held ones are.
+	if err := v.M.RestoreRoot(); err != nil {
+		t.Fatal(err)
+	}
+	v.conns = v.conns[:0]
+	v.run(t, ops[:1])
+	last := len(held) - 1
+	for i := 0; bytes.Equal(held[last], want[last]); i++ {
+		if i == len(held) {
+			t.Fatalf("response %d still reads %q after a restore and %d responses sent since", last, held[last], i)
+		}
+		v.deliver(t, v.conns[0], []byte("junk\r\n"))
 	}
 }

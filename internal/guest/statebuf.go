@@ -2,6 +2,7 @@ package guest
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -13,10 +14,15 @@ import (
 // capture the full logical state of the system (see Kernel.flush).
 type StateWriter struct {
 	buf []byte
+}
 
-	// keys is the scratch IntMap and StringMap order a map's keys in, kept
-	// across flushes so that encoding a map allocates nothing.
-	keys []int
+// The encodings themselves, as functions of a slice: a writer that has many
+// fields to append (Kernel.marshal, the table writers) appends them to a
+// local copy of buf, which stays in registers, and stores it back once.
+func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
+func appendInt(b []byte, v int) []byte    { return binary.LittleEndian.AppendUint64(b, uint64(v)) }
+func appendString[S ~string | ~[]byte](b []byte, s S) []byte {
+	return append(appendU32(b, uint32(len(s))), s...)
 }
 
 // Bytes returns the serialized stream. Like bytes.Buffer.Bytes, the slice
@@ -35,7 +41,7 @@ func (w *StateWriter) U8(v uint8) { w.buf = append(w.buf, v) }
 func (w *StateWriter) U16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
 
 // U32 appends a uint32.
-func (w *StateWriter) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
+func (w *StateWriter) U32(v uint32) { w.buf = appendU32(w.buf, v) }
 
 // U64 appends a uint64.
 func (w *StateWriter) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
@@ -50,25 +56,20 @@ func (w *StateWriter) Int(v int) { w.I64(int64(v)) }
 func (w *StateWriter) F64(v float64) { w.U64(math.Float64bits(v)) }
 
 // Bool appends a boolean.
-func (w *StateWriter) Bool(v bool) {
+func (w *StateWriter) Bool(v bool) { w.buf = append(w.buf, boolByte(v)) }
+
+func boolByte(v bool) uint8 {
 	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
+		return 1
 	}
+	return 0
 }
 
 // Bytes32 appends a length-prefixed byte slice.
-func (w *StateWriter) Bytes32(b []byte) {
-	w.U32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
-}
+func (w *StateWriter) Bytes32(b []byte) { w.buf = appendString(w.buf, b) }
 
 // String appends a length-prefixed string.
-func (w *StateWriter) String(s string) {
-	w.U32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
-}
+func (w *StateWriter) String(s string) { w.buf = appendString(w.buf, s) }
 
 // StringSlice appends a length-prefixed slice of strings.
 func (w *StateWriter) StringSlice(ss []string) {
@@ -84,39 +85,6 @@ func (w *StateWriter) IntSlice(vs []int) {
 	for _, v := range vs {
 		w.Int(v)
 	}
-}
-
-// IntMap appends m as a count and its entries in ascending key order, the
-// one order that makes the stream a function of the map's contents.
-func (w *StateWriter) IntMap(m map[int]int) {
-	w.U32(uint32(len(m)))
-	for _, k := range sortedKeys(w, m) {
-		w.Int(k)
-		w.Int(m[k])
-	}
-}
-
-// StringMap is IntMap for string values.
-func (w *StateWriter) StringMap(m map[int]string) {
-	w.U32(uint32(len(m)))
-	for _, k := range sortedKeys(w, m) {
-		w.Int(k)
-		w.String(m[k])
-	}
-}
-
-// sortedKeys returns m's keys in ascending order in w's scratch, valid
-// until the next call.
-func sortedKeys[V any](w *StateWriter, m map[int]V) []int {
-	w.keys = w.keys[:0]
-	if len(m) == 0 {
-		return w.keys // starting a map iteration costs more than this whole call
-	}
-	for k := range m {
-		w.keys = append(w.keys, k)
-	}
-	slices.Sort(w.keys)
-	return w.keys
 }
 
 // StateReader deserializes a StateWriter stream. Decoding errors are
@@ -159,13 +127,23 @@ func (r *StateReader) take(n int) []byte {
 	return b
 }
 
+// U8, U32 and U64 are what a decode mostly consists of, so each is small
+// enough to inline, failure included: a call costs most of the inliner's
+// budget, so a read that comes up short fails the reader with an error that
+// needs no formatting.
+
+// errShort is the error of a fixed-size read the stream is too short for;
+// reads are sequential, so it happened within eight bytes of the end.
+var errShort = errors.New("statebuf: truncated read at the end of the stream")
+
 // U8 reads a byte.
 func (r *StateReader) U8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
+	if b := r.buf[r.off:]; len(b) >= 1 {
+		r.off++
+		return b[0]
 	}
-	return b[0]
+	r.fail(errShort)
+	return 0
 }
 
 // U16 reads a uint16.
@@ -179,20 +157,22 @@ func (r *StateReader) U16() uint16 {
 
 // U32 reads a uint32.
 func (r *StateReader) U32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
+	if b := r.buf[r.off:]; len(b) >= 4 {
+		r.off += 4
+		return binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(b)
+	r.fail(errShort)
+	return 0
 }
 
 // U64 reads a uint64.
 func (r *StateReader) U64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
+	if b := r.buf[r.off:]; len(b) >= 8 {
+		r.off += 8
+		return binary.LittleEndian.Uint64(b)
 	}
-	return binary.LittleEndian.Uint64(b)
+	r.fail(errShort)
+	return 0
 }
 
 // I64 reads an int64.
@@ -220,8 +200,14 @@ func (r *StateReader) Bool() bool {
 // written: the error then is the reader's own, and first like any other.
 func (r *StateReader) Fail(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-		r.buf, r.off = nil, 0
+		r.fail(fmt.Errorf(format, args...))
+	}
+}
+
+// fail is Fail with the error made.
+func (r *StateReader) fail(err error) {
+	if r.err == nil {
+		r.err, r.buf, r.off = err, nil, 0
 	}
 }
 
@@ -242,8 +228,13 @@ func (r *StateReader) Count(size int) int {
 // aliases the stream, with its capacity cut to its length, and keeps the
 // whole stream reachable for as long as it is held.
 func (r *StateReader) View32() []byte {
-	b := r.take(r.Count(1))
-	return b[:len(b):len(b)]
+	if b := r.buf[r.off:]; len(b) >= 4 {
+		if n := binary.LittleEndian.Uint32(b); uint64(n) <= uint64(len(b)-4) {
+			r.off += 4 + int(n)
+			return b[4 : 4+n : 4+n]
+		}
+	}
+	return r.take(r.Count(1)) // too short for its prefix or for its length: fails
 }
 
 // Bytes32 reads a length-prefixed byte slice (copied).
@@ -282,48 +273,4 @@ func (r *StateReader) appendInts(dst []int) []int {
 		dst = append(dst, r.Int())
 	}
 	return dst
-}
-
-// IntMap reads what StateWriter.IntMap wrote into m, which it empties first
-// and allocates only if nil; the result holds the decoded entries and no
-// other. Keys that do not ascend fail the reader.
-func (r *StateReader) IntMap(m map[int]int) map[int]int {
-	n := r.Count(16)
-	m = emptied(m, n)
-	for i, prev := 0, 0; i < n; i++ {
-		k := r.mapKey(i, prev)
-		m[k], prev = r.Int(), k
-	}
-	return m
-}
-
-// StringMap is IntMap for string values.
-func (r *StateReader) StringMap(m map[int]string) map[int]string {
-	n := r.Count(12)
-	m = emptied(m, n)
-	for i, prev := 0, 0; i < n && r.err == nil; i++ {
-		k := r.mapKey(i, prev)
-		m[k], prev = r.String(), k
-	}
-	return m
-}
-
-// emptied returns m with no entries, or a new map for n of them if m is nil.
-func emptied[V any](m map[int]V, n int) map[int]V {
-	if m == nil {
-		return make(map[int]V, n)
-	}
-	if len(m) > 0 {
-		clear(m)
-	}
-	return m
-}
-
-// mapKey reads the i-th key of a map, which must exceed the one before it.
-func (r *StateReader) mapKey(i, prev int) int {
-	k := r.Int()
-	if i > 0 && k <= prev {
-		r.Fail("statebuf: map key %d after %d", k, prev)
-	}
-	return k
 }

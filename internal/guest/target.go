@@ -22,11 +22,15 @@ import (
 // (see the package comment for the full contract).
 //
 // A restore recycles the kernel's objects, so a target holds on to ids, not
-// pointers: the *Conn (with its Sent slice) and the *Process a handler is
-// given are valid until the next restore and no longer. LoadState works the
-// same way on the target's side: it may refill the containers the target
-// already has instead of allocating new ones (StateReader.IntMap and
-// StringMap do), but it must leave no entry from before in any of them.
+// pointers: the *Conn (with its Sent slice, and every response in it) and the
+// *Process a handler is given are valid until the next restore and no longer.
+// LoadState works the same way on the target's side: it may refill the
+// containers the target already has instead of allocating new ones, but it
+// must leave no entry from before in any of them. State keyed by a connection
+// or other small id goes in a Table, whose codec (StateWriter.IntTable and
+// StringTable, and the StateReader methods of the same names) does exactly
+// that; a Go map there would be sorted at every flush and rehashed at every
+// hydrate.
 type Target interface {
 	// Name identifies the target (e.g. "lightftp").
 	Name() string
@@ -108,17 +112,26 @@ func (e *Env) Cov(loc uint32) {
 // Work charges d of virtual CPU time (the target "computing").
 func (e *Env) Work(d time.Duration) { e.k.M.Clock.Advance(d) }
 
-// Send emits a response on c (a hooked send(); cheap under emulation).
+// Send emits a response on c (a hooked send(); cheap under emulation). The
+// response is a copy of data in the kernel's send buffer, valid like the Conn
+// until the next restore.
 func (e *Env) Send(c *Conn, data []byte) {
-	e.k.M.Clock.Advance(e.k.M.Cost.EmulatedRecv)
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c.Sent = append(c.Sent, cp)
+	e.sent(c, append(e.k.sendBuf, data...))
 }
 
 // Sendf emits a formatted response on c.
 func (e *Env) Sendf(c *Conn, format string, args ...any) {
-	e.Send(c, []byte(fmt.Sprintf(format, args...)))
+	e.sent(c, fmt.Appendf(e.k.sendBuf, format, args...))
+}
+
+// sent records as c's next response what buf holds beyond the send buffer it
+// was appended to, and makes buf the send buffer. The response's capacity is
+// cut to its length, so appending to it cannot reach the one after it; when
+// the append moved the buffer, earlier responses stay on the old array.
+func (e *Env) sent(c *Conn, buf []byte) {
+	e.k.M.Clock.Advance(e.k.M.Cost.EmulatedRecv)
+	c.Sent = append(c.Sent, buf[len(e.k.sendBuf):len(buf):len(buf)])
+	e.k.sendBuf = buf
 }
 
 // Crash aborts the current execution with a crash of the given kind.

@@ -72,11 +72,11 @@ type Agent struct {
 	// under singleSlot.
 	slots map[int]*slotState
 
-	// valScratch is the reusable working copy of a resumed run's value
-	// environment. Every snapshot-resumed execution needs a private,
-	// growable copy of the captured values; reusing one backing array
-	// keeps the per-round restore path allocation-free (the snapshot
-	// paths that retain values always copy out of it).
+	// valScratch is the reusable backing array of a run's value
+	// environment: a root run starts it empty, a snapshot-resumed one with
+	// a private, growable copy of the captured values. Reusing one array
+	// keeps both paths allocation-free (the snapshot paths that retain
+	// values always copy out of it).
 	valScratch []Value
 }
 
@@ -132,7 +132,7 @@ func (a *Agent) RunFromRoot(in *spec.Input, tr *coverage.Trace) (Result, error) 
 	if err := a.M.RestoreRoot(); err != nil {
 		return Result{}, fmt.Errorf("netemu: root restore: %w", err)
 	}
-	return a.run(in, tr, 0, nil, singleSlot)
+	return a.run(in, tr, 0, a.valScratch[:0], singleSlot)
 }
 
 // RunSuffix executes only in.Ops[SnapshotAt:], resuming from the
@@ -202,7 +202,7 @@ func (a *Agent) RunCreatingSlot(in *spec.Input, tr *coverage.Trace, fromSlot, ne
 		if err := a.M.RestoreRoot(); err != nil {
 			return Result{}, fmt.Errorf("netemu: root restore: %w", err)
 		}
-		return a.run(in, tr, 0, nil, newSlot)
+		return a.run(in, tr, 0, a.valScratch[:0], newSlot)
 	}
 	st := a.slots[fromSlot]
 	if st == nil || !a.M.HasSlot(fromSlot) {
@@ -240,7 +240,7 @@ func (a *Agent) RunFromSnapshot(slot int, in *spec.Input, tr *coverage.Trace) (R
 	if err := a.M.RestoreIncrementalSlot(slot); err != nil {
 		return Result{}, fmt.Errorf("netemu: slot restore: %w", err) //nyx:alloc cold error path
 	}
-	//nyx:alloc op execution allocates by design (value env growth, handler results); the gated invariant is the restore machinery above
+	//nyx:alloc op execution allocates by design (argument boxing in a target's Sendf, the strings splitCmd cuts a packet into, a crash report, a custom handler's arguments and results); the gated invariant is the restore machinery above
 	res, err := a.run(in, tr, st.ops, a.resumeValues(st.values), createNone)
 	res.FromSnapshot = true
 	res.OpsExecuted += st.ops

@@ -14,11 +14,11 @@ import (
 // ftpish is a tiny stateful protocol target: USER -> PASS -> STOR sequence;
 // a crash hides behind the full sequence plus a magic payload.
 type ftpish struct {
-	Auth  map[int]int // conn -> 0 anon, 1 user-given, 2 authed
+	Auth  guest.Table[int] // conn -> 0 anon, 1 user-given, 2 authed
 	Stors int
 }
 
-func newFtpish() *ftpish { return &ftpish{Auth: make(map[int]int)} }
+func newFtpish() *ftpish { return &ftpish{} }
 
 func (t *ftpish) Name() string        { return "ftpish" }
 func (t *ftpish) Ports() []guest.Port { return []guest.Port{{Proto: guest.TCP, Num: 21}} }
@@ -36,13 +36,13 @@ func (t *ftpish) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 	switch {
 	case strings.HasPrefix(cmd, "USER "):
 		env.Cov(20)
-		t.Auth[c.ID] = 1
+		t.Auth.Set(c.ID, 1)
 		env.Send(c, []byte("331 pw?\r\n"))
-	case strings.HasPrefix(cmd, "PASS ") && t.Auth[c.ID] == 1:
+	case strings.HasPrefix(cmd, "PASS ") && t.Auth.Get(c.ID) == 1:
 		env.Cov(30)
-		t.Auth[c.ID] = 2
+		t.Auth.Set(c.ID, 2)
 		env.Send(c, []byte("230 ok\r\n"))
-	case strings.HasPrefix(cmd, "STOR ") && t.Auth[c.ID] == 2:
+	case strings.HasPrefix(cmd, "STOR ") && t.Auth.Get(c.ID) == 2:
 		env.Cov(40)
 		t.Stors++
 		if strings.Contains(cmd, "BOOM") {
@@ -59,12 +59,12 @@ func (t *ftpish) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 
 func (t *ftpish) SaveState(w *guest.StateWriter) {
 	w.Int(t.Stors)
-	w.IntMap(t.Auth)
+	w.IntTable(&t.Auth)
 }
 
 func (t *ftpish) LoadState(r *guest.StateReader) {
 	t.Stors = r.Int()
-	t.Auth = r.IntMap(t.Auth)
+	r.IntTable(&t.Auth)
 }
 
 func setup(t *testing.T) (*Agent, *spec.Spec, *ftpish) {
@@ -524,5 +524,25 @@ func TestSlotResumeIsCheaperThanRootRun(t *testing.T) {
 	suffixCost := a.Now() - t0
 	if suffixCost >= fullCost {
 		t.Fatalf("slot resume (%v) should be cheaper than full run (%v)", suffixCost, fullCost)
+	}
+}
+
+// TestRootRunSteadyStateAllocs pins the allocation budget of a whole root
+// run — restore, hydrate, connect, packet, close, flush at the exit — once
+// the agent and the kernel have been through one: the value environment, the
+// kernel's objects and the response bytes are all reused.
+func TestRootRunSteadyStateAllocs(t *testing.T) {
+	a, s, _ := setup(t)
+	in := seq(s, "USER a")
+	cls, _ := s.NodeByName("close")
+	in.Ops = append(in.Ops, spec.Op{Node: cls, Args: []uint16{0}})
+	var tr coverage.Trace
+	run := func() {
+		if res, err := a.RunFromRoot(in, &tr); err != nil || res.OpsExecuted != 3 {
+			t.Fatalf("root run: %+v, %v", res, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Errorf("a root run allocates %v objects in steady state, want 0", n)
 	}
 }

@@ -53,15 +53,11 @@ func (t *echoServer) LoadState(r *guest.StateReader) { t.Count = r.Int() }
 // emulation layer makes the direction irrelevant. The seeded bug is the
 // out-of-bounds read the paper found in the Ubuntu-shipped client.
 type mysqlClient struct {
-	Phase   map[int]int // 0 expect-handshake, 1 authed, 2 in-resultset
-	Columns map[int]int
+	Phase   guest.Table[int] // 0 expect-handshake, 1 authed, 2 in-resultset
+	Columns guest.Table[int]
 }
 
 const mysqlNS = 21
-
-func newMysqlClient() *mysqlClient {
-	return &mysqlClient{Phase: map[int]int{}, Columns: map[int]int{}}
-}
 
 func (t *mysqlClient) Name() string        { return "mysql-client" }
 func (t *mysqlClient) Ports() []guest.Port { return []guest.Port{{Proto: guest.TCP, Num: 3306}} }
@@ -70,13 +66,13 @@ func (t *mysqlClient) Init(env *guest.Env) error {
 }
 func (t *mysqlClient) OnConnect(env *guest.Env, c *guest.Conn) {
 	env.Cov(loc(mysqlNS, 1))
-	t.Phase[c.ID] = 0
+	t.Phase.Set(c.ID, 0)
 	// The client speaks first from the fuzzer's perspective? No: in
 	// MySQL the *server* greets, i.e. the fuzzer sends the first packet.
 }
 func (t *mysqlClient) OnDisconnect(env *guest.Env, c *guest.Conn) {
-	delete(t.Phase, c.ID)
-	delete(t.Columns, c.ID)
+	t.Phase.Delete(c.ID)
+	t.Columns.Delete(c.ID)
 }
 
 func (t *mysqlClient) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
@@ -90,7 +86,7 @@ func (t *mysqlClient) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 	payload := data[4:]
 	covByte(env, mysqlNS, 3, seq&0x7)
 
-	switch t.Phase[c.ID] {
+	switch t.Phase.Get(c.ID) {
 	case 0: // expecting the server handshake
 		protoVer := payload[0]
 		covByte(env, mysqlNS, 4, protoVer)
@@ -114,7 +110,7 @@ func (t *mysqlClient) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 				"mysql-client: unterminated server version string, OOB read in greeting parser")
 		}
 		covClass(env, mysqlNS, 7, nul)
-		t.Phase[c.ID] = 1
+		t.Phase.Set(c.ID, 1)
 		env.Send(c, []byte("\x01\x00\x00\x01\x85")) // login request
 	case 1: // expecting OK/ERR/result header
 		switch payload[0] {
@@ -129,31 +125,31 @@ func (t *mysqlClient) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 			env.Cov(loc(mysqlNS, 11)) // EOF / auth switch
 		default:
 			env.Cov(loc(mysqlNS, 12)) // column count -> result set
-			t.Columns[c.ID] = int(payload[0])
-			t.Phase[c.ID] = 2
+			t.Columns.Set(c.ID, int(payload[0]))
+			t.Phase.Set(c.ID, 2)
 		}
 	case 2: // column definitions / rows
 		if payload[0] == 0xFE {
 			env.Cov(loc(mysqlNS, 13)) // end of result set
-			t.Phase[c.ID] = 1
+			t.Phase.Set(c.ID, 1)
 			return
 		}
 		env.Cov(loc(mysqlNS, 14))
 		// length-encoded strings; branch on length classes
 		covClass(env, mysqlNS, 15, len(payload))
-		if t.Columns[c.ID] > 32 {
+		if t.Columns.Get(c.ID) > 32 {
 			env.Cov(loc(mysqlNS, 16)) // wide result rendering path
 		}
 	}
 }
 
 func (t *mysqlClient) SaveState(w *guest.StateWriter) {
-	w.IntMap(t.Phase)
-	w.IntMap(t.Columns)
+	w.IntTable(&t.Phase)
+	w.IntTable(&t.Columns)
 }
 func (t *mysqlClient) LoadState(r *guest.StateReader) {
-	t.Phase = r.IntMap(t.Phase)
-	t.Columns = r.IntMap(t.Columns)
+	r.IntTable(&t.Phase)
+	r.IntTable(&t.Columns)
 }
 
 // mysqlPacket frames a MySQL wire packet.
@@ -181,12 +177,10 @@ func mysqlGreeting() []byte {
 // release: a Content-Length smaller than the already-consumed body bytes
 // underflows the remaining-length computation, which flows into malloc.
 type lighttpdServer struct {
-	Keep map[int]int // conn -> keepalive request count
+	Keep guest.Table[int] // conn -> keepalive request count
 }
 
 const lighttpdNS = 22
-
-func newLighttpd() *lighttpdServer { return &lighttpdServer{Keep: map[int]int{}} }
 
 func (t *lighttpdServer) Name() string        { return "lighttpd" }
 func (t *lighttpdServer) Ports() []guest.Port { return []guest.Port{{Proto: guest.TCP, Num: 80}} }
@@ -195,9 +189,9 @@ func (t *lighttpdServer) Init(env *guest.Env) error {
 }
 func (t *lighttpdServer) OnConnect(env *guest.Env, c *guest.Conn) {
 	env.Cov(loc(lighttpdNS, 1))
-	t.Keep[c.ID] = 0
+	t.Keep.Set(c.ID, 0)
 }
-func (t *lighttpdServer) OnDisconnect(env *guest.Env, c *guest.Conn) { delete(t.Keep, c.ID) }
+func (t *lighttpdServer) OnDisconnect(env *guest.Env, c *guest.Conn) { t.Keep.Delete(c.ID) }
 
 func (t *lighttpdServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 	env.Work(55 * time.Microsecond)
@@ -215,7 +209,7 @@ func (t *lighttpdServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 		}
 	}
 	covClass(env, lighttpdNS, 4, len(path))
-	t.Keep[c.ID]++
+	t.Keep.Add(c.ID, 1)
 
 	contentLength := int64(-1)
 	bodyStart := -1
@@ -288,8 +282,8 @@ func (t *lighttpdServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 	}
 }
 
-func (t *lighttpdServer) SaveState(w *guest.StateWriter) { w.IntMap(t.Keep) }
-func (t *lighttpdServer) LoadState(r *guest.StateReader) { t.Keep = r.IntMap(t.Keep) }
+func (t *lighttpdServer) SaveState(w *guest.StateWriter) { w.IntTable(&t.Keep) }
+func (t *lighttpdServer) LoadState(r *guest.StateReader) { r.IntTable(&t.Keep) }
 
 // ---- firefox-ipc (§5.6) ----
 
@@ -299,16 +293,12 @@ func (t *lighttpdServer) LoadState(r *guest.StateReader) { t.Keep = r.IntMap(t.K
 // content process attacking the parent. Three null-deref bugs (the paper's
 // findings) hide in rarely-exercised actor methods.
 type firefoxIPC struct {
-	Actors  map[int]int // actorID -> refcount
-	Pending map[int]int // conn -> in-flight sync messages
+	Actors  guest.Table[int] // actorID -> refcount
+	Pending guest.Table[int] // conn -> in-flight sync messages
 	SharedM int
 }
 
 const ipcNS = 23
-
-func newFirefoxIPC() *firefoxIPC {
-	return &firefoxIPC{Actors: map[int]int{}, Pending: map[int]int{}}
-}
 
 func (t *firefoxIPC) Name() string { return "firefox-ipc" }
 func (t *firefoxIPC) Ports() []guest.Port {
@@ -326,9 +316,9 @@ func (t *firefoxIPC) Init(env *guest.Env) error {
 }
 func (t *firefoxIPC) OnConnect(env *guest.Env, c *guest.Conn) {
 	covToken(env, ipcNS, 1, c.Port.Num)
-	t.Pending[c.ID] = 0
+	t.Pending.Set(c.ID, 0)
 }
-func (t *firefoxIPC) OnDisconnect(env *guest.Env, c *guest.Conn) { delete(t.Pending, c.ID) }
+func (t *firefoxIPC) OnDisconnect(env *guest.Env, c *guest.Conn) { t.Pending.Delete(c.ID) }
 
 func (t *firefoxIPC) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 	env.Work(80 * time.Microsecond)
@@ -344,20 +334,20 @@ func (t *firefoxIPC) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 	covToken(env, ipcNS, 3, int(msgType%64))
 	if flags&1 != 0 {
 		env.Cov(loc(ipcNS, 4)) // sync message
-		t.Pending[c.ID]++
+		t.Pending.Add(c.ID, 1)
 	}
 
 	switch msgType % 8 {
 	case 0: // ConstructActor
 		env.Cov(loc(ipcNS, 5))
-		t.Actors[actorID]++
+		t.Actors.Add(actorID, 1)
 	case 1: // DestroyActor
-		if t.Actors[actorID] == 0 {
+		if t.Actors.Get(actorID) == 0 {
 			// Null deref #1: destroying a never-constructed actor.
 			env.Cov(loc(ipcNS, 6))
 			env.NullDeref("ActorLifecycle::Destroy")
 		}
-		t.Actors[actorID]--
+		t.Actors.Add(actorID, -1)
 		env.Cov(loc(ipcNS, 7))
 	case 2: // SendShmem
 		env.Cov(loc(ipcNS, 8))
@@ -379,13 +369,13 @@ func (t *firefoxIPC) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 			return
 		}
 		env.Cov(loc(ipcNS, 13))
-		if len(payload) > 0 && payload[0] == 0xFE && t.Pending[c.ID] > 2 {
+		if len(payload) > 0 && payload[0] == 0xFE && t.Pending.Get(c.ID) > 2 {
 			// Null deref #3: redirect during pending sync flood.
 			env.NullDeref("HttpChannelParent::Redirect")
 		}
 	case 5: // reply
-		if t.Pending[c.ID] > 0 {
-			t.Pending[c.ID]--
+		if t.Pending.Get(c.ID) > 0 {
+			t.Pending.Add(c.ID, -1)
 			env.Cov(loc(ipcNS, 14))
 		} else {
 			env.Cov(loc(ipcNS, 15)) // unsolicited reply
@@ -396,13 +386,13 @@ func (t *firefoxIPC) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 }
 
 func (t *firefoxIPC) SaveState(w *guest.StateWriter) {
-	w.IntMap(t.Actors)
-	w.IntMap(t.Pending)
+	w.IntTable(&t.Actors)
+	w.IntTable(&t.Pending)
 	w.Int(t.SharedM)
 }
 func (t *firefoxIPC) LoadState(r *guest.StateReader) {
-	t.Actors = r.IntMap(t.Actors)
-	t.Pending = r.IntMap(t.Pending)
+	r.IntTable(&t.Actors)
+	r.IntTable(&t.Pending)
 	t.SharedM = r.Int()
 }
 
@@ -433,7 +423,7 @@ func init() {
 	mysqlPort := guest.Port{Proto: guest.TCP, Num: 3306}
 	Register(&Info{
 		Name: "mysql-client", Port: mysqlPort,
-		New: func() guest.Target { return newMysqlClient() },
+		New: func() guest.Target { return &mysqlClient{} },
 		Seeds: func(s *spec.Spec) []*spec.Input {
 			return []*spec.Input{
 				seedSession(s, mysqlPort,
@@ -456,7 +446,7 @@ func init() {
 	httpPort := guest.Port{Proto: guest.TCP, Num: 80}
 	Register(&Info{
 		Name: "lighttpd", Port: httpPort,
-		New: func() guest.Target { return newLighttpd() },
+		New: func() guest.Target { return &lighttpdServer{} },
 		Seeds: func(s *spec.Spec) []*spec.Input {
 			return []*spec.Input{
 				seedSession(s, httpPort,
@@ -474,7 +464,7 @@ func init() {
 
 	Register(&Info{
 		Name: "firefox-ipc", Port: guest.Port{Proto: guest.Unix, Num: 1},
-		New: func() guest.Target { return newFirefoxIPC() },
+		New: func() guest.Target { return &firefoxIPC{} },
 		Seeds: func(s *spec.Spec) []*spec.Input {
 			// Multi-connection seed: talk to three actors in one input,
 			// the capability §5.6 required adding to the agent.

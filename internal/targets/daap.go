@@ -14,14 +14,14 @@ import (
 // workers. The simulation reproduces that cost profile: heavy per-request
 // work, database file writes, and a forked worker per session.
 type daapdServer struct {
-	Sessions map[int]int // conn -> session id
+	Sessions guest.Table[int] // conn -> session id
 	NextSess int
 	DBWrites int
 }
 
 const daapNS = 13
 
-func newDaapd() *daapdServer { return &daapdServer{Sessions: map[int]int{}, NextSess: 1} }
+func newDaapd() *daapdServer { return &daapdServer{NextSess: 1} }
 
 func (t *daapdServer) Name() string        { return "forked-daapd" }
 func (t *daapdServer) Ports() []guest.Port { return []guest.Port{{Proto: guest.TCP, Num: 3689}} }
@@ -41,12 +41,12 @@ func (t *daapdServer) OnConnect(env *guest.Env, c *guest.Conn) {
 	// pattern of §3.3 that requires cross-process stream sync).
 	child := env.Kernel().Fork(env.Process())
 	_ = child
-	t.Sessions[c.ID] = t.NextSess
+	t.Sessions.Set(c.ID, t.NextSess)
 	t.NextSess++
 }
 
 func (t *daapdServer) OnDisconnect(env *guest.Env, c *guest.Conn) {
-	delete(t.Sessions, c.ID)
+	t.Sessions.Delete(c.ID)
 }
 
 var daapEndpoints = []string{"/server-info", "/login", "/update", "/databases",
@@ -118,7 +118,7 @@ func (t *daapdServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 		env.FS().AppendFile("/var/db/daapd/sessions", []byte{byte(t.NextSess)}) //nolint:errcheck
 		env.Send(c, []byte("HTTP/1.1 200 OK\r\nContent-Type: application/x-dmap-tagged\r\n\r\nmlog"))
 	case strings.HasPrefix(path, "/update"):
-		if t.Sessions[c.ID] == 0 {
+		if t.Sessions.Get(c.ID) == 0 {
 			env.Cov(loc(daapNS, 13))
 			env.Send(c, []byte("HTTP/1.1 403 Forbidden\r\n\r\n"))
 			return
@@ -141,13 +141,13 @@ func (t *daapdServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 }
 
 func (t *daapdServer) SaveState(w *guest.StateWriter) {
-	w.IntMap(t.Sessions)
+	w.IntTable(&t.Sessions)
 	w.Int(t.NextSess)
 	w.Int(t.DBWrites)
 }
 
 func (t *daapdServer) LoadState(r *guest.StateReader) {
-	t.Sessions = r.IntMap(t.Sessions)
+	r.IntTable(&t.Sessions)
 	t.NextSess = r.Int()
 	t.DBWrites = r.Int()
 }

@@ -15,8 +15,8 @@ import (
 // state every test case only finds it with ASan, while AFLnet's long-lived
 // process accumulates corruption until it faults (the paper's footnote).
 type dcmtkServer struct {
-	Assoc    map[int]int // conn -> 0 idle, 1 associated
-	Presente map[int]int // conn -> accepted presentation contexts
+	Assoc    guest.Table[int] // conn -> 0 idle, 1 associated
+	Presente guest.Table[int] // conn -> accepted presentation contexts
 	Stored   int
 }
 
@@ -32,10 +32,6 @@ const (
 	pduAbort       = 0x07
 )
 
-func newDcmtk() *dcmtkServer {
-	return &dcmtkServer{Assoc: map[int]int{}, Presente: map[int]int{}}
-}
-
 func (t *dcmtkServer) Name() string        { return "dcmtk" }
 func (t *dcmtkServer) Ports() []guest.Port { return []guest.Port{{Proto: guest.TCP, Num: 104}} }
 
@@ -45,12 +41,12 @@ func (t *dcmtkServer) Init(env *guest.Env) error {
 
 func (t *dcmtkServer) OnConnect(env *guest.Env, c *guest.Conn) {
 	env.Cov(loc(dicomNS, 1))
-	t.Assoc[c.ID] = 0
+	t.Assoc.Set(c.ID, 0)
 }
 
 func (t *dcmtkServer) OnDisconnect(env *guest.Env, c *guest.Conn) {
-	delete(t.Assoc, c.ID)
-	delete(t.Presente, c.ID)
+	t.Assoc.Delete(c.ID)
+	t.Presente.Delete(c.ID)
 }
 
 func (t *dcmtkServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
@@ -97,7 +93,7 @@ func (t *dcmtkServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 			covByte(env, dicomNS, 8, itemType)
 			covClass(env, dicomNS, 9, itemLen)
 			if itemType == 0x20 { // presentation context
-				t.Presente[c.ID]++
+				t.Presente.Add(c.ID, 1)
 				env.Cov(loc(dicomNS, 10))
 			}
 			if itemType == 0x10 { // application context
@@ -106,10 +102,10 @@ func (t *dcmtkServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 			off += 4 + itemLen
 			items++
 		}
-		t.Assoc[c.ID] = 1
+		t.Assoc.Set(c.ID, 1)
 		env.Send(c, []byte{pduAssociateAC, 0, 0, 0, 0, 4, 0, 1, 0, 0})
 	case pduData:
-		if t.Assoc[c.ID] != 1 {
+		if t.Assoc.Get(c.ID) != 1 {
 			env.Cov(loc(dicomNS, 12)) // data before association
 			env.Send(c, []byte{pduAbort, 0, 0, 0, 0, 4, 0, 0, 0, 2})
 			return
@@ -131,11 +127,11 @@ func (t *dcmtkServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 		env.Send(c, []byte{pduData, 0, 0, 0, 0, 2, 0, 0})
 	case pduReleaseRQ:
 		env.Cov(loc(dicomNS, 17))
-		t.Assoc[c.ID] = 0
+		t.Assoc.Set(c.ID, 0)
 		env.Send(c, []byte{0x06, 0, 0, 0, 0, 4, 0, 0, 0, 0})
 	case pduAbort:
 		env.Cov(loc(dicomNS, 18))
-		t.Assoc[c.ID] = 0
+		t.Assoc.Set(c.ID, 0)
 	default:
 		covByte(env, dicomNS, 19, pduType)
 		env.Send(c, []byte{pduAbort, 0, 0, 0, 0, 4, 0, 0, 0, 1})
@@ -143,14 +139,14 @@ func (t *dcmtkServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 }
 
 func (t *dcmtkServer) SaveState(w *guest.StateWriter) {
-	w.IntMap(t.Assoc)
-	w.IntMap(t.Presente)
+	w.IntTable(&t.Assoc)
+	w.IntTable(&t.Presente)
 	w.Int(t.Stored)
 }
 
 func (t *dcmtkServer) LoadState(r *guest.StateReader) {
-	t.Assoc = r.IntMap(t.Assoc)
-	t.Presente = r.IntMap(t.Presente)
+	r.IntTable(&t.Assoc)
+	r.IntTable(&t.Presente)
 	t.Stored = r.Int()
 }
 
@@ -178,7 +174,7 @@ func init() {
 	Register(&Info{
 		Name: "dcmtk",
 		Port: port,
-		New:  func() guest.Target { return newDcmtk() },
+		New:  func() guest.Target { return &dcmtkServer{} },
 		Seeds: func(s *spec.Spec) []*spec.Input {
 			con, _ := s.NodeByName("connect_tcp_104")
 			pkt, _ := s.NodeByName("packet")

@@ -14,12 +14,10 @@ import (
 // fuzzers find (Table 1) is a shallow label-length validation bug.
 type dnsmasqServer struct {
 	Queries int
-	Cache   map[int]int // qtype -> hits, models the answer cache
+	Cache   guest.Table[int] // qtype -> hits, models the answer cache
 }
 
 const dnsNS = 6
-
-func newDnsmasq() *dnsmasqServer { return &dnsmasqServer{Cache: map[int]int{}} }
 
 func (t *dnsmasqServer) Name() string        { return "dnsmasq" }
 func (t *dnsmasqServer) Ports() []guest.Port { return []guest.Port{{Proto: guest.UDP, Num: 53}} }
@@ -96,8 +94,7 @@ func (t *dnsmasqServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 		} else {
 			env.Cov(loc(dnsNS, 13))
 		}
-		t.Cache[qtype&0x3F]++
-		if t.Cache[qtype&0x3F] > 1 {
+		if t.Cache.Add(qtype&0x3F, 1) > 1 {
 			env.Cov(loc(dnsNS, 14)) // cache-hit path
 		}
 	} else {
@@ -117,12 +114,12 @@ func (t *dnsmasqServer) reply(q []byte, rcode byte) []byte {
 
 func (t *dnsmasqServer) SaveState(w *guest.StateWriter) {
 	w.Int(t.Queries)
-	w.IntMap(t.Cache)
+	w.IntTable(&t.Cache)
 }
 
 func (t *dnsmasqServer) LoadState(r *guest.StateReader) {
 	t.Queries = r.Int()
-	t.Cache = r.IntMap(t.Cache)
+	r.IntTable(&t.Cache)
 }
 
 // dnsQuery builds a well-formed A query for the given name labels.
@@ -144,7 +141,7 @@ func init() {
 	Register(&Info{
 		Name: "dnsmasq",
 		Port: port,
-		New:  func() guest.Target { return newDnsmasq() },
+		New:  func() guest.Target { return &dnsmasqServer{} },
 		Seeds: func(s *spec.Spec) []*spec.Input {
 			conName := "connect_udp_53"
 			con, _ := s.NodeByName(conName)

@@ -12,15 +12,11 @@ import (
 // cookie exchange. Its Table 1 crash is a shallow one in the cookie check:
 // a claimed cookie length larger than the datagram reads out of bounds.
 type tinydtlsServer struct {
-	Cookies map[int]int // conn -> cookie exchange state
-	Epochs  map[int]int
+	Cookies guest.Table[int] // conn -> cookie exchange state
+	Epochs  guest.Table[int]
 }
 
 const dtlsNS = 12
-
-func newTinydtls() *tinydtlsServer {
-	return &tinydtlsServer{Cookies: map[int]int{}, Epochs: map[int]int{}}
-}
 
 func (t *tinydtlsServer) Name() string        { return "tinydtls" }
 func (t *tinydtlsServer) Ports() []guest.Port { return []guest.Port{{Proto: guest.UDP, Num: 20220}} }
@@ -31,13 +27,13 @@ func (t *tinydtlsServer) Init(env *guest.Env) error {
 
 func (t *tinydtlsServer) OnConnect(env *guest.Env, c *guest.Conn) {
 	env.Cov(loc(dtlsNS, 1))
-	t.Cookies[c.ID] = 0
-	t.Epochs[c.ID] = 0
+	t.Cookies.Set(c.ID, 0)
+	t.Epochs.Set(c.ID, 0)
 }
 
 func (t *tinydtlsServer) OnDisconnect(env *guest.Env, c *guest.Conn) {
-	delete(t.Cookies, c.ID)
-	delete(t.Epochs, c.ID)
+	t.Cookies.Delete(c.ID)
+	t.Epochs.Delete(c.ID)
 }
 
 func (t *tinydtlsServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
@@ -50,7 +46,7 @@ func (t *tinydtlsServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 	recType := data[0]
 	epoch := int(binary.BigEndian.Uint16(data[3:]))
 	covByte(env, dtlsNS, 3, recType)
-	if epoch != t.Epochs[c.ID] {
+	if epoch != t.Epochs.Get(c.ID) {
 		env.Cov(loc(dtlsNS, 4)) // wrong epoch: silently dropped
 		return
 	}
@@ -89,25 +85,25 @@ func (t *tinydtlsServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 			}
 			if cookieLen == 0 {
 				env.Cov(loc(dtlsNS, 11)) // no cookie: send HelloVerifyRequest
-				t.Cookies[c.ID] = 1
+				t.Cookies.Set(c.ID, 1)
 				env.Send(c, []byte{22, 254, 253, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 3, 0, 0})
-			} else if t.Cookies[c.ID] == 1 {
+			} else if t.Cookies.Get(c.ID) == 1 {
 				env.Cov(loc(dtlsNS, 12)) // cookie echo accepted
-				t.Cookies[c.ID] = 2
+				t.Cookies.Set(c.ID, 2)
 				env.Send(c, []byte{22, 254, 253, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2})
 			} else {
 				env.Cov(loc(dtlsNS, 13)) // cookie without verify request
 			}
 		case 16: // ClientKeyExchange
-			if t.Cookies[c.ID] != 2 {
+			if t.Cookies.Get(c.ID) != 2 {
 				env.Cov(loc(dtlsNS, 14))
 				return
 			}
 			env.Cov(loc(dtlsNS, 15))
 			covClass(env, dtlsNS, 16, len(frag))
-			t.Cookies[c.ID] = 3
+			t.Cookies.Set(c.ID, 3)
 		case 20: // Finished
-			if t.Cookies[c.ID] == 3 && t.Epochs[c.ID] == 1 {
+			if t.Cookies.Get(c.ID) == 3 && t.Epochs.Get(c.ID) == 1 {
 				env.Cov(loc(dtlsNS, 17))
 				env.Send(c, []byte{22, 254, 253, 0, 1, 0, 0, 0, 0, 0, 0, 20})
 			} else {
@@ -118,8 +114,8 @@ func (t *tinydtlsServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 		}
 	case 20: // change cipher spec
 		env.Cov(loc(dtlsNS, 20))
-		if t.Cookies[c.ID] == 3 {
-			t.Epochs[c.ID] = 1
+		if t.Cookies.Get(c.ID) == 3 {
+			t.Epochs.Set(c.ID, 1)
 			env.Cov(loc(dtlsNS, 21))
 		}
 	case 21: // alert
@@ -128,7 +124,7 @@ func (t *tinydtlsServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 			covByte(env, dtlsNS, 23, body[1])
 		}
 	case 23: // application data
-		if t.Epochs[c.ID] == 1 {
+		if t.Epochs.Get(c.ID) == 1 {
 			env.Cov(loc(dtlsNS, 24))
 			env.Send(c, data[:13])
 		} else {
@@ -140,13 +136,13 @@ func (t *tinydtlsServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 }
 
 func (t *tinydtlsServer) SaveState(w *guest.StateWriter) {
-	w.IntMap(t.Cookies)
-	w.IntMap(t.Epochs)
+	w.IntTable(&t.Cookies)
+	w.IntTable(&t.Epochs)
 }
 
 func (t *tinydtlsServer) LoadState(r *guest.StateReader) {
-	t.Cookies = r.IntMap(t.Cookies)
-	t.Epochs = r.IntMap(t.Epochs)
+	r.IntTable(&t.Cookies)
+	r.IntTable(&t.Epochs)
 }
 
 // dtlsRecord frames a DTLS record at epoch 0.
@@ -172,7 +168,7 @@ func init() {
 	Register(&Info{
 		Name: "tinydtls",
 		Port: port,
-		New:  func() guest.Target { return newTinydtls() },
+		New:  func() guest.Target { return &tinydtlsServer{} },
 		Seeds: func(s *spec.Spec) []*spec.Input {
 			con, _ := s.NodeByName("connect_udp_20220")
 			pkt, _ := s.NodeByName("packet")

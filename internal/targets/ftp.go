@@ -49,17 +49,19 @@ type ftpServer struct {
 	cfg ftpConfig
 
 	// verbs is cfg.commands with each verb's rank in sorted order beside
-	// its budget; the rank numbers the verb's coverage probes.
-	verbs map[string]ftpVerb
+	// its budget; the rank numbers the verb's coverage probes. greeting is
+	// the 220 banner every connection opens with, formatted once.
+	verbs    map[string]ftpVerb
+	greeting []byte
 
 	// Per-connection state.
-	Auth   map[int]int    // 0=new, 1=USER given, 2=authed
-	CWD    map[int]string // current directory
-	RnFr   map[int]string // pending RNFR
-	Mode   map[int]int    // TYPE: 0=ascii 1=binary
-	Stair  map[int]int    // deep-bug staircase progress
-	Leaked int64          // accumulated leak (survives connections!)
-	Files  int            // files stored this boot
+	Auth   guest.Table[int]    // 0=new, 1=USER given, 2=authed
+	CWD    guest.Table[string] // current directory
+	RnFr   guest.Table[string] // pending RNFR
+	Mode   guest.Table[int]    // TYPE: 0=ascii 1=binary
+	Stair  guest.Table[int]    // deep-bug staircase progress
+	Leaked int64               // accumulated leak (survives connections!)
+	Files  int                 // files stored this boot
 }
 
 type ftpVerb struct{ budget, rank int }
@@ -74,15 +76,7 @@ func newFTP(cfg ftpConfig) *ftpServer {
 	for rank, verb := range names {
 		verbs[verb] = ftpVerb{budget: cfg.commands[verb], rank: rank}
 	}
-	return &ftpServer{
-		cfg:   cfg,
-		verbs: verbs,
-		Auth:  map[int]int{},
-		CWD:   map[int]string{},
-		RnFr:  map[int]string{},
-		Mode:  map[int]int{},
-		Stair: map[int]int{},
-	}
+	return &ftpServer{cfg: cfg, verbs: verbs, greeting: fmt.Appendf(nil, "220 %s ready\r\n", cfg.name)}
 }
 
 func (t *ftpServer) Name() string        { return t.cfg.name }
@@ -101,18 +95,18 @@ func (t *ftpServer) Init(env *guest.Env) error {
 
 func (t *ftpServer) OnConnect(env *guest.Env, c *guest.Conn) {
 	env.Cov(loc(t.cfg.ns, 1))
-	t.Auth[c.ID] = 0
-	t.CWD[c.ID] = "/"
-	env.Sendf(c, "220 %s ready\r\n", t.cfg.name)
+	t.Auth.Set(c.ID, 0)
+	t.CWD.Set(c.ID, "/")
+	env.Send(c, t.greeting)
 }
 
 func (t *ftpServer) OnDisconnect(env *guest.Env, c *guest.Conn) {
 	env.Cov(loc(t.cfg.ns, 2))
-	delete(t.Auth, c.ID)
-	delete(t.CWD, c.ID)
-	delete(t.RnFr, c.ID)
-	delete(t.Mode, c.ID)
-	delete(t.Stair, c.ID)
+	t.Auth.Delete(c.ID)
+	t.CWD.Delete(c.ID)
+	t.RnFr.Delete(c.ID)
+	t.Mode.Delete(c.ID)
+	t.Stair.Delete(c.ID)
 }
 
 func (t *ftpServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
@@ -144,16 +138,16 @@ func (t *ftpServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 		covByte(env, t.cfg.ns, 100+uint32(v.rank), arg[0])
 	}
 
-	auth := t.Auth[c.ID]
+	auth := t.Auth.Get(c.ID)
 	switch verb {
 	case "USER":
 		env.Cov(loc(t.cfg.ns, 20))
-		t.Auth[c.ID] = 1
+		t.Auth.Set(c.ID, 1)
 		env.Send(c, []byte("331 password required\r\n"))
 	case "PASS":
 		if auth == 1 {
 			env.Cov(loc(t.cfg.ns, 21))
-			t.Auth[c.ID] = 2
+			t.Auth.Set(c.ID, 2)
 			env.Send(c, []byte("230 logged in\r\n"))
 		} else {
 			env.Cov(loc(t.cfg.ns, 22))
@@ -173,9 +167,9 @@ func (t *ftpServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 		env.Send(c, []byte("200 ok\r\n"))
 	case "TYPE":
 		if arg == "I" {
-			t.Mode[c.ID] = 1
+			t.Mode.Set(c.ID, 1)
 		} else {
-			t.Mode[c.ID] = 0
+			t.Mode.Set(c.ID, 0)
 		}
 		covByte(env, t.cfg.ns, 27, firstByte([]byte(arg)))
 		env.Send(c, []byte("200 type set\r\n"))
@@ -198,11 +192,11 @@ func (t *ftpServer) handleAuthed(env *guest.Env, c *guest.Conn, verb, arg string
 		if strings.Contains(arg, "..") {
 			env.Cov(loc(ns, 31)) // traversal check path
 		}
-		t.CWD[c.ID] = arg
+		t.CWD.Set(c.ID, arg)
 		env.Send(c, []byte("250 ok\r\n"))
 	case "PWD":
 		env.Cov(loc(ns, 32))
-		env.Sendf(c, "257 \"%s\"\r\n", t.CWD[c.ID])
+		env.Sendf(c, "257 \"%s\"\r\n", t.CWD.Get(c.ID))
 	case "LIST", "NLST":
 		env.Cov(loc(ns, 33))
 		env.Work(t.cfg.perPacket) // directory walk is extra work
@@ -229,16 +223,16 @@ func (t *ftpServer) handleAuthed(env *guest.Env, c *guest.Conn, verb, arg string
 		env.Send(c, []byte("257 created\r\n"))
 	case "RNFR":
 		env.Cov(loc(ns, 39))
-		t.RnFr[c.ID] = arg
+		t.RnFr.Set(c.ID, arg)
 		env.Send(c, []byte("350 ready\r\n"))
 	case "RNTO":
-		if t.RnFr[c.ID] == "" {
+		if t.RnFr.Get(c.ID) == "" {
 			env.Cov(loc(ns, 40))
 			env.Send(c, []byte("503 RNFR first\r\n"))
 			return
 		}
 		env.Cov(loc(ns, 41))
-		t.RnFr[c.ID] = ""
+		t.RnFr.Set(c.ID, "")
 		env.Send(c, []byte("250 renamed\r\n"))
 	case "SITE":
 		sub, subArg := splitCmd([]byte(arg))
@@ -262,7 +256,7 @@ func (t *ftpServer) handleAuthed(env *guest.Env, c *guest.Conn, verb, arg string
 	case "MDTM", "SIZE", "MFMT":
 		env.Cov(loc(ns, 45))
 		covClass(env, ns, 46, len(arg))
-		if verb == "MFMT" && t.cfg.deepBug && t.Stair[c.ID] >= 4 {
+		if verb == "MFMT" && t.cfg.deepBug && t.Stair.Get(c.ID) >= 4 {
 			// Final staircase step: MFMT after the full SITE sequence.
 			env.Cov(loc(ns, 47))
 			env.Crash(guest.CrashSegfault,
@@ -288,31 +282,31 @@ func (t *ftpServer) advanceStair(env *guest.Env, c *guest.Conn, sub, arg string)
 		return
 	}
 	steps := []string{"UTIME", "CHMOD", "CHGRP", "SYMLINK"}
-	cur := t.Stair[c.ID]
+	cur := t.Stair.Get(c.ID)
 	if cur < len(steps) && sub == steps[cur] && len(arg) > 0 {
-		t.Stair[c.ID] = cur + 1
+		t.Stair.Set(c.ID, cur+1)
 		env.Cov(loc(t.cfg.ns, 60+uint32(cur)))
 	} else if sub != "" && cur > 0 {
-		t.Stair[c.ID] = 0 // wrong step resets the sequence
+		t.Stair.Set(c.ID, 0) // wrong step resets the sequence
 	}
 }
 
 func (t *ftpServer) SaveState(w *guest.StateWriter) {
-	w.IntMap(t.Auth)
-	w.StringMap(t.CWD)
-	w.StringMap(t.RnFr)
-	w.IntMap(t.Mode)
-	w.IntMap(t.Stair)
+	w.IntTable(&t.Auth)
+	w.StringTable(&t.CWD)
+	w.StringTable(&t.RnFr)
+	w.IntTable(&t.Mode)
+	w.IntTable(&t.Stair)
 	w.I64(t.Leaked)
 	w.Int(t.Files)
 }
 
 func (t *ftpServer) LoadState(r *guest.StateReader) {
-	t.Auth = r.IntMap(t.Auth)
-	t.CWD = r.StringMap(t.CWD)
-	t.RnFr = r.StringMap(t.RnFr)
-	t.Mode = r.IntMap(t.Mode)
-	t.Stair = r.IntMap(t.Stair)
+	r.IntTable(&t.Auth)
+	r.StringTable(&t.CWD)
+	r.StringTable(&t.RnFr)
+	r.IntTable(&t.Mode)
+	r.IntTable(&t.Stair)
 	t.Leaked = r.I64()
 	t.Files = r.Int()
 }

@@ -13,16 +13,16 @@ import (
 // streaming control (DESCRIBE -> SETUP -> PLAY -> TEARDOWN) with a shallow
 // crash all fuzzers find (Table 1): a URL-decoding bug in the request line.
 type live555Server struct {
-	Sessions map[int]int    // conn -> 0 none, 1 described, 2 setup, 3 playing
-	TrackIDs map[int]int    // conn -> negotiated track
-	SessIDs  map[int]string // conn -> RTSP session id
+	Sessions guest.Table[int]    // conn -> 0 none, 1 described, 2 setup, 3 playing
+	TrackIDs guest.Table[int]    // conn -> negotiated track
+	SessIDs  guest.Table[string] // conn -> RTSP session id
 	NextSess int
 }
 
 const rtspNS = 8
 
 func newLive555() *live555Server {
-	return &live555Server{Sessions: map[int]int{}, TrackIDs: map[int]int{}, SessIDs: map[int]string{}, NextSess: 1}
+	return &live555Server{NextSess: 1}
 }
 
 func (t *live555Server) Name() string        { return "live555" }
@@ -34,13 +34,13 @@ func (t *live555Server) Init(env *guest.Env) error {
 
 func (t *live555Server) OnConnect(env *guest.Env, c *guest.Conn) {
 	env.Cov(loc(rtspNS, 1))
-	t.Sessions[c.ID] = 0
+	t.Sessions.Set(c.ID, 0)
 }
 
 func (t *live555Server) OnDisconnect(env *guest.Env, c *guest.Conn) {
-	delete(t.Sessions, c.ID)
-	delete(t.TrackIDs, c.ID)
-	delete(t.SessIDs, c.ID)
+	t.Sessions.Delete(c.ID)
+	t.TrackIDs.Delete(c.ID)
+	t.SessIDs.Delete(c.ID)
 }
 
 var rtspMethods = []string{"OPTIONS", "DESCRIBE", "SETUP", "PLAY", "PAUSE",
@@ -114,7 +114,7 @@ func (t *live555Server) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 		return
 	}
 
-	state := t.Sessions[c.ID]
+	state := t.Sessions.Get(c.ID)
 	switch parts[0] {
 	case "OPTIONS":
 		env.Cov(loc(rtspNS, 20))
@@ -126,7 +126,7 @@ func (t *live555Server) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 			return
 		}
 		env.Cov(loc(rtspNS, 22))
-		t.Sessions[c.ID] = 1
+		t.Sessions.Set(c.ID, 1)
 		env.Send(c, []byte("RTSP/1.0 200 OK\r\nContent-Type: application/sdp\r\n\r\nv=0\r\nm=video 0 RTP/AVP 96\r\n"))
 	case "SETUP":
 		if state < 1 {
@@ -144,10 +144,10 @@ func (t *live555Server) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 		default:
 			env.Cov(loc(rtspNS, 27))
 		}
-		t.Sessions[c.ID] = 2
-		t.SessIDs[c.ID] = "S" + strconv.Itoa(t.NextSess)
+		t.Sessions.Set(c.ID, 2)
+		t.SessIDs.Set(c.ID, "S"+strconv.Itoa(t.NextSess))
 		t.NextSess++
-		env.Sendf(c, "RTSP/1.0 200 OK\r\nSession: %s\r\n\r\n", t.SessIDs[c.ID])
+		env.Sendf(c, "RTSP/1.0 200 OK\r\nSession: %s\r\n\r\n", t.SessIDs.Get(c.ID))
 	case "PLAY":
 		if state < 2 {
 			env.Cov(loc(rtspNS, 28))
@@ -155,19 +155,19 @@ func (t *live555Server) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 			return
 		}
 		env.Cov(loc(rtspNS, 29))
-		t.Sessions[c.ID] = 3
+		t.Sessions.Set(c.ID, 3)
 		env.Send(c, []byte("RTSP/1.0 200 OK\r\nRTP-Info: seq=0\r\n\r\n"))
 	case "PAUSE":
 		if state == 3 {
 			env.Cov(loc(rtspNS, 30))
-			t.Sessions[c.ID] = 2
+			t.Sessions.Set(c.ID, 2)
 		} else {
 			env.Cov(loc(rtspNS, 31))
 		}
 		env.Send(c, []byte("RTSP/1.0 200 OK\r\n\r\n"))
 	case "TEARDOWN":
 		env.Cov(loc(rtspNS, 32))
-		t.Sessions[c.ID] = 0
+		t.Sessions.Set(c.ID, 0)
 		env.Send(c, []byte("RTSP/1.0 200 OK\r\n\r\n"))
 	default:
 		env.Cov(loc(rtspNS, 33))
@@ -180,16 +180,16 @@ func isHex(b byte) bool {
 }
 
 func (t *live555Server) SaveState(w *guest.StateWriter) {
-	w.IntMap(t.Sessions)
-	w.IntMap(t.TrackIDs)
-	w.StringMap(t.SessIDs)
+	w.IntTable(&t.Sessions)
+	w.IntTable(&t.TrackIDs)
+	w.StringTable(&t.SessIDs)
 	w.Int(t.NextSess)
 }
 
 func (t *live555Server) LoadState(r *guest.StateReader) {
-	t.Sessions = r.IntMap(t.Sessions)
-	t.TrackIDs = r.IntMap(t.TrackIDs)
-	t.SessIDs = r.StringMap(t.SessIDs)
+	r.IntTable(&t.Sessions)
+	r.IntTable(&t.TrackIDs)
+	r.StringTable(&t.SessIDs)
 	t.NextSess = r.Int()
 }
 

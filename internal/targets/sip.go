@@ -14,16 +14,12 @@ import (
 // of its surface hides behind header-rich multi-line messages that random
 // byte mutation over real sockets explores far too slowly.
 type kamailioServer struct {
-	Dialogs  map[int]int    // conn -> dialog state (0 none, 1 invited, 2 acked)
-	CallIDs  map[int]string // conn -> current Call-ID
-	Registra int            // processed REGISTER count
+	Dialogs  guest.Table[int]    // conn -> dialog state (0 none, 1 invited, 2 acked)
+	CallIDs  guest.Table[string] // conn -> current Call-ID
+	Registra int                 // processed REGISTER count
 }
 
 const sipNS = 7
-
-func newKamailio() *kamailioServer {
-	return &kamailioServer{Dialogs: map[int]int{}, CallIDs: map[int]string{}}
-}
 
 func (t *kamailioServer) Name() string        { return "kamailio" }
 func (t *kamailioServer) Ports() []guest.Port { return []guest.Port{{Proto: guest.UDP, Num: 5060}} }
@@ -34,12 +30,12 @@ func (t *kamailioServer) Init(env *guest.Env) error {
 
 func (t *kamailioServer) OnConnect(env *guest.Env, c *guest.Conn) {
 	env.Cov(loc(sipNS, 1))
-	t.Dialogs[c.ID] = 0
+	t.Dialogs.Set(c.ID, 0)
 }
 
 func (t *kamailioServer) OnDisconnect(env *guest.Env, c *guest.Conn) {
-	delete(t.Dialogs, c.ID)
-	delete(t.CallIDs, c.ID)
+	t.Dialogs.Delete(c.ID)
+	t.CallIDs.Delete(c.ID)
 }
 
 var sipMethods = []string{"INVITE", "ACK", "BYE", "CANCEL", "REGISTER", "OPTIONS",
@@ -152,21 +148,21 @@ func (t *kamailioServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 	// Dialog state machine.
 	switch parts[0] {
 	case "INVITE":
-		t.Dialogs[c.ID] = 1
-		t.CallIDs[c.ID] = callID
+		t.Dialogs.Set(c.ID, 1)
+		t.CallIDs.Set(c.ID, callID)
 		env.Cov(loc(sipNS, 43))
 		env.Send(c, []byte("SIP/2.0 100 Trying\r\nSIP/2.0 180 Ringing\r\n\r\n"))
 	case "ACK":
-		if t.Dialogs[c.ID] == 1 && t.CallIDs[c.ID] == callID {
+		if t.Dialogs.Get(c.ID) == 1 && t.CallIDs.Get(c.ID) == callID {
 			env.Cov(loc(sipNS, 44)) // in-dialog ACK
-			t.Dialogs[c.ID] = 2
+			t.Dialogs.Set(c.ID, 2)
 		} else {
 			env.Cov(loc(sipNS, 45)) // stray ACK
 		}
 	case "BYE":
-		if t.Dialogs[c.ID] == 2 {
+		if t.Dialogs.Get(c.ID) == 2 {
 			env.Cov(loc(sipNS, 46)) // tearing down established dialog
-			t.Dialogs[c.ID] = 0
+			t.Dialogs.Set(c.ID, 0)
 			env.Send(c, []byte("SIP/2.0 200 OK\r\n\r\n"))
 		} else {
 			env.Cov(loc(sipNS, 47))
@@ -182,14 +178,14 @@ func (t *kamailioServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 }
 
 func (t *kamailioServer) SaveState(w *guest.StateWriter) {
-	w.IntMap(t.Dialogs)
-	w.StringMap(t.CallIDs)
+	w.IntTable(&t.Dialogs)
+	w.StringTable(&t.CallIDs)
 	w.Int(t.Registra)
 }
 
 func (t *kamailioServer) LoadState(r *guest.StateReader) {
-	t.Dialogs = r.IntMap(t.Dialogs)
-	t.CallIDs = r.StringMap(t.CallIDs)
+	r.IntTable(&t.Dialogs)
+	r.StringTable(&t.CallIDs)
 	t.Registra = r.Int()
 }
 
@@ -211,7 +207,7 @@ func init() {
 	Register(&Info{
 		Name: "kamailio",
 		Port: port,
-		New:  func() guest.Target { return newKamailio() },
+		New:  func() guest.Target { return &kamailioServer{} },
 		Seeds: func(s *spec.Spec) []*spec.Input {
 			return []*spec.Input{
 				seedSession(s, port,

@@ -15,17 +15,13 @@ import (
 // steps deep — exactly the territory incremental snapshots open up.
 type eximServer struct {
 	// Per-connection envelope state.
-	Phase  map[int]int // 0=new 1=helo 2=mail 3=rcpt 4=data
-	Rcpts  map[int]int
-	Bodies map[int]int // body lines received while in DATA
+	Phase  guest.Table[int] // 0=new 1=helo 2=mail 3=rcpt 4=data
+	Rcpts  guest.Table[int]
+	Bodies guest.Table[int] // body lines received while in DATA
 	Mails  int
 }
 
 const eximNS = 5
-
-func newExim() *eximServer {
-	return &eximServer{Phase: map[int]int{}, Rcpts: map[int]int{}, Bodies: map[int]int{}}
-}
 
 func (t *eximServer) Name() string        { return "exim" }
 func (t *eximServer) Ports() []guest.Port { return []guest.Port{{Proto: guest.TCP, Num: 25}} }
@@ -36,19 +32,19 @@ func (t *eximServer) Init(env *guest.Env) error {
 
 func (t *eximServer) OnConnect(env *guest.Env, c *guest.Conn) {
 	env.Cov(loc(eximNS, 1))
-	t.Phase[c.ID] = 0
+	t.Phase.Set(c.ID, 0)
 	env.Send(c, []byte("220 mail.test ESMTP\r\n"))
 }
 
 func (t *eximServer) OnDisconnect(env *guest.Env, c *guest.Conn) {
-	delete(t.Phase, c.ID)
-	delete(t.Rcpts, c.ID)
-	delete(t.Bodies, c.ID)
+	t.Phase.Delete(c.ID)
+	t.Rcpts.Delete(c.ID)
+	t.Bodies.Delete(c.ID)
 }
 
 func (t *eximServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 	env.Work(90 * time.Microsecond) // exim is heavyweight per message
-	phase := t.Phase[c.ID]
+	phase := t.Phase.Get(c.ID)
 
 	// In DATA phase, every packet is a body chunk until the dot.
 	if phase == 4 {
@@ -62,7 +58,7 @@ func (t *eximServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 	case "HELO", "EHLO":
 		covToken(env, eximNS, 10, int(verb[0]))
 		covClass(env, eximNS, 11, len(arg))
-		t.Phase[c.ID] = 1
+		t.Phase.Set(c.ID, 1)
 		if verb == "EHLO" {
 			env.Send(c, []byte("250-mail.test\r\n250-SIZE 52428800\r\n250-PIPELINING\r\n250 HELP\r\n"))
 		} else {
@@ -82,7 +78,7 @@ func (t *eximServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 		if strings.Contains(arg, "@") {
 			env.Cov(loc(eximNS, 16))
 		}
-		t.Phase[c.ID] = 2
+		t.Phase.Set(c.ID, 2)
 		env.Send(c, []byte("250 OK\r\n"))
 	case "RCPT":
 		if phase < 2 {
@@ -92,13 +88,12 @@ func (t *eximServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 		}
 		env.Cov(loc(eximNS, 18))
 		covByte(env, eximNS, 19, firstByte([]byte(arg)))
-		t.Rcpts[c.ID]++
-		if t.Rcpts[c.ID] > 4 {
+		if t.Rcpts.Add(c.ID, 1) > 4 {
 			env.Cov(loc(eximNS, 20)) // too-many-recipients path
 			env.Send(c, []byte("452 too many recipients\r\n"))
 			return
 		}
-		t.Phase[c.ID] = 3
+		t.Phase.Set(c.ID, 3)
 		env.Send(c, []byte("250 accepted\r\n"))
 	case "DATA":
 		if phase != 3 {
@@ -107,13 +102,13 @@ func (t *eximServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 			return
 		}
 		env.Cov(loc(eximNS, 22))
-		t.Phase[c.ID] = 4
-		t.Bodies[c.ID] = 0
+		t.Phase.Set(c.ID, 4)
+		t.Bodies.Set(c.ID, 0)
 		env.Send(c, []byte("354 end with .\r\n"))
 	case "RSET":
 		env.Cov(loc(eximNS, 23))
-		t.Phase[c.ID] = 1
-		t.Rcpts[c.ID] = 0
+		t.Phase.Set(c.ID, 1)
+		t.Rcpts.Set(c.ID, 0)
 		env.Send(c, []byte("250 reset\r\n"))
 	case "VRFY", "EXPN":
 		env.Cov(loc(eximNS, 24))
@@ -136,18 +131,18 @@ func (t *eximServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 
 // handleBody processes message body chunks inside DATA.
 func (t *eximServer) handleBody(env *guest.Env, c *guest.Conn, data []byte) {
-	t.Bodies[c.ID]++
+	t.Bodies.Add(c.ID, 1)
 	s := string(data)
 	if s == ".\r\n" || s == "." {
 		env.Cov(loc(eximNS, 40))
 		t.Mails++
-		t.Phase[c.ID] = 1
+		t.Phase.Set(c.ID, 1)
 		env.FS().AppendFile("/var/spool/exim/input", data) //nolint:errcheck
 		env.Send(c, []byte("250 message accepted\r\n"))
 		return
 	}
 	// Header parsing branches (first body lines are headers).
-	if t.Bodies[c.ID] <= 3 {
+	if t.Bodies.Get(c.ID) <= 3 {
 		if i := strings.IndexByte(s, ':'); i > 0 {
 			covClass(env, eximNS, 41, i) // header name length classes
 			name := strings.ToLower(s[:i])
@@ -160,7 +155,7 @@ func (t *eximServer) handleBody(env *guest.Env, c *guest.Conn, data []byte) {
 			// Header continuation line as the FIRST header line: the
 			// deep bug. Only reachable 5 protocol steps into a session.
 			env.Cov(loc(eximNS, 43))
-			if t.Bodies[c.ID] == 1 && len(s) > 2 {
+			if t.Bodies.Get(c.ID) == 1 && len(s) > 2 {
 				env.Crash(guest.CrashSegfault,
 					"exim: header continuation without preceding header dereferences NULL chain")
 			}
@@ -175,16 +170,16 @@ func (t *eximServer) handleBody(env *guest.Env, c *guest.Conn, data []byte) {
 }
 
 func (t *eximServer) SaveState(w *guest.StateWriter) {
-	w.IntMap(t.Phase)
-	w.IntMap(t.Rcpts)
-	w.IntMap(t.Bodies)
+	w.IntTable(&t.Phase)
+	w.IntTable(&t.Rcpts)
+	w.IntTable(&t.Bodies)
 	w.Int(t.Mails)
 }
 
 func (t *eximServer) LoadState(r *guest.StateReader) {
-	t.Phase = r.IntMap(t.Phase)
-	t.Rcpts = r.IntMap(t.Rcpts)
-	t.Bodies = r.IntMap(t.Bodies)
+	r.IntTable(&t.Phase)
+	r.IntTable(&t.Rcpts)
+	r.IntTable(&t.Bodies)
 	t.Mails = r.Int()
 }
 
@@ -193,7 +188,7 @@ func init() {
 	Register(&Info{
 		Name: "exim",
 		Port: port,
-		New:  func() guest.Target { return newExim() },
+		New:  func() guest.Target { return &eximServer{} },
 		Seeds: func(s *spec.Spec) []*spec.Input {
 			return []*spec.Input{
 				seedSession(s, port, "EHLO test\r\n", "MAIL FROM:<a@b>\r\n", "RCPT TO:<c@d>\r\n",

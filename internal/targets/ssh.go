@@ -14,9 +14,9 @@ import (
 // sshd pre-auth; coverage hides behind the version banner and message-type
 // dispatch. No seeded crash (Table 1 lists none for openssh).
 type opensshServer struct {
-	Phase   map[int]int // 0 banner, 1 kex, 2 keys, 3 auth
+	Phase   guest.Table[int] // 0 banner, 1 kex, 2 keys, 3 auth
 	Kexed   int
-	AuthTry map[int]int
+	AuthTry guest.Table[int]
 }
 
 const sshNS = 10
@@ -33,10 +33,6 @@ const (
 	sshMsgUserauthReq = 50
 )
 
-func newOpenssh() *opensshServer {
-	return &opensshServer{Phase: map[int]int{}, AuthTry: map[int]int{}}
-}
-
 func (t *opensshServer) Name() string        { return "openssh" }
 func (t *opensshServer) Ports() []guest.Port { return []guest.Port{{Proto: guest.TCP, Num: 22}} }
 
@@ -48,18 +44,18 @@ func (t *opensshServer) Init(env *guest.Env) error {
 
 func (t *opensshServer) OnConnect(env *guest.Env, c *guest.Conn) {
 	env.Cov(loc(sshNS, 1))
-	t.Phase[c.ID] = 0
+	t.Phase.Set(c.ID, 0)
 	env.Send(c, []byte("SSH-2.0-OpenSSH_9.7\r\n"))
 }
 
 func (t *opensshServer) OnDisconnect(env *guest.Env, c *guest.Conn) {
-	delete(t.Phase, c.ID)
-	delete(t.AuthTry, c.ID)
+	t.Phase.Delete(c.ID)
+	t.AuthTry.Delete(c.ID)
 }
 
 func (t *opensshServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 	env.Work(60 * time.Microsecond)
-	phase := t.Phase[c.ID]
+	phase := t.Phase.Get(c.ID)
 
 	if phase == 0 {
 		// Expect the client version banner.
@@ -68,7 +64,7 @@ func (t *opensshServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 		case strings.HasPrefix(s, "SSH-2.0-"):
 			env.Cov(loc(sshNS, 2))
 			covClass(env, sshNS, 3, len(s))
-			t.Phase[c.ID] = 1
+			t.Phase.Set(c.ID, 1)
 		case strings.HasPrefix(s, "SSH-1"):
 			env.Cov(loc(sshNS, 4)) // protocol 1 rejection
 			env.Send(c, []byte("Protocol major versions differ.\r\n"))
@@ -109,7 +105,7 @@ func (t *opensshServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 				covToken(env, sshNS, 11, ai)
 			}
 		}
-		t.Phase[c.ID] = 1
+		t.Phase.Set(c.ID, 1)
 		env.Send(c, []byte{0, 0, 0, 1, 0, sshMsgKexinit})
 	case sshMsgKexdhInit:
 		if phase < 1 {
@@ -119,7 +115,7 @@ func (t *opensshServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 		env.Cov(loc(sshNS, 13))
 		covClass(env, sshNS, 14, len(data)-6) // e-value size classes
 		t.Kexed++
-		t.Phase[c.ID] = 2
+		t.Phase.Set(c.ID, 2)
 		env.Send(c, []byte{0, 0, 0, 1, 0, 31}) // KEXDH_REPLY
 	case sshMsgNewkeys:
 		if phase < 2 {
@@ -127,7 +123,7 @@ func (t *opensshServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 			return
 		}
 		env.Cov(loc(sshNS, 16))
-		t.Phase[c.ID] = 3
+		t.Phase.Set(c.ID, 3)
 		env.Send(c, []byte{0, 0, 0, 1, 0, sshMsgNewkeys})
 	case sshMsgServiceReq:
 		if phase < 3 {
@@ -144,9 +140,9 @@ func (t *opensshServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 			env.Cov(loc(sshNS, 20))
 			return
 		}
-		t.AuthTry[c.ID]++
-		covClass(env, sshNS, 21, t.AuthTry[c.ID])
-		if t.AuthTry[c.ID] > 6 {
+		tries := t.AuthTry.Add(c.ID, 1)
+		covClass(env, sshNS, 21, tries)
+		if tries > 6 {
 			env.Cov(loc(sshNS, 22)) // MaxAuthTries exceeded
 			env.Send(c, []byte{0, 0, 0, 1, 0, sshMsgDisconnect})
 			return
@@ -161,7 +157,7 @@ func (t *opensshServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 		env.Cov(loc(sshNS, 24))
 	case sshMsgDisconnect:
 		env.Cov(loc(sshNS, 25))
-		t.Phase[c.ID] = 0
+		t.Phase.Set(c.ID, 0)
 	default:
 		env.Cov(loc(sshNS, 26)) // unimplemented: send UNIMPLEMENTED
 		env.Send(c, []byte{0, 0, 0, 1, 0, 3})
@@ -169,14 +165,14 @@ func (t *opensshServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 }
 
 func (t *opensshServer) SaveState(w *guest.StateWriter) {
-	w.IntMap(t.Phase)
-	w.IntMap(t.AuthTry)
+	w.IntTable(&t.Phase)
+	w.IntTable(&t.AuthTry)
 	w.Int(t.Kexed)
 }
 
 func (t *opensshServer) LoadState(r *guest.StateReader) {
-	t.Phase = r.IntMap(t.Phase)
-	t.AuthTry = r.IntMap(t.AuthTry)
+	r.IntTable(&t.Phase)
+	r.IntTable(&t.AuthTry)
 	t.Kexed = r.Int()
 }
 
@@ -195,7 +191,7 @@ func init() {
 	Register(&Info{
 		Name: "openssh",
 		Port: port,
-		New:  func() guest.Target { return newOpenssh() },
+		New:  func() guest.Target { return &opensshServer{} },
 		Seeds: func(s *spec.Spec) []*spec.Input {
 			return []*spec.Input{
 				seedSession(s, port,

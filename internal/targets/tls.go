@@ -13,7 +13,7 @@ import (
 // suites, extensions) — the largest coverage space in Table 2. No seeded
 // crash.
 type opensslServer struct {
-	HSState map[int]int // 0 none, 1 hello'd, 2 keyex, 3 finished
+	HSState guest.Table[int] // 0 none, 1 hello'd, 2 keyex, 3 finished
 	Resumes int
 	Alerts  int
 }
@@ -28,8 +28,6 @@ const (
 	recAppData      = 23
 )
 
-func newOpenssl() *opensslServer { return &opensslServer{HSState: map[int]int{}} }
-
 func (t *opensslServer) Name() string        { return "openssl" }
 func (t *opensslServer) Ports() []guest.Port { return []guest.Port{{Proto: guest.TCP, Num: 4433}} }
 
@@ -40,11 +38,11 @@ func (t *opensslServer) Init(env *guest.Env) error {
 
 func (t *opensslServer) OnConnect(env *guest.Env, c *guest.Conn) {
 	env.Cov(loc(tlsNS, 1))
-	t.HSState[c.ID] = 0
+	t.HSState.Set(c.ID, 0)
 }
 
 func (t *opensslServer) OnDisconnect(env *guest.Env, c *guest.Conn) {
-	delete(t.HSState, c.ID)
+	t.HSState.Delete(c.ID)
 }
 
 func (t *opensslServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
@@ -80,9 +78,9 @@ func (t *opensslServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 		t.handleHandshake(env, c, body)
 	case recChangeCipher:
 		env.Cov(loc(tlsNS, 8))
-		if t.HSState[c.ID] >= 2 {
+		if t.HSState.Get(c.ID) >= 2 {
 			env.Cov(loc(tlsNS, 9))
-			t.HSState[c.ID] = 3
+			t.HSState.Set(c.ID, 3)
 		}
 	case recAlert:
 		env.Cov(loc(tlsNS, 10))
@@ -91,7 +89,7 @@ func (t *opensslServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 		}
 		t.Alerts++
 	case recAppData:
-		if t.HSState[c.ID] == 3 {
+		if t.HSState.Get(c.ID) == 3 {
 			env.Cov(loc(tlsNS, 12)) // post-handshake data
 			env.Send(c, []byte{recAppData, 3, 3, 0, 2, 'o', 'k'})
 		} else {
@@ -153,19 +151,19 @@ func (t *opensslServer) handleHandshake(env *guest.Env, c *guest.Conn, body []by
 				}
 			}
 		}
-		t.HSState[c.ID] = 1
+		t.HSState.Set(c.ID, 1)
 		env.Send(c, []byte{recHandshake, 3, 3, 0, 4, 2, 0, 0, 0}) // ServerHello
 	case 16: // ClientKeyExchange
-		if t.HSState[c.ID] != 1 {
+		if t.HSState.Get(c.ID) != 1 {
 			env.Cov(loc(tlsNS, 29)) // out-of-order key exchange
 			env.Send(c, []byte{recAlert, 3, 3, 0, 2, 2, 10})
 			return
 		}
 		env.Cov(loc(tlsNS, 30))
 		covClass(env, tlsNS, 31, len(body)-4)
-		t.HSState[c.ID] = 2
+		t.HSState.Set(c.ID, 2)
 	case 20: // Finished
-		if t.HSState[c.ID] == 3 {
+		if t.HSState.Get(c.ID) == 3 {
 			env.Cov(loc(tlsNS, 32))
 			env.Send(c, []byte{recHandshake, 3, 3, 0, 4, 20, 0, 0, 0})
 		} else {
@@ -182,13 +180,13 @@ func (t *opensslServer) handleHandshake(env *guest.Env, c *guest.Conn, body []by
 }
 
 func (t *opensslServer) SaveState(w *guest.StateWriter) {
-	w.IntMap(t.HSState)
+	w.IntTable(&t.HSState)
 	w.Int(t.Resumes)
 	w.Int(t.Alerts)
 }
 
 func (t *opensslServer) LoadState(r *guest.StateReader) {
-	t.HSState = r.IntMap(t.HSState)
+	r.IntTable(&t.HSState)
 	t.Resumes = r.Int()
 	t.Alerts = r.Int()
 }
@@ -221,7 +219,7 @@ func init() {
 	Register(&Info{
 		Name: "openssl",
 		Port: port,
-		New:  func() guest.Target { return newOpenssl() },
+		New:  func() guest.Target { return &opensslServer{} },
 		Seeds: func(s *spec.Spec) []*spec.Input {
 			hello := tlsClientHello([]uint16{0x1301, 0x1302, 0xC02F}, []uint16{0, 10, 13, 16, 43, 51})
 			kex := []byte{recHandshake, 3, 3, 0, 6, 16, 0, 0, 2, 0xAB, 0xCD}
