@@ -3,32 +3,35 @@ package campaign
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/golden"
 )
 
 // goldenFile pins the lockstep schedule's byte-level behaviour — both the
-// aggregated coverage and the full checkpoint tree. The digests in it were
-// generated against the single-algorithm broker: every worker exchanging in
-// ID order at the round barrier through the same broker.exchange the async
-// schedule calls, checkpointed in the one manifest format (they replaced
-// digests pinned against the pre-sharding broker's separate lockstep
-// ingest, which that change deleted). The tree digests — and nothing else
-// in the file — were regenerated once more when manifest version 5 moved the
-// bulk of the tree from JSON into broker.bin and sched.bin; what the trees
-// hold was pinned across that change by TestStopAndGoMatchesRecordedCampaign.
-// Every later refactor of the broker must keep seeded lockstep mode
-// byte-identical to them. Regenerate with
+// aggregated coverage and the full checkpoint tree — for a fixed master seed:
+// every worker exchanging in ID order at the round barrier through the same
+// broker.exchange the async schedule calls, checkpointed in the one manifest
+// format.
 //
-//	NYX_UPDATE_GOLDEN=1 go test ./internal/campaign -run TestLockstepGolden
+// Provenance: generated against the single-algorithm broker (PR 12); the tree
+// digests, and nothing else, regenerated when manifest version 5 moved the
+// bulk of the tree into broker.bin and sched.bin (PR 17; what the trees hold
+// was pinned across that change by TestStopAndGoMatchesRecordedCampaign);
+// reproduced unmodified by every commit up to and including the PR 20 tree
+// that held everything but the new randData; re-recorded once, at PR 20, for
+// randData's draw sequence and nothing else (CHANGES.md tabulates old and
+// new). Re-record with
 //
-// only when lockstep semantics change on purpose (and say so in the commit).
+//	NYX_UPDATE_GOLDEN=1 go test ./internal/core ./internal/campaign ./internal/targets -run 'Recorded|LockstepGolden'
+//
+// only at a tree whose behavioural difference from a tree that passes is the
+// change being blessed and nothing else — the mutator's draw sequence, or a
+// format change that moves tree_sha256 alone — and say so in the commit; for
+// anything else that diverges, fix the code.
 const goldenFile = "testdata/lockstep_golden.json"
 
 type goldenEntry struct {
@@ -110,28 +113,12 @@ func TestLockstepGolden(t *testing.T) {
 	for _, cfg := range goldenConfigs() {
 		got = append(got, runGolden(t, cfg))
 	}
-	if os.Getenv("NYX_UPDATE_GOLDEN") != "" {
-		enc, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenFile), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenFile, append(enc, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("updated %s", goldenFile)
+	if golden.Updating() {
+		golden.Write(t, goldenFile, got)
 		return
 	}
-	raw, err := os.ReadFile(goldenFile)
-	if err != nil {
-		t.Fatalf("missing golden file (generate with NYX_UPDATE_GOLDEN=1): %v", err)
-	}
 	var want []goldenEntry
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
+	golden.Read(t, goldenFile, &want)
 	if len(want) != len(got) {
 		t.Fatalf("golden has %d entries, run produced %d", len(want), len(got))
 	}

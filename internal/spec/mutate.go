@@ -11,6 +11,9 @@ import (
 // level.
 type Mutator struct {
 	S *Spec
+	// R is the only source of randomness, so one seed gives one sequence of
+	// inputs. Structural decisions take one draw each (Intn); generated
+	// payload bytes consume it by the word, four bytes to a Uint64 (randData).
 	R *rand.Rand
 	// MaxOps bounds generated input length.
 	MaxOps int
@@ -32,13 +35,15 @@ type Mutator struct {
 	producers map[EdgeID][]NodeID
 }
 
-// NewMutator builds a mutator with sensible bounds.
+// NewMutator builds a mutator with sensible bounds. It draws from r alone,
+// payload bytes by the word (Uint64): a rand.Source64 such as rand.NewSource's
+// serves a word in one step, a plain rand.Source in two Int63.
 func NewMutator(s *Spec, r *rand.Rand) *Mutator {
 	return &Mutator{S: s, R: r, MaxOps: 32, MaxData: 256}
 }
 
 // interesting byte values used by the havoc stage (AFL's classic set).
-var interesting = []byte{0, 1, 0x7f, 0x80, 0xff, ' ', '\n', '\r', '0', '9', 'A', 'z'}
+var interesting = [...]byte{0, 1, 0x7f, 0x80, 0xff, ' ', '\n', '\r', '0', '9', 'A', 'z'}
 
 // nodesProducing returns node IDs that output the given edge type.
 func (m *Mutator) nodesProducing(e EdgeID) []NodeID {
@@ -95,7 +100,7 @@ next:
 					continue next
 				}
 				if pnt.HasData {
-					pop.Data = m.randData()
+					pop.Data = m.randData(pnt.MaxData)
 				}
 				in.Ops = append(in.Ops, pop)
 				values = append(values, pnt.Outputs...)
@@ -107,7 +112,7 @@ next:
 			op.Args = append(op.Args, uint16(idx))
 		}
 		if nt.HasData {
-			op.Data = m.randData()
+			op.Data = m.randData(nt.MaxData)
 		}
 		in.Ops = append(in.Ops, op)
 		values = append(values, nt.Outputs...)
@@ -129,17 +134,45 @@ func (m *Mutator) pickValue(values []EdgeID, want EdgeID) int {
 	return cands[m.R.Intn(len(cands))]
 }
 
-func (m *Mutator) randData() []byte {
-	n := 1 + m.R.Intn(m.MaxData)
-	b := make([]byte, n)
-	for i := range b {
-		if m.R.Intn(4) == 0 {
-			b[i] = interesting[m.R.Intn(len(interesting))]
-		} else {
-			b[i] = byte(m.R.Intn(256))
+// randData returns a fresh payload for a node whose own bound is nodeMax (0:
+// none). Its length is uniform on 1…min(MaxData, nodeMax); every byte is,
+// independently, one of the twelve interesting values with probability 1/4
+// (each of them equally likely to within 2⁻¹⁴) and uniform on 0…255 otherwise,
+// so a byte lands in the interesting set with probability 1/4 + 3/4·12/256.
+//
+// Entropy is drawn by the word: one Uint64 is four 16-bit lanes, a lane a
+// byte (laneByte). An n-byte payload costs one draw for the length and ⌈n/4⌉
+// for the bytes, where a draw per decision would cost 1 + 2n.
+func (m *Mutator) randData(nodeMax int) []byte {
+	max := m.MaxData
+	if nodeMax > 0 && nodeMax < max {
+		max = nodeMax
+	}
+	data := make([]byte, 1+m.R.Intn(max))
+	b := data
+	for ; len(b) >= 4; b = b[4:] {
+		w := m.R.Uint64()
+		b[0], b[1], b[2], b[3] = laneByte(w), laneByte(w>>16), laneByte(w>>32), laneByte(w>>48)
+	}
+	if len(b) > 0 {
+		w := m.R.Uint64()
+		for i := range b {
+			b[i] = laneByte(w >> (16 * i))
 		}
 	}
-	return b
+	return data
+}
+
+// laneByte turns the low 16 bits of w into one payload byte: when the top two
+// of them are both zero (exactly one lane in four) the other fourteen, x, pick
+// interesting[x*12>>14]; otherwise the low eight are the byte. Branch-free,
+// because the branch would be mispredicted one time in four.
+func laneByte(w uint64) byte {
+	x := uint32(w) & 0xffff
+	pick := uint32(interesting[(x&0x3fff)*12>>14])
+	// keep is all ones unless the top two bits are zero: (0…3 + 3) >> 2 is 0, 1, 1, 1.
+	keep := -((x>>14 + 3) >> 2)
+	return byte(pick ^ (pick^x)&keep)
 }
 
 // Mutate returns a mutated copy of in. It applies 1–4 stacked mutations
@@ -237,7 +270,7 @@ func (m *Mutator) havocDataFrom(in *Input, start int) {
 	op := &in.Ops[idx[m.R.Intn(len(idx))]]
 	old := op.Data
 	if len(old) == 0 {
-		op.Data = m.randData()
+		op.Data = m.randData(m.S.Nodes[op.Node].MaxData)
 		return
 	}
 	nCases := 6

@@ -112,7 +112,7 @@ func (t *ftpServer) OnDisconnect(env *guest.Env, c *guest.Conn) {
 func (t *ftpServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 	env.Work(t.cfg.perPacket)
 	verb, arg := splitCmd(data)
-	verb = strings.ToUpper(verb)
+	verb = foldVerb(verb)
 
 	v, known := t.verbs[verb]
 	if !known {
@@ -236,7 +236,7 @@ func (t *ftpServer) handleAuthed(env *guest.Env, c *guest.Conn, verb, arg string
 		env.Send(c, []byte("250 renamed\r\n"))
 	case "SITE":
 		sub, subArg := splitCmd([]byte(arg))
-		sub = strings.ToUpper(sub)
+		sub = foldVerb(sub)
 		idx := -1
 		for i, s := range t.cfg.siteCommands {
 			if s == sub {

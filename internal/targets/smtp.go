@@ -53,7 +53,7 @@ func (t *eximServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 	}
 
 	verb, arg := splitCmd(data)
-	verb = strings.ToUpper(verb)
+	verb = foldVerb(verb)
 	switch verb {
 	case "HELO", "EHLO":
 		covToken(env, eximNS, 10, int(verb[0]))

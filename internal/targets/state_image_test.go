@@ -4,11 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"math/rand"
-	"os"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/spec"
 	"repro/internal/vm"
 )
@@ -49,16 +48,24 @@ func imageAfter(t *testing.T, inst *Instance, ops []spec.Op) []byte {
 }
 
 // TestEveryTargetStateImageMatchesRecorded pins every byte a target's state
-// takes in guest memory. The hashes in testdata were recorded at the last
-// commit whose targets kept their per-connection state in Go maps encoded by
-// StateWriter.IntMap and StringMap (PR 18): every registered target runs each
-// of its seeds, and seeded mutants of them, op by op from the root with a VM
-// exit after each op, and the image at every exit must be the recorded one. A
-// container that drops a zero-valued entry, orders keys differently or
-// encodes a count differently fails on the first op that touches it. Dirty
-// page counts, and with them every virtual-time charge, are a function of
-// these bytes. Re-record (NYX_UPDATE_GOLDEN=1) only for a deliberate change
-// of the image format, never to make a refactoring pass.
+// takes in guest memory: every registered target runs each of its seeds, and
+// seeded mutants of them, op by op from the root with a VM exit after each
+// op, and the image at every exit must be the recorded one. A container that
+// drops a zero-valued entry, orders keys differently or encodes a count
+// differently fails on the first op that touches it. Dirty page counts, and
+// with them every virtual-time charge, are a function of these bytes.
+//
+// Provenance of testdata/state_images.json: recorded at the last commit whose
+// targets kept their per-connection state in Go maps encoded by
+// StateWriter.IntMap and StringMap (PR 18); reproduced unmodified by the
+// ordered tables (PR 19) and by the PR 20 tree that held everything but the
+// new randData. At PR 20 the per-target mutants digests, and nothing else,
+// were re-recorded for randData's draw sequence: the mutants are different
+// inputs now; every per-seed, per-op hash is byte-identical. Re-record
+// (NYX_UPDATE_GOLDEN=1) only at a tree whose behavioural difference from a
+// passing tree is the change being blessed and nothing else — the mutator's
+// draw sequence (mutants only) or a deliberate change of the image format —
+// never to make a refactoring pass.
 func TestEveryTargetStateImageMatchesRecorded(t *testing.T) {
 	got := map[string]stateImages{}
 	for _, name := range Names() {
@@ -89,28 +96,12 @@ func TestEveryTargetStateImageMatchesRecorded(t *testing.T) {
 		got[name] = rec
 	}
 
-	if os.Getenv("NYX_UPDATE_GOLDEN") != "" {
-		enc, err := json.MarshalIndent(got, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(stateImageFile, append(enc, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("updated %s", stateImageFile)
+	if golden.Updating() {
+		golden.Write(t, stateImageFile, got)
 		return
 	}
-	raw, err := os.ReadFile(stateImageFile)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var want map[string]stateImages
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
+	golden.Read(t, stateImageFile, &want)
 	if len(want) != len(got) {
 		t.Fatalf("%d targets recorded, %d registered", len(want), len(got))
 	}

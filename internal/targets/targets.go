@@ -14,7 +14,9 @@ package targets
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/guest"
 	"repro/internal/spec"
@@ -139,6 +141,33 @@ func splitCmd(data []byte) (verb string, arg string) {
 		}
 	}
 	return s, ""
+}
+
+// foldVerb upper-cases a command verb for a lookup among ASCII verbs. When
+// strings.ToUpper(verb) is pure ASCII it returns exactly that; otherwise it
+// returns verb as it is, which is not pure ASCII either, so no table lookup,
+// switch or comparison against ASCII verbs can tell the two apart. A mutated
+// verb is mostly bytes >= 0x80: it costs one scan and no allocation here,
+// where strings.ToUpper goes through strings.Map and a Builder. Just two
+// runes outside ASCII upper-case into it, U+017F 'ſ' (S) and U+0131 'ı' (I) —
+// "uſer" is USER — so a verb holding either is left to strings.ToUpper, as
+// is an ASCII verb with a lower-case letter (one allocation, no strings.Map).
+func foldVerb(verb string) string {
+	lower := false
+	for i := 0; i < len(verb); i++ {
+		c := verb[i]
+		if c >= utf8.RuneSelf {
+			if rest := verb[i:]; strings.Contains(rest, "ſ") || strings.Contains(rest, "ı") {
+				return strings.ToUpper(verb)
+			}
+			return verb
+		}
+		lower = lower || 'a' <= c && c <= 'z'
+	}
+	if lower {
+		return strings.ToUpper(verb)
+	}
+	return verb
 }
 
 // seedSession builds one seed input: connect, the given packets, close.

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/coverage"
 	"repro/internal/guest"
@@ -362,6 +364,88 @@ func TestSplitCmd(t *testing.T) {
 	if v != "QUIT" || a != "" {
 		t.Fatalf("splitCmd bare: %q %q", v, a)
 	}
+}
+
+// isASCII reports whether s has no byte >= 0x80.
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// checkVerbFold states foldVerb's contract for one verb: exactly
+// strings.ToUpper's answer when that is pure ASCII, something that is not
+// pure ASCII otherwise — so a lookup among ASCII verbs answers the same.
+func checkVerbFold(t *testing.T, verb string) {
+	t.Helper()
+	got, want := foldVerb(verb), strings.ToUpper(verb)
+	if isASCII(want) {
+		if got != want {
+			t.Errorf("foldVerb(%q) = %q, want %q", verb, got, want)
+		}
+	} else if isASCII(got) {
+		t.Errorf("foldVerb(%q) = %q is pure ASCII, strings.ToUpper gives %q", verb, got, want)
+	}
+}
+
+func TestVerbFoldMatchesToUpper(t *testing.T) {
+	for _, c := range []struct {
+		verb   string
+		allocs float64
+	}{
+		{"", 0}, {"USER", 0}, {"SITE", 0}, {"R2-D2", 0}, {"\x00\x7f", 0},
+		{"user", 1}, {"UsEr", 1}, {"symlinK", 1}, {"mail9", 1},
+		{"uſer", 1}, {"lıst", 1}, {"ſıte", 1}, {"Uſ\xff", -1}, {"ıé", -1},
+		{"\xff", 0}, {"US\x80R", 0}, {"usér", 0}, {"USER\xc5", 0}, {"\xc5\xc5\xbf", -1},
+		{"K", 0}, {"straße", 0}, {"ǆ", 0}, {"\xf0\x9f\x92\xa9quit", 0},
+	} {
+		checkVerbFold(t, c.verb)
+		if c.allocs < 0 {
+			continue // holds 'ſ' or 'ı' beside other non-ASCII: strings.ToUpper's cost
+		}
+		if got := testing.AllocsPerRun(100, func() { foldVerb(c.verb) }); got != c.allocs {
+			t.Errorf("foldVerb(%q): %.0f allocations, want %.0f", c.verb, got, c.allocs)
+		}
+	}
+	if foldVerb("uſer") != "USER" || foldVerb("lıst") != "LIST" {
+		t.Error("a verb spelled with 'ſ' or 'ı' is no longer known")
+	}
+	// The fold's shortcut rests on the Unicode tables: no other rune outside
+	// ASCII upper-cases into it.
+	for r := rune(utf8.RuneSelf); r <= unicode.MaxRune; r++ {
+		if u := unicode.ToUpper(r); u < utf8.RuneSelf && r != 'ſ' && r != 'ı' {
+			t.Errorf("%U upper-cases to %q: foldVerb must send it to strings.ToUpper", r, u)
+		}
+	}
+	// Every verb a target can know is what it folds to.
+	for _, name := range []string{"lightftp", "bftpd", "proftpd", "pure-ftpd"} {
+		info, _ := Lookup(name)
+		srv := info.New().(*ftpServer)
+		for verb := range srv.verbs {
+			if foldVerb(verb) != verb || foldVerb(strings.ToLower(verb)) != verb {
+				t.Errorf("%s: %s does not fold to itself", name, verb)
+			}
+		}
+		for _, sub := range srv.cfg.siteCommands {
+			if foldVerb(strings.ToLower(sub)) != sub {
+				t.Errorf("%s: SITE %s does not fold to itself", name, sub)
+			}
+		}
+	}
+}
+
+// FuzzVerbFold checks foldVerb's contract for arbitrary bytes.
+func FuzzVerbFold(f *testing.F) {
+	for _, s := range []string{"", "USER", "user", "SiTe", "SYMLINK", "ehlo", "uſer", "lıst",
+		"\xff", "\xc5", "\xc5\xbf\xc4", "UsEr\x80", "K"} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, verb []byte) {
+		checkVerbFold(t, string(verb))
+	})
 }
 
 // TestFTPVerbRanksMatchSortedOrder pins the numbering of the per-verb
