@@ -3,9 +3,13 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/coverage"
 	"repro/internal/spec"
 	"repro/internal/store"
 )
@@ -302,5 +306,58 @@ func TestSharedPublicationsOutliveTheOwnersMutations(t *testing.T) {
 		if !bytes.Equal(spec.Serialize(p.in), p.want) {
 			t.Fatal("a published input changed under its receivers")
 		}
+	}
+}
+
+// The broker keeps one virgin map, and each shard's lock guards only its own
+// range of it. Two workers exchanging at the same time, each covering new
+// edges on its side of the boundary between shards 0 and 1 — neighbouring
+// bytes of the one map — must neither race (the race detector watches this
+// test) nor lose an edge, a verdict or a count.
+func TestAsyncExchangeNeighbouringShards(t *testing.T) {
+	const n = 500
+	b := newBroker()
+	b.initWorkers(2)
+	in := spec.NewInput()
+	var wg sync.WaitGroup
+	for wid := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range n {
+				// Worker 0 walks down from the last edge of shard 0, worker 1 up
+				// from the first of shard 1; each exchange also carries a
+				// virgin delta one edge further out.
+				idx, next := uint32(shardWidth-1-2*i), uint32(shardWidth-2-2*i)
+				if wid == 1 {
+					idx, next = shardWidth+2*uint32(i), shardWidth+1+2*uint32(i)
+				}
+				cov := []coverage.BucketHit{hit(idx, 1)}
+				hits := make([]coverage.BucketHit, len(cov))
+				won, _, _, _, _ := b.exchange(wid, epochDelta{
+					pubs: []pubDelta{{key: fmt.Sprintf("w%d-%d", wid, i), fav: 1, hits: hits, off: groupByShard(hits, cov),
+						input: in, entry: &core.QueueEntry{}}},
+					virginDelta: []coverage.BucketHit{hit(next, 1)},
+				})
+				if !won[0] {
+					t.Errorf("worker %d publication %d covered a new edge and won nothing", wid, i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if b.edgesTotal != 4*n || len(b.corpus) != 2*n || b.deduped != 0 {
+		t.Fatalf("edges %d, corpus %d, deduped %d; want %d, %d, 0", b.edgesTotal, len(b.corpus), b.deduped, 4*n, 2*n)
+	}
+	raw, err := b.virgin.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v coverage.Virgin
+	if err := v.UnmarshalBinary(raw); err != nil {
+		t.Fatal(err)
+	}
+	if v.Edges() != 4*n {
+		t.Fatalf("the virgin map holds %d edges, want %d", v.Edges(), 4*n)
 	}
 }

@@ -23,10 +23,11 @@ import (
 // State is sharded by edge-index range: the virgin map and the per-edge
 // top-rated competition split into brokerShards contiguous slices of the
 // coverage bitmap, each with its own lock, so exchanges touching disjoint
-// edge ranges proceed concurrently. Cross-edge state — the per-input claim
-// counts the favored competition settles on, the corpus, crashes, the
-// coverage log and the per-worker import/notice queues — stays central
-// under one mutex.
+// edge ranges proceed concurrently; the one virgin map's bytes in a shard's
+// range are merged into (coverage's shared-map merges) under that shard's
+// lock only. Cross-edge state — the per-input claim counts the favored
+// competition settles on, the corpus, crashes, the coverage log and the
+// per-worker import/notice queues — stays central under one mutex.
 //
 // A delta is applied in three phases: per-shard merge (coverage dedup),
 // per-shard compete (claim decisions, emitted as events), then one central
@@ -52,17 +53,11 @@ const (
 // shardFor maps an in-range edge index to its shard.
 func shardFor(idx uint32) int { return int(idx / shardWidth) }
 
-// shardBounds returns shard si's half-open edge range.
-func shardBounds(si int) (lo, hi uint32) {
-	return uint32(si) * shardWidth, uint32(si+1) * shardWidth
-}
-
-// brokerShard is one contiguous edge-range slice of the broker: the virgin
-// bits, top-rated claims and per-key claimed-edge index for edges in
-// [lo, hi).
+// brokerShard is one contiguous edge-range slice of the broker: the lock
+// over the virgin map's bytes in [lo, hi), and the top-rated claims and
+// per-key claimed-edge index for edges in that range.
 type brokerShard struct {
-	mu     sync.Mutex
-	virgin coverage.Virgin
+	mu sync.Mutex
 	// topRated holds, per edge in this shard's range, the cheapest
 	// (favFactor-minimal) published claim.
 	topRated map[uint32]topClaim
@@ -93,6 +88,8 @@ func (sh *brokerShard) unlock() { sh.mu.Unlock() }
 // plus the central cross-edge bookkeeping.
 type broker struct {
 	shards [brokerShards]brokerShard
+	// virgin is the global coverage map, partitioned by the shard locks.
+	virgin coverage.Virgin
 
 	// mu guards every field below.
 	mu sync.Mutex
@@ -114,8 +111,8 @@ type broker struct {
 	// published/deduped count broker decisions (campaign telemetry).
 	published uint64
 	deduped   uint64
-	// edgesTotal mirrors the summed shard virgin edge counts so sampling
-	// and Coverage() never need the shard locks.
+	// edgesTotal counts the virgin map's edges, so sampling and Coverage()
+	// never need the shard locks.
 	edgesTotal int
 
 	// Global favored competition, cross-edge half. claimWins counts how
@@ -213,26 +210,6 @@ func (b *broker) topRatedCount() int {
 		n += len(b.shards[si].topRated)
 	}
 	return n
-}
-
-// mergedVirgin unions the shard virgin maps back into one map — the
-// checkpoint serialization form, byte-identical to the unsharded broker's
-// map because the shards partition the index space.
-func (b *broker) mergedVirgin() *coverage.Virgin {
-	var v coverage.Virgin
-	for si := range b.shards {
-		lo, hi := shardBounds(si)
-		v.MergeVirginRange(&b.shards[si].virgin, lo, hi)
-	}
-	return &v
-}
-
-// mergeVirginAll scatters a whole virgin map across the shards (resume).
-func (b *broker) mergeVirginAll(v *coverage.Virgin) {
-	for si := range b.shards {
-		lo, hi := shardBounds(si)
-		b.shards[si].virgin.MergeVirginRange(v, lo, hi)
-	}
 }
 
 // sample appends a point to the aggregated coverage log, collapsing
@@ -380,20 +357,19 @@ func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importIte
 	vcur := 0
 	for si := range b.shards {
 		sh := &b.shards[si]
-		_, hi := shardBounds(si)
+		hi := uint32(si+1) * shardWidth
 		vend := vcur
 		for vend < len(d.virginDelta) && d.virginDelta[vend].Index < hi {
 			vend++
 		}
 		sh.lock()
-		before := sh.virgin.Edges()
 		for i := range d.pubs {
-			if hn, _ := sh.virgin.MergeBuckets(d.pubs[i].shardHits(si)); hn {
-				hasNew[i] = true
-			}
+			hn, n := b.virgin.MergeBucketsShared(d.pubs[i].shardHits(si))
+			hasNew[i] = hasNew[i] || hn
+			edgeDelta += n
 		}
-		sh.virgin.MergeMasked(d.virginDelta[vcur:vend])
-		edgeDelta += sh.virgin.Edges() - before
+		_, n := b.virgin.MergeMaskedShared(d.virginDelta[vcur:vend])
+		edgeDelta += n
 		sh.unlock()
 		vcur = vend
 	}

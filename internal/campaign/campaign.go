@@ -47,7 +47,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/coverage"
 	"repro/internal/snappool"
-	"repro/internal/spec"
 	"repro/internal/targets"
 )
 
@@ -189,11 +188,10 @@ func New(cfg Config) (*Campaign, error) {
 }
 
 // workerSeeds is the restored per-worker state a resume feeds back into
-// core.New: the saved queue as seeds, scheduler metadata to re-attach, and
-// the power-schedule state (nil for fresh workers and pre-power
-// checkpoints).
+// core.New: the saved queue (core.Options.Restored), scheduler metadata to
+// re-attach, and the power-schedule state.
 type workerSeeds struct {
-	seeds []*spec.Input
+	queue []*core.QueueEntry
 	meta  []core.EntryMeta
 	power *core.PowerMeta
 }
@@ -218,28 +216,22 @@ func newCampaign(cfg Config, epoch int, seedsFor func(i int) (workerSeeds, error
 		if err != nil {
 			return nil, fmt.Errorf("campaign: worker %d: %w", i, err)
 		}
-		seeds := inst.Seeds()
-		var seedMeta []core.EntryMeta
-		var powerState *core.PowerMeta
+		var loaded workerSeeds
 		if seedsFor != nil {
-			loaded, err := seedsFor(i)
-			if err != nil {
+			var err error
+			if loaded, err = seedsFor(i); err != nil {
 				return nil, fmt.Errorf("campaign: worker %d seeds: %w", i, err)
-			}
-			if loaded.seeds != nil {
-				seeds = loaded.seeds
-				seedMeta = loaded.meta
-				powerState = loaded.power
 			}
 		}
 		fz := core.New(inst.Agent, inst.Spec, core.Options{
 			Policy:        cfg.Policy,
-			Seeds:         seeds,
+			Seeds:         inst.Seeds(),
+			Restored:      loaded.queue,
 			SnapshotReuse: cfg.SnapshotReuse,
 			Sched:         cfg.Sched,
 			Power:         cfg.Power,
-			SeedMeta:      seedMeta,
-			PowerState:    powerState,
+			SeedMeta:      loaded.meta,
+			PowerState:    loaded.power,
 			TrackRetrims:  true,
 			SnapBudget:    cfg.SnapBudget,
 			Rand:          rand.New(rand.NewSource(deriveSeed(cfg.Seed, epoch, i))),

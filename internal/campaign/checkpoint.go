@@ -1,8 +1,11 @@
 package campaign
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"maps"
 	"slices"
 	"strconv"
@@ -36,9 +39,11 @@ import (
 // field an error. A file that decodes is the file its contents encode to.
 //
 // The queue files are the §5.4 share-folder format (spec.Serialize), so a
-// worker directory doubles as a seed corpus; a resume decodes them in key
-// order, which is ID order, which is queue order — the order sched.bin's
-// entries are in. Crashes are kept once, in broker.bin.
+// worker directory doubles as a seed corpus; a resume reads them in entry-ID
+// order, which is queue order — the order sched.bin's entries are in. A queue
+// file usually holds the same bytes as one of broker.bin's corpus entries; a
+// resume then takes that entry's decoded input and key for it (keys come from
+// broker.bin's key-and-bytes pairs only). Crashes are kept once, in broker.bin.
 //
 // broker.bin, in order (an input is spec.Serialize bytes with no snapshot
 // marker; a key is core.InputKey of the input it travels with):
@@ -54,12 +59,15 @@ import (
 //	u32 k   deduplicated crashes in discovery order; k = the header's crash_entries
 //	   k × ( string kind | string msg | i64 found_at_ns | u64 execs | bytes32 input )
 //
-// Decoded inputs alias the file they came from (spec.Deserialize): a resumed
-// campaign keeps every queue file's buffer and the whole of broker.bin
+// Decoded inputs alias the file they came from (spec.Deserialize), and keep
+// those bytes as their entries' QueueEntry.Bytes: a resumed campaign keeps the
+// whole of broker.bin, and every queue file that matched no corpus entry,
 // reachable for as long as it holds the inputs, which is as long as it runs.
 // That is the bytes a copy of each payload would have cost, plus the trace
 // digests and headers in between. ResumeTree therefore owns the tree it is
-// given; callers must not write its values afterwards.
+// given; callers must not write its values afterwards. The tree
+// CheckpointTree returns shares its queue files and corpus inputs with the
+// live entries' bytes in the same way: never write its values either.
 //
 // Checkpoint I/O goes through the store.Storer abstraction, so the same
 // tree lands on a local directory (dir://) or a remote-style object store
@@ -218,7 +226,7 @@ func (c *Campaign) CheckpointTree() (store.Tree, error) {
 		core.EncodeSchedState(&sw, w.fz.SchedMeta(), w.fz.PowerState())
 		t[dir+core.SchedStateFile] = sw.Bytes()
 	}
-	raw, err := c.broker.mergedVirgin().MarshalBinary()
+	raw, err := c.broker.virgin.MarshalBinary()
 	if err != nil {
 		return nil, fmt.Errorf("campaign: checkpoint: %w", err)
 	}
@@ -262,14 +270,28 @@ func (c *Campaign) CheckpointTree() (store.Tree, error) {
 
 // encode appends the broker.bin form of b (the layout comment above) to w.
 // Quiesced callers only. Every corpus entry a worker published carries the
-// key it was published or re-published under (QueueEntry.Key), so nothing is
-// hashed here.
+// key it was published or re-published under (QueueEntry.Key), and its bytes
+// once any checkpoint has written them (QueueEntry.Bytes), so a corpus entry
+// is hashed never and encoded once in its life.
 func (b *broker) encode(w *guest.StateWriter) {
-	var buf []byte // every input is encoded here, then copied behind its length
+	var buf []byte // pending imports and crashes are encoded here, then copied behind their length
 	input := func(in *spec.Input) {
 		buf = spec.AppendSerialize(buf[:0], in)
 		w.Bytes32(buf)
 	}
+	size := 16 + 4*len(b.pending) + b.topRatedCount()*(claimMinLen+32) // a key is a 32-byte digest
+	for _, be := range b.corpus {
+		size += corpusEntryMinLen + len(be.Entry.Key()) + len(be.Entry.Bytes()) + 5*len(be.Entry.Cov)
+	}
+	for _, q := range b.pending {
+		for _, it := range q {
+			size += pendingMinLen + spec.EncodedLen(it.input)
+		}
+	}
+	for _, cr := range b.crashes {
+		size += crashMinLen + len(cr.Kind) + len(cr.Msg) + spec.EncodedLen(cr.Input)
+	}
+	w.Grow(size)
 	w.U32(uint32(len(b.corpus)))
 	for _, be := range b.corpus {
 		e := be.Entry
@@ -280,7 +302,7 @@ func (b *broker) encode(w *guest.StateWriter) {
 		w.I64(int64(e.ExecTime))
 		w.Int(e.Size)
 		w.String(e.Key())
-		input(e.Input)
+		w.Bytes32(e.Bytes())
 		w.U32(uint32(len(e.Cov)))
 		for _, h := range e.Cov {
 			w.U32(h.Index)
@@ -332,12 +354,12 @@ const (
 // broker.bin form. raw is outside input: besides what the codec checks,
 // worker indices outside the campaign, claims out of order or range, empty
 // keys and inputs that are not plain bytecode are errors, so only bytes
-// encode would write come back as a broker. The broker's inputs alias raw.
+// encode would write come back as a broker, its inputs and Bytes aliasing raw.
 func decodeBroker(raw []byte, workers int) (*broker, error) {
 	r := guest.NewStateReader(raw)
 	ok := func() bool { return r.Err() == nil }
-	input := func(what string, i int) *spec.Input {
-		in, err := spec.Deserialize(r.View32())
+	decode := func(enc []byte, what string, i int) *spec.Input {
+		in, err := spec.Deserialize(enc)
 		if err != nil {
 			r.Fail("%s %d: %v", what, i, err)
 		} else if in.SnapshotAt >= 0 {
@@ -370,8 +392,9 @@ func decodeBroker(raw []byte, workers int) (*broker, error) {
 		e.GloballyDominated = r.Bool()
 		e.ExecTime = time.Duration(r.I64())
 		e.Size = r.Int()
-		e.SetKey(key("corpus entry", i))
-		e.Input = input("corpus entry", i)
+		k, enc := key("corpus entry", i), r.View32()
+		e.Input = decode(enc, "corpus entry", i)
+		e.SetEncoding(k, enc)
 		e.Cov = make([]coverage.BucketHit, r.Count(5))
 		for j := range e.Cov {
 			e.Cov[j] = coverage.BucketHit{Index: r.U32(), Bucket: r.U8()}
@@ -410,7 +433,7 @@ func decodeBroker(raw []byte, workers int) (*broker, error) {
 		np := r.Count(pendingMinLen)
 		for i := 0; i < np && ok(); i++ {
 			gf := r.Bool()
-			b.pending[wid] = append(b.pending[wid], importItem{input: input("pending import", i), globalFav: gf})
+			b.pending[wid] = append(b.pending[wid], importItem{input: decode(r.View32(), "pending import", i), globalFav: gf})
 		}
 	}
 	nk := r.Count(crashMinLen)
@@ -420,7 +443,7 @@ func decodeBroker(raw []byte, workers int) (*broker, error) {
 			Msg:     r.String(),
 			FoundAt: time.Duration(r.I64()),
 			Execs:   r.U64(),
-			Input:   input("crash", i),
+			Input:   decode(r.View32(), "crash", i),
 		}
 		b.crashSeen[cr.Key()] = true
 		b.crashes = append(b.crashes, cr)
@@ -462,15 +485,12 @@ func ResumeTree(t store.Tree) (_ *Campaign, err error) {
 	if err != nil {
 		return nil, err
 	}
-	raw, ok := t[virginFile]
+	virgin, ok := t[virginFile]
 	if !ok {
 		return nil, fmt.Errorf("checkpoint has no %s", virginFile)
 	}
-	var restored coverage.Virgin
-	if err := restored.UnmarshalBinary(raw); err != nil {
-		return nil, err
-	}
-	if raw, ok = t[brokerFile]; !ok {
+	raw, ok := t[brokerFile]
+	if !ok {
 		return nil, fmt.Errorf("checkpoint has no %s", brokerFile)
 	}
 	br, err := decodeBroker(raw, cfg.Workers)
@@ -481,10 +501,10 @@ func ResumeTree(t store.Tree) (_ *Campaign, err error) {
 		return nil, fmt.Errorf("%s holds %d corpus entries and %d crashes, the manifest counts %d and %d",
 			brokerFile, len(br.corpus), len(br.crashes), m.Corpus, m.Crashes)
 	}
-	// Scatter the restored map across the broker's edge shards (the
-	// inverse of mergedVirgin).
-	br.mergeVirginAll(&restored)
-	br.edgesTotal = restored.Edges()
+	if err := br.virgin.UnmarshalBinary(virgin); err != nil {
+		return nil, err
+	}
+	br.edgesTotal = br.virgin.Edges()
 	br.published = m.Published
 	br.deduped = m.Deduped
 	if br.covLog = m.CovLog; len(br.covLog) > 0 {
@@ -492,35 +512,62 @@ func ResumeTree(t store.Tree) (_ *Campaign, err error) {
 	}
 	br.timeBase = m.Elapsed
 
-	// One pass over the tree files every worker's queue keys under it; sorted,
-	// they are in ID order, which is queue order.
+	corpus := make(map[uint32]*core.QueueEntry, len(br.corpus))
+	for _, be := range br.corpus {
+		corpus[crc32.ChecksumIEEE(be.Entry.Bytes())] = be.Entry
+	}
+	// One pass files every worker-NNN/queue/id-N.nyx; sorted by N, they are
+	// in queue order.
 	dirs := make([]string, cfg.Workers)
 	for i := range dirs {
 		dirs[i] = workerDir(i)
 	}
-	queues := make([][]string, cfg.Workers)
+	type queueFile struct {
+		id  int
+		key string
+	}
+	queues := make([][]queueFile, cfg.Workers)
 	for key := range t {
 		dir, rest, _ := strings.Cut(key, "/")
-		id, err := strconv.Atoi(strings.TrimPrefix(dir, "worker-"))
-		if err == nil && id >= 0 && id < len(dirs) && dir == dirs[id] &&
-			strings.HasPrefix(rest, "queue/") && strings.HasSuffix(rest, ".nyx") {
-			queues[id] = append(queues[id], key)
+		wid, werr := strconv.Atoi(strings.TrimPrefix(dir, "worker-"))
+		num, isQueue := strings.CutPrefix(rest, "queue/id-")
+		num, isNyx := strings.CutSuffix(num, ".nyx")
+		id, err := strconv.Atoi(num)
+		if werr == nil && wid >= 0 && wid < len(dirs) && dir == dirs[wid] && isQueue && isNyx && err == nil && id >= 0 {
+			queues[wid] = append(queues[wid], queueFile{id, key})
 		}
 	}
 	seedsFor := func(i int) (workerSeeds, error) {
 		if len(queues[i]) == 0 {
 			return workerSeeds{}, nil // worker had an empty queue; fall back to bundled seeds
 		}
-		slices.Sort(queues[i])
+		slices.SortFunc(queues[i], func(a, b queueFile) int {
+			if a.id != b.id {
+				return cmp.Compare(a.id, b.id)
+			}
+			return strings.Compare(a.key, b.key) // id-7.nyx beside id-000007.nyx: not a tree CheckpointTree writes
+		})
 		// A checkpoint is written whole: a queue file that does not decode is
 		// a damaged checkpoint, not a seed to skip.
-		ws := workerSeeds{seeds: make([]*spec.Input, 0, len(queues[i]))}
-		for _, key := range queues[i] {
-			in, err := spec.Deserialize(t[key])
-			if err != nil {
-				return ws, fmt.Errorf("%s: %w", key, err)
+		ws := workerSeeds{queue: make([]*core.QueueEntry, len(queues[i]))}
+		entries := make([]core.QueueEntry, len(queues[i]))
+		for j, f := range queues[i] {
+			enc, e := t[f.key], &entries[j]
+			if be := corpus[crc32.ChecksumIEEE(enc)]; be != nil && bytes.Equal(be.Bytes(), enc) {
+				e.Input = be.Input
+				e.SetEncoding(be.Key(), be.Bytes())
+			} else {
+				in, err := spec.Deserialize(enc)
+				if err != nil {
+					return ws, fmt.Errorf("%s: %w", f.key, err)
+				}
+				if e.Input = in; in.SnapshotAt < 0 {
+					e.SetEncoding("", enc)
+				} else {
+					in.SnapshotAt = -1 // a seed runs whole: enc, marker and all, is not its bytes
+				}
 			}
-			ws.seeds = append(ws.seeds, in)
+			ws.queue[j] = e
 		}
 		key := dirs[i] + "/" + core.SchedStateFile
 		raw, ok := t[key]

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/guest"
+	"repro/internal/spec"
 	"repro/internal/store"
 )
 
@@ -166,7 +167,7 @@ func smallSections(t *testing.T) (header, brokerBin, sched []byte) {
 // key) it may succeed, and then the section encodes back to itself. Either
 // way no count sized an allocation: all the corrupt decodes together allocate
 // within 16 MiB of what as many decodes of the section itself do (a decoded
-// broker is a megabyte of virgin-map shards before it holds anything).
+// broker is a 64 KiB virgin map and its shard maps before it holds anything).
 func TestCheckpointDecodeBoundsCounts(t *testing.T) {
 	header, brokerBin, sched := smallSections(t)
 	allocated := func(f func()) uint64 {
@@ -221,8 +222,10 @@ func TestCheckpointDecodeBoundsCounts(t *testing.T) {
 // as counts: allocations per queue entry against mem://, on a campaign large
 // enough that the per-campaign work (VM launches, maps, the header) is small
 // change. At the last commit that wrote JSON manifests the same campaign read
-// 12.9 and 40.0. The checkpoint also hashes nothing: every live entry was
-// keyed when it was published.
+// 12.9 and 40.0; before entries kept their bytes and a resume reused
+// broker.bin's decoded inputs for the queue files, 3.1 and 9.5. The
+// checkpoint also hashes nothing: every live entry was keyed when it was
+// published.
 func TestCheckpointResumeAllocsPerEntry(t *testing.T) {
 	c := run(t, Config{Target: "bftpd", Workers: 2, Policy: core.PolicyAggressive, Seed: 1,
 		SyncInterval: 500 * time.Millisecond, SnapBudget: 4 << 20}, 2*time.Second)
@@ -248,8 +251,8 @@ func TestCheckpointResumeAllocsPerEntry(t *testing.T) {
 		}
 	}) / float64(entries)
 	t.Logf("%d queue entries: CheckpointTo %.1f, ResumeFrom %.1f allocations per entry", entries, ckpt, resume)
-	if ckpt > 6 || resume > 12 {
-		t.Fatalf("CheckpointTo %.1f and ResumeFrom %.1f allocations per queue entry, want at most 6 and 12", ckpt, resume)
+	if ckpt > 2.5 || resume > 9 {
+		t.Fatalf("CheckpointTo %.1f and ResumeFrom %.1f allocations per queue entry, want at most 2.5 and 9", ckpt, resume)
 	}
 
 	// Give every published entry another input behind its key's back: a
@@ -280,5 +283,122 @@ func TestCheckpointResumeAllocsPerEntry(t *testing.T) {
 				t.Fatalf("worker %d entry %d: the checkpoint re-hashed an entry that was already published", w.id, i)
 			}
 		}
+	}
+}
+
+// A queue file with the bytes of one of broker.bin's corpus entries is
+// restored as that entry's decoded input with its key, and a seed that
+// re-queues keeps both: after a resume and its first round no such seed was
+// decoded again or hashed. broker.bin's keys are complemented here, so a seed
+// that had hashed its input would carry the real key instead.
+func TestResumeHashesNoSharedSeed(t *testing.T) {
+	tree, err := run(t, Config{Target: "dnsmasq", Workers: 2, Policy: core.PolicyAggressive, Seed: 1,
+		SyncInterval: 500 * time.Millisecond}, 2*time.Second).CheckpointTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	complement := func(key string) string {
+		b := []byte(key)
+		for i := range b {
+			b[i] = ^b[i]
+		}
+		return string(b)
+	}
+	tree = editBroker(t, tree, func(b *broker) {
+		for _, be := range b.corpus {
+			be.Entry.SetEncoding(complement(be.Entry.Key()), be.Entry.Bytes())
+		}
+	})
+	res, err := ResumeTree(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.RunFor(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	restored := make(map[*spec.Input]bool, len(res.broker.corpus))
+	for _, be := range res.broker.corpus {
+		restored[be.Entry.Input] = true
+	}
+	shared := 0
+	for _, w := range res.workers {
+		for _, e := range w.fz.Queue {
+			if !restored[e.Input] {
+				continue
+			}
+			shared++
+			if e.Key() != complement(core.InputKey(e.Input)) {
+				t.Fatalf("worker %d entry %d holds a corpus entry's input but hashed it", w.id, e.ID)
+			}
+		}
+	}
+	if files := len(queueFiles(tree)); shared < files/2 {
+		t.Fatalf("%d of %d queue files re-queued with a corpus entry's input (test premise broken)", shared, files)
+	}
+}
+
+// A queue file one byte away from every corpus entry is decoded and hashed on
+// its own, and the scheduler metadata sched.bin holds for its key lands on it
+// when worker 0 imports its seeds.
+func TestResumeDecodesUnsharedQueueFile(t *testing.T) {
+	tree, err := run(t, Config{Target: "dnsmasq", Workers: 2, Policy: core.PolicyAggressive, Seed: 1,
+		SyncInterval: 500 * time.Millisecond}, time.Second).CheckpointTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := readManifest(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := decodeBroker(tree[brokerFile], m.Workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Worker 0's first queue file re-queues whatever ran before it: no seed
+	// runs before it.
+	victim := workerDir(0) + "/queue/id-000000.nyx"
+	in, err := spec.Deserialize(tree[victim])
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := slices.IndexFunc(in.Ops, func(op spec.Op) bool { return len(op.Data) > 0 })
+	if op < 0 || !slices.ContainsFunc(b.corpus, func(be brokerEntry) bool { return bytes.Equal(be.Entry.Bytes(), tree[victim]) }) {
+		t.Fatal("worker 0's first queue file carries no payload or is no corpus entry's (test premise broken)")
+	}
+	in = in.Clone()
+	in.Ops[op].Data = append([]byte{^in.Ops[op].Data[0]}, in.Ops[op].Data[1:]...)
+	enc := spec.Serialize(in)
+	if slices.ContainsFunc(b.corpus, func(be brokerEntry) bool { return bytes.Equal(be.Entry.Bytes(), enc) }) {
+		t.Fatal("the flipped file is a corpus entry's (test premise broken)")
+	}
+	metas, power, err := core.DecodeSchedState(tree[workerDir(0)+"/"+core.SchedStateFile])
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas[0] = core.EntryMeta{Key: core.InputKey(in), Depth: 7, Picked: 12345, Trimmed: true, Dominated: true}
+	var w guest.StateWriter
+	core.EncodeSchedState(&w, metas, power)
+	tree = maps.Clone(tree)
+	tree[victim], tree[workerDir(0)+"/"+core.SchedStateFile] = enc, w.Bytes()
+
+	res, err := ResumeTree(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.workers[0].fz.Step(); err != nil {
+		t.Fatal(err)
+	}
+	e := res.workers[0].fz.Queue[0]
+	if !bytes.Equal(e.Bytes(), enc) || e.Key() != core.InputKey(in) {
+		t.Fatal("worker 0's first entry is not the flipped queue file, keyed by its own hash")
+	}
+	for _, be := range res.broker.corpus {
+		if be.Entry.Input == e.Input {
+			t.Fatal("the flipped queue file took a corpus entry's input")
+		}
+	}
+	if e.Depth != 7 || e.Picked != 12345 || !e.Trimmed || !e.GloballyDominated {
+		t.Fatalf("the flipped entry's metadata did not come back: depth %d, picked %d, trimmed %v, dominated %v",
+			e.Depth, e.Picked, e.Trimmed, e.GloballyDominated)
 	}
 }

@@ -23,10 +23,13 @@ const (
 // FuzzCheckpointDecode feeds arbitrary bytes to the three decoders a resume
 // runs on a checkpoint tree — the header, broker.bin and a worker's sched.bin
 // — seeded with the sections of real checkpoints (three targets, two workers,
-// after the first round and after one virtual second; the VMs run here, none
-// per input) and with their first halves. A decoder never panics, and never sizes an allocation by a count
-// its input could not fill (the fuzzing engine's memory limit is what
-// notices). The binary sections are canonical: one that decodes encodes back
+// after the first round, after one virtual second, and right after resuming
+// the latter, when the queue files a resume matched to broker.bin's corpus
+// inputs are those inputs' bytes; the VMs run here, none per input), with
+// their first halves, and with the last broker.bin with one byte flipped in
+// the middle of an input a queue file shares. A decoder never panics, and
+// never sizes an allocation by a count its input could not fill (the fuzzing
+// engine's memory limit is what notices). The binary sections are canonical: one that decodes encodes back
 // to the same bytes. The header is JSON, which has many spellings of one
 // value, so there the property is the fixed point: what a decoded header
 // encodes to decodes again, to the same bytes.
@@ -40,12 +43,16 @@ func FuzzCheckpointDecode(f *testing.F) {
 		// A checkpoint after the first round is a few kilobytes, which is what
 		// the mutator gets through quickly; the one after a virtual second
 		// has every sequence populated.
-		for _, d := range []time.Duration{10 * time.Millisecond, 990 * time.Millisecond} {
-			if err := c.RunFor(d); err != nil {
+		var tree map[string][]byte
+		for _, d := range []time.Duration{10 * time.Millisecond, 990 * time.Millisecond, 0} {
+			if d == 0 { // the resumed copy of the last checkpoint, before its first round
+				if c, err = campaign.ResumeTree(tree); err != nil {
+					f.Fatal(err)
+				}
+			} else if err := c.RunFor(d); err != nil {
 				f.Fatal(err)
 			}
-			tree, err := c.CheckpointTree()
-			if err != nil {
+			if tree, err = c.CheckpointTree(); err != nil {
 				f.Fatal(err)
 			}
 			for _, key := range slices.Sorted(maps.Keys(tree)) {
@@ -65,6 +72,15 @@ func FuzzCheckpointDecode(f *testing.F) {
 				}
 				f.Add(section, raw)
 				f.Add(section, raw[:len(raw)/2])
+			}
+		}
+		brokerBin := tree[campaign.BrokerFile]
+		for _, key := range slices.Sorted(maps.Keys(tree)) {
+			if at := bytes.Index(brokerBin, tree[key]); strings.Contains(key, "/queue/") && at >= 0 {
+				flipped := bytes.Clone(brokerBin)
+				flipped[at+len(tree[key])/2] ^= 0xff
+				f.Add(sectionBroker, flipped)
+				break
 			}
 		}
 	}

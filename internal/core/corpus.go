@@ -29,6 +29,7 @@ func (f *Fuzzer) EncodeCorpus() map[string][]byte {
 // campaign checkpoint keeps per worker (dir is "" or ends in a slash). Seeds
 // the first Step has yet to import are corpus too and follow the queue,
 // numbered on from it: a fuzzer checkpointed before it ran saves what it got.
+// The files are the entries' own bytes (QueueEntry.Bytes): never write them.
 func (f *Fuzzer) EncodeQueue(t map[string][]byte, dir string) {
 	buf := append(append(make([]byte, 0, len(dir)+32), dir...), "queue/id-"...)
 	stem := len(buf)
@@ -41,12 +42,10 @@ func (f *Fuzzer) EncodeQueue(t map[string][]byte, dir string) {
 		return string(buf)
 	}
 	for _, e := range f.Queue {
-		t[key(e.ID)] = spec.Serialize(e.Input)
+		t[key(e.ID)] = e.Bytes()
 	}
-	if !f.seedsDone {
-		for i, seed := range f.opts.Seeds {
-			t[key(f.nextID+i)] = spec.Serialize(&spec.Input{Ops: seed.Ops, SnapshotAt: -1})
-		}
+	for i, seed := range f.seeds { // empty once the first Step imported them
+		t[key(f.nextID+i)] = seed.Bytes()
 	}
 }
 

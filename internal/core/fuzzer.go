@@ -124,8 +124,24 @@ type QueueEntry struct {
 	// input skip hashing entirely (snappool.Pool.LookupDigest). Invalidated
 	// whenever the entry's input changes (trim).
 	prefixDigests map[int]snappool.Digest
-	// key memoizes InputKey(Input); trimEntry clears it with the input.
-	key string
+	// enc memoizes the input's content key and bytes (Key, Bytes) behind a
+	// pointer, so an entry nothing encodes — every entry of a solo run —
+	// pays for neither; trimEntry drops it with the input.
+	enc *encoding
+}
+
+// encoding is what a QueueEntry memoizes of its input, each part on first
+// use: InputKey and spec.Serialize.
+type encoding struct {
+	key   string
+	bytes []byte
+}
+
+func (e *QueueEntry) memo() *encoding {
+	if e.enc == nil {
+		e.enc = new(encoding)
+	}
+	return e.enc
 }
 
 // Key returns the content key of the entry's input (InputKey), hashed on
@@ -133,15 +149,30 @@ type QueueEntry struct {
 // matching, the campaign worker's key index, its publications and the
 // checkpoint share one hash per entry. It writes the entry: owner only.
 func (e *QueueEntry) Key() string {
-	if e.key == "" {
-		e.key = InputKey(e.Input)
+	m := e.memo()
+	if m.key == "" {
+		m.key = InputKey(e.Input)
 	}
-	return e.key
+	return m.key
 }
 
-// SetKey hands the entry a key its caller already holds (a resume reads it
-// from the checkpoint, beside the input), so that Key never hashes for it.
-func (e *QueueEntry) SetKey(key string) { e.key = key }
+// Bytes returns spec.Serialize of the entry's input, encoded on first use and
+// kept, like the key, until a trim installs another input: checkpoints write
+// an entry's bytes once in its life, not once each. The result is shared:
+// never write it. It writes the entry: owner only.
+func (e *QueueEntry) Bytes() []byte {
+	m := e.memo()
+	if m.bytes == nil {
+		m.bytes = spec.Serialize(e.Input)
+	}
+	return m.bytes
+}
+
+// SetEncoding hands the entry the content key and serialized bytes of its
+// input that its caller already holds (a resume reads both from the
+// checkpoint, beside the input), so that Key and Bytes compute neither. An
+// empty key or nil bytes leaves that one to be computed on first use.
+func (e *QueueEntry) SetEncoding(key string, bytes []byte) { e.enc = &encoding{key, bytes} }
 
 // Crash is a deduplicated crash finding.
 type Crash struct {
@@ -167,6 +198,11 @@ type CoveragePoint struct {
 type Options struct {
 	Policy Policy
 	Seeds  []*spec.Input
+	// Restored, when not empty, replaces Seeds with the queue a checkpoint
+	// saved, as entries holding an unmarked input and whatever key and bytes
+	// the checkpoint had for it (SetEncoding). An entry that re-queues is
+	// itself the new queue entry: the fuzzer takes them over.
+	Restored []*QueueEntry
 	// SnapshotReuse overrides DefaultSnapshotReuse when > 0.
 	SnapshotReuse int
 	// Rand is the campaign RNG (deterministic experiments pass seeded
@@ -272,6 +308,7 @@ type Fuzzer struct {
 	crashSeen  map[string]bool
 	covLog     []CoveragePoint
 	started    time.Duration
+	seeds      []*QueueEntry // what the first Step imports (Seeds or Restored)
 	seedsDone  bool
 	queueCur   int
 	lastSample time.Duration
@@ -325,6 +362,13 @@ func New(agent Executor, s *spec.Spec, opts Options) *Fuzzer {
 	for _, m := range opts.SeedMeta {
 		seedMeta[m.Key] = m
 	}
+	seeds := opts.Restored
+	if len(seeds) == 0 {
+		seeds = make([]*QueueEntry, len(opts.Seeds))
+		for i, in := range opts.Seeds {
+			seeds[i] = &QueueEntry{Input: &spec.Input{Ops: slices.Clone(in.Ops), SnapshotAt: -1}}
+		}
+	}
 	f := &Fuzzer{
 		Agent:     agent,
 		Spec:      s,
@@ -334,6 +378,7 @@ func New(agent Executor, s *spec.Spec, opts Options) *Fuzzer {
 		rng:       opts.Rand,
 		crashSeen: make(map[string]bool),
 		started:   agent.Now(),
+		seeds:     seeds,
 		sched:     opts.Sched,
 		seedMeta:  seedMeta,
 		power:     opts.Power,
@@ -426,13 +471,13 @@ func (f *Fuzzer) RunFor(d time.Duration) error {
 // mutated test cases.
 func (f *Fuzzer) Step() error {
 	if !f.seedsDone {
-		f.seedsDone = true
-		for _, seed := range f.opts.Seeds {
-			cp := &spec.Input{Ops: seed.Ops, SnapshotAt: -1}
-			if err := f.Spec.Validate(cp); err != nil {
+		seeds := f.seeds
+		f.seedsDone, f.seeds = true, nil
+		for _, seed := range seeds {
+			if err := f.Spec.Validate(seed.Input); err != nil {
 				return fmt.Errorf("core: invalid seed: %w", err)
 			}
-			if _, err := f.execFromRoot(cp, true); err != nil {
+			if _, err := f.execFromRoot(seed.Input, seed); err != nil {
 				return err
 			}
 		}
@@ -443,7 +488,7 @@ func (f *Fuzzer) Step() error {
 	if len(f.Queue) == 0 {
 		// Seedless bootstrap: generate random programs.
 		in := f.Mut.Generate(0)
-		_, err := f.execFromRoot(in, true)
+		_, err := f.execFromRoot(in, nil)
 		return err
 	}
 
@@ -475,7 +520,7 @@ func (f *Fuzzer) Step() error {
 	// Single-slot mode: one full run creates the snapshot, then reuse it
 	// for suffix-only mutations; the slot dies with the round.
 	f.prefixRuns++
-	res, err := f.execFromRoot(base, true)
+	res, err := f.execFromRoot(base, nil)
 	if err != nil {
 		return err
 	}
@@ -593,7 +638,7 @@ func (f *Fuzzer) ensurePoolSlot(entry *QueueEntry, base *spec.Input, snapAt, bud
 		f.rootExecs++
 		f.prefixRuns++
 	}
-	f.account(base, res, true)
+	f.account(base, res, nil)
 	if !res.SnapshotTaken {
 		f.chargeBarren(entry, budget)
 		return 0, 0, false, false, nil
@@ -656,7 +701,7 @@ func (f *Fuzzer) fuzzFromRoot(entry *QueueEntry, budget int) error {
 		} else {
 			mut = f.Mut.Mutate(entry.Input)
 		}
-		if _, err := f.execFromRoot(mut, true); err != nil {
+		if _, err := f.execFromRoot(mut, nil); err != nil {
 			return err
 		}
 	}
@@ -686,26 +731,28 @@ func (f *Fuzzer) chargeBarren(e *QueueEntry, n int) {
 // returns whether the input was locally interesting. This is the
 // external-entry contract the parallel campaign broker builds on: the
 // receiving fuzzer re-executes the input, so imports can never poison the
-// queue with coverage claims the local target does not reproduce.
+// queue with coverage claims the local target does not reproduce. A queued
+// import keeps in's ops uncopied: no one may write them again (package spec).
 func (f *Fuzzer) ImportInput(in *spec.Input) (bool, error) {
-	cp := &spec.Input{Ops: in.Ops, SnapshotAt: -1}
-	if err := f.Spec.Validate(cp); err != nil {
+	e := &QueueEntry{Input: &spec.Input{Ops: in.Ops, SnapshotAt: -1}}
+	if err := f.Spec.Validate(e.Input); err != nil {
 		return false, fmt.Errorf("core: import: %w", err)
 	}
 	before := len(f.Queue)
-	if _, err := f.execFromRoot(cp, true); err != nil {
+	if _, err := f.execFromRoot(e.Input, e); err != nil {
 		return false, err
+	}
+	if len(f.Queue) == before {
+		return false, nil
 	}
 	// Imported entries are not re-trimmed locally (unless restored
 	// metadata says otherwise): trimming is the publishing worker's job,
 	// and N receivers repeating it would multiply the campaign's trim
 	// spend by the worker count.
-	for _, e := range f.Queue[before:] {
-		if _, restored := f.seedMeta[e.Key()]; !restored {
-			e.Trimmed = true
-		}
+	if _, restored := f.seedMeta[e.Key()]; !restored {
+		e.Trimmed = true
 	}
-	return len(f.Queue) > before, nil
+	return true, nil
 }
 
 // placeSnapshot returns the op index for the snapshot marker, or -1 for the
@@ -788,9 +835,8 @@ func packetOpIndices(s *spec.Spec, in *spec.Input) []int {
 }
 
 // execFromRoot runs in from the root snapshot, merging coverage and
-// recording findings. addToQueue controls whether new-coverage inputs are
-// queued.
-func (f *Fuzzer) execFromRoot(in *spec.Input, addToQueue bool) (netemu.Result, error) {
+// recording findings; seed is what account queues, or nil.
+func (f *Fuzzer) execFromRoot(in *spec.Input, seed *QueueEntry) (netemu.Result, error) {
 	t0 := f.Agent.Now()
 	res, err := f.Agent.RunFromRoot(in, &f.trace)
 	if err != nil {
@@ -798,7 +844,7 @@ func (f *Fuzzer) execFromRoot(in *spec.Input, addToQueue bool) (netemu.Result, e
 	}
 	f.lastExecTime = f.Agent.Now() - t0
 	f.rootExecs++
-	f.account(in, res, addToQueue)
+	f.account(in, res, seed)
 	return res, nil
 }
 
@@ -822,12 +868,14 @@ func (f *Fuzzer) execSuffix(slot int, in *spec.Input) (bool, error) {
 	// share of the snapshot-creation run plus the suffix.
 	f.lastExecTime = f.snapBaseTime + (f.Agent.Now() - t0)
 	f.snapExecs++
-	return f.account(in, res, true), nil
+	return f.account(in, res, nil), nil
 }
 
 // account merges coverage, queues interesting inputs, records crashes and
 // samples the coverage log. Returns whether the trace contained new bits.
-func (f *Fuzzer) account(in *spec.Input, res netemu.Result, addToQueue bool) bool {
+// It queues a clone of in, or seed itself when not nil: then in is the
+// seed's unmarked input, which no one writes again.
+func (f *Fuzzer) account(in *spec.Input, res netemu.Result, seed *QueueEntry) bool {
 	f.execs++
 	hasNew, _ := f.Virgin.Merge(&f.trace)
 	if res.Crashed {
@@ -844,18 +892,18 @@ func (f *Fuzzer) account(in *spec.Input, res netemu.Result, addToQueue bool) boo
 			f.Crashes = append(f.Crashes, cr)
 		}
 	}
-	if hasNew && addToQueue {
-		cp := in.Clone()
-		cp.SnapshotAt = -1
-		e := &QueueEntry{
-			ID:       f.nextID,
-			Input:    cp,
-			Packets:  cp.Packets(f.Spec),
-			FoundAt:  f.Elapsed(),
-			Cov:      f.trace.Bucketed(),
-			ExecTime: f.lastExecTime,
-			Size:     spec.EncodedLen(cp),
+	if hasNew {
+		e := seed
+		if e == nil {
+			e = &QueueEntry{Input: in.Clone()}
+			e.Input.SnapshotAt = -1
 		}
+		e.ID = f.nextID
+		e.Packets = e.Input.Packets(f.Spec)
+		e.FoundAt = f.Elapsed()
+		e.Cov = f.trace.Bucketed()
+		e.ExecTime = f.lastExecTime
+		e.Size = spec.EncodedLen(e.Input)
 		if f.curParent != nil {
 			e.Depth = f.curParent.Depth + 1
 		}

@@ -588,7 +588,7 @@ func (f *Fuzzer) trimEntry(e *QueueEntry) error {
 		return err
 	}
 	if len(trimmed.Ops) < len(e.Input.Ops) {
-		e.Input, e.key = trimmed, ""
+		e.Input, e.enc = trimmed, nil
 		e.Size = spec.EncodedLen(trimmed)
 		e.Packets = trimmed.Packets(f.Spec)
 		if e.aggrBack >= e.Packets {

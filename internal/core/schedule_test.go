@@ -696,7 +696,7 @@ func TestSoloRunHashesNoInput(t *testing.T) {
 		if e.Trimmed {
 			trimmed++
 		}
-		if e.key != "" {
+		if e.enc != nil {
 			t.Fatalf("entry %d was hashed during a solo run", e.ID)
 		}
 	}

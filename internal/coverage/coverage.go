@@ -152,6 +152,16 @@ func (t *Trace) BucketedInto(dst []BucketHit) []BucketHit {
 // same semantics as Merge. Out-of-range indices are ignored (defensive:
 // snapshots may have crossed a process/serialization boundary).
 func (v *Virgin) MergeBuckets(hits []BucketHit) (hasNew, newEdge bool) {
+	hasNew, n := v.MergeBucketsShared(hits)
+	v.edges += n
+	return hasNew, n > 0
+}
+
+// MergeBucketsShared is MergeBuckets for a map that callers merge disjoint
+// index ranges of at the same time (a campaign broker's, one lock per range):
+// it writes only the bytes of the indices it is given and returns the number
+// of edges it added, which the caller counts, instead of counting them in v.
+func (v *Virgin) MergeBucketsShared(hits []BucketHit) (hasNew bool, newEdges int) {
 	for _, h := range hits {
 		if h.Index >= MapSize {
 			continue
@@ -159,13 +169,12 @@ func (v *Virgin) MergeBuckets(hits []BucketHit) (hasNew, newEdge bool) {
 		if v.bits[h.Index]&h.Bucket == 0 && h.Bucket != 0 {
 			hasNew = true
 			if v.bits[h.Index] == 0 {
-				newEdge = true
-				v.edges++
+				newEdges++
 			}
 			v.bits[h.Index] |= h.Bucket
 		}
 	}
-	return hasNew, newEdge
+	return hasNew, newEdges
 }
 
 // MergeVirgin folds another virgin map into v (bitwise union of bucket
@@ -192,51 +201,6 @@ func (v *Virgin) Snapshot() []byte {
 	return cp
 }
 
-// Shard-range helpers. The campaign broker partitions the virgin map by
-// contiguous edge-index range so disjoint shards can merge concurrently
-// under independent locks; a shard's Virgin only ever has bits in its own
-// [lo, hi) range, so the union across shards equals one unsharded map
-// bit-for-bit. These helpers restrict the Merge* family to a range.
-
-// MergeBucketsRange is MergeBuckets restricted to indices in [lo, hi):
-// hits outside the range are skipped without effect. Merging one snapshot
-// through every shard of a partition yields exactly the bits (and hasNew /
-// newEdge verdicts, OR-ed) that MergeBuckets on an unsharded map would.
-func (v *Virgin) MergeBucketsRange(hits []BucketHit, lo, hi uint32) (hasNew, newEdge bool) {
-	for _, h := range hits {
-		if h.Index < lo || h.Index >= hi || h.Index >= MapSize {
-			continue
-		}
-		if v.bits[h.Index]&h.Bucket == 0 && h.Bucket != 0 {
-			hasNew = true
-			if v.bits[h.Index] == 0 {
-				newEdge = true
-				v.edges++
-			}
-			v.bits[h.Index] |= h.Bucket
-		}
-	}
-	return hasNew, newEdge
-}
-
-// MergeVirginRange is MergeVirgin restricted to indices in [lo, hi).
-func (v *Virgin) MergeVirginRange(o *Virgin, lo, hi uint32) (hasNew bool) {
-	if hi > MapSize {
-		hi = MapSize
-	}
-	for i := lo; i < hi; i++ {
-		b := o.bits[i]
-		if b&^v.bits[i] != 0 {
-			hasNew = true
-			if v.bits[i] == 0 {
-				v.edges++
-			}
-			v.bits[i] |= b
-		}
-	}
-	return hasNew
-}
-
 // MergeMasked folds mask-valued hits into the virgin map: unlike
 // MergeBuckets (whose Bucket is a single classification bit), each hit's
 // Bucket here is a set of bucket bits and every bit not yet present is
@@ -244,6 +208,13 @@ func (v *Virgin) MergeVirginRange(o *Virgin, lo, hi uint32) (hasNew bool) {
 // worker uses to ship its virgin-map delta to the broker without sending
 // the whole 64 KiB map.
 func (v *Virgin) MergeMasked(hits []BucketHit) (hasNew bool) {
+	hasNew, n := v.MergeMaskedShared(hits)
+	v.edges += n
+	return hasNew
+}
+
+// MergeMaskedShared is MergeMasked for a shared map (see MergeBucketsShared).
+func (v *Virgin) MergeMaskedShared(hits []BucketHit) (hasNew bool, newEdges int) {
 	for _, h := range hits {
 		if h.Index >= MapSize {
 			continue
@@ -251,12 +222,12 @@ func (v *Virgin) MergeMasked(hits []BucketHit) (hasNew bool) {
 		if add := h.Bucket &^ v.bits[h.Index]; add != 0 {
 			hasNew = true
 			if v.bits[h.Index] == 0 {
-				v.edges++
+				newEdges++
 			}
 			v.bits[h.Index] |= add
 		}
 	}
-	return hasNew
+	return hasNew, newEdges
 }
 
 // AppendNewTo computes the delta between v and base — every bucket bit

@@ -328,9 +328,11 @@ func TestBucketedIntoReusesScratch(t *testing.T) {
 	}
 }
 
-// Property: merging one snapshot through every shard of a contiguous
-// partition (MergeBucketsRange) produces exactly the map — and the OR-ed
-// hasNew/newEdge verdicts — that unsharded MergeBuckets would.
+// Property: merging one snapshot into one shared map range by range of a
+// contiguous partition (MergeBucketsShared and MergeMaskedShared, each range
+// given only its own hits, as the campaign broker's shards are) produces
+// exactly the map — and the OR-ed hasNew verdicts and summed edge counts —
+// that unsharded MergeBuckets and MergeMasked would.
 func TestShardedMergeEquivalentToMergeBuckets(t *testing.T) {
 	f := func(seed int64, shardsRaw uint8) bool {
 		shards := 1 + int(shardsRaw%32)
@@ -340,13 +342,17 @@ func TestShardedMergeEquivalentToMergeBuckets(t *testing.T) {
 			tr.Hit(rng.Uint32())
 		}
 		hits := tr.Bucketed()
+		masked := make([]BucketHit, 50)
+		for j := range masked {
+			masked[j] = BucketHit{Index: rng.Uint32() % MapSize, Bucket: byte(rng.Uint32())}
+		}
 
 		var whole Virgin
-		wantNew, wantEdge := whole.MergeBuckets(hits)
+		wantNew, _ := whole.MergeBuckets(hits)
+		wantMasked := whole.MergeMasked(masked)
 
 		width := MapSize / shards
-		shard := make([]Virgin, shards)
-		gotNew, gotEdge := false, false
+		gotNew, gotMasked := false, false
 		edges := 0
 		var merged Virgin
 		for s := 0; s < shards; s++ {
@@ -355,13 +361,23 @@ func TestShardedMergeEquivalentToMergeBuckets(t *testing.T) {
 			if s == shards-1 {
 				hi = MapSize
 			}
-			hn, ne := shard[s].MergeBucketsRange(hits, lo, hi)
+			inRange := func(hs []BucketHit) []BucketHit {
+				var out []BucketHit
+				for _, h := range hs {
+					if h.Index >= lo && h.Index < hi {
+						out = append(out, h)
+					}
+				}
+				return out
+			}
+			hn, n := merged.MergeBucketsShared(inRange(hits))
 			gotNew = gotNew || hn
-			gotEdge = gotEdge || ne
-			edges += shard[s].Edges()
-			merged.MergeVirginRange(&shard[s], lo, hi)
+			edges += n
+			hn, n = merged.MergeMaskedShared(inRange(masked))
+			gotMasked = gotMasked || hn
+			edges += n
 		}
-		if gotNew != wantNew || gotEdge != wantEdge || edges != whole.Edges() {
+		if gotNew != wantNew || gotMasked != wantMasked || edges != whole.Edges() || merged.Edges() != 0 {
 			return false
 		}
 		a, b := whole.Snapshot(), merged.Snapshot()

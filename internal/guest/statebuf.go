@@ -34,6 +34,10 @@ func (w *StateWriter) Bytes() []byte { return w.buf } //nyx:aliased bytes.Buffer
 // buffer keeps that allocation-flat.
 func (w *StateWriter) Reset() { w.buf = w.buf[:0] }
 
+// Grow makes room for n more bytes, so a writer that knows how long its
+// stream will be allocates it once instead of doubling its way there.
+func (w *StateWriter) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
+
 // U8 appends a byte.
 func (w *StateWriter) U8(v uint8) { w.buf = append(w.buf, v) }
 

@@ -1,7 +1,8 @@
 // Package stats provides the statistics the paper's evaluation methodology
 // requires (§5.1, following Klees et al.): medians across repetitions,
-// mean/standard deviation for throughput tables, and the two-sided
-// Mann-Whitney U test used to bold significant differences in Table 2.
+// mean/standard deviation for throughput tables, the two-sided
+// Mann-Whitney U test used to bold significant differences in Table 2, and
+// the Vargha–Delaney Â12 effect size that goes beside it.
 package stats
 
 import (
@@ -146,6 +147,28 @@ func MannWhitneyU(a, b []float64) float64 {
 // z is non-positive up to the continuity correction).
 func stdNormCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
+}
+
+// VarghaDelaneyA12 returns the Vargha–Delaney Â12 effect size of a over b:
+// the probability that a value drawn from a is larger than one drawn from b,
+// ties counting half (0.5: no effect; 1 or 0: every value of a above or below
+// every value of b). It is NaN when either sample is empty.
+func VarghaDelaneyA12(a, b []float64) float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return math.NaN()
+	}
+	wins := 0.0
+	for _, x := range a {
+		for _, y := range b {
+			switch {
+			case x > y:
+				wins++
+			case x == y:
+				wins += 0.5
+			}
+		}
+	}
+	return wins / float64(len(a)*len(b))
 }
 
 // Significant reports whether the difference between a and b is significant

@@ -99,3 +99,30 @@ func TestMannWhitneyEmpty(t *testing.T) {
 		t.Fatalf("empty sample: p = %v, want 1", p)
 	}
 }
+
+func TestVarghaDelaneyA12(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		a, b []float64
+		want float64
+	}{
+		{"identical", []float64{3, 1, 2}, []float64{1, 2, 3}, 0.5},
+		{"all tied", []float64{5, 5}, []float64{5, 5, 5}, 0.5},
+		{"a above", []float64{100, 101, 102}, []float64{1, 2}, 1},
+		{"a below", []float64{1, 2}, []float64{100, 101, 102}, 0},
+		// x=1 beats none of {2, 2, 4}; x=2 ties twice; x=3 beats both 2s: 3 of 9.
+		{"mixed with ties", []float64{1, 2, 3}, []float64{2, 2, 4}, 3.0 / 9},
+		// 10 beats nothing, 20 beats 15, 30 and 40 beat both: 5 of 8.
+		{"mixed", []float64{10, 20, 30, 40}, []float64{15, 25}, 5.0 / 8},
+	} {
+		if got := VarghaDelaneyA12(c.a, c.b); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%s: A12 = %v, want %v", c.name, got, c.want)
+		}
+		if got := VarghaDelaneyA12(c.b, c.a); math.Abs(got-(1-c.want)) > 1e-12 {
+			t.Errorf("%s: A12 with the samples swapped = %v, want %v", c.name, got, 1-c.want)
+		}
+	}
+	if !math.IsNaN(VarghaDelaneyA12(nil, []float64{1})) {
+		t.Error("A12 of an empty sample should be NaN")
+	}
+}
