@@ -1,0 +1,147 @@
+package guest_test
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/guest"
+	"repro/internal/spec"
+	"repro/internal/targets"
+)
+
+// kernelView renders the struct form as the kernel's accessors report it:
+// processes, the init process's fd table, every connection with its
+// responses, the corruption count and the filesystem.
+func kernelView(k *guest.Kernel) string {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%d processes, corruption %d\n", k.Processes(), k.Corruption())
+	if p := k.InitProcess(); p != nil {
+		fmt.Fprintf(&b, "init %d fds %v\n", p.PID, p.FDs)
+	}
+	for id := 1; id < 1024; id++ {
+		if c := k.Conn(id); c != nil {
+			fmt.Fprintf(&b, "conn %d %s desc %d closed %v aliases %d sent %q\n", c.ID, c.Port, c.DescID, c.Closed, k.AliasCount(c), c.Sent)
+		}
+	}
+	b.WriteString(fsView(k))
+	return b.String()
+}
+
+// TestHydrateCopyBackMatchesDecode holds hydrate's copy-back against the
+// decoder. Each state target's VM keeps two slots beside the root, taken at
+// different points of different seeds, and restores among the three in a
+// pattern that repeats some restores (served by copying the last decoded
+// state back) and alternates others (served by decoding). After every
+// hydrate the struct form must re-encode to the image the restore brought
+// back, byte for byte, and report what a kernel with no history reports after
+// decoding that image. Between restores a mutated input and direct syscalls
+// change connections, fd and watch lists, processes, files and target tables,
+// so a copy-back that leaves any of them as the test case left it shows.
+func TestHydrateCopyBackMatchesDecode(t *testing.T) {
+	pattern := []int{1, 1, 2, 2, 0, 0, 1, 2, 1, 0, 2, 2, 2, 1, 0}
+	for _, target := range stateTargets {
+		t.Run(target, func(t *testing.T) {
+			v := launchCoherent(t, target, false)
+			seeds := v.Seeds()
+			var ids [3][]int // per restore point, its connections' ids in order
+			take := func(slot int) {
+				t.Helper()
+				v.vmExit(t)
+				if err := v.M.TakeIncrementalSlot(slot); err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range v.conns {
+					ids[slot] = append(ids[slot], c.ID)
+				}
+			}
+			first, last := seeds[0].Ops, seeds[len(seeds)-1].Ops
+			v.run(t, first[:len(first)/2+1])
+			take(1)
+			if err := v.M.RestoreRoot(); err != nil {
+				t.Fatal(err)
+			}
+			v.conns = v.conns[:0]
+			v.run(t, last[:len(last)-1])
+			v.syscalls(t, 0, 2)
+			take(2)
+
+			mut := spec.NewMutator(v.Spec, rand.New(rand.NewSource(31)))
+			hits0, decodes0 := v.K.Hydrates()
+			tableHits0, tableDecodes0 := v.K.TableReads()
+			for round := 0; round < 3*len(pattern); round++ {
+				at := pattern[round%len(pattern)]
+				var err error
+				if at == 0 {
+					err = v.M.RestoreRoot()
+				} else {
+					err = v.M.RestoreIncrementalSlot(at)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				img := v.image(t)
+				if got := v.K.EncodeImage(); !bytes.Equal(got, img) {
+					t.Fatalf("round %d: restore of %d: the struct form encodes to %d bytes that are not the %d restored", round, at, len(got), len(img))
+				}
+				probe := launchCoherent(t, target, false)
+				if err := probe.K.DecodeImage(img); err != nil {
+					t.Fatalf("round %d: restored image does not decode: %v", round, err)
+				}
+				if got, want := kernelView(v.K), kernelView(probe.K); got != want {
+					t.Fatalf("round %d: restore of %d: the kernel reports\n%swhere one with no history reports\n%s", round, at, got, want)
+				}
+				v.conns = v.conns[:0]
+				for _, id := range ids[at] {
+					v.conns = append(v.conns, v.K.Conn(id))
+				}
+				v.run(t, mut.Mutate(seeds[round%len(seeds)]).Ops)
+				v.syscalls(t, round, 1+round%3)
+				v.vmExit(t)
+			}
+			hits, decodes := v.K.Hydrates()
+			tableHits, tableDecodes := v.K.TableReads()
+			t.Logf("kernel sections: %d copied back, %d decoded; tables: %d copied back, %d decoded",
+				hits-hits0, decodes-decodes0, tableHits-tableHits0, tableDecodes-tableDecodes0)
+			if hits == hits0 || decodes == decodes0 || tableHits == tableHits0 || tableDecodes == tableDecodes0 {
+				t.Fatal("the restores did not run both paths for the kernel's section and for tables")
+			}
+		})
+	}
+}
+
+// TestHydrateCopyBackServesCampaign is a counted guard on what copy-back is
+// for: in the bftpd campaign the repo benchmark's ftp-snap workload runs
+// (aggressive policy, 4 MiB snapshot pool), at seed 1 for 16 virtual seconds,
+// the kernel's section and the target's tables must be copied back on at
+// least nine hydrates in ten. The run reads 97%; a change that silently makes
+// restores decode again fails here.
+func TestHydrateCopyBackServesCampaign(t *testing.T) {
+	inst, err := targets.Launch("bftpd", targets.LaunchConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := core.New(inst.Agent, inst.Spec, core.Options{
+		Policy:     core.PolicyAggressive,
+		Seeds:      inst.Seeds(),
+		Rand:       rand.New(rand.NewSource(1)),
+		Dict:       inst.Info.Dict,
+		SnapBudget: 4 << 20,
+	})
+	if err := f.RunFor(16 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	hits, decodes := inst.K.Hydrates()
+	tableHits, tableDecodes := inst.K.TableReads()
+	t.Logf("%d execs; kernel sections: %d copied back, %d decoded; tables: %d copied back, %d decoded",
+		f.Execs(), hits, decodes, tableHits, tableDecodes)
+	if hits < 9*decodes || hits+decodes < int(f.Execs())/2 {
+		t.Errorf("copy-back served %d of %d hydrates, want at least 90%%", hits, hits+decodes)
+	}
+	if tableHits < 9*tableDecodes {
+		t.Errorf("copy-back served %d of %d table reads, want at least 90%%", tableHits, tableHits+tableDecodes)
+	}
+}

@@ -5,11 +5,15 @@ package guest
 // header and what hydrate reads back.
 
 // DecodeImage replaces k's struct form with the state image encodes, as
-// hydrate does after a restore, but reports a decode error instead of
-// panicking. The decoded Conn.Sent slices point into image.
+// hydrate does after a restore — copying back the kernel's section when it is
+// the one last decoded — but reports a decode error instead of panicking. The
+// kernel reads a copy of image: restored Conn.Sent slices point into the
+// kernel's copy of the last image whose kernel section it decoded, not into
+// image.
 func (k *Kernel) DecodeImage(image []byte) error {
 	k.hydrate()
-	return k.decode(image)
+	k.next = append(k.next[:0], image...)
+	return k.decode()
 }
 
 // EncodeImage returns the image of k's struct form.
@@ -22,3 +26,13 @@ func (k *Kernel) EncodeImage() []byte {
 
 // SendBufferCap returns the capacity of the buffer Env.Send appends to.
 func (k *Kernel) SendBufferCap() int { return cap(k.sendBuf) }
+
+// Hydrates returns how many decodes of an image (DecodeImage included) were
+// served by copying the kernel's section back and how many by decoding it.
+func (k *Kernel) Hydrates() (copyBacks, decodes int) { return k.copyBacks, k.decodes }
+
+// TableReads returns how many Table sections the kernel's image decodes
+// copied back and how many they decoded.
+func (k *Kernel) TableReads() (copyBacks, decodes int) {
+	return k.dec.tableCopyBacks, k.dec.tableDecodes
+}

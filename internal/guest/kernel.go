@@ -31,22 +31,34 @@
 // One restore, hydrate, events, flush cycle runs per test case, so the two
 // conversions reuse what the last cycle left: hydrate refills the kernel's
 // tables, their objects and the objects' fd, watch and sent lists in place,
-// decoded responses point into the kernel's copy of the image and sent ones
+// restored responses point into the kernel's copy of an image and sent ones
 // into one send buffer behind it, flush encodes into a kept buffer, the
 // filesystem skips both directions while its metadata is unchanged (see FS),
 // and a target keeps what it has per connection in a Table, the ordered
 // container that is written by a walk and refilled in place. The price is a
 // lifetime rule: a *Conn, *Process or *OpenDesc, and a Conn.Sent slice or any
-// response in it, decoded or sent, is valid until the next snapshot restore.
+// response in it, restored or sent, is valid until the next snapshot restore.
 // After one the same object may be a different connection, and the first
-// hydrate overwrites the image copy and truncates the send buffer, so the
+// hydrate may overwrite the image copy and truncates the send buffer, so the
 // bytes of a held response become those of another; hold the id and ask
 // Kernel.Conn again. The image format is untouched by any of this, and a
 // kernel that has run a million test cases writes the same bytes for a state
 // as one that has just booted.
+//
+// Most restores bring back a state the kernel has hydrated before — the same
+// slot, resumed again — so hydrate also copies back instead of decoding. The
+// kernel keeps the bytes of its own section of the image (counters, descs,
+// procs, conns) as it last decoded them, in its image copy, and beside them a
+// private copy of the tables they decoded to; every Table keeps its bytes,
+// keys and values the same way. A restored section that is byte-equal to the
+// kept one is filled from the copy, anything else is decoded and kept in its
+// place. A byte compare picks the path, so what a copy-back yields is what a
+// decode of the same bytes would, and the responses it restores point into
+// the image copy the kept section lives in.
 package guest
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -118,9 +130,10 @@ type Conn struct {
 	Closed bool
 	// Sent collects the target's responses during the current test case
 	// (rolled back by snapshot restores along with everything else). The
-	// responses it holds point into the kernel's copy of the image (those
-	// a restore brought back) or its send buffer (those sent since): like
-	// the Conn itself they are valid until the next restore.
+	// responses it holds point into the kernel's copy of the image its
+	// section was decoded from (those a restore brought back) or its send
+	// buffer (those sent since): like the Conn itself they are valid until
+	// the next restore.
 	Sent [][]byte
 }
 
@@ -140,22 +153,7 @@ type Kernel struct {
 	// raises an OOM crash. Zero means unlimited.
 	AllocLimit int64
 
-	// The tables hold their objects in ascending id order: the order ids
-	// are handed out in and the order the image lists them in, so neither
-	// creating an object nor encoding a table sorts anything. A restore to
-	// a shorter table leaves the surplus objects in the slice's spare
-	// capacity, and the next object created or decoded there reuses one
-	// (see extend) — which is why a pointer into a table is good only
-	// until the next restore.
-	procs    []*Process
-	descs    []*OpenDesc
-	conns    []*Conn
-	nextPID  int
-	nextDesc int
-	nextConn int
-
-	corruption int   // accumulated undetected memory corruption
-	allocated  int64 // live allocation estimate
+	kernelState
 
 	heapBase int64 // guest-physical address where state is serialized
 	booted   bool
@@ -174,32 +172,88 @@ type Kernel struct {
 	dirty bool
 
 	// enc and dec are the codec's scratch, recycled across the
-	// serialize-at-VM-exit and decode-after-restore paths. decBuf is the
-	// kernel's copy of the image it last hydrated from, and sendBuf what the
-	// target has sent since: a Conn.Sent response points into one or the
-	// other until the next hydrate overwrites the first and truncates the
-	// second.
+	// serialize-at-VM-exit and decode-after-restore paths. img is the
+	// kernel's copy of the image its own section was last decoded from, next
+	// the buffer a restored image is read into, and sendBuf what the target
+	// has sent since the last hydrate: a Conn.Sent response points into img or
+	// sendBuf until a hydrate decodes another kernel section or truncates the
+	// send buffer.
 	enc     StateWriter
 	dec     StateReader
-	decBuf  []byte
+	img     []byte
+	next    []byte
 	sendBuf []byte
+
+	// base is what img[:baseLen], the kernel section of img, decoded to, held
+	// apart from the struct form; baseLen is 0 while nothing is kept. A
+	// restored image that starts with those bytes is copied back from base
+	// instead of decoded (see decode). copyBacks and decodes count the
+	// hydrates served each way.
+	base               kernelState
+	baseLen            int
+	copyBacks, decodes int
 
 	env *Env
 }
+
+// kernelState is the kernel's own state, the first section of the image.
+type kernelState struct {
+	// The tables hold their objects in ascending id order: the order ids
+	// are handed out in and the order the image lists them in, so neither
+	// creating an object nor encoding a table sorts anything. A restore to
+	// a shorter table leaves the surplus objects in the slice's spare
+	// capacity, and the next object created, decoded or copied back there
+	// reuses one (see extend) — which is why a pointer into a table is good
+	// only until the next restore.
+	procs    []*Process
+	descs    []*OpenDesc
+	conns    []*Conn
+	nextPID  int
+	nextDesc int
+	nextConn int
+
+	corruption int   // accumulated undetected memory corruption
+	allocated  int64 // live allocation estimate
+}
+
+// copyFrom makes s a copy of src that shares no object or container with it,
+// refilling s's tables in place the way a decode does.
+func (s *kernelState) copyFrom(src *kernelState) {
+	procs, descs, conns := refill(s.procs, src.procs), refill(s.descs, src.descs), refill(s.conns, src.conns)
+	*s = *src
+	s.procs, s.descs, s.conns = procs, descs, conns
+}
+
+// refill makes dst a copy of src, reusing dst's objects (see extend) and, in
+// set, their containers.
+func refill[T any, P interface {
+	*T
+	set(src *T)
+}](dst, src []*T) []*T {
+	dst = dst[:0]
+	for _, s := range src {
+		var d *T
+		dst, d = extend(dst)
+		P(d).set(s)
+	}
+	return dst
+}
+
+func (d *OpenDesc) set(src *OpenDesc) { w := d.Watch; *d = *src; d.Watch = append(w[:0], src.Watch...) }
+func (p *Process) set(src *Process)   { f := p.FDs; *p = *src; p.FDs = append(f[:0], src.FDs...) }
+func (c *Conn) set(src *Conn)         { s := c.Sent; *c = *src; c.Sent = append(s[:0], src.Sent...) }
 
 // NewKernel boots a kernel on machine m with the given target program.
 // Target initialization (its startup routine) runs before the root snapshot
 // is taken, exactly as in the paper: the expensive startup happens once.
 func NewKernel(m *vm.Machine, target Target) (*Kernel, error) {
 	k := &Kernel{
-		M:        m,
-		FS:       NewFS(m.Disk),
-		Target:   target,
-		ports:    target.Ports(),
-		nextPID:  1,
-		nextDesc: 1,
-		nextConn: 1,
-		heapBase: 4096, // page 0 reserved
+		M:           m,
+		FS:          NewFS(m.Disk),
+		Target:      target,
+		ports:       target.Ports(),
+		kernelState: kernelState{nextPID: 1, nextDesc: 1, nextConn: 1},
+		heapBase:    4096, // page 0 reserved
 	}
 	k.env = &Env{k: k}
 	k.FS.hydrate = k.hydrate
@@ -574,10 +628,9 @@ func (k *Kernel) syncToMemory() {
 }
 
 // syncFromMemory re-reads kernel + target state from guest memory. Called
-// via hydrate after a snapshot restore marked the struct state stale. The
-// image is copied into decBuf, which the decoded Conn.Sent slices go on
-// pointing into until the next call overwrites it; no response sent before
-// the restore is part of the restored state, so the send buffer starts over.
+// via hydrate after a snapshot restore marked the struct state stale. No
+// response sent before the restore is part of the restored state, so the send
+// buffer starts over.
 func (k *Kernel) syncFromMemory() {
 	k.sendBuf = k.sendBuf[:0]
 	var hdr [4]byte
@@ -585,25 +638,50 @@ func (k *Kernel) syncFromMemory() {
 		panic(fmt.Sprintf("guest: state header read: %v", err))
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	if cap(k.decBuf) < n {
-		k.decBuf = make([]byte, n)
+	if cap(k.next) < n {
+		k.next = make([]byte, n)
 	}
-	body := k.decBuf[:n]
-	if _, err := k.M.Mem.ReadAt(body, k.heapBase+4); err != nil {
+	k.next = k.next[:n]
+	if _, err := k.M.Mem.ReadAt(k.next, k.heapBase+4); err != nil {
 		panic(fmt.Sprintf("guest: state read: %v", err))
 	}
-	if err := k.decode(body); err != nil {
+	if err := k.decode(); err != nil {
 		panic(fmt.Sprintf("guest: state decode: %v", err))
 	}
 }
 
-// decode replaces the struct form with the state image encodes. After an
-// error the struct form is a mix of both and unusable until a decode
-// succeeds.
-func (k *Kernel) decode(image []byte) error {
-	k.dec.Reset(image)
-	k.unmarshal(&k.dec)
-	return k.dec.Done()
+// decode replaces the struct form with the state image in next. When the
+// image starts with the kernel section base was decoded from, the kernel's
+// tables are copied back from base: a decode of those bytes would yield base
+// again, and its checks, which read nothing beyond the section, passed when
+// they were decoded. Otherwise the section is decoded; if that succeeds, next
+// becomes img, the decoded Conn.Sent slices point into it, and what they
+// decoded to becomes base. Either way the rest of the image is decoded from
+// next. After an error the struct form is a mix of states and unusable until
+// a decode succeeds.
+func (k *Kernel) decode() error {
+	r := &k.dec
+	r.Reset(k.next)
+	if k.baseLen > 0 && bytes.HasPrefix(k.next, k.img[:k.baseLen]) {
+		k.copyBacks++
+		k.kernelState.copyFrom(&k.base)
+		r.off = k.baseLen
+	} else {
+		k.decodes++
+		k.baseLen = 0
+		k.unmarshal(r)
+		if r.err == nil {
+			k.img, k.next = k.next, k.img
+			k.baseLen = r.off
+			k.base.copyFrom(&k.kernelState)
+		}
+	}
+	if r.err == nil {
+		k.FS.unmarshal(r)
+		k.Target.LoadState(r)
+		k.env.proc = k.initProc()
+	}
+	return r.Done()
 }
 
 func (k *Kernel) marshal(w *StateWriter) {
@@ -664,9 +742,9 @@ const (
 	connBytes = 8 + 4 + 8 + 8 + 1 + 4
 )
 
-// unmarshal refills the tables in place (see extend): the objects, their
-// FDs, Watch and Sent containers and the target's own tables are the ones the
-// state before the restore used, emptied. Ids must ascend below the id
+// unmarshal decodes the kernel's own section, refilling the tables in place
+// (see extend): the objects and their FDs, Watch and Sent containers are the
+// ones the state before the restore used, emptied. Ids must ascend below the id
 // counter, as they do in every image marshal writes; that is what find
 // relies on, and it makes marshal the inverse of a decode that succeeds.
 func (k *Kernel) unmarshal(r *StateReader) {
@@ -707,13 +785,6 @@ func (k *Kernel) unmarshal(r *StateReader) {
 		}
 		prev = c.ID
 	}
-
-	if r.err != nil {
-		return
-	}
-	k.FS.unmarshal(r)
-	k.Target.LoadState(r)
-	k.env.proc = k.initProc()
 }
 
 // id reads an object id, which must lie above prev and below next.

@@ -38,13 +38,21 @@ func fsView(k *guest.Kernel) string {
 // syscalls drives the kernel surface no seed input reaches, outside an
 // event: connections of its own with traffic on them, an epoll instance
 // watching them, dups, a fork (and every other round its exit), and files
-// written and appended to. scale sets how much of each; round varies the
-// paths and sizes.
+// written and appended to. The epoll instances earlier calls left open watch
+// the first new connection too, so a watch list a restore brought back
+// changes. scale sets how much of each; round varies the paths and sizes.
 func (v *coherentVM) syscalls(t *testing.T, round, scale int) {
 	t.Helper()
 	k := v.K
 	k.MarkDirty()
 	p := k.InitProcess()
+	_, fd, err := k.NewConnection(v.Info.Port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range p.FDs {
+		k.EpollAdd(p, e.Num, fd) //nolint:errcheck // fails for every fd but an epoll instance's
+	}
 	epfd := k.EpollCreate(p)
 	for i := 0; i < scale; i++ {
 		c, fd, err := k.NewConnection(v.Info.Port)
@@ -268,10 +276,13 @@ func (stub) OnDisconnect(*guest.Env, *guest.Conn)                {}
 
 // TestStateSyncSteadyStateAllocs pins the allocation budget of one guest
 // state round trip — slot restore, hydrate, mark dirty, flush at the VM
-// exit — once the kernel has been through it before.
+// exit — once the kernel has been through it before, on both hydrate paths:
+// restoring one slot again and again, every hydrate after the first copies
+// back the state it decoded; alternating between the slot and the root, every
+// hydrate decodes.
 func TestStateSyncSteadyStateAllocs(t *testing.T) {
 	const slot = 1
-	roundTrip := func(m *vm.Machine, k *guest.Kernel, events func()) func() {
+	roundTrip := func(m *vm.Machine, k *guest.Kernel, events func(), alternate bool) func() {
 		return func() {
 			if err := m.RestoreIncrementalSlot(slot); err != nil {
 				t.Fatal(err)
@@ -285,6 +296,28 @@ func TestStateSyncSteadyStateAllocs(t *testing.T) {
 			}
 			if err := m.Hypercall(vm.HcExecDone); err != nil { // flushes
 				t.Fatal(err)
+			}
+			if alternate {
+				if err := m.RestoreRoot(); err != nil {
+					t.Fatal(err)
+				}
+				k.MarkDirty()
+				if err := m.Hypercall(vm.HcExecDone); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	measure := func(what string, m *vm.Machine, k *guest.Kernel, events func()) {
+		t.Helper()
+		for _, alternate := range []bool{false, true} {
+			hits, decodes := k.Hydrates()
+			n := testing.AllocsPerRun(100, roundTrip(m, k, events, alternate))
+			if h, d := k.Hydrates(); alternate && d-decodes < 2*100 || !alternate && h-hits < 100 {
+				t.Errorf("%s (alternating %v): %d hydrates copied back, %d decoded", what, alternate, h-hits, d-decodes)
+			}
+			if n != 0 {
+				t.Errorf("%s (alternating %v): a state round trip allocates %v objects, want 0", what, alternate, n)
 			}
 		}
 	}
@@ -313,15 +346,11 @@ func TestStateSyncSteadyStateAllocs(t *testing.T) {
 	if err := m.TakeIncrementalSlot(slot); err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, roundTrip(m, k, nil)); n != 0 {
-		t.Errorf("stub target: a state round trip allocates %v objects, want 0", n)
-	}
+	measure("stub target", m, k, nil)
 	// A connection opened, used and closed in it adds nothing: the Conn, its
 	// description and its fd reuse what the last round left, and the two
 	// responses land in the kernel's send buffer.
-	if n := testing.AllocsPerRun(100, roundTrip(m, k, stubSession(t, k))); n != 0 {
-		t.Errorf("stub target: a state round trip with a session in it allocates %v objects, want 0", n)
-	}
+	measure("stub target with a session", m, k, stubSession(t, k))
 
 	// bftpd after a whole seed session, file upload included, and with the
 	// connection still open: the decode finds the one string the target's
@@ -334,9 +363,7 @@ func TestStateSyncSteadyStateAllocs(t *testing.T) {
 	if err := v.M.TakeIncrementalSlot(slot); err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, roundTrip(v.M, v.K, nil)); n != 0 {
-		t.Errorf("bftpd: a state round trip allocates %v objects, want 0", n)
-	}
+	measure("bftpd", v.M, v.K, nil)
 }
 
 // bootStub boots the stub target in a small VM and takes the root snapshot.
@@ -397,13 +424,47 @@ func TestSendBufferIsBoundedAcrossRestores(t *testing.T) {
 // TestHeldPointersSurviveUntilRestore is the lifetime rule of the package
 // comment from the holder's side: a *Conn stays the connection it was, and
 // its Sent slice stays what was sent, across events and VM exits, until the
-// next restore.
+// next restore. It holds a connection whose responses were sent in the test
+// case, and one whose responses a restore brought back by copying the kernel
+// section it last decoded.
 func TestHeldPointersSurviveUntilRestore(t *testing.T) {
+	for _, copiedBack := range []bool{false, true} {
+		t.Run(fmt.Sprintf("copied back %v", copiedBack), func(t *testing.T) {
+			heldPointersSurviveUntilRestore(t, copiedBack)
+		})
+	}
+}
+
+func heldPointersSurviveUntilRestore(t *testing.T, copiedBack bool) {
 	v := launchCoherent(t, "bftpd", false)
 	ops := v.Seeds()[0].Ops
 	v.run(t, ops[:2])
 	c := v.conns[0]
 	id := c.ID
+	if copiedBack {
+		if err := v.M.TakeIncrementalSlot(1); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ { // a decode, then a copy-back of what it decoded
+			if err := v.M.RestoreIncrementalSlot(1); err != nil {
+				t.Fatal(err)
+			}
+			c = v.K.Conn(id)
+			v.deliver(t, c, []byte("NOOP\r\n"))
+			v.vmExit(t)
+		}
+		if err := v.M.RestoreIncrementalSlot(1); err != nil {
+			t.Fatal(err)
+		}
+		hits, _ := v.K.Hydrates()
+		if c = v.K.Conn(id); len(c.Sent) == 0 {
+			t.Fatal("the slot holds no responses")
+		}
+		if after, _ := v.K.Hydrates(); after != hits+1 {
+			t.Fatal("the restore was not served by copy-back")
+		}
+		v.conns[0] = c
+	}
 	var held, want [][]byte // the responses as a holder has them, and what they read when sent
 	check := func(when string) {
 		t.Helper()

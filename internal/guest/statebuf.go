@@ -98,6 +98,10 @@ type StateReader struct {
 	buf []byte
 	off int
 	err error
+
+	// tableCopyBacks and tableDecodes count the Table sections read each way
+	// (see Table.copyBack), across Resets.
+	tableCopyBacks, tableDecodes int
 }
 
 // NewStateReader wraps b for reading.

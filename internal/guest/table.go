@@ -1,6 +1,9 @@
 package guest
 
-import "slices"
+import (
+	"bytes"
+	"slices"
+)
 
 // Table is the container for target state keyed by a small integer — a
 // connection id, an actor id, a query type. It is the map[int]V it replaces,
@@ -22,6 +25,13 @@ import "slices"
 type Table[V int | string] struct {
 	keys []int
 	vals []V
+
+	// dec is the encoding the table was last decoded from, and decKeys and
+	// decVals what it decoded to: a stream that continues with dec continues
+	// with exactly that table, so the reader copies it back (copyBack).
+	dec     []byte
+	decKeys []int
+	decVals []V
 }
 
 // find returns the position of k, or the one to insert it at. The key asked
@@ -105,14 +115,20 @@ func (w *StateWriter) StringTable(t *Table[string]) {
 
 // IntTable reads what StateWriter.IntTable wrote into t, in place: t ends up
 // holding the decoded entries and no other. Keys that do not ascend fail the
-// reader.
+// reader. The stream's section is copied back when it is the one t was last
+// decoded from, and kept for the next read otherwise.
 func (r *StateReader) IntTable(t *Table[int]) {
+	if t.copyBack(r) {
+		return
+	}
+	start := r.off
 	n := r.Count(16)
 	t.keys, t.vals = slices.Grow(t.keys[:0], n)[:n], slices.Grow(t.vals[:0], n)[:n]
 	for i := range t.keys {
 		t.keys[i], t.vals[i] = r.Int(), r.Int()
 	}
 	r.ascending(t.keys)
+	t.keep(r, start)
 }
 
 // StringTable is IntTable for string values. A slot that already holds the
@@ -120,6 +136,10 @@ func (r *StateReader) IntTable(t *Table[int]) {
 // Delete) keeps it, so a restore to a state whose strings the target has held
 // before allocates none.
 func (r *StateReader) StringTable(t *Table[string]) {
+	if t.copyBack(r) {
+		return
+	}
+	start := r.off
 	n := r.Count(12)
 	t.keys, t.vals = slices.Grow(t.keys[:0], n)[:n], slices.Grow(t.vals[:0], n)[:n]
 	for i := range t.keys {
@@ -129,6 +149,31 @@ func (r *StateReader) StringTable(t *Table[string]) {
 		}
 	}
 	r.ascending(t.keys)
+	t.keep(r, start)
+}
+
+// copyBack refills t with what it was last decoded to and skips the section
+// when r continues with the bytes it was decoded from, and reports whether it
+// did. The encoding delimits itself and those bytes passed every check, so
+// this is what decoding them again would yield.
+func (t *Table[V]) copyBack(r *StateReader) bool {
+	if len(t.dec) == 0 || !bytes.HasPrefix(r.buf[r.off:], t.dec) {
+		r.tableDecodes++
+		return false
+	}
+	r.tableCopyBacks++
+	r.off += len(t.dec)
+	t.keys, t.vals = append(t.keys[:0], t.decKeys...), append(t.vals[:0], t.decVals...)
+	return true
+}
+
+// keep remembers, after a decode that succeeded, the section r read t from
+// since start and what it decoded to.
+func (t *Table[V]) keep(r *StateReader, start int) {
+	if r.err == nil {
+		t.dec = append(t.dec[:0], r.buf[start:r.off]...)
+		t.decKeys, t.decVals = append(t.decKeys[:0], t.keys...), append(t.decVals[:0], t.vals...)
+	}
 }
 
 // ascending fails the reader unless ids, a list its writer keeps in ascending

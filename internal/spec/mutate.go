@@ -25,14 +25,28 @@ type Mutator struct {
 	Dict [][]byte
 
 	// child is the input Mutate and MutateSuffix hand out, refilled by every
-	// call. The rest is scratch kept between calls: value types in scope,
-	// pickValue's candidates, havocDataFrom's payload ops, and per edge type
-	// the nodes that output it (a Spec is complete before a mutator runs).
+	// call, and spliced the one Splice hands out. The rest is scratch kept
+	// between calls: generateInto's value types in scope, pickValue's
+	// candidates, havocDataFrom's payload ops, and per edge type the nodes
+	// that output it (a Spec is complete before a mutator runs).
 	child     Input
+	spliced   Input
 	values    []EdgeID
 	cands     []int
 	dataOps   []int
 	producers map[EdgeID][]NodeID
+
+	// prefixOf and prefixAt say where child.Ops[:prefixAt] was copied from:
+	// the array whose first op prefixOf points to, an array the mutator does
+	// not own and nobody writes (package comment), so a call naming it and
+	// prefixAt again finds its prefix already in place. nil when nothing is
+	// kept. prefixVals holds the value types the last repaired prefix outputs,
+	// and repairFrom's scope beyond them. prefixCopies counts MutateSuffix
+	// calls past the first op that copied their prefix.
+	prefixOf     *Op
+	prefixAt     int
+	prefixVals   []EdgeID
+	prefixCopies int
 }
 
 // NewMutator builds a mutator with sensible bounds. It draws from r alone,
@@ -190,9 +204,26 @@ func (m *Mutator) Mutate(in *Input) *Input {
 // The result belongs to the mutator and is valid until its next Mutate or
 // MutateSuffix call; Clone detaches it. in is never written, and the result
 // shares every array no mutation replaced: a child costs what it changed.
+// Calls in a row on one in.Ops array and start — a round of fuzzing on one
+// snapshot — copy the prefix once: the child keeps in.Ops[:start] between
+// them, which is sound because nobody writes an array the mutator does not
+// own (package comment). Any other call, or Splice, ends the round.
 func (m *Mutator) MutateSuffix(in *Input, start int) *Input {
 	out := &m.child
-	out.Ops = append(out.Ops[:0], in.Ops...)
+	hasPrefix := 0 < start && start <= len(in.Ops)
+	known := hasPrefix && &in.Ops[0] == m.prefixOf && start == m.prefixAt
+	if known {
+		out.Ops = append(out.Ops[:start], in.Ops[start:]...)
+	} else {
+		m.prefixOf = nil
+		if hasPrefix {
+			m.prefixCopies++
+			if !sameArray(in.Ops, out.Ops) && !sameArray(in.Ops, m.spliced.Ops) {
+				m.prefixOf, m.prefixAt = &in.Ops[0], start
+			}
+		}
+		out.Ops = append(out.Ops[:0], in.Ops...)
+	}
 	out.SnapshotAt = in.SnapshotAt
 	if start <= 0 {
 		out.SnapshotAt = -1 // placement policy re-inserts the marker
@@ -200,7 +231,7 @@ func (m *Mutator) MutateSuffix(in *Input, start int) *Input {
 	if start >= len(out.Ops) {
 		// Nothing mutable: append fresh ops after the prefix.
 		m.generateInto(out, 1+m.R.Intn(3))
-		m.repairFrom(out, start)
+		m.repairFrom(out, start, known)
 		return out
 	}
 	n := 1 + m.R.Intn(4)
@@ -220,38 +251,54 @@ func (m *Mutator) MutateSuffix(in *Input, start int) *Input {
 			m.generateInto(out, 1+m.R.Intn(3))
 		}
 	}
-	m.repairFrom(out, start)
+	m.repairFrom(out, start, known)
 	if len(out.Ops) == 0 {
 		return m.Generate(0)
 	}
 	return out
 }
 
+// sameArray reports whether a and b are slices of one array: reslicing keeps
+// the last element of the capacity.
+func sameArray(a, b []Op) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
+}
+
 // Splice crosses two inputs: a prefix of a followed by a suffix of b. The
 // result is capped at MaxOps*2 ops (the same bound the havoc stage
 // enforces), so repeated splicing cannot balloon queue entries — oversized
 // entries are expensive to re-execute everywhere, including when a corpus
-// broker redistributes them to other campaign workers. The result is the
-// caller's.
+// broker redistributes them to other campaign workers. Like Mutate's, the
+// result belongs to the mutator: it is valid until the next Splice call, long
+// enough to hand to Mutate but not back to Splice, and Clone detaches it.
 func (m *Mutator) Splice(a, b *Input) *Input {
+	m.prefixOf = nil // repairFrom below refills prefixVals
+	out := &m.spliced
 	if len(a.Ops) == 0 {
-		return b.Clone()
+		return out.set(b)
 	}
 	if len(b.Ops) == 0 {
-		return a.Clone()
+		return out.set(a)
 	}
 	cutA := m.R.Intn(len(a.Ops)) + 1
 	cutB := m.R.Intn(len(b.Ops))
-	out := &Input{Ops: make([]Op, 0, cutA+len(b.Ops)-cutB), SnapshotAt: -1}
-	out.Ops = append(append(out.Ops, a.Ops[:cutA]...), b.Ops[cutB:]...)
+	out.Ops = append(append(out.Ops[:0], a.Ops[:cutA]...), b.Ops[cutB:]...)
+	out.SnapshotAt = -1
 	if max := m.MaxOps * 2; len(out.Ops) > max {
 		out.Ops = out.Ops[:max]
 	}
-	m.repairFrom(out, 0)
+	m.repairFrom(out, 0, false)
 	if len(out.Ops) == 0 {
-		return a.Clone()
+		return out.set(a)
 	}
 	return out
+}
+
+// set makes in a copy of src's op headers and marker, as Clone does, and
+// returns it.
+func (in *Input) set(src *Input) *Input {
+	in.Ops, in.SnapshotAt = append(in.Ops[:0], src.Ops...), src.SnapshotAt
+	return in
 }
 
 // havocDataFrom replaces the payload of one random op at index >= start with
@@ -358,64 +405,71 @@ func (m *Mutator) truncateTailFrom(in *Input, start int) {
 
 // repairFrom rewrites argument references at index >= start so the input
 // validates: ops whose borrows cannot be satisfied by any earlier value are
-// deleted. Deleting can orphan later ops, so repair iterates until stable.
-// Ops before start are assumed valid and never modified (they form the
-// snapshotted prefix). in.Ops, the caller's own, is compacted in place; an
+// deleted. Ops before start are assumed valid and never modified (they form
+// the snapshotted prefix); the value types they output are in prefixVals
+// already when known is set. One pass is enough: an op is checked against
+// the values of the ops kept before it, which is the scope it has in the
+// repaired input, so a second pass would find every reference valid. in.Ops,
+// the caller's own, is written only where an op changes: compacted after a
+// drop, with the slots compaction vacates cleared so they pin no payload; an
 // op's Args may be shared, so a rewritten reference goes into a fresh copy.
-func (m *Mutator) repairFrom(in *Input, start int) {
-	values := m.values[:0]
-	for _, op := range in.Ops[:start] {
-		if int(op.Node) < len(m.S.Nodes) {
-			values = append(values, m.S.Nodes[op.Node].Outputs...)
+func (m *Mutator) repairFrom(in *Input, start int, known bool) {
+	values := m.prefixVals
+	if !known {
+		values = values[:0]
+		for _, op := range in.Ops[:start] {
+			if int(op.Node) < len(m.S.Nodes) {
+				values = append(values, m.S.Nodes[op.Node].Outputs...)
+			}
 		}
 	}
 	prefixValues := len(values)
-	for changed := true; changed; {
-		changed = false
-		values = values[:prefixValues]
-		kept := in.Ops[:start]
-	ops:
-		for _, op := range in.Ops[start:] {
-			if int(op.Node) >= len(m.S.Nodes) {
-				changed = true
-				continue
+	ops, kept := in.Ops, start
+ops:
+	for i := start; i < len(ops); i++ {
+		op := &ops[i]
+		if int(op.Node) >= len(m.S.Nodes) {
+			continue
+		}
+		nt := &m.S.Nodes[op.Node]
+		// args is read, fresh (args' copy from the first rewrite on) written.
+		args := op.Args
+		var fresh []uint16
+		if len(args) != len(nt.Borrows) {
+			fresh = make([]uint16, len(nt.Borrows))
+			for j := range fresh {
+				fresh[j] = uint16(len(values)) // definitely invalid; fixed below
 			}
-			nt := &m.S.Nodes[op.Node]
-			// args is read, fresh (args' copy from the first rewrite on) written.
-			args := op.Args
-			var fresh []uint16
-			if len(args) != len(nt.Borrows) {
-				fresh = make([]uint16, len(nt.Borrows))
-				for j := range fresh {
-					fresh[j] = uint16(len(values)) // definitely invalid; fixed below
-				}
+			args = fresh
+		}
+		for j, need := range nt.Borrows {
+			a := int(args[j])
+			if a < len(values) && values[a] == need {
+				continue // already valid
+			}
+			idx := m.pickValue(values, need)
+			if idx < 0 {
+				continue ops // unsatisfiable: the op is dropped
+			}
+			if fresh == nil {
+				fresh = slices.Clone(args)
 				args = fresh
 			}
-			for j, need := range nt.Borrows {
-				a := int(args[j])
-				if a < len(values) && values[a] == need {
-					continue // already valid
-				}
-				idx := m.pickValue(values, need)
-				if idx < 0 {
-					changed = true
-					continue ops // unsatisfiable: the op is dropped
-				}
-				if fresh == nil {
-					fresh = slices.Clone(args)
-					args = fresh
-				}
-				fresh[j] = uint16(idx)
-				changed = true
-			}
-			op.Args = args
-			if !nt.HasData {
-				op.Data = nil
-			}
-			kept = append(kept, op)
-			values = append(values, nt.Outputs...)
+			fresh[j] = uint16(idx)
 		}
-		in.Ops = kept
+		if kept != i {
+			ops[kept] = *op
+		}
+		if fresh != nil {
+			ops[kept].Args = fresh
+		}
+		if !nt.HasData && ops[kept].Data != nil {
+			ops[kept].Data = nil
+		}
+		kept++
+		values = append(values, nt.Outputs...)
 	}
-	m.values = values
+	clear(ops[kept:])
+	in.Ops = ops[:kept]
+	m.prefixVals = values[:prefixValues]
 }

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/spec"
 	"repro/internal/targets"
 )
@@ -168,20 +170,141 @@ func TestMutateSuffixSteadyStateAllocs(t *testing.T) {
 		{"havoc dup chunk", []int64{0, 0, 1, 5, 2, 3}, 2},
 		{"havoc dict", []int64{0, 0, 1, 6, 2, 3, 1}, 2},
 	} {
-		before := hold(parent)
-		var child *spec.Input
-		mutate := func() {
-			src.vals, src.i = c.draws, 0
-			child = m.MutateSuffix(parent, 2)
+		// Calls in a row on one parent and start keep its prefix; forgetting it
+		// before each call copies it every time. Neither allocates.
+		for _, forget := range []bool{false, true} {
+			before, copies := hold(parent), m.PrefixCopies()
+			var child *spec.Input
+			mutate := func() {
+				src.vals, src.i = c.draws, 0
+				if forget {
+					m.ForgetPrefix()
+				}
+				child = m.MutateSuffix(parent, 2)
+			}
+			mutate() // warm-up: grows the child and the scratch
+			if got := testing.AllocsPerRun(100, mutate); got > c.max {
+				t.Errorf("%s (forgetting %v): %.0f allocations per child, want at most %.0f", c.name, forget, got, c.max)
+			}
+			if copied := m.PrefixCopies() - copies; forget && copied != 102 || !forget && copied > 1 {
+				t.Errorf("%s (forgetting %v): 102 calls copied the prefix %d times", c.name, forget, copied)
+			}
+			if bytes.Equal(spec.Serialize(child), before.want) {
+				t.Errorf("%s: the scripted draws mutated nothing", c.name)
+			}
+			before.check(t, c.name)
 		}
-		mutate() // warm-up: grows the child and the scratch
-		if got := testing.AllocsPerRun(100, mutate); got > c.max {
-			t.Errorf("%s: %.0f allocations per child, want at most %.0f", c.name, got, c.max)
+	}
+}
+
+// TestMutateSuffixPrefixMemoMatchesFreshCopy checks the kept prefix against
+// a copy. Two identically seeded mutators take the same calls, one made to
+// forget its prefix before each: rounds of calls on one input and start,
+// interleaved with Mutate and Splice calls, with a copy of the input whose ops
+// are equal but in a new array (what a trim leaves), and with calls on the
+// mutator's own last child, which must copy every time and never become the
+// kept prefix's key. Every child must serialize the same from both, and the
+// next draw from both sources must agree.
+func TestMutateSuffixPrefixMemoMatchesFreshCopy(t *testing.T) {
+	for _, name := range []string{"bftpd", "dnsmasq", "tinydtls", "exim"} {
+		t.Run(name, func(t *testing.T) {
+			info, _ := targets.Lookup(name)
+			s := spec.RawPacketSpec(name, info.New().Ports())
+			kept, fresh := spec.NewMutator(s, rand.New(rand.NewSource(7))), spec.NewMutator(s, rand.New(rand.NewSource(7)))
+			kept.Dict, fresh.Dict = info.Dict, info.Dict
+			corpus := info.Seeds(s)
+			calls := 0
+			same := func(what string, call func(m *spec.Mutator) *spec.Input) {
+				t.Helper()
+				fresh.ForgetPrefix()
+				child := call(kept)
+				if err := s.Validate(child); err != nil {
+					t.Fatalf("call %d (%s): %v", calls, what, err)
+				}
+				a, b := spec.Serialize(child), spec.Serialize(call(fresh))
+				if calls++; !bytes.Equal(a, b) {
+					t.Fatalf("call %d (%s): the kept prefix gave\n%x\nwhere a fresh copy gave\n%x", calls, what, a, b)
+				}
+				if x, y := kept.R.Int63(), fresh.R.Int63(); x != y {
+					t.Fatalf("call %d (%s): the sources drew apart", calls, what)
+				}
+			}
+			rng := rand.New(rand.NewSource(11)) // the test's own choices
+			for round := 0; round < 400; round++ {
+				in := corpus[rng.Intn(len(corpus))]
+				start := rng.Intn(len(in.Ops) + 1)
+				for i, n := 0, 1+rng.Intn(8); i < n; i++ {
+					switch rng.Intn(10) {
+					case 0:
+						other := corpus[rng.Intn(len(corpus))]
+						same("Mutate", func(m *spec.Mutator) *spec.Input { return m.Mutate(other) })
+					case 1:
+						other := corpus[rng.Intn(len(corpus))]
+						same("Splice", func(m *spec.Mutator) *spec.Input { return m.Mutate(m.Splice(in, other)) })
+					case 2:
+						in = in.Clone()
+						same("a copy in a new array", func(m *spec.Mutator) *spec.Input { return m.MutateSuffix(in, start) })
+					case 3:
+						same("the mutator's own child", func(m *spec.Mutator) *spec.Input {
+							child := m.MutateSuffix(in, start)
+							copies := m.PrefixCopies()
+							child = m.MutateSuffix(m.MutateSuffix(child, start), start)
+							if start > 0 && m.PrefixCopies() != copies+2 {
+								t.Fatalf("call %d: two calls on the mutator's own child copied the prefix %d times", calls, m.PrefixCopies()-copies)
+							}
+							return child
+						})
+					default:
+						same("a round", func(m *spec.Mutator) *spec.Input { return m.MutateSuffix(in, start) })
+					}
+				}
+				if round%3 == 0 {
+					corpus = append(corpus, kept.MutateSuffix(in, start).Clone())
+					fresh.MutateSuffix(in, start)
+				}
+			}
+			if served := fresh.PrefixCopies() - kept.PrefixCopies(); 4*served < fresh.PrefixCopies() {
+				t.Fatalf("the kept prefix served %d of %d calls past the first op", served, fresh.PrefixCopies())
+			}
+		})
+	}
+}
+
+// TestMutateSuffixRoundCopiesPrefixOnce is a counted guard on the kept
+// prefix: in the bftpd campaign the repo benchmark's ftp-snap workload runs
+// (aggressive policy, 4 MiB snapshot pool), at seed 1 for 16 virtual seconds,
+// no scheduling round copies a prefix more than once, so almost every suffix
+// execution finds its prefix kept. A change that silently makes the mutator
+// forget between the calls of a round fails here.
+func TestMutateSuffixRoundCopiesPrefixOnce(t *testing.T) {
+	inst, err := targets.Launch("bftpd", targets.LaunchConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := core.New(inst.Agent, inst.Spec, core.Options{
+		Policy:     core.PolicyAggressive,
+		Seeds:      inst.Seeds(),
+		Rand:       rand.New(rand.NewSource(1)),
+		Dict:       inst.Info.Dict,
+		SnapBudget: 4 << 20,
+	})
+	rounds := 0
+	for f.Elapsed() < 16*time.Second {
+		copies, snaps := f.Mut.PrefixCopies(), f.SnapshotExecs()
+		if err := f.Step(); err != nil {
+			t.Fatal(err)
 		}
-		if bytes.Equal(spec.Serialize(child), before.want) {
-			t.Errorf("%s: the scripted draws mutated nothing", c.name)
+		if n := f.Mut.PrefixCopies() - copies; n > 1 {
+			t.Fatalf("a scheduling round copied its prefix %d times", n)
 		}
-		before.check(t, c.name)
+		if f.SnapshotExecs() > snaps {
+			rounds++
+		}
+	}
+	copies := f.Mut.PrefixCopies()
+	t.Logf("%d suffix executions in %d rounds copied a prefix %d times", f.SnapshotExecs(), rounds, copies)
+	if copies > rounds || uint64(10*copies) > f.SnapshotExecs() {
+		t.Errorf("%d prefix copies for %d rounds and %d suffix executions", copies, rounds, f.SnapshotExecs())
 	}
 }
 

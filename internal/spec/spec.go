@@ -14,9 +14,9 @@
 // is constructed, anywhere in the repository (nyx-vet's opwrite analyzer
 // checks it): a change builds a new slice and assigns it to an op of an
 // Input the writer owns. So any number of inputs and goroutines may hold one
-// op. Input.Clone copies op headers only — O(ops), payloads shared. Mutate
-// and MutateSuffix never write their argument; their result belongs to the
-// Mutator and is valid until the next call of either on it (Clone keeps it).
+// op. Input.Clone copies op headers only — O(ops), payloads shared. Mutate,
+// MutateSuffix and Splice never write their arguments; their result belongs
+// to the Mutator until its next call of the same kind (Clone keeps it).
 package spec
 
 import (
