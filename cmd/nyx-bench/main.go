@@ -1,5 +1,7 @@
 // Command nyx-bench regenerates the paper's tables and figures from the
-// reproduction (see DESIGN.md §3 for the experiment index).
+// reproduction. README.md's sections "The corpus scheduler", "The snapshot
+// pool" and "The parallel campaign subsystem" describe its ablations and the
+// scaling table.
 //
 // Usage:
 //
@@ -27,7 +29,7 @@ func main() {
 	var (
 		table    = flag.Int("table", 0, "regenerate table N (1-5)")
 		figure   = flag.Int("figure", 0, "regenerate figure N (5 or 6; 7 = figure 5 with all fuzzers)")
-		ablation = flag.String("ablation", "", "run ablation: dirty | device | reuse | remirror | sched | snappool | hotpath | all")
+		ablation = flag.String("ablation", "", "run ablation: dirty | device | reuse | remirror | sched | snappool | all")
 		all      = flag.Bool("all", false, "regenerate everything")
 		dur      = flag.Duration("time", 30*time.Second, "virtual campaign duration (= 24 scaled hours)")
 		reps     = flag.Int("reps", 3, "repetitions per cell")
@@ -38,10 +40,7 @@ func main() {
 		campMode = flag.String("sync-mode", "async", "broker sync for -campaign runs: async (sharded, barrier-free) | lockstep (deterministic rounds)")
 		campOut  = flag.String("campaign-out", experiments.ScalingJSON, "output path for the -campaign scaling JSON report (empty string disables)")
 		power    = flag.String("power", "off", "power schedule for -campaign runs: off | fast | coe | explore | lin | quad | adaptive (the sched ablation sweeps all of them)")
-		snapbud  = flag.Int64("snapbudget", experiments.DefaultSnapBudget, "snapshot-pool byte budget for -ablation snappool / hotpath")
-		benchOut = flag.String("bench-out", experiments.HotpathJSON, "output path for the -ablation hotpath JSON report")
-		benchCmp = flag.String("bench-compare", "", "baseline hotpath JSON to gate the fresh -ablation hotpath run against (exit 1 on regression)")
-		benchTol = flag.Float64("bench-tolerance", 0.15, "allowed one-sided wall-clock regression for -bench-compare (0.15 = 15%)")
+		snapbud  = flag.Int64("snapbudget", experiments.DefaultSnapBudget, "snapshot-pool byte budget for -ablation snappool")
 	)
 	flag.Parse()
 
@@ -212,43 +211,6 @@ func main() {
 				fatalf("ablation snappool: %v", err)
 			}
 			fmt.Println(experiments.RenderAblation("== Ablation: snapshot pool (prefix-keyed slots vs single slot vs none) ==", rs))
-		}
-		if abl == "hotpath" || abl == "all" {
-			rep, err := experiments.AblationHotpath(cfg.Targets, *dur, *seed, *snapbud)
-			if err != nil {
-				fatalf("ablation hotpath: %v", err)
-			}
-			// Wall-clock columns are noisy under scheduler jitter; -reps runs
-			// the identical campaign again and keeps the per-cell minimum (the
-			// deterministic columns must agree, and jitter only adds time).
-			for i := 1; i < *reps; i++ {
-				again, err := experiments.AblationHotpath(cfg.Targets, *dur, *seed, *snapbud)
-				if err != nil {
-					fatalf("ablation hotpath: %v", err)
-				}
-				if rep, err = experiments.MinHotpath(rep, again); err != nil {
-					fatalf("ablation hotpath: %v", err)
-				}
-			}
-			fmt.Println(experiments.RenderHotpath(rep))
-			if err := experiments.WriteHotpathJSON(*benchOut, rep); err != nil {
-				fatalf("ablation hotpath: %v", err)
-			}
-			fmt.Printf("   wall-clock report written to %s\n\n", *benchOut)
-			if *benchCmp != "" {
-				baseline, err := experiments.ReadHotpathJSON(*benchCmp)
-				if err != nil {
-					fatalf("bench-compare: %v", err)
-				}
-				if problems := experiments.CompareHotpath(baseline, rep, *benchTol); len(problems) > 0 {
-					fmt.Fprintf(os.Stderr, "nyx-bench: hotpath regression gate failed against %s:\n", *benchCmp)
-					for _, p := range problems {
-						fmt.Fprintf(os.Stderr, "  %s\n", p)
-					}
-					os.Exit(1)
-				}
-				fmt.Printf("   regression gate passed against %s (tolerance %.0f%%)\n\n", *benchCmp, *benchTol*100)
-			}
 		}
 	}
 

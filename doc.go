@@ -13,7 +13,8 @@
 // multi-campaign HTTP service (service), the paper's comparison fuzzers
 // (baseline), the evaluation workloads (targets, mario) and the experiment
 // harness regenerating every table and figure (experiments). See README.md
-// for a tour and DESIGN.md for the paper-to-module map.
+// for a tour; its "Package map" section maps the paper's sections to
+// packages.
 //
 // The repository's determinism, aliasing, locking, and hot-path allocation
 // invariants are machine-checked by a repo-specific analyzer suite

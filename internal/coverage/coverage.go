@@ -127,25 +127,13 @@ type BucketHit struct {
 // Bucketed returns a compact classified snapshot of the trace, valid after
 // the Trace itself is Reset. The snapshot has one entry per touched index,
 // in hit order. The result is freshly allocated — callers that retain it
-// (queue entries, the corpus broker) own it outright; transient consumers
-// on hot loops should use BucketedInto with a reused scratch slice instead.
+// (queue entries, the corpus broker) own it outright.
 func (t *Trace) Bucketed() []BucketHit {
-	return t.BucketedInto(make([]BucketHit, 0, len(t.touched)))
-}
-
-// BucketedInto is Bucketed with a caller-supplied scratch slice: the
-// snapshot is built into dst's storage (grown as needed) and returned, so a
-// loop that snapshots many traces — the campaign sync path's shape — reuses
-// one allocation instead of paying a fresh []BucketHit per call. The result
-// aliases dst and is only valid until the next reuse.
-//
-//nyx:hotpath
-func (t *Trace) BucketedInto(dst []BucketHit) []BucketHit {
-	dst = dst[:0]
-	for _, i := range t.touched {
-		dst = append(dst, BucketHit{Index: i, Bucket: BucketOf(t.bits[i])})
+	out := make([]BucketHit, len(t.touched))
+	for k, i := range t.touched {
+		out[k] = BucketHit{Index: i, Bucket: BucketOf(t.bits[i])}
 	}
-	return dst
+	return out
 }
 
 // MergeBuckets folds a bucketed trace snapshot into the virgin map with the

@@ -290,44 +290,6 @@ func TestVirginUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
-// BucketedInto must produce the same snapshot as Bucketed while reusing the
-// scratch slice's storage across calls (the sync-loop allocation pattern).
-func TestBucketedIntoReusesScratch(t *testing.T) {
-	var tr Trace
-	var scratch []BucketHit
-	for round := 0; round < 3; round++ {
-		tr.Reset()
-		tr.ResetPrev()
-		for i := 0; i < 10+round; i++ {
-			tr.Hit(uint32(100*round + i))
-		}
-		scratch = tr.BucketedInto(scratch)
-		fresh := tr.Bucketed()
-		if len(scratch) != len(fresh) {
-			t.Fatalf("round %d: len %d != %d", round, len(scratch), len(fresh))
-		}
-		for i := range fresh {
-			if scratch[i] != fresh[i] {
-				t.Fatalf("round %d: entry %d differs: %+v vs %+v", round, i, scratch[i], fresh[i])
-			}
-		}
-	}
-	if cap(scratch) == 0 {
-		t.Fatal("scratch never grew")
-	}
-	// Reuse must not allocate once capacity suffices.
-	tr.Reset()
-	tr.ResetPrev()
-	for i := 0; i < 5; i++ {
-		tr.Hit(uint32(i))
-	}
-	before := cap(scratch)
-	scratch = tr.BucketedInto(scratch)
-	if cap(scratch) != before {
-		t.Fatalf("scratch reallocated: cap %d -> %d", before, cap(scratch))
-	}
-}
-
 // Property: merging one snapshot into one shared map range by range of a
 // contiguous partition (MergeBucketsShared and MergeMaskedShared, each range
 // given only its own hits, as the campaign broker's shards are) produces

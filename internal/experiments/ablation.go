@@ -207,34 +207,17 @@ func AblationSnapshotPool(tgts []string, dur time.Duration, seed int64, budget i
 		// rather than silently substitute the default.
 		return nil, fmt.Errorf("experiments: snappool ablation needs a positive budget, got %d", budget)
 	}
-	runCfg := func(target string, policy core.Policy, snapBudget int64) (*core.Fuzzer, error) {
-		inst, err := targets.Launch(target, targets.LaunchConfig{})
-		if err != nil {
-			return nil, err
-		}
-		f := core.New(inst.Agent, inst.Spec, core.Options{
-			Policy:     policy,
-			Seeds:      inst.Seeds(),
-			Rand:       rand.New(rand.NewSource(seed)),
-			Dict:       inst.Info.Dict,
-			SnapBudget: snapBudget,
-		})
-		if err := f.RunFor(dur); err != nil {
-			return nil, err
-		}
-		return f, nil
-	}
 	var out []AblationResult
 	for _, target := range tgts {
-		pool, err := runCfg(target, core.PolicyAggressive, budget)
+		pool, _, err := runSnapshotCell(target, core.PolicyAggressive, dur, seed, budget)
 		if err != nil {
 			return nil, err
 		}
-		single, err := runCfg(target, core.PolicyAggressive, 0)
+		single, _, err := runSnapshotCell(target, core.PolicyAggressive, dur, seed, 0)
 		if err != nil {
 			return nil, err
 		}
-		none, err := runCfg(target, core.PolicyNone, 0)
+		none, _, err := runSnapshotCell(target, core.PolicyNone, dur, seed, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -254,6 +237,28 @@ func AblationSnapshotPool(tgts []string, dur time.Duration, seed int64, budget i
 		)
 	}
 	return out, nil
+}
+
+// runSnapshotCell runs one cell of the snapshot-pool ablation: a fresh
+// instance of target fuzzed for dur of virtual time under policy, with a pool
+// of snapBudget bytes (0 is the single-slot snapshot). It returns the fuzzer
+// and the instance it ran on, whose machine holds the restore counters.
+func runSnapshotCell(target string, policy core.Policy, dur time.Duration, seed, snapBudget int64) (*core.Fuzzer, *targets.Instance, error) {
+	inst, err := targets.Launch(target, targets.LaunchConfig{})
+	if err != nil {
+		return nil, nil, err
+	}
+	f := core.New(inst.Agent, inst.Spec, core.Options{
+		Policy:     policy,
+		Seeds:      inst.Seeds(),
+		Rand:       rand.New(rand.NewSource(seed)),
+		Dict:       inst.Info.Dict,
+		SnapBudget: snapBudget,
+	})
+	if err := f.RunFor(dur); err != nil {
+		return nil, nil, err
+	}
+	return f, inst, nil
 }
 
 // hitRate renders pool hits as a percentage of snapshot rounds.

@@ -1,6 +1,16 @@
 // Package golden reads and re-records the JSON recordings under testdata
-// that pin seeded behaviour (lockstep_golden.json, recorded_campaign.json,
-// state_images.json).
+// that pin seeded behaviour:
+//
+//   - internal/campaign/testdata/lockstep_golden.json (TestLockstepGolden)
+//   - internal/campaign/testdata/recorded_campaign.json
+//     (TestStopAndGoMatchesRecordedCampaign)
+//   - internal/core/testdata/recorded_campaign.json
+//     (TestSharedInputsMatchRecordedCampaign)
+//   - internal/targets/testdata/state_images.json
+//     (TestEveryTargetStateImageMatchesRecorded)
+//   - internal/experiments/testdata/snappool_ablation.json
+//     (TestSnapshotPoolAblationMatchesRecorded)
+//
 // A test compares what it produced with the recording, or, when
 // NYX_UPDATE_GOLDEN is set, writes what it produced as the new recording.
 // The rule for setting it is in the tests' provenance comments: only at a

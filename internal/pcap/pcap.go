@@ -24,6 +24,9 @@ const (
 	etherIPv4    = 0x0800
 	protoTCP     = 6
 	protoUDP     = 17
+	// maxFrame is the longest frame Read accepts and the snapshot length
+	// Write declares: libpcap's maximum.
+	maxFrame = 262144
 )
 
 // Packet is one captured frame's transport payload plus addressing.
@@ -43,7 +46,11 @@ var ErrBadCapture = errors.New("pcap: malformed capture")
 
 // Read parses a classic pcap stream, returning the TCP/UDP packets that
 // carry payload. Frames it cannot parse (non-IPv4, truncated) are skipped,
-// as real capture tooling does.
+// as real capture tooling does. A frame longer than the capture's snapshot
+// length (when the header gives one) or than maxFrame, or a timestamp whose
+// microsecond field is a second or more, makes the capture malformed. Frame
+// bodies are read into one buffer reused across frames, so a length that
+// claims more bytes than arrive costs at most one maxFrame buffer.
 func Read(r io.Reader) ([]Packet, error) {
 	var gh [24]byte
 	if _, err := io.ReadFull(r, gh[:]); err != nil {
@@ -55,7 +62,12 @@ func Read(r io.Reader) ([]Packet, error) {
 	if lt := binary.LittleEndian.Uint32(gh[20:]); lt != linkEthernet {
 		return nil, fmt.Errorf("%w: unsupported link type %d", ErrBadCapture, lt)
 	}
+	limit := uint32(maxFrame)
+	if snaplen := binary.LittleEndian.Uint32(gh[16:]); snaplen != 0 && snaplen < limit {
+		limit = snaplen
+	}
 	var out []Packet
+	var frame []byte
 	for {
 		var ph [16]byte
 		if _, err := io.ReadFull(r, ph[:]); err != nil {
@@ -67,10 +79,16 @@ func Read(r io.Reader) ([]Packet, error) {
 		sec := binary.LittleEndian.Uint32(ph[0:])
 		usec := binary.LittleEndian.Uint32(ph[4:])
 		incl := binary.LittleEndian.Uint32(ph[8:])
-		if incl > 1<<24 {
-			return nil, fmt.Errorf("%w: implausible frame length %d", ErrBadCapture, incl)
+		if incl > limit {
+			return nil, fmt.Errorf("%w: frame length %d exceeds the snapshot length %d", ErrBadCapture, incl, limit)
 		}
-		frame := make([]byte, incl)
+		if usec >= 1e6 {
+			return nil, fmt.Errorf("%w: timestamp microseconds %d out of range", ErrBadCapture, usec)
+		}
+		if uint32(cap(frame)) < incl {
+			frame = make([]byte, incl)
+		}
+		frame = frame[:incl]
 		if _, err := io.ReadFull(r, frame); err != nil {
 			return nil, fmt.Errorf("%w: frame body: %v", ErrBadCapture, err)
 		}
@@ -140,13 +158,14 @@ func parseFrame(f []byte) (Packet, bool) {
 
 // Write emits pkts as a classic pcap file, synthesizing Ethernet/IPv4
 // framing. TCP sequence numbers are taken from the packets (the writer does
-// not model handshakes; captures are "local" in the paper's sense).
+// not model handshakes; captures are "local" in the paper's sense). A packet
+// whose payload does not fit one IPv4 packet is an error.
 func Write(w io.Writer, pkts []Packet) error {
 	var gh [24]byte
 	binary.LittleEndian.PutUint32(gh[0:], magicLE)
 	binary.LittleEndian.PutUint16(gh[4:], 2) // version 2.4
 	binary.LittleEndian.PutUint16(gh[6:], 4)
-	binary.LittleEndian.PutUint32(gh[16:], 1<<16) // snaplen
+	binary.LittleEndian.PutUint32(gh[16:], maxFrame) // snaplen
 	binary.LittleEndian.PutUint32(gh[20:], linkEthernet)
 	if _, err := w.Write(gh[:]); err != nil {
 		return err
@@ -190,6 +209,9 @@ func buildFrame(p *Packet) ([]byte, error) {
 		copy(l4[8:], p.Data)
 	default:
 		return nil, fmt.Errorf("pcap: unknown proto %q", p.Proto)
+	}
+	if 20+len(l4) > 0xffff {
+		return nil, fmt.Errorf("pcap: %d-byte %s payload does not fit one IPv4 packet", len(p.Data), p.Proto)
 	}
 	ip := make([]byte, 20+len(l4))
 	ip[0] = 0x45

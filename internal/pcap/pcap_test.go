@@ -2,6 +2,12 @@ package pcap
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -133,4 +139,168 @@ func TestFlowResplit(t *testing.T) {
 	if len(one) != 1 || string(one[0]) != "USER a\r\nPASS b\r\n" {
 		t.Fatalf("SplitNone wrong: %q", one)
 	}
+}
+
+// capture returns a global header with the given snapshot length followed by
+// one packet header claiming incl frame bytes, and no frame body.
+func capture(snaplen, incl uint32) []byte {
+	b := make([]byte, 40)
+	binary.LittleEndian.PutUint32(b[0:], magicLE)
+	binary.LittleEndian.PutUint16(b[4:], 2)
+	binary.LittleEndian.PutUint16(b[6:], 4)
+	binary.LittleEndian.PutUint32(b[16:], snaplen)
+	binary.LittleEndian.PutUint32(b[20:], linkEthernet)
+	binary.LittleEndian.PutUint32(b[24+8:], incl)
+	binary.LittleEndian.PutUint32(b[24+12:], incl)
+	return b
+}
+
+// hostileCapture is 40 bytes whose one packet header claims a 16 MiB frame,
+// under a snapshot length that claims as much.
+var hostileCapture = capture(1<<24, 1<<24)
+
+// allocated returns the heap bytes one call of f allocates: the mean over
+// allocRuns calls after a warm-up call, at GOMAXPROCS 1 as
+// testing.AllocsPerRun measures, so that what the test runner's own
+// goroutines allocate meanwhile is spread over every call rather than
+// charged to one.
+func allocated(f func()) uint64 {
+	const allocRuns = 100
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < allocRuns; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / allocRuns
+}
+
+func TestReadRejectsFrameLongerThanMaxFrame(t *testing.T) {
+	var err error
+	n := allocated(func() { _, err = Read(bytes.NewReader(hostileCapture)) })
+	if !errors.Is(err, ErrBadCapture) {
+		t.Fatalf("16 MiB frame: err = %v, want ErrBadCapture", err)
+	}
+	if n > 4096 {
+		t.Fatalf("rejecting a 40-byte capture allocated %d bytes", n)
+	}
+	if _, err := Read(bytes.NewReader(capture(0, maxFrame+1))); !errors.Is(err, ErrBadCapture) {
+		t.Fatalf("frame one byte over maxFrame with no snapshot length: err = %v, want ErrBadCapture", err)
+	}
+}
+
+func TestReadRejectsFrameLongerThanSnaplen(t *testing.T) {
+	if _, err := Read(bytes.NewReader(capture(100, 101))); !errors.Is(err, ErrBadCapture) ||
+		!strings.Contains(err.Error(), "snapshot length 100") {
+		t.Fatalf("frame over the snapshot length: err = %v", err)
+	}
+	// A frame of exactly the snapshot length passes the bound and fails only
+	// for its missing body.
+	if _, err := Read(bytes.NewReader(capture(100, 100))); err == nil || !strings.Contains(err.Error(), "frame body") {
+		t.Fatalf("frame at the snapshot length: err = %v, want a missing-body error", err)
+	}
+}
+
+// A frame length the capture does not back with bytes costs one frame buffer
+// of at most maxFrame, and frames that do arrive share one buffer.
+func TestReadAllocatesOneFrameBuffer(t *testing.T) {
+	n := allocated(func() { Read(bytes.NewReader(capture(0, maxFrame))) }) //nolint:errcheck // body missing
+	if n > maxFrame+4096 {
+		t.Fatalf("a header claiming %d bytes with none behind it allocated %d bytes", maxFrame, n)
+	}
+	var pkts []Packet
+	for i := 0; i < 64; i++ {
+		pkts = append(pkts, tcpPkt(40000, 21, uint32(i), strings.Repeat("x", 1000)))
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, pkts); err != nil {
+		t.Fatal(err)
+	}
+	size := uint64(buf.Len())
+	n = allocated(func() { Read(bytes.NewReader(buf.Bytes())) }) //nolint:errcheck // well-formed
+	// The payload copies plus the packet slice; a fresh buffer per frame
+	// would add another 64 KiB.
+	if n > size+16<<10 {
+		t.Fatalf("reading a %d-byte capture allocated %d bytes", size, n)
+	}
+}
+
+func TestReadRejectsMicrosecondsOutOfRange(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, []Packet{tcpPkt(40000, 21, 1, "USER a\r\n")}); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	binary.LittleEndian.PutUint32(b[24+4:], 1e6)
+	if _, err := Read(bytes.NewReader(b)); !errors.Is(err, ErrBadCapture) {
+		t.Fatalf("usec = 1e6: err = %v, want ErrBadCapture", err)
+	}
+}
+
+func TestWriteRejectsPayloadBeyondIPv4Length(t *testing.T) {
+	for _, c := range []struct {
+		proto  string
+		header int
+	}{{"tcp", 20}, {"udp", 8}} {
+		fits := Packet{Proto: c.proto, DstPort: 21, Data: make([]byte, 0xffff-20-c.header)}
+		var buf bytes.Buffer
+		if err := Write(&buf, []Packet{fits}); err != nil {
+			t.Fatalf("%s: largest payload: %v", c.proto, err)
+		}
+		got, err := Read(&buf)
+		if err != nil || len(got) != 1 || len(got[0].Data) != len(fits.Data) {
+			t.Fatalf("%s: largest payload did not round-trip: %d packets, err %v", c.proto, len(got), err)
+		}
+		over := fits
+		over.Data = make([]byte, len(fits.Data)+1)
+		if err := Write(io.Discard, []Packet{over}); err == nil {
+			t.Fatalf("%s: a payload one byte over the IPv4 total length was written", c.proto)
+		}
+	}
+}
+
+// FuzzPcapRead feeds Read arbitrary captures: it never panics, and whatever it
+// accepts survives a Write and a second Read unchanged.
+func FuzzPcapRead(f *testing.F) {
+	for _, pkts := range [][]Packet{
+		{
+			tcpPkt(40000, 21, 1, "USER anon\r\n"),
+			tcpPkt(40000, 21, 12, "PASS x\r\n"),
+			{Proto: "udp", SrcIP: [4]byte{10, 0, 0, 3}, DstIP: [4]byte{10, 0, 0, 2},
+				SrcPort: 50000, DstPort: 53, Data: []byte("query")},
+		},
+		{
+			{Proto: "tcp", SrcIP: [4]byte{10, 0, 0, 1}, SrcPort: 40000, DstPort: 21, Data: []byte("USER anon\r\nPASS")},
+			{Proto: "tcp", SrcIP: [4]byte{10, 0, 0, 1}, SrcPort: 40000, DstPort: 21, Data: []byte(" x\r\n")},
+			{Proto: "tcp", SrcIP: [4]byte{10, 0, 0, 9}, SrcPort: 41000, DstPort: 21, Data: []byte("QUIT\r\n")},
+		},
+		{{Proto: "udp", SrcIP: [4]byte{10, 0, 0, 1}, SrcPort: 40000, DstPort: 53,
+			Data: []byte{0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 3, 'w', 'w', 'w', 0, 0, 1, 0, 1}}},
+	} {
+		var buf bytes.Buffer
+		if err := Write(&buf, pkts); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(hostileCapture)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pkts, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, pkts); err != nil {
+			t.Fatalf("Write of what Read accepted: %v", err)
+		}
+		again, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("Read of what Write wrote: %v", err)
+		}
+		if !reflect.DeepEqual(again, pkts) {
+			t.Fatalf("round trip changed the packets:\n got %+v\nwant %+v", again, pkts)
+		}
+	})
 }

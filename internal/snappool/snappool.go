@@ -80,9 +80,9 @@ type Stats struct {
 	// Slots is the current number of pooled snapshots.
 	Slots int
 	// LookupWall is accumulated real (wall-clock) time spent in Resolve
-	// and LookupDigest, and Lookups the number of such calls — the
-	// hotpath ablation's lookup-cost metric. Wall time is telemetry only;
-	// nothing deterministic reads it.
+	// and LookupDigest, and Lookups the number of such calls — what
+	// bench/ reports as snappool.lookup_ns_per_exec. Wall time is
+	// telemetry only; nothing deterministic reads it.
 	LookupWall time.Duration
 	Lookups    uint64
 	// ProfilesStashed counts write-set profiles saved from evicted slots;

@@ -130,10 +130,11 @@ type MachineStats struct {
 	Hypercalls      uint64
 	VirtualTimeUsed time.Duration
 	// RestoreWall is the accumulated real (wall-clock) time the restore
-	// paths spent — the quantity the simulated virtual clock models, now
-	// measured so the hotpath ablation can verify the zero-copy restore
-	// actually got cheaper on hardware, not just in the cost model.
-	// Telemetry only; nothing deterministic reads it.
+	// paths spent — the quantity the simulated virtual clock models,
+	// measured so the restore's cost on hardware can be read beside the
+	// cost model: bench/ reports it as vm.restore_ns_per_exec, and nyx-net
+	// prints it on its restore line. Telemetry only; nothing deterministic
+	// reads it.
 	RestoreWall time.Duration
 
 	// Write-set-profiled restore telemetry, surfaced from the memory and
