@@ -37,7 +37,7 @@ func main() {
 		tgts     = flag.String("targets", "", "comma-separated target subset (default: all 13)")
 		levels   = flag.String("levels", "", "comma-separated Mario levels for table 4 (default subset)")
 		camp     = flag.String("campaign", "", "run the parallel-scaling campaign at these worker counts (e.g. 1,2,4,8 or 16,32,64)")
-		campMode = flag.String("sync-mode", "async", "broker sync for -campaign runs: async (sharded, barrier-free) | lockstep (deterministic rounds)")
+		campMode = flag.String("sync-mode", "async", "broker sync for -campaign runs: async (barrier-free, one exchange at a time) | lockstep (deterministic rounds)")
 		campOut  = flag.String("campaign-out", experiments.ScalingJSON, "output path for the -campaign scaling JSON report (empty string disables)")
 		power    = flag.String("power", "off", "power schedule for -campaign runs: off | fast | coe | explore | lin | quad | adaptive (the sched ablation sweeps all of them)")
 		snapbud  = flag.Int64("snapbudget", experiments.DefaultSnapBudget, "snapshot-pool byte budget for -ablation snappool")

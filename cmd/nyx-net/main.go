@@ -96,7 +96,7 @@ func main() {
 		crashDir = flag.String("crash-dir", "", "directory to write crashing inputs (bytecode) to")
 		workers  = flag.Int("workers", 1, "parallel fuzzer instances (corpus-synced campaign when > 1)")
 		syncIvl  = flag.Duration("sync", campaign.DefaultSyncInterval, "virtual time between corpus broker syncs (lockstep round / async epoch length)")
-		syncMode = flag.String("sync-mode", "async", "corpus broker sync: async (barrier-free epochs, sharded broker) | lockstep (deterministic rounds)")
+		syncMode = flag.String("sync-mode", "async", "corpus broker sync: async (barrier-free epochs, one exchange at a time) | lockstep (deterministic rounds)")
 		ckpt     = flag.String("checkpoint", "", "campaign checkpoint directory, or tree name when -store is set (written on exit)")
 		resume   = flag.Bool("resume", false, "resume the campaign stored in -checkpoint")
 		storeURL = flag.String("store", "", "checkpoint store URL: dir://PATH | mem://BUCKET (routes -checkpoint/-resume and service-mode persistence)")
@@ -280,7 +280,7 @@ func runParallel(o parallelOpts) {
 		c.Elapsed().Round(time.Millisecond), time.Since(start).Round(time.Millisecond))
 	fmt.Printf("    broker sync:    %s mode, %d exchanges, %v wall in broker\n",
 		ss.Mode, ss.Epochs, ss.SyncWall.Round(time.Millisecond))
-	fmt.Printf("    broker shards:  %d lock acquisitions, %d contended, %d imports dropped\n",
+	fmt.Printf("    broker lock:    %d acquisitions, %d contended, %d imports dropped\n",
 		ss.ShardAcquisitions, ss.ShardContended, ss.ImportsDropped)
 	fmt.Printf("    execs:          %d total (%.1f/virtual-second aggregate)\n",
 		c.Execs(), c.ExecsPerSecond())

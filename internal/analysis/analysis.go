@@ -36,8 +36,8 @@
 //     directive; code that changes an op builds a new slice and assigns it.
 //   - lockorder: the mutex-acquisition partial order across the broker,
 //     service manager, snapshot pool, and checkpoint store must stay
-//     acyclic — the deadlock-freedom guardrail for the broker-sharding
-//     refactor.
+//     acyclic — the deadlock-freedom guardrail for any code that takes
+//     two of them.
 //   - hotalloc: functions marked //nyx:hotpath (slot restore, snapshot
 //     lookup, coverage bucketing, the netemu resumed-run path) must not
 //     heap-allocate, directly or through any call chain.

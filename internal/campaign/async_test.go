@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/bits"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/coverage"
+	"repro/internal/guest"
 	"repro/internal/spec"
 	"repro/internal/store"
 )
@@ -60,8 +63,8 @@ func TestAsyncEpochsAndRedistribution(t *testing.T) {
 	if st.Epochs < 12 {
 		t.Fatalf("only %d epoch exchanges", st.Epochs)
 	}
-	if st.ShardAcquisitions == 0 {
-		t.Fatal("async exchange never took a shard lock")
+	if st.ShardAcquisitions != st.Epochs {
+		t.Fatalf("%d exchanges took the broker lock %d times, want once each", st.Epochs, st.ShardAcquisitions)
 	}
 	if c.CorpusSize() == 0 || c.Coverage() == 0 {
 		t.Fatalf("corpus %d, coverage %d", c.CorpusSize(), c.Coverage())
@@ -309,55 +312,108 @@ func TestSharedPublicationsOutliveTheOwnersMutations(t *testing.T) {
 	}
 }
 
-// The broker keeps one virgin map, and each shard's lock guards only its own
-// range of it. Two workers exchanging at the same time, each covering new
-// edges on its side of the boundary between shards 0 and 1 — neighbouring
-// bytes of the one map — must neither race (the race detector watches this
-// test) nor lose an edge, a verdict or a count.
-func TestAsyncExchangeNeighbouringShards(t *testing.T) {
-	const n = 500
-	b := newBroker()
-	b.initWorkers(2)
-	in := spec.NewInput()
-	var wg sync.WaitGroup
-	for wid := range 2 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range n {
-				// Worker 0 walks down from the last edge of shard 0, worker 1 up
-				// from the first of shard 1; each exchange also carries a
-				// virgin delta one edge further out.
-				idx, next := uint32(shardWidth-1-2*i), uint32(shardWidth-2-2*i)
-				if wid == 1 {
-					idx, next = shardWidth+2*uint32(i), shardWidth+1+2*uint32(i)
+// Every exchange is atomic: the broker holds its lock for the whole call,
+// so two workers exchanging at the same time leave the broker exactly as
+// one of the serial orders of their whole exchanges would. Each worker here
+// submits three deltas over overlapping edges — among them a displacement
+// of the other worker's claim, a publication that is fresh or a duplicate
+// depending on what came first, a trim's claim transfer and one crash both
+// workers find — and the concurrent run's broker.bin and virgin.bin bytes,
+// and everything each worker got back, must equal those of one of the 20
+// interleavings of the two sequences, each replayed on a fresh broker. The
+// race detector watches the concurrent half.
+func TestAsyncExchangesAreSerializable(t *testing.T) {
+	entry := func(name string, cost int, cov ...coverage.BucketHit) *core.QueueEntry {
+		in := spec.NewInput(spec.Op{Data: []byte(name)})
+		return &core.QueueEntry{Input: in, ExecTime: time.Duration(cost) * time.Microsecond, Size: cost, Favored: true, Cov: cov}
+	}
+	pub := func(e *core.QueueEntry) pubDelta {
+		return pubDelta{key: e.Key(), fav: e.FavFactor(), favored: e.Favored, cov: e.Cov, input: e.Input, entry: e}
+	}
+	retrim := func(e *core.QueueEntry, trimmed string, cost int) retrimDelta {
+		t := entry(trimmed, cost)
+		return retrimDelta{oldKey: e.Key(), newKey: t.Key(), fav: t.FavFactor()}
+	}
+	crash := func(at time.Duration) []core.Crash {
+		return []core.Crash{{Kind: "segfault", Msg: "shared bug", FoundAt: at, Input: spec.NewInput(spec.Op{Data: []byte("crash")})}}
+	}
+	a0 := entry("a0", 100, hit(1, 1), hit(2, 1), hit(3, 1))
+	a1 := entry("a1", 50, hit(2, 1), hit(20, 1), hit(21, 1))
+	deltas := [2][3]epochDelta{{
+		{pubs: []pubDelta{pub(a0)}, crashes: crash(time.Millisecond), virginDelta: []coverage.BucketHit{hit(10, 3)}},
+		// d0 takes edge 21 from a1 if a1 came first, and 20 in either order.
+		{pubs: []pubDelta{pub(entry("b0", 10, hit(4, 1), hit(5, 2))), pub(entry("d0", 5, hit(20, 2), hit(21, 1)))}},
+		{pubs: []pubDelta{pub(entry("c0", 200, hit(1, 2)))}, retrims: []retrimDelta{retrim(a0, "a0-trimmed", 7)}},
+	}, {
+		{pubs: []pubDelta{pub(a1)}, crashes: crash(2 * time.Millisecond)},
+		// b1 is fresh, and displaces a0 and b0, only if it beats them here.
+		{pubs: []pubDelta{pub(entry("b1", 1, hit(1, 1), hit(3, 1), hit(4, 1)))}},
+		{pubs: []pubDelta{pub(entry("c1", 3, hit(5, 1), hit(22, 4)))}, retrims: []retrimDelta{retrim(a1, "a1-trimmed", 2)},
+			virginDelta: []coverage.BucketHit{hit(23, 1)}},
+	}}
+
+	// exchange runs worker w's k-th delta and renders what it got back.
+	exchange := func(b *broker, w, k int) string {
+		won, imports, notes, _, _ := b.exchange(w, deltas[w][k])
+		keys := make([]string, len(notes))
+		for i, n := range notes {
+			keys[i] = fmt.Sprintf("%x", n.key)
+		}
+		return fmt.Sprintf("%v %x %v", won, itemKeys(imports), keys)
+	}
+	outcome := func(b *broker, got [2][]string) string {
+		var w guest.StateWriter
+		b.encode(&w)
+		virgin, err := b.virgin.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%x\n%x\n%q", w.Bytes(), virgin, got)
+	}
+	fresh := func() *broker {
+		b := newBroker()
+		b.initWorkers(2)
+		return b
+	}
+
+	serial := make(map[string][]int)
+	for mask := range 1 << 6 {
+		if bits.OnesCount(uint(mask)) != 3 {
+			continue
+		}
+		b, order := fresh(), make([]int, 6)
+		var got [2][]string
+		for pos := range order {
+			w := mask >> pos & 1
+			order[pos] = w
+			got[w] = append(got[w], exchange(b, w, len(got[w])))
+		}
+		serial[outcome(b, got)] = order
+	}
+	if len(serial) < 10 {
+		t.Fatalf("only %d distinct outcomes over the 20 serial orders: the deltas do not interact", len(serial))
+	}
+
+	for run := range 20 {
+		b := fresh()
+		var got [2][]string
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for k := range 3 {
+					got[w] = append(got[w], exchange(b, w, k))
+					runtime.Gosched()
 				}
-				cov := []coverage.BucketHit{hit(idx, 1)}
-				hits := make([]coverage.BucketHit, len(cov))
-				won, _, _, _, _ := b.exchange(wid, epochDelta{
-					pubs: []pubDelta{{key: fmt.Sprintf("w%d-%d", wid, i), fav: 1, hits: hits, off: groupByShard(hits, cov),
-						input: in, entry: &core.QueueEntry{}}},
-					virginDelta: []coverage.BucketHit{hit(next, 1)},
-				})
-				if !won[0] {
-					t.Errorf("worker %d publication %d covered a new edge and won nothing", wid, i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if b.edgesTotal != 4*n || len(b.corpus) != 2*n || b.deduped != 0 {
-		t.Fatalf("edges %d, corpus %d, deduped %d; want %d, %d, 0", b.edgesTotal, len(b.corpus), b.deduped, 4*n, 2*n)
-	}
-	raw, err := b.virgin.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v coverage.Virgin
-	if err := v.UnmarshalBinary(raw); err != nil {
-		t.Fatal(err)
-	}
-	if v.Edges() != 4*n {
-		t.Fatalf("the virgin map holds %d edges, want %d", v.Edges(), 4*n)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if _, ok := serial[outcome(b, got)]; !ok {
+			t.Fatalf("run %d: the concurrent exchanges left a broker no serial order of them leaves", run)
+		}
 	}
 }

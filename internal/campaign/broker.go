@@ -1,10 +1,9 @@
 package campaign
 
 import (
+	"maps"
 	"slices"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -12,87 +11,53 @@ import (
 	"repro/internal/spec"
 )
 
-// The broker is the campaign's one sync algorithm. A worker hands it an
-// epochDelta — everything it queued, trimmed, crashed on and covered since
-// its last call — through exchange, and gets back the verdicts on its
-// publications, its pending imports and demotion notices, and the
-// campaign-wide pick totals. That worker-to-broker contract is stated once,
-// here; campaign.go only decides when each worker calls it (the lockstep
-// and async schedules).
+// maxPendingImports bounds each worker's import queue. When the rest of the
+// campaign publishes faster than a worker pulls, non-favored entries are
+// dropped first — the worker falls behind on redistribution instead of
+// stalling the publishers (every dropped entry is still in the global
+// corpus).
+const maxPendingImports = 256
+
+// broker is the campaign's one sync algorithm and its shared state. A
+// worker hands it an epochDelta — everything it queued, trimmed, crashed on
+// and covered since its last call — through exchange, and gets back the
+// verdicts on its publications, its pending imports and demotion notices,
+// and the campaign-wide pick totals. That worker-to-broker contract is
+// stated once, here; campaign.go only decides when each worker calls it
+// (the lockstep and async schedules).
 //
-// State is sharded by edge-index range: the virgin map and the per-edge
-// top-rated competition split into brokerShards contiguous slices of the
-// coverage bitmap, each with its own lock, so exchanges touching disjoint
-// edge ranges proceed concurrently; the one virgin map's bytes in a shard's
-// range are merged into (coverage's shared-map merges) under that shard's
-// lock only. Cross-edge state — the per-input claim counts the favored
-// competition settles on, the corpus, crashes, the coverage log and the
-// per-worker import/notice queues — stays central under one mutex.
-//
-// A delta is applied in three phases: per-shard merge (coverage dedup),
-// per-shard compete (claim decisions, emitted as events), then one central
-// pass (claim accounting, corpus, redistribution, crashes, telemetry).
-// Shard locks are taken one at a time and never nested with the central
-// mutex. When exchanges interleave (the async schedule), claim wins can
-// transiently over- or under-count as a displacement races a trim's claim
-// transfer, so GloballyDominated demotion is advisory: it self-heals — the
-// count is clamped at zero — and only ever biases scheduling, never
-// correctness. Called from one goroutine in a fixed order (the lockstep
-// schedule), every outcome is a pure function of the deltas.
-const (
-	brokerShards = 16
-	shardWidth   = coverage.MapSize / brokerShards
-	// maxPendingImports bounds each worker's import queue. When the rest of
-	// the campaign publishes faster than a worker pulls, non-favored
-	// entries are dropped first — the worker falls behind on
-	// redistribution instead of stalling the publishers (every dropped
-	// entry is still in the global corpus).
-	maxPendingImports = 256
-)
-
-// shardFor maps an in-range edge index to its shard.
-func shardFor(idx uint32) int { return int(idx / shardWidth) }
-
-// brokerShard is one contiguous edge-range slice of the broker: the lock
-// over the virgin map's bytes in [lo, hi), and the top-rated claims and
-// per-key claimed-edge index for edges in that range.
-type brokerShard struct {
-	mu sync.Mutex
-	// topRated holds, per edge in this shard's range, the cheapest
-	// (favFactor-minimal) published claim.
-	topRated map[uint32]topClaim
-	// claimEdges indexes, per claimant key, the edges in this shard ever
-	// claimed under it, so a trim's claim transfer touches only that key's
-	// edges. Entries go stale when an edge is displaced (topRated is
-	// authoritative); stale keys are cleaned lazily on transfer.
-	claimEdges map[string][]uint32
-	// acquisitions/contended count lock acquisitions and how many found
-	// the shard already locked — the contention telemetry the
-	// -campaign scaling bench reports.
-	acquisitions atomic.Uint64
-	contended    atomic.Uint64
-}
-
-// lock acquires the shard lock, counting contended acquisitions.
-func (sh *brokerShard) lock() {
-	if !sh.mu.TryLock() {
-		sh.contended.Add(1)
-		sh.mu.Lock()
-	}
-	sh.acquisitions.Add(1)
-}
-
-func (sh *brokerShard) unlock() { sh.mu.Unlock() }
-
-// broker is the campaign's shared state: edge-sharded coverage and claims
-// plus the central cross-edge bookkeeping.
+// The contract holds for whole calls: exchange takes the broker's one mutex
+// on entry and holds it to its end, so concurrent exchanges (the async
+// schedule) apply whole deltas one after another, and every run's outcome
+// is that of some serial order of its exchanges. Within an exchange the
+// delta is applied in one pass, in publication order: each publication's
+// trace is merged into the virgin map (the dedup verdict) and competes for
+// the edges it covers, and every win or displacement updates the claim
+// counts and demotion notices as it happens; then come the worker's virgin
+// delta, its trims' claim transfers and the cross-edge bookkeeping (corpus,
+// redistribution, crashes, telemetry). Called from one goroutine in a fixed
+// order (the lockstep schedule), every outcome is a pure function of the
+// deltas.
 type broker struct {
-	shards [brokerShards]brokerShard
-	// virgin is the global coverage map, partitioned by the shard locks.
-	virgin coverage.Virgin
-
-	// mu guards every field below.
+	// mu guards every field below; exchange holds it for the whole call.
 	mu sync.Mutex
+	// acquisitions/contended count exchange's acquisitions of mu and how
+	// many found it already held — the contention telemetry the -campaign
+	// scaling bench reports.
+	acquisitions uint64
+	contended    uint64
+
+	// virgin is the global coverage map.
+	virgin coverage.Virgin
+	// topRated holds, per edge, the cheapest (favFactor-minimal) published
+	// claim.
+	topRated map[uint32]topClaim
+	// claimEdges indexes, per claimant key, the edges ever claimed under it,
+	// so a trim's claim transfer touches only that key's edges. Entries go
+	// stale when an edge is displaced (topRated is authoritative); stale keys
+	// are cleaned lazily on transfer.
+	claimEdges map[string][]uint32
+
 	// corpus holds the globally fresh entries, in acceptance order. Each
 	// remembers the worker that published it (entry IDs are per-worker,
 	// so (worker, ID) is the global identity).
@@ -111,18 +76,15 @@ type broker struct {
 	// published/deduped count broker decisions (campaign telemetry).
 	published uint64
 	deduped   uint64
-	// edgesTotal counts the virgin map's edges, so sampling and Coverage()
-	// never need the shard locks.
-	edgesTotal int
 
-	// Global favored competition, cross-edge half. claimWins counts how
-	// many edges each claimant key currently holds across all shards
-	// (authoritative; GlobalFav and demotion read it). claimants maps a
-	// claimant key to broker-owned entries carrying that input (the corpus
-	// entries a resume restored) so a fully displaced claim demotes them
-	// in place. claimWorkers maps a claimant key to the workers holding
-	// live copies; those are demoted via notices instead, because the
-	// broker must never write a live entry another goroutine owns.
+	// Global favored competition, per input (topRated is per edge).
+	// claimWins counts how many edges each claimant key currently holds in
+	// topRated (GlobalFav and demotion read it). claimants maps a claimant
+	// key to broker-owned entries carrying that input (the corpus entries a
+	// resume restored) so a fully displaced claim demotes them in place.
+	// claimWorkers maps a claimant key to the workers holding live copies;
+	// those are demoted via notices instead, because the broker must never
+	// write a live entry another goroutine owns.
 	claimWins    map[string]int
 	claimants    map[string][]*core.QueueEntry
 	claimWorkers map[string]map[int]struct{}
@@ -164,18 +126,15 @@ type brokerEntry struct {
 }
 
 func newBroker() *broker {
-	b := &broker{
+	return &broker{
+		topRated:     make(map[uint32]topClaim),
+		claimEdges:   make(map[string][]uint32),
 		crashSeen:    make(map[string]bool),
 		claimWins:    make(map[string]int),
 		claimants:    make(map[string][]*core.QueueEntry),
 		claimWorkers: make(map[string]map[int]struct{}),
 		pickTotals:   make(map[uint32]uint64),
 	}
-	for si := range b.shards {
-		b.shards[si].topRated = make(map[uint32]topClaim)
-		b.shards[si].claimEdges = make(map[string][]uint32)
-	}
-	return b
 }
 
 // initWorkers sizes the per-worker queues. Idempotent.
@@ -202,21 +161,11 @@ func (b *broker) reportedElapsedFor(id int) time.Duration {
 	return b.reported[id]
 }
 
-// topRatedCount returns the number of edges with a live claim across all
-// shards. Quiesced callers only (tests, checkpoint).
-func (b *broker) topRatedCount() int {
-	n := 0
-	for si := range b.shards {
-		n += len(b.shards[si].topRated)
-	}
-	return n
-}
-
 // sample appends a point to the aggregated coverage log, collapsing
 // consecutive rounds with no coverage change to at most one point per
 // virtual minute (same policy as core.Fuzzer's log).
 func (b *broker) sample(now time.Duration) {
-	edges := b.edgesTotal
+	edges := b.virgin.Edges()
 	if len(b.covLog) == 0 || b.covLog[len(b.covLog)-1].Edges != edges ||
 		now-b.lastSample >= time.Minute {
 		b.covLog = append(b.covLog, core.CoveragePoint{T: now, Edges: edges})
@@ -236,44 +185,9 @@ type pubDelta struct {
 	key     string
 	fav     int64
 	favored bool
-	// hits is the entry's recorded trace regrouped by owning shard
-	// (groupByShard): shard si's slice is hits[off[si]:off[si+1]].
-	hits  []coverage.BucketHit
-	off   [brokerShards + 1]int32
-	input *spec.Input
-	entry *core.QueueEntry
-}
-
-// shardHits returns the part of the publication's trace shard si owns.
-func (p *pubDelta) shardHits(si int) []coverage.BucketHit {
-	return p.hits[p.off[si]:p.off[si+1]]
-}
-
-// groupByShard writes cov's hits into dst (len(dst) >= len(cov)) grouped
-// by the shard owning each index — a counting sort; zero-bucket and
-// out-of-range hits carry no coverage and are dropped — and returns the
-// per-shard offsets. Grouping once per publication lets each shard phase
-// read only its own hits instead of scanning the whole trace under every
-// shard's lock.
-func groupByShard(dst, cov []coverage.BucketHit) (off [brokerShards + 1]int32) {
-	live := func(h coverage.BucketHit) bool { return h.Bucket != 0 && h.Index < coverage.MapSize }
-	for _, h := range cov {
-		if live(h) {
-			off[shardFor(h.Index)+1]++
-		}
-	}
-	for si := 0; si < brokerShards; si++ {
-		off[si+1] += off[si]
-	}
-	next := off
-	for _, h := range cov {
-		if live(h) {
-			si := shardFor(h.Index)
-			dst[next[si]] = h
-			next[si]++
-		}
-	}
-	return off
+	cov     []coverage.BucketHit // the entry's recorded trace (QueueEntry.Cov)
+	input   *spec.Input
+	entry   *core.QueueEntry
 }
 
 // retrimDelta records a trim's content-key change for the claim transfer.
@@ -288,8 +202,7 @@ type epochDelta struct {
 	retrims []retrimDelta
 	crashes []core.Crash
 	// virginDelta carries the worker's virgin-map bits not yet published,
-	// mask-valued and in ascending index order (coverage.AppendNewTo), so
-	// the per-shard pass slices it without sorting.
+	// mask-valued (coverage.AppendNewTo).
 	virginDelta []coverage.BucketHit
 	// picks is the worker's full per-edge pick map (nil when the power
 	// schedule is off); pickSum its total.
@@ -312,21 +225,13 @@ type notice struct {
 	key string
 }
 
-// claimEvent is one shard-phase competition effect, applied centrally:
-// a win (key claimed idx) or a loss (key was displaced from an edge).
-type claimEvent struct {
-	win bool
-	key string
-	idx uint32
-}
-
 // exchange applies one worker's epoch delta and returns everything the
 // worker pulls at its epoch boundary: per-publication win verdicts (the
 // worker applies GloballyDominated to its own live entries), its drained
 // import queue and demotion notices, and — when the power schedule is on —
 // a clone of the campaign-wide pick totals to derive the peer rarity
-// signal from. The worker never waits on other workers: shard locks are
-// held per-shard for one pass, the central mutex once.
+// signal from. The worker never waits on other workers, only on the
+// exchange in progress, if any.
 //
 // An entry is globally fresh if its recorded trace still adds something to
 // the global map; entries whose coverage another worker already published
@@ -344,101 +249,25 @@ type claimEvent struct {
 // it renames and re-prices the claims the input already held.
 func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importItem, notes []notice, peerPicks map[uint32]uint64, peerSum uint64) {
 	start := time.Now() //nyx:wallclock sync-cost telemetry (SyncStats.SyncWall), never steers fuzzing
-	won = make([]bool, len(d.pubs))
-	hasNew := make([]bool, len(d.pubs))
-	var evts []claimEvent
-	edgeDelta := 0
-
-	// Phase 1: per-shard coverage merge — the dedup verdicts. Every
-	// publication's trace and the worker's virgin delta (which also carries
-	// bucket upgrades from executions that were not queued) fold into each
-	// shard's range; a publication is globally fresh if any shard saw a
-	// new bucket bit.
-	vcur := 0
-	for si := range b.shards {
-		sh := &b.shards[si]
-		hi := uint32(si+1) * shardWidth
-		vend := vcur
-		for vend < len(d.virginDelta) && d.virginDelta[vend].Index < hi {
-			vend++
-		}
-		sh.lock()
-		for i := range d.pubs {
-			hn, n := b.virgin.MergeBucketsShared(d.pubs[i].shardHits(si))
-			hasNew[i] = hasNew[i] || hn
-			edgeDelta += n
-		}
-		_, n := b.virgin.MergeMaskedShared(d.virginDelta[vcur:vend])
-		edgeDelta += n
-		sh.unlock()
-		vcur = vend
+	if !b.mu.TryLock() {
+		b.mu.Lock()
+		b.contended++
 	}
-
-	// Phase 2: per-shard competition and claim transfers. Decisions only
-	// read shard state (topRated); their cross-edge effects are emitted
-	// as events and applied centrally in phase 3.
-	for si := range b.shards {
-		sh := &b.shards[si]
-		sh.lock()
-		for i := range d.pubs {
-			p := &d.pubs[i]
-			var w bool
-			evts, w = sh.compete(p.key, p.fav, p.shardHits(si), hasNew[i], evts)
-			won[i] = won[i] || w
-		}
-		for _, r := range d.retrims {
-			sh.transferClaims(r.oldKey, r.newKey, r.fav)
-		}
-		sh.unlock()
-	}
-
-	// Phase 3: central accounting.
-	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, e := range evts {
-		if e.win {
-			b.claimWins[e.key]++
-			continue
-		}
-		b.claimWins[e.key]--
-		if b.claimWins[e.key] <= 0 {
-			delete(b.claimWins, e.key)
-			for _, loser := range b.claimants[e.key] {
-				loser.GloballyDominated = true
-			}
-			delete(b.claimants, e.key)
-			wids := make([]int, 0, len(b.claimWorkers[e.key]))
-			for wid := range b.claimWorkers[e.key] {
-				wids = append(wids, wid)
-			}
-			sort.Ints(wids)
-			for _, wid := range wids {
-				b.notices[wid] = append(b.notices[wid], notice{key: e.key})
-			}
-			delete(b.claimWorkers, e.key)
-		}
+	b.acquisitions++
+
+	won = make([]bool, len(d.pubs))
+	fresh := make([]bool, len(d.pubs))
+	for i := range d.pubs {
+		p := &d.pubs[i]
+		fresh[i], _ = b.virgin.MergeBuckets(p.cov)
+		won[i] = b.compete(p.key, p.fav, p.cov, fresh[i])
 	}
+	// The virgin delta also carries bucket upgrades from executions that
+	// were not queued.
+	b.virgin.MergeMasked(d.virginDelta)
 	for _, r := range d.retrims {
-		// The shard phase already re-filed the held edges; move the
-		// cross-edge accounting wholesale (claimWins counts exactly the
-		// held edges, which is what the shards re-filed).
-		if n := b.claimWins[r.oldKey]; n > 0 && r.oldKey != r.newKey {
-			delete(b.claimWins, r.oldKey)
-			b.claimWins[r.newKey] += n
-			b.claimants[r.newKey] = append(b.claimants[r.newKey], b.claimants[r.oldKey]...)
-			delete(b.claimants, r.oldKey)
-			if ws := b.claimWorkers[r.oldKey]; ws != nil {
-				dst := b.claimWorkers[r.newKey]
-				if dst == nil {
-					b.claimWorkers[r.newKey] = ws
-				} else {
-					for wid := range ws {
-						dst[wid] = struct{}{}
-					}
-				}
-				delete(b.claimWorkers, r.oldKey)
-			}
-		}
+		b.transferClaims(r)
 	}
 	b.published += uint64(len(d.pubs))
 	// Accept the fresh publications and fan them out to every other
@@ -449,7 +278,7 @@ func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importIte
 	for pass := 0; pass < 2; pass++ {
 		for i := range d.pubs {
 			p := &d.pubs[i]
-			if !hasNew[i] {
+			if !fresh[i] {
 				continue
 			}
 			gf := b.claimWins[p.key] > 0
@@ -466,7 +295,7 @@ func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importIte
 		}
 	}
 	for i := range d.pubs {
-		if !hasNew[i] {
+		if !fresh[i] {
 			b.deduped++
 		}
 		if won[i] {
@@ -494,7 +323,6 @@ func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importIte
 		}
 		peerSum = b.pickSum
 	}
-	b.edgesTotal += edgeDelta
 	b.reported[id] = d.elapsed
 	b.epochsTotal++
 	var maxEl time.Duration
@@ -513,21 +341,24 @@ func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importIte
 	return won, imports, notes, peerPicks, peerSum
 }
 
-// compete enters one publication's hits in this shard into the global
-// favored competition: per edge, the claim with the smallest favFactor
-// wins — core.Fuzzer's per-worker top-rated update, restated campaign-wide.
-// An edge already claimed by the publication's own input (another live copy
+// compete enters one publication's hits into the global favored
+// competition: per edge, the claim with the smallest favFactor wins —
+// core.Fuzzer's per-worker top-rated update, restated campaign-wide. An
+// edge already claimed by the publication's own input (another live copy
 // of it) counts as held, refreshing the claim's cost to the latest
 // measurement. displace controls whether the publication may unseat other
 // inputs' claims (fresh) or only refresh and take unclaimed edges
-// (duplicate). The cross-edge claim accounting is emitted as events.
-func (sh *brokerShard) compete(key string, fav int64, hits []coverage.BucketHit, displace bool, evts []claimEvent) ([]claimEvent, bool) {
-	won := false
+// (duplicate). Zero-bucket and out-of-range hits cover nothing and claim
+// nothing.
+func (b *broker) compete(key string, fav int64, hits []coverage.BucketHit, displace bool) (won bool) {
 	for _, h := range hits {
-		cur, ok := sh.topRated[h.Index]
+		if h.Bucket == 0 || h.Index >= coverage.MapSize {
+			continue
+		}
+		cur, ok := b.topRated[h.Index]
 		if ok && cur.key == key {
 			if cur.fav != fav {
-				sh.topRated[h.Index] = topClaim{fav: fav, key: key}
+				b.topRated[h.Index] = topClaim{fav: fav, key: key}
 			}
 			won = true
 			continue
@@ -536,34 +367,74 @@ func (sh *brokerShard) compete(key string, fav int64, hits []coverage.BucketHit,
 			continue
 		}
 		if ok {
-			evts = append(evts, claimEvent{win: false, key: cur.key, idx: h.Index})
+			b.release(cur.key)
 		}
-		sh.topRated[h.Index] = topClaim{fav: fav, key: key}
-		sh.claimEdges[key] = append(sh.claimEdges[key], h.Index)
-		evts = append(evts, claimEvent{win: true, key: key, idx: h.Index})
+		b.topRated[h.Index] = topClaim{fav: fav, key: key}
+		b.claimEdges[key] = append(b.claimEdges[key], h.Index)
+		b.claimWins[key]++
 		won = true
 	}
-	return evts, won
+	return won
 }
 
-// transferClaims re-files the claims oldKey still holds in this shard under
-// newKey at the new cost — the lazy-trim path: the input was published (and
-// claimed its edges) in pre-trim form, then its owning worker trimmed it,
-// changing both content key and measured cost. The per-key index may carry
-// edges displaced since they were claimed; only claims topRated still
-// attributes to oldKey are re-filed.
-func (sh *brokerShard) transferClaims(oldKey, newKey string, fav int64) {
-	for _, idx := range sh.claimEdges[oldKey] {
-		if sh.topRated[idx].key != oldKey {
+// release takes one displaced edge from key's claim count. When the last
+// one goes, every copy of the input is demoted: the broker-owned claimants
+// in place, the workers holding live copies by notice at their next
+// exchange.
+func (b *broker) release(key string) {
+	if b.claimWins[key]--; b.claimWins[key] > 0 {
+		return
+	}
+	delete(b.claimWins, key)
+	for _, loser := range b.claimants[key] {
+		loser.GloballyDominated = true
+	}
+	delete(b.claimants, key)
+	for _, wid := range slices.Sorted(maps.Keys(b.claimWorkers[key])) {
+		b.notices[wid] = append(b.notices[wid], notice{key: key})
+	}
+	delete(b.claimWorkers, key)
+}
+
+// transferClaims re-files the claims r.oldKey still holds under r.newKey at
+// the new cost, and moves their count, claimants and bound workers with
+// them — the lazy-trim path: the input was published (and claimed its
+// edges) in pre-trim form, then its owning worker trimmed it, changing both
+// content key and measured cost. The per-key index may carry edges
+// displaced since they were claimed; only claims topRated still attributes
+// to oldKey are re-filed.
+func (b *broker) transferClaims(r retrimDelta) {
+	for _, idx := range b.claimEdges[r.oldKey] {
+		if b.topRated[idx].key != r.oldKey {
 			continue
 		}
-		sh.topRated[idx] = topClaim{fav: fav, key: newKey}
-		if oldKey != newKey {
-			sh.claimEdges[newKey] = append(sh.claimEdges[newKey], idx)
+		b.topRated[idx] = topClaim{fav: r.fav, key: r.newKey}
+		if r.oldKey != r.newKey {
+			b.claimEdges[r.newKey] = append(b.claimEdges[r.newKey], idx)
 		}
 	}
-	if oldKey != newKey {
-		delete(sh.claimEdges, oldKey)
+	if r.oldKey == r.newKey {
+		return
+	}
+	delete(b.claimEdges, r.oldKey)
+	n := b.claimWins[r.oldKey]
+	if n == 0 {
+		return
+	}
+	delete(b.claimWins, r.oldKey)
+	b.claimWins[r.newKey] += n
+	b.claimants[r.newKey] = append(b.claimants[r.newKey], b.claimants[r.oldKey]...)
+	delete(b.claimants, r.oldKey)
+	if ws := b.claimWorkers[r.oldKey]; ws != nil {
+		dst := b.claimWorkers[r.newKey]
+		if dst == nil {
+			b.claimWorkers[r.newKey] = ws
+		} else {
+			for wid := range ws {
+				dst[wid] = struct{}{}
+			}
+		}
+		delete(b.claimWorkers, r.oldKey)
 	}
 }
 

@@ -7,8 +7,8 @@
 //
 // The design mirrors AFL's secondary-instance sync protocol, restated as an
 // explicit interface contract between otherwise share-nothing workers: at
-// an epoch boundary a worker exchanges a delta with the edge-sharded broker
-// (see broker.go) — it publishes its new queue entries with their bucketed
+// an epoch boundary a worker exchanges a delta with the broker (see
+// broker.go) — it publishes its new queue entries with their bucketed
 // traces, its virgin-map delta, crashes and pick counts; the broker dedups
 // the entries against the global virgin map, settles the campaign-wide
 // favored competition, and hands back the worker's bounded import queue —
@@ -27,9 +27,11 @@
 //   - Async (SyncAsync): there is no barrier. Each worker runs epochs of
 //     SyncInterval virtual time on its own clock and exchanges from its own
 //     goroutine. A slow worker never stalls a fast one — the scaling mode
-//     the paper's evaluation assumes. Async campaigns are not
-//     bit-reproducible (exchange interleaving is scheduler-dependent);
-//     seeded experiments that need byte-identical coverage use lockstep.
+//     the paper's evaluation assumes. The broker applies each exchange
+//     whole under its one lock, so an async run's outcome is that of a
+//     serial order of whole exchanges — but which order is up to the
+//     scheduler, so async campaigns are not bit-reproducible; seeded
+//     experiments that need byte-identical coverage use lockstep.
 //
 // Campaigns checkpoint to a store tree (per-worker corpora plus broker
 // state) and resume from it; see checkpoint.go for the format and the
@@ -402,29 +404,20 @@ func (w *worker) importAll(items []importItem) error {
 }
 
 // buildDelta gathers everything w queued since its last exchange into an
-// epochDelta. Traces are regrouped by broker shard into one scratch
-// allocation; inputs are the queue entries' own (see pubDelta).
+// epochDelta. Traces and inputs are the queue entries' own (see pubDelta).
 func (w *worker) buildDelta(power bool) epochDelta {
 	var d epochDelta
 	fresh := w.fz.Queue[w.synced:]
 	w.synced = len(w.fz.Queue)
-	total := 0
-	for _, e := range fresh {
-		total += len(e.Cov)
-	}
-	scratch := make([]coverage.BucketHit, total)
 	d.pubs = make([]pubDelta, 0, len(fresh))
 	for _, e := range fresh {
 		key := e.Key()
 		w.byKey[key] = append(w.byKey[key], e)
-		hits := scratch[:len(e.Cov)]
-		scratch = scratch[len(e.Cov):]
 		d.pubs = append(d.pubs, pubDelta{
 			key:     key,
 			fav:     e.FavFactor(),
 			favored: e.Favored,
-			hits:    hits,
-			off:     groupByShard(hits, e.Cov),
+			cov:     e.Cov,
 			input:   e.Input,
 			entry:   e,
 		})
@@ -532,9 +525,8 @@ func (c *Campaign) SyncInterval() time.Duration { return c.cfg.SyncInterval }
 // Rounds returns how many lockstep barrier rounds have completed.
 func (c *Campaign) Rounds() int { return c.rounds }
 
-// Coverage returns the number of distinct edges in the global virgin map
-// (summed across the broker's shards).
-func (c *Campaign) Coverage() int { return c.broker.edgesTotal }
+// Coverage returns the number of distinct edges in the global virgin map.
+func (c *Campaign) Coverage() int { return c.broker.virgin.Edges() }
 
 // SyncMode returns the campaign's worker synchronization mode.
 func (c *Campaign) SyncMode() SyncMode { return c.cfg.SyncMode }
@@ -549,9 +541,10 @@ type SyncStats struct {
 	// SyncWall is cumulative wall-clock time spent inside broker
 	// exchanges (import re-execution excluded).
 	SyncWall time.Duration
-	// ShardAcquisitions/ShardContended count shard-lock acquisitions and
-	// how many found the shard already held — the broker-contention
-	// signal the -campaign scaling bench reports.
+	// ShardAcquisitions/ShardContended count acquisitions of the broker's
+	// one lock (one per exchange) and how many found it already held — the
+	// broker-contention signal the -campaign scaling bench and bench/
+	// report under these names.
 	ShardAcquisitions uint64
 	ShardContended    uint64
 	// ImportsDropped counts pending-import entries dropped at full
@@ -561,17 +554,14 @@ type SyncStats struct {
 
 // SyncStats returns the campaign's accumulated sync-cost counters.
 func (c *Campaign) SyncStats() SyncStats {
-	s := SyncStats{
-		Mode:           c.cfg.SyncMode,
-		SyncWall:       c.broker.syncWall,
-		ImportsDropped: c.broker.importsDropped,
-		Epochs:         c.broker.epochsTotal,
+	return SyncStats{
+		Mode:              c.cfg.SyncMode,
+		Epochs:            c.broker.epochsTotal,
+		SyncWall:          c.broker.syncWall,
+		ShardAcquisitions: c.broker.acquisitions,
+		ShardContended:    c.broker.contended,
+		ImportsDropped:    c.broker.importsDropped,
 	}
-	for si := range c.broker.shards {
-		s.ShardAcquisitions += c.broker.shards[si].acquisitions.Load()
-		s.ShardContended += c.broker.shards[si].contended.Load()
-	}
-	return s
 }
 
 // Execs returns total executions across all workers.

@@ -541,7 +541,7 @@ func TestExchangeDuplicatesNeverDisplace(t *testing.T) {
 		t.Fatal("duplicate was redistributed")
 	}
 	for _, idx := range []uint32{60, 61} {
-		if key := b.shards[shardFor(idx)].topRated[idx].key; key != core.InputKey(incumbent.Input) {
+		if key := b.topRated[idx].key; key != core.InputKey(incumbent.Input) {
 			t.Fatalf("edge %d: duplicate publication displaced the incumbent", idx)
 		}
 	}
@@ -560,10 +560,10 @@ func TestExchangeDuplicatesNeverDisplace(t *testing.T) {
 	if len(b.corpus) != corpus {
 		t.Fatal("entry covered by a virgin delta was accepted as fresh")
 	}
-	if key := b.shards[shardFor(63)].topRated[63].key; key != core.InputKey(loner.Input) {
+	if key := b.topRated[63].key; key != core.InputKey(loner.Input) {
 		t.Fatal("duplicate publication did not take an unclaimed edge")
 	}
-	if _, claimed := b.shards[shardFor(62)].topRated[62]; claimed {
+	if _, claimed := b.topRated[62]; claimed {
 		t.Fatal("zero-bucket hit entered the competition")
 	}
 }
@@ -631,14 +631,14 @@ func TestExchangeTrimClaimTransfer(t *testing.T) {
 	b.exchange(0, epochDelta{retrims: []retrimDelta{{oldKey: oldKey, newKey: newKey, fav: e.FavFactor()}}})
 
 	for _, idx := range []uint32{70, 40000} {
-		if cl := b.shards[shardFor(idx)].topRated[idx]; cl.key != newKey || cl.fav != e.FavFactor() {
+		if cl := b.topRated[idx]; cl.key != newKey || cl.fav != e.FavFactor() {
 			t.Fatalf("edge %d: claim %+v not re-filed under the trimmed key at the new cost", idx, cl)
 		}
 	}
 	if b.claimWins[oldKey] != 0 || b.claimWins[newKey] != 2 {
 		t.Fatalf("claim counts not moved: old %d, new %d", b.claimWins[oldKey], b.claimWins[newKey])
 	}
-	if cl := b.shards[shardFor(71)].topRated[71]; cl.key != core.InputKey(rival.Input) {
+	if cl := b.topRated[71]; cl.key != core.InputKey(rival.Input) {
 		t.Fatal("a claim transfer displaced another input's claim")
 	}
 	// A transfer of an input that holds no claims is a no-op.
@@ -762,8 +762,8 @@ func TestLockstepRoundDrainsAndIsDeterministic(t *testing.T) {
 		if c.CorpusSize() == 0 || c.Deduped() == 0 {
 			t.Fatalf("sync not exercised: corpus %d, deduped %d", c.CorpusSize(), c.Deduped())
 		}
-		if st := c.SyncStats(); st.Epochs != 2*3*4 || st.ShardAcquisitions == 0 {
-			t.Fatalf("4 rounds x 3 workers made %d exchanges, %d shard acquisitions", st.Epochs, st.ShardAcquisitions)
+		if st := c.SyncStats(); st.Epochs != 2*3*4 || st.ShardAcquisitions != st.Epochs || st.ShardContended != 0 {
+			t.Fatalf("4 rounds x 3 workers made %d exchanges, %d broker lock acquisitions (%d contended)", st.Epochs, st.ShardAcquisitions, st.ShardContended)
 		}
 		tree, err := c.CheckpointTree()
 		if err != nil {
@@ -809,12 +809,12 @@ func TestCheckpointPersistsPowerState(t *testing.T) {
 			t.Fatalf("worker %d resumed with zeroed power state", i)
 		}
 	}
-	if res.broker.topRatedCount() == 0 {
+	if len(res.broker.topRated) == 0 {
 		t.Fatal("broker top-rated digest not restored")
 	}
-	if res.broker.topRatedCount() != orig.broker.topRatedCount() {
+	if len(res.broker.topRated) != len(orig.broker.topRated) {
 		t.Fatalf("restored top-rated digest has %d claims, want %d",
-			res.broker.topRatedCount(), orig.broker.topRatedCount())
+			len(res.broker.topRated), len(orig.broker.topRated))
 	}
 	// The corpus history carries the metadata the global competition
 	// reads — not the bare {ID, Input} shells the pre-power resume built.

@@ -279,7 +279,7 @@ func (b *broker) encode(w *guest.StateWriter) {
 		buf = spec.AppendSerialize(buf[:0], in)
 		w.Bytes32(buf)
 	}
-	size := 16 + 4*len(b.pending) + b.topRatedCount()*(claimMinLen+32) // a key is a 32-byte digest
+	size := 16 + 4*len(b.pending) + len(b.topRated)*(claimMinLen+32) // a key is a 32-byte digest
 	for _, be := range b.corpus {
 		size += corpusEntryMinLen + len(be.Entry.Key()) + len(be.Entry.Bytes()) + 5*len(be.Entry.Cov)
 	}
@@ -309,14 +309,11 @@ func (b *broker) encode(w *guest.StateWriter) {
 			w.U8(h.Bucket)
 		}
 	}
-	w.U32(uint32(b.topRatedCount()))
-	for si := range b.shards { // the shards partition the edges in ascending order
-		sh := &b.shards[si]
-		for _, idx := range slices.Sorted(maps.Keys(sh.topRated)) {
-			w.U32(idx)
-			w.I64(sh.topRated[idx].fav)
-			w.String(sh.topRated[idx].key)
-		}
+	w.U32(uint32(len(b.topRated)))
+	for _, idx := range slices.Sorted(maps.Keys(b.topRated)) {
+		w.U32(idx)
+		w.I64(b.topRated[idx].fav)
+		w.String(b.topRated[idx].key)
 	}
 	// The workers' bounded import queues — entries published by others that
 	// a worker had not yet pulled (an async campaign's final flushes race
@@ -409,9 +406,8 @@ func decodeBroker(raw []byte, workers int) (*broker, error) {
 			break
 		}
 		prev = idx
-		sh := &b.shards[shardFor(idx)]
-		sh.topRated[idx] = cl
-		sh.claimEdges[cl.key] = append(sh.claimEdges[cl.key], idx)
+		b.topRated[idx] = cl
+		b.claimEdges[cl.key] = append(b.claimEdges[cl.key], idx)
 		b.claimWins[cl.key]++
 	}
 	// Re-point surviving claims at the restored corpus entries so a later
@@ -504,7 +500,6 @@ func ResumeTree(t store.Tree) (_ *Campaign, err error) {
 	if err := br.virgin.UnmarshalBinary(virgin); err != nil {
 		return nil, err
 	}
-	br.edgesTotal = br.virgin.Edges()
 	br.published = m.Published
 	br.deduped = m.Deduped
 	if br.covLog = m.CovLog; len(br.covLog) > 0 {

@@ -128,19 +128,17 @@ func smallSections(t *testing.T) (header, brokerBin, sched []byte) {
 		t.Fatal(err)
 	}
 	tree = editBroker(t, tree, func(b *broker) {
-		if len(b.corpus) < 3 || len(b.crashes) < 2 || b.topRatedCount() < 3 {
-			t.Fatalf("checkpoint too small to cut down: %d corpus, %d crashes, %d claims", len(b.corpus), len(b.crashes), b.topRatedCount())
+		if len(b.corpus) < 3 || len(b.crashes) < 2 || len(b.topRated) < 3 {
+			t.Fatalf("checkpoint too small to cut down: %d corpus, %d crashes, %d claims", len(b.corpus), len(b.crashes), len(b.topRated))
 		}
 		b.corpus, b.crashes = b.corpus[:3], b.crashes[:2]
 		for _, be := range b.corpus {
 			be.Entry.Cov = be.Entry.Cov[:min(4, len(be.Entry.Cov))]
 		}
 		kept := 0
-		for si := range b.shards {
-			for idx := range b.shards[si].topRated {
-				if kept++; kept > 3 {
-					delete(b.shards[si].topRated, idx)
-				}
+		for idx := range b.topRated {
+			if kept++; kept > 3 {
+				delete(b.topRated, idx)
 			}
 		}
 		b.pending[1] = []importItem{{input: b.corpus[0].Entry.Input, globalFav: true}}
@@ -167,7 +165,7 @@ func smallSections(t *testing.T) (header, brokerBin, sched []byte) {
 // key) it may succeed, and then the section encodes back to itself. Either
 // way no count sized an allocation: all the corrupt decodes together allocate
 // within 16 MiB of what as many decodes of the section itself do (a decoded
-// broker is a 64 KiB virgin map and its shard maps before it holds anything).
+// broker is a 64 KiB virgin map and its empty maps before it holds anything).
 func TestCheckpointDecodeBoundsCounts(t *testing.T) {
 	header, brokerBin, sched := smallSections(t)
 	allocated := func(f func()) uint64 {

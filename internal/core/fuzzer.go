@@ -203,18 +203,16 @@ type Options struct {
 	// the checkpoint had for it (SetEncoding). An entry that re-queues is
 	// itself the new queue entry: the fuzzer takes them over.
 	Restored []*QueueEntry
-	// SnapshotReuse overrides DefaultSnapshotReuse when > 0.
+	// SnapshotReuse overrides DefaultSnapshotReuse when > 0. It is the
+	// baseline execution budget of one scheduling round (keeps round lengths
+	// comparable across policies): under SchedAFL the energy function scales
+	// it per entry; under SchedRoundRobin it is used as-is.
 	SnapshotReuse int
 	// Rand is the campaign RNG (deterministic experiments pass seeded
 	// sources). Required.
 	Rand *rand.Rand
 	// Dict is an optional protocol token dictionary for the mutators.
 	Dict [][]byte
-	// ExecsPerSchedule is the baseline execution budget of one scheduling
-	// round (keeps round lengths comparable across policies). Defaults to
-	// SnapshotReuse. Under SchedAFL the energy function scales it per
-	// entry; under SchedRoundRobin it is used as-is.
-	ExecsPerSchedule int
 	// Sched selects the queue scheduling strategy (default SchedAFL).
 	Sched Sched
 	// Power selects the AFLfast-style power schedule layered on the AFL
@@ -297,7 +295,6 @@ type Fuzzer struct {
 	Crashes []Crash
 
 	opts       Options
-	reuse      int
 	rng        *rand.Rand
 	trace      coverage.Trace
 	nextID     int
@@ -349,12 +346,8 @@ func New(agent Executor, s *spec.Spec, opts Options) *Fuzzer {
 	if opts.Rand == nil {
 		panic("core: Options.Rand is required for deterministic campaigns")
 	}
-	reuse := opts.SnapshotReuse
-	if reuse <= 0 {
-		reuse = DefaultSnapshotReuse
-	}
-	if opts.ExecsPerSchedule <= 0 {
-		opts.ExecsPerSchedule = reuse
+	if opts.SnapshotReuse <= 0 {
+		opts.SnapshotReuse = DefaultSnapshotReuse
 	}
 	mut := spec.NewMutator(s, opts.Rand)
 	mut.Dict = opts.Dict
@@ -374,7 +367,6 @@ func New(agent Executor, s *spec.Spec, opts Options) *Fuzzer {
 		Spec:      s,
 		Mut:       mut,
 		opts:      opts,
-		reuse:     reuse,
 		rng:       opts.Rand,
 		crashSeen: make(map[string]bool),
 		started:   agent.Now(),

@@ -46,7 +46,7 @@ const (
 	// and lazy trim, as described above.
 	SchedAFL Sched = iota
 	// SchedRoundRobin is the flat baseline: every entry in turn, a fixed
-	// ExecsPerSchedule budget, no splice, no trim.
+	// SnapshotReuse budget, no splice, no trim.
 	SchedRoundRobin
 )
 
@@ -186,7 +186,7 @@ const spliceProbePct = 25
 const trimBudgetPct = 5
 
 // Energy clamps: the per-entry budget stays within [min,max]/100 of the
-// configured ExecsPerSchedule. Unlike AFL (which boosts up to
+// configured SnapshotReuse. Unlike AFL (which boosts up to
 // HAVOC_MAX_MULT), the default ceiling is the baseline itself: boost
 // factors only offset penalties, never inflate rounds. On stateful targets
 // the discovery cascade is driven by how many distinct frontier entries
@@ -360,7 +360,7 @@ func (f *Fuzzer) pickEntry() *QueueEntry {
 }
 
 // energy returns the execution budget one scheduling round spends on e —
-// AFL's calculate_score mapped onto ExecsPerSchedule. Slow, narrow and
+// AFL's calculate_score mapped onto SnapshotReuse. Slow, narrow and
 // fatigued entries get shortened rounds; with power off, speed, breadth
 // and depth boosts offset those penalties but never push the budget past
 // the baseline (see the energyMaxScore comment for why). Under a power
@@ -369,7 +369,7 @@ func (f *Fuzzer) pickEntry() *QueueEntry {
 // (energyCeil).
 func (f *Fuzzer) energy(e *QueueEntry) int {
 	if f.sched == SchedRoundRobin {
-		return f.opts.ExecsPerSchedule
+		return f.opts.SnapshotReuse
 	}
 	score := 100
 
@@ -425,7 +425,7 @@ func (f *Fuzzer) energy(e *QueueEntry) int {
 	if max := f.energyCeil(); score > max {
 		score = max
 	}
-	budget := f.opts.ExecsPerSchedule * score / 100
+	budget := f.opts.SnapshotReuse * score / 100
 	if budget < 1 {
 		budget = 1
 	}

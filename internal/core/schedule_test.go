@@ -134,8 +134,8 @@ func TestRoundRobinKeepsFlatRotation(t *testing.T) {
 	if e.Trimmed {
 		t.Fatal("round-robin scheduler ran the lazy trim")
 	}
-	if got := f.energy(e); got != f.opts.ExecsPerSchedule {
-		t.Fatalf("round-robin energy = %d, want fixed %d", got, f.opts.ExecsPerSchedule)
+	if got := f.energy(e); got != f.opts.SnapshotReuse {
+		t.Fatalf("round-robin energy = %d, want fixed %d", got, f.opts.SnapshotReuse)
 	}
 }
 
@@ -155,9 +155,9 @@ func setQueue(f *Fuzzer, entries ...*QueueEntry) {
 func TestEnergyScalesAndClamps(t *testing.T) {
 	s, _ := stubSpecInput()
 	f := New(&stubExec{loc: 1}, s, Options{
-		Policy:           PolicyNone,
-		Rand:             rand.New(rand.NewSource(3)),
-		ExecsPerSchedule: 100,
+		Policy:        PolicyNone,
+		Rand:          rand.New(rand.NewSource(3)),
+		SnapshotReuse: 100,
 	})
 	cov := []coverage.BucketHit{{Index: 1, Bucket: 1}}
 	fast := &QueueEntry{ExecTime: time.Millisecond, Cov: cov}
@@ -174,8 +174,8 @@ func TestEnergyScalesAndClamps(t *testing.T) {
 	if ed, es := f.energy(deepSlow), f.energy(slow); ed <= es {
 		t.Fatalf("depth boost did not offset the slowness penalty: %d vs %d", ed, es)
 	}
-	if ed := f.energy(deepSlow); ed > f.opts.ExecsPerSchedule {
-		t.Fatalf("energy %d exceeds the baseline budget %d", ed, f.opts.ExecsPerSchedule)
+	if ed := f.energy(deepSlow); ed > f.opts.SnapshotReuse {
+		t.Fatalf("energy %d exceeds the baseline budget %d", ed, f.opts.SnapshotReuse)
 	}
 	tired := &QueueEntry{ExecTime: time.Millisecond, Cov: cov, Picked: 100}
 	fresh := &QueueEntry{ExecTime: time.Millisecond, Cov: cov}
@@ -464,10 +464,10 @@ func TestPowerEnergyMonotonicityInPicked(t *testing.T) {
 	cov := []coverage.BucketHit{{Index: 1, Bucket: 1}}
 	newPowered := func(p Power) *Fuzzer {
 		f := New(&stubExec{loc: 1}, s, Options{
-			Policy:           PolicyNone,
-			Rand:             rand.New(rand.NewSource(5)),
-			ExecsPerSchedule: 100,
-			Power:            p,
+			Policy:        PolicyNone,
+			Rand:          rand.New(rand.NewSource(5)),
+			SnapshotReuse: 100,
+			Power:         p,
 		})
 		// A settled single-edge campaign: the edge has been picked often,
 		// so rarity applies no boost and only the pick-count response of
@@ -517,10 +517,10 @@ func TestPowerEnergyMonotonicityInPicked(t *testing.T) {
 func TestPowerEdgeRarityBoostAndCutoff(t *testing.T) {
 	s, _ := stubSpecInput()
 	f := New(&stubExec{loc: 1}, s, Options{
-		Policy:           PolicyNone,
-		Rand:             rand.New(rand.NewSource(6)),
-		ExecsPerSchedule: 100,
-		Power:            PowerExplore,
+		Policy:        PolicyNone,
+		Rand:          rand.New(rand.NewSource(6)),
+		SnapshotReuse: 100,
+		Power:         PowerExplore,
 	})
 	// Edge 1 is worn out, edge 2 barely touched: mean sits between.
 	f.edgePicks = map[uint32]uint64{1: 100, 2: 1}
@@ -536,7 +536,7 @@ func TestPowerEdgeRarityBoostAndCutoff(t *testing.T) {
 	}
 
 	f.power = PowerCoe
-	if e := f.energy(hot); e != energyMinScore*f.opts.ExecsPerSchedule/100 {
+	if e := f.energy(hot); e != energyMinScore*f.opts.SnapshotReuse/100 {
 		t.Fatalf("coe did not cut the over-exercised entry to the floor: energy %d", e)
 	}
 }
@@ -547,10 +547,10 @@ func TestPowerEdgeRarityBoostAndCutoff(t *testing.T) {
 func TestPowerCeilingLiftsWhenFrontierDrains(t *testing.T) {
 	s, _ := stubSpecInput()
 	f := New(&stubExec{loc: 1}, s, Options{
-		Policy:           PolicyNone,
-		Rand:             rand.New(rand.NewSource(7)),
-		ExecsPerSchedule: 100,
-		Power:            PowerFast,
+		Policy:        PolicyNone,
+		Rand:          rand.New(rand.NewSource(7)),
+		SnapshotReuse: 100,
+		Power:         PowerFast,
 	})
 	f.edgePicks = map[uint32]uint64{1: 100, 2: 1}
 	f.edgePickSum = 101
@@ -560,21 +560,21 @@ func TestPowerCeilingLiftsWhenFrontierDrains(t *testing.T) {
 	f.totalPicked = 2 * 64 // deep re-pick regime: mean picks per entry = 64
 
 	f.pendingNew = 1
-	if e := f.energy(rare); e > f.opts.ExecsPerSchedule {
+	if e := f.energy(rare); e > f.opts.SnapshotReuse {
 		t.Fatalf("energy %d exceeded the baseline while the frontier still held entries", e)
 	}
 	f.pendingNew = 0
 	boosted := f.energy(rare)
-	if boosted <= f.opts.ExecsPerSchedule {
+	if boosted <= f.opts.SnapshotReuse {
 		t.Fatalf("energy %d did not exceed the baseline after the frontier drained", boosted)
 	}
-	if max := f.opts.ExecsPerSchedule * powerHorizonMaxBoost; boosted > max {
+	if max := f.opts.SnapshotReuse * powerHorizonMaxBoost; boosted > max {
 		t.Fatalf("energy %d exceeded the lifted ceiling %d", boosted, max)
 	}
 
 	// The baseline scheduler keeps its clamp no matter the horizon.
 	f.power = PowerOff
-	if e := f.energy(rare); e > f.opts.ExecsPerSchedule {
+	if e := f.energy(rare); e > f.opts.SnapshotReuse {
 		t.Fatalf("power-off energy %d exceeded the baseline clamp", e)
 	}
 }
@@ -850,10 +850,10 @@ func TestAdaptiveFlipPersists(t *testing.T) {
 func TestPeerEdgePicksShapeRarity(t *testing.T) {
 	s, _ := stubSpecInput()
 	f := New(&stubExec{loc: 1}, s, Options{
-		Policy:           PolicyNone,
-		Rand:             rand.New(rand.NewSource(6)),
-		ExecsPerSchedule: 100,
-		Power:            PowerExplore,
+		Policy:        PolicyNone,
+		Rand:          rand.New(rand.NewSource(6)),
+		SnapshotReuse: 100,
+		Power:         PowerExplore,
 	})
 	// Locally, edge 1 looks rare (1 pick) against a hot edge 2.
 	f.edgePicks = map[uint32]uint64{1: 1, 2: 15}

@@ -140,16 +140,6 @@ func (t *Trace) Bucketed() []BucketHit {
 // same semantics as Merge. Out-of-range indices are ignored (defensive:
 // snapshots may have crossed a process/serialization boundary).
 func (v *Virgin) MergeBuckets(hits []BucketHit) (hasNew, newEdge bool) {
-	hasNew, n := v.MergeBucketsShared(hits)
-	v.edges += n
-	return hasNew, n > 0
-}
-
-// MergeBucketsShared is MergeBuckets for a map that callers merge disjoint
-// index ranges of at the same time (a campaign broker's, one lock per range):
-// it writes only the bytes of the indices it is given and returns the number
-// of edges it added, which the caller counts, instead of counting them in v.
-func (v *Virgin) MergeBucketsShared(hits []BucketHit) (hasNew bool, newEdges int) {
 	for _, h := range hits {
 		if h.Index >= MapSize {
 			continue
@@ -157,12 +147,13 @@ func (v *Virgin) MergeBucketsShared(hits []BucketHit) (hasNew bool, newEdges int
 		if v.bits[h.Index]&h.Bucket == 0 && h.Bucket != 0 {
 			hasNew = true
 			if v.bits[h.Index] == 0 {
-				newEdges++
+				newEdge = true
+				v.edges++
 			}
 			v.bits[h.Index] |= h.Bucket
 		}
 	}
-	return hasNew, newEdges
+	return hasNew, newEdge
 }
 
 // MergeVirgin folds another virgin map into v (bitwise union of bucket
@@ -196,13 +187,6 @@ func (v *Virgin) Snapshot() []byte {
 // worker uses to ship its virgin-map delta to the broker without sending
 // the whole 64 KiB map.
 func (v *Virgin) MergeMasked(hits []BucketHit) (hasNew bool) {
-	hasNew, n := v.MergeMaskedShared(hits)
-	v.edges += n
-	return hasNew
-}
-
-// MergeMaskedShared is MergeMasked for a shared map (see MergeBucketsShared).
-func (v *Virgin) MergeMaskedShared(hits []BucketHit) (hasNew bool, newEdges int) {
 	for _, h := range hits {
 		if h.Index >= MapSize {
 			continue
@@ -210,12 +194,12 @@ func (v *Virgin) MergeMaskedShared(hits []BucketHit) (hasNew bool, newEdges int)
 		if add := h.Bucket &^ v.bits[h.Index]; add != 0 {
 			hasNew = true
 			if v.bits[h.Index] == 0 {
-				newEdges++
+				v.edges++
 			}
 			v.bits[h.Index] |= add
 		}
 	}
-	return hasNew, newEdges
+	return hasNew
 }
 
 // AppendNewTo computes the delta between v and base — every bucket bit

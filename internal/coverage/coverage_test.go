@@ -290,71 +290,6 @@ func TestVirginUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
-// Property: merging one snapshot into one shared map range by range of a
-// contiguous partition (MergeBucketsShared and MergeMaskedShared, each range
-// given only its own hits, as the campaign broker's shards are) produces
-// exactly the map — and the OR-ed hasNew verdicts and summed edge counts —
-// that unsharded MergeBuckets and MergeMasked would.
-func TestShardedMergeEquivalentToMergeBuckets(t *testing.T) {
-	f := func(seed int64, shardsRaw uint8) bool {
-		shards := 1 + int(shardsRaw%32)
-		rng := rand.New(rand.NewSource(seed))
-		var tr Trace
-		for j := 0; j < 200; j++ {
-			tr.Hit(rng.Uint32())
-		}
-		hits := tr.Bucketed()
-		masked := make([]BucketHit, 50)
-		for j := range masked {
-			masked[j] = BucketHit{Index: rng.Uint32() % MapSize, Bucket: byte(rng.Uint32())}
-		}
-
-		var whole Virgin
-		wantNew, _ := whole.MergeBuckets(hits)
-		wantMasked := whole.MergeMasked(masked)
-
-		width := MapSize / shards
-		gotNew, gotMasked := false, false
-		edges := 0
-		var merged Virgin
-		for s := 0; s < shards; s++ {
-			lo := uint32(s * width)
-			hi := uint32((s + 1) * width)
-			if s == shards-1 {
-				hi = MapSize
-			}
-			inRange := func(hs []BucketHit) []BucketHit {
-				var out []BucketHit
-				for _, h := range hs {
-					if h.Index >= lo && h.Index < hi {
-						out = append(out, h)
-					}
-				}
-				return out
-			}
-			hn, n := merged.MergeBucketsShared(inRange(hits))
-			gotNew = gotNew || hn
-			edges += n
-			hn, n = merged.MergeMaskedShared(inRange(masked))
-			gotMasked = gotMasked || hn
-			edges += n
-		}
-		if gotNew != wantNew || gotMasked != wantMasked || edges != whole.Edges() || merged.Edges() != 0 {
-			return false
-		}
-		a, b := whole.Snapshot(), merged.Snapshot()
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: AppendNewTo against a shadow map, applied with MergeMasked,
 // reconstructs the source map exactly — across multiple incremental rounds
 // — and reports nothing once the shadow has caught up.
@@ -390,9 +325,10 @@ func TestAppendNewToMergeMaskedRoundTrip(t *testing.T) {
 	}
 }
 
-// AppendNewTo emits deltas in ascending index order — the property the
-// sharded broker relies on to slice one delta into contiguous per-shard
-// sub-slices without sorting.
+// AppendNewTo emits deltas in ascending index order, so a worker's virgin
+// delta is canonical: the same pair of maps yields the same hits in the same
+// order however their edges were hit, and what a campaign broker merges with
+// MergeMasked does not depend on hit order.
 func TestAppendNewToAscendingOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var src, shadow Virgin

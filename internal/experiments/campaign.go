@@ -23,16 +23,15 @@ const ScalingJSON = "BENCH_campaign.json"
 // with the worker count while per-worker time stays fixed — the ideal line
 // is EPS scaling linearly in Workers.
 //
-// The sync columns are the broker-sharding benchmark. SyncWallPerEpoch is
-// real (wall-clock) time inside the broker per exchange — the quantity
-// that must grow sublinearly in Workers for the sharded async broker.
-// Caveat: the clock keeps running while an exchange goroutine is
+// The sync columns are the broker benchmark. SyncWallPerEpoch is real
+// (wall-clock) time inside the broker per exchange, waiting for its lock
+// included. Caveat: the clock keeps running while an exchange goroutine is
 // descheduled, so with more workers than cores the column mostly measures
-// runnable-queue delay; judge sublinearity only on hosts with cores >=
-// workers. ShardContended / ShardAcquisitions is the scheduling-robust
-// companion signal: it counts shard-lock acquisitions that actually had
-// to wait, independent of where the scheduler put the time (~1% at 64
-// workers — concurrent exchanges almost always touch disjoint shards).
+// runnable-queue delay; judge it only on hosts with cores >= workers.
+// ShardContended / ShardAcquisitions is the scheduling-robust companion
+// signal: the broker's one lock is taken once per exchange, and the ratio
+// counts the exchanges that found it held and had to wait, independent of
+// where the scheduler put the time.
 type ScalingRow struct {
 	Workers  int     `json:"workers"`
 	SyncMode string  `json:"sync_mode"`
