@@ -39,7 +39,7 @@ func main() {
 		camp     = flag.String("campaign", "", "run the parallel-scaling campaign at these worker counts (e.g. 1,2,4,8 or 16,32,64)")
 		campMode = flag.String("sync-mode", "async", "broker sync for -campaign runs: async (barrier-free, one exchange at a time) | lockstep (deterministic rounds)")
 		campOut  = flag.String("campaign-out", experiments.ScalingJSON, "output path for the -campaign scaling JSON report (empty string disables)")
-		power    = flag.String("power", "off", "power schedule for -campaign runs: off | fast | coe | explore | lin | quad | adaptive (the sched ablation sweeps all of them)")
+		power    = flag.String("power", "off", "power schedule for -campaign runs: off | coe (the sched ablation runs both)")
 		snapbud  = flag.Int64("snapbudget", experiments.DefaultSnapBudget, "snapshot-pool byte budget for -ablation snappool")
 	)
 	flag.Parse()
@@ -199,11 +199,12 @@ func main() {
 			if len(cfg.Targets) > 0 {
 				tgt = cfg.Targets[0]
 			}
-			rs, err := experiments.AblationScheduling(tgt, *dur, *seed)
+			a, err := experiments.AblationScheduling(cfg, tgt)
 			if err != nil {
 				fatalf("ablation sched: %v", err)
 			}
-			fmt.Println(experiments.RenderAblation("== Ablation: queue scheduling (round-robin vs AFL-style vs power schedules) ==", rs))
+			fmt.Println("== Ablation: queue scheduling (round-robin vs AFL-style vs AFL + coe power schedule) ==")
+			fmt.Println(experiments.RenderSchedAblation(a))
 		}
 		if abl == "snappool" || abl == "all" {
 			rs, err := experiments.AblationSnapshotPool(cfg.Targets, *dur, *seed, *snapbud)

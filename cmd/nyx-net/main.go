@@ -16,12 +16,11 @@
 // the AFL-style corpus scheduler — favored-entry culling, per-entry energy
 // budgets, a splice stage and lazy trim — while "rr" restores the flat
 // round-robin rotation (the scheduling-ablation baseline). On top of the
-// AFL scheduler, -power selects an AFLfast-style power schedule for
-// long-horizon campaigns (fast | coe | explore | lin | quad | adaptive):
-// energy is reshaped over pick counts and per-edge pick frequencies, with
-// the energy ceiling lifted past the baseline once the queue frontier
-// drains; "adaptive" starts as explore and flips to coe when the frontier
-// drains.
+// AFL scheduler, -power coe selects AFLfast's cut-off exponential power
+// schedule for long-horizon campaigns: entries whose every edge is picked
+// more often than the mean drop to the minimum budget, the rest decay with
+// their pick count, and the energy ceiling lifts past the baseline once the
+// queue frontier drains.
 //
 // Incremental snapshots are pooled by default (-snapbudget bytes per
 // worker): snapshot slots are keyed by input-prefix digest, survive
@@ -51,7 +50,7 @@
 //
 //	nyx-net -target lightftp -policy aggressive -time 30s -seed 1
 //	nyx-net -target lightftp -sched rr -time 30s -seed 1
-//	nyx-net -target tinydtls -power fast -time 5m -seed 1
+//	nyx-net -target tinydtls -power coe -time 5m -seed 1
 //	nyx-net -target lightftp -workers 4 -seed 1
 //	nyx-net -target lightftp -workers 4 -checkpoint /tmp/camp -time 30s
 //	nyx-net -resume -checkpoint /tmp/camp -time 30s
@@ -87,7 +86,7 @@ func main() {
 		target   = flag.String("target", "lightftp", "target to fuzz (see -list)")
 		policy   = flag.String("policy", "aggressive", "snapshot policy: none | balanced | aggressive")
 		sched    = flag.String("sched", "afl", "queue scheduler: afl (favored culling, energy, splice, trim) | rr (flat round-robin)")
-		power    = flag.String("power", "off", "AFLfast-style power schedule for long campaigns: off | fast | coe | explore | lin | quad | adaptive (explore until the frontier drains, then coe)")
+		power    = flag.String("power", "off", "AFLfast-style power schedule for long campaigns: off | coe (cut off over-exercised entries, decay the rest by pick count)")
 		snapbud  = flag.Int64("snapbudget", experiments.DefaultSnapBudget, "snapshot-pool byte budget per worker (prefix-keyed incremental snapshots; 0 keeps one snapshot per scheduling round, released when the round ends)")
 		duration = flag.Duration("time", 30*time.Second, "virtual campaign duration")
 		seed     = flag.Int64("seed", 1, "campaign RNG seed (master seed with -workers)")
@@ -140,31 +139,39 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	cfg := campaign.Config{
+		Target:       *target,
+		Workers:      *workers,
+		Policy:       pol,
+		Seed:         *seed,
+		SyncInterval: *syncIvl,
+		Sched:        sc,
+		Power:        pw,
+		SnapBudget:   *snapbud,
+		Asan:         *asan,
+		SyncMode:     mode,
+	}
 	defer startProfiles(*cpuProf, *memProf)()
 
 	if *workers > 1 || *resume || *ckpt != "" {
-		runParallel(parallelOpts{
-			target: *target, policy: pol, sched: sc, power: pw, duration: *duration, seed: *seed,
-			asan: *asan, workers: *workers, sync: *syncIvl, snapBudget: *snapbud, mode: mode,
-			checkpoint: *ckpt, resume: *resume, crashDir: *crashDir, storeURL: *storeURL,
-		})
+		runParallel(cfg, *duration, *ckpt, *resume, *storeURL, *crashDir)
 		return
 	}
 
-	inst, err := targets.Launch(*target, targets.LaunchConfig{Asan: *asan})
+	inst, err := targets.Launch(cfg.Target, targets.LaunchConfig{Asan: cfg.Asan})
 	if err != nil {
 		fatalf("%v", err)
 	}
-	fmt.Printf("[*] launched %s on %s (root snapshot taken)\n", *target, inst.Info.Port)
+	fmt.Printf("[*] launched %s on %s (root snapshot taken)\n", cfg.Target, inst.Info.Port)
 
 	f := core.New(inst.Agent, inst.Spec, core.Options{
-		Policy:     pol,
-		Sched:      sc,
-		Power:      pw,
+		Policy:     cfg.Policy,
+		Sched:      cfg.Sched,
+		Power:      cfg.Power,
 		Seeds:      inst.Seeds(),
-		Rand:       rand.New(rand.NewSource(*seed)),
+		Rand:       rand.New(rand.NewSource(cfg.Seed)),
 		Dict:       inst.Info.Dict,
-		SnapBudget: *snapbud,
+		SnapBudget: cfg.SnapBudget,
 	})
 	start := time.Now()
 	if err := f.RunFor(*duration); err != nil {
@@ -183,74 +190,47 @@ func main() {
 		st := f.PoolStats()
 		fmt.Printf("    snapshot pool:  %d hits / %d misses, %d evictions, %d slots, %.1f MiB peak (budget %.1f MiB), %d full-prefix re-execs\n",
 			st.Hits, st.Misses, st.Evictions, st.Slots,
-			float64(st.PeakBytes)/(1<<20), float64(*snapbud)/(1<<20), f.FullPrefixReexecs())
+			float64(st.PeakBytes)/(1<<20), float64(cfg.SnapBudget)/(1<<20), f.FullPrefixReexecs())
 	}
 	fmt.Printf("    branch coverage: %d edges, %d queue entries\n", f.Coverage(), len(f.Queue))
 	fmt.Printf("    crashes:        %d unique\n", len(f.Crashes))
 	reportCrashes(f.Crashes, *crashDir)
 }
 
-type parallelOpts struct {
-	target     string
-	policy     core.Policy
-	sched      core.Sched
-	power      core.Power
-	duration   time.Duration
-	seed       int64
-	asan       bool
-	workers    int
-	sync       time.Duration
-	snapBudget int64
-	mode       campaign.SyncMode
-	checkpoint string
-	resume     bool
-	crashDir   string
-	storeURL   string
-}
-
-func runParallel(o parallelOpts) {
+// runParallel runs the campaign cfg describes — or, with resume, the one
+// stored in checkpoint — for d of virtual time per worker, and checkpoints
+// it when checkpoint is set.
+func runParallel(cfg campaign.Config, d time.Duration, checkpoint string, resume bool, storeURL, crashDir string) {
 	// With -store, -checkpoint names a tree in that backend; without it,
 	// a plain directory, which is a tree in the dir:// store of its parent.
 	var st store.Storer
-	ckptName := o.checkpoint
+	ckptName := checkpoint
 	var err error
 	switch {
-	case o.storeURL != "":
-		st, err = store.Open(o.storeURL)
-	case o.checkpoint != "":
-		st, ckptName, err = store.ForDir(o.checkpoint)
+	case storeURL != "":
+		st, err = store.Open(storeURL)
+	case checkpoint != "":
+		st, ckptName, err = store.ForDir(checkpoint)
 	}
 	if err != nil {
 		fatalf("%v", err)
 	}
 	var c *campaign.Campaign
-	if o.resume {
-		if o.checkpoint == "" {
+	if resume {
+		if checkpoint == "" {
 			fatalf("-resume requires -checkpoint DIR")
 		}
 		if c, err = campaign.ResumeFrom(st, ckptName); err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Printf("[*] resumed campaign from %s: %d workers, %d edges, %d crashes\n",
-			o.checkpoint, c.Workers(), c.Coverage(), len(c.Crashes()))
+			checkpoint, c.Workers(), c.Coverage(), len(c.Crashes()))
 	} else {
-		c, err = campaign.New(campaign.Config{
-			Target:       o.target,
-			Workers:      o.workers,
-			Policy:       o.policy,
-			Sched:        o.sched,
-			Power:        o.power,
-			Seed:         o.seed,
-			SyncInterval: o.sync,
-			SnapBudget:   o.snapBudget,
-			Asan:         o.asan,
-			SyncMode:     o.mode,
-		})
-		if err != nil {
+		if c, err = campaign.New(cfg); err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Printf("[*] launched %d workers against %s (master seed %d, %s sync)\n",
-			c.Workers(), o.target, o.seed, c.SyncMode())
+			c.Workers(), cfg.Target, cfg.Seed, c.SyncMode())
 	}
 
 	// SIGINT stops gracefully: the campaign quiesces at the next sync
@@ -266,7 +246,7 @@ func runParallel(o parallelOpts) {
 	}()
 
 	start := time.Now()
-	if err := c.RunFor(o.duration); err != nil {
+	if err := c.RunFor(d); err != nil {
 		fatalf("campaign: %v", err)
 	}
 	signal.Stop(sig)
@@ -295,14 +275,14 @@ func runParallel(o parallelOpts) {
 			st.ID, st.Execs, st.Coverage, st.Queue, st.Crashes)
 	}
 	fmt.Printf("    crashes:        %d unique across workers\n", len(c.Crashes()))
-	reportCrashes(c.Crashes(), o.crashDir)
+	reportCrashes(c.Crashes(), crashDir)
 
-	if o.checkpoint != "" {
+	if checkpoint != "" {
 		if err := c.CheckpointTo(st, ckptName); err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Printf("[*] checkpoint written to %s (resume with -resume -checkpoint %s)\n",
-			o.checkpoint, o.checkpoint)
+			checkpoint, checkpoint)
 	}
 }
 

@@ -112,8 +112,6 @@ type Config struct {
 	Seed int64
 	// SyncInterval overrides DefaultSyncInterval when > 0.
 	SyncInterval time.Duration
-	// SnapshotReuse is passed through to core.Options.
-	SnapshotReuse int
 	// Sched is the queue scheduling strategy every worker uses (default
 	// core.SchedAFL).
 	Sched core.Sched
@@ -226,18 +224,17 @@ func newCampaign(cfg Config, epoch int, seedsFor func(i int) (workerSeeds, error
 			}
 		}
 		fz := core.New(inst.Agent, inst.Spec, core.Options{
-			Policy:        cfg.Policy,
-			Seeds:         inst.Seeds(),
-			Restored:      loaded.queue,
-			SnapshotReuse: cfg.SnapshotReuse,
-			Sched:         cfg.Sched,
-			Power:         cfg.Power,
-			SeedMeta:      loaded.meta,
-			PowerState:    loaded.power,
-			TrackRetrims:  true,
-			SnapBudget:    cfg.SnapBudget,
-			Rand:          rand.New(rand.NewSource(deriveSeed(cfg.Seed, epoch, i))),
-			Dict:          inst.Info.Dict,
+			Policy:       cfg.Policy,
+			Seeds:        inst.Seeds(),
+			Restored:     loaded.queue,
+			Sched:        cfg.Sched,
+			Power:        cfg.Power,
+			SeedMeta:     loaded.meta,
+			PowerState:   loaded.power,
+			TrackRetrims: true,
+			SnapBudget:   cfg.SnapBudget,
+			Rand:         rand.New(rand.NewSource(deriveSeed(cfg.Seed, epoch, i))),
+			Dict:         inst.Info.Dict,
 		})
 		c.workers = append(c.workers, &worker{
 			id: i, inst: inst, fz: fz,

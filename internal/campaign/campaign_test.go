@@ -743,7 +743,7 @@ func TestLockstepRoundDrainsAndIsDeterministic(t *testing.T) {
 	var digests []string
 	for i := 0; i < 2; i++ {
 		cfg := testCfg(3, 13)
-		cfg.Power = core.PowerFast
+		cfg.Power = core.PowerCoe
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -783,7 +783,7 @@ func TestLockstepRoundDrainsAndIsDeterministic(t *testing.T) {
 func TestCheckpointPersistsPowerState(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testCfg(2, 11)
-	cfg.Power = core.PowerFast
+	cfg.Power = core.PowerCoe
 	orig := run(t, cfg, 2*time.Second)
 	if err := checkpointDir(orig, dir); err != nil {
 		t.Fatal(err)
@@ -800,8 +800,8 @@ func TestCheckpointPersistsPowerState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.cfg.Power != core.PowerFast {
-		t.Fatalf("resumed power = %v, want fast", res.cfg.Power)
+	if res.cfg.Power != core.PowerCoe {
+		t.Fatalf("resumed power = %v, want coe", res.cfg.Power)
 	}
 	for i, w := range res.workers {
 		st := w.fz.PowerState()
@@ -878,7 +878,7 @@ func editBroker(t *testing.T, tree store.Tree, edit func(b *broker)) store.Tree 
 }
 
 // One version is written and one is read: both sync modes declare it, and a
-// header that declares any other — the previous two, which older builds
+// header that declares any other — the previous ones, which older builds
 // wrote, included — is refused with an error naming the version, not resumed
 // on guesses.
 func TestResumeRefusesOldManifestVersions(t *testing.T) {
@@ -899,7 +899,7 @@ func TestResumeRefusesOldManifestVersions(t *testing.T) {
 			t.Fatalf("version-%d manifest summarized", v)
 		}
 	}
-	for _, v := range []int{0, 1, 2, 3, 4, manifestVersion + 1} {
+	for _, v := range []int{0, 1, 2, 3, 4, 5, manifestVersion + 1} {
 		refused(v, editManifest(t, tree, func(m *manifest) { m.Version = v }))
 	}
 	// A header shaped the way version 4 shaped it: the corpus and the
@@ -936,7 +936,7 @@ func TestResumeRejectsBadManifest(t *testing.T) {
 		"policy 99":            editManifest(t, tree, func(m *manifest) { m.Policy = 99 }),
 		"policy -1":            editManifest(t, tree, func(m *manifest) { m.Policy = -1 }),
 		"sched 2":              editManifest(t, tree, func(m *manifest) { m.Sched = 2 }),
-		"power 7":              editManifest(t, tree, func(m *manifest) { m.Power = 7 }),
+		"power 2":              editManifest(t, tree, func(m *manifest) { m.Power = 2 }),
 		"sync mode":            editManifest(t, tree, func(m *manifest) { m.SyncMode = "sometimes" }),
 		"three epoch counters": editManifest(t, tree, func(m *manifest) { m.WorkerEpochs = []int{1, 1, 1} }),
 		"corpus count":         editManifest(t, tree, func(m *manifest) { m.Corpus++ }),
@@ -970,7 +970,7 @@ func TestCampaignUnknownTarget(t *testing.T) {
 func TestCampaignRejectsPowerWithRoundRobin(t *testing.T) {
 	cfg := testCfg(1, 1)
 	cfg.Sched = core.SchedRoundRobin
-	cfg.Power = core.PowerFast
+	cfg.Power = core.PowerCoe
 	if _, err := New(cfg); err == nil {
 		t.Fatal("power + round-robin must fail")
 	}
@@ -999,7 +999,7 @@ func TestCampaignSnapshotPool(t *testing.T) {
 
 func TestCampaignSharesEdgePicksOnSync(t *testing.T) {
 	cfg := testCfg(2, 3)
-	cfg.Power = core.PowerFast
+	cfg.Power = core.PowerCoe
 	c := run(t, cfg, 2*time.Second)
 	// After at least one sync, every worker must have received the
 	// others' pick frequencies.

@@ -19,7 +19,7 @@ import (
 	"repro/internal/store"
 )
 
-// Checkpoint format, manifest version 5 — one store.Tree, written atomically
+// Checkpoint format, manifest version 6 — one store.Tree, written atomically
 // via PutTree. This comment is the format's one specification.
 //
 //	manifest.json                    the header: compact JSON of type manifest
@@ -87,7 +87,7 @@ import (
 // manifestVersion is the one checkpoint format this build writes and reads;
 // a tree that declares any other is refused by number (README says how to
 // carry an older tree over).
-const manifestVersion = 5
+const manifestVersion = 6
 
 // Tree keys beside the per-worker files. ManifestFile is the one a listing
 // needs: Summarize reads nothing else.
@@ -98,20 +98,19 @@ const (
 )
 
 type manifest struct {
-	Version       int           `json:"version"`
-	Target        string        `json:"target"`
-	Policy        int           `json:"policy"`
-	PolicyName    string        `json:"policy_name"` // informational
-	Workers       int           `json:"workers"`
-	Seed          int64         `json:"seed"`
-	Epoch         int           `json:"epoch"`
-	Rounds        int           `json:"rounds"`
-	SyncInterval  time.Duration `json:"sync_interval_ns"`
-	SnapshotReuse int           `json:"snapshot_reuse"`
-	Sched         int           `json:"sched"`
-	SchedName     string        `json:"sched_name"` // informational
-	Power         int           `json:"power,omitempty"`
-	PowerName     string        `json:"power_name,omitempty"` // informational
+	Version      int           `json:"version"`
+	Target       string        `json:"target"`
+	Policy       int           `json:"policy"`
+	PolicyName   string        `json:"policy_name"` // informational
+	Workers      int           `json:"workers"`
+	Seed         int64         `json:"seed"`
+	Epoch        int           `json:"epoch"`
+	Rounds       int           `json:"rounds"`
+	SyncInterval time.Duration `json:"sync_interval_ns"`
+	Sched        int           `json:"sched"`
+	SchedName    string        `json:"sched_name"` // informational
+	Power        int           `json:"power,omitempty"`
+	PowerName    string        `json:"power_name,omitempty"` // informational
 	// SnapBudget is the per-worker snapshot-pool byte budget (0: pool
 	// disabled).
 	SnapBudget int64 `json:"snap_budget,omitempty"`
@@ -161,7 +160,7 @@ func (m *manifest) config() (Config, error) {
 	}{
 		{"policy", m.Policy, int(core.PolicyAggressive)},
 		{"sched", m.Sched, int(core.SchedRoundRobin)},
-		{"power", m.Power, int(core.PowerAdaptive)},
+		{"power", m.Power, int(core.PowerCoe)},
 	} {
 		if f.v < 0 || f.v > f.max {
 			return Config{}, fmt.Errorf("manifest %s %d out of range 0..%d", f.name, f.v, f.max)
@@ -172,17 +171,16 @@ func (m *manifest) config() (Config, error) {
 		return Config{}, err
 	}
 	cfg := Config{
-		Target:        m.Target,
-		Workers:       m.Workers,
-		Policy:        core.Policy(m.Policy),
-		Seed:          m.Seed,
-		SyncInterval:  m.SyncInterval,
-		SnapshotReuse: m.SnapshotReuse,
-		Sched:         core.Sched(m.Sched),
-		Power:         core.Power(m.Power),
-		SnapBudget:    m.SnapBudget,
-		Asan:          m.Asan,
-		SyncMode:      syncMode,
+		Target:       m.Target,
+		Workers:      m.Workers,
+		Policy:       core.Policy(m.Policy),
+		Seed:         m.Seed,
+		SyncInterval: m.SyncInterval,
+		Sched:        core.Sched(m.Sched),
+		Power:        core.Power(m.Power),
+		SnapBudget:   m.SnapBudget,
+		Asan:         m.Asan,
+		SyncMode:     syncMode,
 	}.withDefaults()
 	if len(m.WorkerEpochs) > cfg.Workers {
 		return Config{}, fmt.Errorf("%d worker epochs for %d workers", len(m.WorkerEpochs), cfg.Workers)
@@ -235,29 +233,28 @@ func (c *Campaign) CheckpointTree() (store.Tree, error) {
 	c.broker.encode(&bw)
 	t[brokerFile] = bw.Bytes()
 	m := manifest{
-		Version:       manifestVersion,
-		Target:        c.cfg.Target,
-		Policy:        int(c.cfg.Policy),
-		PolicyName:    c.cfg.Policy.String(),
-		Workers:       c.cfg.Workers,
-		Seed:          c.cfg.Seed,
-		Epoch:         c.epoch,
-		Rounds:        c.rounds,
-		SyncInterval:  c.cfg.SyncInterval,
-		SnapshotReuse: c.cfg.SnapshotReuse,
-		Sched:         int(c.cfg.Sched),
-		SchedName:     c.cfg.Sched.String(),
-		Power:         int(c.cfg.Power),
-		PowerName:     c.cfg.Power.String(),
-		SnapBudget:    c.cfg.SnapBudget,
-		Asan:          c.cfg.Asan,
-		SyncMode:      c.cfg.SyncMode.String(),
-		Elapsed:       c.Elapsed(),
-		Published:     c.broker.published,
-		Deduped:       c.broker.deduped,
-		Corpus:        len(c.broker.corpus),
-		Crashes:       len(c.broker.crashes),
-		CovLog:        c.broker.covLog,
+		Version:      manifestVersion,
+		Target:       c.cfg.Target,
+		Policy:       int(c.cfg.Policy),
+		PolicyName:   c.cfg.Policy.String(),
+		Workers:      c.cfg.Workers,
+		Seed:         c.cfg.Seed,
+		Epoch:        c.epoch,
+		Rounds:       c.rounds,
+		SyncInterval: c.cfg.SyncInterval,
+		Sched:        int(c.cfg.Sched),
+		SchedName:    c.cfg.Sched.String(),
+		Power:        int(c.cfg.Power),
+		PowerName:    c.cfg.Power.String(),
+		SnapBudget:   c.cfg.SnapBudget,
+		Asan:         c.cfg.Asan,
+		SyncMode:     c.cfg.SyncMode.String(),
+		Elapsed:      c.Elapsed(),
+		Published:    c.broker.published,
+		Deduped:      c.broker.deduped,
+		Corpus:       len(c.broker.corpus),
+		Crashes:      len(c.broker.crashes),
+		CovLog:       c.broker.covLog,
 	}
 	for _, w := range c.workers {
 		m.WorkerEpochs = append(m.WorkerEpochs, w.epoch)

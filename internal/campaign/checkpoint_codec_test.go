@@ -36,7 +36,7 @@ func queueFiles(tree store.Tree) []string {
 // inputs, scheduler metadata and power state, in order, not empty queues.
 func TestCheckpointBeforeFirstRoundKeepsRestoredCorpus(t *testing.T) {
 	cfg := Config{Target: "dnsmasq", Workers: 2, Policy: core.PolicyAggressive, Seed: 1,
-		SyncInterval: 500 * time.Millisecond, Power: core.PowerFast}
+		SyncInterval: 500 * time.Millisecond, Power: core.PowerCoe}
 	first, err := run(t, cfg, 2*time.Second).CheckpointTree()
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestResumeRejectsCorruptQueueFile(t *testing.T) {
 func smallSections(t *testing.T) (header, brokerBin, sched []byte) {
 	t.Helper()
 	tree, err := run(t, Config{Target: "dnsmasq", Workers: 2, Policy: core.PolicyAggressive, Seed: 1,
-		SyncInterval: 500 * time.Millisecond, Power: core.PowerFast}, time.Second).CheckpointTree()
+		SyncInterval: 500 * time.Millisecond, Power: core.PowerCoe}, time.Second).CheckpointTree()
 	if err != nil {
 		t.Fatal(err)
 	}

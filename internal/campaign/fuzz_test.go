@@ -36,7 +36,7 @@ const (
 func FuzzCheckpointDecode(f *testing.F) {
 	for _, target := range []string{"tinydtls", "dnsmasq", "bftpd"} {
 		c, err := campaign.New(campaign.Config{Target: target, Workers: 2, Policy: core.PolicyAggressive,
-			Seed: 1, SyncInterval: 500 * time.Millisecond, Power: core.PowerFast})
+			Seed: 1, SyncInterval: 500 * time.Millisecond, Power: core.PowerCoe})
 		if err != nil {
 			f.Fatal(err)
 		}

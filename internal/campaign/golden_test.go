@@ -24,7 +24,10 @@ import (
 // reproduced unmodified by every commit up to and including the PR 20 tree
 // that held everything but the new randData; re-recorded once, at PR 20, for
 // randData's draw sequence and nothing else (CHANGES.md tabulates old and
-// new). Re-record with
+// new); the tree digests, and nothing else, moved again with manifest
+// version 6 (sched.bin lost the retired adaptive schedule's two fields, the
+// header snapshot_reuse, coe's number went from 2 to 1), where each new tree
+// rewritten in the version-5 layout reproduced the old digest. Re-record with
 //
 //	NYX_UPDATE_GOLDEN=1 go test ./internal/core ./internal/campaign ./internal/targets -run 'Recorded|LockstepGolden'
 //

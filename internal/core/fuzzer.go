@@ -332,8 +332,6 @@ type Fuzzer struct {
 	totalPicked uint64            // picks across all entries (campaign horizon)
 	peerPicks   map[uint32]uint64 // other workers' picks per edge (broker feedback)
 	peerPickSum uint64            // sum of peerPicks values
-	powerFlip   bool              // adaptive schedule flipped explore -> coe
-	drainStreak int               // consecutive frontier-empty picks (adaptive)
 
 	// Snapshot-pool state (nil/zero when the pool is disabled).
 	slotExec SlotExecutor
@@ -382,8 +380,6 @@ func New(agent Executor, s *spec.Spec, opts Options) *Fuzzer {
 			f.edgePicks[idx] = n
 			f.edgePickSum += n
 		}
-		f.powerFlip = opts.PowerState.Flipped
-		f.drainStreak = opts.PowerState.DrainStreak
 	}
 	if opts.SnapBudget > 0 {
 		if se, ok := agent.(SlotExecutor); ok {
@@ -768,10 +764,7 @@ func (f *Fuzzer) placeSnapshot(e *QueueEntry) int {
 		} else {
 			pi = n/2 + f.rng.Intn(n-n/2) // second half
 		}
-		// After sending the chosen packet; with the pool enabled, snap to
-		// a position whose prefix snapshot is already cached when the
-		// random draw itself is not known to be.
-		return f.preferCachedPosition(e, pkts[pi]+1)
+		return pkts[pi] + 1 // after sending the chosen packet
 	case PolicyAggressive:
 		back := e.aggrBack
 		if back >= n {
@@ -781,38 +774,6 @@ func (f *Fuzzer) placeSnapshot(e *QueueEntry) int {
 	default:
 		return -1
 	}
-}
-
-// preferCachedPosition makes the balanced policy pool-aware: when the
-// proposed snapshot position has been tried before and its prefix snapshot
-// is no longer pooled (evicted, or never kept), the deepest previously
-// tried position whose snapshot IS still cached wins — the round then
-// resumes a live snapshot instead of paying a re-creation run. A position
-// the entry has never tried always stands, so the balanced draw keeps
-// exploring (and caching) fresh depths; only re-creation of a known-cold
-// position is redirected. Decided purely from the entry's memoized digests
-// and a non-counting pool peek (no hashing, no RNG draws), so it adds
-// nothing to the per-round hot path. The aggressive policy is deliberately
-// left alone: its position is the state of its retreat search, and
-// snapping it would break the §3.4 schedule.
-func (f *Fuzzer) preferCachedPosition(e *QueueEntry, pos int) int {
-	if f.pool == nil {
-		return pos
-	}
-	d, tried := e.prefixDigests[pos]
-	if !tried || f.pool.Contains(d) {
-		return pos
-	}
-	best := -1
-	for p, pd := range e.prefixDigests {
-		if p > best && f.pool.Contains(pd) {
-			best = p
-		}
-	}
-	if best > 0 {
-		return best
-	}
-	return pos
 }
 
 // packetOpIndices returns the op indices of data-carrying ops.

@@ -29,7 +29,7 @@ import (
 //     rounds;
 //   - a splice stage crossing the scheduled entry with a random queue
 //     mate, and a lazy trim on each entry's first pick;
-//   - an optional AFLfast-style power-schedule layer (-power) for
+//   - an optional AFLfast-style power schedule (-power coe) for
 //     long-horizon campaigns: energy reshaped over QueueEntry.Picked and
 //     a per-edge pick-frequency map, with the energy ceiling lifted past
 //     the baseline once the frontier drains.
@@ -79,42 +79,25 @@ func ParseSched(name string) (Sched, error) {
 // tuned for the short-horizon frontier cascade and clamps every round at
 // the baseline budget; once a campaign runs long enough that re-picks
 // dominate, that clamp wastes the signal in QueueEntry.Picked and the
-// per-edge pick-frequency map. Power schedules reshape the budget over
-// exactly that signal: entries exercising rarely-picked edges earn budget,
-// over-fuzzed entries decay, and the energy ceiling lifts past the baseline
-// once the frontier drains (see energyCeil).
+// per-edge pick-frequency map. The power schedule reshapes the budget over
+// exactly that signal: over-exercised entries are cut to the floor, the
+// rest decay with their pick count, and the energy ceiling lifts past the
+// baseline once the frontier drains (see energyCeil).
 //
-// The schedules are AFLfast's family adapted to snapshot fuzzing: the
+// The one schedule is AFLfast's coe adapted to snapshot fuzzing: the
 // per-edge pick-frequency map stands in for AFLfast's path-frequency
-// counter, and the exponent decays over-fuzzed entries instead of boosting
-// them — on stateful targets the discovery cascade rewards spreading
-// re-pick budget toward rare states, not piling it onto hot paths.
+// counter. README's power-schedule ledger holds the seed spread that
+// retired the rest of the family.
 type Power int
 
-// Power schedules. PowerOff keeps the PR-2 baseline energy (clamped at the
-// baseline budget); the rest reshape it over Picked and edge rarity.
+// Power schedules.
 const (
 	// PowerOff: baseline AFL energy, ceiling clamped at the baseline.
 	PowerOff Power = iota
-	// PowerFast: exponential decay in Picked plus edge-rarity boost.
-	PowerFast
 	// PowerCoe: cut-off exponential — entries whose rarest edge is still
-	// picked more often than the mean are cut to the minimum budget;
-	// the rest decay exponentially like fast.
+	// picked more often than the mean are cut to the minimum budget; the
+	// rest decay exponentially in Picked.
 	PowerCoe
-	// PowerExplore: edge-rarity boost only, flat in Picked.
-	PowerExplore
-	// PowerLin: linear decay in Picked plus edge-rarity boost.
-	PowerLin
-	// PowerQuad: quadratic decay in Picked plus edge-rarity boost.
-	PowerQuad
-	// PowerAdaptive switches schedules mid-campaign: it starts as explore
-	// (flat rarity-boosted budgets while the frontier cascade is alive)
-	// and flips to coe once the queue frontier drains — the cut-off
-	// schedule is where the long-horizon gains live, but it starves a
-	// young campaign whose rarity signal is still forming. The flip is
-	// one-way and persists across checkpoint/resume (sched.bin).
-	PowerAdaptive
 )
 
 // String names the power schedule for flags, manifests and reports.
@@ -122,18 +105,8 @@ func (p Power) String() string {
 	switch p {
 	case PowerOff:
 		return "off"
-	case PowerFast:
-		return "fast"
 	case PowerCoe:
 		return "coe"
-	case PowerExplore:
-		return "explore"
-	case PowerLin:
-		return "lin"
-	case PowerQuad:
-		return "quad"
-	case PowerAdaptive:
-		return "adaptive"
 	default:
 		return fmt.Sprintf("power(%d)", int(p))
 	}
@@ -144,20 +117,10 @@ func ParsePower(name string) (Power, error) {
 	switch name {
 	case "", "off":
 		return PowerOff, nil
-	case "fast":
-		return PowerFast, nil
 	case "coe":
 		return PowerCoe, nil
-	case "explore":
-		return PowerExplore, nil
-	case "lin":
-		return PowerLin, nil
-	case "quad":
-		return PowerQuad, nil
-	case "adaptive":
-		return PowerAdaptive, nil
 	default:
-		return 0, fmt.Errorf("core: unknown power schedule %q (want off | fast | coe | explore | lin | quad | adaptive)", name)
+		return 0, fmt.Errorf("core: unknown power schedule %q (want off | coe)", name)
 	}
 }
 
@@ -193,7 +156,7 @@ const trimBudgetPct = 5
 // get a first round per unit of virtual time, and oversized rounds
 // measurably slow that cascade (see the scheduling ablation) — so energy
 // reallocates budget away from slow, narrow and fatigued entries instead
-// of piling extra executions onto good ones. Power schedules lift the
+// of piling extra executions onto good ones. The power schedule lifts the
 // ceiling once the frontier drains (energyCeil): in the re-pick regime
 // there is no cascade left to slow down, and the clamp is what kept the
 // PR-2 scheduler from expressing long-horizon boosts.
@@ -204,23 +167,13 @@ const (
 
 // Power-schedule shaping constants.
 const (
-	// powerRarityBoostMax caps the edge-rarity boost factor: an entry
-	// whose rarest covered edge is far below the mean pick frequency earns
-	// at most this multiple of its base score.
-	powerRarityBoostMax = 16
-	// powerDecayCap caps the exponential decay of fast/coe so a
-	// heavily-picked entry bottoms out at score>>powerDecayCap instead of
-	// underflowing straight to the floor on the first few picks.
+	// powerDecayCap caps coe's exponential decay so a heavily-picked entry
+	// bottoms out at score>>powerDecayCap instead of underflowing straight
+	// to the floor on the first few picks.
 	powerDecayCap = 6
 	// powerHorizonMaxBoost caps how far past the baseline the lifted
 	// energy ceiling may grow once the frontier drains (energyCeil).
 	powerHorizonMaxBoost = 8
-	// adaptiveFlipPicks is how many consecutive frontier-empty picks the
-	// adaptive schedule waits before flipping explore -> coe. A single
-	// empty observation is noise — the frontier refills on every
-	// discovery — but a sustained drought means the campaign has entered
-	// the re-pick regime coe is built for.
-	adaptiveFlipPicks = 16
 )
 
 // updateTopRated competes e for every edge its recorded trace covers.
@@ -307,19 +260,6 @@ func (f *Fuzzer) cullQueue() {
 // terminates.
 func (f *Fuzzer) pickEntry() *QueueEntry {
 	f.cullQueue()
-	// Adaptive schedule phase detection: count consecutive picks that find
-	// the frontier empty; a sustained drought flips explore -> coe for the
-	// rest of the campaign (sticky, checkpointed).
-	if f.power == PowerAdaptive && !f.powerFlip {
-		if f.pendingNew == 0 && len(f.Queue) > 0 {
-			f.drainStreak++
-			if f.drainStreak >= adaptiveFlipPicks {
-				f.powerFlip = true
-			}
-		} else {
-			f.drainStreak = 0
-		}
-	}
 	var e *QueueEntry
 	for tries := len(f.Queue); ; tries-- {
 		e = f.Queue[f.queueCur%len(f.Queue)]
@@ -342,9 +282,9 @@ func (f *Fuzzer) pickEntry() *QueueEntry {
 	}
 	e.Picked++
 	f.totalPicked++
-	// Under a power schedule, charge this pick against every edge the
-	// entry covers: the per-edge frequency map is the rarity signal the
-	// schedules reshape energy with (AFLfast's path-frequency counter,
+	// Under the power schedule, charge this pick against every edge the
+	// entry covers: the per-edge frequency map is the rarity signal coe
+	// cuts energy with (AFLfast's path-frequency counter,
 	// restated per edge because snapshot entries carry suffix traces, not
 	// whole-path checksums).
 	if f.power != PowerOff && f.sched != SchedRoundRobin {
@@ -363,10 +303,9 @@ func (f *Fuzzer) pickEntry() *QueueEntry {
 // AFL's calculate_score mapped onto SnapshotReuse. Slow, narrow and
 // fatigued entries get shortened rounds; with power off, speed, breadth
 // and depth boosts offset those penalties but never push the budget past
-// the baseline (see the energyMaxScore comment for why). Under a power
-// schedule the fatigue factor is replaced by the schedule's decay over
-// Picked and edge rarity, and the ceiling lifts once the frontier drains
-// (energyCeil).
+// the baseline (see the energyMaxScore comment for why). Under the power
+// schedule the fatigue factor is replaced by coe's cut-off and decay over
+// Picked, and the ceiling lifts once the frontier drains (energyCeil).
 func (f *Fuzzer) energy(e *QueueEntry) int {
 	if f.sched == SchedRoundRobin {
 		return f.opts.SnapshotReuse
@@ -432,69 +371,27 @@ func (f *Fuzzer) energy(e *QueueEntry) int {
 	return budget
 }
 
-// powerScore applies the selected power schedule to the base score: an
-// edge-rarity boost (entries reaching rarely-picked edges earn budget —
-// fast/explore/lin/quad) and a schedule-specific decay over Picked
-// (over-fuzzed entries give budget back). coe takes no boost: it is a
-// pure cut-off exponential — over-exercised entries drop to the floor,
-// the rest decay like fast from the unboosted base. The baseline fatigue
-// factor is disabled under power schedules so each schedule fully owns
-// the pick-count response.
+// powerScore applies coe to the base score, a cut-off exponential: an entry
+// whose every edge is over-exercised drops to the floor, the rest decay
+// exponentially in Picked (over-fuzzed entries give budget back). The
+// baseline fatigue factor is disabled under the power schedule so coe fully
+// owns the pick-count response.
 func (f *Fuzzer) powerScore(score int, e *QueueEntry) int {
-	rare, mean := f.edgeRarity(e)
-	boost := 1
-	if rare < mean {
-		boost = int(mean / (rare + 1))
-		if boost < 1 {
-			boost = 1
-		}
-		if boost > powerRarityBoostMax {
-			boost = powerRarityBoostMax
-		}
+	if rare, mean := f.edgeRarity(e); rare > mean {
+		// Cut-off: even this entry's rarest edge is over-exercised relative
+		// to the campaign mean (edgeRarity yields rare == mean == 0 while no
+		// pick data exists, so the cut-off never fires on an empty signal);
+		// spend the minimum here.
+		return energyMinScore
 	}
-	decay := e.Picked
-	if decay > powerDecayCap {
-		decay = powerDecayCap
-	}
-	switch f.effectivePower() {
-	case PowerExplore:
-		score *= boost
-	case PowerFast:
-		score = score * boost >> decay
-	case PowerCoe:
-		if rare > mean {
-			// Cut-off: even this entry's rarest edge is over-exercised
-			// relative to the campaign mean (edgeRarity yields rare ==
-			// mean == 0 while no pick data exists, so the cut-off never
-			// fires on an empty signal); spend the minimum here.
-			return energyMinScore
-		}
-		score >>= decay
-	case PowerLin:
-		score = score * boost / (1 + e.Picked)
-	case PowerQuad:
-		score = score * boost / (1 + e.Picked*e.Picked)
-	}
-	return score
-}
-
-// effectivePower resolves the schedule actually shaping energy this pick:
-// the adaptive schedule reads as explore before its flip and coe after.
-func (f *Fuzzer) effectivePower() Power {
-	if f.power != PowerAdaptive {
-		return f.power
-	}
-	if f.powerFlip {
-		return PowerCoe
-	}
-	return PowerExplore
+	return score >> min(e.Picked, powerDecayCap)
 }
 
 // SetPeerEdgePicks installs the aggregated per-edge pick frequencies of
 // the other campaign workers (broker feedback, refreshed every sync). The
 // rarity signal then ranks edges by campaign-wide attention instead of
-// local attention, so N workers stop independently re-boosting the same
-// edges each of them happens to have picked rarely.
+// local attention, so an entry whose edges the other workers have worn out
+// is cut off here too instead of looking rare to each worker in turn.
 func (f *Fuzzer) SetPeerEdgePicks(picks map[uint32]uint64, sum uint64) {
 	f.peerPicks = picks
 	f.peerPickSum = sum
@@ -505,8 +402,8 @@ func (f *Fuzzer) SetPeerEdgePicks(picks map[uint32]uint64, sum uint64) {
 func (f *Fuzzer) PeerPickSum() uint64 { return f.peerPickSum }
 
 // edgeRarity reports the pick frequency of e's rarest covered edge and the
-// mean pick frequency across all tracked edges — the rarity signal the
-// power schedules shape energy with. Both sides combine local picks with
+// mean pick frequency across all tracked edges — the rarity signal coe's
+// cut-off reads. Both sides combine local picks with
 // the broker's peer feedback when present, so the frequencies approximate
 // the campaign-wide totals between syncs (local picks since the last sync
 // are only known locally; the mean divides by the larger tracked-edge set
@@ -535,12 +432,13 @@ func (f *Fuzzer) edgeRarity(e *QueueEntry) (rare, mean uint64) {
 
 // energyCeil is the score ceiling the energy clamp enforces. With power
 // off it is the baseline (boosts only offset penalties — the PR-2
-// short-horizon tuning). Power schedules keep that ceiling while the
+// short-horizon tuning). The power schedule keeps that ceiling while the
 // frontier still holds never-picked entries (first rounds for fresh states
-// stay the priority), then lift it with the campaign horizon: the deeper
+// stay the priority), then lifts it with the campaign horizon: the deeper
 // the campaign is into the re-pick regime — measured by the mean pick
-// count across the queue — the more an outsized boost on a rare entry is
-// worth, up to powerHorizonMaxBoost x the baseline.
+// count across the queue — the more an outsized round on a cheap, deep
+// entry that coe has not cut off is worth, up to powerHorizonMaxBoost x
+// the baseline.
 func (f *Fuzzer) energyCeil() int {
 	if f.power == PowerOff || f.pendingNew > 0 || len(f.Queue) == 0 {
 		return energyMaxScore
@@ -713,27 +611,17 @@ func (f *Fuzzer) applySeedMeta(e *QueueEntry) bool {
 
 // PowerMeta is the durable power-schedule state of one fuzzer: the
 // per-edge pick-frequency map and the total pick count the horizon-aware
-// energy ceiling reads, plus the adaptive schedule's phase. Without it a
-// resumed long campaign would restart the rarity signal from zero, re-boost
-// edges it had already worn out, and (under -power adaptive) drop back into
-// the explore phase it had already outgrown.
+// energy ceiling reads. Without it a resumed long campaign would restart
+// the rarity signal from zero and stop cutting off the edges it had
+// already worn out.
 type PowerMeta struct {
 	TotalPicked uint64
 	EdgePicks   map[uint32]uint64
-	// Flipped records the adaptive schedule's one-way explore -> coe
-	// transition; DrainStreak the progress towards it.
-	Flipped     bool
-	DrainStreak int
 }
 
 // PowerState snapshots the fuzzer's power-schedule state.
 func (f *Fuzzer) PowerState() *PowerMeta {
-	return &PowerMeta{
-		TotalPicked: f.totalPicked,
-		EdgePicks:   maps.Clone(f.edgePicks),
-		Flipped:     f.powerFlip,
-		DrainStreak: f.drainStreak,
-	}
+	return &PowerMeta{TotalPicked: f.totalPicked, EdgePicks: maps.Clone(f.edgePicks)}
 }
 
 // SchedStateFile is the one file per worker a campaign checkpoint keeps this
@@ -753,7 +641,7 @@ const (
 //
 //	u32 n | n × (string key | i64 depth | i64 exec_time_ns | i64 picked |
 //	             bool trimmed | i64 aggr_back | i64 aggr_barren | bool dominated)
-//	u64 total_picked | bool flipped | i64 drain_streak
+//	u64 total_picked
 //	u32 m | m × (u32 edge | u64 picks), edges strictly ascending
 //
 // Entries keep queue order, which is the order of the queue files beside
@@ -773,8 +661,6 @@ func EncodeSchedState(w *guest.StateWriter, meta []EntryMeta, power *PowerMeta) 
 		w.Bool(m.Dominated)
 	}
 	w.U64(power.TotalPicked)
-	w.Bool(power.Flipped)
-	w.Int(power.DrainStreak)
 	w.U32(uint32(len(power.EdgePicks)))
 	for _, idx := range slices.Sorted(maps.Keys(power.EdgePicks)) {
 		w.U32(idx)
@@ -806,7 +692,7 @@ func DecodeSchedState(raw []byte) ([]EntryMeta, *PowerMeta, error) {
 			r.Fail("entry %d has a negative field", i)
 		}
 	}
-	power := &PowerMeta{TotalPicked: r.U64(), Flipped: r.Bool(), DrainStreak: r.Int()}
+	power := &PowerMeta{TotalPicked: r.U64()}
 	n := r.Count(edgePickLen)
 	power.EdgePicks = make(map[uint32]uint64, n)
 	for i, prev := 0, uint32(0); i < n && r.Err() == nil; i++ {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -427,25 +428,24 @@ func (o *opCostExec) HasSnapshot() bool  { return o.hasSnap }
 func (o *opCostExec) DropSnapshot()      { o.hasSnap = false }
 func (o *opCostExec) Now() time.Duration { return o.now }
 
-// ParsePower and Power.String round-trip the flag values.
+// ParsePower and Power.String round-trip the flag values, and the schedules
+// the seed-spread ledger retired are unknown names that say what is known.
 func TestPowerParseAndString(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		want Power
-	}{
-		{"off", PowerOff}, {"", PowerOff}, {"fast", PowerFast}, {"coe", PowerCoe},
-		{"explore", PowerExplore}, {"lin", PowerLin}, {"quad", PowerQuad},
-		{"adaptive", PowerAdaptive},
-	} {
+	}{{"off", PowerOff}, {"", PowerOff}, {"coe", PowerCoe}} {
 		got, err := ParsePower(tc.name)
 		if err != nil || got != tc.want {
 			t.Fatalf("ParsePower(%q) = %v, %v", tc.name, got, err)
 		}
 	}
-	if _, err := ParsePower("bogus"); err == nil {
-		t.Fatal("ParsePower must reject unknown names")
+	for _, name := range []string{"bogus", "fast", "explore", "lin", "quad", "adaptive"} {
+		if _, err := ParsePower(name); err == nil || !strings.Contains(err.Error(), "off | coe)") {
+			t.Fatalf("ParsePower(%q): err = %v, want a refusal naming off | coe", name, err)
+		}
 	}
-	for _, p := range []Power{PowerOff, PowerFast, PowerCoe, PowerExplore, PowerLin, PowerQuad, PowerAdaptive} {
+	for _, p := range []Power{PowerOff, PowerCoe} {
 		rt, err := ParsePower(p.String())
 		if err != nil || rt != p {
 			t.Fatalf("power %v does not round-trip through its name %q", p, p.String())
@@ -456,71 +456,54 @@ func TestPowerParseAndString(t *testing.T) {
 	}
 }
 
-// Power-schedule energy must be monotone in Picked the way each schedule
-// promises: fast, coe, lin and quad decay over-fuzzed entries, explore
-// stays flat.
+// coe's energy must decay over-fuzzed entries: monotone non-increasing in
+// Picked, and strictly lower somewhere over 16 picks.
 func TestPowerEnergyMonotonicityInPicked(t *testing.T) {
 	s, _ := stubSpecInput()
 	cov := []coverage.BucketHit{{Index: 1, Bucket: 1}}
-	newPowered := func(p Power) *Fuzzer {
-		f := New(&stubExec{loc: 1}, s, Options{
-			Policy:        PolicyNone,
-			Rand:          rand.New(rand.NewSource(5)),
-			SnapshotReuse: 100,
-			Power:         p,
-		})
-		// A settled single-edge campaign: the edge has been picked often,
-		// so rarity applies no boost and only the pick-count response of
-		// the schedule under test shows through.
-		f.edgePicks[1] = 10
-		f.edgePickSum = 10
-		return f
-	}
-	energyAt := func(f *Fuzzer, picked int) int {
+	f := New(&stubExec{loc: 1}, s, Options{
+		Policy:        PolicyNone,
+		Rand:          rand.New(rand.NewSource(5)),
+		SnapshotReuse: 100,
+		Power:         PowerCoe,
+	})
+	// A settled single-edge campaign: the edge sits exactly at the mean pick
+	// frequency, so the cut-off does not fire and only the pick-count
+	// response shows through.
+	f.edgePicks[1] = 10
+	f.edgePickSum = 10
+	energyAt := func(picked int) int {
 		e := &QueueEntry{ExecTime: time.Millisecond, Cov: cov, Picked: picked}
 		mate := &QueueEntry{ExecTime: time.Millisecond, Cov: cov}
 		setQueue(f, e, mate)
 		return f.energy(e)
 	}
-
-	for _, p := range []Power{PowerFast, PowerCoe, PowerLin, PowerQuad} {
-		f := newPowered(p)
-		prev := energyAt(f, 0)
-		decayed := false
-		for _, picked := range []int{1, 2, 4, 8, 16} {
-			cur := energyAt(f, picked)
-			if cur > prev {
-				t.Fatalf("%v: energy rose from %d to %d as Picked grew", p, prev, cur)
-			}
-			if cur < prev {
-				decayed = true
-			}
-			prev = cur
+	prev := energyAt(0)
+	decayed := false
+	for _, picked := range []int{1, 2, 4, 8, 16} {
+		cur := energyAt(picked)
+		if cur > prev {
+			t.Fatalf("energy rose from %d to %d as Picked grew", prev, cur)
 		}
-		if !decayed {
-			t.Fatalf("%v: energy never decayed over 16 picks", p)
+		if cur < prev {
+			decayed = true
 		}
+		prev = cur
 	}
-
-	f := newPowered(PowerExplore)
-	base := energyAt(f, 0)
-	for _, picked := range []int{1, 4, 16, 64} {
-		if cur := energyAt(f, picked); cur != base {
-			t.Fatalf("explore: energy changed from %d to %d at Picked=%d — must stay flat", base, cur, picked)
-		}
+	if !decayed {
+		t.Fatal("energy never decayed over 16 picks")
 	}
 }
 
-// Entries exercising rarely-picked edges must earn more budget than
-// entries whose every edge is over-exercised, and coe must cut entries
-// whose rarest edge sits above the mean pick frequency to the floor.
+// coe must cut an entry whose rarest edge sits above the mean pick
+// frequency to the floor, and leave one with a rarely-picked edge alone.
 func TestPowerEdgeRarityBoostAndCutoff(t *testing.T) {
 	s, _ := stubSpecInput()
 	f := New(&stubExec{loc: 1}, s, Options{
 		Policy:        PolicyNone,
 		Rand:          rand.New(rand.NewSource(6)),
 		SnapshotReuse: 100,
-		Power:         PowerExplore,
+		Power:         PowerCoe,
 	})
 	// Edge 1 is worn out, edge 2 barely touched: mean sits between.
 	f.edgePicks = map[uint32]uint64{1: 100, 2: 1}
@@ -528,33 +511,30 @@ func TestPowerEdgeRarityBoostAndCutoff(t *testing.T) {
 	hot := &QueueEntry{ExecTime: time.Millisecond, Cov: []coverage.BucketHit{{Index: 1, Bucket: 1}}}
 	rare := &QueueEntry{ExecTime: time.Millisecond, Cov: []coverage.BucketHit{{Index: 2, Bucket: 1}}}
 	setQueue(f, hot, rare)
-	// The frontier is drained and the campaign deep into re-picks, so the
-	// lifted ceiling lets the rarity boost show through.
-	f.totalPicked = 128
-	if eh, er := f.energy(hot), f.energy(rare); er <= eh {
-		t.Fatalf("rare-edge entry energy %d not above hot-edge entry's %d", er, eh)
-	}
-
-	f.power = PowerCoe
 	if e := f.energy(hot); e != energyMinScore*f.opts.SnapshotReuse/100 {
 		t.Fatalf("coe did not cut the over-exercised entry to the floor: energy %d", e)
 	}
+	if e := f.energy(rare); e != f.opts.SnapshotReuse {
+		t.Fatalf("coe cut the entry with a rare edge: energy %d, want the baseline %d", e, f.opts.SnapshotReuse)
+	}
 }
 
-// Under a power schedule the energy ceiling must stay at the baseline
+// Under the power schedule the energy ceiling must stay at the baseline
 // while never-picked entries remain, then lift with the campaign horizon
-// once the frontier drains — the whole point of the -power family.
+// once the frontier drains — the whole point of -power coe.
 func TestPowerCeilingLiftsWhenFrontierDrains(t *testing.T) {
 	s, _ := stubSpecInput()
 	f := New(&stubExec{loc: 1}, s, Options{
 		Policy:        PolicyNone,
 		Rand:          rand.New(rand.NewSource(7)),
 		SnapshotReuse: 100,
-		Power:         PowerFast,
+		Power:         PowerCoe,
 	})
 	f.edgePicks = map[uint32]uint64{1: 100, 2: 1}
 	f.edgePickSum = 101
-	rare := &QueueEntry{ExecTime: time.Millisecond, Cov: []coverage.BucketHit{{Index: 2, Bucket: 1}}}
+	// Deep enough for a 3x depth boost, on the rarely-picked edge so coe
+	// keeps it: its score exceeds the baseline whenever the ceiling lets it.
+	rare := &QueueEntry{ExecTime: time.Millisecond, Depth: 14, Cov: []coverage.BucketHit{{Index: 2, Bucket: 1}}}
 	mate := &QueueEntry{ExecTime: time.Millisecond, Cov: []coverage.BucketHit{{Index: 1, Bucket: 1}}}
 	setQueue(f, rare, mate)
 	f.totalPicked = 2 * 64 // deep re-pick regime: mean picks per entry = 64
@@ -724,7 +704,7 @@ func TestPowerMetaRoundTrip(t *testing.T) {
 	s, _ := stubSpecInput()
 	f := New(&stubExec{loc: 1}, s, Options{
 		Rand:  rand.New(rand.NewSource(9)),
-		Power: PowerFast,
+		Power: PowerCoe,
 	})
 	f.edgePicks = map[uint32]uint64{7: 3, 9: 1}
 	f.edgePickSum = 4
@@ -736,7 +716,7 @@ func TestPowerMetaRoundTrip(t *testing.T) {
 
 	r := New(&stubExec{loc: 1}, s, Options{
 		Rand:       rand.New(rand.NewSource(10)),
-		Power:      PowerFast,
+		Power:      PowerCoe,
 		PowerState: m,
 	})
 	if r.totalPicked != 12 || r.edgePickSum != 4 || r.edgePicks[7] != 3 {
@@ -786,64 +766,6 @@ func TestSchedParseAndString(t *testing.T) {
 	}
 }
 
-// The adaptive schedule must read as explore before the frontier drains,
-// flip to coe after a sustained drought, and stay flipped.
-func TestAdaptivePowerFlipsOnFrontierDrain(t *testing.T) {
-	s, seed := stubSpecInput()
-	f := New(&stubExec{loc: 1}, s, Options{
-		Policy:        PolicyNone,
-		Seeds:         []*spec.Input{seed},
-		Rand:          rand.New(rand.NewSource(4)),
-		SnapshotReuse: 2,
-		Power:         PowerAdaptive,
-	})
-	if f.effectivePower() != PowerExplore {
-		t.Fatalf("fresh adaptive campaign must act as explore, got %v", f.effectivePower())
-	}
-	// The stub yields one queue entry; after its first pick the frontier
-	// stays empty, so adaptiveFlipPicks further picks flip the schedule.
-	for i := 0; i < adaptiveFlipPicks+4 && !f.powerFlip; i++ {
-		if err := f.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !f.powerFlip || f.effectivePower() != PowerCoe {
-		t.Fatalf("adaptive schedule never flipped (flip=%v effective=%v)", f.powerFlip, f.effectivePower())
-	}
-	// Sticky: further steps keep coe.
-	for i := 0; i < 4; i++ {
-		if err := f.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if f.effectivePower() != PowerCoe {
-		t.Fatal("adaptive flip must be one-way")
-	}
-}
-
-// The adaptive flip must persist through sched.bin and restore on resume.
-func TestAdaptiveFlipPersists(t *testing.T) {
-	s, _ := stubSpecInput()
-	f := New(&stubExec{loc: 1}, s, Options{
-		Rand:  rand.New(rand.NewSource(11)),
-		Power: PowerAdaptive,
-	})
-	f.powerFlip = true
-	f.drainStreak = 3
-	m := roundTripPower(t, f)
-	if m == nil || !m.Flipped || m.DrainStreak != 3 {
-		t.Fatalf("flip did not round-trip: %+v", m)
-	}
-	r := New(&stubExec{loc: 1}, s, Options{
-		Rand:       rand.New(rand.NewSource(12)),
-		Power:      PowerAdaptive,
-		PowerState: m,
-	})
-	if !r.powerFlip || r.effectivePower() != PowerCoe {
-		t.Fatalf("resumed fuzzer lost the adaptive flip (flip=%v)", r.powerFlip)
-	}
-}
-
 // Peer pick frequencies from the broker must feed the local rarity signal:
 // an edge other workers hammer stops looking rare here, and the combined
 // mean moves with the campaign-wide total.
@@ -853,7 +775,7 @@ func TestPeerEdgePicksShapeRarity(t *testing.T) {
 		Policy:        PolicyNone,
 		Rand:          rand.New(rand.NewSource(6)),
 		SnapshotReuse: 100,
-		Power:         PowerExplore,
+		Power:         PowerCoe,
 	})
 	// Locally, edge 1 looks rare (1 pick) against a hot edge 2.
 	f.edgePicks = map[uint32]uint64{1: 1, 2: 15}
@@ -861,15 +783,14 @@ func TestPeerEdgePicksShapeRarity(t *testing.T) {
 	e := &QueueEntry{ExecTime: time.Millisecond, Cov: []coverage.BucketHit{{Index: 1, Bucket: 1}}}
 	mate := &QueueEntry{ExecTime: time.Millisecond, Cov: []coverage.BucketHit{{Index: 2, Bucket: 1}}}
 	setQueue(f, e, mate)
-	boosted := f.powerScore(100, e)
-	if boosted <= f.powerScore(100, mate) {
-		t.Fatalf("locally rare edge should out-earn the hot one (%d vs %d)", boosted, f.powerScore(100, mate))
+	kept := f.powerScore(100, e)
+	if kept <= f.powerScore(100, mate) {
+		t.Fatalf("locally rare edge should out-earn the hot one (%d vs %d)", kept, f.powerScore(100, mate))
 	}
 	// The broker reports every other worker has been hammering edge 1.
 	f.SetPeerEdgePicks(map[uint32]uint64{1: 200}, 200)
-	unboosted := f.powerScore(100, e)
-	if unboosted >= boosted {
-		t.Fatalf("peer-hammered edge kept its rarity boost: %d -> %d", boosted, unboosted)
+	if cut := f.powerScore(100, e); cut != energyMinScore {
+		t.Fatalf("peer-hammered edge escaped the cut-off: %d -> %d", kept, cut)
 	}
 	rare, mean := f.edgeRarity(e)
 	if rare != 201 {

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"repro/internal/snappool"
 )
 
 // poolFuzzer builds a fuzzer with the snapshot pool enabled.
@@ -147,42 +145,6 @@ func TestResolvePrefixMemoizesDigests(t *testing.T) {
 	}
 	if st := f.PoolStats(); st.DigestHits != 1 {
 		t.Fatalf("repeat resolve should be a digest hit, stats %+v", st)
-	}
-}
-
-// TestPreferCachedPosition pins pool-aware balanced placement: a proposed
-// position whose snapshot went cold yields to the deepest memoized position
-// whose prefix snapshot is pooled; a cached proposal and — crucially — a
-// never-tried proposal both stand (exploration must not pin to the first
-// cached position).
-func TestPreferCachedPosition(t *testing.T) {
-	f := poolFuzzer(t, "lightftp", 8<<20, 1)
-	inst := launch(t, "lightftp")
-	in := inst.Seeds()[0].Clone()
-	e := &QueueEntry{Input: in}
-
-	d5, d7, d9 := snappool.Digest{5}, snappool.Digest{7}, snappool.Digest{9}
-	e.prefixDigests = map[int]snappool.Digest{5: d5, 7: d7, 9: d9}
-	f.pool.Insert(d9, f.pool.AllocSlot(), 9, 4096, time.Millisecond)
-
-	// Position 7 was tried before but its snapshot is not pooled: snap to
-	// the deepest cached position instead of re-creating a cold prefix.
-	if got := f.preferCachedPosition(e, 7); got != 9 {
-		t.Fatalf("cold tried proposal should snap to cached position 9, got %d", got)
-	}
-	// A never-tried position must stand so the draw keeps exploring.
-	if got := f.preferCachedPosition(e, 12); got != 12 {
-		t.Fatalf("never-tried proposal must stand, got %d", got)
-	}
-	// A proposal whose own prefix is cached stands.
-	f.pool.Insert(d5, f.pool.AllocSlot(), 5, 4096, time.Millisecond)
-	if got := f.preferCachedPosition(e, 5); got != 5 {
-		t.Fatalf("cached proposal must stand, got %d", got)
-	}
-	// Nothing cached at all: proposal stands.
-	e2 := &QueueEntry{Input: in, prefixDigests: map[int]snappool.Digest{3: {3}}}
-	if got := f.preferCachedPosition(e2, 3); got != 3 {
-		t.Fatalf("no cached alternative: proposal must stand, got %d", got)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/snappool"
+	"repro/internal/stats"
 	"repro/internal/targets"
 	"repro/internal/vm"
 )
@@ -102,77 +103,116 @@ func AblationSnapshotReuse(reuses []int, dur time.Duration, seed int64) ([]Ablat
 	return out, nil
 }
 
-// ablationPowers is the power-schedule family the scheduling ablation
-// sweeps, one row per schedule, after the rr and plain-afl rows.
-var ablationPowers = []core.Power{core.PowerFast, core.PowerCoe, core.PowerExplore, core.PowerLin, core.PowerQuad, core.PowerAdaptive}
+// schedConfigs are the scheduling ablation's rows: the flat round-robin
+// rotation, the AFL-style scheduler, and the coe power schedule on it.
+var schedConfigs = []struct {
+	name  string
+	sched core.Sched
+	power core.Power
+}{
+	{"round-robin", core.SchedRoundRobin, core.PowerOff},
+	{"afl", core.SchedAFL, core.PowerOff},
+	{"afl+coe", core.SchedAFL, core.PowerCoe},
+}
+
+// SchedRow is one configuration of the scheduling ablation.
+type SchedRow struct {
+	Name string
+	// Edges is the final coverage of each seed's run, in seed order.
+	Edges []float64
+	// P is the two-sided Mann–Whitney U p-value and A12 the Vargha–Delaney
+	// Â12 of Edges against plain afl's (afl's own row reads 1 and 0.5).
+	P, A12 float64
+}
+
+// SchedAblation is the scheduling ablation of one target over cfg.Reps seeds.
+type SchedAblation struct {
+	Target string
+	Dur    time.Duration
+	Rows   []SchedRow
+	// AFLTimeToRR is, per seed, the virtual seconds plain afl took to reach
+	// that seed's round-robin final coverage, or -1 where it never did.
+	AFLTimeToRR []float64
+}
 
 // AblationScheduling ablates the corpus scheduler at equal virtual time:
-// the same target, policy, master seed and duration, once under the flat
-// round-robin rotation the seed reproduction used, once under the
-// AFL-style scheduler (favored culling, energy budgets, splice, lazy
-// trim), and once per AFLfast-style power schedule layered on it. It
-// reports every run's final coverage plus the virtual time the AFL
-// scheduler needed to reach the round-robin run's final coverage — the
-// "no more virtual time for the same coverage" claim, measured rather
-// than asserted.
-func AblationScheduling(target string, dur time.Duration, seed int64) ([]AblationResult, error) {
+// target fuzzed for cfg.CampaignTime under the aggressive policy on seeds
+// cfg.Seed … cfg.Seed+cfg.Reps-1, once per schedConfigs row. Each row
+// carries every seed's final coverage and its Mann–Whitney p and Â12
+// against plain afl, and the result the virtual time afl needed to reach
+// the round-robin run's final coverage on the same seed — the "no more
+// virtual time for the same coverage" claim, measured rather than asserted.
+func AblationScheduling(cfg Config, target string) (*SchedAblation, error) {
+	cfg = cfg.withDefaults()
 	if target == "" {
 		target = "lightftp"
 	}
-	if dur == 0 {
-		dur = 10 * time.Second
-	}
-	runSched := func(sched core.Sched, power core.Power) (*core.Fuzzer, error) {
-		inst, err := targets.Launch(target, targets.LaunchConfig{})
-		if err != nil {
-			return nil, err
+	res := &SchedAblation{Target: target, Dur: cfg.CampaignTime, Rows: make([]SchedRow, len(schedConfigs))}
+	for rep := 0; rep < cfg.Reps; rep++ {
+		seed := cfg.Seed + int64(rep)
+		var rrEdges int
+		for i, sc := range schedConfigs {
+			inst, err := targets.Launch(target, targets.LaunchConfig{})
+			if err != nil {
+				return nil, err
+			}
+			f := core.New(inst.Agent, inst.Spec, core.Options{
+				Policy: core.PolicyAggressive,
+				Seeds:  inst.Seeds(),
+				Rand:   rand.New(rand.NewSource(seed)),
+				Dict:   inst.Info.Dict,
+				Sched:  sc.sched,
+				Power:  sc.power,
+			})
+			if err := f.RunFor(cfg.CampaignTime); err != nil {
+				return nil, err
+			}
+			res.Rows[i].Name = sc.name
+			res.Rows[i].Edges = append(res.Rows[i].Edges, float64(f.Coverage()))
+			switch {
+			case sc.sched == core.SchedRoundRobin:
+				rrEdges = f.Coverage()
+			case sc.power == core.PowerOff:
+				tt := -1.0
+				if d := f.TimeToCoverage(rrEdges); d >= 0 {
+					tt = d.Seconds()
+				}
+				res.AFLTimeToRR = append(res.AFLTimeToRR, tt)
+			}
 		}
-		f := core.New(inst.Agent, inst.Spec, core.Options{
-			Policy: core.PolicyAggressive,
-			Seeds:  inst.Seeds(),
-			Rand:   rand.New(rand.NewSource(seed)),
-			Dict:   inst.Info.Dict,
-			Sched:  sched,
-			Power:  power,
-		})
-		if err := f.RunFor(dur); err != nil {
-			return nil, err
+	}
+	afl := res.Rows[1].Edges // schedConfigs[1] is plain afl
+	for i := range res.Rows {
+		res.Rows[i].P = stats.MannWhitneyU(res.Rows[i].Edges, afl)
+		res.Rows[i].A12 = stats.VarghaDelaneyA12(res.Rows[i].Edges, afl)
+	}
+	return res, nil
+}
+
+// RenderSchedAblation formats the scheduling ablation: per row the median
+// and quartiles of final edges with p and Â12 against afl, then afl's median
+// time to round-robin coverage over the seeds that reached it.
+func RenderSchedAblation(a *SchedAblation) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s, %d seeds x %v virtual (aggressive policy; p and A12 of final edges against afl)\n",
+		a.Target, len(a.AFLTimeToRR), a.Dur)
+	fmt.Fprintf(&b, "  %-14s %8s  %-15s %6s %5s\n", "config", "median", "quartiles", "p", "A12")
+	for _, r := range a.Rows {
+		q := fmt.Sprintf("%.1f–%.1f", stats.Quantile(r.Edges, 0.25), stats.Quantile(r.Edges, 0.75))
+		fmt.Fprintf(&b, "  %-14s %8.1f  %-15s %6.3f %5.2f\n", r.Name, stats.Median(r.Edges), q, r.P, r.A12)
+	}
+	var reached []float64
+	for _, tt := range a.AFLTimeToRR {
+		if tt >= 0 {
+			reached = append(reached, tt)
 		}
-		return f, nil
 	}
-	rr, err := runSched(core.SchedRoundRobin, core.PowerOff)
-	if err != nil {
-		return nil, err
+	fmt.Fprintf(&b, "  afl reached round-robin's final coverage on %d of %d seeds", len(reached), len(a.AFLTimeToRR))
+	if len(reached) > 0 {
+		fmt.Fprintf(&b, ", in %.1f virt-s median", stats.Median(reached))
 	}
-	afl, err := runSched(core.SchedAFL, core.PowerOff)
-	if err != nil {
-		return nil, err
-	}
-	out := []AblationResult{
-		{Name: "round-robin final coverage", Value: float64(rr.Coverage()), Unit: "edges"},
-		{Name: "afl-sched final coverage", Value: float64(afl.Coverage()), Unit: "edges"},
-	}
-	for _, p := range ablationPowers {
-		f, err := runSched(core.SchedAFL, p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, AblationResult{
-			Name:  fmt.Sprintf("afl+%s final coverage", p),
-			Value: float64(f.Coverage()),
-			Unit:  "edges",
-		})
-	}
-	if tt := afl.TimeToCoverage(rr.Coverage()); tt >= 0 {
-		out = append(out, AblationResult{
-			Name: "afl-sched time to round-robin coverage", Value: tt.Seconds(), Unit: "virt-s",
-		})
-	} else {
-		out = append(out, AblationResult{
-			Name: "afl-sched time to round-robin coverage", Value: -1, Unit: "virt-s (not reached)",
-		})
-	}
-	return out, nil
+	b.WriteString("\n")
+	return b.String()
 }
 
 // DefaultSnapBudget is the per-worker snapshot-pool byte budget the

@@ -266,36 +266,42 @@ func TestAblations(t *testing.T) {
 // The scheduling ablation must show the AFL-style scheduler reaching the
 // round-robin baseline's final coverage in no more virtual time (i.e.
 // within the shared campaign duration) on at least one bundled target,
-// and must emit one row per power schedule at the same virtual time.
+// and must emit one row per configuration, with one coverage per seed and
+// afl's comparison against itself neutral.
 func TestAblationScheduling(t *testing.T) {
-	const dur = 10 * time.Second
+	const dur, reps = 3 * time.Second, 3
 	reached := false
 	for _, tc := range []struct {
 		target string
 		seed   int64
 	}{{"tinydtls", 1}, {"dnsmasq", 3}, {"lightftp", 1}} {
-		rs, err := AblationScheduling(tc.target, dur, tc.seed)
+		a, err := AblationScheduling(Config{CampaignTime: dur, Reps: reps, Seed: tc.seed}, tc.target)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// rr + afl + one row per power schedule + the time-to row.
-		if want := 3 + len(ablationPowers); len(rs) != want {
-			t.Fatalf("ablation returned %d rows, want %d", len(rs), want)
+		if len(a.Rows) != len(schedConfigs) || len(a.AFLTimeToRR) != reps {
+			t.Fatalf("ablation returned %d rows and %d times, want %d and %d", len(a.Rows), len(a.AFLTimeToRR), len(schedConfigs), reps)
 		}
-		rr, afl, tt := rs[0].Value, rs[1].Value, rs[len(rs)-1].Value
-		if rr <= 0 || afl <= 0 {
-			t.Fatalf("%s: degenerate coverage (rr=%.0f, afl=%.0f)", tc.target, rr, afl)
-		}
-		for _, r := range rs[2 : len(rs)-1] {
-			if !strings.Contains(r.Name, "afl+") {
-				t.Fatalf("unexpected power row name %q", r.Name)
+		for i, r := range a.Rows {
+			if r.Name != schedConfigs[i].name || len(r.Edges) != reps {
+				t.Fatalf("row %d is %q with %d seeds, want %q with %d", i, r.Name, len(r.Edges), schedConfigs[i].name, reps)
 			}
-			if r.Value <= 0 {
-				t.Fatalf("%s: power schedule row %q found no coverage", tc.target, r.Name)
+			for _, e := range r.Edges {
+				if e <= 0 {
+					t.Fatalf("%s: row %q found no coverage", tc.target, r.Name)
+				}
 			}
 		}
-		if tt >= 0 && tt <= dur.Seconds() {
-			reached = true
+		if afl := a.Rows[1]; afl.Name != "afl" || afl.P != 1 || afl.A12 != 0.5 {
+			t.Fatalf("afl against itself: %+v", afl)
+		}
+		if out := RenderSchedAblation(a); !strings.Contains(out, "afl+coe") || !strings.Contains(out, "of 3 seeds") {
+			t.Fatalf("render broken:\n%s", out)
+		}
+		for _, tt := range a.AFLTimeToRR {
+			reached = reached || tt >= 0 && tt <= dur.Seconds()
+		}
+		if reached {
 			break
 		}
 	}

@@ -87,7 +87,7 @@ type Spec struct {
 	Policy string `json:"policy,omitempty"`
 	// Sched: afl | rr (default afl).
 	Sched string `json:"sched,omitempty"`
-	// Power: off | fast | coe | explore | lin | quad | adaptive.
+	// Power: off | coe (default off).
 	Power        string        `json:"power,omitempty"`
 	Seed         int64         `json:"seed,omitempty"`
 	SyncInterval time.Duration `json:"sync_interval_ns,omitempty"`

@@ -226,14 +226,6 @@ func (p *Pool) LookupDigest(d Digest) *Entry {
 	return e
 }
 
-// Contains reports whether the exact-prefix digest is pooled, without
-// counting a hit or refreshing LRU state — the placement peek policies use
-// to prefer snapshot positions whose prefix is already cached.
-func (p *Pool) Contains(d Digest) bool {
-	_, ok := p.entries[d]
-	return ok
-}
-
 // Resolve answers a snapshot round's pool query in one streaming hash
 // pass: the pooled snapshot for in's exact prefix ending at ops (a hit,
 // counted and LRU-refreshed), or — on a counted miss — the longest pooled

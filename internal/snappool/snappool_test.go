@@ -203,14 +203,6 @@ func TestLookupDigestFastPath(t *testing.T) {
 	if st := p.Stats(); st.Misses != 0 {
 		t.Fatalf("LookupDigest must not count misses, got %d", st.Misses)
 	}
-
-	// Contains peeks without counting anything.
-	if !p.Contains(d4) || p.Contains(PrefixDigest(in, 9)) {
-		t.Fatal("Contains wrong")
-	}
-	if st := p.Stats(); st.Hits != 1 || st.Misses != 0 {
-		t.Fatalf("Contains must not count hits/misses: %+v", st)
-	}
 }
 
 // TestScanEarlyExitMatchesFullScan pins the prefix-length index: the scan

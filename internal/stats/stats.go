@@ -24,6 +24,23 @@ func Median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
+// Quantile returns the q-quantile of xs (0 <= q <= 1), interpolating
+// linearly between the order statistics around (n-1)·q — so Quantile(xs,
+// 0.5) is the median and 0.25/0.75 the quartiles (NaN for empty input).
+func Quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	h := float64(len(s)-1) * q
+	lo := int(h)
+	if lo+1 >= len(s) {
+		return s[len(s)-1]
+	}
+	return s[lo] + (h-float64(lo))*(s[lo+1]-s[lo])
+}
+
 // Mean returns the arithmetic mean of xs (NaN for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -25,6 +25,23 @@ func TestMedian(t *testing.T) {
 	}
 }
 
+func TestQuantile(t *testing.T) {
+	xs := []float64{4, 1, 3, 2} // sorted: 1 2 3 4
+	for _, c := range []struct{ q, want float64 }{
+		{0, 1}, {0.25, 1.75}, {0.5, 2.5}, {0.75, 3.25}, {1, 4},
+	} {
+		if got := Quantile(xs, c.q); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("Quantile(%v, %v) = %v, want %v", xs, c.q, got, c.want)
+		}
+	}
+	if Quantile([]float64{7}, 0.25) != 7 || Quantile([]float64{3, 1, 2}, 0.5) != Median([]float64{3, 1, 2}) {
+		t.Error("Quantile of one sample or at 0.5 wrong")
+	}
+	if !math.IsNaN(Quantile(nil, 0.5)) {
+		t.Error("Quantile(nil) should be NaN")
+	}
+}
+
 func TestMeanStd(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); got != 5 {
