@@ -101,7 +101,6 @@ type CampaignResult struct {
 	EPS      float64
 	Crashes  []core.Crash
 	CovLog   []core.CoveragePoint
-	Fz       *core.Fuzzer
 }
 
 // RunCampaign runs one (target, fuzzer, seed) campaign for the given
@@ -151,7 +150,6 @@ func RunCampaign(target string, fz FuzzerID, dur time.Duration, seed int64, asan
 	res.EPS = f.ExecsPerSecond()
 	res.Crashes = f.Crashes
 	res.CovLog = f.CoverageLog()
-	res.Fz = f
 	return res, nil
 }
 

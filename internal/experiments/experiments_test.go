@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // fastCfg keeps unit-test experiment runs small; the bench harness and the
@@ -151,6 +153,38 @@ func TestTable5Speedups(t *testing.T) {
 	}
 	if !strings.Contains(RenderTable5(rows), "x") {
 		t.Fatal("render missing speedup")
+	}
+}
+
+// TestTable5ReportsMedianOverSeeds pins how Table 5 reads its grid: each
+// fuzzer's campaign from a seed is timed against AFLnet's final coverage from
+// the same seed, and the row holds medians over the seeds. Pairing every seed
+// with the first seed's AFLnet campaign would give nyxnet-none a median of 4.
+func TestTable5ReportsMedianOverSeeds(t *testing.T) {
+	const s = time.Second
+	campaign := func(coverage int, at time.Duration, edges int) *CampaignResult {
+		return &CampaignResult{Coverage: coverage, CovLog: []core.CoveragePoint{{T: at / 2, Edges: edges / 2}, {T: at, Edges: edges}}}
+	}
+	cells := map[FuzzerID]*cell{
+		FAFLnet: {results: []*CampaignResult{campaign(10, 4*s, 10), campaign(20, 2*s, 20), campaign(12, 6*s, 12)}},
+		// Speedups 4, 2 and 0: the third seed stops at 10 edges, short of its AFLnet's 12.
+		FNyxNone: {results: []*CampaignResult{campaign(15, 1*s, 10), campaign(30, 1*s, 25), campaign(10, 1*s, 10)}},
+		// Only the third seed reaches its AFLnet's coverage: speedups 0, 0 and 12.
+		FNyxBalanced: {results: []*CampaignResult{campaign(9, 1*s, 9), campaign(9, 1*s, 9), campaign(30, 1*s, 30)}},
+		// Speedups 4000 (at time 0, counted as 1 ms), 0.5 and 3.
+		FNyxAggressive: {results: []*CampaignResult{campaign(10, 0, 10), campaign(20, 4*s, 20), campaign(12, 2*s, 12)}},
+	}
+	row := table5Row("t", cells, []FuzzerID{FNyxNone, FNyxBalanced, FNyxAggressive})
+	if row.AFLnetFinal != 4*s {
+		t.Errorf("AFLnet's final coverage at %v in median, want 4s", row.AFLnetFinal)
+	}
+	for fz, want := range map[FuzzerID]float64{FNyxNone: 2, FNyxBalanced: 0, FNyxAggressive: 3} {
+		if got := row.Speedup[fz]; got != want {
+			t.Errorf("%s: median speedup %v, want %v", fz, got, want)
+		}
+	}
+	if got := strings.Fields(strings.Split(RenderTable5([]Table5Row{row}), "\n")[1]); strings.Join(got, " ") != "t 4s 2x - 3x" {
+		t.Errorf("rendered row %q", got)
 	}
 }
 

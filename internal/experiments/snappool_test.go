@@ -46,7 +46,12 @@ type snapshotPoolCell struct {
 // Provenance of testdata/snappool_ablation.json: recorded at the commit that
 // retired the wall-clock hotpath report, equal field for field to the counted
 // columns of the last report it wrote, under the mutator's draw sequence that
-// takes entropy by the word. Re-record with NYX_UPDATE_GOLDEN=1 only under the
+// takes entropy by the word. Re-recorded once since, for the change that
+// stopped writing the guest's state at the end of every test case (a restore
+// now charges the pages that write dirtied without making it): only
+// pages_cow_broken, pages_eager_copied, eager_hits and eager_misses moved, as
+// the page nothing writes any more stopped being copied eagerly; every other
+// column is byte-identical. Re-record with NYX_UPDATE_GOLDEN=1 only under the
 // rule of the other recordings: at a tree whose behavioural difference from a
 // passing tree is the one change being blessed; for anything else that
 // diverges, fix the code.

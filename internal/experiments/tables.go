@@ -334,11 +334,19 @@ func RenderTable4(rows []Table4Row) string {
 
 // ---- Table 5: time to equal coverage ----
 
-// Table5Row is one target's time-to-AFLnet's-final-coverage speedups.
+// Table5Row is one target's time-to-AFLnet's-final-coverage speedups, each
+// a median over the seeds.
 type Table5Row struct {
-	Target      string
-	AFLnetFinal time.Duration // when AFLnet found its final coverage
-	Speedup     map[FuzzerID]float64
+	Target string
+	// AFLnetFinal is the median over seeds of when AFLnet found its final
+	// coverage.
+	AFLnetFinal time.Duration
+	// Speedup is, per fuzzer, the median over seeds of AFLnet's time to its
+	// final coverage over the fuzzer's time to the same coverage, both
+	// campaigns run from the same seed. A seed on which the fuzzer never
+	// reached that coverage counts as a speedup of 0, so a median of 0 means
+	// more than half never did.
+	Speedup map[FuzzerID]float64
 }
 
 // Table5 derives the speedup factors from fresh campaigns.
@@ -351,30 +359,47 @@ func Table5(cfg Config) ([]Table5Row, error) {
 	}
 	var rows []Table5Row
 	for _, tgt := range cfg.Targets {
-		base := grid[tgt][FAFLnet].results[0]
-		target := base.Coverage
-		var tFinal time.Duration
-		for _, p := range base.CovLog {
-			if p.Edges == target {
-				tFinal = p.T
-				break
-			}
-		}
-		row := Table5Row{Target: tgt, AFLnetFinal: tFinal, Speedup: map[FuzzerID]float64{}}
-		for _, fz := range fuzzers[1:] {
-			r := grid[tgt][fz].results[0]
-			tt := r.Fz.TimeToCoverage(target)
-			if tt < 0 {
-				row.Speedup[fz] = -1 // never reached AFLnet's coverage
-			} else if tt == 0 {
-				row.Speedup[fz] = float64(tFinal) / float64(time.Millisecond)
-			} else {
-				row.Speedup[fz] = float64(tFinal) / float64(tt)
-			}
-		}
-		rows = append(rows, row)
+		rows = append(rows, table5Row(tgt, grid[tgt], fuzzers[1:]))
 	}
 	return rows, nil
+}
+
+// table5Row computes one target's row from its cells: repetition i of every
+// cell ran from the same seed, so each fuzzer's i-th campaign is timed
+// against AFLnet's i-th.
+func table5Row(tgt string, cells map[FuzzerID]*cell, fuzzers []FuzzerID) Table5Row {
+	base := cells[FAFLnet].results
+	finals := make([]float64, len(base))
+	for i, r := range base {
+		finals[i] = float64(max(reachedAt(r.CovLog, r.Coverage), 0))
+	}
+	row := Table5Row{Target: tgt, AFLnetFinal: time.Duration(stats.Median(finals)), Speedup: map[FuzzerID]float64{}}
+	for _, fz := range fuzzers {
+		speedups := make([]float64, len(base))
+		for i, r := range cells[fz].results {
+			switch tt := reachedAt(r.CovLog, base[i].Coverage); {
+			case tt < 0:
+				speedups[i] = 0 // never reached AFLnet's coverage
+			case tt == 0:
+				speedups[i] = finals[i] / float64(time.Millisecond)
+			default:
+				speedups[i] = finals[i] / float64(tt)
+			}
+		}
+		row.Speedup[fz] = stats.Median(speedups)
+	}
+	return row
+}
+
+// reachedAt returns when a campaign's coverage log first reaches edges, or
+// -1 if it never does.
+func reachedAt(log []core.CoveragePoint, edges int) time.Duration {
+	for _, p := range log {
+		if p.Edges >= edges {
+			return p.T
+		}
+	}
+	return -1
 }
 
 // RenderTable5 formats the time-to-coverage table.
@@ -388,7 +413,7 @@ func RenderTable5(rows []Table5Row) string {
 	for _, row := range rows {
 		fmt.Fprintf(&b, "%-14s %18s", row.Target, row.AFLnetFinal.Round(time.Millisecond))
 		for _, fz := range []FuzzerID{FNyxNone, FNyxBalanced, FNyxAggressive} {
-			if row.Speedup[fz] < 0 {
+			if row.Speedup[fz] == 0 {
 				fmt.Fprintf(&b, " %18s", "-")
 			} else {
 				fmt.Fprintf(&b, " %17.0fx", row.Speedup[fz])

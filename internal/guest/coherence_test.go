@@ -3,6 +3,7 @@ package guest_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -15,31 +16,37 @@ import (
 // stateHeap is where the kernel serializes its state (page 0 is reserved).
 const stateHeap = 4096
 
+// captureSlot is the slot capture takes; no test uses it for anything else.
+const captureSlot = 1 << 20
+
 // coherentVM drives a kernel event by event, the way the agent does, with a
-// VM exit (which flushes) either after every event or only where the caller
+// capture (which flushes) either after every event or only where the caller
 // asks for one.
 type coherentVM struct {
 	*targets.Instance
-	exitPerEvent bool
-	conns        []*guest.Conn
+	capturePerEvent bool
+	conns           []*guest.Conn
 }
 
-func launchCoherent(t *testing.T, target string, exitPerEvent bool) *coherentVM {
+func launchCoherent(t *testing.T, target string, capturePerEvent bool) *coherentVM {
 	t.Helper()
 	inst, err := targets.Launch(target, targets.LaunchConfig{VM: &vm.Config{MemoryPages: 256, DiskSectors: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &coherentVM{Instance: inst, exitPerEvent: exitPerEvent}
+	return &coherentVM{Instance: inst, capturePerEvent: capturePerEvent}
 }
 
-// vmExit is an informational hypercall: it charges the clock and flushes
-// the guest, and touches memory in no other way.
-func (v *coherentVM) vmExit(t *testing.T) {
+// capture writes the guest's state into memory the only way the machine
+// does, by taking a snapshot, and drops the snapshot again: afterwards memory
+// holds the state and the dirty set holds every page that differs from the
+// root, which the next restore resets.
+func (v *coherentVM) capture(t *testing.T) {
 	t.Helper()
-	if err := v.M.Hypercall(vm.HcExecDone); err != nil {
+	if err := v.M.TakeIncrementalSlot(captureSlot); err != nil {
 		t.Fatal(err)
 	}
+	v.M.DropSlot(captureSlot)
 }
 
 // event runs one op against the kernel and reports whether the target
@@ -53,8 +60,8 @@ func (v *coherentVM) event(t *testing.T, op spec.Op) (crashed bool) {
 			}
 			crashed = true
 		}
-		if v.exitPerEvent {
-			v.vmExit(t)
+		if v.capturePerEvent {
+			v.capture(t)
 		}
 	}()
 	nt := v.Spec.Nodes[op.Node]
@@ -116,9 +123,9 @@ func (v *coherentVM) memory(t *testing.T) []byte {
 }
 
 // TestFlushPerExitMatchesFlushPerEvent is the dirty half of the coherence
-// contract: guest memory at a VM exit is a function of the guest's state
-// alone, however many exits (flushes) came before. Two identically booted
-// VMs run the same seeded event sequences, one exiting after every event
+// contract: guest memory at a capture is a function of the guest's state
+// alone, however many captures (flushes) came before. Two identically booted
+// VMs run the same seeded event sequences, one capturing after every event
 // (what serialize-after-every-event used to leave in memory), one only at
 // the snapshot marker and at the end; both must hold byte-identical memory
 // and the same dirty-page count, so a restore charges the same. Each round
@@ -134,13 +141,13 @@ func TestFlushPerExitMatchesFlushPerEvent(t *testing.T) {
 			seeds := eager.Seeds()
 			same := func(when string) {
 				t.Helper()
-				lazy.vmExit(t)
-				eager.vmExit(t)
+				lazy.capture(t)
+				eager.capture(t)
 				if !bytes.Equal(eager.memory(t), lazy.memory(t)) {
 					t.Fatalf("%s: guest memory differs (blob %d vs %d bytes)", when, eager.blobLen(t), lazy.blobLen(t))
 				}
 				if a, b := eager.M.Mem.DirtyCount(), lazy.M.Mem.DirtyCount(); a != b {
-					t.Fatalf("%s: dirty pages %d (exit per event) vs %d (one exit)", when, a, b)
+					t.Fatalf("%s: dirty pages %d (capture per event) vs %d (one capture)", when, a, b)
 				}
 			}
 			for round := 0; round < rounds; round++ {
@@ -203,5 +210,100 @@ func TestFlushPerExitMatchesFlushPerEvent(t *testing.T) {
 	// before any other event has dirtied the restored state.
 	if shrinks == 0 || firstEventCrashes == 0 {
 		t.Errorf("inputs reached %d shrinking blobs and %d crashes on the first event after a restore; need both", shrinks, firstEventCrashes)
+	}
+}
+
+// TestDiscardRangeMatchesFlush holds the discard hook to the write it stands
+// in for: every restore resets and charges the range the hook returns, so that
+// range must be the one a flush of the same state writes, or restore charges
+// (and every virtual-time number after them) move. Two identically booted VMs
+// run seeded mutants, every prefix of each from the root and every longer
+// prefix again from a slot taken mid-input, some with a burst of syscalls on
+// top. Before every restore the twin flushes; the range the other VM's
+// discard hook returns at that restore must equal the range the twin wrote.
+// The runs must reach a state whose image outgrew its first page and one
+// whose image shrank below the one the restore brought back.
+func TestDiscardRangeMatchesFlush(t *testing.T) {
+	const rounds = 12
+	grown, shrunk := 0, 0
+	for _, target := range stateTargets {
+		t.Run(target, func(t *testing.T) {
+			v, twin := launchCoherent(t, target, false), launchCoherent(t, target, false)
+			discard := v.M.GuestHooks.Discard
+			var off int64
+			var n int
+			v.M.GuestHooks.Discard = func() (int64, int) {
+				off, n = discard()
+				return off, n
+			}
+			restore := func(when string, slot int) {
+				t.Helper()
+				wantOff, wantN := twin.K.Flush()
+				if wantN > 4+twin.blobLen(t) {
+					shrunk++
+				}
+				if wantN > stateHeap {
+					grown++
+				}
+				off, n = -1, -1
+				for _, x := range []*coherentVM{v, twin} {
+					var err error
+					if slot < 0 {
+						err = x.M.RestoreRoot()
+					} else {
+						err = x.M.RestoreIncrementalSlot(slot)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if off != wantOff || n != wantN {
+					t.Fatalf("%s: the restore discarded [%d, +%d), the flush wrote [%d, +%d)", when, off, n, wantOff, wantN)
+				}
+			}
+			run := func(ops []spec.Op, burst int) {
+				for _, x := range []*coherentVM{v, twin} {
+					x.run(t, ops)
+					if burst > 0 {
+						x.syscalls(t, burst, burst)
+					}
+				}
+			}
+			mut := spec.NewMutator(v.Spec, rand.New(rand.NewSource(37)))
+			seeds := v.Seeds()
+			for round := 0; round < rounds; round++ {
+				in := mut.Mutate(seeds[round%len(seeds)])
+				if len(in.Ops) < 2 {
+					continue
+				}
+				at, burst := 1+round%(len(in.Ops)-1), 0
+				if round%4 == 3 {
+					burst = 24
+				}
+				for j := 1; j <= len(in.Ops); j++ {
+					restore(fmt.Sprintf("round %d: root run of %d ops", round, j-1), -1)
+					v.conns, twin.conns = v.conns[:0], twin.conns[:0]
+					run(in.Ops[:j], burst*(j%2))
+					if j != at {
+						continue
+					}
+					for _, x := range []*coherentVM{v, twin} {
+						if err := x.M.TakeIncrementalSlot(1); err != nil {
+							t.Fatal(err)
+						}
+					}
+					nconns := len(v.conns)
+					for end := at + 1; end <= len(in.Ops); end++ {
+						restore(fmt.Sprintf("round %d: slot run to op %d", round, end-1), 1)
+						v.conns, twin.conns = v.conns[:nconns], twin.conns[:nconns]
+						run(in.Ops[at:end], burst*(end%2))
+					}
+				}
+			}
+			restore("last", -1)
+		})
+	}
+	if grown == 0 || shrunk == 0 {
+		t.Errorf("the runs reached %d images past one page and %d shrinking ones; need both", grown, shrunk)
 	}
 }

@@ -50,7 +50,6 @@ func TestHydrateCopyBackMatchesDecode(t *testing.T) {
 			var ids [3][]int // per restore point, its connections' ids in order
 			take := func(slot int) {
 				t.Helper()
-				v.vmExit(t)
 				if err := v.M.TakeIncrementalSlot(slot); err != nil {
 					t.Fatal(err)
 				}
@@ -100,7 +99,6 @@ func TestHydrateCopyBackMatchesDecode(t *testing.T) {
 				}
 				v.run(t, mut.Mutate(seeds[round%len(seeds)]).Ops)
 				v.syscalls(t, round, 1+round%3)
-				v.vmExit(t)
 			}
 			hits, decodes := v.K.Hydrates()
 			tableHits, tableDecodes := v.K.TableReads()

@@ -2,7 +2,8 @@ package guest
 
 // DecodeImage and EncodeImage open the kernel's codec to the external test
 // package: the image is what flush writes to guest memory after the length
-// header and what hydrate reads back.
+// header and what hydrate reads back. Flush and KernelSectionLen open the two
+// ways the kernel learns an image's length, writing it and computing it.
 
 // DecodeImage replaces k's struct form with the state image encodes, as
 // hydrate does after a restore — copying back the kernel's section when it is
@@ -22,6 +23,25 @@ func (k *Kernel) EncodeImage() []byte {
 	var w StateWriter
 	k.marshal(&w)
 	return w.Bytes()
+}
+
+// Flush writes the struct form to guest memory, as the flush before a
+// capture does, and returns the range it wrote: n is 0 when nothing was dirty.
+func (k *Kernel) Flush() (off int64, n int) {
+	if !k.dirty {
+		return 0, 0
+	}
+	k.flush()
+	return k.heapBase, len(k.enc.buf)
+}
+
+// KernelSectionLen returns the length of the kernel's section of the image as
+// the discard hook computes it from the tables, and as marshal writes it.
+func (k *Kernel) KernelSectionLen() (computed, written int) {
+	k.hydrate()
+	var w StateWriter
+	k.marshalKernel(&w)
+	return k.kernelLen(), len(w.buf)
 }
 
 // SendBufferCap returns the capacity of the buffer Env.Send appends to.

@@ -172,7 +172,11 @@ func (fs *FS) List() []string {
 }
 
 // marshal appends the FS metadata to w.
-func (fs *FS) marshal(w *StateWriter) {
+func (fs *FS) marshal(w *StateWriter) { w.buf = append(w.buf, fs.encoding()...) }
+
+// encoding returns the encoding of the FS metadata, the cached one unless a
+// mutator invalidated it.
+func (fs *FS) encoding() []byte {
 	if !fs.encValid {
 		e := StateWriter{buf: fs.enc[:0]}
 		e.U64(fs.nextSector)
@@ -188,7 +192,7 @@ func (fs *FS) marshal(w *StateWriter) {
 		}
 		fs.enc, fs.encValid = e.buf, true
 	}
-	w.buf = append(w.buf, fs.enc...)
+	return fs.enc
 }
 
 // unmarshal restores the FS metadata from r. The encoding delimits itself,

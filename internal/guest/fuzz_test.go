@@ -45,7 +45,9 @@ func decoders(tb testing.TB) (ks []*guest.Kernel, boot, mid [][]byte) {
 // both hydrate paths run on a used kernel: the input copies back the kernel
 // section and tables the good image left whenever it starts with their bytes,
 // and the good image copies back what it left before or decodes afresh what
-// the input replaced.
+// the input replaced. Whatever state a decode leaves, the length of the
+// kernel's section the discard hook computes from its tables must be the
+// length marshal writes.
 func FuzzStateDecode(f *testing.F) {
 	ks, boot, mid := decoders(f)
 	for _, img := range slices.Concat(boot, mid) {
@@ -58,6 +60,9 @@ func FuzzStateDecode(f *testing.F) {
 				if got := k.EncodeImage(); !bytes.Equal(got, image) {
 					t.Fatalf("%s: a %d-byte image decoded and re-encoded to %d different bytes", k.Target.Name(), len(image), len(got))
 				}
+				if computed, written := k.KernelSectionLen(); computed != written {
+					t.Fatalf("%s: the kernel section is computed as %d bytes and written as %d", k.Target.Name(), computed, written)
+				}
 			}
 			good := mid[i]
 			if len(image)%2 == 0 {
@@ -68,6 +73,9 @@ func FuzzStateDecode(f *testing.F) {
 			}
 			if got := k.EncodeImage(); !bytes.Equal(got, good) {
 				t.Fatalf("%s: a good image decoded after the input re-encodes to %d different bytes", k.Target.Name(), len(got))
+			}
+			if computed, written := k.KernelSectionLen(); computed != written {
+				t.Fatalf("%s: the good image's kernel section is computed as %d bytes and written as %d", k.Target.Name(), computed, written)
 			}
 		}
 	})

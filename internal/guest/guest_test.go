@@ -543,8 +543,19 @@ func TestRestoreHydratesLazily(t *testing.T) {
 	}
 }
 
-// Events only mark the state dirty; the one serialization happens at the
-// next VM exit, and an exit with nothing dirty writes nothing.
+// memoryImage returns the state image in k's guest memory.
+func memoryImage(t *testing.T, k *Kernel) []byte {
+	t.Helper()
+	img := make([]byte, k.storedLen())
+	if _, err := k.M.Mem.ReadAt(img, k.heapBase+4); err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// Events only mark the state dirty, and VM exits that take no snapshot write
+// nothing; the one serialization happens at the next capture, and a capture
+// with nothing dirty writes nothing.
 func TestEventsWriteBackAtVMExit(t *testing.T) {
 	m, k, tgt := bootEcho(t)
 	if err := m.Hypercall(vm.HcReady); err != nil {
@@ -561,17 +572,25 @@ func TestEventsWriteBackAtVMExit(t *testing.T) {
 		}
 	}
 	k.CloseConn(c)
-	if tgt.Saves != base || m.Mem.DirtyCount() != 0 {
-		t.Fatalf("events serialized: %d saves, %d dirty pages before any VM exit", tgt.Saves-base, m.Mem.DirtyCount())
+	for _, hc := range []vm.Hypercall{vm.HcExecDone, vm.HcPanic, vm.HcReleaseSnapshot} {
+		if err := m.Hypercall(hc); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := m.Hypercall(vm.HcExecDone); err != nil {
+	if tgt.Saves != base || m.Mem.DirtyCount() != 0 {
+		t.Fatalf("events or VM exits serialized: %d saves, %d dirty pages before any capture", tgt.Saves-base, m.Mem.DirtyCount())
+	}
+	if err := m.Hypercall(vm.HcSnapshot); err != nil {
 		t.Fatal(err)
 	}
-	dirty := m.Mem.DirtyCount()
-	if tgt.Saves != base+1 || dirty == 0 {
-		t.Fatalf("VM exit after 5 events: %d saves (want 1), %d dirty pages", tgt.Saves-base, dirty)
+	if tgt.Saves != base+1 || m.Mem.SlotPages(0) == 0 {
+		t.Fatalf("capture after 5 events: %d saves (want 1), %d pages captured", tgt.Saves-base, m.Mem.SlotPages(0))
 	}
-	// Clean: further exits, a snapshot take and a restore serialize nothing.
+	if !bytes.Equal(memoryImage(t, k), k.EncodeImage()) {
+		t.Fatal("the captured image is not the state's")
+	}
+	base = tgt.Saves // EncodeImage saved once more
+	// Clean: further exits, a capture and a restore serialize nothing.
 	if err := m.Hypercall(vm.HcExecDone); err != nil {
 		t.Fatal(err)
 	}
@@ -581,24 +600,61 @@ func TestEventsWriteBackAtVMExit(t *testing.T) {
 	if err := m.RestoreIncrementalSlot(1); err != nil {
 		t.Fatal(err)
 	}
-	if tgt.Saves != base+1 {
-		t.Fatalf("clean state was flushed: %d saves, want 1", tgt.Saves-base)
+	if tgt.Saves != base {
+		t.Fatalf("clean state was serialized: %d saves, want none", tgt.Saves-base)
 	}
 	// A rejected event mutates nothing and dirties nothing.
 	if err := k.Deliver(k.Conn(c.ID), []byte("late")); err == nil {
 		t.Fatal("delivery on a closed connection succeeded")
 	}
-	if err := m.Hypercall(vm.HcExecDone); err != nil {
+	if err := m.TakeIncrementalSlot(1); err != nil {
 		t.Fatal(err)
 	}
-	if tgt.Saves != base+1 {
+	if tgt.Saves != base {
 		t.Fatal("a rejected delivery marked the state dirty")
 	}
 }
 
-// A restore discards struct state that was still dirty: the machine flushes
-// it first (so the restore counts the pages it occupies), resets memory, and
-// the next access hydrates the snapshot's state, not the discarded one.
+// A restore that fails does so before the machine calls the discard hook: the
+// dirty state is neither dropped nor marked stale, and the next capture still
+// writes it.
+func TestFailedRestoreSkipsDiscard(t *testing.T) {
+	m, k, tgt := bootEcho(t)
+	c, _, err := k.NewConnection(Port{TCP, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RestoreRoot(); err != vm.ErrNotReady {
+		t.Fatalf("root restore before the root snapshot: %v", err)
+	}
+	if err := m.Hypercall(vm.HcReady); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(memoryImage(t, k), k.EncodeImage()) || k.Conn(c.ID) == nil {
+		t.Fatal("the root snapshot misses the connection opened before the failed restore")
+	}
+	if err := k.Deliver(c, []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	saves := tgt.Saves
+	if err := m.RestoreIncrementalSlot(7); err == nil {
+		t.Fatal("restore of a slot never taken succeeded")
+	}
+	if !k.dirty || k.stale || tgt.Saves != saves {
+		t.Fatalf("the failed restore touched the guest: dirty %v, stale %v, %d saves", k.dirty, k.stale, tgt.Saves-saves)
+	}
+	if err := m.TakeIncrementalSlot(1); err != nil {
+		t.Fatal(err)
+	}
+	if tgt.Counts.Get(c.ID) != 1 || !bytes.Equal(memoryImage(t, k), k.EncodeImage()) {
+		t.Fatal("the capture after the failed restore does not hold the delivery before it")
+	}
+}
+
+// A restore discards struct state that was still dirty: the machine has the
+// guest drop it unwritten and counts (and charges) the pages a flush would
+// have written, resets memory, and the next access hydrates the snapshot's
+// state, not the discarded one.
 func TestRestoreDiscardsDirtyState(t *testing.T) {
 	m, k, tgt := bootEcho(t)
 	if err := m.TakeRoot(); err != nil {
@@ -628,7 +684,7 @@ func TestRestoreDiscardsDirtyState(t *testing.T) {
 	}
 	// Three 5 KiB responses grew the blob by pages the restore had to reset.
 	if reset := m.Mem.Stats().PagesReset - before; reset < 3 {
-		t.Fatalf("restore reset %d pages; the dirty state was not flushed before it", reset)
+		t.Fatalf("restore reset %d pages; the discarded state's pages were not counted", reset)
 	}
 	if got := len(k.Conn(c.ID).Sent); got != 2 { // greeting + one echo
 		t.Fatalf("conn has %d responses after restore, want the snapshot's 2", got)

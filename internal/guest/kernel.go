@@ -15,26 +15,30 @@
 //     ResetCorruption, MarkDirty), before any target code runs, so
 //     everything a handler mutates — kernel syscalls, the filesystem, the
 //     allocator model, target fields — is covered even when the handler
-//     crashes half-way. Cleared only by the flush hook, which the machine
-//     calls at every VM exit and before every snapshot take or restore: one
-//     serialization per exit, not one per event.
+//     crashes half-way. Cleared by the flush hook, which the machine calls
+//     before every snapshot take: one serialization per capture, not one per
+//     event or VM exit. Cleared too by the discard hook, which the machine
+//     calls before every restore: the state is about to be thrown away, so
+//     it is not written; the hook only reports the range a flush would have
+//     written, and the restore resets and charges those pages as if it had.
 //   - stale: memory is ahead of the struct form. Set only by the machine's
-//     restore hooks (after the flush, so dirty and stale never hold
+//     restore hooks (after the discard, so dirty and stale never hold
 //     together; the discarded struct state is simply overwritten). Cleared
 //     only by hydrate, which the first state access after the restore runs,
 //     so restore cost never scales with the size of the serialized state.
 //
 // Code that mutates kernel or target state outside an event (a netemu custom
 // opcode, a test poking a target) must call MarkDirty first; code that reads
-// guest memory directly must do so after a VM exit.
+// guest memory directly must do so after a capture (a snapshot take).
 //
-// One restore, hydrate, events, flush cycle runs per test case, so the two
-// conversions reuse what the last cycle left: hydrate refills the kernel's
-// tables, their objects and the objects' fd, watch and sent lists in place,
-// restored responses point into the kernel's copy of an image and sent ones
-// into one send buffer behind it, flush encodes into a kept buffer, the
-// filesystem skips both directions while its metadata is unchanged (see FS),
-// and a target keeps what it has per connection in a Table, the ordered
+// One restore, hydrate, events, discard cycle runs per test case, with a
+// flush wherever it takes a snapshot, so the conversions reuse what the last
+// cycle left: hydrate refills the kernel's tables, their objects and the
+// objects' fd, watch and sent lists in place, restored responses point into
+// the kernel's copy of an image and sent ones into one send buffer behind it,
+// flush and discard encode into a kept buffer, the filesystem skips both
+// directions while its metadata is unchanged (see FS), and a target keeps
+// what it has per connection in a Table, the ordered
 // container that is written by a walk and refilled in place. The price is a
 // lifetime rule: a *Conn, *Process or *OpenDesc, and a Conn.Sent slice or any
 // response in it, restored or sent, is valid until the next snapshot restore.
@@ -158,6 +162,13 @@ type Kernel struct {
 	heapBase int64 // guest-physical address where state is serialized
 	booted   bool
 
+	// stored is the blob length in the header of the image in guest memory,
+	// as syncToMemory last wrote it or syncFromMemory last read it. Only a
+	// flush or a restore changes the header, and every event hydrates first,
+	// so it is current whenever the kernel is dirty, which is when discard
+	// reads it.
+	stored int
+
 	// stale marks the struct form of the state as behind guest memory
 	// after a snapshot restore. The restore hooks only flip this flag;
 	// the first state access afterwards pays the decode (see hydrate).
@@ -166,13 +177,14 @@ type Kernel struct {
 	stale bool
 
 	// dirty marks the struct form as ahead of guest memory: an event ran
-	// (or is running) since the last flush. The event entry points only
-	// flip this flag; the machine's flush hook pays the one serialization
-	// at the next VM exit (see flush and the package comment).
+	// (or is running) since the last flush or discard. The event entry
+	// points only flip this flag; the machine's flush hook pays the one
+	// serialization at the next capture, and its discard hook drops the
+	// state at the next restore (see flush, discard and the package comment).
 	dirty bool
 
 	// enc and dec are the codec's scratch, recycled across the
-	// serialize-at-VM-exit and decode-after-restore paths. img is the
+	// serialize-at-capture and decode-after-restore paths. img is the
 	// kernel's copy of the image its own section was last decoded from, next
 	// the buffer a restored image is read into, and sendBuf what the target
 	// has sent since the last hydrate: a Conn.Sent response points into img or
@@ -259,12 +271,13 @@ func NewKernel(m *vm.Machine, target Target) (*Kernel, error) {
 	k.FS.hydrate = k.hydrate
 	// Wire the kernel into the machine's snapshot lifecycle. Memory is what
 	// snapshots capture, so the machine flushes the struct form into it
-	// before it looks, and a restore invalidates the struct form. The
-	// restore hooks only mark it stale — the decode is deferred to the
+	// before it takes one, and a restore discards the struct form instead.
+	// The restore hooks only mark it stale — the decode is deferred to the
 	// first state access (hydrate), so back-to-back restores never pay for
 	// re-reading a blob nothing looked at.
 	m.GuestHooks = vm.SnapshotHooks{
 		Flush:              k.flush,
+		Discard:            k.discard,
 		RestoreRoot:        func() { k.stale = true },
 		RestoreIncremental: func() { k.stale = true },
 	}
@@ -298,7 +311,7 @@ func (k *Kernel) hydrate() {
 
 // MarkDirty declares that the caller is about to mutate kernel or target
 // state: it hydrates the struct form and marks it ahead of guest memory, so
-// the next VM exit writes it back. The kernel's own event entry points do
+// the next capture writes it back. The kernel's own event entry points do
 // the same before invoking the target; this is the exported form for
 // mutations that happen outside an event (netemu's custom opcodes).
 func (k *Kernel) MarkDirty() {
@@ -306,14 +319,45 @@ func (k *Kernel) MarkDirty() {
 	k.dirty = true
 }
 
-// flush is the machine's SnapshotHooks.Flush: it writes the struct form back
-// to guest memory if an event dirtied it, and is a no-op otherwise.
+// flush is the machine's SnapshotHooks.Flush, which runs before every
+// snapshot take: it writes the struct form back to guest memory if an event
+// dirtied it, and is a no-op otherwise. It is the only writer of guest memory
+// after boot; the end of a test case writes nothing (see discard).
 func (k *Kernel) flush() {
 	if !k.dirty {
 		return
 	}
 	k.dirty = false
 	k.syncToMemory()
+}
+
+// discard is the machine's SnapshotHooks.Discard, which runs before every
+// restore: the restore replaces guest memory, so a dirty struct form is
+// dropped without being written. It returns exactly the range syncToMemory
+// would write, [heapBase, heapBase+4+max(stored, n)) with n the length of the
+// state's image, for the restore to reset and charge as if it had been
+// written. n is the sum of the three sections' lengths: the kernel's computed
+// from its tables, the filesystem's cached encoding, and the target's, the
+// one section encoded (into the scratch writer) to learn it. A clean kernel
+// returns an empty range, as a flush writes nothing.
+//
+// Precondition: no event runs between the end of a test case and the next
+// restore. Then the range is what a flush at the end of the test case would
+// write, and every restore resets and charges the pages it would have with a
+// write-back at each VM exit. The netemu agent and the baseline executors
+// restore before the next test case's first event.
+func (k *Kernel) discard() (off int64, n int) {
+	if !k.dirty {
+		return 0, 0
+	}
+	k.dirty = false
+	k.enc.Reset()
+	k.Target.SaveState(&k.enc)
+	n = 4 + max(k.stored, k.kernelLen()+len(k.FS.encoding())+len(k.enc.buf))
+	if k.heapBase+int64(n) > k.M.Mem.Size() {
+		panic(fmt.Sprintf("guest: state discard (%d bytes) beyond guest memory — enlarge VM memory", n-4))
+	}
+	return k.heapBase, n
 }
 
 // extend lengthens the table s by one and returns the object now last in it:
@@ -596,6 +640,16 @@ func (k *Kernel) ResetCorruption() { k.MarkDirty(); k.corruption = 0 }
 
 // ---- State serialization into guest memory ----
 
+// storedLen returns the blob length in the header of the image in guest
+// memory.
+func (k *Kernel) storedLen() int {
+	var hdr [4]byte
+	if _, err := k.M.Mem.ReadAt(hdr[:], k.heapBase); err != nil {
+		panic(fmt.Sprintf("guest: state header read: %v", err))
+	}
+	return int(binary.LittleEndian.Uint32(hdr[:]))
+}
+
 // syncToMemory serializes the kernel + target state into guest physical
 // memory at heapBase: a 4-byte length header, then the blob. It is reachable
 // only from boot and from flush — events mark the state dirty instead of
@@ -608,11 +662,7 @@ func (k *Kernel) syncToMemory() {
 	if k.M == nil {
 		return
 	}
-	var hdr [4]byte
-	if _, err := k.M.Mem.ReadAt(hdr[:], k.heapBase); err != nil {
-		panic(fmt.Sprintf("guest: state header read: %v", err))
-	}
-	prev := int(binary.LittleEndian.Uint32(hdr[:]))
+	prev := k.storedLen()
 	k.enc.Reset()
 	k.enc.U32(0) // header, patched below
 	k.marshal(&k.enc)
@@ -625,6 +675,7 @@ func (k *Kernel) syncToMemory() {
 	if _, err := k.M.Mem.WriteAt(k.enc.buf, k.heapBase); err != nil {
 		panic(fmt.Sprintf("guest: state write (%d bytes): %v — enlarge VM memory", n, err))
 	}
+	k.stored = n
 }
 
 // syncFromMemory re-reads kernel + target state from guest memory. Called
@@ -633,11 +684,8 @@ func (k *Kernel) syncToMemory() {
 // buffer starts over.
 func (k *Kernel) syncFromMemory() {
 	k.sendBuf = k.sendBuf[:0]
-	var hdr [4]byte
-	if _, err := k.M.Mem.ReadAt(hdr[:], k.heapBase); err != nil {
-		panic(fmt.Sprintf("guest: state header read: %v", err))
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := k.storedLen()
+	k.stored = n
 	if cap(k.next) < n {
 		k.next = make([]byte, n)
 	}
@@ -684,7 +732,16 @@ func (k *Kernel) decode() error {
 	return r.Done()
 }
 
+// marshal appends the state's image: the kernel's section, the filesystem's
+// and the target's.
 func (k *Kernel) marshal(w *StateWriter) {
+	k.marshalKernel(w)
+	k.FS.marshal(w)
+	k.Target.SaveState(w)
+}
+
+// marshalKernel appends the kernel's own section; kernelLen is its length.
+func (k *Kernel) marshalKernel(w *StateWriter) {
 	b := w.buf
 	b = appendInt(b, k.nextPID)
 	b = appendInt(b, k.nextDesc)
@@ -730,17 +787,36 @@ func (k *Kernel) marshal(w *StateWriter) {
 	}
 
 	w.buf = b
-	k.FS.marshal(w)
-	k.Target.SaveState(w)
 }
 
-// Smallest encodings of one table entry, for StateReader.Count.
+// Smallest encodings of one table entry, for StateReader.Count and
+// kernelLen.
 const (
 	descBytes = 8 + 1 + 8 + 4 + 8 + 4
 	procBytes = 8 + 8 + 8 + 4
 	fdBytes   = 8 + 8
 	connBytes = 8 + 4 + 8 + 8 + 1 + 4
 )
+
+// kernelLen returns the length of the section marshalKernel writes, without
+// writing it: five counters and three table counts, and per entry its
+// smallest encoding plus the bytes of its variable parts.
+func (k *Kernel) kernelLen() int {
+	n := 5*8 + 3*4
+	for _, d := range k.descs {
+		n += descBytes + len(d.Path) + 8*len(d.Watch)
+	}
+	for _, p := range k.procs {
+		n += procBytes + fdBytes*len(p.FDs)
+	}
+	for _, c := range k.conns {
+		n += connBytes + len(c.Port.Proto) + 4*len(c.Sent)
+		for _, resp := range c.Sent {
+			n += len(resp)
+		}
+	}
+	return n
+}
 
 // unmarshal decodes the kernel's own section, refilling the tables in place
 // (see extend): the objects and their FDs, Watch and Sent containers are the

@@ -137,7 +137,7 @@ func (v *coherentVM) warmUp(t *testing.T) {
 		v.conns = v.conns[:0]
 		v.run(t, mut.Mutate(seeds[round%len(seeds)]).Ops)
 		v.syscalls(t, round, 2+round%7)
-		v.vmExit(t)
+		v.capture(t)
 		if img := v.image(t); len(img) > len(largest) {
 			largest = img
 		}
@@ -167,10 +167,10 @@ func (v *coherentVM) warmUp(t *testing.T) {
 // contract: hydrate and flush recycle the kernel's objects, containers and
 // the filesystem's cached encoding, and none of that may show. A freshly
 // booted VM and one that went through warmUp run the same seeded sequence
-// of events, syscalls, snapshots and restores, and at every VM exit both
+// of events, syscalls, snapshots and restores, and at every capture both
 // must hold byte-identical memory and the same dirty-page count. A third
 // kernel, which shares no history with either, decodes the warm VM's image
-// at every exit: it must re-encode to the same bytes and report the same
+// at every capture: it must re-encode to the same bytes and report the same
 // filesystem as the warm kernel's struct form does, which is what catches a
 // cached encoding that a mutator (or a failed decode) did not invalidate.
 func TestWarmKernelMatchesFreshKernel(t *testing.T) {
@@ -181,8 +181,8 @@ func TestWarmKernelMatchesFreshKernel(t *testing.T) {
 			both := []*coherentVM{fresh, warm}
 			same := func(when string) {
 				t.Helper()
-				fresh.vmExit(t)
-				warm.vmExit(t)
+				fresh.capture(t)
+				warm.capture(t)
 				if !bytes.Equal(fresh.memory(t), warm.memory(t)) {
 					t.Fatalf("%s: guest memory differs (blob %d fresh vs %d warm)", when, fresh.blobLen(t), warm.blobLen(t))
 				}
@@ -275,16 +275,17 @@ func (stub) OnPacket(env *guest.Env, c *guest.Conn, data []byte) { env.Send(c, d
 func (stub) OnDisconnect(*guest.Env, *guest.Conn)                {}
 
 // TestStateSyncSteadyStateAllocs pins the allocation budget of one guest
-// state round trip — slot restore, hydrate, mark dirty, flush at the VM
-// exit — once the kernel has been through it before, on both hydrate paths:
-// restoring one slot again and again, every hydrate after the first copies
-// back the state it decoded; alternating between the slot and the root, every
-// hydrate decodes.
+// state round trip — slot restore, hydrate, mark dirty, the end of the test
+// case, and the discard at the next restore — once the kernel has been
+// through it before, on both hydrate paths: restoring one slot again and
+// again, every hydrate after the first copies back the state it decoded;
+// alternating between the slot and the root, every hydrate decodes, and the
+// root's state, dirtied again, is flushed as a capture would flush it.
 func TestStateSyncSteadyStateAllocs(t *testing.T) {
 	const slot = 1
 	roundTrip := func(m *vm.Machine, k *guest.Kernel, events func(), alternate bool) func() {
 		return func() {
-			if err := m.RestoreIncrementalSlot(slot); err != nil {
+			if err := m.RestoreIncrementalSlot(slot); err != nil { // discards
 				t.Fatal(err)
 			}
 			if k.Processes() == 0 { // hydrates
@@ -294,7 +295,7 @@ func TestStateSyncSteadyStateAllocs(t *testing.T) {
 			if events != nil {
 				events()
 			}
-			if err := m.Hypercall(vm.HcExecDone); err != nil { // flushes
+			if err := m.Hypercall(vm.HcExecDone); err != nil {
 				t.Fatal(err)
 			}
 			if alternate {
@@ -302,8 +303,8 @@ func TestStateSyncSteadyStateAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 				k.MarkDirty()
-				if err := m.Hypercall(vm.HcExecDone); err != nil {
-					t.Fatal(err)
+				if _, n := k.Flush(); n == 0 {
+					t.Fatal("nothing flushed")
 				}
 			}
 		}
@@ -423,10 +424,10 @@ func TestSendBufferIsBoundedAcrossRestores(t *testing.T) {
 
 // TestHeldPointersSurviveUntilRestore is the lifetime rule of the package
 // comment from the holder's side: a *Conn stays the connection it was, and
-// its Sent slice stays what was sent, across events and VM exits, until the
-// next restore. It holds a connection whose responses were sent in the test
-// case, and one whose responses a restore brought back by copying the kernel
-// section it last decoded.
+// its Sent slice stays what was sent, across events, VM exits and captures
+// (which flush), until the next restore. It holds a connection whose
+// responses were sent in the test case, and one whose responses a restore
+// brought back by copying the kernel section it last decoded.
 func TestHeldPointersSurviveUntilRestore(t *testing.T) {
 	for _, copiedBack := range []bool{false, true} {
 		t.Run(fmt.Sprintf("copied back %v", copiedBack), func(t *testing.T) {
@@ -451,7 +452,6 @@ func heldPointersSurviveUntilRestore(t *testing.T, copiedBack bool) {
 			}
 			c = v.K.Conn(id)
 			v.deliver(t, c, []byte("NOOP\r\n"))
-			v.vmExit(t)
 		}
 		if err := v.M.RestoreIncrementalSlot(1); err != nil {
 			t.Fatal(err)
@@ -481,10 +481,13 @@ func heldPointersSurviveUntilRestore(t *testing.T, copiedBack bool) {
 		}
 	}
 	check("sent")
-	v.vmExit(t)
+	if err := v.M.Hypercall(vm.HcExecDone); err != nil {
+		t.Fatal(err)
+	}
+	v.capture(t)
 	v.syscalls(t, 1, 3)
-	v.vmExit(t)
-	check("after events and VM exits")
+	v.capture(t)
+	check("after events, VM exits and captures")
 
 	// Sending past the send buffer's capacity moves the buffer, not the
 	// responses already in it.

@@ -10,7 +10,7 @@ import (
 
 // StateWriter serializes guest kernel and target state into a compact
 // little-endian byte stream. The stream is written into guest physical
-// memory at every VM exit that follows an event, so that VM snapshots
+// memory at every snapshot take that follows an event, so that VM snapshots
 // capture the full logical state of the system (see Kernel.flush).
 type StateWriter struct {
 	buf []byte

@@ -16,7 +16,7 @@ import (
 // All mutable state must round-trip through SaveState/LoadState, and must
 // change only inside the handlers below: the kernel marks its state dirty
 // before calling a handler, writes it into guest memory (SaveState) at the
-// next VM exit, and reads it back (LoadState) on the first access after a
+// next snapshot take, and reads it back (LoadState) on the first access after a
 // snapshot restore — which is what makes VM snapshots authoritative. Code
 // that changes target state outside a handler calls Kernel.MarkDirty first
 // (see the package comment for the full contract).
@@ -46,7 +46,8 @@ type Target interface {
 	OnPacket(env *Env, c *Conn, data []byte)
 	// OnDisconnect is invoked when a connection closes.
 	OnDisconnect(env *Env, c *Conn)
-	// SaveState serializes all mutable target state.
+	// SaveState serializes all mutable target state and changes none: a
+	// restore also calls it, to learn how long the image it discards is.
 	SaveState(w *StateWriter)
 	// LoadState restores state saved by SaveState.
 	LoadState(r *StateReader)

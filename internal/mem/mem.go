@@ -410,6 +410,23 @@ func (m *Memory) WriteAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
+// Discard marks the pages of [off, off+n) dirty without writing them: the
+// pages a write the caller skipped would have dirtied, so that the restore
+// which must follow resets them and counts them in PagesReset exactly as if
+// the write had happened. It grades the last restore's eager copies first
+// (scoreEager), so an eagerly copied page that nothing wrote grades as a miss
+// and drifts back to the alias path. The range must lie within memory, and
+// n > 0.
+//
+//nyx:hotpath
+func (m *Memory) Discard(off int64, n int) {
+	m.scoreEager()
+	last := uint32((off + int64(n) - 1) >> PageShift)
+	for pn := uint32(off >> PageShift); pn <= last; pn++ {
+		m.markDirty(pn)
+	}
+}
+
 // clearDirty resets the dirty bitmap and stack. The bitmap is cleared via
 // the stack so the cost stays proportional to the number of dirty pages.
 func (m *Memory) clearDirty() {

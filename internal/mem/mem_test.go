@@ -980,6 +980,70 @@ func TestEagerMissDecays(t *testing.T) {
 	}
 }
 
+// TestDiscardChargesLikeAWrite pins what Discard stands in for. Two memories
+// train the same slot's profile on writes to pages 0 and 1; then each cycle
+// one writes page 1 before the restore and the other discards a range on it
+// instead. Both restores must reset the same pages to the same content, and
+// the discarded page, which nothing wrote, must grade as an eager miss every
+// time until it drops back to the alias path, where it costs no CoW break.
+func TestDiscardChargesLikeAWrite(t *testing.T) {
+	written, discarded := New(8), New(8)
+	for _, m := range []*Memory{written, discarded} {
+		m.TakeRoot()
+		fill(t, m, 0, 0x11, 10)
+		fill(t, m, PageSize, 0x11, 10)
+		if _, err := m.TakeIncrementalSlot(1); err != nil {
+			t.Fatal(err)
+		}
+		for cycle := 0; cycle < 4; cycle++ {
+			fill(t, m, 0, 0x99, 10)
+			fill(t, m, PageSize, 0x99, 10)
+			if _, err := m.RestoreIncrementalSlot(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	contents := func(m *Memory) []byte {
+		buf := make([]byte, m.Size())
+		if _, err := m.ReadAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	discarded.Discard(PageSize-2, 4) // straddles pages 0 and 1, writes neither
+	if discarded.DirtyCount() != 2 || !bytes.Equal(contents(discarded), contents(written)) {
+		t.Fatalf("Discard marked %d pages dirty or wrote memory", discarded.DirtyCount())
+	}
+	fill(t, written, 0, 0x99, 10)
+	fill(t, written, PageSize, 0x99, 10)
+	var pending uint64 // eager copies the last restore of discarded made
+	for cycle := 0; cycle < 12; cycle++ {
+		st := discarded.Stats()
+		a, err := written.RestoreIncrementalSlot(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := discarded.RestoreIncrementalSlot(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b || !bytes.Equal(contents(written), contents(discarded)) {
+			t.Fatalf("cycle %d: the write reset %d pages, the discard %d, or the restored content differs", cycle, a, b)
+		}
+		now := discarded.Stats()
+		if now.EagerHits != st.EagerHits || now.EagerMisses-st.EagerMisses != pending || now.PagesCoWBroken != st.PagesCoWBroken {
+			t.Fatalf("cycle %d: %d eager copies graded as %d hits and %d misses, %d CoW breaks; want all misses, no breaks",
+				cycle, pending, now.EagerHits-st.EagerHits, now.EagerMisses-st.EagerMisses, now.PagesCoWBroken-st.PagesCoWBroken)
+		}
+		pending = now.PagesEagerCopied - st.PagesEagerCopied
+		fill(t, written, PageSize, byte(cycle), 10)
+		discarded.Discard(PageSize+5, 10)
+	}
+	if pending != 0 {
+		t.Fatalf("a page only ever discarded is still eagerly copied (%d copies on the last restore)", pending)
+	}
+}
+
 // TestSteadyStateRestoreAllocs asserts the whole restore→write cycle is
 // allocation-free at steady state: eager copies reuse in-place or free-list
 // buffers, aliases displace buffers into the free list, and CoW breaks pop

@@ -232,7 +232,14 @@ func TestCustomOpStateReachesSnapshot(t *testing.T) {
 	})
 	in := seq(s, "USER a")
 	in.Ops = append([]spec.Op{{Node: bump}}, in.Ops...)
+	// guestMemory captures the state, which writes it into guest memory (the
+	// end of a run does not), and reads memory back.
+	const capture = 1 << 20
 	guestMemory := func() []byte {
+		if err := a.M.TakeIncrementalSlot(capture); err != nil {
+			t.Fatal(err)
+		}
+		a.M.DropSlot(capture)
 		buf := make([]byte, a.M.Mem.Size())
 		if _, err := a.M.Mem.ReadAt(buf, 0); err != nil {
 			t.Fatal(err)
@@ -528,9 +535,10 @@ func TestSlotResumeIsCheaperThanRootRun(t *testing.T) {
 }
 
 // TestRootRunSteadyStateAllocs pins the allocation budget of a whole root
-// run — restore, hydrate, connect, packet, close, flush at the exit — once
-// the agent and the kernel have been through one: the value environment, the
-// kernel's objects and the response bytes are all reused.
+// run — restore (which discards the last run's state), hydrate, connect,
+// packet, close, the exit — once the agent and the kernel have been through
+// one: the value environment, the kernel's objects and the response bytes are
+// all reused.
 func TestRootRunSteadyStateAllocs(t *testing.T) {
 	a, s, _ := setup(t)
 	in := seq(s, "USER a")

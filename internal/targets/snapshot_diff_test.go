@@ -45,10 +45,10 @@ func (v *diffVM) clocked(t *testing.T, f func() (netemu.Result, error)) (netemu.
 	return res, v.Agent.Now() - t0
 }
 
-// state captures everything a test case can leave behind: guest memory,
-// the disk as the guest reads it (every sector, so every dirty one), the
-// dirty-sector count the restore charge is computed from, and the serial
-// log.
+// state captures everything a test case can leave behind: guest memory as
+// a capture writes it, the disk as the guest reads it (every sector, so every
+// dirty one), the dirty-sector count the restore charge is computed from, and
+// the serial log.
 type vmState struct {
 	mem, disk, serial []byte
 	dirtySectors      int
@@ -62,13 +62,14 @@ func (v *diffVM) state(t *testing.T) vmState {
 		serial:       slices.Clone(v.M.Serial.Log),
 		dirtySectors: v.M.Disk.DirtySectors(),
 	}
-	if _, err := v.M.Mem.ReadAt(st.mem, 0); err != nil {
-		t.Fatal(err)
-	}
 	for sn := uint64(0); sn < v.M.Disk.NumSectors(); sn++ {
 		if err := v.M.Disk.ReadSector(sn, st.disk[sn*device.SectorSize:(sn+1)*device.SectorSize]); err != nil {
 			t.Fatal(err)
 		}
+	}
+	capture(t, v.Instance)
+	if _, err := v.M.Mem.ReadAt(st.mem, 0); err != nil {
+		t.Fatal(err)
 	}
 	return st
 }

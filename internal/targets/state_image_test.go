@@ -29,13 +29,27 @@ type stateImages struct {
 	Mutants string     `json:"mutants"`
 }
 
-// imageAfter runs ops from the root and returns the state image the VM exit
-// at the end of the run left at stateHeap.
+// captureSlot is the slot capture takes; no test uses it for anything else.
+const captureSlot = 1 << 20
+
+// capture writes the guest's state into memory the only way the machine
+// does, by taking a snapshot, and drops the snapshot again.
+func capture(t *testing.T, inst *Instance) {
+	t.Helper()
+	if err := inst.M.TakeIncrementalSlot(captureSlot); err != nil {
+		t.Fatal(err)
+	}
+	inst.M.DropSlot(captureSlot)
+}
+
+// imageAfter runs ops from the root and returns the state image a capture at
+// the end of the run leaves at stateHeap.
 func imageAfter(t *testing.T, inst *Instance, ops []spec.Op) []byte {
 	t.Helper()
 	if _, err := inst.Agent.RunFromRoot(&spec.Input{Ops: ops, SnapshotAt: -1}, nil); err != nil {
 		t.Fatal(err)
 	}
+	capture(t, inst)
 	var hdr [4]byte
 	if _, err := inst.M.Mem.ReadAt(hdr[:], stateHeap); err != nil {
 		t.Fatal(err)
@@ -49,8 +63,8 @@ func imageAfter(t *testing.T, inst *Instance, ops []spec.Op) []byte {
 
 // TestEveryTargetStateImageMatchesRecorded pins every byte a target's state
 // takes in guest memory: every registered target runs each of its seeds, and
-// seeded mutants of them, op by op from the root with a VM exit after each
-// op, and the image at every exit must be the recorded one. A container that
+// seeded mutants of them, op by op from the root with a capture after each
+// op, and the image at every capture must be the recorded one. A container that
 // drops a zero-valued entry, orders keys differently or encodes a count
 // differently fails on the first op that touches it. Dirty page counts, and
 // with them every virtual-time charge, are a function of these bytes.

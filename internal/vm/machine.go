@@ -106,18 +106,27 @@ type Machine struct {
 // between its struct-form state and guest memory (the three states — clean,
 // dirty, stale — are defined in package guest). Any hook may be nil.
 //
-// The machine promises to call Flush before every operation through which
-// the host observes, captures or discards guest memory — Hypercall,
-// SnapshotHypercall, TakeRoot, TakeIncrementalSlot, RestoreRoot,
-// RestoreIncrementalSlot — exactly once per call and before the memory
-// operation, so a capture holds the guest's current state and a restore
-// counts (and charges for) the pages that state occupies. The guest promises
-// that Flush leaves guest memory a function of its state alone and is a
-// no-op when memory is already current. After a restore replaced guest
-// memory the machine calls RestoreRoot or RestoreIncremental, and the guest
-// treats its struct form as behind memory from then on.
+// Guest memory holds the guest's state only when the host captures it. The
+// machine calls Flush exactly once before every capture — TakeRoot,
+// TakeIncrementalSlot, SnapshotHypercall and the hypercalls that take one
+// (HcReady, HcSnapshot) — so the snapshot holds the guest's current state;
+// the guest promises that Flush leaves guest memory a function of its state
+// alone and is a no-op when memory is already current. A restore throws the
+// state away instead: RestoreRoot and RestoreIncrementalSlot call Discard
+// exactly once, once the restore can no longer fail and before memory is
+// touched. Discard drops the dirty state without writing it and returns the
+// byte range a Flush would have written (n = 0 for none), which the restore
+// marks dirty (mem.Memory.Discard) and so resets and charges as if it had
+// been written. That is exact only if no guest event ran between the end of
+// the last test case and the restore: the range is what a flush at the end
+// of the test case would have written. The informational hypercalls
+// (HcExecDone, HcPanic, HcReleaseSnapshot) call neither hook. After a
+// restore replaced guest memory the machine calls RestoreRoot or
+// RestoreIncremental, and the guest treats its struct form as behind memory
+// from then on.
 type SnapshotHooks struct {
 	Flush              func()
+	Discard            func() (off int64, n int)
 	RestoreRoot        func()
 	RestoreIncremental func()
 }
@@ -234,10 +243,21 @@ func (m *Machine) SeedSlotProfile(id int, p *SlotProfile) {
 }
 
 // flushGuest brings guest memory up to date with the guest kernel's state
-// (SnapshotHooks.Flush).
+// before a capture (SnapshotHooks.Flush).
 func (m *Machine) flushGuest() {
 	if m.GuestHooks.Flush != nil {
 		m.GuestHooks.Flush()
+	}
+}
+
+// discardGuest drops the guest kernel's unwritten state before a restore
+// and marks the pages its flush would have written dirty, so the restore
+// resets and charges them (SnapshotHooks.Discard).
+func (m *Machine) discardGuest() {
+	if m.GuestHooks.Discard != nil {
+		if off, n := m.GuestHooks.Discard(); n > 0 {
+			m.Mem.Discard(off, n)
+		}
 	}
 }
 
@@ -298,7 +318,7 @@ func (m *Machine) RestoreRoot() error {
 	if !m.rootTaken {
 		return ErrNotReady
 	}
-	m.flushGuest()
+	m.discardGuest()
 	t0 := time.Now() //nyx:wallclock RestoreWall telemetry measures real restore cost, never virtual time
 	defer func() { m.stats.RestoreWall += time.Since(t0) }()
 	before := m.Mem.Stats().PagesReset
@@ -374,7 +394,7 @@ func (m *Machine) RestoreIncrementalSlot(id int) error {
 		}
 		m.lastSlotID, m.lastSlot, m.lastValid = id, ms, true
 	}
-	m.flushGuest()
+	m.discardGuest()
 	t0 := time.Now() //nyx:wallclock RestoreWall telemetry measures real restore cost, never virtual time
 	defer func() { m.stats.RestoreWall += time.Since(t0) }()
 	reset, err := m.Mem.RestoreIncrementalSlot(id)
@@ -425,9 +445,11 @@ func (m *Machine) SnapshotHypercall(slot int) error {
 	return m.TakeIncrementalSlot(slot)
 }
 
-// Hypercall dispatches an agent hypercall, charging VM-exit cost. Every VM
-// exit flushes the guest (see SnapshotHooks): the snapshot-taking calls do it
-// in TakeRoot/TakeIncrementalSlot, the informational ones here.
+// Hypercall dispatches an agent hypercall, charging VM-exit cost. Only the
+// snapshot-taking calls write the guest's state into memory, in
+// TakeRoot/TakeIncrementalSlot (see SnapshotHooks); the informational ones
+// leave memory alone, and the restore that follows them charges the pages a
+// flush would have written.
 func (m *Machine) Hypercall(hc Hypercall) error {
 	m.Clock.Advance(m.Cost.HypercallEntry)
 	m.stats.Hypercalls++
@@ -437,7 +459,6 @@ func (m *Machine) Hypercall(hc Hypercall) error {
 	case HcSnapshot:
 		return m.TakeIncrementalSlot(0)
 	case HcReleaseSnapshot, HcExecDone, HcPanic:
-		m.flushGuest()
 		return nil // handled by the agent and the fuzzer run loop
 	default:
 		return fmt.Errorf("vm: unknown hypercall %d", hc)

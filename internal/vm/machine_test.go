@@ -172,48 +172,76 @@ func TestGuestHooksInvoked(t *testing.T) {
 	}
 }
 
-// The machine's half of the coherence contract (SnapshotHooks): every entry
-// point through which the host observes, captures or discards guest memory
-// calls Flush exactly once, before the memory operation. The hook stamps a
-// fresh byte into memory on every call, so what each operation saw is
-// readable afterwards: a take captured the stamp of its own flush (checked
-// when that snapshot is restored), an informational exit leaves it in
-// memory, and a restore discards it in favour of the captured one.
+// The machine's half of the coherence contract (SnapshotHooks): every capture
+// calls Flush exactly once, before it copies memory; every restore calls
+// Discard exactly once, once it can no longer fail and before it touches
+// memory, and resets the range Discard returns as if it had been written; an
+// informational VM exit calls neither. The Flush hook stamps a fresh byte
+// into page 0 on every call, so a take captures the stamp of its own flush
+// (checked when that snapshot is restored). The Discard hook writes nothing,
+// notes which stamp memory held when it ran, and hands back a range on page
+// 3, which nothing writes: a restore of the slot the state already derives
+// from, with nothing else dirty, resets exactly that page.
 func TestFlushHookFiresOnceBeforeEachMemoryOp(t *testing.T) {
 	m := newTestMachine(t)
-	var fired int
-	var stamp byte
+	var flushes, discards int
+	var stamp, seen byte
 	m.GuestHooks.Flush = func() {
-		fired++
+		flushes++
 		stamp++
 		m.Mem.WriteAt([]byte{stamp}, 0)
 	}
-	const current = 0 // after the call, memory holds the call's own stamp
+	m.GuestHooks.Discard = func() (int64, int) {
+		discards++
+		var b [1]byte
+		m.Mem.ReadAt(b[:], 0)
+		seen = b[0]
+		return 3*mem.PageSize + 100, 20
+	}
+	for _, fail := range []func() error{m.RestoreRoot, func() error { return m.RestoreIncrementalSlot(9) }} {
+		if fail() == nil || discards != 0 {
+			t.Fatalf("a restore with nothing to restore succeeded or called Discard (%d calls)", discards)
+		}
+	}
+	const current = 0 // after the call, memory holds the stamp it held before
+	const capture, exit, restore = 0, 1, 2
 	steps := []struct {
 		name  string
+		kind  int
 		call  func() error
 		after byte // stamp memory must hold afterwards, or current
+		reset int  // pages a restore must reset, or -1 for at least one
 	}{
-		{"Hypercall(HcReady)", func() error { return m.Hypercall(HcReady) }, current},
-		{"TakeRoot", m.TakeRoot, current}, // stamp 2 is the root's
-		{"SnapshotHypercall(1)", func() error { return m.SnapshotHypercall(1) }, current},
-		{"Hypercall(HcSnapshot)", func() error { return m.Hypercall(HcSnapshot) }, current},
-		{"TakeIncrementalSlot(2)", func() error { return m.TakeIncrementalSlot(2) }, current},
-		{"Hypercall(HcExecDone)", func() error { return m.Hypercall(HcExecDone) }, current},
-		{"Hypercall(HcPanic)", func() error { return m.Hypercall(HcPanic) }, current},
-		{"Hypercall(HcReleaseSnapshot)", func() error { return m.Hypercall(HcReleaseSnapshot) }, current},
-		{"RestoreIncrementalSlot(1)", func() error { return m.RestoreIncrementalSlot(1) }, 3},
-		{"RestoreIncrementalSlot(0)", func() error { return m.RestoreIncrementalSlot(0) }, 4},
-		{"RestoreIncrementalSlot(2)", func() error { return m.RestoreIncrementalSlot(2) }, 5},
-		{"RestoreRoot", m.RestoreRoot, 2},
+		{"Hypercall(HcReady)", capture, func() error { return m.Hypercall(HcReady) }, current, 0},
+		{"TakeRoot", capture, m.TakeRoot, current, 0}, // stamp 2 is the root's
+		{"SnapshotHypercall(1)", capture, func() error { return m.SnapshotHypercall(1) }, current, 0},
+		{"Hypercall(HcSnapshot)", capture, func() error { return m.Hypercall(HcSnapshot) }, current, 0},
+		{"TakeIncrementalSlot(2)", capture, func() error { return m.TakeIncrementalSlot(2) }, current, 0},
+		{"Hypercall(HcExecDone)", exit, func() error { return m.Hypercall(HcExecDone) }, current, 0},
+		{"Hypercall(HcPanic)", exit, func() error { return m.Hypercall(HcPanic) }, current, 0},
+		{"Hypercall(HcReleaseSnapshot)", exit, func() error { return m.Hypercall(HcReleaseSnapshot) }, current, 0},
+		{"RestoreIncrementalSlot(2) again", restore, func() error { return m.RestoreIncrementalSlot(2) }, 5, 1},
+		{"RestoreIncrementalSlot(1)", restore, func() error { return m.RestoreIncrementalSlot(1) }, 3, -1},
+		{"RestoreIncrementalSlot(0)", restore, func() error { return m.RestoreIncrementalSlot(0) }, 4, -1},
+		{"RestoreRoot", restore, m.RestoreRoot, 2, -1},
+		{"RestoreRoot again", restore, m.RestoreRoot, 2, 1},
 	}
 	for _, st := range steps {
-		before, reset := fired, m.Mem.Stats().PagesReset
+		var before [1]byte
+		m.Mem.ReadAt(before[:], 0)
+		f, d, reset := flushes, discards, m.Mem.Stats().PagesReset
 		if err := st.call(); err != nil {
 			t.Fatalf("%s: %v", st.name, err)
 		}
-		if fired != before+1 {
-			t.Fatalf("%s: flush hook fired %d times, want 1", st.name, fired-before)
+		wantF, wantD := 0, 0
+		switch st.kind {
+		case capture:
+			wantF = 1
+		case restore:
+			wantD = 1
+		}
+		if flushes-f != wantF || discards-d != wantD {
+			t.Fatalf("%s: flush hook fired %d times (want %d), discard hook %d (want %d)", st.name, flushes-f, wantF, discards-d, wantD)
 		}
 		want := st.after
 		if want == current {
@@ -224,9 +252,18 @@ func TestFlushHookFiresOnceBeforeEachMemoryOp(t *testing.T) {
 		if got[0] != want {
 			t.Fatalf("%s: memory holds stamp %d afterwards, want %d (hook ran on the wrong side of the operation)", st.name, got[0], want)
 		}
-		// The page the flush wrote is part of what a restore resets.
-		if st.after != current && m.Mem.Stats().PagesReset == reset {
-			t.Fatalf("%s: restore reset no page; the flush ran after it", st.name)
+		if st.kind != restore {
+			continue
+		}
+		if seen != before[0] {
+			t.Fatalf("%s: the discard hook saw stamp %d, not the %d memory held before the restore", st.name, seen, before[0])
+		}
+		// The discarded page is part of what a restore resets.
+		switch n := int(m.Mem.Stats().PagesReset - reset); {
+		case st.reset >= 0 && n != st.reset:
+			t.Fatalf("%s: restore reset %d pages, want %d (the discarded one)", st.name, n, st.reset)
+		case n == 0:
+			t.Fatalf("%s: restore reset no page", st.name)
 		}
 	}
 }
