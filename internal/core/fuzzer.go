@@ -85,7 +85,7 @@ const AggressiveRetreatThreshold = 50
 
 // QueueEntry is one interesting input.
 type QueueEntry struct {
-	ID int
+	ID int // the entry's index in the fuzzer's Queue
 	// Input is never written once queued (a trim replaces the pointer), so
 	// children, trim candidates and broker publications share its ops
 	// uncopied, as it shares its parent's payloads — see package spec.
@@ -100,7 +100,9 @@ type QueueEntry struct {
 	// Scheduler metadata (schedule.go): the virtual time of the execution
 	// that queued the entry, its serialized size, how many derivations it
 	// sits from a seed, how many rounds it has been scheduled, whether
-	// the lazy trim ran, and whether it is currently in the favored set.
+	// the lazy trim ran, and whether it was in the favored set as of the
+	// last pick (the cull runs only there, so a top-rated change since then
+	// shows at the next one).
 	ExecTime time.Duration
 	Size     int
 	Depth    int
@@ -115,6 +117,9 @@ type QueueEntry struct {
 	// instead of N per-worker ones. Set only by the broker (between
 	// rounds, single-threaded); sticky until the broker revokes it.
 	GloballyDominated bool
+	// favAt is one more than the top-rated edge the cull chose this entry
+	// at, or 0 while it holds no choice (cullQueue).
+	favAt uint32
 	// aggressive-policy state: how many packets from the end the next
 	// snapshot goes, and unproductive iterations at the current spot.
 	aggrBack   int
@@ -311,19 +316,18 @@ type Fuzzer struct {
 	lastSample time.Duration
 
 	// Scheduler state (schedule.go).
-	sched        Sched
-	topEdges     []uint32                      // every edge some entry covers, ascending (the cull's walk order)
-	topEntries   []*QueueEntry                 // parallel to topEdges: the cheapest entry covering that edge
-	cullCovered  [coverage.MapSize / 64]uint64 // cullQueue's covered-edge scratch bitset
-	scoreChanged bool                          // top-rated changed; cull before next pick
-	pendingNew   int                           // queue entries never picked yet (the frontier)
-	seedMeta     map[string]EntryMeta          // restored metadata by serialized input
-	curParent    *QueueEntry                   // entry being fuzzed (depth attribution)
-	lastExecTime time.Duration                 // full-run virtual cost of the latest execution
-	snapBaseTime time.Duration                 // cost of the run that created the held snapshot
-	trimTime     time.Duration                 // virtual time consumed by the lazy trim
-	execTimeSum  time.Duration                 // running sum of Queue ExecTimes (energy's O(1) average)
-	retrimmed    []Retrim                      // trims since the last DrainRetrimmed
+	sched            Sched
+	topRated         []topEdge            // every edge some entry covers, ascending, with its winner and cull state
+	cullDirty        [cullWords]uint64    // edges the next cull re-decides
+	dirtyLo, dirtyHi int                  // cullDirty words outside [dirtyLo, dirtyHi) are zero
+	pendingNew       int                  // queue entries never picked yet (the frontier)
+	seedMeta         map[string]EntryMeta // restored metadata by serialized input
+	curParent        *QueueEntry          // entry being fuzzed (depth attribution)
+	lastExecTime     time.Duration        // full-run virtual cost of the latest execution
+	snapBaseTime     time.Duration        // cost of the run that created the held snapshot
+	trimTime         time.Duration        // virtual time consumed by the lazy trim
+	execTimeSum      time.Duration        // running sum of Queue ExecTimes (energy's O(1) average)
+	retrimmed        []Retrim             // trims since the last DrainRetrimmed
 
 	// Power-schedule state (schedule.go).
 	power       Power
@@ -371,6 +375,7 @@ func New(agent Executor, s *spec.Spec, opts Options) *Fuzzer {
 		seeds:     seeds,
 		sched:     opts.Sched,
 		seedMeta:  seedMeta,
+		dirtyLo:   cullWords,
 		power:     opts.Power,
 		edgePicks: make(map[uint32]uint64),
 	}

@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"maps"
+	"math/bits"
 	"slices"
 	"time"
 
+	"repro/internal/coverage"
 	"repro/internal/guest"
 	"repro/internal/spec"
 )
@@ -17,8 +19,10 @@ import (
 // parts of it that matter for queue time going to the right inputs:
 //
 //   - a top-rated "favored" map: for every covered edge, the
-//     smallest/fastest entry exercising it, refreshed by a cull pass
-//     whenever the map changes (AFL's update_bitmap_score/cull_queue);
+//     smallest/fastest entry exercising it, and the favored set AFL's
+//     greedy cover walk picks from it (update_bitmap_score/cull_queue),
+//     brought up to date at each pick by re-deciding only the edges whose
+//     winner or cover changed since the last one;
 //   - frontier-first picking (no entry is fuzzed twice while another
 //     waits for its first round) and probabilistic skipping of
 //     non-favored entries once the frontier is drained;
@@ -176,9 +180,33 @@ const (
 	powerHorizonMaxBoost = 8
 )
 
+// topEdge is one row of the top-rated table: an edge some queued entry
+// covers, the cheapest entry covering it, and what the cull keeps of its
+// cover walk there (see cullQueue).
+type topEdge struct {
+	edge uint32
+	// cover counts the cover walk's choices at lower edges whose Cov holds
+	// this one (twice for a Cov that lists it twice, as a trace does past
+	// 256 hits), so it is 0 exactly when none does. Each lower edge makes at
+	// most one choice, which keeps it far inside 16 bits.
+	cover uint16
+	// top is the winner (AFL's top_rated entry for the edge) and fav is one
+	// more than the entry the walk chose here, or 0, both by index in Queue,
+	// which is an entry's ID. Indices keep the table free of pointers, so
+	// inserting a row is a plain memmove the garbage collector neither
+	// fences nor scans.
+	top, fav uint32
+}
+
+// cullWords is the length of the cull's dirty-edge bitset.
+const cullWords = coverage.MapSize / 64
+
 // updateTopRated competes e for every edge its recorded trace covers.
 // The winner per edge minimizes exec-time x size (AFL's fav_factor), i.e.
-// the cheapest way the campaign knows to reach that edge.
+// the cheapest way the campaign knows to reach that edge. A new edge or a
+// new winner is left for the next cull to re-decide. A new edge starts
+// with no cover, which is exact because every entry that could cover it
+// would have put it in the table when it was queued.
 func (f *Fuzzer) updateTopRated(e *QueueEntry) {
 	if f.sched == SchedRoundRobin {
 		return
@@ -188,21 +216,41 @@ func (f *Fuzzer) updateTopRated(e *QueueEntry) {
 		if h.Bucket == 0 {
 			continue
 		}
-		// Edges never leave the top-rated table, so it stays sorted by
-		// inserting each new one in place: the cull walks it in ascending
-		// edge order without collecting, sorting or looking anything up.
-		i, ok := slices.BinarySearch(f.topEdges, h.Index)
+		// Edges never leave the table, so it stays sorted by inserting each
+		// new one in place.
+		i, ok := f.findTop(h.Index)
 		switch {
 		case !ok:
-			f.topEdges = slices.Insert(f.topEdges, i, h.Index)
-			f.topEntries = slices.Insert(f.topEntries, i, e)
-		case favFactor(f.topEntries[i]) <= fav:
+			f.topRated = slices.Insert(f.topRated, i, topEdge{edge: h.Index, top: uint32(e.ID)})
+		case favFactor(f.Queue[f.topRated[i].top]) <= fav:
 			continue
 		default:
-			f.topEntries[i] = e
+			f.topRated[i].top = uint32(e.ID)
 		}
-		f.scoreChanged = true
+		f.markDirty(h.Index)
 	}
+}
+
+// findTop returns the row of edge in the top-rated table, or where it would
+// go and false.
+func (f *Fuzzer) findTop(edge uint32) (int, bool) {
+	t := f.topRated
+	lo, hi := 0, len(t)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); t[m].edge < edge {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(t) && t[lo].edge == edge
+}
+
+// markDirty leaves edge for the next cull to re-decide.
+func (f *Fuzzer) markDirty(edge uint32) {
+	w := int(edge >> 6)
+	f.cullDirty[w] |= 1 << (edge & 63)
+	f.dirtyLo, f.dirtyHi = min(f.dirtyLo, w), max(f.dirtyHi, w+1)
 }
 
 // favFactor is the quality score competed in the top-rated table: lower is
@@ -222,34 +270,84 @@ func favFactor(e *QueueEntry) int64 {
 // competitions rank entries identically.
 func (e *QueueEntry) FavFactor() int64 { return favFactor(e) }
 
-// cullQueue re-marks the favored subset after the top-rated table changed:
-// a greedy cover walk (in ascending edge order, so the pass is
-// deterministic) keeps the best entry for every yet-uncovered edge, exactly
-// AFL's cull_queue. It runs before every pick that follows a change, so it
-// allocates nothing: the walk order is topEdges and the covered set a
-// bitset owned by the fuzzer (Cov comes from a trace, so every index is
-// below coverage.MapSize).
+// cullQueue brings the favored subset up to date with the top-rated table.
+// The subset is what AFL's cull_queue picks: a greedy cover walk over the
+// edges in ascending order, where an edge no already-favored entry covers
+// makes its winner favored. Rather than walk every edge before every pick,
+// the table keeps the walk's result (topEdge.cover and fav, and each
+// entry's favAt), and the cull re-decides only the edges marked dirty since
+// the last pick, in ascending order: an edge wants its winner when its
+// cover is 0 and nothing otherwise, and a choice that changes moves the
+// cover of the chosen entry's higher edges, marking those that cross 0.
+// Everything that decides an edge lies below it, so one ascending sweep
+// leaves exactly the walk's result. It allocates nothing.
 func (f *Fuzzer) cullQueue() {
-	if f.sched == SchedRoundRobin || !f.scoreChanged {
+	for w := f.dirtyLo; w < f.dirtyHi; w++ {
+		// A repair only marks edges above the one it repairs, so re-reading
+		// the word and dirtyHi keeps the sweep ascending.
+		for f.cullDirty[w] != 0 {
+			b := bits.TrailingZeros64(f.cullDirty[w])
+			f.cullDirty[w] &^= 1 << b
+			f.recull(uint32(w<<6 | b))
+		}
+	}
+	f.dirtyLo, f.dirtyHi = cullWords, 0
+}
+
+// recull re-decides the cover walk's choice at one edge.
+func (f *Fuzzer) recull(edge uint32) {
+	i, _ := f.findTop(edge)
+	r := &f.topRated[i]
+	var want uint32 // in the form of fav
+	if r.cover == 0 {
+		want = r.top + 1
+	}
+	if r.fav == want {
 		return
 	}
-	f.scoreChanged = false
-	for _, e := range f.Queue {
-		e.Favored = false
+	if r.fav != 0 {
+		f.unchoose(f.Queue[r.fav-1])
 	}
-	covered := &f.cullCovered
-	clear(covered[:])
-	for i, idx := range f.topEdges {
-		if covered[idx>>6]&(1<<(idx&63)) != 0 {
+	if want != 0 {
+		e := f.Queue[want-1]
+		// An entry already chosen holds its choice at a higher edge: one at
+		// a lower edge would cover this one.
+		if e.favAt != 0 {
+			f.unchoose(e)
+		}
+		r.fav, e.favAt, e.Favored = want, edge+1, true
+		f.moveCover(e, edge, +1)
+	}
+}
+
+// unchoose withdraws e's choice.
+func (f *Fuzzer) unchoose(e *QueueEntry) {
+	at := e.favAt - 1
+	i, _ := f.findTop(at)
+	f.topRated[i].fav, e.favAt, e.Favored = 0, 0, false
+	f.moveCover(e, at, -1)
+}
+
+// moveCover adds d to the cover of every edge of e's Cov above at, marking
+// the edges whose cover crosses 0.
+func (f *Fuzzer) moveCover(e *QueueEntry, at uint32, d int) {
+	for _, h := range e.Cov {
+		if h.Bucket == 0 || h.Index <= at {
 			continue
 		}
-		e := f.topEntries[i]
-		e.Favored = true
-		for _, h := range e.Cov {
-			covered[h.Index>>6] |= 1 << (h.Index & 63)
+		i, _ := f.findTop(h.Index)
+		r := &f.topRated[i]
+		r.cover = uint16(int(r.cover) + d)
+		if r.cover == 0 || r.cover == 1 && d > 0 {
+			f.markDirty(h.Index)
 		}
 	}
 }
+
+// pickHook, when set, runs at every pick right after the cull (test
+// instrumentation: the cull's differential tests hold the favored set to a
+// full cover walk there).
+var pickHook func(*Fuzzer)
 
 // pickEntry selects the next queue entry. Round-robin rotates flatly. The
 // AFL scheduler walks the same rotation but (1) while never-picked entries
@@ -260,6 +358,9 @@ func (f *Fuzzer) cullQueue() {
 // terminates.
 func (f *Fuzzer) pickEntry() *QueueEntry {
 	f.cullQueue()
+	if pickHook != nil {
+		pickHook(f)
+	}
 	var e *QueueEntry
 	for tries := len(f.Queue); ; tries-- {
 		e = f.Queue[f.queueCur%len(f.Queue)]

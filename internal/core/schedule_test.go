@@ -209,8 +209,7 @@ func TestFavoredCullingCoversTopRated(t *testing.T) {
 	if len(f.Queue) < 4 {
 		t.Fatalf("queue too small (%d) to exercise culling", len(f.Queue))
 	}
-	f.scoreChanged = true
-	f.cullQueue()
+	f.cullQueue() // what the next pick sees
 
 	favored := 0
 	covered := make(map[uint32]bool)
@@ -228,9 +227,9 @@ func TestFavoredCullingCoversTopRated(t *testing.T) {
 	if favored == len(f.Queue) {
 		t.Fatalf("cull favored all %d entries — no pruning happened", favored)
 	}
-	for _, idx := range f.topEdges {
-		if !covered[idx] {
-			t.Fatalf("top-rated edge %d not covered by any favored entry", idx)
+	for _, r := range f.topRated {
+		if !covered[r.edge] {
+			t.Fatalf("top-rated edge %d not covered by any favored entry", r.edge)
 		}
 	}
 }
