@@ -635,20 +635,23 @@ func (c *Campaign) PerWorker() []WorkerStats {
 	return out
 }
 
-// PoolStats returns the snapshot-pool counters aggregated across workers
-// (sums; PeakBytes is the sum of per-worker peaks, since each worker's
-// budget is independent).
+// PoolStats returns the snapshot-pool counters aggregated across workers:
+// every field is the sum of the workers' (PeakBytes is the sum of per-worker
+// peaks, since each worker's budget is independent).
 func (c *Campaign) PoolStats() snappool.Stats {
 	var agg snappool.Stats
 	for _, w := range c.workers {
 		st := w.fz.PoolStats()
 		agg.Hits += st.Hits
 		agg.Misses += st.Misses
+		agg.DigestHits += st.DigestHits
 		agg.Evictions += st.Evictions
 		agg.Uncacheable += st.Uncacheable
 		agg.Bytes += st.Bytes
 		agg.PeakBytes += st.PeakBytes
 		agg.Slots += st.Slots
+		agg.LookupWall += st.LookupWall
+		agg.Lookups += st.Lookups
 	}
 	return agg
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -994,6 +995,50 @@ func TestCampaignSnapshotPool(t *testing.T) {
 	}
 	if c.RootExecs() == 0 || c.RootExecs() >= c.Execs() {
 		t.Fatalf("root-exec accounting wrong: %d of %d", c.RootExecs(), c.Execs())
+	}
+}
+
+// TestCampaignPoolStatsSumsEveryField holds Campaign.PoolStats to the sum of
+// its workers' pool counters, field by field through reflection, so a counter
+// added to snappool.Stats later cannot be left out of the sum silently.
+// PeakBytes is documented as the sum of the per-worker peaks.
+func TestCampaignPoolStatsSumsEveryField(t *testing.T) {
+	cfg := testCfg(2, 1)
+	cfg.Target = "bftpd"
+	cfg.SnapBudget = 4 << 20
+	c := run(t, cfg, 2*time.Second)
+	var digestHits uint64
+	var lookupWall time.Duration
+	for _, w := range c.workers {
+		digestHits += w.fz.PoolStats().DigestHits
+		lookupWall += w.fz.PoolStats().LookupWall
+	}
+	if digestHits == 0 || lookupWall == 0 {
+		t.Fatalf("workers counted %d digest hits and %v of lookups: the sum would prove nothing", digestHits, lookupWall)
+	}
+	got := reflect.ValueOf(c.PoolStats())
+	for i := 0; i < got.NumField(); i++ {
+		f := got.Type().Field(i)
+		switch f.Type.Kind() {
+		case reflect.Int, reflect.Int64:
+			var want int64
+			for _, w := range c.workers {
+				want += reflect.ValueOf(w.fz.PoolStats()).Field(i).Int()
+			}
+			if g := got.Field(i).Int(); g != want {
+				t.Errorf("PoolStats().%s = %d, want the workers' sum %d", f.Name, g, want)
+			}
+		case reflect.Uint64:
+			var want uint64
+			for _, w := range c.workers {
+				want += reflect.ValueOf(w.fz.PoolStats()).Field(i).Uint()
+			}
+			if g := got.Field(i).Uint(); g != want {
+				t.Errorf("PoolStats().%s = %d, want the workers' sum %d", f.Name, g, want)
+			}
+		default:
+			t.Errorf("snappool.Stats.%s is a %s, which this test cannot sum", f.Name, f.Type)
+		}
 	}
 }
 

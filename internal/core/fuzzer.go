@@ -282,9 +282,9 @@ type SlotExecutor interface {
 	DropSlot(slot int)
 	// SlotBytes returns the slot's guest-memory charge for the budget.
 	SlotBytes(slot int) int64
-	// SlotProfile returns the slot's write-set profile as an opaque value
-	// (nil when none) for the pool to stash across eviction/recreation;
-	// SeedSlotProfile warms a new slot with a stashed one.
+	// SlotProfile and SeedSlotProfile are never called: restores keep no
+	// write-set profile to stash. They are kept only because bench/'s
+	// executor decorator forwards them, and go when it stops.
 	SlotProfile(slot int) any
 	SeedSlotProfile(slot int, prof any)
 }
@@ -642,17 +642,8 @@ func (f *Fuzzer) ensurePoolSlot(entry *QueueEntry, base *spec.Input, snapAt, bud
 	if tail := len(base.Ops) - parentOps; tail > 0 {
 		prefixCost += runTime * time.Duration(snapAt-parentOps) / time.Duration(tail)
 	}
-	// A slot recreated for a prefix the pool has seen before inherits the
-	// write-set profile stashed when its predecessor was evicted, so its
-	// very first restore predicts hot pages instead of relearning them.
-	if prof := f.pool.WarmProfile(digest); prof != nil {
-		f.slotExec.SeedSlotProfile(newSlot, prof)
-	}
 	kept, evicted := f.pool.Insert(digest, newSlot, snapAt, f.slotExec.SlotBytes(newSlot), prefixCost)
 	for _, ev := range evicted {
-		if prof := f.slotExec.SlotProfile(ev.Slot); prof != nil {
-			f.pool.StashProfile(ev.Digest, prof)
-		}
 		f.slotExec.DropSlot(ev.Slot)
 	}
 	return newSlot, prefixCost, !kept, true, nil

@@ -8,6 +8,10 @@
 // a VM snapshot slot. Beside that fast structured mechanism each device
 // keeps the slow QEMU-style full serialize/deserialize reset, so the
 // ablation benchmarks can compare the two.
+//
+// The block device restores a snapshot by aliasing its frozen sector delta
+// and copying nothing; the first write to a restored sector shadows it in a
+// private layer (see BlockDevice).
 package device
 
 import (
@@ -21,19 +25,8 @@ import (
 // SectorSize is the block device sector size in bytes.
 const SectorSize = 512
 
-// Sector write-set profile tuning, mirroring the page-level predictor in
-// package mem: a frozen-delta sector becomes predicted-hot once its
-// saturating hit counter reaches sectorEagerThresh; counters cap at
-// sectorHitCap and halve every sectorDecayEvery loads of the owning
-// snapshot so stale predictions expire.
-const (
-	sectorHitCap      = 15
-	sectorEagerThresh = 2
-	sectorDecayEvery  = 64
-)
-
-// maxFreeSectors bounds the recycled sector-buffer stack shared by shadow
-// writes and eager materializations (32 KiB of 512 B sectors).
+// maxFreeSectors bounds the recycled sector-buffer stack shadow writes draw
+// from (32 KiB of 512 B sectors).
 const maxFreeSectors = 64
 
 // Device is the interface all emulated devices implement. The snapshot
@@ -111,46 +104,22 @@ type BlockDevice struct {
 	// DirtySectors can report |shared ∪ l1| without walking either map.
 	l1Shadowed int
 
-	// curSnap is the snapshot the current state derives from (nil
-	// outside a LoadSnapshot cycle). Writes that shadow its frozen delta
-	// feed its write-set profile.
-	curSnap *blockSnap
-
-	// eagerPending holds sectors materialized eagerly at the last
-	// LoadSnapshot and not yet written: written ones score as prediction
-	// hits (removed as the write lands), the rest as misses at the next
-	// cycle boundary.
-	eagerPending map[uint64]struct{}
-
-	// freeSectors recycles sector buffers harvested from the dirty layers
-	// at LoadSnapshot, so steady-state shadow writes and eager
-	// materializations allocate nothing. Bounded; see maxFreeSectors.
+	// freeSectors recycles sector buffers harvested from the dirty layer
+	// at LoadSnapshot, so steady-state shadow writes allocate nothing.
+	// Bounded; see maxFreeSectors.
 	freeSectors [][]byte
-
-	// DisableEagerCopy forces the pure-alias load path (profiles still
-	// record; only materialization is suppressed). Mirrors mem.
-	DisableEagerCopy bool
 
 	// WritesSinceRoot counts sector writes for cost accounting.
 	WritesSinceRoot uint64
-
-	// SectorsEagerCopied counts frozen-delta sectors materialized into l1
-	// at LoadSnapshot; SectorEagerHits / SectorEagerMisses grade those
-	// predictions (a miss is a materialized sector never written before
-	// the next cycle boundary).
-	SectorsEagerCopied uint64
-	SectorEagerHits    uint64
-	SectorEagerMisses  uint64
 }
 
 // NewBlockDevice creates a disk with nsectors sectors, all zero.
 func NewBlockDevice(name string, nsectors uint64) *BlockDevice {
 	return &BlockDevice{
-		name:         name,
-		nsectors:     nsectors,
-		base:         make(map[uint64][]byte),
-		l1:           make(map[uint64][]byte),
-		eagerPending: make(map[uint64]struct{}),
+		name:     name,
+		nsectors: nsectors,
+		base:     make(map[uint64][]byte),
+		l1:       make(map[uint64][]byte),
 	}
 }
 
@@ -194,19 +163,6 @@ func (d *BlockDevice) WriteSector(sn uint64, buf []byte) error {
 	if len(buf) != SectorSize {
 		return fmt.Errorf("device %s: bad buffer size %d", d.name, len(buf))
 	}
-	if len(d.eagerPending) > 0 {
-		if _, ok := d.eagerPending[sn]; ok {
-			// The predicted write landed: the sector is already private in
-			// l1, so this write shadows nothing and allocates nothing.
-			delete(d.eagerPending, sn)
-			d.SectorEagerHits++
-			if d.curSnap != nil {
-				// Reinforce: materialized sectors never reach the shadow
-				// branch below, so hits must feed the profile themselves.
-				d.curSnap.prof.record(sn)
-			}
-		}
-	}
 	s, ok := d.l1[sn]
 	if !ok {
 		if n := len(d.freeSectors); n > 0 {
@@ -218,12 +174,6 @@ func (d *BlockDevice) WriteSector(sn uint64, buf []byte) error {
 		d.l1[sn] = s
 		if _, shadowed := d.shared[sn]; shadowed {
 			d.l1Shadowed++
-			if d.curSnap != nil {
-				// The shadow write is the prediction signal: a frozen
-				// sector the guest rewrote anyway — the device analogue
-				// of a CoW page break.
-				d.curSnap.prof.record(sn)
-			}
 		}
 	}
 	copy(s, buf)
@@ -242,8 +192,6 @@ func (d *BlockDevice) TakeRoot() {
 	d.shared = nil
 	d.l1 = make(map[uint64][]byte)
 	d.l1Shadowed = 0
-	d.scoreEagerSectors()
-	d.curSnap = nil
 	d.WritesSinceRoot = 0
 }
 
@@ -255,8 +203,6 @@ func (d *BlockDevice) RestoreRoot() {
 	}
 	d.shared = nil
 	d.l1Shadowed = 0
-	d.scoreEagerSectors()
-	d.curSnap = nil
 	d.WritesSinceRoot = 0
 }
 
@@ -269,120 +215,15 @@ func (d *BlockDevice) DirtySectors() int {
 // blockSnap is a BlockDevice incremental snapshot: the flattened dirty delta
 // against the base image. The delta map and its sector buffers are frozen
 // at capture time — LoadSnapshot aliases them directly, so they must never
-// be mutated. The snapshot also carries its sector write-set profile (see
-// SectorProfile).
+// be mutated.
 type blockSnap struct {
 	delta  map[uint64][]byte
 	writes uint64
-	prof   SectorProfile
-}
-
-// SectorProfile is the sector-level write-set profile of one pooled disk
-// snapshot — the block-device analogue of mem.WriteProfile: which
-// frozen-delta sectors executions resumed from that snapshot tend to
-// rewrite. hot holds saturating per-sector hit counters; hotList mirrors
-// its keys in first-recorded order so the eager materialization pass (and
-// free-list exhaustion within it) is deterministic — map iteration order
-// never influences which sectors materialize. Invariant: a key is in hot
-// iff it is in hotList; miss-halving floors counters at zero in place, and
-// decay prunes the zeros from both.
-//
-// The type is opaque but exported so the snapshot pool can stash a slot's
-// sector profile at eviction under the same prefix-digest key as the page
-// profile (one stash entry covers both layers; see vm.SlotProfile) and
-// seed a recreated slot warm.
-type SectorProfile struct {
-	hot     map[uint64]uint8
-	hotList []uint64
-	loads   int
-}
-
-// record notes a shadow write (or a confirmed eager materialization) of
-// frozen sector sec.
-func (p *SectorProfile) record(sec uint64) {
-	if p.hot == nil {
-		p.hot = make(map[uint64]uint8)
-	}
-	c, ok := p.hot[sec]
-	if !ok {
-		p.hotList = append(p.hotList, sec)
-	}
-	if c < sectorHitCap {
-		p.hot[sec] = c + 1
-	}
-}
-
-// decay halves every counter and prunes the ones that reach zero,
-// traversing hotList so the surviving order stays deterministic.
-func (p *SectorProfile) decay() {
-	p.loads = 0
-	keep := p.hotList[:0]
-	for _, sec := range p.hotList {
-		if c := p.hot[sec] >> 1; c == 0 {
-			delete(p.hot, sec)
-		} else {
-			p.hot[sec] = c
-			keep = append(keep, sec)
-		}
-	}
-	p.hotList = keep
-}
-
-// Sectors returns the number of sectors the profile currently tracks.
-func (p *SectorProfile) Sectors() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.hot)
-}
-
-// clone returns an independent copy, or nil for an empty profile.
-func (p *SectorProfile) clone() *SectorProfile {
-	if p == nil || len(p.hot) == 0 {
-		return nil
-	}
-	cp := &SectorProfile{
-		hot:     make(map[uint64]uint8, len(p.hot)),
-		hotList: slices.Clone(p.hotList),
-	}
-	for sec, c := range p.hot {
-		cp.hot[sec] = c
-	}
-	return cp
-}
-
-// SnapshotSectorProfile extracts an independent copy of the sector
-// write-set profile carried by a pooled block-device snapshot, or nil for
-// other devices' snapshots or an empty profile. The snapshot pool stashes
-// it at slot eviction, keyed by the prefix digest.
-func SnapshotSectorProfile(s Snapshot) *SectorProfile {
-	sn, ok := s.(*blockSnap)
-	if !ok {
-		return nil
-	}
-	return sn.prof.clone()
-}
-
-// SeedSnapshotSectorProfile warms a freshly captured block-device snapshot
-// with a profile previously stashed by SnapshotSectorProfile. The profile
-// is copied; the caller's stays independent. Non-block snapshots and nil
-// or empty profiles are no-ops.
-func SeedSnapshotSectorProfile(s Snapshot, p *SectorProfile) {
-	sn, ok := s.(*blockSnap)
-	if !ok {
-		return
-	}
-	cp := p.clone()
-	if cp == nil {
-		return
-	}
-	cp.loads = sn.prof.loads
-	sn.prof = *cp
 }
 
 // harvest reclaims a dirty layer's sector buffers into the bounded free
-// stack before the layer is cleared, so the next cycle's materializations
-// and shadow writes reuse them instead of allocating.
+// stack before the layer is cleared, so the next cycle's shadow writes reuse
+// them instead of allocating.
 //
 //nyx:hotpath
 func (d *BlockDevice) harvest(layer map[uint64][]byte) {
@@ -395,29 +236,6 @@ func (d *BlockDevice) harvest(layer map[uint64][]byte) {
 		}
 		d.freeSectors = append(d.freeSectors, b)
 	}
-}
-
-// scoreEagerSectors charges every still-pending eager materialization as a
-// prediction miss (written ones already scored as hits in WriteSector) and
-// halves its counter, so mispredicted sectors fall back to the alias path.
-// Runs at every cycle boundary before a new delta is installed.
-//
-//nyx:hotpath
-func (d *BlockDevice) scoreEagerSectors() {
-	if len(d.eagerPending) == 0 {
-		return
-	}
-	// Per-key halving only: the map iteration order cannot influence the
-	// outcome (pruning happens later, in hotList order, at decay time).
-	for sec := range d.eagerPending {
-		d.SectorEagerMisses++
-		if d.curSnap != nil {
-			if c, ok := d.curSnap.prof.hot[sec]; ok {
-				d.curSnap.prof.hot[sec] = c >> 1
-			}
-		}
-	}
-	clear(d.eagerPending)
 }
 
 // SaveSnapshot implements Device: flatten the caching layers into one
@@ -439,19 +257,12 @@ func (d *BlockDevice) SaveSnapshot() Snapshot {
 // frozen shared layer — aliased, not copied — and the own dirty layer is
 // cleared, so a repeat restore costs O(sectors written since the previous
 // restore) instead of O(delta). Reads fall through shared to the untouched
-// base image; writes shadow the frozen delta in l1.
-//
-// Predicted-hot delta sectors (per the snapshot's write-set profile) are
-// materialized into l1 up front, in recycled buffers harvested from the
-// layers being cleared, so the shadow write that would otherwise follow
-// costs neither an allocation nor a shadow-count update. Each
-// materialization bumps l1Shadowed, so DirtySectors — and with it the
-// VM layer's per-restore device charge — is identical on both paths.
+// base image; writes shadow the frozen delta in l1, in buffers harvested from
+// the layer cleared here.
 //
 //nyx:hotpath
 func (d *BlockDevice) LoadSnapshot(s Snapshot) {
 	sn := s.(*blockSnap)
-	d.scoreEagerSectors()
 	d.shared = sn.delta
 	if len(d.l1) > 0 {
 		d.harvest(d.l1)
@@ -459,33 +270,6 @@ func (d *BlockDevice) LoadSnapshot(s Snapshot) {
 	}
 	d.l1Shadowed = 0
 	d.WritesSinceRoot = sn.writes
-	d.curSnap = sn
-	if sn.prof.loads++; sn.prof.loads >= sectorDecayEvery {
-		sn.prof.decay()
-	}
-	if d.DisableEagerCopy || len(sn.prof.hotList) == 0 {
-		return
-	}
-	for _, sec := range sn.prof.hotList {
-		if sn.prof.hot[sec] < sectorEagerThresh {
-			continue
-		}
-		src, ok := sn.delta[sec]
-		if !ok {
-			continue // prediction outlived the delta
-		}
-		n := len(d.freeSectors)
-		if n == 0 {
-			break // alias path covers the rest; deterministic (hotList order)
-		}
-		buf := d.freeSectors[n-1]
-		d.freeSectors = d.freeSectors[:n-1]
-		copy(buf, src)
-		d.l1[sec] = buf
-		d.l1Shadowed++
-		d.eagerPending[sec] = struct{}{}
-		d.SectorsEagerCopied++
-	}
 }
 
 type blockState struct {
@@ -523,11 +307,6 @@ func (d *BlockDevice) LoadState(b []byte) error {
 	d.shared = nil
 	d.l1 = make(map[uint64][]byte)
 	d.l1Shadowed = 0
-	d.scoreEagerSectors()
-	d.curSnap = nil
-	if d.eagerPending == nil {
-		d.eagerPending = make(map[uint64]struct{})
-	}
 	return nil
 }
 

@@ -479,76 +479,6 @@ func TestSetSaveLoadAll(t *testing.T) {
 	}
 }
 
-// TestBlockEagerMaterializationIdentity: a device with eager sector
-// materialization must end every load→write cycle in a state
-// indistinguishable (content and DirtySectors accounting) from a twin
-// forced onto the pure shadow-on-write path.
-func TestBlockEagerMaterializationIdentity(t *testing.T) {
-	run := func(disable bool) *BlockDevice {
-		d := NewBlockDevice("disk0", 32)
-		d.DisableEagerCopy = disable
-		d.TakeRoot()
-		d.WriteSector(3, sector(0x11))
-		d.WriteSector(4, sector(0x22))
-		snap := d.SaveSnapshot()
-		for cycle := 0; cycle < 6; cycle++ {
-			d.LoadSnapshot(snap)
-			d.WriteSector(3, sector(byte(0x30+cycle)))
-		}
-		d.LoadSnapshot(snap)
-		return d
-	}
-	eager, alias := run(false), run(true)
-	for sec := uint64(0); sec < 32; sec++ {
-		if !bytes.Equal(readSector(t, eager, sec), readSector(t, alias, sec)) {
-			t.Fatalf("sector %d diverged between eager and alias paths", sec)
-		}
-	}
-	if e, a := eager.DirtySectors(), alias.DirtySectors(); e != a {
-		t.Fatalf("DirtySectors diverged: eager %d, alias %d", e, a)
-	}
-	if eager.SectorsEagerCopied == 0 {
-		t.Fatal("profiled device should have materialized hot sectors")
-	}
-	if alias.SectorsEagerCopied != 0 {
-		t.Fatal("disabled device must never materialize")
-	}
-}
-
-// TestBlockEagerSectorScoring: materialized sectors that get written grade
-// as hits; ones left untouched before the next load grade as misses and
-// decay the counter until materialization stops.
-func TestBlockEagerSectorScoring(t *testing.T) {
-	d := NewBlockDevice("disk0", 16)
-	d.TakeRoot()
-	d.WriteSector(1, sector(0x11))
-	snap := d.SaveSnapshot()
-	for i := 0; i < 4; i++ {
-		d.LoadSnapshot(snap)
-		d.WriteSector(1, sector(byte(0x20+i)))
-	}
-	if d.SectorsEagerCopied == 0 || d.SectorEagerHits == 0 {
-		t.Fatalf("training should materialize and score hits (copied=%d hits=%d)",
-			d.SectorsEagerCopied, d.SectorEagerHits)
-	}
-	hits := d.SectorEagerHits
-	copied := d.SectorsEagerCopied
-	for i := 0; i < 4; i++ {
-		d.LoadSnapshot(snap)
-	}
-	if d.SectorEagerMisses == 0 {
-		t.Fatal("unwritten materializations should have scored misses")
-	}
-	if d.SectorEagerHits != hits {
-		t.Fatal("no writes happened; hit count must not move")
-	}
-	// Miss-halving drops the counter below the threshold: the last loads
-	// must not keep materializing.
-	if d.SectorsEagerCopied >= copied+4 {
-		t.Fatalf("mispredicted sector kept materializing (%d -> %d)", copied, d.SectorsEagerCopied)
-	}
-}
-
 // Reloading the same pooled serial snapshot back-to-back takes the in-place
 // truncate fast path; it must be byte-identical to the copying path, and
 // any truncating operation in between must disable it.
@@ -589,61 +519,4 @@ func TestSerialSnapshotTruncateFastPath(t *testing.T) {
 	if string(s.Log) != "boot+prefix" {
 		t.Fatalf("reload after root: log = %q", s.Log)
 	}
-}
-
-// TestSectorProfileStashRoundTrip: the profile trained on one snapshot can
-// be extracted, survives the snapshot being discarded, and seeds a fresh
-// capture of the same state warm — the first load of the seeded snapshot
-// materializes immediately instead of re-training from scratch.
-func TestSectorProfileStashRoundTrip(t *testing.T) {
-	d := NewBlockDevice("disk0", 32)
-	d.TakeRoot()
-	d.WriteSector(5, sector(0x11))
-	d.WriteSector(6, sector(0x22))
-	snap := d.SaveSnapshot()
-	if SnapshotSectorProfile(snap) != nil {
-		t.Fatal("untrained snapshot should have no profile worth stashing")
-	}
-	// Train: rewriting frozen sector 5 after each load marks it hot.
-	for i := 0; i < 4; i++ {
-		d.LoadSnapshot(snap)
-		d.WriteSector(5, sector(byte(0x30+i)))
-	}
-	stash := SnapshotSectorProfile(snap)
-	if stash.Sectors() == 0 {
-		t.Fatal("training left no profile to stash")
-	}
-	// The stash is independent: decaying it to empty must not disturb the
-	// original snapshot's predictions.
-	before := SnapshotSectorProfile(snap).Sectors()
-	for i := 0; i < 8; i++ {
-		SnapshotSectorProfile(snap) // clones; snap untouched
-	}
-	if got := SnapshotSectorProfile(snap).Sectors(); got != before {
-		t.Fatalf("extraction mutated the source profile: %d -> %d", before, got)
-	}
-
-	// Fresh capture of the same state (the recreated-slot path): seeding it
-	// from the stash makes its very first load materialize.
-	d2 := NewBlockDevice("disk0", 32)
-	d2.TakeRoot()
-	d2.WriteSector(5, sector(0x11))
-	d2.WriteSector(6, sector(0x22))
-	cold := d2.SaveSnapshot()
-	SeedSnapshotSectorProfile(cold, stash)
-	// Prime the free list (materialization only draws recycled buffers).
-	d2.LoadSnapshot(cold)
-	d2.WriteSector(7, sector(0x44))
-	copied := d2.SectorsEagerCopied
-	d2.LoadSnapshot(cold)
-	if d2.SectorsEagerCopied <= copied {
-		t.Fatal("seeded snapshot did not materialize on load — the stashed profile was lost")
-	}
-
-	// Foreign snapshots are ignored on both paths.
-	if SnapshotSectorProfile("not a block snapshot") != nil {
-		t.Fatal("foreign snapshot produced a profile")
-	}
-	SeedSnapshotSectorProfile("not a block snapshot", stash)
-	SeedSnapshotSectorProfile(cold, nil)
 }

@@ -15,31 +15,27 @@ const snapshotPoolFile = "testdata/snappool_ablation.json"
 // full-prefix re-executions behind them, what the restores did to memory and
 // disk, and, on pool cells, the pool's lookups.
 type snapshotPoolCell struct {
-	Target             string `json:"target"`
-	Config             string `json:"config"`
-	VirtNS             int64  `json:"virt_ns"`
-	Edges              int    `json:"edges"`
-	Execs              uint64 `json:"execs"`
-	Restores           uint64 `json:"restores"`
-	FullPrefixReexecs  uint64 `json:"full_prefix_reexecs"`
-	PagesReset         uint64 `json:"pages_reset"`
-	PagesCoWBroken     uint64 `json:"pages_cow_broken"`
-	PagesEagerCopied   uint64 `json:"pages_eager_copied"`
-	EagerHits          uint64 `json:"eager_hits"`
-	EagerMisses        uint64 `json:"eager_misses"`
-	SectorsEagerCopied uint64 `json:"sectors_eager_copied"`
-	Lookups            uint64 `json:"lookups,omitempty"`
-	PoolHits           uint64 `json:"pool_hits,omitempty"`
-	PoolMisses         uint64 `json:"pool_misses,omitempty"`
-	DigestHits         uint64 `json:"digest_hits,omitempty"`
+	Target            string `json:"target"`
+	Config            string `json:"config"`
+	VirtNS            int64  `json:"virt_ns"`
+	Edges             int    `json:"edges"`
+	Execs             uint64 `json:"execs"`
+	Restores          uint64 `json:"restores"`
+	FullPrefixReexecs uint64 `json:"full_prefix_reexecs"`
+	PagesReset        uint64 `json:"pages_reset"`
+	PagesCoWBroken    uint64 `json:"pages_cow_broken"`
+	Lookups           uint64 `json:"lookups,omitempty"`
+	PoolHits          uint64 `json:"pool_hits,omitempty"`
+	PoolMisses        uint64 `json:"pool_misses,omitempty"`
+	DigestHits        uint64 `json:"digest_hits,omitempty"`
 }
 
 // TestSnapshotPoolAblationMatchesRecorded pins every counted column of the
 // snapshot-pool ablation's aggressive cells: tinydtls and dnsmasq, each with
 // an 8 MiB pool and with a single slot, 10 virtual seconds at seed 1, run by
 // the runner AblationSnapshotPool uses. The counts are exact: a restore path
-// that breaks more CoW pages, a write-set predictor that copies more or hits
-// less, or a pool that looks up, hits or hashes differently changes a column.
+// that resets or breaks more CoW pages, or a pool that looks up, hits or
+// hashes differently changes a column.
 // What those paths cost in wall-clock time is the repo benchmark's per-layer
 // output (bench/), not this test's.
 //
@@ -51,7 +47,11 @@ type snapshotPoolCell struct {
 // now charges the pages that write dirtied without making it): only
 // pages_cow_broken, pages_eager_copied, eager_hits and eager_misses moved, as
 // the page nothing writes any more stopped being copied eagerly; every other
-// column is byte-identical. Re-record with NYX_UPDATE_GOLDEN=1 only under the
+// column is byte-identical. Re-recorded a second time when restores stopped
+// copying predicted-hot pages up front and began aliasing every page: the
+// four eager columns were dropped, and pages_cow_broken became its old value
+// plus the old eager_hits (each page an eager copy used to serve is now a CoW
+// break); every other column is byte-identical. Re-record with NYX_UPDATE_GOLDEN=1 only under the
 // rule of the other recordings: at a tree whose behavioural difference from a
 // passing tree is the one change being blessed; for anything else that
 // diverges, fix the code.
@@ -76,19 +76,15 @@ func TestSnapshotPoolAblationMatchesRecorded(t *testing.T) {
 			}
 			ms := inst.M.Stats()
 			g := snapshotPoolCell{
-				Target:             c.target,
-				Config:             c.config,
-				VirtNS:             f.Elapsed().Nanoseconds(),
-				Edges:              f.Coverage(),
-				Execs:              f.Execs(),
-				Restores:           ms.RootRestores + ms.IncRestores,
-				FullPrefixReexecs:  f.FullPrefixReexecs(),
-				PagesReset:         inst.M.Mem.Stats().PagesReset,
-				PagesCoWBroken:     ms.PagesCoWBroken,
-				PagesEagerCopied:   ms.PagesEagerCopied,
-				EagerHits:          ms.EagerHits,
-				EagerMisses:        ms.EagerMisses,
-				SectorsEagerCopied: ms.SectorsEagerCopied,
+				Target:            c.target,
+				Config:            c.config,
+				VirtNS:            f.Elapsed().Nanoseconds(),
+				Edges:             f.Coverage(),
+				Execs:             f.Execs(),
+				Restores:          ms.RootRestores + ms.IncRestores,
+				FullPrefixReexecs: f.FullPrefixReexecs(),
+				PagesReset:        inst.M.Mem.Stats().PagesReset,
+				PagesCoWBroken:    ms.PagesCoWBroken,
 			}
 			if f.PoolEnabled() {
 				ps := f.PoolStats()

@@ -17,6 +17,12 @@
 // the same mechanism with one id, retaken from root-derived state each
 // round: the slot's buffers are reused across takes and its overlay is
 // re-mirrored (cleared) every ReMirrorInterval creations.
+//
+// A restore has one path: it points every page it resets at the frozen
+// snapshot content as a copy-on-write alias and copies nothing; the first
+// write to a restored page copies it out (Stats.PagesCoWBroken). What a
+// restore reports, and the VM layer charges, is the number of pages reset,
+// which the aliasing never changes.
 package mem
 
 import (
@@ -57,9 +63,6 @@ type snapSlot struct {
 	// sinceMirror counts creations into this slot since its overlay was
 	// last cleared (the re-mirror bookkeeping, §4.2).
 	sinceMirror int
-	// prof is the slot's write-set profile: which pages executions resumed
-	// from this slot tend to write (see WriteProfile).
-	prof WriteProfile
 }
 
 // zeroPage is the shared all-zero page restored pages alias when their
@@ -71,80 +74,9 @@ var zeroPage = make([]byte, PageSize)
 // enough to cover any realistic per-round hot set, small enough that a
 // pathological burst of displaced pages cannot pin the heap. The stack is
 // shared by every private-buffer producer and consumer on the restore
-// cycle — CoW breaks draw from it, displaced buffers retire into it, and
-// eager copies recycle through it — so the steady state allocates nothing.
+// cycle — CoW breaks draw from it and displaced buffers retire into it — so
+// the steady state allocates nothing.
 const maxFreePages = 64
-
-// Write-set profile tuning. A page becomes predicted-hot once its
-// saturating hit counter reaches eagerThreshold; counters cap at
-// profileHitCap and are halved every profileDecayEvery restores of the
-// owning derivation so stale predictions expire even when their pages stop
-// appearing in the reset set.
-const (
-	profileHitCap     = 15
-	eagerThreshold    = 2
-	profileDecayEvery = 64
-)
-
-// WriteProfile is the write-set profile of one snapshot derivation: a
-// compact per-page saturating hit counter recording which pages were
-// CoW-broken (written) after restores of that derivation. The restore path
-// consults it to eagerly copy predicted-hot pages into recycled private
-// buffers instead of installing aliases that the very next execution would
-// break anyway — moving the unavoidable copy off the guest's write path
-// and into the batched restore pass. The type is opaque but exported so
-// the snapshot pool can stash a slot's profile at eviction (keyed by
-// prefix digest) and seed a recreated slot warm.
-type WriteProfile struct {
-	hot      map[uint32]uint8
-	restores int
-}
-
-// record notes a post-restore write (a CoW break) to page pn — the signal
-// the next restore's eager-copy prediction feeds on.
-func (p *WriteProfile) record(pn uint32) {
-	if p.hot == nil {
-		p.hot = make(map[uint32]uint8)
-	}
-	if c := p.hot[pn]; c < profileHitCap {
-		p.hot[pn] = c + 1
-	}
-}
-
-// decay halves every counter and drops the ones that reach zero, so pages
-// that stopped being written expire from the prediction within a bounded
-// number of restores. (Per-key updates only: map iteration order cannot
-// influence the outcome.)
-func (p *WriteProfile) decay() {
-	p.restores = 0
-	for pn, c := range p.hot {
-		if c >>= 1; c == 0 {
-			delete(p.hot, pn)
-		} else {
-			p.hot[pn] = c
-		}
-	}
-}
-
-// Pages returns the number of pages the profile currently tracks.
-func (p *WriteProfile) Pages() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.hot)
-}
-
-// clone returns an independent copy, or nil for an empty profile.
-func (p *WriteProfile) clone() *WriteProfile {
-	if p == nil || len(p.hot) == 0 {
-		return nil
-	}
-	cp := &WriteProfile{hot: make(map[uint32]uint8, len(p.hot))}
-	for pn, c := range p.hot {
-		cp.hot[pn] = c
-	}
-	return cp
-}
 
 // Memory models the physical memory of a guest VM.
 //
@@ -167,22 +99,6 @@ type Memory struct {
 	// cycle (reset a hot page, CoW-break it next round) reuses buffers
 	// instead of allocating 4 KiB per break. Bounded; see maxFreePages.
 	freePages [][]byte
-
-	// rootProf profiles post-restore writes of root-derived state; each
-	// slot carries its own profile (snapSlot.prof).
-	rootProf WriteProfile
-
-	// eagerPages and eagerProf record the previous restore's eager copies
-	// and the profile that predicted them, so the next snapshot point can
-	// grade the predictions (scoreEager) before dirty tracking resets.
-	eagerPages []uint32
-	eagerProf  *WriteProfile
-
-	// DisableEagerCopy forces the pure-alias restore path. Profiles still
-	// record CoW breaks; only the eager-copy consumption is suppressed.
-	// Used by tests and ablations to prove the two paths produce
-	// byte-identical state and identical virtual-time charges.
-	DisableEagerCopy bool
 
 	// Dirty tracking since the last snapshot point (root restore,
 	// incremental create, or incremental restore).
@@ -234,16 +150,6 @@ type Stats struct {
 	// zero-copy restore aliasing — the true per-restore-cycle copy cost,
 	// which the restore path itself no longer pays.
 	PagesCoWBroken uint64
-	// PagesEagerCopied counts pages the profiled restore copied into
-	// private buffers up front (predicted hot) instead of aliasing — each
-	// one trades a CoW break on the guest's write path for a copy inside
-	// the batched restore pass.
-	PagesEagerCopied uint64
-	// EagerHits and EagerMisses grade the predictions: a hit is an eagerly
-	// copied page that was indeed written before the next snapshot point;
-	// a miss is one that was not (that copy was wasted).
-	EagerHits   uint64
-	EagerMisses uint64
 }
 
 // New returns a Memory of npages pages (npages*PageSize bytes).
@@ -301,9 +207,6 @@ func (m *Memory) page(pn uint32) []byte {
 		m.pages[pn] = cp
 		m.cow[pn] = false
 		m.stats.PagesCoWBroken++
-		// The break is the prediction signal: this page, restored by alias,
-		// was written anyway — next restore should consider copying it.
-		m.activeProfile().record(pn)
 		return cp
 	}
 	return p
@@ -413,14 +316,10 @@ func (m *Memory) WriteAt(p []byte, off int64) (int, error) {
 // Discard marks the pages of [off, off+n) dirty without writing them: the
 // pages a write the caller skipped would have dirtied, so that the restore
 // which must follow resets them and counts them in PagesReset exactly as if
-// the write had happened. It grades the last restore's eager copies first
-// (scoreEager), so an eagerly copied page that nothing wrote grades as a miss
-// and drifts back to the alias path. The range must lie within memory, and
-// n > 0.
+// the write had happened. The range must lie within memory, and n > 0.
 //
 //nyx:hotpath
 func (m *Memory) Discard(off int64, n int) {
-	m.scoreEager()
 	last := uint32((off + int64(n) - 1) >> PageShift)
 	for pn := uint32(off >> PageShift); pn <= last; pn++ {
 		m.markDirty(pn)
@@ -440,7 +339,6 @@ func (m *Memory) clearDirty() {
 // as creating a root snapshot is allowed to be expensive (§4.2). Dirty
 // tracking restarts from this point.
 func (m *Memory) TakeRoot() {
-	m.scoreEager()
 	root := make([][]byte, m.npages)
 	for i := range m.pages {
 		if p := m.readPage(uint32(i)); p != nil {
@@ -455,7 +353,6 @@ func (m *Memory) TakeRoot() {
 	m.slots = make(map[int]*snapSlot)
 	m.active = -1
 	m.activeRef = nil
-	m.rootProf = WriteProfile{} // new root, new workload: predictions reset
 	m.clearDirty()
 }
 
@@ -505,116 +402,30 @@ func (m *Memory) snapshotPageFor(pn uint32) []byte {
 	return m.rootPage(pn)
 }
 
-// activeProfile returns the write-set profile of the derivation the current
-// state runs under: the active slot's, or the root profile.
-//
-//nyx:hotpath
-func (m *Memory) activeProfile() *WriteProfile {
-	if s := m.activeRef; s != nil {
-		return &s.prof
-	}
-	return &m.rootProf
-}
-
-// eagerCopy restores page pn by copying src into a private buffer instead
-// of aliasing it, so the predicted write that follows costs nothing extra.
-// It never allocates: the page's existing private buffer is reused in
-// place, or one is popped from the free list; with neither available it
-// reports false and the caller falls back to the alias path.
-//
-//nyx:hotpath
-func (m *Memory) eagerCopy(pn uint32, src []byte) bool {
-	buf := m.pages[pn]
-	if buf == nil || m.cow[pn] {
-		n := len(m.freePages)
-		if n == 0 {
-			return false
-		}
-		buf = m.freePages[n-1]
-		m.freePages = m.freePages[:n-1]
-		m.pages[pn] = buf
-	}
-	copyInto(buf, src)
-	m.cow[pn] = false
-	m.stats.PagesEagerCopied++
-	return true
-}
-
-// scoreEager grades the previous restore's eager copies against the writes
-// observed since: a predicted-hot page that was indeed written is a hit
-// (its counter is reinforced, since the write no longer CoW-breaks and so
-// no longer feeds the profile by itself); one that was not written is a
-// miss, and its counter halves so mispredictions decay back to the alias
-// path. Must run at every snapshot point before dirty tracking is extended
-// or cleared — the grading reads the dirty bitmap as left by the guest.
-//
-//nyx:hotpath
-func (m *Memory) scoreEager() {
-	prof := m.eagerProf
-	if prof == nil {
-		return
-	}
-	for _, pn := range m.eagerPages {
-		if m.dirtyBitmap[pn] != 0 {
-			m.stats.EagerHits++
-			if c := prof.hot[pn]; c < profileHitCap {
-				prof.hot[pn] = c + 1
-			}
-		} else {
-			m.stats.EagerMisses++
-			if c := prof.hot[pn] >> 1; c == 0 {
-				delete(prof.hot, pn)
-			} else {
-				prof.hot[pn] = c
-			}
-		}
-	}
-	m.eagerPages = m.eagerPages[:0]
-	m.eagerProf = nil
-}
-
 // restoreDirty resets every dirty page to the active snapshot content using
-// the configured strategy, then clears dirty tracking.
-//
-// The stack strategy is the batched, write-set-profiled path: the active
-// derivation's overlay and profile are resolved once (instead of a map
-// lookup per page), predicted-hot pages are eagerly copied into recycled
-// private buffers, and the cold tail gets aliases installed in the same
-// pass. Eagerly copied pages count as reset exactly like aliased ones, so
-// the VM layer's virtual-time charge — and with it every coverage and
-// clock column — is identical on both paths.
+// the configured strategy, then clears dirty tracking. Every reset installs a
+// copy-on-write alias (resetPage); the first write to a restored page copies
+// it out (page). The stack strategy resolves the active derivation's overlay
+// once instead of looking the slot up per page.
 //
 //nyx:hotpath
 func (m *Memory) restoreDirty() {
 	switch m.Strategy {
 	case RestoreStack:
 		var overlay map[uint32][]byte
-		prof := &m.rootProf
 		if s := m.activeRef; s != nil {
 			overlay = s.pages
-			prof = &s.prof
 		}
-		if prof.restores++; prof.restores >= profileDecayEvery {
-			prof.decay()
-		}
-		eager := !m.DisableEagerCopy && len(prof.hot) > 0
 		for _, pn := range m.dirtyStack {
 			src := overlay[pn]
 			if src == nil {
 				src = m.root[pn]
 			}
-			if eager && prof.hot[pn] >= eagerThreshold && m.eagerCopy(pn, src) {
-				m.eagerPages = append(m.eagerPages, pn)
-			} else {
-				m.resetPage(pn, src)
-			}
+			m.resetPage(pn, src)
 			m.dirtyBitmap[pn] = 0
 			m.stats.PagesReset++
 		}
 		m.dirtyStack = m.dirtyStack[:0]
-		if len(m.eagerPages) > 0 {
-			m.eagerProf = prof
-		}
 	case RestoreBitmapWalk:
 		for pn := 0; pn < m.npages; pn++ {
 			if m.dirtyBitmap[pn] != 0 {
@@ -640,7 +451,6 @@ func (m *Memory) RestoreRoot() error {
 	if !m.hasRoot {
 		return ErrNoRootSnapshot
 	}
-	m.scoreEager()
 	if m.active >= 0 {
 		// Pages the active slot overlaid (and that were not re-dirtied,
 		// which restoreDirty handles below) would otherwise keep slot
@@ -723,7 +533,6 @@ func (m *Memory) TakeIncrementalSlot(id int) (int, error) {
 	if !m.hasRoot {
 		return 0, ErrNoRootSnapshot
 	}
-	m.scoreEager()
 	s := m.slot(id)
 	copied := int(m.stats.PagesCopied)
 	if m.active != id {
@@ -803,7 +612,6 @@ func (m *Memory) RestoreIncrementalSlot(id int) (int, error) {
 	if s == nil {
 		return 0, ErrNoIncrementalSnapshot
 	}
-	m.scoreEager()
 	before := m.stats.PagesReset
 	if m.active != id {
 		// Union of the pages that can differ between the current state
@@ -836,7 +644,6 @@ func (m *Memory) DropSlot(id int) {
 	if s == nil {
 		return
 	}
-	m.scoreEager()
 	if m.active == id {
 		m.active = -1
 		m.activeRef = nil
@@ -845,34 +652,6 @@ func (m *Memory) DropSlot(id int) {
 		}
 	}
 	delete(m.slots, id)
-}
-
-// SlotProfile returns an independent copy of slot id's write-set profile,
-// or nil when the slot has none worth keeping. The snapshot pool stashes
-// it at eviction, keyed by the prefix digest, so a recreated slot for the
-// same prefix can start with warm predictions.
-func (m *Memory) SlotProfile(id int) *WriteProfile {
-	s := m.slots[id]
-	if s == nil {
-		return nil
-	}
-	return s.prof.clone()
-}
-
-// SeedSlotProfile warms slot id's write-set profile with one previously
-// stashed by SlotProfile. The profile is copied; the caller's stays
-// independent. A nil or empty profile is a no-op.
-func (m *Memory) SeedSlotProfile(id int, p *WriteProfile) {
-	s := m.slots[id]
-	if s == nil {
-		return
-	}
-	cp := p.clone()
-	if cp == nil {
-		return
-	}
-	cp.restores = s.prof.restores
-	s.prof = *cp
 }
 
 // SlotBytes returns the heap bytes slot id's overlay holds (the charge the

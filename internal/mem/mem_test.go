@@ -2,7 +2,6 @@ package mem
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -797,195 +796,13 @@ func TestSlotRestoreCoWInvariants(t *testing.T) {
 	if m.Stats().PagesCoWBroken == 0 {
 		t.Fatal("writes through restored pages should have broken CoW aliases")
 	}
-	// Three identical cycles are enough for the write-set profile to cross
-	// the eager threshold: the later restores must have copied the hot
-	// pages eagerly — and, per the assertions above, without changing a
-	// single restored byte.
-	if m.Stats().PagesEagerCopied == 0 {
-		t.Fatal("repeated restore→write cycles should have engaged eager copying")
-	}
-}
-
-// TestProfiledRestoreMatchesPureAlias drives identical randomized workloads
-// through a profiled Memory and a pure-alias twin (DisableEagerCopy): after
-// every restore the two must hold byte-identical images and have reset the
-// same number of pages — the eager/alias split is an implementation detail
-// that may never leak into state content or restore charges.
-func TestProfiledRestoreMatchesPureAlias(t *testing.T) {
-	const npages = 32
-	f := func(seed int64) bool {
-		me := New(npages) // eager path
-		ma := New(npages) // pure-alias twin
-		ma.DisableEagerCopy = true
-		both := func(op func(m *Memory) error) bool {
-			if err := op(me); err != nil {
-				t.Logf("eager: %v", err)
-				return false
-			}
-			if err := op(ma); err != nil {
-				t.Logf("alias: %v", err)
-				return false
-			}
-			return true
-		}
-		identical := func() bool {
-			ie := make([]byte, me.Size())
-			ia := make([]byte, ma.Size())
-			me.ReadAt(ie, 0)
-			ma.ReadAt(ia, 0)
-			if !bytes.Equal(ie, ia) {
-				return false
-			}
-			return me.Stats().PagesReset == ma.Stats().PagesReset
-		}
-		rng := rand.New(rand.NewSource(seed))
-		me.TakeRoot()
-		ma.TakeRoot()
-		slots := 0
-		for step := 0; step < 120; step++ {
-			switch rng.Intn(4) {
-			case 0: // write (same bytes to both)
-				buf := make([]byte, 64+rng.Intn(256))
-				rng.Read(buf)
-				off := int64(rng.Intn(npages*PageSize - len(buf)))
-				if !both(func(m *Memory) error { _, err := m.WriteAt(buf, off); return err }) {
-					return false
-				}
-			case 1: // take a slot
-				slots++
-				id := slots
-				if !both(func(m *Memory) error { _, err := m.TakeIncrementalSlot(id); return err }) {
-					return false
-				}
-			case 2: // restore a random held slot
-				if slots == 0 {
-					continue
-				}
-				id := 1 + rng.Intn(slots)
-				if !both(func(m *Memory) error { _, err := m.RestoreIncrementalSlot(id); return err }) {
-					return false
-				}
-				if !identical() {
-					t.Logf("seed %d step %d: slot %d restore diverged", seed, step, id)
-					return false
-				}
-			case 3: // root restore
-				if !both(func(m *Memory) error { return m.RestoreRoot() }) {
-					return false
-				}
-				if !identical() {
-					t.Logf("seed %d step %d: root restore diverged", seed, step)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestProfiledRestoreDeterministic pins the predictor itself: two Memories
-// driven by identically seeded workloads must make identical eager-copy
-// decisions (the campaign-determinism contract — profiles may never inject
-// map-order or timing nondeterminism into restore behaviour).
-func TestProfiledRestoreDeterministic(t *testing.T) {
-	run := func(seed int64) Stats {
-		const npages = 32
-		rng := rand.New(rand.NewSource(seed))
-		m := New(npages)
-		// Non-zero root content on every page, so restores install real
-		// aliases (a page reset to nil content can never CoW-break, and so
-		// never trains the profile).
-		for p := 0; p < npages; p++ {
-			m.TouchPage(uint32(p))[0] = 0x01
-		}
-		m.TakeRoot()
-		for cycle := 0; cycle < 50; cycle++ {
-			buf := make([]byte, 64)
-			rng.Read(buf)
-			m.WriteAt(buf, int64(rng.Intn(npages-1))*PageSize)
-			if cycle == 0 {
-				if _, err := m.TakeIncrementalSlot(1); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			if _, err := m.RestoreIncrementalSlot(1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return m.Stats()
-	}
-	a, b := run(7), run(7)
-	if a != b {
-		t.Fatalf("identically seeded runs diverged:\n%+v\n%+v", a, b)
-	}
-	if a.PagesEagerCopied == 0 {
-		t.Fatal("workload should have engaged eager copying")
-	}
-	if c := run(8); c == a {
-		t.Fatal("different seeds should produce different stats (test is vacuous)")
-	}
-}
-
-// TestEagerMissDecays pins the misprediction feedback loop: a page that
-// crosses the eager threshold and then stops being written must score
-// misses and fall back to the alias path within a bounded number of
-// restores (counter halving), instead of being copied forever.
-func TestEagerMissDecays(t *testing.T) {
-	m := New(8)
-	m.TakeRoot()
-	// Both pages go into the slot overlay, so restores alias them and
-	// subsequent writes CoW-break (training the profile).
-	fill(t, m, 0, 0x11, 10)
-	fill(t, m, PageSize, 0x11, 10)
-	if _, err := m.TakeIncrementalSlot(1); err != nil {
-		t.Fatal(err)
-	}
-	// Make pages 0 and 1 hot.
-	for cycle := 0; cycle < 4; cycle++ {
-		fill(t, m, 0, 0x99, 10)
-		fill(t, m, PageSize, 0x99, 10)
-		if _, err := m.RestoreIncrementalSlot(1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m.Stats().PagesEagerCopied == 0 {
-		t.Fatal("hot pages should be eagerly copied")
-	}
-	// Stop writing page 1; keep page 0 hot. Page 1's counter must halve to
-	// zero within a few restores (it starts at most at profileHitCap).
-	var lastMisses uint64
-	for cycle := 0; cycle < 12; cycle++ {
-		fill(t, m, 0, byte(cycle), 10)
-		if _, err := m.RestoreIncrementalSlot(1); err != nil {
-			t.Fatal(err)
-		}
-		lastMisses = m.Stats().EagerMisses
-	}
-	if lastMisses == 0 {
-		t.Fatal("unwritten eager page should have scored misses")
-	}
-	// After the counter decayed below threshold, restores stop eagerly
-	// copying page 1: exactly one eager page (page 0) per restore now.
-	before := m.Stats().PagesEagerCopied
-	fill(t, m, 0, 0xAB, 10)
-	if _, err := m.RestoreIncrementalSlot(1); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Stats().PagesEagerCopied - before; got != 1 {
-		t.Fatalf("mispredicted page still eagerly copied: %d eager pages this restore, want 1", got)
-	}
 }
 
 // TestDiscardChargesLikeAWrite pins what Discard stands in for. Two memories
-// train the same slot's profile on writes to pages 0 and 1; then each cycle
-// one writes page 1 before the restore and the other discards a range on it
-// instead. Both restores must reset the same pages to the same content, and
-// the discarded page, which nothing wrote, must grade as an eager miss every
-// time until it drops back to the alias path, where it costs no CoW break.
+// run the same slot through restore→write cycles on pages 0 and 1; then each
+// cycle one writes page 1 before the restore and the other discards a range on
+// it instead. Both restores must reset the same pages to the same content, and
+// the discarded page, which nothing wrote, must cost no CoW break.
 func TestDiscardChargesLikeAWrite(t *testing.T) {
 	written, discarded := New(8), New(8)
 	for _, m := range []*Memory{written, discarded} {
@@ -1016,9 +833,8 @@ func TestDiscardChargesLikeAWrite(t *testing.T) {
 	}
 	fill(t, written, 0, 0x99, 10)
 	fill(t, written, PageSize, 0x99, 10)
-	var pending uint64 // eager copies the last restore of discarded made
 	for cycle := 0; cycle < 12; cycle++ {
-		st := discarded.Stats()
+		broken := discarded.Stats().PagesCoWBroken
 		a, err := written.RestoreIncrementalSlot(1)
 		if err != nil {
 			t.Fatal(err)
@@ -1030,31 +846,27 @@ func TestDiscardChargesLikeAWrite(t *testing.T) {
 		if a != b || !bytes.Equal(contents(written), contents(discarded)) {
 			t.Fatalf("cycle %d: the write reset %d pages, the discard %d, or the restored content differs", cycle, a, b)
 		}
-		now := discarded.Stats()
-		if now.EagerHits != st.EagerHits || now.EagerMisses-st.EagerMisses != pending || now.PagesCoWBroken != st.PagesCoWBroken {
-			t.Fatalf("cycle %d: %d eager copies graded as %d hits and %d misses, %d CoW breaks; want all misses, no breaks",
-				cycle, pending, now.EagerHits-st.EagerHits, now.EagerMisses-st.EagerMisses, now.PagesCoWBroken-st.PagesCoWBroken)
+		if now := discarded.Stats().PagesCoWBroken; now != broken {
+			t.Fatalf("cycle %d: a discarded page broke %d CoW aliases, want 0", cycle, now-broken)
 		}
-		pending = now.PagesEagerCopied - st.PagesEagerCopied
 		fill(t, written, PageSize, byte(cycle), 10)
 		discarded.Discard(PageSize+5, 10)
-	}
-	if pending != 0 {
-		t.Fatalf("a page only ever discarded is still eagerly copied (%d copies on the last restore)", pending)
 	}
 }
 
 // TestSteadyStateRestoreAllocs asserts the whole restore→write cycle is
-// allocation-free at steady state: eager copies reuse in-place or free-list
-// buffers, aliases displace buffers into the free list, and CoW breaks pop
-// them back out. One allocation here would fire tens of thousands of times
-// per campaign.
+// allocation-free at steady state: a restore aliases every dirty page and
+// displaces its private buffer into the free list, and the first write to
+// each page breaks the alias with a buffer popped back out — exactly one CoW
+// break per rewritten page. One allocation here would fire tens of thousands
+// of times per campaign.
 func TestSteadyStateRestoreAllocs(t *testing.T) {
+	const hot = 8
 	m := New(64)
 	m.TakeRoot()
 	buf := bytes.Repeat([]byte{0x5A}, 10)
 	writeHot := func() {
-		for p := 0; p < 8; p++ {
+		for p := 0; p < hot; p++ {
 			if _, err := m.WriteAt(buf, int64(p)*PageSize); err != nil {
 				t.Fatal(err)
 			}
@@ -1071,13 +883,17 @@ func TestSteadyStateRestoreAllocs(t *testing.T) {
 		writeHot()
 	}
 	for i := 0; i < 32; i++ {
-		cycle() // warm up: build the profile, populate the free list
+		cycle() // warm up: populate the free list
 	}
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Fatalf("steady-state restore→write cycle allocates %.1f times per run, want 0", allocs)
 	}
-	if m.Stats().PagesEagerCopied == 0 {
-		t.Fatal("steady-state cycle should be running the eager-copy path")
+	for i := 0; i < 10; i++ {
+		before := m.Stats().PagesCoWBroken
+		cycle()
+		if got := m.Stats().PagesCoWBroken - before; got != hot {
+			t.Fatalf("restore→rewrite cycle broke %d CoW aliases, want %d", got, hot)
+		}
 	}
 }
 
@@ -1096,111 +912,6 @@ func TestFreeListBounded(t *testing.T) {
 	}
 	if got := len(m.freePages); got > maxFreePages {
 		t.Fatalf("free list grew to %d buffers, cap %d", got, maxFreePages)
-	}
-}
-
-// TestSlotProfileCloneIndependence pins the stash/warm contract: the
-// profile SlotProfile returns is an independent copy, and SeedSlotProfile
-// copies it back in, so pool-stashed profiles never alias live slot state.
-func TestSlotProfileCloneIndependence(t *testing.T) {
-	m := New(8)
-	m.TakeRoot()
-	fill(t, m, 0, 0x11, 10)
-	if _, err := m.TakeIncrementalSlot(1); err != nil {
-		t.Fatal(err)
-	}
-	if p := m.SlotProfile(1); p != nil {
-		t.Fatalf("fresh slot should have no profile, got %d pages", p.Pages())
-	}
-	// Three restore→write cycles teach the profile about page 0: the first
-	// write lands on a still-private page (no CoW break), so the counter
-	// reaches the eager threshold of 2 only on the third cycle.
-	for i := 0; i < 3; i++ {
-		fill(t, m, 0, 0x99, 10)
-		if _, err := m.RestoreIncrementalSlot(1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stash := m.SlotProfile(1)
-	if stash == nil || stash.Pages() == 0 {
-		t.Fatal("trained slot should export a profile")
-	}
-	pages := stash.Pages()
-	count := stash.hot[0]
-	// Keep running the live slot without writing page 0; its live counter
-	// decays on the miss, but the stash must not move.
-	fill(t, m, PageSize, 0x77, 10)
-	fill(t, m, 2*PageSize, 0x77, 10)
-	if _, err := m.RestoreIncrementalSlot(1); err != nil {
-		t.Fatal(err)
-	}
-	if stash.Pages() != pages || stash.hot[0] != count {
-		t.Fatal("stashed profile aliases live slot state")
-	}
-	// Seed it into a recreated slot: the new slot predicts from the stash,
-	// and further mutation of the stash does not leak in.
-	m.DropSlot(1)
-	fill(t, m, 0, 0x11, 10)
-	if _, err := m.TakeIncrementalSlot(2); err != nil {
-		t.Fatal(err)
-	}
-	m.SeedSlotProfile(2, stash)
-	got := m.SlotProfile(2)
-	if got == nil || got.Pages() != pages {
-		t.Fatalf("seeded slot profile has %v pages, want %d", got.Pages(), pages)
-	}
-	// A warmed slot eagerly copies on its FIRST restore (the whole point
-	// of persisting profiles across eviction).
-	before := m.Stats().PagesEagerCopied
-	fill(t, m, 0, 0x99, 10)
-	if _, err := m.RestoreIncrementalSlot(2); err != nil {
-		t.Fatal(err)
-	}
-	if m.Stats().PagesEagerCopied == before {
-		t.Fatal("warmed slot should eagerly copy on its first restore")
-	}
-	if m.SeedSlotProfile(3, stash); m.SlotProfile(3) != nil {
-		t.Fatal("seeding a nonexistent slot should be a no-op")
-	}
-}
-
-// BenchmarkSlotRestoreProfiled compares the write-set-profiled restore
-// against the pure-alias path on the steady-state cycle (restore, rewrite
-// the same pages) at small and mid dirty-set sizes. The profiled path pays
-// the page copies inside the restore; the alias path defers them to the
-// guest's CoW breaks, which the cycle then pays anyway — so the comparison
-// isolates the batching/prediction overhead.
-func BenchmarkSlotRestoreProfiled(b *testing.B) {
-	for _, dirty := range []int{4, 64} {
-		run := func(b *testing.B, disable bool) {
-			m := New(4 * 64)
-			m.DisableEagerCopy = disable
-			m.TakeRoot()
-			touch := func() {
-				for p := 0; p < dirty; p++ {
-					m.TouchPage(uint32(p))[0] = byte(p)
-				}
-			}
-			touch()
-			if _, err := m.TakeIncrementalSlot(1); err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 8; i++ { // train the profile / settle the free list
-				if _, err := m.RestoreIncrementalSlot(1); err != nil {
-					b.Fatal(err)
-				}
-				touch()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.RestoreIncrementalSlot(1); err != nil {
-					b.Fatal(err)
-				}
-				touch()
-			}
-		}
-		b.Run(fmt.Sprintf("profiled-%ddirty", dirty), func(b *testing.B) { run(b, false) })
-		b.Run(fmt.Sprintf("pure-alias-%ddirty", dirty), func(b *testing.B) { run(b, true) })
 	}
 }
 

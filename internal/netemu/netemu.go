@@ -115,8 +115,8 @@ func (a *Agent) HasSnapshot() bool { return a.HasSlot(singleSlot) }
 
 // DropSnapshot releases the incremental snapshot (the fuzzer does this when
 // scheduling a new input, §3.4). The release is a hypercall, so it costs a
-// VM exit; the machine keeps the slot's buffers and write-set profile for
-// the next RunFromRoot to retake.
+// VM exit; the machine keeps the slot's buffers for the next RunFromRoot to
+// retake.
 func (a *Agent) DropSnapshot() {
 	if a.slots[singleSlot] != nil {
 		a.M.Hypercall(vm.HcReleaseSnapshot) //nolint:errcheck // release cannot fail
@@ -162,25 +162,14 @@ func (a *Agent) SlotOps(slot int) int {
 // budget charge).
 func (a *Agent) SlotBytes(slot int) int64 { return a.M.SlotBytes(slot) }
 
-// SlotProfile returns slot's combined write-set profile (guest-memory
-// pages + block-device sectors; see vm.SlotProfile) as an opaque value for
-// the snapshot pool to stash at eviction, or nil when the slot has none.
-// Typed any so the core layer needs no dependency on the VM substrate.
-func (a *Agent) SlotProfile(slot int) any {
-	p := a.M.SlotProfile(slot)
-	if p == nil {
-		return nil // never a typed-nil interface: callers compare against nil
-	}
-	return p
-}
+// SlotProfile and SeedSlotProfile are no-ops: restores alias only and keep
+// no per-slot write-set profile. They are kept only because bench/'s
+// executor decorator forwards core.SlotExecutor's whole method set, and go
+// when it stops forwarding them.
+func (a *Agent) SlotProfile(int) any { return nil }
 
-// SeedSlotProfile warms a freshly created slot's write-set profiles with a
-// value previously returned by SlotProfile. Foreign values are ignored.
-func (a *Agent) SeedSlotProfile(slot int, prof any) {
-	if p, ok := prof.(*vm.SlotProfile); ok {
-		a.M.SeedSlotProfile(slot, p)
-	}
-}
+// SeedSlotProfile does nothing; see SlotProfile.
+func (a *Agent) SeedSlotProfile(int, any) {}
 
 // DropSlot releases pooled snapshot slot id (the pool's eviction path).
 func (a *Agent) DropSlot(slot int) {

@@ -85,11 +85,6 @@ type Stats struct {
 	// telemetry only; nothing deterministic reads it.
 	LookupWall time.Duration
 	Lookups    uint64
-	// ProfilesStashed counts write-set profiles saved from evicted slots;
-	// ProfilesWarmed counts recreated slots seeded from a stash (their
-	// first restore predicts hot pages instead of starting cold).
-	ProfilesStashed uint64
-	ProfilesWarmed  uint64
 }
 
 // Pool is a budgeted prefix-digest-keyed snapshot pool. Not safe for
@@ -105,22 +100,8 @@ type Pool struct {
 	// than every cached prefix).
 	prefixLens map[int]int
 
-	// profiles stashes evicted slots' write-set profiles keyed by prefix
-	// digest, so a slot recreated for the same prefix starts with warm
-	// hot-page predictions instead of relearning them restore by restore.
-	// The values are opaque to the pool (it never inspects them — the
-	// executor produces and consumes them); profOrder tracks insertion
-	// order for the bounded FIFO eviction.
-	profiles  map[Digest]any
-	profOrder []Digest
-
 	stats Stats
 }
-
-// maxStashedProfiles bounds the profile stash. Profiles are tiny (a map of
-// page counters) next to the slots themselves, so the bound is generous;
-// the oldest stash goes first when it overflows.
-const maxStashedProfiles = 512
 
 // New creates a pool with the given byte budget for slot overlay memory.
 // budget <= 0 means unlimited.
@@ -130,45 +111,7 @@ func New(budget int64) *Pool {
 		nextSlot:   1,
 		entries:    make(map[Digest]*Entry),
 		prefixLens: make(map[int]int),
-		profiles:   make(map[Digest]any),
 	}
-}
-
-// StashProfile saves the write-set profile of a slot being evicted, keyed
-// by its prefix digest. A nil profile is ignored; re-stashing a digest
-// refreshes the value in place (keeping its eviction position).
-func (p *Pool) StashProfile(d Digest, prof any) {
-	if prof == nil {
-		return
-	}
-	if _, ok := p.profiles[d]; !ok {
-		if len(p.profOrder) >= maxStashedProfiles {
-			oldest := p.profOrder[0]
-			p.profOrder = p.profOrder[1:]
-			delete(p.profiles, oldest)
-		}
-		p.profOrder = append(p.profOrder, d)
-	}
-	p.profiles[d] = prof
-	p.stats.ProfilesStashed++
-}
-
-// WarmProfile returns (and removes) the stashed profile for a prefix
-// digest, or nil. The caller seeds it into the freshly created slot.
-func (p *Pool) WarmProfile(d Digest) any {
-	prof, ok := p.profiles[d]
-	if !ok {
-		return nil
-	}
-	delete(p.profiles, d)
-	for i, o := range p.profOrder {
-		if o == d {
-			p.profOrder = append(p.profOrder[:i], p.profOrder[i+1:]...)
-			break
-		}
-	}
-	p.stats.ProfilesWarmed++
-	return prof
 }
 
 // Budget returns the configured byte budget (<= 0: unlimited).

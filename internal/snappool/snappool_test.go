@@ -273,54 +273,3 @@ func TestResolveSinglePass(t *testing.T) {
 		t.Fatalf("hits/misses = %d/%d, want 1/1", st.Hits, st.Misses)
 	}
 }
-
-func TestProfileStashWarmRoundTrip(t *testing.T) {
-	p := New(0)
-	d := PrefixDigest(testInput(4, 1), 2)
-	if got := p.WarmProfile(d); got != nil {
-		t.Fatalf("empty stash should miss, got %v", got)
-	}
-	p.StashProfile(d, nil) // nil profiles are ignored
-	if got := p.WarmProfile(d); got != nil {
-		t.Fatalf("nil stash should not be stored, got %v", got)
-	}
-	p.StashProfile(d, "prof-a")
-	if got := p.WarmProfile(d); got != "prof-a" {
-		t.Fatalf("warm = %v, want prof-a", got)
-	}
-	if got := p.WarmProfile(d); got != nil {
-		t.Fatal("warming must consume the stash entry")
-	}
-	// Re-stashing a live digest refreshes the value in place.
-	p.StashProfile(d, "prof-b")
-	p.StashProfile(d, "prof-c")
-	if got := p.WarmProfile(d); got != "prof-c" {
-		t.Fatalf("warm = %v, want prof-c", got)
-	}
-	if st := p.Stats(); st.ProfilesStashed != 3 || st.ProfilesWarmed != 2 {
-		t.Fatalf("stashed/warmed = %d/%d, want 3/2", st.ProfilesStashed, st.ProfilesWarmed)
-	}
-}
-
-func TestProfileStashFIFOBound(t *testing.T) {
-	p := New(0)
-	mk := func(i int) Digest {
-		var d Digest
-		d[0], d[1] = byte(i), byte(i>>8)
-		return d
-	}
-	for i := 0; i < maxStashedProfiles+10; i++ {
-		p.StashProfile(mk(i), i)
-	}
-	for i := 0; i < 10; i++ {
-		if got := p.WarmProfile(mk(i)); got != nil {
-			t.Fatalf("entry %d should have been FIFO-evicted, got %v", i, got)
-		}
-	}
-	if got := p.WarmProfile(mk(10)); got != 10 {
-		t.Fatalf("oldest surviving entry = %v, want 10", got)
-	}
-	if got := p.WarmProfile(mk(maxStashedProfiles + 9)); got != maxStashedProfiles+9 {
-		t.Fatal("newest entry must survive the FIFO bound")
-	}
-}

@@ -24,9 +24,9 @@ const (
 	// operand travels through SnapshotHypercall; without one it is slot 0.
 	HcSnapshot
 	// HcReleaseSnapshot tells the hypervisor the agent is done with its
-	// snapshot. Only the VM exit is charged: the slot's buffers and
-	// write-set profile stay for the next take of the same id, and a slot
-	// is freed by the host-side DropSlot.
+	// snapshot. Only the VM exit is charged: the slot's buffers stay for
+	// the next take of the same id, and a slot is freed by the host-side
+	// DropSlot.
 	HcReleaseSnapshot
 	// HcExecDone signals the end of a test case.
 	HcExecDone
@@ -146,13 +146,16 @@ type MachineStats struct {
 	// reads it.
 	RestoreWall time.Duration
 
-	// Write-set-profiled restore telemetry, surfaced from the memory and
-	// disk layers: pages/sectors the profiled restore copied eagerly
-	// instead of aliasing, and how the predictions graded out (a miss is
-	// an eager copy never written before the next restore). All of these
-	// are deterministic campaign outcomes — the eager/alias split itself
-	// never changes state content or virtual-time charges.
-	PagesCoWBroken     uint64
+	// PagesCoWBroken counts writes that copied a restored page out of its
+	// copy-on-write alias (mem.Stats.PagesCoWBroken): a restore aliases
+	// every page it resets, so this is the restore cycle's whole copy cost.
+	PagesCoWBroken uint64
+
+	// PagesEagerCopied, EagerHits, EagerMisses and SectorsEagerCopied
+	// always read 0: restores alias only and copy nothing up front. They
+	// are kept only because bench/ reads them (mem.eager_hit_rate,
+	// mem.pages_eager_copied_per_exec, device.sectors_eager_copied), and go
+	// when those metrics leave BENCHMARK.json.
 	PagesEagerCopied   uint64
 	EagerHits          uint64
 	EagerMisses        uint64
@@ -184,62 +187,13 @@ func New(cfg Config) *Machine {
 	return m
 }
 
-// Stats returns a copy of the machine statistics. The eager-restore
-// counters are read through from the memory and disk layers so every
-// consumer reports them from the same counter path.
+// Stats returns a copy of the machine statistics; PagesCoWBroken is read
+// through from the memory layer.
 func (m *Machine) Stats() MachineStats {
 	st := m.stats
 	st.VirtualTimeUsed = m.Clock.Now()
-	ms := m.Mem.Stats()
-	st.PagesCoWBroken = ms.PagesCoWBroken
-	st.PagesEagerCopied = ms.PagesEagerCopied
-	st.EagerHits = ms.EagerHits
-	st.EagerMisses = ms.EagerMisses
-	st.SectorsEagerCopied = m.Disk.SectorsEagerCopied
+	st.PagesCoWBroken = m.Mem.Stats().PagesCoWBroken
 	return st
-}
-
-// SlotProfile bundles the write-set profiles of one pooled snapshot slot
-// across state layers: guest-memory pages and block-device sectors. The
-// snapshot pool stashes it as a unit at slot eviction, keyed by the prefix
-// digest, so one digest-keyed entry persists both predictors and a
-// recreated slot for the same prefix starts warm on both.
-type SlotProfile struct {
-	Mem     *mem.WriteProfile
-	Sectors *device.SectorProfile
-}
-
-// SlotProfile returns an independent copy of slot id's write-set profiles
-// (nil when neither layer has one worth keeping), for the pool to stash at
-// eviction keyed by prefix digest.
-func (m *Machine) SlotProfile(id int) *SlotProfile {
-	p := &SlotProfile{Mem: m.Mem.SlotProfile(id)}
-	for _, d := range m.slots[id].devs {
-		if sp := device.SnapshotSectorProfile(d); sp != nil {
-			p.Sectors = sp
-			break
-		}
-	}
-	if p.Mem == nil && p.Sectors == nil {
-		return nil
-	}
-	return p
-}
-
-// SeedSlotProfile warms a freshly created slot's write-set profiles with
-// ones stashed from a prior life of the same prefix.
-func (m *Machine) SeedSlotProfile(id int, p *SlotProfile) {
-	if p == nil {
-		return
-	}
-	if p.Mem != nil {
-		m.Mem.SeedSlotProfile(id, p.Mem)
-	}
-	if p.Sectors != nil {
-		for _, d := range m.slots[id].devs {
-			device.SeedSnapshotSectorProfile(d, p.Sectors)
-		}
-	}
 }
 
 // flushGuest brings guest memory up to date with the guest kernel's state
@@ -289,11 +243,10 @@ func (m *Machine) TakeRoot() error {
 // chargeReset charges the virtual clock for resetting n dirty pages plus
 // device reset cost under the active strategy/mode.
 //
-// ndirty counts every page the restore reset, whether it was aliased or
-// eagerly copied (mem counts both as PagesReset), and DirtySectors is
-// materialization-compensated on the disk side — so the charge, and with
-// it every virtual-time and coverage column, is byte-identical whether
-// the write-set-profiled path is enabled or not (the PR-5 invariant).
+// ndirty counts every page the restore reset (mem's PagesReset) and the
+// device half charges every sector that differs from the root image
+// (DirtySectors): the charge follows what the restore must undo, never how
+// it undoes it, so the aliasing layers below change wall cost only.
 func (m *Machine) chargeReset(base time.Duration, ndirty int) {
 	d := base + time.Duration(ndirty)*m.Cost.PerDirtyPage
 	if m.Mem.Strategy == mem.RestoreBitmapWalk {

@@ -593,146 +593,3 @@ func BenchmarkSlotRestore(b *testing.B) {
 		})
 	}
 }
-
-// TestProfiledRestoreClockInvariant is the PR-5 invariant extended to the
-// write-set-profiled restore: twin machines running an identical
-// restore→write workload — one with eager copying enabled, one forced onto
-// the pure-alias path — must agree on the virtual clock, the memory image,
-// and the disk image. The eager/alias split is telemetry-only; everything
-// deterministic is byte-identical.
-func TestProfiledRestoreClockInvariant(t *testing.T) {
-	build := func(disable bool) *Machine {
-		m := New(Config{MemoryPages: 128, DiskSectors: 32})
-		m.Mem.DisableEagerCopy = disable
-		m.Disk.DisableEagerCopy = disable
-		m.Mem.WriteAt(bytes.Repeat([]byte{0x11}, 4*mem.PageSize), 0)
-		m.Disk.WriteSector(3, bytes.Repeat([]byte{0x22}, 512))
-		if err := m.TakeRoot(); err != nil {
-			t.Fatal(err)
-		}
-		m.Mem.WriteAt(bytes.Repeat([]byte{0x33}, 2*mem.PageSize), 0)
-		m.Disk.WriteSector(3, bytes.Repeat([]byte{0x44}, 512))
-		if err := m.TakeIncrementalSlot(1); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	step := func(m *Machine, cycle int) {
-		m.Mem.WriteAt(bytes.Repeat([]byte{byte(cycle)}, 2*mem.PageSize), 0)
-		m.Disk.WriteSector(3, bytes.Repeat([]byte{byte(cycle)}, 512))
-		if err := m.RestoreIncrementalSlot(1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eager, alias := build(false), build(true)
-	for cycle := 0; cycle < 12; cycle++ {
-		step(eager, cycle)
-		step(alias, cycle)
-	}
-	if eager.Clock.Now() != alias.Clock.Now() {
-		t.Fatalf("virtual clocks diverged: eager %v, alias %v",
-			eager.Clock.Now(), alias.Clock.Now())
-	}
-	bufE := make([]byte, 8*mem.PageSize)
-	bufA := make([]byte, 8*mem.PageSize)
-	eager.Mem.ReadAt(bufE, 0)
-	alias.Mem.ReadAt(bufA, 0)
-	if !bytes.Equal(bufE, bufA) {
-		t.Fatal("memory images diverged between eager and alias restores")
-	}
-	secE := make([]byte, 512)
-	secA := make([]byte, 512)
-	for sec := uint64(0); sec < 32; sec++ {
-		eager.Disk.ReadSector(sec, secE)
-		alias.Disk.ReadSector(sec, secA)
-		if !bytes.Equal(secE, secA) {
-			t.Fatalf("disk sector %d diverged between eager and alias restores", sec)
-		}
-	}
-	se, sa := eager.Stats(), alias.Stats()
-	if se.VirtualTimeUsed != sa.VirtualTimeUsed {
-		t.Fatalf("virtual time diverged: eager %v, alias %v", se.VirtualTimeUsed, sa.VirtualTimeUsed)
-	}
-	if se.PagesEagerCopied == 0 || se.SectorsEagerCopied == 0 {
-		t.Fatalf("profiled machine should have eagerly copied (pages=%d sectors=%d)",
-			se.PagesEagerCopied, se.SectorsEagerCopied)
-	}
-	if sa.PagesEagerCopied != 0 || sa.SectorsEagerCopied != 0 {
-		t.Fatalf("disabled machine must never eagerly copy (pages=%d sectors=%d)",
-			sa.PagesEagerCopied, sa.SectorsEagerCopied)
-	}
-}
-
-// TestSlotProfileCombinesLayers: the machine-level slot profile carries
-// both the page and the sector predictor, and seeding a recreated slot
-// warms both — so a prefix's write-set knowledge survives pool eviction as
-// one digest-keyed unit.
-func TestSlotProfileCombinesLayers(t *testing.T) {
-	m := newTestMachine(t)
-	if err := m.Hypercall(HcReady); err != nil {
-		t.Fatal(err)
-	}
-	m.Mem.WriteAt([]byte("prefix"), 0)
-	m.Disk.WriteSector(3, bytes.Repeat([]byte{0x11}, 512))
-	if err := m.TakeIncrementalSlot(1); err != nil {
-		t.Fatal(err)
-	}
-	if p := m.SlotProfile(1); p != nil {
-		t.Fatalf("untrained slot returned a profile: %+v", p)
-	}
-	// Train both layers: rewrite a snapshotted page and a frozen disk
-	// sector after each restore.
-	for i := 0; i < 4; i++ {
-		if err := m.RestoreIncrementalSlot(1); err != nil {
-			t.Fatal(err)
-		}
-		m.Mem.WriteAt([]byte{byte(0x20 + i)}, 0)
-		m.Disk.WriteSector(3, bytes.Repeat([]byte{byte(0x30 + i)}, 512))
-	}
-	stash := m.SlotProfile(1)
-	if stash == nil {
-		t.Fatal("trained slot has no profile")
-	}
-	if stash.Mem.Pages() == 0 {
-		t.Fatal("combined profile missing the page predictor")
-	}
-	if stash.Sectors.Sectors() == 0 {
-		t.Fatal("combined profile missing the sector predictor")
-	}
-
-	// Evict and recreate the same prefix (fresh slot id), seed it from the
-	// stash: the next restore must eager-materialize on both layers.
-	m.DropSlot(1)
-	if err := m.RestoreRoot(); err != nil {
-		t.Fatal(err)
-	}
-	m.Mem.WriteAt([]byte("prefix"), 0)
-	m.Disk.WriteSector(3, bytes.Repeat([]byte{0x11}, 512))
-	if err := m.TakeIncrementalSlot(2); err != nil {
-		t.Fatal(err)
-	}
-	m.SeedSlotProfile(2, stash)
-	// Prime: one restore, then dirty the hot page (so the next restore has
-	// it in the reset set) and a fresh sector (whose buffer the next load
-	// recycles — sector materialization draws recycled buffers only).
-	if err := m.RestoreIncrementalSlot(2); err != nil {
-		t.Fatal(err)
-	}
-	m.Mem.WriteAt([]byte{0x55}, 0)
-	m.Disk.WriteSector(4, bytes.Repeat([]byte{0x44}, 512))
-	before := m.Stats()
-	if err := m.RestoreIncrementalSlot(2); err != nil {
-		t.Fatal(err)
-	}
-	after := m.Stats()
-	if after.PagesEagerCopied <= before.PagesEagerCopied {
-		t.Fatal("seeded slot did not eager-copy pages — page profile lost across recreate")
-	}
-	if after.SectorsEagerCopied <= before.SectorsEagerCopied {
-		t.Fatal("seeded slot did not materialize sectors — sector profile lost across recreate")
-	}
-	// Seeding nil or into a dropped slot is a no-op.
-	m.SeedSlotProfile(2, nil)
-	m.DropSlot(2)
-	m.SeedSlotProfile(2, stash)
-}
