@@ -15,7 +15,10 @@ An exported function returning an internal slice or map hands the caller a
 live window into state the package will keep mutating (the DirtyPages bug
 class fixed in PR 4: a snapshot's dirty-page list was returned by reference
 and changed under the caller's feet). The fix is an explicit copy (append,
-slices.Clone, maps.Clone) or a documented //nyx:aliased zero-copy contract.`,
+slices.Clone, maps.Clone) or a documented //nyx:aliased zero-copy contract.
+
+Only this check catches, for example, campaign's Campaign.CoverageLog
+returning c.broker.covLog without slices.Clone.`,
 	Run: runAliasRet,
 }
 

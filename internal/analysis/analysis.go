@@ -24,8 +24,11 @@
 //     an internal page set escaped through the API and later mutations
 //     corrupted the caller's view).
 //   - lockheld: no blocking operation (channel send/receive, select without
-//     default, WaitGroup.Wait, time.Sleep, network or store I/O) may be
-//     reachable while a broker/service/pool mutex is held.
+//     default, WaitGroup.Wait, time.Sleep, network or store I/O, or taking
+//     another mutex) may be reachable while a broker/service/store mutex is
+//     held. Since no mutex is ever taken while another is held, no two locks
+//     can be taken in opposite orders: the rule is the suite's
+//     deadlock-freedom guardrail.
 //   - slicearg: exported functions must not retain caller-owned slice
 //     arguments past the call (the retained-trace bug class the broker's
 //     orderImportsInto scratch rework avoided by hand in PR 5).
@@ -34,22 +37,18 @@
 //     inputs share those arrays: Clone copies op headers only and a campaign
 //     broker hands one queued input to every worker. There is no waiver
 //     directive; code that changes an op builds a new slice and assigns it.
-//   - lockorder: the mutex-acquisition partial order across the broker,
-//     service manager, snapshot pool, and checkpoint store must stay
-//     acyclic — the deadlock-freedom guardrail for any code that takes
-//     two of them.
 //   - hotalloc: functions marked //nyx:hotpath (slot restore, snapshot
 //     lookup, coverage bucketing, the netemu resumed-run path) must not
 //     heap-allocate, directly or through any call chain.
 //
 // # Interprocedural layer
 //
-// nodeterm, lockheld, lockorder, and hotalloc are backed by a whole-program
-// fact engine (callgraph.go, facts.go): a call graph over every loaded
-// package — static calls plus CHA resolution of interface method calls —
-// carries per-function summaries (reads-wallclock, uses-global-rand,
-// may-block, locks-acquired, allocates) to a fixed point. Diagnostics for
-// transitive findings include the full witness chain, e.g.
+// nodeterm, lockheld, and hotalloc are backed by a whole-program fact
+// engine (callgraph.go, facts.go): a call graph over every loaded package —
+// static calls plus CHA resolution of interface method calls — carries
+// per-function summaries (reads-wallclock, uses-global-rand, may-block,
+// allocates) to a fixed point. Diagnostics for transitive findings include
+// the full witness chain, e.g.
 //
 //	call that may block: campaign.(*Broker).flush (channel send at broker.go:88) while b.mu is held
 //
@@ -69,7 +68,6 @@
 //	//nyx:aliased <why>    - documented zero-copy return (aliasret)
 //	//nyx:blocking <why>   - reviewed blocking call under lock (lockheld)
 //	//nyx:retains <why>    - documented ownership transfer (slicearg)
-//	//nyx:lockorder <why>  - reviewed acquisition-order edge (lockorder)
 //	//nyx:hotpath          - marks a function as allocation-free hot path (hotalloc)
 //	//nyx:alloc <why>      - reviewed cold-path allocation (hotalloc)
 package analysis
@@ -136,8 +134,6 @@ type Pass struct {
 	Prog *Program
 
 	Report func(Diagnostic)
-
-	directives *directiveIndex
 }
 
 // Reportf reports a diagnostic at pos with a formatted message.
@@ -149,10 +145,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // //nyx:<name> directive: on the node's line, on the line directly above it,
 // or in the doc comment of the function declaration enclosing it.
 func (p *Pass) Allowed(node ast.Node, name string) bool {
-	if p.directives == nil {
-		p.directives = indexDirectives(p.Fset, p.Files)
-	}
-	return p.directives.allowed(p.Fset, node.Pos(), name)
+	return p.Prog.pkgDirectives(p.PkgPath).allowed(p.Fset, node.Pos(), name)
 }
 
 // directiveIndex records every //nyx: directive by file position.
@@ -226,7 +219,12 @@ func lineKey(file string, line int) string {
 	return fmt.Sprintf("%s:%d", file, line)
 }
 
+// allowed reports whether a name directive covers pos; a nil index (a
+// package outside the Run) allows nothing.
 func (idx *directiveIndex) allowed(fset *token.FileSet, pos token.Pos, name string) bool {
+	if idx == nil {
+		return false
+	}
 	p := fset.Position(pos)
 	if idx.lines[lineKey(p.Filename, p.Line)][name] {
 		return true
@@ -246,8 +244,7 @@ func (idx *directiveIndex) allowed(fset *token.FileSet, pos token.Pos, name stri
 // diagnostics sorted by position then analyzer name. The interprocedural
 // Program (call graph + fact summaries) is built once over all packages and
 // shared by every pass, so transitive reasoning spans exactly the packages
-// handed to Run: `nyx-vet ./...` sees the whole module, a single-package
-// unit-mode run degrades gracefully to that package's own bodies.
+// handed to Run: `nyx-vet ./...` sees the whole module.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	prog := buildProgram(pkgs)
 	var diags []Diagnostic
@@ -299,5 +296,5 @@ func sortDiagnostics(pkgs []*Package, diags []Diagnostic) {
 
 // All returns the full nyx-vet analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{NoDeterm, AliasRet, LockHeld, SliceArg, OpWrite, LockOrder, HotAlloc}
+	return []*Analyzer{NoDeterm, AliasRet, LockHeld, SliceArg, OpWrite, HotAlloc}
 }

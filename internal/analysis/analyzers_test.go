@@ -46,8 +46,8 @@ func TestOpWriteFixture(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.OpWrite, "opwrite", "repro/internal/spec")
 }
 
-func TestLockOrderFixture(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.LockOrder, "repro/internal/service", "lodep")
+func TestLockHeldNestingFixture(t *testing.T) {
+	analysistest.Run(t, "testdata", analysis.LockHeld, "repro/internal/service", "lodep")
 }
 
 func TestHotAllocFixture(t *testing.T) {

@@ -32,11 +32,6 @@ type Program struct {
 	directives map[string]*directiveIndex
 
 	facts map[*types.Func]*funcFacts
-
-	// lockEdges is the mutex-acquisition partial order observed anywhere in
-	// the program: an edge A->B means some path acquires class B while
-	// holding class A.
-	lockEdges []*lockEdge
 }
 
 // FuncNode is one declared function or method in a target package.
@@ -58,8 +53,9 @@ type CallSite struct {
 	Callees []*types.Func
 	// ViaGo marks a call made inside a `go`-launched or deferred function
 	// literal (or a direct `go f()`/`defer f()` statement): nondeterminism
-	// facts still flow to the spawner, but may-block and lock facts do not —
-	// the spawning goroutine neither blocks on nor holds locks for it.
+	// facts still flow to the spawner, but may-block and allocation facts do
+	// not — the spawner does not wait for the call, and a deferred call runs
+	// after the function's own unlocks.
 	ViaGo bool
 }
 
@@ -84,7 +80,6 @@ func buildProgram(pkgs []*Package) *Program {
 	prog.buildCHA()
 	prog.resolveCalls()
 	prog.computeFacts()
-	prog.collectLockEdges()
 	return prog
 }
 

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -17,7 +16,7 @@ type factKind int
 const (
 	factWallclock factKind = iota // calls time.Now/Since/Until
 	factRand                      // consults the global math/rand generator
-	factMayBlock                  // may block: channel op, select, Wait, sleep, net/store I/O
+	factMayBlock                  // may block: channel op, select, Lock, Wait, sleep, net/store I/O
 	factAllocates                 // performs a heap allocation
 	numFactKinds
 )
@@ -50,9 +49,6 @@ type witness struct {
 type funcFacts struct {
 	has [numFactKinds]bool
 	wit [numFactKinds]witness
-	// locks is the set of lock classes the function may acquire, directly
-	// or transitively; each class maps to the witness that introduced it.
-	locks map[string]witness
 }
 
 // maxPropagationRounds bounds fixed-point iteration; negative means
@@ -96,10 +92,9 @@ func (prog *Program) computeFacts() {
 		}
 		round++
 		type update struct {
-			ff    *funcFacts
-			kind  factKind
-			class string // lock class updates only
-			wit   witness
+			ff   *funcFacts
+			kind factKind
+			wit  witness
 		}
 		var updates []update
 		// seen dedupes updates within the round without mutating the state
@@ -107,9 +102,8 @@ func (prog *Program) computeFacts() {
 		// fixed state, or chains lose their shortest-path property and
 		// half-committed witnesses could be read back.
 		type updKey struct {
-			ff    *funcFacts
-			kind  factKind
-			class string
+			ff   *funcFacts
+			kind factKind
 		}
 		seen := make(map[updKey]bool)
 		for _, node := range prog.nodes {
@@ -121,29 +115,19 @@ func (prog *Program) computeFacts() {
 						continue
 					}
 					for k := factKind(0); k < numFactKinds; k++ {
-						if !cf.has[k] || ff.has[k] || seen[updKey{ff, k, ""}] {
+						if !cf.has[k] || ff.has[k] || seen[updKey{ff, k}] {
 							continue
 						}
 						// Detached execution: the spawner still inherits
 						// nondeterminism (the output diverges regardless of
-						// which goroutine reads the clock), but not blocking,
-						// allocation, or lock acquisition.
+						// which goroutine reads the clock), but not blocking
+						// or allocation.
 						if site.ViaGo && (k == factMayBlock || k == factAllocates) {
 							continue
 						}
-						seen[updKey{ff, k, ""}] = true
+						seen[updKey{ff, k}] = true
 						updates = append(updates, update{ff: ff, kind: k,
 							wit: witness{Pos: site.Pos, Callee: callee}})
-					}
-					if !site.ViaGo {
-						for _, class := range sortedLockClasses(cf.locks) {
-							if _, ok := ff.locks[class]; ok || seen[updKey{ff, 0, class}] {
-								continue
-							}
-							seen[updKey{ff, 0, class}] = true
-							updates = append(updates, update{ff: ff, class: class,
-								wit: witness{Pos: site.Pos, Callee: callee}})
-						}
 					}
 				}
 			}
@@ -152,23 +136,10 @@ func (prog *Program) computeFacts() {
 			return
 		}
 		for _, u := range updates {
-			if u.class != "" {
-				u.ff.locks[u.class] = u.wit
-			} else {
-				u.ff.has[u.kind] = true
-				u.ff.wit[u.kind] = u.wit
-			}
+			u.ff.has[u.kind] = true
+			u.ff.wit[u.kind] = u.wit
 		}
 	}
-}
-
-func sortedLockClasses(m map[string]witness) []string {
-	classes := make([]string, 0, len(m))
-	for c := range m {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	return classes
 }
 
 // directFacts scans one function body for fact sources. A //nyx: directive
@@ -176,11 +147,9 @@ func sortedLockClasses(m map[string]witness) []string {
 // itself: the site was reviewed where it happens, so callers are not
 // tainted by it.
 func (prog *Program) directFacts(node *FuncNode) *funcFacts {
-	ff := &funcFacts{locks: make(map[string]witness)}
-	pkg := node.Pkg
-	idx := prog.pkgDirectives(pkg.PkgPath)
+	ff := &funcFacts{}
 	allowed := func(pos token.Pos, name string) bool {
-		return idx != nil && idx.allowed(pkg.Fset, pos, name)
+		return prog.allowedAt(node.Pkg, pos, name)
 	}
 	set := func(k factKind, pos token.Pos, desc string) {
 		if !ff.has[k] {
@@ -195,14 +164,14 @@ func (prog *Program) directFacts(node *FuncNode) *funcFacts {
 			switch m := m.(type) {
 			case *ast.GoStmt:
 				walkDetachedCall(m.Call, viaGo, walk)
-				prog.scanCallFacts(node, ff, m.Call, true, allowed, set)
+				scanCallFacts(node, m.Call, true, allowed, set)
 				return false
 			case *ast.DeferStmt:
 				walkDetachedCall(m.Call, viaGo, walk)
-				prog.scanCallFacts(node, ff, m.Call, true, allowed, set)
+				scanCallFacts(node, m.Call, true, allowed, set)
 				return false
 			case *ast.CallExpr:
-				prog.scanCallFacts(node, ff, m, viaGo, allowed, set)
+				scanCallFacts(node, m, viaGo, allowed, set)
 			case *ast.SendStmt:
 				if !viaGo && !allowed(m.Pos(), "blocking") {
 					set(factMayBlock, m.Pos(), "channel send")
@@ -227,9 +196,9 @@ func (prog *Program) directFacts(node *FuncNode) *funcFacts {
 }
 
 // scanCallFacts records facts arising directly from one call expression:
-// wall-clock reads, global rand, known-blocking stdlib/store calls, and
-// direct lock acquisitions.
-func (prog *Program) scanCallFacts(node *FuncNode, ff *funcFacts, call *ast.CallExpr,
+// wall-clock reads, global rand, and known-blocking calls (lock
+// acquisitions among them).
+func scanCallFacts(node *FuncNode, call *ast.CallExpr,
 	viaGo bool, allowed func(token.Pos, string) bool, set func(factKind, token.Pos, string)) {
 
 	pkg := node.Pkg
@@ -250,93 +219,10 @@ func (prog *Program) scanCallFacts(node *FuncNode, ff *funcFacts, call *ast.Call
 		}
 	}
 	if !viaGo {
-		if name, ok := blockingCallInfo(pkg.TypesInfo, call); ok && !allowed(call.Pos(), "blocking") {
+		if name, ok := blockingCall(pkg.PkgPath, pkg.TypesInfo, call); ok && !allowed(call.Pos(), "blocking") {
 			set(factMayBlock, call.Pos(), name)
 		}
-		if class, ok := prog.lockClassOfCall(pkg, call, "Lock", "RLock"); ok {
-			if _, dup := ff.locks[class]; !dup {
-				ff.locks[class] = witness{Pos: call.Pos(), Desc: class + ".Lock"}
-			}
-		}
 	}
-}
-
-// lockClassOfCall resolves a sync.(RW)Mutex method call to its lock class:
-// "pkg.Type.field" for a mutex field, "pkg.var" for a package-level mutex,
-// or "pkg.func.var" for a local. The class names the mutex *variable*, so
-// every acquisition of the same mutex maps to the same partial-order node.
-func (prog *Program) lockClassOfCall(pkg *Package, call *ast.CallExpr, names ...string) (string, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	fn, ok := pkg.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", false
-	}
-	match := false
-	for _, name := range names {
-		if fn.Name() == name {
-			match = true
-		}
-	}
-	if !match {
-		return "", false
-	}
-	return lockClassOfExpr(pkg, sel.X)
-}
-
-// lockClassOfExpr names the mutex denoted by e.
-func lockClassOfExpr(pkg *Package, e ast.Expr) (string, bool) {
-	e = ast.Unparen(e)
-	switch x := e.(type) {
-	case *ast.SelectorExpr:
-		// recv.mu (possibly through more selectors): class is the owning
-		// named type plus the field chain.
-		if obj, ok := pkg.TypesInfo.Uses[x.Sel].(*types.Var); ok && obj.IsField() {
-			if owner := fieldOwner(pkg, x); owner != "" {
-				return owner + "." + x.Sel.Name, true
-			}
-			return pkgName(obj.Pkg()) + ".?." + x.Sel.Name, true
-		}
-		if obj, ok := pkg.TypesInfo.Uses[x.Sel].(*types.Var); ok {
-			// pkg-qualified package-level var: other.mu
-			return pkgName(obj.Pkg()) + "." + obj.Name(), true
-		}
-	case *ast.Ident:
-		obj, ok := pkg.TypesInfo.Uses[x].(*types.Var)
-		if !ok {
-			return "", false
-		}
-		if obj.Parent() != nil && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
-			return pkgName(obj.Pkg()) + "." + obj.Name(), true
-		}
-		// Function-local mutex: class it by identifier name; local locks
-		// cannot deadlock across functions but still order against fields
-		// acquired while held.
-		return pkgName(pkg.Types) + ".local." + obj.Name(), true
-	}
-	return "", false
-}
-
-// fieldOwner names the struct type owning the selected field, e.g.
-// "service.Manager" for g.mu where g is a *Manager.
-func fieldOwner(pkg *Package, sel *ast.SelectorExpr) string {
-	t := pkg.TypesInfo.Types[sel.X].Type
-	if t == nil {
-		return ""
-	}
-	for {
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-			continue
-		}
-		break
-	}
-	if n, ok := t.(*types.Named); ok {
-		return pkgName(n.Obj().Pkg()) + "." + n.Obj().Name()
-	}
-	return ""
 }
 
 func pkgName(p *types.Package) string {
@@ -346,8 +232,8 @@ func pkgName(p *types.Package) string {
 	return p.Name()
 }
 
-// calleeFuncInfo is calleeFunc without a Pass: resolves a call's callee to
-// a *types.Func when it is a direct function or method reference.
+// calleeFuncInfo resolves a call's callee to a *types.Func when it is a
+// direct (possibly selector-qualified) function or method reference.
 func calleeFuncInfo(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
@@ -360,26 +246,6 @@ func calleeFuncInfo(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// blockingCallInfo is blockingCall without a Pass.
-func blockingCallInfo(info *types.Info, call *ast.CallExpr) (string, bool) {
-	fn := calleeFuncInfo(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return "", false
-	}
-	pkg := fn.Pkg().Path()
-	switch {
-	case pkg == "sync" && fn.Name() == "Wait":
-		return "sync." + recvTypeName(fn) + ".Wait", true
-	case pkg == "time" && fn.Name() == "Sleep":
-		return "time.Sleep", true
-	case pkg == "net" || pkg == "net/http":
-		return pkg + "." + fn.Name() + " I/O", true
-	case strings.HasSuffix(pkg, "internal/store"):
-		return "store I/O (" + fn.Name() + ")", true
-	}
-	return "", false
 }
 
 // chain renders the witness chain explaining why fact k holds for fn,
@@ -396,28 +262,6 @@ func (prog *Program) chain(fn *types.Func, k factKind) string {
 			break
 		}
 		w := ff.wit[k]
-		if w.Callee == nil {
-			parts = append(parts, fmt.Sprintf("%s (%s at %s)", shortFuncName(fn), w.Desc, prog.Fset.Position(w.Pos)))
-			return strings.Join(parts, " → ")
-		}
-		parts = append(parts, shortFuncName(fn))
-		fn = w.Callee
-	}
-	return strings.Join(parts, " → ")
-}
-
-// lockChain renders the witness chain for acquisition of class by fn.
-func (prog *Program) lockChain(fn *types.Func, class string) string {
-	var parts []string
-	for hops := 0; fn != nil && hops < 64; hops++ {
-		ff := prog.factsOf(fn)
-		if ff == nil {
-			break
-		}
-		w, ok := ff.locks[class]
-		if !ok {
-			break
-		}
 		if w.Callee == nil {
 			parts = append(parts, fmt.Sprintf("%s (%s at %s)", shortFuncName(fn), w.Desc, prog.Fset.Position(w.Pos)))
 			return strings.Join(parts, " → ")

@@ -21,15 +21,15 @@ conversions, interface boxing of struct values, zero-capacity reslice
 appends, or growth of an un-presized local slice. Calls into functions
 that (transitively) allocate are flagged with the full call chain. A
 reviewed cold path (e.g. an error return) carries //nyx:alloc <why>, which
-also stops the allocation fact from tainting callers.`,
+also stops the allocation fact from tainting callers.
+
+Only this check catches, for example, snappool's Pool.LookupDigest copying
+the digest into a make'd key buffer on every call.`,
 	Run: runHotAlloc,
 }
 
 func runHotAlloc(pass *Pass) error {
 	prog := pass.Prog
-	if prog == nil {
-		return nil
-	}
 	for _, node := range prog.nodes {
 		if node.Pkg.PkgPath != pass.PkgPath || !prog.hotpathMarked(node) {
 			continue
@@ -42,8 +42,7 @@ func runHotAlloc(pass *Pass) error {
 // hotpathMarked reports whether the function's doc comment (or its
 // declaration line) carries //nyx:hotpath.
 func (prog *Program) hotpathMarked(node *FuncNode) bool {
-	idx := prog.pkgDirectives(node.Pkg.PkgPath)
-	return idx != nil && idx.allowed(node.Pkg.Fset, node.Decl.Name.Pos(), "hotpath")
+	return prog.allowedAt(node.Pkg, node.Decl.Name.Pos(), "hotpath")
 }
 
 // checkHotFunc flags direct allocation sites in a hotpath function and call
@@ -94,8 +93,7 @@ func checkHotFunc(pass *Pass, node *FuncNode) {
 // allowedAt checks a //nyx: directive by position using the program-wide
 // directive index (usable outside the reporting package's own pass).
 func (prog *Program) allowedAt(pkg *Package, pos token.Pos, name string) bool {
-	idx := prog.pkgDirectives(pkg.PkgPath)
-	return idx != nil && idx.allowed(pkg.Fset, pos, name)
+	return prog.pkgDirectives(pkg.PkgPath).allowed(pkg.Fset, pos, name)
 }
 
 // checkLocalAppendGrowth flags append growth of a slice that the function

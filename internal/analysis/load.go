@@ -11,9 +11,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
-	"sync"
-	"time"
 )
 
 // Package is one type-checked target package ready for analysis.
@@ -37,10 +34,6 @@ type Loader struct {
 	// loading module packages. Stdlib paths resolve from anywhere.
 	Dir  string
 	Fset *token.FileSet
-
-	// LoadTime accumulates the wall time spent in Load (go list plus
-	// type-checking); nyx-vet reports it in -json output.
-	LoadTime time.Duration
 
 	meta    map[string]*listPkg
 	resolve map[string]string // source import path -> vendored/actual path
@@ -83,10 +76,8 @@ func NewLoader(dir string) *Loader {
 // Load type-checks the packages matched by the go list patterns and returns
 // them ready for analysis, in dependency order. One `go list -deps` call
 // provides both the target set (entries without DepOnly) and the dependency
-// metadata; LoadTime accumulates the wall time spent here.
+// metadata.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	start := time.Now()
-	defer func() { l.LoadTime += time.Since(start) }()
 	listed, err := l.list(true, patterns...)
 	if err != nil {
 		return nil, err
@@ -273,74 +264,4 @@ func (l *Loader) parse(m *listPkg, mode parser.Mode) ([]*ast.File, error) {
 		files = append(files, f)
 	}
 	return files, nil
-}
-
-// ---- process-wide load cache ----
-
-type fileStamp struct {
-	modTime time.Time
-	size    int64
-}
-
-type loadCacheEntry struct {
-	pkgs     []*Package
-	loader   *Loader
-	loadTime time.Duration
-	stamps   map[string]fileStamp
-}
-
-var loadCache = struct {
-	sync.Mutex
-	entries map[string]*loadCacheEntry
-}{entries: make(map[string]*loadCacheEntry)}
-
-// LoadShared is Load behind a process-wide cache keyed by (dir, patterns)
-// and validated against the mtime+size of every target source file: repeat
-// analyzer runs in one process (nyx-vet over several pattern sets, the
-// analysistest suite plus TestRepoIsClean) pay the go list + type-check
-// cost once. A stale or missing file invalidates the entry and reloads.
-func LoadShared(dir string, patterns ...string) ([]*Package, *Loader, time.Duration, bool, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		abs = dir
-	}
-	key := abs + "\x00" + strings.Join(patterns, "\x00")
-
-	loadCache.Lock()
-	defer loadCache.Unlock()
-	if e, ok := loadCache.entries[key]; ok && stampsFresh(e.stamps) {
-		return e.pkgs, e.loader, e.loadTime, true, nil
-	}
-
-	loader := NewLoader(dir)
-	pkgs, err := loader.Load(patterns...)
-	if err != nil {
-		return nil, nil, 0, false, err
-	}
-	e := &loadCacheEntry{pkgs: pkgs, loader: loader, loadTime: loader.LoadTime, stamps: stampPackages(pkgs)}
-	loadCache.entries[key] = e
-	return pkgs, loader, e.loadTime, false, nil
-}
-
-func stampPackages(pkgs []*Package) map[string]fileStamp {
-	stamps := make(map[string]fileStamp)
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			name := pkg.Fset.Position(f.Pos()).Filename
-			if info, err := os.Stat(name); err == nil {
-				stamps[name] = fileStamp{modTime: info.ModTime(), size: info.Size()}
-			}
-		}
-	}
-	return stamps
-}
-
-func stampsFresh(stamps map[string]fileStamp) bool {
-	for name, s := range stamps {
-		info, err := os.Stat(name)
-		if err != nil || !info.ModTime().Equal(s.modTime) || info.Size() != s.size {
-			return false
-		}
-	}
-	return true
 }

@@ -9,27 +9,33 @@ import (
 	"strings"
 )
 
-// LockHeld flags blocking operations reachable while a broker/service/pool
-// mutex is held.
+// LockHeld flags blocking operations, taking another mutex among them,
+// reachable while a broker/service/store mutex is held.
 var LockHeld = &Analyzer{
 	Name: "lockheld",
-	Doc: `forbid blocking operations while a mutex is held
+	Doc: `forbid blocking while a mutex is held, taking another mutex included
 
-The campaign broker, the service manager, and the snapshot pool all sit on
-hot paths shared by every worker goroutine: a channel operation, WaitGroup
-wait, sleep, or network/store round-trip made while one of their mutexes is
-held stalls the whole fleet (and can deadlock against the actor loops that
-service those channels). The analysis tracks sync.Mutex/RWMutex
-Lock..Unlock regions (including the Lock-then-defer-Unlock idiom, which
-holds the lock to the end of the function) and flags blocking statements
-inside them — both direct ones and calls whose callees may transitively
-block, reported with the full call chain. Calls launched with go or defer
-inside the region run outside it and are not flagged. Reviewed exceptions
-carry //nyx:blocking.`,
+The campaign broker, the service manager and the checkpoint store guard
+state every worker goroutine reaches: a channel operation, WaitGroup or
+Cond wait, sleep, network round-trip or call into the store from another
+package made while one of their mutexes is held stalls every goroutine
+queued on it, and can deadlock against the actor loops that serve those
+channels. Taking a mutex counts as blocking too, so no mutex is ever taken
+while another is held and no acquisition order exists to get wrong. The
+analysis tracks sync.Mutex/RWMutex held regions: from a Lock or RLock, or
+from the contention-counting guard "if !mu.TryLock() { mu.Lock(); ... }",
+to the matching Unlock, or to the end of the function after a deferred
+Unlock. It flags blocking statements inside them, and calls whose callees
+may block, directly or further down, reported with the full call chain.
+Calls launched with go or defer inside the region run outside it and are
+not flagged. Reviewed exceptions carry //nyx:blocking.
+
+Only this check catches, for example, a time.Sleep added after the deferred
+Unlock in campaign's broker.exchange.`,
 	PkgPaths: []string{
 		"repro/internal/campaign",
 		"repro/internal/service",
-		"repro/internal/snappool",
+		"repro/internal/store",
 	},
 	Run: runLockHeld,
 }
@@ -61,9 +67,6 @@ func runLockHeld(pass *Pass) error {
 // detached by go/defer).
 func passCallSites(pass *Pass) map[token.Pos]*CallSite {
 	sites := make(map[token.Pos]*CallSite)
-	if pass.Prog == nil {
-		return sites
-	}
 	for _, node := range pass.Prog.nodes {
 		if node.Pkg.PkgPath != pass.PkgPath {
 			continue
@@ -82,7 +85,7 @@ func checkLockRegions(pass *Pass, body *ast.BlockStmt, sites map[token.Pos]*Call
 	var walkBlock func(stmts []ast.Stmt)
 	walkBlock = func(stmts []ast.Stmt) {
 		for i, stmt := range stmts {
-			if recv, ok := mutexCall(pass, stmt, "Lock", "RLock"); ok {
+			if recv, ok := lockStmt(pass, stmt); ok {
 				from, to := regionAfterLock(pass, stmts[i+1:], body, recv)
 				flagBlockingBetween(pass, body, from, to, recv, sites)
 				continue
@@ -117,6 +120,31 @@ func checkLockRegions(pass *Pass, body *ast.BlockStmt, sites map[token.Pos]*Call
 		}
 	}
 	walkBlock(body.List)
+}
+
+// lockStmt matches a statement after which a mutex is held: recv.Lock() or
+// recv.RLock(), or the guard that counts contention before waiting,
+// `if !recv.TryLock() { recv.Lock(); ... }`. It returns the rendered
+// receiver expression (e.g. "b.mu").
+func lockStmt(pass *Pass, stmt ast.Stmt) (string, bool) {
+	ifs, ok := stmt.(*ast.IfStmt)
+	if !ok {
+		return mutexCall(pass, stmt, "Lock", "RLock")
+	}
+	not, ok := ast.Unparen(ifs.Cond).(*ast.UnaryExpr)
+	if !ok || not.Op != token.NOT || ifs.Init != nil || ifs.Else != nil || len(ifs.Body.List) == 0 {
+		return "", false
+	}
+	try, ok := ast.Unparen(not.X).(*ast.CallExpr)
+	if !ok {
+		return "", false
+	}
+	recv, ok := mutexCallExpr(pass, try, "TryLock", "TryRLock")
+	if !ok {
+		return "", false
+	}
+	r, ok := mutexCall(pass, ifs.Body.List[0], "Lock", "RLock")
+	return recv, ok && r == recv
 }
 
 // regionAfterLock determines the held region following a Lock on recv:
@@ -227,7 +255,7 @@ func flagBlockingBetween(pass *Pass, body *ast.BlockStmt, from, to token.Pos, re
 				report(pass, n, recv, "blocking select")
 			}
 		case *ast.CallExpr:
-			if name, ok := blockingCall(pass, n); ok {
+			if name, ok := blockingCall(pass.PkgPath, pass.TypesInfo, n); ok {
 				report(pass, n, recv, name)
 				return true
 			}
@@ -266,23 +294,23 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 	return false
 }
 
-// blockingCall recognizes calls that can block on other goroutines or on
-// I/O: WaitGroup/Cond waits, sleeps, and network or checkpoint-store
-// round-trips.
-func blockingCall(pass *Pass, call *ast.CallExpr) (string, bool) {
-	fn := calleeFunc(pass, call)
+// blockingCall recognizes calls, made from package from, that can block on
+// other goroutines or on I/O: taking a mutex, WaitGroup/Cond waits, sleeps,
+// network round-trips, and calls into the checkpoint store from outside it.
+func blockingCall(from string, info *types.Info, call *ast.CallExpr) (string, bool) {
+	fn := calleeFuncInfo(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return "", false
 	}
 	pkg := fn.Pkg().Path()
 	switch {
-	case pkg == "sync" && fn.Name() == "Wait":
-		return "sync." + recvTypeName(fn) + ".Wait", true
+	case pkg == "sync" && (fn.Name() == "Wait" || fn.Name() == "Lock" || fn.Name() == "RLock"):
+		return "sync." + recvTypeName(fn) + "." + fn.Name(), true
 	case pkg == "time" && fn.Name() == "Sleep":
 		return "time.Sleep", true
 	case pkg == "net" || pkg == "net/http":
 		return pkg + "." + fn.Name() + " I/O", true
-	case strings.HasSuffix(pkg, "internal/store"):
+	case strings.HasSuffix(pkg, "internal/store") && pkg != from:
 		return "store I/O (" + fn.Name() + ")", true
 	}
 	return "", false

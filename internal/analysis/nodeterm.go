@@ -39,7 +39,11 @@ never sorted, writes to an encoder/printer, or an early exit). Calls into
 non-gated module code that transitively reaches the wall clock or global
 rand are flagged at the call site with the full chain. Annotate deliberate
 telemetry sites with //nyx:wallclock, seeded-elsewhere rand with
-//nyx:rand, and provably order-insensitive loops with //nyx:maporder.`,
+//nyx:rand, and provably order-insensitive loops with //nyx:maporder.
+
+Only this check catches, for example, service's Manager.Close collecting
+the campaigns it stops by ranging over m.campaigns instead of calling
+campaignsLocked.`,
 	PkgPaths: virtualTimePkgs,
 	Run:      runNoDeterm,
 }
@@ -83,9 +87,6 @@ func runNoDeterm(pass *Pass) error {
 // source, so each chain is reported exactly once.
 func checkTransitiveNoDeterm(pass *Pass) {
 	prog := pass.Prog
-	if prog == nil {
-		return
-	}
 	kinds := []struct {
 		kind      factKind
 		directive string
@@ -126,20 +127,9 @@ func calleePkgPath(fn *types.Func) string {
 	return fn.Pkg().Path()
 }
 
-// calleeFunc resolves a call's callee to a *types.Func when it is a direct
-// (possibly selector-qualified) function or method reference.
+// calleeFunc is calleeFuncInfo over the pass's type information.
 func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
-	return fn
+	return calleeFuncInfo(pass.TypesInfo, call)
 }
 
 func checkWallClock(pass *Pass, call *ast.CallExpr) {

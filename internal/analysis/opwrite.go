@@ -19,7 +19,12 @@ an append onto a reslice of one (append(op.Data[:i], tail...), which
 overwrites op.Data[i:] in place when capacity allows) are reported, also
 through a local variable that was assigned the field or a reslice of it.
 Build the new slice in a variable of its own and assign it (op.Data = fresh):
-replacing the slice header of an op the function owns is always allowed.`,
+replacing the slice header of an op the function owns is always allowed.
+
+It catches, for example, spec's havocDataFrom flipping its bit in the
+parent's payload (data = old instead of slices.Clone(old)) at the line that
+writes. The campaign tests catch that mutation too, as a diverged recording
+or a corrupted publication, without naming the line.`,
 	Run: runOpWrite,
 }
 

@@ -18,7 +18,10 @@ buffer silently corrupts the callee (the retained-trace bug class the
 broker's orderImportsInto scratch rework had to dodge by hand in PR 5).
 Retention is flagged on exported functions when a slice parameter (or a
 re-slice of one) is stored without a copy; append(dst, p...) copies and is
-fine. Deliberate ownership transfers carry //nyx:retains on the function.`,
+fine. Deliberate ownership transfers carry //nyx:retains on the function.
+
+Only this check catches, for example, builder's Builder.Call storing its
+data argument as op.Data without a copy.`,
 	Run: runSliceArg,
 }
 

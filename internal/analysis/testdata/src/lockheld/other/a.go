@@ -1,5 +1,5 @@
 // Package other is the lockheld negative fixture: blocking under a lock is
-// only gated in broker/service/pool packages, not here.
+// only gated in broker/service/store packages, not here.
 package other
 
 import "sync"

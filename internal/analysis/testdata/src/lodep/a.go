@@ -1,12 +1,12 @@
-// Package lodep is a dependency fixture for the lockorder tests: it owns a
-// package-level mutex that a gated package acquires both directly and
-// through Acquire, whose own acquisition sits one more call down so only
-// fact propagation can see it.
+// Package lodep is a dependency fixture for lockheld's nesting tests: it
+// owns a package-level mutex that Acquire takes one call further down, in
+// enter, so only fact propagation shows a caller holding a lock across
+// Acquire that it takes another.
 package lodep
 
 import "sync"
 
-// Mu is the cross-package lock class lodep.Mu.
+// Mu is the mutex enter takes.
 var Mu sync.Mutex
 
 // Acquire takes and releases Mu via an internal helper.

@@ -1,5 +1,5 @@
 // Package campaign is the lockheld fixture: its import path is exactly
-// repro/internal/campaign, one of the gated broker/service/pool packages.
+// repro/internal/campaign, one of the gated broker/service/store packages.
 package campaign
 
 import (

@@ -1,8 +1,10 @@
-// Package service is the lockorder fixture: its import path is exactly
-// repro/internal/service, one of the gated lock-owning packages. The pairs
-// below exercise a direct two-lock cycle, a consistent (legal) order, a
-// reviewed reversed edge, and a cross-package cycle that is only visible
-// through the transitive locks-acquired facts of lodep.Acquire.
+// Package service is lockheld's nesting fixture: its import path is exactly
+// repro/internal/service, one of the gated lock-owning packages. Taking a
+// mutex counts as blocking, so every acquisition made while another mutex
+// is held is reported — in either order, for two instances of one type, and
+// through the call chain of lodep.Acquire — unless it was reviewed. Locks
+// taken one after another are fine, and so is the TryLock guard's own Lock;
+// what follows the guard runs with the lock held.
 package service
 
 import (
@@ -21,41 +23,34 @@ var (
 	muG sync.Mutex
 )
 
-// holdsThenAcquireDep holds muG across a call whose callee transitively
-// takes lodep.Mu; depThenLocal takes the same pair in the opposite order.
+// holdsThenAcquireDep holds muG across a call whose callee takes lodep.Mu
+// one call further down.
 func holdsThenAcquireDep() {
 	muG.Lock()
-	lodep.Acquire() // want `lock acquisition order cycle: lodep\.Mu → service\.muG \(at .*\); service\.muG → lodep\.Mu \(at .* via lodep\.Acquire → lodep\.enter \(lodep\.Mu\.Lock at .*\)\)`
+	lodep.Acquire() // want `call that may block: lodep\.Acquire → lodep\.enter \(sync\.Mutex\.Lock at .*\) while muG is held`
 	muG.Unlock()
-}
-
-func depThenLocal() {
-	lodep.Mu.Lock()
-	muG.Lock()
-	muG.Unlock()
-	lodep.Mu.Unlock()
 }
 
 // forward and reversed take muA and muB in opposite orders: the classic
-// two-path deadlock. The cycle is reported once, at its first edge.
+// two-path deadlock, reported at both inner acquisitions.
 func forward() {
 	muA.Lock()
-	muB.Lock() // want `lock acquisition order cycle: service\.muA → service\.muB \(at .*\); service\.muB → service\.muA \(at .*\)`
+	muB.Lock() // want `sync\.Mutex\.Lock while muA is held`
 	muB.Unlock()
 	muA.Unlock()
 }
 
 func reversed() {
 	muB.Lock()
-	muA.Lock()
+	muA.Lock() // want `sync\.Mutex\.Lock while muB is held`
 	muA.Unlock()
 	muB.Unlock()
 }
 
-// consistentOne and consistentTwo agree on the order: no cycle.
+// consistentOne and consistentTwo agree on the order, and still nest.
 func consistentOne() {
 	muC.Lock()
-	muD.Lock()
+	muD.Lock() // want `sync\.Mutex\.Lock while muC is held`
 	muD.Unlock()
 	muC.Unlock()
 }
@@ -63,34 +58,50 @@ func consistentOne() {
 func consistentTwo() {
 	muC.Lock()
 	defer muC.Unlock()
-	muD.Lock()
+	muD.Lock() // want `sync\.Mutex\.Lock while muC is held`
 	defer muD.Unlock()
 }
 
-// reviewedForward and reviewedReversed would form a cycle, but the reversed
-// edge was reviewed: the directive removes it from the order graph.
-func reviewedForward() {
+// reviewedNesting was reviewed at the inner acquisition.
+func reviewedNesting() {
 	muE.Lock()
+	//nyx:blocking fixture-reviewed: muF is only ever taken here, under muE
 	muF.Lock()
 	muF.Unlock()
 	muE.Unlock()
 }
 
-func reviewedReversed() {
-	muF.Lock()
-	//nyx:lockorder fixture-reviewed: reviewedReversed never runs concurrently with reviewedForward
+// sequential takes each lock after releasing the one before.
+func sequential() {
 	muE.Lock()
 	muE.Unlock()
+	muF.Lock()
 	muF.Unlock()
+	muE.Lock()
+	defer muE.Unlock()
 }
 
-// relockSameClass nests two acquisitions of one class: self edges are
-// skipped (distinct instances of one type may nest safely).
-type node struct{ mu sync.Mutex }
+// relockSameClass nests two instances of one type.
+type node struct {
+	mu sync.Mutex
+	ch chan int
+}
 
 func relockSameClass(a, b *node) {
 	a.mu.Lock()
-	b.mu.Lock()
+	b.mu.Lock() // want `sync\.Mutex\.Lock while a\.mu is held`
 	b.mu.Unlock()
 	a.mu.Unlock()
+}
+
+// tryLockThenBlock takes its lock through the guard that counts contention
+// before waiting: the held region starts after the guard.
+func tryLockThenBlock(n *node) (contended int) {
+	if !n.mu.TryLock() {
+		n.mu.Lock()
+		contended++
+	}
+	defer n.mu.Unlock()
+	n.ch <- 1 // want `channel send while n\.mu is held`
+	return contended
 }

@@ -27,8 +27,8 @@ func TestTransitiveFindingsRequirePropagation(t *testing.T) {
 			"transitively reads the wall clock: ndep.Stamp → ndep.clock"},
 		{"lockheld", analysis.LockHeld, "repro/internal/campaign", nil,
 			"call that may block: campaign.(*Broker).emit → campaign.(*Broker).relay"},
-		{"lockorder", analysis.LockOrder, "repro/internal/service", []string{"lodep"},
-			"via lodep.Acquire → lodep.enter"},
+		{"lockheld-nesting", analysis.LockHeld, "repro/internal/service", []string{"lodep"},
+			"call that may block: lodep.Acquire → lodep.enter"},
 		{"hotalloc", analysis.HotAlloc, "hotalloc", []string{"hdep"},
 			"callsDep allocates: hdep.Build → hdep.grow"},
 	}

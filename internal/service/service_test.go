@@ -425,12 +425,14 @@ func TestRecoverSkipsUndecodableCampaign(t *testing.T) {
 			if err := m.Close(); err != nil {
 				t.Fatal(err)
 			}
-			key := DefaultPrefix + "/b/" + campaign.ManifestFile
-			raw, err := st.Get(key)
+			name := DefaultPrefix + "/b"
+			tree, err := st.GetTree(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := st.Put(key, raw[:len(raw)/2]); err != nil {
+			raw := tree[campaign.ManifestFile]
+			tree[campaign.ManifestFile] = raw[:len(raw)/2]
+			if err := st.PutTree(name, tree); err != nil {
 				t.Fatal(err)
 			}
 

@@ -79,7 +79,6 @@ func (d *dirStore) sweepStaleTemps() {
 			continue
 		}
 		info, err := e.Info()
-		//nyx:wallclock host-side temp-dir hygiene: picks crashed-run leftovers to delete, never influences checkpoint bytes
 		if err != nil || time.Since(info.ModTime()) < staleAfter {
 			continue
 		}
@@ -91,20 +90,6 @@ func (d *dirStore) URL() string { return d.rawurl }
 
 func (d *dirStore) path(key string) string {
 	return filepath.Join(d.root, filepath.FromSlash(key))
-}
-
-func (d *dirStore) Put(key string, data []byte) error {
-	if err := validKey(key); err != nil {
-		return err
-	}
-	p := d.path(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return fmt.Errorf("store: put %q: %w", key, err)
-	}
-	if err := os.WriteFile(p, data, 0o644); err != nil {
-		return fmt.Errorf("store: put %q: %w", key, err)
-	}
-	return nil
 }
 
 func (d *dirStore) Get(key string) ([]byte, error) {
@@ -151,37 +136,6 @@ func (d *dirStore) List(prefix string) ([]string, error) {
 	}
 	sort.Strings(keys)
 	return keys, nil
-}
-
-func (d *dirStore) Delete(key string) error {
-	if err := validKey(key); err != nil {
-		return err
-	}
-	if err := os.Remove(d.path(key)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: delete %q: %w", key, err)
-	}
-	return nil
-}
-
-func (d *dirStore) Rename(oldKey, newKey string) error {
-	if err := validKey(oldKey); err != nil {
-		return err
-	}
-	if err := validKey(newKey); err != nil {
-		return err
-	}
-	np := d.path(newKey)
-	if err := os.MkdirAll(filepath.Dir(np), 0o755); err != nil {
-		return fmt.Errorf("store: rename %q: %w", oldKey, err)
-	}
-	err := os.Rename(d.path(oldKey), np)
-	if os.IsNotExist(err) {
-		return fmt.Errorf("store: rename %q: %w", oldKey, ErrNotExist)
-	}
-	if err != nil {
-		return fmt.Errorf("store: rename %q: %w", oldKey, err)
-	}
-	return nil
 }
 
 func (d *dirStore) PutTree(name string, t Tree) error {

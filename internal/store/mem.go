@@ -19,9 +19,10 @@ var memRegistry = struct {
 
 // memBucket is one bucket's key space. A tree written by PutTree is kept
 // whole under its name, keyed relative to it, so storing or reading one
-// costs a map and a copy of each file and nothing per key; keys written one
-// at a time live in objects. No loose key lies under a stored tree's prefix
-// and no stored tree under another's, so every key has one home.
+// costs a map and a copy of each file and nothing per key; the keys of a
+// tree loosen dissolves live in objects. No loose key lies under a stored
+// tree's prefix and no stored tree under another's, so every key has one
+// home.
 type memBucket struct {
 	mu      sync.RWMutex
 	objects map[string][]byte
@@ -68,17 +69,6 @@ func (b *memBucket) home(key string) (map[string][]byte, string) {
 	return b.objects, key
 }
 
-func (m *memStore) Put(key string, data []byte) error {
-	if err := validKey(key); err != nil {
-		return err
-	}
-	m.bucket.mu.Lock()
-	defer m.bucket.mu.Unlock()
-	objs, k := m.bucket.home(key)
-	objs[k] = bytes.Clone(data)
-	return nil
-}
-
 func (m *memStore) Get(key string) ([]byte, error) {
 	if err := validKey(key); err != nil {
 		return nil, err
@@ -115,37 +105,6 @@ func (m *memStore) List(prefix string) ([]string, error) {
 	}
 	sort.Strings(keys)
 	return keys, nil
-}
-
-func (m *memStore) Delete(key string) error {
-	if err := validKey(key); err != nil {
-		return err
-	}
-	m.bucket.mu.Lock()
-	defer m.bucket.mu.Unlock()
-	objs, k := m.bucket.home(key)
-	delete(objs, k)
-	return nil
-}
-
-func (m *memStore) Rename(oldKey, newKey string) error {
-	if err := validKey(oldKey); err != nil {
-		return err
-	}
-	if err := validKey(newKey); err != nil {
-		return err
-	}
-	m.bucket.mu.Lock()
-	defer m.bucket.mu.Unlock()
-	from, k := m.bucket.home(oldKey)
-	data, ok := from[k]
-	if !ok {
-		return fmt.Errorf("store: rename %q: %w", oldKey, ErrNotExist)
-	}
-	delete(from, k)
-	to, k := m.bucket.home(newKey)
-	to[k] = data
-	return nil
 }
 
 // loosen dissolves every stored tree above or below name into loose objects,
@@ -204,7 +163,7 @@ func (m *memStore) GetTree(name string) (Tree, error) {
 	for k, v := range stored {
 		t[k] = bytes.Clone(v)
 	}
-	for k, v := range m.bucket.objects { // keys put one at a time make up a tree all the same
+	for k, v := range m.bucket.objects { // keys of dissolved trees make up a tree all the same
 		if under(k, name) {
 			t[k[len(name)+1:]] = bytes.Clone(v)
 		}

@@ -33,27 +33,20 @@ import (
 // It is the unit of atomic replacement (one checkpoint = one tree).
 type Tree map[string][]byte
 
-// ErrNotExist is wrapped by Get/GetTree/Rename when the key or tree is
-// absent.
+// ErrNotExist is wrapped by Get/GetTree when the key or tree is absent.
 var ErrNotExist = errors.New("does not exist")
 
-// Storer is a flat object store over opaque keys. Keys are clean relative
-// slash-separated paths ("campaigns/c01/worker-000/sched.bin"); a "tree"
-// named n is simply the set of keys under "n/" — however they got there:
-// put one at a time, or as trees stored further down or further up — which
-// PutTree replaces atomically.
+// Storer is a flat object store over opaque keys, written a tree at a time.
+// Keys are clean relative slash-separated paths
+// ("campaigns/c01/worker-000/sched.bin"); a "tree" named n is simply the set
+// of keys under "n/" — however they got there: stored as n, or as trees
+// further down or further up — which PutTree replaces atomically.
 type Storer interface {
-	// Put writes one object.
-	Put(key string, data []byte) error
 	// Get reads one object (ErrNotExist if absent).
 	Get(key string) ([]byte, error)
 	// List returns all keys with the given prefix, sorted. An empty
 	// prefix lists everything.
 	List(prefix string) ([]string, error)
-	// Delete removes one object. Deleting an absent key is not an error.
-	Delete(key string) error
-	// Rename moves an object to a new key (ErrNotExist if absent).
-	Rename(oldKey, newKey string) error
 
 	// PutTree atomically replaces the tree rooted at name with t: after it
 	// returns, GetTree(name) sees exactly t; after a failure or crash,

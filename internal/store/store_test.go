@@ -39,13 +39,15 @@ func TestOpenRejectsBadURLs(t *testing.T) {
 	}
 }
 
+// Every file of a stored tree reads back as one object under the tree's
+// name, as a copy, and lists under it until the tree is deleted.
 func TestKeyObjectRoundTrip(t *testing.T) {
 	for scheme, st := range backends(t) {
 		t.Run(scheme, func(t *testing.T) {
 			if _, err := st.Get("missing"); !errors.Is(err, ErrNotExist) {
 				t.Fatalf("Get(missing) = %v, want ErrNotExist", err)
 			}
-			if err := st.Put("a/b/c.bin", []byte("payload")); err != nil {
+			if err := st.PutTree("a/b", Tree{"c.bin": []byte("payload"), "d.bin": []byte("two")}); err != nil {
 				t.Fatal(err)
 			}
 			got, err := st.Get("a/b/c.bin")
@@ -62,39 +64,20 @@ func TestKeyObjectRoundTrip(t *testing.T) {
 				t.Fatal("mutating a Get result corrupted the store")
 			}
 
-			if err := st.Rename("a/b/c.bin", "moved/c.bin"); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := st.Get("a/b/c.bin"); !errors.Is(err, ErrNotExist) {
-				t.Fatal("old key survived rename")
-			}
-			if _, err := st.Get("moved/c.bin"); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Rename("absent", "x"); !errors.Is(err, ErrNotExist) {
-				t.Fatalf("Rename(absent) = %v, want ErrNotExist", err)
-			}
-
-			if err := st.Put("moved/d.bin", []byte("two")); err != nil {
-				t.Fatal(err)
-			}
-			keys, err := st.List("moved/")
+			keys, err := st.List("a/")
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := []string{"moved/c.bin", "moved/d.bin"}
+			want := []string{"a/b/c.bin", "a/b/d.bin"}
 			if !reflect.DeepEqual(keys, want) {
 				t.Fatalf("List = %v, want %v", keys, want)
 			}
 
-			if err := st.Delete("moved/c.bin"); err != nil {
+			if err := st.DeleteTree("a/b"); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.Delete("moved/c.bin"); err != nil {
-				t.Fatalf("double delete errored: %v", err)
-			}
-			if _, err := st.Get("moved/c.bin"); !errors.Is(err, ErrNotExist) {
-				t.Fatal("deleted key still readable")
+			if _, err := st.Get("a/b/c.bin"); !errors.Is(err, ErrNotExist) {
+				t.Fatal("a deleted tree's key is still readable")
 			}
 		})
 	}
@@ -107,8 +90,14 @@ func TestKeyValidation(t *testing.T) {
 				"", "/abs", "a//b", "a/./b", "../escape", "a/../../b",
 				"back\\slash", ".checkpoint-123/x", "tree.old/x",
 			} {
-				if err := st.Put(key, []byte("x")); err == nil {
-					t.Fatalf("Put(%q) accepted", key)
+				if err := st.PutTree(key, Tree{"f": []byte("x")}); err == nil {
+					t.Fatalf("PutTree(%q) accepted", key)
+				}
+				if err := st.PutTree("t", Tree{key: []byte("x")}); err == nil {
+					t.Fatalf("PutTree with key %q accepted", key)
+				}
+				if _, err := st.Get(key); err == nil || errors.Is(err, ErrNotExist) {
+					t.Fatalf("Get(%q) = %v, want a key error", key, err)
 				}
 			}
 		})
@@ -179,9 +168,9 @@ func TestTreeRoundTripAndReplace(t *testing.T) {
 	}
 }
 
-// A tree is the set of keys under its name and nothing more: keys put one at
-// a time land in it, a tree stored further down or further up is part of it,
-// replacing or deleting one takes everything below it along — on every
+// A tree is the set of keys under its name and nothing more: a tree stored
+// further down or further up is part of it, replacing or deleting one takes
+// everything below it along, and keys outside it are left alone — on every
 // backend alike, however it lays trees out.
 func TestTreesAndKeysShareOneKeySpace(t *testing.T) {
 	for scheme, st := range backends(t) {
@@ -200,15 +189,11 @@ func TestTreesAndKeysShareOneKeySpace(t *testing.T) {
 					t.Fatalf("%s: %v", what, err)
 				}
 			}
+			check("PutTree", st.PutTree("other", Tree{"kept.bin": []byte("kept")}))
 			a := checkpointLikeTree(1)
 			check("PutTree", st.PutTree("camp/a", a))
-			check("Put", st.Put("camp/a/service.json", []byte("{}")))
-			check("Put", st.Put("camp/loose.bin", []byte("loose")))
-			a["service.json"] = []byte("{}")
-			if got := tree("camp/a"); !reflect.DeepEqual(got, a) {
-				t.Fatalf("a key put under a stored tree is not part of it: %v", got)
-			}
-			up := Tree{"loose.bin": []byte("loose")}
+			check("PutTree", st.PutTree("camp/l", Tree{"loose.bin": []byte("loose")}))
+			up := Tree{"l/loose.bin": []byte("loose")}
 			for k, v := range a {
 				up["a/"+k] = v
 			}
@@ -223,12 +208,8 @@ func TestTreesAndKeysShareOneKeySpace(t *testing.T) {
 			if want := []string{"camp/a/worker-000/queue/id-000001.nyx", "camp/a/worker-000/sched.bin"}; !reflect.DeepEqual(keys, want) {
 				t.Fatalf("List = %v, want %v", keys, want)
 			}
-			check("Rename", st.Rename("camp/a/virgin.bin", "moved.bin"))
-			check("Delete", st.Delete("camp/a/service.json"))
-			delete(a, "virgin.bin")
-			delete(a, "service.json")
 			if got := tree("camp/a"); !reflect.DeepEqual(got, a) {
-				t.Fatalf("after a rename out and a delete: %v", got)
+				t.Fatalf("a tree read back after reads above and below it: %v", got)
 			}
 
 			// A tree stored below another becomes part of it; replacing the
@@ -257,8 +238,8 @@ func TestTreesAndKeysShareOneKeySpace(t *testing.T) {
 			check("DeleteTree", st.DeleteTree("camp"))
 			keys, err = st.List("")
 			check("List", err)
-			if !reflect.DeepEqual(keys, []string{"moved.bin"}) {
-				t.Fatalf("keys left = %v, want only the one renamed out", keys)
+			if !reflect.DeepEqual(keys, []string{"other/kept.bin"}) {
+				t.Fatalf("keys left = %v, want only the tree outside camp", keys)
 			}
 		})
 	}
@@ -417,18 +398,21 @@ func TestMemBucketsShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Put("k", []byte("v")); err != nil {
+	if err := a.PutTree("t", Tree{"k": []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.Get("k")
+	got, err := b.Get("t/k")
 	if err != nil || !bytes.Equal(got, []byte("v")) {
 		t.Fatalf("second handle sees %q, %v", got, err)
+	}
+	if tr, err := b.GetTree("t"); err != nil || !reflect.DeepEqual(tr, Tree{"k": []byte("v")}) {
+		t.Fatalf("second handle reads tree %v, %v", tr, err)
 	}
 	other, err := Open(url + "-other")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := other.Get("k"); !errors.Is(err, ErrNotExist) {
+	if _, err := other.Get("t/k"); !errors.Is(err, ErrNotExist) {
 		t.Fatal("distinct buckets share state")
 	}
 }
