@@ -1,8 +1,8 @@
 // Command nyx-vet runs the repository's analyzer suite (internal/analysis):
-// nodeterm, aliasret, lockheld, slicearg, opwrite, and hotalloc — the
-// machine-checked versions of the determinism, aliasing, locking, and
-// hot-path allocation invariants the virtual-time design depends on. The
-// nodeterm, lockheld, and hotalloc checks are interprocedural: facts
+// nodeterm, aliasret, lockheld, slicearg, and opwrite — the machine-checked
+// versions of the determinism, aliasing, and locking invariants the
+// virtual-time design depends on. The nodeterm and lockheld checks are
+// interprocedural: facts
 // propagate through a whole-program call graph, and diagnostics carry the
 // full call chain to the offending source site.
 //

@@ -27,8 +27,8 @@
 // APIs must not return or retain aliased slices (the PR-4 DirtyPages bug
 // class); nothing may block while a broker/service/store mutex is held,
 // and taking another mutex counts as blocking, so no lock order can
-// deadlock (lockheld); and functions on the //nyx:hotpath-marked
-// restore/lookup paths must not heap-allocate (hotalloc). Deliberate exceptions are annotated in source with reasoned
-// //nyx: directives, which suppress the fact at its source and thereby
-// untaint every caller; see the "Static analysis" section of README.md.
+// deadlock (lockheld). Deliberate exceptions are annotated in source with
+// reasoned //nyx: directives, which suppress the fact at its source and
+// thereby untaint every caller; see the "Static analysis" section of
+// README.md.
 package repro

@@ -37,24 +37,25 @@
 //     inputs share those arrays: Clone copies op headers only and a campaign
 //     broker hands one queued input to every worker. There is no waiver
 //     directive; code that changes an op builds a new slice and assigns it.
-//   - hotalloc: functions marked //nyx:hotpath (slot restore, snapshot
-//     lookup, coverage bucketing, the netemu resumed-run path) must not
-//     heap-allocate, directly or through any call chain.
+//
+// What the suite does not check, the tests do: every function on the
+// restore, lookup and resumed-run paths runs under a testing.AllocsPerRun
+// test that holds it to zero allocations.
 //
 // # Interprocedural layer
 //
-// nodeterm, lockheld, and hotalloc are backed by a whole-program fact
-// engine (callgraph.go, facts.go): a call graph over every loaded package —
-// static calls plus CHA resolution of interface method calls — carries
-// per-function summaries (reads-wallclock, uses-global-rand, may-block,
-// allocates) to a fixed point. Diagnostics for transitive findings include
+// nodeterm and lockheld are backed by a whole-program fact engine
+// (callgraph.go, facts.go): a call graph over every loaded package — static
+// calls plus CHA resolution of interface method calls — carries
+// per-function summaries (reads-wallclock, uses-global-rand, may-block) to a
+// fixed point. Diagnostics for transitive findings include
 // the full witness chain, e.g.
 //
 //	call that may block: campaign.(*Broker).flush (channel send at broker.go:88) while b.mu is held
 //
 // so a suppression is reviewable without re-deriving the path by hand. A
-// directive placed at the *source* site (the time.Now call, the allocation)
-// suppresses the fact itself: a reviewed source does not taint its callers.
+// directive placed at the *source* site (the time.Now call, the blocking
+// call) suppresses the fact itself: a reviewed source does not taint its callers.
 //
 // # Directives
 //
@@ -68,8 +69,6 @@
 //	//nyx:aliased <why>    - documented zero-copy return (aliasret)
 //	//nyx:blocking <why>   - reviewed blocking call under lock (lockheld)
 //	//nyx:retains <why>    - documented ownership transfer (slicearg)
-//	//nyx:hotpath          - marks a function as allocation-free hot path (hotalloc)
-//	//nyx:alloc <why>      - reviewed cold-path allocation (hotalloc)
 package analysis
 
 import (
@@ -296,5 +295,5 @@ func sortDiagnostics(pkgs []*Package, diags []Diagnostic) {
 
 // All returns the full nyx-vet analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{NoDeterm, AliasRet, LockHeld, SliceArg, OpWrite, HotAlloc}
+	return []*Analyzer{NoDeterm, AliasRet, LockHeld, SliceArg, OpWrite}
 }

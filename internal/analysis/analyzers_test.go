@@ -49,7 +49,3 @@ func TestOpWriteFixture(t *testing.T) {
 func TestLockHeldNestingFixture(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.LockHeld, "repro/internal/service", "lodep")
 }
-
-func TestHotAllocFixture(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.HotAlloc, "hotalloc", "hdep")
-}

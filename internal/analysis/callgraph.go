@@ -53,8 +53,8 @@ type CallSite struct {
 	Callees []*types.Func
 	// ViaGo marks a call made inside a `go`-launched or deferred function
 	// literal (or a direct `go f()`/`defer f()` statement): nondeterminism
-	// facts still flow to the spawner, but may-block and allocation facts do
-	// not — the spawner does not wait for the call, and a deferred call runs
+	// facts still flow to the spawner, but may-block facts do not — the
+	// spawner does not wait for the call, and a deferred call runs
 	// after the function's own unlocks.
 	ViaGo bool
 }

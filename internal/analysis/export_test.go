@@ -8,15 +8,14 @@ type Waiver struct {
 	Comment *ast.Comment
 }
 
-// Waivers lists every //nyx: directive in pkgs except hotpath, which marks a
-// function for hotalloc instead of waiving a finding.
+// Waivers lists every //nyx: directive in pkgs.
 func Waivers(pkgs []*Package) []Waiver {
 	var ws []Waiver
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					if name, ok := parseDirective(c.Text); ok && name != "hotpath" {
+					if _, ok := parseDirective(c.Text); ok {
 						ws = append(ws, Waiver{pkg.PkgPath, c})
 					}
 				}

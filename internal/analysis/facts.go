@@ -17,7 +17,6 @@ const (
 	factWallclock factKind = iota // calls time.Now/Since/Until
 	factRand                      // consults the global math/rand generator
 	factMayBlock                  // may block: channel op, select, Lock, Wait, sleep, net/store I/O
-	factAllocates                 // performs a heap allocation
 	numFactKinds
 )
 
@@ -29,8 +28,6 @@ func (k factKind) String() string {
 		return "uses-global-rand"
 	case factMayBlock:
 		return "may-block"
-	case factAllocates:
-		return "allocates"
 	}
 	return "unknown-fact"
 }
@@ -120,9 +117,8 @@ func (prog *Program) computeFacts() {
 						}
 						// Detached execution: the spawner still inherits
 						// nondeterminism (the output diverges regardless of
-						// which goroutine reads the clock), but not blocking
-						// or allocation.
-						if site.ViaGo && (k == factMayBlock || k == factAllocates) {
+						// which goroutine reads the clock), but not blocking.
+						if site.ViaGo && k == factMayBlock {
 							continue
 						}
 						seen[updKey{ff, k}] = true
@@ -143,7 +139,7 @@ func (prog *Program) computeFacts() {
 }
 
 // directFacts scans one function body for fact sources. A //nyx: directive
-// at the source site (wallclock, rand, blocking, alloc) suppresses the fact
+// at the source site (wallclock, rand, blocking) suppresses the fact
 // itself: the site was reviewed where it happens, so callers are not
 // tainted by it.
 func (prog *Program) directFacts(node *FuncNode) *funcFacts {
@@ -185,14 +181,17 @@ func (prog *Program) directFacts(node *FuncNode) *funcFacts {
 					set(factMayBlock, m.Pos(), "blocking select")
 				}
 			}
-			if !viaGo {
-				prog.scanAllocFacts(node, ff, m, allowed, set)
-			}
 			return true
 		})
 	}
 	walk(node.Decl.Body, false)
 	return ff
+}
+
+// allowedAt checks a //nyx: directive by position using the program-wide
+// directive index (usable outside the reporting package's own pass).
+func (prog *Program) allowedAt(pkg *Package, pos token.Pos, name string) bool {
+	return prog.pkgDirectives(pkg.PkgPath).allowed(pkg.Fset, pos, name)
 }
 
 // scanCallFacts records facts arising directly from one call expression:

@@ -29,8 +29,6 @@ func TestTransitiveFindingsRequirePropagation(t *testing.T) {
 			"call that may block: campaign.(*Broker).emit → campaign.(*Broker).relay"},
 		{"lockheld-nesting", analysis.LockHeld, "repro/internal/service", []string{"lodep"},
 			"call that may block: lodep.Acquire → lodep.enter"},
-		{"hotalloc", analysis.HotAlloc, "hotalloc", []string{"hdep"},
-			"callsDep allocates: hdep.Build → hdep.grow"},
 	}
 
 	for _, c := range cases {

@@ -328,6 +328,8 @@ type Fuzzer struct {
 	trimTime         time.Duration        // virtual time consumed by the lazy trim
 	execTimeSum      time.Duration        // running sum of Queue ExecTimes (energy's O(1) average)
 	retrimmed        []Retrim             // trims since the last DrainRetrimmed
+	pkts             []int                // placeSnapshot's scratch: the picked entry's packet op indices
+	base             spec.Input           // the round's input with its snapshot marker, when it has one
 
 	// Power-schedule state (schedule.go).
 	power       Power
@@ -505,7 +507,8 @@ func (f *Fuzzer) Step() error {
 	// miss for the entry's prefix at that position — a hit resumes a
 	// snapshot that survived earlier rounds (possibly created by a
 	// different entry sharing the prefix) with no full run at all.
-	base := &spec.Input{Ops: entry.Input.Ops, SnapshotAt: snapAt}
+	f.base = spec.Input{Ops: entry.Input.Ops, SnapshotAt: snapAt}
+	base := &f.base
 	if f.pool != nil {
 		return f.fuzzWithPool(entry, base, snapAt, budget)
 	}
@@ -742,7 +745,8 @@ func (f *Fuzzer) ImportInput(in *spec.Input) (bool, error) {
 // placeSnapshot returns the op index for the snapshot marker, or -1 for the
 // root snapshot, implementing §3.4's policies.
 func (f *Fuzzer) placeSnapshot(e *QueueEntry) int {
-	pkts := packetOpIndices(f.Spec, e.Input)
+	pkts := packetOpIndices(f.pkts[:0], f.Spec, e.Input)
+	f.pkts = pkts
 	n := len(pkts)
 	if n < MinPacketsForSnapshot {
 		return -1
@@ -772,9 +776,8 @@ func (f *Fuzzer) placeSnapshot(e *QueueEntry) int {
 	}
 }
 
-// packetOpIndices returns the op indices of data-carrying ops.
-func packetOpIndices(s *spec.Spec, in *spec.Input) []int {
-	var idx []int
+// packetOpIndices appends the op indices of in's data-carrying ops to idx.
+func packetOpIndices(idx []int, s *spec.Spec, in *spec.Input) []int {
 	for i, op := range in.Ops {
 		if int(op.Node) < len(s.Nodes) && s.Nodes[op.Node].HasData {
 			idx = append(idx, i)

@@ -43,9 +43,13 @@ func (f *Fuzzer) Trim(in *spec.Input) (*spec.Input, error) {
 // could be dropped). The scheduler uses it to refresh QueueEntry.ExecTime
 // after a trim — the pre-trim estimate describes an input that no longer
 // exists.
+//
+// Candidates are built in one spare input, which trades places with cur when
+// the candidate is accepted: neither is anyone else's, and a trim allocates
+// the two and nothing per candidate.
 func (f *Fuzzer) trimMeasured(in *spec.Input) (*spec.Input, time.Duration, error) {
-	cur := in.Clone()
-	cur.SnapshotAt = -1
+	cur, cand := in.Clone(), in.Clone()
+	cur.SnapshotAt, cand.SnapshotAt = -1, -1
 	// f.trace is idle between two of the fuzzer's own executions, which is
 	// when a trim runs, and the reference signature is taken before the
 	// first candidate overwrites it: a trim needs no trace of its own.
@@ -59,8 +63,7 @@ func (f *Fuzzer) trimMeasured(in *spec.Input) (*spec.Input, time.Duration, error
 	// Pass 1: drop ops, back to front (later ops depend on earlier
 	// outputs, never the other way around).
 	for i := len(cur.Ops) - 1; i >= 0 && len(cur.Ops) > 1; i-- {
-		cand := cur.Clone()
-		cand.Ops = append(cand.Ops[:i], cand.Ops[i+1:]...)
+		cand.Ops = append(append(cand.Ops[:0], cur.Ops[:i]...), cur.Ops[i+1:]...)
 		if f.Spec.Validate(cand) != nil {
 			continue
 		}
@@ -71,7 +74,7 @@ func (f *Fuzzer) trimMeasured(in *spec.Input) (*spec.Input, time.Duration, error
 		}
 		f.execs++
 		if !res.Crashed && traceSignature(&f.trace) == want {
-			cur = cand
+			cur, cand = cand, cur
 			curTime = f.Agent.Now() - t0
 		}
 	}
@@ -79,7 +82,7 @@ func (f *Fuzzer) trimMeasured(in *spec.Input) (*spec.Input, time.Duration, error
 	// Pass 2: halve payloads while the signature holds.
 	for i := range cur.Ops {
 		for len(cur.Ops[i].Data) > 1 {
-			cand := cur.Clone()
+			cand.Ops = append(cand.Ops[:0], cur.Ops...)
 			cand.Ops[i].Data = cand.Ops[i].Data[:len(cand.Ops[i].Data)/2]
 			t0 := f.Agent.Now()
 			res, err := f.Agent.RunFromRoot(cand, &f.trace)
@@ -90,7 +93,7 @@ func (f *Fuzzer) trimMeasured(in *spec.Input) (*spec.Input, time.Duration, error
 			if res.Crashed || traceSignature(&f.trace) != want {
 				break
 			}
-			cur = cand
+			cur, cand = cand, cur
 			curTime = f.Agent.Now() - t0
 		}
 	}

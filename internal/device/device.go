@@ -224,8 +224,6 @@ type blockSnap struct {
 // harvest reclaims a dirty layer's sector buffers into the bounded free
 // stack before the layer is cleared, so the next cycle's shadow writes reuse
 // them instead of allocating.
-//
-//nyx:hotpath
 func (d *BlockDevice) harvest(layer map[uint64][]byte) {
 	// Which buffers survive the cap, and in what order, is unobservable:
 	// they are fungible scratch whose content is fully overwritten on reuse.
@@ -259,8 +257,6 @@ func (d *BlockDevice) SaveSnapshot() Snapshot {
 // restore) instead of O(delta). Reads fall through shared to the untouched
 // base image; writes shadow the frozen delta in l1, in buffers harvested from
 // the layer cleared here.
-//
-//nyx:hotpath
 func (d *BlockDevice) LoadSnapshot(s Snapshot) {
 	sn := s.(*blockSnap)
 	d.shared = sn.delta
@@ -370,8 +366,6 @@ func (n *NIC) capture() nicState {
 // never alias them — capture copies the queue headers into fresh arrays and
 // frame buffers are immutable once enqueued — so the only effect is that
 // the per-restore reallocation disappears.
-//
-//nyx:hotpath
 func (n *NIC) apply(st nicState) {
 	n.RxQueue = append(n.RxQueue[:0], st.RxQueue...)
 	n.TxQueue = append(n.TxQueue[:0], st.TxQueue...)
@@ -390,8 +384,6 @@ func (n *NIC) RestoreRoot() { n.apply(n.rootState) }
 func (n *NIC) SaveSnapshot() Snapshot { st := n.capture(); return &st }
 
 // LoadSnapshot implements Device.
-//
-//nyx:hotpath
 func (n *NIC) LoadSnapshot(s Snapshot) { n.apply(*s.(*nicState)) }
 
 // SaveState implements Device.
@@ -456,8 +448,6 @@ func (s *Serial) SaveSnapshot() Snapshot {
 // aliases s.Log and the copy-in cannot corrupt captured state. Reloading
 // the snapshot the log already derives from (same frozen slice, nothing
 // but appends since) truncates in place instead of re-copying.
-//
-//nyx:hotpath
 func (s *Serial) LoadSnapshot(sn Snapshot) {
 	b := sn.([]byte)
 	if len(b) > 0 && len(s.loaded) == len(b) && &s.loaded[0] == &b[0] && len(s.Log) >= len(b) {

@@ -520,3 +520,49 @@ func TestSerialSnapshotTruncateFastPath(t *testing.T) {
 		t.Fatalf("reload after root: log = %q", s.Log)
 	}
 }
+
+// TestSteadyStateLoadSnapshotAllocs pins the devices' half of a slot
+// restore: reloading a captured snapshot and writing again — a block
+// device's sectors, a NIC's queues, a console's log, switching between two
+// console snapshots so both of its reload paths run — allocates nothing once
+// the free sector stack and the queues have grown.
+func TestSteadyStateLoadSnapshotAllocs(t *testing.T) {
+	d := NewBlockDevice("disk", 64)
+	d.TakeRoot()
+	if err := d.WriteSector(1, sector(1)); err != nil {
+		t.Fatal(err)
+	}
+	blockSnap := d.SaveSnapshot()
+	n := NewNIC("eth0")
+	n.TakeRoot()
+	n.Receive([]byte("pkt1"))
+	nicSnap := n.SaveSnapshot()
+	s := NewSerial("ttyS0")
+	s.TakeRoot()
+	s.WriteString("boot\n")
+	logA := s.SaveSnapshot()
+	s.WriteString("more\n")
+	logB := s.SaveSnapshot()
+	buf := sector(2)
+	cycle := func() {
+		for _, log := range []Snapshot{logA, logB, logB} {
+			d.LoadSnapshot(blockSnap)
+			if err := d.WriteSector(2, buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.WriteSector(1, buf); err != nil {
+				t.Fatal(err)
+			}
+			n.LoadSnapshot(nicSnap)
+			s.LoadSnapshot(log)
+			s.WriteString("x")
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("steady-state device reload→write cycle allocates %.1f times per run, want 0", allocs)
+	}
+	if !bytes.Equal(readSector(t, d, 1), buf) || len(n.RxQueue) != 1 || string(s.Log) != "boot\nmore\nx" {
+		t.Fatal("the cycle did not leave what it wrote on the reloaded state")
+	}
+}

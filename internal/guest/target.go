@@ -42,7 +42,8 @@ type Target interface {
 	// OnConnect is invoked when the fuzzer opens a connection.
 	OnConnect(env *Env, c *Conn)
 	// OnPacket is invoked for each delivered packet, with exact packet
-	// boundaries preserved (§3.3).
+	// boundaries preserved (§3.3). data is valid only for the call, and the
+	// handler must not write it: state that keeps any of it keeps a copy.
 	OnPacket(env *Env, c *Conn, data []byte)
 	// OnDisconnect is invoked when a connection closes.
 	OnDisconnect(env *Env, c *Conn)

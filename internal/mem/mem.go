@@ -224,8 +224,6 @@ func (m *Memory) allocPage() []byte {
 }
 
 // retirePage offers a displaced private buffer to the free list.
-//
-//nyx:hotpath
 func (m *Memory) retirePage(p []byte) {
 	if len(m.freePages) < maxFreePages {
 		m.freePages = append(m.freePages, p)
@@ -245,8 +243,6 @@ func (m *Memory) readPage(pn uint32) []byte {
 }
 
 // markDirty records a write to page pn.
-//
-//nyx:hotpath
 func (m *Memory) markDirty(pn uint32) {
 	if m.dirtyBitmap[pn] == 0 {
 		m.dirtyBitmap[pn] = 1
@@ -317,8 +313,6 @@ func (m *Memory) WriteAt(p []byte, off int64) (int, error) {
 // pages a write the caller skipped would have dirtied, so that the restore
 // which must follow resets them and counts them in PagesReset exactly as if
 // the write had happened. The range must lie within memory, and n > 0.
-//
-//nyx:hotpath
 func (m *Memory) Discard(off int64, n int) {
 	last := uint32((off + int64(n) - 1) >> PageShift)
 	for pn := uint32(off >> PageShift); pn <= last; pn++ {
@@ -366,8 +360,6 @@ func (m *Memory) rootPage(pn uint32) []byte { return m.root[pn] }
 // installing an alias to the frozen snapshot storage instead of copying it:
 // O(1) per page regardless of page size. The cow bit makes the next write
 // to the page copy it out first, so the snapshot content stays immutable.
-//
-//nyx:hotpath
 func (m *Memory) resetPage(pn uint32, src []byte) {
 	if old := m.pages[pn]; old != nil && !m.cow[pn] {
 		// A private buffer is being displaced by the alias; recycle it
@@ -391,8 +383,6 @@ func (m *Memory) resetPage(pn uint32, src []byte) {
 
 // snapshotPageFor returns the content page pn must be restored to under the
 // currently selected snapshot (active slot overlay first, then root).
-//
-//nyx:hotpath
 func (m *Memory) snapshotPageFor(pn uint32) []byte {
 	if s := m.activeRef; s != nil {
 		if p, ok := s.pages[pn]; ok {
@@ -407,8 +397,6 @@ func (m *Memory) snapshotPageFor(pn uint32) []byte {
 // copy-on-write alias (resetPage); the first write to a restored page copies
 // it out (page). The stack strategy resolves the active derivation's overlay
 // once instead of looking the slot up per page.
-//
-//nyx:hotpath
 func (m *Memory) restoreDirty() {
 	switch m.Strategy {
 	case RestoreStack:
@@ -445,8 +433,6 @@ func (m *Memory) restoreDirty() {
 // from an incremental slot — the pages that slot had overlaid. The slots
 // themselves stay restorable (the pool keeps snapshots across root runs);
 // only the derivation returns to the root.
-//
-//nyx:hotpath
 func (m *Memory) RestoreRoot() error {
 	if !m.hasRoot {
 		return ErrNoRootSnapshot
@@ -600,8 +586,6 @@ func (m *Memory) ActiveSlot() int { return m.active }
 // overlay covers — still proportional to the deltas involved, never to the
 // VM size. Returns the number of pages reset, which is the restore cost the
 // VM layer charges.
-//
-//nyx:hotpath
 func (m *Memory) RestoreIncrementalSlot(id int) (int, error) {
 	// Re-restoring the derivation slot is the hot case (every suffix
 	// execution); the cached active ref skips the slot-table lookup.

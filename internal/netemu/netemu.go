@@ -214,22 +214,18 @@ func (a *Agent) RunCreatingSlot(in *spec.Input, tr *coverage.Trace, fromSlot, ne
 // snapshot pool. The marker must sit exactly at the slot's prefix length
 // (the pool keys slots by prefix digest, so a digest hit guarantees the
 // prefix bytes match; the marker check catches caller bookkeeping bugs).
-//
-//nyx:hotpath
 func (a *Agent) RunFromSnapshot(slot int, in *spec.Input, tr *coverage.Trace) (Result, error) {
 	st := a.slots[slot]
 	if st == nil || !a.M.HasSlot(slot) {
 		return Result{}, ErrNoSnapshot
 	}
 	if in.SnapshotAt != st.ops {
-		//nyx:alloc cold error path: marker mismatch aborts the run, never taken on a successful resume
 		return Result{}, fmt.Errorf("netemu: input snapshot marker %d does not match slot prefix %d",
 			in.SnapshotAt, st.ops)
 	}
 	if err := a.M.RestoreIncrementalSlot(slot); err != nil {
-		return Result{}, fmt.Errorf("netemu: slot restore: %w", err) //nyx:alloc cold error path
+		return Result{}, fmt.Errorf("netemu: slot restore: %w", err)
 	}
-	//nyx:alloc op execution allocates by design (argument boxing in a target's Sendf, the strings splitCmd cuts a packet into, a crash report, a custom handler's arguments and results); the gated invariant is the restore machinery above
 	res, err := a.run(in, tr, st.ops, a.resumeValues(st.values), createNone)
 	res.FromSnapshot = true
 	res.OpsExecuted += st.ops
@@ -240,8 +236,6 @@ func (a *Agent) RunFromSnapshot(slot int, in *spec.Input, tr *coverage.Trace) (R
 // environment in the agent's reusable scratch. Safe because everything
 // that outlives the run copies out of the working slice (takeSnapshot),
 // and run() hands the possibly-grown array back for the next round.
-//
-//nyx:hotpath
 func (a *Agent) resumeValues(src []Value) []Value {
 	vals := append(a.valScratch[:0], src...)
 	a.valScratch = vals

@@ -554,3 +554,27 @@ func TestRootRunSteadyStateAllocs(t *testing.T) {
 		t.Errorf("a root run allocates %v objects in steady state, want 0", n)
 	}
 }
+
+// TestSlotRunSteadyStateAllocs is the resumed twin of the root run above: a
+// run resumed from a pooled slot — the slot restore, the value environment's
+// working copy, the suffix's packets, close — allocates nothing once the
+// agent has been through one.
+func TestSlotRunSteadyStateAllocs(t *testing.T) {
+	a, s, _ := setup(t)
+	in := seq(s, "USER a", "PASS b", "USER c")
+	cls, _ := s.NodeByName("close")
+	in.Ops = append(in.Ops, spec.Op{Node: cls, Args: []uint16{0}})
+	in.SnapshotAt = 2
+	var tr coverage.Trace
+	if res, err := a.RunCreatingSlot(in, &tr, -1, 1); err != nil || !res.SnapshotTaken {
+		t.Fatalf("slot creation: %+v, %v", res, err)
+	}
+	run := func() {
+		if res, err := a.RunFromSnapshot(1, in, &tr); err != nil || !res.FromSnapshot || res.OpsExecuted != len(in.Ops) {
+			t.Fatalf("slot run: %+v, %v", res, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Errorf("a run resumed from a slot allocates %v objects in steady state, want 0", n)
+	}
+}

@@ -100,6 +100,12 @@ type Pool struct {
 	// than every cached prefix).
 	prefixLens map[int]int
 
+	// h, buf and sum are scan's hash, encoding and digest scratch, reset by
+	// every scan.
+	h   hash.Hash
+	buf []byte
+	sum []byte
+
 	stats Stats
 }
 
@@ -111,6 +117,7 @@ func New(budget int64) *Pool {
 		nextSlot:   1,
 		entries:    make(map[Digest]*Entry),
 		prefixLens: make(map[int]int),
+		h:          sha256.New(),
 	}
 }
 
@@ -154,8 +161,6 @@ func (p *Pool) Touch(e *Entry) {
 // the repeat-round fast path. A nil return is NOT counted as a miss: the
 // caller falls back to Resolve (which needs the streaming scan anyway to
 // find the longest chainable prefix), and that call does the counting.
-//
-//nyx:hotpath
 func (p *Pool) LookupDigest(d Digest) *Entry {
 	t0 := time.Now() //nyx:wallclock LookupWall telemetry measures real lookup cost, never virtual time
 	e := p.entries[d]
@@ -197,23 +202,23 @@ func (p *Pool) scan(in *spec.Input, limit int) (exact, longest *Entry, digest Di
 	if limit > len(in.Ops) {
 		limit = len(in.Ops)
 	}
-	h := sha256.New()
-	var buf []byte
-	var d Digest
+	h := p.h
+	h.Reset()
 	for k := 1; k <= limit; k++ {
-		buf = hashOp(h, buf, in.Ops[k-1])
+		p.buf = hashOp(h, p.buf, in.Ops[k-1])
 		if k == limit {
 			break
 		}
 		if p.prefixLens[k] == 0 {
 			continue // no cached entry can match at this position
 		}
-		h.Sum(d[:0])
-		if e := p.entries[d]; e != nil && e.Ops == k {
+		p.sum = h.Sum(p.sum[:0])
+		if e := p.entries[Digest(p.sum)]; e != nil && e.Ops == k {
 			longest = e
 		}
 	}
-	h.Sum(digest[:0])
+	p.sum = h.Sum(p.sum[:0])
+	digest = Digest(p.sum)
 	return p.entries[digest], longest, digest
 }
 

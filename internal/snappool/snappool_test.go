@@ -205,6 +205,31 @@ func TestLookupDigestFastPath(t *testing.T) {
 	}
 }
 
+// TestLookupsAllocateNothing pins the pool's per-round cost: a memoized
+// digest's lookup, hit or miss, and a full Resolve, hit or miss, allocate
+// nothing — the scan reuses the pool's one hash and its scratch.
+func TestLookupsAllocateNothing(t *testing.T) {
+	p := New(0)
+	in := testInput(10, 1)
+	d4 := PrefixDigest(in, 4)
+	p.Insert(d4, p.AllocSlot(), 4, 4096, time.Millisecond)
+	p.Insert(PrefixDigest(in, 7), p.AllocSlot(), 7, 4096, time.Millisecond)
+	d5 := PrefixDigest(in, 5)
+	for name, lookup := range map[string]func(){
+		"LookupDigest hit":  func() { p.LookupDigest(d4) },
+		"LookupDigest miss": func() { p.LookupDigest(d5) },
+		"Resolve hit":       func() { p.Resolve(in, 7) },
+		"Resolve miss":      func() { p.Resolve(in, 9) },
+	} {
+		if n := testing.AllocsPerRun(100, lookup); n != 0 {
+			t.Errorf("%s: %.0f allocations, want 0", name, n)
+		}
+	}
+	if hit, longest, d := p.Resolve(in, 9); hit != nil || longest == nil || longest.Ops != 7 || d != PrefixDigest(in, 9) {
+		t.Fatalf("Resolve(9) = %+v, %+v: the reused hash answered wrong", hit, longest)
+	}
+}
+
 // TestScanEarlyExitMatchesFullScan pins the prefix-length index: the scan
 // must resolve exactly the same hit/longest/digest as a position-by-position
 // scan would, including after evictions retire a prefix length.

@@ -3,6 +3,7 @@ package spec
 import (
 	"math/rand"
 	"slices"
+	"unsafe"
 )
 
 // Mutator generates and mutates inputs against a Spec, keeping every output
@@ -25,12 +26,14 @@ type Mutator struct {
 	Dict [][]byte
 
 	// child is the input Mutate and MutateSuffix hand out, refilled by every
-	// call, and spliced the one Splice hands out. The rest is scratch kept
-	// between calls: generateInto's value types in scope, pickValue's
-	// candidates, havocDataFrom's payload ops, and per edge type the nodes
-	// that output it (a Spec is complete before a mutator runs).
+	// call, and spliced the one Splice hands out. arena holds the payloads
+	// and argument lists child is given. The rest is scratch kept between
+	// calls: generateInto's value types in scope, pickValue's candidates,
+	// havocDataFrom's payload ops, and per edge type the nodes that output it
+	// (a Spec is complete before a mutator runs).
 	child     Input
 	spliced   Input
+	arena     arena
 	values    []EdgeID
 	cands     []int
 	dataOps   []int
@@ -54,6 +57,125 @@ type Mutator struct {
 // serves a word in one step, a plain rand.Source in two Int63.
 func NewMutator(s *Spec, r *rand.Rand) *Mutator {
 	return &Mutator{S: s, R: r, MaxOps: 32, MaxData: 256}
+}
+
+// arena is where MutateSuffix builds the payloads and argument lists it gives
+// its child: one chunk of bytes and one of argument slots, carved front to
+// back and reset at the next MutateSuffix call, once the child that
+// referenced them is dead. A request that does not fit what is left is made
+// on the heap instead, so the arena never grows past its chunks and one
+// oversized child pins nothing. Handouts are not zeroed: the caller writes
+// every element. An Input whose arrays may lie in an arena names it
+// (Input.arena); Clone copies those arrays out.
+type arena struct {
+	data []byte
+	args []uint16
+}
+
+// The arena's chunk sizes. On bftpd, tinydtls and dnsmasq campaigns a child
+// takes at most 2.6 KiB of new payload bytes and 27 argument slots, and 99.9%
+// of children at most 1.5 KiB and 20.
+const (
+	arenaBytes = 4 << 10
+	arenaArgs  = 64
+)
+
+func (a *arena) reset() { a.data, a.args = a.data[:0], a.args[:0] }
+
+// bytes returns n bytes for a payload: from a, or from the heap when a is nil
+// or full. n == 0 gives nil, as an empty payload always was.
+func (a *arena) bytes(n int) []byte {
+	var chunk *[]byte
+	if a != nil {
+		chunk = &a.data
+	}
+	return carve(chunk, n, arenaBytes)
+}
+
+// uint16s returns n argument slots, like bytes.
+func (a *arena) uint16s(n int) []uint16 {
+	var chunk *[]uint16
+	if a != nil {
+		chunk = &a.args
+	}
+	return carve(chunk, n, arenaArgs)
+}
+
+// concat returns the concatenation of parts in one payload from a.
+func (a *arena) concat(parts ...[]byte) []byte {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	out := a.bytes(n)
+	at := 0
+	for _, p := range parts {
+		at += copy(out[at:], p)
+	}
+	return out
+}
+
+// carve cuts n elements off the front of the rest of *chunk, making the
+// chunk (size elements) on first use; nil chunk, or too little left, makes
+// them on the heap. The handout's capacity ends where it does, so an append
+// to it cannot reach the next one.
+func carve[T any](chunk *[]T, n, size int) []T {
+	if n == 0 {
+		return nil
+	}
+	if chunk == nil {
+		return make([]T, n)
+	}
+	if *chunk == nil {
+		*chunk = make([]T, 0, size)
+	}
+	c := *chunk
+	off := len(c)
+	if n > cap(c)-off {
+		return make([]T, n)
+	}
+	*chunk = c[:off+n]
+	return c[off : off+n : off+n]
+}
+
+// within reports whether s starts in chunk's array. Go does not move heap
+// objects, so an address inside the array is inside it for good.
+func within[T any](s, chunk []T) bool {
+	if len(s) == 0 || cap(chunk) == 0 {
+		return false
+	}
+	off := uintptr(unsafe.Pointer(unsafe.SliceData(s))) - uintptr(unsafe.Pointer(unsafe.SliceData(chunk)))
+	return off < uintptr(cap(chunk))*unsafe.Sizeof(s[0])
+}
+
+// copyOut points every op of ops whose Data or Args lies in a at a copy,
+// one array for all the bytes and one for all the slots; a nil a holds
+// nothing.
+func (a *arena) copyOut(ops []Op) {
+	if a == nil {
+		return
+	}
+	nd, na := 0, 0
+	for _, op := range ops {
+		if within(op.Data, a.data) {
+			nd += len(op.Data)
+		}
+		if within(op.Args, a.args) {
+			na += len(op.Args)
+		}
+	}
+	data, args := make([]byte, 0, nd), make([]uint16, 0, na)
+	for i := range ops {
+		op := &ops[i]
+		if within(op.Data, a.data) {
+			data = append(data, op.Data...)
+			op.Data = data[len(data)-len(op.Data) : len(data) : len(data)]
+		}
+		if within(op.Args, a.args) {
+			args = append(args, op.Args...)
+			op.Args = args[len(args)-len(op.Args) : len(args) : len(args)]
+		}
+	}
 }
 
 // interesting byte values used by the havoc stage (AFL's classic set).
@@ -85,8 +207,9 @@ func (m *Mutator) Generate(nops int) *Input {
 }
 
 // generateInto appends a random program of nops ops (one more when the last
-// needed a producer) to in. Its value references count from its own first
-// op: a caller whose in already held ops repairs them (repairFrom).
+// needed a producer) to in, its arrays from in's arena. Its value references
+// count from its own first op: a caller whose in already held ops repairs
+// them (repairFrom).
 func (m *Mutator) generateInto(in *Input, nops int) {
 	end := len(in.Ops) + nops
 	values := m.values[:0]
@@ -94,8 +217,8 @@ next:
 	for len(in.Ops) < end {
 		nid := NodeID(m.R.Intn(len(m.S.Nodes)))
 		nt := &m.S.Nodes[nid]
-		op := Op{Node: nid}
-		for _, need := range nt.Borrows {
+		args := in.arena.uint16s(len(nt.Borrows))
+		for j, need := range nt.Borrows {
 			// Pick a random existing value of the needed type; if none
 			// exists, emit a producer first.
 			idx := m.pickValue(values, need)
@@ -114,7 +237,7 @@ next:
 					continue next
 				}
 				if pnt.HasData {
-					pop.Data = m.randData(pnt.MaxData)
+					pop.Data = m.randData(in.arena, pnt.MaxData)
 				}
 				in.Ops = append(in.Ops, pop)
 				values = append(values, pnt.Outputs...)
@@ -123,10 +246,11 @@ next:
 					continue next
 				}
 			}
-			op.Args = append(op.Args, uint16(idx))
+			args[j] = uint16(idx)
 		}
+		op := Op{Node: nid, Args: args}
 		if nt.HasData {
-			op.Data = m.randData(nt.MaxData)
+			op.Data = m.randData(in.arena, nt.MaxData)
 		}
 		in.Ops = append(in.Ops, op)
 		values = append(values, nt.Outputs...)
@@ -148,21 +272,22 @@ func (m *Mutator) pickValue(values []EdgeID, want EdgeID) int {
 	return cands[m.R.Intn(len(cands))]
 }
 
-// randData returns a fresh payload for a node whose own bound is nodeMax (0:
-// none). Its length is uniform on 1…min(MaxData, nodeMax); every byte is,
-// independently, one of the twelve interesting values with probability 1/4
-// (each of them equally likely to within 2⁻¹⁴) and uniform on 0…255 otherwise,
-// so a byte lands in the interesting set with probability 1/4 + 3/4·12/256.
+// randData returns a fresh payload from a for a node whose own bound is
+// nodeMax (0: none). Its length is uniform on 1…min(MaxData, nodeMax); every
+// byte is, independently, one of the twelve interesting values with
+// probability 1/4 (each of them equally likely to within 2⁻¹⁴) and uniform on
+// 0…255 otherwise, so a byte lands in the interesting set with probability
+// 1/4 + 3/4·12/256.
 //
 // Entropy is drawn by the word: one Uint64 is four 16-bit lanes, a lane a
 // byte (laneByte). An n-byte payload costs one draw for the length and ⌈n/4⌉
 // for the bytes, where a draw per decision would cost 1 + 2n.
-func (m *Mutator) randData(nodeMax int) []byte {
+func (m *Mutator) randData(a *arena, nodeMax int) []byte {
 	max := m.MaxData
 	if nodeMax > 0 && nodeMax < max {
 		max = nodeMax
 	}
-	data := make([]byte, 1+m.R.Intn(max))
+	data := a.bytes(1 + m.R.Intn(max))
 	b := data
 	for ; len(b) >= 4; b = b[4:] {
 		w := m.R.Uint64()
@@ -191,7 +316,7 @@ func laneByte(w uint64) byte {
 
 // Mutate returns a mutated copy of in. It applies 1–4 stacked mutations
 // and repairs argument references afterwards so the result always
-// validates. The result is MutateSuffix's.
+// validates. The result is MutateSuffix's, with its lifetime.
 func (m *Mutator) Mutate(in *Input) *Input {
 	return m.MutateSuffix(in, 0)
 }
@@ -202,14 +327,22 @@ func (m *Mutator) Mutate(in *Input) *Input {
 // the remaining packets may change (§3.4, Figure 4).
 //
 // The result belongs to the mutator and is valid until its next Mutate or
-// MutateSuffix call; Clone detaches it. in is never written, and the result
-// shares every array no mutation replaced: a child costs what it changed.
+// MutateSuffix call, which rewrites its ops and the arena its new payloads
+// and argument lists lie in; Clone detaches it. in is never written, and the
+// result shares every array no mutation replaced: a child costs what it
+// changed, and a round of children allocates nothing. An in that holds
+// arena arrays — a child, this mutator's or another's — is cloned first.
 // Calls in a row on one in.Ops array and start — a round of fuzzing on one
 // snapshot — copy the prefix once: the child keeps in.Ops[:start] between
 // them, which is sound because nobody writes an array the mutator does not
 // own (package comment). Any other call, or Splice, ends the round.
 func (m *Mutator) MutateSuffix(in *Input, start int) *Input {
+	if in.arena != nil {
+		in = in.Clone() // its arena arrays are rewritten from here on
+	}
+	m.arena.reset()
 	out := &m.child
+	out.arena = &m.arena
 	hasPrefix := 0 < start && start <= len(in.Ops)
 	known := hasPrefix && &in.Ops[0] == m.prefixOf && start == m.prefixAt
 	if known {
@@ -253,7 +386,8 @@ func (m *Mutator) MutateSuffix(in *Input, start int) *Input {
 	}
 	m.repairFrom(out, start, known)
 	if len(out.Ops) == 0 {
-		return m.Generate(0)
+		// Everything was dropped (start is 0): a fresh program, as Generate(0).
+		m.generateInto(out, 1+m.R.Intn(m.MaxOps))
 	}
 	return out
 }
@@ -270,8 +404,16 @@ func sameArray(a, b []Op) bool {
 // entries are expensive to re-execute everywhere, including when a corpus
 // broker redistributes them to other campaign workers. Like Mutate's, the
 // result belongs to the mutator: it is valid until the next Splice call, long
-// enough to hand to Mutate but not back to Splice, and Clone detaches it.
+// enough to hand to Mutate but not back to Splice, and Clone detaches it. It
+// holds no arena array: a or b that does is cloned first, and the argument
+// lists the repair rewrites are made on the heap.
 func (m *Mutator) Splice(a, b *Input) *Input {
+	if a.arena != nil {
+		a = a.Clone()
+	}
+	if b.arena != nil {
+		b = b.Clone()
+	}
 	m.prefixOf = nil // repairFrom below refills prefixVals
 	out := &m.spliced
 	if len(a.Ops) == 0 {
@@ -302,7 +444,7 @@ func (in *Input) set(src *Input) *Input {
 }
 
 // havocDataFrom replaces the payload of one random op at index >= start with
-// a havoc-mutated copy built in one allocation; the old array is not written.
+// a havoc-mutated copy built in in's arena; the old array is not written.
 func (m *Mutator) havocDataFrom(in *Input, start int) {
 	idx := m.dataOps[:0]
 	for i := start; i < len(in.Ops); i++ {
@@ -316,8 +458,9 @@ func (m *Mutator) havocDataFrom(in *Input, start int) {
 	}
 	op := &in.Ops[idx[m.R.Intn(len(idx))]]
 	old := op.Data
+	a := in.arena
 	if len(old) == 0 {
-		op.Data = m.randData(m.S.Nodes[op.Node].MaxData)
+		op.Data = m.randData(a, m.S.Nodes[op.Node].MaxData)
 		return
 	}
 	nCases := 6
@@ -328,38 +471,38 @@ func (m *Mutator) havocDataFrom(in *Input, start int) {
 	switch m.R.Intn(nCases) {
 	case 0: // bit flip
 		i := m.R.Intn(len(old))
-		data = slices.Clone(old)
+		data = a.concat(old)
 		data[i] ^= 1 << m.R.Intn(8)
 	case 1: // byte set
 		i := m.R.Intn(len(old))
-		data = slices.Clone(old)
+		data = a.concat(old)
 		data[i] = byte(m.R.Intn(256))
 	case 2: // interesting value
 		i := m.R.Intn(len(old))
-		data = slices.Clone(old)
+		data = a.concat(old)
 		data[i] = interesting[m.R.Intn(len(interesting))]
 	case 3: // insert
 		i := m.R.Intn(len(old) + 1)
-		data = slices.Concat(old[:i], []byte{byte(m.R.Intn(256))}, old[i:])
+		data = a.concat(old[:i], []byte{byte(m.R.Intn(256))}, old[i:])
 	case 4: // delete
 		i := m.R.Intn(len(old))
-		data = slices.Concat(old[:i], old[i+1:])
+		data = a.concat(old[:i], old[i+1:])
 	case 5: // duplicate a chunk
 		if len(old) < 2 {
 			return // no chunk to duplicate
 		}
 		i := m.R.Intn(len(old) - 1)
 		n := 1 + m.R.Intn(len(old)-i-1)
-		data = slices.Concat(old[:i+n], old[i:i+n], old[i+n:])
+		data = a.concat(old[:i+n], old[i:i+n], old[i+n:])
 	case 6: // splice in a dictionary token
 		tok := m.Dict[m.R.Intn(len(m.Dict))]
 		i := m.R.Intn(len(old))
 		if m.R.Intn(2) == 0 {
 			// overwrite
-			data = slices.Concat(old[:i], tok, old[min(i+len(tok), len(old)):])
+			data = a.concat(old[:i], tok, old[min(i+len(tok), len(old)):])
 		} else {
 			// insert
-			data = slices.Concat(old[:i], tok, old[i:])
+			data = a.concat(old[:i], tok, old[i:])
 		}
 	}
 	if max := m.S.Nodes[op.Node].MaxData; max > 0 && len(data) > max {
@@ -412,7 +555,8 @@ func (m *Mutator) truncateTailFrom(in *Input, start int) {
 // repaired input, so a second pass would find every reference valid. in.Ops,
 // the caller's own, is written only where an op changes: compacted after a
 // drop, with the slots compaction vacates cleared so they pin no payload; an
-// op's Args may be shared, so a rewritten reference goes into a fresh copy.
+// op's Args may be shared, so a rewritten reference goes into a fresh copy,
+// from in's arena.
 func (m *Mutator) repairFrom(in *Input, start int, known bool) {
 	values := m.prefixVals
 	if !known {
@@ -436,7 +580,7 @@ ops:
 		args := op.Args
 		var fresh []uint16
 		if len(args) != len(nt.Borrows) {
-			fresh = make([]uint16, len(nt.Borrows))
+			fresh = in.arena.uint16s(len(nt.Borrows))
 			for j := range fresh {
 				fresh[j] = uint16(len(values)) // definitely invalid; fixed below
 			}
@@ -452,7 +596,8 @@ ops:
 				continue ops // unsatisfiable: the op is dropped
 			}
 			if fresh == nil {
-				fresh = slices.Clone(args)
+				fresh = in.arena.uint16s(len(args))
+				copy(fresh, args)
 				args = fresh
 			}
 			fresh[j] = uint16(idx)

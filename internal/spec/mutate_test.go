@@ -50,12 +50,12 @@ func TestRandDataDrawsPerWord(t *testing.T) {
 	m := NewMutator(testSpec(), rand.New(src))
 	for i := 0; i < 1000; i++ {
 		src.draws = 0
-		n := len(m.randData(0))
+		n := len(m.randData(nil, 0))
 		if max := 1 + (n+3)/4; src.draws > max {
 			t.Fatalf("call %d: %d source draws for %d bytes, want at most %d", i, src.draws, n, max)
 		}
 	}
-	if got := testing.AllocsPerRun(1000, func() { m.randData(0) }); got != 1 {
+	if got := testing.AllocsPerRun(1000, func() { m.randData(nil, 0) }); got != 1 {
 		t.Errorf("%.0f allocations per payload, want 1", got)
 	}
 }
@@ -86,7 +86,7 @@ func TestRandDataDistribution(t *testing.T) {
 	lengths := make([]int, m.MaxData+1)
 	total, calls, adjacent := 0, 0, 0
 	for total < 1<<20 {
-		b := m.randData(0)
+		b := m.randData(nil, 0)
 		lengths[len(b)]++
 		calls++
 		total += len(b)

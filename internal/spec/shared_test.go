@@ -3,6 +3,7 @@ package spec_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -123,6 +124,102 @@ func TestMutateResultValidUntilNextCall(t *testing.T) {
 	}
 }
 
+// TestArenaCloneOutlivesLaterCalls checks the mutator arena's lifetime rule
+// from a holder's side: a Clone of a child keeps its bytes over the next
+// 1,000 calls of every kind — MutateSuffix and Mutate on the seeds, on the
+// mutator's own last child and on splices of it, and Splice — and it copies
+// only what the mutation built: every payload the child took over from its
+// parent unchanged is the parent's array in the clone too.
+func TestArenaCloneOutlivesLaterCalls(t *testing.T) {
+	info, _ := targets.Lookup("bftpd")
+	s := spec.RawPacketSpec("bftpd", info.New().Ports())
+	seeds := info.Seeds(s)
+	rng := rand.New(rand.NewSource(5)) // the test's own choices
+	m := spec.NewMutator(s, rand.New(rand.NewSource(13)))
+	m.Dict = info.Dict
+	parentArray := func(parent *spec.Input, d []byte) bool {
+		for _, op := range parent.Ops {
+			if len(d) > 0 && len(op.Data) > 0 && &d[0] == &op.Data[0] {
+				return true
+			}
+		}
+		return false
+	}
+	shared, copied := 0, 0
+	for round := 0; round < 20; round++ {
+		parent := seeds[round%len(seeds)]
+		child := m.MutateSuffix(parent, rng.Intn(len(parent.Ops)+1))
+		clone := hold(child.Clone())
+		for i, op := range child.Ops {
+			if len(op.Data) == 0 {
+				continue
+			}
+			same := &clone.in.Ops[i].Data[0] == &op.Data[0]
+			if kept := parentArray(parent, op.Data); kept != same {
+				t.Fatalf("round %d op %d: the parent's payload array kept %v, shared with the clone %v", round, i, kept, same)
+			} else if kept {
+				shared++
+			} else {
+				copied++
+			}
+		}
+		for call := 0; call < 1000; call++ {
+			in := seeds[rng.Intn(len(seeds))]
+			switch rng.Intn(4) {
+			case 0:
+				child = m.MutateSuffix(in, rng.Intn(len(in.Ops)+1))
+			case 1:
+				child = m.Mutate(child)
+			case 2:
+				child = m.Mutate(m.Splice(child, in))
+			case 3:
+				m.Splice(in, child)
+			}
+		}
+		clone.check(t, fmt.Sprintf("round %d, after 1000 calls", round))
+	}
+	if shared == 0 || copied == 0 {
+		t.Fatalf("%d payloads shared and %d copied: the check saw only one kind", shared, copied)
+	}
+}
+
+// TestMutatingOwnChildMatchesMutatingItsClone checks the other side of the
+// arena's reset: a call given the mutator's own last child, or a splice of
+// it, gives what the same call on a Clone of that child gives, although the
+// child's arena arrays are about to be rewritten. Two identically seeded
+// mutators take the same calls; one is handed its child, the other a clone.
+func TestMutatingOwnChildMatchesMutatingItsClone(t *testing.T) {
+	for _, name := range []string{"bftpd", "exim", "tinydtls"} {
+		t.Run(name, func(t *testing.T) {
+			info, _ := targets.Lookup(name)
+			s := spec.RawPacketSpec(name, info.New().Ports())
+			seeds := info.Seeds(s)
+			own, cloned := spec.NewMutator(s, rand.New(rand.NewSource(17))), spec.NewMutator(s, rand.New(rand.NewSource(17)))
+			own.Dict, cloned.Dict = info.Dict, info.Dict
+			rng := rand.New(rand.NewSource(19)) // the test's own choices
+			a, b := own.Mutate(seeds[0]), cloned.Mutate(seeds[0])
+			for call := 0; call < 5000; call++ {
+				in := seeds[rng.Intn(len(seeds))]
+				switch c := b.Clone(); rng.Intn(3) {
+				case 0:
+					start := rng.Intn(len(a.Ops) + 1)
+					a, b = own.MutateSuffix(a, start), cloned.MutateSuffix(c, start)
+				case 1:
+					a, b = own.Mutate(own.Splice(a, in)), cloned.Mutate(cloned.Splice(c, in))
+				case 2:
+					a, b = own.Mutate(own.Splice(in, a)), cloned.Mutate(cloned.Splice(in, c))
+				}
+				if x, y := spec.Serialize(a), spec.Serialize(b); !bytes.Equal(x, y) {
+					t.Fatalf("call %d: the own child gave\n%x\nwhere its clone gave\n%x", call, x, y)
+				}
+				if err := s.Validate(a); err != nil {
+					t.Fatalf("call %d: %v", call, err)
+				}
+			}
+		})
+	}
+}
+
 // script is a rand.Source that dictates the next draws: Intn(n) returns
 // vals[i] % n for each scripted value in turn, then 0.
 type script struct {
@@ -140,8 +237,9 @@ func (s *script) Int63() int64 {
 func (*script) Seed(int64) {}
 
 // TestMutateSuffixSteadyStateAllocs pins what a child costs once the
-// mutator's child and scratch have grown to size: nothing for a mutation that
-// only rearranges op headers, the new payload and nothing else for a havoc.
+// mutator's child and scratch have grown to size: nothing, whether the
+// mutation rearranges op headers, havocs a payload or generates ops, whose
+// new arrays lie in the mutator's arena.
 func TestMutateSuffixSteadyStateAllocs(t *testing.T) {
 	info, _ := targets.Lookup("bftpd")
 	s := spec.RawPacketSpec("bftpd", info.New().Ports())
@@ -151,24 +249,25 @@ func TestMutateSuffixSteadyStateAllocs(t *testing.T) {
 	m.Dict = info.Dict
 
 	// Draws of one MutateSuffix: stacked mutations - 1, the mutation, then
-	// that mutation's own (op index; for havoc: payload op, havoc case).
+	// that mutation's own (op index; for havoc: payload op, havoc case; for
+	// generate: ops - 1, node).
 	for _, c := range []struct {
 		name  string
 		draws []int64
-		max   float64
 	}{
-		{"dup", []int64{0, 5, 1}, 0},
-		{"drop", []int64{0, 6, 1}, 0},
-		{"swap", []int64{0, 7, 1}, 0},
-		{"truncate", []int64{0, 8, 1}, 0},
-		{"four rearrangements", []int64{3, 5, 1, 7, 0, 6, 1, 8, 0}, 0},
-		{"havoc bit flip", []int64{0, 0, 1, 0, 2, 3}, 2},
-		{"havoc byte set", []int64{0, 0, 1, 1, 2, 3}, 2},
-		{"havoc interesting", []int64{0, 0, 1, 2, 2, 3}, 2},
-		{"havoc insert", []int64{0, 0, 1, 3, 2, 3}, 2},
-		{"havoc delete", []int64{0, 0, 1, 4, 2}, 2},
-		{"havoc dup chunk", []int64{0, 0, 1, 5, 2, 3}, 2},
-		{"havoc dict", []int64{0, 0, 1, 6, 2, 3, 1}, 2},
+		{"dup", []int64{0, 5, 1}},
+		{"drop", []int64{0, 6, 1}},
+		{"swap", []int64{0, 7, 1}},
+		{"truncate", []int64{0, 8, 1}},
+		{"four rearrangements", []int64{3, 5, 1, 7, 0, 6, 1, 8, 0}},
+		{"havoc bit flip", []int64{0, 0, 1, 0, 2, 3}},
+		{"havoc byte set", []int64{0, 0, 1, 1, 2, 3}},
+		{"havoc interesting", []int64{0, 0, 1, 2, 2, 3}},
+		{"havoc insert", []int64{0, 0, 1, 3, 2, 3}},
+		{"havoc delete", []int64{0, 0, 1, 4, 2}},
+		{"havoc dup chunk", []int64{0, 0, 1, 5, 2, 3}},
+		{"havoc dict", []int64{0, 0, 1, 6, 2, 3, 1}},
+		{"generate a packet", []int64{0, 9, 0, 1}},
 	} {
 		// Calls in a row on one parent and start keep its prefix; forgetting it
 		// before each call copies it every time. Neither allocates.
@@ -183,8 +282,8 @@ func TestMutateSuffixSteadyStateAllocs(t *testing.T) {
 				child = m.MutateSuffix(parent, 2)
 			}
 			mutate() // warm-up: grows the child and the scratch
-			if got := testing.AllocsPerRun(100, mutate); got > c.max {
-				t.Errorf("%s (forgetting %v): %.0f allocations per child, want at most %.0f", c.name, forget, got, c.max)
+			if got := testing.AllocsPerRun(100, mutate); got != 0 {
+				t.Errorf("%s (forgetting %v): %.0f allocations per child, want 0", c.name, forget, got)
 			}
 			if copied := m.PrefixCopies() - copies; forget && copied != 102 || !forget && copied > 1 {
 				t.Errorf("%s (forgetting %v): 102 calls copied the prefix %d times", c.name, forget, copied)

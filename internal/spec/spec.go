@@ -14,9 +14,16 @@
 // is constructed, anywhere in the repository (nyx-vet's opwrite analyzer
 // checks it): a change builds a new slice and assigns it to an op of an
 // Input the writer owns. So any number of inputs and goroutines may hold one
-// op. Input.Clone copies op headers only — O(ops), payloads shared. Mutate,
-// MutateSuffix and Splice never write their arguments; their result belongs
-// to the Mutator until its next call of the same kind (Clone keeps it).
+// op. Mutate, MutateSuffix and Splice never write their arguments; their
+// result belongs to the Mutator until its next call of the same kind.
+//
+// One kind of array is rewritten, and only by its mutator: MutateSuffix
+// builds its child's new payloads and argument lists in an arena it owns,
+// and rewrites them at its next call, after the child that referenced them
+// is dead. An input holding arena arrays says so, and Input.Clone — the
+// one way to keep a child — copies exactly those out and shares every other
+// array: O(ops) plus what the mutation built. A call given such an input
+// clones it first.
 package spec
 
 import (
@@ -142,16 +149,23 @@ type Op struct {
 type Input struct {
 	Ops        []Op
 	SnapshotAt int
+
+	// arena, when not nil, is the mutator arena some of the Args and Data
+	// arrays may lie in: the input is a Mutator's child (see Clone).
+	arena *arena
 }
 
 // NewInput creates an input with no snapshot marker.
 func NewInput(ops ...Op) *Input { return &Input{Ops: ops, SnapshotAt: -1} }
 
-// Clone copies the op headers and shares every Args and Data array with in
-// (see the package comment): the clone's Ops and marker are the caller's.
+// Clone copies the op headers, and shares every Args and Data array with in
+// except those in a mutator's arena, which it copies (see the package
+// comment): the clone's Ops and marker are the caller's, and it outlives
+// every later call on the mutator.
 func (in *Input) Clone() *Input {
 	out := &Input{Ops: make([]Op, len(in.Ops)), SnapshotAt: in.SnapshotAt}
 	copy(out.Ops, in.Ops)
+	in.arena.copyOut(out.Ops)
 	return out
 }
 
@@ -179,7 +193,8 @@ var (
 // Validate checks that the input is well-typed against s: every borrow
 // references a value output by an earlier op with the matching edge type.
 func (s *Spec) Validate(in *Input) error {
-	var values []EdgeID // value i has type values[i]
+	var scratch [64]EdgeID
+	values := scratch[:0] // value i has type values[i]
 	for i, op := range in.Ops {
 		if int(op.Node) >= len(s.Nodes) {
 			return fmt.Errorf("%w: op %d node %d", ErrUnknownNode, i, op.Node)

@@ -1,9 +1,9 @@
 package targets
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/guest"
@@ -49,8 +49,8 @@ type ftpServer struct {
 	cfg ftpConfig
 
 	// verbs is cfg.commands with each verb's rank in sorted order beside
-	// its budget; the rank numbers the verb's coverage probes. greeting is
-	// the 220 banner every connection opens with, formatted once.
+	// its budget and its name; the rank numbers the verb's coverage probes.
+	// greeting is the 220 banner every connection opens with, formatted once.
 	verbs    map[string]ftpVerb
 	greeting []byte
 
@@ -64,7 +64,10 @@ type ftpServer struct {
 	Files  int                 // files stored this boot
 }
 
-type ftpVerb struct{ budget, rank int }
+type ftpVerb struct {
+	budget, rank int
+	name         string
+}
 
 func newFTP(cfg ftpConfig) *ftpServer {
 	names := make([]string, 0, len(cfg.commands))
@@ -74,7 +77,7 @@ func newFTP(cfg ftpConfig) *ftpServer {
 	sort.Strings(names)
 	verbs := make(map[string]ftpVerb, len(names))
 	for rank, verb := range names {
-		verbs[verb] = ftpVerb{budget: cfg.commands[verb], rank: rank}
+		verbs[verb] = ftpVerb{budget: cfg.commands[verb], rank: rank, name: verb}
 	}
 	return &ftpServer{cfg: cfg, verbs: verbs, greeting: fmt.Appendf(nil, "220 %s ready\r\n", cfg.name)}
 }
@@ -112,9 +115,8 @@ func (t *ftpServer) OnDisconnect(env *guest.Env, c *guest.Conn) {
 func (t *ftpServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 	env.Work(t.cfg.perPacket)
 	verb, arg := splitCmd(data)
-	verb = foldVerb(verb)
-
-	v, known := t.verbs[verb]
+	var buf [16]byte
+	v, known := t.verbs[string(foldVerb(&buf, verb))]
 	if !known {
 		// Unparseable command: the 500 path, plus pure-ftpd's slow leak.
 		covByte(env, t.cfg.ns, 3, firstByte(data))
@@ -139,7 +141,7 @@ func (t *ftpServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 	}
 
 	auth := t.Auth.Get(c.ID)
-	switch verb {
+	switch v.name {
 	case "USER":
 		env.Cov(loc(t.cfg.ns, 20))
 		t.Auth.Set(c.ID, 1)
@@ -166,12 +168,12 @@ func (t *ftpServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 		env.Cov(loc(t.cfg.ns, 26))
 		env.Send(c, []byte("200 ok\r\n"))
 	case "TYPE":
-		if arg == "I" {
+		if string(arg) == "I" {
 			t.Mode.Set(c.ID, 1)
 		} else {
 			t.Mode.Set(c.ID, 0)
 		}
-		covByte(env, t.cfg.ns, 27, firstByte([]byte(arg)))
+		covByte(env, t.cfg.ns, 27, firstByte(arg))
 		env.Send(c, []byte("200 type set\r\n"))
 	default:
 		if auth != 2 {
@@ -179,20 +181,20 @@ func (t *ftpServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 			env.Send(c, []byte("530 not logged in\r\n"))
 			return
 		}
-		t.handleAuthed(env, c, verb, arg)
+		t.handleAuthed(env, c, v.name, arg)
 	}
 }
 
-// handleAuthed implements the post-login surface.
-func (t *ftpServer) handleAuthed(env *guest.Env, c *guest.Conn, verb, arg string) {
+// handleAuthed implements the post-login surface for the known verb verb.
+func (t *ftpServer) handleAuthed(env *guest.Env, c *guest.Conn, verb string, arg []byte) {
 	ns := t.cfg.ns
 	switch verb {
 	case "CWD":
 		env.Cov(loc(ns, 30))
-		if strings.Contains(arg, "..") {
+		if bytes.Contains(arg, []byte("..")) {
 			env.Cov(loc(ns, 31)) // traversal check path
 		}
-		t.CWD.Set(c.ID, arg)
+		t.CWD.Set(c.ID, string(arg))
 		env.Send(c, []byte("250 ok\r\n"))
 	case "PWD":
 		env.Cov(loc(ns, 32))
@@ -205,11 +207,11 @@ func (t *ftpServer) handleAuthed(env *guest.Env, c *guest.Conn, verb, arg string
 		env.Cov(loc(ns, 34))
 		t.Files++
 		path := "/srv/ftp/upload" + fmt.Sprint(t.Files%8)
-		env.FS().WriteFile(path, []byte(arg)) //nolint:errcheck // scratch write
+		env.FS().WriteFile(path, arg) //nolint:errcheck // scratch write
 		env.Send(c, []byte("226 stored\r\n"))
 	case "RETR":
 		env.Cov(loc(ns, 35))
-		if _, err := env.FS().ReadFile("/srv/ftp/" + arg); err != nil {
+		if _, err := env.FS().ReadFile("/srv/ftp/" + string(arg)); err != nil {
 			env.Cov(loc(ns, 36))
 			env.Send(c, []byte("550 not found\r\n"))
 			return
@@ -223,7 +225,7 @@ func (t *ftpServer) handleAuthed(env *guest.Env, c *guest.Conn, verb, arg string
 		env.Send(c, []byte("257 created\r\n"))
 	case "RNFR":
 		env.Cov(loc(ns, 39))
-		t.RnFr.Set(c.ID, arg)
+		t.RnFr.Set(c.ID, string(arg))
 		env.Send(c, []byte("350 ready\r\n"))
 	case "RNTO":
 		if t.RnFr.Get(c.ID) == "" {
@@ -235,11 +237,12 @@ func (t *ftpServer) handleAuthed(env *guest.Env, c *guest.Conn, verb, arg string
 		t.RnFr.Set(c.ID, "")
 		env.Send(c, []byte("250 renamed\r\n"))
 	case "SITE":
-		sub, subArg := splitCmd([]byte(arg))
-		sub = foldVerb(sub)
+		sub, subArg := splitCmd(arg)
+		var buf [16]byte
+		sub = foldVerb(&buf, sub)
 		idx := -1
 		for i, s := range t.cfg.siteCommands {
-			if s == sub {
+			if s == string(sub) {
 				idx = i
 				break
 			}
@@ -277,16 +280,16 @@ func (t *ftpServer) handleAuthed(env *guest.Env, c *guest.Conn, verb, arg string
 // SYMLINK, each step valid only directly after the previous one, in one
 // session. Only a fuzzer that rapidly explores suffix extensions of deep
 // queue entries climbs all steps (this is what incremental snapshots buy).
-func (t *ftpServer) advanceStair(env *guest.Env, c *guest.Conn, sub, arg string) {
+func (t *ftpServer) advanceStair(env *guest.Env, c *guest.Conn, sub, arg []byte) {
 	if !t.cfg.deepBug {
 		return
 	}
 	steps := []string{"UTIME", "CHMOD", "CHGRP", "SYMLINK"}
 	cur := t.Stair.Get(c.ID)
-	if cur < len(steps) && sub == steps[cur] && len(arg) > 0 {
+	if cur < len(steps) && string(sub) == steps[cur] && len(arg) > 0 {
 		t.Stair.Set(c.ID, cur+1)
 		env.Cov(loc(t.cfg.ns, 60+uint32(cur)))
-	} else if sub != "" && cur > 0 {
+	} else if len(sub) > 0 && cur > 0 {
 		t.Stair.Set(c.ID, 0) // wrong step resets the sequence
 	}
 }

@@ -1,6 +1,7 @@
 package targets
 
 import (
+	"bytes"
 	"strings"
 	"time"
 
@@ -53,13 +54,14 @@ func (t *eximServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 	}
 
 	verb, arg := splitCmd(data)
-	verb = foldVerb(verb)
-	switch verb {
+	var buf [16]byte
+	verb = foldVerb(&buf, verb)
+	switch string(verb) {
 	case "HELO", "EHLO":
 		covToken(env, eximNS, 10, int(verb[0]))
 		covClass(env, eximNS, 11, len(arg))
 		t.Phase.Set(c.ID, 1)
-		if verb == "EHLO" {
+		if string(verb) == "EHLO" {
 			env.Send(c, []byte("250-mail.test\r\n250-SIZE 52428800\r\n250-PIPELINING\r\n250 HELP\r\n"))
 		} else {
 			env.Send(c, []byte("250 mail.test\r\n"))
@@ -72,10 +74,10 @@ func (t *eximServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 		}
 		env.Cov(loc(eximNS, 13))
 		covClass(env, eximNS, 14, len(arg))
-		if strings.Contains(arg, "<>") {
+		if bytes.Contains(arg, []byte("<>")) {
 			env.Cov(loc(eximNS, 15)) // bounce sender path
 		}
-		if strings.Contains(arg, "@") {
+		if bytes.IndexByte(arg, '@') >= 0 {
 			env.Cov(loc(eximNS, 16))
 		}
 		t.Phase.Set(c.ID, 2)
@@ -87,7 +89,7 @@ func (t *eximServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 			return
 		}
 		env.Cov(loc(eximNS, 18))
-		covByte(env, eximNS, 19, firstByte([]byte(arg)))
+		covByte(env, eximNS, 19, firstByte(arg))
 		if t.Rcpts.Add(c.ID, 1) > 4 {
 			env.Cov(loc(eximNS, 20)) // too-many-recipients path
 			env.Send(c, []byte("452 too many recipients\r\n"))

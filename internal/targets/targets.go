@@ -12,9 +12,9 @@
 package targets
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 	"unicode/utf8"
 
@@ -129,45 +129,49 @@ func covToken(env *guest.Env, ns, id uint32, tokenIdx int) {
 	env.Cov(loc(ns, id) + uint32(tokenIdx))
 }
 
-// splitCmd splits "VERB arg" into verb and argument.
-func splitCmd(data []byte) (verb string, arg string) {
-	s := string(data)
-	for len(s) > 0 && (s[len(s)-1] == '\n' || s[len(s)-1] == '\r') {
-		s = s[:len(s)-1]
+// splitCmd splits "VERB arg" into verb and argument, both sub-slices of data
+// (valid as long as data is: for a packet, only during OnPacket).
+func splitCmd(data []byte) (verb, arg []byte) {
+	for len(data) > 0 && (data[len(data)-1] == '\n' || data[len(data)-1] == '\r') {
+		data = data[:len(data)-1]
 	}
-	for i := 0; i < len(s); i++ {
-		if s[i] == ' ' {
-			return s[:i], s[i+1:]
-		}
+	if i := bytes.IndexByte(data, ' '); i >= 0 {
+		return data[:i], data[i+1:]
 	}
-	return s, ""
+	return data, nil
 }
 
-// foldVerb upper-cases a command verb for a lookup among ASCII verbs. When
-// strings.ToUpper(verb) is pure ASCII it returns exactly that; otherwise it
-// returns verb as it is, which is not pure ASCII either, so no table lookup,
-// switch or comparison against ASCII verbs can tell the two apart. A mutated
-// verb is mostly bytes >= 0x80: it costs one scan and no allocation here,
-// where strings.ToUpper goes through strings.Map and a Builder. Just two
-// runes outside ASCII upper-case into it, U+017F 'ſ' (S) and U+0131 'ı' (I) —
-// "uſer" is USER — so a verb holding either is left to strings.ToUpper, as
-// is an ASCII verb with a lower-case letter (one allocation, no strings.Map).
-func foldVerb(verb string) string {
-	lower := false
-	for i := 0; i < len(verb); i++ {
+// foldVerb upper-cases a command verb for a lookup among ASCII verbs, into
+// buf when it fits. When strings.ToUpper(verb) is pure ASCII it returns
+// exactly those bytes; otherwise it returns verb as it is, which is not pure
+// ASCII either, so no table lookup, switch or comparison against ASCII verbs
+// can tell the two apart. Just two runes outside ASCII upper-case into it,
+// U+017F 'ſ' (S) and U+0131 'ı' (I) — "uſer" is USER — so those fold and any
+// other byte >= 0x80 ends the fold. A mutated verb is mostly such bytes: it
+// costs a scan up to the first of them. Nothing allocates unless the folded
+// verb is longer than buf, which no verb a target knows is.
+func foldVerb(buf *[16]byte, verb []byte) []byte {
+	out := buf[:0]
+	for i := 0; i < len(verb); {
 		c := verb[i]
-		if c >= utf8.RuneSelf {
-			if rest := verb[i:]; strings.Contains(rest, "ſ") || strings.Contains(rest, "ı") {
-				return strings.ToUpper(verb)
+		switch {
+		case c < utf8.RuneSelf:
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
 			}
+			out = append(out, c)
+			i++
+		case bytes.HasPrefix(verb[i:], []byte("ſ")):
+			out = append(out, 'S')
+			i += len("ſ")
+		case bytes.HasPrefix(verb[i:], []byte("ı")):
+			out = append(out, 'I')
+			i += len("ı")
+		default:
 			return verb
 		}
-		lower = lower || 'a' <= c && c <= 'z'
 	}
-	if lower {
-		return strings.ToUpper(verb)
-	}
-	return verb
+	return out
 }
 
 // seedSession builds one seed input: connect, the given packets, close.

@@ -356,13 +356,24 @@ func TestPureFtpdLeakOnlyInPersistentMode(t *testing.T) {
 }
 
 func TestSplitCmd(t *testing.T) {
-	v, a := splitCmd([]byte("USER anon\r\n"))
-	if v != "USER" || a != "anon" {
-		t.Fatalf("splitCmd: %q %q", v, a)
+	for _, c := range []struct{ data, verb, arg string }{
+		{"USER anon\r\n", "USER", "anon"},
+		{"QUIT", "QUIT", ""},
+		{"SITE CHMOD 644 f\r\n", "SITE", "CHMOD 644 f"},
+		{"\r\n", "", ""},
+	} {
+		data := []byte(c.data)
+		v, a := splitCmd(data)
+		if string(v) != c.verb || string(a) != c.arg {
+			t.Errorf("splitCmd(%q) = %q %q, want %q %q", c.data, v, a, c.verb, c.arg)
+		}
+		// Both halves are views of the packet, not copies.
+		if len(v) > 0 && &v[0] != &data[0] || len(a) > 0 && &a[0] != &data[len(v)+1] {
+			t.Errorf("splitCmd(%q) copied the packet", c.data)
+		}
 	}
-	v, a = splitCmd([]byte("QUIT"))
-	if v != "QUIT" || a != "" {
-		t.Fatalf("splitCmd bare: %q %q", v, a)
+	if n := testing.AllocsPerRun(100, func() { splitCmd([]byte("USER anon\r\n")) }); n != 0 {
+		t.Errorf("splitCmd: %.0f allocations, want 0", n)
 	}
 }
 
@@ -376,12 +387,18 @@ func isASCII(s string) bool {
 	return true
 }
 
+// fold is foldVerb on a string, into a buffer of its own.
+func fold(verb string) string {
+	var buf [16]byte
+	return string(foldVerb(&buf, []byte(verb)))
+}
+
 // checkVerbFold states foldVerb's contract for one verb: exactly
 // strings.ToUpper's answer when that is pure ASCII, something that is not
 // pure ASCII otherwise — so a lookup among ASCII verbs answers the same.
 func checkVerbFold(t *testing.T, verb string) {
 	t.Helper()
-	got, want := foldVerb(verb), strings.ToUpper(verb)
+	got, want := fold(verb), strings.ToUpper(verb)
 	if isASCII(want) {
 		if got != want {
 			t.Errorf("foldVerb(%q) = %q, want %q", verb, got, want)
@@ -397,42 +414,77 @@ func TestVerbFoldMatchesToUpper(t *testing.T) {
 		allocs float64
 	}{
 		{"", 0}, {"USER", 0}, {"SITE", 0}, {"R2-D2", 0}, {"\x00\x7f", 0},
-		{"user", 1}, {"UsEr", 1}, {"symlinK", 1}, {"mail9", 1},
-		{"uſer", 1}, {"lıst", 1}, {"ſıte", 1}, {"Uſ\xff", -1}, {"ıé", -1},
-		{"\xff", 0}, {"US\x80R", 0}, {"usér", 0}, {"USER\xc5", 0}, {"\xc5\xc5\xbf", -1},
+		{"user", 0}, {"UsEr", 0}, {"symlinK", 0}, {"mail9", 0},
+		{"uſer", 0}, {"lıst", 0}, {"ſıte", 0}, {"Uſ\xff", 0}, {"ıé", 0},
+		{"\xff", 0}, {"US\x80R", 0}, {"usér", 0}, {"USER\xc5", 0}, {"\xc5\xc5\xbf", 0},
 		{"K", 0}, {"straße", 0}, {"ǆ", 0}, {"\xf0\x9f\x92\xa9quit", 0},
+		{"sixteen-letters!", 0}, {"seventeen-letters", 1}, {"seventeen-letters\xff", 1},
 	} {
 		checkVerbFold(t, c.verb)
-		if c.allocs < 0 {
-			continue // holds 'ſ' or 'ı' beside other non-ASCII: strings.ToUpper's cost
-		}
-		if got := testing.AllocsPerRun(100, func() { foldVerb(c.verb) }); got != c.allocs {
+		verb := []byte(c.verb)
+		var buf [16]byte
+		if got := testing.AllocsPerRun(100, func() { foldVerb(&buf, verb) }); got != c.allocs {
 			t.Errorf("foldVerb(%q): %.0f allocations, want %.0f", c.verb, got, c.allocs)
 		}
 	}
-	if foldVerb("uſer") != "USER" || foldVerb("lıst") != "LIST" {
+	if fold("uſer") != "USER" || fold("lıst") != "LIST" {
 		t.Error("a verb spelled with 'ſ' or 'ı' is no longer known")
 	}
 	// The fold's shortcut rests on the Unicode tables: no other rune outside
 	// ASCII upper-cases into it.
 	for r := rune(utf8.RuneSelf); r <= unicode.MaxRune; r++ {
 		if u := unicode.ToUpper(r); u < utf8.RuneSelf && r != 'ſ' && r != 'ı' {
-			t.Errorf("%U upper-cases to %q: foldVerb must send it to strings.ToUpper", r, u)
+			t.Errorf("%U upper-cases to %q: foldVerb must fold it too", r, u)
 		}
 	}
-	// Every verb a target can know is what it folds to.
+	// Every verb a target can know is what it folds to, and fits the buffer.
 	for _, name := range []string{"lightftp", "bftpd", "proftpd", "pure-ftpd"} {
 		info, _ := Lookup(name)
 		srv := info.New().(*ftpServer)
 		for verb := range srv.verbs {
-			if foldVerb(verb) != verb || foldVerb(strings.ToLower(verb)) != verb {
+			if fold(verb) != verb || fold(strings.ToLower(verb)) != verb || len(verb) > 16 {
 				t.Errorf("%s: %s does not fold to itself", name, verb)
 			}
 		}
 		for _, sub := range srv.cfg.siteCommands {
-			if foldVerb(strings.ToLower(sub)) != sub {
+			if fold(strings.ToLower(sub)) != sub || len(sub) > 16 {
 				t.Errorf("%s: SITE %s does not fold to itself", name, sub)
 			}
+		}
+	}
+}
+
+// TestVerbPacketsAllocateNothing pins what the text-protocol targets pay to
+// parse a command: nothing. A whole root run — connect, the packets, close —
+// allocates nothing once the kernel has been through one, for a known verb, a
+// lower-case one, an unknown one and a SITE subcommand, so the verb and its
+// argument are compared where they lie in the packet.
+func TestVerbPacketsAllocateNothing(t *testing.T) {
+	for _, c := range []struct {
+		target string
+		msgs   []string
+	}{
+		{"proftpd", []string{"USER anon\r\n", "NOOP\r\n"}},
+		{"proftpd", []string{"user anon\r\n", "type I\r\n"}},
+		{"proftpd", []string{"XYZZY plugh\r\n", "\xffOO\r\n"}},
+		{"proftpd", []string{"USER anon\r\n", "PASS x\r\n", "SITE CHMOD 644 f\r\n", "site utime 1 f\r\n", "SITE NOPE\r\n"}},
+		{"exim", []string{"EHLO test\r\n", "MAIL FROM:<a@b>\r\n"}},
+		{"exim", []string{"helo test\r\n", "mail FROM:<>\r\n", "rcpt TO:<c@d>\r\n"}},
+		{"exim", []string{"XYZZY\r\n", "\xffELO\r\n"}},
+	} {
+		inst, err := Launch(c.target, LaunchConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := seedSession(inst.Spec, inst.Info.Port, c.msgs...)
+		var tr coverage.Trace
+		run := func() {
+			if res, err := inst.Agent.RunFromRoot(in, &tr); err != nil || res.Crashed || res.OpsExecuted != len(in.Ops) {
+				t.Fatalf("%s %q: %+v, %v", c.target, c.msgs, res, err)
+			}
+		}
+		if n := testing.AllocsPerRun(100, run); n != 0 {
+			t.Errorf("%s %q: a root run allocates %v objects, want 0", c.target, c.msgs, n)
 		}
 	}
 }
@@ -476,7 +528,7 @@ func TestFTPVerbRanksMatchSortedOrder(t *testing.T) {
 			t.Fatalf("%s: %d ranked verbs for %d commands", name, len(srv.verbs), len(srv.cfg.commands))
 		}
 		for verb, budget := range srv.cfg.commands {
-			if got, want := srv.verbs[verb], (ftpVerb{budget: budget, rank: sortedPosition(srv.cfg.commands, verb)}); got != want {
+			if got, want := srv.verbs[verb], (ftpVerb{budget: budget, rank: sortedPosition(srv.cfg.commands, verb), name: verb}); got != want {
 				t.Errorf("%s %s: %+v, want %+v", name, verb, got, want)
 			}
 		}

@@ -22,7 +22,6 @@ func (c *Clock) Now() time.Duration { return c.now }
 // Advance moves the clock forward by d (which must be non-negative).
 func (c *Clock) Advance(d time.Duration) {
 	if d < 0 {
-		//nyx:alloc formats only when about to panic on a caller bug; a successful Advance never reaches it
 		panic(fmt.Sprintf("vm: negative clock advance %v", d))
 	}
 	c.now += d
