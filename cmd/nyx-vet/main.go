@@ -1,5 +1,5 @@
 // Command nyx-vet runs the repository's analyzer suite (internal/analysis):
-// nodeterm, aliasret, lockheld, slicearg, and opwrite — the machine-checked
+// nodeterm, aliasret, lockheld and slicearg — the machine-checked
 // versions of the determinism, aliasing, and locking invariants the
 // virtual-time design depends on. The nodeterm and lockheld checks are
 // interprocedural: facts

@@ -16,8 +16,8 @@
 // for a tour; its "Package map" section maps the paper's sections to
 // packages.
 //
-// The repository's determinism, aliasing, locking, and hot-path allocation
-// invariants are machine-checked by a repo-specific analyzer suite
+// The repository's determinism, aliasing and locking invariants are
+// machine-checked by a repo-specific analyzer suite
 // (analysis, driven by cmd/nyx-vet, gating CI). The suite is
 // interprocedural — a whole-program call graph with class-hierarchy
 // interface resolution carries fixed-point per-function facts, and

@@ -32,15 +32,12 @@
 //   - slicearg: exported functions must not retain caller-owned slice
 //     arguments past the call (the retained-trace bug class the broker's
 //     orderImportsInto scratch rework avoided by hand in PR 5).
-//   - opwrite: nobody writes through the Args or Data array of a spec.Op
-//     (element assignment, copy destination, append onto a reslice), because
-//     inputs share those arrays: Clone copies op headers only and a campaign
-//     broker hands one queued input to every worker. There is no waiver
-//     directive; code that changes an op builds a new slice and assigns it.
 //
 // What the suite does not check, the tests do: every function on the
 // restore, lookup and resumed-run paths runs under a testing.AllocsPerRun
-// test that holds it to zero allocations.
+// test that holds it to zero allocations, and no write through a spec.Op's
+// shared Args or Data array gets past the shared-input contract tests
+// (TestMutationNeverWritesThroughSharedOps and the campaign recordings).
 //
 // # Interprocedural layer
 //
@@ -295,5 +292,5 @@ func sortDiagnostics(pkgs []*Package, diags []Diagnostic) {
 
 // All returns the full nyx-vet analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{NoDeterm, AliasRet, LockHeld, SliceArg, OpWrite}
+	return []*Analyzer{NoDeterm, AliasRet, LockHeld, SliceArg}
 }

@@ -42,10 +42,6 @@ func TestSliceArgFixture(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.SliceArg, "slicearg")
 }
 
-func TestOpWriteFixture(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.OpWrite, "opwrite", "repro/internal/spec")
-}
-
 func TestLockHeldNestingFixture(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.LockHeld, "repro/internal/service", "lodep")
 }

@@ -18,10 +18,9 @@ type Program struct {
 	Pkgs []*Package
 
 	byPath map[string]*Package
-	// funcs maps every declared function/method in a target package to its
-	// node. Function literals are folded into their enclosing declaration.
-	funcs map[*types.Func]*FuncNode
-	// nodes is funcs in deterministic order: (package path, position).
+	// nodes holds every declared function/method in a target package, in
+	// deterministic order: (package path, position). Function literals are
+	// folded into their enclosing declaration.
 	nodes []*FuncNode
 	// implementers, per interface method "I.m" identity, lists the concrete
 	// methods CHA resolves a dynamic call to. Keyed by the interface
@@ -65,7 +64,6 @@ func buildProgram(pkgs []*Package) *Program {
 	prog := &Program{
 		Pkgs:         pkgs,
 		byPath:       make(map[string]*Package),
-		funcs:        make(map[*types.Func]*FuncNode),
 		implementers: make(map[*types.Func][]*types.Func),
 		directives:   make(map[string]*directiveIndex),
 	}
@@ -88,15 +86,6 @@ func (prog *Program) pkgDirectives(pkgPath string) *directiveIndex {
 	return prog.directives[pkgPath]
 }
 
-// node returns the FuncNode for fn, or nil when fn is not a target-package
-// function (stdlib, API-only dependency, or unresolved).
-func (prog *Program) node(fn *types.Func) *FuncNode {
-	if fn == nil {
-		return nil
-	}
-	return prog.funcs[fn]
-}
-
 func (prog *Program) collectNodes() {
 	for _, pkg := range prog.Pkgs {
 		for _, file := range pkg.Files {
@@ -109,9 +98,7 @@ func (prog *Program) collectNodes() {
 				if !ok {
 					continue
 				}
-				node := &FuncNode{Fn: obj, Decl: fd, Pkg: pkg}
-				prog.funcs[obj] = node
-				prog.nodes = append(prog.nodes, node)
+				prog.nodes = append(prog.nodes, &FuncNode{Fn: obj, Decl: fd, Pkg: pkg})
 			}
 		}
 	}

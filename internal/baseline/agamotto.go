@@ -8,73 +8,35 @@ import (
 )
 
 // AgamottoManager reimplements Agamotto's incremental checkpointing design
-// for the Figure 6 comparison: a *tree* of snapshots (each node stores the
-// pages dirtied since its parent), restores that discover dirty pages by
-// walking the full bitmap (no dirty stack), and a global memory budget with
-// LRU eviction — all three of the design points §5.3 contrasts with
-// Nyx-Net's single recreated snapshot.
+// for the Figure 6 comparison: snapshots that each store the pages dirtied
+// since their parent, and restores that discover dirty pages by walking the
+// full bitmap (no dirty stack) — the design points §5.3 contrasts with
+// Nyx-Net's single recreated snapshot. Figure 6 checkpoints and restores
+// along one line of snapshots with an unlimited budget, so Agamotto's
+// branching between tree nodes and its LRU eviction are not modelled.
 type AgamottoManager struct {
 	npages int
 	pages  [][]byte
 	dirty  []byte // bitmap only: Agamotto has no dirty stack
 
-	nodes  []*agNode
 	active *agNode // snapshot the VM currently derives from
-	root   *agNode
-
-	// Budget is the snapshot storage budget in bytes; once exceeded,
-	// least-recently-used non-root snapshots are evicted (the paper
-	// notes Agamotto slows down once its 1 GiB budget fills).
-	Budget     int64
-	storedCost int64
-	lruClock   uint64
-
-	stats AgamottoStats
-}
-
-// AgamottoStats counts manager activity.
-type AgamottoStats struct {
-	Checkpoints uint64
-	Restores    uint64
-	Evictions   uint64
-	PagesStored uint64
-	PagesReset  uint64
-	BitmapWalks uint64
 }
 
 type agNode struct {
-	id       int
-	parent   *agNode
-	delta    map[uint32][]byte // pages as of this snapshot, differing from parent
-	lastUsed uint64
-	children int
+	parent *agNode
+	delta  map[uint32][]byte // pages as of this snapshot, differing from parent
 }
 
 // ErrNoCheckpoint is returned when restoring without any checkpoint.
 var ErrNoCheckpoint = errors.New("agamotto: no checkpoint taken")
 
 // NewAgamotto creates a manager for a VM with npages pages.
-func NewAgamotto(npages int, budget int64) *AgamottoManager {
+func NewAgamotto(npages int) *AgamottoManager {
 	return &AgamottoManager{
 		npages: npages,
 		pages:  make([][]byte, npages),
 		dirty:  make([]byte, npages),
-		Budget: budget,
 	}
-}
-
-// Stats returns a copy of the activity counters.
-func (a *AgamottoManager) Stats() AgamottoStats { return a.stats }
-
-// NumSnapshots returns the live snapshot count.
-func (a *AgamottoManager) NumSnapshots() int {
-	n := 0
-	for _, node := range a.nodes {
-		if node != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // WritePage writes data into page pn, marking it dirty.
@@ -98,10 +60,8 @@ func (a *AgamottoManager) ReadPage(pn uint32) []byte { return append([]byte(nil)
 // Checkpoint creates a snapshot of the current state as a child of the
 // active snapshot, storing the pages dirtied since then.
 func (a *AgamottoManager) Checkpoint() {
-	a.lruClock++
-	node := &agNode{id: len(a.nodes), parent: a.active, delta: make(map[uint32][]byte), lastUsed: a.lruClock}
+	node := &agNode{parent: a.active, delta: make(map[uint32][]byte)}
 	// Agamotto walks the whole bitmap to find the delta.
-	a.stats.BitmapWalks++
 	for pn := 0; pn < a.npages; pn++ {
 		if a.dirty[pn] == 0 {
 			continue
@@ -112,19 +72,8 @@ func (a *AgamottoManager) Checkpoint() {
 		}
 		node.delta[uint32(pn)] = cp
 		a.dirty[pn] = 0
-		a.stats.PagesStored++
-		a.storedCost += mem.PageSize
-	}
-	if a.active != nil {
-		a.active.children++
-	}
-	a.nodes = append(a.nodes, node)
-	if a.root == nil {
-		a.root = node
 	}
 	a.active = node
-	a.stats.Checkpoints++
-	a.evictIfNeeded()
 }
 
 // lookup finds the content of page pn along the snapshot chain.
@@ -143,9 +92,6 @@ func (a *AgamottoManager) Restore() error {
 	if a.active == nil {
 		return ErrNoCheckpoint
 	}
-	a.lruClock++
-	a.active.lastUsed = a.lruClock
-	a.stats.BitmapWalks++
 	for pn := 0; pn < a.npages; pn++ {
 		if a.dirty[pn] == 0 {
 			continue
@@ -166,54 +112,6 @@ func (a *AgamottoManager) Restore() error {
 			copy(dst, src)
 		}
 		a.dirty[pn] = 0
-		a.stats.PagesReset++
 	}
-	a.stats.Restores++
 	return nil
-}
-
-// RestoreTo makes the given snapshot index active and restores to it.
-func (a *AgamottoManager) RestoreTo(id int) error {
-	if id < 0 || id >= len(a.nodes) || a.nodes[id] == nil {
-		return fmt.Errorf("agamotto: no snapshot %d (evicted?)", id)
-	}
-	// Pages dirtied relative to the old snapshot must be reconsidered
-	// against the new one; conservatively mark the union dirty.
-	for n := a.active; n != nil; n = n.parent {
-		for pn := range n.delta {
-			a.dirty[pn] = 1
-		}
-	}
-	a.active = a.nodes[id]
-	for n := a.active; n != nil; n = n.parent {
-		for pn := range n.delta {
-			a.dirty[pn] = 1
-		}
-	}
-	return a.Restore()
-}
-
-// evictIfNeeded drops least-recently-used leaf snapshots until the stored
-// bytes fit the budget. The root and the active snapshot are never evicted.
-func (a *AgamottoManager) evictIfNeeded() {
-	for a.Budget > 0 && a.storedCost > a.Budget {
-		var victim *agNode
-		for _, n := range a.nodes {
-			if n == nil || n == a.root || n == a.active || n.children > 0 {
-				continue
-			}
-			if victim == nil || n.lastUsed < victim.lastUsed {
-				victim = n
-			}
-		}
-		if victim == nil {
-			return
-		}
-		a.storedCost -= int64(len(victim.delta)) * mem.PageSize
-		if victim.parent != nil {
-			victim.parent.children--
-		}
-		a.nodes[victim.id] = nil
-		a.stats.Evictions++
-	}
 }

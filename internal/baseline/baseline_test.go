@@ -214,7 +214,7 @@ func TestBaselineWithCoreFuzzer(t *testing.T) {
 // ---- Agamotto ----
 
 func TestAgamottoCheckpointRestore(t *testing.T) {
-	a := NewAgamotto(64, 0)
+	a := NewAgamotto(64)
 	page := func(b byte) []byte { return bytes.Repeat([]byte{b}, mem.PageSize) }
 
 	a.WritePage(0, page(1))
@@ -232,85 +232,33 @@ func TestAgamottoCheckpointRestore(t *testing.T) {
 	}
 }
 
+// TestAgamottoTree checks that a restore finds each page in the snapshot
+// that stored it, up the chain of parents.
 func TestAgamottoTree(t *testing.T) {
-	a := NewAgamotto(16, 0)
+	a := NewAgamotto(16)
 	page := func(b byte) []byte { return bytes.Repeat([]byte{b}, mem.PageSize) }
 	a.WritePage(0, page(1))
-	a.Checkpoint() // id 0
+	a.Checkpoint() // stores page 0
 	a.WritePage(1, page(2))
-	a.Checkpoint() // id 1 (child of 0)
+	a.Checkpoint() // child: stores page 1
 	a.WritePage(2, page(3))
-	a.Checkpoint() // id 2 (child of 1)
-	if a.NumSnapshots() != 3 {
-		t.Fatalf("snapshots = %d, want 3", a.NumSnapshots())
+	a.Checkpoint() // grandchild: stores page 2
+	for pn := uint32(0); pn < 4; pn++ {
+		a.WritePage(pn, page(9))
 	}
-	// Jump back to snapshot 0: pages 1 and 2 must revert to zero.
-	if err := a.RestoreTo(0); err != nil {
+	if err := a.Restore(); err != nil {
 		t.Fatal(err)
 	}
-	if a.ReadPage(1) != nil && a.ReadPage(1)[0] != 0 {
-		t.Fatal("page 1 should revert")
-	}
-	if a.ReadPage(0)[0] != 1 {
-		t.Fatal("page 0 should stay")
-	}
-	// Forward again to snapshot 2.
-	if err := a.RestoreTo(2); err != nil {
-		t.Fatal(err)
-	}
-	if a.ReadPage(2)[0] != 3 || a.ReadPage(1)[0] != 2 {
-		t.Fatal("chain lookup failed on re-restore")
+	for pn, want := range []byte{1, 2, 3, 0} {
+		if got := a.ReadPage(uint32(pn))[0]; got != want {
+			t.Fatalf("page %d = %d, want %d", pn, got, want)
+		}
 	}
 }
 
 func TestAgamottoRestoreWithoutCheckpoint(t *testing.T) {
-	a := NewAgamotto(4, 0)
+	a := NewAgamotto(4)
 	if err := a.Restore(); err != ErrNoCheckpoint {
 		t.Fatalf("expected ErrNoCheckpoint, got %v", err)
-	}
-}
-
-func TestAgamottoLRUEviction(t *testing.T) {
-	a := NewAgamotto(1024, 8*mem.PageSize) // tiny budget
-	page := func(b byte) []byte { return bytes.Repeat([]byte{b}, mem.PageSize) }
-	a.Checkpoint() // root
-	for i := 0; i < 12; i++ {
-		// The fuzzing pattern: return to a base snapshot, run a test,
-		// checkpoint the new state — leaves fan out from the root.
-		if err := a.RestoreTo(0); err != nil {
-			t.Fatal(err)
-		}
-		a.WritePage(uint32(i), page(byte(i+1)))
-		a.Checkpoint()
-	}
-	if a.Stats().Evictions == 0 {
-		t.Fatal("budget pressure should evict snapshots")
-	}
-	if a.NumSnapshots() >= 12 {
-		t.Fatalf("snapshots = %d, eviction ineffective", a.NumSnapshots())
-	}
-	// Evicted snapshots cannot be restored to.
-	evicted := -1
-	for i, n := range a.nodes {
-		if n == nil {
-			evicted = i
-			break
-		}
-	}
-	if evicted >= 0 {
-		if err := a.RestoreTo(evicted); err == nil {
-			t.Fatal("restoring an evicted snapshot should fail")
-		}
-	}
-}
-
-func TestAgamottoBitmapWalkCounted(t *testing.T) {
-	a := NewAgamotto(64, 0)
-	a.WritePage(0, bytes.Repeat([]byte{1}, mem.PageSize))
-	a.Checkpoint()
-	a.WritePage(0, bytes.Repeat([]byte{2}, mem.PageSize))
-	a.Restore() //nolint:errcheck
-	if a.Stats().BitmapWalks != 2 {
-		t.Fatalf("bitmap walks = %d, want 2", a.Stats().BitmapWalks)
 	}
 }

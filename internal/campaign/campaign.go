@@ -510,9 +510,6 @@ func (c *Campaign) Stopped() bool { return c.stopped.Load() }
 // Workers returns the number of workers.
 func (c *Campaign) Workers() int { return len(c.workers) }
 
-// Target returns the campaign's registered target name.
-func (c *Campaign) Target() string { return c.cfg.Target }
-
 // SyncInterval returns the effective lockstep round length — the
 // deterministic slicing unit service-mode scheduling must respect
 // (RunFor(a); RunFor(b) is not RunFor(a+b) unless both are multiples of

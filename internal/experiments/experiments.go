@@ -84,9 +84,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ScaledHour returns the virtual duration representing one paper-hour.
-func (c Config) ScaledHour() time.Duration { return c.CampaignTime / 24 }
-
 // CampaignResult is one campaign's outcome.
 type CampaignResult struct {
 	Target string

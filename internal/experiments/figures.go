@@ -165,7 +165,7 @@ func Figure6(vmSizesPages []int, dirtyCounts []int, reps int) []Figure6Point {
 			})
 
 			// Agamotto mechanism.
-			a := baseline.NewAgamotto(npages, 0)
+			a := baseline.NewAgamotto(npages)
 			a.Checkpoint()
 			aCreateS := measure(reps, func() {
 				for i := 0; i < n; i++ {

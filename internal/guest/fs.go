@@ -148,19 +148,6 @@ func (fs *FS) Size(path string) (int64, error) {
 	return fs.files[i].size, nil
 }
 
-// Unlink removes path. Sector space is reclaimed only by snapshot restore
-// (bump allocation), like a log-structured scratch disk.
-func (fs *FS) Unlink(path string) error {
-	fs.sync()
-	i, ok := fs.find(path)
-	if !ok {
-		return fmt.Errorf("fs: %q: no such file", path)
-	}
-	fs.encValid = false
-	fs.files = slices.Delete(fs.files, i, i+1)
-	return nil
-}
-
 // List returns all paths in sorted order.
 func (fs *FS) List() []string {
 	fs.sync()

@@ -92,7 +92,6 @@ func (v *coherentVM) syscalls(t *testing.T, round, scale int) {
 var fsMutators = []func(fs *guest.FS, path string) error{
 	func(fs *guest.FS, path string) error { return fs.WriteFile(path, []byte("rewritten")) },
 	func(fs *guest.FS, path string) error { return fs.AppendFile(path, []byte("appended")) },
-	func(fs *guest.FS, path string) error { return fs.Unlink(path) },
 	func(fs *guest.FS, path string) error {
 		if fs.WriteFile(path, make([]byte, 4<<20)) == nil {
 			return fmt.Errorf("a 4 MiB file fit the disk")

@@ -41,9 +41,6 @@ func (w *StateWriter) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
 // U8 appends a byte.
 func (w *StateWriter) U8(v uint8) { w.buf = append(w.buf, v) }
 
-// U16 appends a uint16.
-func (w *StateWriter) U16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-
 // U32 appends a uint32.
 func (w *StateWriter) U32(v uint32) { w.buf = appendU32(w.buf, v) }
 
@@ -74,22 +71,6 @@ func (w *StateWriter) Bytes32(b []byte) { w.buf = appendString(w.buf, b) }
 
 // String appends a length-prefixed string.
 func (w *StateWriter) String(s string) { w.buf = appendString(w.buf, s) }
-
-// StringSlice appends a length-prefixed slice of strings.
-func (w *StateWriter) StringSlice(ss []string) {
-	w.U32(uint32(len(ss)))
-	for _, s := range ss {
-		w.String(s)
-	}
-}
-
-// IntSlice appends a length-prefixed slice of ints.
-func (w *StateWriter) IntSlice(vs []int) {
-	w.U32(uint32(len(vs)))
-	for _, v := range vs {
-		w.Int(v)
-	}
-}
 
 // StateReader deserializes a StateWriter stream. Decoding errors are
 // sticky: after the first failure all reads return zero values and Err
@@ -152,15 +133,6 @@ func (r *StateReader) U8() uint8 {
 	}
 	r.fail(errShort)
 	return 0
-}
-
-// U16 reads a uint16.
-func (r *StateReader) U16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
 }
 
 // U32 reads a uint32.
@@ -245,33 +217,8 @@ func (r *StateReader) View32() []byte {
 	return r.take(r.Count(1)) // too short for its prefix or for its length: fails
 }
 
-// Bytes32 reads a length-prefixed byte slice (copied).
-func (r *StateReader) Bytes32() []byte {
-	b := r.View32()
-	if r.err != nil {
-		return nil
-	}
-	return append(make([]byte, 0, len(b)), b...)
-}
-
 // String reads a length-prefixed string.
 func (r *StateReader) String() string { return string(r.View32()) }
-
-// StringSlice reads a length-prefixed string slice.
-func (r *StateReader) StringSlice() []string {
-	n := r.Count(4)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.String())
-	}
-	return out
-}
-
-// IntSlice reads a length-prefixed int slice.
-func (r *StateReader) IntSlice() []int { return r.appendInts(nil) }
 
 // appendInts reads a length-prefixed int slice onto dst.
 func (r *StateReader) appendInts(dst []int) []int {

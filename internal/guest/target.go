@@ -65,7 +65,6 @@ const (
 	CrashMallocUnder    CrashKind = "malloc-underflow"
 	CrashOOM            CrashKind = "oom"
 	CrashOOMInternal    CrashKind = "oom-internal-limit"
-	CrashAssert         CrashKind = "assertion"
 )
 
 // CrashError is panicked by Env.Crash and recovered by the execution
@@ -96,9 +95,6 @@ func (e *Env) FS() *FS { return e.k.FS }
 
 // Process returns the current process context.
 func (e *Env) Process() *Process { e.k.hydrate(); return e.proc }
-
-// Asan reports whether AddressSanitizer-like checking is enabled.
-func (e *Env) Asan() bool { return e.k.Asan }
 
 // SetTrace installs the per-execution coverage trace. The execution driver
 // calls this before each test case.

@@ -657,9 +657,6 @@ func (m *Memory) SlotPages(id int) int {
 	return len(s.pages)
 }
 
-// Slots returns the number of allocated snapshot slots.
-func (m *Memory) Slots() int { return len(m.slots) }
-
 // CloneSharedRoot creates a new Memory that shares this Memory's root
 // snapshot copy-on-write instead of duplicating it. The clone starts at
 // root state with empty dirty tracking. This is the mechanism behind §5.3:
@@ -680,10 +677,6 @@ func (m *Memory) CloneSharedRoot() (*Memory, error) {
 	c.Strategy = m.Strategy
 	return c, nil
 }
-
-// SharesRoot reports whether this Memory borrows its root snapshot from
-// another instance.
-func (m *Memory) SharesRoot() bool { return m.sharedRoot }
 
 // OwnedBytes estimates the heap bytes this instance owns exclusively:
 // materialized pages, the incremental overlay, and (unless shared) the root

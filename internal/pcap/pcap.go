@@ -277,14 +277,6 @@ func ExtractFlows(pkts []Packet, serverPort int) []Flow {
 // more common packet boundary dissectors uses the CRLF newline sequence".
 type Dissector func(stream []byte) [][]byte
 
-// SplitNone returns the stream as a single message.
-func SplitNone(stream []byte) [][]byte {
-	if len(stream) == 0 {
-		return nil
-	}
-	return [][]byte{append([]byte(nil), stream...)}
-}
-
 // SplitCRLF splits after each CRLF, keeping the delimiter with the message.
 func SplitCRLF(stream []byte) [][]byte {
 	var out [][]byte

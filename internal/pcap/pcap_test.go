@@ -135,10 +135,6 @@ func TestFlowResplit(t *testing.T) {
 	if len(got) != 2 || string(got[0]) != "USER a\r\n" || string(got[1]) != "PASS b\r\n" {
 		t.Fatalf("resplit wrong: %q", got)
 	}
-	one := f.Resplit(SplitNone)
-	if len(one) != 1 || string(one[0]) != "USER a\r\nPASS b\r\n" {
-		t.Fatalf("SplitNone wrong: %q", one)
-	}
 }
 
 // capture returns a global header with the given snapshot length followed by

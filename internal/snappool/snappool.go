@@ -121,9 +121,6 @@ func New(budget int64) *Pool {
 	}
 }
 
-// Budget returns the configured byte budget (<= 0: unlimited).
-func (p *Pool) Budget() int64 { return p.budget }
-
 // Len returns the number of pooled snapshots.
 func (p *Pool) Len() int { return len(p.order) }
 

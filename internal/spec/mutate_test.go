@@ -3,6 +3,8 @@ package spec
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/guest"
 )
 
 // TestGeneratedPayloadRespectsNodeMaxData checks "valid by construction" for
@@ -10,10 +12,10 @@ import (
 // input and every mutant of it validates. Before randData took the node's
 // bound, 967 of these 1000 generated inputs carried a payload over 16 bytes.
 func TestGeneratedPayloadRespectsNodeMaxData(t *testing.T) {
-	s, err := Parse("spec t\nedge con\nnode c connect tcp 21 -> con\nnode pkt packet borrows con data 16\n")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewSpec("t")
+	con := s.Edge("con")
+	s.Node(NodeType{Name: "c", Kind: KindConnect, Outputs: []EdgeID{con}, Port: guest.Port{Proto: guest.TCP, Num: 21}})
+	s.Node(NodeType{Name: "pkt", Kind: KindPacket, Borrows: []EdgeID{con}, HasData: true, MaxData: 16})
 	m := NewMutator(s, rand.New(rand.NewSource(1)))
 	for i := 0; i < 1000; i++ {
 		in := m.Generate(0)

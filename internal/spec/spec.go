@@ -11,10 +11,10 @@
 // # Inputs share what they did not change
 //
 // The backing arrays of Op.Args and Op.Data are never written after the op
-// is constructed, anywhere in the repository (nyx-vet's opwrite analyzer
-// checks it): a change builds a new slice and assigns it to an op of an
-// Input the writer owns. So any number of inputs and goroutines may hold one
-// op. Mutate, MutateSuffix and Splice never write their arguments; their
+// is constructed, anywhere in the repository
+// (TestMutationNeverWritesThroughSharedOps checks it): a change builds a new
+// slice and assigns it to an op of an Input the writer owns. So any number of
+// inputs and goroutines may hold one op. Mutate, MutateSuffix and Splice never write their arguments; their
 // result belongs to the Mutator until its next call of the same kind.
 //
 // One kind of array is rewritten, and only by its mutator: MutateSuffix

@@ -82,20 +82,6 @@ func Min(xs []float64) float64 {
 	return m
 }
 
-// Max returns the maximum of xs (NaN for empty input).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // MannWhitneyU performs a two-sided Mann-Whitney U test on samples a and b
 // and returns the p-value, using the normal approximation with tie
 // correction and continuity correction — the standard procedure for the

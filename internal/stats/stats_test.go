@@ -55,10 +55,12 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Errorf("Min/Max wrong: %v %v", Min(xs), Max(xs))
+func TestMin(t *testing.T) {
+	if got := Min([]float64{3, -1, 7, 2}); got != -1 {
+		t.Errorf("Min = %v, want -1", got)
+	}
+	if got := Min(nil); !math.IsNaN(got) {
+		t.Errorf("Min of no samples = %v, want NaN", got)
 	}
 }
 
