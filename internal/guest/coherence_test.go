@@ -307,3 +307,39 @@ func TestDiscardRangeMatchesFlush(t *testing.T) {
 		t.Errorf("the runs reached %d images past one page and %d shrinking ones; need both", grown, shrunk)
 	}
 }
+
+// TestDiscardMeasureMatchesEncoding holds the discard hook's measuring writer
+// to the encoder it stands in for: the target section's length the discard
+// charges is what SaveState measures, and it must be what SaveState encodes.
+// Every registered target runs each of its seeds, op by op, and seeded mutants
+// of them from the root; after every op the two lengths must agree.
+func TestDiscardMeasureMatchesEncoding(t *testing.T) {
+	for _, name := range targets.Names() {
+		t.Run(name, func(t *testing.T) {
+			inst, err := targets.Launch(name, targets.LaunchConfig{VM: &vm.Config{MemoryPages: 256, DiskSectors: 4096}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs := inst.Seeds()
+			mut := spec.NewMutator(inst.Spec, rand.New(rand.NewSource(41)))
+			mut.Dict = inst.Info.Dict
+			for i := 0; i < 16; i++ {
+				inputs = append(inputs, mut.Mutate(inputs[i%len(inst.Seeds())]).Clone())
+			}
+			longest := 0
+			for i, in := range inputs {
+				for j := range in.Ops {
+					if _, err := inst.Agent.RunFromRoot(&spec.Input{Ops: in.Ops[:j+1], SnapshotAt: -1}, nil); err != nil {
+						t.Fatal(err)
+					}
+					measured, encoded := inst.K.MeasuredStateLen()
+					if measured != encoded {
+						t.Fatalf("input %d after op %d: the target section measures %d bytes and encodes to %d", i, j, measured, encoded)
+					}
+					longest = max(longest, encoded)
+				}
+			}
+			t.Logf("longest target section: %d bytes", longest)
+		})
+	}
+}

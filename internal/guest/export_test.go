@@ -6,11 +6,12 @@ package guest
 // ways the kernel learns an image's length, writing it and computing it.
 
 // DecodeImage replaces k's struct form with the state image encodes, as
-// hydrate does after a restore — copying back the kernel's section when it is
-// the one last decoded — but reports a decode error instead of panicking. The
-// kernel reads a copy of image: restored Conn.Sent slices point into the
-// kernel's copy of the last image whose kernel section it decoded, not into
-// image.
+// hydrate does after a restore of a capture it has not read, but reports a
+// decode error instead of panicking. It always decodes: image is no capture,
+// so the kernel forgets the capture number it kept, and the next hydrate
+// reads guest memory whatever it restored. The kernel reads a copy of image:
+// restored Conn.Sent slices point into the kernel's copy of the last image
+// whose kernel section it decoded, not into image.
 func (k *Kernel) DecodeImage(image []byte) error {
 	k.hydrate()
 	k.next = append(k.next[:0], image...)
@@ -47,9 +48,31 @@ func (k *Kernel) KernelSectionLen() (computed, written int) {
 // SendBufferCap returns the capacity of the buffer Env.Send appends to.
 func (k *Kernel) SendBufferCap() int { return cap(k.sendBuf) }
 
-// Hydrates returns how many decodes of an image (DecodeImage included) were
-// served by copying the kernel's section back and how many by decoding it.
-func (k *Kernel) Hydrates() (copyBacks, decodes int) { return k.copyBacks, k.decodes }
+// Hydrates returns how many hydrates were identity hits, a restore of the
+// capture the kernel last read served by copying back, and how many decoded
+// an image (DecodeImage included).
+func (k *Kernel) Hydrates() (hits, decodes int) { return k.hits, k.decodes }
+
+// SetHitHook makes every kernel call fn at the end of each identity hit,
+// with the image it copied back from, until SetHitHook(nil). Set it only
+// while no kernel runs.
+func SetHitHook(fn func(k *Kernel, img []byte)) {
+	if fn == nil {
+		hitHook = nil
+		return
+	}
+	hitHook = func(k *Kernel) { fn(k, k.img) }
+}
+
+// MeasuredStateLen returns the length of the target's state section as the
+// discard hook measures it and as SaveState encodes it.
+func (k *Kernel) MeasuredStateLen() (measured, encoded int) {
+	k.hydrate()
+	m, w := StateWriter{measuring: true}, StateWriter{}
+	k.Target.SaveState(&m)
+	k.Target.SaveState(&w)
+	return m.n, len(w.buf)
+}
 
 // TableReads returns how many Table sections the kernel's image decodes
 // copied back and how many they decoded.

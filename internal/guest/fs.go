@@ -32,9 +32,13 @@ type FS struct {
 	// or unmarshal last read it, and encValid says that it still is: every
 	// mutator clears encValid before it changes either field. While it
 	// holds, marshal appends enc and unmarshal skips an equal section, so a
-	// test case that leaves the filesystem alone pays for neither.
+	// test case that leaves the filesystem alone pays for neither. encRead
+	// says that enc is the section unmarshal last read (decoded, or found
+	// equal), not one encoding rebuilt since: it lies in the image the kernel
+	// read last, so a reread of that image skips it uncompared.
 	enc      []byte
 	encValid bool
+	encRead  bool
 
 	// hydrate, when set, re-syncs the owning kernel's state from guest
 	// memory before any metadata access (see Kernel.hydrate); snapshot
@@ -177,17 +181,19 @@ func (fs *FS) encoding() []byte {
 				e.U64(sn)
 			}
 		}
-		fs.enc, fs.encValid = e.buf, true
+		fs.enc, fs.encValid, fs.encRead = e.buf, true, false
 	}
 	return fs.enc
 }
 
 // unmarshal restores the FS metadata from r. The encoding delimits itself,
 // so when the stream continues with enc it continues with exactly the
-// metadata the FS already holds, and there is nothing to decode.
+// metadata the FS already holds, and there is nothing to decode; a reread
+// stream is known to, if unmarshal set enc.
 func (fs *FS) unmarshal(r *StateReader) {
-	if fs.encValid && bytes.HasPrefix(r.buf[r.off:], fs.enc) {
+	if fs.encValid && (r.reread && fs.encRead || bytes.HasPrefix(r.buf[r.off:], fs.enc)) {
 		r.off += len(fs.enc)
+		fs.encRead = true
 		return
 	}
 	fs.encValid = false
@@ -210,6 +216,6 @@ func (fs *FS) unmarshal(r *StateReader) {
 		}
 	}
 	if r.err == nil {
-		fs.enc, fs.encValid = append(fs.enc[:0], r.buf[start:r.off]...), true
+		fs.enc, fs.encValid, fs.encRead = append(fs.enc[:0], r.buf[start:r.off]...), true, true
 	}
 }

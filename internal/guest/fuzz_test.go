@@ -42,12 +42,16 @@ func decoders(tb testing.TB) (ks []*guest.Kernel, boot, mid [][]byte) {
 // engine's memory limit is what notices). The kernels are reused across
 // inputs, so every decode also starts from whatever the last one, failed or
 // not, left behind. After each input a kernel decodes a known-good image, so
-// both hydrate paths run on a used kernel: the input copies back the kernel
-// section and tables the good image left whenever it starts with their bytes,
-// and the good image copies back what it left before or decodes afresh what
-// the input replaced. Whatever state a decode leaves, the length of the
-// kernel's section the discard hook computes from its tables must be the
-// length marshal writes.
+// every decode runs on a used kernel. Only the decode path is reached:
+// DecodeImage is no restore and names no capture, so it always decodes the
+// kernel section and forgets the capture number, and the identity hit, which
+// needs one, is held to guest memory by TestHydrateByCaptureMatchesMemory
+// instead. Within a decode each Table still copies back what it last decoded
+// when the image repeats its section: the input copies back the tables the
+// good image left whenever it repeats their bytes, and the good image copies
+// back what it left before or decodes afresh what the input replaced.
+// Whatever state a decode leaves, the length of the kernel's section the
+// discard hook computes from its tables must be the length marshal writes.
 func FuzzStateDecode(f *testing.F) {
 	ks, boot, mid := decoders(f)
 	for _, img := range slices.Concat(boot, mid) {

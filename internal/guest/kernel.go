@@ -22,7 +22,7 @@
 //     it is not written; the hook only reports the range a flush would have
 //     written, and the restore resets and charges those pages as if it had.
 //   - stale: memory is ahead of the struct form. Set only by the machine's
-//     restore hooks (after the discard, so dirty and stale never hold
+//     restore hook (after the discard, so dirty and stale never hold
 //     together; the discarded struct state is simply overwritten). Cleared
 //     only by hydrate, which the first state access after the restore runs,
 //     so restore cost never scales with the size of the serialized state.
@@ -51,18 +51,22 @@
 //
 // Most restores bring back a state the kernel has hydrated before — the same
 // slot, resumed again — so hydrate also copies back instead of decoding. The
-// kernel keeps the bytes of its own section of the image (counters, descs,
-// procs, conns) as it last decoded them, in its image copy, and beside them a
-// private copy of the tables they decoded to; every Table keeps its bytes,
-// keys and values the same way. A restored section that is byte-equal to the
-// kept one is filled from the copy, anything else is decoded and kept in its
-// place. A byte compare picks the path, so what a copy-back yields is what a
-// decode of the same bytes would, and the responses it restores point into
-// the image copy the kept section lives in.
+// kernel keeps a copy of the last image it decoded, a private copy of the
+// tables its own section (counters, descs, procs, conns) decoded to, and the
+// number of the capture the image came from (vm.SnapshotHooks.Restored); every
+// Table keeps the bytes of its section and the keys and values they decoded
+// to. The capture number picks the path: a restore of that same capture
+// brings back that same image, so hydrate reads no guest memory and compares
+// no kept bytes with it — it copies the kernel's tables back, and reads the
+// filesystem and target sections from the kept image, every Table copying
+// back what it decoded to and the filesystem skipping a section its cached
+// encoding was read from. Any other restore reads the image from memory and
+// decodes it, and its capture's number is kept in its place. What a
+// copy-back installs is therefore what a decode of the restored image would,
+// and the responses it restores point into the kept image.
 package guest
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -163,18 +167,21 @@ type Kernel struct {
 	booted   bool
 
 	// stored is the blob length in the header of the image in guest memory,
-	// as syncToMemory last wrote it or syncFromMemory last read it. Only a
-	// flush or a restore changes the header, and every event hydrates first,
-	// so it is current whenever the kernel is dirty, which is when discard
-	// reads it.
+	// as syncToMemory last wrote it or syncFromMemory last hydrated it (read
+	// from the header, or the kept image's length when the capture number
+	// says memory holds that image). Only a flush or a restore changes the
+	// header, and every event hydrates first, so it is current whenever the
+	// kernel is dirty, which is when discard reads it.
 	stored int
 
 	// stale marks the struct form of the state as behind guest memory
-	// after a snapshot restore. The restore hooks only flip this flag;
-	// the first state access afterwards pays the decode (see hydrate).
-	// That keeps the restore hot path O(dirty pages), independent of the
-	// guest-state blob size.
-	stale bool
+	// after a snapshot restore, and restored is the number of the capture
+	// that restore brought back. The restore hook only sets the two; the
+	// first state access afterwards pays the decode (see hydrate). That keeps
+	// the restore hot path O(dirty pages), independent of the guest-state
+	// blob size.
+	stale    bool
+	restored uint64
 
 	// dirty marks the struct form as ahead of guest memory: an event ran
 	// (or is running) since the last flush or discard. The event entry
@@ -184,26 +191,32 @@ type Kernel struct {
 	dirty bool
 
 	// enc and dec are the codec's scratch, recycled across the
-	// serialize-at-capture and decode-after-restore paths. img is the
-	// kernel's copy of the image its own section was last decoded from, next
-	// the buffer a restored image is read into, and sendBuf what the target
-	// has sent since the last hydrate: a Conn.Sent response points into img or
-	// sendBuf until a hydrate decodes another kernel section or truncates the
+	// serialize-at-capture and decode-after-restore paths, and size the
+	// measuring writer discard learns the target section's length with. img
+	// is the kernel's copy of the last image whose kernel section it decoded,
+	// next the buffer a restored image is read into, and sendBuf what the
+	// target has sent since the last hydrate: a Conn.Sent response points into
+	// img or sendBuf until a hydrate decodes another image or truncates the
 	// send buffer.
 	enc     StateWriter
 	dec     StateReader
+	size    StateWriter
 	img     []byte
 	next    []byte
 	sendBuf []byte
 
 	// base is what img[:baseLen], the kernel section of img, decoded to, held
-	// apart from the struct form; baseLen is 0 while nothing is kept. A
-	// restored image that starts with those bytes is copied back from base
-	// instead of decoded (see decode). copyBacks and decodes count the
-	// hydrates served each way.
-	base               kernelState
-	baseLen            int
-	copyBacks, decodes int
+	// apart from the struct form. capture is the number of the capture img
+	// was read from, and so the one base and the target's tables' kept
+	// sections and values came from, or 0 while they hold no capture's
+	// image: before the first hydrate, after a decode that failed and after
+	// DecodeImage. A hydrate of that capture copies back from them instead of
+	// reading memory (see copyBack). hits and decodes count the hydrates
+	// served each way.
+	base          kernelState
+	baseLen       int
+	capture       uint64
+	hits, decodes int
 
 	env *Env
 }
@@ -268,18 +281,18 @@ func NewKernel(m *vm.Machine, target Target) (*Kernel, error) {
 		heapBase:    4096, // page 0 reserved
 	}
 	k.env = &Env{k: k}
+	k.size.measuring = true
 	k.FS.hydrate = k.hydrate
 	// Wire the kernel into the machine's snapshot lifecycle. Memory is what
 	// snapshots capture, so the machine flushes the struct form into it
 	// before it takes one, and a restore discards the struct form instead.
-	// The restore hooks only mark it stale — the decode is deferred to the
-	// first state access (hydrate), so back-to-back restores never pay for
-	// re-reading a blob nothing looked at.
+	// The restore hook only marks it stale and notes the capture — the decode
+	// is deferred to the first state access (hydrate), so back-to-back
+	// restores never pay for re-reading a blob nothing looked at.
 	m.GuestHooks = vm.SnapshotHooks{
-		Flush:              k.flush,
-		Discard:            k.discard,
-		RestoreRoot:        func() { k.stale = true },
-		RestoreIncremental: func() { k.stale = true },
+		Flush:    k.flush,
+		Discard:  k.discard,
+		Restored: func(capture uint64) { k.stale, k.restored = true, capture },
 	}
 	// Boot: create the init process and run target startup.
 	init := k.newProcess(0)
@@ -337,9 +350,9 @@ func (k *Kernel) flush() {
 // would write, [heapBase, heapBase+4+max(stored, n)) with n the length of the
 // state's image, for the restore to reset and charge as if it had been
 // written. n is the sum of the three sections' lengths: the kernel's computed
-// from its tables, the filesystem's cached encoding, and the target's, the
-// one section encoded (into the scratch writer) to learn it. A clean kernel
-// returns an empty range, as a flush writes nothing.
+// from its tables, the filesystem's cached encoding, and the target's,
+// measured by running its SaveState on a measuring writer, which encodes
+// nothing. A clean kernel returns an empty range, as a flush writes nothing.
 //
 // Precondition: no event runs between the end of a test case and the next
 // restore. Then the range is what a flush at the end of the test case would
@@ -351,9 +364,9 @@ func (k *Kernel) discard() (off int64, n int) {
 		return 0, 0
 	}
 	k.dirty = false
-	k.enc.Reset()
-	k.Target.SaveState(&k.enc)
-	n = 4 + max(k.stored, k.kernelLen()+len(k.FS.encoding())+len(k.enc.buf))
+	k.size.Reset()
+	k.Target.SaveState(&k.size)
+	n = 4 + max(k.stored, k.kernelLen()+len(k.FS.encoding())+k.size.n)
 	if k.heapBase+int64(n) > k.M.Mem.Size() {
 		panic(fmt.Sprintf("guest: state discard (%d bytes) beyond guest memory — enlarge VM memory", n-4))
 	}
@@ -681,9 +694,15 @@ func (k *Kernel) syncToMemory() {
 // syncFromMemory re-reads kernel + target state from guest memory. Called
 // via hydrate after a snapshot restore marked the struct state stale. No
 // response sent before the restore is part of the restored state, so the send
-// buffer starts over.
+// buffer starts over. A restore of the capture the kept image came from is
+// served from it without reading memory (copyBack); any other is read and
+// decoded, and its capture number kept once the decode succeeds.
 func (k *Kernel) syncFromMemory() {
 	k.sendBuf = k.sendBuf[:0]
+	if k.capture != 0 && k.capture == k.restored {
+		k.copyBack()
+		return
+	}
 	n := k.storedLen()
 	k.stored = n
 	if cap(k.next) < n {
@@ -696,40 +715,64 @@ func (k *Kernel) syncFromMemory() {
 	if err := k.decode(); err != nil {
 		panic(fmt.Sprintf("guest: state decode: %v", err))
 	}
+	k.capture = k.restored
 }
 
-// decode replaces the struct form with the state image in next. When the
-// image starts with the kernel section base was decoded from, the kernel's
-// tables are copied back from base: a decode of those bytes would yield base
-// again, and its checks, which read nothing beyond the section, passed when
-// they were decoded. Otherwise the section is decoded; if that succeeds, next
-// becomes img, the decoded Conn.Sent slices point into it, and what they
-// decoded to becomes base. Either way the rest of the image is decoded from
-// next. After an error the struct form is a mix of states and unusable until
-// a decode succeeds.
+// hitHook, when set, runs at the end of every copyBack (see export_test.go).
+var hitHook func(*Kernel)
+
+// copyBack is a hydrate of the capture img was read from: guest memory holds
+// img again, so the struct form is rebuilt from what decoding it left, the
+// kernel's tables copied from base and the filesystem and target sections
+// read from img on a reread reader, on which every Table copies back what it
+// decoded to and the filesystem skips a section it read before uncompared.
+// Those bytes decoded before, so the reads cannot fail.
+func (k *Kernel) copyBack() {
+	k.hits++
+	k.stored = len(k.img)
+	k.kernelState.copyFrom(&k.base)
+	r := &k.dec
+	r.Reset(k.img)
+	r.off, r.reread = k.baseLen, true
+	k.loadRest(r)
+	if err := r.Done(); err != nil {
+		panic(fmt.Sprintf("guest: state copy-back: %v", err))
+	}
+	if hitHook != nil {
+		hitHook(k)
+	}
+}
+
+// decode replaces the struct form with the state image in next. Once its
+// kernel section decodes, next becomes img, the decoded Conn.Sent slices
+// point into it, and what the section decoded to becomes base; then the
+// filesystem and target sections are decoded from it, each Table copying back
+// its section when it is the one that Table last decoded. The capture number
+// is forgotten, and the caller that knows which capture the image is keeps it
+// once the decode succeeds. After an error the struct form is a mix of states
+// and unusable until a decode succeeds.
 func (k *Kernel) decode() error {
+	k.decodes++
+	k.capture = 0
 	r := &k.dec
 	r.Reset(k.next)
-	if k.baseLen > 0 && bytes.HasPrefix(k.next, k.img[:k.baseLen]) {
-		k.copyBacks++
-		k.kernelState.copyFrom(&k.base)
-		r.off = k.baseLen
-	} else {
-		k.decodes++
-		k.baseLen = 0
-		k.unmarshal(r)
-		if r.err == nil {
-			k.img, k.next = k.next, k.img
-			k.baseLen = r.off
-			k.base.copyFrom(&k.kernelState)
-		}
-	}
+	k.unmarshal(r)
 	if r.err == nil {
-		k.FS.unmarshal(r)
-		k.Target.LoadState(r)
-		k.env.proc = k.initProc()
+		k.img, k.next = k.next, k.img
+		k.baseLen = r.off
+		k.base.copyFrom(&k.kernelState)
+		k.loadRest(r)
 	}
 	return r.Done()
+}
+
+// loadRest reads the sections that follow the kernel's, the filesystem's and
+// the target's, and points the event environment at the restored init
+// process.
+func (k *Kernel) loadRest(r *StateReader) {
+	k.FS.unmarshal(r)
+	k.Target.LoadState(r)
+	k.env.proc = k.initProc()
 }
 
 // marshal appends the state's image: the kernel's section, the filesystem's

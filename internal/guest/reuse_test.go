@@ -277,9 +277,12 @@ func (stub) OnDisconnect(*guest.Env, *guest.Conn)                {}
 // state round trip — slot restore, hydrate, mark dirty, the end of the test
 // case, and the discard at the next restore — once the kernel has been
 // through it before, on both hydrate paths: restoring one slot again and
-// again, every hydrate after the first copies back the state it decoded;
-// alternating between the slot and the root, every hydrate decodes, and the
-// root's state, dirtied again, is flushed as a capture would flush it.
+// again, every hydrate after the first is an identity hit; alternating
+// between the slot and the root, every hydrate decodes, and the root's state,
+// dirtied again, is flushed as a capture would flush it. The two halves of
+// the repeated restore are also measured alone: the discard of a dirty state,
+// which measures the target's section, and an identity hit after a restore
+// with nothing dirty.
 func TestStateSyncSteadyStateAllocs(t *testing.T) {
 	const slot = 1
 	roundTrip := func(m *vm.Machine, k *guest.Kernel, events func(), alternate bool) func() {
@@ -319,6 +322,33 @@ func TestStateSyncSteadyStateAllocs(t *testing.T) {
 			if n != 0 {
 				t.Errorf("%s (alternating %v): a state round trip allocates %v objects, want 0", what, alternate, n)
 			}
+		}
+		if err := m.RestoreIncrementalSlot(slot); err != nil {
+			t.Fatal(err)
+		}
+		discard := func() {
+			k.MarkDirty()
+			if _, n := m.GuestHooks.Discard(); n == 0 {
+				t.Fatal("a dirty kernel discarded nothing")
+			}
+		}
+		if n := testing.AllocsPerRun(100, discard); n != 0 {
+			t.Errorf("%s: a measured discard allocates %v objects, want 0", what, n)
+		}
+		hits, _ := k.Hydrates()
+		hit := func() {
+			if err := m.RestoreIncrementalSlot(slot); err != nil {
+				t.Fatal(err)
+			}
+			if k.Processes() == 0 {
+				t.Fatal("no process")
+			}
+		}
+		if n := testing.AllocsPerRun(100, hit); n != 0 {
+			t.Errorf("%s: an identity hit allocates %v objects, want 0", what, n)
+		}
+		if h, _ := k.Hydrates(); h-hits < 100 {
+			t.Errorf("%s: %d of 101 clean restores were identity hits", what, h-hits)
 		}
 	}
 

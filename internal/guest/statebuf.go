@@ -14,6 +14,12 @@ import (
 // capture the full logical state of the system (see Kernel.flush).
 type StateWriter struct {
 	buf []byte
+
+	// measuring makes the writer measure instead of encode: every write adds
+	// the length it would append to n and appends nothing, so a caller learns
+	// how long a stream is without building it (see Kernel.discard).
+	measuring bool
+	n         int
 }
 
 // The encodings themselves, as functions of a slice: a writer that has many
@@ -32,20 +38,45 @@ func (w *StateWriter) Bytes() []byte { return w.buf } //nyx:aliased bytes.Buffer
 // Reset truncates the stream, keeping the backing array for reuse. The
 // kernel serializes state about once per execution; recycling the encode
 // buffer keeps that allocation-flat.
-func (w *StateWriter) Reset() { w.buf = w.buf[:0] }
+func (w *StateWriter) Reset() { w.buf, w.n = w.buf[:0], 0 }
 
 // Grow makes room for n more bytes, so a writer that knows how long its
 // stream will be allocates it once instead of doubling its way there.
-func (w *StateWriter) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
+func (w *StateWriter) Grow(n int) {
+	if !w.measuring {
+		w.buf = slices.Grow(w.buf, n)
+	}
+}
+
+// encodes reports whether a write of n bytes is to be appended: a measuring
+// writer adds n to its count instead.
+func (w *StateWriter) encodes(n int) bool {
+	if w.measuring {
+		w.n += n
+	}
+	return !w.measuring
+}
 
 // U8 appends a byte.
-func (w *StateWriter) U8(v uint8) { w.buf = append(w.buf, v) }
+func (w *StateWriter) U8(v uint8) {
+	if w.encodes(1) {
+		w.buf = append(w.buf, v)
+	}
+}
 
 // U32 appends a uint32.
-func (w *StateWriter) U32(v uint32) { w.buf = appendU32(w.buf, v) }
+func (w *StateWriter) U32(v uint32) {
+	if w.encodes(4) {
+		w.buf = appendU32(w.buf, v)
+	}
+}
 
 // U64 appends a uint64.
-func (w *StateWriter) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+func (w *StateWriter) U64(v uint64) {
+	if w.encodes(8) {
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+	}
+}
 
 // I64 appends an int64.
 func (w *StateWriter) I64(v int64) { w.U64(uint64(v)) }
@@ -57,7 +88,7 @@ func (w *StateWriter) Int(v int) { w.I64(int64(v)) }
 func (w *StateWriter) F64(v float64) { w.U64(math.Float64bits(v)) }
 
 // Bool appends a boolean.
-func (w *StateWriter) Bool(v bool) { w.buf = append(w.buf, boolByte(v)) }
+func (w *StateWriter) Bool(v bool) { w.U8(boolByte(v)) }
 
 func boolByte(v bool) uint8 {
 	if v {
@@ -67,10 +98,18 @@ func boolByte(v bool) uint8 {
 }
 
 // Bytes32 appends a length-prefixed byte slice.
-func (w *StateWriter) Bytes32(b []byte) { w.buf = appendString(w.buf, b) }
+func (w *StateWriter) Bytes32(b []byte) {
+	if w.encodes(4 + len(b)) {
+		w.buf = appendString(w.buf, b)
+	}
+}
 
 // String appends a length-prefixed string.
-func (w *StateWriter) String(s string) { w.buf = appendString(w.buf, s) }
+func (w *StateWriter) String(s string) {
+	if w.encodes(4 + len(s)) {
+		w.buf = appendString(w.buf, s)
+	}
+}
 
 // StateReader deserializes a StateWriter stream. Decoding errors are
 // sticky: after the first failure all reads return zero values and Err
@@ -79,6 +118,14 @@ type StateReader struct {
 	buf []byte
 	off int
 	err error
+
+	// reread says that every Table read from the stream was last decoded
+	// from the section the stream holds for it, and so was the filesystem if
+	// unmarshal set its cached encoding, so that Table.copyBack copies back
+	// and FS.unmarshal skips without comparing: the kernel sets it for a
+	// hydrate of the capture it last read (see Kernel.copyBack), and Reset
+	// clears it.
+	reread bool
 
 	// tableCopyBacks and tableDecodes count the Table sections read each way
 	// (see Table.copyBack), across Resets.
@@ -92,7 +139,7 @@ func NewStateReader(b []byte) *StateReader { return &StateReader{buf: b} }
 // scratch reader can be recycled across restores. Like NewStateReader, the
 // reader reads from b in place; the caller keeps ownership and must not
 // mutate it until decoding finishes.
-func (r *StateReader) Reset(b []byte) { r.buf, r.off, r.err = b, 0, nil } //nyx:retains reads in place until next Reset, same contract as NewStateReader
+func (r *StateReader) Reset(b []byte) { r.buf, r.off, r.err, r.reread = b, 0, nil, false } //nyx:retains reads in place until next Reset, same contract as NewStateReader
 
 // Err returns the first decoding error, if any.
 func (r *StateReader) Err() error { return r.err }

@@ -97,6 +97,9 @@ func (t *Table[V]) Delete(k int) {
 
 // IntTable appends t: a count, then each key and value in key order.
 func (w *StateWriter) IntTable(t *Table[int]) {
+	if !w.encodes(4 + 16*len(t.keys)) {
+		return
+	}
 	b := appendU32(w.buf, uint32(len(t.keys)))
 	for i, k := range t.keys {
 		b = appendInt(appendInt(b, k), t.vals[i])
@@ -106,6 +109,13 @@ func (w *StateWriter) IntTable(t *Table[int]) {
 
 // StringTable is IntTable for string values.
 func (w *StateWriter) StringTable(t *Table[string]) {
+	if w.measuring {
+		w.n += 4 + 12*len(t.keys)
+		for _, v := range t.vals {
+			w.n += len(v)
+		}
+		return
+	}
 	b := appendU32(w.buf, uint32(len(t.keys)))
 	for i, k := range t.keys {
 		b = appendString(appendInt(b, k), t.vals[i])
@@ -155,9 +165,10 @@ func (r *StateReader) StringTable(t *Table[string]) {
 // copyBack refills t with what it was last decoded to and skips the section
 // when r continues with the bytes it was decoded from, and reports whether it
 // did. The encoding delimits itself and those bytes passed every check, so
-// this is what decoding them again would yield.
+// this is what decoding them again would yield. A reread stream is known to
+// continue with them, and is not compared.
 func (t *Table[V]) copyBack(r *StateReader) bool {
-	if len(t.dec) == 0 || !bytes.HasPrefix(r.buf[r.off:], t.dec) {
+	if !r.reread && (len(t.dec) == 0 || !bytes.HasPrefix(r.buf[r.off:], t.dec)) {
 		r.tableDecodes++
 		return false
 	}

@@ -47,8 +47,9 @@ type Target interface {
 	OnPacket(env *Env, c *Conn, data []byte)
 	// OnDisconnect is invoked when a connection closes.
 	OnDisconnect(env *Env, c *Conn)
-	// SaveState serializes all mutable target state and changes none: a
-	// restore also calls it, to learn how long the image it discards is.
+	// SaveState serializes all mutable target state through w's methods
+	// and changes none: a restore also runs it on a measuring writer, which
+	// encodes nothing, to learn how long the image it discards is.
 	SaveState(w *StateWriter)
 	// LoadState restores state saved by SaveState.
 	LoadState(r *StateReader)

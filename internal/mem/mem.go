@@ -150,6 +150,8 @@ type Stats struct {
 	// zero-copy restore aliasing — the true per-restore-cycle copy cost,
 	// which the restore path itself no longer pays.
 	PagesCoWBroken uint64
+	// Reads counts ReadAt calls, the host reading guest memory.
+	Reads uint64
 }
 
 // New returns a Memory of npages pages (npages*PageSize bytes).
@@ -266,6 +268,7 @@ func (m *Memory) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 || off+int64(len(p)) > m.Size() {
 		return 0, fmt.Errorf("mem: read [%d,%d) out of range", off, off+int64(len(p)))
 	}
+	m.stats.Reads++
 	n := 0
 	for n < len(p) {
 		pn := uint32(off >> PageShift)

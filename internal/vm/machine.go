@@ -81,6 +81,12 @@ type Machine struct {
 	rootTaken    bool
 	rootDevImage map[string][]byte // for the serialize-reset baseline
 
+	// captures is the number of the machine's last capture: every TakeRoot
+	// and TakeIncrementalSlot, and a clone's shared root, takes the next one
+	// (see SnapshotHooks.Restored). rootCapture is the root's.
+	captures    uint64
+	rootCapture uint64
+
 	// slots holds the per-slot device captures of the incremental
 	// snapshots, keyed by the same slot ids as the memory overlays (guest
 	// kernel state needs no table of its own: it is serialized into guest
@@ -120,15 +126,22 @@ type Machine struct {
 // been written. That is exact only if no guest event ran between the end of
 // the last test case and the restore: the range is what a flush at the end
 // of the test case would have written. The informational hypercalls
-// (HcExecDone, HcPanic, HcReleaseSnapshot) call neither hook. After a
-// restore replaced guest memory the machine calls RestoreRoot or
-// RestoreIncremental, and the guest treats its struct form as behind memory
-// from then on.
+// (HcExecDone, HcPanic, HcReleaseSnapshot) call neither hook.
+//
+// After a restore replaced guest memory the machine calls Restored with the
+// capture number of the snapshot it brought back, and the guest treats its
+// struct form as behind memory from then on. Every capture gets the next
+// number of the machine's sequence, which starts at 1: TakeRoot, every
+// TakeIncrementalSlot (a re-take of a slot id gets a new one) and the shared
+// root of a CloneSharedRoot clone. Guest memory after a restore holds exactly
+// what it held at that capture, so the number names the image: a guest that
+// kept what it decoded from capture c's image may rebuild its state from that
+// on a restore of c instead of reading memory again. The capture number picks
+// the path; no byte compare is involved.
 type SnapshotHooks struct {
-	Flush              func()
-	Discard            func() (off int64, n int)
-	RestoreRoot        func()
-	RestoreIncremental func()
+	Flush    func()
+	Discard  func() (off int64, n int)
+	Restored func(capture uint64)
 }
 
 // MachineStats aggregates snapshot counters and timing.
@@ -215,6 +228,14 @@ func (m *Machine) discardGuest() {
 	}
 }
 
+// restoredGuest tells the guest kernel that a restore brought back the
+// capture numbered capture (SnapshotHooks.Restored).
+func (m *Machine) restoredGuest(capture uint64) {
+	if m.GuestHooks.Restored != nil {
+		m.GuestHooks.Restored(capture)
+	}
+}
+
 // HasRoot reports whether the root snapshot exists.
 func (m *Machine) HasRoot() bool { return m.rootTaken }
 
@@ -227,6 +248,8 @@ func (m *Machine) DirtyPages() int { return m.Mem.DirtyCount() }
 func (m *Machine) TakeRoot() error {
 	m.flushGuest()
 	m.Mem.TakeRoot()
+	m.captures++
+	m.rootCapture = m.captures
 	m.Devices.TakeRoot()
 	if m.resetMode == DeviceResetSerialize {
 		img, err := m.Devices.SaveAll()
@@ -286,9 +309,7 @@ func (m *Machine) RestoreRoot() error {
 	} else {
 		m.Devices.RestoreRoot()
 	}
-	if m.GuestHooks.RestoreRoot != nil {
-		m.GuestHooks.RestoreRoot()
-	}
+	m.restoredGuest(m.rootCapture)
 	m.stats.RootRestores++
 	return nil
 }
@@ -318,7 +339,8 @@ func (m *Machine) TakeIncrementalSlot(id int) error {
 	for _, d := range devs {
 		devBytes += device.SnapshotBytes(d)
 	}
-	m.slots[id] = machSlot{devs: devs, devBytes: devBytes}
+	m.captures++
+	m.slots[id] = machSlot{devs: devs, devBytes: devBytes, capture: m.captures}
 	if m.lastValid && m.lastSlotID == id {
 		m.lastValid = false
 	}
@@ -327,10 +349,12 @@ func (m *Machine) TakeIncrementalSlot(id int) error {
 }
 
 // machSlot is the machine-level half of one incremental snapshot: the device
-// captures and their byte charge (the memory overlay lives in mem).
+// captures, their byte charge and the capture number (the memory overlay
+// lives in mem).
 type machSlot struct {
 	devs     []device.Snapshot
 	devBytes int64
+	capture  uint64
 }
 
 // RestoreIncrementalSlot resets the whole VM to snapshot slot id, charging
@@ -356,9 +380,7 @@ func (m *Machine) RestoreIncrementalSlot(id int) error {
 	}
 	m.chargeReset(m.Cost.IncRestoreBase, reset)
 	m.Devices.LoadSnapshots(ms.devs)
-	if m.GuestHooks.RestoreIncremental != nil {
-		m.GuestHooks.RestoreIncremental()
-	}
+	m.restoredGuest(ms.capture)
 	m.stats.IncRestores++
 	return nil
 }
@@ -420,7 +442,8 @@ func (m *Machine) Hypercall(hc Hypercall) error {
 
 // CloneSharedRoot builds a second machine that shares this machine's root
 // snapshot copy-on-write (§5.3 Scalability). Devices are rebuilt at root
-// state; the clone gets its own virtual clock.
+// state; the clone gets its own virtual clock and its own capture sequence,
+// in which the shared root is the first capture.
 func (m *Machine) CloneSharedRoot() (*Machine, error) {
 	if !m.rootTaken {
 		return nil, ErrNotReady
@@ -430,14 +453,16 @@ func (m *Machine) CloneSharedRoot() (*Machine, error) {
 		return nil, err
 	}
 	c := &Machine{
-		Mem:       cm,
-		Disk:      device.NewBlockDevice("disk0", m.Disk.NumSectors()),
-		NIC:       device.NewNIC("eth0"),
-		Serial:    device.NewSerial("ttyS0"),
-		Clock:     &Clock{},
-		Cost:      m.Cost,
-		resetMode: m.resetMode,
-		rootTaken: true,
+		Mem:         cm,
+		Disk:        device.NewBlockDevice("disk0", m.Disk.NumSectors()),
+		NIC:         device.NewNIC("eth0"),
+		Serial:      device.NewSerial("ttyS0"),
+		Clock:       &Clock{},
+		Cost:        m.Cost,
+		resetMode:   m.resetMode,
+		rootTaken:   true,
+		captures:    1,
+		rootCapture: 1,
 	}
 	c.Devices = device.NewSet(c.Disk, c.NIC, c.Serial)
 	c.Devices.TakeRoot()

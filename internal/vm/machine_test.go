@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -147,28 +148,86 @@ func TestSerializeResetRestoresDevices(t *testing.T) {
 	}
 }
 
+// TestGuestHooksInvoked holds the machine to the restore hook's contract:
+// every restore calls Restored once, with the number of the capture it
+// brought back, and memory then holds what it held at that capture. Numbers
+// come from one sequence per machine, starting at 1: the root, every take of a
+// slot — a re-take of the same slot id too — and a re-taken root each get the
+// next one, and restoring a capture again reports it again. A
+// CloneSharedRoot clone's shared root is the first capture of the clone's
+// own sequence.
 func TestGuestHooksInvoked(t *testing.T) {
 	m := newTestMachine(t)
-	var calls []string
-	m.GuestHooks = SnapshotHooks{
-		RestoreRoot:        func() { calls = append(calls, "restore-root") },
-		RestoreIncremental: func() { calls = append(calls, "restore-inc") },
-	}
-	m.TakeRoot()
-	m.Mem.WriteAt([]byte{1}, 0)
-	m.TakeIncrementalSlot(0)
-	m.Mem.WriteAt([]byte{2}, 0)
-	m.RestoreIncrementalSlot(0)
-	m.DropSlot(0)
-	m.RestoreRoot()
-	want := []string{"restore-inc", "restore-root"}
-	if len(calls) != len(want) {
-		t.Fatalf("hook calls = %v, want %v", calls, want)
-	}
-	for i := range want {
-		if calls[i] != want[i] {
-			t.Fatalf("hook calls = %v, want %v", calls, want)
+	var got []uint64
+	m.GuestHooks = SnapshotHooks{Restored: func(c uint64) { got = append(got, c) }}
+	stamp := func(m *Machine, b byte) {
+		t.Helper()
+		if _, err := m.Mem.WriteAt([]byte{b}, 0); err != nil {
+			t.Fatal(err)
 		}
+	}
+	restore := func(m *Machine, slot int, want byte) {
+		t.Helper()
+		var err error
+		if slot < 0 {
+			err = m.RestoreRoot()
+		} else {
+			err = m.RestoreIncrementalSlot(slot)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b [1]byte
+		m.Mem.ReadAt(b[:], 0)
+		if b[0] != want {
+			t.Fatalf("restore of %d: memory holds stamp %d, the capture held %d", slot, b[0], want)
+		}
+	}
+	stamp(m, 10)
+	if err := m.TakeRoot(); err != nil { // capture 1
+		t.Fatal(err)
+	}
+	stamp(m, 11)
+	if err := m.TakeIncrementalSlot(0); err != nil { // capture 2
+		t.Fatal(err)
+	}
+	stamp(m, 12)
+	restore(m, 0, 11)
+	restore(m, 0, 11)
+	stamp(m, 13)
+	if err := m.TakeIncrementalSlot(0); err != nil { // capture 3: a re-take of slot 0
+		t.Fatal(err)
+	}
+	stamp(m, 14)
+	restore(m, 0, 13)
+	restore(m, -1, 10)
+	restore(m, 0, 13)
+	m.DropSlot(0)
+	restore(m, -1, 10)
+	stamp(m, 15)
+	if err := m.TakeRoot(); err != nil { // capture 4: a re-taken root
+		t.Fatal(err)
+	}
+	stamp(m, 16)
+	restore(m, -1, 15)
+	if want := []uint64{2, 2, 3, 1, 3, 1, 4}; !slices.Equal(got, want) {
+		t.Fatalf("restores reported captures %v, want %v", got, want)
+	}
+
+	c, err := m.CloneSharedRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = got[:0]
+	c.GuestHooks = m.GuestHooks
+	stamp(c, 20)
+	if err := c.TakeIncrementalSlot(0); err != nil { // the clone's capture 2
+		t.Fatal(err)
+	}
+	restore(c, -1, 15)
+	restore(c, 0, 20)
+	if want := []uint64{1, 2}; !slices.Equal(got, want) {
+		t.Fatalf("the clone's restores reported captures %v, want %v", got, want)
 	}
 }
 
