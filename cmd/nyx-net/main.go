@@ -182,7 +182,7 @@ func main() {
 	fmt.Printf("    execs:          %d (%.1f/virtual-second, %d from incremental snapshots)\n",
 		f.Execs(), f.ExecsPerSecond(), f.SnapshotExecs())
 	if ms := inst.M.Stats(); ms.RootRestores+ms.IncRestores > 0 {
-		fmt.Printf("    restores:       %d in %v wall (%.0f ns each, zero-copy path)\n",
+		fmt.Printf("    restores:       %d in ~%v wall (%.0f ns each, timed on one in 64, zero-copy path)\n",
 			ms.RootRestores+ms.IncRestores, ms.RestoreWall.Round(time.Millisecond),
 			float64(ms.RestoreWall.Nanoseconds())/float64(ms.RootRestores+ms.IncRestores))
 	}

@@ -169,7 +169,9 @@ func TestHydrateCopyBackServesCampaign(t *testing.T) {
 // guest memory holds, and the struct form must encode to it too. A campaign
 // re-takes a slot only after restoring another capture, so each VM then also
 // re-takes one slot at the state its own restore led to, eight times: the
-// order in which a capture number that named two images would show.
+// order in which a capture number that named two images would show. At every
+// flush that writes, the blob length the kernel keeps, which the flush
+// zero-fills past instead of reading the header, must be the header's.
 func TestHydrateByCaptureMatchesMemory(t *testing.T) {
 	for _, c := range []struct {
 		target string
@@ -191,6 +193,23 @@ func TestHydrateByCaptureMatchesMemory(t *testing.T) {
 				reads = inst.M.Mem.Stats().Reads
 				restored(capture)
 			}
+			header := func() int {
+				var hdr [4]byte
+				if _, err := inst.M.Mem.ReadAt(hdr[:], stateHeap); err != nil {
+					t.Fatal(err)
+				}
+				return int(binary.LittleEndian.Uint32(hdr[:]))
+			}
+			flushes := 0
+			flush := inst.M.GuestHooks.Flush
+			inst.M.GuestHooks.Flush = func() {
+				if stored, dirty := inst.K.Stored(); dirty {
+					if flushes++; stored != header() {
+						t.Fatalf("flush %d: the kernel keeps %d as the blob length, the header says %d", flushes, stored, header())
+					}
+				}
+				flush()
+			}
 			hits, bad := 0, 0
 			guest.SetHitHook(func(k *guest.Kernel, img []byte) {
 				hits++
@@ -201,11 +220,7 @@ func TestHydrateByCaptureMatchesMemory(t *testing.T) {
 					t.Errorf("hit %d: the hydrate read guest memory %d times", hits, n-reads)
 					bad++
 				}
-				var hdr [4]byte
-				if _, err := inst.M.Mem.ReadAt(hdr[:], stateHeap); err != nil {
-					t.Fatal(err)
-				}
-				inMem := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+				inMem := make([]byte, header())
 				if _, err := inst.M.Mem.ReadAt(inMem, stateHeap+4); err != nil {
 					t.Fatal(err)
 				}
@@ -243,9 +258,12 @@ func TestHydrateByCaptureMatchesMemory(t *testing.T) {
 			}
 			inst.M.DropSlot(captureSlot)
 			counted, decodes := inst.K.Hydrates()
-			t.Logf("%d execs: %d identity hits, %d decodes", f.Execs(), hits, decodes)
+			t.Logf("%d execs: %d identity hits, %d decodes, %d flushes", f.Execs(), hits, decodes, flushes)
 			if hits != counted || hits < int(f.Execs())/2 {
 				t.Errorf("the hook saw %d hits, the kernel counted %d, in %d execs", hits, counted, f.Execs())
+			}
+			if flushes < 8 {
+				t.Errorf("%d flushes wrote, want at least the test's own 8", flushes)
 			}
 		})
 	}

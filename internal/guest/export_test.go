@@ -45,6 +45,11 @@ func (k *Kernel) KernelSectionLen() (computed, written int) {
 	return k.kernelLen(), len(w.buf)
 }
 
+// Stored returns the blob length the kernel keeps for the header in guest
+// memory, which a flush writes past, and whether the struct form is dirty,
+// when that length must be current.
+func (k *Kernel) Stored() (n int, dirty bool) { return k.stored, k.dirty }
+
 // SendBufferCap returns the capacity of the buffer Env.Send appends to.
 func (k *Kernel) SendBufferCap() int { return cap(k.sendBuf) }
 

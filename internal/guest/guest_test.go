@@ -3,6 +3,7 @@ package guest
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -527,6 +528,109 @@ func TestRestoreHydratesLazily(t *testing.T) {
 	if tgt.Loads != base+2 {
 		t.Fatalf("loads = %d want %d after re-restore", tgt.Loads, base+2)
 	}
+}
+
+// find scans a table of up to 8 from the back and bisects a longer one; it
+// must answer as a linear search does — the first position whose id is not
+// below the one asked for, and whether it is that id — for every id in [0,
+// next+1], on tables of 0–20 entries whose ids ascend with gaps. Each table
+// shape is searched as built and, as conns, descs and procs, after a kernel
+// decoded an image holding it (DecodeImage), through Conn and lookup too.
+func TestFindMatchesLinearSearch(t *testing.T) {
+	model := func(ids []int, id int) (int, bool) {
+		for i, x := range ids {
+			if x >= id {
+				return i, x == id
+			}
+		}
+		return len(ids), false
+	}
+	check := func(what string, ids []int, next int, find func(id int) (int, bool)) {
+		t.Helper()
+		for id := 0; id <= next+1; id++ {
+			i, ok := find(id)
+			if wi, wok := model(ids, id); i != wi || ok != wok {
+				t.Fatalf("%s %v: find(%d) = %d, %v, want %d, %v", what, ids, id, i, ok, wi, wok)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 20; n++ {
+		for trial := 0; trial < 8; trial++ {
+			ids, next := make([]int, n), 1
+			for i := range ids {
+				next += rng.Intn(3) * (trial % 4) // trial 0 has no gaps
+				ids[i] = next
+				next++
+			}
+			conns := make([]*Conn, n)
+			descs := make([]*OpenDesc, n)
+			procs := make([]*Process, n)
+			for i, id := range ids {
+				conns[i] = &Conn{ID: id, Port: Port{TCP, 7}}
+				descs[i] = &OpenDesc{ID: id, Kind: FDFile}
+				procs[i] = &Process{PID: id}
+			}
+			check("built", ids, next, func(id int) (int, bool) { return find(conns, id) })
+
+			_, k, _ := bootEcho(t)
+			k.conns, k.descs, k.procs = conns, descs, procs
+			k.nextConn, k.nextDesc, k.nextPID = next, next, next
+			_, dec, _ := bootEcho(t)
+			if err := dec.DecodeImage(k.EncodeImage()); err != nil {
+				t.Fatalf("%v: %v", ids, err)
+			}
+			check("decoded conns", ids, next, func(id int) (int, bool) { return find(dec.conns, id) })
+			check("decoded descs", ids, next, func(id int) (int, bool) { return find(dec.descs, id) })
+			check("decoded procs", ids, next, func(id int) (int, bool) { return find(dec.procs, id) })
+			for id := 0; id <= next+1; id++ {
+				_, ok := model(ids, id)
+				if c := dec.Conn(id); (c != nil) != ok || c != nil && c.ID != id {
+					t.Fatalf("%v: Conn(%d) = %v", ids, id, c)
+				}
+				if d := lookup(dec.descs, id); (d != nil) != ok || d != nil && d.ID != id {
+					t.Fatalf("%v: desc lookup(%d) = %v", ids, id, d)
+				}
+			}
+		}
+	}
+}
+
+// A flush writes the image without reading guest memory: the length of the
+// blob it may have to zero-fill past is the one the kernel keeps (stored),
+// not the header's.
+func TestFlushReadsNoGuestMemory(t *testing.T) {
+	m, k, _ := bootEcho(t)
+	if err := m.Hypercall(vm.HcReady); err != nil {
+		t.Fatal(err)
+	}
+	flush := func(when string) {
+		t.Helper()
+		reads := m.Mem.Stats().Reads
+		if _, n := k.Flush(); n == 0 || m.Mem.Stats().Reads != reads {
+			t.Fatalf("%s: a flush of %d bytes read guest memory %d times", when, n, m.Mem.Stats().Reads-reads)
+		}
+		if got := memoryImage(t, k); !bytes.Equal(got, k.EncodeImage()) || len(got) != k.stored {
+			t.Fatalf("%s: after the flush guest memory holds %d bytes (stored %d) that are not the state's image", when, len(got), k.stored)
+		}
+	}
+	c, _, err := k.NewConnection(Port{TCP, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range []string{"a", "bc"} {
+		if err := k.Deliver(c, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		flush("after a delivery")
+	}
+	if err := m.RestoreRoot(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := k.NewConnection(Port{TCP, 7}); err != nil { // hydrates the root
+		t.Fatal(err)
+	}
+	flush("after a restore")
 }
 
 // memoryImage returns the state image in k's guest memory.

@@ -171,7 +171,7 @@ type Kernel struct {
 	// from the header, or the kept image's length when the capture number
 	// says memory holds that image). Only a flush or a restore changes the
 	// header, and every event hydrates first, so it is current whenever the
-	// kernel is dirty, which is when discard reads it.
+	// kernel is dirty, which is when discard and a flush read it.
 	stored int
 
 	// stale marks the struct form of the state as behind guest memory
@@ -388,23 +388,56 @@ func extend[T any](s []*T) ([]*T, *T) {
 	return s, s[len(s)-1]
 }
 
+// object is what the kernel's tables hold.
+type object interface{ Process | OpenDesc | Conn }
+
+// idOf returns o's id, the key its table ascends in.
+func idOf[T object](o *T) int {
+	switch o := any(o).(type) {
+	case *Conn:
+		return o.ID
+	case *OpenDesc:
+		return o.ID
+	case *Process:
+		return o.PID
+	}
+	panic("guest: not a table object")
+}
+
 // find returns the position of the object with the given id in the table s,
-// which key orders, and whether it is there.
-func find[T any](s []*T, id int, key func(*T) int) (int, bool) {
-	return slices.BinarySearchFunc(s, id, func(o *T, id int) int { return cmp.Compare(key(o), id) })
+// or the one to insert it at, and whether it is there. It searches the way
+// Table.find does: the id asked for is nearly always a recent one, so a table
+// of a handful is scanned from the back, and a longer one is bisected.
+func find[T object](s []*T, id int) (int, bool) {
+	if len(s) > 8 {
+		lo, hi := 0, len(s)
+		for lo < hi {
+			h := int(uint(lo+hi) >> 1)
+			if idOf(s[h]) < id {
+				lo = h + 1
+			} else {
+				hi = h
+			}
+		}
+		return lo, lo < len(s) && idOf(s[lo]) == id
+	}
+	i := len(s)
+	for i > 0 && idOf(s[i-1]) > id {
+		i--
+	}
+	if i > 0 && idOf(s[i-1]) == id {
+		return i - 1, true
+	}
+	return i, false
 }
 
 // lookup returns the object with the given id in the table s, or nil.
-func lookup[T any](s []*T, id int, key func(*T) int) *T {
-	if i, ok := find(s, id, key); ok {
+func lookup[T object](s []*T, id int) *T {
+	if i, ok := find(s, id); ok {
 		return s[i]
 	}
 	return nil
 }
-
-func pidOf(p *Process) int   { return p.PID }
-func descID(d *OpenDesc) int { return d.ID }
-func connID(c *Conn) int     { return c.ID }
 
 func (k *Kernel) newProcess(parent int) *Process {
 	var p *Process
@@ -438,7 +471,7 @@ func (k *Kernel) initProc() *Process {
 func (k *Kernel) Processes() int { k.hydrate(); return len(k.procs) }
 
 // Conn returns the connection with the given ID, or nil.
-func (k *Kernel) Conn(id int) *Conn { k.hydrate(); return lookup(k.conns, id, connID) }
+func (k *Kernel) Conn(id int) *Conn { k.hydrate(); return lookup(k.conns, id) }
 
 // Corruption returns the accumulated undetected memory corruption count.
 func (k *Kernel) Corruption() int { k.hydrate(); return k.corruption }
@@ -463,7 +496,7 @@ func (k *Kernel) desc(p *Process, fd int) (*OpenDesc, error) {
 	if !ok {
 		return nil, fmt.Errorf("guest: pid %d: bad fd %d", p.PID, fd)
 	}
-	d := lookup(k.descs, p.FDs[i].Desc, descID)
+	d := lookup(k.descs, p.FDs[i].Desc)
 	if d == nil {
 		return nil, fmt.Errorf("guest: pid %d: fd %d references dead desc %d", p.PID, fd, p.FDs[i].Desc)
 	}
@@ -546,10 +579,10 @@ func (k *Kernel) Close(p *Process, fd int) error {
 	p.FDs = slices.Delete(p.FDs, i, i+1)
 	d.Refs--
 	if d.Refs <= 0 {
-		i, _ := find(k.descs, d.ID, descID)
+		i, _ := find(k.descs, d.ID)
 		k.descs = slices.Delete(k.descs, i, i+1)
 		if d.Kind == FDConn {
-			if c := lookup(k.conns, d.ConnID, connID); c != nil {
+			if c := lookup(k.conns, d.ConnID); c != nil {
 				c.Closed = true
 			}
 		}
@@ -566,7 +599,7 @@ func (k *Kernel) Fork(p *Process) *Process {
 	child := k.newProcess(p.PID)
 	child.FDs = append(child.FDs, p.FDs...)
 	for _, e := range p.FDs {
-		if d := lookup(k.descs, e.Desc, descID); d != nil {
+		if d := lookup(k.descs, e.Desc); d != nil {
 			d.Refs++
 		}
 	}
@@ -580,7 +613,7 @@ func (k *Kernel) Exit(p *Process) {
 	for i := len(p.FDs) - 1; i >= 0; i-- { // Close removes the entry at i and moves none before it
 		k.Close(p, p.FDs[i].Num) //nolint:errcheck // fds are valid by construction
 	}
-	if i, ok := find(k.procs, p.PID, pidOf); ok {
+	if i, ok := find(k.procs, p.PID); ok {
 		k.procs = slices.Delete(k.procs, i, i+1)
 	}
 }
@@ -667,15 +700,16 @@ func (k *Kernel) storedLen() int {
 // memory at heapBase: a 4-byte length header, then the blob. It is reachable
 // only from boot and from flush — events mark the state dirty instead of
 // calling it. The image is canonical: whatever a longer previous blob (its
-// length is still in the header) left beyond the new one is zero-filled, so
-// guest memory after a flush is a function of the state alone, not of the
-// states flushed before it, and a run resumed from a snapshot ends
-// byte-identical to the same run from the root.
+// length is the header's, which stored holds: a fresh machine's memory reads
+// 0, and a flush writes only a dirty kernel) left beyond the new one is
+// zero-filled, so guest memory after a flush is a function of the state
+// alone, not of the states flushed before it, and a run resumed from a
+// snapshot ends byte-identical to the same run from the root.
 func (k *Kernel) syncToMemory() {
 	if k.M == nil {
 		return
 	}
-	prev := k.storedLen()
+	prev := k.stored
 	k.enc.Reset()
 	k.enc.U32(0) // header, patched below
 	k.marshal(&k.enc)

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/coverage"
 	"repro/internal/guest"
+	"repro/internal/mem"
 	"repro/internal/spec"
 	"repro/internal/vm"
 )
@@ -194,14 +195,14 @@ func (a *Agent) RunCreatingSlot(in *spec.Input, tr *coverage.Trace, fromSlot, ne
 		return a.run(in, tr, 0, a.valScratch[:0], newSlot)
 	}
 	st := a.slots[fromSlot]
-	if st == nil || !a.M.HasSlot(fromSlot) {
+	if st == nil {
 		return Result{}, ErrNoSnapshot
 	}
 	if in.SnapshotAt < st.ops {
 		return Result{}, fmt.Errorf("netemu: snapshot marker %d precedes base slot prefix %d", in.SnapshotAt, st.ops)
 	}
-	if err := a.M.RestoreIncrementalSlot(fromSlot); err != nil {
-		return Result{}, fmt.Errorf("netemu: slot restore: %w", err)
+	if err := a.restoreSlot(fromSlot); err != nil {
+		return Result{}, err
 	}
 	res, err := a.run(in, tr, st.ops, a.resumeValues(st.values), newSlot)
 	res.FromSnapshot = true
@@ -216,20 +217,34 @@ func (a *Agent) RunCreatingSlot(in *spec.Input, tr *coverage.Trace, fromSlot, ne
 // prefix bytes match; the marker check catches caller bookkeeping bugs).
 func (a *Agent) RunFromSnapshot(slot int, in *spec.Input, tr *coverage.Trace) (Result, error) {
 	st := a.slots[slot]
-	if st == nil || !a.M.HasSlot(slot) {
+	if st == nil {
 		return Result{}, ErrNoSnapshot
 	}
 	if in.SnapshotAt != st.ops {
 		return Result{}, fmt.Errorf("netemu: input snapshot marker %d does not match slot prefix %d",
 			in.SnapshotAt, st.ops)
 	}
-	if err := a.M.RestoreIncrementalSlot(slot); err != nil {
-		return Result{}, fmt.Errorf("netemu: slot restore: %w", err)
+	if err := a.restoreSlot(slot); err != nil {
+		return Result{}, err
 	}
 	res, err := a.run(in, tr, st.ops, a.resumeValues(st.values), createNone)
 	res.FromSnapshot = true
 	res.OpsExecuted += st.ops
 	return res, err
+}
+
+// restoreSlot restores the machine to slot. The machine checks that it holds
+// the slot before it touches anything, so a slot the agent knows but the
+// machine no longer does (a new root dropped it) is ErrNoSnapshot, as a slot
+// the agent does not know is.
+func (a *Agent) restoreSlot(slot int) error {
+	if err := a.M.RestoreIncrementalSlot(slot); err != nil {
+		if errors.Is(err, mem.ErrNoIncrementalSnapshot) {
+			return ErrNoSnapshot
+		}
+		return fmt.Errorf("netemu: slot restore: %w", err)
+	}
+	return nil
 }
 
 // resumeValues builds the private working copy of a resumed run's value

@@ -510,6 +510,54 @@ func TestSlotMarkerMismatchAndDrop(t *testing.T) {
 	}
 }
 
+// A slot can go under the agent three ways: the agent drops it, the machine
+// drops it, or a new root drops every slot. Each way, a run from it and a
+// run creating a slot on it fail with ErrNoSnapshot before the restore
+// discards anything, the state a run left is still there, and a root run
+// still works (the new root holds the one stor the last run made).
+func TestDroppedSlotRunsDiscardNothing(t *testing.T) {
+	for _, drop := range []struct {
+		name      string
+		drop      func(a *Agent)
+		rootStors int
+	}{
+		{"Agent.DropSlot", func(a *Agent) { a.DropSlot(1) }, 0},
+		{"Machine.DropSlot", func(a *Agent) { a.M.DropSlot(1) }, 0},
+		{"Machine.TakeRoot", func(a *Agent) { a.M.TakeRoot() }, 1}, //nolint:errcheck // the root is taken
+	} {
+		t.Run(drop.name, func(t *testing.T) {
+			a, s, tgt := setup(t)
+			var tr coverage.Trace
+			in := seq(s, "USER a", "PASS b", "STOR f")
+			in.SnapshotAt = 3
+			if _, err := a.RunCreatingSlot(in, &tr, -1, 1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.RunFromSnapshot(1, in, &tr); err != nil { // the machine caches slot 1
+				t.Fatal(err)
+			}
+			discards := 0
+			discard := a.M.GuestHooks.Discard
+			a.M.GuestHooks.Discard = func() (int64, int) { discards++; return discard() }
+			drop.drop(a)
+			longer := seq(s, "USER a", "PASS b", "STOR f", "STOR g")
+			longer.SnapshotAt = 4
+			if _, err := a.RunFromSnapshot(1, in, &tr); err != ErrNoSnapshot {
+				t.Fatalf("run from the dropped slot: %v, want ErrNoSnapshot", err)
+			}
+			if _, err := a.RunCreatingSlot(longer, &tr, 1, 2); err != ErrNoSnapshot {
+				t.Fatalf("slot creation on the dropped slot: %v, want ErrNoSnapshot", err)
+			}
+			if discards != 0 || tgt.Stors != 1 {
+				t.Fatalf("the failed runs discarded %d times and left %d stors, want none and the one the last run made", discards, tgt.Stors)
+			}
+			if _, err := a.RunFromRoot(seq(s, "USER x"), &tr); err != nil || discards != 1 || tgt.Stors != drop.rootStors {
+				t.Fatalf("root run after the failed ones: %v, %d discards, %d stors, want one discard and %d stors", err, discards, tgt.Stors, drop.rootStors)
+			}
+		})
+	}
+}
+
 func TestSlotResumeIsCheaperThanRootRun(t *testing.T) {
 	a, s, _ := setup(t)
 	var tr coverage.Trace

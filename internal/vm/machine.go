@@ -92,12 +92,16 @@ type Machine struct {
 	// kernel state needs no table of its own: it is serialized into guest
 	// memory and follows the memory snapshot). lastSlot caches the most
 	// recently restored entry so the hot case — restoring the same slot
-	// back to back — skips the table lookup; any take or drop of that id
-	// invalidates it.
+	// back to back — skips the table lookup; any take or drop of that id,
+	// and a new root, invalidates it.
 	slots      map[int]machSlot
 	lastSlotID int
 	lastSlot   machSlot
 	lastValid  bool
+
+	// restores counts the restores of both kinds that got past their checks:
+	// it picks the one in restoreSample the machine times (see timeRestore).
+	restores uint64
 
 	// GuestHooks let the guest kernel participate in snapshots: its
 	// bookkeeping (process table, fd table, target state) lives in Go
@@ -151,12 +155,14 @@ type MachineStats struct {
 	IncRestores     uint64
 	Hypercalls      uint64
 	VirtualTimeUsed time.Duration
-	// RestoreWall is the accumulated real (wall-clock) time the restore
-	// paths spent — the quantity the simulated virtual clock models,
-	// measured so the restore's cost on hardware can be read beside the
-	// cost model: bench/ reports it as vm.restore_ns_per_exec, and nyx-net
-	// prints it on its restore line. Telemetry only; nothing deterministic
-	// reads it.
+	// RestoreWall estimates the real (wall-clock) time the restore paths
+	// spent — the quantity the simulated virtual clock models, measured so
+	// the restore's cost on hardware can be read beside the cost model:
+	// bench/ reports it as vm.restore_ns_per_exec, and nyx-net prints it on
+	// its restore line. A clock read costs about what a restore does, so
+	// the machine times one restore in restoreSample (64), the first and
+	// then every 64th of both kinds together, and adds 64 times what that one
+	// took. Telemetry only; nothing deterministic reads it.
 	RestoreWall time.Duration
 
 	// PagesCoWBroken counts writes that copied a restored page out of its
@@ -259,6 +265,7 @@ func (m *Machine) TakeRoot() error {
 		m.rootDevImage = img
 	}
 	m.slots = nil // slots captured deltas against the previous root
+	m.lastValid = false
 	m.rootTaken = true
 	return nil
 }
@@ -295,8 +302,7 @@ func (m *Machine) RestoreRoot() error {
 		return ErrNotReady
 	}
 	m.discardGuest()
-	t0 := time.Now() //nyx:wallclock RestoreWall telemetry measures real restore cost, never virtual time
-	defer func() { m.stats.RestoreWall += time.Since(t0) }()
+	defer m.timeRestore(m.startRestore())
 	before := m.Mem.Stats().PagesReset
 	if err := m.Mem.RestoreRoot(); err != nil {
 		return err
@@ -312,6 +318,33 @@ func (m *Machine) RestoreRoot() error {
 	m.restoredGuest(m.rootCapture)
 	m.stats.RootRestores++
 	return nil
+}
+
+// restoreSample is the stride of RestoreWall's sample: one restore in
+// restoreSample reads the wall clock.
+const restoreSample = 64
+
+// startRestore counts a restore and returns the wall time it starts at if it
+// is one the machine times, or the zero Time. The count, not a random draw,
+// picks it, so no seeded stream moves.
+//
+//nyx:wallclock RestoreWall telemetry measures real restore cost, never virtual time
+func (m *Machine) startRestore() time.Time {
+	m.restores++
+	if m.restores%restoreSample != 1 {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// timeRestore adds restoreSample times the interval since t0 to RestoreWall
+// for a restore startRestore timed.
+//
+//nyx:wallclock RestoreWall telemetry measures real restore cost, never virtual time
+func (m *Machine) timeRestore(t0 time.Time) {
+	if !t0.IsZero() {
+		m.stats.RestoreWall += restoreSample * time.Since(t0)
+	}
 }
 
 // ---- Incremental snapshot slots ----
@@ -372,8 +405,7 @@ func (m *Machine) RestoreIncrementalSlot(id int) error {
 		m.lastSlotID, m.lastSlot, m.lastValid = id, ms, true
 	}
 	m.discardGuest()
-	t0 := time.Now() //nyx:wallclock RestoreWall telemetry measures real restore cost, never virtual time
-	defer func() { m.stats.RestoreWall += time.Since(t0) }()
+	defer m.timeRestore(m.startRestore())
 	reset, err := m.Mem.RestoreIncrementalSlot(id)
 	if err != nil {
 		return err

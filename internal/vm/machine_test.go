@@ -510,6 +510,78 @@ func TestSlotDropAndErrors(t *testing.T) {
 	}
 }
 
+// A new root drops every slot, the one the last slot restore cached
+// included: a restore of that slot fails as one never taken does, before it
+// calls the Discard hook, and the root restore beside it still works.
+func TestRestoreAfterNewRootDiscardsNothing(t *testing.T) {
+	m := newTestMachine(t)
+	discards := 0
+	m.GuestHooks.Discard = func() (int64, int) { discards++; return 0, 0 }
+	if err := m.TakeRoot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.TakeIncrementalSlot(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RestoreIncrementalSlot(1); err != nil { // caches slot 1
+		t.Fatal(err)
+	}
+	if err := m.TakeRoot(); err != nil {
+		t.Fatal(err)
+	}
+	discards = 0
+	if err := m.RestoreIncrementalSlot(1); err != mem.ErrNoIncrementalSnapshot || discards != 0 {
+		t.Fatalf("restore of a slot the new root dropped: %v after %d discards, want %v after none", err, discards, mem.ErrNoIncrementalSnapshot)
+	}
+	if m.HasSlot(1) {
+		t.Fatal("slot 1 survived the new root")
+	}
+	if err := m.RestoreRoot(); err != nil || discards != 1 {
+		t.Fatalf("root restore after the failed one: %v after %d discards, want one", err, discards)
+	}
+}
+
+// RestoreWall is an estimate from a sample: the machine reads the clock on
+// one restore in 64 of both kinds together, the first among them, and adds 64
+// times what that one took. So 64·k restores of one kind move it exactly k
+// times, each time by a multiple of 64 ns.
+func TestRestoreWallTimesOneRestoreIn64(t *testing.T) {
+	m := newTestMachine(t)
+	if err := m.TakeRoot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.TakeIncrementalSlot(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []struct {
+		name    string
+		restore func() error
+	}{
+		{"RestoreRoot", m.RestoreRoot},
+		{"RestoreIncrementalSlot", func() error { return m.RestoreIncrementalSlot(1) }},
+	} {
+		const k = 5
+		start := m.Stats().RestoreWall
+		timed := 0
+		for i := 0; i < 64*k; i++ {
+			before := m.Stats().RestoreWall
+			m.Mem.WriteAt([]byte{byte(i)}, 0) // one dirty page to reset
+			if err := kind.restore(); err != nil {
+				t.Fatal(err)
+			}
+			if d := m.Stats().RestoreWall - before; d != 0 {
+				timed++
+				if d%64 != 0 || i%64 != 0 {
+					t.Fatalf("%s %d moved RestoreWall by %v: want the first of every 64, by 64 times what it took", kind.name, i, d)
+				}
+			}
+		}
+		if wall := m.Stats().RestoreWall - start; timed != k || wall <= 0 {
+			t.Fatalf("%d %s calls timed %d restores and added %v, want %d and more than 0", 64*k, kind.name, timed, wall, k)
+		}
+	}
+}
+
 func TestSlotRestoreChargesClock(t *testing.T) {
 	m := newTestMachine(t)
 	if err := m.Hypercall(HcReady); err != nil {
