@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -25,11 +26,14 @@ import (
 	"repro/internal/experiments"
 )
 
+// ablations are the names -ablation accepts.
+var ablations = []string{"dirty", "device", "reuse", "remirror", "sched", "snappool", "all"}
+
 func main() {
 	var (
 		table    = flag.Int("table", 0, "regenerate table N (1-5)")
 		figure   = flag.Int("figure", 0, "regenerate figure N (5 or 6; 7 = figure 5 with all fuzzers)")
-		ablation = flag.String("ablation", "", "run ablation: dirty | device | reuse | remirror | sched | snappool | all")
+		ablation = flag.String("ablation", "", "run ablation: "+strings.Join(ablations, " | "))
 		all      = flag.Bool("all", false, "regenerate everything")
 		dur      = flag.Duration("time", 30*time.Second, "virtual campaign duration (= 24 scaled hours)")
 		reps     = flag.Int("reps", 3, "repetitions per cell")
@@ -38,11 +42,14 @@ func main() {
 		levels   = flag.String("levels", "", "comma-separated Mario levels for table 4 (default subset)")
 		camp     = flag.String("campaign", "", "run the parallel-scaling campaign at these worker counts (e.g. 1,2,4,8 or 16,32,64)")
 		campMode = flag.String("sync-mode", "async", "broker sync for -campaign runs: async (barrier-free, one exchange at a time) | lockstep (deterministic rounds)")
-		campOut  = flag.String("campaign-out", experiments.ScalingJSON, "output path for the -campaign scaling JSON report (empty string disables)")
 		power    = flag.String("power", "off", "power schedule for -campaign runs: off | coe (the sched ablation runs both)")
 		snapbud  = flag.Int64("snapbudget", experiments.DefaultSnapBudget, "snapshot-pool byte budget for -ablation snappool")
 	)
 	flag.Parse()
+	if err := checkArgs(*ablation, *reps); err != nil {
+		fmt.Fprintf(os.Stderr, "nyx-bench: %v\n", err)
+		os.Exit(2)
+	}
 
 	pw, err := core.ParsePower(*power)
 	if err != nil {
@@ -163,12 +170,6 @@ func main() {
 		}
 		fmt.Println("== Parallel campaign scaling (aggregated coverage + throughput + broker sync cost) ==")
 		fmt.Println(experiments.RenderParallelScaling(rows))
-		if *campOut != "" {
-			if err := experiments.WriteScalingJSON(*campOut, cfg, rows); err != nil {
-				fatalf("campaign scaling: %v", err)
-			}
-			fmt.Printf("   scaling report written to %s\n\n", *campOut)
-		}
 		cfg.SyncMode = campaign.SyncLockstep // other experiments stay deterministic
 	}
 
@@ -224,4 +225,17 @@ func main() {
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "nyx-bench: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// checkArgs rejects the flag values that would otherwise run nothing or run
+// empty cells: an -ablation name that is not one of ablations, and fewer
+// than one repetition per cell.
+func checkArgs(ablation string, reps int) error {
+	if ablation != "" && !slices.Contains(ablations, ablation) {
+		return fmt.Errorf("unknown -ablation %q (want one of %s)", ablation, strings.Join(ablations, ", "))
+	}
+	if reps < 1 {
+		return fmt.Errorf("-reps %d: want at least 1", reps)
+	}
+	return nil
 }

@@ -878,14 +878,3 @@ func (f *Fuzzer) account(in *spec.Input, res netemu.Result, seed *QueueEntry) bo
 	}
 	return hasNew
 }
-
-// TimeToCoverage returns the virtual time at which the campaign first
-// reached at least edges coverage, or -1 if it never did.
-func (f *Fuzzer) TimeToCoverage(edges int) time.Duration {
-	for _, p := range f.covLog {
-		if p.Edges >= edges {
-			return p.T
-		}
-	}
-	return -1
-}

@@ -154,22 +154,6 @@ func TestCoverageLogMonotone(t *testing.T) {
 	}
 }
 
-func TestCoverageAtAndTimeToCoverage(t *testing.T) {
-	inst := launch(t, "lightftp")
-	f := newFuzzer(t, inst, PolicyBalanced, 8)
-	if err := f.RunFor(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	final := f.Coverage()
-	tt := f.TimeToCoverage(1)
-	if tt < 0 || tt > f.Elapsed() {
-		t.Fatalf("TimeToCoverage(1) = %v", tt)
-	}
-	if f.TimeToCoverage(final+1000) != -1 {
-		t.Fatal("unreachable coverage should return -1")
-	}
-}
-
 func TestCrashDedup(t *testing.T) {
 	// proftpd has a deterministic crash behind a staircase; drive it
 	// directly by seeding the full crashing session.

@@ -174,7 +174,7 @@ func AblationScheduling(cfg Config, target string) (*SchedAblation, error) {
 				rrEdges = f.Coverage()
 			case sc.power == core.PowerOff:
 				tt := -1.0
-				if d := f.TimeToCoverage(rrEdges); d >= 0 {
+				if d := reachedAt(f.CoverageLog(), rrEdges); d >= 0 {
 					tt = d.Seconds()
 				}
 				res.AFLTimeToRR = append(res.AFLTimeToRR, tt)

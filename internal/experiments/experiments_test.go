@@ -188,6 +188,31 @@ func TestTable5ReportsMedianOverSeeds(t *testing.T) {
 	}
 }
 
+// TestReachedAt pins the one time-to-coverage helper Table 5 and the
+// scheduling ablation share: the time of the first log point at or above the
+// edge count, or -1 when no point gets there.
+func TestReachedAt(t *testing.T) {
+	const s = time.Second
+	log := []core.CoveragePoint{{T: 0, Edges: 3}, {T: 2 * s, Edges: 7}, {T: 5 * s, Edges: 7}, {T: 9 * s, Edges: 12}}
+	for _, c := range []struct {
+		log   []core.CoveragePoint
+		edges int
+		want  time.Duration
+	}{
+		{log, 1, 0},     // the first point already reaches it
+		{log, 5, 2 * s}, // the first point above it
+		{log, 7, 2 * s}, // an exactly equal count, not the later equal point
+		{log, 8, 9 * s}, // the last point
+		{log, 13, -1},   // never reached
+		{nil, 0, -1},    // an empty log reaches nothing
+		{nil, 1, -1},
+	} {
+		if got := reachedAt(c.log, c.edges); got != c.want {
+			t.Errorf("reachedAt(%d points, %d) = %v, want %v", len(c.log), c.edges, got, c.want)
+		}
+	}
+}
+
 func TestFigure5SeriesMonotone(t *testing.T) {
 	series, err := Figure5(fastCfg("lightftp"), []FuzzerID{FAFLnet, FNyxAggressive})
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/mem"
+	"repro/internal/stats"
 	"repro/internal/vm"
 )
 
@@ -52,7 +53,7 @@ func Figure5(cfg Config, fuzzers []FuzzerID) ([]Figure5Series, error) {
 					vals = append(vals, float64(coverageAt(r.CovLog, t)))
 				}
 				s.Hours = append(s.Hours, 24*float64(i)/samples)
-				s.Edges = append(s.Edges, median(vals))
+				s.Edges = append(s.Edges, stats.Median(vals))
 			}
 			out = append(out, s)
 		}
@@ -69,22 +70,6 @@ func coverageAt(log []core.CoveragePoint, t time.Duration) int {
 		edges = p.Edges
 	}
 	return edges
-}
-
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
-	if len(cp)%2 == 1 {
-		return cp[len(cp)/2]
-	}
-	return (cp[len(cp)/2-1] + cp[len(cp)/2]) / 2
 }
 
 // RenderFigure5CSV emits the series as CSV (target,fuzzer,hour,edges) for

@@ -9,12 +9,12 @@ package guest
 // hydrate does after a restore of a capture it has not read, but reports a
 // decode error instead of panicking. It always decodes: image is no capture,
 // so the kernel forgets the capture number it kept, and the next hydrate
-// reads guest memory whatever it restored. The kernel reads a copy of image:
-// restored Conn.Sent slices point into the kernel's copy of the last image
-// whose kernel section it decoded, not into image.
+// reads guest memory whatever it restored, and no Table or filesystem section
+// is reused. The kernel reads a copy of image: restored Conn.Sent slices point
+// into the kernel's one image buffer, not into image.
 func (k *Kernel) DecodeImage(image []byte) error {
 	k.hydrate()
-	k.next = append(k.next[:0], image...)
+	k.img = append(k.img[:0], image...)
 	return k.decode()
 }
 
@@ -77,10 +77,4 @@ func (k *Kernel) MeasuredStateLen() (measured, encoded int) {
 	k.Target.SaveState(&m)
 	k.Target.SaveState(&w)
 	return m.n, len(w.buf)
-}
-
-// TableReads returns how many Table sections the kernel's image decodes
-// copied back and how many they decoded.
-func (k *Kernel) TableReads() (copyBacks, decodes int) {
-	return k.dec.tableCopyBacks, k.dec.tableDecodes
 }

@@ -1,7 +1,6 @@
 package guest
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -31,11 +30,12 @@ type FS struct {
 	// enc is the encoding of the two fields above, as marshal last wrote it
 	// or unmarshal last read it, and encValid says that it still is: every
 	// mutator clears encValid before it changes either field. While it
-	// holds, marshal appends enc and unmarshal skips an equal section, so a
-	// test case that leaves the filesystem alone pays for neither. encRead
-	// says that enc is the section unmarshal last read (decoded, or found
-	// equal), not one encoding rebuilt since: it lies in the image the kernel
-	// read last, so a reread of that image skips it uncompared.
+	// holds, marshal appends enc, so a capture after a test case that leaves
+	// the filesystem alone encodes nothing. encRead says that enc is the
+	// section unmarshal last read, not one encoding rebuilt since: it lies in
+	// the image of the capture the kernel last decoded, so a reread of that
+	// capture skips it. A hydrate reuses what it decoded only for the
+	// capture it decoded; any other decodes the section.
 	enc      []byte
 	encValid bool
 	encRead  bool
@@ -186,14 +186,13 @@ func (fs *FS) encoding() []byte {
 	return fs.enc
 }
 
-// unmarshal restores the FS metadata from r. The encoding delimits itself,
-// so when the stream continues with enc it continues with exactly the
-// metadata the FS already holds, and there is nothing to decode; a reread
-// stream is known to, if unmarshal set enc.
+// unmarshal restores the FS metadata from r. A reread stream continues with
+// the section unmarshal last read, if enc is still that section, and so with
+// exactly the metadata the FS holds: there is nothing to decode, and it is
+// skipped uncompared. Any other stream is decoded.
 func (fs *FS) unmarshal(r *StateReader) {
-	if fs.encValid && (r.reread && fs.encRead || bytes.HasPrefix(r.buf[r.off:], fs.enc)) {
+	if r.reread && fs.encValid && fs.encRead {
 		r.off += len(fs.enc)
-		fs.encRead = true
 		return
 	}
 	fs.encValid = false

@@ -50,20 +50,21 @@
 // as one that has just booted.
 //
 // Most restores bring back a state the kernel has hydrated before — the same
-// slot, resumed again — so hydrate also copies back instead of decoding. The
-// kernel keeps a copy of the last image it decoded, a private copy of the
-// tables its own section (counters, descs, procs, conns) decoded to, and the
-// number of the capture the image came from (vm.SnapshotHooks.Restored); every
-// Table keeps the bytes of its section and the keys and values they decoded
-// to. The capture number picks the path: a restore of that same capture
-// brings back that same image, so hydrate reads no guest memory and compares
-// no kept bytes with it — it copies the kernel's tables back, and reads the
-// filesystem and target sections from the kept image, every Table copying
-// back what it decoded to and the filesystem skipping a section its cached
-// encoding was read from. Any other restore reads the image from memory and
-// decodes it, and its capture's number is kept in its place. What a
-// copy-back installs is therefore what a decode of the restored image would,
-// and the responses it restores point into the kept image.
+// slot, resumed again — so hydrate also copies back instead of decoding, by
+// one rule: a hydrate reuses what it decoded only for the capture it decoded.
+// The kernel keeps the last image it read in its one image buffer, a private
+// copy of the tables its own section (counters, descs, procs, conns) decoded
+// to, and the number of the capture the image came from
+// (vm.SnapshotHooks.Restored); every Table keeps the length of its section
+// and the keys and values it decoded to, and the filesystem its section. A
+// restore of that same capture brings back that same image, so hydrate reads
+// no guest memory: it copies the kernel's tables back and reads the rest of
+// the kept image on a reread reader, on which every Table copies back and
+// the filesystem skips its section. Any other restore reads the image from
+// memory and decodes it, every section included, and its capture's number is
+// kept in its place. No byte is compared on either path. What a copy-back
+// installs is therefore what a decode of the restored image would, and the
+// responses it restores point into the kept image.
 package guest
 
 import (
@@ -193,26 +194,25 @@ type Kernel struct {
 	// enc and dec are the codec's scratch, recycled across the
 	// serialize-at-capture and decode-after-restore paths, and size the
 	// measuring writer discard learns the target section's length with. img
-	// is the kernel's copy of the last image whose kernel section it decoded,
-	// next the buffer a restored image is read into, and sendBuf what the
-	// target has sent since the last hydrate: a Conn.Sent response points into
-	// img or sendBuf until a hydrate decodes another image or truncates the
-	// send buffer.
+	// is the kernel's one image buffer, holding the last image it read; a
+	// hydrate that decodes reads the restored image over it. sendBuf is what
+	// the target has sent since the last hydrate. A Conn.Sent response points
+	// into img or sendBuf until a hydrate reads another image or truncates
+	// the send buffer.
 	enc     StateWriter
 	dec     StateReader
 	size    StateWriter
 	img     []byte
-	next    []byte
 	sendBuf []byte
 
 	// base is what img[:baseLen], the kernel section of img, decoded to, held
 	// apart from the struct form. capture is the number of the capture img
-	// was read from, and so the one base and the target's tables' kept
-	// sections and values came from, or 0 while they hold no capture's
-	// image: before the first hydrate, after a decode that failed and after
-	// DecodeImage. A hydrate of that capture copies back from them instead of
-	// reading memory (see copyBack). hits and decodes count the hydrates
-	// served each way.
+	// was read from, and so the one base, the filesystem's read encoding and
+	// what every Table keeps of its section came from, or 0 while they hold
+	// no capture's image: before the first hydrate, after a decode that
+	// failed and after DecodeImage. A hydrate of that capture copies back
+	// from them instead of reading memory (see copyBack). hits and decodes
+	// count the hydrates served each way.
 	base          kernelState
 	baseLen       int
 	capture       uint64
@@ -739,11 +739,8 @@ func (k *Kernel) syncFromMemory() {
 	}
 	n := k.storedLen()
 	k.stored = n
-	if cap(k.next) < n {
-		k.next = make([]byte, n)
-	}
-	k.next = k.next[:n]
-	if _, err := k.M.Mem.ReadAt(k.next, k.heapBase+4); err != nil {
+	k.img = slices.Grow(k.img[:0], n)[:n]
+	if _, err := k.M.Mem.ReadAt(k.img, k.heapBase+4); err != nil {
 		panic(fmt.Sprintf("guest: state read: %v", err))
 	}
 	if err := k.decode(); err != nil {
@@ -759,8 +756,8 @@ var hitHook func(*Kernel)
 // img again, so the struct form is rebuilt from what decoding it left, the
 // kernel's tables copied from base and the filesystem and target sections
 // read from img on a reread reader, on which every Table copies back what it
-// decoded to and the filesystem skips a section it read before uncompared.
-// Those bytes decoded before, so the reads cannot fail.
+// decoded to and the filesystem skips the section it read. Those bytes
+// decoded before, so the reads cannot fail.
 func (k *Kernel) copyBack() {
 	k.hits++
 	k.stored = len(k.img)
@@ -777,22 +774,20 @@ func (k *Kernel) copyBack() {
 	}
 }
 
-// decode replaces the struct form with the state image in next. Once its
-// kernel section decodes, next becomes img, the decoded Conn.Sent slices
-// point into it, and what the section decoded to becomes base; then the
-// filesystem and target sections are decoded from it, each Table copying back
-// its section when it is the one that Table last decoded. The capture number
-// is forgotten, and the caller that knows which capture the image is keeps it
-// once the decode succeeds. After an error the struct form is a mix of states
-// and unusable until a decode succeeds.
+// decode replaces the struct form with the state image in img. The decoded
+// Conn.Sent slices point into img, and once the kernel section decodes, what
+// it decoded to becomes base; then the filesystem and target sections are
+// decoded, every Table and the filesystem keeping what its section decoded
+// to. The capture number is forgotten, and the caller that knows which
+// capture the image is keeps it once the decode succeeds. After an error the
+// struct form is a mix of states and unusable until a decode succeeds.
 func (k *Kernel) decode() error {
 	k.decodes++
 	k.capture = 0
 	r := &k.dec
-	r.Reset(k.next)
+	r.Reset(k.img)
 	k.unmarshal(r)
 	if r.err == nil {
-		k.img, k.next = k.next, k.img
 		k.baseLen = r.off
 		k.base.copyFrom(&k.kernelState)
 		k.loadRest(r)

@@ -119,17 +119,15 @@ type StateReader struct {
 	off int
 	err error
 
-	// reread says that every Table read from the stream was last decoded
-	// from the section the stream holds for it, and so was the filesystem if
-	// unmarshal set its cached encoding, so that Table.copyBack copies back
-	// and FS.unmarshal skips without comparing: the kernel sets it for a
-	// hydrate of the capture it last read (see Kernel.copyBack), and Reset
-	// clears it.
+	// reread says that the stream is the image of the capture the kernel
+	// last decoded, and is the one switch between reusing and decoding: a
+	// hydrate reuses what it decoded only for the capture it decoded. On a
+	// reread stream every Table copies back what it decoded its section to
+	// (Table.copyBack), and the filesystem skips a section its cached
+	// encoding was read from (FS.unmarshal); on any other, both decode, and
+	// no byte is compared either way. The kernel sets it for a hydrate of
+	// the capture it last read (see Kernel.copyBack), and Reset clears it.
 	reread bool
-
-	// tableCopyBacks and tableDecodes count the Table sections read each way
-	// (see Table.copyBack), across Resets.
-	tableCopyBacks, tableDecodes int
 }
 
 // NewStateReader wraps b for reading.

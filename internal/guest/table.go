@@ -1,9 +1,6 @@
 package guest
 
-import (
-	"bytes"
-	"slices"
-)
+import "slices"
 
 // Table is the container for target state keyed by a small integer — a
 // connection id, an actor id, a query type. It is the map[int]V it replaces,
@@ -26,10 +23,13 @@ type Table[V int | string] struct {
 	keys []int
 	vals []V
 
-	// dec is the encoding the table was last decoded from, and decKeys and
-	// decVals what it decoded to: a stream that continues with dec continues
-	// with exactly that table, so the reader copies it back (copyBack).
-	dec     []byte
+	// decLen is the length of the section the table was last decoded from,
+	// and decKeys and decVals what it decoded to. A hydrate reuses what it
+	// decoded only for the capture it decoded: a reread stream, one of the
+	// capture the kernel last decoded, holds that section again, so the
+	// reader copies decKeys and decVals back and skips decLen bytes
+	// (copyBack).
+	decLen  int
 	decKeys []int
 	decVals []V
 }
@@ -125,8 +125,8 @@ func (w *StateWriter) StringTable(t *Table[string]) {
 
 // IntTable reads what StateWriter.IntTable wrote into t, in place: t ends up
 // holding the decoded entries and no other. Keys that do not ascend fail the
-// reader. The stream's section is copied back when it is the one t was last
-// decoded from, and kept for the next read otherwise.
+// reader. A reread stream's section is copied back (copyBack); any other is
+// decoded, and what it decoded to kept for the next reread.
 func (r *StateReader) IntTable(t *Table[int]) {
 	if t.copyBack(r) {
 		return
@@ -163,26 +163,24 @@ func (r *StateReader) StringTable(t *Table[string]) {
 }
 
 // copyBack refills t with what it was last decoded to and skips the section
-// when r continues with the bytes it was decoded from, and reports whether it
-// did. The encoding delimits itself and those bytes passed every check, so
-// this is what decoding them again would yield. A reread stream is known to
-// continue with them, and is not compared.
+// it was decoded from when r is reread, and reports whether it did. A reread
+// stream is the image of the capture the kernel last decoded, and t was last
+// decoded from this section of it, so this is what decoding the section
+// again would yield; no byte is compared.
 func (t *Table[V]) copyBack(r *StateReader) bool {
-	if !r.reread && (len(t.dec) == 0 || !bytes.HasPrefix(r.buf[r.off:], t.dec)) {
-		r.tableDecodes++
+	if !r.reread {
 		return false
 	}
-	r.tableCopyBacks++
-	r.off += len(t.dec)
+	r.off += t.decLen
 	t.keys, t.vals = append(t.keys[:0], t.decKeys...), append(t.vals[:0], t.decVals...)
 	return true
 }
 
-// keep remembers, after a decode that succeeded, the section r read t from
-// since start and what it decoded to.
+// keep remembers, after a decode that succeeded, the length of the section r
+// read t from since start and what it decoded to.
 func (t *Table[V]) keep(r *StateReader, start int) {
 	if r.err == nil {
-		t.dec = append(t.dec[:0], r.buf[start:r.off]...)
+		t.decLen = r.off - start
 		t.decKeys, t.decVals = append(t.decKeys[:0], t.keys...), append(t.decVals[:0], t.vals...)
 	}
 }

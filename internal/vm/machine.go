@@ -140,8 +140,10 @@ type Machine struct {
 // root of a CloneSharedRoot clone. Guest memory after a restore holds exactly
 // what it held at that capture, so the number names the image: a guest that
 // kept what it decoded from capture c's image may rebuild its state from that
-// on a restore of c instead of reading memory again. The capture number picks
-// the path; no byte compare is involved.
+// on a restore of c instead of reading memory again, and reuses what it
+// decoded only for the capture it decoded. The capture number is the guest's
+// one reuse key: it picks the path for the whole guest state, and no byte
+// compare is involved anywhere.
 type SnapshotHooks struct {
 	Flush    func()
 	Discard  func() (off int64, n int)
