@@ -59,15 +59,27 @@ import (
 //	u32 k   deduplicated crashes in discovery order; k = the header's crash_entries
 //	   k × ( string kind | string msg | i64 found_at_ns | u64 execs | bytes32 input )
 //
-// Decoded inputs alias the file they came from (spec.Deserialize), and keep
-// those bytes as their entries' QueueEntry.Bytes: a resumed campaign keeps the
-// whole of broker.bin, and every queue file that matched no corpus entry,
-// reachable for as long as it holds the inputs, which is as long as it runs.
-// That is the bytes a copy of each payload would have cost, plus the trace
-// digests and headers in between. ResumeTree therefore owns the tree it is
-// given; callers must not write its values afterwards. The tree
+// Decoded inputs alias the file they came from (spec.DeserializeAppend), and
+// keep those bytes as their entries' QueueEntry.Bytes: a resumed campaign
+// keeps the whole of broker.bin, and every queue file that matched no corpus
+// entry, reachable for as long as it holds the inputs, which is as long as it
+// runs. That is the bytes a copy of each payload would have cost, plus the
+// trace digests and headers in between. ResumeTree therefore owns the tree it
+// is given; callers must not write its values afterwards. The tree
 // CheckpointTree returns shares its queue files and corpus inputs with the
 // live entries' bytes in the same way: never write its values either.
+//
+// A round trip allocates per tree and per section, not per file or entry. A
+// checkpoint cuts each worker's queue file names from one string
+// (core.EncodeQueue), and the mem store copies the whole tree into one slab.
+// A resume cuts keys from one string per section (corpus keys here, entry
+// keys in sched.bin), a claim takes the key string of the corpus entry it
+// names, and the traces, the inputs with their op and argument arrays, and
+// the entries with their memoized encodings come from slabs. What is left per
+// file is the store's copy of each file a resume reads, kept per file on
+// purpose: the campaign keeps broker.bin and the unmatched queue files and
+// drops the rest, which a shared slab would keep alive with them (package
+// store).
 //
 // Checkpoint I/O goes through the store.Storer abstraction, so the same
 // tree lands on a local directory (dir://) or a remote-style object store
@@ -344,34 +356,48 @@ const (
 	crashMinLen       = 4 + 4 + 8 + 8 + inputMinLen
 )
 
+// Decoded inputs take their op and argument arrays from slabs of these
+// capacities (spec.DeserializeAppend), and broker.bin's traces theirs from
+// slabs of covSlab hits. The chunks are small because a resumed campaign
+// keeps its slabs for as long as it runs, the unused tail of the last one
+// included.
+const (
+	opSlab  = 1 << 7
+	argSlab = 1 << 7
+	covSlab = 1 << 10
+)
+
 // decodeBroker rebuilds a broker for a campaign of workers workers from its
 // broker.bin form. raw is outside input: besides what the codec checks,
 // worker indices outside the campaign, claims out of order or range, empty
 // keys and inputs that are not plain bytecode are errors, so only bytes
 // encode would write come back as a broker, its inputs and Bytes aliasing raw.
+// A section costs a few allocations however many entries it holds: inputs,
+// their ops, keys, traces and encodings are cut from slabs, and a claim takes
+// the key string of the corpus entry it names.
 func decodeBroker(raw []byte, workers int) (*broker, error) {
 	r := guest.NewStateReader(raw)
 	ok := func() bool { return r.Err() == nil }
-	decode := func(enc []byte, what string, i int) *spec.Input {
-		in, err := spec.Deserialize(enc)
-		if err != nil {
+	ops, args := make([]spec.Op, 0, opSlab), make([]uint16, 0, argSlab)
+	decode := func(in *spec.Input, enc []byte, what string, i int) *spec.Input {
+		var err error
+		if ops, args, err = spec.DeserializeAppend(in, enc, ops, args); err != nil {
 			r.Fail("%s %d: %v", what, i, err)
 		} else if in.SnapshotAt >= 0 {
 			r.Fail("%s %d: input carries a snapshot marker", what, i)
 		}
 		return in
 	}
-	key := func(what string, i int) string {
-		k := r.String()
-		if k == "" {
-			r.Fail("%s %d: empty content key", what, i)
-		}
-		return k
-	}
 
 	b := newBroker()
 	n := r.Count(corpusEntryMinLen)
+	var keys strings.Builder
+	keys.Grow(32 * n) // a key is a 32-byte digest
 	entries := make([]core.QueueEntry, n)
+	inputs := make([]spec.Input, n)
+	encs := core.MakeEncodings(n)
+	named := make(map[string]string, n) // a corpus key to itself, for the claims
+	var hits []coverage.BucketHit
 	b.corpus = make([]brokerEntry, 0, n)
 	for i := 0; i < n && ok(); i++ {
 		// The full entry the global favored competition reads — favored
@@ -386,33 +412,69 @@ func decodeBroker(raw []byte, workers int) (*broker, error) {
 		e.GloballyDominated = r.Bool()
 		e.ExecTime = time.Duration(r.I64())
 		e.Size = r.Int()
-		k, enc := key("corpus entry", i), r.View32()
-		e.Input = decode(enc, "corpus entry", i)
-		e.SetEncoding(k, enc)
-		e.Cov = make([]coverage.BucketHit, r.Count(5))
-		for j := range e.Cov {
-			e.Cov[j] = coverage.BucketHit{Index: r.U32(), Bucket: r.U8()}
+		k, enc := r.StringTo(&keys), r.View32()
+		if k == "" {
+			r.Fail("corpus entry %d: empty content key", i)
 		}
+		e.Input = decode(&inputs[i], enc, "corpus entry", i)
+		encs.Set(i, e, k, enc)
+		named[k] = k
+		h := r.Count(5)
+		if cap(hits)-len(hits) < h {
+			hits = make([]coverage.BucketHit, 0, max(h, covSlab))
+		}
+		for range h {
+			hits = append(hits, coverage.BucketHit{Index: r.U32(), Bucket: r.U8()})
+		}
+		e.Cov = hits[len(hits)-h : len(hits) : len(hits)]
 		b.corpus = append(b.corpus, be)
 	}
 	nc := r.Count(claimMinLen)
+	claimed := make([]uint32, 0, nc) // the claimed edges, ascending
 	for i, prev := 0, uint32(0); i < nc && ok(); i++ {
-		idx, cl := r.U32(), topClaim{fav: r.I64(), key: key("claim", i)}
+		idx, cl := r.U32(), topClaim{fav: r.I64()}
+		if v := r.View32(); len(v) == 0 {
+			r.Fail("claim %d: empty content key", i)
+		} else if k, found := named[string(v)]; found {
+			cl.key = k
+		} else {
+			cl.key = string(v)
+		}
 		if idx >= coverage.MapSize || i > 0 && idx <= prev {
 			r.Fail("claim %d: edge %d after %d", i, idx, prev)
 			break
 		}
 		prev = idx
 		b.topRated[idx] = cl
-		b.claimEdges[cl.key] = append(b.claimEdges[cl.key], idx)
 		b.claimWins[cl.key]++
+		claimed = append(claimed, idx)
+	}
+	// Each key's edges, ascending, in a window of one slab as wide as its
+	// win count.
+	edges := make([]uint32, 0, len(claimed))
+	for _, idx := range claimed {
+		k := b.topRated[idx].key
+		es, seen := b.claimEdges[k]
+		if !seen {
+			w := b.claimWins[k]
+			es, edges = edges[len(edges):len(edges):len(edges)+w], edges[:len(edges)+w]
+		}
+		b.claimEdges[k] = append(es, idx)
 	}
 	// Re-point surviving claims at the restored corpus entries so a later
 	// displacement can still demote them; the workers' live re-imported
 	// copies re-bind as duplicate publications at their first exchange.
+	held := make([]*core.QueueEntry, 0, len(b.corpus))
 	for i := 0; i < len(b.corpus) && ok(); i++ {
-		if e := b.corpus[i].Entry; b.claimWins[e.Key()] > 0 {
-			b.claimants[e.Key()] = append(b.claimants[e.Key()], e)
+		e := b.corpus[i].Entry
+		if b.claimWins[e.Key()] == 0 {
+			continue
+		}
+		if cs, seen := b.claimants[e.Key()]; seen {
+			b.claimants[e.Key()] = append(cs, e)
+		} else {
+			held = append(held, e)
+			b.claimants[e.Key()] = held[len(held)-1 : len(held) : len(held)]
 		}
 	}
 	// Each worker pulls its queue at its first exchange after the resume.
@@ -424,19 +486,21 @@ func decodeBroker(raw []byte, workers int) (*broker, error) {
 	}
 	for wid := 0; wid < workers && ok(); wid++ {
 		np := r.Count(pendingMinLen)
+		inputs := make([]spec.Input, np)
 		for i := 0; i < np && ok(); i++ {
 			gf := r.Bool()
-			b.pending[wid] = append(b.pending[wid], importItem{input: decode(r.View32(), "pending import", i), globalFav: gf})
+			b.pending[wid] = append(b.pending[wid], importItem{input: decode(&inputs[i], r.View32(), "pending import", i), globalFav: gf})
 		}
 	}
 	nk := r.Count(crashMinLen)
+	crashInputs := make([]spec.Input, nk)
 	for i := 0; i < nk && ok(); i++ {
 		cr := core.Crash{
 			Kind:    guest.CrashKind(r.String()),
 			Msg:     r.String(),
 			FoundAt: time.Duration(r.I64()),
 			Execs:   r.U64(),
-			Input:   decode(r.View32(), "crash", i),
+			Input:   decode(&crashInputs[i], r.View32(), "crash", i),
 		}
 		b.crashSeen[cr.Key()] = true
 		b.crashes = append(b.crashes, cr)
@@ -521,11 +585,14 @@ func ResumeTree(t store.Tree) (_ *Campaign, err error) {
 	queues := make([][]queueFile, cfg.Workers)
 	for key := range t {
 		dir, rest, _ := strings.Cut(key, "/")
-		wid, werr := strconv.Atoi(strings.TrimPrefix(dir, "worker-"))
 		num, isQueue := strings.CutPrefix(rest, "queue/id-")
 		num, isNyx := strings.CutSuffix(num, ".nyx")
+		if !isQueue || !isNyx {
+			continue // not a queue file: parsing it would only build an error
+		}
+		wid, werr := strconv.Atoi(strings.TrimPrefix(dir, "worker-"))
 		id, err := strconv.Atoi(num)
-		if werr == nil && wid >= 0 && wid < len(dirs) && dir == dirs[wid] && isQueue && isNyx && err == nil && id >= 0 {
+		if werr == nil && wid >= 0 && wid < len(dirs) && dir == dirs[wid] && err == nil && id >= 0 {
 			queues[wid] = append(queues[wid], queueFile{id, key})
 		}
 	}
@@ -539,27 +606,44 @@ func ResumeTree(t store.Tree) (_ *Campaign, err error) {
 			}
 			return strings.Compare(a.key, b.key) // id-7.nyx beside id-000007.nyx: not a tree CheckpointTree writes
 		})
-		// A checkpoint is written whole: a queue file that does not decode is
-		// a damaged checkpoint, not a seed to skip.
-		ws := workerSeeds{queue: make([]*core.QueueEntry, len(queues[i]))}
-		entries := make([]core.QueueEntry, len(queues[i]))
+		// A queue file with the bytes of a corpus entry takes its input and
+		// encoding; the rest are decoded after, into one slab of inputs. A
+		// checkpoint is written whole: a queue file that does not decode is a
+		// damaged checkpoint, not a seed to skip.
+		n := len(queues[i])
+		ws := workerSeeds{queue: make([]*core.QueueEntry, n)}
+		entries, encs := make([]core.QueueEntry, n), core.MakeEncodings(n)
+		unmatched := 0
 		for j, f := range queues[i] {
 			enc, e := t[f.key], &entries[j]
 			if be := corpus[crc32.ChecksumIEEE(enc)]; be != nil && bytes.Equal(be.Bytes(), enc) {
 				e.Input = be.Input
-				e.SetEncoding(be.Key(), be.Bytes())
+				encs.Set(j, e, be.Key(), be.Bytes())
 			} else {
-				in, err := spec.Deserialize(enc)
-				if err != nil {
+				unmatched++
+			}
+			ws.queue[j] = e
+		}
+		if unmatched > 0 {
+			inputs := make([]spec.Input, unmatched)
+			ops, args := make([]spec.Op, 0, opSlab), make([]uint16, 0, argSlab)
+			for j, f := range queues[i] {
+				enc, e := t[f.key], &entries[j]
+				if e.Input != nil {
+					continue
+				}
+				in := &inputs[0]
+				inputs = inputs[1:]
+				var err error
+				if ops, args, err = spec.DeserializeAppend(in, enc, ops, args); err != nil {
 					return ws, fmt.Errorf("%s: %w", f.key, err)
 				}
 				if e.Input = in; in.SnapshotAt < 0 {
-					e.SetEncoding("", enc)
+					encs.Set(j, e, "", enc)
 				} else {
 					in.SnapshotAt = -1 // a seed runs whole: enc, marker and all, is not its bytes
 				}
 			}
-			ws.queue[j] = e
 		}
 		key := dirs[i] + "/" + core.SchedStateFile
 		raw, ok := t[key]

@@ -30,16 +30,22 @@ func (f *Fuzzer) EncodeCorpus() map[string][]byte {
 // the first Step has yet to import are corpus too and follow the queue,
 // numbered on from it: a fuzzer checkpointed before it ran saves what it got.
 // The files are the entries' own bytes (QueueEntry.Bytes): never write them.
+// The names are written into one buffer and cut from it, one allocation for
+// the whole queue.
 func (f *Fuzzer) EncodeQueue(t map[string][]byte, dir string) {
-	buf := append(append(make([]byte, 0, len(dir)+32), dir...), "queue/id-"...)
-	stem := len(buf)
-	key := func(id int) string { // fmt's id-%06d.nyx
-		buf = buf[:stem]
+	var names strings.Builder
+	names.Grow((len(f.Queue) + len(f.seeds)) * (len(dir) + len("queue/id-000000.nyx")))
+	var num [20]byte
+	key := func(id int) string { // fmt's <dir>queue/id-%06d.nyx
+		start := names.Len()
+		names.WriteString(dir)
+		names.WriteString("queue/id-")
 		for pad := 100000; pad > 1 && id < pad; pad /= 10 {
-			buf = append(buf, '0')
+			names.WriteByte('0')
 		}
-		buf = append(strconv.AppendInt(buf, int64(id), 10), ".nyx"...)
-		return string(buf)
+		names.Write(strconv.AppendInt(num[:0], int64(id), 10))
+		names.WriteString(".nyx")
+		return names.String()[start:] // a builder only appends: what it held stays put
 	}
 	for _, e := range f.Queue {
 		t[key(e.ID)] = e.Bytes()

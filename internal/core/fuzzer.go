@@ -173,11 +173,21 @@ func (e *QueueEntry) Bytes() []byte {
 	return m.bytes
 }
 
-// SetEncoding hands the entry the content key and serialized bytes of its
-// input that its caller already holds (a resume reads both from the
-// checkpoint, beside the input), so that Key and Bytes compute neither. An
-// empty key or nil bytes leaves that one to be computed on first use.
-func (e *QueueEntry) SetEncoding(key string, bytes []byte) { e.enc = &encoding{key, bytes} }
+// Encodings is a slab of the memos QueueEntry keeps its key and bytes in:
+// a decoder that restores many entries takes theirs from one allocation.
+type Encodings []encoding
+
+// MakeEncodings returns a slab of n memos.
+func MakeEncodings(n int) Encodings { return make(Encodings, n) }
+
+// Set hands e the content key and serialized bytes of its input that the
+// caller already holds (a resume reads both from the checkpoint, beside the
+// input), in the memo s[i], so that Key and Bytes compute neither. An empty
+// key or nil bytes leaves that one to be computed on first use.
+func (s Encodings) Set(i int, e *QueueEntry, key string, bytes []byte) {
+	s[i] = encoding{key, bytes}
+	e.enc = &s[i]
+}
 
 // Crash is a deduplicated crash finding.
 type Crash struct {
@@ -205,7 +215,7 @@ type Options struct {
 	Seeds  []*spec.Input
 	// Restored, when not empty, replaces Seeds with the queue a checkpoint
 	// saved, as entries holding an unmarked input and whatever key and bytes
-	// the checkpoint had for it (SetEncoding). An entry that re-queues is
+	// the checkpoint had for it (Encodings.Set). An entry that re-queues is
 	// itself the new queue entry: the fuzzer takes them over.
 	Restored []*QueueEntry
 	// SnapshotReuse overrides DefaultSnapshotReuse when > 0. It is the

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"math/bits"
 	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/coverage"
@@ -772,14 +773,17 @@ func EncodeSchedState(w *guest.StateWriter, meta []EntryMeta, power *PowerMeta) 
 // DecodeSchedState reads what EncodeSchedState wrote. The bytes are outside
 // input: each count is checked against the bytes left before it sizes
 // anything; negative entry fields, edges that do not ascend and bytes after
-// the last edge are errors. The result shares nothing with raw.
+// the last edge are errors. The result shares nothing with raw; its keys are
+// cut from one string.
 func DecodeSchedState(raw []byte) ([]EntryMeta, *PowerMeta, error) {
 	r := guest.NewStateReader(raw)
 	meta := make([]EntryMeta, r.Count(entryMetaMinLen))
+	var keys strings.Builder
+	keys.Grow(sha256.Size * len(meta))
 	for i := range meta {
 		m := &meta[i]
 		*m = EntryMeta{
-			Key:        r.String(),
+			Key:        r.StringTo(&keys),
 			Depth:      r.Int(),
 			ExecTime:   time.Duration(r.I64()),
 			Picked:     r.Int(),

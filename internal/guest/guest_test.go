@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/coverage"
 	"repro/internal/vm"
@@ -128,6 +130,29 @@ func TestStatebufTruncation(t *testing.T) {
 	}
 	if r := NewStateReader(nil); r.U8() != 0 || r.Err() == nil {
 		t.Fatal("U8 of an empty stream succeeded")
+	}
+}
+
+// Strings read through one builder lie one after the other in its buffer,
+// and keep their bytes once it has outgrown them.
+func TestStatebufStringToSharesBuilder(t *testing.T) {
+	var w StateWriter
+	for _, s := range []string{"abc", "defg", "hijkl"} {
+		w.String(s)
+	}
+	r := NewStateReader(w.Bytes())
+	var sb strings.Builder
+	sb.Grow(7)
+	a, b := r.StringTo(&sb), r.StringTo(&sb)
+	c := r.StringTo(&sb) // past the capacity: the builder grows
+	if a != "abc" || b != "defg" || c != "hijkl" || r.Done() != nil {
+		t.Fatalf("read %q %q %q, err %v", a, b, c, r.Err())
+	}
+	if unsafe.StringData(b) != (*byte)(unsafe.Add(unsafe.Pointer(unsafe.StringData(a)), 3)) {
+		t.Fatal("two strings that fit one builder's capacity do not share its buffer")
+	}
+	if s := NewStateReader([]byte{9, 0, 0, 0, 'x'}).StringTo(&sb); s != "" || sb.Len() != 12 {
+		t.Fatalf("a truncated string read %q and left the builder at %d bytes", s, sb.Len())
 	}
 }
 

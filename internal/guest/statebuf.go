@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 )
 
 // StateWriter serializes guest kernel and target state into a compact
@@ -264,6 +265,17 @@ func (r *StateReader) View32() []byte {
 
 // String reads a length-prefixed string.
 func (r *StateReader) String() string { return string(r.View32()) }
+
+// StringTo reads a length-prefixed string onto the end of sb and returns it
+// cut from sb's contents: strings read through one builder share its buffer,
+// one allocation for as many as its capacity holds. A builder only appends,
+// so no string cut from it changes, even once it has grown.
+func (r *StateReader) StringTo(sb *strings.Builder) string {
+	v := r.View32()
+	n := sb.Len()
+	sb.Write(v)
+	return sb.String()[n:]
+}
 
 // appendInts reads a length-prefixed int slice onto dst.
 func (r *StateReader) appendInts(dst []int) []int {

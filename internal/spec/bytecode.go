@@ -93,67 +93,86 @@ func AppendSerialize(dst []byte, in *Input) []byte {
 // afterwards, or decodes out of a large buffer it wants collected, passes a
 // copy.
 func Deserialize(b []byte) (*Input, error) {
+	in := new(Input)
+	if _, _, err := DeserializeAppend(in, b, nil, nil); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+// DeserializeAppend is Deserialize for a caller that decodes many inputs: it
+// decodes b into *in, cuts in.Ops from the spare capacity of ops and the ops'
+// Args from that of args, and returns both slabs extended by what it used.
+// in.Ops and every Args array are cut to their own length, so an append to
+// one input's array never reaches another's. A slab whose spare capacity is
+// short of what b needs is replaced by a new one of max(need, cap): slabs of
+// capacity c are handed out in chunks of c, and nil slabs give arrays of
+// exactly b's size. On an error *in and both slabs are unchanged.
+func DeserializeAppend(in *Input, b []byte, ops []Op, args []uint16) ([]Op, []uint16, error) {
 	if len(b) < bcHeaderLen || b[0] != bcMagic[0] || b[1] != bcMagic[1] || b[2] != bcMagic[2] || b[3] != bcMagic[3] {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadBytecode)
+		return ops, args, fmt.Errorf("%w: bad magic", ErrBadBytecode)
 	}
 	if v := binary.LittleEndian.Uint16(b[4:]); v != bcVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadBytecode, v)
+		return ops, args, fmt.Errorf("%w: unsupported version %d", ErrBadBytecode, v)
 	}
 	nops := int(binary.LittleEndian.Uint32(b[6:]))
 	// An op takes bcOpOverhead bytes or more: a count the bytes left cannot
 	// hold is rejected before it bounds a loop.
 	if nops > (len(b)-bcHeaderLen)/bcOpOverhead {
-		return nil, fmt.Errorf("%w: %d ops in %d bytes", ErrBadBytecode, nops, len(b)-bcHeaderLen)
+		return ops, args, fmt.Errorf("%w: %d ops in %d bytes", ErrBadBytecode, nops, len(b)-bcHeaderLen)
 	}
 	// One pass over the op headers checks every length against the bytes
-	// left and sizes the two allocations; the second pass cannot fail.
+	// left and sizes what the slabs must hold; the second pass cannot fail.
 	off, markers, nargs := bcHeaderLen, 0, 0
 	for i := 0; i < nops; i++ {
 		if off+bcOpOverhead > len(b) {
-			return nil, fmt.Errorf("%w: truncated op header at %d", ErrBadBytecode, off)
+			return ops, args, fmt.Errorf("%w: truncated op header at %d", ErrBadBytecode, off)
 		}
 		node, na := NodeID(binary.LittleEndian.Uint16(b[off:])), int(b[off+2])
 		off += 3 + 2*na
 		if off+4 > len(b) {
-			return nil, fmt.Errorf("%w: truncated args at %d", ErrBadBytecode, off)
+			return ops, args, fmt.Errorf("%w: truncated args at %d", ErrBadBytecode, off)
 		}
 		dl := int(binary.LittleEndian.Uint32(b[off:]))
 		off += 4
 		if dl < 0 || dl > len(b)-off {
-			return nil, fmt.Errorf("%w: truncated payload (%d bytes) at %d", ErrBadBytecode, dl, off)
+			return ops, args, fmt.Errorf("%w: truncated payload (%d bytes) at %d", ErrBadBytecode, dl, off)
 		}
 		off += dl
 		if node != SnapshotNode {
 			nargs += na
 		} else if markers++; na != 0 || dl != 0 {
-			return nil, fmt.Errorf("%w: snapshot op with args or data", ErrBadBytecode)
+			return ops, args, fmt.Errorf("%w: snapshot op with args or data", ErrBadBytecode)
 		}
 	}
 	if off != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadBytecode, len(b)-off)
+		return ops, args, fmt.Errorf("%w: %d trailing bytes", ErrBadBytecode, len(b)-off)
 	}
-	in := &Input{Ops: make([]Op, 0, nops-markers), SnapshotAt: -1}
-	var args []uint16
-	if nargs > 0 {
-		args = make([]uint16, 0, nargs)
+	if n := nops - markers; cap(ops)-len(ops) < n {
+		ops = make([]Op, 0, max(n, cap(ops)))
 	}
+	if cap(args)-len(args) < nargs {
+		args = make([]uint16, 0, max(nargs, cap(args)))
+	}
+	first := len(ops)
+	*in = Input{SnapshotAt: -1}
 	for off = bcHeaderLen; off < len(b); {
 		node, na := NodeID(binary.LittleEndian.Uint16(b[off:])), int(b[off+2])
 		off += 3
 		if node == SnapshotNode {
 			if in.SnapshotAt < 0 {
-				in.SnapshotAt = len(in.Ops)
+				in.SnapshotAt = len(ops) - first
 			}
 			off += 4
 			continue
 		}
 		var opArgs []uint16
 		if na > 0 {
-			first := len(args)
+			from := len(args)
 			for j := 0; j < na; j++ {
 				args = append(args, binary.LittleEndian.Uint16(b[off+2*j:]))
 			}
-			opArgs = args[first:len(args):len(args)]
+			opArgs = args[from:len(args):len(args)]
 			off += 2 * na
 		}
 		dl := int(binary.LittleEndian.Uint32(b[off:]))
@@ -163,7 +182,8 @@ func Deserialize(b []byte) (*Input, error) {
 			data = b[off : off+dl : off+dl]
 			off += dl
 		}
-		in.Ops = append(in.Ops, Op{Node: node, Args: opArgs, Data: data})
+		ops = append(ops, Op{Node: node, Args: opArgs, Data: data})
 	}
-	return in, nil
+	in.Ops = ops[first:len(ops):len(ops)] //nyx:retains the input's ops are cut from the caller's slab, which is the point
+	return ops, args, nil
 }

@@ -442,5 +442,18 @@ func FuzzBytecodeDecode(f *testing.F) {
 		} else if extra < 0 || extra%7 != 0 {
 			t.Fatalf("%d bytes decoded and re-encoded to %d", len(b), len(got))
 		}
+		// The appending form, which Deserialize wraps, decodes the same
+		// input twice into one pair of small slabs, each cut to its own
+		// length.
+		var twice [2]spec.Input
+		ops, args := make([]spec.Op, 0, 4), make([]uint16, 0, 4)
+		for i := range twice {
+			if ops, args, err = spec.DeserializeAppend(&twice[i], b, ops, args); err != nil {
+				t.Fatalf("Deserialize accepted what DeserializeAppend refuses: %v", err)
+			}
+			if cap(twice[i].Ops) != len(twice[i].Ops) || !bytes.Equal(spec.Serialize(&twice[i]), got) {
+				t.Fatalf("decode %d into a shared slab differs from Deserialize's", i)
+			}
+		}
 	})
 }

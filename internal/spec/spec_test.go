@@ -117,6 +117,52 @@ func TestBytecodeSnapshotAtEnd(t *testing.T) {
 	}
 }
 
+// Inputs decoded one after another share the caller's slabs, each cut to
+// its own length: appending to one input's ops or args never writes the
+// next input's, a slab that runs short is replaced by one of its own
+// capacity, and every input decodes as Deserialize decodes it.
+func TestDeserializeAppendCutsInputsFromSlabs(t *testing.T) {
+	s := testSpec()
+	in := validInput(t, s)
+	in.SnapshotAt = 1
+	b := Serialize(in)
+	want, err := Deserialize(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(want.Ops)
+	first := make([]Op, 0, 2*n)
+	ops, args := first, make([]uint16, 0, 8)
+	var got [3]Input
+	for i := range got {
+		if ops, args, err = DeserializeAppend(&got[i], b, ops, args); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(Serialize(&got[i]), b) || got[i].SnapshotAt != want.SnapshotAt {
+			t.Fatalf("input %d decodes to %v, want %v", i, got[i], *want)
+		}
+		if cap(got[i].Ops) != len(got[i].Ops) {
+			t.Fatalf("input %d: %d ops with capacity %d", i, len(got[i].Ops), cap(got[i].Ops))
+		}
+	}
+	if &got[0].Ops[0] != &first[:1][0] || &got[1].Ops[0] != &first[:n+1][n] {
+		t.Fatal("the first two inputs do not lie one after the other in the caller's slab")
+	}
+	if cap(ops) != 2*n || &got[2].Ops[0] != &ops[:1][0] {
+		t.Fatalf("the third input took a slab of capacity %d, want a new one of the first one's %d", cap(ops), 2*n)
+	}
+	before := Serialize(&got[1])
+	got[0].Ops = append(got[0].Ops, Op{Node: 7, Args: []uint16{9}})
+	got[0].Ops[1].Args = append(got[0].Ops[1].Args, 9)
+	if !bytes.Equal(Serialize(&got[1]), before) {
+		t.Fatal("appending to one input's arrays wrote the next input's")
+	}
+	var bad Input
+	if ops2, args2, err := DeserializeAppend(&bad, b[:len(b)-1], ops, args); err == nil || len(ops2) != len(ops) || len(args2) != len(args) {
+		t.Fatalf("a truncated stream gave %v and moved the slabs to %d ops, %d args", err, len(ops2), len(args2))
+	}
+}
+
 func TestDeserializeRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,

@@ -183,27 +183,26 @@ func (d *dirStore) PutTree(name string, t Tree) error {
 	return nil
 }
 
+// GetTree holds the swap lock for the whole read, so a concurrent PutTree
+// cannot rename the tree away while it is walked: one generation, whole.
 func (d *dirStore) GetTree(name string) (Tree, error) {
 	if err := validKey(name); err != nil {
 		return nil, err
 	}
 	d.swap.Lock()
+	defer d.swap.Unlock()
 	dest := d.path(name)
 	if _, err := os.Stat(dest); os.IsNotExist(err) {
 		// A crash between PutTree's two renames leaves only the parked
 		// copy; complete the interrupted swap by promoting it back.
 		old := dest + oldSuffix
-		if _, operr := os.Stat(old); operr == nil {
-			if rerr := os.Rename(old, dest); rerr != nil {
-				d.swap.Unlock()
-				return nil, fmt.Errorf("store: get tree %q: recovering parked copy: %w", name, rerr)
-			}
-		} else {
-			d.swap.Unlock()
+		if _, operr := os.Stat(old); operr != nil {
 			return nil, fmt.Errorf("store: get tree %q: %w", name, ErrNotExist)
 		}
+		if err := os.Rename(old, dest); err != nil {
+			return nil, fmt.Errorf("store: get tree %q: recovering parked copy: %w", name, err)
+		}
 	}
-	d.swap.Unlock()
 
 	t := Tree{}
 	err := filepath.WalkDir(dest, func(p string, de fs.DirEntry, err error) error {

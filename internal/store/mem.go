@@ -18,9 +18,12 @@ var memRegistry = struct {
 }{buckets: map[string]*memBucket{}}
 
 // memBucket is one bucket's key space. A tree written by PutTree is kept
-// whole under its name, keyed relative to it, so storing or reading one
-// costs a map and a copy of each file and nothing per key; the keys of a
-// tree loosen dissolves live in objects. No loose key lies under a stored
+// whole under its name, keyed relative to it, its values cut from one slab:
+// storing one costs a map and one copy of all its bytes, and nothing per
+// key or file. Reading one costs a map and a copy of each file, kept per
+// file because a reader may hold on to a few files of a large tree (see the
+// package comment). The keys of a tree loosen dissolves live in objects,
+// their values still in the tree's slab. No loose key lies under a stored
 // tree's prefix and no stored tree under another's, so every key has one
 // home.
 type memBucket struct {
@@ -135,14 +138,21 @@ func (b *memBucket) clear(name string) {
 // PutTree swaps the tree in under the bucket lock: validation and the copy
 // of t happen before any existing key is touched, so a failed call leaves
 // the previous tree untouched and readers never observe a partial mix of
-// generations.
+// generations. The copy is one slab for the whole tree, each value cut to
+// its own capacity.
 func (m *memStore) PutTree(name string, t Tree) error {
 	if err := validTree(name, t); err != nil {
 		return err
 	}
+	size := 0
+	for _, v := range t {
+		size += len(v)
+	}
+	slab := make([]byte, 0, size)
 	fresh := make(Tree, len(t))
 	for k, v := range t {
-		fresh[k] = bytes.Clone(v)
+		slab = append(slab, v...)
+		fresh[k] = slab[len(slab)-len(v) : len(slab) : len(slab)]
 	}
 	m.bucket.mu.Lock()
 	defer m.bucket.mu.Unlock()

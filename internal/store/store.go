@@ -14,17 +14,27 @@
 // The tree operations carry the durability contract checkpoints rely on:
 // after PutTree(name, t) returns, GetTree(name) observes exactly t; if
 // PutTree fails or the process dies mid-write, GetTree observes the
-// previous tree, complete and unmodified — never a mix. The dir backend
-// implements this with the same temp-then-swap rename dance
-// campaign.Checkpoint historically used (and recovers the parked ".old"
-// copy if a crash lands between the two renames); the mem backend keeps a
-// stored tree whole under its name and swaps it in under one lock.
+// previous tree, complete and unmodified — never a mix, also for a GetTree
+// that runs while a PutTree replaces the tree. And each side keeps its own
+// copy: writing t after PutTree, or writing a tree GetTree returned, changes
+// nothing a later GetTree sees. The dir backend implements this with the
+// same temp-then-swap rename dance campaign.Checkpoint historically used
+// (and recovers the parked ".old" copy if a crash lands between the two
+// renames), holding its swap lock for the whole of a GetTree; the mem
+// backend keeps a stored tree whole under its name and swaps it in under
+// one lock.
+//
+// What a tree costs against mem:// is one copy in each direction, made
+// differently on purpose. PutTree copies all of a tree's values into one
+// slab, one allocation per tree. GetTree copies each file on its own: a
+// resumed campaign keeps some files it read (broker.bin and the queue files
+// its decoded inputs alias) for as long as it runs and drops the rest, and
+// a slab would keep every file alive for as long as any one is.
 package store
 
 import (
 	"errors"
 	"fmt"
-	"path"
 	"sort"
 	"strings"
 )
@@ -50,10 +60,12 @@ type Storer interface {
 
 	// PutTree atomically replaces the tree rooted at name with t: after it
 	// returns, GetTree(name) sees exactly t; after a failure or crash,
-	// GetTree sees the previous tree intact.
+	// GetTree sees the previous tree intact. The store keeps a copy: t
+	// stays the caller's.
 	PutTree(name string, t Tree) error
 	// GetTree reads the tree rooted at name, with contents keyed relative
-	// to it (ErrNotExist if absent).
+	// to it (ErrNotExist if absent): one whole generation, as a copy the
+	// caller owns.
 	GetTree(name string) (Tree, error)
 	// DeleteTree removes the tree at name (absent is not an error).
 	DeleteTree(name string) error
@@ -131,10 +143,12 @@ func validTree(name string, t Tree) error {
 		}
 		// A key that is also a directory of another key ("a" and "a/b")
 		// cannot exist on a filesystem backend; reject it everywhere so
-		// backends stay interchangeable.
-		for dir := path.Dir(key); dir != "."; dir = path.Dir(dir) {
-			if _, ok := t[dir]; ok {
-				return fmt.Errorf("store: tree %q: key %q conflicts with %q", name, key, dir)
+		// backends stay interchangeable. validKey has rejected every key
+		// whose directories path.Dir would clean, so cutting at each slash
+		// finds the same ones.
+		for i := strings.LastIndexByte(key, '/'); i >= 0; i = strings.LastIndexByte(key[:i], '/') {
+			if _, ok := t[key[:i]]; ok {
+				return fmt.Errorf("store: tree %q: key %q conflicts with %q", name, key, key[:i])
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -289,6 +290,104 @@ func TestTornPutTreeNeverClobbers(t *testing.T) {
 	}
 }
 
+// The Storer contract's generation row: a reader never sees a mix of two
+// trees. GetTree, racing a writer that replaces the tree over and over,
+// returns one whole generation every time and never an error.
+func TestGetTreeSeesOneGeneration(t *testing.T) {
+	const files, reads = 40, 300
+	gen := func(g int) Tree {
+		tree := make(Tree, files)
+		for i := 0; i < files; i++ {
+			tree[fmt.Sprintf("worker-%03d/queue/id-%06d.nyx", i%2, i)] = []byte(strconv.Itoa(g))
+		}
+		return tree
+	}
+	for scheme, st := range backends(t) {
+		t.Run(scheme, func(t *testing.T) {
+			if err := st.PutTree("ckpt", gen(0)); err != nil {
+				t.Fatal(err)
+			}
+			stop, done := make(chan struct{}), make(chan error, 1)
+			go func() {
+				for g := 1; ; g++ {
+					select {
+					case <-stop:
+						done <- nil
+						return
+					default:
+					}
+					if err := st.PutTree("ckpt", gen(g)); err != nil {
+						done <- err
+						return
+					}
+				}
+			}()
+			mixed, failed := 0, 0
+			var firstErr error
+			for i := 0; i < reads; i++ {
+				got, err := st.GetTree("ckpt")
+				if err != nil {
+					if failed++; firstErr == nil {
+						firstErr = err
+					}
+					continue
+				}
+				one := got["worker-000/queue/id-000000.nyx"]
+				for _, v := range got {
+					if !bytes.Equal(v, one) {
+						mixed++
+						break
+					}
+				}
+				if len(got) != files {
+					mixed++
+				}
+			}
+			close(stop)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if mixed > 0 || failed > 0 {
+				t.Fatalf("of %d reads, %d saw a mix of generations and %d failed (first: %v)", reads, mixed, failed, firstErr)
+			}
+		})
+	}
+}
+
+// The Storer contract's isolation row: the store keeps its own copy of a
+// tree in each direction. Writing into a stored tree's values, adding or
+// deleting keys of its map, and writing into a tree GetTree returned change
+// nothing a later GetTree returns.
+func TestTreesAreIsolatedFromCallers(t *testing.T) {
+	for scheme, st := range backends(t) {
+		t.Run(scheme, func(t *testing.T) {
+			put, want := checkpointLikeTree(1), checkpointLikeTree(1)
+			if err := st.PutTree("ckpt", put); err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range put {
+				v[0] ^= 0xff
+			}
+			put["extra.bin"] = []byte("added after PutTree")
+			delete(put, "virgin.bin")
+			got, err := st.GetTree("ckpt")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("writes into a stored tree reached the store:\n got %v\nwant %v", got, want)
+			}
+			for _, v := range got {
+				v[0] ^= 0xff
+			}
+			got["extra.bin"] = []byte("added to a read tree")
+			if again, err := st.GetTree("ckpt"); err != nil || !reflect.DeepEqual(again, want) {
+				t.Fatalf("writes into a read tree reached the store: %v, %v", again, err)
+			}
+		})
+	}
+}
+
 func TestCopyTreeAcrossBackends(t *testing.T) {
 	b := backends(t)
 	src, dst := b["dir"], b["mem"]
@@ -418,9 +517,14 @@ func TestMemBucketsShared(t *testing.T) {
 }
 
 // A checkpoint is a tree of a thousand small files, stored and read once per
-// stop-and-go cycle. Against mem:// each file costs the one copy the Storer
-// contract requires (the caller keeps its tree; the store's must not change
-// under a reader) and nothing else: no key is rebuilt, split or re-filed.
+// stop-and-go cycle. Against mem:// each direction costs the one copy the
+// Storer contract requires (the caller keeps its tree; the store's must not
+// change under a reader) and nothing else: no key is rebuilt, split or
+// re-filed. PutTree copies the whole tree into one slab: it read 1.006
+// allocations per file while it cloned each value, and reads 0.007. GetTree
+// keeps one copy per file (1.006), on purpose: a resumed campaign keeps some
+// of the files it read for as long as it runs, and one slab would keep them
+// all.
 func TestCheckpointTreeAllocsPerFile(t *testing.T) {
 	st, err := Open(fmt.Sprintf("mem://allocs-%d", time.Now().UnixNano()))
 	if err != nil {
@@ -441,8 +545,9 @@ func TestCheckpointTreeAllocsPerFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}) / files
-	// One copy per file, plus the map's buckets.
-	if put > 1.25 || get > 1.25 {
-		t.Fatalf("PutTree %.2f and GetTree %.2f allocations per file, want one copy each", put, get)
+	t.Logf("PutTree %.3f and GetTree %.3f allocations per file", put, get)
+	// One copy per tree and one per file, plus the maps' buckets.
+	if put > 0.05 || get > 1.25 {
+		t.Fatalf("PutTree %.3f and GetTree %.3f allocations per file, want one copy per tree and one per file", put, get)
 	}
 }
