@@ -43,7 +43,7 @@ func main() {
 		camp     = flag.String("campaign", "", "run the parallel-scaling campaign at these worker counts (e.g. 1,2,4,8 or 16,32,64)")
 		campMode = flag.String("sync-mode", "async", "broker sync for -campaign runs: async (barrier-free, one exchange at a time) | lockstep (deterministic rounds)")
 		power    = flag.String("power", "off", "power schedule for -campaign runs: off | coe (the sched ablation runs both)")
-		snapbud  = flag.Int64("snapbudget", experiments.DefaultSnapBudget, "snapshot-pool byte budget for -ablation snappool")
+		snapbud  = flag.Int64("snapbudget", campaign.DefaultSnapBudget, "snapshot-pool byte budget for -ablation snappool")
 	)
 	flag.Parse()
 	if err := checkArgs(*ablation, *reps); err != nil {

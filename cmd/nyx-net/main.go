@@ -3,14 +3,20 @@
 // generic raw-packet spec and seeds are bundled with it, and the fuzzer
 // runs against the launched VM.
 //
-// With -workers N > 1 the campaign runs as N parallel fuzzer instances
-// (each in its own VM, with an RNG derived from the master seed)
-// orchestrated by the corpus broker in internal/campaign: workers exchange
+// Every run is a campaign (internal/campaign), and its flags fill one
+// campaign.Config: -workers N runs N parallel fuzzer instances (each in its
+// own VM, with an RNG derived from the master seed) orchestrated by the
+// corpus broker, and the default -workers 1 is a one-worker campaign on the
+// same path, which exchanges once, when the run ends. Workers exchange
 // globally fresh inputs every -sync of virtual time, crashes are
-// deduplicated across workers, and coverage is aggregated. A campaign
-// checkpoints its corpus, crashes and global coverage to -checkpoint DIR
-// when it finishes, and -resume continues from such a directory (the
-// stored target/workers/policy/seed are authoritative).
+// deduplicated across workers, and coverage is aggregated. -checkpoint DIR
+// only adds a checkpoint of the corpus, crashes and global coverage to DIR
+// when the campaign finishes; the run itself is the same with or without
+// it. -resume continues from such a directory (the stored configuration is
+// authoritative). A flag value that names no policy, scheduler, power
+// schedule or sync mode, or a configuration campaign.Config.Validate
+// refuses, is a usage error: nyx-net prints its usage and exits with
+// status 2.
 //
 // The queue scheduler is selectable with -sched: "afl" (the default) runs
 // the AFL-style corpus scheduler — favored-entry culling, per-entry energy
@@ -40,8 +46,10 @@
 // With -serve ADDR the binary becomes a multi-campaign HTTP service
 // (internal/service): campaigns are submitted, paused, resumed, observed
 // and deleted over a JSON API, auto-checkpoint to -store every -ckpt-every
-// of virtual time, and are recovered from the store at startup. See the
-// README's "Service mode" section for the API.
+// of virtual time, and are recovered from the store at startup — a tree a
+// one-shot run wrote there with -store URL -checkpoint campaigns/NAME too,
+// with the configuration its header records. See the README's "Service
+// mode" section for the API.
 //
 // -cpuprofile FILE and -memprofile FILE write a CPU profile of the campaign
 // and a profile of everything it allocated, for go tool pprof.
@@ -64,7 +72,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -74,7 +81,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/service"
 	"repro/internal/spec"
 	"repro/internal/store"
@@ -82,20 +88,21 @@ import (
 )
 
 func main() {
+	var cfg campaign.Config
+	flag.StringVar(&cfg.Target, "target", "lightftp", "target to fuzz (see -list)")
+	flag.TextVar(&cfg.Policy, "policy", core.PolicyAggressive, "snapshot policy: none | balanced | aggressive")
+	flag.TextVar(&cfg.Sched, "sched", core.SchedAFL, "queue scheduler: afl (favored culling, energy, splice, trim) | rr (flat round-robin)")
+	flag.TextVar(&cfg.Power, "power", core.PowerOff, "AFLfast-style power schedule for long campaigns: off | coe (cut off over-exercised entries, decay the rest by pick count)")
+	flag.Int64Var(&cfg.SnapBudget, "snapbudget", campaign.DefaultSnapBudget, "snapshot-pool byte budget per worker (prefix-keyed incremental snapshots; 0 keeps one snapshot per scheduling round, released when the round ends)")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "campaign master seed")
+	flag.BoolVar(&cfg.Asan, "asan", false, "enable AddressSanitizer-like checking")
+	flag.IntVar(&cfg.Workers, "workers", 1, "parallel fuzzer instances, synced through the corpus broker")
+	flag.DurationVar(&cfg.SyncInterval, "sync", campaign.DefaultSyncInterval, "virtual time between corpus broker syncs (lockstep round / async epoch length)")
+	flag.TextVar(&cfg.SyncMode, "sync-mode", campaign.SyncAsync, "corpus broker sync: async (barrier-free epochs, one exchange at a time) | lockstep (deterministic rounds)")
 	var (
-		target   = flag.String("target", "lightftp", "target to fuzz (see -list)")
-		policy   = flag.String("policy", "aggressive", "snapshot policy: none | balanced | aggressive")
-		sched    = flag.String("sched", "afl", "queue scheduler: afl (favored culling, energy, splice, trim) | rr (flat round-robin)")
-		power    = flag.String("power", "off", "AFLfast-style power schedule for long campaigns: off | coe (cut off over-exercised entries, decay the rest by pick count)")
-		snapbud  = flag.Int64("snapbudget", experiments.DefaultSnapBudget, "snapshot-pool byte budget per worker (prefix-keyed incremental snapshots; 0 keeps one snapshot per scheduling round, released when the round ends)")
 		duration = flag.Duration("time", 30*time.Second, "virtual campaign duration")
-		seed     = flag.Int64("seed", 1, "campaign RNG seed (master seed with -workers)")
-		asan     = flag.Bool("asan", false, "enable AddressSanitizer-like checking")
 		list     = flag.Bool("list", false, "list available targets and exit")
 		crashDir = flag.String("crash-dir", "", "directory to write crashing inputs (bytecode) to")
-		workers  = flag.Int("workers", 1, "parallel fuzzer instances (corpus-synced campaign when > 1)")
-		syncIvl  = flag.Duration("sync", campaign.DefaultSyncInterval, "virtual time between corpus broker syncs (lockstep round / async epoch length)")
-		syncMode = flag.String("sync-mode", "async", "corpus broker sync: async (barrier-free epochs, one exchange at a time) | lockstep (deterministic rounds)")
 		ckpt     = flag.String("checkpoint", "", "campaign checkpoint directory, or tree name when -store is set (written on exit)")
 		resume   = flag.Bool("resume", false, "resume the campaign stored in -checkpoint")
 		storeURL = flag.String("store", "", "checkpoint store URL: dir://PATH | mem://BUCKET (routes -checkpoint/-resume and service-mode persistence)")
@@ -119,88 +126,19 @@ func main() {
 		return
 	}
 
-	pol, err := core.ParsePolicy(*policy)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	sc, err := core.ParseSched(*sched)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	pw, err := core.ParsePower(*power)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if pw != core.PowerOff && sc == core.SchedRoundRobin {
-		fatalf("-power %s requires -sched afl (round-robin has no energy function to reshape)", pw)
-	}
-
-	mode, err := campaign.ParseSyncMode(*syncMode)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	cfg := campaign.Config{
-		Target:       *target,
-		Workers:      *workers,
-		Policy:       pol,
-		Seed:         *seed,
-		SyncInterval: *syncIvl,
-		Sched:        sc,
-		Power:        pw,
-		SnapBudget:   *snapbud,
-		Asan:         *asan,
-		SyncMode:     mode,
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "nyx-net: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	defer startProfiles(*cpuProf, *memProf)()
-
-	if *workers > 1 || *resume || *ckpt != "" {
-		runParallel(cfg, *duration, *ckpt, *resume, *storeURL, *crashDir)
-		return
-	}
-
-	inst, err := targets.Launch(cfg.Target, targets.LaunchConfig{Asan: cfg.Asan})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("[*] launched %s on %s (root snapshot taken)\n", cfg.Target, inst.Info.Port)
-
-	f := core.New(inst.Agent, inst.Spec, core.Options{
-		Policy:     cfg.Policy,
-		Sched:      cfg.Sched,
-		Power:      cfg.Power,
-		Seeds:      inst.Seeds(),
-		Rand:       rand.New(rand.NewSource(cfg.Seed)),
-		Dict:       inst.Info.Dict,
-		SnapBudget: cfg.SnapBudget,
-	})
-	start := time.Now()
-	if err := f.RunFor(*duration); err != nil {
-		fatalf("campaign: %v", err)
-	}
-
-	fmt.Printf("[*] campaign done: %v virtual in %v wall\n", f.Elapsed().Round(time.Millisecond), time.Since(start).Round(time.Millisecond))
-	fmt.Printf("    execs:          %d (%.1f/virtual-second, %d from incremental snapshots)\n",
-		f.Execs(), f.ExecsPerSecond(), f.SnapshotExecs())
-	if ms := inst.M.Stats(); ms.RootRestores+ms.IncRestores > 0 {
-		fmt.Printf("    restores:       %d in ~%v wall (%.0f ns each, timed on one in 64, zero-copy path)\n",
-			ms.RootRestores+ms.IncRestores, ms.RestoreWall.Round(time.Millisecond),
-			float64(ms.RestoreWall.Nanoseconds())/float64(ms.RootRestores+ms.IncRestores))
-	}
-	if f.PoolEnabled() {
-		st := f.PoolStats()
-		fmt.Printf("    snapshot pool:  %d hits / %d misses, %d evictions, %d slots, %.1f MiB peak (budget %.1f MiB), %d full-prefix re-execs\n",
-			st.Hits, st.Misses, st.Evictions, st.Slots,
-			float64(st.PeakBytes)/(1<<20), float64(cfg.SnapBudget)/(1<<20), f.FullPrefixReexecs())
-	}
-	fmt.Printf("    branch coverage: %d edges, %d queue entries\n", f.Coverage(), len(f.Queue))
-	fmt.Printf("    crashes:        %d unique\n", len(f.Crashes))
-	reportCrashes(f.Crashes, *crashDir)
+	run(cfg, *duration, *ckpt, *resume, *storeURL, *crashDir)
 }
 
-// runParallel runs the campaign cfg describes — or, with resume, the one
-// stored in checkpoint — for d of virtual time per worker, and checkpoints
-// it when checkpoint is set.
-func runParallel(cfg campaign.Config, d time.Duration, checkpoint string, resume bool, storeURL, crashDir string) {
+// run runs the campaign cfg describes — or, with resume, the one stored in
+// checkpoint — for d of virtual time per worker, and checkpoints it when
+// checkpoint is set.
+func run(cfg campaign.Config, d time.Duration, checkpoint string, resume bool, storeURL, crashDir string) {
 	// With -store, -checkpoint names a tree in that backend; without it,
 	// a plain directory, which is a tree in the dir:// store of its parent.
 	var st store.Storer
@@ -230,8 +168,9 @@ func runParallel(cfg campaign.Config, d time.Duration, checkpoint string, resume
 			fatalf("%v", err)
 		}
 		fmt.Printf("[*] launched %d workers against %s (master seed %d, %s sync)\n",
-			c.Workers(), cfg.Target, cfg.Seed, c.SyncMode())
+			c.Workers(), cfg.Target, cfg.Seed, cfg.SyncMode)
 	}
+	cfg = c.Config()
 
 	// SIGINT stops gracefully: the campaign quiesces at the next sync
 	// boundary (lockstep round or async epoch), the final checkpoint
@@ -262,15 +201,28 @@ func runParallel(cfg campaign.Config, d time.Duration, checkpoint string, resume
 		ss.Mode, ss.Epochs, ss.SyncWall.Round(time.Millisecond))
 	fmt.Printf("    broker lock:    %d acquisitions, %d contended, %d imports dropped\n",
 		ss.ShardAcquisitions, ss.ShardContended, ss.ImportsDropped)
-	fmt.Printf("    execs:          %d total (%.1f/virtual-second aggregate)\n",
-		c.Execs(), c.ExecsPerSecond())
+	workers := c.PerWorker()
+	var snapExecs, restores uint64
+	var restoreWall time.Duration
+	for _, ws := range workers {
+		snapExecs += ws.SnapshotExecs
+		restores += ws.Restores
+		restoreWall += ws.RestoreWall
+	}
+	fmt.Printf("    execs:          %d total (%.1f/virtual-second aggregate, %d from incremental snapshots)\n",
+		c.Execs(), c.ExecsPerSecond(), snapExecs)
+	if restores > 0 {
+		fmt.Printf("    restores:       %d in ~%v wall (%.0f ns each, timed on one in 64, zero-copy path)\n",
+			restores, restoreWall.Round(time.Millisecond), float64(restoreWall.Nanoseconds())/float64(restores))
+	}
 	if ps := c.PoolStats(); ps.Hits+ps.Misses > 0 {
-		fmt.Printf("    snapshot pool:  %d hits / %d misses, %d evictions, %d slots, %.1f MiB pooled, %d full-prefix re-execs\n",
-			ps.Hits, ps.Misses, ps.Evictions, ps.Slots, float64(ps.Bytes)/(1<<20), c.FullPrefixReexecs())
+		fmt.Printf("    snapshot pool:  %d hits / %d misses, %d evictions, %d slots, %.1f MiB peak (budget %.1f MiB per worker), %d full-prefix re-execs\n",
+			ps.Hits, ps.Misses, ps.Evictions, ps.Slots, float64(ps.PeakBytes)/(1<<20),
+			float64(cfg.SnapBudget)/(1<<20), c.FullPrefixReexecs())
 	}
 	fmt.Printf("    branch coverage: %d edges aggregated, %d broker corpus entries (%d deduped)\n",
 		c.Coverage(), c.CorpusSize(), c.Deduped())
-	for _, st := range c.PerWorker() {
+	for _, st := range workers {
 		fmt.Printf("      worker %d: %d execs, %d edges, %d queue, %d crashes\n",
 			st.ID, st.Execs, st.Coverage, st.Queue, st.Crashes)
 	}

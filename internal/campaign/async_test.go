@@ -168,8 +168,8 @@ func TestAsyncCheckpointResumeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", url, err)
 		}
-		if res.SyncMode() != SyncAsync {
-			t.Fatalf("%s: resumed mode %v, want async", url, res.SyncMode())
+		if res.Config().SyncMode != SyncAsync {
+			t.Fatalf("%s: resumed mode %v, want async", url, res.Config().SyncMode)
 		}
 		if res.Coverage() != orig.Coverage() {
 			t.Fatalf("%s: resumed coverage %d, want %d", url, res.Coverage(), orig.Coverage())

@@ -39,6 +39,7 @@
 package campaign
 
 import (
+	"encoding"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -57,6 +58,14 @@ import (
 // with this reproduction's compressed virtual clock one virtual second
 // spans many scheduling rounds.
 const DefaultSyncInterval = time.Second
+
+// DefaultSnapBudget is the per-worker snapshot-pool byte budget nyx-net and
+// the snappool ablation use: 8 MiB — half a default 16 MiB VM, comfortably
+// many prefix overlays, small enough that long campaigns exercise eviction.
+const DefaultSnapBudget int64 = 8 << 20
+
+// maxWorkers bounds Config.Workers.
+const maxWorkers = 1024
 
 // SyncMode selects how workers synchronize through the broker.
 type SyncMode int
@@ -87,6 +96,20 @@ func (m SyncMode) String() string {
 	}
 }
 
+// MarshalText is String, the name ParseSyncMode reads, for a known mode.
+func (m SyncMode) MarshalText() ([]byte, error) {
+	if m != SyncLockstep && m != SyncAsync {
+		return nil, fmt.Errorf("campaign: unknown sync mode %d", int(m))
+	}
+	return []byte(m.String()), nil
+}
+
+// UnmarshalText is ParseSyncMode.
+func (m *SyncMode) UnmarshalText(text []byte) (err error) {
+	*m, err = ParseSyncMode(string(text))
+	return err
+}
+
 // ParseSyncMode maps a flag value to a sync mode.
 func ParseSyncMode(name string) (SyncMode, error) {
 	switch name {
@@ -99,39 +122,64 @@ func ParseSyncMode(name string) (SyncMode, error) {
 	}
 }
 
-// Config describes a parallel campaign.
+// Config describes a parallel campaign. It is the one record of a
+// campaign's configuration: nyx-net fills it from its flags, the service
+// from a spec, and a checkpoint's header embeds it. Its JSON keys are the
+// service spec's, and its enums travel as the names their flags take.
+// service.Spec must keep these keys: the service reads a header's Config
+// as a Spec when a tree has no spec of its own.
 type Config struct {
 	// Target is the registered target name (targets.Names lists them).
-	Target string
-	// Workers is the number of parallel fuzzer instances (default 1).
-	Workers int
+	Target string `json:"target"`
+	// Workers is the number of parallel fuzzer instances (default 1, at
+	// most 1024).
+	Workers int `json:"workers"`
 	// Policy is the snapshot placement policy every worker uses.
-	Policy core.Policy
+	Policy core.Policy `json:"policy"`
 	// Seed is the master seed; worker i fuzzes with an RNG derived
 	// deterministically from (Seed, epoch, i).
-	Seed int64
+	Seed int64 `json:"seed"`
 	// SyncInterval overrides DefaultSyncInterval when > 0.
-	SyncInterval time.Duration
+	SyncInterval time.Duration `json:"sync_interval_ns"`
 	// Sched is the queue scheduling strategy every worker uses (default
 	// core.SchedAFL).
-	Sched core.Sched
+	Sched core.Sched `json:"sched"`
 	// Power is the AFLfast-style power schedule every worker layers on the
-	// AFL scheduler (default core.PowerOff).
-	Power core.Power
+	// AFL scheduler (default core.PowerOff; any other needs core.SchedAFL).
+	Power core.Power `json:"power"`
 	// SnapBudget, when > 0, enables each worker's prefix-keyed snapshot
 	// pool with this byte budget (core.Options.SnapBudget). Slots are
 	// per-VM, so the budget is per worker; cross-worker snapshot sharing
 	// is an open ROADMAP item.
-	SnapBudget int64
+	SnapBudget int64 `json:"snap_budget"`
 	// Asan enables sanitizer instrumentation in every worker's VM.
-	Asan bool
+	Asan bool `json:"asan"`
 	// SyncMode selects lockstep (deterministic, the zero value) or async
 	// (barrier-free epoch sync) worker synchronization.
-	SyncMode SyncMode
+	SyncMode SyncMode `json:"sync_mode"`
 	// epochHook, when set, is called after each async worker finishes an
 	// epoch exchange (test instrumentation: the slow-worker isolation test
 	// parks one worker here and asserts the others keep their pace).
 	epochHook func(worker, epoch int)
+}
+
+// Validate reports whether c describes a campaign this build can run: every
+// enum is a known value, there are at most maxWorkers workers, and a power
+// schedule runs on the AFL scheduler (round-robin has no energy function to
+// reshape). It does not look the target up; launching does.
+func (c Config) Validate() error {
+	for _, e := range []encoding.TextMarshaler{c.Policy, c.Sched, c.Power, c.SyncMode} {
+		if _, err := e.MarshalText(); err != nil {
+			return err
+		}
+	}
+	if c.Workers > maxWorkers {
+		return fmt.Errorf("campaign: %d workers is more than %d", c.Workers, maxWorkers)
+	}
+	if c.Power != core.PowerOff && c.Sched != core.SchedAFL {
+		return fmt.Errorf("campaign: power schedule %v requires the afl scheduler (round-robin has no energy function to reshape)", c.Power)
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -184,6 +232,9 @@ type Campaign struct {
 // New launches cfg.Workers fresh instances of the target and wires them to
 // a new broker. Every worker starts from the target's bundled seeds.
 func New(cfg Config) (*Campaign, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	return newCampaign(cfg.withDefaults(), 0, nil, nil)
 }
 
@@ -199,14 +250,9 @@ type workerSeeds struct {
 // newCampaign is shared between New and Resume: epoch tags the RNG
 // derivation, seedsFor overrides the initial corpus per worker plus any
 // restored scheduler/power metadata (nil means the target's bundled
-// seeds), and br supplies restored broker state.
+// seeds), and br supplies restored broker state. The caller has validated
+// cfg.
 func newCampaign(cfg Config, epoch int, seedsFor func(i int) (workerSeeds, error), br *broker) (*Campaign, error) {
-	if cfg.Workers > 1024 {
-		return nil, fmt.Errorf("campaign: %d workers is unreasonable", cfg.Workers)
-	}
-	if cfg.Power != core.PowerOff && cfg.Sched == core.SchedRoundRobin {
-		return nil, fmt.Errorf("campaign: power schedule %v requires the afl scheduler (round-robin has no energy function to reshape)", cfg.Power)
-	}
 	c := &Campaign{cfg: cfg, epoch: epoch, broker: br}
 	if c.broker == nil {
 		c.broker = newBroker()
@@ -265,7 +311,7 @@ func deriveSeed(master int64, epoch, worker int) int64 {
 // worker quiesced and all publications in the broker, so the campaign is
 // checkpointable between calls.
 func (c *Campaign) RunFor(d time.Duration) error {
-	if c.cfg.SyncMode == SyncAsync {
+	if c.cfg.SyncMode == SyncAsync || len(c.workers) == 1 {
 		return c.runAsync(d)
 	}
 	deadlines := make([]time.Duration, len(c.workers))
@@ -289,13 +335,18 @@ func (c *Campaign) RunFor(d time.Duration) error {
 // each worker loops fuzz-epoch → exchange → drain imports on its own
 // goroutine and its own clock. A final exchange after the deadline flushes
 // whatever the last partial epoch queued, so RunFor returns with the
-// broker holding every publication (checkpointable).
+// broker holding every publication (checkpointable). A lone worker has no
+// barrier to meet and nothing to import, so under either schedule it runs
+// here, and the final flush is its one exchange.
 func (c *Campaign) runAsync(d time.Duration) error {
 	return c.parallel(func(w *worker) error {
 		deadline := w.fz.Elapsed() + d
 		for !c.stopped.Load() && w.fz.Elapsed() < deadline {
 			if err := c.fuzzEpoch(w, deadline); err != nil {
 				return err
+			}
+			if len(c.workers) == 1 {
+				continue
 			}
 			if err := c.syncWorker(w); err != nil {
 				return err
@@ -510,20 +561,19 @@ func (c *Campaign) Stopped() bool { return c.stopped.Load() }
 // Workers returns the number of workers.
 func (c *Campaign) Workers() int { return len(c.workers) }
 
-// SyncInterval returns the effective lockstep round length — the
+// Config returns the campaign's configuration with its defaults filled in:
+// after a resume, the one its checkpoint recorded. Its SyncInterval is the
 // deterministic slicing unit service-mode scheduling must respect
 // (RunFor(a); RunFor(b) is not RunFor(a+b) unless both are multiples of
 // it).
-func (c *Campaign) SyncInterval() time.Duration { return c.cfg.SyncInterval }
+func (c *Campaign) Config() Config { return c.cfg }
 
-// Rounds returns how many lockstep barrier rounds have completed.
+// Rounds returns how many lockstep barrier rounds have completed (a lone
+// worker meets no barrier).
 func (c *Campaign) Rounds() int { return c.rounds }
 
 // Coverage returns the number of distinct edges in the global virgin map.
 func (c *Campaign) Coverage() int { return c.broker.virgin.Edges() }
-
-// SyncMode returns the campaign's worker synchronization mode.
-func (c *Campaign) SyncMode() SyncMode { return c.cfg.SyncMode }
 
 // SyncStats reports the broker synchronization cost counters. Read it
 // between RunFor calls (like every other accessor).
@@ -610,13 +660,20 @@ type WorkerStats struct {
 	PoolMisses    uint64
 	PoolEvictions uint64
 	PoolBytes     int64
+	// SnapshotExecs counts the executions that resumed from an incremental
+	// snapshot; Restores and RestoreWall are the worker's machine's restores
+	// of both kinds and their estimated wall time (vm.MachineStats). Like
+	// Execs, they count since the worker's launch.
+	SnapshotExecs uint64
+	Restores      uint64
+	RestoreWall   time.Duration
 }
 
 // PerWorker returns each worker's local statistics.
 func (c *Campaign) PerWorker() []WorkerStats {
 	out := make([]WorkerStats, len(c.workers))
 	for i, w := range c.workers {
-		ps := w.fz.PoolStats()
+		ps, ms := w.fz.PoolStats(), w.inst.M.Stats()
 		out[i] = WorkerStats{
 			ID:            w.id,
 			Execs:         w.fz.Execs(),
@@ -627,6 +684,9 @@ func (c *Campaign) PerWorker() []WorkerStats {
 			PoolMisses:    ps.Misses,
 			PoolEvictions: ps.Evictions,
 			PoolBytes:     ps.Bytes,
+			SnapshotExecs: w.fz.SnapshotExecs(),
+			Restores:      ms.RootRestores + ms.IncRestores,
+			RestoreWall:   ms.RestoreWall,
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"encoding"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -75,17 +76,46 @@ func run(t *testing.T, cfg Config, d time.Duration) *Campaign {
 	return c
 }
 
+// A one-worker campaign fuzzes exactly as its fuzzer would alone, and
+// exchanges with the broker once per RunFor, when it ends.
 func TestCampaignSingleWorkerMatchesFuzzer(t *testing.T) {
-	c := run(t, testCfg(1, 1), 2*time.Second)
-	if c.Workers() != 1 {
-		t.Fatalf("workers = %d", c.Workers())
-	}
-	w := c.workers[0]
-	if c.Coverage() != w.fz.Coverage() {
-		t.Fatalf("aggregated coverage %d != worker coverage %d", c.Coverage(), w.fz.Coverage())
-	}
-	if c.Execs() != w.fz.Execs() {
-		t.Fatalf("aggregated execs %d != worker execs %d", c.Execs(), w.fz.Execs())
+	for _, mode := range []SyncMode{SyncLockstep, SyncAsync} {
+		cfg := testCfg(1, 1)
+		cfg.SyncMode, cfg.Power = mode, core.PowerCoe
+		c := run(t, cfg, 2*time.Second)
+		if c.Workers() != 1 {
+			t.Fatalf("workers = %d", c.Workers())
+		}
+		w := c.workers[0]
+		if c.Coverage() != w.fz.Coverage() {
+			t.Fatalf("%v: aggregated coverage %d != worker coverage %d", mode, c.Coverage(), w.fz.Coverage())
+		}
+		if c.Execs() != w.fz.Execs() {
+			t.Fatalf("%v: aggregated execs %d != worker execs %d", mode, c.Execs(), w.fz.Execs())
+		}
+		if st := c.SyncStats(); st.Epochs != 1 {
+			t.Fatalf("%v: %d exchanges in one RunFor, want 1", mode, st.Epochs)
+		}
+
+		inst, err := targets.Launch(cfg.Target, targets.LaunchConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone := core.New(inst.Agent, inst.Spec, core.Options{
+			Policy:     cfg.Policy,
+			Seeds:      inst.Seeds(),
+			Power:      cfg.Power,
+			SnapBudget: cfg.SnapBudget,
+			Rand:       rand.New(rand.NewSource(deriveSeed(cfg.Seed, 0, 0))),
+			Dict:       inst.Info.Dict,
+		})
+		if err := alone.RunFor(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if w.fz.Execs() != alone.Execs() || w.fz.Coverage() != alone.Coverage() || len(w.fz.Queue) != len(alone.Queue) {
+			t.Fatalf("%v: the worker ran %d execs to %d edges and %d entries, its fuzzer alone %d, %d and %d", mode,
+				w.fz.Execs(), w.fz.Coverage(), len(w.fz.Queue), alone.Execs(), alone.Coverage(), len(alone.Queue))
+		}
 	}
 }
 
@@ -887,7 +917,7 @@ func TestResumeRefusesOldManifestVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m, err := readManifest(tree); err != nil || m.Version != manifestVersion || m.SyncMode != "lockstep" || len(m.WorkerEpochs) != 1 {
+	if m, err := readManifest(tree); err != nil || m.Version != manifestVersion || m.SyncMode != SyncLockstep || len(m.WorkerEpochs) != 1 {
 		t.Fatalf("lockstep manifest: %+v, %v", m, err)
 	}
 	refused := func(v int, tree store.Tree) {
@@ -900,7 +930,7 @@ func TestResumeRefusesOldManifestVersions(t *testing.T) {
 			t.Fatalf("version-%d manifest summarized", v)
 		}
 	}
-	for _, v := range []int{0, 1, 2, 3, 4, 5, manifestVersion + 1} {
+	for _, v := range []int{0, 1, 2, 3, 4, 5, 6, manifestVersion + 1} {
 		refused(v, editManifest(t, tree, func(m *manifest) { m.Version = v }))
 	}
 	// A header shaped the way version 4 shaped it: the corpus and the
@@ -911,8 +941,31 @@ func TestResumeRefusesOldManifestVersions(t *testing.T) {
 	refused(4, v4)
 }
 
-// The checkpoint is untrusted: enum fields outside their range and worker
-// indices outside the campaign are errors, not silent defaults.
+// editManifestKey returns a copy of tree whose header has key set to the
+// JSON value raw: what a typed edit cannot write, such as an enum name no
+// constant has.
+func editManifestKey(t *testing.T, tree store.Tree, key, raw string) store.Tree {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(tree[ManifestFile], &m); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m[key]; !ok {
+		t.Fatalf("the header has no %q", key)
+	}
+	m[key] = json.RawMessage(raw)
+	enc, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := maps.Clone(tree)
+	out[ManifestFile] = enc
+	return out
+}
+
+// The checkpoint is untrusted: enum names no value has, enums in the integer
+// form of earlier versions and worker indices outside the campaign are
+// errors, not silent defaults. An enum's error names its field.
 func TestResumeRejectsBadManifest(t *testing.T) {
 	orig := run(t, asyncCfg(2, 12), time.Second)
 	tree, err := orig.CheckpointTree()
@@ -933,22 +986,89 @@ func TestResumeRejectsBadManifest(t *testing.T) {
 	if _, err := ResumeTree(editBroker(t, tree, pending(1))); err != nil {
 		t.Fatalf("in-range edit refused: %v", err)
 	}
-	for name, bad := range map[string]store.Tree{
-		"policy 99":            editManifest(t, tree, func(m *manifest) { m.Policy = 99 }),
-		"policy -1":            editManifest(t, tree, func(m *manifest) { m.Policy = -1 }),
-		"sched 2":              editManifest(t, tree, func(m *manifest) { m.Sched = 2 }),
-		"power 2":              editManifest(t, tree, func(m *manifest) { m.Power = 2 }),
-		"sync mode":            editManifest(t, tree, func(m *manifest) { m.SyncMode = "sometimes" }),
-		"three epoch counters": editManifest(t, tree, func(m *manifest) { m.WorkerEpochs = []int{1, 1, 1} }),
-		"corpus count":         editManifest(t, tree, func(m *manifest) { m.Corpus++ }),
-		"crash count":          editManifest(t, tree, func(m *manifest) { m.Crashes++ }),
-		"corpus worker 2":      editBroker(t, tree, corpusWorker(2)),
-		"corpus worker -1":     editBroker(t, tree, corpusWorker(-1)),
-		"pending queue 2":      editBroker(t, tree, pending(2)),
-		"no pending queues":    editBroker(t, tree, func(b *broker) { b.pending = nil }),
+	for name, bad := range map[string]struct {
+		tree store.Tree
+		want string // what the error says, when it must name a field
+	}{
+		"policy nyxnet-aggressive": {editManifestKey(t, tree, "policy", `"nyxnet-aggressive"`), "unknown policy"},
+		"policy 2":                 {editManifestKey(t, tree, "policy", `2`), ".policy of type core.Policy"},
+		"sched fifo":               {editManifestKey(t, tree, "sched", `"fifo"`), "unknown scheduler"},
+		"power fast":               {editManifestKey(t, tree, "power", `"fast"`), "unknown power schedule"},
+		"sync mode":                {editManifestKey(t, tree, "sync_mode", `"sometimes"`), "unknown sync mode"},
+		"power on round-robin": {editManifest(t, tree, func(m *manifest) { m.Sched, m.Power = core.SchedRoundRobin, core.PowerCoe }),
+			"requires the afl scheduler"},
+		"1025 workers":         {editManifest(t, tree, func(m *manifest) { m.Workers = 1025 }), "1025 workers"},
+		"three epoch counters": {editManifest(t, tree, func(m *manifest) { m.WorkerEpochs = []int{1, 1, 1} }), ""},
+		"corpus count":         {editManifest(t, tree, func(m *manifest) { m.Corpus++ }), ""},
+		"crash count":          {editManifest(t, tree, func(m *manifest) { m.Crashes++ }), ""},
+		"corpus worker 2":      {editBroker(t, tree, corpusWorker(2)), ""},
+		"corpus worker -1":     {editBroker(t, tree, corpusWorker(-1)), ""},
+		"pending queue 2":      {editBroker(t, tree, pending(2)), ""},
+		"no pending queues":    {editBroker(t, tree, func(b *broker) { b.pending = nil }), ""},
 	} {
-		if c, err := ResumeTree(bad); err == nil {
+		c, err := ResumeTree(bad.tree)
+		if err == nil {
 			t.Errorf("%s: resumed (policy %v, sched %v, power %v), want an error", name, c.cfg.Policy, c.cfg.Sched, c.cfg.Power)
+		} else if !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("%s: err = %v, want one saying %q", name, err, bad.want)
+		}
+	}
+}
+
+// Every field of the campaign's configuration, and every value of each of
+// its enums, comes back from a checkpoint as it went in: the header embeds
+// Config, and ResumeTree and Summarize read it back.
+func TestCheckpointRoundTripsEveryConfigField(t *testing.T) {
+	cfgs := []Config{
+		{Target: "lightftp", Workers: 2, Policy: core.PolicyNone, Seed: -5, SyncInterval: 250 * time.Millisecond,
+			Sched: core.SchedRoundRobin, Power: core.PowerOff, SnapBudget: 0, Asan: true, SyncMode: SyncLockstep},
+		{Target: "dnsmasq", Workers: 1, Policy: core.PolicyBalanced, Seed: 7, SyncInterval: time.Second,
+			Sched: core.SchedAFL, Power: core.PowerCoe, SnapBudget: 1 << 20, SyncMode: SyncAsync},
+		{Target: "tinydtls", Workers: 3, Policy: core.PolicyAggressive, Seed: 1 << 40, SyncInterval: 100 * time.Millisecond,
+			Sched: core.SchedAFL, SnapBudget: DefaultSnapBudget, SyncMode: SyncLockstep},
+	}
+	// Every value each enum can take appears in some configuration above,
+	// and so does a non-zero value of every field.
+	seen := map[string]bool{}
+	set := reflect.New(reflect.TypeFor[Config]()).Elem()
+	for _, cfg := range cfgs {
+		for _, e := range []encoding.TextMarshaler{cfg.Policy, cfg.Sched, cfg.Power, cfg.SyncMode} {
+			seen[fmt.Sprintf("%T %v", e, e)] = true
+		}
+		v := reflect.ValueOf(cfg)
+		for i := range v.NumField() {
+			if set.Type().Field(i).IsExported() && !v.Field(i).IsZero() {
+				set.Field(i).Set(v.Field(i))
+			}
+		}
+	}
+	for v := range 8 {
+		for _, e := range []encoding.TextMarshaler{core.Policy(v), core.Sched(v), core.Power(v), SyncMode(v)} {
+			if _, err := e.MarshalText(); err == nil && !seen[fmt.Sprintf("%T %v", e, e)] {
+				t.Errorf("no configuration has %T %v", e, e)
+			}
+		}
+	}
+	for i := range set.NumField() {
+		if f := set.Type().Field(i); f.IsExported() && set.Field(i).IsZero() {
+			t.Errorf("no configuration sets Config.%s", f.Name)
+		}
+	}
+
+	for _, cfg := range cfgs {
+		tree, err := run(t, cfg, 10*time.Millisecond).CheckpointTree()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := ResumeTree(tree)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Target, err)
+		}
+		if !reflect.DeepEqual(r.cfg, cfg) {
+			t.Errorf("resumed configuration\n  got  %+v\n  want %+v", r.cfg, cfg)
+		}
+		if s, err := Summarize(tree); err != nil || !reflect.DeepEqual(s.Config, cfg) {
+			t.Errorf("summarized configuration %+v, %v; want %+v", s.Config, err, cfg)
 		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 	"repro/internal/store"
 )
 
-// Checkpoint format, manifest version 6 — one store.Tree, written atomically
+// Checkpoint format, manifest version 7 — one store.Tree, written atomically
 // via PutTree. This comment is the format's one specification.
 //
 //	manifest.json                    the header: compact JSON of type manifest
@@ -30,7 +30,25 @@ import (
 //
 // The header holds what a listing, a summary or a person reads — the
 // campaign's configuration, clock, counters (the corpus and crashes as
-// counts) and coverage log — and its size does not depend on the corpus.
+// counts) and coverage log — and its size does not depend on the corpus. It
+// is one JSON object, in this key order:
+//
+//	version                                  7
+//	target, workers, policy, seed,           the campaign's Config, embedded: the
+//	sync_interval_ns, sched, power,          service spec's keys, every enum by the
+//	snap_budget, asan, sync_mode             name its flag takes (policy none |
+//	                                         balanced | aggressive, sched afl | rr,
+//	                                         power off | coe, sync_mode lockstep |
+//	                                         async)
+//	epoch, rounds, elapsed_ns                the resume count, lockstep rounds, virtual clock
+//	published, deduped                       the broker's counters
+//	corpus_entries, crash_entries            broker.bin's counts
+//	worker_epochs                            each worker's epoch counter (omitted when empty)
+//	cov_log                                  the coverage log: {t_ns, edges} points
+//
+// A resume validates the configuration as New does (Config.Validate): a name
+// no value has, or a number where a name belongs, is an error.
+//
 // Everything that grows with the corpus is binary, written and read in one
 // pass through the bounded canonical codec of the guest state image
 // (guest.StateWriter/StateReader): little-endian, strings and byte strings
@@ -99,7 +117,7 @@ import (
 // manifestVersion is the one checkpoint format this build writes and reads;
 // a tree that declares any other is refused by number (README says how to
 // carry an older tree over).
-const manifestVersion = 6
+const manifestVersion = 7
 
 // Tree keys beside the per-worker files. ManifestFile is the one a listing
 // needs: Summarize reads nothing else.
@@ -109,26 +127,13 @@ const (
 	brokerFile   = "broker.bin"
 )
 
+// manifest is the header. Its configuration is the campaign's Config,
+// embedded, so its keys are the service spec's and its enums are names.
 type manifest struct {
-	Version      int           `json:"version"`
-	Target       string        `json:"target"`
-	Policy       int           `json:"policy"`
-	PolicyName   string        `json:"policy_name"` // informational
-	Workers      int           `json:"workers"`
-	Seed         int64         `json:"seed"`
-	Epoch        int           `json:"epoch"`
-	Rounds       int           `json:"rounds"`
-	SyncInterval time.Duration `json:"sync_interval_ns"`
-	Sched        int           `json:"sched"`
-	SchedName    string        `json:"sched_name"` // informational
-	Power        int           `json:"power,omitempty"`
-	PowerName    string        `json:"power_name,omitempty"` // informational
-	// SnapBudget is the per-worker snapshot-pool byte budget (0: pool
-	// disabled).
-	SnapBudget int64 `json:"snap_budget,omitempty"`
-	Asan       bool  `json:"asan"`
-	// SyncMode names the schedule ("lockstep" | "async").
-	SyncMode string `json:"sync_mode"`
+	Version int `json:"version"`
+	Config
+	Epoch  int `json:"epoch"`
+	Rounds int `json:"rounds"`
 	// Elapsed is the campaign's cumulative virtual time at checkpoint;
 	// the resumed campaign's clock (and hence its coverage-log and crash
 	// timestamps) continues from here instead of restarting at zero.
@@ -146,7 +151,8 @@ type manifest struct {
 }
 
 // readManifest decodes a tree's header and refuses every version but this
-// build's.
+// build's. The header is outside input: an enum that names no known value
+// is an error from its UnmarshalText, never a silent default.
 func readManifest(t store.Tree) (manifest, error) {
 	var m manifest
 	enc, ok := t[ManifestFile]
@@ -160,44 +166,6 @@ func readManifest(t store.Tree) (manifest, error) {
 		return m, fmt.Errorf("manifest version %d is not supported (this build reads version %d only)", m.Version, manifestVersion)
 	}
 	return m, nil
-}
-
-// config returns the campaign configuration the header records. The header
-// is outside input: a raw cast would let an unknown policy silently fuzz as
-// the default, so every enum is checked against its range.
-func (m *manifest) config() (Config, error) {
-	for _, f := range []struct {
-		name   string
-		v, max int
-	}{
-		{"policy", m.Policy, int(core.PolicyAggressive)},
-		{"sched", m.Sched, int(core.SchedRoundRobin)},
-		{"power", m.Power, int(core.PowerCoe)},
-	} {
-		if f.v < 0 || f.v > f.max {
-			return Config{}, fmt.Errorf("manifest %s %d out of range 0..%d", f.name, f.v, f.max)
-		}
-	}
-	syncMode, err := ParseSyncMode(m.SyncMode)
-	if err != nil {
-		return Config{}, err
-	}
-	cfg := Config{
-		Target:       m.Target,
-		Workers:      m.Workers,
-		Policy:       core.Policy(m.Policy),
-		Seed:         m.Seed,
-		SyncInterval: m.SyncInterval,
-		Sched:        core.Sched(m.Sched),
-		Power:        core.Power(m.Power),
-		SnapBudget:   m.SnapBudget,
-		Asan:         m.Asan,
-		SyncMode:     syncMode,
-	}.withDefaults()
-	if len(m.WorkerEpochs) > cfg.Workers {
-		return Config{}, fmt.Errorf("%d worker epochs for %d workers", len(m.WorkerEpochs), cfg.Workers)
-	}
-	return cfg, nil
 }
 
 // CheckpointTo writes the campaign's full resumable state as the tree
@@ -245,28 +213,16 @@ func (c *Campaign) CheckpointTree() (store.Tree, error) {
 	c.broker.encode(&bw)
 	t[brokerFile] = bw.Bytes()
 	m := manifest{
-		Version:      manifestVersion,
-		Target:       c.cfg.Target,
-		Policy:       int(c.cfg.Policy),
-		PolicyName:   c.cfg.Policy.String(),
-		Workers:      c.cfg.Workers,
-		Seed:         c.cfg.Seed,
-		Epoch:        c.epoch,
-		Rounds:       c.rounds,
-		SyncInterval: c.cfg.SyncInterval,
-		Sched:        int(c.cfg.Sched),
-		SchedName:    c.cfg.Sched.String(),
-		Power:        int(c.cfg.Power),
-		PowerName:    c.cfg.Power.String(),
-		SnapBudget:   c.cfg.SnapBudget,
-		Asan:         c.cfg.Asan,
-		SyncMode:     c.cfg.SyncMode.String(),
-		Elapsed:      c.Elapsed(),
-		Published:    c.broker.published,
-		Deduped:      c.broker.deduped,
-		Corpus:       len(c.broker.corpus),
-		Crashes:      len(c.broker.crashes),
-		CovLog:       c.broker.covLog,
+		Version:   manifestVersion,
+		Config:    c.cfg,
+		Epoch:     c.epoch,
+		Rounds:    c.rounds,
+		Elapsed:   c.Elapsed(),
+		Published: c.broker.published,
+		Deduped:   c.broker.deduped,
+		Corpus:    len(c.broker.corpus),
+		Crashes:   len(c.broker.crashes),
+		CovLog:    c.broker.covLog,
 	}
 	for _, w := range c.workers {
 		m.WorkerEpochs = append(m.WorkerEpochs, w.epoch)
@@ -538,9 +494,12 @@ func ResumeTree(t store.Tree) (_ *Campaign, err error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := m.config()
-	if err != nil {
+	if err := m.Validate(); err != nil {
 		return nil, err
+	}
+	cfg := m.Config.withDefaults()
+	if len(m.WorkerEpochs) > cfg.Workers {
+		return nil, fmt.Errorf("%d worker epochs for %d workers", len(m.WorkerEpochs), cfg.Workers)
 	}
 	virgin, ok := t[virginFile]
 	if !ok {
@@ -669,10 +628,10 @@ func ResumeTree(t store.Tree) (_ *Campaign, err error) {
 }
 
 // Summary is the cheap checkpoint metadata a service can surface without
-// paying for a full resume (no VM launch, no corpus re-import).
+// paying for a full resume (no VM launch, no corpus re-import): the
+// campaign's configuration as its header records it, and its progress.
 type Summary struct {
-	Target  string        `json:"target"`
-	Workers int           `json:"workers"`
+	Config  Config        `json:"config"`
 	Epoch   int           `json:"epoch"`
 	Elapsed time.Duration `json:"elapsed_ns"`
 	Edges   int           `json:"edges"`
@@ -688,8 +647,7 @@ func Summarize(t store.Tree) (Summary, error) {
 		return Summary{}, fmt.Errorf("campaign: summarize: %w", err)
 	}
 	s := Summary{
-		Target:  m.Target,
-		Workers: m.Workers,
+		Config:  m.Config,
 		Epoch:   m.Epoch,
 		Elapsed: m.Elapsed,
 		Crashes: m.Crashes,

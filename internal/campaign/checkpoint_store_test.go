@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -190,7 +191,7 @@ func TestSummarize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Target != "lightftp" || s.Workers != 2 {
+	if !reflect.DeepEqual(s.Config, c.cfg) {
 		t.Fatalf("summary %+v", s)
 	}
 	if s.Elapsed != c.Elapsed() {

@@ -32,7 +32,7 @@ func ReencodeManifest(raw []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := m.config(); err != nil {
+	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	return json.Marshal(&m)

@@ -27,7 +27,10 @@ import (
 // new); the tree digests, and nothing else, moved again with manifest
 // version 6 (sched.bin lost the retired adaptive schedule's two fields, the
 // header snapshot_reuse, coe's number went from 2 to 1), where each new tree
-// rewritten in the version-5 layout reproduced the old digest. Re-record with
+// rewritten in the version-5 layout reproduced the old digest; and once more
+// with manifest version 7 (the header embeds Config, its enums by name, and
+// lost the *_name duplicates), edited by hand after each new tree rewritten in
+// the version-6 layout reproduced the recorded digest. Re-record with
 //
 //	NYX_UPDATE_GOLDEN=1 go test ./internal/core ./internal/campaign ./internal/targets -run 'Recorded|LockstepGolden'
 //

@@ -52,18 +52,30 @@ func (p Policy) String() string {
 	}
 }
 
+// policyNames are the policies' flag and service-spec names.
+var policyNames = [...]string{PolicyNone: "none", PolicyBalanced: "balanced", PolicyAggressive: "aggressive"}
+
 // ParsePolicy maps a CLI/API policy name to its Policy value.
 func ParsePolicy(name string) (Policy, error) {
-	switch name {
-	case "none":
-		return PolicyNone, nil
-	case "balanced":
-		return PolicyBalanced, nil
-	case "aggressive":
-		return PolicyAggressive, nil
-	default:
-		return 0, fmt.Errorf("core: unknown policy %q (want none | balanced | aggressive)", name)
+	if i := slices.Index(policyNames[:], name); i >= 0 {
+		return Policy(i), nil
 	}
+	return 0, fmt.Errorf("core: unknown policy %q (want none | balanced | aggressive)", name)
+}
+
+// MarshalText names the policy the way ParsePolicy reads it, so a Policy is
+// a flag.TextVar value and a JSON name.
+func (p Policy) MarshalText() ([]byte, error) {
+	if p < 0 || int(p) >= len(policyNames) {
+		return nil, fmt.Errorf("core: unknown policy %d", int(p))
+	}
+	return []byte(policyNames[p]), nil
+}
+
+// UnmarshalText is ParsePolicy.
+func (p *Policy) UnmarshalText(text []byte) (err error) {
+	*p, err = ParsePolicy(string(text))
+	return err
 }
 
 // MinPacketsForSnapshot: below this input length both placement policies

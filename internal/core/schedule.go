@@ -79,6 +79,24 @@ func ParseSched(name string) (Sched, error) {
 	}
 }
 
+// MarshalText names the strategy the way its flag takes it.
+func (s Sched) MarshalText() ([]byte, error) {
+	switch s {
+	case SchedAFL:
+		return []byte("afl"), nil
+	case SchedRoundRobin:
+		return []byte("rr"), nil
+	default:
+		return nil, fmt.Errorf("core: unknown scheduler %d", int(s))
+	}
+}
+
+// UnmarshalText is ParseSched.
+func (s *Sched) UnmarshalText(text []byte) (err error) {
+	*s, err = ParseSched(string(text))
+	return err
+}
+
 // Power selects the AFLfast-style power schedule layered on top of the AFL
 // scheduler for long-horizon campaigns. The baseline energy function was
 // tuned for the short-horizon frontier cascade and clamps every round at
@@ -127,6 +145,20 @@ func ParsePower(name string) (Power, error) {
 	default:
 		return 0, fmt.Errorf("core: unknown power schedule %q (want off | coe)", name)
 	}
+}
+
+// MarshalText is String, the name ParsePower reads, for a known schedule.
+func (p Power) MarshalText() ([]byte, error) {
+	if p != PowerOff && p != PowerCoe {
+		return nil, fmt.Errorf("core: unknown power schedule %d", int(p))
+	}
+	return []byte(p.String()), nil
+}
+
+// UnmarshalText is ParsePower.
+func (p *Power) UnmarshalText(text []byte) (err error) {
+	*p, err = ParsePower(string(text))
+	return err
 }
 
 // skipOld is the probability (percent) of skipping an already-fuzzed

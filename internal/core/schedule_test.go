@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -797,5 +798,51 @@ func TestPeerEdgePicksShapeRarity(t *testing.T) {
 	}
 	if mean != (16+200)/2 {
 		t.Fatalf("combined mean = %d, want %d", mean, (16+200)/2)
+	}
+}
+
+// Every policy, scheduler and power schedule marshals to the name its Parse
+// function reads, and UnmarshalText reads it back; a value with no name does
+// not marshal, and a name no value has does not unmarshal.
+func TestEnumsMarshalTheirFlagNames(t *testing.T) {
+	type (
+		marshaler   interface{ MarshalText() ([]byte, error) }
+		unmarshaler interface{ UnmarshalText([]byte) error }
+	)
+	policy := func(s string) (any, error) { return ParsePolicy(s) }
+	sched := func(s string) (any, error) { return ParseSched(s) }
+	power := func(s string) (any, error) { return ParsePower(s) }
+	for _, tc := range []struct {
+		v     marshaler
+		name  string
+		parse func(string) (any, error)
+		back  unmarshaler
+	}{
+		{PolicyNone, "none", policy, new(Policy)},
+		{PolicyBalanced, "balanced", policy, new(Policy)},
+		{PolicyAggressive, "aggressive", policy, new(Policy)},
+		{SchedAFL, "afl", sched, new(Sched)},
+		{SchedRoundRobin, "rr", sched, new(Sched)},
+		{PowerOff, "off", power, new(Power)},
+		{PowerCoe, "coe", power, new(Power)},
+	} {
+		text, err := tc.v.MarshalText()
+		if err != nil || string(text) != tc.name {
+			t.Fatalf("%T %v marshals to %q, %v; want %q", tc.v, tc.v, text, err, tc.name)
+		}
+		if got, err := tc.parse(tc.name); err != nil || got != tc.v {
+			t.Fatalf("%q parses to %v, %v; want %v", tc.name, got, err, tc.v)
+		}
+		if err := tc.back.UnmarshalText(text); err != nil || reflect.ValueOf(tc.back).Elem().Interface() != tc.v {
+			t.Fatalf("%q unmarshals to %v, %v; want %v", text, tc.back, err, tc.v)
+		}
+		if err := tc.back.UnmarshalText([]byte("bogus")); err == nil {
+			t.Fatalf("%T unmarshalled an unknown name", tc.back)
+		}
+	}
+	for _, v := range []marshaler{Policy(-1), Policy(3), Sched(2), Power(2)} {
+		if _, err := v.MarshalText(); err == nil {
+			t.Fatalf("%T %v marshalled", v, v)
+		}
 	}
 }

@@ -215,12 +215,6 @@ func RenderSchedAblation(a *SchedAblation) string {
 	return b.String()
 }
 
-// DefaultSnapBudget is the per-worker snapshot-pool byte budget the
-// snappool ablation (and the nyx-net default) uses: 8 MiB — half a default
-// 16 MiB VM, comfortably many prefix overlays, small enough that long
-// campaigns exercise eviction.
-const DefaultSnapBudget int64 = 8 << 20
-
 // AblationSnapshotPool ablates the snapshot mechanism itself at equal
 // virtual time and equal seed: the prefix-keyed snapshot pool
 // (-snapbudget) against the single-slot snapshot the paper describes, and

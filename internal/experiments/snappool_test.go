@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/golden"
 )
@@ -66,7 +67,7 @@ func TestSnapshotPoolAblationMatchesRecorded(t *testing.T) {
 	}
 	var cells []cell
 	for _, target := range []string{"tinydtls", "dnsmasq"} {
-		cells = append(cells, cell{target, "pool", DefaultSnapBudget}, cell{target, "single-slot", 0})
+		cells = append(cells, cell{target, "pool", campaign.DefaultSnapBudget}, cell{target, "single-slot", 0})
 	}
 	for i, c := range cells {
 		t.Run(c.target+"/"+c.config, func(t *testing.T) {

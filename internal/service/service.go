@@ -27,6 +27,7 @@
 package service
 
 import (
+	"encoding"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -98,7 +99,9 @@ type Spec struct {
 	SyncMode string `json:"sync_mode,omitempty"`
 }
 
-// campaignConfig validates the spec and maps it onto campaign.Config.
+// campaignConfig maps the spec onto campaign.Config, the names through the
+// enums' UnmarshalText, and validates the result. An empty name keeps the
+// spec's default.
 func (s Spec) campaignConfig() (campaign.Config, error) {
 	if s.Target == "" {
 		return campaign.Config{}, errors.New("service: spec has no target")
@@ -106,41 +109,27 @@ func (s Spec) campaignConfig() (campaign.Config, error) {
 	if s.Duration <= 0 {
 		return campaign.Config{}, errors.New("service: spec needs a positive duration_ns")
 	}
-	pol := core.PolicyAggressive
-	if s.Policy != "" {
-		var err error
-		if pol, err = core.ParsePolicy(s.Policy); err != nil {
+	cfg := campaign.Config{
+		Target:       s.Target,
+		Workers:      s.Workers,
+		Policy:       core.PolicyAggressive,
+		Seed:         s.Seed,
+		SyncInterval: s.SyncInterval,
+		SnapBudget:   s.SnapBudget,
+		Asan:         s.Asan,
+	}
+	for _, f := range []struct {
+		name string
+		v    encoding.TextUnmarshaler
+	}{{s.Policy, &cfg.Policy}, {s.Sched, &cfg.Sched}, {s.Power, &cfg.Power}, {s.SyncMode, &cfg.SyncMode}} {
+		if f.name == "" {
+			continue
+		}
+		if err := f.v.UnmarshalText([]byte(f.name)); err != nil {
 			return campaign.Config{}, err
 		}
 	}
-	schedName := s.Sched
-	if schedName == "" {
-		schedName = "afl"
-	}
-	sched, err := core.ParseSched(schedName)
-	if err != nil {
-		return campaign.Config{}, err
-	}
-	power, err := core.ParsePower(s.Power)
-	if err != nil {
-		return campaign.Config{}, err
-	}
-	mode, err := campaign.ParseSyncMode(s.SyncMode)
-	if err != nil {
-		return campaign.Config{}, err
-	}
-	return campaign.Config{
-		Target:       s.Target,
-		Workers:      s.Workers,
-		Policy:       pol,
-		Seed:         s.Seed,
-		SyncInterval: s.SyncInterval,
-		Sched:        sched,
-		Power:        power,
-		SnapBudget:   s.SnapBudget,
-		Asan:         s.Asan,
-		SyncMode:     mode,
-	}, nil
+	return cfg, cfg.Validate()
 }
 
 // Status is a point-in-time snapshot of one campaign.
@@ -341,8 +330,8 @@ func (m *Manager) start(g *managed, c *campaign.Campaign) error {
 func (g *managed) loop(c *campaign.Campaign) {
 	defer g.m.wg.Done()
 	defer close(g.done)
-	chunk := c.SyncInterval()
-	if c.SyncMode() == campaign.SyncAsync {
+	chunk := c.Config().SyncInterval
+	if c.Config().SyncMode == campaign.SyncAsync {
 		// Async campaigns pay a worker-goroutine spin-up and a final flush
 		// exchange per RunFor; slicing a few epochs at a time amortizes
 		// that while keeping control requests responsive.
@@ -747,7 +736,7 @@ func (m *Manager) Recover() ([]Status, error) {
 			Edges:          sum.Edges,
 			Corpus:         sum.Corpus,
 			Crashes:        sum.Crashes,
-			Workers:        sum.Workers,
+			Workers:        sum.Config.Workers,
 			CheckpointedAt: sum.Elapsed,
 		}
 		m.mu.Lock()
@@ -776,9 +765,16 @@ func (m *Manager) readStored(id string) (Spec, campaign.Summary, error) {
 	}
 	switch raw, err := m.cfg.Store.Get(m.treeName(id) + "/" + specKey); {
 	case errors.Is(err, store.ErrNotExist):
-		// A tree checkpointed outside the service (e.g. the one-shot
-		// CLI) still recovers; synthesize the spec from the manifest.
-		spec = Spec{Target: sum.Target, Workers: sum.Workers, Duration: sum.Elapsed}
+		// A tree checkpointed outside the service (the one-shot CLI)
+		// recovers with the configuration its header records: a Config's
+		// JSON is a spec's, names and keys alike. Its budget is what it ran.
+		if raw, err = json.Marshal(sum.Config); err == nil {
+			err = json.Unmarshal(raw, &spec)
+		}
+		if err != nil {
+			return spec, sum, err
+		}
+		spec.Duration = sum.Elapsed
 	case err != nil:
 		return spec, sum, err
 	default:

@@ -2,11 +2,13 @@ package service
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/store"
 )
 
@@ -456,5 +458,88 @@ func TestRecoverSkipsUndecodableCampaign(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// A tree checkpointed outside the service, as nyx-net -store … -checkpoint …
+// writes it (campaign.CheckpointTo and no service.json), recovers with the
+// configuration its header records, not with defaults beside its target and
+// worker count.
+func TestRecoverCLICheckpointKeepsItsConfig(t *testing.T) {
+	st := memStore(t)
+	cfg := campaign.Config{Target: "lightftp", Workers: 2, Policy: core.PolicyNone, Seed: 3,
+		SyncInterval: 500 * time.Millisecond, SnapBudget: 8 << 20, SyncMode: campaign.SyncAsync}
+	c, err := campaign.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RunFor(500 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckpointTo(st, DefaultPrefix+"/cli"); err != nil {
+		t.Fatal(err)
+	}
+	m := New(Config{Store: st})
+	recovered, err := m.Recover()
+	if err != nil || len(recovered) != 1 {
+		t.Fatalf("Recover = %+v, %v; want the one CLI campaign", recovered, err)
+	}
+	want := Spec{ID: "cli", Target: "lightftp", Duration: c.Elapsed(), Workers: 2, Policy: "none", Sched: "afl",
+		Power: "off", Seed: 3, SyncInterval: 500 * time.Millisecond, SnapBudget: 8 << 20, SyncMode: "async"}
+	if got := recovered[0]; got.State != StateStored || got.Spec != want {
+		t.Fatalf("recovered %s as %+v\n  spec %+v\n  want %+v", got.ID, got, got.Spec, want)
+	}
+	if got, err := recovered[0].Spec.campaignConfig(); err != nil || !reflect.DeepEqual(got, cfg) {
+		t.Fatalf("the recovered spec maps to %+v, %v; want %+v", got, err, cfg)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every other field comes back too: a Config's JSON is read as a Spec,
+	// so a key the two spell differently would be dropped here.
+	others := []campaign.Config{
+		{Target: "tinydtls", Workers: 1, Policy: core.PolicyBalanced, Seed: 9, SyncInterval: 250 * time.Millisecond,
+			Sched: core.SchedRoundRobin, Asan: true, SyncMode: campaign.SyncLockstep},
+		{Target: "dnsmasq", Workers: 1, Policy: core.PolicyAggressive, Seed: -4, SyncInterval: time.Second,
+			Power: core.PowerCoe, SnapBudget: 1 << 20, SyncMode: campaign.SyncAsync},
+	}
+	set := reflect.New(reflect.TypeFor[campaign.Config]()).Elem()
+	for _, cfg := range append(others, cfg) {
+		v := reflect.ValueOf(cfg)
+		for i := range v.NumField() {
+			if set.Type().Field(i).IsExported() && !v.Field(i).IsZero() {
+				set.Field(i).Set(v.Field(i))
+			}
+		}
+	}
+	for i := range set.NumField() {
+		if f := set.Type().Field(i); f.IsExported() && set.Field(i).IsZero() {
+			t.Errorf("no configuration sets Config.%s", f.Name)
+		}
+	}
+	for _, cfg := range others {
+		st := memStore(t)
+		c, err := campaign.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RunFor(100 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CheckpointTo(st, DefaultPrefix+"/cli"); err != nil {
+			t.Fatal(err)
+		}
+		m := New(Config{Store: st})
+		recovered, err := m.Recover()
+		if err != nil || len(recovered) != 1 {
+			t.Fatalf("Recover = %+v, %v; want the one CLI campaign", recovered, err)
+		}
+		if got, err := recovered[0].Spec.campaignConfig(); err != nil || !reflect.DeepEqual(got, cfg) {
+			t.Errorf("the recovered spec maps to %+v, %v; want %+v", got, err, cfg)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -416,7 +416,7 @@ func init() {
 		},
 		Dict:    tokens("!stats\n", "!"),
 		Startup: 5 * time.Millisecond, Cleanup: 5 * time.Millisecond,
-		ServerWait: 10 * time.Millisecond, PerPacket: 5 * time.Microsecond,
+		ServerWait:   10 * time.Millisecond,
 		DesockCompat: true,
 	})
 
@@ -439,7 +439,7 @@ func init() {
 			mysqlPacket(1, []byte{0xFF, 0x15, 0x04}), mysqlPacket(1, []byte{0xFE}),
 		},
 		Startup: 90 * time.Millisecond, Cleanup: 40 * time.Millisecond,
-		ServerWait: 70 * time.Millisecond, PerPacket: 40 * time.Microsecond,
+		ServerWait:   70 * time.Millisecond,
 		DesockCompat: false,
 	})
 
@@ -458,7 +458,7 @@ func init() {
 			"Content-Length: ", "Content-Length: 0\r\n", "Content-Length: -1\r\n",
 			"Transfer-Encoding: chunked\r\n", "Range: bytes=0-\r\n", "Connection: close\r\n"),
 		Startup: 55 * time.Millisecond, Cleanup: 30 * time.Millisecond,
-		ServerWait: 60 * time.Millisecond, PerPacket: 55 * time.Microsecond,
+		ServerWait:   60 * time.Millisecond,
 		DesockCompat: true,
 	})
 
@@ -489,7 +489,7 @@ func init() {
 			ipcMsg(3, 1, 0, []byte("p")), ipcMsg(4, 1, 1, []byte{0xFE}), ipcMsg(5, 1, 0, nil),
 		},
 		Startup: 900 * time.Millisecond, Cleanup: 300 * time.Millisecond,
-		ServerWait: 400 * time.Millisecond, PerPacket: 80 * time.Microsecond,
+		ServerWait:   400 * time.Millisecond,
 		DesockCompat: false,
 	})
 }

@@ -173,7 +173,7 @@ func init() {
 		// The paper's slowest target: huge startup (library scan) and
 		// per-request DB cost.
 		Startup: 2500 * time.Millisecond, Cleanup: 400 * time.Millisecond,
-		ServerWait: 500 * time.Millisecond, PerPacket: 2500 * time.Microsecond,
+		ServerWait:   500 * time.Millisecond,
 		DesockCompat: true,
 	})
 }

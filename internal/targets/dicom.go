@@ -193,7 +193,7 @@ func init() {
 			{0x10, 0, 0, 4}, {0x20, 0, 0, 2}, {0xFF, 0xFF, 0xFF, 0xFF},
 		},
 		Startup: 140 * time.Millisecond, Cleanup: 80 * time.Millisecond,
-		ServerWait: 110 * time.Millisecond, PerPacket: 130 * time.Microsecond,
+		ServerWait:   110 * time.Millisecond,
 		DesockCompat: false,
 	})
 }

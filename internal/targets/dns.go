@@ -162,7 +162,7 @@ func init() {
 			dnsQuery(9, "router", "lan"), {0, 1}, {0, 12}, {0xC0, 0x0C}, {63}, {0},
 		},
 		Startup: 35 * time.Millisecond, Cleanup: 25 * time.Millisecond,
-		ServerWait: 50 * time.Millisecond, PerPacket: 35 * time.Microsecond,
+		ServerWait:   50 * time.Millisecond,
 		DesockCompat: true, // the paper's Table 2 has an AFL++ number here
 	})
 }

@@ -188,7 +188,7 @@ func init() {
 			{22, 254, 253}, {1}, {16}, {20}, {0xFF},
 		},
 		Startup: 30 * time.Millisecond, Cleanup: 20 * time.Millisecond,
-		ServerWait: 40 * time.Millisecond, PerPacket: 45 * time.Microsecond,
+		ServerWait:   40 * time.Millisecond,
 		DesockCompat: false,
 	})
 }

@@ -366,7 +366,7 @@ func init() {
 		},
 		Seeds: ftpSeeds(lightPort), Dict: ftpDict(),
 		Startup: 45 * time.Millisecond, Cleanup: 30 * time.Millisecond,
-		ServerWait: 60 * time.Millisecond, PerPacket: 18 * time.Microsecond,
+		ServerWait:   60 * time.Millisecond,
 		DesockCompat: true,
 	})
 
@@ -388,7 +388,7 @@ func init() {
 		},
 		Seeds: ftpSeeds(bftpdPort), Dict: ftpDict("APPE f\r\n"),
 		Startup: 60 * time.Millisecond, Cleanup: 40 * time.Millisecond,
-		ServerWait: 80 * time.Millisecond, PerPacket: 25 * time.Microsecond,
+		ServerWait:   80 * time.Millisecond,
 		DesockCompat: false,
 	})
 
@@ -424,7 +424,7 @@ func init() {
 		Dict: ftpDict("SITE CHMOD 644 f\r\n", "SITE UTIME 202606 f\r\n", "SITE CHGRP g f\r\n",
 			"SITE SYMLINK a b\r\n", "SITE MKDIR d\r\n", "MFMT 20260612 f\r\n", "MDTM f\r\n", "SIZE f\r\n"),
 		Startup: 180 * time.Millisecond, Cleanup: 120 * time.Millisecond,
-		ServerWait: 150 * time.Millisecond, PerPacket: 55 * time.Microsecond,
+		ServerWait:   150 * time.Millisecond,
 		DesockCompat: false,
 	})
 
@@ -453,7 +453,7 @@ func init() {
 		},
 		Seeds: ftpSeeds(purePort), Dict: ftpDict("MDTM f\r\n", "SIZE f\r\n"),
 		Startup: 70 * time.Millisecond, Cleanup: 50 * time.Millisecond,
-		ServerWait: 90 * time.Millisecond, PerPacket: 30 * time.Microsecond,
+		ServerWait:   90 * time.Millisecond,
 		DesockCompat: false,
 	})
 }

@@ -23,11 +23,10 @@ type Instance struct {
 
 // LaunchConfig tunes instance creation.
 type LaunchConfig struct {
-	// MemoryPages sizes the VM (default 4096 pages = 16 MiB).
-	MemoryPages int
 	// Asan enables AddressSanitizer-like corruption detection.
 	Asan bool
-	// VM overrides the machine configuration entirely when non-nil.
+	// VM overrides the machine configuration when non-nil (default 4096
+	// pages = 16 MiB of memory and 16,384 disk sectors).
 	VM *vm.Config
 }
 
@@ -40,10 +39,7 @@ func Launch(name string, cfg LaunchConfig) (*Instance, error) {
 	if !ok {
 		return nil, fmt.Errorf("targets: unknown target %q", name)
 	}
-	vmCfg := vm.Config{MemoryPages: cfg.MemoryPages, DiskSectors: 1 << 14}
-	if vmCfg.MemoryPages == 0 {
-		vmCfg.MemoryPages = 4096
-	}
+	vmCfg := vm.Config{MemoryPages: 4096, DiskSectors: 1 << 14}
 	if cfg.VM != nil {
 		vmCfg = *cfg.VM
 	}

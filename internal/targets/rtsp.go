@@ -213,7 +213,7 @@ func init() {
 			"GET_PARAMETER", "rtsp://h/test.264", "CSeq: 1\r\n", "Transport: RTP/AVP;unicast\r\n",
 			"Transport: RTP/AVP/TCP\r\n", "Session: S1\r\n", "Range: npt=0-\r\n", "%41", "%"),
 		Startup: 120 * time.Millisecond, Cleanup: 70 * time.Millisecond,
-		ServerWait: 100 * time.Millisecond, PerPacket: 240 * time.Microsecond,
+		ServerWait:   100 * time.Millisecond,
 		DesockCompat: false,
 	})
 }

@@ -223,7 +223,7 @@ func init() {
 			"Call-ID: x\r\n", "CSeq: 1 INVITE\r\n", "Max-Forwards: 0\r\n", "Contact: <sip:a@h>\r\n",
 			"Content-Length: 0\r\n", "Route: <sip:p>\r\n", ";lr", "@test.lan"),
 		Startup: 260 * time.Millisecond, Cleanup: 150 * time.Millisecond,
-		ServerWait: 180 * time.Millisecond, PerPacket: 70 * time.Microsecond,
+		ServerWait:   180 * time.Millisecond,
 		DesockCompat: false,
 	})
 }

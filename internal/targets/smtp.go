@@ -202,7 +202,7 @@ func init() {
 			"RCPT TO:<c@d>\r\n", "DATA\r\n", "RSET\r\n", "VRFY a\r\n", "NOOP\r\n", "QUIT\r\n",
 			"Subject: hi\r\n", "From: a@b\r\n", " continued\r\n", ".\r\n", "..\r\n"),
 		Startup: 220 * time.Millisecond, Cleanup: 140 * time.Millisecond,
-		ServerWait: 160 * time.Millisecond, PerPacket: 90 * time.Microsecond,
+		ServerWait:   160 * time.Millisecond,
 		DesockCompat: false,
 	})
 }

@@ -211,7 +211,7 @@ func init() {
 			[]byte("diffie-hellman"), []byte("chacha20"), []byte("zlib"),
 		},
 		Startup: 160 * time.Millisecond, Cleanup: 60 * time.Millisecond,
-		ServerWait: 120 * time.Millisecond, PerPacket: 60 * time.Microsecond,
+		ServerWait:   120 * time.Millisecond,
 		DesockCompat: true,
 	})
 }

@@ -43,8 +43,6 @@ type Info struct {
 	// ServerWait is AFLnet's fixed sleep waiting for the server to be
 	// ready (§2.1: "fixed sleep times to ensure servers are online").
 	ServerWait time.Duration
-	// PerPacket is the target's processing cost per message.
-	PerPacket time.Duration
 
 	// DesockCompat reports whether the AFL++/libpreeny desock layer can
 	// run the target at all (false produces the "n/a" rows of Table 2:

@@ -239,7 +239,7 @@ func init() {
 			{0x13, 0x01}, {0x13, 0x02}, {0xC0, 0x2F}, {0, 10}, {0, 43},
 		},
 		Startup: 200 * time.Millisecond, Cleanup: 90 * time.Millisecond,
-		ServerWait: 130 * time.Millisecond, PerPacket: 150 * time.Microsecond,
+		ServerWait:   130 * time.Millisecond,
 		DesockCompat: true,
 	})
 }
