@@ -363,7 +363,7 @@ func TestAsyncExchangesAreSerializable(t *testing.T) {
 	}
 	outcome := func(b *broker, got [2][]string) string {
 		var w guest.StateWriter
-		b.encode(&w)
+		b.encode(&w, holders{})
 		virgin, err := b.virgin.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)

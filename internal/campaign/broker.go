@@ -213,9 +213,12 @@ type epochDelta struct {
 
 // importItem is one pending redistribution entry in a worker's bounded
 // pull queue. The input is the publisher's own queue entry input, shared
-// read-only with every receiver (see pubDelta).
+// read-only with every receiver (see pubDelta), and corpus is the index in
+// broker.corpus of the entry it was accepted as — what the receiver's queued
+// copy links to (worker.links) — or -1 for an import a resume restored.
 type importItem struct {
 	input     *spec.Input
+	corpus    int
 	globalFav bool
 }
 
@@ -286,7 +289,7 @@ func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importIte
 				continue
 			}
 			b.corpus = append(b.corpus, brokerEntry{Worker: id, Entry: p.entry, GlobalFav: gf})
-			item := importItem{input: p.input, globalFav: gf}
+			item := importItem{input: p.input, corpus: len(b.corpus) - 1, globalFav: gf}
 			for wid := range b.pending {
 				if wid != id {
 					b.pushPending(wid, item)

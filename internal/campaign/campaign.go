@@ -211,6 +211,18 @@ type worker struct {
 	// broker demotion notice (full displacement of an input this worker
 	// holds copies of) lands on every copy without scanning the queue.
 	byKey map[string][]*core.QueueEntry
+	// links records, as each is created, the entries of this worker whose
+	// input is a corpus entry's: an import queued from it, a seed a resume
+	// gave its input. A checkpoint lists those still in the queue as the
+	// corpus entry's holders (checkpoint.go).
+	links []link
+}
+
+// link is one queue entry created holding the input of the corpus entry
+// broker.corpus[corpus].
+type link struct {
+	corpus int
+	entry  *core.QueueEntry
 }
 
 // Campaign is a running parallel campaign.
@@ -245,6 +257,7 @@ type workerSeeds struct {
 	queue []*core.QueueEntry
 	meta  []core.EntryMeta
 	power *core.PowerMeta
+	links []link // the queue entries given a corpus entry's input
 }
 
 // newCampaign is shared between New and Resume: epoch tags the RNG
@@ -285,6 +298,7 @@ func newCampaign(cfg Config, epoch int, seedsFor func(i int) (workerSeeds, error
 		c.workers = append(c.workers, &worker{
 			id: i, inst: inst, fz: fz,
 			byKey: make(map[string][]*core.QueueEntry),
+			links: loaded.links,
 		})
 	}
 	c.broker.initWorkers(cfg.Workers)
@@ -441,11 +455,16 @@ func (w *worker) exchange(b *broker, d epochDelta) []importItem {
 }
 
 // importAll re-executes pulled imports against w's own target, which
-// counts against its virtual-time budget.
+// counts against its virtual-time budget, and links each one it queues to
+// the corpus entry it came from.
 func (w *worker) importAll(items []importItem) error {
 	for _, it := range items {
-		if _, err := w.fz.ImportInput(it.input); err != nil {
+		queued, err := w.fz.ImportInput(it.input)
+		if err != nil {
 			return err
+		}
+		if queued && it.corpus >= 0 {
+			w.links = append(w.links, link{corpus: it.corpus, entry: w.fz.Queue[len(w.fz.Queue)-1]})
 		}
 	}
 	return nil

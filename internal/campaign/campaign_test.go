@@ -888,21 +888,28 @@ func editManifest(t *testing.T, tree store.Tree, edit func(m *manifest)) store.T
 }
 
 // editBroker is editManifest for broker.bin: edit works on the decoded
-// broker, the package's encoder writes it back, and the header's counts
-// follow.
+// broker, the package's encoder writes it back with the holders it was
+// decoded with, and the header's counts follow.
 func editBroker(t *testing.T, tree store.Tree, edit func(b *broker)) store.Tree {
+	t.Helper()
+	return editBrokerHolders(t, tree, func(b *broker, _ *holders) { edit(b) })
+}
+
+// editBrokerHolders is editBroker with the corpus entries' holders to edit
+// too.
+func editBrokerHolders(t *testing.T, tree store.Tree, edit func(b *broker, hs *holders)) store.Tree {
 	t.Helper()
 	m, err := readManifest(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := decodeBroker(tree[brokerFile], m.Workers)
+	b, hs, err := decodeBroker(tree[brokerFile], indexQueues(tree, m.Workers))
 	if err != nil {
 		t.Fatal(err)
 	}
-	edit(b)
+	edit(b, &hs)
 	var w guest.StateWriter
-	b.encode(&w)
+	b.encode(&w, hs)
 	out := editManifest(t, tree, func(m *manifest) { m.Corpus, m.Crashes = len(b.corpus), len(b.crashes) })
 	out[brokerFile] = w.Bytes()
 	return out
@@ -930,7 +937,7 @@ func TestResumeRefusesOldManifestVersions(t *testing.T) {
 			t.Fatalf("version-%d manifest summarized", v)
 		}
 	}
-	for _, v := range []int{0, 1, 2, 3, 4, 5, 6, manifestVersion + 1} {
+	for _, v := range []int{0, 1, 2, 3, 4, 5, 6, 7, manifestVersion + 1} {
 		refused(v, editManifest(t, tree, func(m *manifest) { m.Version = v }))
 	}
 	// A header shaped the way version 4 shaped it: the corpus and the

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"maps"
 	"slices"
 	"strconv"
@@ -19,7 +19,7 @@ import (
 	"repro/internal/store"
 )
 
-// Checkpoint format, manifest version 7 — one store.Tree, written atomically
+// Checkpoint format, manifest version 8 — one store.Tree, written atomically
 // via PutTree. This comment is the format's one specification.
 //
 //	manifest.json                    the header: compact JSON of type manifest
@@ -33,7 +33,7 @@ import (
 // counts) and coverage log — and its size does not depend on the corpus. It
 // is one JSON object, in this key order:
 //
-//	version                                  7
+//	version                                  8
 //	target, workers, policy, seed,           the campaign's Config, embedded: the
 //	sync_interval_ns, sched, power,          service spec's keys, every enum by the
 //	snap_budget, asan, sync_mode             name its flag takes (policy none |
@@ -58,17 +58,31 @@ import (
 //
 // The queue files are the §5.4 share-folder format (spec.Serialize), so a
 // worker directory doubles as a seed corpus; a resume reads them in entry-ID
-// order, which is queue order — the order sched.bin's entries are in. A queue
-// file usually holds the same bytes as one of broker.bin's corpus entries; a
-// resume then takes that entry's decoded input and key for it (keys come from
-// broker.bin's key-and-bytes pairs only). Crashes are kept once, in broker.bin.
+// order, which is queue order — the order sched.bin's entries are in.
+//
+// Each input is stored once. A corpus entry's holders are the queue files
+// whose entry shares the corpus entry's op array, neither input carrying a
+// snapshot marker: the publisher's own entry, a receiver's queued import of
+// it, a seed a resume gave its input. Op arrays are never written (package
+// spec), so every holder's file holds the corpus entry's bytes, and
+// broker.bin names the holders and carries the bytes only of an entry that
+// has none. A link is recorded when its holder is created (brokerEntry for
+// the publisher, worker.links for the rest) and a checkpoint lists those
+// whose entry is still filed under its id (core.Fuzzer.FileID) and still
+// shares the ops: by identity, never by hashing or a lookup per entry. A
+// resume decodes the first holder's file once, requires every other holder's
+// file to hold the same bytes, and gives every holder that input with the
+// corpus entry's key and bytes (keys come from broker.bin only); the other
+// queue files are decoded, and keyed on first use, one by one. Pending
+// imports and crashes keep their inputs in broker.bin.
 //
 // broker.bin, in order (an input is spec.Serialize bytes with no snapshot
 // marker; a key is core.InputKey of the input it travels with):
 //
 //	u32 n   corpus entries in acceptance order; n = the header's corpus_entries
 //	   n × ( u32 worker < workers | bool favored | bool global_fav | bool dominated |
-//	         i64 exec_time_ns | i64 size | string key | bytes32 input |
+//	         i64 exec_time_ns | i64 size | string key |
+//	         u32 l | l × ( u32 worker < workers | u32 id ) | bytes32 input, only when l = 0 |
 //	         u32 h | h × ( u32 edge | u8 bucket ) )
 //	u32 c   top-rated claims, edges strictly ascending and below coverage.MapSize
 //	   c × ( u32 edge | i64 fav | string key )
@@ -77,27 +91,35 @@ import (
 //	u32 k   deduplicated crashes in discovery order; k = the header's crash_entries
 //	   k × ( string kind | string msg | i64 found_at_ns | u64 execs | bytes32 input )
 //
-// Decoded inputs alias the file they came from (spec.DeserializeAppend), and
-// keep those bytes as their entries' QueueEntry.Bytes: a resumed campaign
-// keeps the whole of broker.bin, and every queue file that matched no corpus
-// entry, reachable for as long as it holds the inputs, which is as long as it
+// A corpus entry's l holders name the files worker-NNN/queue/id-N.nyx
+// strictly ascending by worker, then id. A holder
+// naming no file of the tree, a worker out of range, or a file with other
+// bytes than the first holder's fails the resume.
+//
+// Inputs decoded from a queue file alias it (spec.DeserializeAppend), and
+// keep its bytes as their entries' QueueEntry.Bytes: a resumed campaign keeps
+// each corpus entry's first holder file and every queue file no corpus entry
+// names reachable for as long as it holds the inputs, which is as long as it
 // runs. That is the bytes a copy of each payload would have cost, plus the
-// trace digests and headers in between. ResumeTree therefore owns the tree it
-// is given; callers must not write its values afterwards. The tree
-// CheckpointTree returns shares its queue files and corpus inputs with the
-// live entries' bytes in the same way: never write its values either.
+// headers in between. The inputs broker.bin carries are decoded from a copy
+// of their bytes, so broker.bin, mostly keys, traces and holders a resume
+// copies out, is not kept. ResumeTree owns the tree it is given; callers
+// must not write its values afterwards.
+// The tree CheckpointTree returns shares its queue files and corpus inputs
+// with the live entries' bytes in the same way: never write its values
+// either.
 //
 // A round trip allocates per tree and per section, not per file or entry. A
 // checkpoint cuts each worker's queue file names from one string
-// (core.EncodeQueue), and the mem store copies the whole tree into one slab.
-// A resume cuts keys from one string per section (corpus keys here, entry
-// keys in sched.bin), a claim takes the key string of the corpus entry it
-// names, and the traces, the inputs with their op and argument arrays, and
-// the entries with their memoized encodings come from slabs. What is left per
-// file is the store's copy of each file a resume reads, kept per file on
-// purpose: the campaign keeps broker.bin and the unmatched queue files and
-// drops the rest, which a shared slab would keep alive with them (package
-// store).
+// (core.EncodeQueue), lists the holders in one slab, and the mem store copies
+// the whole tree into one slab. A resume cuts keys from one string per
+// section (corpus keys here, entry keys in sched.bin), a claim takes the key
+// string of the corpus entry it names, and the traces, the holders, the
+// inputs with their bytes and op and argument arrays, and the entries with
+// their memoized encodings come from slabs. What is left per file is the
+// store's copy of each file a resume reads, kept per file on purpose: the
+// campaign keeps the files above and drops the rest, which a shared slab
+// would keep alive with them (package store).
 //
 // Checkpoint I/O goes through the store.Storer abstraction, so the same
 // tree lands on a local directory (dir://) or a remote-style object store
@@ -117,7 +139,7 @@ import (
 // manifestVersion is the one checkpoint format this build writes and reads;
 // a tree that declares any other is refused by number (README says how to
 // carry an older tree over).
-const manifestVersion = 7
+const manifestVersion = 8
 
 // Tree keys beside the per-worker files. ManifestFile is the one a listing
 // needs: Summarize reads nothing else.
@@ -210,7 +232,7 @@ func (c *Campaign) CheckpointTree() (store.Tree, error) {
 	}
 	t[virginFile] = raw
 	var bw guest.StateWriter
-	c.broker.encode(&bw)
+	c.broker.encode(&bw, c.collectHolders())
 	t[brokerFile] = bw.Bytes()
 	m := manifest{
 		Version:   manifestVersion,
@@ -233,20 +255,101 @@ func (c *Campaign) CheckpointTree() (store.Tree, error) {
 	return t, nil
 }
 
-// encode appends the broker.bin form of b (the layout comment above) to w.
-// Quiesced callers only. Every corpus entry a worker published carries the
-// key it was published or re-published under (QueueEntry.Key), and its bytes
-// once any checkpoint has written them (QueueEntry.Bytes), so a corpus entry
-// is hashed never and encoded once in its life.
-func (b *broker) encode(w *guest.StateWriter) {
+// holder names a queue file, worker-NNN/queue/id-N.nyx, that holds a corpus
+// entry's input.
+type holder struct{ worker, id int }
+
+func (h holder) compare(o holder) int {
+	return cmp.Or(cmp.Compare(h.worker, o.worker), cmp.Compare(h.id, o.id))
+}
+
+// holders lists every corpus entry's holders: entry i's are
+// at[start[i]:start[i+1]], ascending by worker, then id. The zero value
+// lists none.
+type holders struct {
+	start []int
+	at    []holder
+}
+
+func (hs holders) of(i int) []holder {
+	if i+1 >= len(hs.start) {
+		return nil
+	}
+	return hs.at[hs.start[i]:hs.start[i+1]]
+}
+
+// collectHolders lists the corpus entries' holders from the links recorded
+// as they were created — each corpus entry a publisher's own entry, and the workers'
+// links — keeping those whose entry is still filed (core.Fuzzer.FileID) and
+// still shares its corpus entry's ops: two passes over the links, count and
+// fill, that hash nothing and look nothing up by entry. Quiesced callers
+// only.
+func (c *Campaign) collectHolders() holders {
+	corpus := c.broker.corpus
+	visit := func(f func(i int, h holder)) {
+		for i, be := range corpus {
+			// A live publication is its own holder; a corpus entry a resume
+			// restored is filed nowhere.
+			if id, ok := c.workers[be.Worker].fz.FileID(be.Entry); ok {
+				f(i, holder{be.Worker, id})
+			}
+		}
+		for _, w := range c.workers {
+			for _, l := range w.links {
+				if id, ok := w.fz.FileID(l.entry); ok && sameOps(l.entry.Input, corpus[l.corpus].Entry.Input) {
+					f(l.corpus, holder{w.id, id})
+				}
+			}
+		}
+	}
+	hs := holders{start: make([]int, len(corpus)+1)}
+	visit(func(i int, _ holder) { hs.start[i+1]++ })
+	for i := range corpus {
+		hs.start[i+1] += hs.start[i]
+	}
+	hs.at = make([]holder, hs.start[len(corpus)])
+	visit(func(i int, h holder) {
+		hs.at[hs.start[i]] = h
+		hs.start[i]++
+	})
+	copy(hs.start[1:], hs.start) // the fill moved each start to the next one's
+	hs.start[0] = 0
+	for i := range corpus {
+		if l := hs.of(i); len(l) > 1 {
+			slices.SortFunc(l, holder.compare)
+		}
+	}
+	return hs
+}
+
+// sameOps reports whether a and b are one input: neither marked, and one op
+// array. Nothing writes an op array (package spec), so they serialize to the
+// same bytes.
+func sameOps(a, b *spec.Input) bool {
+	return a.SnapshotAt < 0 && b.SnapshotAt < 0 && len(a.Ops) == len(b.Ops) &&
+		(len(a.Ops) == 0 || &a.Ops[0] == &b.Ops[0])
+}
+
+// encode appends the broker.bin form of b (the layout comment above) to w,
+// listing the corpus entries' holders hs. Quiesced callers only. Every corpus
+// entry a worker published carries the key it was published or re-published
+// under (QueueEntry.Key), and its bytes once any checkpoint has written them
+// (QueueEntry.Bytes), so a corpus entry is hashed never and encoded once in
+// its life — and written here only when no queue file holds it.
+func (b *broker) encode(w *guest.StateWriter, hs holders) {
 	var buf []byte // pending imports and crashes are encoded here, then copied behind their length
 	input := func(in *spec.Input) {
 		buf = spec.AppendSerialize(buf[:0], in)
 		w.Bytes32(buf)
 	}
 	size := 16 + 4*len(b.pending) + len(b.topRated)*(claimMinLen+32) // a key is a 32-byte digest
-	for _, be := range b.corpus {
-		size += corpusEntryMinLen + len(be.Entry.Key()) + len(be.Entry.Bytes()) + 5*len(be.Entry.Cov)
+	for i, be := range b.corpus {
+		size += corpusEntryMinLen + len(be.Entry.Key()) + 5*len(be.Entry.Cov)
+		if l := len(hs.of(i)); l > 0 {
+			size += holderLen * l
+		} else {
+			size += 4 + len(be.Entry.Bytes())
+		}
 	}
 	for _, q := range b.pending {
 		for _, it := range q {
@@ -258,7 +361,7 @@ func (b *broker) encode(w *guest.StateWriter) {
 	}
 	w.Grow(size)
 	w.U32(uint32(len(b.corpus)))
-	for _, be := range b.corpus {
+	for i, be := range b.corpus {
 		e := be.Entry
 		w.U32(uint32(be.Worker))
 		w.Bool(e.Favored)
@@ -267,7 +370,15 @@ func (b *broker) encode(w *guest.StateWriter) {
 		w.I64(int64(e.ExecTime))
 		w.Int(e.Size)
 		w.String(e.Key())
-		w.Bytes32(e.Bytes())
+		held := hs.of(i)
+		w.U32(uint32(len(held)))
+		for _, h := range held {
+			w.U32(uint32(h.worker))
+			w.U32(uint32(h.id))
+		}
+		if len(held) == 0 {
+			w.Bytes32(e.Bytes())
+		}
 		w.U32(uint32(len(e.Cov)))
 		for _, h := range e.Cov {
 			w.U32(h.Index)
@@ -303,46 +414,193 @@ func (b *broker) encode(w *guest.StateWriter) {
 }
 
 // The fewest bytes one element of each broker.bin sequence takes (empty
-// strings, an input of no ops, an empty trace): what bounds a count.
+// strings, an input of no ops, an empty trace; a corpus entry has a holder
+// or an input, and a holder is the shorter): what bounds a count.
 const (
 	inputMinLen       = 4 + 10 // bytes32 length + the bytecode header
-	corpusEntryMinLen = 4 + 3 + 8 + 8 + 4 + inputMinLen + 4
+	holderLen         = 4 + 4
+	corpusEntryMinLen = 4 + 3 + 8 + 8 + 4 + 4 + min(holderLen, inputMinLen) + 4
 	claimMinLen       = 4 + 8 + 4
 	pendingMinLen     = 1 + inputMinLen
 	crashMinLen       = 4 + 4 + 8 + 8 + inputMinLen
 )
 
 // Decoded inputs take their op and argument arrays from slabs of these
-// capacities (spec.DeserializeAppend), and broker.bin's traces theirs from
-// slabs of covSlab hits. The chunks are small because a resumed campaign
+// capacities (spec.DeserializeAppend), broker.bin's traces theirs from
+// slabs of covSlab hits, and the inputs broker.bin carries their bytes from
+// slabs of inSlab bytes. The chunks are small because a resumed campaign
 // keeps its slabs for as long as it runs, the unused tail of the last one
 // included.
 const (
 	opSlab  = 1 << 7
 	argSlab = 1 << 7
 	covSlab = 1 << 10
+	inSlab  = 1 << 12
 )
 
-// decodeBroker rebuilds a broker for a campaign of workers workers from its
-// broker.bin form. raw is outside input: besides what the codec checks,
-// worker indices outside the campaign, claims out of order or range, empty
-// keys and inputs that are not plain bytecode are errors, so only bytes
-// encode would write come back as a broker, its inputs and Bytes aliasing raw.
-// A section costs a few allocations however many entries it holds: inputs,
-// their ops, keys, traces and encodings are cut from slabs, and a claim takes
+// errMarked refuses a decoded input that carries a snapshot marker.
+var errMarked = errors.New("input carries a snapshot marker")
+
+// queueFile is one worker-NNN/queue/id-N.nyx of a tree being resumed.
+type queueFile struct {
+	id  int
+	key string
+	// in is the input the file's entry takes from the first corpus entry
+	// that names it as a holder, src; nil and -1 when none does.
+	in  *spec.Input
+	src int
+}
+
+// fileLink says that worker's file files[worker][file] took the input of
+// the corpus entry corpus (a link a resume records).
+type fileLink struct{ corpus, file int }
+
+// queueIndex is a tree's queue files, each worker's sorted by id, which is
+// queue order. decodeBroker resolves holders against it and records in it
+// the input each file takes and the links.
+type queueIndex struct {
+	t     store.Tree
+	files [][]queueFile
+	// dense says a worker's files are numbered 0, 1, 2, ...: file id is
+	// files[id]. CheckpointTree numbers every queue so.
+	dense []bool
+	links [][]fileLink
+}
+
+// indexQueues files every worker-NNN/queue/id-N.nyx of t for a campaign of
+// workers workers in one pass over its keys.
+func indexQueues(t store.Tree, workers int) queueIndex {
+	q := queueIndex{t: t, files: make([][]queueFile, workers), dense: make([]bool, workers), links: make([][]fileLink, workers)}
+	dirs := make([]string, workers)
+	for i := range dirs {
+		dirs[i] = workerDir(i)
+	}
+	for key := range t {
+		dir, rest, _ := strings.Cut(key, "/")
+		num, isQueue := strings.CutPrefix(rest, "queue/id-")
+		num, isNyx := strings.CutSuffix(num, ".nyx")
+		if !isQueue || !isNyx {
+			continue // not a queue file: parsing it would only build an error
+		}
+		wid, werr := strconv.Atoi(strings.TrimPrefix(dir, "worker-"))
+		id, err := strconv.Atoi(num)
+		if werr == nil && wid >= 0 && wid < len(dirs) && dir == dirs[wid] && err == nil && id >= 0 {
+			q.files[wid] = append(q.files[wid], queueFile{id: id, key: key, src: -1})
+		}
+	}
+	for w := range q.files {
+		if q.dense[w] = placeByID(q.files[w]); !q.dense[w] {
+			slices.SortFunc(q.files[w], func(a, b queueFile) int {
+				if a.id != b.id {
+					return cmp.Compare(a.id, b.id)
+				}
+				return strings.Compare(a.key, b.key) // id-7.nyx beside id-000007.nyx: not a tree CheckpointTree writes
+			})
+		}
+		q.links[w] = make([]fileLink, 0, len(q.files[w])) // a link per file, but for one two corpus entries name
+	}
+	return q
+}
+
+// placeByID sorts files numbered 0 to len(files)-1 by id in one pass, each
+// swap putting a file in its place, and reports false, files permuted, when
+// the ids are anything else.
+func placeByID(files []queueFile) bool {
+	for i := range files {
+		for files[i].id != i {
+			j := files[i].id
+			if j >= len(files) || files[j].id == j {
+				return false
+			}
+			files[i], files[j] = files[j], files[i]
+		}
+	}
+	return true
+}
+
+// find returns the index among worker h.worker's files of the one h names:
+// the file of id h.id, or the first of two, which CheckpointTree never
+// writes.
+func (q queueIndex) find(h holder) (int, bool) {
+	if q.dense[h.worker] {
+		return h.id, h.id < len(q.files[h.worker])
+	}
+	return slices.BinarySearchFunc(q.files[h.worker], h.id, func(f queueFile, id int) int { return cmp.Compare(f.id, id) })
+}
+
+// decodeBroker rebuilds a broker for a campaign of len(q.files) workers from
+// its broker.bin form, resolving the corpus entries' holders against q, and
+// returns the holders too. raw is outside input: besides what the codec
+// checks, worker indices outside the campaign, holders out of order, naming
+// no file or a file with other bytes than the first, claims out of order or
+// range, empty keys and inputs that are not plain bytecode are errors, so
+// only bytes encode would write come back as a broker, its inputs and Bytes
+// aliasing the holder files or a copy of raw's. A section costs a few
+// allocations however many entries it holds: inputs, their bytes and ops,
+// keys, holders, traces and encodings are cut from slabs, and a claim takes
 // the key string of the corpus entry it names.
-func decodeBroker(raw []byte, workers int) (*broker, error) {
+func decodeBroker(raw []byte, q queueIndex) (*broker, holders, error) {
+	workers := len(q.files)
 	r := guest.NewStateReader(raw)
 	ok := func() bool { return r.Err() == nil }
 	ops, args := make([]spec.Op, 0, opSlab), make([]uint16, 0, argSlab)
-	decode := func(in *spec.Input, enc []byte, what string, i int) *spec.Input {
-		var err error
-		if ops, args, err = spec.DeserializeAppend(in, enc, ops, args); err != nil {
-			r.Fail("%s %d: %v", what, i, err)
-		} else if in.SnapshotAt >= 0 {
-			r.Fail("%s %d: input carries a snapshot marker", what, i)
+	// inline copies the bytes of an input broker.bin itself carries into a
+	// slab. Keys, holders and traces are copied out as they are decoded
+	// too, so nothing a resumed campaign keeps aliases raw.
+	var ins []byte
+	inline := func(enc []byte) []byte {
+		if cap(ins)-len(ins) < len(enc) {
+			ins = make([]byte, 0, max(len(enc), inSlab))
 		}
-		return in
+		ins = append(ins, enc...)
+		return ins[len(ins)-len(enc) : len(ins) : len(ins)]
+	}
+	// decode decodes enc into in: plain bytecode, with no snapshot marker.
+	decode := func(in *spec.Input, enc []byte) error {
+		var err error
+		if ops, args, err = spec.DeserializeAppend(in, enc, ops, args); err == nil && in.SnapshotAt >= 0 {
+			err = errMarked
+		}
+		return err
+	}
+	// hold gives corpus entry i the input its holders held share: the first
+	// holder's file decoded into in, or the input an earlier corpus entry
+	// gave that file, and the file's bytes. Every other holder's file must
+	// hold the same bytes. A file takes the first input it is given, and
+	// links to each corpus entry that gives it that one.
+	hold := func(i int, held []holder, in *spec.Input) (*spec.Input, []byte) {
+		var enc []byte
+		var first string
+		for k, h := range held {
+			j, found := q.find(h)
+			if !found {
+				r.Fail("corpus entry %d: holder %s/queue/id-%06d.nyx is not in the checkpoint", i, workerDir(h.worker), h.id)
+				return nil, nil
+			}
+			f := &q.files[h.worker][j]
+			got := q.t[f.key]
+			switch {
+			case k == 0 && f.in != nil:
+				in, enc, first = f.in, got, f.key
+			case k == 0:
+				if err := decode(in, got); err != nil {
+					r.Fail("corpus entry %d: holder %s: %v", i, f.key, err)
+				}
+				enc, first = got, f.key
+			case !bytes.Equal(got, enc):
+				r.Fail("corpus entry %d: holder %s holds other bytes than %s", i, f.key, first)
+			}
+			if !ok() {
+				return nil, nil
+			}
+			if f.in == nil {
+				f.in, f.src = in, i
+			}
+			if f.in == in {
+				q.links[h.worker] = append(q.links[h.worker], fileLink{corpus: i, file: j})
+			}
+		}
+		return in, enc
 	}
 
 	b := newBroker()
@@ -353,6 +611,7 @@ func decodeBroker(raw []byte, workers int) (*broker, error) {
 	inputs := make([]spec.Input, n)
 	encs := core.MakeEncodings(n)
 	named := make(map[string]string, n) // a corpus key to itself, for the claims
+	hs := holders{start: make([]int, 1, n+1), at: make([]holder, 0, min(n*workers, len(raw)/holderLen))}
 	var hits []coverage.BucketHit
 	b.corpus = make([]brokerEntry, 0, n)
 	for i := 0; i < n && ok(); i++ {
@@ -368,11 +627,30 @@ func decodeBroker(raw []byte, workers int) (*broker, error) {
 		e.GloballyDominated = r.Bool()
 		e.ExecTime = time.Duration(r.I64())
 		e.Size = r.Int()
-		k, enc := r.StringTo(&keys), r.View32()
+		k := r.StringTo(&keys)
 		if k == "" {
 			r.Fail("corpus entry %d: empty content key", i)
 		}
-		e.Input = decode(&inputs[i], enc, "corpus entry", i)
+		l := r.Count(holderLen)
+		for j := 0; j < l && ok(); j++ {
+			h := holder{int(r.U32()), int(r.U32())}
+			if h.worker >= workers {
+				r.Fail("corpus entry %d: holder names worker %d of %d", i, h.worker, workers)
+			} else if j > 0 && hs.at[len(hs.at)-1].compare(h) >= 0 {
+				r.Fail("corpus entry %d: holder %d:%d after %d:%d", i, h.worker, h.id, hs.at[len(hs.at)-1].worker, hs.at[len(hs.at)-1].id)
+			}
+			hs.at = append(hs.at, h)
+		}
+		var enc []byte
+		if l == 0 {
+			enc, e.Input = inline(r.View32()), &inputs[i]
+			if err := decode(e.Input, enc); err != nil {
+				r.Fail("corpus entry %d: %v", i, err)
+			}
+		} else if ok() {
+			e.Input, enc = hold(i, hs.at[len(hs.at)-l:], &inputs[i])
+		}
+		hs.start = append(hs.start, len(hs.at))
 		encs.Set(i, e, k, enc)
 		named[k] = k
 		h := r.Count(5)
@@ -445,7 +723,10 @@ func decodeBroker(raw []byte, workers int) (*broker, error) {
 		inputs := make([]spec.Input, np)
 		for i := 0; i < np && ok(); i++ {
 			gf := r.Bool()
-			b.pending[wid] = append(b.pending[wid], importItem{input: decode(&inputs[i], r.View32(), "pending import", i), globalFav: gf})
+			if err := decode(&inputs[i], inline(r.View32())); err != nil {
+				r.Fail("pending import %d: %v", i, err)
+			}
+			b.pending[wid] = append(b.pending[wid], importItem{input: &inputs[i], corpus: -1, globalFav: gf})
 		}
 	}
 	nk := r.Count(crashMinLen)
@@ -456,12 +737,15 @@ func decodeBroker(raw []byte, workers int) (*broker, error) {
 			Msg:     r.String(),
 			FoundAt: time.Duration(r.I64()),
 			Execs:   r.U64(),
-			Input:   decode(&crashInputs[i], r.View32(), "crash", i),
+			Input:   &crashInputs[i],
+		}
+		if err := decode(cr.Input, inline(r.View32())); err != nil {
+			r.Fail("crash %d: %v", i, err)
 		}
 		b.crashSeen[cr.Key()] = true
 		b.crashes = append(b.crashes, cr)
 	}
-	return b, r.Done()
+	return b, hs, r.Done()
 }
 
 // ResumeFrom relaunches a checkpointed campaign from the tree named name
@@ -509,7 +793,8 @@ func ResumeTree(t store.Tree) (_ *Campaign, err error) {
 	if !ok {
 		return nil, fmt.Errorf("checkpoint has no %s", brokerFile)
 	}
-	br, err := decodeBroker(raw, cfg.Workers)
+	q := indexQueues(t, cfg.Workers)
+	br, _, err := decodeBroker(raw, q)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", brokerFile, err)
 	}
@@ -527,66 +812,37 @@ func ResumeTree(t store.Tree) (_ *Campaign, err error) {
 	}
 	br.timeBase = m.Elapsed
 
-	corpus := make(map[uint32]*core.QueueEntry, len(br.corpus))
-	for _, be := range br.corpus {
-		corpus[crc32.ChecksumIEEE(be.Entry.Bytes())] = be.Entry
-	}
-	// One pass files every worker-NNN/queue/id-N.nyx; sorted by N, they are
-	// in queue order.
-	dirs := make([]string, cfg.Workers)
-	for i := range dirs {
-		dirs[i] = workerDir(i)
-	}
-	type queueFile struct {
-		id  int
-		key string
-	}
-	queues := make([][]queueFile, cfg.Workers)
-	for key := range t {
-		dir, rest, _ := strings.Cut(key, "/")
-		num, isQueue := strings.CutPrefix(rest, "queue/id-")
-		num, isNyx := strings.CutSuffix(num, ".nyx")
-		if !isQueue || !isNyx {
-			continue // not a queue file: parsing it would only build an error
-		}
-		wid, werr := strconv.Atoi(strings.TrimPrefix(dir, "worker-"))
-		id, err := strconv.Atoi(num)
-		if werr == nil && wid >= 0 && wid < len(dirs) && dir == dirs[wid] && err == nil && id >= 0 {
-			queues[wid] = append(queues[wid], queueFile{id, key})
-		}
-	}
 	seedsFor := func(i int) (workerSeeds, error) {
-		if len(queues[i]) == 0 {
+		files := q.files[i]
+		if len(files) == 0 {
 			return workerSeeds{}, nil // worker had an empty queue; fall back to bundled seeds
 		}
-		slices.SortFunc(queues[i], func(a, b queueFile) int {
-			if a.id != b.id {
-				return cmp.Compare(a.id, b.id)
-			}
-			return strings.Compare(a.key, b.key) // id-7.nyx beside id-000007.nyx: not a tree CheckpointTree writes
-		})
-		// A queue file with the bytes of a corpus entry takes its input and
-		// encoding; the rest are decoded after, into one slab of inputs. A
-		// checkpoint is written whole: a queue file that does not decode is a
-		// damaged checkpoint, not a seed to skip.
-		n := len(queues[i])
-		ws := workerSeeds{queue: make([]*core.QueueEntry, n)}
+		// A holder takes its corpus entry's input, key and bytes; the rest
+		// are decoded after, into one slab of inputs. A checkpoint is written
+		// whole: a queue file that does not decode is a damaged checkpoint,
+		// not a seed to skip.
+		n := len(files)
+		ws := workerSeeds{queue: make([]*core.QueueEntry, n), links: make([]link, len(q.links[i]))}
 		entries, encs := make([]core.QueueEntry, n), core.MakeEncodings(n)
-		unmatched := 0
-		for j, f := range queues[i] {
-			enc, e := t[f.key], &entries[j]
-			if be := corpus[crc32.ChecksumIEEE(enc)]; be != nil && bytes.Equal(be.Bytes(), enc) {
-				e.Input = be.Input
+		unheld := 0
+		for j, f := range files {
+			e := &entries[j]
+			if f.in != nil {
+				be := br.corpus[f.src].Entry
+				e.Input = f.in
 				encs.Set(j, e, be.Key(), be.Bytes())
 			} else {
-				unmatched++
+				unheld++
 			}
 			ws.queue[j] = e
 		}
-		if unmatched > 0 {
-			inputs := make([]spec.Input, unmatched)
+		for k, l := range q.links[i] {
+			ws.links[k] = link{corpus: l.corpus, entry: &entries[l.file]}
+		}
+		if unheld > 0 {
+			inputs := make([]spec.Input, unheld)
 			ops, args := make([]spec.Op, 0, opSlab), make([]uint16, 0, argSlab)
-			for j, f := range queues[i] {
+			for j, f := range files {
 				enc, e := t[f.key], &entries[j]
 				if e.Input != nil {
 					continue
@@ -604,7 +860,7 @@ func ResumeTree(t store.Tree) (_ *Campaign, err error) {
 				}
 			}
 		}
-		key := dirs[i] + "/" + core.SchedStateFile
+		key := workerDir(i) + "/" + core.SchedStateFile
 		raw, ok := t[key]
 		if !ok {
 			return ws, fmt.Errorf("checkpoint has no %s", key)

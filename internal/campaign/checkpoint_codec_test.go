@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -64,12 +65,29 @@ func TestCheckpointBeforeFirstRoundKeepsRestoredCorpus(t *testing.T) {
 			t.Fatalf("%s (scheduler metadata and power state) differs between the two trees", k)
 		}
 	}
-	// The campaign resumed from the second tree fuzzes the saved corpus, not
-	// the bundled seeds.
+	// So does broker.bin, whose corpus entries name the restored seeds as
+	// their holders, and the second tree resumes to the corpus the first
+	// one did.
+	for _, k := range []string{brokerFile, virginFile} {
+		if !bytes.Equal(first[k], second[k]) {
+			t.Fatalf("%s differs between the two trees", k)
+		}
+	}
 	res2, err := ResumeTree(second)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res2.broker.corpus) != len(res.broker.corpus) {
+		t.Fatalf("the second tree resumed to %d corpus entries, the first to %d", len(res2.broker.corpus), len(res.broker.corpus))
+	}
+	for i, be := range res2.broker.corpus {
+		was := res.broker.corpus[i].Entry
+		if be.Entry.Key() != was.Key() || !bytes.Equal(be.Entry.Bytes(), was.Bytes()) || !bytes.Equal(spec.Serialize(be.Entry.Input), was.Bytes()) {
+			t.Fatalf("corpus entry %d differs between the two resumes", i)
+		}
+	}
+	// The campaign resumed from the second tree fuzzes the saved corpus, not
+	// the bundled seeds.
 	if err := res2.RunFor(250 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +97,181 @@ func TestCheckpointBeforeFirstRoundKeepsRestoredCorpus(t *testing.T) {
 	}
 	if queued < len(files)*9/10 {
 		t.Fatalf("campaign resumed from the second tree queued %d entries of %d saved", queued, len(files))
+	}
+}
+
+// decodeHolders decodes tree's broker.bin and returns the broker and its
+// corpus entries' holders.
+func decodeHolders(t *testing.T, tree store.Tree) (*broker, holders) {
+	t.Helper()
+	m, err := readManifest(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, hs, err := decodeBroker(tree[brokerFile], indexQueues(tree, m.Workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b, hs
+}
+
+// A corpus entry with no holder (its input in broker.bin), with one and with
+// two survives CheckpointTree → ResumeTree → CheckpointTree byte for byte:
+// the resume links every holder to the entry's one decoded input, and the
+// checkpoint lists the same holders again. The manifest differs in its epoch
+// only. A round after the resume keeps the links: the adopted seeds and the
+// new imports hold the corpus entries' inputs, so most entries still travel
+// without their bytes.
+func TestCheckpointHoldersRoundTrip(t *testing.T) {
+	tree, err := run(t, Config{Target: "dnsmasq", Workers: 2, Policy: core.PolicyAggressive, Seed: 1,
+		SyncInterval: 500 * time.Millisecond}, time.Second).CheckpointTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Let every third corpus entry carry its input.
+	tree = editBrokerHolders(t, tree, func(b *broker, hs *holders) {
+		lists := make([][]holder, len(b.corpus))
+		for i := range b.corpus {
+			if i%3 != 0 {
+				lists[i] = hs.of(i)
+			}
+		}
+		*hs = holdersOf(lists...)
+	})
+	b, hs := decodeHolders(t, tree)
+	var count [3]int
+	for i := range b.corpus {
+		count[min(len(hs.of(i)), 2)]++
+	}
+	if count[0] == 0 || count[1] == 0 || count[2] == 0 {
+		t.Fatalf("corpus entries with no, one and two holders: %v (test premise broken)", count)
+	}
+	res, err := ResumeTree(maps.Clone(tree))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := res.CheckpointTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again) != len(tree) {
+		t.Fatalf("the second tree has %d files, the first %d", len(again), len(tree))
+	}
+	for k, v := range tree {
+		if k != ManifestFile && !bytes.Equal(again[k], v) {
+			t.Fatalf("%s differs between the two trees", k)
+		}
+	}
+	m1, _ := readManifest(tree)
+	m2, err := readManifest(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m1.Epoch++; !reflect.DeepEqual(m1, m2) {
+		t.Fatalf("the manifests differ beyond the epoch:\n%+v\n%+v", m1, m2)
+	}
+
+	if err := res.RunFor(500 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	after, err := res.CheckpointTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, hs = decodeHolders(t, after)
+	held := 0
+	for i := range b.corpus {
+		if len(hs.of(i)) > 0 {
+			held++
+		}
+	}
+	t.Logf("no, one and two holders before the resume: %v; after a round %d of %d corpus entries held", count, held, len(b.corpus))
+	if was := count[1] + count[2]; held < was*9/10 {
+		t.Fatalf("after a round, %d of %d corpus entries have a holder, %d did before", held, len(b.corpus), was)
+	}
+}
+
+// A one-worker campaign's every corpus entry is its worker's own queue
+// entry, so broker.bin names a holder for each and carries no input bytes.
+func TestCheckpointOneWorkerBrokerCarriesNoInputs(t *testing.T) {
+	c := run(t, Config{Target: "bftpd", Workers: 1, Policy: core.PolicyAggressive, Seed: 1, SnapBudget: 4 << 20}, 2*time.Second)
+	tree, err := c.CheckpointTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, hs := decodeHolders(t, tree)
+	if len(b.corpus) < 100 || len(b.crashes) > 0 || len(b.pending[0]) > 0 {
+		t.Fatalf("%d corpus entries, %d crashes, %d pending imports (test premise broken)", len(b.corpus), len(b.crashes), len(b.pending[0]))
+	}
+	queued := 0
+	for _, k := range queueFiles(tree) {
+		queued += len(tree[k])
+	}
+	for i := range b.corpus {
+		if held := hs.of(i); len(held) != 1 || held[0] != (holder{0, c.broker.corpus[i].Entry.ID}) {
+			t.Fatalf("corpus entry %d: holders %v", i, held)
+		}
+	}
+	t.Logf("%d corpus entries: broker.bin %d bytes, queue files %d", len(b.corpus), len(tree[brokerFile]), queued)
+	if len(tree[brokerFile]) >= queued {
+		t.Fatalf("broker.bin is %d bytes, the queue files %d", len(tree[brokerFile]), queued)
+	}
+}
+
+// A holder is a reference into the tree, and a tree whose reference is bad
+// is refused with an error naming it: a holder naming a file the tree does
+// not have, a worker outside the campaign, or a file with other bytes than
+// the first holder's.
+func TestResumeRefusesBadHolders(t *testing.T) {
+	tree, err := run(t, Config{Target: "dnsmasq", Workers: 2, Policy: core.PolicyAggressive, Seed: 1,
+		SyncInterval: 500 * time.Millisecond}, time.Second).CheckpointTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, hs := decodeHolders(t, tree)
+	two := -1
+	for i := range b.corpus {
+		if len(hs.of(i)) == 2 {
+			two = i
+			break
+		}
+	}
+	if two < 0 {
+		t.Fatal("no corpus entry has two holders (test premise broken)")
+	}
+	// edit rewrites corpus entry two's holders.
+	edit := func(f func(held []holder) []holder) store.Tree {
+		return editBrokerHolders(t, tree, func(b *broker, hs *holders) {
+			lists := make([][]holder, len(b.corpus))
+			for i := range b.corpus {
+				lists[i] = hs.of(i)
+			}
+			lists[two] = f(slices.Clone(lists[two]))
+			*hs = holdersOf(lists...)
+		})
+	}
+	name := func(h holder) string { return fmt.Sprintf("%s/queue/id-%06d.nyx", workerDir(h.worker), h.id) }
+	held := hs.of(two)
+	missing := holder{held[1].worker, 999999}
+	other := slices.Clone(tree[name(held[1])])
+	other[len(other)/2] ^= 0xff
+	otherBytes := maps.Clone(tree)
+	otherBytes[name(held[1])] = other
+	for what, bad := range map[string]struct {
+		tree store.Tree
+		want string
+	}{
+		"missing file": {edit(func(h []holder) []holder { return append(h, missing) }), name(missing)},
+		"deleted file": {func() store.Tree { t := maps.Clone(tree); delete(t, name(held[0])); return t }(), name(held[0])},
+		"worker 2":     {edit(func(h []holder) []holder { return append(h, holder{2, 0}) }), "holder names worker 2 of 2"},
+		"out of order": {edit(func(h []holder) []holder { return []holder{h[1], h[0]} }), "holder"},
+		"twice":        {edit(func(h []holder) []holder { return []holder{h[0], h[0]} }), "holder"},
+		"other bytes":  {otherBytes, name(held[1])},
+	} {
+		_, err := ResumeTree(bad.tree)
+		if err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("%s: err = %v, want one naming %q", what, err, bad.want)
+		}
 	}
 }
 
@@ -117,31 +310,58 @@ func TestResumeRejectsCorruptQueueFile(t *testing.T) {
 	}
 }
 
+// holdersOf lists the corpus entries' holders, entry i's in lists[i].
+func holdersOf(lists ...[]holder) holders {
+	hs := holders{start: []int{0}}
+	for _, l := range lists {
+		hs.at = append(hs.at, l...)
+		hs.start = append(hs.start, len(hs.at))
+	}
+	return hs
+}
+
 // smallSections returns the three decoded sections of a real checkpoint cut
-// down to a few entries each, so that a test can afford to decode them once
-// per byte offset: every sequence keeps elements, every field a real value.
-func smallSections(t *testing.T) (header, brokerBin, sched []byte) {
+// down to a few entries each, and the tree broker.bin's holders are in, so
+// that a test can afford to decode them once per byte offset: every sequence
+// keeps elements, every field a real value, and of the three corpus entries
+// the first has two holders, the second none (its input inline) and the
+// third one.
+func smallSections(t *testing.T) (tree store.Tree, header, brokerBin, sched []byte) {
 	t.Helper()
 	tree, err := run(t, Config{Target: "dnsmasq", Workers: 2, Policy: core.PolicyAggressive, Seed: 1,
 		SyncInterval: 500 * time.Millisecond, Power: core.PowerCoe}, time.Second).CheckpointTree()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree = editBroker(t, tree, func(b *broker) {
-		if len(b.corpus) < 3 || len(b.crashes) < 2 || len(b.topRated) < 3 {
-			t.Fatalf("checkpoint too small to cut down: %d corpus, %d crashes, %d claims", len(b.corpus), len(b.crashes), len(b.topRated))
+	tree = editBrokerHolders(t, tree, func(b *broker, hs *holders) {
+		if len(b.crashes) < 2 || len(b.topRated) < 3 {
+			t.Fatalf("checkpoint too small to cut down: %d crashes, %d claims", len(b.crashes), len(b.topRated))
 		}
-		b.corpus, b.crashes = b.corpus[:3], b.crashes[:2]
+		var kept []brokerEntry
+		var lists [][]holder
+		for i, be := range b.corpus {
+			if want := []int{2, 1, 1}[len(kept)]; len(hs.of(i)) == want {
+				kept, lists = append(kept, be), append(lists, hs.of(i))
+				if len(kept) == 3 {
+					break
+				}
+			}
+		}
+		if len(kept) < 3 {
+			t.Fatalf("no three corpus entries of %d with two, one and one holders", len(b.corpus))
+		}
+		lists[1] = nil
+		b.corpus, b.crashes, *hs = kept, b.crashes[:2], holdersOf(lists...)
 		for _, be := range b.corpus {
 			be.Entry.Cov = be.Entry.Cov[:min(4, len(be.Entry.Cov))]
 		}
-		kept := 0
+		kept2 := 0
 		for idx := range b.topRated {
-			if kept++; kept > 3 {
+			if kept2++; kept2 > 3 {
 				delete(b.topRated, idx)
 			}
 		}
-		b.pending[1] = []importItem{{input: b.corpus[0].Entry.Input, globalFav: true}}
+		b.pending[1] = []importItem{{input: b.corpus[0].Entry.Input, corpus: -1, globalFav: true}}
 	})
 	metas, power, err := core.DecodeSchedState(tree[workerDir(0)+"/"+core.SchedStateFile])
 	if err != nil {
@@ -155,19 +375,20 @@ func smallSections(t *testing.T) (header, brokerBin, sched []byte) {
 	}
 	var w guest.StateWriter
 	core.EncodeSchedState(&w, metas[:3], power)
-	return tree[ManifestFile], tree[brokerFile], w.Bytes()
+	return tree, tree[ManifestFile], tree[brokerFile], w.Bytes()
 }
 
 // TestCheckpointDecodeBoundsCounts overwrites every byte offset of each
-// checkpoint section with a count of four billion and decodes the result.
-// Where the offset falls in a count, a length, a boolean, a worker or an edge
-// the decode fails; where it falls in free bytes (a payload, a timestamp, a
-// key) it may succeed, and then the section encodes back to itself. Either
-// way no count sized an allocation: all the corrupt decodes together allocate
-// within 16 MiB of what as many decodes of the section itself do (a decoded
-// broker is a 64 KiB virgin map and its empty maps before it holds anything).
+// checkpoint section with a count of four billion and decodes the result,
+// broker.bin against its tree's queue files. Where the offset falls in a
+// count, a length, a boolean, a worker, a holder or an edge the decode fails;
+// where it falls in free bytes (a payload, a timestamp, a key) it may
+// succeed, and then the section encodes back to itself. Either way no count
+// sized an allocation: all the corrupt decodes together allocate within 16
+// MiB of what as many decodes of the section itself do (a decoded broker is
+// a 64 KiB virgin map and its empty maps before it holds anything).
 func TestCheckpointDecodeBoundsCounts(t *testing.T) {
-	header, brokerBin, sched := smallSections(t)
+	tree, header, brokerBin, sched := smallSections(t)
 	allocated := func(f func()) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -184,7 +405,7 @@ func TestCheckpointDecodeBoundsCounts(t *testing.T) {
 			_, err := ReencodeManifest(raw)
 			return raw, err // JSON has no one spelling; FuzzCheckpointDecode checks its fixed point
 		}},
-		{brokerFile, brokerBin, func(raw []byte) ([]byte, error) { return ReencodeBroker(raw, 2) }},
+		{brokerFile, brokerBin, func(raw []byte) ([]byte, error) { return ReencodeBroker(raw, 2, tree) }},
 		{core.SchedStateFile, sched, ReencodeSched},
 	} {
 		honest := allocated(func() {
@@ -224,9 +445,11 @@ func TestCheckpointDecodeBoundsCounts(t *testing.T) {
 // broker.bin's decoded inputs for the queue files, 3.1 and 9.5; before the
 // store copied a tree into one slab and the codec cut names, keys, traces,
 // inputs, encodings and claim lists from slabs, 2.1 and 8.6. It reads 0.06
-// and 1.41 now, one of which is GetTree's copy of each file (the store keeps
-// that per file: see the layout comment). The checkpoint also hashes
-// nothing: every live entry was keyed when it was published.
+// and 1.42 now (1.41 before broker.bin named its corpus entries' holders),
+// one of which is GetTree's copy of each file (the store keeps that per
+// file: see the layout comment). The checkpoint also hashes nothing: every
+// live entry was keyed when it was published, and a holder is found by
+// identity.
 func TestCheckpointResumeAllocsPerEntry(t *testing.T) {
 	c := run(t, Config{Target: "bftpd", Workers: 2, Policy: core.PolicyAggressive, Seed: 1,
 		SyncInterval: 500 * time.Millisecond, SnapBudget: 4 << 20}, 2*time.Second)
@@ -287,11 +510,11 @@ func TestCheckpointResumeAllocsPerEntry(t *testing.T) {
 	}
 }
 
-// A queue file with the bytes of one of broker.bin's corpus entries is
-// restored as that entry's decoded input with its key, and a seed that
-// re-queues keeps both: after a resume and its first round no such seed was
-// decoded again or hashed. broker.bin's keys are complemented here, so a seed
-// that had hashed its input would carry the real key instead.
+// A queue file broker.bin names as a corpus entry's holder is restored as
+// that entry's decoded input with its key, and a seed that re-queues keeps
+// both: after a resume and its first round no such seed was decoded again or
+// hashed. broker.bin's keys are complemented here, so a seed that had hashed
+// its input would carry the real key instead.
 func TestResumeHashesNoSharedSeed(t *testing.T) {
 	tree, err := run(t, Config{Target: "dnsmasq", Workers: 2, Policy: core.PolicyAggressive, Seed: 1,
 		SyncInterval: 500 * time.Millisecond}, 2*time.Second).CheckpointTree()
@@ -339,40 +562,46 @@ func TestResumeHashesNoSharedSeed(t *testing.T) {
 	}
 }
 
-// A queue file one byte away from every corpus entry is decoded and hashed on
-// its own, and the scheduler metadata sched.bin holds for its key lands on it
-// when worker 0 imports its seeds.
+// A queue file no corpus entry names as a holder is decoded and hashed on
+// its own, even one byte away from the input of the corpus entry that named
+// it before, and the scheduler metadata sched.bin holds for its key lands on
+// it when worker 0 imports its seeds. The corpus entry it held, holderless
+// now, keeps its own input, which broker.bin carries.
 func TestResumeDecodesUnsharedQueueFile(t *testing.T) {
 	tree, err := run(t, Config{Target: "dnsmasq", Workers: 2, Policy: core.PolicyAggressive, Seed: 1,
 		SyncInterval: 500 * time.Millisecond}, time.Second).CheckpointTree()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := readManifest(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := decodeBroker(tree[brokerFile], m.Workers)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Worker 0's first queue file re-queues whatever ran before it: no seed
-	// runs before it.
+	// runs before it. Let no corpus entry name it.
 	victim := workerDir(0) + "/queue/id-000000.nyx"
+	first := holder{0, 0}
+	held := -1
+	tree = editBrokerHolders(t, tree, func(b *broker, hs *holders) {
+		lists := make([][]holder, len(b.corpus))
+		for i := range b.corpus {
+			for _, h := range hs.of(i) {
+				if h == first {
+					held = i
+				} else {
+					lists[i] = append(lists[i], h)
+				}
+			}
+		}
+		*hs = holdersOf(lists...)
+	})
 	in, err := spec.Deserialize(tree[victim])
 	if err != nil {
 		t.Fatal(err)
 	}
 	op := slices.IndexFunc(in.Ops, func(op spec.Op) bool { return len(op.Data) > 0 })
-	if op < 0 || !slices.ContainsFunc(b.corpus, func(be brokerEntry) bool { return bytes.Equal(be.Entry.Bytes(), tree[victim]) }) {
-		t.Fatal("worker 0's first queue file carries no payload or is no corpus entry's (test premise broken)")
+	if op < 0 || held < 0 {
+		t.Fatal("worker 0's first queue file carries no payload or held no corpus entry (test premise broken)")
 	}
 	in = in.Clone()
 	in.Ops[op].Data = append([]byte{^in.Ops[op].Data[0]}, in.Ops[op].Data[1:]...)
 	enc := spec.Serialize(in)
-	if slices.ContainsFunc(b.corpus, func(be brokerEntry) bool { return bytes.Equal(be.Entry.Bytes(), enc) }) {
-		t.Fatal("the flipped file is a corpus entry's (test premise broken)")
-	}
 	metas, power, err := core.DecodeSchedState(tree[workerDir(0)+"/"+core.SchedStateFile])
 	if err != nil {
 		t.Fatal(err)
@@ -380,12 +609,15 @@ func TestResumeDecodesUnsharedQueueFile(t *testing.T) {
 	metas[0] = core.EntryMeta{Key: core.InputKey(in), Depth: 7, Picked: 12345, Trimmed: true, Dominated: true}
 	var w guest.StateWriter
 	core.EncodeSchedState(&w, metas, power)
-	tree = maps.Clone(tree)
+	orig := tree[victim]
 	tree[victim], tree[workerDir(0)+"/"+core.SchedStateFile] = enc, w.Bytes()
 
 	res, err := ResumeTree(tree)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if be := res.broker.corpus[held].Entry; !bytes.Equal(be.Bytes(), orig) || !bytes.Equal(spec.Serialize(be.Input), orig) {
+		t.Fatalf("corpus entry %d lost the input it carries", held)
 	}
 	if err := res.workers[0].fz.Step(); err != nil {
 		t.Fatal(err)
@@ -449,4 +681,42 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 			}
 		}
 	})
+}
+
+// A resume files each worker's queue files in id order: in one pass when
+// they are numbered from 0 up, as CheckpointTree numbers them, and by a sort
+// when the ids have a gap or a duplicate (a name CheckpointTree would not
+// write beside the one it would, which sorts after it). A holder names the
+// file of its id, the first of two.
+func TestResumeIndexesQueueFilesByID(t *testing.T) {
+	for _, names := range [][]string{
+		{"000000", "000001", "000002", "000003", "000004", "000005", "000006"},
+		{"000000", "000001", "000002", "000004", "000005"},
+		{"000000", "000001", "000002", "2", "000003"},
+		{"000003", "000004", "000005"},
+		{"000000", "000001", "1000000"},
+	} {
+		for range 10 {
+			tree := store.Tree{workerDir(0) + "/sched.bin": nil, workerDir(1) + "/queue/id-000000.nyx": nil}
+			for _, n := range names {
+				tree[workerDir(0)+"/queue/id-"+n+".nyx"] = nil
+			}
+			q := indexQueues(tree, 1)
+			var got []string
+			for _, f := range q.files[0] {
+				got = append(got, strings.TrimSuffix(strings.TrimPrefix(f.key, workerDir(0)+"/queue/id-"), ".nyx"))
+			}
+			if !slices.Equal(got, names) {
+				t.Fatalf("queue files filed as %v, want %v", got, names)
+			}
+			for j, f := range q.files[0] {
+				if k, found := q.find(holder{0, f.id}); !found || k > j || q.files[0][k].id != f.id {
+					t.Fatalf("%v: a holder of id %d finds file %d, %v", names, f.id, k, found)
+				}
+			}
+			if _, found := q.find(holder{0, 999}); found {
+				t.Fatalf("%v: a holder of id 999 finds a file", names)
+			}
+		}
+	}
 }

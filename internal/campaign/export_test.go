@@ -13,15 +13,16 @@ import (
 // ResumeTree and CheckpointTree run, and the key broker.bin lives under.
 const BrokerFile = brokerFile
 
-// ReencodeBroker decodes a broker.bin for a campaign of workers workers and
-// returns what the decoded broker encodes to.
-func ReencodeBroker(raw []byte, workers int) ([]byte, error) {
-	b, err := decodeBroker(raw, workers)
+// ReencodeBroker decodes a broker.bin for a campaign of workers workers
+// against the queue files of tree, and returns what the decoded broker
+// encodes to with the holders it was decoded with.
+func ReencodeBroker(raw []byte, workers int, tree store.Tree) ([]byte, error) {
+	b, hs, err := decodeBroker(raw, indexQueues(tree, workers))
 	if err != nil {
 		return nil, err
 	}
 	var w guest.StateWriter
-	b.encode(&w)
+	b.encode(&w, hs)
 	return w.Bytes(), nil
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/store"
 )
 
 // Which section of a checkpoint a fuzz input is.
@@ -21,19 +22,22 @@ const (
 )
 
 // FuzzCheckpointDecode feeds arbitrary bytes to the three decoders a resume
-// runs on a checkpoint tree — the header, broker.bin and a worker's sched.bin
-// — seeded with the sections of real checkpoints (three targets, two workers,
-// after the first round, after one virtual second, and right after resuming
-// the latter, when the queue files a resume matched to broker.bin's corpus
-// inputs are those inputs' bytes; the VMs run here, none per input), with
-// their first halves, and with the last broker.bin with one byte flipped in
-// the middle of an input a queue file shares. A decoder never panics, and
-// never sizes an allocation by a count its input could not fill (the fuzzing
-// engine's memory limit is what notices). The binary sections are canonical: one that decodes encodes back
-// to the same bytes. The header is JSON, which has many spellings of one
-// value, so there the property is the fixed point: what a decoded header
-// encodes to decodes again, to the same bytes.
+// runs on a checkpoint tree — the header, broker.bin against the queue files
+// of the tree it came from, and a worker's sched.bin — seeded with the
+// sections of real checkpoints (three targets, two workers, after the first
+// round, after one virtual second, and right after resuming the latter, when
+// the queue files broker.bin names as its corpus entries' holders are those
+// inputs' bytes; the VMs run here, none per input), with their first halves,
+// and with the last broker.bin against its tree with one byte flipped in the
+// middle of the first queue file, which a corpus entry names. A decoder never
+// panics, and never sizes an allocation by a count its input could not fill
+// (the fuzzing engine's memory limit is what notices). The binary sections
+// are canonical: one that decodes encodes back to the same bytes. The header
+// is JSON, which has many spellings of one value, so there the property is
+// the fixed point: what a decoded header encodes to decodes again, to the
+// same bytes.
 func FuzzCheckpointDecode(f *testing.F) {
+	var trees []store.Tree // the trees broker.bin seeds are decoded against
 	for _, target := range []string{"tinydtls", "dnsmasq", "bftpd"} {
 		c, err := campaign.New(campaign.Config{Target: target, Workers: 2, Policy: core.PolicyAggressive,
 			Seed: 1, SyncInterval: 500 * time.Millisecond, Power: core.PowerCoe})
@@ -43,7 +47,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		// A checkpoint after the first round is a few kilobytes, which is what
 		// the mutator gets through quickly; the one after a virtual second
 		// has every sequence populated.
-		var tree map[string][]byte
+		var tree store.Tree
 		for _, d := range []time.Duration{10 * time.Millisecond, 990 * time.Millisecond, 0} {
 			if d == 0 { // the resumed copy of the last checkpoint, before its first round
 				if c, err = campaign.ResumeTree(tree); err != nil {
@@ -55,6 +59,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 			if tree, err = c.CheckpointTree(); err != nil {
 				f.Fatal(err)
 			}
+			trees = append(trees, tree)
 			for _, key := range slices.Sorted(maps.Keys(tree)) {
 				section, raw := -1, tree[key]
 				switch {
@@ -67,31 +72,29 @@ func FuzzCheckpointDecode(f *testing.F) {
 				default:
 					continue
 				}
-				if !decodesCanonically(f, section, raw) {
+				if !decodesCanonically(f, section, tree, raw) {
 					f.Fatalf("%s: %s of a real checkpoint does not decode", target, key)
 				}
-				f.Add(section, raw)
-				f.Add(section, raw[:len(raw)/2])
+				f.Add(section, len(trees)-1, raw)
+				f.Add(section, len(trees)-1, raw[:len(raw)/2])
 			}
 		}
-		brokerBin := tree[campaign.BrokerFile]
-		for _, key := range slices.Sorted(maps.Keys(tree)) {
-			if at := bytes.Index(brokerBin, tree[key]); strings.Contains(key, "/queue/") && at >= 0 {
-				flipped := bytes.Clone(brokerBin)
-				flipped[at+len(tree[key])/2] ^= 0xff
-				f.Add(sectionBroker, flipped)
-				break
-			}
-		}
+		flipped := maps.Clone(tree)
+		victim := "worker-000/queue/id-000000.nyx"
+		flipped[victim] = bytes.Clone(tree[victim])
+		flipped[victim][len(tree[victim])/2] ^= 0xff
+		trees = append(trees, flipped)
+		f.Add(sectionBroker, len(trees)-1, tree[campaign.BrokerFile])
 	}
-	f.Fuzz(func(t *testing.T, section int, raw []byte) {
-		decodesCanonically(t, ((section%sections)+sections)%sections, raw)
+	f.Fuzz(func(t *testing.T, section, tree int, raw []byte) {
+		decodesCanonically(t, ((section%sections)+sections)%sections, trees[((tree%len(trees))+len(trees))%len(trees)], raw)
 	})
 }
 
-// decodesCanonically runs one section's decoder on raw, fails t if what
-// decoded does not encode back to raw, and reports whether raw decoded.
-func decodesCanonically(t testing.TB, section int, raw []byte) bool {
+// decodesCanonically runs one section's decoder on raw (broker.bin against
+// tree's queue files), fails t if what decoded does not encode back to raw,
+// and reports whether raw decoded.
+func decodesCanonically(t testing.TB, section int, tree store.Tree, raw []byte) bool {
 	var again []byte
 	var err error
 	switch section {
@@ -102,7 +105,7 @@ func decodesCanonically(t testing.TB, section int, raw []byte) bool {
 			}
 		}
 	case sectionBroker:
-		again, err = campaign.ReencodeBroker(raw, 2)
+		again, err = campaign.ReencodeBroker(raw, 2, tree)
 	case sectionSched:
 		again, err = campaign.ReencodeSched(raw)
 	}

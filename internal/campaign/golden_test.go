@@ -30,7 +30,12 @@ import (
 // rewritten in the version-5 layout reproduced the old digest; and once more
 // with manifest version 7 (the header embeds Config, its enums by name, and
 // lost the *_name duplicates), edited by hand after each new tree rewritten in
-// the version-6 layout reproduced the recorded digest. Re-record with
+// the version-6 layout reproduced the recorded digest; and once more with
+// manifest version 8 (broker.bin names each corpus entry's holder queue files
+// and carries only the inputs no queue file holds), edited by hand after each
+// new tree rewritten in the version-7 layout — every corpus input inline, the
+// holder lists dropped, the header's version 7 — reproduced the recorded
+// digest. Re-record with
 //
 //	NYX_UPDATE_GOLDEN=1 go test ./internal/core ./internal/campaign ./internal/targets -run 'Recorded|LockstepGolden'
 //

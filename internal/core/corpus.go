@@ -55,6 +55,21 @@ func (f *Fuzzer) EncodeQueue(t map[string][]byte, dir string) {
 	}
 }
 
+// FileID returns the id EncodeQueue files e under, and whether it files e at
+// all: a queued entry under its ID, a seed the first Step has yet to import
+// under the queue's length plus its index among the seeds (its ID until
+// then). A checkpoint asks it whether an entry it recorded earlier is still
+// the one a queue file holds, by identity: nothing is hashed or compared.
+func (f *Fuzzer) FileID(e *QueueEntry) (int, bool) {
+	if e.ID >= 0 && e.ID < len(f.Queue) && f.Queue[e.ID] == e {
+		return e.ID, true
+	}
+	if e.ID >= 0 && e.ID < len(f.seeds) && f.seeds[e.ID] == e {
+		return f.nextID + e.ID, true
+	}
+	return 0, false
+}
+
 // SaveCorpus writes EncodeCorpus to dir as plain files, so campaigns can
 // be resumed or corpora shared.
 func (f *Fuzzer) SaveCorpus(dir string) error {

@@ -97,7 +97,9 @@ const AggressiveRetreatThreshold = 50
 
 // QueueEntry is one interesting input.
 type QueueEntry struct {
-	ID int // the entry's index in the fuzzer's Queue
+	// ID is the entry's index in the fuzzer's Queue; until the first Step
+	// queues it, a seed's index among the seeds New was given.
+	ID int
 	// Input is never written once queued (a trim replaces the pointer), so
 	// children, trim candidates and broker publications share its ops
 	// uncopied, as it shares its parent's payloads — see package spec.
@@ -228,7 +230,8 @@ type Options struct {
 	// Restored, when not empty, replaces Seeds with the queue a checkpoint
 	// saved, as entries holding an unmarked input and whatever key and bytes
 	// the checkpoint had for it (Encodings.Set). An entry that re-queues is
-	// itself the new queue entry: the fuzzer takes them over.
+	// itself the new queue entry: the fuzzer takes them over, numbering them
+	// by position (QueueEntry.ID) first.
 	Restored []*QueueEntry
 	// SnapshotReuse overrides DefaultSnapshotReuse when > 0. It is the
 	// baseline execution budget of one scheduling round (keeps round lengths
@@ -387,6 +390,9 @@ func New(agent Executor, s *spec.Spec, opts Options) *Fuzzer {
 		for i, in := range opts.Seeds {
 			seeds[i] = &QueueEntry{Input: &spec.Input{Ops: slices.Clone(in.Ops), SnapshotAt: -1}}
 		}
+	}
+	for i, e := range seeds {
+		e.ID = i
 	}
 	f := &Fuzzer{
 		Agent:     agent,

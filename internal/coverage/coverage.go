@@ -6,6 +6,8 @@
 // with explicit location probes that feed the same data structure.
 package coverage
 
+import "encoding/binary"
+
 // MapSize is the trace bitmap size in bytes (AFL's default).
 const MapSize = 1 << 16
 
@@ -179,15 +181,22 @@ func (v *Virgin) MergeMasked(hits []BucketHit) (hasNew bool) {
 // hits in ascending index order, and folds the delta into base so the next
 // call reports only what is new since this one. A campaign worker keeps
 // base as its "already published" shadow: each epoch it appends the fresh
-// bits, ships them, and the broker applies them with MergeMasked.
+// bits, ships them, and the broker applies them with MergeMasked. The maps
+// are compared eight bytes at a time, and byte by byte only inside a word
+// that has new bits.
 func (v *Virgin) AppendNewTo(base *Virgin, dst []BucketHit) []BucketHit {
-	for i := range v.bits {
-		if add := v.bits[i] &^ base.bits[i]; add != 0 {
-			dst = append(dst, BucketHit{Index: uint32(i), Bucket: v.bits[i]})
-			if base.bits[i] == 0 {
-				base.edges++
+	for w := 0; w < MapSize; w += 8 {
+		if binary.LittleEndian.Uint64(v.bits[w:])&^binary.LittleEndian.Uint64(base.bits[w:]) == 0 {
+			continue
+		}
+		for i := w; i < w+8; i++ {
+			if add := v.bits[i] &^ base.bits[i]; add != 0 {
+				dst = append(dst, BucketHit{Index: uint32(i), Bucket: v.bits[i]})
+				if base.bits[i] == 0 {
+					base.edges++
+				}
+				base.bits[i] |= add
 			}
-			base.bits[i] |= add
 		}
 	}
 	return dst

@@ -300,3 +300,70 @@ func TestAppendNewToAscendingOrder(t *testing.T) {
 		}
 	}
 }
+
+// appendNewToBytes is AppendNewTo as a loop over every byte: what the word
+// scan must agree with.
+func appendNewToBytes(v, base *Virgin, dst []BucketHit) []BucketHit {
+	for i := range v.bits {
+		if add := v.bits[i] &^ base.bits[i]; add != 0 {
+			dst = append(dst, BucketHit{Index: uint32(i), Bucket: v.bits[i]})
+			if base.bits[i] == 0 {
+				base.edges++
+			}
+			base.bits[i] |= add
+		}
+	}
+	return dst
+}
+
+// AppendNewTo scans words, and gives the byte loop's hits in its order and
+// leaves base as it does, edge count included, on sparse, dense and all-new
+// maps against empty, partial and equal bases.
+func TestAppendNewToMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	fill := func(v *Virgin, density float64) {
+		for i := range v.bits {
+			if rng.Float64() < density {
+				v.bits[i] = byte(1 << rng.Intn(8))
+			}
+		}
+		v.edges = 0
+		for _, b := range v.bits {
+			if b != 0 {
+				v.edges++
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name          string
+		src, partBase float64
+	}{
+		{"sparse", 0.001, 0},
+		{"sparse against partial base", 0.01, 0.005},
+		{"dense", 0.5, 0.2},
+		{"all new", 1, 0},
+	} {
+		var src, base Virgin
+		fill(&src, tc.src)
+		if tc.name == "all new" {
+			for i := range src.bits {
+				src.bits[i] |= 0x81
+			}
+		}
+		fill(&base, tc.partBase)
+		base2 := base
+		got := src.AppendNewTo(&base, nil)
+		want := appendNewToBytes(&src, &base2, nil)
+		if len(got) != len(want) || base != base2 {
+			t.Fatalf("%s: %d hits, the byte loop %d; bases equal %v", tc.name, len(got), len(want), base == base2)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: hit %d is %+v, the byte loop's %+v", tc.name, i, got[i], want[i])
+			}
+		}
+		if again := src.AppendNewTo(&base, nil); len(again) != 0 {
+			t.Fatalf("%s: %d hits against a base that caught up", tc.name, len(again))
+		}
+	}
+}
