@@ -123,11 +123,10 @@ func ParseSyncMode(name string) (SyncMode, error) {
 }
 
 // Config describes a parallel campaign. It is the one record of a
-// campaign's configuration: nyx-net fills it from its flags, the service
-// from a spec, and a checkpoint's header embeds it. Its JSON keys are the
-// service spec's, and its enums travel as the names their flags take.
-// service.Spec must keep these keys: the service reads a header's Config
-// as a Spec when a tree has no spec of its own.
+// campaign's configuration: nyx-net fills it from its flags, a checkpoint's
+// header embeds it, and service.Spec embeds it beside an id and a budget,
+// so its JSON keys are the service API's. Its enums travel as the names
+// their flags take.
 type Config struct {
 	// Target is the registered target name (targets.Names lists them).
 	Target string `json:"target"`

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 )
 
 // Handler exposes a Manager as a JSON HTTP API:
@@ -25,13 +24,14 @@ import (
 //	        ?follow=1  keep streaming until the campaign reaches a
 //	                   terminal state (server-sent JSON lines)
 //
-// Errors are {"error": "..."} with a 4xx/5xx status.
+// Errors are {"error": "..."} with a 4xx/5xx status. A request body over
+// maxSpecBytes is refused with 413.
 func Handler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/campaigns", func(w http.ResponseWriter, r *http.Request) {
-		var spec Spec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
+		spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+		if err != nil {
+			badBody(w, "spec", err)
 			return
 		}
 		st, err := m.Submit(spec)
@@ -61,12 +61,10 @@ func Handler(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("POST /api/campaigns/{id}/resume", func(w http.ResponseWriter, r *http.Request) {
-		var body struct {
-			Duration time.Duration `json:"duration_ns"`
-		}
+		var body budget
 		if r.ContentLength != 0 {
-			if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
+			if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&body); err != nil {
+				badBody(w, "body", err)
 				return
 			}
 		}
@@ -162,6 +160,17 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// badBody answers a request whose body did not decode: 413 when it ran
+// past maxSpecBytes, 400 otherwise.
+func badBody(w http.ResponseWriter, what string, err error) {
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, fmt.Errorf("bad %s: %w", what, err))
 }
 
 // statusFor maps manager errors onto HTTP statuses: unknown campaigns are

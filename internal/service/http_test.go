@@ -8,9 +8,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/store"
 )
 
@@ -341,5 +343,54 @@ func TestHTTPResumeEquivalenceAcrossStores(t *testing.T) {
 		if feedA[i].T != feedB[i].T || feedA[i].Edges != feedB[i].Edges {
 			t.Fatalf("resume feeds diverge at %d", i)
 		}
+	}
+}
+
+// A status shows the configuration the campaign runs with: a spec that
+// leaves keys out gets the aggressive policy and Config's defaults, and its
+// status names them.
+func TestHTTPStatusShowsEffectiveConfig(t *testing.T) {
+	m := New(Config{})
+	defer m.Close()
+	srv := httptest.NewServer(Handler(m))
+	defer srv.Close()
+	resp, raw := doJSON(t, "POST", srv.URL+"/api/campaigns",
+		map[string]any{"id": "eff", "target": "lightftp", "duration_ns": 30 * time.Second})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit: %d %s", resp.StatusCode, raw)
+	}
+	var st struct {
+		Spec map[string]any `json:"spec"`
+	}
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]any{"id": "eff", "policy": "aggressive", "sched": "afl", "power": "off",
+		"sync_mode": "lockstep", "workers": 1.0, "sync_interval_ns": float64(campaign.DefaultSyncInterval),
+		"snap_budget": 0.0, "asan": false, "seed": 0.0, "duration_ns": float64(30 * time.Second)} {
+		if got := st.Spec[key]; got != want {
+			t.Errorf("status spec %s = %v, want %v", key, got, want)
+		}
+	}
+}
+
+// A request body over maxSpecBytes is refused with 413, and nothing is
+// registered or resumed.
+func TestHTTPRefusesOversizedBody(t *testing.T) {
+	m := New(Config{})
+	defer m.Close()
+	srv := httptest.NewServer(Handler(m))
+	defer srv.Close()
+	big := map[string]any{"id": "big", "target": strings.Repeat("x", 5<<10), "duration_ns": time.Second}
+	if resp, raw := doJSON(t, "POST", srv.URL+"/api/campaigns", big); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: %d %s", resp.StatusCode, raw)
+	}
+	if n := len(m.List()); n != 0 {
+		t.Fatalf("an oversized submit registered %d campaigns", n)
+	}
+	resp, raw := doJSON(t, "POST", srv.URL+"/api/campaigns/ghost/resume",
+		map[string]any{"duration_ns": time.Second, "pad": strings.Repeat("x", 5<<10)})
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized resume: %d %s", resp.StatusCode, raw)
 	}
 }

@@ -27,10 +27,10 @@
 package service
 
 import (
-	"encoding"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -49,9 +49,13 @@ const DefaultCheckpointEvery = 5 * time.Second
 // "<prefix>/<id>" per campaign.
 const DefaultPrefix = "campaigns"
 
-// specKey is the supplementary key the service rides inside each
-// checkpoint tree (campaign.ResumeTree ignores it).
-const specKey = "service.json"
+// budgetKey is the service's one key in a checkpoint tree (ResumeTree
+// ignores it): the budget, {"duration_ns": N}. The configuration is the
+// manifest's.
+const budgetKey = "service.json"
+
+// maxSpecBytes bounds a request body: a spec is a few hundred bytes.
+const maxSpecBytes = 4 << 10
 
 // State is a campaign's lifecycle state.
 type State string
@@ -73,68 +77,52 @@ const (
 
 func (s State) terminal() bool { return s == StateDone || s == StateFailed }
 
-// Spec describes one campaign submission. Name fields use the same
-// vocabulary as the nyx-net CLI flags; durations are JSON nanoseconds.
+// Spec describes one campaign submission: an id, a budget and the
+// campaign's configuration. Its JSON keys and enum names are
+// campaign.Config's, the nyx-net flags' vocabulary; durations are JSON
+// nanoseconds.
 type Spec struct {
 	// ID names the campaign (assigned by the manager when empty).
 	ID string `json:"id,omitempty"`
-	// Target is the registered target name (required).
-	Target string `json:"target"`
 	// Duration is the total virtual fuzzing time, cumulative across
 	// checkpoint/resume cycles (required).
 	Duration time.Duration `json:"duration_ns"`
-	Workers  int           `json:"workers,omitempty"`
-	// Policy: none | balanced | aggressive (default aggressive).
-	Policy string `json:"policy,omitempty"`
-	// Sched: afl | rr (default afl).
-	Sched string `json:"sched,omitempty"`
-	// Power: off | coe (default off).
-	Power        string        `json:"power,omitempty"`
-	Seed         int64         `json:"seed,omitempty"`
-	SyncInterval time.Duration `json:"sync_interval_ns,omitempty"`
-	SnapBudget   int64         `json:"snap_budget,omitempty"`
-	Asan         bool          `json:"asan,omitempty"`
-	// SyncMode: lockstep | async (default lockstep — the service keeps the
-	// deterministic mode unless a spec opts into barrier-free sync).
-	SyncMode string `json:"sync_mode,omitempty"`
+	campaign.Config
 }
 
-// campaignConfig maps the spec onto campaign.Config, the names through the
-// enums' UnmarshalText, and validates the result. An empty name keeps the
-// spec's default.
-func (s Spec) campaignConfig() (campaign.Config, error) {
+// budget is what budgetKey holds and what POST /api/campaigns/{id}/resume
+// takes: a campaign's total virtual time.
+type budget struct {
+	Duration time.Duration `json:"duration_ns"`
+}
+
+// decodeSpec reads one JSON spec. It sets the API's one default that is not
+// a zero value: a spec that names no policy runs aggressive. A key left out
+// otherwise takes Config's zero value (scheduler afl, power off, lockstep;
+// one worker and the default sync interval once launched).
+func decodeSpec(r io.Reader) (Spec, error) {
+	spec := Spec{Config: campaign.Config{Policy: core.PolicyAggressive}}
+	err := json.NewDecoder(r).Decode(&spec)
+	return spec, err
+}
+
+// validate is the one check a spec passes before it launches: a target, a
+// positive budget and a configuration Config.Validate accepts.
+func (s Spec) validate() error {
 	if s.Target == "" {
-		return campaign.Config{}, errors.New("service: spec has no target")
+		return errors.New("service: spec has no target")
 	}
 	if s.Duration <= 0 {
-		return campaign.Config{}, errors.New("service: spec needs a positive duration_ns")
+		return errors.New("service: spec needs a positive duration_ns")
 	}
-	cfg := campaign.Config{
-		Target:       s.Target,
-		Workers:      s.Workers,
-		Policy:       core.PolicyAggressive,
-		Seed:         s.Seed,
-		SyncInterval: s.SyncInterval,
-		SnapBudget:   s.SnapBudget,
-		Asan:         s.Asan,
-	}
-	for _, f := range []struct {
-		name string
-		v    encoding.TextUnmarshaler
-	}{{s.Policy, &cfg.Policy}, {s.Sched, &cfg.Sched}, {s.Power, &cfg.Power}, {s.SyncMode, &cfg.SyncMode}} {
-		if f.name == "" {
-			continue
-		}
-		if err := f.v.UnmarshalText([]byte(f.name)); err != nil {
-			return campaign.Config{}, err
-		}
-	}
-	return cfg, cfg.Validate()
+	return s.Config.Validate()
 }
 
 // Status is a point-in-time snapshot of one campaign.
 type Status struct {
-	ID    string `json:"id"`
+	ID string `json:"id"`
+	// Spec is the campaign's effective configuration: what it runs with,
+	// defaults filled in (a recovered campaign's is its manifest's).
 	Spec  Spec   `json:"spec"`
 	State State  `json:"state"`
 	Error string `json:"error,omitempty"`
@@ -223,7 +211,6 @@ type managed struct {
 	done chan struct{}
 
 	mu     sync.Mutex
-	spec   Spec
 	status Status
 	events []Event
 	wake   chan struct{} // closed+replaced on every event append
@@ -237,7 +224,10 @@ type managed struct {
 	lastCkpt time.Duration
 }
 
-var errNotLive = errors.New("service: campaign is not live")
+var (
+	errNotLive = errors.New("service: campaign is not live")
+	errClosed  = errors.New("service: manager is closed")
+)
 
 // ErrNoCampaign is wrapped by lookups of unknown campaign ids.
 var ErrNoCampaign = errors.New("no such campaign")
@@ -248,14 +238,13 @@ func (m *Manager) treeName(id string) string { return m.cfg.Prefix + "/" + id }
 // Submit validates spec, launches its workers and starts fuzzing. The
 // returned status reflects the freshly started campaign.
 func (m *Manager) Submit(spec Spec) (Status, error) {
-	cfg, err := spec.campaignConfig()
-	if err != nil {
+	if err := spec.validate(); err != nil {
 		return Status{}, err
 	}
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return Status{}, errors.New("service: manager is closed")
+		return Status{}, errClosed
 	}
 	if spec.ID == "" {
 		for {
@@ -275,12 +264,12 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 	}
 	// Reserve the slot before the (slow) worker launch so a concurrent
 	// submit cannot steal the id; remove it again on launch failure.
-	g := &managed{id: spec.ID, m: m, spec: spec, wake: make(chan struct{})}
+	g := &managed{id: spec.ID, m: m, wake: make(chan struct{})}
 	g.status = Status{ID: spec.ID, Spec: spec, State: StateRunning}
 	m.campaigns[spec.ID] = g
 	m.mu.Unlock()
 
-	c, err := campaign.New(cfg)
+	c, err := campaign.New(spec.Config)
 	if err != nil {
 		m.mu.Lock()
 		delete(m.campaigns, spec.ID)
@@ -304,17 +293,20 @@ func validID(id string) error {
 	return nil
 }
 
-// start spawns the actor for a live campaign. The wg.Add is serialized
-// with Close's closed-flag flip under m.mu, so no actor starts after
-// Close begins waiting.
+// start spawns the actor for a live campaign, its status refreshed from c.
+// The wg.Add is serialized with Close's closed-flag flip under m.mu, so no
+// actor starts after Close begins waiting.
 func (m *Manager) start(g *managed, c *campaign.Campaign) error {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return errors.New("service: manager is closed")
+		return errClosed
 	}
 	m.wg.Add(1)
 	m.mu.Unlock()
+	g.mu.Lock()
+	g.status = g.statusFrom(c)
+	g.mu.Unlock()
 	g.reqs = make(chan func(*campaign.Campaign))
 	g.done = make(chan struct{})
 	g.covSeen, g.crSeen = 0, 0
@@ -358,7 +350,7 @@ func (g *managed) loop(c *campaign.Campaign) {
 		if g.stopping {
 			return
 		}
-		if c.Elapsed() >= g.spec.Duration {
+		if c.Elapsed() >= g.duration() {
 			if err := g.checkpoint(c); err != nil {
 				g.fail(c, fmt.Errorf("final checkpoint: %w", err))
 				return
@@ -416,11 +408,12 @@ func (g *managed) publish(c *campaign.Campaign) {
 }
 
 // statusFrom builds the live part of a status snapshot. Caller holds
-// g.mu; the campaign is only read by its actor, which is the caller.
+// g.mu; the campaign is only read by its actor, which is the caller (or by
+// start, before the actor exists).
 func (g *managed) statusFrom(c *campaign.Campaign) Status {
 	return Status{
 		ID:             g.id,
-		Spec:           g.spec,
+		Spec:           Spec{ID: g.id, Duration: g.status.Spec.Duration, Config: c.Config()},
 		State:          g.status.State,
 		Error:          g.status.Error,
 		Elapsed:        c.Elapsed(),
@@ -451,8 +444,8 @@ func (g *managed) setState(s State, t time.Duration) {
 	g.mu.Unlock()
 }
 
-// checkpoint writes the campaign tree (plus the service spec) to the
-// store. Actor-only; a nil store makes it a no-op.
+// checkpoint writes the campaign tree (plus its budget) to the store.
+// Actor-only; a nil store makes it a no-op.
 func (g *managed) checkpoint(c *campaign.Campaign) error {
 	st := g.m.cfg.Store
 	if st == nil {
@@ -462,13 +455,11 @@ func (g *managed) checkpoint(c *campaign.Campaign) error {
 	if err != nil {
 		return err
 	}
-	g.mu.Lock()
-	enc, err := json.Marshal(g.spec)
-	g.mu.Unlock()
+	enc, err := json.Marshal(budget{g.duration()})
 	if err != nil {
 		return err
 	}
-	t[specKey] = enc
+	t[budgetKey] = enc
 	if err := st.PutTree(g.m.treeName(g.id), t); err != nil {
 		return err
 	}
@@ -620,10 +611,16 @@ func (m *Manager) Resume(id string, extend time.Duration) (Status, error) {
 	return g.snapshot(), nil
 }
 
+// duration returns the campaign's total virtual-time budget.
+func (g *managed) duration() time.Duration {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.status.Spec.Duration
+}
+
 // setDuration updates the campaign's total virtual-time budget.
 func (g *managed) setDuration(d time.Duration) {
 	g.mu.Lock()
-	g.spec.Duration = d
 	g.status.Spec.Duration = d
 	g.mu.Unlock()
 }
@@ -694,9 +691,9 @@ func (m *Manager) Events(id string, since int) ([]Event, <-chan struct{}, bool, 
 // Recover registers every campaign tree found under the store prefix as a
 // stored campaign (state "stored": visible, summarized, resumable — but
 // cold until resumed). Campaigns already known to the manager are skipped.
-// It reads two objects per campaign, the checkpoint header and the service
-// spec, never the tree. A campaign whose header or spec does not decode is
-// left out and named in the returned error, next to the statuses of all the
+// It reads two objects per campaign, the checkpoint header and the budget,
+// never the tree. A campaign whose header or budget does not decode is left
+// out and named in the returned error, next to the statuses of all the
 // others: one damaged checkpoint does not hide the rest.
 func (m *Manager) Recover() ([]Status, error) {
 	if m.cfg.Store == nil {
@@ -720,29 +717,18 @@ func (m *Manager) Recover() ([]Status, error) {
 		if known {
 			continue
 		}
-		spec, sum, err := m.readStored(id)
+		status, err := m.readStored(id)
 		if err != nil {
 			skipped = append(skipped, fmt.Errorf("service: recover %q: %w", id, err))
 			continue
 		}
-		g := &managed{id: id, m: m, spec: spec, wake: make(chan struct{})}
+		g := &managed{id: id, m: m, status: status, wake: make(chan struct{})}
 		g.done = make(chan struct{})
 		close(g.done) // no actor attached
-		g.status = Status{
-			ID:             id,
-			Spec:           spec,
-			State:          StateStored,
-			Elapsed:        sum.Elapsed,
-			Edges:          sum.Edges,
-			Corpus:         sum.Corpus,
-			Crashes:        sum.Crashes,
-			Workers:        sum.Config.Workers,
-			CheckpointedAt: sum.Elapsed,
-		}
 		m.mu.Lock()
 		if m.closed {
 			m.mu.Unlock()
-			return out, errors.New("service: manager is closed")
+			return out, errors.Join(append(skipped, errClosed)...)
 		}
 		m.campaigns[id] = g
 		m.mu.Unlock()
@@ -751,39 +737,41 @@ func (m *Manager) Recover() ([]Status, error) {
 	return out, errors.Join(skipped...)
 }
 
-// readStored reads what a listing shows of stored campaign id: its service
-// spec and the summary of its checkpoint header.
-func (m *Manager) readStored(id string) (Spec, campaign.Summary, error) {
-	var spec Spec
+// readStored reads the status a listing shows of stored campaign id: the
+// summary and configuration of its checkpoint header, and the budget its
+// budgetKey records. A tree with no budgetKey, which is what nyx-net
+// -checkpoint writes, has the virtual time it has run as its budget.
+func (m *Manager) readStored(id string) (Status, error) {
 	raw, err := m.cfg.Store.Get(m.treeName(id) + "/" + campaign.ManifestFile)
 	if err != nil {
-		return spec, campaign.Summary{}, err
+		return Status{}, err
 	}
 	sum, err := campaign.Summarize(store.Tree{campaign.ManifestFile: raw})
 	if err != nil {
-		return spec, sum, err
+		return Status{}, err
 	}
-	switch raw, err := m.cfg.Store.Get(m.treeName(id) + "/" + specKey); {
-	case errors.Is(err, store.ErrNotExist):
-		// A tree checkpointed outside the service (the one-shot CLI)
-		// recovers with the configuration its header records: a Config's
-		// JSON is a spec's, names and keys alike. Its budget is what it ran.
-		if raw, err = json.Marshal(sum.Config); err == nil {
-			err = json.Unmarshal(raw, &spec)
+	b := budget{sum.Elapsed}
+	switch raw, err := m.cfg.Store.Get(m.treeName(id) + "/" + budgetKey); {
+	case err == nil:
+		// One that holds a whole spec, as earlier builds wrote it, decodes
+		// too: only its budget counts.
+		if err := json.Unmarshal(raw, &b); err != nil {
+			return Status{}, fmt.Errorf("bad %s: %w", budgetKey, err)
 		}
-		if err != nil {
-			return spec, sum, err
-		}
-		spec.Duration = sum.Elapsed
-	case err != nil:
-		return spec, sum, err
-	default:
-		if err := json.Unmarshal(raw, &spec); err != nil {
-			return spec, sum, fmt.Errorf("bad %s: %w", specKey, err)
-		}
+	case !errors.Is(err, store.ErrNotExist):
+		return Status{}, err
 	}
-	spec.ID = id
-	return spec, sum, nil
+	return Status{
+		ID:             id,
+		Spec:           Spec{ID: id, Duration: b.Duration, Config: sum.Config},
+		State:          StateStored,
+		Elapsed:        sum.Elapsed,
+		Edges:          sum.Edges,
+		Corpus:         sum.Corpus,
+		Crashes:        sum.Crashes,
+		Workers:        sum.Config.Workers,
+		CheckpointedAt: sum.Elapsed,
+	}, nil
 }
 
 // Close stops every live campaign at its next slice boundary, writing a

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -13,16 +15,15 @@ import (
 )
 
 // testSpec is a short deterministic campaign: lockstep rounds of 500ms
-// virtual time, total budget d.
+// virtual time, total budget d, and the policy a submitted spec defaults to.
 func testSpec(id string, seed int64, d time.Duration) Spec {
-	return Spec{
-		ID:           id,
+	return Spec{ID: id, Duration: d, Config: campaign.Config{
 		Target:       "lightftp",
-		Duration:     d,
 		Workers:      2,
+		Policy:       core.PolicyAggressive,
 		Seed:         seed,
 		SyncInterval: 500 * time.Millisecond,
-	}
+	}}
 }
 
 func dirStore(t *testing.T) store.Storer {
@@ -270,6 +271,16 @@ func TestCheckpointNowAndDelete(t *testing.T) {
 	if _, err := st.GetTree(DefaultPrefix + "/x"); err != nil {
 		t.Fatalf("checkpoint tree missing: %v", err)
 	}
+	// The tree stores the configuration once, in its manifest: the
+	// service's own key holds the budget and nothing else.
+	raw, err := st.Get(DefaultPrefix + "/x/" + budgetKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]any
+	if err := json.Unmarshal(raw, &keys); err != nil || len(keys) != 1 || keys["duration_ns"] != float64(30*time.Second) {
+		t.Fatalf("%s holds %s (%v), want only the budget", budgetKey, raw, err)
+	}
 	if err := m.Delete("x"); err != nil {
 		t.Fatal(err)
 	}
@@ -287,17 +298,23 @@ func TestCheckpointNowAndDelete(t *testing.T) {
 // Bad specs and unknown ids fail cleanly.
 func TestManagerErrors(t *testing.T) {
 	m := New(Config{})
-	if _, err := m.Submit(Spec{Target: "lightftp"}); err == nil {
+	ftp := campaign.Config{Target: "lightftp"}
+	if _, err := m.Submit(Spec{Config: ftp}); err == nil {
 		t.Fatal("submit with no duration succeeded")
 	}
-	if _, err := m.Submit(Spec{Target: "nope", Duration: time.Second}); err == nil {
+	if _, err := m.Submit(Spec{Duration: time.Second, Config: campaign.Config{Target: "nope"}}); err == nil {
 		t.Fatal("submit with unknown target succeeded")
 	}
-	if _, err := m.Submit(Spec{ID: "a/b", Target: "lightftp", Duration: time.Second}); err == nil {
+	if _, err := m.Submit(Spec{ID: "a/b", Duration: time.Second, Config: ftp}); err == nil {
 		t.Fatal("submit with slash id succeeded")
 	}
-	if _, err := m.Submit(Spec{Target: "lightftp", Duration: time.Second, Policy: "bogus"}); err == nil {
+	bogus := ftp
+	bogus.Policy = core.Policy(-1)
+	if _, err := m.Submit(Spec{Duration: time.Second, Config: bogus}); err == nil {
 		t.Fatal("submit with bogus policy succeeded")
+	}
+	if n := len(m.List()); n != 0 {
+		t.Fatalf("refused submits registered %d campaigns", n)
 	}
 	if _, err := m.CampaignStatus("ghost"); err == nil {
 		t.Fatal("status of unknown campaign succeeded")
@@ -343,7 +360,7 @@ func TestManagerIDs(t *testing.T) {
 // and edge count. Bad sync modes are rejected at submit.
 func TestManagerAsyncSpec(t *testing.T) {
 	bad := testSpec("bad", 1, time.Second)
-	bad.SyncMode = "bogus"
+	bad.SyncMode = campaign.SyncMode(7)
 	m0 := New(Config{})
 	if _, err := m0.Submit(bad); err == nil {
 		t.Fatal("submit with bogus sync_mode succeeded")
@@ -355,7 +372,7 @@ func TestManagerAsyncSpec(t *testing.T) {
 	st := dirStore(t)
 	m := New(Config{Store: st})
 	spec := testSpec("as", 7, 30*time.Second)
-	spec.SyncMode = "async"
+	spec.SyncMode = campaign.SyncAsync
 	if _, err := m.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -379,8 +396,8 @@ func TestManagerAsyncSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Spec.SyncMode != "async" {
-		t.Fatalf("recovered spec sync_mode %q, want async", rec.Spec.SyncMode)
+	if rec.Spec.SyncMode != campaign.SyncAsync {
+		t.Fatalf("recovered spec sync_mode %v, want async", rec.Spec.SyncMode)
 	}
 	if rec.Edges == 0 {
 		t.Fatal("recovered async campaign has no coverage")
@@ -484,20 +501,16 @@ func TestRecoverCLICheckpointKeepsItsConfig(t *testing.T) {
 	if err != nil || len(recovered) != 1 {
 		t.Fatalf("Recover = %+v, %v; want the one CLI campaign", recovered, err)
 	}
-	want := Spec{ID: "cli", Target: "lightftp", Duration: c.Elapsed(), Workers: 2, Policy: "none", Sched: "afl",
-		Power: "off", Seed: 3, SyncInterval: 500 * time.Millisecond, SnapBudget: 8 << 20, SyncMode: "async"}
-	if got := recovered[0]; got.State != StateStored || got.Spec != want {
+	want := Spec{ID: "cli", Duration: c.Elapsed(), Config: cfg}
+	if got := recovered[0]; got.State != StateStored || !reflect.DeepEqual(got.Spec, want) {
 		t.Fatalf("recovered %s as %+v\n  spec %+v\n  want %+v", got.ID, got, got.Spec, want)
-	}
-	if got, err := recovered[0].Spec.campaignConfig(); err != nil || !reflect.DeepEqual(got, cfg) {
-		t.Fatalf("the recovered spec maps to %+v, %v; want %+v", got, err, cfg)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Every other field comes back too: a Config's JSON is read as a Spec,
-	// so a key the two spell differently would be dropped here.
+	// Every other field comes back too, and the configurations below and
+	// above set each of them.
 	others := []campaign.Config{
 		{Target: "tinydtls", Workers: 1, Policy: core.PolicyBalanced, Seed: 9, SyncInterval: 250 * time.Millisecond,
 			Sched: core.SchedRoundRobin, Asan: true, SyncMode: campaign.SyncLockstep},
@@ -535,11 +548,83 @@ func TestRecoverCLICheckpointKeepsItsConfig(t *testing.T) {
 		if err != nil || len(recovered) != 1 {
 			t.Fatalf("Recover = %+v, %v; want the one CLI campaign", recovered, err)
 		}
-		if got, err := recovered[0].Spec.campaignConfig(); err != nil || !reflect.DeepEqual(got, cfg) {
-			t.Errorf("the recovered spec maps to %+v, %v; want %+v", got, err, cfg)
+		if got := recovered[0].Spec.Config; !reflect.DeepEqual(got, cfg) {
+			t.Errorf("recovered the configuration %+v, want %+v", got, cfg)
 		}
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// A service.json that holds a whole spec, as earlier versions wrote it,
+// still recovers: the budget comes from it, the configuration from the
+// manifest even where the two disagree, and the campaign resumes with the
+// manifest's.
+func TestRecoverTakesConfigFromManifest(t *testing.T) {
+	st := memStore(t)
+	cfg := campaign.Config{Target: "lightftp", Workers: 2, Policy: core.PolicyNone, Seed: 3,
+		SyncInterval: 500 * time.Millisecond}
+	c, err := campaign.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RunFor(500 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := c.CheckpointTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree[budgetKey] = []byte(`{"id":"old","target":"lightftp","duration_ns":9000000000,"workers":2,` +
+		`"policy":"balanced","sched":"rr","seed":3,"sync_interval_ns":500000000}`)
+	if err := st.PutTree(DefaultPrefix+"/old", tree); err != nil {
+		t.Fatal(err)
+	}
+	m := New(Config{Store: st})
+	defer m.Close()
+	recovered, err := m.Recover()
+	if err != nil || len(recovered) != 1 {
+		t.Fatalf("Recover = %+v, %v; want the one campaign", recovered, err)
+	}
+	want := Spec{ID: "old", Duration: 9 * time.Second, Config: cfg}
+	if got := recovered[0].Spec; !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered the spec %+v, want %+v", got, want)
+	}
+	if _, err := m.Resume("old", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Pause("old"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := m.CampaignStatus("old"); err != nil || !reflect.DeepEqual(got.Spec, want) {
+		t.Fatalf("resumed with the spec %+v, %v; want %+v", got.Spec, err, want)
+	}
+}
+
+// A manager closed while it lists the store still names every damaged tree
+// it has met, beside the closed manager.
+func TestRecoverAfterCloseKeepsSkippedErrors(t *testing.T) {
+	st := memStore(t)
+	if err := st.PutTree(DefaultPrefix+"/a", store.Tree{campaign.ManifestFile: []byte("{")}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := campaign.New(campaign.Config{Target: "lightftp", SyncInterval: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RunFor(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckpointTo(st, DefaultPrefix+"/b"); err != nil {
+		t.Fatal(err)
+	}
+	m := New(Config{Store: st})
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := m.Recover()
+	if len(recovered) != 0 || !errors.Is(err, errClosed) || !strings.Contains(err.Error(), `"a"`) {
+		t.Fatalf("Recover = %+v, %v; want no campaigns and an error naming a and the closed manager", recovered, err)
 	}
 }

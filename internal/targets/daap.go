@@ -177,10 +177,3 @@ func init() {
 		DesockCompat: true,
 	})
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
