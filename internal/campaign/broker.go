@@ -50,8 +50,10 @@ type broker struct {
 	// virgin is the global coverage map.
 	virgin coverage.Virgin
 	// topRated holds, per edge, the cheapest (favFactor-minimal) published
-	// claim.
+	// claim. claimed lists its edges ascending: an edge joins at its first
+	// claim and never leaves, because a claim is only ever replaced.
 	topRated map[uint32]topClaim
+	claimed  []uint32
 	// claimEdges indexes, per claimant key, the edges ever claimed under it,
 	// so a trim's claim transfer touches only that key's edges. Entries go
 	// stale when an edge is displaced (topRated is authoritative); stale keys
@@ -371,6 +373,9 @@ func (b *broker) compete(key string, fav int64, hits []coverage.BucketHit, displ
 		}
 		if ok {
 			b.release(cur.key)
+		} else {
+			at, _ := slices.BinarySearch(b.claimed, h.Index)
+			b.claimed = slices.Insert(b.claimed, at, h.Index)
 		}
 		b.topRated[h.Index] = topClaim{fav: fav, key: key}
 		b.claimEdges[key] = append(b.claimEdges[key], h.Index)

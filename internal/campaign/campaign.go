@@ -250,8 +250,8 @@ func New(cfg Config) (*Campaign, error) {
 }
 
 // workerSeeds is the restored per-worker state a resume feeds back into
-// core.New: the saved queue (core.Options.Restored), scheduler metadata to
-// re-attach, and the power-schedule state.
+// core.New: the saved queue (core.Options.Restored), its scheduler metadata
+// in the same order (core.Options.SeedMeta), and the power-schedule state.
 type workerSeeds struct {
 	queue []*core.QueueEntry
 	meta  []core.EntryMeta

@@ -153,6 +153,9 @@ func TestCampaignSyncSharesCorpus(t *testing.T) {
 	if c.Deduped() == 0 {
 		t.Fatal("broker never deduplicated a published entry (sync not exercised)")
 	}
+	if want := slices.Sorted(maps.Keys(c.broker.topRated)); !slices.Equal(c.broker.claimed, want) {
+		t.Fatalf("the broker lists %d claimed edges, its claims are on %d others or out of order", len(c.broker.claimed), len(want))
+	}
 	global := c.Coverage()
 	for _, st := range c.PerWorker() {
 		if st.Coverage == 0 {
@@ -346,53 +349,49 @@ func TestCheckpointResume(t *testing.T) {
 // Checkpoints must persist per-worker scheduler metadata, and a resumed
 // worker must re-attach it to the entries that re-queue from the saved
 // corpus — so resumed campaigns schedule from restored pick counts and trim
-// state instead of rediscovering them.
+// state instead of rediscovering them. sched.bin entry i belongs to queue
+// entry i: after the seed import, entry i carries exactly entry i's metadata.
 func TestCheckpointPersistsSchedulerMetadata(t *testing.T) {
 	dir := t.TempDir()
 	orig := run(t, testCfg(2, 9), 2*time.Second)
 	if err := checkpointDir(orig, dir); err != nil {
 		t.Fatal(err)
 	}
-	saved := make(map[string]core.EntryMeta)
+	saved := make([][]core.EntryMeta, len(orig.workers))
 	for _, w := range orig.workers {
 		metas, _ := loadSchedState(t, dir, w.id)
 		if len(metas) != len(w.fz.Queue) {
 			t.Fatalf("worker %d checkpoint has %d metadata entries, queue has %d",
 				w.id, len(metas), len(w.fz.Queue))
 		}
-		if w.id == 0 {
-			for _, m := range metas {
-				saved[m.Key] = m
-			}
+		if !slices.Equal(metas, w.fz.SchedMeta()) {
+			t.Fatalf("worker %d: sched.bin is not the live queue's metadata in queue order", w.id)
 		}
+		saved[w.id] = metas
 	}
 
 	res, err := resumeDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A minimal run imports the saved queues (the first scheduling round)
-	// without doing significant new fuzzing on top.
-	if err := res.RunFor(time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	matched, restored := 0, 0
-	for _, e := range res.workers[0].fz.Queue {
-		m, ok := saved[e.Key()]
-		if !ok {
-			continue
+	restored := 0
+	for _, w := range res.workers {
+		// The first scheduling round imports the saved queue and nothing else.
+		if err := w.fz.Step(); err != nil {
+			t.Fatal(err)
 		}
-		matched++
-		if e.Picked != m.Picked || e.Trimmed != m.Trimmed || e.Depth != m.Depth {
-			t.Fatalf("entry metadata not restored: got picked=%d trimmed=%v depth=%d, want %+v",
-				e.Picked, e.Trimmed, e.Depth, m)
+		got, want := w.fz.SchedMeta(), saved[w.id]
+		if len(got) != len(want) {
+			t.Fatalf("worker %d re-queued %d of %d saved entries", w.id, len(got), len(want))
 		}
-		if e.Picked > 0 || e.Trimmed || e.Depth > 0 {
-			restored++
+		for i, m := range want {
+			if got[i] != m {
+				t.Fatalf("worker %d entry %d: metadata %+v, sched.bin entry %d holds %+v", w.id, i, got[i], i, m)
+			}
+			if m.Picked > 0 || m.Trimmed || m.Depth > 0 {
+				restored++
+			}
 		}
-	}
-	if matched == 0 {
-		t.Fatal("no resumed queue entry matched the saved corpus")
 	}
 	if restored == 0 {
 		t.Fatal("restored metadata is all zero — persistence is a no-op")
@@ -686,6 +685,11 @@ func TestExchangeTrimClaimTransfer(t *testing.T) {
 	if !e.GloballyDominated {
 		t.Fatal("displacement of the trimmed form did not demote the live entry")
 	}
+	// Transfers and displacements replace claims: every edge ever claimed
+	// is listed once, ascending.
+	if want := []uint32{70, 71, 40000}; !slices.Equal(b.claimed, want) {
+		t.Fatalf("claimed edges %v, want %v", b.claimed, want)
+	}
 }
 
 // Within one delta the fresh entries are accepted and redistributed global
@@ -937,7 +941,7 @@ func TestResumeRefusesOldManifestVersions(t *testing.T) {
 			t.Fatalf("version-%d manifest summarized", v)
 		}
 	}
-	for _, v := range []int{0, 1, 2, 3, 4, 5, 6, 7, manifestVersion + 1} {
+	for _, v := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, manifestVersion + 1} {
 		refused(v, editManifest(t, tree, func(m *manifest) { m.Version = v }))
 	}
 	// A header shaped the way version 4 shaped it: the corpus and the

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -19,7 +18,7 @@ import (
 	"repro/internal/store"
 )
 
-// Checkpoint format, manifest version 8 — one store.Tree, written atomically
+// Checkpoint format, manifest version 9 — one store.Tree, written atomically
 // via PutTree. This comment is the format's one specification.
 //
 //	manifest.json                    the header: compact JSON of type manifest
@@ -33,7 +32,7 @@ import (
 // counts) and coverage log — and its size does not depend on the corpus. It
 // is one JSON object, in this key order:
 //
-//	version                                  8
+//	version                                  9
 //	target, workers, policy, seed,           the campaign's Config, embedded: the
 //	sync_interval_ns, sched, power,          service spec's keys, every enum by the
 //	snap_budget, asan, sync_mode             name its flag takes (policy none |
@@ -59,6 +58,21 @@ import (
 // The queue files are the §5.4 share-folder format (spec.Serialize), so a
 // worker directory doubles as a seed corpus; a resume reads them in entry-ID
 // order, which is queue order — the order sched.bin's entries are in.
+//
+// sched.bin holds one entry per queue file of its worker, and entry i
+// belongs to queue file i: a resume matches them by position, never by
+// content, so two entries with the same bytes keep their own metadata. It is
+// written in the codec below:
+//
+//	u32 n   entries; n = the worker's queue files
+//	   n × ( i64 depth | i64 exec_time_ns | i64 picked | bool trimmed |
+//	         i64 aggr_back | i64 aggr_barren | bool dominated )
+//	u64 total_picked
+//	u32 m   the power schedule's pick counts, edges strictly ascending
+//	   m × ( u32 edge | u64 picks )
+//
+// Every queue file re-queues on the worker's first round, whatever its
+// re-run covers, and takes its entry's metadata.
 //
 // Each input is stored once. A corpus entry's holders are the queue files
 // whose entry shares the corpus entry's op array, neither input carrying a
@@ -112,8 +126,8 @@ import (
 // A round trip allocates per tree and per section, not per file or entry. A
 // checkpoint cuts each worker's queue file names from one string
 // (core.EncodeQueue), lists the holders in one slab, and the mem store copies
-// the whole tree into one slab. A resume cuts keys from one string per
-// section (corpus keys here, entry keys in sched.bin), a claim takes the key
+// the whole tree into one slab. A resume cuts broker.bin's corpus keys from
+// one string (sched.bin has none), a claim takes the key
 // string of the corpus entry it names, and the traces, the holders, the
 // inputs with their bytes and op and argument arrays, and the entries with
 // their memoized encodings come from slabs. What is left per file is the
@@ -139,7 +153,7 @@ import (
 // manifestVersion is the one checkpoint format this build writes and reads;
 // a tree that declares any other is refused by number (README says how to
 // carry an older tree over).
-const manifestVersion = 8
+const manifestVersion = 9
 
 // Tree keys beside the per-worker files. ManifestFile is the one a listing
 // needs: Summarize reads nothing else.
@@ -342,7 +356,7 @@ func (b *broker) encode(w *guest.StateWriter, hs holders) {
 		buf = spec.AppendSerialize(buf[:0], in)
 		w.Bytes32(buf)
 	}
-	size := 16 + 4*len(b.pending) + len(b.topRated)*(claimMinLen+32) // a key is a 32-byte digest
+	size := 16 + 4*len(b.pending) + len(b.claimed)*(claimMinLen+32) // a key is a 32-byte digest
 	for i, be := range b.corpus {
 		size += corpusEntryMinLen + len(be.Entry.Key()) + 5*len(be.Entry.Cov)
 		if l := len(hs.of(i)); l > 0 {
@@ -385,8 +399,8 @@ func (b *broker) encode(w *guest.StateWriter, hs holders) {
 			w.U8(h.Bucket)
 		}
 	}
-	w.U32(uint32(len(b.topRated)))
-	for _, idx := range slices.Sorted(maps.Keys(b.topRated)) {
+	w.U32(uint32(len(b.claimed)))
+	for _, idx := range b.claimed {
 		w.U32(idx)
 		w.I64(b.topRated[idx].fav)
 		w.String(b.topRated[idx].key)
@@ -664,7 +678,7 @@ func decodeBroker(raw []byte, q queueIndex) (*broker, holders, error) {
 		b.corpus = append(b.corpus, be)
 	}
 	nc := r.Count(claimMinLen)
-	claimed := make([]uint32, 0, nc) // the claimed edges, ascending
+	b.claimed = make([]uint32, 0, nc)
 	for i, prev := 0, uint32(0); i < nc && ok(); i++ {
 		idx, cl := r.U32(), topClaim{fav: r.I64()}
 		if v := r.View32(); len(v) == 0 {
@@ -681,12 +695,12 @@ func decodeBroker(raw []byte, q queueIndex) (*broker, holders, error) {
 		prev = idx
 		b.topRated[idx] = cl
 		b.claimWins[cl.key]++
-		claimed = append(claimed, idx)
+		b.claimed = append(b.claimed, idx)
 	}
 	// Each key's edges, ascending, in a window of one slab as wide as its
 	// win count.
-	edges := make([]uint32, 0, len(claimed))
-	for _, idx := range claimed {
+	edges := make([]uint32, 0, len(b.claimed))
+	for _, idx := range b.claimed {
 		k := b.topRated[idx].key
 		es, seen := b.claimEdges[k]
 		if !seen {
@@ -868,6 +882,9 @@ func ResumeTree(t store.Tree) (_ *Campaign, err error) {
 		var err error
 		if ws.meta, ws.power, err = core.DecodeSchedState(raw); err != nil {
 			return ws, fmt.Errorf("%s: %w", key, err)
+		}
+		if len(ws.meta) != n {
+			return ws, fmt.Errorf("%s holds %d entries for %d queue files", key, len(ws.meta), n)
 		}
 		return ws, nil
 	}

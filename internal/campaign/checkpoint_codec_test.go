@@ -95,8 +95,44 @@ func TestCheckpointBeforeFirstRoundKeepsRestoredCorpus(t *testing.T) {
 	for _, st := range res2.PerWorker() {
 		queued += st.Queue
 	}
-	if queued < len(files)*9/10 {
+	if queued < len(files) {
 		t.Fatalf("campaign resumed from the second tree queued %d entries of %d saved", queued, len(files))
+	}
+}
+
+// sched.bin holds one entry per queue file of its worker, entry i for file
+// i. A campaign checkpointed before its first round files its bundled seeds
+// as queue files, with the zero EntryMeta for each, and resumes; a sched.bin
+// with an entry more or fewer than its worker's queue files is refused.
+func TestCheckpointHoldsOneSchedEntryPerQueueFile(t *testing.T) {
+	c, err := New(testCfg(2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := c.CheckpointTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := workerDir(1) + "/" + core.SchedStateFile
+	metas, power, err := core.DecodeSchedState(tree[key])
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := len(queueFiles(tree)) / 2
+	if seeds == 0 || len(metas) != seeds || slices.ContainsFunc(metas, func(m core.EntryMeta) bool { return m != core.EntryMeta{} }) {
+		t.Fatalf("worker 1 files %d seeds, sched.bin holds %+v", seeds, metas)
+	}
+	if _, err := ResumeTree(maps.Clone(tree)); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{seeds - 1, seeds + 1} {
+		var w guest.StateWriter
+		core.EncodeSchedState(&w, make([]core.EntryMeta, n), power)
+		bad := maps.Clone(tree)
+		bad[key] = w.Bytes()
+		if _, err := ResumeTree(bad); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("%d entries for %d queue files: err = %v", n, seeds, err)
+		}
 	}
 }
 
@@ -355,12 +391,10 @@ func smallSections(t *testing.T) (tree store.Tree, header, brokerBin, sched []by
 		for _, be := range b.corpus {
 			be.Entry.Cov = be.Entry.Cov[:min(4, len(be.Entry.Cov))]
 		}
-		kept2 := 0
-		for idx := range b.topRated {
-			if kept2++; kept2 > 3 {
-				delete(b.topRated, idx)
-			}
+		for _, idx := range b.claimed[3:] {
+			delete(b.topRated, idx)
 		}
+		b.claimed = b.claimed[:3]
 		b.pending[1] = []importItem{{input: b.corpus[0].Entry.Input, corpus: -1, globalFav: true}}
 	})
 	metas, power, err := core.DecodeSchedState(tree[workerDir(0)+"/"+core.SchedStateFile])
@@ -444,12 +478,12 @@ func TestCheckpointDecodeBoundsCounts(t *testing.T) {
 // 12.9 and 40.0; before entries kept their bytes and a resume reused
 // broker.bin's decoded inputs for the queue files, 3.1 and 9.5; before the
 // store copied a tree into one slab and the codec cut names, keys, traces,
-// inputs, encodings and claim lists from slabs, 2.1 and 8.6. It reads 0.06
-// and 1.42 now (1.41 before broker.bin named its corpus entries' holders),
+// inputs, encodings and claim lists from slabs, 2.1 and 8.6. It reads 0.05
+// and 1.41 now (0.06 and 1.42 while sched.bin entries carried content keys),
 // one of which is GetTree's copy of each file (the store keeps that per
 // file: see the layout comment). The checkpoint also hashes nothing: every
-// live entry was keyed when it was published, and a holder is found by
-// identity.
+// live entry was keyed when it was published, a holder is found by identity,
+// and sched.bin matches its entries to the queue files by position.
 func TestCheckpointResumeAllocsPerEntry(t *testing.T) {
 	c := run(t, Config{Target: "bftpd", Workers: 2, Policy: core.PolicyAggressive, Seed: 1,
 		SyncInterval: 500 * time.Millisecond, SnapBudget: 4 << 20}, 2*time.Second)
@@ -479,33 +513,21 @@ func TestCheckpointResumeAllocsPerEntry(t *testing.T) {
 		t.Fatalf("CheckpointTo %.2f and ResumeFrom %.2f allocations per queue entry, want at most 0.2 and 1.5", ckpt, resume)
 	}
 
-	// Give every published entry another input behind its key's back: a
-	// checkpoint that hashed would now write different keys.
-	want := make(map[int][]string)
-	other := c.workers[0].fz.Queue[0].Input
-	for _, w := range c.workers {
-		for _, e := range w.fz.Queue {
-			want[w.id] = append(want[w.id], e.Key())
-			if e.Input == other {
-				e.Input = c.workers[0].fz.Queue[1].Input
-			} else {
-				e.Input = other
-			}
-		}
-	}
-	tree, err := c.CheckpointTree()
+	// A checkpoint hashes no input: not the live campaign's, whose entries
+	// were keyed when they were published, and not a resumed one's before its
+	// first round, whose seeds from queue files no corpus entry names have no
+	// key yet.
+	res, err := ResumeFrom(st, "ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range c.workers {
-		metas, _, err := core.DecodeSchedState(tree[workerDir(w.id)+"/"+core.SchedStateFile])
-		if err != nil {
+	for name, c := range map[string]*Campaign{"live": c, "resumed": res} {
+		hashed := core.HashedInputs()
+		if _, err := c.CheckpointTree(); err != nil {
 			t.Fatal(err)
 		}
-		for i, m := range metas {
-			if m.Key != want[w.id][i] {
-				t.Fatalf("worker %d entry %d: the checkpoint re-hashed an entry that was already published", w.id, i)
-			}
+		if n := core.HashedInputs() - hashed; n != 0 {
+			t.Fatalf("the checkpoint of the %s campaign hashed %d inputs", name, n)
 		}
 	}
 }
@@ -564,8 +586,8 @@ func TestResumeHashesNoSharedSeed(t *testing.T) {
 
 // A queue file no corpus entry names as a holder is decoded and hashed on
 // its own, even one byte away from the input of the corpus entry that named
-// it before, and the scheduler metadata sched.bin holds for its key lands on
-// it when worker 0 imports its seeds. The corpus entry it held, holderless
+// it before, and the scheduler metadata sched.bin holds at its position
+// lands on it when worker 0 imports its seeds. The corpus entry it held, holderless
 // now, keeps its own input, which broker.bin carries.
 func TestResumeDecodesUnsharedQueueFile(t *testing.T) {
 	tree, err := run(t, Config{Target: "dnsmasq", Workers: 2, Policy: core.PolicyAggressive, Seed: 1,
@@ -606,7 +628,7 @@ func TestResumeDecodesUnsharedQueueFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metas[0] = core.EntryMeta{Key: core.InputKey(in), Depth: 7, Picked: 12345, Trimmed: true, Dominated: true}
+	metas[0] = core.EntryMeta{Depth: 7, Picked: 12345, Trimmed: true, Dominated: true}
 	var w guest.StateWriter
 	core.EncodeSchedState(&w, metas, power)
 	orig := tree[victim]

@@ -10,8 +10,12 @@ import (
 
 // What the tests of the checkpoint codec (the external fuzz_test.go among
 // them) need of it: each section decoded and encoded back by the code
-// ResumeTree and CheckpointTree run, and the key broker.bin lives under.
-const BrokerFile = brokerFile
+// ResumeTree and CheckpointTree run, and the keys broker.bin and virgin.bin
+// live under.
+const (
+	BrokerFile = brokerFile
+	VirginFile = virginFile
+)
 
 // ReencodeBroker decodes a broker.bin for a campaign of workers workers
 // against the queue files of tree, and returns what the decoded broker

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/coverage"
 	"repro/internal/store"
 )
 
@@ -18,12 +19,13 @@ const (
 	sectionHeader = iota
 	sectionBroker
 	sectionSched
+	sectionVirgin
 	sections
 )
 
-// FuzzCheckpointDecode feeds arbitrary bytes to the three decoders a resume
+// FuzzCheckpointDecode feeds arbitrary bytes to the four decoders a resume
 // runs on a checkpoint tree — the header, broker.bin against the queue files
-// of the tree it came from, and a worker's sched.bin — seeded with the
+// of the tree it came from, a worker's sched.bin and virgin.bin — seeded with the
 // sections of real checkpoints (three targets, two workers, after the first
 // round, after one virtual second, and right after resuming the latter, when
 // the queue files broker.bin names as its corpus entries' holders are those
@@ -69,6 +71,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 					section = sectionBroker
 				case strings.HasSuffix(key, "/"+core.SchedStateFile):
 					section = sectionSched
+				case key == campaign.VirginFile:
+					section = sectionVirgin
 				default:
 					continue
 				}
@@ -108,6 +112,11 @@ func decodesCanonically(t testing.TB, section int, tree store.Tree, raw []byte) 
 		again, err = campaign.ReencodeBroker(raw, 2, tree)
 	case sectionSched:
 		again, err = campaign.ReencodeSched(raw)
+	case sectionVirgin:
+		var v coverage.Virgin
+		if err = v.UnmarshalBinary(raw); err == nil {
+			again, err = v.MarshalBinary()
+		}
 	}
 	if err == nil && !bytes.Equal(again, raw) {
 		t.Fatalf("section %d: %d bytes decoded and re-encoded to %d different bytes", section, len(raw), len(again))

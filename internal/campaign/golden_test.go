@@ -35,7 +35,12 @@ import (
 // and carries only the inputs no queue file holds), edited by hand after each
 // new tree rewritten in the version-7 layout — every corpus input inline, the
 // holder lists dropped, the header's version 7 — reproduced the recorded
-// digest. Re-record with
+// digest; and once more with manifest version 9 (sched.bin entries lost their
+// content keys: entry i belongs to queue file i), edited by hand after each
+// new tree rewritten in the version-8 layout — each sched.bin entry preceded
+// again by core.InputKey of its queue file's input, the header's version 8 —
+// reproduced the recorded digest. The ordered broker claims and the virgin
+// map's word walk changed no byte of either tree. Re-record with
 //
 //	NYX_UPDATE_GOLDEN=1 go test ./internal/core ./internal/campaign ./internal/targets -run 'Recorded|LockstepGolden'
 //

@@ -164,9 +164,9 @@ func (e *QueueEntry) memo() *encoding {
 }
 
 // Key returns the content key of the entry's input (InputKey), hashed on
-// first use and kept until a trim installs another input, so seed-metadata
-// matching, the campaign worker's key index, its publications and the
-// checkpoint share one hash per entry. It writes the entry: owner only.
+// first use and kept until a trim installs another input, so the campaign
+// worker's key index, its publications and the checkpoint share one hash
+// per entry. It writes the entry: owner only.
 func (e *QueueEntry) Key() string {
 	m := e.memo()
 	if m.key == "" {
@@ -248,9 +248,11 @@ type Options struct {
 	// Power selects the AFLfast-style power schedule layered on the AFL
 	// scheduler (default PowerOff: the baseline-clamped energy function).
 	Power Power
-	// SeedMeta restores scheduler metadata onto seeds that re-queue —
-	// the checkpoint/resume path. Entries are matched by serialized
-	// input bytes.
+	// SeedMeta is the scheduler metadata a checkpoint saved for the seeds,
+	// by position: SeedMeta[i] belongs to Restored[i] (or Seeds[i] when
+	// Restored is empty) — the checkpoint/resume path. A seed with metadata
+	// re-queues whatever its re-run covers, and takes it. The fuzzer drops
+	// the slice once the first Step has imported the seeds.
 	SeedMeta []EntryMeta
 	// PowerState restores the per-edge pick-frequency map and total pick
 	// count (the checkpoint/resume path for power schedules).
@@ -342,19 +344,18 @@ type Fuzzer struct {
 
 	// Scheduler state (schedule.go).
 	sched            Sched
-	topRated         []topEdge            // every edge some entry covers, ascending, with its winner and cull state
-	cullDirty        [cullWords]uint64    // edges the next cull re-decides
-	dirtyLo, dirtyHi int                  // cullDirty words outside [dirtyLo, dirtyHi) are zero
-	pendingNew       int                  // queue entries never picked yet (the frontier)
-	seedMeta         map[string]EntryMeta // restored metadata by serialized input
-	curParent        *QueueEntry          // entry being fuzzed (depth attribution)
-	lastExecTime     time.Duration        // full-run virtual cost of the latest execution
-	snapBaseTime     time.Duration        // cost of the run that created the held snapshot
-	trimTime         time.Duration        // virtual time consumed by the lazy trim
-	execTimeSum      time.Duration        // running sum of Queue ExecTimes (energy's O(1) average)
-	retrimmed        []Retrim             // trims since the last DrainRetrimmed
-	pkts             []int                // placeSnapshot's scratch: the picked entry's packet op indices
-	base             spec.Input           // the round's input with its snapshot marker, when it has one
+	topRated         []topEdge         // every edge some entry covers, ascending, with its winner and cull state
+	cullDirty        [cullWords]uint64 // edges the next cull re-decides
+	dirtyLo, dirtyHi int               // cullDirty words outside [dirtyLo, dirtyHi) are zero
+	pendingNew       int               // queue entries never picked yet (the frontier)
+	curParent        *QueueEntry       // entry being fuzzed (depth attribution)
+	lastExecTime     time.Duration     // full-run virtual cost of the latest execution
+	snapBaseTime     time.Duration     // cost of the run that created the held snapshot
+	trimTime         time.Duration     // virtual time consumed by the lazy trim
+	execTimeSum      time.Duration     // running sum of Queue ExecTimes (energy's O(1) average)
+	retrimmed        []Retrim          // trims since the last DrainRetrimmed
+	pkts             []int             // placeSnapshot's scratch: the picked entry's packet op indices
+	base             spec.Input        // the round's input with its snapshot marker, when it has one
 
 	// Power-schedule state (schedule.go).
 	power       Power
@@ -380,10 +381,6 @@ func New(agent Executor, s *spec.Spec, opts Options) *Fuzzer {
 	}
 	mut := spec.NewMutator(s, opts.Rand)
 	mut.Dict = opts.Dict
-	seedMeta := make(map[string]EntryMeta, len(opts.SeedMeta))
-	for _, m := range opts.SeedMeta {
-		seedMeta[m.Key] = m
-	}
 	seeds := opts.Restored
 	if len(seeds) == 0 {
 		seeds = make([]*QueueEntry, len(opts.Seeds))
@@ -404,7 +401,6 @@ func New(agent Executor, s *spec.Spec, opts Options) *Fuzzer {
 		started:   agent.Now(),
 		seeds:     seeds,
 		sched:     opts.Sched,
-		seedMeta:  seedMeta,
 		dirtyLo:   cullWords,
 		power:     opts.Power,
 		edgePicks: make(map[uint32]uint64),
@@ -494,13 +490,17 @@ func (f *Fuzzer) RunFor(d time.Duration) error {
 // mutated test cases.
 func (f *Fuzzer) Step() error {
 	if !f.seedsDone {
-		seeds := f.seeds
-		f.seedsDone, f.seeds = true, nil
-		for _, seed := range seeds {
+		seeds, meta := f.seeds, f.opts.SeedMeta
+		f.seedsDone, f.seeds, f.opts.SeedMeta = true, nil, nil
+		for i, seed := range seeds {
 			if err := f.Spec.Validate(seed.Input); err != nil {
 				return fmt.Errorf("core: invalid seed: %w", err)
 			}
-			if _, err := f.execFromRoot(seed.Input, seed); err != nil {
+			var m *EntryMeta
+			if i < len(meta) {
+				m = &meta[i]
+			}
+			if _, err := f.execFromRoot(seed.Input, seed, m); err != nil {
 				return err
 			}
 		}
@@ -511,7 +511,7 @@ func (f *Fuzzer) Step() error {
 	if len(f.Queue) == 0 {
 		// Seedless bootstrap: generate random programs.
 		in := f.Mut.Generate(0)
-		_, err := f.execFromRoot(in, nil)
+		_, err := f.execFromRoot(in, nil, nil)
 		return err
 	}
 
@@ -544,7 +544,7 @@ func (f *Fuzzer) Step() error {
 	// Single-slot mode: one full run creates the snapshot, then reuse it
 	// for suffix-only mutations; the slot dies with the round.
 	f.prefixRuns++
-	res, err := f.execFromRoot(base, nil)
+	res, err := f.execFromRoot(base, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -662,7 +662,7 @@ func (f *Fuzzer) ensurePoolSlot(entry *QueueEntry, base *spec.Input, snapAt, bud
 		f.rootExecs++
 		f.prefixRuns++
 	}
-	f.account(base, res, nil)
+	f.account(base, res, nil, nil)
 	if !res.SnapshotTaken {
 		f.chargeBarren(entry, budget)
 		return 0, 0, false, false, nil
@@ -716,7 +716,7 @@ func (f *Fuzzer) fuzzFromRoot(entry *QueueEntry, budget int) error {
 		} else {
 			mut = f.Mut.Mutate(entry.Input)
 		}
-		if _, err := f.execFromRoot(mut, nil); err != nil {
+		if _, err := f.execFromRoot(mut, nil, nil); err != nil {
 			return err
 		}
 	}
@@ -754,19 +754,16 @@ func (f *Fuzzer) ImportInput(in *spec.Input) (bool, error) {
 		return false, fmt.Errorf("core: import: %w", err)
 	}
 	before := len(f.Queue)
-	if _, err := f.execFromRoot(e.Input, e); err != nil {
+	if _, err := f.execFromRoot(e.Input, e, nil); err != nil {
 		return false, err
 	}
 	if len(f.Queue) == before {
 		return false, nil
 	}
-	// Imported entries are not re-trimmed locally (unless restored
-	// metadata says otherwise): trimming is the publishing worker's job,
-	// and N receivers repeating it would multiply the campaign's trim
-	// spend by the worker count.
-	if _, restored := f.seedMeta[e.Key()]; !restored {
-		e.Trimmed = true
-	}
+	// Imported entries are never re-trimmed locally: trimming is the
+	// publishing worker's job, and N receivers repeating it would multiply
+	// the campaign's trim spend by the worker count.
+	e.Trimmed = true
 	return true, nil
 }
 
@@ -815,8 +812,9 @@ func packetOpIndices(idx []int, s *spec.Spec, in *spec.Input) []int {
 }
 
 // execFromRoot runs in from the root snapshot, merging coverage and
-// recording findings; seed is what account queues, or nil.
-func (f *Fuzzer) execFromRoot(in *spec.Input, seed *QueueEntry) (netemu.Result, error) {
+// recording findings; seed is what account queues, or nil, and meta the
+// metadata seed was restored with, or nil.
+func (f *Fuzzer) execFromRoot(in *spec.Input, seed *QueueEntry, meta *EntryMeta) (netemu.Result, error) {
 	t0 := f.Agent.Now()
 	res, err := f.Agent.RunFromRoot(in, &f.trace)
 	if err != nil {
@@ -824,7 +822,7 @@ func (f *Fuzzer) execFromRoot(in *spec.Input, seed *QueueEntry) (netemu.Result, 
 	}
 	f.lastExecTime = f.Agent.Now() - t0
 	f.rootExecs++
-	f.account(in, res, seed)
+	f.account(in, res, seed, meta)
 	return res, nil
 }
 
@@ -848,14 +846,15 @@ func (f *Fuzzer) execSuffix(slot int, in *spec.Input) (bool, error) {
 	// share of the snapshot-creation run plus the suffix.
 	f.lastExecTime = f.snapBaseTime + (f.Agent.Now() - t0)
 	f.snapExecs++
-	return f.account(in, res, nil), nil
+	return f.account(in, res, nil, nil), nil
 }
 
 // account merges coverage, queues interesting inputs, records crashes and
 // samples the coverage log. Returns whether the trace contained new bits.
 // It queues a clone of in, or seed itself when not nil: then in is the
-// seed's unmarked input, which no one writes again.
-func (f *Fuzzer) account(in *spec.Input, res netemu.Result, seed *QueueEntry) bool {
+// seed's unmarked input, which no one writes again. A seed restored with
+// meta is queued whether or not its trace has new bits, and takes meta.
+func (f *Fuzzer) account(in *spec.Input, res netemu.Result, seed *QueueEntry, meta *EntryMeta) bool {
 	f.execs++
 	hasNew, _ := f.Virgin.Merge(&f.trace)
 	if res.Crashed {
@@ -872,7 +871,7 @@ func (f *Fuzzer) account(in *spec.Input, res netemu.Result, seed *QueueEntry) bo
 			f.Crashes = append(f.Crashes, cr)
 		}
 	}
-	if hasNew {
+	if hasNew || meta != nil {
 		e := seed
 		if e == nil {
 			e = &QueueEntry{Input: in.Clone()}
@@ -887,7 +886,9 @@ func (f *Fuzzer) account(in *spec.Input, res netemu.Result, seed *QueueEntry) bo
 		if f.curParent != nil {
 			e.Depth = f.curParent.Depth + 1
 		}
-		f.applySeedMeta(e)
+		if meta != nil {
+			e.restore(meta)
+		}
 		if e.Picked == 0 {
 			f.pendingNew++
 		}

@@ -6,7 +6,7 @@ import (
 	"maps"
 	"math/bits"
 	"slices"
-	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/coverage"
@@ -668,16 +668,15 @@ func (f *Fuzzer) DrainRetrimmed() []Retrim {
 
 // ---- Scheduler and power-schedule state persistence (checkpoint/resume) ----
 
-// EntryMeta is the durable scheduler state of one queue entry, keyed by a
-// content hash of the entry's serialized input (the input bytes themselves
-// live in the corpus files EncodeQueue writes next to the metadata — storing
-// them again here would double the checkpoint). A resumed campaign
-// re-executes its saved queue (so coverage is rebuilt locally, never
-// trusted from disk) and then re-attaches this metadata, so scheduling
-// picks up where it left off instead of re-trimming and re-boosting every
-// entry.
+// EntryMeta is the durable scheduler state of one queue entry. A checkpoint
+// keeps one per queue file, in queue order (SchedMeta, EncodeSchedState), so
+// entry i belongs to queue file i: a resume matches them by position, which
+// tells apart two entries whose inputs are the same bytes. A resumed campaign
+// re-executes its saved queue (so coverage is rebuilt locally, never trusted
+// from disk), re-queues every entry and re-attaches this metadata, so
+// scheduling picks up where it left off instead of re-trimming and
+// re-boosting every entry.
 type EntryMeta struct {
-	Key        string
 	Depth      int
 	ExecTime   time.Duration
 	Picked     int
@@ -689,23 +688,32 @@ type EntryMeta struct {
 	Dominated bool
 }
 
-// InputKey returns the content key EntryMeta uses to match metadata back
-// to an input: the SHA-256 of the serialized bytecode, as a 32-byte string
-// (raw digest bytes — a map key, not printable). QueueEntry.Key memoizes it.
+// hashed counts InputKey calls in this process (HashedInputs).
+var hashed atomic.Uint64
+
+// InputKey returns the content key of an input: the SHA-256 of the
+// serialized bytecode, as a 32-byte string (raw digest bytes — a map key,
+// not printable). The campaign broker names corpus entries and claims by it;
+// QueueEntry.Key memoizes it.
 func InputKey(in *spec.Input) string {
+	hashed.Add(1)
 	var buf [1024]byte // most inputs encode into it, on the stack
 	sum := sha256.Sum256(spec.AppendSerialize(buf[:0], in))
 	return string(sum[:])
 }
 
-// SchedMeta snapshots every queue entry's scheduler metadata in queue
-// order. Until the first Step imports the seeds, the restored metadata that
-// describes them follows, as loaded (see EncodeQueue).
+// HashedInputs returns how many inputs InputKey has hashed in this process:
+// what a test reads around a path that must hash none.
+func HashedInputs() uint64 { return hashed.Load() }
+
+// SchedMeta snapshots the scheduler metadata of every file EncodeQueue
+// writes, in the same order: each queue entry's, then, until the first Step
+// imports the seeds, the metadata each seed was restored with (the zero
+// EntryMeta for a seed restored with none).
 func (f *Fuzzer) SchedMeta() []EntryMeta {
-	out := make([]EntryMeta, 0, len(f.Queue))
-	for _, e := range f.Queue {
-		out = append(out, EntryMeta{
-			Key:        e.Key(),
+	out := make([]EntryMeta, len(f.Queue)+len(f.seeds))
+	for i, e := range f.Queue {
+		out[i] = EntryMeta{
 			Depth:      e.Depth,
 			ExecTime:   e.ExecTime,
 			Picked:     e.Picked,
@@ -713,24 +721,15 @@ func (f *Fuzzer) SchedMeta() []EntryMeta {
 			AggrBack:   e.aggrBack,
 			AggrBarren: e.aggrBarren,
 			Dominated:  e.GloballyDominated,
-		})
+		}
 	}
-	if !f.seedsDone {
-		out = append(out, f.opts.SeedMeta...)
-	}
+	copy(out[len(f.Queue):], f.opts.SeedMeta) // nil once the seeds are imported
 	return out
 }
 
-// applySeedMeta re-attaches restored metadata to a freshly queued entry,
-// matching by input content key. Returns whether metadata was found.
-func (f *Fuzzer) applySeedMeta(e *QueueEntry) bool {
-	if len(f.seedMeta) == 0 {
-		return false
-	}
-	m, ok := f.seedMeta[e.Key()]
-	if !ok {
-		return false
-	}
+// restore re-attaches restored metadata to e, a seed the first Step has just
+// queued. A restored execution time of zero keeps the one just measured.
+func (e *QueueEntry) restore(m *EntryMeta) {
 	e.Depth = m.Depth
 	if m.ExecTime > 0 {
 		e.ExecTime = m.ExecTime
@@ -740,7 +739,6 @@ func (f *Fuzzer) applySeedMeta(e *QueueEntry) bool {
 	e.aggrBack = m.AggrBack
 	e.aggrBarren = m.AggrBarren
 	e.GloballyDominated = m.Dominated
-	return true
 }
 
 // PowerMeta is the durable power-schedule state of one fuzzer: the
@@ -762,30 +760,30 @@ func (f *Fuzzer) PowerState() *PowerMeta {
 // state in, next to the worker's queue/ directory.
 const SchedStateFile = "sched.bin"
 
-// Bytes an entry and an edge take in the stream, at least: what bounds the
-// two counts against the bytes left before either sizes an allocation.
+// Bytes an entry and an edge take in the stream: what bounds the two counts
+// against the bytes left before either sizes an allocation.
 const (
-	entryMetaMinLen = 4 + 8 + 8 + 8 + 1 + 8 + 8 + 1
-	edgePickLen     = 4 + 8
+	entryMetaLen = 8 + 8 + 8 + 1 + 8 + 8 + 1
+	edgePickLen  = 4 + 8
 )
 
 // EncodeSchedState appends the sched.bin form of one worker's scheduler
 // metadata and power state to w, in the bounded canonical codec the guest
 // state image uses:
 //
-//	u32 n | n × (string key | i64 depth | i64 exec_time_ns | i64 picked |
-//	             bool trimmed | i64 aggr_back | i64 aggr_barren | bool dominated)
+//	u32 n | n × (i64 depth | i64 exec_time_ns | i64 picked | bool trimmed |
+//	             i64 aggr_back | i64 aggr_barren | bool dominated)
 //	u64 total_picked
 //	u32 m | m × (u32 edge | u64 picks), edges strictly ascending
 //
 // Entries keep queue order, which is the order of the queue files beside
-// them. DecodeSchedState(EncodeSchedState(x)) = x, and a stream that decodes
-// is the stream its contents encode to.
+// them: entry i belongs to queue file i, and carries no key.
+// DecodeSchedState(EncodeSchedState(x)) = x, and a stream that decodes is the
+// stream its contents encode to.
 func EncodeSchedState(w *guest.StateWriter, meta []EntryMeta, power *PowerMeta) {
 	w.U32(uint32(len(meta)))
 	for i := range meta {
 		m := &meta[i]
-		w.String(m.Key)
 		w.Int(m.Depth)
 		w.I64(int64(m.ExecTime))
 		w.Int(m.Picked)
@@ -805,17 +803,13 @@ func EncodeSchedState(w *guest.StateWriter, meta []EntryMeta, power *PowerMeta) 
 // DecodeSchedState reads what EncodeSchedState wrote. The bytes are outside
 // input: each count is checked against the bytes left before it sizes
 // anything; negative entry fields, edges that do not ascend and bytes after
-// the last edge are errors. The result shares nothing with raw; its keys are
-// cut from one string.
+// the last edge are errors. The result shares nothing with raw.
 func DecodeSchedState(raw []byte) ([]EntryMeta, *PowerMeta, error) {
 	r := guest.NewStateReader(raw)
-	meta := make([]EntryMeta, r.Count(entryMetaMinLen))
-	var keys strings.Builder
-	keys.Grow(sha256.Size * len(meta))
+	meta := make([]EntryMeta, r.Count(entryMetaLen))
 	for i := range meta {
 		m := &meta[i]
 		*m = EntryMeta{
-			Key:        r.StringTo(&keys),
 			Depth:      r.Int(),
 			ExecTime:   time.Duration(r.I64()),
 			Picked:     r.Int(),

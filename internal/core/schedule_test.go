@@ -662,8 +662,8 @@ func TestTrimReestimatesExecTime(t *testing.T) {
 	}
 }
 
-// Content keys exist for the campaign layer (seed metadata, the broker's
-// claims, checkpoints). A solo run — seed import, lazy trims, queueing — reads
+// Content keys exist for the campaign layer (the broker's corpus and claims,
+// checkpoints). A solo run — seed import, lazy trims, queueing — reads
 // none, so it must hash none: every entry's memo is still empty.
 func TestSoloRunHashesNoInput(t *testing.T) {
 	inst := launch(t, "lightftp")

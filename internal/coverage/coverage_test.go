@@ -1,6 +1,8 @@
 package coverage
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -245,6 +247,86 @@ func TestVirginUnmarshalRejectsGarbage(t *testing.T) {
 	for _, raw := range [][]byte{nil, []byte("NYXV"), []byte("BOGUS data"), append([]byte("NYXV\x01"), 0xFF)} {
 		if err := v.UnmarshalBinary(raw); err == nil {
 			t.Fatalf("accepted garbage %q", raw)
+		}
+	}
+}
+
+// marshalBytes is MarshalBinary as a walk of every byte of the map: what
+// the word walk must write.
+func marshalBytes(v *Virgin) []byte {
+	count := 0
+	for _, b := range v.bits {
+		if b != 0 {
+			count++
+		}
+	}
+	out := binary.AppendUvarint(bytes.Clone(virginMagic), uint64(count))
+	prev := 0
+	for i, b := range v.bits {
+		if b != 0 {
+			out = binary.AppendUvarint(out, uint64(i-prev))
+			out = append(out, b)
+			prev = i
+		}
+	}
+	return out
+}
+
+// The word walk writes what a walk of every byte writes, on maps with
+// every bucket value (0x80 and 0xff included, which a carry between bytes
+// would miscount) at every density, and the result decodes to the map.
+func TestVirginMarshalMatchesByteWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, density := range []float64{0, 0.0005, 0.01, 0.3, 0.9, 1} {
+		var v Virgin
+		for i := range v.bits {
+			if rng.Float64() < density {
+				v.bits[i] = byte(1 + rng.Intn(255))
+			}
+		}
+		v.bits[MapSize-1], v.bits[MapSize/2] = 0x80, 0xff
+		raw, err := v.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := marshalBytes(&v); !bytes.Equal(raw, want) {
+			t.Fatalf("density %v: %d bytes, the byte walk %d", density, len(raw), len(want))
+		}
+		var back Virgin
+		if err := back.UnmarshalBinary(raw); err != nil || back.bits != v.bits || back.Edges() != MapSize-bytes.Count(v.bits[:], []byte{0}) {
+			t.Fatalf("density %v: decoded to another map (%v)", density, err)
+		}
+	}
+}
+
+// The decoder is canonical: it refuses each thing MarshalBinary never
+// writes — a zero bucket byte, a zero delta after the first entry, a varint
+// longer than its minimal form, an index past the map, a count the map
+// cannot hold — though each decodes to some map under a lenient reader.
+func TestVirginUnmarshalIsCanonical(t *testing.T) {
+	stream := func(count byte, rest ...byte) []byte {
+		return append(append(bytes.Clone(virginMagic), count), rest...)
+	}
+	var v Virgin
+	for _, good := range [][]byte{stream(0), stream(1, 0, 1), stream(2, 0, 1, 1, 2), stream(1, 0xff, 0xff, 0x03, 4)} {
+		if err := v.UnmarshalBinary(good); err != nil {
+			t.Fatalf("%x: %v", good, err)
+		}
+		if raw, _ := v.MarshalBinary(); !bytes.Equal(raw, good) {
+			t.Fatalf("%x re-encodes to %x", good, raw)
+		}
+	}
+	for name, bad := range map[string][]byte{
+		"zero bucket":          stream(1, 5, 0),
+		"zero delta":           stream(2, 5, 1, 0, 2),
+		"overlong delta":       stream(1, 0x85, 0x00, 1),
+		"overlong count":       append(bytes.Clone(virginMagic), 0x81, 0x00, 0, 1),
+		"index past the map":   stream(1, 0x80, 0x80, 0x04, 1),
+		"delta wraps":          stream(2, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 1),
+		"count beyond the map": append(bytes.Clone(virginMagic), 0x81, 0x80, 0x04),
+	} {
+		if err := v.UnmarshalBinary(bad); err == nil {
+			t.Errorf("%s: %x decoded", name, bad)
 		}
 	}
 }
