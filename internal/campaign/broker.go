@@ -1,7 +1,7 @@
 package campaign
 
 import (
-	"maps"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -49,16 +49,9 @@ type broker struct {
 
 	// virgin is the global coverage map.
 	virgin coverage.Virgin
-	// topRated holds, per edge, the cheapest (favFactor-minimal) published
-	// claim. claimed lists its edges ascending: an edge joins at its first
-	// claim and never leaves, because a claim is only ever replaced.
-	topRated map[uint32]topClaim
-	claimed  []uint32
-	// claimEdges indexes, per claimant key, the edges ever claimed under it,
-	// so a trim's claim transfer touches only that key's edges. Entries go
-	// stale when an edge is displaced (topRated is authoritative); stale keys
-	// are cleaned lazily on transfer.
-	claimEdges map[string][]uint32
+	// claimTable is the global favored competition (per edge) and what each
+	// competing input's claims bind (per claimant).
+	claimTable
 
 	// corpus holds the globally fresh entries, in acceptance order. Each
 	// remembers the worker that published it (entry IDs are per-worker,
@@ -79,18 +72,6 @@ type broker struct {
 	published uint64
 	deduped   uint64
 
-	// Global favored competition, per input (topRated is per edge).
-	// claimWins counts how many edges each claimant key currently holds in
-	// topRated (GlobalFav and demotion read it). claimants maps a claimant
-	// key to broker-owned entries carrying that input (the corpus entries a
-	// resume restored) so a fully displaced claim demotes them in place.
-	// claimWorkers maps a claimant key to the workers holding live copies;
-	// those are demoted via notices instead, because the broker must never
-	// write a live entry another goroutine owns.
-	claimWins    map[string]int
-	claimants    map[string][]*core.QueueEntry
-	claimWorkers map[string]map[int]struct{}
-
 	// Per-worker queues, indexed by worker ID (sized by initWorkers).
 	pending  [][]importItem
 	notices  [][]notice
@@ -110,10 +91,86 @@ type broker struct {
 	lastPickSum []uint64
 }
 
-// topClaim is one edge's best known coverage claim across all workers.
-type topClaim struct {
-	fav int64  // favFactor of the claiming entry (lower is better)
-	key string // content key (core.InputKey) of the claiming input
+// claimTable is the global favored competition: per edge, the cheapest
+// (favFactor-minimal) published claim, and per claimant — an input, by
+// content key — what its claims bind. An input is numbered when it first
+// takes an edge and keeps its number for good: claims, trims and demotions
+// work on numbers, and only publications, trims and checkpoints name keys.
+type claimTable struct {
+	// index numbers each claimant key; claimants[n] is claimant n.
+	index     map[string]int32
+	claimants []claimant
+	// claimed lists every edge ever claimed, ascending, and claims[i] is
+	// claimed[i]'s current claim: an edge joins at its first claim and
+	// never leaves, because a claim is only ever replaced.
+	claimed []uint32
+	claims  []claim
+	// has and before find an edge in claimed without a search, 64 edges to
+	// a word: edge e is claimed when bit e%64 of has[e/64] is set, and its
+	// position in claimed is before[e/64] plus the set bits below it in
+	// that word. Together they take 12 KiB however many edges are claimed.
+	has    [coverage.MapSize / 64]uint64
+	before [coverage.MapSize / 64]int32
+}
+
+// find returns edge's position in claimed, or the position it would be
+// inserted at, and whether it is there.
+func (t *claimTable) find(edge uint32) (int, bool) {
+	w, bit := edge/64, uint64(1)<<(edge%64)
+	return int(t.before[w]) + bits.OnesCount64(t.has[w]&(bit-1)), t.has[w]&bit != 0
+}
+
+// insert files edge's first claim at position at, which find returned.
+func (t *claimTable) insert(at int, edge uint32, c claim) {
+	t.claimed = slices.Insert(t.claimed, at, edge)
+	t.claims = slices.Insert(t.claims, at, c)
+	t.has[edge/64] |= 1 << (edge % 64)
+	for w := edge/64 + 1; w < uint32(len(t.before)); w++ {
+		t.before[w]++
+	}
+}
+
+// claim is one edge's current claim.
+type claim struct {
+	fav int64 // favFactor of the claiming entry (lower is better)
+	who int32 // the claimant's number
+}
+
+// claimant is one input's standing in the competition.
+type claimant struct {
+	key string // content key (core.InputKey) of the input
+	// wins counts the edges it holds (GlobalFav and demotion read it).
+	wins int
+	// edges lists the edges it claimed since it last held none, so that a
+	// trim's claim transfer touches only those; an entry goes stale when its
+	// edge is displaced (claims is authoritative).
+	edges []uint32
+	// restored are the broker-owned corpus entries carrying the input (the
+	// ones a resume restored), demoted in place when it is fully displaced.
+	restored []*core.QueueEntry
+	// workers are the workers holding live copies, ascending. They are
+	// demoted by notice instead, because the broker must never write a live
+	// entry another goroutine owns.
+	workers []int
+}
+
+// number returns key's claimant number, numbering it first if it has none.
+func (t *claimTable) number(key string) int32 {
+	if n, ok := t.index[key]; ok {
+		return n
+	}
+	n := int32(len(t.claimants))
+	t.index[key] = n
+	t.claimants = append(t.claimants, claimant{key: key})
+	return n
+}
+
+// wins returns how many edges key holds.
+func (t *claimTable) wins(key string) int {
+	if n, ok := t.index[key]; ok {
+		return t.claimants[n].wins
+	}
+	return 0
 }
 
 // brokerEntry is one accepted corpus entry plus its provenance.
@@ -129,13 +186,9 @@ type brokerEntry struct {
 
 func newBroker() *broker {
 	return &broker{
-		topRated:     make(map[uint32]topClaim),
-		claimEdges:   make(map[string][]uint32),
-		crashSeen:    make(map[string]bool),
-		claimWins:    make(map[string]int),
-		claimants:    make(map[string][]*core.QueueEntry),
-		claimWorkers: make(map[string]map[int]struct{}),
-		pickTotals:   make(map[uint32]uint64),
+		claimTable: claimTable{index: make(map[string]int32)},
+		crashSeen:  make(map[string]bool),
+		pickTotals: make(map[uint32]uint64),
 	}
 }
 
@@ -286,7 +339,7 @@ func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importIte
 			if !fresh[i] {
 				continue
 			}
-			gf := b.claimWins[p.key] > 0
+			gf := b.wins(p.key) > 0
 			if gf != (pass == 0) {
 				continue
 			}
@@ -304,7 +357,7 @@ func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importIte
 			b.deduped++
 		}
 		if won[i] {
-			b.bindClaimWorker(d.pubs[i].key, id)
+			b.bind(b.number(d.pubs[i].key), id)
 		}
 	}
 	for _, cr := range d.crashes {
@@ -356,105 +409,111 @@ func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importIte
 // (duplicate). Zero-bucket and out-of-range hits cover nothing and claim
 // nothing.
 func (b *broker) compete(key string, fav int64, hits []coverage.BucketHit, displace bool) (won bool) {
+	who, known := b.index[key]
+	if !known {
+		who = -1 // numbered at its first win
+	}
 	for _, h := range hits {
 		if h.Bucket == 0 || h.Index >= coverage.MapSize {
 			continue
 		}
-		cur, ok := b.topRated[h.Index]
-		if ok && cur.key == key {
-			if cur.fav != fav {
-				b.topRated[h.Index] = topClaim{fav: fav, key: key}
-			}
+		at, ok := b.find(h.Index)
+		if ok && b.claims[at].who == who {
+			b.claims[at].fav = fav
 			won = true
 			continue
 		}
-		if ok && (!displace || cur.fav <= fav) {
+		if ok && (!displace || b.claims[at].fav <= fav) {
 			continue
 		}
-		if ok {
-			b.release(cur.key)
-		} else {
-			at, _ := slices.BinarySearch(b.claimed, h.Index)
-			b.claimed = slices.Insert(b.claimed, at, h.Index)
+		if who < 0 {
+			who = b.number(key)
 		}
-		b.topRated[h.Index] = topClaim{fav: fav, key: key}
-		b.claimEdges[key] = append(b.claimEdges[key], h.Index)
-		b.claimWins[key]++
+		if ok {
+			b.release(b.claims[at].who)
+			b.claims[at] = claim{fav: fav, who: who}
+		} else {
+			b.insert(at, h.Index, claim{fav: fav, who: who})
+		}
+		c := &b.claimants[who]
+		c.edges = append(c.edges, h.Index)
+		c.wins++
 		won = true
 	}
 	return won
 }
 
-// release takes one displaced edge from key's claim count. When the last
-// one goes, every copy of the input is demoted: the broker-owned claimants
-// in place, the workers holding live copies by notice at their next
-// exchange.
-func (b *broker) release(key string) {
-	if b.claimWins[key]--; b.claimWins[key] > 0 {
+// release takes one displaced edge from claimant n's count. When the last
+// one goes, every copy of the input is demoted — the broker-owned ones in
+// place, the workers holding live copies by notice at their next exchange —
+// and the claimant drops its edge list.
+func (b *broker) release(n int32) {
+	c := &b.claimants[n]
+	if c.wins--; c.wins > 0 {
 		return
 	}
-	delete(b.claimWins, key)
-	for _, loser := range b.claimants[key] {
+	for _, loser := range c.restored {
 		loser.GloballyDominated = true
 	}
-	delete(b.claimants, key)
-	for _, wid := range slices.Sorted(maps.Keys(b.claimWorkers[key])) {
-		b.notices[wid] = append(b.notices[wid], notice{key: key})
+	for _, wid := range c.workers {
+		b.notices[wid] = append(b.notices[wid], notice{key: c.key})
 	}
-	delete(b.claimWorkers, key)
+	c.edges, c.restored, c.workers = nil, nil, nil
 }
 
 // transferClaims re-files the claims r.oldKey still holds under r.newKey at
-// the new cost, and moves their count, claimants and bound workers with
-// them — the lazy-trim path: the input was published (and claimed its
+// the new cost, and moves their count, restored entries and bound workers
+// with them — the lazy-trim path: the input was published (and claimed its
 // edges) in pre-trim form, then its owning worker trimmed it, changing both
-// content key and measured cost. The per-key index may carry edges
-// displaced since they were claimed; only claims topRated still attributes
-// to oldKey are re-filed.
+// content key and measured cost. The old claimant's edge list may carry
+// edges displaced since they were claimed; only the edges it still holds are
+// re-filed. An old key that holds none keeps what it binds.
 func (b *broker) transferClaims(r retrimDelta) {
-	for _, idx := range b.claimEdges[r.oldKey] {
-		if b.topRated[idx].key != r.oldKey {
+	from, ok := b.index[r.oldKey]
+	if !ok {
+		return
+	}
+	to := from
+	if r.newKey != r.oldKey {
+		to = -1 // numbered at the first claim it takes over
+	}
+	for _, idx := range b.claimants[from].edges {
+		at, _ := b.find(idx)
+		if b.claims[at].who != from {
 			continue
 		}
-		b.topRated[idx] = topClaim{fav: r.fav, key: r.newKey}
-		if r.oldKey != r.newKey {
-			b.claimEdges[r.newKey] = append(b.claimEdges[r.newKey], idx)
+		if to < 0 {
+			to = b.number(r.newKey)
+		}
+		b.claims[at] = claim{fav: r.fav, who: to}
+		if to != from {
+			b.claimants[to].edges = append(b.claimants[to].edges, idx)
 		}
 	}
-	if r.oldKey == r.newKey {
+	if to == from {
 		return
 	}
-	delete(b.claimEdges, r.oldKey)
-	n := b.claimWins[r.oldKey]
-	if n == 0 {
+	src := &b.claimants[from]
+	src.edges = nil
+	if src.wins == 0 {
 		return
 	}
-	delete(b.claimWins, r.oldKey)
-	b.claimWins[r.newKey] += n
-	b.claimants[r.newKey] = append(b.claimants[r.newKey], b.claimants[r.oldKey]...)
-	delete(b.claimants, r.oldKey)
-	if ws := b.claimWorkers[r.oldKey]; ws != nil {
-		dst := b.claimWorkers[r.newKey]
-		if dst == nil {
-			b.claimWorkers[r.newKey] = ws
-		} else {
-			for wid := range ws {
-				dst[wid] = struct{}{}
-			}
-		}
-		delete(b.claimWorkers, r.oldKey)
+	dst := &b.claimants[to] // numbered: every edge src holds is on its list
+	dst.wins += src.wins
+	dst.restored = append(dst.restored, src.restored...)
+	for _, wid := range src.workers {
+		b.bind(to, wid)
 	}
+	src.wins, src.restored, src.workers = 0, nil, nil
 }
 
-// bindClaimWorker records that worker id holds a live copy of key.
+// bind records that worker id holds a live copy of claimant n's input.
 // Caller holds mu.
-func (b *broker) bindClaimWorker(key string, id int) {
-	ws := b.claimWorkers[key]
-	if ws == nil {
-		ws = make(map[int]struct{})
-		b.claimWorkers[key] = ws
+func (b *broker) bind(n int32, id int) {
+	ws := b.claimants[n].workers
+	if at, found := slices.BinarySearch(ws, id); !found {
+		b.claimants[n].workers = slices.Insert(ws, at, id)
 	}
-	ws[id] = struct{}{}
 }
 
 // pushPending enqueues an import item on worker wid's bounded queue. A

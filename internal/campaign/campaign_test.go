@@ -153,9 +153,7 @@ func TestCampaignSyncSharesCorpus(t *testing.T) {
 	if c.Deduped() == 0 {
 		t.Fatal("broker never deduplicated a published entry (sync not exercised)")
 	}
-	if want := slices.Sorted(maps.Keys(c.broker.topRated)); !slices.Equal(c.broker.claimed, want) {
-		t.Fatalf("the broker lists %d claimed edges, its claims are on %d others or out of order", len(c.broker.claimed), len(want))
-	}
+	checkClaimTable(t, c.broker)
 	global := c.Coverage()
 	for _, st := range c.PerWorker() {
 		if st.Coverage == 0 {
@@ -571,7 +569,7 @@ func TestExchangeDuplicatesNeverDisplace(t *testing.T) {
 		t.Fatal("duplicate was redistributed")
 	}
 	for _, idx := range []uint32{60, 61} {
-		if key := b.topRated[idx].key; key != core.InputKey(incumbent.Input) {
+		if key := b.claimOn(idx).key; key != core.InputKey(incumbent.Input) {
 			t.Fatalf("edge %d: duplicate publication displaced the incumbent", idx)
 		}
 	}
@@ -590,10 +588,10 @@ func TestExchangeDuplicatesNeverDisplace(t *testing.T) {
 	if len(b.corpus) != corpus {
 		t.Fatal("entry covered by a virgin delta was accepted as fresh")
 	}
-	if key := b.topRated[63].key; key != core.InputKey(loner.Input) {
+	if key := b.claimOn(63).key; key != core.InputKey(loner.Input) {
 		t.Fatal("duplicate publication did not take an unclaimed edge")
 	}
-	if _, claimed := b.topRated[62]; claimed {
+	if b.claimOn(62).key != "" {
 		t.Fatal("zero-bucket hit entered the competition")
 	}
 }
@@ -661,19 +659,19 @@ func TestExchangeTrimClaimTransfer(t *testing.T) {
 	b.exchange(0, epochDelta{retrims: []retrimDelta{{oldKey: oldKey, newKey: newKey, fav: e.FavFactor()}}})
 
 	for _, idx := range []uint32{70, 40000} {
-		if cl := b.topRated[idx]; cl.key != newKey || cl.fav != e.FavFactor() {
+		if cl := b.claimOn(idx); cl.key != newKey || cl.fav != e.FavFactor() {
 			t.Fatalf("edge %d: claim %+v not re-filed under the trimmed key at the new cost", idx, cl)
 		}
 	}
-	if b.claimWins[oldKey] != 0 || b.claimWins[newKey] != 2 {
-		t.Fatalf("claim counts not moved: old %d, new %d", b.claimWins[oldKey], b.claimWins[newKey])
+	if b.wins(oldKey) != 0 || b.wins(newKey) != 2 {
+		t.Fatalf("claim counts not moved: old %d, new %d", b.wins(oldKey), b.wins(newKey))
 	}
-	if cl := b.topRated[71]; cl.key != core.InputKey(rival.Input) {
+	if cl := b.claimOn(71); cl.key != core.InputKey(rival.Input) {
 		t.Fatal("a claim transfer displaced another input's claim")
 	}
 	// A transfer of an input that holds no claims is a no-op.
 	b.exchange(1, epochDelta{retrims: []retrimDelta{{oldKey: "absent", newKey: "other", fav: 1}}})
-	if b.claimWins["other"] != 0 {
+	if b.wins("other") != 0 {
 		t.Fatal("transfer of an unclaimed key created claims")
 	}
 
@@ -844,12 +842,12 @@ func TestCheckpointPersistsPowerState(t *testing.T) {
 			t.Fatalf("worker %d resumed with zeroed power state", i)
 		}
 	}
-	if len(res.broker.topRated) == 0 {
+	if len(res.broker.claimed) == 0 {
 		t.Fatal("broker top-rated digest not restored")
 	}
-	if len(res.broker.topRated) != len(orig.broker.topRated) {
+	if len(res.broker.claimed) != len(orig.broker.claimed) {
 		t.Fatalf("restored top-rated digest has %d claims, want %d",
-			len(res.broker.topRated), len(orig.broker.topRated))
+			len(res.broker.claimed), len(orig.broker.claimed))
 	}
 	// The corpus history carries the metadata the global competition
 	// reads — not the bare {ID, Input} shells the pre-power resume built.
@@ -941,7 +939,7 @@ func TestResumeRefusesOldManifestVersions(t *testing.T) {
 			t.Fatalf("version-%d manifest summarized", v)
 		}
 	}
-	for _, v := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, manifestVersion + 1} {
+	for _, v := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, manifestVersion + 1} {
 		refused(v, editManifest(t, tree, func(m *manifest) { m.Version = v }))
 	}
 	// A header shaped the way version 4 shaped it: the corpus and the

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -18,7 +19,7 @@ import (
 	"repro/internal/store"
 )
 
-// Checkpoint format, manifest version 9 — one store.Tree, written atomically
+// Checkpoint format, manifest version 10 — one store.Tree, written atomically
 // via PutTree. This comment is the format's one specification.
 //
 //	manifest.json                    the header: compact JSON of type manifest
@@ -32,7 +33,7 @@ import (
 // counts) and coverage log — and its size does not depend on the corpus. It
 // is one JSON object, in this key order:
 //
-//	version                                  9
+//	version                                  10
 //	target, workers, policy, seed,           the campaign's Config, embedded: the
 //	sync_interval_ns, sched, power,          service spec's keys, every enum by the
 //	snap_budget, asan, sync_mode             name its flag takes (policy none |
@@ -98,8 +99,10 @@ import (
 //	         i64 exec_time_ns | i64 size | string key |
 //	         u32 l | l × ( u32 worker < workers | u32 id ) | bytes32 input, only when l = 0 |
 //	         u32 h | h × ( u32 edge | u8 bucket ) )
+//	u32 a   claimants: the inputs the claims below name, in the order they first do
+//	   a × string key
 //	u32 c   top-rated claims, edges strictly ascending and below coverage.MapSize
-//	   c × ( u32 edge | i64 fav | string key )
+//	   c × ( u32 edge | i64 fav | u32 claimant < a )
 //	u32 w   pending-import queues, one per worker in ID order; w = workers
 //	   w × ( u32 p | p × ( bool global_fav | bytes32 input ) )
 //	u32 k   deduplicated crashes in discovery order; k = the header's crash_entries
@@ -109,6 +112,12 @@ import (
 // strictly ascending by worker, then id. A holder
 // naming no file of the tree, a worker out of range, or a file with other
 // bytes than the first holder's fails the resume.
+//
+// A claimant is numbered by its place in the list, which is the order in
+// which the claims, ascending by edge, first name it: the first claim names
+// claimant 0, and each later one a claimant named before it or the next one.
+// Every claimant is named, no key is listed twice, and no crash repeats an
+// earlier one's kind and message; anything else fails the resume.
 //
 // Inputs decoded from a queue file alias it (spec.DeserializeAppend), and
 // keep its bytes as their entries' QueueEntry.Bytes: a resumed campaign keeps
@@ -127,8 +136,8 @@ import (
 // checkpoint cuts each worker's queue file names from one string
 // (core.EncodeQueue), lists the holders in one slab, and the mem store copies
 // the whole tree into one slab. A resume cuts broker.bin's corpus keys from
-// one string (sched.bin has none), a claim takes the key
-// string of the corpus entry it names, and the traces, the holders, the
+// one string and its claimant keys from another (sched.bin has none), indexes
+// each claimant key once, and the traces, the holders, the
 // inputs with their bytes and op and argument arrays, and the entries with
 // their memoized encodings come from slabs. What is left per file is the
 // store's copy of each file a resume reads, kept per file on purpose: the
@@ -153,7 +162,7 @@ import (
 // manifestVersion is the one checkpoint format this build writes and reads;
 // a tree that declares any other is refused by number (README says how to
 // carry an older tree over).
-const manifestVersion = 9
+const manifestVersion = 10
 
 // Tree keys beside the per-worker files. ManifestFile is the one a listing
 // needs: Summarize reads nothing else.
@@ -356,7 +365,17 @@ func (b *broker) encode(w *guest.StateWriter, hs holders) {
 		buf = spec.AppendSerialize(buf[:0], in)
 		w.Bytes32(buf)
 	}
-	size := 16 + 4*len(b.pending) + len(b.claimed)*(claimMinLen+32) // a key is a 32-byte digest
+	// Claimants are numbered in the order the claims first name them:
+	// nums[n] is claimant n's number in the file plus one, 0 for one no
+	// claim names (it holds nothing), and named lists them in file order.
+	nums, named := make([]uint32, len(b.claimants)), make([]int32, 0, len(b.claimants))
+	for _, h := range b.claims {
+		if nums[h.who] == 0 {
+			named = append(named, h.who)
+			nums[h.who] = uint32(len(named))
+		}
+	}
+	size := 20 + 4*len(b.pending) + len(named)*(4+32) + len(b.claimed)*claimLen // a key is a 32-byte digest
 	for i, be := range b.corpus {
 		size += corpusEntryMinLen + len(be.Entry.Key()) + 5*len(be.Entry.Cov)
 		if l := len(hs.of(i)); l > 0 {
@@ -399,11 +418,15 @@ func (b *broker) encode(w *guest.StateWriter, hs holders) {
 			w.U8(h.Bucket)
 		}
 	}
+	w.U32(uint32(len(named)))
+	for _, n := range named {
+		w.String(b.claimants[n].key)
+	}
 	w.U32(uint32(len(b.claimed)))
-	for _, idx := range b.claimed {
+	for i, idx := range b.claimed {
 		w.U32(idx)
-		w.I64(b.topRated[idx].fav)
-		w.String(b.topRated[idx].key)
+		w.I64(b.claims[i].fav)
+		w.U32(nums[b.claims[i].who] - 1)
 	}
 	// The workers' bounded import queues — entries published by others that
 	// a worker had not yet pulled (an async campaign's final flushes race
@@ -434,7 +457,8 @@ const (
 	inputMinLen       = 4 + 10 // bytes32 length + the bytecode header
 	holderLen         = 4 + 4
 	corpusEntryMinLen = 4 + 3 + 8 + 8 + 4 + 4 + min(holderLen, inputMinLen) + 4
-	claimMinLen       = 4 + 8 + 4
+	claimantMinLen    = 4
+	claimLen          = 4 + 8 + 4
 	pendingMinLen     = 1 + inputMinLen
 	crashMinLen       = 4 + 4 + 8 + 8 + inputMinLen
 )
@@ -624,7 +648,6 @@ func decodeBroker(raw []byte, q queueIndex) (*broker, holders, error) {
 	entries := make([]core.QueueEntry, n)
 	inputs := make([]spec.Input, n)
 	encs := core.MakeEncodings(n)
-	named := make(map[string]string, n) // a corpus key to itself, for the claims
 	hs := holders{start: make([]int, 1, n+1), at: make([]holder, 0, min(n*workers, len(raw)/holderLen))}
 	var hits []coverage.BucketHit
 	b.corpus = make([]brokerEntry, 0, n)
@@ -666,7 +689,6 @@ func decodeBroker(raw []byte, q queueIndex) (*broker, holders, error) {
 		}
 		hs.start = append(hs.start, len(hs.at))
 		encs.Set(i, e, k, enc)
-		named[k] = k
 		h := r.Count(5)
 		if cap(hits)-len(hits) < h {
 			hits = make([]coverage.BucketHit, 0, max(h, covSlab))
@@ -677,37 +699,61 @@ func decodeBroker(raw []byte, q queueIndex) (*broker, holders, error) {
 		e.Cov = hits[len(hits)-h : len(hits) : len(hits)]
 		b.corpus = append(b.corpus, be)
 	}
-	nc := r.Count(claimMinLen)
-	b.claimed = make([]uint32, 0, nc)
-	for i, prev := 0, uint32(0); i < nc && ok(); i++ {
-		idx, cl := r.U32(), topClaim{fav: r.I64()}
-		if v := r.View32(); len(v) == 0 {
-			r.Fail("claim %d: empty content key", i)
-		} else if k, found := named[string(v)]; found {
-			cl.key = k
-		} else {
-			cl.key = string(v)
+	// The claimants, each key once, then the claims naming them by number in
+	// first-use order: claim i names a claimant an earlier claim named, or the
+	// next one, and every claimant is named.
+	na := r.Count(claimantMinLen)
+	var ckeys strings.Builder
+	ckeys.Grow(32 * na)
+	b.index = make(map[string]int32, na)
+	b.claimants = make([]claimant, na)
+	for i := 0; i < na && ok(); i++ {
+		k := r.StringTo(&ckeys)
+		if k == "" {
+			r.Fail("claimant %d: empty content key", i)
+		} else if j, dup := b.index[k]; dup {
+			r.Fail("claimant %d repeats the key of claimant %d", i, j)
 		}
+		b.index[k] = int32(i)
+		b.claimants[i].key = k
+	}
+	nc := r.Count(claimLen)
+	b.claimed, b.claims = make([]uint32, 0, nc), make([]claim, 0, nc)
+	named := 0 // claimants the claims so far have named
+	for i, prev := 0, uint32(0); i < nc && ok(); i++ {
+		idx, fav, who := r.U32(), r.I64(), r.U32()
 		if idx >= coverage.MapSize || i > 0 && idx <= prev {
 			r.Fail("claim %d: edge %d after %d", i, idx, prev)
+		} else if who >= uint32(na) || who > uint32(named) {
+			r.Fail("claim %d names claimant %d of %d, %d named before it", i, who, na, named)
+		}
+		if !ok() {
 			break
 		}
-		prev = idx
-		b.topRated[idx] = cl
-		b.claimWins[cl.key]++
-		b.claimed = append(b.claimed, idx)
-	}
-	// Each key's edges, ascending, in a window of one slab as wide as its
-	// win count.
-	edges := make([]uint32, 0, len(b.claimed))
-	for _, idx := range b.claimed {
-		k := b.topRated[idx].key
-		es, seen := b.claimEdges[k]
-		if !seen {
-			w := b.claimWins[k]
-			es, edges = edges[len(edges):len(edges):len(edges)+w], edges[:len(edges)+w]
+		if who == uint32(named) {
+			named++
 		}
-		b.claimEdges[k] = append(es, idx)
+		prev = idx
+		b.has[idx/64] |= 1 << (idx % 64)
+		b.claimed = append(b.claimed, idx)
+		b.claims = append(b.claims, claim{fav: fav, who: int32(who)})
+		b.claimants[who].wins++
+	}
+	if ok() && named < na {
+		r.Fail("claimant %d is named by no claim", named)
+	}
+	for w := 1; w < len(b.before); w++ {
+		b.before[w] = b.before[w-1] + int32(bits.OnesCount64(b.has[w-1]))
+	}
+	// Each claimant's edges, ascending, in a window of one slab as wide as
+	// its win count.
+	edges := make([]uint32, 0, len(b.claimed))
+	for i, idx := range b.claimed {
+		c := &b.claimants[b.claims[i].who]
+		if c.edges == nil {
+			c.edges, edges = edges[len(edges):len(edges):len(edges)+c.wins], edges[:len(edges)+c.wins]
+		}
+		c.edges = append(c.edges, idx)
 	}
 	// Re-point surviving claims at the restored corpus entries so a later
 	// displacement can still demote them; the workers' live re-imported
@@ -715,14 +761,15 @@ func decodeBroker(raw []byte, q queueIndex) (*broker, holders, error) {
 	held := make([]*core.QueueEntry, 0, len(b.corpus))
 	for i := 0; i < len(b.corpus) && ok(); i++ {
 		e := b.corpus[i].Entry
-		if b.claimWins[e.Key()] == 0 {
+		n, found := b.index[e.Key()]
+		if !found {
 			continue
 		}
-		if cs, seen := b.claimants[e.Key()]; seen {
-			b.claimants[e.Key()] = append(cs, e)
+		if c := &b.claimants[n]; c.restored != nil {
+			c.restored = append(c.restored, e)
 		} else {
 			held = append(held, e)
-			b.claimants[e.Key()] = held[len(held)-1 : len(held) : len(held)]
+			c.restored = held[len(held)-1 : len(held) : len(held)]
 		}
 	}
 	// Each worker pulls its queue at its first exchange after the resume.
@@ -756,7 +803,11 @@ func decodeBroker(raw []byte, q queueIndex) (*broker, holders, error) {
 		if err := decode(cr.Input, inline(r.View32())); err != nil {
 			r.Fail("crash %d: %v", i, err)
 		}
-		b.crashSeen[cr.Key()] = true
+		k := cr.Key()
+		if b.crashSeen[k] {
+			r.Fail("crash %d repeats the kind and message of an earlier one", i)
+		}
+		b.crashSeen[k] = true
 		b.crashes = append(b.crashes, cr)
 	}
 	return b, hs, r.Done()

@@ -370,8 +370,8 @@ func smallSections(t *testing.T) (tree store.Tree, header, brokerBin, sched []by
 		t.Fatal(err)
 	}
 	tree = editBrokerHolders(t, tree, func(b *broker, hs *holders) {
-		if len(b.crashes) < 2 || len(b.topRated) < 3 {
-			t.Fatalf("checkpoint too small to cut down: %d crashes, %d claims", len(b.crashes), len(b.topRated))
+		if len(b.crashes) < 2 || len(b.claimed) < 3 {
+			t.Fatalf("checkpoint too small to cut down: %d crashes, %d claims", len(b.crashes), len(b.claimed))
 		}
 		var kept []brokerEntry
 		var lists [][]holder
@@ -391,10 +391,7 @@ func smallSections(t *testing.T) (tree store.Tree, header, brokerBin, sched []by
 		for _, be := range b.corpus {
 			be.Entry.Cov = be.Entry.Cov[:min(4, len(be.Entry.Cov))]
 		}
-		for _, idx := range b.claimed[3:] {
-			delete(b.topRated, idx)
-		}
-		b.claimed = b.claimed[:3]
+		b.claimed, b.claims = b.claimed[:3], b.claims[:3]
 		b.pending[1] = []importItem{{input: b.corpus[0].Entry.Input, corpus: -1, globalFav: true}}
 	})
 	metas, power, err := core.DecodeSchedState(tree[workerDir(0)+"/"+core.SchedStateFile])
@@ -471,6 +468,53 @@ func TestCheckpointDecodeBoundsCounts(t *testing.T) {
 	}
 }
 
+// broker.bin lists each crash once: a resume refuses a crash listed twice,
+// even with crash_entries counting both, rather than resume with two crashes
+// of one kind and message.
+func TestResumeRefusesRepeatedCrash(t *testing.T) {
+	tree, err := run(t, Config{Target: "dnsmasq", Workers: 2, Policy: core.PolicyAggressive, Seed: 1,
+		SyncInterval: 500 * time.Millisecond}, time.Second).CheckpointTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree = editBroker(t, tree, func(b *broker) {
+		if len(b.crashes) == 0 {
+			t.Fatal("the campaign found no crash (test premise broken)")
+		}
+		b.crashes = append(b.crashes, b.crashes[0])
+	})
+	if _, err := ResumeTree(tree); err == nil || !strings.Contains(err.Error(), "repeats the kind and message") {
+		t.Fatalf("a crash listed twice: err = %v, want a refusal", err)
+	}
+}
+
+// broker.bin's claims section writes each claimant key once, in the order
+// the claims first name them, and every claimant is named: a resume refuses
+// each way to break that, with an error saying which.
+func TestResumeRefusesBadClaimants(t *testing.T) {
+	tree, err := run(t, Config{Target: "dnsmasq", Workers: 2, Policy: core.PolicyAggressive, Seed: 1,
+		SyncInterval: 500 * time.Millisecond}, time.Second).CheckpointTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeTree(tree); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"out of range": "names claimant",
+		"repeated key": "repeats the key of claimant 0",
+		"unreferenced": "is named by no claim",
+		"out of order": "names claimant 1 of",
+	}
+	for name, raw := range BadClaimSections(tree[brokerFile]) {
+		bad := maps.Clone(tree)
+		bad[brokerFile] = raw
+		if _, err := ResumeTree(bad); err == nil || !strings.Contains(err.Error(), want[name]) {
+			t.Errorf("%s: err = %v, want a refusal saying %q", name, err, want[name])
+		}
+	}
+}
+
 // TestCheckpointResumeAllocsPerEntry pins what a checkpoint and a resume cost
 // as counts: allocations per queue entry against mem://, on a campaign large
 // enough that the per-campaign work (VM launches, maps, the header) is small
@@ -479,7 +523,9 @@ func TestCheckpointDecodeBoundsCounts(t *testing.T) {
 // broker.bin's decoded inputs for the queue files, 3.1 and 9.5; before the
 // store copied a tree into one slab and the codec cut names, keys, traces,
 // inputs, encodings and claim lists from slabs, 2.1 and 8.6. It reads 0.05
-// and 1.41 now (0.06 and 1.42 while sched.bin entries carried content keys),
+// and 1.37 now (1.41 while each claim carried its claimant's key and a resume
+// counted claims in string-keyed maps, 0.06 and 1.42 while sched.bin entries
+// carried content keys),
 // one of which is GetTree's copy of each file (the store keeps that per
 // file: see the layout comment). The checkpoint also hashes nothing: every
 // live entry was keyed when it was published, a holder is found by identity,
@@ -660,49 +706,70 @@ func TestResumeDecodesUnsharedQueueFile(t *testing.T) {
 }
 
 // BenchmarkCheckpointRoundTrip measures the two halves of a stop-and-go cycle
-// on their own: CheckpointTo and ResumeFrom against mem:// for a dnsmasq
-// 2-worker lockstep campaign (the dns-ckpt benchmark workload's shape) that
-// has queued 500 entries or more. The campaign is built outside the timer.
+// on their own: CheckpointTo and ResumeFrom against mem://, for two campaign
+// shapes built outside the timer. dnsmasq is a 2-worker lockstep campaign
+// (the dns-ckpt benchmark workload's shape) of 500 queue entries or more;
+// ftp-snap is the checkpoint tail of the ftp-snap workload, a 1-worker bftpd
+// campaign (aggressive policy, 4 MiB pool, seed 1) after 12 virtual seconds,
+// whose tree of about 2,000 files holds about 2,000 claimed edges — the
+// shape whose resume decodes the most claims per file.
 func BenchmarkCheckpointRoundTrip(b *testing.B) {
-	c, err := New(Config{Target: "dnsmasq", Workers: 2, Policy: core.PolicyAggressive, Seed: 1,
-		SyncInterval: 250 * time.Millisecond, SnapBudget: 8 << 20, SyncMode: SyncLockstep})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := c.RunFor(4 * time.Second); err != nil {
-		b.Fatal(err)
-	}
-	entries := 0
-	for _, st := range c.PerWorker() {
-		entries += st.Queue
-	}
-	if entries < 500 {
-		b.Fatalf("campaign queued %d entries, the benchmark needs 500 or more", entries)
-	}
-	b.Logf("%d queue entries", entries)
-	st, err := store.Open(fmt.Sprintf("mem://bench-roundtrip-%d", time.Now().UnixNano()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := c.CheckpointTo(st, "ckpt"); err != nil { // what ResumeFrom reads when run alone
-		b.Fatal(err)
-	}
-	b.Run("CheckpointTo", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := c.CheckpointTo(st, "ckpt"); err != nil {
+	for _, shape := range []struct {
+		name    string
+		cfg     Config
+		virt    time.Duration
+		entries int // the fewest queue entries the shape is meant to have
+	}{
+		{"dnsmasq", Config{Target: "dnsmasq", Workers: 2, Policy: core.PolicyAggressive, Seed: 1,
+			SyncInterval: 250 * time.Millisecond, SnapBudget: 8 << 20, SyncMode: SyncLockstep}, 4 * time.Second, 500},
+		{"ftp-snap", Config{Target: "bftpd", Workers: 1, Policy: core.PolicyAggressive, Seed: 1,
+			SnapBudget: 4 << 20, SyncMode: SyncAsync}, 12 * time.Second, 1500},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			c, err := New(shape.cfg)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("ResumeFrom", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ResumeFrom(st, "ckpt"); err != nil {
+			if err := c.RunFor(shape.virt); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			entries := 0
+			for _, st := range c.PerWorker() {
+				entries += st.Queue
+			}
+			if entries < shape.entries {
+				b.Fatalf("campaign queued %d entries, the benchmark needs %d or more", entries, shape.entries)
+			}
+			st, err := store.Open(fmt.Sprintf("mem://bench-roundtrip-%s-%d", shape.name, time.Now().UnixNano()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := c.CheckpointTo(st, "ckpt"); err != nil { // what ResumeFrom reads when run alone
+				b.Fatal(err)
+			}
+			tree, err := st.GetTree("ckpt")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Logf("%d queue entries, %d files, %d claimed edges", entries, len(tree), len(c.broker.claimed))
+			b.Run("CheckpointTo", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := c.CheckpointTo(st, "ckpt"); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run("ResumeFrom", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := ResumeFrom(st, "ckpt"); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+	}
 }
 
 // A resume files each worker's queue files in id order: in one pass when

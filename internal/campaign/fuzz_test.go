@@ -30,10 +30,12 @@ const (
 // round, after one virtual second, and right after resuming the latter, when
 // the queue files broker.bin names as its corpus entries' holders are those
 // inputs' bytes; the VMs run here, none per input), with their first halves,
-// and with the last broker.bin against its tree with one byte flipped in the
-// middle of the first queue file, which a corpus entry names. A decoder never
-// panics, and never sizes an allocation by a count its input could not fill
-// (the fuzzing engine's memory limit is what notices). The binary sections
+// with the last broker.bin against its tree with one byte flipped in the
+// middle of the first queue file, which a corpus entry names, and with that
+// broker.bin's claims section rewritten in the four ways the encoder never
+// writes it (campaign.BadClaimSections), none of which decodes. A decoder
+// never panics, and never sizes an allocation by a count its input could not
+// fill (the fuzzing engine's memory limit is what notices). The binary sections
 // are canonical: one that decodes encodes back to the same bytes. The header
 // is JSON, which has many spellings of one value, so there the property is
 // the fixed point: what a decoded header encodes to decodes again, to the
@@ -89,6 +91,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 		flipped[victim][len(tree[victim])/2] ^= 0xff
 		trees = append(trees, flipped)
 		f.Add(sectionBroker, len(trees)-1, tree[campaign.BrokerFile])
+		bad := campaign.BadClaimSections(tree[campaign.BrokerFile])
+		for _, name := range slices.Sorted(maps.Keys(bad)) {
+			if decodesCanonically(f, sectionBroker, tree, bad[name]) {
+				f.Fatalf("%s: the %q claims section decodes", target, name)
+			}
+			f.Add(sectionBroker, len(trees)-2, bad[name])
+		}
 	}
 	f.Fuzz(func(t *testing.T, section, tree int, raw []byte) {
 		decodesCanonically(t, ((section%sections)+sections)%sections, trees[((tree%len(trees))+len(trees))%len(trees)], raw)

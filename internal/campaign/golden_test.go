@@ -40,7 +40,12 @@ import (
 // new tree rewritten in the version-8 layout — each sched.bin entry preceded
 // again by core.InputKey of its queue file's input, the header's version 8 —
 // reproduced the recorded digest. The ordered broker claims and the virgin
-// map's word walk changed no byte of either tree. Re-record with
+// map's word walk changed no byte of either tree. The tree digests, and
+// nothing else, moved once more with manifest version 10 (broker.bin lists
+// each claimant key once and its claims name claimants by number), edited by
+// hand after each new tree rewritten in the version-9 layout — the claims
+// section as (edge, fav, key) per claim again, the header's version 9 —
+// reproduced the recorded digest. Re-record with
 //
 //	NYX_UPDATE_GOLDEN=1 go test ./internal/core ./internal/campaign ./internal/targets -run 'Recorded|LockstepGolden'
 //
