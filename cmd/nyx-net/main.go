@@ -197,10 +197,8 @@ func run(cfg campaign.Config, d time.Duration, checkpoint string, resume bool, s
 	ss := c.SyncStats()
 	fmt.Printf("[*] campaign done: %v virtual/worker in %v wall\n",
 		c.Elapsed().Round(time.Millisecond), time.Since(start).Round(time.Millisecond))
-	fmt.Printf("    broker sync:    %s mode, %d exchanges, %v wall in broker\n",
-		ss.Mode, ss.Epochs, ss.SyncWall.Round(time.Millisecond))
-	fmt.Printf("    broker lock:    %d acquisitions, %d contended, %d imports dropped\n",
-		ss.ShardAcquisitions, ss.ShardContended, ss.ImportsDropped)
+	fmt.Printf("    broker sync:    %s mode, %d exchanges, %d imports dropped, %v wall in broker\n",
+		ss.Mode, ss.Epochs, ss.ImportsDropped, ss.SyncWall.Round(time.Millisecond))
 	workers := c.PerWorker()
 	var snapExecs, restores uint64
 	var restoreWall time.Duration

@@ -23,29 +23,22 @@ const maxPendingImports = 256
 // and covered since its last call — through exchange, and gets back the
 // verdicts on its publications, its pending imports and demotion notices,
 // and the campaign-wide pick totals. That worker-to-broker contract is
-// stated once, here; campaign.go only decides when each worker calls it
-// (the lockstep and async schedules).
+// stated once, here; campaign.go's driver loop makes every call, in the
+// order its schedule gives.
 //
 // The contract holds for whole calls: exchange takes the broker's one mutex
-// on entry and holds it to its end, so concurrent exchanges (the async
-// schedule) apply whole deltas one after another, and every run's outcome
-// is that of some serial order of its exchanges. Within an exchange the
-// delta is applied in one pass, in publication order: each publication's
-// trace is merged into the virgin map (the dedup verdict) and competes for
-// the edges it covers, and every win or displacement updates the claim
-// counts and demotion notices as it happens; then come the worker's virgin
-// delta, its trims' claim transfers and the cross-edge bookkeeping (corpus,
-// redistribution, crashes, telemetry). Called from one goroutine in a fixed
-// order (the lockstep schedule), every outcome is a pure function of the
-// deltas.
+// on entry and holds it to its end, so even concurrent exchanges apply
+// whole deltas one after another. Within an exchange the delta is applied
+// in one pass, in publication order: each publication's trace is merged
+// into the virgin map (the dedup verdict) and competes for the edges it
+// covers, and every win or displacement updates the claim counts and
+// demotion notices as it happens; then come the worker's virgin delta, its
+// trims' claim transfers and the cross-edge bookkeeping (corpus,
+// redistribution, crashes, telemetry). Every outcome is a pure function of
+// the deltas and their order.
 type broker struct {
 	// mu guards every field below; exchange holds it for the whole call.
 	mu sync.Mutex
-	// acquisitions/contended count exchange's acquisitions of mu and how
-	// many found it already held — the contention telemetry the -campaign
-	// scaling bench reports.
-	acquisitions uint64
-	contended    uint64
 
 	// virgin is the global coverage map.
 	virgin coverage.Virgin
@@ -204,18 +197,6 @@ func (b *broker) initWorkers(n int) {
 	b.lastPickSum = make([]uint64, n)
 }
 
-// reportedElapsedFor returns the virtual time worker id declared at its
-// most recent exchange. Safe to call while a campaign is running —
-// tests use it to watch fast workers progress past a stalled peer.
-func (b *broker) reportedElapsedFor(id int) time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if id < 0 || id >= len(b.reported) {
-		return 0
-	}
-	return b.reported[id]
-}
-
 // sample appends a point to the aggregated coverage log, collapsing
 // consecutive rounds with no coverage change to at most one point per
 // virtual minute (same policy as core.Fuzzer's log).
@@ -307,12 +288,8 @@ type notice struct {
 // it renames and re-prices the claims the input already held.
 func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importItem, notes []notice, peerPicks map[uint32]uint64, peerSum uint64) {
 	start := time.Now() //nyx:wallclock sync-cost telemetry (SyncStats.SyncWall), never steers fuzzing
-	if !b.mu.TryLock() {
-		b.mu.Lock()
-		b.contended++
-	}
+	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.acquisitions++
 
 	won = make([]bool, len(d.pubs))
 	fresh := make([]bool, len(d.pubs))

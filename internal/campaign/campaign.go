@@ -15,23 +15,20 @@
 // and then re-executes the pulled imports via core.ImportInput, so nothing
 // enters a queue that the local target did not reproduce.
 //
-// That one exchange runs under two schedules (SyncMode):
+// One driver loop, RunFor, makes every exchange on its own goroutine while
+// each worker fuzzes and re-executes its imports on a goroutine of its own,
+// under either of two schedules (SyncMode):
 //
 //   - Lockstep (SyncLockstep): workers fuzz in rounds of SyncInterval
-//     virtual time and meet at a barrier, where one goroutine runs every
-//     worker's exchange in ID order — twice, so each also pulls what the
-//     workers after it published — before the imports drain in parallel.
-//     During a round a worker touches no shared state, so rounds run on
-//     real goroutines yet the campaign stays a pure function of the master
-//     seed.
-//   - Async (SyncAsync): there is no barrier. Each worker runs epochs of
-//     SyncInterval virtual time on its own clock and exchanges from its own
-//     goroutine. A slow worker never stalls a fast one — the scaling mode
-//     the paper's evaluation assumes. The broker applies each exchange
-//     whole under its one lock, so an async run's outcome is that of a
-//     serial order of whole exchanges — but which order is up to the
-//     scheduler, so async campaigns are not bit-reproducible; seeded
-//     experiments that need byte-identical coverage use lockstep.
+//     virtual time and meet at a barrier, where every worker exchanges in
+//     ID order — twice, so each also pulls what the workers after it
+//     published. The campaign is a pure function of the master seed.
+//   - Async (SyncAsync): there is no barrier. A worker exchanges when its
+//     epoch ends and the exchange order picks it, then fuzzes on, so a slow
+//     worker never stalls a fast one — the scaling mode the paper's
+//     evaluation assumes. The broker applies each exchange whole, and the
+//     live order (first come, first served) is logged, so an async campaign
+//     is reproducible from its exchange order.
 //
 // Campaigns checkpoint to a store tree (per-worker corpora plus broker
 // state) and resume from it; see checkpoint.go for the format and the
@@ -43,7 +40,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -79,8 +75,8 @@ const (
 	// semantics.
 	SyncLockstep SyncMode = iota
 	// SyncAsync is the barrier-free schedule: workers exchange on their own
-	// clocks and goroutines. Scales past the lockstep serialization point
-	// but is not bit-reproducible.
+	// clocks. Scales past the lockstep serialization point; a run is
+	// reproducible from its exchange order.
 	SyncAsync
 )
 
@@ -156,10 +152,6 @@ type Config struct {
 	// SyncMode selects lockstep (deterministic, the zero value) or async
 	// (barrier-free epoch sync) worker synchronization.
 	SyncMode SyncMode `json:"sync_mode"`
-	// epochHook, when set, is called after each async worker finishes an
-	// epoch exchange (test instrumentation: the slow-worker isolation test
-	// parks one worker here and asserts the others keep their pace).
-	epochHook func(worker, epoch int)
 }
 
 // Validate reports whether c describes a campaign this build can run: every
@@ -234,10 +226,18 @@ type Campaign struct {
 	// baseElapsed is the cumulative virtual time of previous epochs
 	// (restored from a checkpoint); the campaign clock continues from it.
 	baseElapsed time.Duration
-	// stopped is the sticky graceful-stop flag; both schedules check it
-	// between epochs, so a stop always lands on a sync boundary where the
-	// campaign is checkpointable.
+	// stopped is the sticky graceful-stop flag; RunFor reads it when it
+	// starts or exchanges a step, so a stop always lands on a sync boundary
+	// where the campaign is checkpointable.
 	stopped atomic.Bool
+	// order picks each async exchange (firstCome, unless a test replays or
+	// generates one), and exchanges logs the worker of each async exchange
+	// the last RunFor made, in order.
+	order     exchangeOrder
+	exchanges []uint16
+	// beforeStep runs at the start of each step, on the worker's goroutine
+	// (a test's way to make a step slow).
+	beforeStep func(w *worker)
 }
 
 // New launches cfg.Workers fresh instances of the target and wires them to
@@ -265,7 +265,7 @@ type workerSeeds struct {
 // seeds), and br supplies restored broker state. The caller has validated
 // cfg.
 func newCampaign(cfg Config, epoch int, seedsFor func(i int) (workerSeeds, error), br *broker) (*Campaign, error) {
-	c := &Campaign{cfg: cfg, epoch: epoch, broker: br}
+	c := &Campaign{cfg: cfg, epoch: epoch, broker: br, order: firstCome, beforeStep: func(*worker) {}}
 	if c.broker == nil {
 		c.broker = newBroker()
 	}
@@ -315,106 +315,154 @@ func deriveSeed(master int64, epoch, worker int) int64 {
 }
 
 // RunFor extends the campaign by d of virtual time per worker, in epochs of
-// SyncInterval with a broker exchange after each: under the lockstep
-// schedule all workers round together and exchange at the barrier, under
-// async each runs on its own clock. In both, time spent re-executing
-// imported entries counts against each worker's budget (the deadlines are
-// absolute), so an N-worker campaign gets the same per-worker virtual time
-// as a solo one — sync is paid for, not free. RunFor returns with every
+// SyncInterval with a broker exchange after each, and returns with every
 // worker quiesced and all publications in the broker, so the campaign is
-// checkpointable between calls.
+// checkpointable between calls. One loop makes every exchange while each
+// worker's step (re-execute the imports its last exchange pulled, then fuzz
+// one epoch) runs on a goroutine of its own. Lockstep exchanges a whole
+// round of steps in ID order, then again with empty deltas; a round with no
+// epoch is the last. Async exchanges each finished worker when the exchange
+// order picks it; a step with no epoch, or one finished after Stop, is the
+// worker's last, and its exchange the final flush (a lone worker's only
+// one). Imports count against each worker's budget: sync is paid for.
 func (c *Campaign) RunFor(d time.Duration) error {
-	if c.cfg.SyncMode == SyncAsync || len(c.workers) == 1 {
-		return c.runAsync(d)
-	}
-	deadlines := make([]time.Duration, len(c.workers))
-	for i, w := range c.workers {
-		deadlines[i] = w.fz.Elapsed() + d
-	}
-	behind := func(w *worker) bool { return w.fz.Elapsed() < deadlines[w.id] }
-	for !c.stopped.Load() && slices.ContainsFunc(c.workers, behind) {
-		if err := c.parallel(func(w *worker) error { return c.fuzzEpoch(w, deadlines[w.id]) }); err != nil {
-			return err
-		}
-		c.rounds++
-		if err := c.syncRound(); err != nil {
-			return err
-		}
-	}
-	return nil
+	// The loop blocks and wakes at every exchange: on a goroutine of its own
+	// it never has to hand over a caller's locked OS thread to do so.
+	errc := make(chan error, 1)
+	go func() { errc <- c.drive(d) }()
+	return <-errc
 }
 
-// runAsync extends every worker by d of virtual time with no barrier:
-// each worker loops fuzz-epoch → exchange → drain imports on its own
-// goroutine and its own clock. A final exchange after the deadline flushes
-// whatever the last partial epoch queued, so RunFor returns with the
-// broker holding every publication (checkpointable). A lone worker has no
-// barrier to meet and nothing to import, so under either schedule it runs
-// here, and the final flush is its one exchange.
-func (c *Campaign) runAsync(d time.Duration) error {
-	return c.parallel(func(w *worker) error {
-		deadline := w.fz.Elapsed() + d
-		for !c.stopped.Load() && w.fz.Elapsed() < deadline {
-			if err := c.fuzzEpoch(w, deadline); err != nil {
-				return err
-			}
-			if len(c.workers) == 1 {
+// drive is RunFor's driver loop.
+func (c *Campaign) drive(d time.Duration) error {
+	n := len(c.workers)
+	lockstep := c.cfg.SyncMode == SyncLockstep && n > 1
+	c.exchanges = c.exchanges[:0]
+	done := make(chan stepDone, n) // one step at a time per worker: no send blocks
+	deadlines := make([]time.Duration, n)
+	held := make([][]importItem, n) // pulled, not yet re-executed
+	last := make([]stepDone, n)
+	running := 0
+	start := func(id int, fuzz bool) {
+		w, items := c.workers[id], held[id]
+		held[id] = nil
+		running++
+		if len(items) == 0 && (!fuzz || w.fz.Elapsed() >= deadlines[id]) {
+			done <- stepDone{id: id} // nothing to import or fuzz: no goroutine
+			return
+		}
+		go func() { done <- c.step(w, items, fuzz, fuzz && !lockstep, deadlines[id]) }()
+	}
+	// exchange hands the broker worker id's delta, built now if its step
+	// built none, and holds what it pulls for the worker's next step.
+	exchange := func(id int, d *epochDelta) {
+		w := c.workers[id]
+		if d == nil {
+			built := w.buildDelta(c.cfg.Power != core.PowerOff)
+			d = &built
+		}
+		held[id] = append(held[id], w.exchange(c.broker, *d)...)
+	}
+	live, fuzz := make([]int, n), !c.stopped.Load() // live: an exchange still to make
+	for id, w := range c.workers {
+		live[id], deadlines[id] = id, w.fz.Elapsed()+d
+		start(id, fuzz)
+	}
+	var ready []int
+	var err error
+	failed := n // the lowest failing id: a lockstep failure is deterministic
+	for running > 0 {
+		s := <-done
+		running--
+		if s.err != nil && s.id < failed {
+			failed, err = s.id, fmt.Errorf("campaign: worker %d: %w", s.id, s.err)
+		}
+		if err != nil || !slices.Contains(live, s.id) {
+			continue // failed: drain the rest; or done after its final flush
+		}
+		last[s.id], ready = s, append(ready, s.id)
+		if lockstep {
+			if len(ready) < n || !slices.ContainsFunc(last, func(l stepDone) bool { return l.fuzzed }) {
 				continue
 			}
-			if err := c.syncWorker(w); err != nil {
-				return err
+			ready = ready[:0]
+			c.rounds++
+			for id := range n {
+				exchange(id, last[id].delta)
 			}
-			if c.cfg.epochHook != nil {
-				c.cfg.epochHook(w.id, w.epoch)
+			for id, w := range c.workers {
+				exchange(id, &epochDelta{elapsed: w.fz.Elapsed()})
 			}
+			fuzz := !c.stopped.Load()
+			for id := range n {
+				start(id, fuzz)
+			}
+			continue
 		}
-		// Final flush: publish anything queued in the last partial epoch
-		// (and apply any notices that raced the loop exit).
-		return c.syncWorker(w)
-	})
+		for len(ready) > 0 {
+			id := c.order(ready, live)
+			if id < 0 {
+				break
+			}
+			ready = slices.DeleteFunc(ready, func(r int) bool { return r == id })
+			final := !last[id].fuzzed || c.stopped.Load()
+			if final || n > 1 {
+				exchange(id, last[id].delta)
+				c.exchanges = append(c.exchanges, uint16(id))
+			}
+			if final {
+				live = slices.DeleteFunc(live, func(l int) bool { return l == id })
+			}
+			start(id, !final)
+		}
+	}
+	return err
 }
 
-// fuzzEpoch advances w by one SyncInterval of virtual time, clipped to its
-// deadline (a no-op once w is there).
-func (c *Campaign) fuzzEpoch(w *worker, deadline time.Duration) error {
-	step := min(c.cfg.SyncInterval, deadline-w.fz.Elapsed())
-	if step <= 0 {
-		return nil
-	}
-	if err := w.fz.RunFor(step); err != nil {
-		return err
-	}
-	w.epoch++
-	return nil
+// exchangeOrder names the worker whose async exchange comes next: one of
+// ready, the workers whose step has finished, in the order they finished,
+// or -1 to wait for another step to finish. live lists the workers with an
+// exchange still to make, ascending. An async campaign's outcome is a
+// function of the order of its exchanges, so a fresh campaign given
+// another's log (Campaign.exchanges) as its order rebuilds it.
+type exchangeOrder func(ready, live []int) int
+
+// firstCome is the live async order: the first worker to finish goes first.
+func firstCome(ready, _ []int) int { return ready[0] }
+
+// stepDone is one worker's finished step: whether it fuzzed an epoch, and
+// the delta it built for the exchange that follows, if it built one.
+type stepDone struct {
+	id     int
+	fuzzed bool
+	delta  *epochDelta
+	err    error
 }
 
-// syncRound is the lockstep schedule's barrier: every worker exchanges in
-// ID order from this goroutine, so the broker sees a fixed sequence of
-// deltas. At its own exchange a worker pulls only what lower IDs published
-// before it, so a second pass of empty deltas pulls the rest and no import
-// stays pending across the round. Then the imports drain in parallel —
-// each worker only touches itself.
-func (c *Campaign) syncRound() error {
-	held := make([][]importItem, len(c.workers))
-	for _, w := range c.workers {
-		held[w.id] = c.publish(w)
+// step is one worker's turn, on its own goroutine: it re-executes the
+// imports its last exchange pulled, then, when fuzz is set and the worker
+// is short of its deadline, fuzzes one SyncInterval epoch clipped to it.
+// It builds the delta for the exchange that follows when one surely does:
+// after an epoch on a worker with peers, and, when flush is set, after no
+// epoch (the async final flush). Otherwise the driver builds any it needs.
+func (c *Campaign) step(w *worker, items []importItem, fuzz, flush bool, deadline time.Duration) stepDone {
+	c.beforeStep(w)
+	s := stepDone{id: w.id}
+	if s.err = w.importAll(items); s.err != nil {
+		return s
 	}
-	for _, w := range c.workers {
-		held[w.id] = append(held[w.id], w.exchange(c.broker, epochDelta{elapsed: w.fz.Elapsed()})...)
+	if left := deadline - w.fz.Elapsed(); fuzz && left > 0 {
+		if s.err = w.fz.RunFor(min(c.cfg.SyncInterval, left)); s.err != nil {
+			return s
+		}
+		w.epoch++
+		s.fuzzed = true
 	}
-	return c.parallel(func(w *worker) error { return w.importAll(held[w.id]) })
-}
-
-// syncWorker is the async schedule's epoch boundary: w exchanges and
-// re-executes what it pulled right away.
-func (c *Campaign) syncWorker(w *worker) error {
-	return w.importAll(c.publish(w))
-}
-
-// publish exchanges everything w queued since its last exchange and
-// returns the imports it pulled.
-func (c *Campaign) publish(w *worker) []importItem {
-	return w.exchange(c.broker, w.buildDelta(c.cfg.Power != core.PowerOff))
+	if s.fuzzed && len(c.workers) > 1 || !s.fuzzed && flush {
+		d := w.buildDelta(c.cfg.Power != core.PowerOff)
+		s.delta = &d
+	}
+	return s
 }
 
 // exchange hands the broker w's delta, applies the verdicts and notices
@@ -531,43 +579,19 @@ func (w *worker) rebind(oldKey, newKey string, e *core.QueueEntry) {
 	w.byKey[newKey] = append(w.byKey[newKey], e)
 }
 
-// parallel applies f to every worker concurrently and collects the first
-// error (by worker order, so failures are deterministic too).
-func (c *Campaign) parallel(f func(*worker) error) error {
-	errs := make([]error, len(c.workers))
-	var wg sync.WaitGroup
-	for i, w := range c.workers {
-		wg.Add(1)
-		go func(i int, w *worker) {
-			defer wg.Done()
-			errs[i] = f(w)
-		}(i, w)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("campaign: worker %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // maxElapsed returns the slowest worker's virtual campaign time — the
 // aggregated campaign clock.
 func (c *Campaign) maxElapsed() time.Duration {
-	var max time.Duration
+	var m time.Duration
 	for _, w := range c.workers {
-		if el := w.fz.Elapsed(); el > max {
-			max = el
-		}
+		m = max(m, w.fz.Elapsed())
 	}
-	return max
+	return m
 }
 
-// Stop requests a graceful stop: the current RunFor returns after the
-// in-flight epoch and its exchange (the lockstep round, or each async
-// worker's epoch plus the final flush) complete, leaving the campaign at a
-// checkpointable boundary. Safe to call from any goroutine (e.g. a signal
+// Stop requests a graceful stop: the current RunFor returns once the
+// in-flight steps are exchanged (the lockstep round, or each async worker's
+// final flush), leaving the campaign at a checkpointable boundary. Safe to call from any goroutine (e.g. a signal
 // handler); sticky — subsequent RunFor calls return immediately.
 func (c *Campaign) Stop() { c.stopped.Store(true) }
 
@@ -603,10 +627,9 @@ type SyncStats struct {
 	// SyncWall is cumulative wall-clock time spent inside broker
 	// exchanges (import re-execution excluded).
 	SyncWall time.Duration
-	// ShardAcquisitions/ShardContended count acquisitions of the broker's
-	// one lock (one per exchange) and how many found it already held — the
-	// broker-contention signal the -campaign scaling bench and bench/
-	// report under these names.
+	// ShardAcquisitions restates Epochs and ShardContended is 0: one driver
+	// loop makes every exchange, so the broker lock is never contended.
+	// They stay because bench/ reads them.
 	ShardAcquisitions uint64
 	ShardContended    uint64
 	// ImportsDropped counts pending-import entries dropped at full
@@ -620,8 +643,7 @@ func (c *Campaign) SyncStats() SyncStats {
 		Mode:              c.cfg.SyncMode,
 		Epochs:            c.broker.epochsTotal,
 		SyncWall:          c.broker.syncWall,
-		ShardAcquisitions: c.broker.acquisitions,
-		ShardContended:    c.broker.contended,
+		ShardAcquisitions: c.broker.epochsTotal,
 		ImportsDropped:    c.broker.importsDropped,
 	}
 }

@@ -795,8 +795,8 @@ func TestLockstepRoundDrainsAndIsDeterministic(t *testing.T) {
 		if c.CorpusSize() == 0 || c.Deduped() == 0 {
 			t.Fatalf("sync not exercised: corpus %d, deduped %d", c.CorpusSize(), c.Deduped())
 		}
-		if st := c.SyncStats(); st.Epochs != 2*3*4 || st.ShardAcquisitions != st.Epochs || st.ShardContended != 0 {
-			t.Fatalf("4 rounds x 3 workers made %d exchanges, %d broker lock acquisitions (%d contended)", st.Epochs, st.ShardAcquisitions, st.ShardContended)
+		if st := c.SyncStats(); st.Epochs != 2*3*4 {
+			t.Fatalf("4 rounds x 3 workers made %d exchanges", st.Epochs)
 		}
 		tree, err := c.CheckpointTree()
 		if err != nil {

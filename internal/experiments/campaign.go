@@ -25,10 +25,6 @@ import (
 // included. Caveat: the clock keeps running while an exchange goroutine is
 // descheduled, so with more workers than cores the column mostly measures
 // runnable-queue delay; judge it only on hosts with cores >= workers.
-// ShardContended is the scheduling-robust companion signal: the broker's one
-// lock is taken once per exchange, and it counts the exchanges of the
-// SyncEpochs that found it held and had to wait, independent of where the
-// scheduler put the time.
 type ScalingRow struct {
 	Workers  int
 	SyncMode string
@@ -46,7 +42,6 @@ type ScalingRow struct {
 
 	SyncEpochs       uint64
 	SyncWallPerEpoch time.Duration
-	ShardContended   uint64
 }
 
 // ParallelScaling runs the campaign orchestrator at each worker count
@@ -78,15 +73,14 @@ func ParallelScaling(cfg Config, workerCounts []int) ([]ScalingRow, error) {
 		}
 		ss := c.SyncStats()
 		row := ScalingRow{
-			Workers:        n,
-			SyncMode:       ss.Mode.String(),
-			Coverage:       c.Coverage(),
-			Corpus:         c.CorpusSize(),
-			Deduped:        c.Deduped(),
-			Execs:          c.Execs(),
-			EPS:            c.ExecsPerSecond(),
-			SyncEpochs:     uint64(ss.Epochs),
-			ShardContended: ss.ShardContended,
+			Workers:    n,
+			SyncMode:   ss.Mode.String(),
+			Coverage:   c.Coverage(),
+			Corpus:     c.CorpusSize(),
+			Deduped:    c.Deduped(),
+			Execs:      c.Execs(),
+			EPS:        c.ExecsPerSecond(),
+			SyncEpochs: uint64(ss.Epochs),
 		}
 		if ss.Epochs > 0 {
 			row.SyncWallPerEpoch = ss.SyncWall / time.Duration(ss.Epochs)
@@ -108,12 +102,12 @@ func ParallelScaling(cfg Config, workerCounts []int) ([]ScalingRow, error) {
 // RenderParallelScaling formats the scaling table.
 func RenderParallelScaling(rows []ScalingRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%8s %9s %10s %10s %10s %12s %9s %10s %8s %12s %10s\n",
-		"Workers", "Sync", "Edges", "Corpus", "Deduped", "Execs/vs", "Speedup", "CoverageX", "Epochs", "Sync/epoch", "Contended")
+	fmt.Fprintf(&b, "%8s %9s %10s %10s %10s %12s %9s %10s %8s %12s\n",
+		"Workers", "Sync", "Edges", "Corpus", "Deduped", "Execs/vs", "Speedup", "CoverageX", "Epochs", "Sync/epoch")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%8d %9s %10d %10d %10d %12.1f %8.2fx %9.2fx %8d %12s %10d\n",
+		fmt.Fprintf(&b, "%8d %9s %10d %10d %10d %12.1f %8.2fx %9.2fx %8d %12s\n",
 			r.Workers, r.SyncMode, r.Coverage, r.Corpus, r.Deduped, r.EPS, r.SpeedupX, r.CoverageX,
-			r.SyncEpochs, r.SyncWallPerEpoch.Round(time.Microsecond), r.ShardContended)
+			r.SyncEpochs, r.SyncWallPerEpoch.Round(time.Microsecond))
 	}
 	return b.String()
 }

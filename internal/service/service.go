@@ -5,7 +5,7 @@
 // *campaign.Campaign exclusively and advances it in slices: one lockstep
 // round (SyncInterval of virtual time) for the default deterministic mode,
 // or a few epochs at a time for sync_mode "async" (coarser slices amortize
-// the per-RunFor worker spin-up that async pays). Control operations
+// the final flush each async RunFor ends with). Control operations
 // (pause, resume, checkpoint, delete) are function requests posted to the
 // actor and executed between slices, so campaign state is never touched
 // concurrently and every externally visible boundary is a quiesced sync
@@ -324,9 +324,10 @@ func (g *managed) loop(c *campaign.Campaign) {
 	defer close(g.done)
 	chunk := c.Config().SyncInterval
 	if c.Config().SyncMode == campaign.SyncAsync {
-		// Async campaigns pay a worker-goroutine spin-up and a final flush
-		// exchange per RunFor; slicing a few epochs at a time amortizes
-		// that while keeping control requests responsive.
+		// An async RunFor ends with a final flush exchange per worker, and
+		// the workers that finish first idle until the last one does;
+		// slicing a few epochs at a time amortizes that while keeping
+		// control requests responsive.
 		chunk *= 4
 	}
 	for {
