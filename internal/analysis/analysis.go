@@ -46,9 +46,10 @@
 // calls plus CHA resolution of interface method calls — carries
 // per-function summaries (reads-wallclock, uses-global-rand, may-block) to a
 // fixed point. Diagnostics for transitive findings include
-// the full witness chain, e.g.
+// the full witness chain, e.g. (from the lockheld fixture,
+// testdata/src/repro/internal/campaign/a.go)
 //
-//	call that may block: campaign.(*Broker).flush (channel send at broker.go:88) while b.mu is held
+//	call that may block: campaign.(*Broker).emit → campaign.(*Broker).relay (channel send at a.go:101) while b.mu is held
 //
 // so a suppression is reviewable without re-deriving the path by hand. A
 // directive placed at the *source* site (the time.Now call, the blocking

@@ -113,17 +113,6 @@ func NewExecutor(kind Kind, inst *targets.Instance) (*Executor, error) {
 // Now implements core.Executor.
 func (e *Executor) Now() time.Duration { return e.Inst.M.Clock.Now() }
 
-// HasSnapshot implements core.Executor: baselines have no snapshots.
-func (e *Executor) HasSnapshot() bool { return false }
-
-// DropSnapshot implements core.Executor.
-func (e *Executor) DropSnapshot() {}
-
-// RunSuffix implements core.Executor.
-func (e *Executor) RunSuffix(in *spec.Input, tr *coverage.Trace) (netemu.Result, error) {
-	return netemu.Result{}, netemu.ErrNoSnapshot
-}
-
 // RunFromRoot implements core.Executor: deliver the input the way this
 // baseline would, charging its cost model.
 func (e *Executor) RunFromRoot(in *spec.Input, tr *coverage.Trace) (netemu.Result, error) {

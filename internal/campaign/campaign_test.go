@@ -332,8 +332,22 @@ func TestCheckpointResume(t *testing.T) {
 	if err := checkpointDir(res, dir); err != nil {
 		t.Fatal(err)
 	}
+	ds, name, err := store.ForDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := ds.GetTree(name)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, st := range res.PerWorker() {
-		loaded, err := core.LoadCorpus(filepath.Join(dir, workerDir(st.ID), "queue"))
+		queue := map[string][]byte{}
+		for k, v := range tree {
+			if strings.HasPrefix(k, workerDir(st.ID)+"/queue/") {
+				queue[k] = v
+			}
+		}
+		loaded, err := core.DecodeCorpus(queue)
 		if err != nil {
 			t.Fatal(err)
 		}

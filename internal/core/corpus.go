@@ -2,27 +2,12 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/spec"
 )
-
-// EncodeCorpus returns every queue entry (under queue/) and crash (under
-// crashes/) as a relative-path file tree of serialized bytecode — the
-// storage-agnostic form of the §5.4 share-folder seed format, consumed by
-// SaveCorpus for local directories.
-func (f *Fuzzer) EncodeCorpus() map[string][]byte {
-	t := make(map[string][]byte, len(f.Queue)+len(f.Crashes))
-	f.EncodeQueue(t, "")
-	for i, c := range f.Crashes {
-		t[fmt.Sprintf("crashes/crash-%03d-%s.nyx", i, sanitize(string(c.Kind)))] = spec.Serialize(c.Input)
-	}
-	return t
-}
 
 // EncodeQueue adds the queue to t as <dir>queue/id-NNNNNN.nyx, one file of
 // serialized bytecode per entry, named by entry ID — the share-folder files a
@@ -70,26 +55,8 @@ func (f *Fuzzer) FileID(e *QueueEntry) (int, bool) {
 	return 0, false
 }
 
-// SaveCorpus writes EncodeCorpus to dir as plain files, so campaigns can
-// be resumed or corpora shared.
-func (f *Fuzzer) SaveCorpus(dir string) error {
-	if err := os.MkdirAll(filepath.Join(dir, "queue"), 0o755); err != nil {
-		return fmt.Errorf("core: save corpus: %w", err)
-	}
-	for rel, data := range f.EncodeCorpus() {
-		path := filepath.Join(dir, filepath.FromSlash(rel))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return fmt.Errorf("core: save corpus: %w", err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return fmt.Errorf("core: save corpus: %w", err)
-		}
-	}
-	return nil
-}
-
-// DecodeCorpus deserializes a file tree of .nyx inputs (as produced by
-// EncodeCorpus, or read back from a store backend) in deterministic
+// DecodeCorpus deserializes a file tree of .nyx inputs (as EncodeQueue
+// writes it, or read back from a store backend) in deterministic
 // (sorted-path) order. Non-.nyx entries are ignored; entries that fail to
 // decode are skipped, with an error only if nothing loads.
 func DecodeCorpus(files map[string][]byte) ([]*spec.Input, error) {
@@ -116,52 +83,4 @@ func DecodeCorpus(files map[string][]byte) ([]*spec.Input, error) {
 		return nil, firstErr
 	}
 	return out, nil
-}
-
-// LoadCorpus reads all serialized inputs under dir (recursively) in
-// deterministic (sorted) order; they can be passed as Options.Seeds.
-// Files that fail to decode are skipped with an error only if nothing
-// loads.
-func LoadCorpus(dir string) ([]*spec.Input, error) {
-	var paths []string
-	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		if !info.IsDir() && strings.HasSuffix(path, ".nyx") {
-			paths = append(paths, path)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: load corpus: %w", err)
-	}
-	files := make(map[string][]byte, len(paths))
-	var readErr error
-	for _, p := range paths {
-		raw, err := os.ReadFile(p)
-		if err != nil {
-			if readErr == nil {
-				readErr = err
-			}
-			continue
-		}
-		files[p] = raw
-	}
-	out, err := DecodeCorpus(files)
-	if err == nil && len(out) == 0 && readErr != nil {
-		return nil, readErr
-	}
-	return out, err
-}
-
-func sanitize(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '-':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
 }

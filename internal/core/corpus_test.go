@@ -3,142 +3,28 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
-
-	"repro/internal/guest"
-	"repro/internal/spec"
 )
 
-// corpusFuzzer builds a fuzzer whose queue and crash list can be populated
-// directly (SaveCorpus only reads those).
-func corpusFuzzer() (*Fuzzer, *spec.Spec, *spec.Input) {
+// Corrupt files are skipped as long as something decodes, and so are
+// files that are not .nyx; an all-corrupt corpus surfaces the first decode
+// error.
+func TestLoadCorpusCorruptFiles(t *testing.T) {
 	s, in := stubSpecInput()
 	f := New(&stubExec{loc: 1}, s, Options{Rand: rand.New(rand.NewSource(1))})
-	return f, s, in
-}
-
-func TestSanitize(t *testing.T) {
-	for in, want := range map[string]string{
-		"segfault":       "segfault",
-		"heap-overflow":  "heap-overflow",
-		"use after 9":    "use_after_9",
-		"Heap/Overflow!": "_eap__verflow_",
-		"../../escape":   "______escape",
-	} {
-		if got := sanitize(in); got != want {
-			t.Fatalf("sanitize(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-// Crash filenames built from hostile crash kinds must stay path-safe and
-// the serialized inputs must round-trip.
-func TestCrashFilenamesSanitized(t *testing.T) {
-	dir := t.TempDir()
-	f, _, in := corpusFuzzer()
-	f.Crashes = append(f.Crashes, Crash{
-		Kind:  guest.CrashKind("Heap Overflow/../../escape!"),
-		Msg:   "synthetic",
-		Input: in,
-	})
-	if err := f.SaveCorpus(dir); err != nil {
-		t.Fatal(err)
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "crashes", "*.nyx"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("crash files = %v (%v), want exactly one", matches, err)
-	}
-	name := filepath.Base(matches[0])
-	if filepath.Clean(filepath.Join(dir, "crashes", name)) != matches[0] {
-		t.Fatalf("unsafe crash filename %q", name)
-	}
-	for _, r := range name {
-		ok := (r >= 'a' && r <= 'z') || (r >= '0' && r <= '9') ||
-			r == '-' || r == '_' || r == '.'
-		if !ok {
-			t.Fatalf("crash filename %q contains %q", name, r)
-		}
-	}
-	loaded, err := LoadCorpus(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != 1 {
-		t.Fatalf("loaded %d inputs, want 1", len(loaded))
-	}
-	if len(loaded[0].Ops) != len(in.Ops) {
-		t.Fatal("crash input did not round-trip")
-	}
-}
-
-// Queue and crash inputs round-trip together; LoadCorpus walks both
-// subdirectories in deterministic order.
-func TestSaveLoadQueueAndCrashes(t *testing.T) {
-	dir := t.TempDir()
-	f, s, in := corpusFuzzer()
-	for i := 0; i < 3; i++ {
-		cp := in.Clone()
-		cp.Ops[1].Data = []byte{byte('x' + i)}
-		f.Queue = append(f.Queue, &QueueEntry{ID: i, Input: cp})
-	}
-	f.Crashes = append(f.Crashes, Crash{Kind: guest.CrashKind("segfault"), Input: in})
-	if err := f.SaveCorpus(dir); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadCorpus(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != 4 {
-		t.Fatalf("loaded %d inputs, want 4 (3 queue + 1 crash)", len(loaded))
-	}
-	for i, l := range loaded {
-		if err := s.Validate(l); err != nil {
-			t.Fatalf("loaded input %d invalid: %v", i, err)
-		}
-	}
-	// Loading twice yields identical bytes (deterministic order).
-	again, err := LoadCorpus(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range loaded {
-		if string(spec.Serialize(loaded[i])) != string(spec.Serialize(again[i])) {
-			t.Fatalf("load order not deterministic at %d", i)
-		}
-	}
-}
-
-// Corrupt files are skipped as long as something loads; an all-corrupt
-// corpus surfaces the first decode error.
-func TestLoadCorpusCorruptFiles(t *testing.T) {
-	dir := t.TempDir()
-	f, _, in := corpusFuzzer()
 	f.Queue = append(f.Queue, &QueueEntry{ID: 0, Input: in})
-	if err := f.SaveCorpus(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "queue", "id-999999.nyx"), []byte("not bytecode"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "queue", "README.txt"), []byte("ignored"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadCorpus(dir)
+	tree := map[string][]byte{}
+	f.EncodeQueue(tree, "")
+	tree["queue/id-999999.nyx"] = []byte("not bytecode")
+	tree["queue/README.txt"] = []byte("ignored")
+	loaded, err := DecodeCorpus(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(loaded) != 1 {
-		t.Fatalf("loaded %d inputs, want 1 (corrupt + non-.nyx skipped)", len(loaded))
+		t.Fatalf("decoded %d inputs, want 1 (corrupt + non-.nyx skipped)", len(loaded))
 	}
-
-	bad := t.TempDir()
-	if err := os.WriteFile(filepath.Join(bad, "only.nyx"), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCorpus(bad); err == nil {
+	if _, err := DecodeCorpus(map[string][]byte{"only.nyx": []byte("junk")}); err == nil {
 		t.Fatal("all-corrupt corpus must error")
 	}
 }

@@ -266,9 +266,12 @@ type Options struct {
 	// this many bytes of slot overlay memory: snapshots survive entry
 	// switches and are shared across queue entries with common prefixes,
 	// with LRU + cheapest-to-recreate-first eviction keeping the pool
-	// under budget. Requires an executor implementing SlotExecutor
-	// (netemu.Agent does); silently ignored otherwise, so baseline
-	// executors keep working unchanged.
+	// under budget. At 0 each snapshot round creates its own snapshot and
+	// releases it at the round's end (§3.4). Snapshots, pooled or not, need
+	// an executor implementing SlotExecutor (netemu.Agent does); with any
+	// other executor SnapBudget and the placement Policy are silently
+	// ignored and every round runs from the root, so baseline executors
+	// keep working unchanged.
 	SnapBudget int64
 }
 
@@ -278,26 +281,23 @@ type Options struct {
 // delivery, process restarts and fixed sleeps. The campaign logic on top
 // is identical, which is exactly how the paper's comparison is set up (all
 // fuzzers share AFL-style campaign structure; the execution mechanism is
-// the variable).
+// the variable). An Executor that is not also a SlotExecutor never runs
+// from an incremental snapshot: every round of it runs from the root.
 type Executor interface {
-	// RunFromRoot executes a whole input from a clean target state.
+	// RunFromRoot executes a whole input, which carries no snapshot
+	// marker, from a clean target state.
 	RunFromRoot(in *spec.Input, tr *coverage.Trace) (netemu.Result, error)
-	// RunSuffix executes only the ops after the snapshot marker,
-	// resuming from the incremental snapshot (ErrNoSnapshot if the
-	// executor does not support snapshots).
-	RunSuffix(in *spec.Input, tr *coverage.Trace) (netemu.Result, error)
-	// HasSnapshot reports whether an incremental snapshot is held.
-	HasSnapshot() bool
-	// DropSnapshot releases the incremental snapshot, if any.
-	DropSnapshot()
 	// Now returns the executor's virtual time.
 	Now() time.Duration
 }
 
-// SlotExecutor is the optional executor extension the snapshot pool needs:
-// many named incremental snapshots that survive root runs and restores of
-// one another. netemu.Agent implements it; the restart-based baseline
-// executors do not, which is the point of the comparison.
+// SlotExecutor is the executor extension incremental snapshots need: named
+// snapshot slots that survive root runs and restores of one another.
+// netemu.Agent implements it; the restart-based baseline executors do not,
+// which is the point of the comparison. A round without the snapshot pool
+// is the paper's one-snapshot model (§3.4) on slot 0: RunCreatingSlot from
+// the root into slot 0, RunFromSnapshot(0, …) for each of the round's
+// executions, then DropSnapshot.
 type SlotExecutor interface {
 	Executor
 	// RunCreatingSlot executes in, creating a snapshot into newSlot at
@@ -307,11 +307,15 @@ type SlotExecutor interface {
 	RunFromSnapshot(slot int, in *spec.Input, tr *coverage.Trace) (netemu.Result, error)
 	// DropSlot releases a pooled snapshot slot.
 	DropSlot(slot int)
+	// DropSnapshot releases slot 0, the one snapshot of a pool-off round.
+	DropSnapshot()
 	// SlotBytes returns the slot's guest-memory charge for the budget.
 	SlotBytes(slot int) int64
-	// SlotProfile and SeedSlotProfile are never called: restores keep no
-	// write-set profile to stash. They are kept only because bench/'s
-	// executor decorator forwards them, and go when it stops.
+	// RunSuffix, HasSnapshot, SlotProfile and SeedSlotProfile are never
+	// called. They are kept only because bench/'s executor decorator
+	// forwards them, and go when it stops.
+	RunSuffix(in *spec.Input, tr *coverage.Trace) (netemu.Result, error)
+	HasSnapshot() bool
 	SlotProfile(slot int) any
 	SeedSlotProfile(slot int, prof any)
 }
@@ -350,7 +354,7 @@ type Fuzzer struct {
 	pendingNew       int               // queue entries never picked yet (the frontier)
 	curParent        *QueueEntry       // entry being fuzzed (depth attribution)
 	lastExecTime     time.Duration     // full-run virtual cost of the latest execution
-	snapBaseTime     time.Duration     // cost of the run that created the held snapshot
+	snapBaseTime     time.Duration     // prefix share of the run that created the round's snapshot
 	trimTime         time.Duration     // virtual time consumed by the lazy trim
 	execTimeSum      time.Duration     // running sum of Queue ExecTimes (energy's O(1) average)
 	retrimmed        []Retrim          // trims since the last DrainRetrimmed
@@ -412,9 +416,9 @@ func New(agent Executor, s *spec.Spec, opts Options) *Fuzzer {
 			f.edgePickSum += n
 		}
 	}
-	if opts.SnapBudget > 0 {
-		if se, ok := agent.(SlotExecutor); ok {
-			f.slotExec = se
+	if se, ok := agent.(SlotExecutor); ok {
+		f.slotExec = se
+		if opts.SnapBudget > 0 {
 			f.pool = snappool.New(opts.SnapBudget)
 		}
 	}
@@ -436,7 +440,7 @@ func (f *Fuzzer) RootExecs() uint64 { return f.rootExecs }
 // FullPrefixReexecs returns how many snapshot-creation runs re-executed
 // their entire prefix from the root — the redundant re-execution the
 // snapshot pool exists to kill (the snappool ablation's comparison
-// metric). Single-slot mode pays one per snapshot round; the pool pays one
+// metric). A pool-off round pays one per snapshot round; the pool pays one
 // only when neither the exact prefix nor any shorter prefix of it is
 // cached (a pool hit skips the run entirely, a chained creation resumes
 // from the longest cached prefix and only executes the uncached tail).
@@ -529,55 +533,35 @@ func (f *Fuzzer) Step() error {
 	if snapAt < 0 {
 		return f.fuzzFromRoot(entry, budget)
 	}
-
-	// Incremental-snapshot fuzzing (§3.4, Figure 4). The policy proposed a
-	// snapshot position; with the pool enabled the pool answers hit or
-	// miss for the entry's prefix at that position — a hit resumes a
-	// snapshot that survived earlier rounds (possibly created by a
-	// different entry sharing the prefix) with no full run at all.
 	f.base = spec.Input{Ops: entry.Input.Ops, SnapshotAt: snapAt}
-	base := &f.base
-	if f.pool != nil {
-		return f.fuzzWithPool(entry, base, snapAt, budget)
-	}
+	return f.fuzzWithSnapshot(entry, &f.base, snapAt, budget)
+}
 
-	// Single-slot mode: one full run creates the snapshot, then reuse it
-	// for suffix-only mutations; the slot dies with the round.
-	f.prefixRuns++
-	res, err := f.execFromRoot(base, nil, nil)
+// roundSlot is the slot a pool-off round creates and releases: id 0, which
+// netemu.Agent reserves for it (DropSnapshot releases it) and
+// snappool.Pool.AllocSlot never hands out.
+const roundSlot = 0
+
+// fuzzWithSnapshot runs one incremental-snapshot round (§3.4, Figure 4):
+// resolve or create the slot for base's prefix at snapAt, then spend the
+// budget on suffix-only mutations resumed from it. A round that finds
+// nothing new counts against the aggressive policy's position. With the pool
+// the slot stays pooled after the round, and the next round with the same
+// prefix, on this entry or any other sharing it, skips the creation run
+// entirely. Without it every round is the paper's own: a miss that creates
+// roundSlot and releases it at the end.
+func (f *Fuzzer) fuzzWithSnapshot(entry *QueueEntry, base *spec.Input, snapAt, budget int) error {
+	slot, prefixCost, kept, ok, err := f.ensureSlot(entry, base, snapAt, budget)
 	if err != nil {
 		return err
 	}
-	// Approximate the cost of re-creating just the snapshotted prefix:
-	// the creation run also executed the base's own post-marker tail,
-	// which suffix mutations replace, so scale by the prefix fraction.
-	f.snapBaseTime = f.lastExecTime * time.Duration(snapAt) / time.Duration(len(base.Ops))
-	if !res.SnapshotTaken {
-		// The snapshot-creation run crashed or short-circuited before
-		// reaching the marker, so the position is unusable as placed.
-		// Charge a full barren round so the aggressive policy retreats
-		// off a crashing prefix instead of retrying it forever, and
-		// spend the round's budget fuzzing from the root snapshot
-		// rather than burning a whole schedule on one execution.
-		f.chargeBarren(entry, budget)
+	if !ok {
+		// The prefix crashes before the marker, and ensureSlot charged the
+		// round as barren: spend its budget from the root rather than
+		// burning a whole schedule on one execution.
 		return f.fuzzFromRoot(entry, budget)
 	}
-	if err := f.fuzzSuffixes(entry, base, snapAt, budget, heldSnapshot); err != nil {
-		return err
-	}
-	f.Agent.DropSnapshot()
-	return nil
-}
-
-// heldSnapshot in place of a pooled slot id names the executor's single
-// round-scoped snapshot (Executor.RunSuffix), the one the pool-off mode uses.
-const heldSnapshot = -1
-
-// fuzzSuffixes spends budget suffix-only mutations of base, each resumed
-// from the snapshot of its prefix ending at snapAt: pooled slot slot, or
-// heldSnapshot. A round that finds nothing new counts against the
-// aggressive policy's position.
-func (f *Fuzzer) fuzzSuffixes(entry *QueueEntry, base *spec.Input, snapAt, budget, slot int) error {
+	f.snapBaseTime = prefixCost
 	foundNew := false
 	for i := 0; i < budget; i++ {
 		mut := f.Mut.MutateSuffix(base, snapAt)
@@ -593,57 +577,42 @@ func (f *Fuzzer) fuzzSuffixes(entry *QueueEntry, base *spec.Input, snapAt, budge
 	} else {
 		f.chargeBarren(entry, budget)
 	}
-	return nil
-}
-
-// fuzzWithPool runs one scheduling round against a pooled prefix snapshot:
-// resolve (or create) the slot for base's prefix at snapAt, then spend the
-// budget on suffix-only mutations resumed from it. The slot stays pooled
-// after the round — the next round with the same prefix, on this entry or
-// any other sharing it, skips the creation run entirely.
-func (f *Fuzzer) fuzzWithPool(entry *QueueEntry, base *spec.Input, snapAt, budget int) error {
-	slot, prefixCost, transient, ok, err := f.ensurePoolSlot(entry, base, snapAt, budget)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		// Crashing/short-circuiting prefix: same fallback as single-slot
-		// mode (chargeBarren already applied by ensurePoolSlot).
-		return f.fuzzFromRoot(entry, budget)
-	}
-	f.snapBaseTime = prefixCost
-	if err := f.fuzzSuffixes(entry, base, snapAt, budget, slot); err != nil {
-		return err
-	}
-	if transient {
+	switch {
+	case f.pool == nil:
+		f.slotExec.DropSnapshot()
+	case !kept:
 		// The snapshot alone exceeded the whole budget: it served this
-		// round like a single-slot snapshot and dies with it.
+		// round like a pool-off snapshot and dies with it.
 		f.slotExec.DropSlot(slot)
 	}
 	return nil
 }
 
-// ensurePoolSlot resolves the snapshot slot for base's prefix ending at
-// snapAt: a pool hit returns the cached slot; a miss creates one — resuming
-// from the longest pooled strict prefix of base when one exists, so even
-// creation re-executes as little as possible — and pools it, dropping
-// whatever the budget evicts. ok is false when the creation run never
-// reached the marker (crashing prefix); transient marks a slot too large to
-// pool, which the caller must drop after the round.
-func (f *Fuzzer) ensurePoolSlot(entry *QueueEntry, base *spec.Input, snapAt, budget int) (slot int, prefixCost time.Duration, transient, ok bool, err error) {
-	hit, parent, digest := f.resolvePrefix(entry, base, snapAt)
-	if hit != nil {
-		return hit.Slot, hit.PrefixCost, false, true, nil
-	}
-
-	// Miss: create, starting from the longest cached strict prefix.
-	fromSlot, parentOps := -1, 0
+// ensureSlot resolves the snapshot slot for base's prefix ending at snapAt.
+// A pool hit returns the cached slot. A miss creates one, resuming from the
+// longest pooled strict prefix of base when one exists, so even creation
+// re-executes as little as possible, and pools it, dropping whatever the
+// budget evicts. Without a pool every call is a miss that creates roundSlot
+// from the root. ok is false when the creation run never reached the marker
+// (crashing prefix); kept is false for a slot the caller must release after
+// the round (roundSlot, or one too large to pool).
+func (f *Fuzzer) ensureSlot(entry *QueueEntry, base *spec.Input, snapAt, budget int) (slot int, prefixCost time.Duration, kept, ok bool, err error) {
+	fromSlot, newSlot, parentOps := -1, roundSlot, 0
 	var parentCost time.Duration
-	if parent != nil {
-		f.pool.Touch(parent)
-		fromSlot, parentOps, parentCost = parent.Slot, parent.Ops, parent.PrefixCost
+	var digest snappool.Digest
+	if f.pool != nil {
+		var hit, parent *snappool.Entry
+		hit, parent, digest = f.resolvePrefix(entry, base, snapAt)
+		if hit != nil {
+			return hit.Slot, hit.PrefixCost, true, true, nil
+		}
+		// Miss: create, starting from the longest cached strict prefix.
+		if parent != nil {
+			f.pool.Touch(parent)
+			fromSlot, parentOps, parentCost = parent.Slot, parent.Ops, parent.PrefixCost
+		}
+		newSlot = f.pool.AllocSlot()
 	}
-	newSlot := f.pool.AllocSlot()
 	t0 := f.Agent.Now()
 	res, runErr := f.slotExec.RunCreatingSlot(base, &f.trace, fromSlot, newSlot)
 	if runErr != nil {
@@ -651,8 +620,8 @@ func (f *Fuzzer) ensurePoolSlot(entry *QueueEntry, base *spec.Input, snapAt, bud
 	}
 	runTime := f.Agent.Now() - t0
 	// The creation run covers base end to end (prefix resumed or executed,
-	// tail executed), so account it exactly like the single-slot creation
-	// run: it can queue, crash and advance the coverage log.
+	// tail executed), so it is an execution like any other: it can queue,
+	// crash and advance the coverage log.
 	f.lastExecTime = parentCost + runTime
 	if res.FromSnapshot {
 		f.snapExecs++
@@ -664,20 +633,27 @@ func (f *Fuzzer) ensurePoolSlot(entry *QueueEntry, base *spec.Input, snapAt, bud
 	}
 	f.account(base, res, nil, nil)
 	if !res.SnapshotTaken {
+		// The position is unusable as placed: charge a full barren round
+		// so the aggressive policy retreats off a crashing prefix instead
+		// of retrying it forever.
 		f.chargeBarren(entry, budget)
 		return 0, 0, false, false, nil
 	}
 	// Estimate what re-executing just the prefix from the root costs: the
-	// inherited prefix's cost plus this run's share up to the marker.
+	// inherited prefix's cost plus this run's share up to the marker (the
+	// run also executed base's own tail, which suffix mutations replace).
 	prefixCost = parentCost
 	if tail := len(base.Ops) - parentOps; tail > 0 {
 		prefixCost += runTime * time.Duration(snapAt-parentOps) / time.Duration(tail)
+	}
+	if f.pool == nil {
+		return newSlot, prefixCost, false, true, nil
 	}
 	kept, evicted := f.pool.Insert(digest, newSlot, snapAt, f.slotExec.SlotBytes(newSlot), prefixCost)
 	for _, ev := range evicted {
 		f.slotExec.DropSlot(ev.Slot)
 	}
-	return newSlot, prefixCost, !kept, true, nil
+	return newSlot, prefixCost, kept, true, nil
 }
 
 // resolvePrefix answers the pool query for base's prefix ending at snapAt,
@@ -768,8 +744,12 @@ func (f *Fuzzer) ImportInput(in *spec.Input) (bool, error) {
 }
 
 // placeSnapshot returns the op index for the snapshot marker, or -1 for the
-// root snapshot, implementing §3.4's policies.
+// root snapshot, implementing §3.4's policies. An executor that is not a
+// SlotExecutor cannot snapshot: every round of it runs from the root.
 func (f *Fuzzer) placeSnapshot(e *QueueEntry) int {
+	if f.slotExec == nil {
+		return -1
+	}
 	pkts := packetOpIndices(f.pkts[:0], f.Spec, e.Input)
 	f.pkts = pkts
 	n := len(pkts)
@@ -826,17 +806,11 @@ func (f *Fuzzer) execFromRoot(in *spec.Input, seed *QueueEntry, meta *EntryMeta)
 	return res, nil
 }
 
-// execSuffix runs a suffix-only mutation resumed from pooled slot slot, or
-// from heldSnapshot. Returns whether the execution found new coverage.
+// execSuffix runs a suffix-only mutation resumed from snapshot slot slot.
+// Returns whether the execution found new coverage.
 func (f *Fuzzer) execSuffix(slot int, in *spec.Input) (bool, error) {
 	t0 := f.Agent.Now()
-	var res netemu.Result
-	var err error
-	if slot == heldSnapshot {
-		res, err = f.Agent.RunSuffix(in, &f.trace)
-	} else {
-		res, err = f.slotExec.RunFromSnapshot(slot, in, &f.trace)
-	}
+	res, err := f.slotExec.RunFromSnapshot(slot, in, &f.trace)
 	if err != nil {
 		return false, err
 	}

@@ -11,42 +11,86 @@ import (
 	"repro/internal/spec"
 )
 
-// stubExec is an Executor that always hits the same single probe location,
-// so only the very first execution finds new coverage and every later
-// round is barren — the worst case the aggressive policy's retreat
-// accounting has to handle.
+// stubExec is a SlotExecutor that always hits the same single probe
+// location, so only the very first execution finds new coverage and every
+// later round is barren — the worst case the aggressive policy's retreat
+// accounting has to handle. It keeps each slot's marker, charges a
+// millisecond per run and logs every call the fuzzer makes (stubCall).
 type stubExec struct {
-	loc     uint32
-	now     time.Duration
-	hasSnap bool
+	loc   uint32
+	now   time.Duration
+	slots map[int]int // held slot -> its marker
+	calls []stubCall
+}
+
+// stubCall is one executor call: its method, its slot arguments (-2 where
+// the method has none) and the input's marker.
+type stubCall struct {
+	method         string
+	from, slot, at int
+}
+
+func (s *stubExec) call(method string, from, slot int, in *spec.Input, tr *coverage.Trace) {
+	at := -1
+	if in != nil {
+		at = in.SnapshotAt
+	}
+	s.calls = append(s.calls, stubCall{method, from, slot, at})
+	if tr != nil {
+		tr.Reset()
+		tr.Hit(s.loc)
+	}
+	if in != nil {
+		s.now += time.Millisecond
+	}
 }
 
 func (s *stubExec) RunFromRoot(in *spec.Input, tr *coverage.Trace) (netemu.Result, error) {
-	if tr != nil {
-		tr.Reset()
-		tr.Hit(s.loc)
+	s.call("RunFromRoot", -2, -2, in, tr)
+	return netemu.Result{OpsExecuted: len(in.Ops), CrashOp: -1}, nil
+}
+
+func (s *stubExec) RunCreatingSlot(in *spec.Input, tr *coverage.Trace, fromSlot, newSlot int) (netemu.Result, error) {
+	s.call("RunCreatingSlot", fromSlot, newSlot, in, tr)
+	if s.slots == nil {
+		s.slots = map[int]int{}
 	}
-	s.now += time.Millisecond
-	res := netemu.Result{OpsExecuted: len(in.Ops), CrashOp: -1}
-	if in.SnapshotAt >= 0 && in.SnapshotAt <= len(in.Ops) {
-		res.SnapshotTaken = true
-		s.hasSnap = true
+	s.slots[newSlot] = in.SnapshotAt
+	return netemu.Result{OpsExecuted: len(in.Ops), CrashOp: -1, SnapshotTaken: true, FromSnapshot: fromSlot >= 0}, nil
+}
+
+func (s *stubExec) RunFromSnapshot(slot int, in *spec.Input, tr *coverage.Trace) (netemu.Result, error) {
+	s.call("RunFromSnapshot", -2, slot, in, tr)
+	if at, ok := s.slots[slot]; !ok || at != in.SnapshotAt {
+		return netemu.Result{}, netemu.ErrNoSnapshot
 	}
-	return res, nil
+	return netemu.Result{OpsExecuted: len(in.Ops), CrashOp: -1, FromSnapshot: true}, nil
 }
 
 func (s *stubExec) RunSuffix(in *spec.Input, tr *coverage.Trace) (netemu.Result, error) {
-	if tr != nil {
-		tr.Reset()
-		tr.Hit(s.loc)
-	}
-	s.now += time.Millisecond
-	return netemu.Result{FromSnapshot: true, CrashOp: -1}, nil
+	s.call("RunSuffix", -2, -2, in, tr)
+	return netemu.Result{}, netemu.ErrNoSnapshot
 }
 
-func (s *stubExec) HasSnapshot() bool  { return s.hasSnap }
-func (s *stubExec) DropSnapshot()      { s.hasSnap = false }
-func (s *stubExec) Now() time.Duration { return s.now }
+func (s *stubExec) DropSlot(slot int) {
+	s.call("DropSlot", -2, slot, nil, nil)
+	delete(s.slots, slot)
+}
+
+func (s *stubExec) DropSnapshot() {
+	s.call("DropSnapshot", -2, -2, nil, nil)
+	delete(s.slots, roundSlot)
+}
+
+func (s *stubExec) HasSnapshot() bool {
+	s.call("HasSnapshot", -2, -2, nil, nil)
+	return false
+}
+
+func (s *stubExec) SlotBytes(int) int64      { return 4096 }
+func (s *stubExec) SlotProfile(int) any      { return nil }
+func (s *stubExec) SeedSlotProfile(int, any) {}
+func (s *stubExec) Now() time.Duration       { return s.now }
 
 // stubSpecInput builds a raw-packet spec and a five-packet session against
 // it (long enough that the placement policies use incremental snapshots).
@@ -65,44 +109,58 @@ func stubSpecInput() (*spec.Spec, *spec.Input) {
 
 // With a non-default SnapshotReuse, the aggressive policy must still wait
 // for AggressiveRetreatThreshold unproductive iterations before retreating,
-// not retreat after every single barren round (§3.4). Pinned to the
-// round-robin scheduler, whose per-round budget is exactly SnapshotReuse;
-// the AFL scheduler scales budgets per entry (see schedule_test.go).
+// not retreat after every single barren round (§3.4), whether a round is
+// barren because its suffix runs find nothing or because its creation run
+// crashes before the marker. Pinned to the round-robin scheduler, whose
+// per-round budget is exactly SnapshotReuse; the AFL scheduler scales
+// budgets per entry (see schedule_test.go).
 func TestAggressiveRetreatHonorsThreshold(t *testing.T) {
 	const reuse = 10
-	s, seed := stubSpecInput()
-	f := New(&stubExec{loc: 123}, s, Options{
-		Policy:        PolicyAggressive,
-		Seeds:         []*spec.Input{seed},
-		SnapshotReuse: reuse,
-		Sched:         SchedRoundRobin,
-		Rand:          rand.New(rand.NewSource(1)),
-	})
-	if err := f.Step(); err != nil { // seed import round
-		t.Fatal(err)
-	}
-	if len(f.Queue) != 1 {
-		t.Fatalf("queue = %d entries, want 1", len(f.Queue))
-	}
-	e := f.Queue[0]
-	rounds := AggressiveRetreatThreshold / reuse
-	for i := 0; i < rounds-1; i++ {
-		if err := f.Step(); err != nil {
-			t.Fatal(err)
-		}
-		if e.aggrBack != 0 {
-			t.Fatalf("retreated after %d barren iterations, want %d before retreat",
-				(i+1)*reuse, AggressiveRetreatThreshold)
-		}
-	}
-	if err := f.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if e.aggrBack != 1 {
-		t.Fatalf("aggrBack = %d after %d barren iterations, want 1", e.aggrBack, rounds*reuse)
-	}
-	if e.aggrBarren != 0 {
-		t.Fatalf("aggrBarren = %d after retreat, want 0", e.aggrBarren)
+	for _, tc := range []struct {
+		name string
+		exec Executor
+	}{
+		{"barren suffixes", &stubExec{loc: 123}},
+		// The seed's marker sits after its last packet, op 5: creation
+		// crashes there until the position retreats.
+		{"crashing prefix", &crashStallExec{stubExec: stubExec{loc: 123}, crashOp: 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, seed := stubSpecInput()
+			f := New(tc.exec, s, Options{
+				Policy:        PolicyAggressive,
+				Seeds:         []*spec.Input{seed},
+				SnapshotReuse: reuse,
+				Sched:         SchedRoundRobin,
+				Rand:          rand.New(rand.NewSource(1)),
+			})
+			if err := f.Step(); err != nil { // seed import round
+				t.Fatal(err)
+			}
+			if len(f.Queue) != 1 {
+				t.Fatalf("queue = %d entries, want 1", len(f.Queue))
+			}
+			e := f.Queue[0]
+			rounds := AggressiveRetreatThreshold / reuse
+			for i := 0; i < rounds-1; i++ {
+				if err := f.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if e.aggrBack != 0 {
+					t.Fatalf("retreated after %d barren iterations, want %d before retreat",
+						(i+1)*reuse, AggressiveRetreatThreshold)
+				}
+			}
+			if err := f.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if e.aggrBack != 1 {
+				t.Fatalf("aggrBack = %d after %d barren iterations, want 1", e.aggrBack, rounds*reuse)
+			}
+			if e.aggrBarren != 0 {
+				t.Fatalf("aggrBarren = %d after retreat, want 0", e.aggrBarren)
+			}
+		})
 	}
 }
 

@@ -15,57 +15,46 @@ import (
 	"repro/internal/spec"
 )
 
-// crashStallExec is an Executor whose target always crashes while executing
+// crashStallExec is a stubExec whose target always crashes while executing
 // op crashOp. A snapshot marker placed after that op can therefore never be
 // reached — the exact situation that stalled the aggressive policy: the
 // snapshot-creation run returned !SnapshotTaken, Step bailed out before the
 // barren accounting, and the policy retried the same crashing position
 // forever, one execution per scheduling round.
 type crashStallExec struct {
-	loc     uint32
+	stubExec
 	crashOp int
-	now     time.Duration
-	hasSnap bool
 }
 
 func (c *crashStallExec) RunFromRoot(in *spec.Input, tr *coverage.Trace) (netemu.Result, error) {
-	if tr != nil {
-		tr.Reset()
-		tr.Hit(c.loc)
-	}
-	c.now += time.Millisecond
-	res := netemu.Result{CrashOp: -1}
+	c.call("RunFromRoot", -2, -2, in, tr)
+	return c.run(in, -1), nil
+}
+
+func (c *crashStallExec) RunCreatingSlot(in *spec.Input, tr *coverage.Trace, fromSlot, newSlot int) (netemu.Result, error) {
+	c.call("RunCreatingSlot", fromSlot, newSlot, in, tr)
+	return c.run(in, newSlot), nil
+}
+
+// run is in's execution from the root, taking a snapshot into slot at the
+// marker if slot >= 0 and the marker comes no later than the crash.
+func (c *crashStallExec) run(in *spec.Input, slot int) netemu.Result {
+	res := netemu.Result{CrashOp: -1, OpsExecuted: len(in.Ops)}
 	if len(in.Ops) > c.crashOp {
 		res.Crashed = true
 		res.Crash = &guest.CrashError{Kind: guest.CrashSegfault, Msg: "stall"}
 		res.CrashOp = c.crashOp
 		res.OpsExecuted = c.crashOp
-		if in.SnapshotAt >= 0 && in.SnapshotAt <= c.crashOp {
-			res.SnapshotTaken = true
-			c.hasSnap = true
-		}
-	} else {
-		res.OpsExecuted = len(in.Ops)
-		if in.SnapshotAt >= 0 {
-			res.SnapshotTaken = true
-			c.hasSnap = true
-		}
 	}
-	return res, nil
-}
-
-func (c *crashStallExec) RunSuffix(in *spec.Input, tr *coverage.Trace) (netemu.Result, error) {
-	if tr != nil {
-		tr.Reset()
-		tr.Hit(c.loc)
+	if slot >= 0 && in.SnapshotAt >= 0 && in.SnapshotAt <= res.OpsExecuted {
+		if c.slots == nil {
+			c.slots = map[int]int{}
+		}
+		c.slots[slot] = in.SnapshotAt
+		res.SnapshotTaken = true
 	}
-	c.now += time.Millisecond
-	return netemu.Result{FromSnapshot: true, CrashOp: -1, OpsExecuted: len(in.Ops)}, nil
+	return res
 }
-
-func (c *crashStallExec) HasSnapshot() bool  { return c.hasSnap }
-func (c *crashStallExec) DropSnapshot()      { c.hasSnap = false }
-func (c *crashStallExec) Now() time.Duration { return c.now }
 
 // Regression test for the aggressive-policy stall: a seed that always
 // crashes before the snapshot marker must not pin the campaign. The policy
@@ -75,7 +64,7 @@ func (c *crashStallExec) Now() time.Duration { return c.now }
 // schedule on the one failed execution.
 func TestAggressiveRetreatsOffCrashingPrefix(t *testing.T) {
 	s, seed := stubSpecInput() // 5 packets; crash while executing the last one
-	f := New(&crashStallExec{loc: 7, crashOp: 5}, s, Options{
+	f := New(&crashStallExec{stubExec: stubExec{loc: 7}, crashOp: 5}, s, Options{
 		Policy: PolicyAggressive,
 		Seeds:  []*spec.Input{seed},
 		Rand:   rand.New(rand.NewSource(1)),
@@ -272,7 +261,6 @@ func TestPickPrefersFavored(t *testing.T) {
 // fuzzers restored from the same state must pick the same entries — the
 // determinism contract checkpoint/resume builds on.
 func TestSchedMetaRoundTripAndDeterministicResume(t *testing.T) {
-	dir := t.TempDir()
 	inst := launch(t, "lightftp")
 	f := newFuzzer(t, inst, PolicyBalanced, 12)
 	if err := f.RunFor(2 * time.Second); err != nil {
@@ -281,9 +269,8 @@ func TestSchedMetaRoundTripAndDeterministicResume(t *testing.T) {
 	if len(f.Queue) < 2 {
 		t.Fatal("queue too small")
 	}
-	if err := f.SaveCorpus(dir); err != nil {
-		t.Fatal(err)
-	}
+	tree := map[string][]byte{}
+	f.EncodeQueue(tree, "")
 	var w guest.StateWriter
 	EncodeSchedState(&w, f.SchedMeta(), f.PowerState())
 	metas, _, err := DecodeSchedState(w.Bytes())
@@ -303,7 +290,7 @@ func TestSchedMetaRoundTripAndDeterministicResume(t *testing.T) {
 
 	restore := func(seed int64) *Fuzzer {
 		inst2 := launch(t, "lightftp")
-		seeds, err := LoadCorpus(dir)
+		seeds, err := DecodeCorpus(tree)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,9 +383,8 @@ func TestLazyTrimOnFirstPick(t *testing.T) {
 // input length (one millisecond per op) and whose coverage is independent
 // of it — so trimming always succeeds and measurably shortens exec time.
 type opCostExec struct {
-	loc     uint32
-	now     time.Duration
-	hasSnap bool
+	loc uint32
+	now time.Duration
 }
 
 func (o *opCostExec) RunFromRoot(in *spec.Input, tr *coverage.Trace) (netemu.Result, error) {
@@ -407,25 +393,9 @@ func (o *opCostExec) RunFromRoot(in *spec.Input, tr *coverage.Trace) (netemu.Res
 		tr.Hit(o.loc)
 	}
 	o.now += time.Millisecond * time.Duration(len(in.Ops))
-	res := netemu.Result{CrashOp: -1, OpsExecuted: len(in.Ops)}
-	if in.SnapshotAt >= 0 {
-		res.SnapshotTaken = true
-		o.hasSnap = true
-	}
-	return res, nil
+	return netemu.Result{CrashOp: -1, OpsExecuted: len(in.Ops)}, nil
 }
 
-func (o *opCostExec) RunSuffix(in *spec.Input, tr *coverage.Trace) (netemu.Result, error) {
-	if tr != nil {
-		tr.Reset()
-		tr.Hit(o.loc)
-	}
-	o.now += time.Millisecond
-	return netemu.Result{FromSnapshot: true, CrashOp: -1, OpsExecuted: len(in.Ops)}, nil
-}
-
-func (o *opCostExec) HasSnapshot() bool  { return o.hasSnap }
-func (o *opCostExec) DropSnapshot()      { o.hasSnap = false }
 func (o *opCostExec) Now() time.Duration { return o.now }
 
 // ParsePower and Power.String round-trip the flag values, and the schedules

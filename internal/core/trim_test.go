@@ -1,9 +1,8 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/coverage"
@@ -166,8 +165,9 @@ func TestMinimizeNonCrashFails(t *testing.T) {
 	}
 }
 
+// The queue EncodeQueue writes decodes back, in queue order and the same
+// order on every decode, to inputs a fresh campaign can start from.
 func TestCorpusSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
 	inst := launch(t, "lightftp")
 	f := newFuzzer(t, inst, PolicyNone, 4)
 	if err := f.Step(); err != nil { // imports seeds into the queue
@@ -176,19 +176,25 @@ func TestCorpusSaveLoadRoundTrip(t *testing.T) {
 	if len(f.Queue) == 0 {
 		t.Fatal("no queue entries to save")
 	}
-	if err := f.SaveCorpus(dir); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadCorpus(dir)
+	tree := map[string][]byte{}
+	f.EncodeQueue(tree, "")
+	loaded, err := DecodeCorpus(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(loaded) != len(f.Queue) {
 		t.Fatalf("loaded %d inputs, want %d", len(loaded), len(f.Queue))
 	}
+	again, err := DecodeCorpus(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, in := range loaded {
 		if err := inst.Spec.Validate(in); err != nil {
 			t.Fatalf("loaded input %d invalid: %v", i, err)
+		}
+		if !bytes.Equal(spec.Serialize(in), f.Queue[i].Bytes()) || !bytes.Equal(spec.Serialize(again[i]), f.Queue[i].Bytes()) {
+			t.Fatalf("loaded input %d is not queue entry %d", i, i)
 		}
 	}
 	// A fresh campaign can resume from the corpus.
@@ -206,50 +212,12 @@ func TestCorpusSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCorpusSavesCrashes(t *testing.T) {
-	dir := t.TempDir()
-	inst := launch(t, "proftpd")
-	f := New(inst.Agent, inst.Spec, Options{
-		Policy: PolicyNone,
-		Seeds:  []*spec.Input{proftpdCrashInput(t, inst.Spec)},
-		Rand:   rand.New(rand.NewSource(6)),
-	})
-	if err := f.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Crashes) == 0 {
-		t.Fatal("seed should crash")
-	}
-	if err := f.SaveCorpus(dir); err != nil {
-		t.Fatal(err)
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "crashes", "*.nyx"))
-	if err != nil || len(matches) == 0 {
-		t.Fatalf("no crash files written: %v %v", matches, err)
-	}
-	raw, err := os.ReadFile(matches[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := spec.Deserialize(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := inst.Agent.RunFromRoot(in, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Crashed {
-		t.Fatal("saved crash does not reproduce")
-	}
-}
-
 func TestLoadCorpusEmptyDir(t *testing.T) {
-	loaded, err := LoadCorpus(t.TempDir())
+	loaded, err := DecodeCorpus(map[string][]byte{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(loaded) != 0 {
-		t.Fatal("empty dir should load nothing")
+		t.Fatal("an empty tree should decode to nothing")
 	}
 }

@@ -226,7 +226,7 @@ func TestTargetStateRoundTrip(t *testing.T) {
 	seed := inst.Seeds()[0].Clone()
 	seed.SnapshotAt = 5
 	var tr coverage.Trace
-	res, err := inst.Agent.RunFromRoot(seed, &tr)
+	res, err := inst.Agent.RunCreatingSlot(seed, &tr, -1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,10 +235,10 @@ func TestTargetStateRoundTrip(t *testing.T) {
 	}
 	// Two identical suffix runs must visit identical positions.
 	var t1, t2 coverage.Trace
-	if _, err := inst.Agent.RunSuffix(seed, &t1); err != nil {
+	if _, err := inst.Agent.RunFromSnapshot(0, seed, &t1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inst.Agent.RunSuffix(seed, &t2); err != nil {
+	if _, err := inst.Agent.RunFromSnapshot(0, seed, &t2); err != nil {
 		t.Fatal(err)
 	}
 	if t1.CountEdges() != t2.CountEdges() {
@@ -285,10 +285,11 @@ func TestIjonExecutorNoSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SnapshotTaken || e.HasSnapshot() {
+	if res.SnapshotTaken || inst.Agent.HasSlot(0) {
 		t.Fatal("Ijon must not take snapshots")
 	}
-	if _, err := e.RunSuffix(seed, &tr); err == nil {
-		t.Fatal("Ijon RunSuffix should fail")
+	// Not a SlotExecutor, so the fuzzer never places a snapshot for it.
+	if _, ok := any(e).(core.SlotExecutor); ok {
+		t.Fatal("Ijon must not offer snapshot slots")
 	}
 }

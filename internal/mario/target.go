@@ -202,23 +202,12 @@ func NewIjon(inst *Instance) *IjonExecutor {
 	return &IjonExecutor{Agent: inst.Agent, Overhead: 4 * time.Millisecond}
 }
 
-// RunFromRoot implements core.Executor.
+// RunFromRoot implements core.Executor. Ijon cannot snapshot, and a root
+// run takes none.
 func (e *IjonExecutor) RunFromRoot(in *spec.Input, tr *coverage.Trace) (netemu.Result, error) {
 	e.Agent.M.Clock.Advance(e.Overhead)
-	cp := spec.Input{Ops: in.Ops, SnapshotAt: -1} // Ijon cannot snapshot
-	return e.Agent.RunFromRoot(&cp, tr)
+	return e.Agent.RunFromRoot(in, tr)
 }
-
-// RunSuffix implements core.Executor.
-func (e *IjonExecutor) RunSuffix(in *spec.Input, tr *coverage.Trace) (netemu.Result, error) {
-	return netemu.Result{}, netemu.ErrNoSnapshot
-}
-
-// HasSnapshot implements core.Executor.
-func (e *IjonExecutor) HasSnapshot() bool { return false }
-
-// DropSnapshot implements core.Executor.
-func (e *IjonExecutor) DropSnapshot() {}
 
 // Now implements core.Executor.
 func (e *IjonExecutor) Now() time.Duration { return e.Agent.M.Clock.Now() }

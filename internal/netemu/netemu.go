@@ -68,9 +68,9 @@ type Agent struct {
 	// slots is the snapshot bookkeeping per snapshot slot: the machine
 	// restores memory, devices and (via memory) kernel state, but the
 	// bytecode value environment lives on the host side and must be
-	// re-attached when a slot resumes. The single round-scoped snapshot of
-	// RunFromRoot/RunSuffix (the paper's one-snapshot model) is the entry
-	// under singleSlot.
+	// re-attached when a slot resumes. The paper's one snapshot per round
+	// (§3.4) is the entry under singleSlot, created and resumed through the
+	// slot API like any pooled slot and released by DropSnapshot.
 	slots map[int]*slotState
 
 	// valScratch is the reusable backing array of a run's value
@@ -89,17 +89,18 @@ type slotState struct {
 	ops    int
 }
 
-// singleSlot is the slot id reserved for the snapshot RunFromRoot creates
-// at a marker and RunSuffix resumes. Pool ids start above it
-// (snappool.Pool.AllocSlot).
+// singleSlot is the slot id reserved for a round's one snapshot when no
+// pool keeps snapshots across rounds: RunCreatingSlot creates it, and
+// RunFromSnapshot resumes and DropSnapshot releases it. Pool ids start
+// above it (snappool.Pool.AllocSlot).
 const singleSlot = 0
 
-// ErrNoSnapshot is returned by RunSuffix and RunFromSnapshot without the
+// ErrNoSnapshot is returned by RunFromSnapshot (and RunSuffix) without the
 // requested snapshot.
 var ErrNoSnapshot = errors.New("netemu: no incremental snapshot available")
 
 // createNone as run's create parameter never takes a snapshot at the marker
-// (suffix runs); ids >= 0 name the slot to create into.
+// (root and suffix runs); ids >= 0 name the slot to create into.
 const createNone = -1
 
 // New creates an agent.
@@ -110,14 +111,14 @@ func New(m *vm.Machine, k *guest.Kernel, s *spec.Spec) *Agent {
 // RegisterCustom installs a handler for a KindCustom node.
 func (a *Agent) RegisterCustom(n spec.NodeID, h CustomHandler) { a.custom[n] = h }
 
-// HasSnapshot reports whether an incremental snapshot is available for
-// suffix runs.
+// HasSnapshot reports whether singleSlot is held. Nothing in the fuzzer
+// calls it: it is kept because bench/'s executor decorator forwards it.
 func (a *Agent) HasSnapshot() bool { return a.HasSlot(singleSlot) }
 
-// DropSnapshot releases the incremental snapshot (the fuzzer does this when
-// scheduling a new input, §3.4). The release is a hypercall, so it costs a
-// VM exit; the machine keeps the slot's buffers for the next RunFromRoot to
-// retake.
+// DropSnapshot releases singleSlot, the snapshot of a round without a pool
+// (the fuzzer does this before scheduling a new input, §3.4). The release
+// is a hypercall, so it costs a VM exit; the machine keeps the slot's
+// buffers for the next RunCreatingSlot to retake.
 func (a *Agent) DropSnapshot() {
 	if a.slots[singleSlot] != nil {
 		a.M.Hypercall(vm.HcReleaseSnapshot) //nolint:errcheck // release cannot fail
@@ -125,21 +126,17 @@ func (a *Agent) DropSnapshot() {
 	}
 }
 
-// RunFromRoot executes in from the root snapshot. If in.SnapshotAt >= 0 and
-// execution reaches that op, an incremental snapshot is created there and
-// later RunSuffix calls resume from it.
+// RunFromRoot executes in from the root snapshot. It takes no snapshot,
+// whatever in.SnapshotAt says: RunCreatingSlot is the run that does.
 func (a *Agent) RunFromRoot(in *spec.Input, tr *coverage.Trace) (Result, error) {
-	a.DropSnapshot()
 	if err := a.M.RestoreRoot(); err != nil {
 		return Result{}, fmt.Errorf("netemu: root restore: %w", err)
 	}
-	return a.run(in, tr, 0, a.valScratch[:0], singleSlot)
+	return a.run(in, tr, 0, a.valScratch[:0], createNone)
 }
 
-// RunSuffix executes only in.Ops[SnapshotAt:], resuming from the
-// incremental snapshot created by a previous RunFromRoot. The caller must
-// keep the prefix unchanged (the fuzzer's mutators only touch the suffix
-// while a snapshot is held).
+// RunSuffix is RunFromSnapshot on singleSlot. Nothing in the fuzzer calls
+// it: it is kept because bench/'s executor decorator forwards it.
 func (a *Agent) RunSuffix(in *spec.Input, tr *coverage.Trace) (Result, error) {
 	return a.RunFromSnapshot(singleSlot, in, tr)
 }

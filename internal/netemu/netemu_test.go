@@ -169,11 +169,11 @@ func TestIncrementalSnapshotSuffixRuns(t *testing.T) {
 	in := seq(s, "USER a", "PASS b", "STOR f")
 	in.SnapshotAt = 3 // after connect + USER + PASS
 
-	res, err := a.RunFromRoot(in, &tr)
+	res, err := a.RunCreatingSlot(in, &tr, -1, singleSlot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.SnapshotTaken || !a.HasSnapshot() {
+	if !res.SnapshotTaken || !a.HasSlot(singleSlot) {
 		t.Fatal("snapshot not taken at marker")
 	}
 
@@ -181,7 +181,7 @@ func TestIncrementalSnapshotSuffixRuns(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mut := in.Clone()
 		mut.Ops[3].Data = []byte("STOR g")
-		res, err := a.RunSuffix(mut, &tr)
+		res, err := a.RunFromSnapshot(singleSlot, mut, &tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,16 +200,14 @@ func TestIncrementalSnapshotSuffixRuns(t *testing.T) {
 	// A crash found from the snapshot must reproduce from root.
 	mut := in.Clone()
 	mut.Ops[3].Data = []byte("STOR BOOM")
-	resS, err := a.RunSuffix(mut, &tr)
+	resS, err := a.RunFromSnapshot(singleSlot, mut, &tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resS.Crashed {
 		t.Fatal("suffix run should crash")
 	}
-	full := mut.Clone()
-	full.SnapshotAt = -1
-	resF, err := a.RunFromRoot(full, &tr)
+	resF, err := a.RunFromRoot(mut, &tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +255,11 @@ func TestCustomOpStateReachesSnapshot(t *testing.T) {
 	fromRoot := guestMemory()
 
 	in.SnapshotAt = 1 // directly after the custom op
-	if res, err := a.RunFromRoot(in, &tr); err != nil || !res.SnapshotTaken {
+	if res, err := a.RunCreatingSlot(in, &tr, -1, singleSlot); err != nil || !res.SnapshotTaken {
 		t.Fatalf("marker run: snapshot taken = %v, err = %v", res.SnapshotTaken, err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := a.RunSuffix(in, &tr); err != nil {
+		if _, err := a.RunFromSnapshot(singleSlot, in, &tr); err != nil {
 			t.Fatal(err)
 		}
 		if tgt.Stors != 7 {
@@ -278,7 +276,7 @@ func TestSuffixRequiresSnapshot(t *testing.T) {
 	var tr coverage.Trace
 	in := seq(s, "USER a")
 	in.SnapshotAt = 1
-	if _, err := a.RunSuffix(in, &tr); err != ErrNoSnapshot {
+	if _, err := a.RunFromSnapshot(singleSlot, in, &tr); err != ErrNoSnapshot {
 		t.Fatalf("expected ErrNoSnapshot, got %v", err)
 	}
 }
@@ -288,12 +286,12 @@ func TestSuffixMarkerMismatch(t *testing.T) {
 	var tr coverage.Trace
 	in := seq(s, "USER a", "PASS b")
 	in.SnapshotAt = 2
-	if _, err := a.RunFromRoot(in, &tr); err != nil {
+	if _, err := a.RunCreatingSlot(in, &tr, -1, singleSlot); err != nil {
 		t.Fatal(err)
 	}
 	bad := in.Clone()
 	bad.SnapshotAt = 1
-	if _, err := a.RunSuffix(bad, &tr); err == nil {
+	if _, err := a.RunFromSnapshot(singleSlot, bad, &tr); err == nil {
 		t.Fatal("expected marker mismatch error")
 	}
 }
@@ -303,18 +301,18 @@ func TestDropSnapshot(t *testing.T) {
 	var tr coverage.Trace
 	in := seq(s, "USER a")
 	in.SnapshotAt = 1
-	if _, err := a.RunFromRoot(in, &tr); err != nil {
+	if _, err := a.RunCreatingSlot(in, &tr, -1, singleSlot); err != nil {
 		t.Fatal(err)
 	}
 	t0 := a.Now()
 	a.DropSnapshot()
-	if a.HasSnapshot() {
+	if a.HasSlot(singleSlot) {
 		t.Fatal("snapshot should be dropped")
 	}
 	if got := a.Now() - t0; got != a.M.Cost.HypercallEntry {
 		t.Fatalf("release charged %v, want one hypercall entry %v", got, a.M.Cost.HypercallEntry)
 	}
-	if _, err := a.RunSuffix(in, &tr); err != ErrNoSnapshot {
+	if _, err := a.RunFromSnapshot(singleSlot, in, &tr); err != ErrNoSnapshot {
 		t.Fatalf("expected ErrNoSnapshot after drop, got %v", err)
 	}
 	// Nothing held, nothing to release: a second drop is free.
@@ -328,8 +326,24 @@ func TestDropSnapshot(t *testing.T) {
 	if !a.M.HasSlot(singleSlot) {
 		t.Fatal("release freed the reserved slot's buffers")
 	}
-	if res, err := a.RunFromRoot(in, &tr); err != nil || !res.SnapshotTaken || !a.HasSnapshot() {
+	if res, err := a.RunCreatingSlot(in, &tr, -1, singleSlot); err != nil || !res.SnapshotTaken || !a.HasSlot(singleSlot) {
 		t.Fatalf("retake after drop: res=%+v err=%v", res, err)
+	}
+}
+
+// A root run takes no snapshot, whatever its input's marker says:
+// RunCreatingSlot is the run that does.
+func TestRunFromRootIgnoresMarker(t *testing.T) {
+	a, s, _ := setup(t)
+	var tr coverage.Trace
+	in := seq(s, "USER a", "PASS b")
+	in.SnapshotAt = 2
+	res, err := a.RunFromRoot(in, &tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SnapshotTaken || a.HasSlot(singleSlot) || res.OpsExecuted != len(in.Ops) {
+		t.Fatalf("marked root run: %+v, slot 0 held = %v", res, a.HasSlot(singleSlot))
 	}
 }
 
@@ -338,7 +352,7 @@ func TestSnapshotAfterLastOp(t *testing.T) {
 	var tr coverage.Trace
 	in := seq(s, "USER a")
 	in.SnapshotAt = 2 // after all ops
-	res, err := a.RunFromRoot(in, &tr)
+	res, err := a.RunCreatingSlot(in, &tr, -1, singleSlot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +360,7 @@ func TestSnapshotAfterLastOp(t *testing.T) {
 		t.Fatalf("snapshot at end not taken: %+v", res)
 	}
 	// Suffix run executes zero new ops.
-	res2, err := a.RunSuffix(in, &tr)
+	res2, err := a.RunFromSnapshot(singleSlot, in, &tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,11 +401,11 @@ func TestSuffixRunsAreCheaperThanFullRuns(t *testing.T) {
 	in := seq(s, payloads...)
 	in.SnapshotAt = len(in.Ops) - 1
 
-	resFull, err := a.RunFromRoot(in, &tr)
+	resFull, err := a.RunCreatingSlot(in, &tr, -1, singleSlot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resSuffix, err := a.RunSuffix(in, &tr)
+	resSuffix, err := a.RunFromSnapshot(singleSlot, in, &tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,14 +108,16 @@ func sameResult(a, b netemu.Result) bool {
 // TestSnapshotSlotPathsMatchRootRun is the paper's central claim (§3.2) as a
 // differential test over the one snapshot mechanism: three identically
 // booted VMs run the same seeded mutants (i) whole from the root snapshot,
-// (ii) through the agent's single snapshot (marker run, then RunSuffix) and
-// (iii) through pool-style slots (RunCreatingSlot, then RunFromSnapshot, a
-// fresh id per round and the old one dropped). Every run must leave the
-// same guest memory, disk, dirty-sector count and serial log and report the
-// same outcome; a run that takes a snapshot must trace exactly what one
-// that takes none traces; and (ii) and (iii), which differ only in slot id
-// and release protocol, must agree on Result, bucketed trace and every
-// nanosecond of virtual cost. bftpd and exim write the disk.
+// (ii) through a pool-off round's reserved slot 0 (RunCreatingSlot, then
+// RunFromSnapshot, released by DropSnapshot at the round's end) and (iii)
+// through pool-style slots (the same calls on a fresh id per round, dropped
+// by DropSlot). Every run must leave the same guest memory, disk,
+// dirty-sector count and serial log and report the same outcome; a run that
+// takes a snapshot must trace exactly what one that takes none traces; and
+// (ii) and (iii), which differ only in slot id and release protocol, must
+// agree on Result, bucketed trace and every nanosecond of virtual cost but
+// the release: slot 0's costs exactly one hypercall more than a pooled
+// slot's. bftpd and exim write the disk.
 func TestSnapshotSlotPathsMatchRootRun(t *testing.T) {
 	const rounds, suffixes = 6, 5
 	for _, target := range []string{"tinydtls", "dnsmasq", "bftpd", "exim"} {
@@ -146,19 +148,14 @@ func TestSnapshotSlotPathsMatchRootRun(t *testing.T) {
 
 				// The creating runs execute all of base; only (ii) and (iii)
 				// stop at the marker to take a snapshot.
-				held := single.Agent.HasSnapshot()
-				if slot > 0 {
-					pooled.Agent.DropSlot(slot)
-				}
 				slot++
 				resI, _ := root.clocked(t, func() (netemu.Result, error) { return root.Agent.RunFromRoot(whole, &root.tr) })
-				resII, costII := single.clocked(t, func() (netemu.Result, error) { return single.Agent.RunFromRoot(base, &single.tr) })
+				resII, costII := single.clocked(t, func() (netemu.Result, error) {
+					return single.Agent.RunCreatingSlot(base, &single.tr, -1, 0)
+				})
 				resIII, costIII := pooled.clocked(t, func() (netemu.Result, error) {
 					return pooled.Agent.RunCreatingSlot(base, &pooled.tr, -1, slot)
 				})
-				if held {
-					costII -= single.M.Cost.HypercallEntry // (ii) released its previous snapshot by hypercall
-				}
 				if !sameResult(resII, resIII) || costII != costIII {
 					t.Fatalf("round %d create: single %+v (%v) vs slot %+v (%v)", round, resII, costII, resIII, costIII)
 				}
@@ -183,7 +180,7 @@ func TestSnapshotSlotPathsMatchRootRun(t *testing.T) {
 					whole := in.Clone()
 					whole.SnapshotAt = -1
 					resI, _ := root.clocked(t, func() (netemu.Result, error) { return root.Agent.RunFromRoot(whole, &root.tr) })
-					resII, costII := single.clocked(t, func() (netemu.Result, error) { return single.Agent.RunSuffix(in, &single.tr) })
+					resII, costII := single.clocked(t, func() (netemu.Result, error) { return single.Agent.RunFromSnapshot(0, in, &single.tr) })
 					resIII, costIII := pooled.clocked(t, func() (netemu.Result, error) {
 						return pooled.Agent.RunFromSnapshot(slot, in, &pooled.tr)
 					})
@@ -199,6 +196,20 @@ func TestSnapshotSlotPathsMatchRootRun(t *testing.T) {
 					sameState(fmt.Sprintf("round %d suffix %d", round, i))
 					resumed++
 				}
+
+				// The round's end: (ii) releases slot 0 by hypercall, (iii)
+				// drops its slot outright.
+				t0, t1 := single.Agent.Now(), pooled.Agent.Now()
+				single.Agent.DropSnapshot()
+				pooled.Agent.DropSlot(slot)
+				if relII, relIII := single.Agent.Now()-t0, pooled.Agent.Now()-t1; relII != relIII+single.M.Cost.HypercallEntry {
+					t.Fatalf("round %d release: slot 0 charged %v, pooled slot %v, want one hypercall entry (%v) apart",
+						round, relII, relIII, single.M.Cost.HypercallEntry)
+				}
+				if single.Agent.HasSlot(0) || pooled.Agent.HasSlot(slot) {
+					t.Fatalf("round %d release: a released slot is still held", round)
+				}
+				sameState(fmt.Sprintf("round %d release", round))
 			}
 			if resumed < suffixes {
 				t.Fatalf("only %d resumed runs compared: the mutants never reached their markers", resumed)

@@ -88,7 +88,7 @@ func TestEveryTargetStateRoundTrip(t *testing.T) {
 			}
 			seed.SnapshotAt = len(seed.Ops) - 1
 			var tr coverage.Trace
-			res, err := inst.Agent.RunFromRoot(seed, &tr)
+			res, err := inst.Agent.RunCreatingSlot(seed, &tr, -1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,10 +101,10 @@ func TestEveryTargetStateRoundTrip(t *testing.T) {
 			// Re-run the suffix twice; identical coverage both times
 			// proves the restore is exact.
 			var tr1, tr2 coverage.Trace
-			if _, err := inst.Agent.RunSuffix(seed, &tr1); err != nil {
+			if _, err := inst.Agent.RunFromSnapshot(0, seed, &tr1); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := inst.Agent.RunSuffix(seed, &tr2); err != nil {
+			if _, err := inst.Agent.RunFromSnapshot(0, seed, &tr2); err != nil {
 				t.Fatal(err)
 			}
 			if tr1.CountEdges() != tr2.CountEdges() {
