@@ -224,7 +224,7 @@ func run(cfg campaign.Config, d time.Duration, checkpoint string, resume bool, s
 		fmt.Printf("      worker %d: %d execs, %d edges, %d queue, %d crashes\n",
 			st.ID, st.Execs, st.Coverage, st.Queue, st.Crashes)
 	}
-	fmt.Printf("    crashes:        %d unique across workers\n", len(c.Crashes()))
+	fmt.Printf("    crashes:        %d buckets (kind and fault site) across workers\n", len(c.Crashes()))
 	reportCrashes(c.Crashes(), crashDir)
 
 	if checkpoint != "" {

@@ -200,15 +200,7 @@ func (e *Executor) interpret(in *spec.Input, tr *coverage.Trace) (res netemu.Res
 func (e *Executor) execOne(env *guest.Env, nt spec.NodeType, op spec.Op, conns *[]*guest.Conn) (crash *guest.CrashError) {
 	m := e.Inst.M
 	k := e.Inst.K
-	defer func() {
-		if r := recover(); r != nil {
-			if ce, ok := r.(*guest.CrashError); ok {
-				crash = ce
-				return
-			}
-			panic(r)
-		}
-	}()
+	defer guest.RecoverCrash(&crash)
 
 	switch nt.Kind {
 	case spec.KindConnect:

@@ -502,7 +502,8 @@ func TestAsyncExchangesAreSerializable(t *testing.T) {
 		return retrimDelta{oldKey: e.Key(), newKey: t.Key(), fav: t.FavFactor()}
 	}
 	crash := func(at time.Duration) []core.Crash {
-		return []core.Crash{{Kind: "segfault", Msg: "shared bug", FoundAt: at, Input: spec.NewInput(spec.Op{Data: []byte("crash")})}}
+		return []core.Crash{{CrashError: guest.CrashError{Kind: "segfault", Site: "shared site", Msg: "shared bug"},
+			FoundAt: at, Input: spec.NewInput(spec.Op{Data: []byte("crash")})}}
 	}
 	a0 := entry("a0", 100, hit(1, 1), hit(2, 1), hit(3, 1))
 	a1 := entry("a1", 50, hit(2, 1), hit(20, 1), hit(21, 1))

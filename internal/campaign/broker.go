@@ -50,10 +50,8 @@ type broker struct {
 	// remembers the worker that published it (entry IDs are per-worker,
 	// so (worker, ID) is the global identity).
 	corpus []brokerEntry
-	// crashSeen/crashes dedup crash findings across workers with the same
-	// (kind, message) key core.Fuzzer uses locally.
-	crashSeen map[string]bool
-	crashes   []core.Crash
+	// CrashList holds the global crash buckets, deduplicated as each fuzzer's.
+	core.CrashList
 	// covLog is the aggregated coverage-over-time series.
 	covLog     []core.CoveragePoint
 	lastSample time.Duration
@@ -180,7 +178,6 @@ type brokerEntry struct {
 func newBroker() *broker {
 	return &broker{
 		claimTable: claimTable{index: make(map[string]int32)},
-		crashSeen:  make(map[string]bool),
 		pickTotals: make(map[uint32]uint64),
 	}
 }
@@ -338,11 +335,8 @@ func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importIte
 		}
 	}
 	for _, cr := range d.crashes {
-		if !b.crashSeen[cr.Key()] {
-			b.crashSeen[cr.Key()] = true
-			cr.FoundAt += b.timeBase
-			b.crashes = append(b.crashes, cr)
-		}
+		cr.FoundAt += b.timeBase
+		b.AddCrash(cr)
 	}
 	if d.picks != nil {
 		last := b.lastPicks[id]

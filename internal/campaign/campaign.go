@@ -673,9 +673,9 @@ func (c *Campaign) ExecsPerSecond() float64 {
 	return float64(c.Execs()) / el
 }
 
-// Crashes returns a copy of the globally deduplicated crash findings (the
-// broker keeps appending to its own list while workers run).
-func (c *Campaign) Crashes() []core.Crash { return slices.Clone(c.broker.crashes) }
+// Crashes returns a copy of the global crash buckets (the broker keeps
+// appending to its own list while workers run).
+func (c *Campaign) Crashes() []core.Crash { return slices.Clone(c.broker.Crashes) }
 
 // CoverageLog returns a copy of the aggregated coverage-over-time series.
 func (c *Campaign) CoverageLog() []core.CoveragePoint { return slices.Clone(c.broker.covLog) }

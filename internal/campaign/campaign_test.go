@@ -230,24 +230,24 @@ func TestCampaignCrashDedupAcrossWorkers(t *testing.T) {
 		t.Fatalf("workers found %d crashes total, global %d — no cross-worker duplication to dedup",
 			workerTotal, len(c.Crashes()))
 	}
-	seen := make(map[string]int)
+	seen := make(map[core.CrashID]int)
 	for _, cr := range c.Crashes() {
-		seen[cr.Key()]++
+		seen[cr.ID()]++
 	}
-	for key, n := range seen {
+	for id, n := range seen {
 		if n > 1 {
-			t.Fatalf("crash %q reported %d times", key, n)
+			t.Fatalf("crash bucket %+v reported %d times", id, n)
 		}
 	}
 	// Global crashes are the union of worker findings, deduplicated.
-	workerKeys := make(map[string]bool)
+	workerIDs := make(map[core.CrashID]bool)
 	for _, w := range c.workers {
 		for _, cr := range w.fz.Crashes {
-			workerKeys[cr.Key()] = true
+			workerIDs[cr.ID()] = true
 		}
 	}
-	if len(c.Crashes()) != len(workerKeys) {
-		t.Fatalf("global crashes %d != union of worker crashes %d", len(c.Crashes()), len(workerKeys))
+	if len(c.Crashes()) != len(workerIDs) {
+		t.Fatalf("global crashes %d != union of worker crashes %d", len(c.Crashes()), len(workerIDs))
 	}
 }
 
@@ -926,7 +926,7 @@ func editBrokerHolders(t *testing.T, tree store.Tree, edit func(b *broker, hs *h
 	edit(b, &hs)
 	var w guest.StateWriter
 	b.encode(&w, hs)
-	out := editManifest(t, tree, func(m *manifest) { m.Corpus, m.Crashes = len(b.corpus), len(b.crashes) })
+	out := editManifest(t, tree, func(m *manifest) { m.Corpus, m.Crashes = len(b.corpus), len(b.Crashes) })
 	out[brokerFile] = w.Bytes()
 	return out
 }
@@ -953,7 +953,7 @@ func TestResumeRefusesOldManifestVersions(t *testing.T) {
 			t.Fatalf("version-%d manifest summarized", v)
 		}
 	}
-	for _, v := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, manifestVersion + 1} {
+	for _, v := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, manifestVersion + 1} {
 		refused(v, editManifest(t, tree, func(m *manifest) { m.Version = v }))
 	}
 	// A header shaped the way version 4 shaped it: the corpus and the

@@ -19,7 +19,7 @@ import (
 	"repro/internal/store"
 )
 
-// Checkpoint format, manifest version 10 — one store.Tree, written atomically
+// Checkpoint format, manifest version 11 — one store.Tree, written atomically
 // via PutTree. This comment is the format's one specification.
 //
 //	manifest.json                    the header: compact JSON of type manifest
@@ -33,7 +33,7 @@ import (
 // counts) and coverage log — and its size does not depend on the corpus. It
 // is one JSON object, in this key order:
 //
-//	version                                  10
+//	version                                  11
 //	target, workers, policy, seed,           the campaign's Config, embedded: the
 //	sync_interval_ns, sched, power,          service spec's keys, every enum by the
 //	snap_budget, asan, sync_mode             name its flag takes (policy none |
@@ -105,8 +105,8 @@ import (
 //	   c × ( u32 edge | i64 fav | u32 claimant < a )
 //	u32 w   pending-import queues, one per worker in ID order; w = workers
 //	   w × ( u32 p | p × ( bool global_fav | bytes32 input ) )
-//	u32 k   deduplicated crashes in discovery order; k = the header's crash_entries
-//	   k × ( string kind | string msg | i64 found_at_ns | u64 execs | bytes32 input )
+//	u32 k   crash buckets in discovery order, each its first crash; k = the header's crash_entries
+//	   k × ( string kind | string site | string msg | i64 found_at_ns | u64 execs | bytes32 input )
 //
 // A corpus entry's l holders name the files worker-NNN/queue/id-N.nyx
 // strictly ascending by worker, then id. A holder
@@ -117,7 +117,7 @@ import (
 // which the claims, ascending by edge, first name it: the first claim names
 // claimant 0, and each later one a claimant named before it or the next one.
 // Every claimant is named, no key is listed twice, and no crash repeats an
-// earlier one's kind and message; anything else fails the resume.
+// earlier one's bucket (kind and site); anything else fails the resume.
 //
 // Inputs decoded from a queue file alias it (spec.DeserializeAppend), and
 // keep its bytes as their entries' QueueEntry.Bytes: a resumed campaign keeps
@@ -151,7 +151,7 @@ import (
 //
 // Resume relaunches the same target with the same worker count, feeds each
 // worker its saved queue as seeds, and restores the broker's global map,
-// crash dedup state and coverage log. The resumed campaign is deterministic
+// crash buckets and coverage log. The resumed campaign is deterministic
 // given the checkpoint (worker RNGs derive from (seed, epoch, worker) and
 // the epoch bumps on every resume), but is not bit-identical to the same
 // campaign run without interruption — mid-campaign mutator RNG state is
@@ -162,7 +162,7 @@ import (
 // manifestVersion is the one checkpoint format this build writes and reads;
 // a tree that declares any other is refused by number (README says how to
 // carry an older tree over).
-const manifestVersion = 10
+const manifestVersion = 11
 
 // Tree keys beside the per-worker files. ManifestFile is the one a listing
 // needs: Summarize reads nothing else.
@@ -266,7 +266,7 @@ func (c *Campaign) CheckpointTree() (store.Tree, error) {
 		Published: c.broker.published,
 		Deduped:   c.broker.deduped,
 		Corpus:    len(c.broker.corpus),
-		Crashes:   len(c.broker.crashes),
+		Crashes:   len(c.broker.Crashes),
 		CovLog:    c.broker.covLog,
 	}
 	for _, w := range c.workers {
@@ -389,8 +389,8 @@ func (b *broker) encode(w *guest.StateWriter, hs holders) {
 			size += pendingMinLen + spec.EncodedLen(it.input)
 		}
 	}
-	for _, cr := range b.crashes {
-		size += crashMinLen + len(cr.Kind) + len(cr.Msg) + spec.EncodedLen(cr.Input)
+	for _, cr := range b.Crashes {
+		size += crashMinLen + len(cr.Kind) + len(cr.Site) + len(cr.Msg) + spec.EncodedLen(cr.Input)
 	}
 	w.Grow(size)
 	w.U32(uint32(len(b.corpus)))
@@ -440,9 +440,10 @@ func (b *broker) encode(w *guest.StateWriter, hs holders) {
 			input(it.input)
 		}
 	}
-	w.U32(uint32(len(b.crashes)))
-	for _, cr := range b.crashes {
+	w.U32(uint32(len(b.Crashes)))
+	for _, cr := range b.Crashes {
 		w.String(string(cr.Kind))
+		w.String(cr.Site)
 		w.String(cr.Msg)
 		w.I64(int64(cr.FoundAt))
 		w.U64(cr.Execs)
@@ -460,7 +461,7 @@ const (
 	claimantMinLen    = 4
 	claimLen          = 4 + 8 + 4
 	pendingMinLen     = 1 + inputMinLen
-	crashMinLen       = 4 + 4 + 8 + 8 + inputMinLen
+	crashMinLen       = 4 + 4 + 4 + 8 + 8 + inputMinLen
 )
 
 // Decoded inputs take their op and argument arrays from slabs of these
@@ -794,21 +795,15 @@ func decodeBroker(raw []byte, q queueIndex) (*broker, holders, error) {
 	crashInputs := make([]spec.Input, nk)
 	for i := 0; i < nk && ok(); i++ {
 		cr := core.Crash{
-			Kind:    guest.CrashKind(r.String()),
-			Msg:     r.String(),
-			FoundAt: time.Duration(r.I64()),
-			Execs:   r.U64(),
-			Input:   &crashInputs[i],
+			CrashError: guest.CrashError{Kind: guest.CrashKind(r.String()), Site: r.String(), Msg: r.String()},
+			FoundAt:    time.Duration(r.I64()), Execs: r.U64(), Input: &crashInputs[i],
 		}
 		if err := decode(cr.Input, inline(r.View32())); err != nil {
 			r.Fail("crash %d: %v", i, err)
 		}
-		k := cr.Key()
-		if b.crashSeen[k] {
-			r.Fail("crash %d repeats the kind and message of an earlier one", i)
+		if !b.AddCrash(cr) {
+			r.Fail("crash %d repeats the bucket of an earlier one (%s at %q)", i, cr.Kind, cr.Site)
 		}
-		b.crashSeen[k] = true
-		b.crashes = append(b.crashes, cr)
 	}
 	return b, hs, r.Done()
 }
@@ -863,9 +858,9 @@ func ResumeTree(t store.Tree) (_ *Campaign, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", brokerFile, err)
 	}
-	if len(br.corpus) != m.Corpus || len(br.crashes) != m.Crashes {
+	if len(br.corpus) != m.Corpus || len(br.Crashes) != m.Crashes {
 		return nil, fmt.Errorf("%s holds %d corpus entries and %d crashes, the manifest counts %d and %d",
-			brokerFile, len(br.corpus), len(br.crashes), m.Corpus, m.Crashes)
+			brokerFile, len(br.corpus), len(br.Crashes), m.Corpus, m.Crashes)
 	}
 	if err := br.virgin.UnmarshalBinary(virgin); err != nil {
 		return nil, err

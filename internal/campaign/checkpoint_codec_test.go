@@ -236,8 +236,8 @@ func TestCheckpointOneWorkerBrokerCarriesNoInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, hs := decodeHolders(t, tree)
-	if len(b.corpus) < 100 || len(b.crashes) > 0 || len(b.pending[0]) > 0 {
-		t.Fatalf("%d corpus entries, %d crashes, %d pending imports (test premise broken)", len(b.corpus), len(b.crashes), len(b.pending[0]))
+	if len(b.corpus) < 100 || len(b.Crashes) > 0 || len(b.pending[0]) > 0 {
+		t.Fatalf("%d corpus entries, %d crashes, %d pending imports (test premise broken)", len(b.corpus), len(b.Crashes), len(b.pending[0]))
 	}
 	queued := 0
 	for _, k := range queueFiles(tree) {
@@ -370,8 +370,8 @@ func smallSections(t *testing.T) (tree store.Tree, header, brokerBin, sched []by
 		t.Fatal(err)
 	}
 	tree = editBrokerHolders(t, tree, func(b *broker, hs *holders) {
-		if len(b.crashes) < 2 || len(b.claimed) < 3 {
-			t.Fatalf("checkpoint too small to cut down: %d crashes, %d claims", len(b.crashes), len(b.claimed))
+		if len(b.Crashes) == 0 || len(b.claimed) < 3 {
+			t.Fatalf("checkpoint too small to cut down: %d crashes, %d claims", len(b.Crashes), len(b.claimed))
 		}
 		var kept []brokerEntry
 		var lists [][]holder
@@ -387,7 +387,11 @@ func smallSections(t *testing.T) (tree store.Tree, header, brokerBin, sched []by
 			t.Fatalf("no three corpus entries of %d with two, one and one holders", len(b.corpus))
 		}
 		lists[1] = nil
-		b.corpus, b.crashes, *hs = kept, b.crashes[:2], holdersOf(lists...)
+		// dnsmasq's crashes are one bucket: a copy at a second site keeps
+		// two crash records.
+		other := b.Crashes[0]
+		other.Site += " (second site)"
+		b.corpus, b.Crashes, *hs = kept, []core.Crash{b.Crashes[0], other}, holdersOf(lists...)
 		for _, be := range b.corpus {
 			be.Entry.Cov = be.Entry.Cov[:min(4, len(be.Entry.Cov))]
 		}
@@ -468,23 +472,28 @@ func TestCheckpointDecodeBoundsCounts(t *testing.T) {
 	}
 }
 
-// broker.bin lists each crash once: a resume refuses a crash listed twice,
-// even with crash_entries counting both, rather than resume with two crashes
-// of one kind and message.
+// broker.bin lists each crash bucket once: a resume refuses a second crash
+// of one kind at one site, even with another message and crash_entries
+// counting both, and names the bucket.
 func TestResumeRefusesRepeatedCrash(t *testing.T) {
 	tree, err := run(t, Config{Target: "dnsmasq", Workers: 2, Policy: core.PolicyAggressive, Seed: 1,
 		SyncInterval: 500 * time.Millisecond}, time.Second).CheckpointTree()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var first core.Crash
 	tree = editBroker(t, tree, func(b *broker) {
-		if len(b.crashes) == 0 {
+		if len(b.Crashes) == 0 {
 			t.Fatal("the campaign found no crash (test premise broken)")
 		}
-		b.crashes = append(b.crashes, b.crashes[0])
+		first = b.Crashes[0]
+		again := first
+		again.Msg += " (another value)"
+		b.Crashes = append(b.Crashes, again)
 	})
-	if _, err := ResumeTree(tree); err == nil || !strings.Contains(err.Error(), "repeats the kind and message") {
-		t.Fatalf("a crash listed twice: err = %v, want a refusal", err)
+	want := fmt.Sprintf("repeats the bucket of an earlier one (%s at %q)", first.Kind, first.Site)
+	if _, err := ResumeTree(tree); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("a bucket listed twice: err = %v, want a refusal saying %s", err, want)
 	}
 }
 

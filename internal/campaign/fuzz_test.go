@@ -29,7 +29,8 @@ const (
 // sections of real checkpoints (three targets, two workers, after the first
 // round, after one virtual second, and right after resuming the latter, when
 // the queue files broker.bin names as its corpus entries' holders are those
-// inputs' bytes; the VMs run here, none per input), with their first halves,
+// inputs' bytes; the VMs run here, none per input; each dnsmasq tree holds a
+// crash record, site included), with their first halves,
 // with the last broker.bin against its tree with one byte flipped in the
 // middle of the first queue file, which a corpus entry names, and with that
 // broker.bin's claims section rewritten in the four ways the encoder never
@@ -62,6 +63,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 			}
 			if tree, err = c.CheckpointTree(); err != nil {
 				f.Fatal(err)
+			}
+			if s, err := campaign.Summarize(tree); target == "dnsmasq" && (err != nil || s.Crashes == 0) {
+				f.Fatalf("a dnsmasq checkpoint holds no crash record (%v)", err)
 			}
 			trees = append(trees, tree)
 			for _, key := range slices.Sorted(maps.Keys(tree)) {

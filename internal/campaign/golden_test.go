@@ -45,7 +45,14 @@ import (
 // each claimant key once and its claims name claimants by number), edited by
 // hand after each new tree rewritten in the version-9 layout — the claims
 // section as (edge, fav, key) per claim again, the header's version 9 —
-// reproduced the recorded digest. Re-record with
+// reproduced the recorded digest. The tree digests, and nothing else, moved
+// once more with manifest version 11 (a crash is its bucket, kind and fault
+// site: broker.bin lists one crash per bucket and each record carries its
+// site), edited by hand after each new tree rewritten in the version-10
+// layout — the records without their site, the parent's per-message crash
+// list restored (dnsmasq's 128 records, whose first is the new tree's one
+// bucket), the header's version 10 — reproduced the recorded digest.
+// Re-record with
 //
 //	NYX_UPDATE_GOLDEN=1 go test ./internal/core ./internal/campaign ./internal/targets -run 'Recorded|LockstepGolden'
 //

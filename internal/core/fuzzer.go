@@ -203,19 +203,45 @@ func (s Encodings) Set(i int, e *QueueEntry, key string, bytes []byte) {
 	e.enc = &s[i]
 }
 
-// Crash is a deduplicated crash finding.
+// Crash is a crash finding: the report, the input that raised it, and when.
 type Crash struct {
-	Kind    guest.CrashKind
-	Msg     string
+	guest.CrashError
 	Input   *spec.Input
 	FoundAt time.Duration
 	Execs   uint64
 }
 
-// Key identifies a crash for deduplication. Every layer that dedups
-// crashes (the fuzzer's local map, the campaign broker's global one, and
-// checkpoint resume) must use this same key.
-func (c Crash) Key() string { return string(c.Kind) + "|" + c.Msg }
+// CrashID is a crash's identity, one distinct bug: its kind and fault site.
+type CrashID struct {
+	Kind guest.CrashKind
+	Site string
+}
+
+// ID returns c's identity.
+func (c Crash) ID() CrashID { return CrashID{c.Kind, c.Site} }
+
+// Key renders c's ID as text, for reports. Nothing dedups on it.
+func (c Crash) Key() string { return string(c.Kind) + "|" + c.Site }
+
+// CrashList holds one crash per CrashID, the bucket's first, in the order
+// found: the one dedup of a fuzzer, the campaign broker and a resume.
+type CrashList struct {
+	Crashes []Crash
+	ids     map[CrashID]struct{}
+}
+
+// AddCrash appends c unless its bucket is listed, and reports whether it did.
+func (l *CrashList) AddCrash(c Crash) bool {
+	if _, ok := l.ids[c.ID()]; ok {
+		return false
+	}
+	if l.ids == nil {
+		l.ids = make(map[CrashID]struct{})
+	}
+	l.ids[c.ID()] = struct{}{}
+	l.Crashes = append(l.Crashes, c)
+	return true
+}
 
 // CoveragePoint is one sample of the coverage-over-time series (Figure 5).
 type CoveragePoint struct {
@@ -326,9 +352,9 @@ type Fuzzer struct {
 	Spec  *spec.Spec
 	Mut   *spec.Mutator
 
-	Virgin  coverage.Virgin
-	Queue   []*QueueEntry
-	Crashes []Crash
+	Virgin coverage.Virgin
+	Queue  []*QueueEntry
+	CrashList
 
 	opts       Options
 	rng        *rand.Rand
@@ -338,7 +364,6 @@ type Fuzzer struct {
 	snapExecs  uint64 // executions served from an incremental snapshot
 	rootExecs  uint64 // executions that ran the whole input from the root
 	prefixRuns uint64 // snapshot-creation runs that re-executed a full prefix from root
-	crashSeen  map[string]bool
 	covLog     []CoveragePoint
 	started    time.Duration
 	seeds      []*QueueEntry // what the first Step imports (Seeds or Restored)
@@ -401,7 +426,6 @@ func New(agent Executor, s *spec.Spec, opts Options) *Fuzzer {
 		Mut:       mut,
 		opts:      opts,
 		rng:       opts.Rand,
-		crashSeen: make(map[string]bool),
 		started:   agent.Now(),
 		seeds:     seeds,
 		sched:     opts.Sched,
@@ -831,19 +855,10 @@ func (f *Fuzzer) execSuffix(slot int, in *spec.Input) (bool, error) {
 func (f *Fuzzer) account(in *spec.Input, res netemu.Result, seed *QueueEntry, meta *EntryMeta) bool {
 	f.execs++
 	hasNew, _ := f.Virgin.Merge(&f.trace)
-	if res.Crashed {
-		cr := Crash{
-			Kind:    res.Crash.Kind,
-			Msg:     res.Crash.Msg,
-			FoundAt: f.Elapsed(),
-			Execs:   f.execs,
-		}
-		if !f.crashSeen[cr.Key()] {
-			f.crashSeen[cr.Key()] = true
-			cr.Input = in.Clone()
-			cr.Input.SnapshotAt = -1
-			f.Crashes = append(f.Crashes, cr)
-		}
+	if res.Crashed && f.AddCrash(Crash{CrashError: *res.Crash, FoundAt: f.Elapsed(), Execs: f.execs}) {
+		cr := &f.Crashes[len(f.Crashes)-1]
+		cr.Input = in.Clone()
+		cr.Input.SnapshotAt = -1
 	}
 	if hasNew || meta != nil {
 		e := seed

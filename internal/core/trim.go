@@ -100,8 +100,8 @@ func (f *Fuzzer) trimMeasured(in *spec.Input) (*spec.Input, time.Duration, error
 	return cur, curTime, nil
 }
 
-// MinimizeCrash shrinks a crashing input while it still crashes with the
-// same kind — the triage step §5.7's responsible-disclosure workflow needs.
+// MinimizeCrash shrinks a crashing input while it still crashes in the same
+// bucket — the triage step §5.7's responsible-disclosure workflow needs.
 func (f *Fuzzer) MinimizeCrash(in *spec.Input) (*spec.Input, error) {
 	cur := in.Clone()
 	cur.SnapshotAt = -1
@@ -112,7 +112,7 @@ func (f *Fuzzer) MinimizeCrash(in *spec.Input) (*spec.Input, error) {
 	if !res.Crashed {
 		return nil, fmt.Errorf("core: input does not crash")
 	}
-	kind := res.Crash.Kind
+	id := CrashID{res.Crash.Kind, res.Crash.Site}
 
 	stillCrashes := func(cand *spec.Input) (bool, error) {
 		if f.Spec.Validate(cand) != nil {
@@ -123,7 +123,7 @@ func (f *Fuzzer) MinimizeCrash(in *spec.Input) (*spec.Input, error) {
 			return false, err
 		}
 		f.execs++
-		return r.Crashed && r.Crash.Kind == kind, nil
+		return r.Crashed && CrashID{r.Crash.Kind, r.Crash.Site} == id, nil
 	}
 
 	// Drop ops back to front.

@@ -154,6 +154,42 @@ func TestMinimizeCrashPreservesCrash(t *testing.T) {
 	if !res.Crashed {
 		t.Fatal("minimized input no longer crashes")
 	}
+
+	// Minimizing keeps the bucket, not just the kind. Firefox IPC has three
+	// null-dereference sites: three synchronous shared-memory messages, each
+	// with its 4-byte handle, leave the redirect that follows crashing in
+	// HttpChannelParent::Redirect. Cutting a byte off a handle crashes the
+	// same kind in SharedMemory::Map instead, which is another bug.
+	inst = launch(t, "firefox-ipc")
+	f = newFuzzer(t, inst, PolicyNone, 2)
+	con, _ := inst.Spec.NodeByName("connect_unix_3")
+	pkt, _ := inst.Spec.NodeByName("packet")
+	ipc := func(msgType, flags byte, payload ...byte) spec.Op {
+		return spec.Op{Node: pkt, Args: []uint16{0}, Data: append([]byte{msgType, 0, 1, 0, flags}, payload...)}
+	}
+	shmem := ipc(2, 1, 1, 2, 3, 4)
+	in = spec.NewInput(spec.Op{Node: con}, shmem, shmem, shmem, ipc(4, 0, 0xFE))
+	crashID := func(in *spec.Input) CrashID {
+		t.Helper()
+		res, err := inst.Agent.RunFromRoot(in, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Crashed {
+			t.Fatal("input does not crash")
+		}
+		return CrashID{res.Crash.Kind, res.Crash.Site}
+	}
+	want := crashID(in)
+	if want.Site != "HttpChannelParent::Redirect" {
+		t.Fatalf("reference input crashes at %+v (test premise broken)", want)
+	}
+	if minimized, err = f.MinimizeCrash(in); err != nil {
+		t.Fatal(err)
+	}
+	if got := crashID(minimized); got != want {
+		t.Fatalf("minimization moved the crash from %+v to %+v", want, got)
+	}
 }
 
 func TestMinimizeNonCrashFails(t *testing.T) {

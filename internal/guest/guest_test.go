@@ -411,12 +411,13 @@ func TestCrashModel(t *testing.T) {
 		return nil
 	}
 
-	if ce := catch(func() { env.Alloc(-5) }); ce == nil || ce.Kind != CrashMallocUnder {
-		t.Fatalf("expected malloc underflow, got %v", ce)
+	// A helper's crash is at its caller's site.
+	if ce := catch(func() { env.Alloc("len", -5) }); ce == nil || ce.Kind != CrashMallocUnder || ce.Site != "len" {
+		t.Fatalf("expected malloc underflow at len, got %+v", ce)
 	}
 	k.AllocLimit = 1000
-	if ce := catch(func() { env.Alloc(2000) }); ce == nil || ce.Kind != CrashOOM {
-		t.Fatalf("expected OOM, got %v", ce)
+	if ce := catch(func() { env.Alloc("buf", 2000) }); ce == nil || ce.Kind != CrashOOM || ce.Site != "buf" {
+		t.Fatalf("expected OOM at buf, got %+v", ce)
 	}
 
 	// Without ASan, corruption accumulates before faulting.
@@ -429,11 +430,11 @@ func TestCrashModel(t *testing.T) {
 	var crashed *CrashError
 	n := 0
 	for crashed == nil && n < 100 {
-		crashed = catch(func() { env2.CorruptMemory(1) })
+		crashed = catch(func() { env2.CorruptMemory("w", 1) })
 		n++
 	}
-	if crashed == nil || crashed.Kind != CrashHeapCorruption {
-		t.Fatalf("expected delayed corruption crash, got %v", crashed)
+	if crashed == nil || crashed.Kind != CrashHeapCorruption || crashed.Site != "w" {
+		t.Fatalf("expected delayed corruption crash at w, got %+v", crashed)
 	}
 	if n < 2 {
 		t.Fatalf("corruption should be delayed without ASan (faulted after %d)", n)
@@ -446,8 +447,8 @@ func TestCrashModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	k3.Asan = true
-	if ce := catch(func() { k3.Env().CorruptMemory(1) }); ce == nil || ce.Kind != CrashHeapCorruption {
-		t.Fatalf("expected immediate ASan crash, got %v", ce)
+	if ce := catch(func() { k3.Env().CorruptMemory("w", 1) }); ce == nil || ce.Kind != CrashHeapCorruption || ce.Site != "w" {
+		t.Fatalf("expected immediate ASan crash at w, got %+v", ce)
 	}
 }
 
@@ -458,7 +459,7 @@ func TestCorruptionResetBySnapshotRestore(t *testing.T) {
 	}
 	func() {
 		defer func() { recover() }()
-		k.Env().CorruptMemory(3)
+		k.Env().CorruptMemory("w", 3)
 	}()
 	if k.Corruption() != 3 {
 		t.Fatalf("corruption = %d want 3", k.Corruption())

@@ -68,15 +68,27 @@ const (
 	CrashOOMInternal    CrashKind = "oom-internal-limit"
 )
 
-// CrashError is panicked by Env.Crash and recovered by the execution
-// driver; it is the simulated analogue of a signal plus ASan report.
+// CrashError, the simulated analogue of a signal plus ASan report, is what
+// Env.Crash panics with. Site is a constant; Msg may carry the input's values.
 type CrashError struct {
 	Kind CrashKind
+	Site string
 	Msg  string
 }
 
 // Error implements error.
 func (c *CrashError) Error() string { return fmt.Sprintf("%s: %s", c.Kind, c.Msg) }
+
+// RecoverCrash, deferred by an execution driver, stores in *crash the
+// CrashError the target panicked with, and panics again with anything else.
+func RecoverCrash(crash **CrashError) {
+	if r := recover(); r != nil {
+		var ok bool
+		if *crash, ok = r.(*CrashError); !ok {
+			panic(r)
+		}
+	}
+}
 
 // Env is the execution environment handed to target handlers: coverage
 // probes, virtual CPU accounting, response emission, and the crash /
@@ -133,23 +145,23 @@ func (e *Env) sent(c *Conn, buf []byte) {
 	e.k.sendBuf = buf
 }
 
-// Crash aborts the current execution with a crash of the given kind.
+// Crash aborts the current execution with a crash of kind at site format.
 func (e *Env) Crash(kind CrashKind, format string, args ...any) {
-	panic(&CrashError{Kind: kind, Msg: fmt.Sprintf(format, args...)})
+	panic(&CrashError{Kind: kind, Site: format, Msg: fmt.Sprintf(format, args...)})
 }
 
 // Alloc models the target's allocator. Negative sizes reproduce the
 // "negative amount of memory could be allocated" Lighttpd bug class
 // (§5.5); allocations beyond the kernel's AllocLimit raise the OOM the
-// ProFuzzBench docker limits cause (Table 1 note).
-func (e *Env) Alloc(size int64) {
+// ProFuzzBench docker limits cause (Table 1 note). Both crash at site.
+func (e *Env) Alloc(site string, size int64) {
 	e.k.hydrate()
 	if size < 0 {
-		e.Crash(CrashMallocUnder, "malloc(%d): integer underflow", size)
+		panic(&CrashError{Kind: CrashMallocUnder, Site: site, Msg: fmt.Sprintf("malloc(%d): integer underflow", size)})
 	}
 	e.k.allocated += size
 	if e.k.AllocLimit > 0 && e.k.allocated > e.k.AllocLimit {
-		e.Crash(CrashOOM, "allocation of %d bytes exceeds container limit", size)
+		panic(&CrashError{Kind: CrashOOM, Site: site, Msg: fmt.Sprintf("allocation of %d bytes exceeds container limit", size)})
 	}
 }
 
@@ -168,15 +180,15 @@ func (e *Env) Free(size int64) {
 // reproduces Table 1's dcmtk footnote: a snapshot fuzzer resets the
 // corruption with every test case and therefore only sees the bug under
 // ASan, while a persistent-process fuzzer like AFLnet accumulates state
-// until it crashes even without ASan.
-func (e *Env) CorruptMemory(amount int) {
+// until it crashes even without ASan. Both crash at site.
+func (e *Env) CorruptMemory(site string, amount int) {
 	e.k.hydrate()
 	if e.k.Asan {
-		e.Crash(CrashHeapCorruption, "heap buffer overflow detected by ASan")
+		panic(&CrashError{Kind: CrashHeapCorruption, Site: site, Msg: "heap buffer overflow detected by ASan"})
 	}
 	e.k.corruption += amount
 	if e.k.corruption >= CorruptionFaultThreshold {
-		e.Crash(CrashHeapCorruption, "delayed fault after %d accumulated corruptions", e.k.corruption)
+		panic(&CrashError{Kind: CrashHeapCorruption, Site: site, Msg: fmt.Sprintf("delayed fault after %d accumulated corruptions", e.k.corruption)})
 	}
 }
 
@@ -185,7 +197,7 @@ func (e *Env) CorruptMemory(amount int) {
 const CorruptionFaultThreshold = 6
 
 // NullDeref reports a null-pointer dereference (the Firefox IPC bug class,
-// §5.7).
+// §5.7) in what, which is its fault site.
 func (e *Env) NullDeref(what string) {
-	e.Crash(CrashNullDeref, "null pointer dereference in %s", what)
+	panic(&CrashError{Kind: CrashNullDeref, Site: what, Msg: "null pointer dereference in " + what})
 }

@@ -330,15 +330,7 @@ func (a *Agent) execOp(env *guest.Env, op spec.Op, values []Value) (crash *guest
 	}
 	nt := &a.S.Nodes[op.Node]
 
-	defer func() {
-		if r := recover(); r != nil {
-			if ce, ok := r.(*guest.CrashError); ok {
-				crash = ce
-				return
-			}
-			panic(r)
-		}
-	}()
+	defer guest.RecoverCrash(&crash)
 
 	resolve := func(j int) (Value, error) {
 		if j >= len(op.Args) || int(op.Args[j]) >= len(values) {

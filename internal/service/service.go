@@ -20,10 +20,10 @@
 // checkpoint.
 //
 // Observability is an ordered per-campaign event feed (state changes,
-// coverage-over-time points, deduplicated crashes). Every subscriber reads
-// the same ordered log from any starting sequence number, so each event —
-// in particular each globally deduplicated crash — is delivered to each
-// subscriber exactly once.
+// coverage-over-time points, crash buckets). Every subscriber reads the same
+// ordered log from any starting sequence number, so each event — in
+// particular each global crash bucket, one distinct bug — is delivered to
+// each subscriber exactly once.
 package service
 
 import (
@@ -151,8 +151,8 @@ type Event struct {
 	Crash *CrashInfo    `json:"crash,omitempty"`
 }
 
-// CrashInfo is the crash-feed payload (one per globally deduplicated
-// crash, in discovery order).
+// CrashInfo is the crash-feed payload: one per global crash bucket
+// (core.CrashID), in discovery order, describing the bucket's first crash.
 type CrashInfo struct {
 	Kind    string        `json:"kind"`
 	Msg     string        `json:"msg"`

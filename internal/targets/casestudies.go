@@ -260,12 +260,12 @@ func (t *lighttpdServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 			remaining := contentLength - body
 			// The §5.5 bug: the remaining-length computation can go
 			// negative and flows into the allocator.
-			env.Alloc(remaining)
+			env.Alloc("lighttpd: request body remaining length", remaining)
 			env.Free(remaining)
 			env.Cov(loc(lighttpdNS, 10))
 		} else if contentLength < -1 {
 			env.Cov(loc(lighttpdNS, 11)) // negative Content-Length header
-			env.Alloc(contentLength)
+			env.Alloc("lighttpd: negative Content-Length", contentLength)
 		}
 	}
 	if strings.Contains(path, "..") {

@@ -66,7 +66,7 @@ func (t *dcmtkServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 			// the declared length but filled from the wire. Writing the
 			// bookkeeping trailer goes out of bounds — detectable
 			// immediately only by ASan.
-			env.CorruptMemory(2)
+			env.CorruptMemory("dcmtk: PDU reassembly trailer", 2)
 		}
 	}
 

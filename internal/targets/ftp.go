@@ -122,7 +122,7 @@ func (t *ftpServer) OnPacket(env *guest.Env, c *guest.Conn, data []byte) {
 		covByte(env, t.cfg.ns, 3, firstByte(data))
 		if t.cfg.leakPerJunk > 0 {
 			t.Leaked += t.cfg.leakPerJunk
-			env.Alloc(t.cfg.leakPerJunk)
+			env.Alloc("ftp: unknown-command reply buffer", t.cfg.leakPerJunk)
 			if t.Leaked > t.cfg.leakLimit {
 				env.Crash(guest.CrashOOMInternal,
 					"%s: internal allocation limit exceeded (%d bytes leaked)", t.cfg.name, t.Leaked)

@@ -122,8 +122,14 @@ func runPackets(t *testing.T, name string, asan bool, payloads ...[]byte) netemu
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, _ := Lookup(name)
-	conName := "connect_" + string(info.Port.Proto) + "_" + itoa(info.Port.Num)
+	return runSession(t, inst, inst.Info.Port, payloads...)
+}
+
+// runSession runs, from inst's root snapshot, one connection to port that
+// sends payloads.
+func runSession(t *testing.T, inst *Instance, port guest.Port, payloads ...[]byte) netemu.Result {
+	t.Helper()
+	conName := "connect_" + string(port.Proto) + "_" + itoa(port.Num)
 	con, ok := inst.Spec.NodeByName(conName)
 	if !ok {
 		t.Fatalf("no node %s", conName)
