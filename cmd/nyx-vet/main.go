@@ -1,22 +1,19 @@
-// Command nyx-vet runs the repository's analyzer suite (internal/analysis):
-// nodeterm, aliasret, lockheld and slicearg — the machine-checked
-// versions of the determinism, aliasing, and locking invariants the
-// virtual-time design depends on. The nodeterm and lockheld checks are
-// interprocedural: facts
-// propagate through a whole-program call graph, and diagnostics carry the
-// full call chain to the offending source site.
+// Command nyx-vet runs the repository's analyzer (internal/analysis):
+// lockheld, the machine check that nothing blocks, taking another mutex
+// included, while a service or store mutex is held. The check is
+// interprocedural: may-block facts propagate through a whole-program call
+// graph, and diagnostics carry the full call chain to the blocking site.
 //
 // Usage (the form CI runs):
 //
 //	go run ./cmd/nyx-vet ./...
-//	nyx-vet [-json] [packages...]
+//	nyx-vet [packages...]
 //
 // Exit status is 0 when the tree is clean and 1 when diagnostics were
 // reported or loading failed.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,14 +28,12 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("nyx-vet", flag.ExitOnError)
-	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: nyx-vet [-json] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(fs.Output(), "usage: nyx-vet [packages]\n\nAnalyzers:\n")
 		for _, a := range analysis.All() {
 			doc, _, _ := strings.Cut(a.Doc, "\n")
 			fmt.Fprintf(fs.Output(), "  %-10s %s\n", a.Name, doc)
 		}
-		fs.PrintDefaults()
 	}
 	fs.Parse(args)
 	patterns := fs.Args()
@@ -62,26 +57,8 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "nyx-vet:", err)
 		return 1
 	}
-	if *jsonOut {
-		type jsonDiag struct {
-			Pos      string `json:"pos"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		}
-		type jsonReport struct {
-			Diags []jsonDiag `json:"diagnostics"`
-		}
-		out := jsonReport{Diags: make([]jsonDiag, 0, len(diags))}
-		for _, d := range diags {
-			out.Diags = append(out.Diags, jsonDiag{loader.Fset.Position(d.Pos).String(), d.Analyzer, d.Message})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "\t")
-		enc.Encode(out)
-	} else {
-		for _, d := range diags {
-			fmt.Printf("%s: %s: %s\n", loader.Fset.Position(d.Pos), d.Analyzer, d.Message)
-		}
+	for _, d := range diags {
+		fmt.Printf("%s: %s: %s\n", loader.Fset.Position(d.Pos), d.Analyzer, d.Message)
 	}
 	if len(diags) > 0 {
 		return 1

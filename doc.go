@@ -16,19 +16,18 @@
 // for a tour; its "Package map" section maps the paper's sections to
 // packages.
 //
-// The repository's determinism, aliasing and locking invariants are
-// machine-checked by a repo-specific analyzer suite
-// (analysis, driven by cmd/nyx-vet, gating CI). The suite is
-// interprocedural — a whole-program call graph with class-hierarchy
-// interface resolution carries fixed-point per-function facts, and
-// diagnostics report the full call chain to the offending line: virtual-
-// time packages must not reach wall clocks or the global rand generator
-// through any callee, nor leak map iteration order into output; exported
-// APIs must not return or retain aliased slices (the PR-4 DirtyPages bug
-// class); nothing may block while a broker/service/store mutex is held,
-// and taking another mutex counts as blocking, so no lock order can
-// deadlock (lockheld). Deliberate exceptions are annotated in source with
-// reasoned //nyx: directives, which suppress the fact at its source and
-// thereby untaint every caller; see the "Static analysis" section of
-// README.md.
+// The repository's determinism and aliasing invariants are checked by
+// running the code: seeded recordings and run-twice comparisons fail on a
+// wall clock, the global rand generator or a map's order steering a
+// campaign, and tests that mutate what an API returned, or reuse a buffer
+// it was handed, fail on an alias. The one invariant no run shows, that
+// nothing blocks while a service/store mutex is held (taking another mutex
+// counts as blocking, so no lock order can deadlock), is machine-checked
+// by the lockheld analyzer (analysis, driven by cmd/nyx-vet, gating CI).
+// It is interprocedural: a whole-program call graph with class-hierarchy
+// interface resolution carries a fixed-point may-block fact per function,
+// and a diagnostic reports the full call chain to the blocking line. A
+// reviewed exception is annotated in source with a reasoned //nyx:blocking
+// directive, which suppresses the fact at its source and thereby untaints
+// every caller; see the "Static analysis" section of README.md.
 package repro

@@ -1,39 +1,30 @@
-// Package analysis is nyx-vet's repo-specific analyzer suite: a small,
+// Package analysis is nyx-vet's repo-specific analyzer: a small,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
-// surface (Analyzer, Pass, Diagnostic) plus an offline package loader, used
-// to mechanically enforce the determinism, aliasing, and locking invariants
-// this repository's virtual-time design depends on.
+// surface (Analyzer, Pass, Diagnostic) plus an offline package loader,
+// used to enforce the one locking invariant no runtime check sees.
 //
 // The container building this repository has no module proxy access, so the
 // framework deliberately uses only the standard library: packages are
 // discovered with `go list -deps -json` and type-checked with go/types
 // (see load.go). The analyzer API mirrors x/tools closely enough that the
-// analyzers could be ported to real go/analysis verbatim if the dependency
+// analyzer could be ported to real go/analysis verbatim if the dependency
 // ever becomes available.
 //
-// # Invariants enforced
+// # Invariant enforced
 //
-//   - nodeterm: virtual-time packages must not read the wall clock, use the
-//     global math/rand generator, or let map iteration order escape into
-//     outputs. Coverage columns across PRs are compared byte-for-byte
-//     (PR 5's hotpath refactor was accepted only because its coverage output
-//     was identical to PR 4's), so any hidden nondeterminism breaks the
-//     repo's reproducibility contract.
-//   - aliasret: exported functions must not return slices or maps that alias
-//     unexported struct state (the DirtyPages bug class fixed in PR 4, where
-//     an internal page set escaped through the API and later mutations
-//     corrupted the caller's view).
 //   - lockheld: no blocking operation (channel send/receive, select without
 //     default, WaitGroup.Wait, time.Sleep, network or store I/O, or taking
-//     another mutex) may be reachable while a broker/service/store mutex is
-//     held. Since no mutex is ever taken while another is held, no two locks
-//     can be taken in opposite orders: the rule is the suite's
-//     deadlock-freedom guardrail.
-//   - slicearg: exported functions must not retain caller-owned slice
-//     arguments past the call (the retained-trace bug class the broker's
-//     orderImportsInto scratch rework avoided by hand in PR 5).
+//     another mutex) may be reachable while a service/store mutex is held.
+//     Since no mutex is ever taken while another is held, no two locks can
+//     be taken in opposite orders: the rule is the deadlock-freedom
+//     guardrail. The race detector does not see it: a lock held across a
+//     call that takes another lock races on nothing.
 //
-// What the suite does not check, the tests do: every function on the
+// The repository's other invariants are checked by running the code:
+// seeded recordings and run-twice comparisons catch wall clocks, global
+// rand and map order steering a campaign (service listings and shutdown
+// order included), and tests that mutate what an API returned or reuse a
+// buffer it was handed catch aliasing. Every function on the
 // restore, lookup and resumed-run paths runs under a testing.AllocsPerRun
 // test that holds it to zero allocations, and no write through a spec.Op's
 // shared Args or Data array gets past the shared-input contract tests
@@ -41,32 +32,28 @@
 //
 // # Interprocedural layer
 //
-// nodeterm and lockheld are backed by a whole-program fact engine
-// (callgraph.go, facts.go): a call graph over every loaded package — static
-// calls plus CHA resolution of interface method calls — carries
-// per-function summaries (reads-wallclock, uses-global-rand, may-block) to a
-// fixed point. Diagnostics for transitive findings include
-// the full witness chain, e.g. (from the lockheld fixture,
-// testdata/src/repro/internal/campaign/a.go)
+// lockheld is backed by a whole-program fact engine (callgraph.go,
+// facts.go): a call graph over every loaded package — static calls plus CHA
+// resolution of interface method calls — carries a per-function may-block
+// summary to a fixed point. Diagnostics for transitive findings include the
+// full witness chain, e.g. (from the lockheld fixture,
+// testdata/src/repro/internal/store/a.go)
 //
-//	call that may block: campaign.(*Broker).emit → campaign.(*Broker).relay (channel send at a.go:101) while b.mu is held
+//	call that may block: store.(*Bucket).emit → store.(*Bucket).relay (channel send at a.go:101) while b.mu is held
 //
 // so a suppression is reviewable without re-deriving the path by hand. A
-// directive placed at the *source* site (the time.Now call, the blocking
-// call) suppresses the fact itself: a reviewed source does not taint its callers.
+// directive placed at the *source* site (the blocking call) suppresses the
+// fact itself: a reviewed source does not taint its callers.
 //
-// # Directives
+// # Directive
 //
-// Deliberate exceptions are annotated in source with a directive comment on
+// A reviewed exception is annotated in source with a directive comment on
 // the flagged line, the line above it, or the enclosing function's doc
 // comment, always with a reason:
 //
-//	//nyx:wallclock <why>  - wall-clock telemetry site (nodeterm)
-//	//nyx:rand <why>       - deliberate global-rand use (nodeterm)
-//	//nyx:maporder <why>   - map iteration order provably cannot escape (nodeterm)
-//	//nyx:aliased <why>    - documented zero-copy return (aliasret)
 //	//nyx:blocking <why>   - reviewed blocking call under lock (lockheld)
-//	//nyx:retains <why>    - documented ownership transfer (slicearg)
+//
+// Comments of other //nyx: names are not directives.
 package analysis
 
 import (
@@ -74,6 +61,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -85,11 +73,11 @@ type Analyzer struct {
 	Doc  string
 
 	// PkgPaths restricts the analyzer to packages with exactly these import
-	// paths (e.g. "repro/internal/core"). An empty list applies the
+	// paths (e.g. "repro/internal/store"). An empty list applies the
 	// analyzer to every package. Matching is on the full path: gating by
 	// the path's base name would also capture unrelated dependencies that
-	// happen to end in the same element (any future dep ending in /core
-	// would silently inherit the virtual-time contract).
+	// happen to end in the same element (any future dep ending in /store
+	// would silently inherit the locking contract).
 	PkgPaths []string
 
 	Run func(*Pass) error
@@ -120,14 +108,12 @@ type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
-	Pkg       *types.Package
 	TypesInfo *types.Info
 	PkgPath   string
 
 	// Prog is the interprocedural view over every package in the Run: the
-	// call graph and the transitive fact summaries (see callgraph.go and
-	// facts.go). Analyzers consult it for reachability checks; purely
-	// intraprocedural analyzers can ignore it.
+	// call graph and the transitive may-block summaries (see callgraph.go
+	// and facts.go).
 	Prog *Program
 
 	Report func(Diagnostic)
@@ -139,98 +125,71 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Allowed reports whether the finding at node is suppressed by a
-// //nyx:<name> directive: on the node's line, on the line directly above it,
-// or in the doc comment of the function declaration enclosing it.
-func (p *Pass) Allowed(node ast.Node, name string) bool {
-	return p.Prog.pkgDirectives(p.PkgPath).allowed(p.Fset, node.Pos(), name)
+// //nyx:blocking directive: on the node's line, on the line directly above
+// it, or in the doc comment of the function declaration enclosing it.
+func (p *Pass) Allowed(node ast.Node) bool {
+	return p.Prog.pkgDirectives(p.PkgPath).allowed(p.Fset, node.Pos())
 }
 
-// directiveIndex records every //nyx: directive by file position.
+// directiveIndex records every //nyx:blocking directive by file position.
 type directiveIndex struct {
-	// lines maps "file:line" of a directive comment to the directive names
-	// present on that line.
-	lines map[string]map[string]bool
-	// funcs holds, per file, the position ranges of function declarations
-	// whose doc comment carries directives.
-	funcs []funcDirectives
+	// lines holds the "file:line" of every directive comment.
+	lines map[string]bool
+	// funcs holds the position ranges of function declarations whose doc
+	// comment carries a directive.
+	funcs []funcRange
 }
 
-type funcDirectives struct {
-	pos, end token.Pos
-	names    map[string]bool
-}
+type funcRange struct{ pos, end token.Pos }
 
-const directivePrefix = "//nyx:"
+// directive is lockheld's waiver, the one //nyx: name nyx-vet reads.
+const directive = "//nyx:blocking"
 
 func indexDirectives(fset *token.FileSet, files []*ast.File) *directiveIndex {
-	idx := &directiveIndex{lines: make(map[string]map[string]bool)}
+	idx := &directiveIndex{lines: make(map[string]bool)}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				name, ok := parseDirective(c.Text)
-				if !ok {
-					continue
+				if isDirective(c.Text) {
+					pos := fset.Position(c.Pos())
+					idx.lines[lineKey(pos.Filename, pos.Line)] = true
 				}
-				pos := fset.Position(c.Pos())
-				key := lineKey(pos.Filename, pos.Line)
-				if idx.lines[key] == nil {
-					idx.lines[key] = make(map[string]bool)
-				}
-				idx.lines[key][name] = true
 			}
 		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			names := make(map[string]bool)
-			for _, c := range fd.Doc.List {
-				if name, ok := parseDirective(c.Text); ok {
-					names[name] = true
-				}
-			}
-			if len(names) > 0 {
-				idx.funcs = append(idx.funcs, funcDirectives{pos: fd.Pos(), end: fd.End(), names: names})
+			if ok && fd.Doc != nil && slices.ContainsFunc(fd.Doc.List, func(c *ast.Comment) bool { return isDirective(c.Text) }) {
+				idx.funcs = append(idx.funcs, funcRange{fd.Pos(), fd.End()})
 			}
 		}
 	}
 	return idx
 }
 
-func parseDirective(text string) (string, bool) {
-	if !strings.HasPrefix(text, directivePrefix) {
-		return "", false
-	}
-	rest := text[len(directivePrefix):]
-	if i := strings.IndexAny(rest, " \t"); i >= 0 {
-		rest = rest[:i]
-	}
-	if rest == "" {
-		return "", false
-	}
-	return rest, true
+// isDirective reports whether a comment's text is a //nyx:blocking
+// directive: the name, then the end of the comment or a blank before the
+// reason.
+func isDirective(text string) bool {
+	rest, ok := strings.CutPrefix(text, directive)
+	return ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t')
 }
 
 func lineKey(file string, line int) string {
 	return fmt.Sprintf("%s:%d", file, line)
 }
 
-// allowed reports whether a name directive covers pos; a nil index (a
-// package outside the Run) allows nothing.
-func (idx *directiveIndex) allowed(fset *token.FileSet, pos token.Pos, name string) bool {
+// allowed reports whether a directive covers pos; a nil index (a package
+// outside the Run) allows nothing.
+func (idx *directiveIndex) allowed(fset *token.FileSet, pos token.Pos) bool {
 	if idx == nil {
 		return false
 	}
 	p := fset.Position(pos)
-	if idx.lines[lineKey(p.Filename, p.Line)][name] {
-		return true
-	}
-	if idx.lines[lineKey(p.Filename, p.Line-1)][name] {
+	if idx.lines[lineKey(p.Filename, p.Line)] || idx.lines[lineKey(p.Filename, p.Line-1)] {
 		return true
 	}
 	for _, fd := range idx.funcs {
-		if fd.names[name] && pos >= fd.pos && pos < fd.end {
+		if pos >= fd.pos && pos < fd.end {
 			return true
 		}
 	}
@@ -254,7 +213,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Analyzer:  a,
 				Fset:      pkg.Fset,
 				Files:     pkg.Files,
-				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
 				PkgPath:   pkg.PkgPath,
 				Prog:      prog,
@@ -293,5 +251,5 @@ func sortDiagnostics(pkgs []*Package, diags []Diagnostic) {
 
 // All returns the full nyx-vet analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{NoDeterm, AliasRet, LockHeld, SliceArg}
+	return []*Analyzer{LockHeld}
 }

@@ -33,19 +33,19 @@ func TestAppliesTo(t *testing.T) {
 func TestParseDirective(t *testing.T) {
 	cases := []struct {
 		text string
-		name string
 		ok   bool
 	}{
-		{"//nyx:wallclock telemetry site", "wallclock", true},
-		{"//nyx:maporder", "maporder", true},
-		{"// nyx:wallclock", "", false}, // directives allow no space after //
-		{"//nyx:", "", false},
-		{"// plain comment", "", false},
+		{"//nyx:blocking buffered control channel, never full", true},
+		{"//nyx:blocking", true},
+		{"//nyx:blocking\tafter a tab", true},
+		{"//nyx:blockingly", false},
+		{"// nyx:blocking", false},                // directives allow no space after //
+		{"//nyx:wallclock telemetry site", false}, // no analyzer reads this name
+		{"// plain comment", false},
 	}
 	for _, c := range cases {
-		name, ok := parseDirective(c.text)
-		if name != c.name || ok != c.ok {
-			t.Errorf("parseDirective(%q) = %q, %v; want %q, %v", c.text, name, ok, c.name, c.ok)
+		if ok := isDirective(c.text); ok != c.ok {
+			t.Errorf("isDirective(%q) = %v, want %v", c.text, ok, c.ok)
 		}
 	}
 }
@@ -53,15 +53,17 @@ func TestParseDirective(t *testing.T) {
 func TestDirectiveIndex(t *testing.T) {
 	const src = `package p
 
-//nyx:wallclock doc directive covers the whole function
+//nyx:blocking doc directive covers the whole function
 func f() {
 	g()
 }
 
 func g() {
-	h() //nyx:rand same line
-	//nyx:maporder line above
+	h() //nyx:blocking same line
+	//nyx:blocking line above
 	h()
+	h()
+	//nyx:wallclock no analyzer reads this name
 	h()
 }
 `
@@ -74,19 +76,19 @@ func g() {
 	posAt := func(line int) token.Pos {
 		return fset.File(f.Pos()).LineStart(line)
 	}
-	if !idx.allowed(fset, posAt(5), "wallclock") {
+	if !idx.allowed(fset, posAt(5)) {
 		t.Error("function-doc directive should cover statements in the function")
 	}
-	if !idx.allowed(fset, posAt(9), "rand") {
+	if !idx.allowed(fset, posAt(9)) {
 		t.Error("same-line directive should allow")
 	}
-	if !idx.allowed(fset, posAt(11), "maporder") {
+	if !idx.allowed(fset, posAt(11)) {
 		t.Error("line-above directive should allow")
 	}
-	if idx.allowed(fset, posAt(12), "maporder") {
-		t.Error("directive two lines up must not allow")
+	if idx.allowed(fset, posAt(12)) {
+		t.Error("directive two lines up must not allow, and g is not covered by f's doc directive")
 	}
-	if idx.allowed(fset, posAt(9), "wallclock") {
-		t.Error("g is not covered by f's doc directive")
+	if idx.allowed(fset, posAt(14)) {
+		t.Error("a comment of another //nyx: name must not allow")
 	}
 }

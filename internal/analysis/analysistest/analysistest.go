@@ -1,4 +1,4 @@
-// Package analysistest runs nyx-vet analyzers against golden fixture
+// Package analysistest runs a nyx-vet analyzer against golden fixture
 // packages under testdata/src, mirroring the x/tools package of the same
 // name: fixture files mark each expected diagnostic with a trailing
 //
@@ -43,8 +43,8 @@ var (
 // Run analyzes the fixture package testdata/src/<pkgPath> with a and
 // compares diagnostics against the fixture's want comments (collected from
 // the main package and every dep). The fixture's import path is pkgPath
-// itself, so analyzer package gating (e.g. nodeterm only applying to
-// virtual-time packages) is exercised by the full path. Dep fixtures are
+// itself, so analyzer package gating (e.g. lockheld only applying to the
+// service and store packages) is exercised by the full path. Dep fixtures are
 // loaded first so the main package's imports resolve against them.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPath string, deps ...string) {
 	t.Helper()
@@ -138,7 +138,7 @@ func loadFixture(t *testing.T, testdata, pkgPath string) *analysis.Package {
 	if len(files) == 0 {
 		t.Fatalf("no fixture files in %s", dir)
 	}
-	pkg, err := loader.CheckFiles(pkgPath, dir, files)
+	pkg, err := loader.CheckFiles(pkgPath, files)
 	if err != nil {
 		t.Fatalf("type-checking fixture %s: %v", pkgPath, err)
 	}

@@ -9,7 +9,7 @@ import (
 
 // Program is the interprocedural view shared by every pass of one Run: a
 // call graph over all loaded target packages (the ones with full bodies)
-// and the per-function fact summaries computed over it. Dependencies loaded
+// and the per-function may-block summaries computed over it. Dependencies loaded
 // API-only contribute no nodes; calls into them resolve to nil targets and
 // simply terminate propagation, which is what keeps the fact engine seeded
 // exclusively by source the repository owns.
@@ -17,7 +17,6 @@ type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package
 
-	byPath map[string]*Package
 	// nodes holds every declared function/method in a target package, in
 	// deterministic order: (package path, position). Function literals are
 	// folded into their enclosing declaration.
@@ -26,11 +25,12 @@ type Program struct {
 	// methods CHA resolves a dynamic call to. Keyed by the interface
 	// *types.Func of the method.
 	implementers map[*types.Func][]*types.Func
-	// directives indexes //nyx: comments per package so fact generation can
-	// honour source-site suppressions before any pass runs.
+	// directives indexes //nyx:blocking comments per package so fact
+	// generation can honour source-site suppressions before any pass runs.
 	directives map[string]*directiveIndex
 
-	facts map[*types.Func]*funcFacts
+	// blocks holds why each function that may block does.
+	blocks map[*types.Func]*witness
 }
 
 // FuncNode is one declared function or method in a target package.
@@ -38,7 +38,8 @@ type FuncNode struct {
 	Fn   *types.Func
 	Decl *ast.FuncDecl
 	Pkg  *Package
-	// Calls are the node's resolved outgoing call sites in source order.
+	// Calls are the node's resolved outgoing call sites in source order,
+	// leaving out calls launched with go or defer (see inspectInline).
 	Calls []*CallSite
 }
 
@@ -48,22 +49,15 @@ type CallSite struct {
 	Pos  token.Pos
 	// Callees lists the possible static targets: a single *types.Func for a
 	// direct call, or every CHA-resolved concrete method for a call through
-	// an interface. Empty for calls through plain func values.
+	// an interface.
 	Callees []*types.Func
-	// ViaGo marks a call made inside a `go`-launched or deferred function
-	// literal (or a direct `go f()`/`defer f()` statement): nondeterminism
-	// facts still flow to the spawner, but may-block facts do not — the
-	// spawner does not wait for the call, and a deferred call runs
-	// after the function's own unlocks.
-	ViaGo bool
 }
 
-// buildProgram constructs the call graph and computes fact summaries for
-// the given target packages.
+// buildProgram constructs the call graph and computes the may-block
+// summaries for the given target packages.
 func buildProgram(pkgs []*Package) *Program {
 	prog := &Program{
 		Pkgs:         pkgs,
-		byPath:       make(map[string]*Package),
 		implementers: make(map[*types.Func][]*types.Func),
 		directives:   make(map[string]*directiveIndex),
 	}
@@ -71,7 +65,6 @@ func buildProgram(pkgs []*Package) *Program {
 		prog.Fset = pkgs[0].Fset
 	}
 	for _, pkg := range pkgs {
-		prog.byPath[pkg.PkgPath] = pkg
 		prog.directives[pkg.PkgPath] = indexDirectives(pkg.Fset, pkg.Files)
 	}
 	prog.collectNodes()
@@ -81,7 +74,8 @@ func buildProgram(pkgs []*Package) *Program {
 	return prog
 }
 
-// pkgDirectives returns the //nyx: directive index for a loaded package.
+// pkgDirectives returns the //nyx:blocking directive index for a loaded
+// package.
 func (prog *Program) pkgDirectives(pkgPath string) *directiveIndex {
 	return prog.directives[pkgPath]
 }
@@ -200,47 +194,41 @@ func (prog *Program) resolveCalls() {
 }
 
 func (prog *Program) resolveNodeCalls(node *FuncNode) {
-	info := node.Pkg.TypesInfo
-	// goDepth counts enclosing go/defer function literals (and direct
-	// go/defer call statements) around the current position.
-	var walk func(n ast.Node, viaGo bool)
-	walk = func(n ast.Node, viaGo bool) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.GoStmt:
-				prog.addCall(node, info, m.Call, true)
-				walkDetachedCall(m.Call, viaGo, walk)
-				return false
-			case *ast.DeferStmt:
-				prog.addCall(node, info, m.Call, true)
-				walkDetachedCall(m.Call, viaGo, walk)
-				return false
-			case *ast.CallExpr:
-				prog.addCall(node, info, m, viaGo)
-				return true
-			}
-			return true
-		})
-	}
-	walk(node.Decl.Body, false)
+	inspectInline(node.Decl.Body, func(n ast.Node) {
+		if call, ok := n.(*ast.CallExpr); ok {
+			prog.addCall(node, node.Pkg.TypesInfo, call)
+		}
+	})
 	sort.Slice(node.Calls, func(i, j int) bool { return node.Calls[i].Pos < node.Calls[j].Pos })
 }
 
-// walkDetachedCall continues a walk through a go/defer statement: the
-// called function literal's body runs detached (another goroutine, or after
-// the function's own unlocks), so calls inside it are viaGo; argument
-// expressions evaluate immediately and keep the surrounding context.
-func walkDetachedCall(call *ast.CallExpr, viaGo bool, walk func(ast.Node, bool)) {
-	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		walk(lit.Body, true)
-	}
-	for _, arg := range call.Args {
-		walk(arg, viaGo)
-	}
+// inspectInline calls f on every node of body in the function's own flow:
+// a call launched with go or defer runs detached (on another goroutine, or
+// after the function's own unlocks), so its function and the call itself
+// are skipped, and only its arguments, which evaluate in place, are walked.
+func inspectInline(body ast.Node, f func(ast.Node)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		var call *ast.CallExpr
+		switch n := n.(type) {
+		case nil:
+			return false
+		case *ast.GoStmt:
+			call = n.Call
+		case *ast.DeferStmt:
+			call = n.Call
+		default:
+			f(n)
+			return true
+		}
+		for _, arg := range call.Args {
+			inspectInline(arg, f)
+		}
+		return false
+	})
 }
 
-func (prog *Program) addCall(node *FuncNode, info *types.Info, call *ast.CallExpr, viaGo bool) {
-	site := &CallSite{Call: call, Pos: call.Pos(), ViaGo: viaGo}
+func (prog *Program) addCall(node *FuncNode, info *types.Info, call *ast.CallExpr) {
+	site := &CallSite{Call: call, Pos: call.Pos()}
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
@@ -263,7 +251,7 @@ func (prog *Program) addCall(node *FuncNode, info *types.Info, call *ast.CallExp
 		// Immediately-invoked literal: body already walked inline.
 	}
 	if len(site.Callees) == 0 {
-		// Unresolved (func value, builtin, conversion, literal): facts
+		// Unresolved (func value, builtin, conversion, literal): a fact
 		// cannot flow through the site, so there is nothing to record.
 		return
 	}

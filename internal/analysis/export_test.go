@@ -2,20 +2,21 @@ package analysis
 
 import "go/ast"
 
-// Waiver is one //nyx: directive comment of a loaded package.
+// Waiver is one //nyx:blocking directive comment of a loaded package.
 type Waiver struct {
 	PkgPath string
 	Comment *ast.Comment
 }
 
-// Waivers lists every //nyx: directive in pkgs.
+// Waivers lists every //nyx:blocking directive in pkgs; comments of other
+// //nyx: names are not waivers.
 func Waivers(pkgs []*Package) []Waiver {
 	var ws []Waiver
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					if _, ok := parseDirective(c.Text); ok {
+					if isDirective(c.Text) {
 						ws = append(ws, Waiver{pkg.PkgPath, c})
 					}
 				}

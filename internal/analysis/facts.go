@@ -5,47 +5,23 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
-// A fact is one boolean summary about a function, computed directly from
-// its body and then propagated transitively through the call graph to a
-// fixed point.
-type factKind int
+// The fact engine keeps one boolean summary per function, may-block: the
+// function blocks (channel op, blocking select, Lock, Wait, sleep, net or
+// store I/O) directly in its body or through a callee. It is computed from
+// each body and then propagated through the call graph to a fixed point.
 
-const (
-	factWallclock factKind = iota // calls time.Now/Since/Until
-	factRand                      // consults the global math/rand generator
-	factMayBlock                  // may block: channel op, select, Lock, Wait, sleep, net/store I/O
-	numFactKinds
-)
-
-func (k factKind) String() string {
-	switch k {
-	case factWallclock:
-		return "reads-wallclock"
-	case factRand:
-		return "uses-global-rand"
-	case factMayBlock:
-		return "may-block"
-	}
-	return "unknown-fact"
-}
-
-// witness records why a fact holds for a function: either a direct source
-// site in its own body (Callee == nil) or a call to a function that already
-// had the fact (Callee != nil). Chains reconstructed by following witnesses
-// are minimal in call-graph hops because propagation is round-staged.
+// witness records why a function may block: either a direct source site in
+// its own body (Callee == nil) or a call to a function that already may
+// block (Callee != nil). Chains reconstructed by following witnesses are
+// minimal in call-graph hops because propagation is round-staged.
 type witness struct {
 	Pos    token.Pos
-	Desc   string      // direct witnesses: what the site is, e.g. "time.Now"
+	Desc   string      // direct witnesses: what the site is, e.g. "channel send"
 	Callee *types.Func // transitive witnesses: the callee the fact came from
-}
-
-// funcFacts is the per-function summary.
-type funcFacts struct {
-	has [numFactKinds]bool
-	wit [numFactKinds]witness
 }
 
 // maxPropagationRounds bounds fixed-point iteration; negative means
@@ -55,21 +31,16 @@ var maxPropagationRounds = -1
 
 // SetMaxPropagationRoundsForTest overrides the fixed-point round bound and
 // returns a restore func. Round bound 0 disables transitive propagation
-// entirely, degrading every analyzer to its intraprocedural version.
+// entirely, degrading the analyzer to its intraprocedural version.
 func SetMaxPropagationRoundsForTest(n int) (restore func()) {
 	old := maxPropagationRounds
 	maxPropagationRounds = n
 	return func() { maxPropagationRounds = old }
 }
 
-// facts returns the summary for fn, or nil when fn has no node (stdlib or
-// API-only dependency: no body, no facts).
-func (prog *Program) factsOf(fn *types.Func) *funcFacts {
-	if fn == nil {
-		return nil
-	}
-	return prog.facts[fn]
-}
+// mayBlock returns why fn may block, or nil when it does not or has no node
+// (stdlib or API-only dependency: no body, no facts).
+func (prog *Program) mayBlock(fn *types.Func) *witness { return prog.blocks[fn] }
 
 // computeFacts seeds direct facts from every node's body, then propagates
 // them through call sites round by round (Jacobi style: each round only
@@ -78,53 +49,29 @@ func (prog *Program) factsOf(fn *types.Func) *funcFacts {
 // recorded witnesses independent of map iteration order, and yields
 // shortest witness chains.
 func (prog *Program) computeFacts() {
-	prog.facts = make(map[*types.Func]*funcFacts, len(prog.nodes))
+	prog.blocks = make(map[*types.Func]*witness, len(prog.nodes))
 	for _, node := range prog.nodes {
-		prog.facts[node.Fn] = prog.directFacts(node)
-	}
-	round := 0
-	for {
-		if maxPropagationRounds >= 0 && round >= maxPropagationRounds {
-			return
+		if w := prog.directFacts(node); w != nil {
+			prog.blocks[node.Fn] = w
 		}
-		round++
+	}
+	for round := 0; maxPropagationRounds < 0 || round < maxPropagationRounds; round++ {
+		// The round collects its updates before committing any: the scan
+		// must only observe the previous round's fixed state, or chains
+		// lose their shortest-path property.
 		type update struct {
-			ff   *funcFacts
-			kind factKind
-			wit  witness
+			fn *types.Func
+			w  *witness
 		}
 		var updates []update
-		// seen dedupes updates within the round without mutating the state
-		// the scan reads: the scan must only observe the previous round's
-		// fixed state, or chains lose their shortest-path property and
-		// half-committed witnesses could be read back.
-		type updKey struct {
-			ff   *funcFacts
-			kind factKind
-		}
-		seen := make(map[updKey]bool)
 		for _, node := range prog.nodes {
-			ff := prog.facts[node.Fn]
+			if prog.blocks[node.Fn] != nil {
+				continue
+			}
 			for _, site := range node.Calls {
-				for _, callee := range site.Callees {
-					cf := prog.factsOf(callee)
-					if cf == nil || cf == ff {
-						continue
-					}
-					for k := factKind(0); k < numFactKinds; k++ {
-						if !cf.has[k] || ff.has[k] || seen[updKey{ff, k}] {
-							continue
-						}
-						// Detached execution: the spawner still inherits
-						// nondeterminism (the output diverges regardless of
-						// which goroutine reads the clock), but not blocking.
-						if site.ViaGo && k == factMayBlock {
-							continue
-						}
-						seen[updKey{ff, k}] = true
-						updates = append(updates, update{ff: ff, kind: k,
-							wit: witness{Pos: site.Pos, Callee: callee}})
-					}
+				if i := slices.IndexFunc(site.Callees, func(c *types.Func) bool { return prog.mayBlock(c) != nil }); i >= 0 {
+					updates = append(updates, update{node.Fn, &witness{Pos: site.Pos, Callee: site.Callees[i]}})
+					break
 				}
 			}
 		}
@@ -132,96 +79,41 @@ func (prog *Program) computeFacts() {
 			return
 		}
 		for _, u := range updates {
-			u.ff.has[u.kind] = true
-			u.ff.wit[u.kind] = u.wit
+			prog.blocks[u.fn] = u.w
 		}
 	}
 }
 
-// directFacts scans one function body for fact sources. A //nyx: directive
-// at the source site (wallclock, rand, blocking) suppresses the fact
-// itself: the site was reviewed where it happens, so callers are not
+// directFacts scans one function body for blocking sites and returns the
+// first, or nil. A //nyx:blocking directive at the site suppresses the
+// fact itself: the site was reviewed where it happens, so callers are not
 // tainted by it.
-func (prog *Program) directFacts(node *FuncNode) *funcFacts {
-	ff := &funcFacts{}
-	allowed := func(pos token.Pos, name string) bool {
-		return prog.allowedAt(node.Pkg, pos, name)
-	}
-	set := func(k factKind, pos token.Pos, desc string) {
-		if !ff.has[k] {
-			ff.has[k] = true
-			ff.wit[k] = witness{Pos: pos, Desc: desc}
+func (prog *Program) directFacts(node *FuncNode) *witness {
+	var w *witness
+	set := func(pos token.Pos, desc string) {
+		if w == nil && !prog.pkgDirectives(node.Pkg.PkgPath).allowed(node.Pkg.Fset, pos) {
+			w = &witness{Pos: pos, Desc: desc}
 		}
 	}
-
-	var walk func(n ast.Node, viaGo bool)
-	walk = func(n ast.Node, viaGo bool) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.GoStmt:
-				walkDetachedCall(m.Call, viaGo, walk)
-				scanCallFacts(node, m.Call, true, allowed, set)
-				return false
-			case *ast.DeferStmt:
-				walkDetachedCall(m.Call, viaGo, walk)
-				scanCallFacts(node, m.Call, true, allowed, set)
-				return false
-			case *ast.CallExpr:
-				scanCallFacts(node, m, viaGo, allowed, set)
-			case *ast.SendStmt:
-				if !viaGo && !allowed(m.Pos(), "blocking") {
-					set(factMayBlock, m.Pos(), "channel send")
-				}
-			case *ast.UnaryExpr:
-				if m.Op == token.ARROW && !viaGo && !allowed(m.Pos(), "blocking") {
-					set(factMayBlock, m.Pos(), "channel receive")
-				}
-			case *ast.SelectStmt:
-				if !viaGo && !selectHasDefault(m) && !allowed(m.Pos(), "blocking") {
-					set(factMayBlock, m.Pos(), "blocking select")
-				}
+	inspectInline(node.Decl.Body, func(n ast.Node) {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if name, ok := blockingCall(node.Pkg.PkgPath, node.Pkg.TypesInfo, n); ok {
+				set(n.Pos(), name)
 			}
-			return true
-		})
-	}
-	walk(node.Decl.Body, false)
-	return ff
-}
-
-// allowedAt checks a //nyx: directive by position using the program-wide
-// directive index (usable outside the reporting package's own pass).
-func (prog *Program) allowedAt(pkg *Package, pos token.Pos, name string) bool {
-	return prog.pkgDirectives(pkg.PkgPath).allowed(pkg.Fset, pos, name)
-}
-
-// scanCallFacts records facts arising directly from one call expression:
-// wall-clock reads, global rand, and known-blocking calls (lock
-// acquisitions among them).
-func scanCallFacts(node *FuncNode, call *ast.CallExpr,
-	viaGo bool, allowed func(token.Pos, string) bool, set func(factKind, token.Pos, string)) {
-
-	pkg := node.Pkg
-	fn := calleeFuncInfo(pkg.TypesInfo, call)
-	if fn == nil || fn.Pkg() == nil {
-		return
-	}
-	path := fn.Pkg().Path()
-	switch {
-	case path == "time" && (fn.Name() == "Now" || fn.Name() == "Since" || fn.Name() == "Until"):
-		if !allowed(call.Pos(), "wallclock") {
-			set(factWallclock, call.Pos(), "time."+fn.Name())
+		case *ast.SendStmt:
+			set(n.Pos(), "channel send")
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				set(n.Pos(), "channel receive")
+			}
+		case *ast.SelectStmt:
+			if !selectHasDefault(n) {
+				set(n.Pos(), "blocking select")
+			}
 		}
-	case (path == "math/rand" || path == "math/rand/v2") &&
-		fn.Signature().Recv() == nil && globalRandFns[fn.Name()]:
-		if !allowed(call.Pos(), "rand") {
-			set(factRand, call.Pos(), "rand."+fn.Name())
-		}
-	}
-	if !viaGo {
-		if name, ok := blockingCall(pkg.PkgPath, pkg.TypesInfo, call); ok && !allowed(call.Pos(), "blocking") {
-			set(factMayBlock, call.Pos(), name)
-		}
-	}
+	})
+	return w
 }
 
 func pkgName(p *types.Package) string {
@@ -247,20 +139,19 @@ func calleeFuncInfo(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// chain renders the witness chain explaining why fact k holds for fn,
-// starting from a call site in the reporting function:
+// chain renders the witness chain explaining why fn may block, starting
+// from a call site in the reporting function:
 //
-//	mem.(*Manager).RestoreRoot → device.Set.LoadSnapshots → time.Now (device/device.go:42)
+//	store.(*Bucket).emit → store.(*Bucket).relay (channel send at a.go:101)
 //
 // The final element is the direct source with its position.
-func (prog *Program) chain(fn *types.Func, k factKind) string {
+func (prog *Program) chain(fn *types.Func) string {
 	var parts []string
 	for hops := 0; fn != nil && hops < 64; hops++ {
-		ff := prog.factsOf(fn)
-		if ff == nil || !ff.has[k] {
+		w := prog.mayBlock(fn)
+		if w == nil {
 			break
 		}
-		w := ff.wit[k]
 		if w.Callee == nil {
 			parts = append(parts, fmt.Sprintf("%s (%s at %s)", shortFuncName(fn), w.Desc, prog.Fset.Position(w.Pos)))
 			return strings.Join(parts, " → ")

@@ -16,7 +16,6 @@ import (
 // Package is one type-checked target package ready for analysis.
 type Package struct {
 	PkgPath   string
-	Dir       string
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Types     *types.Package
@@ -48,11 +47,8 @@ type Loader struct {
 type listPkg struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	GoFiles    []string
-	Imports    []string
 	ImportMap  map[string]string
-	Standard   bool
 	// DepOnly is set by `go list -deps` on packages that are only in the
 	// output as dependencies of the named patterns — it is what lets one
 	// -deps invocation serve as both the target list and the dependency
@@ -78,7 +74,7 @@ func NewLoader(dir string) *Loader {
 // provides both the target set (entries without DepOnly) and the dependency
 // metadata.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	listed, err := l.list(true, patterns...)
+	listed, err := l.list(patterns...)
 	if err != nil {
 		return nil, err
 	}
@@ -120,14 +116,10 @@ func (l *Loader) ensureTarget(m *listPkg) (*Package, error) {
 	return pkg, nil
 }
 
-// list runs go list over the patterns (with -deps when deps is true),
-// merging the metadata into the loader and returning the listed packages.
-func (l *Loader) list(deps bool, patterns ...string) ([]*listPkg, error) {
-	args := []string{"list"}
-	if deps {
-		args = append(args, "-deps")
-	}
-	args = append(args, "-json=ImportPath,Dir,Name,GoFiles,Imports,ImportMap,Standard,DepOnly")
+// list runs go list -deps over the patterns, merging the metadata into the
+// loader and returning the listed packages.
+func (l *Loader) list(patterns ...string) ([]*listPkg, error) {
+	args := []string{"list", "-deps", "-json=ImportPath,Dir,GoFiles,ImportMap,DepOnly"}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = l.Dir
@@ -183,7 +175,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	if !ok {
 		// Metadata not seen yet (e.g. a fixture importing a stdlib package
 		// outside the module's dependency closure): fetch it on demand.
-		if _, err := l.list(true, path); err != nil {
+		if _, err := l.list(path); err != nil {
 			return nil, err
 		}
 		if m, ok = l.meta[path]; !ok {
@@ -215,13 +207,13 @@ func (l *Loader) checkTarget(m *listPkg) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.CheckFiles(m.ImportPath, m.Dir, files)
+	return l.CheckFiles(m.ImportPath, files)
 }
 
 // CheckFiles type-checks already-parsed files as package pkgPath, resolving
 // imports through the loader. It is the entry point used both for target
 // packages and for analysistest fixtures.
-func (l *Loader) CheckFiles(pkgPath, dir string, files []*ast.File) (*Package, error) {
+func (l *Loader) CheckFiles(pkgPath string, files []*ast.File) (*Package, error) {
 	var firstErr error
 	conf := types.Config{
 		Importer:    l,
@@ -246,7 +238,6 @@ func (l *Loader) CheckFiles(pkgPath, dir string, files []*ast.File) (*Package, e
 	l.checked[pkgPath] = tpkg
 	return &Package{
 		PkgPath:   pkgPath,
-		Dir:       dir,
 		Fset:      l.Fset,
 		Files:     files,
 		Types:     tpkg,

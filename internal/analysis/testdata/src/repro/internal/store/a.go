@@ -1,13 +1,13 @@
-// Package campaign is the lockheld fixture: its import path is exactly
-// repro/internal/campaign, one of the gated broker/service/store packages.
-package campaign
+// Package store is the lockheld fixture: its import path is exactly
+// repro/internal/store, one of the gated service/store packages.
+package store
 
 import (
 	"sync"
 	"time"
 )
 
-type Broker struct {
+type Bucket struct {
 	mu  sync.Mutex
 	rw  sync.RWMutex
 	wg  sync.WaitGroup
@@ -15,38 +15,38 @@ type Broker struct {
 	out chan int
 }
 
-func (b *Broker) sendUnderLock() {
+func (b *Bucket) sendUnderLock() {
 	b.mu.Lock()
 	b.ch <- 1 // want `channel send while b\.mu is held`
 	b.mu.Unlock()
 }
 
-func (b *Broker) recvUnderDeferredLock() int {
+func (b *Bucket) recvUnderDeferredLock() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return <-b.ch // want `channel receive while b\.mu is held`
 }
 
-func (b *Broker) sendAfterUnlock() {
+func (b *Bucket) sendAfterUnlock() {
 	b.mu.Lock()
 	n := 1
 	b.mu.Unlock()
 	b.ch <- n // lock released: fine
 }
 
-func (b *Broker) waitUnderLock() {
+func (b *Bucket) waitUnderLock() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.wg.Wait() // want `sync\.WaitGroup\.Wait while b\.mu is held`
 }
 
-func (b *Broker) sleepUnderRLock() {
+func (b *Bucket) sleepUnderRLock() {
 	b.rw.RLock()
 	time.Sleep(time.Millisecond) // want `time\.Sleep while b\.rw is held`
 	b.rw.RUnlock()
 }
 
-func (b *Broker) blockingSelectUnderLock() {
+func (b *Bucket) blockingSelectUnderLock() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	select { // want `blocking select while b\.mu is held`
@@ -56,7 +56,7 @@ func (b *Broker) blockingSelectUnderLock() {
 	}
 }
 
-func (b *Broker) nonBlockingSelectUnderLock() {
+func (b *Bucket) nonBlockingSelectUnderLock() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	select {
@@ -66,7 +66,7 @@ func (b *Broker) nonBlockingSelectUnderLock() {
 	}
 }
 
-func (b *Broker) lockInBranch(cond bool) {
+func (b *Bucket) lockInBranch(cond bool) {
 	if cond {
 		b.mu.Lock()
 		b.ch <- 1 // want `channel send while b\.mu is held`
@@ -74,7 +74,7 @@ func (b *Broker) lockInBranch(cond bool) {
 	}
 }
 
-func (b *Broker) goroutineEscapesRegion() {
+func (b *Bucket) goroutineEscapesRegion() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	go func() {
@@ -82,13 +82,13 @@ func (b *Broker) goroutineEscapesRegion() {
 	}()
 }
 
-func (b *Broker) reviewedBlockingSend() {
+func (b *Bucket) reviewedBlockingSend() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.ch <- 1 //nyx:blocking fixture-reviewed: buffered control channel, never full
 }
 
-func (b *Broker) noLockAtAll() {
+func (b *Bucket) noLockAtAll() {
 	b.ch <- 1
 	<-b.ch
 	b.wg.Wait()
@@ -96,17 +96,17 @@ func (b *Broker) noLockAtAll() {
 
 // emit blocks two calls deep: only the transitive may-block fact makes the
 // send visible to a caller holding the lock.
-func (b *Broker) emit() { b.relay() }
+func (b *Bucket) emit() { b.relay() }
 
-func (b *Broker) relay() { b.out <- 1 }
+func (b *Bucket) relay() { b.out <- 1 }
 
-func (b *Broker) transitiveSendUnderLock() {
+func (b *Bucket) transitiveSendUnderLock() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.emit() // want `call that may block: campaign\.\(\*Broker\)\.emit → campaign\.\(\*Broker\)\.relay \(channel send at .*\) while b\.mu is held`
+	b.emit() // want `call that may block: store\.\(\*Bucket\)\.emit → store\.\(\*Bucket\)\.relay \(channel send at .*\) while b\.mu is held`
 }
 
-func (b *Broker) transitiveSendAfterUnlock() {
+func (b *Bucket) transitiveSendAfterUnlock() {
 	b.mu.Lock()
 	n := 1
 	b.mu.Unlock()
@@ -114,7 +114,7 @@ func (b *Broker) transitiveSendAfterUnlock() {
 	b.emit() // lock released: fine
 }
 
-func (b *Broker) reviewedTransitiveSend() {
+func (b *Bucket) reviewedTransitiveSend() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.emit() //nyx:blocking fixture-reviewed: out is buffered and drained by the owner

@@ -11,7 +11,7 @@ import (
 // The transitive golden cases hide their source two calls deep, so a
 // finding must flow through at least one round of fact propagation to be
 // seen. Running the same fixture with propagation disabled (round bound 0
-// degrades every analyzer to its intraprocedural version) must lose exactly
+// degrades the analyzer to its intraprocedural version) must lose exactly
 // those findings: this proves both that the old direct-call checks miss
 // them and that silently breaking the fact engine fails the golden
 // fixtures, which expect the findings via want comments.
@@ -23,10 +23,8 @@ func TestTransitiveFindingsRequirePropagation(t *testing.T) {
 		deps    []string
 		marker  string // substring present only in the transitive finding
 	}{
-		{"nodeterm", analysis.NoDeterm, "repro/internal/core", []string{"ndep"},
-			"transitively reads the wall clock: ndep.Stamp → ndep.clock"},
-		{"lockheld", analysis.LockHeld, "repro/internal/campaign", nil,
-			"call that may block: campaign.(*Broker).emit → campaign.(*Broker).relay"},
+		{"lockheld", analysis.LockHeld, "repro/internal/store", nil,
+			"call that may block: store.(*Bucket).emit → store.(*Bucket).relay"},
 		{"lockheld-nesting", analysis.LockHeld, "repro/internal/service", []string{"lodep"},
 			"call that may block: lodep.Acquire → lodep.enter"},
 	}

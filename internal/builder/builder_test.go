@@ -37,6 +37,26 @@ func TestBuilderListing2(t *testing.T) {
 	}
 }
 
+// A payload is the caller's again once Packet returns: a seed built by
+// reusing one buffer for every packet carries each packet as it was sent.
+func TestBuilderCopiesPayloads(t *testing.T) {
+	b := New(ftpSpec())
+	con := b.Connection(ftpPort)
+	buf := []byte("USER anonymous")
+	b.Packet(con, buf)
+	copy(buf, "PASS anonymous")
+	b.Packet(con, buf)
+	in, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"USER anonymous", "PASS anonymous"} {
+		if got := string(in.Ops[i+1].Data); got != want {
+			t.Fatalf("packet %d = %q, want %q", i, got, want)
+		}
+	}
+}
+
 func TestBuilderErrors(t *testing.T) {
 	s := ftpSpec()
 

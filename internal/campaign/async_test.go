@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -479,17 +477,19 @@ func TestSharedPublicationsOutliveTheOwnersMutations(t *testing.T) {
 	}
 }
 
-// Every exchange is atomic: the broker holds its lock for the whole call,
-// so two workers exchanging at the same time leave the broker exactly as
-// one of the serial orders of their whole exchanges would. Each worker here
-// submits three deltas over overlapping edges — among them a displacement
-// of the other worker's claim, a publication that is fresh or a duplicate
+// Every exchange is whole when it returns: one driver goroutine makes
+// every exchange, so no part of a delta may land at a later call, and no
+// pull may miss a publication made before it. Each of two workers submits
+// three deltas over overlapping edges — among them a displacement of the
+// other worker's claim, a publication that is fresh or a duplicate
 // depending on what came first, a trim's claim transfer and one crash both
-// workers find — and the concurrent run's broker.bin and virgin.bin bytes,
-// and everything each worker got back, must equal those of one of the 20
-// interleavings of the two sequences, each replayed on a fresh broker. The
-// race detector watches the concurrent half.
-func TestAsyncExchangesAreSerializable(t *testing.T) {
+// workers find — in each of the 20 interleavings of the two sequences.
+// Right after every exchange the delta's traces and virgin bits are in the
+// virgin map, its crash is listed, each trimmed input's old key holds no
+// edge, its fresh publications close the corpus and wait in the other
+// worker's queue, and the pull held exactly the other worker's fresh
+// publications since this worker's last exchange.
+func TestExchangeIsWholeOnReturn(t *testing.T) {
 	entry := func(name string, cost int, cov ...coverage.BucketHit) *core.QueueEntry {
 		in := spec.NewInput(spec.Op{Data: []byte(name)})
 		return &core.QueueEntry{Input: in, ExecTime: time.Duration(cost) * time.Microsecond, Size: cost, Favored: true, Cov: cov}
@@ -519,69 +519,71 @@ func TestAsyncExchangesAreSerializable(t *testing.T) {
 		{pubs: []pubDelta{pub(entry("c1", 3, hit(5, 1), hit(22, 4)))}, retrims: []retrimDelta{retrim(a1, "a1-trimmed", 2)},
 			virginDelta: []coverage.BucketHit{hit(23, 1)}},
 	}}
-
-	// exchange runs worker w's k-th delta and renders what it got back.
-	exchange := func(b *broker, w, k int) string {
-		won, imports, notes, _, _ := b.exchange(w, deltas[w][k])
-		keys := make([]string, len(notes))
-		for i, n := range notes {
-			keys[i] = fmt.Sprintf("%x", n.key)
-		}
-		return fmt.Sprintf("%v %x %v", won, itemKeys(imports), keys)
-	}
-	outcome := func(b *broker, got [2][]string) string {
-		var w guest.StateWriter
-		b.encode(&w, holders{})
-		virgin, err := b.virgin.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%x\n%x\n%q", w.Bytes(), virgin, got)
-	}
-	fresh := func() *broker {
-		b := newBroker()
-		b.initWorkers(2)
-		return b
+	sorted := func(keys []string) []string {
+		keys = slices.Clone(keys)
+		slices.Sort(keys)
+		return keys
 	}
 
-	serial := make(map[string][]int)
 	for mask := range 1 << 6 {
 		if bits.OnesCount(uint(mask)) != 3 {
 			continue
 		}
-		b, order := fresh(), make([]int, 6)
-		var got [2][]string
-		for pos := range order {
+		b := newBroker()
+		b.initWorkers(2)
+		var next [2]int
+		// unpulled[w] holds the keys of the other worker's fresh
+		// publications since w's last exchange.
+		var unpulled [2][]string
+		for pos := range 6 {
 			w := mask >> pos & 1
-			order[pos] = w
-			got[w] = append(got[w], exchange(b, w, len(got[w])))
-		}
-		serial[outcome(b, got)] = order
-	}
-	if len(serial) < 10 {
-		t.Fatalf("only %d distinct outcomes over the 20 serial orders: the deltas do not interact", len(serial))
-	}
-
-	for run := range 20 {
-		b := fresh()
-		var got [2][]string
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for w := range 2 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				for k := range 3 {
-					got[w] = append(got[w], exchange(b, w, k))
-					runtime.Gosched()
+			d := deltas[w][next[w]]
+			next[w]++
+			at := fmt.Sprintf("order %06b, exchange %d (worker %d)", mask, pos, w)
+			seen, corpus := b.virgin, len(b.corpus)
+			var fresh []string
+			for _, p := range d.pubs {
+				if n, _ := seen.MergeBuckets(p.cov); n {
+					fresh = append(fresh, p.key)
 				}
-			}()
-		}
-		close(start)
-		wg.Wait()
-		if _, ok := serial[outcome(b, got)]; !ok {
-			t.Fatalf("run %d: the concurrent exchanges left a broker no serial order of them leaves", run)
+			}
+
+			_, imports, _, _, _ := b.exchange(w, d)
+
+			if got, want := sorted(itemKeys(imports)), sorted(unpulled[w]); !slices.Equal(got, want) {
+				t.Fatalf("%s: pulled %x, want the other worker's fresh publications %x", at, got, want)
+			}
+			unpulled[w] = nil
+			unpulled[1-w] = append(unpulled[1-w], fresh...)
+			if got, want := sorted(itemKeys(b.pending[1-w])), sorted(unpulled[1-w]); !slices.Equal(got, want) {
+				t.Fatalf("%s: the other worker's queue holds %x, want %x", at, got, want)
+			}
+			var accepted []string
+			for _, be := range b.corpus[corpus:] {
+				accepted = append(accepted, be.Entry.Key())
+			}
+			if got, want := sorted(accepted), sorted(fresh); !slices.Equal(got, want) {
+				t.Fatalf("%s: the corpus gained %x, want the fresh publications %x", at, got, want)
+			}
+			after := b.virgin
+			if after.MergeMasked(d.virginDelta) {
+				t.Fatalf("%s: the virgin delta is not in the virgin map", at)
+			}
+			for _, p := range d.pubs {
+				if n, _ := after.MergeBuckets(p.cov); n {
+					t.Fatalf("%s: publication %x's trace is not in the virgin map", at, p.key)
+				}
+			}
+			for _, cr := range d.crashes {
+				if !slices.ContainsFunc(b.Crashes, func(c core.Crash) bool { return c.ID() == cr.ID() }) {
+					t.Fatalf("%s: crash %v is not listed", at, cr.ID())
+				}
+			}
+			for _, r := range d.retrims {
+				if n := b.wins(r.oldKey); n != 0 {
+					t.Fatalf("%s: trimmed input %x still holds %d edges under its old key", at, r.oldKey, n)
+				}
+			}
 		}
 	}
 }

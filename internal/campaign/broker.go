@@ -3,7 +3,6 @@ package campaign
 import (
 	"math/bits"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -26,20 +25,17 @@ const maxPendingImports = 256
 // stated once, here; campaign.go's driver loop makes every call, in the
 // order its schedule gives.
 //
-// The contract holds for whole calls: exchange takes the broker's one mutex
-// on entry and holds it to its end, so even concurrent exchanges apply
-// whole deltas one after another. Within an exchange the delta is applied
-// in one pass, in publication order: each publication's trace is merged
-// into the virgin map (the dedup verdict) and competes for the edges it
-// covers, and every win or displacement updates the claim counts and
-// demotion notices as it happens; then come the worker's virgin delta, its
-// trims' claim transfers and the cross-edge bookkeeping (corpus,
-// redistribution, crashes, telemetry). Every outcome is a pure function of
-// the deltas and their order.
+// The contract holds for whole calls: the driver loop is the broker's one
+// caller, so exchanges apply whole deltas one after another and need no
+// lock. Within an exchange the delta is applied in one pass, in
+// publication order: each publication's trace is merged into the virgin
+// map (the dedup verdict) and competes for the edges it covers, and every
+// win or displacement updates the claim counts and demotion notices as it
+// happens; then come the worker's virgin delta, its trims' claim transfers
+// and the cross-edge bookkeeping (corpus, redistribution, crashes,
+// telemetry). Every outcome is a pure function of the deltas and their
+// order.
 type broker struct {
-	// mu guards every field below; exchange holds it for the whole call.
-	mu sync.Mutex
-
 	// virgin is the global coverage map.
 	virgin coverage.Virgin
 	// claimTable is the global favored competition (per edge) and what each
@@ -284,9 +280,7 @@ type notice struct {
 // on a single worker. A trim's claim transfer displaces nothing either —
 // it renames and re-prices the claims the input already held.
 func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importItem, notes []notice, peerPicks map[uint32]uint64, peerSum uint64) {
-	start := time.Now() //nyx:wallclock sync-cost telemetry (SyncStats.SyncWall), never steers fuzzing
-	b.mu.Lock()
-	defer b.mu.Unlock()
+	start := time.Now() // sync-cost telemetry (SyncStats.SyncWall), never steers fuzzing
 
 	won = make([]bool, len(d.pubs))
 	fresh := make([]bool, len(d.pubs))
@@ -366,7 +360,7 @@ func (b *broker) exchange(id int, d epochDelta) (won []bool, imports []importIte
 	b.pending[id] = nil
 	notes = b.notices[id]
 	b.notices[id] = nil
-	b.syncWall += time.Since(start) //nyx:wallclock sync-cost telemetry, never steers fuzzing
+	b.syncWall += time.Since(start)
 	return won, imports, notes, peerPicks, peerSum
 }
 
@@ -479,7 +473,6 @@ func (b *broker) transferClaims(r retrimDelta) {
 }
 
 // bind records that worker id holds a live copy of claimant n's input.
-// Caller holds mu.
 func (b *broker) bind(n int32, id int) {
 	ws := b.claimants[n].workers
 	if at, found := slices.BinarySearch(ws, id); !found {
@@ -490,7 +483,7 @@ func (b *broker) bind(n int32, id int) {
 // pushPending enqueues an import item on worker wid's bounded queue. A
 // full queue drops its oldest non-favored entry; one holding only global
 // winners drops a non-favored newcomer instead, and its oldest entry for a
-// favored one. Caller holds mu.
+// favored one.
 func (b *broker) pushPending(wid int, item importItem) {
 	q := b.pending[wid]
 	if len(q) >= maxPendingImports {

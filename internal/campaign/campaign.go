@@ -628,7 +628,7 @@ type SyncStats struct {
 	// exchanges (import re-execution excluded).
 	SyncWall time.Duration
 	// ShardAcquisitions restates Epochs and ShardContended is 0: one driver
-	// loop makes every exchange, so the broker lock is never contended.
+	// loop makes every exchange, and the broker has no lock to contend.
 	// They stay because bench/ reads them.
 	ShardAcquisitions uint64
 	ShardContended    uint64

@@ -214,6 +214,34 @@ func TestCampaignCoverageLogMonotone(t *testing.T) {
 	}
 }
 
+// What an accessor returns is the caller's: overwriting the coverage log
+// and the crash list a campaign handed out leaves the campaign's own, and
+// the checkpoint written from them, as they were.
+func TestAccessorsReturnCopies(t *testing.T) {
+	cfg := testCfg(2, 1)
+	cfg.Target = "dnsmasq"
+	c := run(t, cfg, time.Second)
+	want, err := c.CheckpointTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, crashes := c.CoverageLog(), c.Crashes()
+	if len(log) == 0 || len(crashes) == 0 {
+		t.Fatalf("the campaign handed out %d coverage points and %d crashes", len(log), len(crashes))
+	}
+	for i := range log {
+		log[i].Edges++
+	}
+	for i := range crashes {
+		crashes[i].Msg = "overwritten"
+	}
+	got, err := c.CheckpointTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	treesEqual(t, "after overwriting what the accessors returned", want, got)
+}
+
 // Crashes found by several workers must be reported once globally.
 func TestCampaignCrashDedupAcrossWorkers(t *testing.T) {
 	cfg := testCfg(3, 2)

@@ -53,7 +53,7 @@ func (t *Trace) CountEdges() int { return len(t.touched) }
 // returned slice aliases the trace's journal: it is valid until the next
 // Reset and must not be mutated. It lets consumers (trim signatures, corpus
 // brokers) walk a trace in O(edges hit) instead of O(MapSize).
-func (t *Trace) Touched() []uint32 { return t.touched } //nyx:aliased documented zero-copy contract: read-only, valid until the next Reset
+func (t *Trace) Touched() []uint32 { return t.touched }
 
 // BucketOf classifies a hit count into AFL's power-of-two buckets. It is
 // the single classification every layer must share: the virgin map, the

@@ -226,7 +226,6 @@ type blockSnap struct {
 func (d *BlockDevice) harvest(layer map[uint64][]byte) {
 	// Which buffers survive the cap, and in what order, is unobservable:
 	// they are fungible scratch whose content is fully overwritten on reuse.
-	//nyx:maporder recycled buffers are fungible; order cannot escape
 	for _, b := range layer {
 		if len(d.freeSectors) >= maxFreeSectors {
 			break

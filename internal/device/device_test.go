@@ -370,6 +370,19 @@ func TestNICSnapshotCycle(t *testing.T) {
 	}
 }
 
+// A frame is the caller's again once Receive returns: reusing one buffer
+// for every frame leaves each queued frame as it arrived.
+func TestNICReceiveCopiesFrame(t *testing.T) {
+	n := NewNIC("eth0")
+	buf := []byte("pkt1")
+	n.Receive(buf)
+	copy(buf, "pkt2")
+	n.Receive(buf)
+	if len(n.RxQueue) != 2 || string(n.RxQueue[0]) != "pkt1" || string(n.RxQueue[1]) != "pkt2" {
+		t.Fatalf("rx queue %q, want [pkt1 pkt2]", n.RxQueue)
+	}
+}
+
 func TestNICSaveLoad(t *testing.T) {
 	n := NewNIC("eth0")
 	n.Receive([]byte("abc"))

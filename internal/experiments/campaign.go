@@ -21,10 +21,10 @@ import (
 // measures that in wall-clock time).
 //
 // The sync columns are the broker benchmark. SyncWallPerEpoch is real
-// (wall-clock) time inside the broker per exchange, waiting for its lock
-// included. Caveat: the clock keeps running while an exchange goroutine is
-// descheduled, so with more workers than cores the column mostly measures
-// runnable-queue delay; judge it only on hosts with cores >= workers.
+// (wall-clock) time inside the broker per exchange. Caveat: the clock keeps
+// running while the driver goroutine making the exchange is descheduled, so
+// with more workers than cores the column mostly measures runnable-queue
+// delay; judge it only on hosts with cores >= workers.
 type ScalingRow struct {
 	Workers  int
 	SyncMode string

@@ -158,8 +158,11 @@ type Kernel struct {
 	// Env.CorruptMemory and Table 1's dcmtk discussion).
 	Asan bool
 
-	// AllocLimit models the container memory limit; Env.Alloc beyond it
-	// raises an OOM crash. Zero means unlimited.
+	// AllocLimit is an allocation budget: Env.Alloc beyond it raises an OOM
+	// crash. Zero means unlimited, and no launch path sets it (targets,
+	// campaigns and experiments all run with 0), so the OOM crash arises
+	// only where a caller sets a limit by hand, as the tests do. It is not
+	// the ProFuzzBench docker memory limit.
 	AllocLimit int64
 
 	kernelState

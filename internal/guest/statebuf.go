@@ -34,7 +34,7 @@ func appendString[S ~string | ~[]byte](b []byte, s S) []byte {
 
 // Bytes returns the serialized stream. Like bytes.Buffer.Bytes, the slice
 // aliases the writer's buffer and is only valid until the next append.
-func (w *StateWriter) Bytes() []byte { return w.buf } //nyx:aliased bytes.Buffer-style contract; callers copy into guest memory immediately
+func (w *StateWriter) Bytes() []byte { return w.buf }
 
 // Reset truncates the stream, keeping the backing array for reuse. The
 // kernel serializes state about once per execution; recycling the encode
@@ -138,7 +138,7 @@ func NewStateReader(b []byte) *StateReader { return &StateReader{buf: b} }
 // scratch reader can be recycled across restores. Like NewStateReader, the
 // reader reads from b in place; the caller keeps ownership and must not
 // mutate it until decoding finishes.
-func (r *StateReader) Reset(b []byte) { r.buf, r.off, r.err, r.reread = b, 0, nil, false } //nyx:retains reads in place until next Reset, same contract as NewStateReader
+func (r *StateReader) Reset(b []byte) { r.buf, r.off, r.err, r.reread = b, 0, nil, false }
 
 // Err returns the first decoding error, if any.
 func (r *StateReader) Err() error { return r.err }

@@ -152,8 +152,9 @@ func (e *Env) Crash(kind CrashKind, format string, args ...any) {
 
 // Alloc models the target's allocator. Negative sizes reproduce the
 // "negative amount of memory could be allocated" Lighttpd bug class
-// (§5.5); allocations beyond the kernel's AllocLimit raise the OOM the
-// ProFuzzBench docker limits cause (Table 1 note). Both crash at site.
+// (§5.5); allocations beyond a non-zero Kernel.AllocLimit raise an OOM.
+// Both crash at site. No launch path sets a limit, so campaigns never
+// reach the OOM that ProFuzzBench's docker limits cause (Table 1 note).
 func (e *Env) Alloc(site string, size int64) {
 	e.k.hydrate()
 	if size < 0 {

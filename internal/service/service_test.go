@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -352,6 +354,63 @@ func TestManagerIDs(t *testing.T) {
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// putOrder is a store that records, in order, the trees PutTree writes.
+type putOrder struct {
+	store.Storer
+	mu    sync.Mutex
+	names []string
+}
+
+func (s *putOrder) PutTree(name string, t store.Tree) error {
+	s.mu.Lock()
+	s.names = append(s.names, name)
+	s.mu.Unlock()
+	return s.Storer.PutTree(name, t)
+}
+
+// The manager's map of campaigns has an iteration order of its own, and
+// neither listings nor shutdown may follow it: with ids submitted out of
+// order, List comes back sorted by id every time, and Close checkpoints
+// the campaigns in id order.
+func TestListAndCloseFollowIDOrder(t *testing.T) {
+	st := &putOrder{Storer: memStore(t)}
+	m := New(Config{Store: st, CheckpointEvery: time.Hour})
+	ids := []string{"c", "a", "e", "b", "d"}
+	for i, id := range ids {
+		spec := testSpec(id, int64(i+1), time.Hour)
+		spec.Workers = 1
+		if _, err := m.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Pause(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := slices.Sorted(slices.Values(ids))
+	for range 10 {
+		var got []string
+		for _, s := range m.List() {
+			got = append(got, s.ID)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("List gave %v, want %v", got, want)
+		}
+	}
+	st.mu.Lock()
+	st.names = nil
+	st.mu.Unlock()
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var trees []string
+	for _, id := range want {
+		trees = append(trees, DefaultPrefix+"/"+id)
+	}
+	if !slices.Equal(st.names, trees) {
+		t.Fatalf("Close checkpointed %v, want %v", st.names, trees)
 	}
 }
 

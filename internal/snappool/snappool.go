@@ -159,7 +159,7 @@ func (p *Pool) Touch(e *Entry) {
 // caller falls back to Resolve (which needs the streaming scan anyway to
 // find the longest chainable prefix), and that call does the counting.
 func (p *Pool) LookupDigest(d Digest) *Entry {
-	t0 := time.Now() //nyx:wallclock LookupWall telemetry measures real lookup cost, never virtual time
+	t0 := time.Now() // LookupWall telemetry measures real lookup cost, never virtual time
 	e := p.entries[d]
 	if e != nil {
 		p.stats.Hits++
@@ -167,7 +167,7 @@ func (p *Pool) LookupDigest(d Digest) *Entry {
 		p.Touch(e)
 	}
 	p.stats.Lookups++
-	p.stats.LookupWall += time.Since(t0) //nyx:wallclock LookupWall telemetry
+	p.stats.LookupWall += time.Since(t0)
 	return e
 }
 
@@ -177,10 +177,10 @@ func (p *Pool) LookupDigest(d Digest) *Entry {
 // strict prefix to chain a creation from, plus the exact prefix's digest
 // for the subsequent Insert.
 func (p *Pool) Resolve(in *spec.Input, ops int) (hit, longest *Entry, digest Digest) {
-	t0 := time.Now() //nyx:wallclock LookupWall telemetry measures real lookup cost, never virtual time
+	t0 := time.Now() // LookupWall telemetry, as in LookupDigest
 	hit, longest, digest = p.scan(in, ops)
 	p.stats.Lookups++
-	p.stats.LookupWall += time.Since(t0) //nyx:wallclock LookupWall telemetry
+	p.stats.LookupWall += time.Since(t0)
 	if hit != nil {
 		p.stats.Hits++
 		p.Touch(hit)

@@ -184,6 +184,6 @@ func DeserializeAppend(in *Input, b []byte, ops []Op, args []uint16) ([]Op, []ui
 		}
 		ops = append(ops, Op{Node: node, Args: opArgs, Data: data})
 	}
-	in.Ops = ops[first:len(ops):len(ops)] //nyx:retains the input's ops are cut from the caller's slab, which is the point
+	in.Ops = ops[first:len(ops):len(ops)]
 	return ops, args, nil
 }

@@ -328,9 +328,8 @@ const restoreSample = 64
 
 // startRestore counts a restore and returns the wall time it starts at if it
 // is one the machine times, or the zero Time. The count, not a random draw,
-// picks it, so no seeded stream moves.
-//
-//nyx:wallclock RestoreWall telemetry measures real restore cost, never virtual time
+// picks it, so no seeded stream moves. RestoreWall measures real restore
+// cost and never steers virtual time.
 func (m *Machine) startRestore() time.Time {
 	m.restores++
 	if m.restores%restoreSample != 1 {
@@ -341,8 +340,6 @@ func (m *Machine) startRestore() time.Time {
 
 // timeRestore adds restoreSample times the interval since t0 to RestoreWall
 // for a restore startRestore timed.
-//
-//nyx:wallclock RestoreWall telemetry measures real restore cost, never virtual time
 func (m *Machine) timeRestore(t0 time.Time) {
 	if !t0.IsZero() {
 		m.stats.RestoreWall += restoreSample * time.Since(t0)
