@@ -22,13 +22,14 @@ call into the store from another package made while one of their mutexes
 is held stalls every goroutine queued on it, and can deadlock against the
 actor loops that serve those channels. Taking a mutex counts as blocking too, so no mutex is ever taken
 while another is held and no acquisition order exists to get wrong. The
-analysis tracks sync.Mutex/RWMutex held regions: from a Lock or RLock, or
-from the contention-counting guard "if !mu.TryLock() { mu.Lock(); ... }",
-to the matching Unlock, or to the end of the function after a deferred
+analysis tracks sync.Mutex/RWMutex held regions: from a Lock or RLock to
+the matching Unlock, or to the end of the function after a deferred
 Unlock. It flags blocking statements inside them, and calls whose callees
 may block, directly or further down, reported with the full call chain.
 Calls launched with go or defer inside the region run outside it and are
-not flagged. Reviewed exceptions carry //nyx:blocking.
+not flagged. A TryLock or TryRLock opens a region the analysis does not
+model, so it is reported itself: use Lock. Reviewed exceptions carry
+//nyx:blocking.
 
 Only this check catches, for example, service's Manager.List holding m.mu
 across each campaign's snapshot, which takes that campaign's mu: no test
@@ -51,6 +52,11 @@ func runLockHeld(pass *Pass) error {
 				body = fn.Body
 			case *ast.FuncLit:
 				body = fn.Body
+			case *ast.CallExpr:
+				if _, ok := mutexCallExpr(pass, fn, "TryLock", "TryRLock"); ok {
+					pass.Reportf(fn.Pos(), "%s is not modelled by lockheld; use Lock", renderExpr(pass.Fset, fn.Fun))
+				}
+				return true
 			default:
 				return true
 			}
@@ -86,7 +92,7 @@ func checkLockRegions(pass *Pass, body *ast.BlockStmt, sites map[token.Pos]*Call
 	var walkBlock func(stmts []ast.Stmt)
 	walkBlock = func(stmts []ast.Stmt) {
 		for i, stmt := range stmts {
-			if recv, ok := lockStmt(pass, stmt); ok {
+			if recv, ok := mutexCall(pass, stmt, "Lock", "RLock"); ok {
 				from, to := regionAfterLock(pass, stmts[i+1:], body, recv)
 				flagBlockingBetween(pass, body, from, to, recv, sites)
 				continue
@@ -121,31 +127,6 @@ func checkLockRegions(pass *Pass, body *ast.BlockStmt, sites map[token.Pos]*Call
 		}
 	}
 	walkBlock(body.List)
-}
-
-// lockStmt matches a statement after which a mutex is held: recv.Lock() or
-// recv.RLock(), or the guard that counts contention before waiting,
-// `if !recv.TryLock() { recv.Lock(); ... }`. It returns the rendered
-// receiver expression (e.g. "b.mu").
-func lockStmt(pass *Pass, stmt ast.Stmt) (string, bool) {
-	ifs, ok := stmt.(*ast.IfStmt)
-	if !ok {
-		return mutexCall(pass, stmt, "Lock", "RLock")
-	}
-	not, ok := ast.Unparen(ifs.Cond).(*ast.UnaryExpr)
-	if !ok || not.Op != token.NOT || ifs.Init != nil || ifs.Else != nil || len(ifs.Body.List) == 0 {
-		return "", false
-	}
-	try, ok := ast.Unparen(not.X).(*ast.CallExpr)
-	if !ok {
-		return "", false
-	}
-	recv, ok := mutexCallExpr(pass, try, "TryLock", "TryRLock")
-	if !ok {
-		return "", false
-	}
-	r, ok := mutexCall(pass, ifs.Body.List[0], "Lock", "RLock")
-	return recv, ok && r == recv
 }
 
 // regionAfterLock determines the held region following a Lock on recv:

@@ -947,7 +947,11 @@ func editBrokerHolders(t *testing.T, tree store.Tree, edit func(b *broker, hs *h
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, hs, err := decodeBroker(tree[brokerFile], indexQueues(tree, m.Workers))
+	q, err := indexQueues(tree, m.Workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, hs, err := decodeBroker(tree[brokerFile], q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ import (
 //	manifest.json                    the header: compact JSON of type manifest
 //	virgin.bin                       the broker's global virgin map (coverage.Virgin.MarshalBinary)
 //	broker.bin                       the broker's corpus, claims, pending imports and crashes
-//	worker-NNN/queue/id-NNNNNN.nyx   worker NNN's queue, one file per entry (core.EncodeQueue)
+//	worker-NNN/queue/id-NNNNNN.nyx   worker NNN's queue, one file per entry (core.EncodeQueue), numbered from 0 by queue index
 //	worker-NNN/sched.bin             its scheduler metadata and power state (core.EncodeSchedState)
 //
 // The header holds what a listing, a summary or a person reads — the
@@ -494,22 +494,22 @@ type queueFile struct {
 // the corpus entry corpus (a link a resume records).
 type fileLink struct{ corpus, file int }
 
-// queueIndex is a tree's queue files, each worker's sorted by id, which is
-// queue order. decodeBroker resolves holders against it and records in it
-// the input each file takes and the links.
+// queueIndex is a tree's queue files, each worker's in id order, which is
+// queue order: file id is files[w][id]. decodeBroker resolves holders
+// against it and records in it the input each file takes and the links.
 type queueIndex struct {
 	t     store.Tree
 	files [][]queueFile
-	// dense says a worker's files are numbered 0, 1, 2, ...: file id is
-	// files[id]. CheckpointTree numbers every queue so.
-	dense []bool
 	links [][]fileLink
 }
 
 // indexQueues files every worker-NNN/queue/id-N.nyx of t for a campaign of
-// workers workers in one pass over its keys.
-func indexQueues(t store.Tree, workers int) queueIndex {
-	q := queueIndex{t: t, files: make([][]queueFile, workers), dense: make([]bool, workers), links: make([][]fileLink, workers)}
+// workers workers in one pass over its keys. CheckpointTree names worker w's
+// n files id-000000 to id-(n-1), a file's id being its entry's queue index
+// (core.Fuzzer.EncodeQueue and FileID), and a tree numbered any other way —
+// with a gap, a duplicate or a first id other than 0 — is refused.
+func indexQueues(t store.Tree, workers int) (queueIndex, error) {
+	q := queueIndex{t: t, files: make([][]queueFile, workers), links: make([][]fileLink, workers)}
 	dirs := make([]string, workers)
 	for i := range dirs {
 		dirs[i] = workerDir(i)
@@ -527,44 +527,36 @@ func indexQueues(t store.Tree, workers int) queueIndex {
 			q.files[wid] = append(q.files[wid], queueFile{id: id, key: key, src: -1})
 		}
 	}
-	for w := range q.files {
-		if q.dense[w] = placeByID(q.files[w]); !q.dense[w] {
-			slices.SortFunc(q.files[w], func(a, b queueFile) int {
-				if a.id != b.id {
-					return cmp.Compare(a.id, b.id)
-				}
-				return strings.Compare(a.key, b.key) // id-7.nyx beside id-000007.nyx: not a tree CheckpointTree writes
-			})
+	for w, files := range q.files {
+		if missing, ok := placeByID(files); !ok {
+			return queueIndex{}, fmt.Errorf("%s has %d queue files but no %s/queue/id-%06d.nyx", workerDir(w), len(files), workerDir(w), missing)
 		}
-		q.links[w] = make([]fileLink, 0, len(q.files[w])) // a link per file, but for one two corpus entries name
+		q.links[w] = make([]fileLink, 0, len(files)) // a link per file, but for one two corpus entries name
 	}
-	return q
+	return q, nil
 }
 
-// placeByID sorts files numbered 0 to len(files)-1 by id in one pass, each
-// swap putting a file in its place, and reports false, files permuted, when
-// the ids are anything else.
-func placeByID(files []queueFile) bool {
+// placeByID puts files numbered 0 to len(files)-1 in id order in one pass,
+// each swap putting a file in its place. When the ids are anything else it
+// returns false and the least id below len(files) that no file has, which
+// such a numbering always leaves.
+func placeByID(files []queueFile) (missing int, ok bool) {
 	for i := range files {
 		for files[i].id != i {
 			j := files[i].id
 			if j >= len(files) || files[j].id == j {
-				return false
+				has := make([]bool, len(files))
+				for _, f := range files {
+					if f.id < len(files) {
+						has[f.id] = true
+					}
+				}
+				return slices.Index(has, false), false
 			}
 			files[i], files[j] = files[j], files[i]
 		}
 	}
-	return true
-}
-
-// find returns the index among worker h.worker's files of the one h names:
-// the file of id h.id, or the first of two, which CheckpointTree never
-// writes.
-func (q queueIndex) find(h holder) (int, bool) {
-	if q.dense[h.worker] {
-		return h.id, h.id < len(q.files[h.worker])
-	}
-	return slices.BinarySearchFunc(q.files[h.worker], h.id, func(f queueFile, id int) int { return cmp.Compare(f.id, id) })
+	return 0, true
 }
 
 // decodeBroker rebuilds a broker for a campaign of len(q.files) workers from
@@ -611,8 +603,8 @@ func decodeBroker(raw []byte, q queueIndex) (*broker, holders, error) {
 		var enc []byte
 		var first string
 		for k, h := range held {
-			j, found := q.find(h)
-			if !found {
+			j := h.id // the file of id j is files[j]
+			if j >= len(q.files[h.worker]) {
 				r.Fail("corpus entry %d: holder %s/queue/id-%06d.nyx is not in the checkpoint", i, workerDir(h.worker), h.id)
 				return nil, nil
 			}
@@ -853,7 +845,10 @@ func ResumeTree(t store.Tree) (_ *Campaign, err error) {
 	if !ok {
 		return nil, fmt.Errorf("checkpoint has no %s", brokerFile)
 	}
-	q := indexQueues(t, cfg.Workers)
+	q, err := indexQueues(t, cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
 	br, _, err := decodeBroker(raw, q)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", brokerFile, err)

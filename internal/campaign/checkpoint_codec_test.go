@@ -144,7 +144,11 @@ func decodeHolders(t *testing.T, tree store.Tree) (*broker, holders) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, hs, err := decodeBroker(tree[brokerFile], indexQueues(tree, m.Workers))
+	q, err := indexQueues(tree, m.Workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, hs, err := decodeBroker(tree[brokerFile], q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -781,39 +785,46 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 	}
 }
 
-// A resume files each worker's queue files in id order: in one pass when
-// they are numbered from 0 up, as CheckpointTree numbers them, and by a sort
-// when the ids have a gap or a duplicate (a name CheckpointTree would not
-// write beside the one it would, which sorts after it). A holder names the
-// file of its id, the first of two.
+// A resume files each worker's queue files in id order in one pass, and only
+// a tree numbered as CheckpointTree numbers it, from 0 without a gap, is
+// accepted: a gap, a duplicate (a name CheckpointTree would not write beside
+// the one it would) or a first id other than 0 is refused, naming the worker
+// and the least id it has no file for, the same in every key order.
 func TestResumeIndexesQueueFilesByID(t *testing.T) {
-	for _, names := range [][]string{
-		{"000000", "000001", "000002", "000003", "000004", "000005", "000006"},
-		{"000000", "000001", "000002", "000004", "000005"},
-		{"000000", "000001", "000002", "2", "000003"},
-		{"000003", "000004", "000005"},
-		{"000000", "000001", "1000000"},
+	for _, c := range []struct {
+		names []string
+		err   string // "" when the tree is accepted
+	}{
+		{[]string{"000000", "000001", "000002", "000003", "000004", "000005", "000006"}, ""},
+		{[]string{"000000", "000001", "000002", "000004", "000005"}, "worker-000 has 5 queue files but no worker-000/queue/id-000003.nyx"},
+		{[]string{"000000", "000001", "000002", "2", "000003"}, "worker-000 has 5 queue files but no worker-000/queue/id-000004.nyx"},
+		{[]string{"000003", "000004", "000005"}, "worker-000 has 3 queue files but no worker-000/queue/id-000000.nyx"},
+		{[]string{"000000", "000001", "1000000"}, "worker-000 has 3 queue files but no worker-000/queue/id-000002.nyx"},
 	} {
 		for range 10 {
 			tree := store.Tree{workerDir(0) + "/sched.bin": nil, workerDir(1) + "/queue/id-000000.nyx": nil}
-			for _, n := range names {
+			for _, n := range c.names {
 				tree[workerDir(0)+"/queue/id-"+n+".nyx"] = nil
 			}
-			q := indexQueues(tree, 1)
+			q, err := indexQueues(tree, 1)
+			if c.err != "" {
+				if err == nil || err.Error() != c.err {
+					t.Fatalf("%v: indexQueues returned %v, want %q", c.names, err, c.err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%v: %v", c.names, err)
+			}
 			var got []string
-			for _, f := range q.files[0] {
+			for id, f := range q.files[0] {
+				if f.id != id {
+					t.Fatalf("%v: file %d has id %d", c.names, id, f.id)
+				}
 				got = append(got, strings.TrimSuffix(strings.TrimPrefix(f.key, workerDir(0)+"/queue/id-"), ".nyx"))
 			}
-			if !slices.Equal(got, names) {
-				t.Fatalf("queue files filed as %v, want %v", got, names)
-			}
-			for j, f := range q.files[0] {
-				if k, found := q.find(holder{0, f.id}); !found || k > j || q.files[0][k].id != f.id {
-					t.Fatalf("%v: a holder of id %d finds file %d, %v", names, f.id, k, found)
-				}
-			}
-			if _, found := q.find(holder{0, 999}); found {
-				t.Fatalf("%v: a holder of id 999 finds a file", names)
+			if !slices.Equal(got, c.names) {
+				t.Fatalf("queue files filed as %v, want %v", got, c.names)
 			}
 		}
 	}

@@ -23,7 +23,11 @@ const (
 // against the queue files of tree, and returns what the decoded broker
 // encodes to with the holders it was decoded with.
 func ReencodeBroker(raw []byte, workers int, tree store.Tree) ([]byte, error) {
-	b, hs, err := decodeBroker(raw, indexQueues(tree, workers))
+	q, err := indexQueues(tree, workers)
+	if err != nil {
+		return nil, err
+	}
+	b, hs, err := decodeBroker(raw, q)
 	if err != nil {
 		return nil, err
 	}

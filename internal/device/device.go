@@ -5,21 +5,14 @@
 // Every device states one snapshot contract: a root snapshot it can reset
 // to, plus any number of incremental snapshots captured as values
 // (SaveSnapshot) and restored on demand (LoadSnapshot) — the device half of
-// a VM snapshot slot. Beside that fast structured mechanism each device
-// keeps the slow QEMU-style full serialize/deserialize reset, so the
-// ablation benchmarks can compare the two.
+// a VM snapshot slot.
 //
 // The block device restores a snapshot by aliasing its frozen sector delta
 // and copying nothing; the first write to a restored sector shadows it in a
 // private layer (see BlockDevice).
 package device
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // SectorSize is the block device sector size in bytes.
 const SectorSize = 512
@@ -37,8 +30,7 @@ type Device interface {
 
 	// TakeRoot captures the device's root snapshot state.
 	TakeRoot()
-	// RestoreRoot resets the device to the root snapshot using the fast
-	// structured mechanism.
+	// RestoreRoot resets the device to the root snapshot.
 	RestoreRoot()
 
 	// SaveSnapshot captures the device's current state as an opaque
@@ -48,11 +40,6 @@ type Device interface {
 	SaveSnapshot() Snapshot
 	// LoadSnapshot restores the state captured by SaveSnapshot.
 	LoadSnapshot(Snapshot)
-
-	// SaveState serializes the full device state (QEMU-style, slow).
-	SaveState() ([]byte, error)
-	// LoadState restores the full device state from SaveState output.
-	LoadState([]byte) error
 }
 
 // Snapshot is an opaque captured device state (SaveSnapshot/LoadSnapshot).
@@ -266,44 +253,6 @@ func (d *BlockDevice) LoadSnapshot(s Snapshot) {
 	d.WritesSinceRoot = sn.writes
 }
 
-type blockState struct {
-	NSectors uint64
-	Sectors  map[uint64][]byte
-}
-
-// SaveState implements Device via gob serialization of the flattened image.
-func (d *BlockDevice) SaveState() ([]byte, error) {
-	st := blockState{NSectors: d.nsectors, Sectors: make(map[uint64][]byte)}
-	for sn, s := range d.base {
-		st.Sectors[sn] = s
-	}
-	for sn, s := range d.shared {
-		st.Sectors[sn] = s
-	}
-	for sn, s := range d.l1 {
-		st.Sectors[sn] = s
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
-		return nil, fmt.Errorf("device %s: save: %w", d.name, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// LoadState implements Device.
-func (d *BlockDevice) LoadState(b []byte) error {
-	var st blockState
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
-		return fmt.Errorf("device %s: load: %w", d.name, err)
-	}
-	d.nsectors = st.NSectors
-	d.base = st.Sectors
-	d.shared = nil
-	d.l1 = make(map[uint64][]byte)
-	d.l1Shadowed = 0
-	return nil
-}
-
 // NIC models a virtual network interface: transmit/receive rings and
 // counters. Real traffic never flows through it while the emulation layer
 // is active; it exists so that device-reset costs and state fidelity are
@@ -376,26 +325,6 @@ func (n *NIC) SaveSnapshot() Snapshot { st := n.capture(); return &st }
 // LoadSnapshot implements Device.
 func (n *NIC) LoadSnapshot(s Snapshot) { n.apply(*s.(*nicState)) }
 
-// SaveState implements Device.
-func (n *NIC) SaveState() ([]byte, error) {
-	var buf bytes.Buffer
-	st := n.capture()
-	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
-		return nil, fmt.Errorf("device %s: save: %w", n.name, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// LoadState implements Device.
-func (n *NIC) LoadState(b []byte) error {
-	var st nicState
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
-		return fmt.Errorf("device %s: load: %w", n.name, err)
-	}
-	n.apply(st)
-	return nil
-}
-
 // Serial models a write-only serial console; targets log through it and the
 // fuzzer reads crash reports from it.
 type Serial struct {
@@ -448,20 +377,6 @@ func (s *Serial) LoadSnapshot(sn Snapshot) {
 	}
 }
 
-// SaveState implements Device.
-func (s *Serial) SaveState() ([]byte, error) {
-	cp := make([]byte, len(s.Log))
-	copy(cp, s.Log)
-	return cp, nil
-}
-
-// LoadState implements Device.
-func (s *Serial) LoadState(b []byte) error {
-	s.Log = append(s.Log[:0:0], b...)
-	s.loaded = nil
-	return nil
-}
-
 // Set is an ordered collection of devices sharing a snapshot lifecycle.
 type Set struct {
 	devices []Device
@@ -477,7 +392,7 @@ func (s *Set) TakeRoot() {
 	}
 }
 
-// RestoreRoot resets all devices to the root snapshot (fast path).
+// RestoreRoot resets all devices to the root snapshot.
 func (s *Set) RestoreRoot() {
 	for _, d := range s.devices {
 		d.RestoreRoot()
@@ -499,39 +414,4 @@ func (s *Set) LoadSnapshots(snaps []Snapshot) {
 	for i, d := range s.devices {
 		d.LoadSnapshot(snaps[i])
 	}
-}
-
-// SaveAll serializes every device (the slow QEMU-style baseline). Devices
-// are encoded in name order for determinism.
-func (s *Set) SaveAll() (map[string][]byte, error) {
-	names := make([]string, 0, len(s.devices))
-	byName := make(map[string]Device, len(s.devices))
-	for _, d := range s.devices {
-		names = append(names, d.Name())
-		byName[d.Name()] = d
-	}
-	sort.Strings(names)
-	out := make(map[string][]byte, len(names))
-	for _, name := range names {
-		b, err := byName[name].SaveState()
-		if err != nil {
-			return nil, err
-		}
-		out[name] = b
-	}
-	return out, nil
-}
-
-// LoadAll restores every device from a SaveAll image.
-func (s *Set) LoadAll(img map[string][]byte) error {
-	for _, d := range s.devices {
-		b, ok := img[d.Name()]
-		if !ok {
-			return fmt.Errorf("device set: no saved state for %q", d.Name())
-		}
-		if err := d.LoadState(b); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -116,25 +116,6 @@ func TestBlockRecreateIncremental(t *testing.T) {
 	}
 }
 
-func TestBlockSaveLoadState(t *testing.T) {
-	d := NewBlockDevice("disk0", 16)
-	d.WriteSector(3, sector(0x42))
-	img, err := d.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2 := NewBlockDevice("disk0", 1)
-	if err := d2.LoadState(img); err != nil {
-		t.Fatal(err)
-	}
-	if got := readSector(t, d2, 3); got[0] != 0x42 {
-		t.Fatalf("loaded state mismatch: %#x", got[0])
-	}
-	if d2.NumSectors() != 16 {
-		t.Fatalf("nsectors = %d, want 16", d2.NumSectors())
-	}
-}
-
 // Property: LoadSnapshot always yields the exact image captured at
 // SaveSnapshot time, for random write workloads.
 func TestBlockSnapshotIdentityProperty(t *testing.T) {
@@ -383,22 +364,6 @@ func TestNICReceiveCopiesFrame(t *testing.T) {
 	}
 }
 
-func TestNICSaveLoad(t *testing.T) {
-	n := NewNIC("eth0")
-	n.Receive([]byte("abc"))
-	img, err := n.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2 := NewNIC("eth0")
-	if err := n2.LoadState(img); err != nil {
-		t.Fatal(err)
-	}
-	if n2.RxBytes != 3 || len(n2.RxQueue) != 1 {
-		t.Fatalf("loaded NIC mismatch: %+v", n2)
-	}
-}
-
 func TestSerialSnapshotTruncation(t *testing.T) {
 	s := NewSerial("ttyS0")
 	s.WriteString("boot\n")
@@ -449,36 +414,6 @@ func TestSetLifecycle(t *testing.T) {
 	}
 	if len(nic.RxQueue) != 1 || string(ser.Log) != "prefix" {
 		t.Fatalf("nic/serial not restored to the snapshot: rx=%d log=%q", len(nic.RxQueue), ser.Log)
-	}
-}
-
-func TestSetSaveLoadAll(t *testing.T) {
-	disk := NewBlockDevice("disk0", 8)
-	nic := NewNIC("eth0")
-	set := NewSet(disk, nic)
-	disk.WriteSector(1, sector(0x55))
-	nic.Receive([]byte("hello"))
-	img, err := set.SaveAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	disk2 := NewBlockDevice("disk0", 8)
-	nic2 := NewNIC("eth0")
-	set2 := NewSet(disk2, nic2)
-	if err := set2.LoadAll(img); err != nil {
-		t.Fatal(err)
-	}
-	if got := readSector(t, disk2, 1); got[0] != 0x55 {
-		t.Fatalf("disk state not loaded: %#x", got[0])
-	}
-	if nic2.RxBytes != 5 {
-		t.Fatalf("nic state not loaded: %d", nic2.RxBytes)
-	}
-
-	set3 := NewSet(NewBlockDevice("other", 8))
-	if err := set3.LoadAll(img); err == nil {
-		t.Fatal("expected missing-device error")
 	}
 }
 

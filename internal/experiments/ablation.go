@@ -21,50 +21,62 @@ type AblationResult struct {
 	Unit  string
 }
 
+// ablationResets is the number of root restores each reset ablation times.
+const ablationResets = 100
+
+// rootResetTime runs ablationResets root restores of m, each after dirty,
+// and returns the virtual time they charged.
+func rootResetTime(m *vm.Machine, dirty func()) time.Duration {
+	m.TakeRoot()
+	var total time.Duration
+	for i := 0; i < ablationResets; i++ {
+		dirty()
+		t0 := m.Clock.Now()
+		m.RestoreRoot() //nolint:errcheck // root exists
+		total += m.Clock.Now() - t0
+	}
+	return total
+}
+
+// usPerReset converts the virtual time of ablationResets restores to
+// microseconds per reset.
+func usPerReset(total time.Duration) float64 {
+	return total.Seconds() / ablationResets * 1e6
+}
+
 // AblationDirtyTracking compares Nyx's dirty-page stack against the
 // KVM/Agamotto bitmap walk for root restores (virtual time per reset, on a
-// large VM with a small working set — the case §2.3 motivates).
+// large VM with a small working set — the case §2.3 motivates). The machine
+// restores through its dirty stack; the walk row is a cost-model verdict,
+// the stack row plus PerBitmapPage for every page of the VM on every reset.
+// Figure 6 times a real bitmap walk (baseline.AgamottoManager) in wall clock.
 func AblationDirtyTracking() []AblationResult {
-	run := func(strategy mem.RestoreStrategy) float64 {
-		m := vm.New(vm.Config{MemoryPages: 1 << 18, RestoreStrategy: strategy})
-		m.TakeRoot() //nolint:errcheck // fresh machine
-		var total time.Duration
-		const resets = 100
-		for i := 0; i < resets; i++ {
-			m.Mem.WriteAt(make([]byte, 8*mem.PageSize), 0) //nolint:errcheck // in range
-			t0 := m.Clock.Now()
-			m.RestoreRoot() //nolint:errcheck // root exists
-			total += m.Clock.Now() - t0
-		}
-		return total.Seconds() / resets * 1e6 // microseconds per reset
-	}
+	m := vm.New(vm.Config{MemoryPages: 1 << 18})
+	stack := rootResetTime(m, func() {
+		m.Mem.WriteAt(make([]byte, 8*mem.PageSize), 0) //nolint:errcheck // in range
+	})
+	walk := stack + ablationResets*time.Duration(m.Mem.NumPages())*m.Cost.PerBitmapPage
 	return []AblationResult{
-		{Name: "dirty-stack reset (Nyx)", Value: run(mem.RestoreStack), Unit: "us/reset"},
-		{Name: "bitmap-walk reset (KVM/Agamotto)", Value: run(mem.RestoreBitmapWalk), Unit: "us/reset"},
+		{Name: "dirty-stack reset (Nyx)", Value: usPerReset(stack), Unit: "us/reset"},
+		{Name: "bitmap-walk reset (KVM/Agamotto)", Value: usPerReset(walk), Unit: "us/reset"},
 	}
 }
 
 // AblationDeviceReset compares Nyx-Net's structured device reset against
-// QEMU-style serialize/deserialize (§4.2).
+// QEMU-style serialize/deserialize (§4.2). The machine resets its devices
+// structurally; the serialize row is a cost-model verdict, the structured
+// row with DeviceResetSerial charged in place of DeviceResetFast.
 func AblationDeviceReset() []AblationResult {
-	run := func(mode vm.DeviceResetMode) float64 {
-		m := vm.New(vm.Config{MemoryPages: 1024, ResetMode: mode})
-		m.Serial.WriteString("boot")
-		m.TakeRoot() //nolint:errcheck // fresh machine
-		var total time.Duration
-		const resets = 100
-		for i := 0; i < resets; i++ {
-			m.Mem.WriteAt([]byte{1}, 0) //nolint:errcheck // in range
-			m.NIC.Receive([]byte("frame"))
-			t0 := m.Clock.Now()
-			m.RestoreRoot() //nolint:errcheck // root exists
-			total += m.Clock.Now() - t0
-		}
-		return total.Seconds() / resets * 1e6
-	}
+	m := vm.New(vm.Config{MemoryPages: 1024})
+	m.Serial.WriteString("boot")
+	structured := rootResetTime(m, func() {
+		m.Mem.WriteAt([]byte{1}, 0) //nolint:errcheck // in range
+		m.NIC.Receive([]byte("frame"))
+	})
+	serialize := structured + ablationResets*(m.Cost.DeviceResetSerial-m.Cost.DeviceResetFast)
 	return []AblationResult{
-		{Name: "structured device reset (Nyx-Net)", Value: run(vm.DeviceResetStructured), Unit: "us/reset"},
-		{Name: "serialize/deserialize reset (QEMU)", Value: run(vm.DeviceResetSerialize), Unit: "us/reset"},
+		{Name: "structured device reset (Nyx-Net)", Value: usPerReset(structured), Unit: "us/reset"},
+		{Name: "serialize/deserialize reset (QEMU)", Value: usPerReset(serialize), Unit: "us/reset"},
 	}
 }
 

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/vm"
 )
 
 // fastCfg keeps unit-test experiment runs small; the bench harness and the
@@ -319,6 +321,31 @@ func TestAblations(t *testing.T) {
 	}
 	if !strings.Contains(RenderAblation("t", dt), "us/reset") {
 		t.Fatal("render broken")
+	}
+}
+
+// TestResetAblationsAreCostModelCharges pins the dirty-tracking and
+// device-reset ablations: their four values, and each baseline row as the
+// Nyx row plus that baseline's cost-model charge (a bitmap walk over the
+// 2^18-page VM, the serialize reset in place of the structured one).
+func TestResetAblationsAreCostModelCharges(t *testing.T) {
+	dt, dr := AblationDirtyTracking(), AblationDeviceReset()
+	cost := vm.DefaultCostModel()
+	us := func(d time.Duration) float64 { return d.Seconds() * 1e6 }
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"dirty stack", dt[0].Value, 61.76},
+		{"bitmap walk", dt[1].Value, 1634.624},
+		{"structured device reset", dr[0].Value, 61.095},
+		{"serialize device reset", dr[1].Value, 535.095},
+		{"bitmap walk - dirty stack", dt[1].Value - dt[0].Value, us(1 << 18 * cost.PerBitmapPage)},
+		{"serialize - structured", dr[1].Value - dr[0].Value, us(cost.DeviceResetSerial - cost.DeviceResetFast)},
+	} {
+		if math.Abs(c.got-c.want) > 1e-9 {
+			t.Errorf("%s: %.9f us/reset, want %.9f", c.name, c.got, c.want)
+		}
 	}
 }
 

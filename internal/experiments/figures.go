@@ -239,9 +239,7 @@ func Scalability(instances, bootPages, workingSetPages int) (*ScalabilityResult,
 	if _, err := m.Mem.WriteAt(img, 0); err != nil {
 		return nil, err
 	}
-	if err := m.TakeRoot(); err != nil {
-		return nil, err
-	}
+	m.TakeRoot()
 	single := m.OwnedBytes()
 	total := single
 	for i := 1; i < instances; i++ {

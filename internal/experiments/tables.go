@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/guest"
 	"repro/internal/mario"
 	"repro/internal/stats"
 )
@@ -43,7 +44,7 @@ func Table1(cfg Config) ([]Table1Row, error) {
 				for _, r := range cl.results {
 					for _, cr := range r.Crashes {
 						switch {
-						case cr.Kind == "oom-internal-limit":
+						case cr.Kind == guest.CrashOOMInternal:
 							mark = "*"
 						case tgt == "dcmtk" && fz.IsNyx():
 							mark = "(✓)" // found only because ASan was on

@@ -248,9 +248,7 @@ func TestDeliverAndState(t *testing.T) {
 // state — target counters, fd tables, connections, and file system.
 func TestSnapshotRestoresAllGuestState(t *testing.T) {
 	m, k, tgt := bootEcho(t)
-	if err := m.TakeRoot(); err != nil {
-		t.Fatal(err)
-	}
+	m.TakeRoot()
 
 	c, _, err := k.NewConnection(Port{TCP, 7})
 	if err != nil {
@@ -454,9 +452,7 @@ func TestCrashModel(t *testing.T) {
 
 func TestCorruptionResetBySnapshotRestore(t *testing.T) {
 	m, k, _ := bootEcho(t)
-	if err := m.TakeRoot(); err != nil {
-		t.Fatal(err)
-	}
+	m.TakeRoot()
 	func() {
 		defer func() { recover() }()
 		k.Env().CorruptMemory("w", 3)
@@ -503,9 +499,7 @@ func TestDeliverOnClosedConn(t *testing.T) {
 // the first subsequent access — back-to-back restores decode nothing.
 func TestRestoreHydratesLazily(t *testing.T) {
 	m, k, tgt := bootEcho(t)
-	if err := m.TakeRoot(); err != nil {
-		t.Fatal(err)
-	}
+	m.TakeRoot()
 	c, _, err := k.NewConnection(Port{TCP, 7})
 	if err != nil {
 		t.Fatal(err)
@@ -773,9 +767,7 @@ func TestFailedRestoreSkipsDiscard(t *testing.T) {
 // state, not the discarded one.
 func TestRestoreDiscardsDirtyState(t *testing.T) {
 	m, k, tgt := bootEcho(t)
-	if err := m.TakeRoot(); err != nil {
-		t.Fatal(err)
-	}
+	m.TakeRoot()
 	c, _, err := k.NewConnection(Port{TCP, 7})
 	if err != nil {
 		t.Fatal(err)

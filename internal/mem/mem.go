@@ -5,9 +5,8 @@
 //
 // Dirty tracking follows the paper closely: a bitmap with one byte per page
 // (mirroring KVM's layout) plus Nyx's addition, a stack of dirty page
-// numbers that lets the restore path avoid walking the whole bitmap. Both
-// structures are maintained so that the ablation benchmarks can compare the
-// stack-based restore against an Agamotto-style full bitmap walk.
+// numbers that lets the restore path avoid walking the whole bitmap. A
+// restore walks the stack only; the bitmap's job is to dedup it.
 //
 // Incremental snapshots are held in overlay slots named by plain integer
 // ids: each slot stores the delta of the captured state against the root
@@ -35,18 +34,6 @@ const PageSize = 4096
 
 // PageShift is log2(PageSize).
 const PageShift = 12
-
-// Restore strategies select how the set of pages to reset is discovered.
-type RestoreStrategy int
-
-const (
-	// RestoreStack walks Nyx's stack of dirty page numbers (the paper's
-	// approach; cost proportional to the number of dirty pages).
-	RestoreStack RestoreStrategy = iota
-	// RestoreBitmapWalk scans the whole dirty bitmap as Agamotto and
-	// stock KVM do (cost proportional to total VM size).
-	RestoreBitmapWalk
-)
 
 // ErrNoRootSnapshot is returned when an operation requires a root snapshot
 // that has not been taken yet.
@@ -131,9 +118,6 @@ type Memory struct {
 	// between full overlay re-mirrors. The paper uses 2,000.
 	ReMirrorInterval int
 
-	// Strategy used by restore operations.
-	Strategy RestoreStrategy
-
 	stats Stats
 }
 
@@ -167,7 +151,6 @@ func New(npages int) *Memory {
 		slots:            make(map[int]*snapSlot),
 		active:           -1,
 		ReMirrorInterval: 2000,
-		Strategy:         RestoreStack,
 	}
 }
 
@@ -384,51 +367,26 @@ func (m *Memory) resetPage(pn uint32, src []byte) {
 	m.cow[pn] = true
 }
 
-// snapshotPageFor returns the content page pn must be restored to under the
-// currently selected snapshot (active slot overlay first, then root).
-func (m *Memory) snapshotPageFor(pn uint32) []byte {
-	if s := m.activeRef; s != nil {
-		if p, ok := s.pages[pn]; ok {
-			return p
-		}
-	}
-	return m.rootPage(pn)
-}
-
-// restoreDirty resets every dirty page to the active snapshot content using
-// the configured strategy, then clears dirty tracking. Every reset installs a
-// copy-on-write alias (resetPage); the first write to a restored page copies
-// it out (page). The stack strategy resolves the active derivation's overlay
-// once instead of looking the slot up per page.
+// restoreDirty walks the dirty stack, resetting every page on it to the
+// active snapshot content (the slot overlay first, then root), then clears
+// dirty tracking. Every reset installs a copy-on-write alias (resetPage); the
+// first write to a restored page copies it out (page). The active
+// derivation's overlay is resolved once instead of per page.
 func (m *Memory) restoreDirty() {
-	switch m.Strategy {
-	case RestoreStack:
-		var overlay map[uint32][]byte
-		if s := m.activeRef; s != nil {
-			overlay = s.pages
-		}
-		for _, pn := range m.dirtyStack {
-			src := overlay[pn]
-			if src == nil {
-				src = m.root[pn]
-			}
-			m.resetPage(pn, src)
-			m.dirtyBitmap[pn] = 0
-			m.stats.PagesReset++
-		}
-		m.dirtyStack = m.dirtyStack[:0]
-	case RestoreBitmapWalk:
-		for pn := 0; pn < m.npages; pn++ {
-			if m.dirtyBitmap[pn] != 0 {
-				m.resetPage(uint32(pn), m.snapshotPageFor(uint32(pn)))
-				m.dirtyBitmap[pn] = 0
-				m.stats.PagesReset++
-			}
-		}
-		m.dirtyStack = m.dirtyStack[:0]
-	default:
-		panic("mem: unknown restore strategy")
+	var overlay map[uint32][]byte
+	if s := m.activeRef; s != nil {
+		overlay = s.pages
 	}
+	for _, pn := range m.dirtyStack {
+		src := overlay[pn]
+		if src == nil {
+			src = m.root[pn]
+		}
+		m.resetPage(pn, src)
+		m.dirtyBitmap[pn] = 0
+		m.stats.PagesReset++
+	}
+	m.dirtyStack = m.dirtyStack[:0]
 }
 
 // RestoreRoot resets the VM memory to the root snapshot. Only pages dirtied
@@ -677,7 +635,6 @@ func (m *Memory) CloneSharedRoot() (*Memory, error) {
 	c.hasRoot = true
 	c.sharedRoot = true
 	c.ReMirrorInterval = m.ReMirrorInterval
-	c.Strategy = m.Strategy
 	return c, nil
 }
 

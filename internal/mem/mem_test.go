@@ -162,24 +162,6 @@ func TestRestoreOnlyTouchesDirtyPages(t *testing.T) {
 	}
 }
 
-func TestBitmapWalkStrategyEquivalent(t *testing.T) {
-	for _, strat := range []RestoreStrategy{RestoreStack, RestoreBitmapWalk} {
-		m := New(32)
-		m.Strategy = strat
-		fill(t, m, 0, 0xAA, 32*PageSize)
-		m.TakeRoot()
-		fill(t, m, 5*PageSize, 0xBB, 4*PageSize)
-		if err := m.RestoreRoot(); err != nil {
-			t.Fatal(err)
-		}
-		for pn := 0; pn < 32; pn++ {
-			if got := readByte(t, m, int64(pn)*PageSize); got != 0xAA {
-				t.Fatalf("strategy %v: page %d not restored: %#x", strat, pn, got)
-			}
-		}
-	}
-}
-
 func TestIncrementalSnapshotBasic(t *testing.T) {
 	m := New(8)
 	fill(t, m, 0, 0x01, 10) // root state
@@ -855,47 +837,44 @@ func TestDiscardChargesLikeAWrite(t *testing.T) {
 }
 
 // TestSteadyStateRestoreAllocs asserts the whole restore→write cycle is
-// allocation-free at steady state, under either restore strategy: a restore
-// aliases every dirty page and displaces its private buffer into the free
-// list, and the first write to each page breaks the alias with a buffer
-// popped back out — exactly one CoW break per rewritten page. One allocation
-// here would fire tens of thousands of times per campaign.
+// allocation-free at steady state: a restore aliases every dirty page and
+// displaces its private buffer into the free list, and the first write to
+// each page breaks the alias with a buffer popped back out — exactly one CoW
+// break per rewritten page. One allocation here would fire tens of thousands
+// of times per campaign.
 func TestSteadyStateRestoreAllocs(t *testing.T) {
-	for _, strat := range []RestoreStrategy{RestoreStack, RestoreBitmapWalk} {
-		const hot = 8
-		m := New(64)
-		m.Strategy = strat
-		m.TakeRoot()
-		buf := bytes.Repeat([]byte{0x5A}, 10)
-		writeHot := func() {
-			for p := 0; p < hot; p++ {
-				if _, err := m.WriteAt(buf, int64(p)*PageSize); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		writeHot()
-		if _, err := m.TakeIncrementalSlot(1); err != nil {
-			t.Fatal(err)
-		}
-		cycle := func() {
-			if _, err := m.RestoreIncrementalSlot(1); err != nil {
+	const hot = 8
+	m := New(64)
+	m.TakeRoot()
+	buf := bytes.Repeat([]byte{0x5A}, 10)
+	writeHot := func() {
+		for p := 0; p < hot; p++ {
+			if _, err := m.WriteAt(buf, int64(p)*PageSize); err != nil {
 				t.Fatal(err)
 			}
-			writeHot()
 		}
-		for i := 0; i < 32; i++ {
-			cycle() // warm up: populate the free list
+	}
+	writeHot()
+	if _, err := m.TakeIncrementalSlot(1); err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		if _, err := m.RestoreIncrementalSlot(1); err != nil {
+			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-			t.Fatalf("strategy %d: steady-state restore→write cycle allocates %.1f times per run, want 0", strat, allocs)
-		}
-		for i := 0; i < 10; i++ {
-			before := m.Stats().PagesCoWBroken
-			cycle()
-			if got := m.Stats().PagesCoWBroken - before; got != hot {
-				t.Fatalf("strategy %d: restore→rewrite cycle broke %d CoW aliases, want %d", strat, got, hot)
-			}
+		writeHot()
+	}
+	for i := 0; i < 32; i++ {
+		cycle() // warm up: populate the free list
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("steady-state restore→write cycle allocates %.1f times per run, want 0", allocs)
+	}
+	for i := 0; i < 10; i++ {
+		before := m.Stats().PagesCoWBroken
+		cycle()
+		if got := m.Stats().PagesCoWBroken - before; got != hot {
+			t.Fatalf("restore→rewrite cycle broke %d CoW aliases, want %d", got, hot)
 		}
 	}
 }

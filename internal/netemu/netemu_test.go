@@ -537,7 +537,7 @@ func TestDroppedSlotRunsDiscardNothing(t *testing.T) {
 	}{
 		{"Agent.DropSlot", func(a *Agent) { a.DropSlot(1) }, 0},
 		{"Machine.DropSlot", func(a *Agent) { a.M.DropSlot(1) }, 0},
-		{"Machine.TakeRoot", func(a *Agent) { a.M.TakeRoot() }, 1}, //nolint:errcheck // the root is taken
+		{"Machine.TakeRoot", func(a *Agent) { a.M.TakeRoot() }, 1},
 	} {
 		t.Run(drop.name, func(t *testing.T) {
 			a, s, tgt := setup(t)

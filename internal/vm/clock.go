@@ -33,15 +33,18 @@ func (c *Clock) Advance(d time.Duration) {
 // second (§4.2), incremental snapshot creation about as cheap as one reset,
 // real-socket operations orders of magnitude more expensive than emulated
 // ones, and AFLnet-style fixed sleeps dominating everything else (§2.1).
+// PerBitmapPage and DeviceResetSerial are the reset baselines' prices, as
+// RealConnect is the baseline executors': the machine resets through its
+// dirty stack and structured device reset and never charges them.
 type CostModel struct {
 	// Snapshot machinery.
 	RootRestoreBase   time.Duration // fixed cost of a root reset
 	IncCreateBase     time.Duration // fixed cost of creating an incremental snapshot
 	IncRestoreBase    time.Duration // fixed cost of restoring it
 	PerDirtyPage      time.Duration // per dirty page reset/copy cost
-	PerBitmapPage     time.Duration // per *total* page cost for bitmap walks (Agamotto)
+	PerBitmapPage     time.Duration // per *total* page cost of a KVM/Agamotto bitmap walk; read only by experiments.AblationDirtyTracking
 	DeviceResetFast   time.Duration // Nyx-Net structured device reset
-	DeviceResetSerial time.Duration // QEMU-style serialize/deserialize reset
+	DeviceResetSerial time.Duration // QEMU-style serialize/deserialize reset; read only by experiments.AblationDeviceReset
 	PerDirtySector    time.Duration // block device dirty sector handling
 
 	// Guest operations.

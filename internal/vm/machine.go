@@ -38,18 +38,6 @@ const (
 // agent signalled readiness.
 var ErrNotReady = errors.New("vm: agent has not signalled readiness (no root snapshot)")
 
-// DeviceResetMode selects between Nyx-Net's fast structured device reset
-// and the QEMU-style serialize/deserialize baseline (ablation, §4.2).
-type DeviceResetMode int
-
-const (
-	// DeviceResetStructured is the fast custom reset (paper default).
-	DeviceResetStructured DeviceResetMode = iota
-	// DeviceResetSerialize reloads devices from a serialized image, as
-	// stock QEMU migration code would.
-	DeviceResetSerialize
-)
-
 // Config describes a machine to build.
 type Config struct {
 	// MemoryPages is the number of 4 KiB guest physical pages.
@@ -58,10 +46,6 @@ type Config struct {
 	DiskSectors uint64
 	// Cost is the virtual-time cost model; zero value means default.
 	Cost CostModel
-	// ResetMode selects the device reset implementation.
-	ResetMode DeviceResetMode
-	// RestoreStrategy selects dirty-page discovery during resets.
-	RestoreStrategy mem.RestoreStrategy
 }
 
 // Machine is the simulated whole-system VM: memory, devices, virtual clock.
@@ -76,10 +60,7 @@ type Machine struct {
 	Clock   *Clock
 	Cost    CostModel
 
-	resetMode DeviceResetMode
-
-	rootTaken    bool
-	rootDevImage map[string][]byte // for the serialize-reset baseline
+	rootTaken bool
 
 	// captures is the number of the machine's last capture: every TakeRoot
 	// and TakeIncrementalSlot, and a clone's shared root, takes the next one
@@ -195,15 +176,13 @@ func New(cfg Config) *Machine {
 		cfg.Cost = DefaultCostModel()
 	}
 	m := &Machine{
-		Mem:       mem.New(cfg.MemoryPages),
-		Disk:      device.NewBlockDevice("disk0", cfg.DiskSectors),
-		NIC:       device.NewNIC("eth0"),
-		Serial:    device.NewSerial("ttyS0"),
-		Clock:     &Clock{},
-		Cost:      cfg.Cost,
-		resetMode: cfg.ResetMode,
+		Mem:    mem.New(cfg.MemoryPages),
+		Disk:   device.NewBlockDevice("disk0", cfg.DiskSectors),
+		NIC:    device.NewNIC("eth0"),
+		Serial: device.NewSerial("ttyS0"),
+		Clock:  &Clock{},
+		Cost:   cfg.Cost,
 	}
-	m.Mem.Strategy = cfg.RestoreStrategy
 	m.Devices = device.NewSet(m.Disk, m.NIC, m.Serial)
 	return m
 }
@@ -253,42 +232,26 @@ func (m *Machine) DirtyPages() int { return m.Mem.DirtyCount() }
 
 // TakeRoot captures the root snapshot of the whole VM. Expensive (full
 // memory copy) but performed once per campaign.
-func (m *Machine) TakeRoot() error {
+func (m *Machine) TakeRoot() {
 	m.flushGuest()
 	m.Mem.TakeRoot()
 	m.captures++
 	m.rootCapture = m.captures
 	m.Devices.TakeRoot()
-	if m.resetMode == DeviceResetSerialize {
-		img, err := m.Devices.SaveAll()
-		if err != nil {
-			return fmt.Errorf("vm: capturing device image: %w", err)
-		}
-		m.rootDevImage = img
-	}
 	m.slots = nil // slots captured deltas against the previous root
 	m.lastValid = false
 	m.rootTaken = true
-	return nil
 }
 
-// chargeReset charges the virtual clock for resetting n dirty pages plus
-// device reset cost under the active strategy/mode.
+// chargeReset charges the virtual clock for resetting ndirty pages plus the
+// structured device reset.
 //
 // ndirty counts every page the restore reset (mem's PagesReset) and the
 // device half charges every sector that differs from the root image
 // (DirtySectors): the charge follows what the restore must undo, never how
 // it undoes it, so the aliasing layers below change wall cost only.
 func (m *Machine) chargeReset(base time.Duration, ndirty int) {
-	d := base + time.Duration(ndirty)*m.Cost.PerDirtyPage
-	if m.Mem.Strategy == mem.RestoreBitmapWalk {
-		d += time.Duration(m.Mem.NumPages()) * m.Cost.PerBitmapPage
-	}
-	if m.resetMode == DeviceResetSerialize {
-		d += m.Cost.DeviceResetSerial
-	} else {
-		d += m.Cost.DeviceResetFast
-	}
+	d := base + time.Duration(ndirty)*m.Cost.PerDirtyPage + m.Cost.DeviceResetFast
 	d += time.Duration(m.Disk.DirtySectors()) * m.Cost.PerDirtySector
 	m.Clock.Advance(d)
 }
@@ -310,13 +273,7 @@ func (m *Machine) RestoreRoot() error {
 		return err
 	}
 	m.chargeReset(m.Cost.RootRestoreBase, int(m.Mem.Stats().PagesReset-before))
-	if m.resetMode == DeviceResetSerialize {
-		if err := m.Devices.LoadAll(m.rootDevImage); err != nil {
-			return err
-		}
-	} else {
-		m.Devices.RestoreRoot()
-	}
+	m.Devices.RestoreRoot()
 	m.restoredGuest(m.rootCapture)
 	m.stats.RootRestores++
 	return nil
@@ -461,7 +418,8 @@ func (m *Machine) Hypercall(hc Hypercall) error {
 	m.stats.Hypercalls++
 	switch hc {
 	case HcReady:
-		return m.TakeRoot()
+		m.TakeRoot()
+		return nil
 	case HcSnapshot:
 		return m.TakeIncrementalSlot(0)
 	case HcReleaseSnapshot, HcExecDone, HcPanic:
@@ -490,7 +448,6 @@ func (m *Machine) CloneSharedRoot() (*Machine, error) {
 		Serial:      device.NewSerial("ttyS0"),
 		Clock:       &Clock{},
 		Cost:        m.Cost,
-		resetMode:   m.resetMode,
 		rootTaken:   true,
 		captures:    1,
 		rootCapture: 1,

@@ -95,59 +95,6 @@ func TestResetCostScalesWithDirtyPages(t *testing.T) {
 	}
 }
 
-func TestBitmapWalkCostsMoreOnLargeVMs(t *testing.T) {
-	run := func(strategy mem.RestoreStrategy) time.Duration {
-		m := New(Config{MemoryPages: 1 << 18, RestoreStrategy: strategy})
-		m.TakeRoot()
-		m.Mem.WriteAt(make([]byte, 4*mem.PageSize), 0)
-		t0 := m.Clock.Now()
-		m.RestoreRoot()
-		return m.Clock.Now() - t0
-	}
-	stack, walk := run(mem.RestoreStack), run(mem.RestoreBitmapWalk)
-	if walk <= stack {
-		t.Fatalf("bitmap walk (%v) should cost more than dirty stack (%v)", walk, stack)
-	}
-}
-
-func TestSerializeResetCostsMore(t *testing.T) {
-	run := func(mode DeviceResetMode) time.Duration {
-		m := New(Config{MemoryPages: 128, ResetMode: mode})
-		if err := m.TakeRoot(); err != nil {
-			t.Fatal(err)
-		}
-		m.Mem.WriteAt([]byte{1}, 0)
-		t0 := m.Clock.Now()
-		if err := m.RestoreRoot(); err != nil {
-			t.Fatal(err)
-		}
-		return m.Clock.Now() - t0
-	}
-	fast, slow := run(DeviceResetStructured), run(DeviceResetSerialize)
-	if slow <= fast {
-		t.Fatalf("serialize reset (%v) should cost more than structured (%v)", slow, fast)
-	}
-}
-
-func TestSerializeResetRestoresDevices(t *testing.T) {
-	m := New(Config{MemoryPages: 128, ResetMode: DeviceResetSerialize})
-	m.Serial.WriteString("boot")
-	if err := m.TakeRoot(); err != nil {
-		t.Fatal(err)
-	}
-	m.Serial.WriteString("-dirty")
-	m.NIC.Receive([]byte("frame"))
-	if err := m.RestoreRoot(); err != nil {
-		t.Fatal(err)
-	}
-	if string(m.Serial.Log) != "boot" {
-		t.Fatalf("serial log = %q, want %q", m.Serial.Log, "boot")
-	}
-	if len(m.NIC.RxQueue) != 0 {
-		t.Fatal("NIC queue should be reset")
-	}
-}
-
 // TestGuestHooksInvoked holds the machine to the restore hook's contract:
 // every restore calls Restored once, with the number of the capture it
 // brought back, and memory then holds what it held at that capture. Numbers
@@ -184,9 +131,7 @@ func TestGuestHooksInvoked(t *testing.T) {
 		}
 	}
 	stamp(m, 10)
-	if err := m.TakeRoot(); err != nil { // capture 1
-		t.Fatal(err)
-	}
+	m.TakeRoot() // capture 1
 	stamp(m, 11)
 	if err := m.TakeIncrementalSlot(0); err != nil { // capture 2
 		t.Fatal(err)
@@ -205,9 +150,7 @@ func TestGuestHooksInvoked(t *testing.T) {
 	m.DropSlot(0)
 	restore(m, -1, 10)
 	stamp(m, 15)
-	if err := m.TakeRoot(); err != nil { // capture 4: a re-taken root
-		t.Fatal(err)
-	}
+	m.TakeRoot() // capture 4: a re-taken root
 	stamp(m, 16)
 	restore(m, -1, 15)
 	if want := []uint64{2, 2, 3, 1, 3, 1, 4}; !slices.Equal(got, want) {
@@ -272,7 +215,7 @@ func TestFlushHookFiresOnceBeforeEachMemoryOp(t *testing.T) {
 		reset int  // pages a restore must reset, or -1 for at least one
 	}{
 		{"Hypercall(HcReady)", capture, func() error { return m.Hypercall(HcReady) }, current, 0},
-		{"TakeRoot", capture, m.TakeRoot, current, 0}, // stamp 2 is the root's
+		{"TakeRoot", capture, func() error { m.TakeRoot(); return nil }, current, 0}, // stamp 2 is the root's
 		{"SnapshotHypercall(1)", capture, func() error { return m.SnapshotHypercall(1) }, current, 0},
 		{"Hypercall(HcSnapshot)", capture, func() error { return m.Hypercall(HcSnapshot) }, current, 0},
 		{"TakeIncrementalSlot(2)", capture, func() error { return m.TakeIncrementalSlot(2) }, current, 0},
@@ -337,9 +280,7 @@ func TestUnknownHypercall(t *testing.T) {
 func TestCloneSharedRootIsolation(t *testing.T) {
 	m := newTestMachine(t)
 	m.Mem.WriteAt([]byte("root"), 0)
-	if err := m.TakeRoot(); err != nil {
-		t.Fatal(err)
-	}
+	m.TakeRoot()
 	c, err := m.CloneSharedRoot()
 	if err != nil {
 		t.Fatal(err)
@@ -383,9 +324,7 @@ func TestCloneSharedRootMemoryFootprint(t *testing.T) {
 		big[i] = byte(i)
 	}
 	m.Mem.WriteAt(big, 0)
-	if err := m.TakeRoot(); err != nil {
-		t.Fatal(err)
-	}
+	m.TakeRoot()
 	single := m.OwnedBytes()
 
 	total := single
@@ -517,18 +456,14 @@ func TestRestoreAfterNewRootDiscardsNothing(t *testing.T) {
 	m := newTestMachine(t)
 	discards := 0
 	m.GuestHooks.Discard = func() (int64, int) { discards++; return 0, 0 }
-	if err := m.TakeRoot(); err != nil {
-		t.Fatal(err)
-	}
+	m.TakeRoot()
 	if err := m.TakeIncrementalSlot(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.RestoreIncrementalSlot(1); err != nil { // caches slot 1
 		t.Fatal(err)
 	}
-	if err := m.TakeRoot(); err != nil {
-		t.Fatal(err)
-	}
+	m.TakeRoot()
 	discards = 0
 	if err := m.RestoreIncrementalSlot(1); err != mem.ErrNoIncrementalSnapshot || discards != 0 {
 		t.Fatalf("restore of a slot the new root dropped: %v after %d discards, want %v after none", err, discards, mem.ErrNoIncrementalSnapshot)
@@ -547,9 +482,7 @@ func TestRestoreAfterNewRootDiscardsNothing(t *testing.T) {
 // times, each time by a multiple of 64 ns.
 func TestRestoreWallTimesOneRestoreIn64(t *testing.T) {
 	m := newTestMachine(t)
-	if err := m.TakeRoot(); err != nil {
-		t.Fatal(err)
-	}
+	m.TakeRoot()
 	if err := m.TakeIncrementalSlot(1); err != nil {
 		t.Fatal(err)
 	}
@@ -692,9 +625,7 @@ func BenchmarkSlotRestore(b *testing.B) {
 	for _, dirty := range []int{4, 64, deltaPages} {
 		b.Run(fmt.Sprintf("delta=%d/dirty=%d", deltaPages, dirty), func(b *testing.B) {
 			m := New(Config{MemoryPages: 4 * deltaPages, DiskSectors: 4 * deltaSectors})
-			if err := m.TakeRoot(); err != nil {
-				b.Fatal(err)
-			}
+			m.TakeRoot()
 			for p := 0; p < deltaPages; p++ {
 				copy(m.Mem.TouchPage(uint32(p)), buf)
 			}
